@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-txn test-repl race race-bench bench-smoke bench-scaling bench-wide bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
+.PHONY: all build vet test test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
 
 all: check
 
@@ -38,6 +38,22 @@ race:
 race-bench:
 	$(GO) test -race -run NONE -bench BenchmarkMultiSessionScaling -benchtime 1x .
 
+# The repository's one benchmark (BENCHMARK.json, bench/README.md): four
+# workloads, 15 s measured windows, results under .bench_out/.
+bench:
+	$(GO) run ./bench
+
+# The same program on shrunken beds: every correctness check in under
+# ten seconds (CI runs this).
+bench-e2e-smoke:
+	$(GO) run ./bench -smoke
+
+# Compare two result files or directories, A the baseline and B the
+# change: medians, delta, bound, spread and a verdict per workload ×
+# end-to-end metric; exits non-zero on a regression.
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)
+
 # One iteration of every benchmark: keeps benchmark code compiling and
 # running without paying for full measurement (CI runs this).
 bench-smoke:
@@ -47,11 +63,6 @@ bench-smoke:
 bench-scaling:
 	$(GO) run ./cmd/mtdbench -scaling -tenants 120 -rows 12 -actions 800 \
 		-mem-mb 2 -latency 500us -json-out BENCH_1.json
-
-# Regenerate BENCH_3.json (batch execution + column pruning vs the
-# row-at-a-time baseline, plus the §6.2 chunk-width result-equality sweep).
-bench-wide:
-	$(GO) run ./cmd/mtdbench -widebench -json-out BENCH_3.json
 
 # Regenerate BENCH_4.json (commit latency with/without group commit and
 # recovery time vs checkpoint interval).

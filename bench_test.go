@@ -502,10 +502,8 @@ func planBench(b *testing.B, cat *catalog.Catalog, query string) plan.Node {
 
 // BenchmarkWideTableNarrowProjection is the headline measurement of the
 // batching + pruning work: a 4-of-20-column projection with a filter
-// over a wide heap, run through the batch path with column pruning
-// ("batch") and through the row-at-a-time path with pruning disabled
-// ("row-baseline", the pre-batching executor's behaviour). BENCH_3.json
-// (cmd/mtdbench -widebench) records the same comparison.
+// over a wide heap. BENCH_3.json is the frozen PR 3 record of this query
+// against the row-at-a-time executor that no longer exists.
 func BenchmarkWideTableNarrowProjection(b *testing.B) {
 	cat := wideTableFixture(b, 2000)
 	const query = "SELECT k0, k1, k2, k3 FROM wide WHERE k1 > 100"
@@ -523,26 +521,10 @@ func BenchmarkWideTableNarrowProjection(b *testing.B) {
 			}
 		}
 	})
-	b.Run("row-baseline", func(b *testing.B) {
-		n := planBench(b, cat, query)
-		plan.DisablePruning(n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rows, err := exec.CollectRowAtATime(n, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rows) == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
 }
 
 // BenchmarkWideTableAggregate measures a grouping roll-up over the same
-// wide heap: aggregation consumes batches without retaining rows, so
-// the batch path's advantage compounds.
+// wide heap: aggregation consumes batches without retaining rows.
 func BenchmarkWideTableAggregate(b *testing.B) {
 	cat := wideTableFixture(b, 2000)
 	const query = "SELECT k1, COUNT(*), SUM(k2) FROM wide GROUP BY k1"
@@ -552,17 +534,6 @@ func BenchmarkWideTableAggregate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := exec.Collect(n, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("row-baseline", func(b *testing.B) {
-		n := planBench(b, cat, query)
-		plan.DisablePruning(n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.CollectRowAtATime(n, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

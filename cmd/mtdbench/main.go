@@ -43,7 +43,6 @@ func main() {
 		layoutFl  = flag.String("layout", "basic", "schema-mapping layout: basic, extension, chunk, chunkfold, universal")
 		withExts  = flag.Bool("extensions", false, "enable tenant extensions in schema and workload (§7's complete setting; needs a non-basic layout)")
 		scaling   = flag.Bool("scaling", false, "run the multi-session scaling sweep instead of the variability sweep")
-		widebench = flag.Bool("widebench", false, "run the batch-execution/column-pruning benchmark and §6.2 Q2 sweep")
 		recovery  = flag.Bool("recovery", false, "run the WAL/recovery benchmark (commit latency with and without group commit, recovery time vs checkpoint interval)")
 		txnBench  = flag.Bool("txn", false, "run the interactive-transaction benchmark (commits/sec and conflict-abort rate vs session count)")
 		txnSmoke  = flag.Bool("txn-smoke", false, "with -txn, run the reduced smoke sweep (CI regression canary; writes to the system temp dir unless -json-out is given)")
@@ -77,14 +76,6 @@ func main() {
 
 	if *scaling {
 		runScaling(*sessList, *tenants, *rows, *actions, *memMB, *latency, *seed, *jsonOut)
-		return
-	}
-	if *widebench {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_3.json"
-		}
-		runWideBench(out)
 		return
 	}
 	if *recovery {

@@ -111,11 +111,9 @@ func (db *DB) execAlterOnline(st sql.Statement) error {
 	// snapshot pinned before this line — exactly the row-MVCC rule.
 	ts := db.txns.StampDDL()
 	db.cat.PublishSchema(t, cols, ts)
-	if db.plans != nil {
-		// Cached plans key on the catalog version, which PublishSchema
-		// bumped; purging just releases their memory promptly.
-		db.plans.purge()
-	}
+	// Cached plans key on the catalog version, which PublishSchema
+	// bumped; purging just releases their memory promptly.
+	db.plans.purge()
 	db.backfill().enqueue(t.Name)
 	return nil
 }

@@ -379,11 +379,7 @@ func (a *Applier) setRootLocked(old, new storage.PageID) {
 // rewrites stream in as ordinary heap updates).
 func (a *Applier) applyCatalogLocked(ch *catalog.DDLChange) error {
 	db := a.db
-	defer func() {
-		if db.plans != nil {
-			db.plans.purge()
-		}
-	}()
+	defer db.plans.purge()
 	switch ch.Op {
 	case catalog.OpCreateTable:
 		_, err := db.cat.CreateTable(ch.Table, ch.Cols)

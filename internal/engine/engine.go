@@ -49,7 +49,7 @@ type Config struct {
 	InsertMode storage.InsertMode
 	// PlanCacheSize bounds the engine plan cache in statements; ad-hoc
 	// Exec/Query reuse compiled plans keyed by (statement text, catalog
-	// version). 0 means the default (512); negative disables caching.
+	// version). 0 means the default (512).
 	PlanCacheSize int
 	// DisableWAL turns off write-ahead logging; statements then have no
 	// durability and Crash/Recover are unavailable.
@@ -115,7 +115,7 @@ type DB struct {
 	pool    *storage.BufferPool
 	cat     *catalog.Catalog
 	planner *plan.Planner
-	plans   *planCache    // nil when caching is disabled
+	plans   *planCache
 	log     *wal.Log      // nil when WAL is disabled
 	txns    *mvcc.Manager // transaction registry and commit clock
 
@@ -197,9 +197,6 @@ type DB struct {
 	// against all other statements; DML, queries, and online ALTERs hold
 	// it shared.
 	ddlMu sync.RWMutex
-	// planMu serializes planning when the plan cache is disabled (the
-	// cache's in-flight table provides this per key otherwise).
-	planMu sync.Mutex
 }
 
 // Open creates an empty database.
@@ -220,13 +217,6 @@ func Open(cfg Config) *DB {
 		InsertMode:        cfg.InsertMode,
 		Versions:          txns,
 	})
-	if cfg.PlanCacheSize == 0 {
-		cfg.PlanCacheSize = 512
-	}
-	var plans *planCache
-	if cfg.PlanCacheSize > 0 {
-		plans = newPlanCache(cfg.PlanCacheSize)
-	}
 	var log *wal.Log
 	if !cfg.DisableWAL {
 		log = wal.New(wal.Config{
@@ -236,6 +226,12 @@ func Open(cfg Config) *DB {
 		log.AttachPool(pool)
 		pool.SetWALGate(log)
 	}
+	return newDB(cfg, disk, pool, cat, log, txns)
+}
+
+// newDB assembles a DB over storage Open just created or recovery just
+// rebuilt.
+func newDB(cfg Config, disk *storage.Disk, pool *storage.BufferPool, cat *catalog.Catalog, log *wal.Log, txns *mvcc.Manager) *DB {
 	cw := resolveConflictWait(cfg.ConflictWait)
 	return &DB{
 		cfg:           cfg,
@@ -243,7 +239,7 @@ func Open(cfg Config) *DB {
 		pool:          pool,
 		cat:           cat,
 		planner:       plan.New(cat, cfg.Optimizer),
-		plans:         plans,
+		plans:         newPlanCache(cfg.PlanCacheSize),
 		log:           log,
 		txns:          txns,
 		conflictWait:  cw,
@@ -419,22 +415,13 @@ func (db *DB) execSelect(sel *sql.SelectStmt, key string, params []types.Value) 
 	return Result{}, err
 }
 
-// planFor returns the plan for st, reusing the plan cache when it is
-// enabled. key is the statement's SQL text ("" means render it from
-// the AST); the catalog version completes the cache key, so on-line
-// schema changes invalidate stale plans. Callers hold ddlMu shared,
-// which keeps the version stable across lookup and build — and means
+// planFor returns the plan for st through the plan cache. key is the
+// statement's SQL text ("" means render it from the AST); the catalog
+// version completes the cache key, so on-line schema changes invalidate
+// stale plans. Callers hold ddlMu shared, which keeps the version stable across lookup and build — and means
 // at most one build runs per AST object (the in-flight table), which
 // matters because the optimizer rewrites the AST in place.
 func (db *DB) planFor(key string, st sql.Statement) (plan.Node, error) {
-	if db.plans == nil {
-		// No cache: serialize planning. Two goroutines must not plan the
-		// same AST object concurrently (prepared statements reuse theirs,
-		// and the optimizer rewrites ASTs in place).
-		db.planMu.Lock()
-		defer db.planMu.Unlock()
-		return db.planner.PlanStatement(st)
-	}
 	if key == "" {
 		key = st.String()
 	}
@@ -592,11 +579,9 @@ func (db *DB) execDDL(st sql.Statement) error {
 	if n := db.txns.ActiveCount(); n > 0 {
 		return fmt.Errorf("engine: DDL rejected: %d open transaction(s); COMMIT or ROLLBACK first", n)
 	}
-	if db.plans != nil {
-		// The catalog version bump already invalidates lookups; purging
-		// releases the stale plans' memory promptly.
-		defer db.plans.purge()
-	}
+	// The catalog version bump already invalidates lookups; purging
+	// releases the stale plans' memory promptly.
+	defer db.plans.purge()
 	var scope *wal.Scope
 	if db.log != nil {
 		var err error

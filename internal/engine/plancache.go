@@ -54,7 +54,12 @@ type planFlight struct {
 	err      error
 }
 
+// newPlanCache builds a cache of capacity plans; 0 (Config's zero
+// value) or less means the default, 512.
 func newPlanCache(capacity int) *planCache {
+	if capacity <= 0 {
+		capacity = 512
+	}
 	return &planCache{
 		cap:     capacity,
 		lru:     list.New(),

@@ -147,21 +147,3 @@ func TestExecSelectStreams(t *testing.T) {
 		t.Errorf("rows affected %d, want 0", res.RowsAffected)
 	}
 }
-
-// TestPlanCacheDisabled covers the opt-out path.
-func TestPlanCacheDisabled(t *testing.T) {
-	db := Open(Config{PlanCacheSize: -1})
-	if db.plans != nil {
-		t.Fatal("cache should be disabled")
-	}
-	if _, err := db.Exec("CREATE TABLE t (x INT)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec("INSERT INTO t (x) VALUES (1)"); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := db.Query("SELECT x FROM t")
-	if err != nil || len(rows.Data) != 1 {
-		t.Fatalf("query: %v, %v", rows, err)
-	}
-}

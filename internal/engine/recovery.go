@@ -7,7 +7,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/mvcc"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -363,25 +362,9 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalE
 		}
 	}
 
-	var plans *planCache
-	if cfg.PlanCacheSize > 0 {
-		plans = newPlanCache(cfg.PlanCacheSize)
-	}
-	db := &DB{
-		cfg:           cfg,
-		disk:          img.Disk,
-		pool:          pool,
-		cat:           cat,
-		planner:       plan.New(cat, cfg.Optimizer),
-		plans:         plans,
-		log:           img.Log,
-		txns:          txns,
-		conflictWait:  resolveConflictWait(cfg.ConflictWait),
-		admissionWait: resolveConflictWait(cfg.ConflictWait) * admissionWaitFactor,
-		gates:         make(map[string]*writeGate),
-		recoveries:    img.recoveries + 1,
-		replayedRecs:  img.replayedRecs + int64(rep.Replayed),
-	}
+	db := newDB(cfg, img.Disk, pool, cat, img.Log, txns)
+	db.recoveries = img.recoveries + 1
+	db.replayedRecs = img.replayedRecs + int64(rep.Replayed)
 	return db, rep, journal, nil
 }
 

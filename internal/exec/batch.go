@@ -12,13 +12,12 @@ import (
 // rely on a batch being non-empty.
 const BatchSize = 64
 
-// Batch is the unit of flow between batch-aware operators. Rows either
-// alias the producer's value arena (scans, projections, hash-join
-// output) or are rows the producer received from a row-at-a-time child;
-// in both cases they are valid only until the producer's next NextBatch
-// call. Consumers that retain rows beyond that must copy them
-// (copyRow); sharing the Values themselves is safe — strings are
-// immutable Go strings.
+// Batch is the unit of flow between operators, under one ownership
+// rule: a batch and its rows belong to the producer and are valid only
+// until the producer's next NextBatch (or Close). A consumer may shrink
+// Rows in place (filter, limit and distinct do); whoever retains a row
+// beyond that copies it (copyRow, drain). Sharing the Values themselves
+// is safe — strings are immutable Go strings.
 type Batch struct {
 	Rows [][]types.Value
 
@@ -40,14 +39,13 @@ func (b *Batch) reset() {
 
 // alloc carves a width-value row off the arena tail. Arena chunks are
 // reused across batches, so the returned slice holds stale values: the
-// caller must write (or explicitly NULL) every position.
+// caller must write (or explicitly NULL) every position. Chunks double
+// from 4 rows up to a full batch, so a statement that moves a handful
+// of rows through ten joins does not pay for ten full-batch arenas.
 func (b *Batch) alloc(width int) []types.Value {
 	n := len(b.arena)
 	if n+width > cap(b.arena) {
-		c := BatchSize * width
-		if c < 256 {
-			c = 256
-		}
+		c := min(max(2*cap(b.arena), 4*width), BatchSize*width)
 		b.arena = make([]types.Value, 0, c)
 		n = 0
 	}
@@ -61,96 +59,35 @@ func (b *Batch) freeLast(width int) {
 	b.arena = b.arena[:len(b.arena)-width]
 }
 
-// BatchIterator extends Iterator with a batched pull: NextBatch returns
-// a non-empty batch, or nil at end of stream. The batch and its rows
-// are owned by the iterator and reused by the next NextBatch call. Use
-// either Next or NextBatch on a given iterator for the whole execution,
-// not both.
-type BatchIterator interface {
-	Iterator
-	NextBatch() (*Batch, error)
-}
-
-// asBatch adapts any iterator to the batch interface. Batch-native
-// operators are returned as-is; everything else is wrapped so batch
-// consumers can drive a uniform loop.
-func asBatch(it Iterator) BatchIterator {
-	if b, ok := it.(BatchIterator); ok {
-		return b
-	}
-	return &rowBatchAdapter{child: it}
-}
-
-// volatileRows reports whether b's batches alias producer-owned storage
-// that the next NextBatch call reuses. Adapter batches reference rows
-// the child handed over per the Iterator contract (caller-owned), so
-// consumers may retain those without copying.
-func volatileRows(b BatchIterator) bool {
-	_, adapter := b.(*rowBatchAdapter)
-	return !adapter
-}
-
-// rowBatchAdapter batches a row-at-a-time child.
-type rowBatchAdapter struct {
-	child Iterator
-	b     Batch
-}
-
-func (a *rowBatchAdapter) Open(ctx *Context) error      { return a.child.Open(ctx) }
-func (a *rowBatchAdapter) Close() error                 { return a.child.Close() }
-func (a *rowBatchAdapter) Next() ([]types.Value, error) { return a.child.Next() }
-
-func (a *rowBatchAdapter) NextBatch() (*Batch, error) {
-	a.b.reset()
-	for len(a.b.Rows) < BatchSize {
-		row, err := a.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		a.b.Rows = append(a.b.Rows, row)
-	}
-	if len(a.b.Rows) == 0 {
-		return nil, nil
-	}
-	return &a.b, nil
-}
-
-// batchCursor drains a NextBatch source one row at a time for parents
-// that speak the row interface. Rows are copied out because Next hands
-// ownership to the caller while batch rows are reused.
-type batchCursor struct {
-	cur *Batch
-	i   int
-}
-
-func (c *batchCursor) reset() { c.cur, c.i = nil, 0 }
-
-func (c *batchCursor) next(src func() (*Batch, error)) ([]types.Value, error) {
-	for c.cur == nil || c.i >= len(c.cur.Rows) {
-		b, err := src()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			c.cur = nil
-			return nil, nil
-		}
-		c.cur, c.i = b, 0
-	}
-	row := c.cur.Rows[c.i]
-	c.i++
-	return copyRow(row), nil
-}
-
 // copyRow clones a row out of reused batch storage. Values are shared
 // (strings are immutable), only the slice is fresh.
 func copyRow(row []types.Value) []types.Value {
 	out := make([]types.Value, len(row))
 	copy(out, row)
 	return out
+}
+
+// drain opens child, runs it to completion and closes it, returning a
+// retained copy of every row: the one place an input is buffered whole
+// (Collect, sort, materialize, the NL-join right side, the hash build).
+func drain(child Iterator, ctx *Context) ([][]types.Value, error) {
+	if err := child.Open(ctx); err != nil {
+		return nil, err
+	}
+	defer child.Close()
+	var rows [][]types.Value
+	for {
+		b, err := child.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return rows, nil
+		}
+		for _, row := range b.Rows {
+			rows = append(rows, copyRow(row))
+		}
+	}
 }
 
 // --- executor counters --------------------------------------------------------

@@ -4,222 +4,313 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/mvcc"
 	"repro/internal/plan"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// propFixture builds a CRM-shaped catalog (Account ⟵ Opportunity, the
-// testbed's parent-child core) with randomized data, returning the pool
-// so tests can inject fetch faults mid-scan.
-func propFixture(t testing.TB, seed int64) (*storage.BufferPool, *catalog.Catalog) {
-	t.Helper()
-	r := rand.New(rand.NewSource(seed))
-	pool := storage.NewBufferPool(storage.NewDisk(0), 4<<20)
-	cat := catalog.New(pool, catalog.Config{MemoryBytes: 4 << 20})
-	account, err := cat.CreateTable("account", []catalog.Column{
-		{Name: "id", Type: types.IntType, NotNull: true},
-		{Name: "name", Type: types.StringType},
-		{Name: "industry", Type: types.StringType},
-		{Name: "attr01", Type: types.IntType},
-		{Name: "attr03", Type: types.FloatType},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateIndex("account", "account_pk", []string{"id"}, true); err != nil {
-		t.Fatal(err)
-	}
-	opp, err := cat.CreateTable("opportunity", []catalog.Column{
-		{Name: "id", Type: types.IntType, NotNull: true},
-		{Name: "account_id", Type: types.IntType},
-		{Name: "stage", Type: types.StringType},
-		{Name: "quantity", Type: types.IntType},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateIndex("opportunity", "opportunity_pk", []string{"id"}, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateIndex("opportunity", "opportunity_acct", []string{"account_id"}, false); err != nil {
-		t.Fatal(err)
-	}
-	industries := []string{"health", "auto", "retail", "finance"}
-	stages := []string{"prospect", "qualify", "close", "won"}
-	nAcct := 80 + r.Intn(120)
-	for i := 1; i <= nAcct; i++ {
-		ind := types.NewString(industries[r.Intn(len(industries))])
-		if r.Intn(12) == 0 {
-			ind = types.Null() // NULL group keys exercised too
-		}
-		if _, err := account.InsertRow([]types.Value{
-			types.NewInt(int64(i)),
-			types.NewString(fmt.Sprintf("account-%d", i)),
-			ind,
-			types.NewInt(int64(r.Intn(1000))),
-			types.NewFloat(r.Float64() * 1000),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i <= 3*nAcct; i++ {
-		fk := types.NewInt(int64(1 + r.Intn(nAcct+5))) // some dangling FKs
-		if r.Intn(15) == 0 {
-			fk = types.Null() // NULL join keys never match
-		}
-		if _, err := opp.InsertRow([]types.Value{
-			types.NewInt(int64(i)),
-			fk,
-			types.NewString(stages[r.Intn(len(stages))]),
-			types.NewInt(int64(r.Intn(500))),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return pool, cat
+// staleGuard enforces the ownership rule from the outside: before it
+// lets its child produce the next batch (and at Close) it overwrites
+// every row of the batch it handed out last, so an operator that kept
+// one of those rows without copying it returns sentinels.
+type staleGuard struct {
+	child Iterator
+	last  [][]types.Value
 }
 
-// propQueries mirrors the testbed's query classes: entity detail pages
-// (point lookup), the five business-activity-monitoring aggregates,
-// plus DISTINCT, IN-subquery, LEFT JOIN, and ORDER BY shapes.
-func propQueries(r *rand.Rand) []struct {
-	q      string
-	params []types.Value
-} {
-	return []struct {
-		q      string
-		params []types.Value
-	}{
-		{"SELECT * FROM account WHERE id = ?", []types.Value{types.NewInt(int64(1 + r.Intn(150)))}},
-		{"SELECT industry, COUNT(*) FROM account GROUP BY industry", nil},
-		{"SELECT a.industry, COUNT(*) FROM account a, opportunity o WHERE o.account_id = a.id GROUP BY a.industry", nil},
-		{"SELECT COUNT(*), SUM(quantity) FROM opportunity WHERE quantity > ?", []types.Value{types.NewInt(int64(r.Intn(500)))}},
-		{"SELECT stage, COUNT(*), SUM(quantity) FROM opportunity GROUP BY stage ORDER BY stage", nil},
-		{"SELECT DISTINCT industry FROM account", nil},
-		{"SELECT COUNT(*) FROM opportunity WHERE account_id IN (SELECT id FROM account WHERE industry = ?)", []types.Value{types.NewString("health")}},
-		{"SELECT a.id, o.id FROM account a LEFT JOIN opportunity o ON o.account_id = a.id", nil},
-		{"SELECT industry, id FROM account ORDER BY industry, id DESC", nil},
-		{"SELECT name FROM account WHERE id >= ? AND id < ?", []types.Value{types.NewInt(int64(r.Intn(80))), types.NewInt(int64(80 + r.Intn(80)))}},
-		{"SELECT name, attr03 FROM account WHERE attr01 > ? ORDER BY name LIMIT 10", []types.Value{types.NewInt(int64(r.Intn(900)))}},
-	}
-}
-
-func planQuery(t testing.TB, cat *catalog.Catalog, q string) plan.Node {
-	t.Helper()
-	st, err := sql.Parse(q)
-	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
-	}
-	n, err := plan.New(cat, plan.Sophisticated).PlanStatement(st)
-	if err != nil {
-		t.Fatalf("plan %q: %v", q, err)
-	}
-	return n
-}
-
-func renderRows(rows [][]types.Value) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		s := ""
-		for _, v := range r {
-			s += v.SQLLiteral() + "|"
+func (g *staleGuard) scribble() {
+	for _, row := range g.last {
+		for i := range row {
+			row[i] = types.NewString("<stale>")
 		}
-		out[i] = s
 	}
-	return out
+	g.last = g.last[:0]
 }
 
-func sameResults(a, b [][]types.Value) bool {
-	ra, rb := renderRows(a), renderRows(b)
-	sort.Strings(ra)
-	sort.Strings(rb)
-	if len(ra) != len(rb) {
-		return false
+func (g *staleGuard) Open(ctx *Context) error { return g.child.Open(ctx) }
+
+func (g *staleGuard) NextBatch() (*Batch, error) {
+	g.scribble()
+	b, err := g.child.NextBatch()
+	if b != nil {
+		g.last = append(g.last, b.Rows...) // all of them, before a parent compacts Rows
 	}
-	for i := range ra {
-		if ra[i] != rb[i] {
+	return b, err
+}
+
+func (g *staleGuard) Close() error {
+	g.scribble()
+	return g.child.Close()
+}
+
+// guarded puts a staleGuard between every parent and child of the tree
+// and on top of the root.
+func guarded(it Iterator) Iterator {
+	switch it := it.(type) {
+	case *filterIter:
+		it.child = guarded(it.child)
+	case *projectIter:
+		it.child = guarded(it.child)
+	case *hashJoinIter:
+		it.outer, it.right = guarded(it.outer), guarded(it.right)
+	case *indexNLJoinIter:
+		it.outer = guarded(it.outer)
+	case *nlJoinIter:
+		it.outer, it.right = guarded(it.outer), guarded(it.right)
+	case *hashAggIter:
+		it.child = guarded(it.child)
+	case *sortIter:
+		it.child = guarded(it.child)
+	case *materializeIter:
+		it.child = guarded(it.child)
+	case *limitIter:
+		it.child = guarded(it.child)
+	case *distinctIter:
+		it.child = guarded(it.child)
+	case *seqScanIter, *indexScanIter, *valuesIter:
+	default:
+		panic(fmt.Sprintf("guarded: unhandled iterator %T", it))
+	}
+	return &staleGuard{child: it}
+}
+
+// runPlan is CollectTx with the option of guarding every edge.
+func runPlan(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn, guard bool) ([][]types.Value, error) {
+	it, err := BuildTx(n, tx)
+	if err != nil {
+		return nil, err
+	}
+	if guard {
+		it = guarded(it)
+	}
+	return drain(it, &Context{Params: params, Stats: st, Txn: tx})
+}
+
+// within reports lo <= got <= hi in every component.
+func (got goldenCost) within(lo, hi goldenCost) bool {
+	for i := range got.Stats {
+		if got.Stats[i] < lo.Stats[i] || got.Stats[i] > hi.Stats[i] {
+			return false
+		}
+	}
+	for i := range got.Fetches {
+		if got.Fetches[i] < lo.Fetches[i] || got.Fetches[i] > hi.Fetches[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// TestBatchRowEquivalenceProperty runs every query class through the
-// batch path (Collect), the row path (CollectRowAtATime), and the row
-// path with column pruning disabled, asserting identical result sets
-// for randomized data and parameters.
-func TestBatchRowEquivalenceProperty(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		_, cat := propFixture(t, seed)
-		r := rand.New(rand.NewSource(seed * 977))
-		for trial := 0; trial < 3; trial++ {
-			for _, c := range propQueries(r) {
-				n := planQuery(t, cat, c.q)
-				batch, err := Collect(n, c.params)
-				if err != nil {
-					t.Fatalf("seed %d batch %q: %v", seed, c.q, err)
-				}
-				row, err := CollectRowAtATime(n, c.params)
-				if err != nil {
-					t.Fatalf("seed %d row %q: %v", seed, c.q, err)
-				}
-				if !sameResults(batch, row) {
-					t.Errorf("seed %d %q: batch path %d rows != row path %d rows",
-						seed, c.q, len(batch), len(row))
-				}
-				unpruned := planQuery(t, cat, c.q)
-				plan.DisablePruning(unpruned)
-				full, err := CollectRowAtATime(unpruned, c.params)
-				if err != nil {
-					t.Fatalf("seed %d unpruned %q: %v", seed, c.q, err)
-				}
-				if !sameResults(batch, full) {
-					t.Errorf("seed %d %q: pruned results differ from unpruned", seed, c.q)
-				}
+// checkRun holds the single path — pruned and unpruned, bare and with a
+// staleGuard on every edge — to the row path's record of one query: the
+// same result multiset, and the same Stats counters and logical page
+// fetches, except that a LIMIT query may spend up to what the row path
+// spent on LIMIT n+BatchSize.
+func checkRun(t *testing.T, pool *storage.BufferPool, cat *catalog.Catalog, c propCase, tx *mvcc.Txn, want goldenRun) {
+	t.Helper()
+	if c.sql(0) != want.Query {
+		t.Fatalf("golden file out of step: have %q, golden %q", c.sql(0), want.Query)
+	}
+	for _, prune := range []bool{true, false} {
+		lo, hi := want.Unpruned, want.Unpruned
+		if prune {
+			lo, hi = want.Pruned, want.Pruned
+		}
+		if c.limit > 0 {
+			hi = *want.AllowUnpruned
+			if prune {
+				hi = *want.AllowPruned
+			}
+		}
+		for _, guard := range []bool{false, true} {
+			n := planMode(t, cat, c.mode, c.sql(0))
+			if !prune {
+				plan.DisablePruning(n)
+			}
+			var st Stats
+			before := pool.Stats()
+			rows, err := runPlan(n, c.params, &st, tx, guard)
+			if err != nil {
+				t.Fatalf("%q prune=%v guard=%v: %v", want.Query, prune, guard, err)
+			}
+			got := costOf(st.Snapshot(), before, pool.Stats())
+			if len(rows) != want.Rows || digest(rows) != want.Digest {
+				t.Errorf("seed %d trial %d %q prune=%v guard=%v: %d rows, digest differs from the row path's %d rows",
+					want.Seed, want.Trial, want.Query, prune, guard, len(rows), want.Rows)
+			}
+			if !got.within(lo, hi) {
+				t.Errorf("seed %d trial %d %q prune=%v guard=%v: cost %+v outside row-path bounds [%+v, %+v]",
+					want.Seed, want.Trial, want.Query, prune, guard, got, lo, hi)
 			}
 		}
 	}
 }
 
+// TestBatchRowEquivalenceProperty: Collect reproduces the frozen
+// row-path digests, Stats.Exec counters and page fetches for every
+// property query over randomized data and parameters, and under a
+// transaction snapshot that reads through version chains.
+func TestBatchRowEquivalenceProperty(t *testing.T) {
+	g := loadGolden(t)
+	next := 0
+	for seed := int64(1); seed <= propSeeds; seed++ {
+		pool, cat := propFixture(t, seed, nil)
+		r := rand.New(rand.NewSource(seed * 977))
+		for trial := 0; trial < propTrials; trial++ {
+			for _, c := range propQueries(r) {
+				checkRun(t, pool, cat, c, nil, g.Property[next])
+				next++
+			}
+		}
+	}
+	if next != len(g.Property) {
+		t.Errorf("ran %d property queries, golden file has %d", next, len(g.Property))
+	}
+
+	pool, cat, reader := versionedFixtureProp(t, versionedSeed)
+	r := rand.New(rand.NewSource(versionedSeed * 977))
+	for i, c := range propQueries(r) {
+		checkRun(t, pool, cat, c, reader, g.Versioned[i])
+	}
+}
+
+// TestPropQueriesReachEveryOperator keeps the oracle honest: the
+// property queries plan to every node kind build() handles, and the
+// golden file was recorded over the same kinds.
+func TestPropQueriesReachEveryOperator(t *testing.T) {
+	_, cat := propFixture(t, 1, nil)
+	kinds := map[string]bool{}
+	for _, c := range propQueries(rand.New(rand.NewSource(1))) {
+		nodeKinds(planMode(t, cat, c.mode, c.sql(0)), kinds)
+	}
+	golden := map[string]bool{}
+	for _, k := range loadGolden(t).NodeKinds {
+		golden[k] = true
+	}
+	for _, k := range []string{"*plan.SeqScan", "*plan.IndexScan", "*plan.Values", "*plan.Filter", "*plan.Project",
+		"*plan.HashJoin", "*plan.IndexNLJoin", "*plan.NLJoin", "*plan.HashAggregate", "*plan.Sort", "*plan.Limit",
+		"*plan.Distinct", "*plan.Materialize"} {
+		if !kinds[k] || !golden[k] {
+			t.Errorf("%s: planned by a property query: %v, in the golden file: %v", k, kinds[k], golden[k])
+		}
+	}
+}
+
 // TestBatchRowFaultEquivalence injects a fetch fault at the kth logical
-// page access mid-scan and asserts the batch and row paths fail (or
-// succeed past the fault) identically — batching must not change which
-// statements an I/O error aborts.
+// page access and asserts the statement fails or succeeds as the row
+// path did — batching must not change which statements an I/O error
+// aborts, nor swallow the error. Under a LIMIT the batch pipeline may
+// reach a site the row path stopped short of, but only one the row path
+// reaches with LIMIT n+BatchSize.
 func TestBatchRowFaultEquivalence(t *testing.T) {
-	pool, cat := propFixture(t, 42)
-	r := rand.New(rand.NewSource(4242))
+	g := loadGolden(t)
+	pool, cat := propFixture(t, faultSeed, nil)
+	r := rand.New(rand.NewSource(faultSeed * 101))
+	next := 0
 	for _, c := range propQueries(r) {
-		for _, cat2 := range []storage.Category{storage.CatData, storage.CatIndex} {
-			for _, k := range []int64{1, 2, 5, 12, 40} {
-				runPath := func(collect func(plan.Node, []types.Value) ([][]types.Value, error)) ([][]types.Value, error) {
-					pool.SetFetchFault(storage.FailNthFetch(k, cat2))
-					defer pool.SetFetchFault(nil)
-					return collect(planQuery(t, cat, c.q), c.params)
+		for _, fc := range []storage.Category{storage.CatData, storage.CatIndex} {
+			for _, k := range faultKs {
+				want := g.Faults[next]
+				next++
+				if want.Query != c.sql(0) || want.Cat != int(fc) || want.K != k {
+					t.Fatalf("golden file out of step at %q cat=%v k=%d: %+v", c.sql(0), fc, k, want)
 				}
-				batch, berr := runPath(func(n plan.Node, p []types.Value) ([][]types.Value, error) {
-					return Collect(n, p)
-				})
-				row, rerr := runPath(CollectRowAtATime)
-				if (berr != nil) != (rerr != nil) {
-					t.Fatalf("%q cat=%v k=%d: batch err %v, row err %v", c.q, cat2, k, berr, rerr)
-				}
-				if berr != nil {
-					if !errors.Is(berr, storage.ErrInjectedFault) || !errors.Is(rerr, storage.ErrInjectedFault) {
-						t.Fatalf("%q cat=%v k=%d: unexpected errors %v / %v", c.q, cat2, k, berr, rerr)
+				for _, guard := range []bool{false, true} {
+					pool.SetFetchFault(storage.FailNthFetch(k, fc))
+					rows, err := runPlan(planMode(t, cat, c.mode, c.sql(0)), c.params, nil, nil, guard)
+					pool.SetFetchFault(nil)
+					if err != nil && !errors.Is(err, storage.ErrInjectedFault) {
+						t.Fatalf("%q cat=%v k=%d: unexpected error %v", want.Query, fc, k, err)
 					}
-					continue
-				}
-				if !sameResults(batch, row) {
-					t.Errorf("%q cat=%v k=%d: results diverge", c.q, cat2, k)
+					mustFail, mayFail := want.Failed, want.Failed
+					if want.FailedWide != nil {
+						mayFail = *want.FailedWide
+					}
+					switch failed := err != nil; {
+					case failed && !mayFail:
+						t.Errorf("%q cat=%v k=%d guard=%v: failed, the row path did not", want.Query, fc, k, guard)
+					case !failed && mustFail:
+						t.Errorf("%q cat=%v k=%d guard=%v: succeeded, the row path failed", want.Query, fc, k, guard)
+					case !failed && digest(rows) != want.Digest:
+						t.Errorf("%q cat=%v k=%d guard=%v: result differs from the row path's", want.Query, fc, k, guard)
+					}
 				}
 			}
 		}
+	}
+	if next != len(g.Faults) {
+		t.Errorf("ran %d fault sites, golden file has %d", next, len(g.Faults))
+	}
+}
+
+// countingSource produces n rows in batches of size per and counts the
+// pulls it served.
+type countingSource struct {
+	n, per, pulls int
+	b             Batch
+}
+
+func (s *countingSource) Open(*Context) error { return nil }
+func (s *countingSource) Close() error        { return nil }
+
+func (s *countingSource) NextBatch() (*Batch, error) {
+	if s.n == 0 {
+		return nil, nil
+	}
+	s.pulls++
+	s.b.reset()
+	for i := 0; i < s.per && s.n > 0; i++ {
+		row := s.b.alloc(1)
+		row[0] = types.NewInt(int64(s.n))
+		s.b.Rows = append(s.b.Rows, row)
+		s.n--
+	}
+	return &s.b, nil
+}
+
+// TestLimitStopsEarly: limitIter truncates the batch that straddles n
+// and never pulls another, and LIMIT 0 pulls nothing at all.
+func TestLimitStopsEarly(t *testing.T) {
+	for _, tc := range []struct{ n, rows, pulls int }{
+		{n: 0, rows: 0, pulls: 0},
+		{n: 5, rows: 5, pulls: 1},
+		{n: 10, rows: 10, pulls: 1},  // exactly one batch: no second pull to find the end
+		{n: 25, rows: 25, pulls: 3},  // straddles the third batch
+		{n: 999, rows: 40, pulls: 4}, // input shorter than the limit
+	} {
+		src := &countingSource{n: 40, per: 10}
+		rows, err := drain(&limitIter{child: src, n: int64(tc.n)}, &Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != tc.rows || src.pulls != tc.pulls {
+			t.Errorf("LIMIT %d over 4 batches of 10: %d rows after %d pulls, want %d rows after %d pulls",
+				tc.n, len(rows), src.pulls, tc.rows, tc.pulls)
+		}
+	}
+}
+
+// TestJoinUnderLimitStopsWithinOneBatch: a join closes its batch at
+// BatchSize rows on an outer-row boundary, so under a LIMIT it consumes
+// no outer row beyond those needed for its first batch — here the outer
+// input is never pulled a second time.
+func TestJoinUnderLimitStopsWithinOneBatch(t *testing.T) {
+	right := &countingSource{n: 4, per: 4}
+	outer := &countingSource{n: 100 * BatchSize, per: BatchSize}
+	join := &nlJoinIter{right: right, joinCore: joinCore{outer: outer, innerWidth: 1}}
+	rows, err := drain(&limitIter{child: join, n: 3}, &Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || outer.pulls != 1 {
+		t.Errorf("LIMIT 3 over a 4-way NL join: %d rows after %d outer pulls, want 3 rows after 1 pull", len(rows), outer.pulls)
+	}
+	if want := BatchSize / 4; join.oi != want {
+		t.Errorf("join consumed %d outer rows for its first batch, want %d", join.oi, want)
 	}
 }
 
@@ -228,7 +319,7 @@ func TestBatchRowFaultEquivalence(t *testing.T) {
 // decode them for predicate evaluation anyway, so the predicates keep
 // filtering correctly.
 func TestPrunedFilterAndJoinColumnsStillApply(t *testing.T) {
-	_, cat := propFixture(t, 11)
+	_, cat := propFixture(t, 11, nil)
 	// Filter column (industry) not selected: result must match the count
 	// computed by an unpruned plan.
 	q := "SELECT id FROM account WHERE industry = 'health'"
@@ -268,7 +359,7 @@ func TestPrunedFilterAndJoinColumnsStillApply(t *testing.T) {
 // pruned scan must report decode savings, and counters must accumulate
 // rows and batches.
 func TestCollectStatsCounters(t *testing.T) {
-	_, cat := propFixture(t, 7)
+	_, cat := propFixture(t, 7, nil)
 	var st Stats
 	n := planQuery(t, cat, "SELECT id FROM account")
 	rows, err := CollectStats(n, nil, &st)

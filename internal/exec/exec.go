@@ -1,6 +1,7 @@
-// Package exec evaluates physical plans with Volcano-style iterators.
-// Concurrency control happens above this layer: the engine acquires the
-// table locks a statement needs before running its plan.
+// Package exec evaluates physical plans batch-at-a-time: every operator
+// pulls batches of rows from its children through one NextBatch
+// protocol. Concurrency control happens above this layer: the engine
+// acquires the table locks a statement needs before running its plan.
 package exec
 
 import (
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/mvcc"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/types"
 )
 
@@ -23,15 +25,13 @@ type Context struct {
 	Txn *mvcc.Txn
 }
 
-// Iterator is the operator interface: Open, then Next until (nil, nil),
-// then Close. Rows returned by Next are owned by the caller.
-//
-// Batch-native operators additionally implement BatchIterator (see
-// batch.go); asBatch adapts the rest, so a parent can drive either
-// interface — but must pick one per execution.
+// Iterator is the operator interface: Open, then NextBatch until it
+// returns nil, then Close. NextBatch returns a non-empty batch or nil at
+// end of stream; the batch and its rows stay the iterator's and are
+// reused by its next NextBatch call (see Batch for the ownership rule).
 type Iterator interface {
 	Open(ctx *Context) error
-	Next() ([]types.Value, error)
+	NextBatch() (*Batch, error)
 	Close() error
 }
 
@@ -80,15 +80,15 @@ func build(n plan.Node) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &hashJoinIter{node: n, left: l, right: r,
-			leftWidth:  len(n.Left.Schema()),
-			rightWidth: len(n.Right.Schema())}, nil
+		return &hashJoinIter{node: n, right: r, joinCore: joinCore{outer: l,
+			innerWidth: len(n.Right.Schema()), residual: n.Residual, leftJoin: n.Type == sql.LeftJoin}}, nil
 	case *plan.IndexNLJoin:
 		outer, err := build(n.Outer)
 		if err != nil {
 			return nil, err
 		}
-		return &indexNLJoinIter{node: n, outer: outer}, nil
+		return &indexNLJoinIter{node: n, joinCore: joinCore{outer: outer,
+			residual: n.Residual, leftJoin: n.Type == sql.LeftJoin}}, nil
 	case *plan.NLJoin:
 		l, err := build(n.Left)
 		if err != nil {
@@ -98,8 +98,8 @@ func build(n plan.Node) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &nlJoinIter{node: n, left: l, right: r,
-			rightWidth: len(n.Right.Schema())}, nil
+		return &nlJoinIter{right: r, joinCore: joinCore{outer: l,
+			innerWidth: len(n.Right.Schema()), residual: n.Cond, leftJoin: n.Type == sql.LeftJoin}}, nil
 	case *plan.HashAggregate:
 		child, err := build(n.Child)
 		if err != nil {
@@ -111,7 +111,7 @@ func build(n plan.Node) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sortIter{node: n, child: child}, nil
+		return &sortIter{materializeIter: materializeIter{child: child}, keys: n.Keys}, nil
 	case *plan.Limit:
 		child, err := build(n.Child)
 		if err != nil {
@@ -144,68 +144,18 @@ func Collect(n plan.Node, params []types.Value) ([][]types.Value, error) {
 }
 
 // CollectStats is Collect feeding executor counters into st (nil ok).
-// It drives the plan batch-at-a-time; rows are copied out of volatile
-// batch storage into the returned (caller-owned) slice.
 func CollectStats(n plan.Node, params []types.Value, st *Stats) ([][]types.Value, error) {
 	return CollectTx(n, params, st, nil)
 }
 
 // CollectTx is CollectStats under a transaction snapshot (tx nil ok).
+// The returned rows are copies, owned by the caller.
 func CollectTx(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) ([][]types.Value, error) {
 	it, err := BuildTx(n, tx)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Context{Params: params, Stats: st, Txn: tx}
-	bit := asBatch(it)
-	if err := bit.Open(ctx); err != nil {
-		return nil, err
-	}
-	defer bit.Close()
-	retain := volatileRows(bit)
-	var out [][]types.Value
-	for {
-		b, err := bit.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		for _, row := range b.Rows {
-			if retain {
-				row = copyRow(row)
-			}
-			out = append(out, row)
-		}
-	}
-}
-
-// CollectRowAtATime runs a plan to completion through the row-at-a-time
-// Next interface only. It is the equivalence oracle for the batch path
-// (batch-vs-row property tests) and the baseline for the batching
-// benchmarks; production callers use Collect.
-func CollectRowAtATime(n plan.Node, params []types.Value) ([][]types.Value, error) {
-	it, err := Build(n)
-	if err != nil {
-		return nil, err
-	}
-	ctx := &Context{Params: params}
-	if err := it.Open(ctx); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out [][]types.Value
-	for {
-		row, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return out, nil
-		}
-		out = append(out, row)
-	}
+	return drain(it, &Context{Params: params, Stats: st, Txn: tx})
 }
 
 // Drain runs a plan to completion, discarding rows, and returns the
@@ -227,20 +177,15 @@ func DrainTx(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (int64,
 	if err != nil {
 		return 0, err
 	}
-	ctx := &Context{Params: params, Stats: st, Txn: tx}
-	bit := asBatch(it)
-	if err := bit.Open(ctx); err != nil {
+	if err := it.Open(&Context{Params: params, Stats: st, Txn: tx}); err != nil {
 		return 0, err
 	}
-	defer bit.Close()
+	defer it.Close()
 	var count int64
 	for {
-		b, err := bit.NextBatch()
-		if err != nil {
+		b, err := it.NextBatch()
+		if err != nil || b == nil {
 			return count, err
-		}
-		if b == nil {
-			return count, nil
 		}
 		count += int64(len(b.Rows))
 	}

@@ -6,18 +6,16 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/plan"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
 // --- scans -------------------------------------------------------------------
 
-// seqScanIter is batch-native: each NextBatch decodes every live record
-// of one heap page — fetched in a single buffer-pool visit — straight
-// into the batch's value arena, materializing only the columns the plan
-// needs and evaluating the pushed-down filter in place. The row
-// interface drains those batches through a cursor.
+// seqScanIter decodes, per NextBatch, every live record of one heap page
+// — fetched in a single buffer-pool visit — straight into the batch's
+// value arena, materializing only the columns the plan needs and
+// evaluating the pushed-down filter in place.
 type seqScanIter struct {
 	node   *plan.SeqScan
 	ctx    *Context
@@ -26,7 +24,6 @@ type seqScanIter struct {
 	need   []bool
 	extras []extraRec // snapshot-visible versions of chained rows
 	b      Batch
-	cur    batchCursor
 	cnt    scanCounters
 }
 
@@ -48,7 +45,6 @@ func (it *seqScanIter) Open(ctx *Context) error {
 			return err
 		}
 	}
-	it.cur.reset()
 	return nil
 }
 
@@ -102,8 +98,6 @@ func (it *seqScanIter) NextBatch() (*Batch, error) {
 		}
 	}
 }
-
-func (it *seqScanIter) Next() ([]types.Value, error) { return it.cur.next(it.NextBatch) }
 
 func (it *seqScanIter) Close() error {
 	it.cnt.flush(it.ctx)
@@ -163,8 +157,8 @@ func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte,
 	return lo, hi, true, nil
 }
 
-// indexScanIter is batch-native: NextBatch gathers up to BatchSize RIDs
-// from the B+tree, then FETCHes each heap row with a partial decode
+// indexScanIter gathers, per NextBatch, up to BatchSize RIDs from the
+// B+tree, then FETCHes each heap row with a partial decode
 // (only the plan's needed columns) into the batch arena while the row's
 // page is pinned — no intermediate record copy.
 type indexScanIter struct {
@@ -180,7 +174,6 @@ type indexScanIter struct {
 	need   []bool
 	rids   []storage.RID
 	b      Batch
-	cur    batchCursor
 	cnt    scanCounters
 }
 
@@ -190,7 +183,6 @@ func (it *indexScanIter) Open(ctx *Context) error {
 	it.want = len(it.node.Table.Columns)
 	it.need = needMask(it.node.Needed, it.want)
 	it.extras, it.ei = nil, 0
-	it.cur.reset()
 	lo, hi, ok, err := indexKeys(&it.node.Path, nil, ctx.Params)
 	if err != nil {
 		return err
@@ -219,8 +211,8 @@ func (it *indexScanIter) Open(ctx *Context) error {
 	return err
 }
 
-// extrasBatch emits the residual-surviving version rows as batches.
-func (it *indexScanIter) extrasBatch() (*Batch, error) {
+// nextExtras emits the residual-surviving version rows as batches.
+func (it *indexScanIter) nextExtras() (*Batch, error) {
 	for it.ei < len(it.extras) {
 		it.cnt.batches++
 		it.b.reset()
@@ -264,7 +256,7 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 			if err := it.it.Err(); err != nil {
 				return nil, err
 			}
-			b, err := it.extrasBatch()
+			b, err := it.nextExtras()
 			if err != nil || b != nil {
 				return b, err
 			}
@@ -300,87 +292,73 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 	}
 }
 
-func (it *indexScanIter) Next() ([]types.Value, error) { return it.cur.next(it.NextBatch) }
-
 func (it *indexScanIter) Close() error {
 	it.cnt.flush(it.ctx)
 	return nil
 }
 
-type valuesIter struct {
-	node *plan.Values
-	ctx  *Context
-	i    int
+// rowsOut serves rows an operator computed at Open as batches; values,
+// aggregation, sort and materialize embed it for NextBatch and Close.
+// The rows are the operator's own, so they outlive any batch.
+type rowsOut struct {
+	rows [][]types.Value
+	b    Batch
 }
 
-func (it *valuesIter) Open(ctx *Context) error { it.ctx = ctx; it.i = 0; return nil }
-
-func (it *valuesIter) Next() ([]types.Value, error) {
-	if it.i >= len(it.node.Rows) {
+func (o *rowsOut) NextBatch() (*Batch, error) {
+	if len(o.rows) == 0 {
 		return nil, nil
 	}
-	exprs := it.node.Rows[it.i]
-	it.i++
-	row := make([]types.Value, len(exprs))
-	for i, e := range exprs {
-		v, err := e.Eval(nil, it.ctx.Params)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
+	n := min(len(o.rows), BatchSize)
+	o.b.Rows = o.rows[:n:n]
+	o.rows = o.rows[n:]
+	return &o.b, nil
 }
 
-func (it *valuesIter) Close() error { return nil }
+func (o *rowsOut) Close() error { return nil }
+
+type valuesIter struct {
+	node *plan.Values
+	rowsOut
+}
+
+func (it *valuesIter) Open(ctx *Context) error {
+	it.rows = make([][]types.Value, len(it.node.Rows))
+	for r, exprs := range it.node.Rows {
+		row := make([]types.Value, len(exprs))
+		for i, e := range exprs {
+			v, err := e.Eval(nil, ctx.Params)
+			if err != nil {
+				return err
+			}
+			row[i] = v
+		}
+		it.rows[r] = row
+	}
+	return nil
+}
 
 // --- filter / project ---------------------------------------------------------
 
-// filterIter is batch-native: NextBatch compacts the child's batch in
-// place (the rows survive untouched; only the Rows index shrinks, and
-// the child rebuilds it on its next fill anyway). The row interface
-// keeps the original pass-through semantics so row-path parents still
-// receive rows with the child's ownership.
+// filterIter compacts the child's batch in place (the rows survive
+// untouched; only the Rows index shrinks, and the child rebuilds it on
+// its next fill anyway).
 type filterIter struct {
-	child  Iterator
-	bchild BatchIterator
-	cond   plan.Scalar
-	ctx    *Context
+	child Iterator
+	cond  plan.Scalar
+	ctx   *Context
 }
 
 func (it *filterIter) Open(ctx *Context) error {
 	it.ctx = ctx
-	it.bchild = nil
 	return it.child.Open(ctx)
 }
 
-func (it *filterIter) Next() ([]types.Value, error) {
-	for {
-		row, err := it.child.Next()
-		if err != nil || row == nil {
-			return nil, err
-		}
-		v, err := it.cond.Eval(row, it.ctx.Params)
-		if err != nil {
-			return nil, err
-		}
-		if plan.IsTrue(v) {
-			return row, nil
-		}
-	}
-}
-
 func (it *filterIter) NextBatch() (*Batch, error) {
-	if it.bchild == nil {
-		it.bchild = asBatch(it.child)
-	}
 	for {
-		b, err := it.bchild.NextBatch()
-		if err != nil {
+		b, err := it.child.NextBatch()
+		if err != nil || b == nil {
 			return nil, err
-		}
-		if b == nil {
-			return nil, nil
 		}
 		keep := b.Rows[:0]
 		for _, row := range b.Rows {
@@ -401,44 +379,22 @@ func (it *filterIter) NextBatch() (*Batch, error) {
 
 func (it *filterIter) Close() error { return it.child.Close() }
 
-// projectIter is batch-native: NextBatch evaluates the output
-// expressions of a whole child batch into its own arena, so projection
-// allocates nothing per row.
+// projectIter evaluates the output expressions of a whole child batch
+// into its own arena, so projection allocates nothing per row.
 type projectIter struct {
-	child  Iterator
-	bchild BatchIterator
-	exprs  []plan.Scalar
-	ctx    *Context
-	b      Batch
+	child Iterator
+	exprs []plan.Scalar
+	ctx   *Context
+	b     Batch
 }
 
 func (it *projectIter) Open(ctx *Context) error {
 	it.ctx = ctx
-	it.bchild = nil
 	return it.child.Open(ctx)
 }
 
-func (it *projectIter) Next() ([]types.Value, error) {
-	row, err := it.child.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	out := make([]types.Value, len(it.exprs))
-	for i, e := range it.exprs {
-		v, err := e.Eval(row, it.ctx.Params)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 func (it *projectIter) NextBatch() (*Batch, error) {
-	if it.bchild == nil {
-		it.bchild = asBatch(it.child)
-	}
-	b, err := it.bchild.NextBatch()
+	b, err := it.child.NextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
@@ -461,438 +417,259 @@ func (it *projectIter) Close() error { return it.child.Close() }
 
 // --- joins ---------------------------------------------------------------------
 
-// hashJoinIter builds and probes in batches: the build side is consumed
-// via NextBatch (rows copied out of volatile batch storage only when
-// needed), and the batch-path probe emits combined rows into its own
-// arena, so a probe match allocates nothing. The row interface keeps
-// the original per-left-row pending list.
-type hashJoinIter struct {
-	node       *plan.HashJoin
-	left       Iterator
-	bleft      BatchIterator
-	right      Iterator
-	leftWidth  int
-	rightWidth int
+// joinCore is what the three joins share: the walk over the outer input
+// and the output side. nextBatch hands each outer row to the join's
+// match function, which calls emit once per candidate inner row; emit
+// carves outer‖inner from the output arena and keeps it if the residual
+// accepts it; an outer row of a LEFT JOIN that emitted nothing is
+// NULL-extended. A batch closes once it holds BatchSize rows, always on
+// an outer-row boundary, so a LIMIT above a join stops it within one
+// batch of work. The outer batch is held across calls, which is within
+// the ownership rule: it is replaced only by this join's own pull.
+type joinCore struct {
+	outer      Iterator
+	innerWidth int
+	residual   plan.Scalar
+	leftJoin   bool
 	ctx        *Context
 
-	table   map[uint64][][]types.Value
-	keys    []types.Value
-	out     Batch
-	pending [][]types.Value // matches for the current left row
-	pi      int
+	ob   *Batch // current outer batch
+	oi   int
+	done bool // outer exhausted
+	out  Batch
+}
+
+func (j *joinCore) open(ctx *Context) error {
+	j.ctx, j.ob, j.oi, j.done = ctx, nil, 0, false
+	return j.outer.Open(ctx)
+}
+
+func (j *joinCore) nextBatch(match func(orow []types.Value) error) (*Batch, error) {
+	j.out.reset()
+	for len(j.out.Rows) < BatchSize && !j.done {
+		if j.ob == nil || j.oi == len(j.ob.Rows) {
+			b, err := j.outer.NextBatch()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				j.done = true
+				break
+			}
+			j.ob, j.oi = b, 0
+			continue
+		}
+		orow := j.ob.Rows[j.oi]
+		j.oi++
+		before := len(j.out.Rows)
+		if err := match(orow); err != nil {
+			return nil, err
+		}
+		if len(j.out.Rows) == before && j.leftJoin {
+			crow := j.out.alloc(len(orow) + j.innerWidth)
+			clear(crow[copy(crow, orow):]) // NULL-extend the inner half
+			j.out.Rows = append(j.out.Rows, crow)
+		}
+	}
+	if len(j.out.Rows) == 0 {
+		return nil, nil
+	}
+	return &j.out, nil
+}
+
+func (j *joinCore) emit(orow, irow []types.Value) error {
+	width := len(orow) + j.innerWidth
+	crow := j.out.alloc(width)
+	copy(crow[copy(crow, orow):], irow)
+	if j.residual != nil {
+		v, err := j.residual.Eval(crow, j.ctx.Params)
+		if err != nil {
+			return err
+		}
+		if !plan.IsTrue(v) {
+			j.out.freeLast(width)
+			return nil
+		}
+	}
+	j.out.Rows = append(j.out.Rows, crow)
+	return nil
+}
+
+func (j *joinCore) Close() error { return j.outer.Close() }
+
+// hashJoinIter builds a hash table over its right input at Open and
+// probes it with the left (outer) rows.
+type hashJoinIter struct {
+	joinCore
+	node  *plan.HashJoin
+	right Iterator
+	table map[uint64][][]types.Value
+	keys  []types.Value
+}
+
+// joinKeys evaluates exprs over row into it.keys; false means a key was
+// NULL, which never joins.
+func (it *hashJoinIter) joinKeys(exprs []plan.Scalar, row []types.Value) (bool, error) {
+	for i, k := range exprs {
+		v, err := k.Eval(row, it.ctx.Params)
+		if err != nil || v.IsNull() {
+			return false, err
+		}
+		it.keys[i] = v
+	}
+	return true, nil
 }
 
 func (it *hashJoinIter) Open(ctx *Context) error {
 	it.ctx = ctx
 	it.table = make(map[uint64][][]types.Value)
-	it.pending, it.pi = nil, 0
-	it.bleft = nil
 	it.keys = make([]types.Value, len(it.node.RightKeys))
-	bright := asBatch(it.right)
-	if err := bright.Open(ctx); err != nil {
+	rows, err := drain(it.right, ctx)
+	if err != nil {
 		return err
 	}
-	defer bright.Close()
-	// Build rows are retained for the whole probe phase; batch rows
-	// from native producers are reused and must be copied out.
-	retain := volatileRows(bright)
-	for {
-		b, err := bright.NextBatch()
+	for _, row := range rows {
+		ok, err := it.joinKeys(it.node.RightKeys, row)
 		if err != nil {
 			return err
 		}
-		if b == nil {
-			break
-		}
-		for _, row := range b.Rows {
-			null := false
-			for i, k := range it.node.RightKeys {
-				v, err := k.Eval(row, ctx.Params)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				it.keys[i] = v
-			}
-			if null {
-				continue // NULL keys never join
-			}
+		if ok {
 			h := types.HashRow(it.keys)
-			if retain {
-				row = copyRow(row)
-			}
 			it.table[h] = append(it.table[h], row)
 		}
 	}
-	return it.left.Open(ctx)
+	return it.open(ctx)
 }
 
-// probe appends the surviving joined rows for lrow into it.out (one
-// arena carve per row, cleared residual rejections reclaimed).
+func (it *hashJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe) }
+
 func (it *hashJoinIter) probe(lrow []types.Value) error {
-	null := false
-	for i, k := range it.node.LeftKeys {
-		v, err := k.Eval(lrow, it.ctx.Params)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			null = true
-			break
-		}
-		it.keys[i] = v
+	ok, err := it.joinKeys(it.node.LeftKeys, lrow)
+	if err != nil || !ok {
+		return err
 	}
-	width := it.leftWidth + it.rightWidth
-	if !null {
-		for _, rrow := range it.table[types.HashRow(it.keys)] {
-			ok := true
-			for i, k := range it.node.RightKeys {
-				rv, err := k.Eval(rrow, it.ctx.Params)
-				if err != nil {
-					return err
-				}
-				if !types.Equal(it.keys[i], rv) {
-					ok = false
-					break
-				}
+candidates:
+	for _, rrow := range it.table[types.HashRow(it.keys)] {
+		for i, k := range it.node.RightKeys {
+			rv, err := k.Eval(rrow, it.ctx.Params)
+			if err != nil {
+				return err
 			}
-			if !ok {
-				continue
+			if !types.Equal(it.keys[i], rv) {
+				continue candidates
 			}
-			crow := it.out.alloc(width)
-			copy(crow, lrow)
-			copy(crow[it.leftWidth:], rrow)
-			if it.node.Residual != nil {
-				v, err := it.node.Residual.Eval(crow, it.ctx.Params)
-				if err != nil {
-					return err
-				}
-				if !plan.IsTrue(v) {
-					it.out.freeLast(width)
-					continue
-				}
-			}
-			it.out.Rows = append(it.out.Rows, crow)
+		}
+		if err := it.emit(lrow, rrow); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (it *hashJoinIter) NextBatch() (*Batch, error) {
-	if it.bleft == nil {
-		it.bleft = asBatch(it.left)
-	}
-	width := it.leftWidth + it.rightWidth
-	for {
-		lb, err := it.bleft.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if lb == nil {
-			return nil, nil
-		}
-		it.out.reset()
-		for _, lrow := range lb.Rows {
-			before := len(it.out.Rows)
-			if err := it.probe(lrow); err != nil {
-				return nil, err
-			}
-			// Pad exactly when the row path's pending list would be empty:
-			// no match survived the residual.
-			if len(it.out.Rows) == before && it.node.Type == sql.LeftJoin {
-				crow := it.out.alloc(width)
-				copy(crow, lrow)
-				for i := it.leftWidth; i < width; i++ {
-					crow[i] = types.Value{} // NULL-extend the right half
-				}
-				it.out.Rows = append(it.out.Rows, crow)
-			}
-		}
-		if len(it.out.Rows) > 0 {
-			return &it.out, nil
-		}
-	}
-}
-
-func (it *hashJoinIter) Next() ([]types.Value, error) {
-	for {
-		if it.pi < len(it.pending) {
-			row := it.pending[it.pi]
-			it.pi++
-			return row, nil
-		}
-		lrow, err := it.left.Next()
-		if err != nil || lrow == nil {
-			return nil, err
-		}
-		it.pending, it.pi = it.pending[:0], 0
-		keys := make([]types.Value, len(it.node.LeftKeys))
-		null := false
-		for i, k := range it.node.LeftKeys {
-			v, err := k.Eval(lrow, it.ctx.Params)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			keys[i] = v
-		}
-		if !null {
-			for _, rrow := range it.table[types.HashRow(keys)] {
-				ok := true
-				for i, k := range it.node.RightKeys {
-					rv, err := k.Eval(rrow, it.ctx.Params)
-					if err != nil {
-						return nil, err
-					}
-					if !types.Equal(keys[i], rv) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				combined := combine(lrow, rrow)
-				if it.node.Residual != nil {
-					v, err := it.node.Residual.Eval(combined, it.ctx.Params)
-					if err != nil {
-						return nil, err
-					}
-					if !plan.IsTrue(v) {
-						continue
-					}
-				}
-				it.pending = append(it.pending, combined)
-			}
-		}
-		if len(it.pending) == 0 && it.node.Type == sql.LeftJoin {
-			it.pending = append(it.pending, padRight(lrow, it.rightWidth))
-		}
-	}
-}
-
-func (it *hashJoinIter) Close() error { return it.left.Close() }
-
-func combine(l, r []types.Value) []types.Value {
-	out := make([]types.Value, 0, len(l)+len(r))
-	return append(append(out, l...), r...)
-}
-
-func padRight(l []types.Value, width int) []types.Value {
-	out := make([]types.Value, len(l)+width)
-	copy(out, l)
-	return out
-}
-
+// indexNLJoinIter probes the inner table's index once per outer row.
 type indexNLJoinIter struct {
-	node  *plan.IndexNLJoin
-	outer Iterator
-	ctx   *Context
-
-	cur     []types.Value
-	haveRow bool
-	inner   *btree.Iterator
-	vers    bool
-	chains  chainSet        // chained inner RIDs captured per probe
-	extras  [][]types.Value // visible versions of chained inner rows in range
-	ei      int
-	matched bool
-	width   int
-	need    []bool
-	rowbuf  []types.Value // reused inner-fetch decode buffer
-	cnt     scanCounters
+	joinCore
+	node   *plan.IndexNLJoin
+	vers   bool
+	need   []bool
+	rowbuf []types.Value // reused inner-fetch decode buffer; emit copies out of it
+	cnt    scanCounters
 }
 
 func (it *indexNLJoinIter) Open(ctx *Context) error {
-	it.ctx = ctx
-	it.cur, it.inner = nil, nil
-	it.haveRow = false
-	it.extras, it.ei = nil, 0
-	it.width = len(it.node.Inner.Columns)
-	it.need = needMask(it.node.NeededInner, it.width)
+	it.innerWidth = len(it.node.Inner.Columns)
+	it.need = needMask(it.node.NeededInner, it.innerWidth)
 	it.vers = versionedTable(ctx, it.node.Inner)
-	return it.outer.Open(ctx)
+	return it.open(ctx)
 }
 
-func (it *indexNLJoinIter) Next() ([]types.Value, error) {
-	for {
-		if !it.haveRow {
-			orow, err := it.outer.Next()
-			if err != nil || orow == nil {
-				return nil, err
-			}
-			it.cur = orow
-			it.matched = false
-			lo, hi, ok, err := indexKeys(&it.node.Path, orow, it.ctx.Params)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				if it.node.Type == sql.LeftJoin { // NULL key: no match possible
-					return padRight(orow, it.width), nil
-				}
-				continue
-			}
-			it.inner, err = it.node.Path.Index.Tree.SeekRange(lo, hi)
-			if err != nil {
-				return nil, err
-			}
-			it.extras, it.ei = nil, 0
-			it.chains = nil
-			if it.vers {
-				// Chained inner rows join through their visible versions,
-				// range-checked against [lo, hi) directly (their index
-				// entries reflect newer keys, or none). The chained-RID
-				// set is captured per probe so concurrent GC cannot serve
-				// a row both physically and through its chain.
-				var rids []storage.RID
-				it.chains, rids = captureChains(it.node.Inner)
-				it.extras, err = versionedRowsInRange(it.ctx, it.node.Inner, &it.node.Path, lo, hi, rids)
-				if err != nil {
-					return nil, err
-				}
-			}
-			it.haveRow = true
-		}
-		for it.inner != nil && it.inner.Valid() {
-			rid := it.inner.RID()
-			it.inner.Next()
-			if it.vers && it.chains.has(rid) {
-				continue // resolved through the version chain instead
-			}
-			// FETCH with partial decode into a reused buffer; combine()
-			// copies the values out, so the buffer is free to be reused.
-			irow, dec, skip, err := it.node.Inner.GetRowInto(it.rowbuf, rid, it.need)
-			if err != nil {
-				return nil, err
-			}
-			it.rowbuf = irow
-			it.cnt.rows++
-			it.cnt.decoded += int64(dec)
-			it.cnt.skipped += int64(skip)
-			combined := combine(it.cur, irow)
-			if it.node.Residual != nil {
-				v, err := it.node.Residual.Eval(combined, it.ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !plan.IsTrue(v) {
-					continue
-				}
-			}
-			it.matched = true
-			return combined, nil
-		}
-		if it.inner != nil {
-			if err := it.inner.Err(); err != nil {
-				return nil, err
-			}
-			it.inner = nil
-		}
-		for it.ei < len(it.extras) {
-			irow := it.extras[it.ei]
-			it.ei++
-			it.cnt.rows++
-			combined := combine(it.cur, irow)
-			if it.node.Residual != nil {
-				v, err := it.node.Residual.Eval(combined, it.ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !plan.IsTrue(v) {
-					continue
-				}
-			}
-			it.matched = true
-			return combined, nil
-		}
-		it.haveRow = false
-		if !it.matched && it.node.Type == sql.LeftJoin {
-			return padRight(it.cur, it.width), nil
+func (it *indexNLJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe) }
+
+func (it *indexNLJoinIter) probe(orow []types.Value) error {
+	lo, hi, ok, err := indexKeys(&it.node.Path, orow, it.ctx.Params)
+	if err != nil || !ok { // !ok: NULL key, no match possible
+		return err
+	}
+	inner, err := it.node.Path.Index.Tree.SeekRange(lo, hi)
+	if err != nil {
+		return err
+	}
+	var chains chainSet
+	var extras [][]types.Value
+	if it.vers {
+		// Chained inner rows join through their visible versions,
+		// range-checked against [lo, hi) directly (their index entries
+		// reflect newer keys, or none). The chained-RID set is captured
+		// per probe so concurrent GC cannot serve a row both physically
+		// and through its chain.
+		var rids []storage.RID
+		chains, rids = captureChains(it.node.Inner)
+		extras, err = versionedRowsInRange(it.ctx, it.node.Inner, &it.node.Path, lo, hi, rids)
+		if err != nil {
+			return err
 		}
 	}
+	for inner.Valid() {
+		rid := inner.RID()
+		inner.Next()
+		if it.vers && chains.has(rid) {
+			continue // resolved through the version chain instead
+		}
+		irow, dec, skip, err := it.node.Inner.GetRowInto(it.rowbuf, rid, it.need)
+		if err != nil {
+			return err
+		}
+		it.rowbuf = irow
+		it.cnt.rows++
+		it.cnt.decoded += int64(dec)
+		it.cnt.skipped += int64(skip)
+		if err := it.emit(orow, irow); err != nil {
+			return err
+		}
+	}
+	if err := inner.Err(); err != nil {
+		return err
+	}
+	for _, irow := range extras {
+		it.cnt.rows++
+		if err := it.emit(orow, irow); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (it *indexNLJoinIter) Close() error {
 	it.cnt.flush(it.ctx)
-	return it.outer.Close()
+	return it.joinCore.Close()
 }
 
+// nlJoinIter buffers its right input at Open and pairs every left
+// (outer) row with all of it.
 type nlJoinIter struct {
-	node       *plan.NLJoin
-	left       Iterator
-	right      Iterator
-	rightWidth int
-	ctx        *Context
-
+	joinCore
+	right     Iterator
 	rightRows [][]types.Value
-	cur       []types.Value
-	ri        int
-	matched   bool
-	done      bool
 }
 
 func (it *nlJoinIter) Open(ctx *Context) error {
-	it.ctx = ctx
-	it.rightRows = nil
-	it.cur, it.ri, it.done = nil, 0, false
-	if err := it.right.Open(ctx); err != nil {
+	var err error
+	if it.rightRows, err = drain(it.right, ctx); err != nil {
 		return err
 	}
-	defer it.right.Close()
-	for {
-		row, err := it.right.Next()
-		if err != nil {
+	return it.open(ctx)
+}
+
+func (it *nlJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.pair) }
+
+func (it *nlJoinIter) pair(lrow []types.Value) error {
+	for _, rrow := range it.rightRows {
+		if err := it.emit(lrow, rrow); err != nil {
 			return err
 		}
-		if row == nil {
-			break
-		}
-		it.rightRows = append(it.rightRows, row)
 	}
-	return it.left.Open(ctx)
+	return nil
 }
-
-func (it *nlJoinIter) Next() ([]types.Value, error) {
-	for {
-		if it.cur == nil {
-			lrow, err := it.left.Next()
-			if err != nil || lrow == nil {
-				return nil, err
-			}
-			it.cur, it.ri, it.matched = lrow, 0, false
-		}
-		for it.ri < len(it.rightRows) {
-			rrow := it.rightRows[it.ri]
-			it.ri++
-			combined := combine(it.cur, rrow)
-			if it.node.Cond != nil {
-				v, err := it.node.Cond.Eval(combined, it.ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !plan.IsTrue(v) {
-					continue
-				}
-			}
-			it.matched = true
-			return combined, nil
-		}
-		lrow := it.cur
-		it.cur = nil
-		if !it.matched && it.node.Type == sql.LeftJoin {
-			return padRight(lrow, it.rightWidth), nil
-		}
-	}
-}
-
-func (it *nlJoinIter) Close() error { return it.left.Close() }
 
 // --- aggregation ----------------------------------------------------------------
 
@@ -902,31 +679,33 @@ type aggState struct {
 	sums   []types.Value // running SUM/MIN/MAX per agg
 }
 
+func newAggState(group []types.Value, aggs int) *aggState {
+	st := &aggState{group: group, counts: make([]int64, aggs), sums: make([]types.Value, aggs)}
+	for i := range st.sums {
+		st.sums[i] = types.Null()
+	}
+	return st
+}
+
 type hashAggIter struct {
 	node  *plan.HashAggregate
 	child Iterator
-	ctx   *Context
-
-	groups []*aggState
-	gi     int
+	rowsOut
 }
 
 func (it *hashAggIter) Open(ctx *Context) error {
-	it.ctx = ctx
-	it.groups, it.gi = nil, 0
-	// Consume the child in batches: accumulation reads each row once and
-	// retains only evaluated group/aggregate values, so volatile batch
-	// rows need no copying and a scan→aggregate pipeline runs without
-	// per-row allocation.
-	bchild := asBatch(it.child)
-	if err := bchild.Open(ctx); err != nil {
+	if err := it.child.Open(ctx); err != nil {
 		return err
 	}
-	defer bchild.Close()
+	defer it.child.Close()
+	// Accumulation reads each row once and retains only evaluated
+	// group/aggregate values, so batch rows need no copying and a
+	// scan→aggregate pipeline runs without per-row allocation.
+	var groups []*aggState
 	byKey := map[uint64][]*aggState{}
 	gvals := make([]types.Value, len(it.node.GroupBy))
 	for {
-		b, err := bchild.NextBatch()
+		b, err := it.child.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -944,29 +723,15 @@ func (it *hashAggIter) Open(ctx *Context) error {
 			h := types.HashRow(gvals)
 			var st *aggState
 			for _, cand := range byKey[h] {
-				same := true
-				for i := range gvals {
-					if !sameGroupValue(cand.group[i], gvals[i]) {
-						same = false
-						break
-					}
-				}
-				if same {
+				if sameGroup(cand.group, gvals) {
 					st = cand
 					break
 				}
 			}
 			if st == nil {
-				st = &aggState{
-					group:  copyRow(gvals),
-					counts: make([]int64, len(it.node.Aggs)),
-					sums:   make([]types.Value, len(it.node.Aggs)),
-				}
-				for i := range st.sums {
-					st.sums[i] = types.Null()
-				}
+				st = newAggState(copyRow(gvals), len(it.node.Aggs))
 				byKey[h] = append(byKey[h], st)
-				it.groups = append(it.groups, st)
+				groups = append(groups, st)
 			}
 			for i, spec := range it.node.Aggs {
 				if err := accumulate(st, i, spec, row, ctx.Params); err != nil {
@@ -976,25 +741,49 @@ func (it *hashAggIter) Open(ctx *Context) error {
 		}
 	}
 	// Global aggregation over an empty input still emits one row.
-	if len(it.node.GroupBy) == 0 && len(it.groups) == 0 {
-		st := &aggState{
-			counts: make([]int64, len(it.node.Aggs)),
-			sums:   make([]types.Value, len(it.node.Aggs)),
+	if len(it.node.GroupBy) == 0 && len(groups) == 0 {
+		groups = append(groups, newAggState(nil, len(it.node.Aggs)))
+	}
+	it.rows = make([][]types.Value, len(groups))
+	for g, st := range groups {
+		out := make([]types.Value, 0, len(st.group)+len(it.node.Aggs))
+		out = append(out, st.group...)
+		for i, spec := range it.node.Aggs {
+			switch spec.Func {
+			case plan.AggCount, plan.AggCountStar:
+				out = append(out, types.NewInt(st.counts[i]))
+			case plan.AggSum, plan.AggMin, plan.AggMax:
+				out = append(out, st.sums[i])
+			case plan.AggAvg:
+				if st.counts[i] == 0 {
+					out = append(out, types.Null())
+				} else {
+					f, err := types.Cast(st.sums[i], types.KindFloat)
+					if err != nil {
+						return err
+					}
+					out = append(out, types.NewFloat(f.Float/float64(st.counts[i])))
+				}
+			}
 		}
-		for i := range st.sums {
-			st.sums[i] = types.Null()
-		}
-		it.groups = append(it.groups, st)
+		it.rows[g] = out
 	}
 	return nil
 }
 
-// sameGroupValue groups NULLs together (SQL GROUP BY semantics).
-func sameGroupValue(a, b types.Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return a.IsNull() && b.IsNull()
+// sameGroup compares rows position by position, NULLs equal to each
+// other (SQL GROUP BY / DISTINCT semantics).
+func sameGroup(a, b []types.Value) bool {
+	for i := range a {
+		if a[i].IsNull() || b[i].IsNull() {
+			if a[i].IsNull() != b[i].IsNull() {
+				return false
+			}
+		} else if !types.Equal(a[i], b[i]) {
+			return false
+		}
 	}
-	return types.Equal(a, b)
+	return true
 }
 
 func accumulate(st *aggState, i int, spec plan.AggSpec, row, params []types.Value) error {
@@ -1057,76 +846,41 @@ func addValues(a, b types.Value) (types.Value, error) {
 	return types.NewFloat(af.Float + bf.Float), nil
 }
 
-func (it *hashAggIter) Next() ([]types.Value, error) {
-	if it.gi >= len(it.groups) {
-		return nil, nil
-	}
-	st := it.groups[it.gi]
-	it.gi++
-	out := make([]types.Value, 0, len(st.group)+len(it.node.Aggs))
-	out = append(out, st.group...)
-	for i, spec := range it.node.Aggs {
-		switch spec.Func {
-		case plan.AggCount, plan.AggCountStar:
-			out = append(out, types.NewInt(st.counts[i]))
-		case plan.AggSum, plan.AggMin, plan.AggMax:
-			out = append(out, st.sums[i])
-		case plan.AggAvg:
-			if st.counts[i] == 0 {
-				out = append(out, types.Null())
-			} else {
-				f, err := types.Cast(st.sums[i], types.KindFloat)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, types.NewFloat(f.Float/float64(st.counts[i])))
-			}
-		}
-	}
-	return out, nil
+// --- materialize / sort / limit / distinct ----------------------------------------
+
+// materializeIter fully evaluates its child at Open — the naive
+// optimizer's derived-table behaviour (the paper's Test 1).
+type materializeIter struct {
+	child Iterator
+	rowsOut
 }
 
-func (it *hashAggIter) Close() error { return nil }
+func (it *materializeIter) Open(ctx *Context) (err error) {
+	it.rows, err = drain(it.child, ctx)
+	return err
+}
 
-// --- sort / limit / distinct / materialize ----------------------------------------
-
+// sortIter is a materialize that orders what it buffered.
 type sortIter struct {
-	node  *plan.Sort
-	child Iterator
-	rows  [][]types.Value
-	i     int
+	materializeIter
+	keys []plan.SortKey
 }
 
 func (it *sortIter) Open(ctx *Context) error {
-	it.rows, it.i = nil, 0
-	if err := it.child.Open(ctx); err != nil {
+	if err := it.materializeIter.Open(ctx); err != nil {
 		return err
 	}
-	defer it.child.Close()
-	for {
-		row, err := it.child.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		it.rows = append(it.rows, row)
-	}
-	keys := it.node.Keys
+	rows := it.rows
 	var sortErr error
-	sort.SliceStable(it.rows, func(a, b int) bool {
-		for _, k := range keys {
-			c, err := types.Compare(it.rows[a][k.Col], it.rows[b][k.Col])
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, k := range it.keys {
+			c, err := types.Compare(rows[a][k.Col], rows[b][k.Col])
 			if err != nil {
 				sortErr = err
 				return false
 			}
 			if c != 0 {
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
+				return (c > 0) == k.Desc
 			}
 		}
 		return false
@@ -1134,17 +888,8 @@ func (it *sortIter) Open(ctx *Context) error {
 	return sortErr
 }
 
-func (it *sortIter) Next() ([]types.Value, error) {
-	if it.i >= len(it.rows) {
-		return nil, nil
-	}
-	row := it.rows[it.i]
-	it.i++
-	return row, nil
-}
-
-func (it *sortIter) Close() error { return nil }
-
+// limitIter truncates the batch that straddles n and never pulls
+// another.
 type limitIter struct {
 	child Iterator
 	n     int64
@@ -1153,20 +898,25 @@ type limitIter struct {
 
 func (it *limitIter) Open(ctx *Context) error { it.seen = 0; return it.child.Open(ctx) }
 
-func (it *limitIter) Next() ([]types.Value, error) {
+func (it *limitIter) NextBatch() (*Batch, error) {
 	if it.seen >= it.n {
 		return nil, nil
 	}
-	row, err := it.child.Next()
-	if err != nil || row == nil {
+	b, err := it.child.NextBatch()
+	if err != nil || b == nil {
 		return nil, err
 	}
-	it.seen++
-	return row, nil
+	if rest := it.n - it.seen; int64(len(b.Rows)) > rest {
+		b.Rows = b.Rows[:rest]
+	}
+	it.seen += int64(len(b.Rows))
+	return b, nil
 }
 
 func (it *limitIter) Close() error { return it.child.Close() }
 
+// distinctIter compacts the child's batch down to first occurrences,
+// keeping its own copy of every distinct row seen.
 type distinctIter struct {
 	child Iterator
 	seen  map[uint64][][]types.Value
@@ -1177,70 +927,29 @@ func (it *distinctIter) Open(ctx *Context) error {
 	return it.child.Open(ctx)
 }
 
-func (it *distinctIter) Next() ([]types.Value, error) {
+func (it *distinctIter) NextBatch() (*Batch, error) {
 	for {
-		row, err := it.child.Next()
-		if err != nil || row == nil {
+		b, err := it.child.NextBatch()
+		if err != nil || b == nil {
 			return nil, err
 		}
-		h := types.HashRow(row)
-		dup := false
-		for _, prev := range it.seen[h] {
-			same := true
-			for i := range row {
-				if !sameGroupValue(prev[i], row[i]) {
-					same = false
-					break
+		keep := b.Rows[:0]
+	rows:
+		for _, row := range b.Rows {
+			h := types.HashRow(row)
+			for _, prev := range it.seen[h] {
+				if sameGroup(prev, row) {
+					continue rows
 				}
 			}
-			if same {
-				dup = true
-				break
-			}
+			it.seen[h] = append(it.seen[h], copyRow(row))
+			keep = append(keep, row)
 		}
-		if dup {
-			continue
+		b.Rows = keep
+		if len(b.Rows) > 0 {
+			return b, nil
 		}
-		it.seen[h] = append(it.seen[h], row)
-		return row, nil
 	}
 }
 
 func (it *distinctIter) Close() error { return it.child.Close() }
-
-// materializeIter fully evaluates its child at Open — the naive
-// optimizer's derived-table behaviour (the paper's Test 1).
-type materializeIter struct {
-	child Iterator
-	rows  [][]types.Value
-	i     int
-}
-
-func (it *materializeIter) Open(ctx *Context) error {
-	it.rows, it.i = nil, 0
-	if err := it.child.Open(ctx); err != nil {
-		return err
-	}
-	defer it.child.Close()
-	for {
-		row, err := it.child.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		it.rows = append(it.rows, row)
-	}
-}
-
-func (it *materializeIter) Next() ([]types.Value, error) {
-	if it.i >= len(it.rows) {
-		return nil, nil
-	}
-	row := it.rows[it.i]
-	it.i++
-	return row, nil
-}
-
-func (it *materializeIter) Close() error { return nil }

@@ -75,17 +75,14 @@ func drainAfter(t *testing.T, n plan.Node, r *mvcc.Txn, between func()) [][]type
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &Context{Txn: r}
-	bit := asBatch(it)
-	if err := bit.Open(ctx); err != nil {
+	if err := it.Open(&Context{Txn: r}); err != nil {
 		t.Fatal(err)
 	}
-	defer bit.Close()
+	defer it.Close()
 	between()
-	retain := volatileRows(bit)
 	var out [][]types.Value
 	for {
-		b, err := bit.NextBatch()
+		b, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,10 +90,7 @@ func drainAfter(t *testing.T, n plan.Node, r *mvcc.Txn, between func()) [][]type
 			return out
 		}
 		for _, row := range b.Rows {
-			if retain {
-				row = copyRow(row)
-			}
-			out = append(out, row)
+			out = append(out, copyRow(row))
 		}
 	}
 }
