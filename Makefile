@@ -57,7 +57,7 @@ bench-compare:
 # One iteration of every benchmark: keeps benchmark code compiling and
 # running without paying for full measurement (CI runs this).
 bench-smoke:
-	$(GO) test -run=XXX -bench=. -benchtime=1x .
+	$(GO) test -run=XXX -bench=. -benchtime=1x . ./internal/btree/
 
 # Regenerate BENCH_1.json (the machine-readable multi-session sweep).
 bench-scaling:

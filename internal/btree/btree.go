@@ -26,25 +26,288 @@ var ErrDuplicateKey = errors.New("btree: duplicate key")
 // ErrKeyNotFound is returned by Delete and Get for missing keys.
 var ErrKeyNotFound = errors.New("btree: key not found")
 
-// Node page layout:
+// Node page layout — a slotted page, searched and changed where it lies
+// in the pinned buffer-pool frame:
 //
-//	[0]     isLeaf (1) / inner (0)
-//	[1:3)   entry count, uint16
-//	[3:11)  leaf: next-leaf PageID; inner: child[0] PageID
-//	[11:)   entries, serialized back to back:
-//	        leaf:  keyLen uvarint, key, page uint64, slot uint16
-//	        inner: keyLen uvarint, key, child uint64
-const nodeHeader = 11
+//	[0]      kind: leaf (1) / inner (0)
+//	[1:3)    n, entry count, uint16
+//	[3:11)   link: leaf: next-leaf PageID; inner: child[0] PageID
+//	[11:13)  heap, uint16: bytes in use at the page tail — live entries
+//	         plus the holes deletes left between them
+//	[13:15)  live, uint16: bytes of live entries alone
+//	[15:15+2n) directory: one uint16 entry offset per entry, in key order
+//	...      free space
+//	[size-heap:size) entries, newest lowest:
+//	         leaf:  keyLen uvarint, key, page uint48, slot uint16
+//	         inner: keyLen uvarint, key, child uint48 (keys >= key)
+//
+// Readers binary-search the directory and compare keys in the frame. An
+// insert writes its entry just below the heap and opens a two-byte slot
+// in the directory; a delete closes the slot and leaves the bytes as a
+// hole; an update overwrites the RID. Whether an entry fits is decided
+// from live bytes alone (fits), never from where the holes happen to
+// be, so the live tree and WAL replay split at the same insert; when
+// the gap between directory and heap is too small for an entry that
+// fits, the node is compacted first.
+const (
+	offCount   = 1
+	offLink    = 3
+	offHeap    = 11
+	offLive    = 13
+	nodeHeader = 15
 
-type leafNode struct {
-	next storage.PageID
-	keys [][]byte
-	rids []storage.RID
+	slotSize = 2 // one directory entry
+	// Entries hold page ids in six bytes, which pays for the directory
+	// slot: ids are a dense counter (storage.Disk), so 2^48 pages of
+	// any size is more than a disk can hold. maxPageID guards the RIDs
+	// callers pass in.
+	pageIDSize = 6
+	maxPageID  = 1<<(8*pageIDSize) - 1
+	ridSize    = pageIDSize + 2 // leaf entry payload: page, slot
+	childSize  = pageIDSize     // inner entry payload
+)
+
+// node is a node page viewed in place; its length is the page size.
+type node []byte
+
+func (n node) leaf() bool { return n[0] == 1 }
+func (n node) count() int { return int(binary.LittleEndian.Uint16(n[offCount:])) }
+func (n node) heap() int  { return int(binary.LittleEndian.Uint16(n[offHeap:])) }
+func (n node) live() int  { return int(binary.LittleEndian.Uint16(n[offLive:])) }
+
+// link is the next leaf of a leaf and child[0] of an inner node.
+func (n node) link() storage.PageID {
+	return storage.PageID(binary.LittleEndian.Uint64(n[offLink:]))
 }
 
-type innerNode struct {
-	children []storage.PageID // len = len(keys)+1
-	keys     [][]byte
+func (n node) setCount(v int) { binary.LittleEndian.PutUint16(n[offCount:], uint16(v)) }
+func (n node) setHeap(v int)  { binary.LittleEndian.PutUint16(n[offHeap:], uint16(v)) }
+func (n node) setLive(v int)  { binary.LittleEndian.PutUint16(n[offLive:], uint16(v)) }
+
+// init formats n as an empty node.
+func (n node) init(leaf bool, link storage.PageID) {
+	n[0] = 0
+	if leaf {
+		n[0] = 1
+	}
+	n.setCount(0)
+	binary.LittleEndian.PutUint64(n[offLink:], uint64(link))
+	n.setHeap(0)
+	n.setLive(0)
+}
+
+func (n node) valSize() int {
+	if n.leaf() {
+		return ridSize
+	}
+	return childSize
+}
+
+// off returns the byte offset of entry i.
+func (n node) off(i int) int {
+	return int(binary.LittleEndian.Uint16(n[nodeHeader+slotSize*i:]))
+}
+
+// entryAt splits the entry starting at b[off] into its key and its
+// valSize-byte payload; both alias b.
+func entryAt(b []byte, off, valSize int) (key, val []byte) {
+	kl, p := int(b[off]), off+1
+	if kl >= 0x80 {
+		v, w := binary.Uvarint(b[off:])
+		kl, p = int(v), off+w
+	}
+	return b[p : p+kl : p+kl], b[p+kl : p+kl+valSize]
+}
+
+// entrySize is the heap bytes an entry with a keyLen-byte key takes.
+func entrySize(keyLen, valSize int) int {
+	w := 1
+	for v := keyLen; v >= 0x80; v >>= 7 {
+		w++
+	}
+	return w + keyLen + valSize
+}
+
+func (n node) entry(i int) (key, val []byte) { return entryAt(n, n.off(i), n.valSize()) }
+
+func (n node) key(i int) []byte {
+	k, _ := n.entry(i)
+	return k
+}
+
+// raw returns entry i as it lies in the heap: length, key, payload.
+func (n node) raw(i int) []byte {
+	off := n.off(i)
+	k, v := entryAt(n, off, n.valSize())
+	return n[off : off+entrySize(len(k), len(v))]
+}
+
+func getPageID(b []byte) storage.PageID {
+	return storage.PageID(binary.LittleEndian.Uint32(b)) | storage.PageID(binary.LittleEndian.Uint16(b[4:]))<<32
+}
+
+func putPageID(b []byte, id storage.PageID) {
+	binary.LittleEndian.PutUint32(b, uint32(id))
+	binary.LittleEndian.PutUint16(b[4:], uint16(id>>32))
+}
+
+func getRID(b []byte) storage.RID {
+	return storage.RID{Page: getPageID(b), Slot: binary.LittleEndian.Uint16(b[pageIDSize:])}
+}
+
+func putRID(b []byte, rid storage.RID) {
+	putPageID(b, rid.Page)
+	binary.LittleEndian.PutUint16(b[pageIDSize:], rid.Slot)
+}
+
+func checkRID(rid storage.RID) error {
+	if rid.Page > maxPageID {
+		return fmt.Errorf("btree: RID page %d does not fit %d bytes", rid.Page, pageIDSize)
+	}
+	return nil
+}
+
+// child returns child i of an inner node, 0 <= i <= count.
+func (n node) child(i int) storage.PageID {
+	if i == 0 {
+		return n.link()
+	}
+	_, v := n.entry(i - 1)
+	return getPageID(v)
+}
+
+// bound returns the first position whose key is >= key, or > key when
+// after is set.
+func (n node) bound(key []byte, after bool) int {
+	lo, hi := 0, n.count()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if c := bytes.Compare(n.key(mid), key); c < 0 || after && c == 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// search returns the position key has or would take, and whether it is
+// there.
+func (n node) search(key []byte) (int, bool) {
+	pos := n.bound(key, false)
+	return pos, pos < n.count() && bytes.Equal(n.key(pos), key)
+}
+
+// childFor picks the child subtree for key: the largest separator <= key
+// routes to its right child; otherwise child[0].
+func (n node) childFor(key []byte) (int, storage.PageID) {
+	idx := n.bound(key, true)
+	return idx, n.child(idx)
+}
+
+// fits reports whether one more entry with a keyLen-byte key has room.
+// It counts live bytes only, so two nodes holding the same entries
+// answer alike however their holes differ.
+func (n node) fits(keyLen int) bool {
+	return nodeHeader+slotSize*(n.count()+1)+n.live()+entrySize(keyLen, n.valSize()) <= len(n)
+}
+
+// keyFits is the oversized-key guard: three entries of the key's size
+// must fit one page. A split divides the entries at the byte midpoint,
+// which can leave one half heavier by up to one entry; with no entry
+// over a third of the page both halves always fit, and an inner node
+// keeps a key on each side of the separator it pushes up.
+func keyFits(keyLen, pageSize int) bool {
+	return nodeHeader+3*(slotSize+entrySize(keyLen, ridSize)) <= pageSize
+}
+
+// insert places (key, val) at directory position pos. The caller has
+// checked fits; key and val must not alias n.
+func (n node) insert(pos int, key, val []byte) {
+	cnt, sz := n.count(), entrySize(len(key), len(val))
+	dirEnd := nodeHeader + slotSize*cnt
+	if len(n)-n.heap()-dirEnd < sz+slotSize {
+		n.compact()
+	}
+	off := len(n) - n.heap() - sz
+	p := off + binary.PutUvarint(n[off:], uint64(len(key)))
+	p += copy(n[p:], key)
+	copy(n[p:], val)
+	slot := nodeHeader + slotSize*pos
+	copy(n[slot+slotSize:dirEnd+slotSize], n[slot:dirEnd])
+	binary.LittleEndian.PutUint16(n[slot:], uint16(off))
+	n.setCount(cnt + 1)
+	n.setHeap(n.heap() + sz)
+	n.setLive(n.live() + sz)
+}
+
+// remove drops directory slot pos; the entry's bytes stay behind as a
+// hole until the next compaction.
+func (n node) remove(pos int) {
+	slot, dirEnd := nodeHeader+slotSize*pos, nodeHeader+slotSize*n.count()
+	n.setLive(n.live() - len(n.raw(pos)))
+	copy(n[slot:], n[slot+slotSize:dirEnd])
+	n.setCount(n.count() - 1)
+}
+
+// compact repacks the live entries against the page end, squeezing out
+// the holes.
+func (n node) compact() {
+	old := node(append([]byte(nil), n...))
+	w := len(n)
+	for i, cnt := 0, n.count(); i < cnt; i++ {
+		r := old.raw(i)
+		w -= len(r)
+		copy(n[w:], r)
+		binary.LittleEndian.PutUint16(n[nodeHeader+slotSize*i:], uint16(w))
+	}
+	n.setHeap(len(n) - w)
+}
+
+// split renders the entries of n plus the new (key, val) at position
+// pos into two empty images: left replaces n, right is its new sibling
+// at page rightID. It returns the separator to insert into the parent
+// (an alias of n, key or right). The halves divide at the byte
+// midpoint: for equal-sized entries that is the count midpoint.
+func (n node) split(pos int, key, val []byte, left, right node, rightID storage.PageID) []byte {
+	cnt, vs := n.count(), n.valSize()
+	ent := func(i int) ([]byte, []byte) {
+		switch {
+		case i < pos:
+			return n.entry(i)
+		case i == pos:
+			return key, val
+		}
+		return n.entry(i - 1)
+	}
+	fill := func(dst node, from, to int) {
+		for i := from; i < to; i++ {
+			k, v := ent(i)
+			dst.insert(dst.count(), k, v)
+		}
+	}
+	total := n.live() + entrySize(len(key), vs) + slotSize*(cnt+1)
+	mid := 0
+	for acc := 0; ; mid++ {
+		k, _ := ent(mid)
+		acc += slotSize + entrySize(len(k), vs)
+		if acc > total/2 {
+			break
+		}
+	}
+	if n.leaf() {
+		left.init(true, rightID)
+		right.init(true, n.link())
+		fill(left, 0, mid)
+		fill(right, mid, cnt+1)
+		return right.key(0)
+	}
+	sep, child := ent(mid)
+	left.init(false, n.link())
+	right.init(false, getPageID(child))
+	fill(left, 0, mid)
+	fill(right, mid+1, cnt+1)
+	return sep
 }
 
 // Logger receives redo records for tree page mutations. wal.Scope's
@@ -102,7 +365,7 @@ func NewLogged(pool *storage.BufferPool, lg Logger) (*BTree, error) {
 			return nil, err
 		}
 	}
-	encodeLeaf(buf, &leafNode{})
+	node(buf).init(true, storage.InvalidPageID)
 	pool.Unpin(id, true)
 	return &BTree{pool: pool, root: id, logger: lg}, nil
 }
@@ -151,380 +414,217 @@ func (t *BTree) Len() int64 {
 	return t.size
 }
 
-// --- node (de)serialization -------------------------------------------------
-
-func isLeaf(buf []byte) bool { return buf[0] == 1 }
-
-func decodeLeaf(buf []byte) *leafNode {
-	n := int(binary.LittleEndian.Uint16(buf[1:3]))
-	ln := &leafNode{
-		next: storage.PageID(binary.LittleEndian.Uint64(buf[3:11])),
-		keys: make([][]byte, 0, n),
-		rids: make([]storage.RID, 0, n),
-	}
-	// All keys share one backing array (one allocation per decode, not
-	// one per key). Each key is capped with a full slice expression so
-	// an append through one can never clobber its neighbour. Key bytes
-	// are immutable after decode: mutations replace whole entries in
-	// ln.keys, they never write through the byte slices.
-	total := 0
-	for i, q := 0, nodeHeader; i < n; i++ {
-		kl, sz := binary.Uvarint(buf[q:])
-		q += sz + int(kl) + 10
-		total += int(kl)
-	}
-	backing := make([]byte, 0, total)
-	p := nodeHeader
-	for i := 0; i < n; i++ {
-		kl, sz := binary.Uvarint(buf[p:])
-		p += sz
-		start := len(backing)
-		backing = append(backing, buf[p:p+int(kl)]...)
-		p += int(kl)
-		page := storage.PageID(binary.LittleEndian.Uint64(buf[p:]))
-		slot := binary.LittleEndian.Uint16(buf[p+8:])
-		p += 10
-		ln.keys = append(ln.keys, backing[start:len(backing):len(backing)])
-		ln.rids = append(ln.rids, storage.RID{Page: page, Slot: slot})
-	}
-	return ln
-}
-
-func leafSize(n *leafNode) int {
-	sz := nodeHeader
-	for _, k := range n.keys {
-		sz += uvarintLen(uint64(len(k))) + len(k) + 10
-	}
-	return sz
-}
-
-func encodeLeaf(buf []byte, n *leafNode) {
-	buf[0] = 1
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
-	binary.LittleEndian.PutUint64(buf[3:11], uint64(n.next))
-	p := nodeHeader
-	for i, k := range n.keys {
-		p += binary.PutUvarint(buf[p:], uint64(len(k)))
-		copy(buf[p:], k)
-		p += len(k)
-		binary.LittleEndian.PutUint64(buf[p:], uint64(n.rids[i].Page))
-		binary.LittleEndian.PutUint16(buf[p+8:], n.rids[i].Slot)
-		p += 10
-	}
-}
-
-func decodeInner(buf []byte) *innerNode {
-	n := int(binary.LittleEndian.Uint16(buf[1:3]))
-	in := &innerNode{
-		children: make([]storage.PageID, 1, n+1),
-		keys:     make([][]byte, 0, n),
-	}
-	in.children[0] = storage.PageID(binary.LittleEndian.Uint64(buf[3:11]))
-	p := nodeHeader
-	for i := 0; i < n; i++ {
-		kl, sz := binary.Uvarint(buf[p:])
-		p += sz
-		key := append([]byte(nil), buf[p:p+int(kl)]...)
-		p += int(kl)
-		child := storage.PageID(binary.LittleEndian.Uint64(buf[p:]))
-		p += 8
-		in.keys = append(in.keys, key)
-		in.children = append(in.children, child)
-	}
-	return in
-}
-
-func innerSize(n *innerNode) int {
-	sz := nodeHeader
-	for _, k := range n.keys {
-		sz += uvarintLen(uint64(len(k))) + len(k) + 8
-	}
-	return sz
-}
-
-func encodeInner(buf []byte, n *innerNode) {
-	buf[0] = 0
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
-	binary.LittleEndian.PutUint64(buf[3:11], uint64(n.children[0]))
-	p := nodeHeader
-	for i, k := range n.keys {
-		p += binary.PutUvarint(buf[p:], uint64(len(k)))
-		copy(buf[p:], k)
-		p += len(k)
-		binary.LittleEndian.PutUint64(buf[p:], uint64(n.children[i+1]))
-		p += 8
-	}
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// --- search helpers ----------------------------------------------------------
-
-// leafPos returns the insertion position for key: the first index whose
-// key is >= key, and whether it is an exact match.
-func leafPos(n *leafNode, key []byte) (int, bool) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(n.keys) && bytes.Equal(n.keys[lo], key)
-}
-
-// childFor picks the child subtree for key: the largest separator <= key
-// routes to its right child; otherwise child[0].
-func childFor(n *innerNode, key []byte) (int, storage.PageID) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.keys[mid], key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, n.children[lo]
-}
-
-// descend walks from the root to the leaf that would hold key.
-func (t *BTree) descend(key []byte) (storage.PageID, error) {
+// descend walks from the root to a leaf — the one that would hold key,
+// or the leftmost when key is nil — and returns it unpinned, with the
+// number of levels walked.
+func (t *BTree) descend(key []byte) (leaf storage.PageID, height int, err error) {
 	cur := t.root
-	for {
+	for height = 1; ; height++ {
 		buf, err := t.pool.Fetch(cur, storage.CatIndex)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		if isLeaf(buf) {
+		n := node(buf)
+		if n.leaf() {
 			t.pool.Unpin(cur, false)
-			return cur, nil
+			return cur, height, nil
 		}
-		in := decodeInner(buf)
+		child := n.link()
+		if key != nil {
+			_, child = n.childFor(key)
+		}
 		t.pool.Unpin(cur, false)
-		_, child := childFor(in, key)
 		cur = child
 	}
+}
+
+// fetchEntry finds key on the leaf that would hold it and returns that
+// leaf pinned, for the caller to unpin; a missing key is ErrKeyNotFound
+// with nothing pinned.
+func (t *BTree) fetchEntry(key []byte) (id storage.PageID, n node, pos int, err error) {
+	id, _, err = t.descend(key)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	buf, err := t.pool.Fetch(id, storage.CatIndex)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	pos, ok := node(buf).search(key)
+	if !ok {
+		t.pool.Unpin(id, false)
+		return 0, nil, 0, ErrKeyNotFound
+	}
+	return id, buf, pos, nil
 }
 
 // Get returns the RID stored under key.
 func (t *BTree) Get(key []byte) (storage.RID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	leafID, err := t.descend(key)
+	id, n, pos, err := t.fetchEntry(key)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	buf, err := t.pool.Fetch(leafID, storage.CatIndex)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	ln := decodeLeaf(buf)
-	t.pool.Unpin(leafID, false)
-	pos, ok := leafPos(ln, key)
-	if !ok {
-		return storage.RID{}, ErrKeyNotFound
-	}
-	return ln.rids[pos], nil
+	_, v := n.entry(pos)
+	rid := getRID(v)
+	t.pool.Unpin(id, false)
+	return rid, nil
+}
+
+// pinned is one node of an Insert's root-to-leaf path.
+type pinned struct {
+	id    storage.PageID
+	n     node
+	pos   int // where the new entry goes: the child index taken, or the leaf position
+	dirty bool
 }
 
 // Insert adds (key, rid). It fails with ErrDuplicateKey if key exists.
 //
 // Insert is atomic: it descends with every node on the path pinned,
 // pre-allocates all pages the split chain needs, and only then applies
-// the change with in-memory encodes that cannot fail. An I/O error at
+// the change with in-memory writes that cannot fail. An I/O error at
 // any point (page load, allocation, eviction write-back) leaves the
 // tree exactly as it was, which is what lets the catalog undo-log a
 // successful Insert with a plain Delete.
 func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	maxEntry := uvarintLen(uint64(len(key))) + len(key) + 10
-	if nodeHeader+2*maxEntry > t.pool.PageSize() {
+	if !keyFits(len(key), t.pool.PageSize()) {
 		return fmt.Errorf("btree: key of %d bytes too large for page", len(key))
 	}
-
-	// Phase 1: descend to the target leaf keeping the whole path pinned.
-	type pinnedInner struct {
-		id       storage.PageID
-		buf      []byte
-		node     *innerNode
-		childIdx int
-		dirty    bool
-	}
-	var path []pinnedInner
-	unpinPath := func() {
-		for _, pn := range path {
-			t.pool.Unpin(pn.id, pn.dirty)
-		}
-	}
-	cur := t.root
-	var leafID storage.PageID
-	var leafBuf []byte
-	for {
-		buf, err := t.pool.Fetch(cur, storage.CatIndex)
-		if err != nil {
-			unpinPath()
-			return err
-		}
-		if isLeaf(buf) {
-			leafID, leafBuf = cur, buf
-			break
-		}
-		in := decodeInner(buf)
-		idx, child := childFor(in, key)
-		path = append(path, pinnedInner{id: cur, buf: buf, node: in, childIdx: idx})
-		cur = child
-	}
-	ln := decodeLeaf(leafBuf)
-	pos, exists := leafPos(ln, key)
-	if exists {
-		t.pool.Unpin(leafID, false)
-		unpinPath()
-		return ErrDuplicateKey
-	}
-	ln.keys = insertAt(ln.keys, pos, append([]byte(nil), key...))
-	ln.rids = insertRIDAt(ln.rids, pos, rid)
-
-	if leafSize(ln) <= t.pool.PageSize() {
-		if t.logger != nil {
-			// Log before touching the page: a failed append leaves the
-			// leaf exactly as it was.
-			if err := t.logger.BTreeInsert(leafID, key, rid); err != nil {
-				t.pool.Unpin(leafID, false)
-				unpinPath()
-				return err
-			}
-		}
-		encodeLeaf(leafBuf, ln)
-		t.pool.Unpin(leafID, true)
-		unpinPath()
-		t.size++
-		return nil
-	}
-
-	// Phase 2: the leaf splits. Materialize the split chain bottom-up on
-	// the decoded copies, allocating every new page before touching any
-	// existing one; failures free the fresh pages and leave no trace.
-	var allocated []storage.PageID
-	fail := func(err error) error {
-		for _, id := range allocated {
-			t.pool.Unpin(id, false)
-			_ = t.pool.FreePage(id)
-		}
-		t.pool.Unpin(leafID, false)
-		unpinPath()
+	if err := checkRID(rid); err != nil {
 		return err
 	}
 
-	mid := len(ln.keys) / 2
-	rightLeaf := &leafNode{next: ln.next, keys: ln.keys[mid:], rids: ln.rids[mid:]}
-	leftLeaf := &leafNode{keys: ln.keys[:mid], rids: ln.rids[:mid]}
-	rightLeafID, rightLeafBuf, err := t.pool.NewPage(storage.CatIndex)
-	if err != nil {
-		return fail(err)
-	}
-	allocated = append(allocated, rightLeafID)
-	leftLeaf.next = rightLeafID
-
-	// carry is the (separator, right sibling) pair the level below pushes
-	// up; absorbed reports whether some inner node had room for it.
-	sep := append([]byte(nil), rightLeaf.keys[0]...)
-	carryID := rightLeafID
-	absorbed := false
-
-	type innerSplit struct {
-		level    int
-		left     *innerNode
-		right    *innerNode
-		rightID  storage.PageID
-		rightBuf []byte
-	}
-	var splits []innerSplit
-	level := len(path) - 1
-	for ; level >= 0; level-- {
-		in := path[level].node
-		idx := path[level].childIdx
-		in.keys = insertAt(in.keys, idx, sep)
-		in.children = insertPIDAt(in.children, idx+1, carryID)
-		path[level].dirty = true
-		if innerSize(in) <= t.pool.PageSize() {
-			absorbed = true
+	// Phase 1: descend to the target leaf keeping the whole path pinned.
+	var pathBuf [8]pinned
+	path := pathBuf[:0]
+	defer func() {
+		// Leaf first: the inner nodes above it end up hotter in the LRU.
+		if last := len(path) - 1; last >= 0 {
+			t.pool.Unpin(path[last].id, path[last].dirty)
+			for _, p := range path[:last] {
+				t.pool.Unpin(p.id, p.dirty)
+			}
+		}
+	}()
+	for cur := t.root; ; {
+		buf, err := t.pool.Fetch(cur, storage.CatIndex)
+		if err != nil {
+			return err
+		}
+		n := node(buf)
+		if n.leaf() {
+			pos, exists := n.search(key)
+			path = append(path, pinned{id: cur, n: n, pos: pos})
+			if exists {
+				return ErrDuplicateKey
+			}
 			break
 		}
-		m := len(in.keys) / 2
-		upKey := in.keys[m]
-		right := &innerNode{keys: append([][]byte(nil), in.keys[m+1:]...),
-			children: append([]storage.PageID(nil), in.children[m+1:]...)}
-		left := &innerNode{keys: in.keys[:m], children: in.children[:m+1]}
-		rightID, rightBuf, err := t.pool.NewPage(storage.CatIndex)
-		if err != nil {
-			return fail(err)
-		}
-		allocated = append(allocated, rightID)
-		splits = append(splits, innerSplit{level: level, left: left, right: right,
-			rightID: rightID, rightBuf: rightBuf})
-		sep, carryID = upKey, rightID
+		idx, child := n.childFor(key)
+		path = append(path, pinned{id: cur, n: n, pos: idx})
+		cur = child
 	}
-	var newRootID storage.PageID
-	var newRootBuf []byte
-	if !absorbed {
-		newRootID, newRootBuf, err = t.pool.NewPage(storage.CatIndex)
-		if err != nil {
-			return fail(err)
-		}
-		allocated = append(allocated, newRootID)
-	}
+	leaf := &path[len(path)-1]
+	var val [ridSize]byte
+	putRID(val[:], rid)
 
-	// Phase 2.5: render every touched page into a scratch image. Splits
-	// are logged as full post-images — replaying the split algorithm
-	// byte-for-byte is exactly the fragility physiological logging avoids
-	// at this one structural point — and the images must exist before any
-	// pinned byte changes, so that a failed log append aborts cleanly.
+	if !leaf.n.fits(len(key)) {
+		if err := t.insertSplit(path, key, val[:]); err != nil {
+			return err
+		}
+		t.size++
+		return nil
+	}
+	if t.logger != nil {
+		// Log before touching the page: a failed append leaves the
+		// leaf exactly as it was.
+		if err := t.logger.BTreeInsert(leaf.id, key, rid); err != nil {
+			return err
+		}
+	}
+	leaf.n.insert(leaf.pos, key, val[:])
+	leaf.dirty = true
+	t.size++
+	return nil
+}
+
+// insertSplit is Insert's phases 2 and 3 for a full leaf: path is the
+// pinned root-to-leaf path, (key, val) the entry that did not fit.
+func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
+	// Phase 2: render the post-image of every page the split touches
+	// into scratch, bottom-up, allocating every new page before touching
+	// any existing one; failures free the fresh pages and leave no
+	// trace. Splits are logged as full post-images — replaying the split
+	// algorithm byte-for-byte is exactly the fragility physiological
+	// logging avoids at this one structural point — and the images must
+	// exist before any pinned byte changes, so that a failed log append
+	// aborts cleanly.
 	ps := t.pool.PageSize()
 	type pageWrite struct {
 		id  storage.PageID
 		dst []byte // pinned frame
-		img []byte // scratch post-image
+		img node   // scratch post-image
 	}
 	var writes []pageWrite
-	render := func(id storage.PageID, dst []byte, enc func([]byte)) {
-		img := make([]byte, ps)
-		enc(img)
-		writes = append(writes, pageWrite{id: id, dst: dst, img: img})
+	var fresh []storage.PageID
+	fail := func(err error) error {
+		for _, id := range fresh {
+			t.pool.Unpin(id, false)
+			_ = t.pool.FreePage(id)
+		}
+		return err
 	}
-	render(rightLeafID, rightLeafBuf, func(b []byte) { encodeLeaf(b, rightLeaf) })
-	render(leafID, leafBuf, func(b []byte) { encodeLeaf(b, leftLeaf) })
-	for _, s := range splits {
-		s := s
-		render(s.rightID, s.rightBuf, func(b []byte) { encodeInner(b, s.right) })
-		path[s.level].node = s.left
+	alloc := func() (storage.PageID, []byte, error) {
+		id, buf, err := t.pool.NewPage(storage.CatIndex)
+		if err == nil {
+			fresh = append(fresh, id)
+		}
+		return id, buf, err
 	}
-	lowest := level // absorbed: untouched levels above the absorbing node
-	if lowest < 0 {
-		lowest = 0 // full-height split: every path level re-encodes
-	}
-	for l := lowest; l < len(path); l++ {
-		n := path[l].node
-		render(path[l].id, path[l].buf, func(b []byte) { encodeInner(b, n) })
-	}
-	if !absorbed {
-		render(newRootID, newRootBuf, func(b []byte) {
-			encodeInner(b, &innerNode{children: []storage.PageID{t.root, carryID}, keys: [][]byte{sep}})
-		})
+
+	// (key, val) is the entry the level below pushes up: first the new
+	// leaf entry, then each (separator, right sibling) pair, until some
+	// inner node has room for it or the root itself has split.
+	var carry [childSize]byte
+	newRoot := storage.InvalidPageID
+	top := len(path) - 1 // the highest path level the split rewrites
+	for ; ; top-- {
+		p := &path[top]
+		if p.n.fits(len(key)) {
+			img := node(append([]byte(nil), p.n...))
+			img.insert(p.pos, key, val)
+			writes = append(writes, pageWrite{p.id, p.n, img})
+			break
+		}
+		rightID, rightBuf, err := alloc()
+		if err != nil {
+			return fail(err)
+		}
+		left, right := node(make([]byte, ps)), node(make([]byte, ps))
+		key = p.n.split(p.pos, key, val, left, right, rightID)
+		putPageID(carry[:], rightID)
+		val = carry[:]
+		writes = append(writes, pageWrite{rightID, rightBuf, right}, pageWrite{p.id, p.n, left})
+		if top == 0 {
+			rootID, rootBuf, err := alloc()
+			if err != nil {
+				return fail(err)
+			}
+			img := node(make([]byte, ps))
+			img.init(false, t.root)
+			img.insert(0, key, val)
+			writes = append(writes, pageWrite{rootID, rootBuf, img})
+			newRoot = rootID
+			break
+		}
 	}
 
 	if t.logger != nil {
-		for _, id := range allocated {
+		for _, id := range fresh {
 			if err := t.logger.BTreePageAlloc(id); err != nil {
 				return fail(err)
 			}
@@ -534,8 +634,8 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 				return fail(err)
 			}
 		}
-		if !absorbed {
-			if err := t.logger.BTreeRoot(t.root, newRootID); err != nil {
+		if newRoot != storage.InvalidPageID {
+			if err := t.logger.BTreeRoot(t.root, newRoot); err != nil {
 				return fail(err)
 			}
 		}
@@ -545,17 +645,15 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	for _, w := range writes {
 		copy(w.dst, w.img)
 	}
-	t.pool.Unpin(rightLeafID, true)
-	t.pool.Unpin(leafID, true)
-	for _, s := range splits {
-		t.pool.Unpin(s.rightID, true)
+	for _, id := range fresh {
+		t.pool.Unpin(id, true)
 	}
-	if !absorbed {
-		t.pool.Unpin(newRootID, true)
-		t.root = newRootID
+	for i := top; i < len(path); i++ {
+		path[i].dirty = true
 	}
-	unpinPath()
-	t.size++
+	if newRoot != storage.InvalidPageID {
+		t.root = newRoot
+	}
 	return nil
 }
 
@@ -564,30 +662,18 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 func (t *BTree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	leafID, err := t.descend(key)
+	id, n, pos, err := t.fetchEntry(key)
 	if err != nil {
 		return err
-	}
-	buf, err := t.pool.Fetch(leafID, storage.CatIndex)
-	if err != nil {
-		return err
-	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
-	if !ok {
-		t.pool.Unpin(leafID, false)
-		return ErrKeyNotFound
 	}
 	if t.logger != nil {
-		if err := t.logger.BTreeDelete(leafID, key); err != nil {
-			t.pool.Unpin(leafID, false)
+		if err := t.logger.BTreeDelete(id, key); err != nil {
+			t.pool.Unpin(id, false)
 			return err
 		}
 	}
-	ln.keys = append(ln.keys[:pos], ln.keys[pos+1:]...)
-	ln.rids = append(ln.rids[:pos], ln.rids[pos+1:]...)
-	encodeLeaf(buf, ln)
-	t.pool.Unpin(leafID, true)
+	n.remove(pos)
+	t.pool.Unpin(id, true)
 	t.size--
 	return nil
 }
@@ -596,29 +682,22 @@ func (t *BTree) Delete(key []byte) error {
 func (t *BTree) Update(key []byte, rid storage.RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	leafID, err := t.descend(key)
-	if err != nil {
+	if err := checkRID(rid); err != nil {
 		return err
 	}
-	buf, err := t.pool.Fetch(leafID, storage.CatIndex)
+	id, n, pos, err := t.fetchEntry(key)
 	if err != nil {
 		return err
-	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
-	if !ok {
-		t.pool.Unpin(leafID, false)
-		return ErrKeyNotFound
 	}
 	if t.logger != nil {
-		if err := t.logger.BTreeUpdate(leafID, key, rid); err != nil {
-			t.pool.Unpin(leafID, false)
+		if err := t.logger.BTreeUpdate(id, key, rid); err != nil {
+			t.pool.Unpin(id, false)
 			return err
 		}
 	}
-	ln.rids[pos] = rid
-	encodeLeaf(buf, ln)
-	t.pool.Unpin(leafID, true)
+	_, v := n.entry(pos)
+	putRID(v, rid)
+	t.pool.Unpin(id, true)
 	return nil
 }
 
@@ -626,25 +705,8 @@ func (t *BTree) Update(key []byte, rid storage.RID) error {
 func (t *BTree) Height() (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	h := 1
-	cur := t.root
-	for {
-		buf, err := t.pool.Fetch(cur, storage.CatIndex)
-		if err != nil {
-			return 0, err
-		}
-		leaf := isLeaf(buf)
-		var next storage.PageID
-		if !leaf {
-			next = decodeInner(buf).children[0]
-		}
-		t.pool.Unpin(cur, false)
-		if leaf {
-			return h, nil
-		}
-		h++
-		cur = next
-	}
+	_, h, err := t.descend(nil)
+	return h, err
 }
 
 // Drop frees every page of the tree. The tree is unusable afterwards.
@@ -659,36 +721,14 @@ func (t *BTree) dropRec(id storage.PageID) error {
 	if err != nil {
 		return err
 	}
-	var children []storage.PageID
-	if !isLeaf(buf) {
-		children = decodeInner(buf).children
-	}
-	t.pool.Unpin(id, false)
-	for _, c := range children {
-		if err := t.dropRec(c); err != nil {
-			return err
+	if n := node(buf); !n.leaf() {
+		for i := 0; i <= n.count() && err == nil; i++ {
+			err = t.dropRec(n.child(i))
 		}
 	}
+	t.pool.Unpin(id, false)
+	if err != nil {
+		return err
+	}
 	return t.pool.FreePage(id)
-}
-
-func insertAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertRIDAt(s []storage.RID, i int, v storage.RID) []storage.RID {
-	s = append(s, storage.RID{})
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertPIDAt(s []storage.PageID, i int, v storage.PageID) []storage.PageID {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }

@@ -1,21 +1,20 @@
 package btree
 
-import (
-	"bytes"
+import "repro/internal/storage"
 
-	"repro/internal/storage"
-)
-
-// Iterator walks entries in key order. It buffers one leaf at a time so
-// no page stays pinned between Next calls; mutations during iteration
-// are not supported (the engine's table locks prevent them).
+// Iterator walks entries in key order. It copies out of one leaf at a
+// time — only the entries inside [lo, hi), into buffers it reuses from
+// leaf to leaf — so no page stays pinned between Next calls; mutations
+// during iteration are not supported (the engine's table locks prevent
+// them).
 type Iterator struct {
 	tree *BTree
-	keys [][]byte
-	rids []storage.RID
+	buf  []byte   // the current leaf's in-range entries, as they lie on the page
+	offs []uint16 // start of each entry in buf, in key order
 	idx  int
-	next storage.PageID
-	hi   []byte // exclusive upper bound; nil = unbounded
+	next storage.PageID // leaf to load after buf; invalid once hi or the chain's end is reached
+	lo   []byte         // inclusive lower bound for the first leaf; nil afterwards
+	hi   []byte         // exclusive upper bound; nil = unbounded
 	err  error
 	done bool
 }
@@ -26,41 +25,14 @@ type Iterator struct {
 func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	it := &Iterator{tree: t, hi: hi}
-	var leafID storage.PageID
-	if lo == nil {
-		// Walk to the leftmost leaf.
-		cur := t.root
-		for {
-			buf, err := t.pool.Fetch(cur, storage.CatIndex)
-			if err != nil {
-				return nil, err
-			}
-			if isLeaf(buf) {
-				t.pool.Unpin(cur, false)
-				leafID = cur
-				break
-			}
-			next := decodeInner(buf).children[0]
-			t.pool.Unpin(cur, false)
-			cur = next
-		}
-	} else {
-		var err error
-		leafID, err = t.descend(lo)
-		if err != nil {
-			return nil, err
-		}
+	leafID, _, err := t.descend(lo)
+	if err != nil {
+		return nil, err
 	}
+	it := &Iterator{tree: t, lo: lo, hi: hi}
 	if err := it.loadLeaf(leafID); err != nil {
 		return nil, err
 	}
-	if lo != nil {
-		for !it.done && bytes.Compare(it.keys[it.idx], lo) < 0 {
-			it.advance()
-		}
-	}
-	it.checkBound()
 	return it, nil
 }
 
@@ -86,43 +58,56 @@ func PrefixSuccessor(prefix []byte) []byte {
 	return nil
 }
 
+// loadLeaf copies out the in-range entries of leaf id, moving on along
+// the chain past leaves that hold none (emptied by lazy deletion, or
+// wholly below lo).
 func (it *Iterator) loadLeaf(id storage.PageID) error {
 	for {
 		buf, err := it.tree.pool.Fetch(id, storage.CatIndex)
 		if err != nil {
 			return err
 		}
-		ln := decodeLeaf(buf)
+		n := node(buf)
+		from, to := 0, n.count()
+		if it.lo != nil {
+			from = n.bound(it.lo, false)
+			it.lo = nil
+		}
+		it.next = n.link()
+		if it.hi != nil {
+			if end := n.bound(it.hi, false); end < to {
+				to, it.next = end, storage.InvalidPageID
+			}
+		}
+		it.copyOut(n, from, to)
 		it.tree.pool.Unpin(id, false)
-		if len(ln.keys) > 0 {
-			it.keys, it.rids, it.idx, it.next = ln.keys, ln.rids, 0, ln.next
+		if from < to {
 			return nil
 		}
-		if ln.next == storage.InvalidPageID {
+		if it.next == storage.InvalidPageID {
 			it.done = true
 			return nil
 		}
-		id = ln.next // skip empty leaves left by lazy deletion
+		id = it.next
 	}
 }
 
-func (it *Iterator) advance() {
-	it.idx++
-	if it.idx < len(it.keys) {
-		return
+// copyOut fills buf and offs with entries [from, to) of n.
+func (it *Iterator) copyOut(n node, from, to int) {
+	size := 0
+	for i := from; i < to; i++ {
+		size += len(n.raw(i))
 	}
-	if it.next == storage.InvalidPageID {
-		it.done = true
-		return
+	if cap(it.buf) < size {
+		it.buf = make([]byte, 0, size)
 	}
-	if err := it.loadLeaf(it.next); err != nil {
-		it.err, it.done = err, true
+	if cap(it.offs) < to-from {
+		it.offs = make([]uint16, 0, to-from)
 	}
-}
-
-func (it *Iterator) checkBound() {
-	if !it.done && it.hi != nil && bytes.Compare(it.keys[it.idx], it.hi) >= 0 {
-		it.done = true
+	it.buf, it.offs, it.idx = it.buf[:0], it.offs[:0], 0
+	for i := from; i < to; i++ {
+		it.offs = append(it.offs, uint16(len(it.buf)))
+		it.buf = append(it.buf, n.raw(i)...)
 	}
 }
 
@@ -132,17 +117,33 @@ func (it *Iterator) Valid() bool { return !it.done && it.err == nil }
 // Err returns the first error encountered while iterating.
 func (it *Iterator) Err() error { return it.err }
 
-// Key returns the current key. Valid only while Valid() is true.
-func (it *Iterator) Key() []byte { return it.keys[it.idx] }
+// Key returns the current key. Valid only while Valid() is true, and
+// only until the next call to Next.
+func (it *Iterator) Key() []byte {
+	k, _ := entryAt(it.buf, int(it.offs[it.idx]), ridSize)
+	return k
+}
 
 // RID returns the current record ID.
-func (it *Iterator) RID() storage.RID { return it.rids[it.idx] }
+func (it *Iterator) RID() storage.RID {
+	_, v := entryAt(it.buf, int(it.offs[it.idx]), ridSize)
+	return getRID(v)
+}
 
 // Next moves to the following entry.
 func (it *Iterator) Next() {
 	if it.done {
 		return
 	}
-	it.advance()
-	it.checkBound()
+	it.idx++
+	if it.idx < len(it.offs) {
+		return
+	}
+	if it.next == storage.InvalidPageID {
+		it.done = true
+		return
+	}
+	if err := it.loadLeaf(it.next); err != nil {
+		it.err, it.done = err, true
+	}
 }

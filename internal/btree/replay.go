@@ -25,18 +25,14 @@ func (t *BTree) Pages() ([]storage.PageID, error) {
 		if err != nil {
 			return err
 		}
-		var children []storage.PageID
-		if !isLeaf(buf) {
-			children = decodeInner(buf).children
-		}
-		t.pool.Unpin(id, false)
 		out = append(out, id)
-		for _, c := range children {
-			if err := walk(c); err != nil {
-				return err
+		if n := node(buf); !n.leaf() {
+			for i := 0; i <= n.count() && err == nil; i++ {
+				err = walk(n.child(i))
 			}
 		}
-		return nil
+		t.pool.Unpin(id, false)
+		return err
 	}
 	if err := walk(t.root); err != nil {
 		return nil, err
@@ -49,20 +45,9 @@ func (t *BTree) Pages() ([]storage.PageID, error) {
 func (t *BTree) RecountSize() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Descend to the leftmost leaf.
-	cur := t.root
-	for {
-		buf, err := t.pool.Fetch(cur, storage.CatIndex)
-		if err != nil {
-			return err
-		}
-		if isLeaf(buf) {
-			t.pool.Unpin(cur, false)
-			break
-		}
-		next := decodeInner(buf).children[0]
-		t.pool.Unpin(cur, false)
-		cur = next
+	cur, _, err := t.descend(nil)
+	if err != nil {
+		return err
 	}
 	var n int64
 	for cur != storage.InvalidPageID {
@@ -70,10 +55,10 @@ func (t *BTree) RecountSize() error {
 		if err != nil {
 			return err
 		}
-		ln := decodeLeaf(buf)
+		n += int64(node(buf).count())
+		next := node(buf).link()
 		t.pool.Unpin(cur, false)
-		n += int64(len(ln.keys))
-		cur = ln.next
+		cur = next
 	}
 	t.size = n
 	return nil
@@ -85,71 +70,62 @@ func ReplayInit(pool *storage.BufferPool, page storage.PageID) error {
 	if err != nil {
 		return err
 	}
-	encodeLeaf(buf, &leafNode{})
+	node(buf).init(true, storage.InvalidPageID)
 	pool.Unpin(page, true)
 	return nil
 }
 
-// ReplayInsert redoes a leaf insert of key→rid on page. The pageLSN
-// skip guarantees the leaf is in the pre-record state, so the key must
-// be absent and must fit.
-func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key []byte, rid storage.RID) error {
+// replayLeaf pins page, finds key on it and, when its presence is what
+// the record expects, applies fn at key's position — application is
+// logical within the page, by the same node operations the live tree
+// uses. The pageLSN skip guarantees the leaf is in the pre-record state.
+func replayLeaf(pool *storage.BufferPool, page storage.PageID, op string, key []byte, present bool, fn func(n node, pos int) error) error {
 	buf, err := pool.Fetch(page, storage.CatIndex)
 	if err != nil {
 		return err
 	}
-	ln := decodeLeaf(buf)
-	pos, exists := leafPos(ln, key)
-	if exists {
-		pool.Unpin(page, false)
-		return fmt.Errorf("btree: replay insert of existing key on page %d", page)
+	pos, found := node(buf).search(key)
+	switch {
+	case found && !present:
+		err = fmt.Errorf("btree: replay %s of existing key on page %d", op, page)
+	case !found && present:
+		err = fmt.Errorf("btree: replay %s of missing key on page %d", op, page)
+	default:
+		err = fn(buf, pos)
 	}
-	ln.keys = insertAt(ln.keys, pos, append([]byte(nil), key...))
-	ln.rids = insertRIDAt(ln.rids, pos, rid)
-	if leafSize(ln) > pool.PageSize() {
-		pool.Unpin(page, false)
-		return fmt.Errorf("btree: replay insert overflows page %d", page)
-	}
-	encodeLeaf(buf, ln)
-	pool.Unpin(page, true)
-	return nil
+	pool.Unpin(page, err == nil)
+	return err
+}
+
+// ReplayInsert redoes a leaf insert of key→rid on page: the key must be
+// absent and must fit.
+func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key []byte, rid storage.RID) error {
+	return replayLeaf(pool, page, "insert", key, false, func(n node, pos int) error {
+		if !n.fits(len(key)) {
+			return fmt.Errorf("btree: replay insert overflows page %d", page)
+		}
+		var val [ridSize]byte
+		putRID(val[:], rid)
+		n.insert(pos, key, val[:])
+		return nil
+	})
 }
 
 // ReplayDelete redoes a leaf delete of key on page.
 func ReplayDelete(pool *storage.BufferPool, page storage.PageID, key []byte) error {
-	buf, err := pool.Fetch(page, storage.CatIndex)
-	if err != nil {
-		return err
-	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
-	if !ok {
-		pool.Unpin(page, false)
-		return fmt.Errorf("btree: replay delete of missing key on page %d", page)
-	}
-	ln.keys = append(ln.keys[:pos], ln.keys[pos+1:]...)
-	ln.rids = append(ln.rids[:pos], ln.rids[pos+1:]...)
-	encodeLeaf(buf, ln)
-	pool.Unpin(page, true)
-	return nil
+	return replayLeaf(pool, page, "delete", key, true, func(n node, pos int) error {
+		n.remove(pos)
+		return nil
+	})
 }
 
 // ReplayUpdate redoes a leaf RID repoint of key on page.
 func ReplayUpdate(pool *storage.BufferPool, page storage.PageID, key []byte, rid storage.RID) error {
-	buf, err := pool.Fetch(page, storage.CatIndex)
-	if err != nil {
-		return err
-	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
-	if !ok {
-		pool.Unpin(page, false)
-		return fmt.Errorf("btree: replay update of missing key on page %d", page)
-	}
-	ln.rids[pos] = rid
-	encodeLeaf(buf, ln)
-	pool.Unpin(page, true)
-	return nil
+	return replayLeaf(pool, page, "update", key, true, func(n node, pos int) error {
+		_, v := n.entry(pos)
+		putRID(v, rid)
+		return nil
+	})
 }
 
 // ReplayImage redoes a full-page image (redo of KBTreeImage).

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"runtime"
@@ -52,7 +51,10 @@ type frame struct {
 	pins  int
 	dirty bool
 	cat   Category
-	elem  *list.Element // position in LRU list; nil while pinned
+
+	// prev and next link the frame into its shard's LRU list; both are
+	// nil while the frame is pinned.
+	prev, next *frame
 
 	// lsn is the page's pageLSN: the LSN of the last log record applied
 	// to it (NoLSN when it has never been mutated under WAL). recLSN is
@@ -68,6 +70,25 @@ type frame struct {
 	loadErr error
 }
 
+// lruList is the LRU order of a shard's unpinned frames, linked through
+// the frames themselves (a ring around root), so that taking a frame
+// out and putting it back on every page visit allocates nothing.
+type lruList struct{ root frame }
+
+func (l *lruList) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+func (l *lruList) empty() bool { return l.root.next == &l.root }
+
+func (l *lruList) pushBack(f *frame) {
+	f.prev, f.next = l.root.prev, &l.root
+	f.prev.next, l.root.prev = f, f
+}
+
+func (l *lruList) remove(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
 // poolShard is one independently locked slice of the pool: its own
 // frame map, LRU list, byte budget, and counters.
 type poolShard struct {
@@ -75,8 +96,8 @@ type poolShard struct {
 	disk     *Disk
 	gate     WALGate // nil when running without a WAL
 	frames   map[PageID]*frame
-	lru      *list.List // front = LRU victim candidate, back = most recent
-	capacity int        // max resident frames in this shard
+	lru      lruList // front = LRU victim candidate, back = most recent
+	capacity int     // max resident frames in this shard
 
 	stats PoolStats
 }
@@ -207,7 +228,8 @@ func NewBufferPool(disk *Disk, capacityBytes int64) *BufferPool {
 	p.mask = uint64(n - 1)
 	p.shards = make([]*poolShard, n)
 	for i := range p.shards {
-		p.shards[i] = &poolShard{disk: disk, frames: make(map[PageID]*frame), lru: list.New()}
+		p.shards[i] = &poolShard{disk: disk, frames: make(map[PageID]*frame)}
+		p.shards[i].lru.init()
 	}
 	for i, c := range splitCapacity(total, n) {
 		p.shards[i].capacity = c
@@ -307,9 +329,8 @@ func (p *BufferPool) Fetch(id PageID, cat Category) ([]byte, error) {
 	s.stats.LogicalReads[cat]++
 	if f, ok := s.frames[id]; ok {
 		f.pins++
-		if f.elem != nil {
-			s.lru.Remove(f.elem)
-			f.elem = nil
+		if f.next != nil {
+			s.lru.remove(f)
 		}
 		ready := f.ready
 		s.mu.Unlock()
@@ -393,7 +414,7 @@ func (p *BufferPool) Unpin(id PageID, dirty bool) {
 		f.dirty = true
 	}
 	if f.pins == 0 {
-		f.elem = s.lru.PushBack(f)
+		s.lru.pushBack(f)
 		if len(s.frames) > s.capacity {
 			// Deferred shrink: the pool was resized below its resident
 			// count while everything was pinned. Best effort — an I/O
@@ -425,15 +446,14 @@ func (s *poolShard) makeRoomLocked() error {
 // statement's begin LSN) and the log must be durable through its
 // pageLSN before the write-back (WAL-before-data).
 func (s *poolShard) evictOneLocked() error {
-	if s.lru.Len() == 0 {
+	if s.lru.empty() {
 		return ErrPoolExhausted
 	}
 	oldestActive := InfiniteLSN
 	if s.gate != nil {
 		oldestActive = s.gate.OldestActiveLSN()
 	}
-	for e := s.lru.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
+	for f := s.lru.root.next; f != &s.lru.root; f = f.next {
 		if f.dirty && s.gate != nil && f.lsn != NoLSN && f.lsn >= oldestActive {
 			continue // may carry uncommitted work; redo could not undo it
 		}
@@ -447,8 +467,7 @@ func (s *poolShard) evictOneLocked() error {
 				return err
 			}
 		}
-		s.lru.Remove(e)
-		f.elem = nil
+		s.lru.remove(f)
 		delete(s.frames, f.id)
 		s.stats.Evictions++
 		return nil
@@ -526,7 +545,7 @@ func (p *BufferPool) DropAll() error {
 			}
 		}
 		s.frames = make(map[PageID]*frame)
-		s.lru.Init()
+		s.lru.init()
 	}
 	return nil
 }
@@ -539,7 +558,7 @@ func (p *BufferPool) Crash() {
 	for _, s := range p.shards {
 		s.mu.Lock()
 		s.frames = make(map[PageID]*frame)
-		s.lru.Init()
+		s.lru.init()
 		s.mu.Unlock()
 	}
 }
@@ -587,8 +606,8 @@ func (p *BufferPool) FreePage(id PageID) error {
 			s.mu.Unlock()
 			return fmt.Errorf("storage: FreePage of pinned page %d", id)
 		}
-		if f.elem != nil {
-			s.lru.Remove(f.elem)
+		if f.next != nil {
+			s.lru.remove(f)
 		}
 		delete(s.frames, id)
 	}

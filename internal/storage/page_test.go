@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -275,6 +276,107 @@ func TestBufferPoolEviction(t *testing.T) {
 	}
 	if pool.Stats().Evictions == 0 {
 		t.Error("expected evictions")
+	}
+}
+
+// TestBufferPoolEvictionOrder pins the victim sequence of one shard:
+// least recently unpinned first, pinned frames never, frames gated by
+// no-steal skipped (and, when nothing else is left, a stall that grows
+// the shard until an Unpin retries the deferred shrink).
+func TestBufferPoolEvictionOrder(t *testing.T) {
+	d := NewDisk(128)
+	pool := NewBufferPool(d, 128*8) // 8 frames, one shard
+	gate := &fakeGate{}
+	gate.set(0, InfiniteLSN) // no active statement: nothing is gated
+	pool.SetWALGate(gate)
+	s := pool.shards[0]
+
+	var p []PageID
+	newPage := func() {
+		t.Helper()
+		id, _, err := pool.NewPage(CatData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(id, false)
+		p = append(p, id)
+	}
+	// resident lists which of p are cached, as indexes into p.
+	resident := func() []int {
+		var out []int
+		for i, id := range p {
+			if _, ok := s.frames[id]; ok {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	expect := func(step string, want ...int) {
+		t.Helper()
+		if got := resident(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: resident %v, want %v", step, got, want)
+		}
+	}
+	touch := func(i int) {
+		t.Helper()
+		if _, err := pool.Fetch(p[i], CatData); err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(p[i], false)
+	}
+
+	for i := 0; i < 8; i++ {
+		newPage()
+	}
+	touch(0) // LRU order is now 1 2 3 4 5 6 7 0
+	if _, err := pool.Fetch(p[1], CatData); err != nil {
+		t.Fatal(err) // 1 stays pinned: not a victim
+	}
+	newPage() // p8 evicts 2
+	expect("pinned frame skipped", 0, 1, 3, 4, 5, 6, 7, 8)
+
+	// 3 carries work of a statement that is still active: skipped.
+	if _, err := pool.Fetch(p[3], CatData); err != nil {
+		t.Fatal(err)
+	}
+	pool.StampLSN(p[3], 70, 70)
+	pool.Unpin(p[3], true) // order: 4 5 6 7 0 8 3
+	gate.set(0, 50)
+	newPage() // p9 evicts 4
+	expect("next coldest", 0, 1, 3, 5, 6, 7, 8, 9)
+	pool.Unpin(p[1], false) // order: 5 6 7 0 8 3 9 1
+	newPage()               // p10 evicts 5
+	newPage()               // p11 evicts 6
+	newPage()               // p12 evicts 7
+	newPage()               // p13 evicts 0
+	expect("in unpin order", 1, 3, 8, 9, 10, 11, 12, 13)
+	newPage() // p14 evicts 8, stepping over gated 3
+	expect("gated frame skipped", 1, 3, 9, 10, 11, 12, 13, 14)
+
+	// Pin everything but 3: the only candidate is gated, so the shard
+	// stalls and grows past its budget.
+	for _, i := range []int{1, 9, 10, 11, 12, 13, 14} {
+		if _, err := pool.Fetch(p[i], CatData); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, _, err := pool.NewPage(CatData) // p15, kept pinned
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = append(p, id)
+	expect("stall grows the shard", 1, 3, 9, 10, 11, 12, 13, 14, 15)
+	if got := pool.Stats().GateStalls; got != 1 {
+		t.Fatalf("GateStalls = %d, want 1", got)
+	}
+	// The statement ends; the next Unpin runs the deferred shrink, and
+	// the coldest frame is still 3, ahead of the one just released.
+	gate.set(0, InfiniteLSN)
+	pool.Unpin(p[15], false)
+	expect("deferred shrink", 1, 9, 10, 11, 12, 13, 14, 15)
+	// Frames are born dirty, so every eviction wrote its page back.
+	if st := pool.Stats(); st.Evictions != 8 || d.PhysWrites() != 8 {
+		t.Fatalf("Evictions = %d, PhysWrites = %d, want 8 and 8", st.Evictions, d.PhysWrites())
 	}
 }
 
