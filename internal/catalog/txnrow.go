@@ -103,7 +103,7 @@ func (t *Table) InsertRowTxn(tx *mvcc.Txn, row []types.Value, u *UndoLog) (stora
 		return storage.RID{}, err
 	}
 	u.push(func() error { return t.Heap.Delete(rid) })
-	t.Vers.RecordWrite(tx, rid, nil)
+	t.Vers.RecordWrite(tx, rid, nil, false)
 	u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
 	for _, ix := range t.Indexes {
 		key := ix.KeyFor(row, rid)
@@ -143,7 +143,7 @@ func (t *Table) DeleteRowTxn(tx *mvcc.Txn, rid storage.RID, row []types.Value, u
 		return err
 	}
 	u.push(func() error { return t.Heap.Reinsert(rid, rec) })
-	t.Vers.RecordWrite(tx, rid, rec)
+	t.Vers.RecordWrite(tx, rid, rec, true)
 	u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
 	return nil
 }
@@ -187,12 +187,12 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			}
 		}
 	}
-	type pendingInsert struct {
-		ix  *Index
-		key []byte
-		rid storage.RID
+	type keyChange struct {
+		ix             *Index
+		oldKey, newKey []byte
+		rid            storage.RID // the row's RID after the update
 	}
-	var inserts []pendingInsert
+	var changes []keyChange
 	newRIDs := make([]storage.RID, len(rids))
 	for i, rid := range rids {
 		nr := normRows[i]
@@ -205,33 +205,38 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			return nil, err
 		}
 		newRIDs[i] = newRID
-		t.Vers.RecordWrite(tx, rid, pre)
-		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
-		if newRID != rid {
-			// Relocation: the new slot is an uncommitted insert; the old
-			// slot's chain keeps serving the pre-image to older snapshots.
-			nrid := newRID
-			t.Vers.RecordWrite(tx, nrid, nil)
-			u.push(func() error { t.Vers.PopWrite(tx, nrid); return nil })
-		}
+		first := len(changes)
 		for _, ix := range t.Indexes {
 			oldKey := ix.KeyFor(oldRows[i], rid)
 			newKey := ix.KeyFor(nr, newRID)
 			if string(oldKey) == string(newKey) && rid == newRID {
 				continue
 			}
-			tree := ix.Tree
+			changes = append(changes, keyChange{ix: ix, oldKey: oldKey, newKey: newKey, rid: newRID})
+		}
+		// The chain stays stable only if the row kept its slot and every
+		// index key: then pre and the new bytes are found the same way.
+		t.Vers.RecordWrite(tx, rid, pre, newRID != rid || len(changes) > first)
+		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
+		if newRID != rid {
+			// Relocation: the new slot is an uncommitted insert; the old
+			// slot's chain keeps serving the pre-image to older snapshots.
+			nrid := newRID
+			t.Vers.RecordWrite(tx, nrid, nil, false)
+			u.push(func() error { t.Vers.PopWrite(tx, nrid); return nil })
+		}
+		for _, c := range changes[first:] {
+			tree, oldKey := c.ix.Tree, c.oldKey
 			if err := tree.Delete(oldKey); err != nil {
-				return nil, fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, ix.Name, err)
+				return nil, fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, c.ix.Name, err)
 			}
 			u.push(func() error { return tree.Insert(oldKey, rid) })
-			inserts = append(inserts, pendingInsert{ix: ix, key: newKey, rid: newRID})
 		}
 	}
-	for _, p := range inserts {
-		if err := p.ix.Tree.Insert(p.key, p.rid); err != nil {
+	for _, p := range changes {
+		if err := p.ix.Tree.Insert(p.newKey, p.rid); err != nil {
 			if errors.Is(err, btree.ErrDuplicateKey) && p.ix.Unique {
-				if rid2, gerr := p.ix.Tree.Get(p.key); gerr == nil {
+				if rid2, gerr := p.ix.Tree.Get(p.newKey); gerr == nil {
 					if w, ok := t.Vers.NewestWriter(rid2); ok && w != tx && !w.Committed() {
 						return nil, fmt.Errorf("catalog: %s: unique key held by uncommitted transaction: %w", t.Name, mvcc.ErrWriteConflict)
 					}
@@ -240,21 +245,21 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			}
 			return nil, fmt.Errorf("catalog: %s: index %s insert: %w", t.Name, p.ix.Name, err)
 		}
-		tree, key := p.ix.Tree, p.key
+		tree, key := p.ix.Tree, p.newKey
 		u.push(func() error { return tree.Delete(key) })
 	}
 	return newRIDs, nil
 }
 
 // VisibleVersions enumerates the snapshot-visible bytes of rids — the
-// chained-RID set the statement captured via Vers.RIDs() when its scan
-// began. Versioned scans combine it with a physical scan that skips
-// exactly that set: rows without a chain have one version, visible to
-// everyone. Taking the capture instead of re-reading the store makes
-// the statement immune to concurrent GC (a captured RID whose chain
-// was collected meanwhile resolves to its heap bytes, which is the
-// version such a chain left visible to every live snapshot). The
-// bytes passed to fn are safe to retain.
+// moved chains the statement captured via Vers.MovedRIDs() when it
+// opened. A snapshot read combines it with a physical scan that skips
+// exactly that set and resolves every other row where it finds it.
+// Taking the capture instead of re-reading the store makes the
+// statement immune to concurrent GC (a captured RID whose chain was
+// collected meanwhile resolves to its heap bytes, which is the version
+// such a chain left visible to every live snapshot). The bytes passed
+// to fn are safe to retain.
 func (t *Table) VisibleVersions(tx *mvcc.Txn, rids []storage.RID, fn func(rid storage.RID, rec []byte) error) error {
 	for _, rid := range rids {
 		cur, err := t.Heap.Get(rid)

@@ -109,7 +109,7 @@ func (a *Applier) resume(journal []journalEntry) error {
 			if err != nil {
 				return err
 			}
-			t.Vers.RecordWrite(at.tx, storage.RID{Page: r.Page, Slot: r.Slot}, e.pre)
+			t.Vers.RecordWrite(at.tx, storage.RID{Page: r.Page, Slot: r.Slot}, e.pre, e.pre != nil)
 		default:
 			return fmt.Errorf("engine: unexpected journal record %s", r.Kind)
 		}
@@ -283,6 +283,12 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 		// held nothing a reader could see). Skipped redo (re-ingested
 		// overlap) still must not re-version — the chain entry from the
 		// first pass is live — so gate both on the replay guard.
+		//
+		// The stream carries physical heap records, not key changes, and
+		// an index may be adopted after a record was versioned, so every
+		// delete and update (a non-nil pre-image) is recorded as moved —
+		// the conservative value: follower reads enumerate the chain. An
+		// insert never is.
 		if r.LSN > a.stampedLSN(r.Page) {
 			var pre []byte
 			if r.Kind == wal.KHeapDelete || r.Kind == wal.KHeapUpdate {
@@ -291,7 +297,7 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 					return err
 				}
 			}
-			t.Vers.RecordWrite(at.tx, storage.RID{Page: r.Page, Slot: r.Slot}, pre)
+			t.Vers.RecordWrite(at.tx, storage.RID{Page: r.Page, Slot: r.Slot}, pre, pre != nil)
 		}
 		return a.redoLocked(r, start)
 

@@ -887,7 +887,11 @@ type Stats struct {
 	// that cleared and let the write proceed. ImmediateConflicts are
 	// first-updater-wins conflicts no wait could change (the holder
 	// committed too new or holds a reserved commit timestamp) or that
-	// arrived with waiting disabled.
+	// arrived with waiting disabled. VersionsEnumerated/
+	// ChainedRowsResolved are what version chains cost snapshot reads:
+	// moved chains (deletes, key changes) statements had to enumerate
+	// beside their scan, and chained rows resolved where a scan found
+	// them (mvcc.ContentionStats).
 	// AdmissionWaits/AdmissionWaitNanos count transactions that parked at
 	// a per-table write-admission gate and their total parked time;
 	// AdmissionTimeouts count parks that expired into forced admission
@@ -902,6 +906,9 @@ type Stats struct {
 	RowWaitTimeouts    int64
 	RowWaitRescues     int64
 	ImmediateConflicts int64
+
+	VersionsEnumerated  int64
+	ChainedRowsResolved int64
 	// Commit-pipeline telemetry: current and high-water number of
 	// reserved commits awaiting publication, publication rounds, and
 	// commits published (PublishedTxns / PublishBatches is the mean
@@ -976,6 +983,8 @@ func (db *DB) Stats() Stats {
 	s.RowWaitTimeouts = c.RowWaitTimeouts
 	s.RowWaitRescues = c.RowWaitRescues
 	s.ImmediateConflicts = c.ImmediateConflicts
+	s.VersionsEnumerated = c.VersionsEnumerated
+	s.ChainedRowsResolved = c.ChainedRowsResolved
 	s.CommitPipelineDepth = c.PipelineDepth
 	s.CommitPipelineMax = c.PipelineMax
 	s.PublishBatches = c.PublishBatches

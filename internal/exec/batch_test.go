@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -90,6 +91,21 @@ func runPlan(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn, guard b
 	return drain(it, &Context{Params: params, Stats: st, Txn: tx})
 }
 
+// subMultiset reports whether every row of sub occurs in all at least
+// as often as in sub.
+func subMultiset(sub, all [][]types.Value) bool {
+	left := map[string]int{}
+	for _, r := range renderRows(all) {
+		left[r]++
+	}
+	for _, r := range renderRows(sub) {
+		if left[r]--; left[r] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // within reports lo <= got <= hi in every component.
 func (got goldenCost) within(lo, hi goldenCost) bool {
 	for i := range got.Stats {
@@ -109,11 +125,25 @@ func (got goldenCost) within(lo, hi goldenCost) bool {
 // staleGuard on every edge — to the row path's record of one query: the
 // same result multiset, and the same Stats counters and logical page
 // fetches, except that a LIMIT query may spend up to what the row path
-// spent on LIMIT n+BatchSize.
+// spent on LIMIT n+BatchSize. (The costs of the versioned run are the
+// single path's own: see the file's source line.)
 func checkRun(t *testing.T, pool *storage.BufferPool, cat *catalog.Catalog, c propCase, tx *mvcc.Txn, want goldenRun) {
 	t.Helper()
 	if c.sql(0) != want.Query {
 		t.Fatalf("golden file out of step: have %q, golden %q", c.sql(0), want.Query)
+	}
+	// A LIMIT without ORDER BY under a snapshot may return any n rows:
+	// the row path served every chained row last, the single path serves
+	// a stable chain where the scan finds it. Such a result is held to
+	// the un-LIMITed one, not to the row path's choice.
+	anyN := tx != nil && c.limit > 0 && !strings.Contains(c.q, "ORDER BY")
+	var unlimited [][]types.Value
+	if anyN {
+		var err error
+		unlimited, err = runPlan(planMode(t, cat, c.mode, c.sql(1<<30)), c.params, nil, tx, false)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql(1<<30), err)
+		}
 	}
 	for _, prune := range []bool{true, false} {
 		lo, hi := want.Unpruned, want.Unpruned
@@ -138,7 +168,13 @@ func checkRun(t *testing.T, pool *storage.BufferPool, cat *catalog.Catalog, c pr
 				t.Fatalf("%q prune=%v guard=%v: %v", want.Query, prune, guard, err)
 			}
 			got := costOf(st.Snapshot(), before, pool.Stats())
-			if len(rows) != want.Rows || digest(rows) != want.Digest {
+			switch {
+			case anyN:
+				if len(rows) != want.Rows || !subMultiset(rows, unlimited) {
+					t.Errorf("seed %d trial %d %q prune=%v guard=%v: %d rows, want %d members of the un-LIMITed result",
+						want.Seed, want.Trial, want.Query, prune, guard, len(rows), want.Rows)
+				}
+			case len(rows) != want.Rows || digest(rows) != want.Digest:
 				t.Errorf("seed %d trial %d %q prune=%v guard=%v: %d rows, digest differs from the row path's %d rows",
 					want.Seed, want.Trial, want.Query, prune, guard, len(rows), want.Rows)
 			}

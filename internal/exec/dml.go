@@ -217,23 +217,12 @@ func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, erro
 // all need complete rows) into a reused scratch buffer; only matching
 // rows are copied out, so rows the filter rejects cost no allocation.
 //
-// Under a transaction, matching follows the snapshot: chained rows are
-// skipped physically and gathered through their visible versions
-// instead. The chained-RID set is captured once up front — skipping on
-// a live HasChain while enumerating versions afterwards would let a
-// concurrently committing session's GC collect a chain in between,
-// silently dropping that row from the match set. A gathered version
-// that no longer matches the physical row necessarily has an invisible
-// newest writer, so the mutators' first-updater-wins check turns it
-// into a conflict before any byte changes; whenever the check passes,
-// the visible version and the physical row are identical.
+// Under a transaction, matching follows the snapshot. A gathered
+// version that no longer matches the physical row necessarily has an
+// invisible newest writer, so the mutators' first-updater-wins check
+// turns it into a conflict before any byte changes; whenever the check
+// passes, the visible version and the physical row are identical.
 func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, ctx *Context) ([]storage.RID, [][]types.Value, error) {
-	vers := versionedTable(ctx, t)
-	var chains chainSet
-	var chainRIDs []storage.RID
-	if vers {
-		chains, chainRIDs = captureChains(t)
-	}
 	var rids []storage.RID
 	var rows [][]types.Value
 	var scratch []types.Value
@@ -259,20 +248,24 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		if !ok {
 			return nil, nil, nil
 		}
+		snap, err := openSnapshot(ctx, t, path.Index)
+		if err != nil {
+			return nil, nil, err
+		}
 		it, err := path.Index.Tree.SeekRange(lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}
 		for ; it.Valid(); it.Next() {
 			rid := it.RID()
-			if vers && chains.has(rid) {
-				continue // gathered through the version chain below
-			}
-			row, _, _, err := t.GetRowInto(scratch, rid, nil)
+			row, _, _, ok, err := snap.fetch(t, scratch, rid, nil)
 			if err != nil {
 				return nil, nil, err
 			}
 			scratch = row
+			if !ok {
+				continue
+			}
 			if err := keep(rid, row); err != nil {
 				return nil, nil, err
 			}
@@ -280,28 +273,22 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		if err := it.Err(); err != nil {
 			return nil, nil, err
 		}
-		if vers {
-			err := t.VisibleVersions(ctx.Txn, chainRIDs, func(rid storage.RID, rec []byte) error {
-				row, err := decodeFull(t, rec)
-				if err != nil {
-					return err
-				}
-				if !inKeyRange(path.Index.KeyFor(row, rid), lo, hi) {
-					return nil
-				}
-				return keep(rid, row)
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return rids, rows, nil
+		return rids, rows, snap.inRange(lo, hi, keep)
 	}
-	scanner := t.Heap.Scanner()
-	if vers {
-		scanner.SetSkip(chains.has)
+	snap, err := openSnapshot(ctx, t, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	want := len(t.Columns)
+	match := func(rid storage.RID, rec []byte) error {
+		row, err := types.DecodeRowInto(scratch, rec, want)
+		if err != nil {
+			return err
+		}
+		scratch = row
+		return keep(rid, row)
+	}
+	scanner := t.Heap.Scanner()
 	for {
 		rid, rec, ok, err := scanner.Next()
 		if err != nil {
@@ -310,25 +297,20 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		if !ok {
 			break
 		}
-		row, err := types.DecodeRowInto(scratch, rec, want)
-		if err != nil {
-			return nil, nil, err
+		if snap != nil {
+			if rec, ok = snap.visible(rid, rec); !ok {
+				continue
+			}
 		}
-		scratch = row
-		if err := keep(rid, row); err != nil {
+		if err := match(rid, rec); err != nil {
 			return nil, nil, err
 		}
 	}
-	if vers {
-		err := t.VisibleVersions(ctx.Txn, chainRIDs, func(rid storage.RID, rec []byte) error {
-			row, err := decodeFull(t, rec)
-			if err != nil {
-				return err
+	if snap != nil {
+		for _, m := range snap.moved {
+			if err := match(m.rid, m.rec); err != nil {
+				return nil, nil, err
 			}
-			return keep(rid, row)
-		})
-		if err != nil {
-			return nil, nil, err
 		}
 	}
 	return rids, rows, nil

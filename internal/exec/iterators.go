@@ -17,14 +17,15 @@ import (
 // value arena, materializing only the columns the plan needs and
 // evaluating the pushed-down filter in place.
 type seqScanIter struct {
-	node   *plan.SeqScan
-	ctx    *Context
-	scan   *storage.HeapScanner
-	want   int
-	need   []bool
-	extras []extraRec // snapshot-visible versions of chained rows
-	b      Batch
-	cnt    scanCounters
+	node *plan.SeqScan
+	ctx  *Context
+	scan *storage.HeapScanner
+	want int
+	need []bool
+	snap *snapshot // nil: plain read
+	mi   int       // next of snap.moved to serve
+	b    Batch
+	cnt  scanCounters
 }
 
 func (it *seqScanIter) Open(ctx *Context) error {
@@ -32,47 +33,37 @@ func (it *seqScanIter) Open(ctx *Context) error {
 	it.scan = it.node.Table.Heap.Scanner()
 	it.want = len(it.node.Table.Columns)
 	it.need = needMask(it.node.Needed, it.want)
-	it.extras = nil
-	if versionedTable(ctx, it.node.Table) {
-		// Captured once: the same RID set is skipped physically and
-		// served from the chains, so concurrent GC cannot hand a row to
-		// both halves of the scan (or neither).
-		set, rids := captureChains(it.node.Table)
-		it.scan.SetSkip(set.has)
-		var err error
-		it.extras, err = versionedRecs(ctx, it.node.Table, rids)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	it.mi = 0
+	var err error
+	it.snap, err = openSnapshot(ctx, it.node.Table, nil)
+	return err
 }
 
 func (it *seqScanIter) NextBatch() (*Batch, error) {
 	for {
-		_, recs, ok, err := it.scan.NextPage()
+		rids, recs, ok, err := it.scan.NextPage()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			// Chained rows scan through their version chains instead of
-			// the pages; their visible versions form the final batch(es).
-			if len(it.extras) == 0 {
+			// The pages are done; the moved chains the snapshot captured
+			// form the final batch(es).
+			if it.snap == nil || it.mi == len(it.snap.moved) {
 				return nil, nil
 			}
-			n := len(it.extras)
-			if n > BatchSize {
-				n = BatchSize
+			rids = nil
+			for ; it.mi < len(it.snap.moved) && len(recs) < BatchSize; it.mi++ {
+				recs = append(recs, it.snap.moved[it.mi].rec)
 			}
-			recs = recs[:0]
-			for _, e := range it.extras[:n] {
-				recs = append(recs, e.rec)
-			}
-			it.extras = it.extras[n:]
 		}
 		it.cnt.batches++
 		it.b.reset()
-		for _, rec := range recs {
+		for i, rec := range recs {
+			if it.snap != nil && rids != nil {
+				if rec, ok = it.snap.visible(rids[i], rec); !ok {
+					continue
+				}
+			}
 			row := it.b.alloc(it.want)
 			row, dec, skip, err := types.DecodeRowPartial(row, rec, it.need, it.want)
 			if err != nil {
@@ -166,9 +157,8 @@ type indexScanIter struct {
 	ctx    *Context
 	it     *btree.Iterator
 	done   bool
-	vers   bool
-	chains chainSet        // chained RIDs captured at Open
-	extras [][]types.Value // visible versions of chained rows in range
+	snap   *snapshot       // nil: plain read
+	extras [][]types.Value // the snapshot's moved rows in range
 	ei     int
 	want   int
 	need   []bool
@@ -182,7 +172,7 @@ func (it *indexScanIter) Open(ctx *Context) error {
 	it.done = false
 	it.want = len(it.node.Table.Columns)
 	it.need = needMask(it.node.Needed, it.want)
-	it.extras, it.ei = nil, 0
+	it.snap, it.extras, it.ei = nil, nil, 0
 	lo, hi, ok, err := indexKeys(&it.node.Path, nil, ctx.Params)
 	if err != nil {
 		return err
@@ -191,21 +181,15 @@ func (it *indexScanIter) Open(ctx *Context) error {
 		it.done = true
 		return nil
 	}
-	it.vers = versionedTable(ctx, it.node.Table)
-	it.chains = nil
-	if it.vers {
-		// A chained row's visible version may carry a different key than
-		// its index entries, so the index is bypassed for those rows:
-		// every visible version is checked against [lo, hi) directly.
-		// The chained-RID set is captured once so concurrent GC cannot
-		// flip a RID back to the physical path after its version was
-		// already gathered here.
-		var rids []storage.RID
-		it.chains, rids = captureChains(it.node.Table)
-		it.extras, err = versionedRowsInRange(ctx, it.node.Table, &it.node.Path, lo, hi, rids)
-		if err != nil {
-			return err
-		}
+	if it.snap, err = openSnapshot(ctx, it.node.Table, it.node.Path.Index); err != nil {
+		return err
+	}
+	err = it.snap.inRange(lo, hi, func(_ storage.RID, row []types.Value) error {
+		it.extras = append(it.extras, row)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	it.it, err = it.node.Path.Index.Tree.SeekRange(lo, hi)
 	return err
@@ -245,12 +229,8 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 	for {
 		it.rids = it.rids[:0]
 		for len(it.rids) < BatchSize && it.it.Valid() {
-			rid := it.it.RID()
+			it.rids = append(it.rids, it.it.RID())
 			it.it.Next()
-			if it.vers && it.chains.has(rid) {
-				continue // resolved through the version chain instead
-			}
-			it.rids = append(it.rids, rid)
 		}
 		if len(it.rids) == 0 {
 			if err := it.it.Err(); err != nil {
@@ -267,9 +247,13 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 		it.b.reset()
 		for _, rid := range it.rids {
 			row := it.b.alloc(it.want)
-			row, dec, skip, err := it.node.Table.GetRowInto(row, rid, it.need)
+			row, dec, skip, ok, err := it.snap.fetch(it.node.Table, row, rid, it.need)
 			if err != nil {
 				return nil, err
+			}
+			if !ok {
+				it.b.freeLast(it.want)
+				continue
 			}
 			it.cnt.decoded += int64(dec)
 			it.cnt.skipped += int64(skip)
@@ -570,7 +554,7 @@ candidates:
 type indexNLJoinIter struct {
 	joinCore
 	node   *plan.IndexNLJoin
-	vers   bool
+	snap   *snapshot // of the inner table; nil: plain read
 	need   []bool
 	rowbuf []types.Value // reused inner-fetch decode buffer; emit copies out of it
 	cnt    scanCounters
@@ -579,7 +563,12 @@ type indexNLJoinIter struct {
 func (it *indexNLJoinIter) Open(ctx *Context) error {
 	it.innerWidth = len(it.node.Inner.Columns)
 	it.need = needMask(it.node.NeededInner, it.innerWidth)
-	it.vers = versionedTable(ctx, it.node.Inner)
+	// Captured once for every probe: the inner table cannot change while
+	// the statement holds its latch, only lose chains to GC.
+	var err error
+	if it.snap, err = openSnapshot(ctx, it.node.Inner, it.node.Path.Index); err != nil {
+		return err
+	}
 	return it.open(ctx)
 }
 
@@ -594,32 +583,17 @@ func (it *indexNLJoinIter) probe(orow []types.Value) error {
 	if err != nil {
 		return err
 	}
-	var chains chainSet
-	var extras [][]types.Value
-	if it.vers {
-		// Chained inner rows join through their visible versions,
-		// range-checked against [lo, hi) directly (their index entries
-		// reflect newer keys, or none). The chained-RID set is captured
-		// per probe so concurrent GC cannot serve a row both physically
-		// and through its chain.
-		var rids []storage.RID
-		chains, rids = captureChains(it.node.Inner)
-		extras, err = versionedRowsInRange(it.ctx, it.node.Inner, &it.node.Path, lo, hi, rids)
-		if err != nil {
-			return err
-		}
-	}
 	for inner.Valid() {
 		rid := inner.RID()
 		inner.Next()
-		if it.vers && chains.has(rid) {
-			continue // resolved through the version chain instead
-		}
-		irow, dec, skip, err := it.node.Inner.GetRowInto(it.rowbuf, rid, it.need)
+		irow, dec, skip, ok, err := it.snap.fetch(it.node.Inner, it.rowbuf, rid, it.need)
 		if err != nil {
 			return err
 		}
 		it.rowbuf = irow
+		if !ok {
+			continue
+		}
 		it.cnt.rows++
 		it.cnt.decoded += int64(dec)
 		it.cnt.skipped += int64(skip)
@@ -630,13 +604,10 @@ func (it *indexNLJoinIter) probe(orow []types.Value) error {
 	if err := inner.Err(); err != nil {
 		return err
 	}
-	for _, irow := range extras {
+	return it.snap.inRange(lo, hi, func(_ storage.RID, irow []types.Value) error {
 		it.cnt.rows++
-		if err := it.emit(orow, irow); err != nil {
-			return err
-		}
-	}
-	return nil
+		return it.emit(orow, irow)
+	})
 }
 
 func (it *indexNLJoinIter) Close() error {

@@ -1,124 +1,157 @@
-// Snapshot-consistent scans. The physical heap and indexes always hold
-// the newest version of every row; transactions that must not see
-// uncommitted or too-new writes read through the table's version
-// chains instead. The split is surgical: a scan skips exactly the RIDs
-// that have a chain (the chain, not the page, decides what this
-// transaction sees for them) and then enumerates the chained RIDs'
-// visible versions separately. Rows without a chain have exactly one
-// version, visible to everyone, so the fast path stays byte-identical
-// — and a database with no version chains never enters this file.
+// Snapshot reads. The physical heap and indexes always hold the newest
+// version of every row; a transaction that must not see uncommitted or
+// too-new writes reads through the table's version chains instead. The
+// writer sorts every chain into one of two kinds (mvcc.VersionStore):
 //
-// Index scans get the same treatment, with one extra obligation: a
-// chained row's visible version may carry a different key than its
-// physical row (or no physical row at all), so each enumerated version
-// re-applies the access path's [lo, hi) key range by encoding the
-// index key of the visible row and comparing bytes — exactly the
-// criterion the B+tree iterator applies to stored keys.
+//   - stable: every version of the row sits at the same RID under the
+//     same index keys, so whichever way a scan reaches the row — heap
+//     page or index entry — it resolves the row's own chain there and
+//     then, on the bytes under the page pin, and moves on. One visit,
+//     nothing captured, so GC emptying the chain before or after the
+//     visit changes nothing: a collectable chain left the heap bytes
+//     visible to every live snapshot.
+//   - moved: some version was deleted, relocated or re-keyed, so the
+//     heap or the index may not lead to the version this snapshot sees.
+//     The statement captures the moved set ONCE when it opens, skips
+//     exactly those RIDs physically and serves them from the capture,
+//     re-applying the access path's [lo, hi) key range to the visible
+//     version — the B+tree iterator's own criterion. One captured set
+//     partitions the table whatever GC does meanwhile; a live probe for
+//     the skip could hand a row to both halves, or to neither.
+//
+// A statement therefore pays for the rows it touches plus the table's
+// in-flight deletes and key changes, not for every chain other
+// transactions hold on the shared table; with no chains at all it never
+// enters this file.
 package exec
 
 import (
 	"bytes"
 
 	"repro/internal/catalog"
-	"repro/internal/plan"
+	"repro/internal/mvcc"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-// versionedTable reports whether scans of t under ctx must resolve
-// row versions. False for autocommit statements with no concurrent
-// transactions — the common case — which keeps the plain path intact.
-func versionedTable(ctx *Context, t *catalog.Table) bool {
-	return ctx != nil && ctx.Txn != nil && t.Vers != nil && t.Vers.HasVersions()
+// snapshot is one statement's view of one table under a transaction:
+// the five access sites (seq scan, index scan, index-NL probe and both
+// branches of gatherMatches) read through it and nothing else. A nil
+// *snapshot is the plain path.
+type snapshot struct {
+	t     *catalog.Table
+	tx    *mvcc.Txn
+	skip  map[storage.RID]struct{} // moved chains captured at open
+	moved []movedRow               // their visible versions, RID order
 }
 
-// chainSet is the set of RIDs that had a version chain when a
-// statement's scan began. A statement must capture it ONCE and use it
-// both to skip physical rows and as the domain of its version
-// enumeration: the version store's GC runs from concurrently
-// committing sessions without the table lock, so a live HasChain
-// probe can flip mid-scan — a chain collected between the enumeration
-// and the page visit would return the row twice (or, probed in the
-// other order, not at all). With one captured set the two halves of
-// the scan partition the table exactly, whatever GC does meanwhile:
-// a captured RID whose chain has since been collected resolves to its
-// heap bytes, which is precisely the version a collectable chain left
-// visible to every live snapshot.
-type chainSet map[storage.RID]struct{}
-
-func (cs chainSet) has(rid storage.RID) bool {
-	_, ok := cs[rid]
-	return ok
-}
-
-// captureChains snapshots t's chained RIDs: the membership set (the
-// scan's skip predicate) and the ordered slice (the enumeration
-// domain for VisibleVersions).
-func captureChains(t *catalog.Table) (chainSet, []storage.RID) {
-	rids := t.Vers.RIDs()
-	set := make(chainSet, len(rids))
-	for _, rid := range rids {
-		set[rid] = struct{}{}
-	}
-	return set, rids
-}
-
-// inKeyRange replicates the B+tree SeekRange criterion lo <= key < hi
-// (nil bounds are open) for a key not present in the tree.
-func inKeyRange(key, lo, hi []byte) bool {
-	if lo != nil && bytes.Compare(key, lo) < 0 {
-		return false
-	}
-	if hi != nil && bytes.Compare(key, hi) >= 0 {
-		return false
-	}
-	return true
-}
-
-// extraRec is one chained RID's snapshot-visible record bytes.
-type extraRec struct {
+// movedRow is the version of one captured moved chain that the
+// statement sees. rec is safe to retain. key is set when the snapshot
+// was opened for an index — the row's key there, from a decode of the
+// index columns alone; row is the full decode, made on the first range
+// hit (a point probe matches few moved rows, an index-NL join probes
+// the same ones many times).
+type movedRow struct {
 	rid storage.RID
 	rec []byte
+	key []byte
+	row []types.Value
 }
 
-// versionedRecs returns the visible bytes of the captured chained RIDs
-// of t, in RID order. The bytes are safe to retain until the statement
-// ends.
-func versionedRecs(ctx *Context, t *catalog.Table, rids []storage.RID) ([]extraRec, error) {
-	var out []extraRec
+// openSnapshot captures t's moved chains for the statement ctx runs, or
+// returns nil when the statement reads t plainly: autocommit, or no
+// transaction has in-flight or uncollected writes on t — no chain can
+// appear while the statement holds its latch. ix is the index the
+// access path probes (nil for a heap scan).
+func openSnapshot(ctx *Context, t *catalog.Table, ix *catalog.Index) (*snapshot, error) {
+	if ctx == nil || ctx.Txn == nil || t.Vers == nil || !t.Vers.HasVersions() {
+		return nil, nil
+	}
+	s := &snapshot{t: t, tx: ctx.Txn}
+	rids := t.Vers.MovedRIDs()
+	if len(rids) == 0 {
+		return s, nil
+	}
+	s.skip = make(map[storage.RID]struct{}, len(rids))
+	for _, rid := range rids {
+		s.skip[rid] = struct{}{}
+	}
+	var keyCols []bool
+	var keyRow []types.Value
+	if ix != nil {
+		keyCols = needMask(ix.Cols, len(t.Columns))
+	}
 	err := t.VisibleVersions(ctx.Txn, rids, func(rid storage.RID, rec []byte) error {
-		out = append(out, extraRec{rid: rid, rec: rec})
+		m := movedRow{rid: rid, rec: rec}
+		if ix != nil {
+			var err error
+			if keyRow, _, _, err = types.DecodeRowPartial(keyRow, rec, keyCols, len(t.Columns)); err != nil {
+				return err
+			}
+			m.key = ix.KeyFor(keyRow, rid)
+		}
+		s.moved = append(s.moved, m)
 		return nil
 	})
-	return out, err
+	return s, err
 }
 
-// decodeFull decodes rec into a full row, padded to t's column count.
-func decodeFull(t *catalog.Table, rec []byte) ([]types.Value, error) {
-	row, err := types.DecodeRow(rec)
-	if err != nil {
-		return nil, err
+// visible resolves the row a scan reached at rid, whose heap bytes are
+// cur: the bytes this statement sees there, or false when it sees none
+// (the row is newer than the snapshot, or a captured moved chain that
+// s.moved serves instead). The result may alias cur.
+func (s *snapshot) visible(rid storage.RID, cur []byte) ([]byte, bool) {
+	if _, moved := s.skip[rid]; moved {
+		return nil, false
 	}
-	for len(row) < len(t.Columns) {
-		row = append(row, types.Null())
-	}
-	return row, nil
+	return s.t.Vers.Resolve(s.tx, rid, cur)
 }
 
-// versionedRowsInRange returns the decoded visible version of every
-// captured chained RID whose index key falls in [lo, hi) under path's
-// index.
-func versionedRowsInRange(ctx *Context, t *catalog.Table, path *plan.AccessPath, lo, hi []byte, rids []storage.RID) ([][]types.Value, error) {
-	var out [][]types.Value
-	err := t.VisibleVersions(ctx.Txn, rids, func(rid storage.RID, rec []byte) error {
-		row, err := decodeFull(t, rec)
-		if err != nil {
+// fetch is t.GetRowInto through the snapshot: the row an index entry
+// led to, decoded under the page pin as this statement sees it. ok is
+// false when visible says so; row is then dst, for reuse.
+func (s *snapshot) fetch(t *catalog.Table, dst []types.Value, rid storage.RID, need []bool) (row []types.Value, decoded, skipped int, ok bool, err error) {
+	if s == nil {
+		row, decoded, skipped, err = t.GetRowInto(dst, rid, need)
+		return row, decoded, skipped, err == nil, err
+	}
+	row = dst
+	err = t.Heap.View(rid, func(rec []byte) error {
+		if rec, ok = s.visible(rid, rec); !ok {
+			return nil
+		}
+		var derr error
+		row, decoded, skipped, derr = types.DecodeRowPartial(dst, rec, need, len(t.Columns))
+		return derr
+	})
+	return row, decoded, skipped, ok, err
+}
+
+// inRange calls fn with every moved row whose key under the snapshot's
+// index satisfies the B+tree SeekRange criterion lo <= key < hi (nil
+// bounds are open). The row is decoded in full and stays valid for the
+// statement.
+func (s *snapshot) inRange(lo, hi []byte, fn func(rid storage.RID, row []types.Value) error) error {
+	if s == nil {
+		return nil
+	}
+	for i := range s.moved {
+		m := &s.moved[i]
+		if lo != nil && bytes.Compare(m.key, lo) < 0 {
+			continue
+		}
+		if hi != nil && bytes.Compare(m.key, hi) >= 0 {
+			continue
+		}
+		if m.row == nil {
+			var err error
+			if m.row, err = types.DecodeRowInto(nil, m.rec, len(s.t.Columns)); err != nil {
+				return err
+			}
+		}
+		if err := fn(m.rid, m.row); err != nil {
 			return err
 		}
-		if inKeyRange(path.Index.KeyFor(row, rid), lo, hi) {
-			out = append(out, row)
-		}
-		return nil
-	})
-	return out, err
+	}
+	return nil
 }

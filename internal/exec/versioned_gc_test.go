@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -96,14 +97,31 @@ func drainAfter(t *testing.T, n plan.Node, r *mvcc.Txn, between func()) [][]type
 }
 
 // TestVersionedScanSurvivesGCMidScan is the regression test for the
-// scan/GC race: a statement captured its chained-RID set at Open, and a
-// concurrently finishing transaction's GC collects those chains before
-// the drain. Skipping on a live HasChain probe instead of the captured
-// set would stop skipping the collected RIDs and return their rows
-// twice (once physically, once from the versions captured at Open).
-// The scenario is deterministic: the GC runs between Open and the
-// first NextBatch, the widest possible window.
+// scan/GC race: a concurrently finishing transaction's GC collects the
+// table's chains between a statement's Open and its drain — the widest
+// possible window, made deterministic here. Each logical row must come
+// back exactly once, whichever way the statement reads it:
+//
+//   - a stable chain (non-key update) is resolved where the scan finds
+//     the row; by then the chain is gone and the lookup is live, which
+//     is sound because a collectable chain left the heap bytes visible
+//     to every remaining snapshot;
+//   - a moved chain (key update) was captured at Open, is skipped
+//     physically and served from the capture; skipping on a live probe
+//     instead would stop skipping the collected RIDs and return their
+//     rows twice.
 func TestVersionedScanSurvivesGCMidScan(t *testing.T) {
+	kinds := []struct {
+		name   string
+		update string
+		moved  bool
+		want   func(id int64) (int64, int64) // the row id 3..7 becomes
+	}{
+		{"stable", "UPDATE t SET val = val + 1000 WHERE id >= 3 AND id <= 7", false,
+			func(id int64) (int64, int64) { return id, 10*id + 1000 }},
+		{"moved", "UPDATE t SET id = id + 100 WHERE id >= 3 AND id <= 7", true,
+			func(id int64) (int64, int64) { return id + 100, 10 * id }},
+	}
 	cases := []struct {
 		name  string
 		query string
@@ -112,55 +130,110 @@ func TestVersionedScanSurvivesGCMidScan(t *testing.T) {
 		{"SeqScan", "SELECT id, val FROM t", "TBSCAN"},
 		{"IndexScan", "SELECT id, val FROM t WHERE id >= 1", "IXSCAN"},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cat, tab, mgr := versionedFixture(t, 10)
+	for _, k := range kinds {
+		for _, tc := range cases {
+			t.Run(k.name+"/"+tc.name, func(t *testing.T) {
+				cat, tab, mgr := versionedFixture(t, 10)
 
-			// old pins the horizon so the writer's chains outlive its commit.
-			old := mgr.Begin()
-			w := mgr.Begin()
-			runDMLAs(t, cat, w, "UPDATE t SET val = val + 1000 WHERE id >= 3 AND id <= 7")
-			w.Commit()
-			if !tab.Vers.HasVersions() {
-				t.Fatal("expected committed update to leave version chains while old txn is active")
-			}
+				// old pins the horizon so the writer's chains outlive its commit.
+				old := mgr.Begin()
+				w := mgr.Begin()
+				runDMLAs(t, cat, w, k.update)
+				w.Commit()
+				if !tab.Vers.HasVersions() {
+					t.Fatal("expected committed update to leave version chains while old txn is active")
+				}
+				if got := len(tab.Vers.MovedRIDs()) > 0; got != k.moved {
+					t.Fatalf("moved chains present: %v, want %v", got, k.moved)
+				}
 
-			r := mgr.Begin() // sees w's update (began after its commit)
-			defer r.Abort()
-			n := planQuery(t, cat, tc.query)
-			if !hasNode(n, tc.label) {
-				t.Fatalf("plan for %q lacks %s node", tc.query, tc.label)
-			}
-			rows := drainAfter(t, n, r, func() {
-				// Finishing the horizon-pinning txn GCs the chains: every
-				// remaining snapshot began after w committed.
-				old.Abort()
-				if tab.Vers.HasVersions() {
-					t.Fatal("expected GC to collect all chains once the old snapshot ended")
+				r := mgr.Begin() // sees w's update (began after its commit)
+				defer r.Abort()
+				n := planQuery(t, cat, tc.query)
+				if !hasNode(n, tc.label) {
+					t.Fatalf("plan for %q lacks %s node", tc.query, tc.label)
+				}
+				rows := drainAfter(t, n, r, func() {
+					// Finishing the horizon-pinning txn GCs the chains: every
+					// remaining snapshot began after w committed.
+					old.Abort()
+					if tab.Vers.HasVersions() {
+						t.Fatal("expected GC to collect all chains once the old snapshot ended")
+					}
+				})
+
+				if len(rows) != 10 {
+					t.Fatalf("got %d rows, want 10 (duplicates or drops mean the scan raced GC): %v", len(rows), rows)
+				}
+				seen := make(map[int64]int64, len(rows))
+				for _, row := range rows {
+					id, val := row[0].Int, row[1].Int
+					if _, dup := seen[id]; dup {
+						t.Fatalf("row id=%d returned twice", id)
+					}
+					seen[id] = val
+				}
+				for id := int64(1); id <= 10; id++ {
+					wantID, wantVal := id, 10*id
+					if id >= 3 && id <= 7 {
+						wantID, wantVal = k.want(id)
+					}
+					if got, ok := seen[wantID]; !ok || got != wantVal {
+						t.Errorf("id=%d: got val=%d (present=%v), want %d", wantID, got, ok, wantVal)
+					}
 				}
 			})
+		}
+	}
+}
 
-			if len(rows) != 10 {
-				t.Fatalf("got %d rows, want 10 (duplicates or drops mean the scan raced GC): %v", len(rows), rows)
+// TestRelocationWithoutIndexIsMoved: on a table with no index nothing
+// but the RID tells a relocated row's old slot from its new one, so the
+// old slot's chain must be flagged moved by the relocation alone — a
+// snapshot older than the update finds the row only by enumeration, a
+// newer one only at the new slot, and each sees it once.
+func TestRelocationWithoutIndexIsMoved(t *testing.T) {
+	mgr := mvcc.NewManager()
+	pool := storage.NewBufferPool(storage.NewDisk(0), 4<<20)
+	cat := catalog.New(pool, catalog.Config{MemoryBytes: 4 << 20, Versions: mgr})
+	tab, err := cat.CreateTable("h", []catalog.Column{
+		{Name: "id", Type: types.IntType, NotNull: true},
+		{Name: "pad", Type: types.StringType},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 12; i++ {
+		if _, err := tab.InsertRow([]types.Value{types.NewInt(int64(i)), types.NewString(strings.Repeat("p", 600))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := mgr.Begin()
+	defer old.Abort()
+	w := mgr.Begin()
+	pages := tab.Heap.NumPages()
+	runDMLAs(t, cat, w, "UPDATE h SET pad = '"+strings.Repeat("g", 6000)+"' WHERE id = 2")
+	if tab.Heap.NumPages() == pages {
+		t.Fatal("the update did not relocate the row")
+	}
+	w.Commit()
+	if got := len(tab.Vers.MovedRIDs()); got != 1 {
+		t.Fatalf("%d moved chains after one relocation, want 1 (the old slot)", got)
+	}
+	young := mgr.Begin()
+	defer young.Abort()
+	for name, tx := range map[string]*mvcc.Txn{"old": old, "young": young} {
+		rows := drainAfter(t, planQuery(t, cat, "SELECT id, pad FROM h"), tx, func() {})
+		n, grown := 0, false
+		for _, row := range rows {
+			if row[0].Int == 2 {
+				n++
+				grown = len(row[1].Str) == 6000
 			}
-			seen := make(map[int64]int64, len(rows))
-			for _, row := range rows {
-				id, val := row[0].Int, row[1].Int
-				if _, dup := seen[id]; dup {
-					t.Fatalf("row id=%d returned twice", id)
-				}
-				seen[id] = val
-			}
-			for id := int64(1); id <= 10; id++ {
-				want := 10 * id
-				if id >= 3 && id <= 7 {
-					want += 1000
-				}
-				if got, ok := seen[id]; !ok || got != want {
-					t.Errorf("id=%d: got val=%d (present=%v), want %d", id, got, ok, want)
-				}
-			}
-		})
+		}
+		if len(rows) != 12 || n != 1 || grown != (name == "young") {
+			t.Errorf("%s snapshot: %d rows, id 2 seen %d times, grown=%v", name, len(rows), n, grown)
+		}
 	}
 }
 

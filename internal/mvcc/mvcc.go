@@ -71,6 +71,10 @@ type Manager struct {
 	publishBatches     atomic.Int64
 	publishedTxns      atomic.Int64
 	pipelineMax        atomic.Int64
+
+	// Read-side telemetry (see ContentionStats).
+	versionsEnumerated  atomic.Int64
+	chainedRowsResolved atomic.Int64
 }
 
 // NewManager returns an empty transaction manager.
@@ -369,6 +373,14 @@ type ContentionStats struct {
 	PipelineMax    int64
 	PublishBatches int64
 	PublishedTxns  int64
+	// What version chains cost snapshot reads. VersionsEnumerated counts
+	// moved chains captured by statements — rows read outside the heap
+	// or index scan that found nothing of them; it grows with in-flight
+	// deletes and key changes on the tables a statement reads, whoever
+	// made them. ChainedRowsResolved counts rows a scan reached that had
+	// a stable chain and were resolved where they were found.
+	VersionsEnumerated  int64
+	ChainedRowsResolved int64
 }
 
 // Contention returns current contention telemetry.
@@ -386,6 +398,9 @@ func (m *Manager) Contention() ContentionStats {
 		PipelineMax:        m.pipelineMax.Load(),
 		PublishBatches:     m.publishBatches.Load(),
 		PublishedTxns:      m.publishedTxns.Load(),
+
+		VersionsEnumerated:  m.versionsEnumerated.Load(),
+		ChainedRowsResolved: m.chainedRowsResolved.Load(),
 	}
 }
 

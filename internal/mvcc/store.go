@@ -1,7 +1,8 @@
 package mvcc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,9 +12,15 @@ import (
 // entry is one write to a row: who made it and the bytes the row held
 // immediately before (nil if the row did not exist). The store owns
 // pre — callers must hand over bytes that nothing else mutates.
+//
+// moved records that the write changed the row's index identity
+// relative to pre: a delete, the old slot of a relocation, or an update
+// that changed a key of some index. Across a write that did not move,
+// pre and the newer version carry the same keys at the same RID.
 type entry struct {
 	writer *Txn
 	pre    []byte
+	moved  bool
 }
 
 // VersionStore holds the version chains of one table, keyed by RID.
@@ -27,10 +34,19 @@ type entry struct {
 // run under at least the shared latch. WaitCheckWrites is the one
 // latch-free entry point — it only inspects chains and parks, so the
 // internal mutex alone keeps it coherent against concurrent appliers.
+//
+// Chains split in two by their entries' moved flags. A stable chain
+// (no moved entry) belongs to a row that the heap and every index
+// still hold at the keys every one of its versions carries, so a scan
+// that reaches the row resolves it on the spot. A moved chain may hold
+// a version the physical structures no longer lead to (or lead to
+// under another key); readers enumerate those — MovedRIDs — and check
+// each visible version against their key range themselves.
 type VersionStore struct {
 	mu     sync.Mutex
 	mgr    *Manager
 	chains map[storage.RID][]entry
+	moved  map[storage.RID]struct{} // chains with at least one moved entry
 
 	// signal wakes conflict waiters parked on an aborted-but-not-yet-
 	// undone entry: PopWrite and GC close it (close-and-renew) whenever
@@ -41,7 +57,11 @@ type VersionStore struct {
 // NewStore returns an empty store. mgr may be nil in tests; then no
 // automatic GC registration happens.
 func NewStore(mgr *Manager) *VersionStore {
-	return &VersionStore{mgr: mgr, chains: make(map[storage.RID][]entry)}
+	return &VersionStore{
+		mgr:    mgr,
+		chains: make(map[storage.RID][]entry),
+		moved:  make(map[storage.RID]struct{}),
+	}
 }
 
 // HasVersions reports whether any chain exists. Statements use it to
@@ -86,10 +106,17 @@ func (s *VersionStore) CheckWrite(tx *Txn, rid storage.RID) error {
 
 // RecordWrite appends a version entry for tx's write to rid, taking
 // ownership of pre. The caller has already passed CheckWrite (or the
-// write is an insert into a fresh slot, which cannot conflict).
-func (s *VersionStore) RecordWrite(tx *Txn, rid storage.RID, pre []byte) {
+// write is an insert into a fresh slot, which cannot conflict). moved
+// says whether the write changed the row's index identity (see entry);
+// it is conservative — true is always correct and only costs readers
+// an enumeration — so a caller that cannot compare keys passes true
+// for anything but an insert.
+func (s *VersionStore) RecordWrite(tx *Txn, rid storage.RID, pre []byte, moved bool) {
 	s.mu.Lock()
-	s.chains[rid] = append(s.chains[rid], entry{writer: tx, pre: pre})
+	s.chains[rid] = append(s.chains[rid], entry{writer: tx, pre: pre, moved: moved})
+	if moved {
+		s.moved[rid] = struct{}{}
+	}
 	s.mu.Unlock()
 	if s.mgr != nil {
 		s.mgr.markDirty(s)
@@ -117,12 +144,29 @@ func (s *VersionStore) PopWrite(tx *Txn, rid storage.RID) {
 	if len(ch) == 0 || ch[len(ch)-1].writer != tx {
 		return // already collected (aborted entries are GC-eligible)
 	}
-	if len(ch) == 1 {
-		delete(s.chains, rid)
-	} else {
-		s.chains[rid] = ch[:len(ch)-1]
-	}
+	s.setChainLocked(rid, ch[:len(ch)-1])
 	s.bumpLocked()
+}
+
+// setChainLocked installs what is left of rid's chain after entries
+// were removed, keeping the moved set exact: a flag leaves with its
+// entry. Called with s.mu held.
+func (s *VersionStore) setChainLocked(rid storage.RID, ch []entry) {
+	if len(ch) == 0 {
+		delete(s.chains, rid)
+		delete(s.moved, rid)
+		return
+	}
+	s.chains[rid] = ch
+	if _, was := s.moved[rid]; !was {
+		return
+	}
+	for _, e := range ch {
+		if e.moved {
+			return
+		}
+	}
+	delete(s.moved, rid)
 }
 
 // signalLocked returns the current waiter-wakeup channel, allocating
@@ -234,10 +278,12 @@ func (s *VersionStore) WaitCheckWrites(tx *Txn, rids []storage.RID, budget time.
 // current heap bytes (nil if the slot is dead). The second result is
 // false when no version is visible (the row does not exist in the
 // reader's snapshot). The returned bytes may alias cur or an immutable
-// store-owned pre-image.
+// store-owned pre-image, so a caller may resolve in place under a heap
+// view. A RID without a chain resolves to cur: the lookup is live, and
+// that is safe against concurrent GC because a chain is collected only
+// once every live snapshot sees exactly the heap bytes.
 func (s *VersionStore) Resolve(reader *Txn, rid storage.RID, cur []byte) ([]byte, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	ch := s.chains[rid]
 	for i := len(ch) - 1; i >= 0; i-- {
 		if reader.Visible(ch[i].writer) {
@@ -245,39 +291,66 @@ func (s *VersionStore) Resolve(reader *Txn, rid storage.RID, cur []byte) ([]byte
 		}
 		cur = ch[i].pre
 	}
+	stable := false
+	if len(ch) > 0 {
+		_, moved := s.moved[rid]
+		stable = !moved
+	}
+	s.mu.Unlock()
+	if stable && s.mgr != nil {
+		s.mgr.chainedRowsResolved.Add(1)
+	}
 	return cur, cur != nil
 }
 
-// RIDs returns every chained RID in (page, slot) order, for
-// deterministic enumeration of rows whose visible version may differ
-// from (or be missing from) the physical heap and indexes.
+// RIDs returns every chained RID in (page, slot) order.
 func (s *VersionStore) RIDs() []storage.RID {
 	s.mu.Lock()
-	out := make([]storage.RID, 0, len(s.chains))
-	for rid := range s.chains {
+	defer s.mu.Unlock()
+	return sortedRIDs(s.chains)
+}
+
+// MovedRIDs returns the RIDs of the moved chains in (page, slot) order:
+// the rows a snapshot read cannot reach through the heap or an index
+// at the keys their visible version carries. A statement captures the
+// set once, skips exactly these RIDs physically and enumerates them
+// through Resolve, so GC emptying a chain mid-statement cannot hand a
+// row to both halves (or neither). The result counts toward
+// VersionsEnumerated.
+func (s *VersionStore) MovedRIDs() []storage.RID {
+	s.mu.Lock()
+	out := sortedRIDs(s.moved)
+	s.mu.Unlock()
+	if s.mgr != nil {
+		s.mgr.versionsEnumerated.Add(int64(len(out)))
+	}
+	return out
+}
+
+func sortedRIDs[V any](m map[storage.RID]V) []storage.RID {
+	out := make([]storage.RID, 0, len(m))
+	for rid := range m {
 		out = append(out, rid)
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Page != out[j].Page {
-			return out[i].Page < out[j].Page
-		}
-		return out[i].Slot < out[j].Slot
+	slices.SortFunc(out, func(a, b storage.RID) int {
+		return cmp.Or(cmp.Compare(a.Page, b.Page), cmp.Compare(a.Slot, b.Slot))
 	})
 	return out
 }
 
-// UncommittedPreImages calls fn for every pre-image written by a
-// transaction that has not committed (active, or aborted with its undo
-// still pending), stopping early if fn returns false. Unique-key
-// checks use it to detect keys that are physically absent from an
-// index but would reappear if the uncommitted writer rolled back.
+// UncommittedPreImages calls fn for every pre-image that a transaction
+// which has not committed (active, or aborted with its undo still
+// pending) moved away from, stopping early if fn returns false.
+// Unique-key checks use it to detect keys that are physically absent
+// from an index but would reappear if the uncommitted writer rolled
+// back; only a moved entry's pre-image can carry such a key, so the
+// walk covers the moved chains alone.
 func (s *VersionStore) UncommittedPreImages(fn func(rid storage.RID, writer *Txn, pre []byte) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for rid, ch := range s.chains {
-		for _, e := range ch {
-			if e.pre == nil || e.writer.Committed() {
+	for rid := range s.moved {
+		for _, e := range s.chains[rid] {
+			if !e.moved || e.pre == nil || e.writer.Committed() {
 				continue
 			}
 			if !fn(rid, e.writer, e.pre) {
@@ -306,12 +379,8 @@ func (s *VersionStore) GC(horizon uint64) bool {
 			}
 			break
 		}
-		switch {
-		case i == len(ch):
-			delete(s.chains, rid)
-			changed = true
-		case i > 0:
-			s.chains[rid] = append([]entry(nil), ch[i:]...)
+		if i > 0 {
+			s.setChainLocked(rid, append([]entry(nil), ch[i:]...))
 			changed = true
 		}
 	}

@@ -530,15 +530,7 @@ type HeapScanner struct {
 	recs  [][]byte
 	arena []byte
 	i     int
-	skip  func(RID) bool
 }
-
-// SetSkip installs a visibility filter: records whose RID the callback
-// claims are omitted from the scan. Snapshot reads use it to hide rows
-// with version chains (the chain, not the page, decides what a
-// transaction sees for those RIDs; the caller enumerates the chains
-// separately). Must be called before the first Next/NextPage.
-func (s *HeapScanner) SetSkip(skip func(RID) bool) { s.skip = skip }
 
 // NextPage loads every live record of the next non-empty page in one
 // buffer-pool visit. The returned slices are reused by the following
@@ -562,9 +554,6 @@ func (s *HeapScanner) NextPage() ([]RID, [][]byte, bool, error) {
 		s.rids = s.rids[:0]
 		s.recs = s.recs[:0]
 		Slotted(buf).LiveRecords(func(slot uint16, rec []byte) bool {
-			if s.skip != nil && s.skip(RID{Page: id, Slot: slot}) {
-				return true
-			}
 			off := len(s.arena)
 			s.arena = append(s.arena, rec...)
 			s.rids = append(s.rids, RID{Page: id, Slot: slot})

@@ -167,7 +167,7 @@ func (l *Log) IngestDurable(start LSN, buf []byte) (LSN, error) {
 	if parsedEnd != end+LSN(len(buf)) {
 		return 0, fmt.Errorf("wal: ingest of torn or corrupt frames at %d", parsedEnd)
 	}
-	l.durable = append(l.durable, buf...)
+	l.extendDurableLocked(buf)
 	l.stats.BytesAppended += int64(len(buf))
 	l.stats.Records += int64(len(recs))
 	l.bytesSinceCkpt += int64(len(buf))
@@ -258,7 +258,9 @@ func (c *Cursor) Next() (r *Record, ok bool, err error) {
 	if crc32.Checksum(payload, crcTable) != sum {
 		return nil, false, fmt.Errorf("wal: corrupt frame at %d", c.pos)
 	}
-	rec, derr := decodeRecord(payload)
+	// Decode a copy: the record outlives l.mu, the log's buffer does not
+	// (TruncateTo compacts it in place).
+	rec, derr := decodeRecord(append([]byte(nil), payload...))
 	if derr != nil {
 		return nil, false, fmt.Errorf("wal: undecodable frame at %d: %w", c.pos, derr)
 	}

@@ -264,7 +264,7 @@ func (l *Log) syncLocked() error {
 			if n > len(l.tail) {
 				n = len(l.tail)
 			}
-			l.durable = append(l.durable, l.tail[:n]...)
+			l.extendDurableLocked(l.tail[:n])
 			l.tail = l.tail[n:]
 		}
 		l.crashed = true
@@ -279,12 +279,25 @@ func (l *Log) syncLocked() error {
 			return ErrCrashed
 		}
 	}
-	l.durable = append(l.durable, l.tail...)
+	l.extendDurableLocked(l.tail)
 	l.tail = l.tail[:0]
 	l.stats.Syncs++
 	l.settleCommitsLocked()
 	l.cond.Broadcast()
 	return nil
+}
+
+// extendDurableLocked appends b to the durable prefix, doubling the
+// buffer when it is full. A checkpoint truncates only up to the oldest
+// record a still-dirty page needs, so with a pool that never evicts the
+// prefix grows for as long as the process runs; the runtime's 1.25×
+// policy for large slices then re-copies it (and faults in a fresh
+// region) five times over per byte kept, where doubling does it twice.
+func (l *Log) extendDurableLocked(b []byte) {
+	if need := len(l.durable) + len(b); need > cap(l.durable) {
+		l.durable = append(make([]byte, 0, max(2*cap(l.durable), need)), l.durable...)
+	}
+	l.durable = append(l.durable, b...)
 }
 
 // settleCommitsLocked moves newly durable commits out of the pending
@@ -421,7 +434,11 @@ func (l *Log) TruncateTo(lsn LSN) {
 	}
 	n := int(lsn - l.base)
 	l.stats.TruncatedBytes += int64(n)
-	l.durable = append([]byte(nil), l.durable[n:]...)
+	// Compact in place and keep the capacity: the buffer settles at the
+	// size one checkpoint interval needs instead of regrowing from the
+	// retained suffix after every checkpoint. Nothing outside l.mu may
+	// alias l.durable for this to be sound — every reader copies out.
+	l.durable = l.durable[:copy(l.durable, l.durable[n:])]
 	l.base = lsn
 }
 
@@ -462,11 +479,15 @@ func (l *Log) Reopen() {
 }
 
 // DurableRecords decodes the durable prefix, stopping at the first torn
-// or corrupt frame. The result is what recovery has to work with.
+// or corrupt frame. The result is what recovery has to work with. The
+// records' Key and Data point into a private copy of the prefix, not
+// into the log (TruncateTo compacts that in place).
 func (l *Log) DurableRecords() []*Record {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	recs, _ := decodeFrames(l.durable, l.base)
+	buf := append([]byte(nil), l.durable...)
+	base := l.base
+	l.mu.Unlock()
+	recs, _ := decodeFrames(buf, base)
 	return recs
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -155,6 +156,62 @@ func TestTruncate(t *testing.T) {
 	l.TruncateTo(1)
 	if l.Base() != lsns[1] {
 		t.Fatalf("backward truncate moved base to %d", l.Base())
+	}
+}
+
+// TestTruncateCompactsInPlace: truncation slides the retained bytes to
+// the front of the same buffer, so the log keeps its capacity across
+// checkpoints — and so no record handed out earlier may point into that
+// buffer. Records from DurableRecords and from a cursor must read the
+// same after a truncation and further appends overwrote the bytes they
+// were decoded from.
+func TestTruncateCompactsInPlace(t *testing.T) {
+	l := New(Config{})
+	var lsns []LSN
+	for i := 0; i < 8; i++ {
+		r := rec(KHeapInsert, 1)
+		r.Data = bytes.Repeat([]byte{byte('a' + i)}, 100)
+		lsn, err := l.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs := l.DurableRecords()
+	cur := l.ReadFrom(lsns[5])
+	fromCursor, ok, err := cur.Next()
+	if err != nil || !ok {
+		t.Fatalf("cursor: %v %v", ok, err)
+	}
+	capBefore := cap(l.durable)
+
+	l.TruncateTo(lsns[5]) // keeps two records; six more refill the buffer
+	for i := 0; i < 6; i++ {
+		r := rec(KHeapInsert, 1)
+		r.Data = bytes.Repeat([]byte{'z'}, 100)
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(l.durable) != capBefore {
+		t.Errorf("capacity %d after truncate and refill, was %d: the buffer was reallocated", cap(l.durable), capBefore)
+	}
+	for i, r := range recs {
+		if want := bytes.Repeat([]byte{byte('a' + i)}, 100); !bytes.Equal(r.Data, want) {
+			t.Fatalf("record %d from DurableRecords changed under truncation: %q", i, r.Data)
+		}
+	}
+	if want := bytes.Repeat([]byte{'g'}, 100); !bytes.Equal(fromCursor.Data, want) {
+		t.Fatalf("cursor record changed under truncation: %q", fromCursor.Data)
+	}
+	if got := l.DurableRecords(); len(got) != 8 || got[0].LSN != lsns[6] || got[7].Data[0] != 'z' {
+		t.Fatalf("after truncate and refill: %d records", len(got))
 	}
 }
 
