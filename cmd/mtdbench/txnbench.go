@@ -44,10 +44,14 @@ type txnPoint struct {
 	RowWaitTimeouts    int64   `json:"row_wait_timeouts"`
 	RowWaitRescues     int64   `json:"row_wait_rescues"`
 	ImmediateConflicts int64   `json:"immediate_conflicts"`
-	LockWaits          int64   `json:"lock_waits"`
-	CommitPipelineMax  int64   `json:"commit_pipeline_max"`
-	PublishBatches     int64   `json:"publish_batches"`
-	PublishedTxns      int64   `json:"published_txns"`
+	// What version chains cost this point's snapshot reads: moved
+	// chains enumerated beside a scan, chained rows resolved in place.
+	VersionsEnumerated  int64 `json:"versions_enumerated"`
+	ChainedRowsResolved int64 `json:"chained_rows_resolved"`
+	LockWaits           int64 `json:"lock_waits"`
+	CommitPipelineMax   int64 `json:"commit_pipeline_max"`
+	PublishBatches      int64 `json:"publish_batches"`
+	PublishedTxns       int64 `json:"published_txns"`
 }
 
 // quantile returns the q-th quantile (0..1) of sorted durations.
@@ -150,10 +154,14 @@ func runTxnPoint(n, txnsPerSession, stmtsPerTxn, accounts, hotKeys int, seed int
 		RowWaitTimeouts:    st.RowWaitTimeouts,
 		RowWaitRescues:     st.RowWaitRescues,
 		ImmediateConflicts: st.ImmediateConflicts,
-		LockWaits:          st.LockWaits,
-		CommitPipelineMax:  st.CommitPipelineMax,
-		PublishBatches:     st.PublishBatches,
-		PublishedTxns:      st.PublishedTxns,
+
+		VersionsEnumerated:  st.VersionsEnumerated,
+		ChainedRowsResolved: st.ChainedRowsResolved,
+
+		LockWaits:         st.LockWaits,
+		CommitPipelineMax: st.CommitPipelineMax,
+		PublishBatches:    st.PublishBatches,
+		PublishedTxns:     st.PublishedTxns,
 	}
 	if st.TxnBegins > 0 {
 		p.ConflictRate = float64(st.TxnConflicts) / float64(st.TxnBegins)
@@ -189,16 +197,17 @@ func runTxnBench(jsonOut string, smoke bool) {
 			p.P50CommitUs, p.P99CommitUs)
 	}
 	fmt.Println("\nContention telemetry")
-	fmt.Printf("%-10s %-12s %-12s %-10s %-10s %-10s %-10s %-10s %s\n",
-		"Sessions", "AdmWaits", "AdmTimeout", "RowWaits", "Timeouts", "Rescues", "InstaConf", "PipeMax", "Txns/Batch")
+	fmt.Printf("%-10s %-12s %-12s %-10s %-10s %-10s %-10s %-10s %-12s %-12s %s\n",
+		"Sessions", "AdmWaits", "AdmTimeout", "RowWaits", "Timeouts", "Rescues", "InstaConf", "PipeMax", "VersEnum", "ChainedRes", "Txns/Batch")
 	for _, p := range pts {
 		perBatch := 0.0
 		if p.PublishBatches > 0 {
 			perBatch = float64(p.PublishedTxns) / float64(p.PublishBatches)
 		}
-		fmt.Printf("%-10d %-12d %-12d %-10d %-10d %-10d %-10d %-10d %.2f\n",
+		fmt.Printf("%-10d %-12d %-12d %-10d %-10d %-10d %-10d %-10d %-12d %-12d %.2f\n",
 			p.Sessions, p.AdmissionWaits, p.AdmissionTimeouts, p.RowWaits,
-			p.RowWaitTimeouts, p.RowWaitRescues, p.ImmediateConflicts, p.CommitPipelineMax, perBatch)
+			p.RowWaitTimeouts, p.RowWaitRescues, p.ImmediateConflicts, p.CommitPipelineMax,
+			p.VersionsEnumerated, p.ChainedRowsResolved, perBatch)
 	}
 
 	out := struct {
