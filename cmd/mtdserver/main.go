@@ -43,7 +43,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/types"
 )
 
 func main() { os.Exit(run()) }
@@ -93,7 +92,7 @@ func run() int {
 	cfg := server.Config{DB: db, MaxRowBatch: *batchRows}
 
 	if *layoutName != "" {
-		layout, err := buildLayout(*layoutName, exampleSchema())
+		layout, err := core.LayoutByName(*layoutName, core.PaperSchema())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -175,52 +174,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-func buildLayout(name string, schema *core.Schema) (core.Layout, error) {
-	switch name {
-	case "private":
-		return core.NewPrivateLayout(schema)
-	case "extension":
-		return core.NewExtensionLayout(schema)
-	case "universal":
-		return core.NewUniversalLayout(schema, 16)
-	case "pivot":
-		return core.NewPivotLayout(schema, true)
-	case "chunk":
-		return core.NewChunkLayout(schema, core.ChunkOptions{})
-	case "chunk-flat":
-		return core.NewChunkLayout(schema, core.ChunkOptions{Flattened: true})
-	case "vertical":
-		return core.NewVerticalLayout(schema, nil)
-	case "chunkfold":
-		return core.NewChunkFoldingLayout(schema, core.FoldingOptions{
-			ConventionalExtensions: []string{"HealthcareAccount"},
-		})
-	}
-	return nil, fmt.Errorf("unknown layout %q", name)
-}
-
-// exampleSchema is the paper's Figure 4 running example, shared with
-// cmd/mtdsql.
-func exampleSchema() *core.Schema {
-	return &core.Schema{
-		Tables: []*core.Table{{
-			Name: "Account",
-			Key:  "Aid",
-			Columns: []core.Column{
-				{Name: "Aid", Type: types.IntType, NotNull: true, Indexed: true},
-				{Name: "Name", Type: types.VarcharType(50)},
-			},
-		}},
-		Extensions: []*core.Extension{
-			{Name: "HealthcareAccount", Base: "Account", Columns: []core.Column{
-				{Name: "Hospital", Type: types.VarcharType(50)},
-				{Name: "Beds", Type: types.IntType},
-			}},
-			{Name: "AutomotiveAccount", Base: "Account", Columns: []core.Column{
-				{Name: "Dealers", Type: types.IntType},
-			}},
-		},
-	}
 }

@@ -27,54 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/types"
 )
-
-func buildLayout(name string, schema *core.Schema) (core.Layout, error) {
-	switch name {
-	case "private":
-		return core.NewPrivateLayout(schema)
-	case "extension":
-		return core.NewExtensionLayout(schema)
-	case "universal":
-		return core.NewUniversalLayout(schema, 16)
-	case "pivot":
-		return core.NewPivotLayout(schema, true)
-	case "chunk":
-		return core.NewChunkLayout(schema, core.ChunkOptions{})
-	case "chunk-flat":
-		return core.NewChunkLayout(schema, core.ChunkOptions{Flattened: true})
-	case "vertical":
-		return core.NewVerticalLayout(schema, nil)
-	case "chunkfold":
-		return core.NewChunkFoldingLayout(schema, core.FoldingOptions{
-			ConventionalExtensions: []string{"HealthcareAccount"},
-		})
-	}
-	return nil, fmt.Errorf("unknown layout %q (private, extension, universal, pivot, chunk, chunk-flat, vertical, chunkfold)", name)
-}
-
-func exampleSchema() *core.Schema {
-	return &core.Schema{
-		Tables: []*core.Table{{
-			Name: "Account",
-			Key:  "Aid",
-			Columns: []core.Column{
-				{Name: "Aid", Type: types.IntType, NotNull: true, Indexed: true},
-				{Name: "Name", Type: types.VarcharType(50)},
-			},
-		}},
-		Extensions: []*core.Extension{
-			{Name: "HealthcareAccount", Base: "Account", Columns: []core.Column{
-				{Name: "Hospital", Type: types.VarcharType(50)},
-				{Name: "Beds", Type: types.IntType},
-			}},
-			{Name: "AutomotiveAccount", Base: "Account", Columns: []core.Column{
-				{Name: "Dealers", Type: types.IntType},
-			}},
-		},
-	}
-}
 
 func main() { os.Exit(run()) }
 
@@ -90,8 +43,8 @@ func run() (code int) {
 	)
 	flag.Parse()
 
-	schema := exampleSchema()
-	layout, err := buildLayout(*layoutName, schema)
+	schema := core.PaperSchema()
+	layout, err := core.LayoutByName(*layoutName, schema)
 	fatalIf(err)
 	db := engine.Open(engine.Config{})
 	fatalIf(layout.Create(db, []*core.Tenant{

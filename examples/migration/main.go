@@ -3,7 +3,10 @@
 // A service that started every tenant on Private Tables (fast, simple)
 // hits the meta-data wall as tenants multiply (§5); this program moves
 // the long tail of small tenants onto Chunk Folding — tenant by tenant,
-// verifying each — while big tenants keep their private tables.
+// verifying each — while big tenants keep their private tables. Both
+// representations live in one database behind a core.LayoutMux; a
+// core.Mover copies a tenant, verifies it and flips its route (here
+// with no concurrent writers; TestMoveTenantUnderTraffic has them).
 //
 //	go run ./examples/migration
 package main
@@ -38,11 +41,13 @@ func schema() *core.Schema {
 
 func main() {
 	const tenants = 12
+	const big = 3 // tenants 1..big stay on private tables
 
 	// Day 1: everyone on Private Tables.
-	src, err := core.NewPrivateLayout(schema())
+	private, err := core.NewPrivateLayout(schema())
 	fatal(err)
-	srcDB := engine.Open(engine.Config{})
+	db := engine.Open(engine.Config{})
+	mux := core.NewLayoutMux(private)
 	var tns []*core.Tenant
 	for i := 1; i <= tenants; i++ {
 		tn := &core.Tenant{ID: int64(i)}
@@ -51,58 +56,54 @@ func main() {
 		}
 		tns = append(tns, tn)
 	}
-	fatal(src.Create(srcDB, tns))
-	sm := core.NewMapper(srcDB, src)
+	fatal(mux.Create(db, tns))
+	m := core.NewMapper(db, mux)
 	for i := 1; i <= tenants; i++ {
 		for a := 1; a <= 15; a++ {
 			q := fmt.Sprintf("INSERT INTO Account (Aid, Name, Balance) VALUES (%d, 'acct-%d', %d.50)", a, a, a*100)
-			if _, err := sm.Exec(int64(i), q); err != nil {
+			if _, err := m.Exec(int64(i), q); err != nil {
 				log.Fatal(err)
 			}
 		}
 		if i%3 == 0 {
-			if _, err := sm.Exec(int64(i), "UPDATE Account SET Beds = Aid * 10 WHERE Aid <= 5"); err != nil {
+			if _, err := m.Exec(int64(i), "UPDATE Account SET Beds = Aid * 10 WHERE Aid <= 5"); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	fmt.Printf("source (private layout): %d tables for %d tenants\n", srcDB.Stats().Tables, tenants)
+	fmt.Printf("private layout: %d tables for %d tenants\n", db.Stats().Tables, tenants)
 
-	// Day 400: the meta-data budget hurts; fold the tenants.
-	dst, err := core.NewChunkFoldingLayout(schema(), core.FoldingOptions{})
+	// Day 400: the meta-data budget hurts; fold the long tail. The
+	// chunk-folding tables are provisioned once, beside the private
+	// ones; a moved tenant registers there on arrival.
+	folded, err := core.NewChunkFoldingLayout(schema(), core.FoldingOptions{})
 	fatal(err)
-	dstDB := engine.Open(engine.Config{})
-	fatal(dst.Create(dstDB, cloneTenants(tns)))
-	dm := core.NewMapper(dstDB, dst)
-	mig := core.NewMigrator(sm, dm)
-
-	for _, tn := range tns {
-		if err := mig.MigrateTenant(tn.ID); err != nil {
+	fatal(folded.Create(db, nil))
+	mover := &core.Mover{DB: db, Mux: mux, Verify: true}
+	for _, tn := range tns[big:] {
+		rep, err := mover.Move(tn.ID, folded)
+		if err != nil {
 			log.Fatalf("tenant %d: %v", tn.ID, err)
 		}
-		// In production this is the point where the tenant's routing
-		// flips from src to dst; reads stayed on-line on src throughout.
+		// The tenant is served from the chunk tables from here on; its
+		// private tables can go.
+		fatal(private.RemoveTenant(db, tn.ID))
+		if tn.ID == int64(big)+1 {
+			fmt.Printf("tenant %d: %d rows copied in %d round(s), gate held %v\n",
+				rep.Tenant, rep.RowsCopied, rep.Rounds, rep.GatePause)
+		}
 	}
-	fatal(mig.Verify())
-	fmt.Printf("destination (chunk folding): %d tables for the same %d tenants\n",
-		dstDB.Stats().Tables, tenants)
+	fmt.Printf("after folding tenants %d..%d: %d tables for the same %d tenants\n",
+		big+1, tenants, db.Stats().Tables, tenants)
 
-	// Every tenant keeps answering the same logical SQL.
-	rows, err := dm.Query(3, "SELECT Name, Beds FROM Account WHERE Aid = 5")
+	// Every tenant keeps answering the same logical SQL through the mux.
+	rows, err := m.Query(6, "SELECT Name, Beds FROM Account WHERE Aid = 5")
 	fatal(err)
-	fmt.Printf("tenant 3 after migration: Name=%v Beds=%v\n", rows.Data[0][0], rows.Data[0][1])
-	rows, err = dm.Query(1, "SELECT SUM(Balance) FROM Account")
+	fmt.Printf("tenant 6 (%s): Name=%v Beds=%v\n", mux.Route(6).Name(), rows.Data[0][0], rows.Data[0][1])
+	rows, err = m.Query(1, "SELECT SUM(Balance) FROM Account")
 	fatal(err)
-	fmt.Printf("tenant 1 balance sum after migration: %v\n", rows.Data[0][0])
-	fmt.Println("migration verified: every logical row identical in both representations")
-}
-
-func cloneTenants(in []*core.Tenant) []*core.Tenant {
-	out := make([]*core.Tenant, len(in))
-	for i, t := range in {
-		out[i] = &core.Tenant{ID: t.ID, Extensions: append([]string(nil), t.Extensions...)}
-	}
-	return out
+	fmt.Printf("tenant 1 (%s): balance sum %v\n", mux.Route(1).Name(), rows.Data[0][0])
+	fmt.Println("migration verified: every moved tenant's logical rows were identical in both representations at cutover")
 }
 
 func fatal(err error) {

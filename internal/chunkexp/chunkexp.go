@@ -316,6 +316,7 @@ type Measurement struct {
 	WarmTime      time.Duration // Fig 9: average warm-cache response time
 	ColdTime      time.Duration // Fig 11: average cold-cache response time
 	LogicalReads  int64         // Fig 10: logical page reads per execution
+	RowsScanned   int64         // rows produced by base-table access per warm execution
 	PhysicalReads int64         // pages faulted per cold execution
 	Rows          int           // result cardinality sanity check
 }
@@ -346,7 +347,9 @@ func (in *Instance) MeasureQ2(query string, runs int, parentID int64) (Measureme
 		}
 	}
 	m.WarmTime = time.Since(t0) / time.Duration(runs)
-	m.LogicalReads = in.DB.Stats().Pool.TotalLogicalReads() / int64(runs)
+	stats := in.DB.Stats()
+	m.LogicalReads = stats.Pool.TotalLogicalReads() / int64(runs)
+	m.RowsScanned = stats.Exec.RowsScanned / int64(runs)
 
 	// Cold runs: drop caches before each execution.
 	var coldTotal time.Duration

@@ -39,7 +39,13 @@ func Test1Variants() []Test1Variant {
 type Test1Result struct {
 	Variant  Test1Variant
 	WarmTime time.Duration
-	Plan     string
+	// LogicalReads and RowsScanned are per warm execution: page
+	// fetches, and rows produced by base-table access (a materialized
+	// derived table scans its chunks whole; an unnested one probes them
+	// by index).
+	LogicalReads int64
+	RowsScanned  int64
+	Plan         string
 	// Materialized reports whether the plan contains a TEMP operator
 	// (the naive optimizer's failure to unnest, §6.2 Test 1).
 	Materialized bool
@@ -87,6 +93,8 @@ func RunTest1(cfg Config, scale, runs int) ([]Test1Result, error) {
 		out = append(out, Test1Result{
 			Variant:      v,
 			WarmTime:     m.WarmTime,
+			LogicalReads: m.LogicalReads,
+			RowsScanned:  m.RowsScanned,
 			Plan:         planText,
 			Materialized: strings.Contains(planText, "TEMP"),
 		})
@@ -103,8 +111,8 @@ func FormatTest1(results []Test1Result) string {
 		if r.Materialized {
 			mat = "  [materializes derived table]"
 		}
-		fmt.Fprintf(&sb, "  %-22s %10.3f ms%s\n", r.Variant.Name,
-			float64(r.WarmTime)/float64(time.Millisecond), mat)
+		fmt.Fprintf(&sb, "  %-22s %10.3f ms %8d rows scanned %8d logical reads%s\n", r.Variant.Name,
+			float64(r.WarmTime)/float64(time.Millisecond), r.RowsScanned, r.LogicalReads, mat)
 	}
 	return sb.String()
 }

@@ -80,15 +80,15 @@ func TestAffinityReducesChunks(t *testing.T) {
 		if err := l.Create(db, []*Tenant{{ID: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		a, err := l.assignmentFor(1, "Wide")
+		p, err := l.placementOf(1, "Wide")
 		if err != nil {
 			t.Fatal(err)
 		}
-		gA, gF := a.groupOf("A"), a.groupOf("F")
-		if gA == nil || gF == nil {
+		fA, fF := p.slots["a"].frag, p.slots["f"].frag
+		if fA == nil || fF == nil {
 			t.Fatal("columns unassigned")
 		}
-		if gA.ID == gF.ID {
+		if fA == fF {
 			return 1
 		}
 		return 2

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/types"
 )
@@ -65,29 +64,15 @@ type chunkGroup struct {
 	Phys []string // physical column name per logical column
 }
 
-// colLoc locates a logical column inside an assignment.
-type colLoc struct {
-	group *chunkGroup
-	phys  string
-}
-
-// assignment maps one tenant-table's logical columns onto chunks.
-type assignment struct {
-	groups []*chunkGroup
-	loc    map[string]colLoc // lowercased logical name -> location
-}
-
-func (a *assignment) locate(col string) (colLoc, bool) {
-	l, ok := a.loc[strings.ToLower(col)]
-	return l, ok
-}
-
-// groupOf returns the group holding a logical column.
-func (a *assignment) groupOf(col string) *chunkGroup {
-	if l, ok := a.locate(col); ok {
-		return l.group
+// fragment describes the chunk as a fragment: rows of the physical
+// table selected by meta, each logical column in its typed slot
+// (booleans ride in integer slots).
+func (g *chunkGroup) fragment(table string, meta []metaEq, del string) *fragment {
+	f := &fragment{table: table, meta: meta, del: del, cols: make([]fragCol, len(g.Cols))}
+	for i, c := range g.Cols {
+		f.cols[i] = fragCol{Column: c, phys: g.Phys[i], store: types.ColumnType{Kind: chunkStorageKind(c.Type.Kind)}}
 	}
-	return nil
+	return f
 }
 
 // assignColumns partitions logical columns into chunks over the
@@ -172,37 +157,6 @@ func packInto(remaining []Column, def *ChunkTableDef) []int {
 		}
 	}
 	return out
-}
-
-// newAssignment builds the full assignment for a column list.
-func newAssignment(cols []Column, defs []*ChunkTableDef) (*assignment, error) {
-	groups, err := assignColumns(cols, defs, 0)
-	if err != nil {
-		return nil, err
-	}
-	a := &assignment{loc: map[string]colLoc{}}
-	a.groups = groups
-	for _, g := range groups {
-		for i, c := range g.Cols {
-			a.loc[strings.ToLower(c.Name)] = colLoc{group: g, phys: g.Phys[i]}
-		}
-	}
-	return a, nil
-}
-
-// extend appends chunks for newly added columns.
-func (a *assignment) extend(newCols []Column, defs []*ChunkTableDef) error {
-	groups, err := assignColumns(newCols, defs, len(a.groups))
-	if err != nil {
-		return err
-	}
-	for _, g := range groups {
-		a.groups = append(a.groups, g)
-		for i, c := range g.Cols {
-			a.loc[strings.ToLower(c.Name)] = colLoc{group: g, phys: g.Phys[i]}
-		}
-	}
-	return nil
 }
 
 // UniformChunkDefs builds a standard pair of chunk-table shapes from a

@@ -29,6 +29,8 @@ func (l *BasicLayout) Name() string { return "basic" }
 // Schema implements Layout.
 func (l *BasicLayout) Schema() *Schema { return l.st.schema }
 
+func (l *BasicLayout) state() *state { return l.st }
+
 // Create implements Layout.
 func (l *BasicLayout) Create(db *engine.DB, tenants []*Tenant) error {
 	for _, t := range l.st.schema.Tables {
@@ -64,7 +66,7 @@ func (l *BasicLayout) AddTenant(_ *engine.DB, t *Tenant) error {
 	if len(t.Extensions) > 0 {
 		return fmt.Errorf("core: basic layout cannot represent extensions (tenant %d)", t.ID)
 	}
-	return l.st.addTenant(t)
+	return l.st.addTenant(t, nil)
 }
 
 // Rewrite implements Layout.
@@ -200,9 +202,3 @@ func (l *BasicLayout) rewriteInsert(tn *Tenant, st *sql.InsertStmt) (*Rewritten,
 	}
 	return &Rewritten{Direct: []sql.Statement{out}, DirectIsCount: true}, nil
 }
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *BasicLayout) TenantByID(id int64) (*Tenant, error) { return l.st.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *BasicLayout) Tenants() []*Tenant { return l.st.Tenants() }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/sql"
@@ -42,9 +41,6 @@ type ChunkOptions struct {
 type ChunkLayout struct {
 	s   *state
 	opt ChunkOptions
-
-	mu      sync.RWMutex
-	assigns map[string]*assignment // "tenant/table" -> assignment
 }
 
 // NewChunkLayout builds the layout.
@@ -55,7 +51,7 @@ func NewChunkLayout(schema *Schema, opt ChunkOptions) (*ChunkLayout, error) {
 	if len(opt.Defs) == 0 {
 		opt.Defs = UniformChunkDefs(schema, 4)
 	}
-	return &ChunkLayout{s: newState(schema), opt: opt, assigns: map[string]*assignment{}}, nil
+	return &ChunkLayout{s: newState(schema), opt: opt}, nil
 }
 
 // Name implements Layout.
@@ -133,114 +129,78 @@ func (l *ChunkLayout) Create(db *engine.DB, tenants []*Tenant) error {
 	return nil
 }
 
-func assignKey(tenantID int64, table string) string {
-	return fmt.Sprintf("%d/%s", tenantID, strings.ToLower(table))
-}
-
 // AddTenant implements Layout: computes the tenant's chunk assignments;
 // no DDL — the whole point of generic structures.
-func (l *ChunkLayout) AddTenant(_ *engine.DB, t *Tenant) error {
-	assigns := map[string]*assignment{}
-	for _, bt := range l.s.schema.Tables {
-		cols, err := l.s.schema.LogicalColumns(t, bt.Name)
-		if err != nil {
-			return err
-		}
-		if l.opt.Affinity != nil {
-			cols = l.opt.Affinity.OrderColumns(bt.Name, cols)
-		}
-		a, err := newAssignment(cols, l.opt.Defs)
-		if err != nil {
-			return err
-		}
-		assigns[assignKey(t.ID, bt.Name)] = a
-	}
-	if err := l.s.addTenant(t); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	for k, a := range assigns {
-		l.assigns[k] = a
-	}
-	l.mu.Unlock()
-	return nil
+func (l *ChunkLayout) AddTenant(db *engine.DB, t *Tenant) error {
+	return registerTenant(l, db, t)
 }
 
 // ExtendTenant enables an extension on-line: meta-data bookkeeping plus
 // back-filling spine rows in the new chunks for the tenant's existing
-// logical rows, so reconstruction joins keep matching. No DDL runs.
+// logical rows. No DDL runs.
 func (l *ChunkLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
-	ext := l.s.schema.Extension(extName)
-	if ext == nil {
-		return fmt.Errorf("core: no extension %s", extName)
-	}
-	if err := extendMetadataOnly(l.s, tenantID, extName); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	a := l.assigns[assignKey(tenantID, ext.Base)]
-	l.mu.Unlock()
-	if a == nil {
-		return fmt.Errorf("core: no assignment for tenant %d table %s", tenantID, ext.Base)
-	}
-	before := len(a.groups)
-	l.mu.Lock()
-	err := a.extend(ext.Columns, l.opt.Defs)
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	tid, err := l.s.tableID(ext.Base)
-	if err != nil {
-		return err
-	}
-	anchor := a.groups[0]
-	rows, err := db.Query(fmt.Sprintf(
-		"SELECT Row FROM %s WHERE Tenant = %d AND Table = %d AND Chunk = %d",
-		anchor.Def.Name, tenantID, tid, anchor.ID))
-	if err != nil {
-		return err
-	}
-	for _, g := range a.groups[before:] {
-		for _, r := range rows.Data {
-			var q string
-			if l.opt.Trashcan {
-				q = fmt.Sprintf("INSERT INTO %s (Tenant, Table, Chunk, Row, %s) VALUES (%d, %d, %d, %d, 0)",
-					g.Def.Name, delCol, tenantID, tid, g.ID, r[0].Int)
-			} else {
-				q = fmt.Sprintf("INSERT INTO %s (Tenant, Table, Chunk, Row) VALUES (%d, %d, %d, %d)",
-					g.Def.Name, tenantID, tid, g.ID, r[0].Int)
-			}
-			if _, err := db.Exec(q); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return extendTenant(l, db, tenantID, extName)
 }
 
-// assignmentFor returns the tenant-table chunk assignment.
-func (l *ChunkLayout) assignmentFor(tenantID int64, table string) (*assignment, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	a := l.assigns[assignKey(tenantID, table)]
-	if a == nil {
-		return nil, fmt.Errorf("core: no chunk assignment for tenant %d table %s", tenantID, table)
+// fragments implements reconstructor: one fragment per chunk. The
+// columns have lacks are assigned to new chunks numbered after its
+// last, so an on-line extension never disturbs stored data.
+func (l *ChunkLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
+	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	if err != nil {
+		return nil, err
 	}
-	return a, nil
+	cols = unplaced(cols, have)
+	if l.opt.Affinity != nil {
+		cols = l.opt.Affinity.OrderColumns(table.Name, cols)
+	}
+	groups, err := assignColumns(cols, l.opt.Defs, len(have))
+	if err != nil {
+		return nil, err
+	}
+	tid, err := l.s.tableID(table.Name)
+	if err != nil {
+		return nil, err
+	}
+	del := ""
+	if l.opt.Trashcan {
+		del = delCol
+	}
+	return append(append([]*fragment(nil), have...), foldedChunks(groups, tn.ID, tid, del)...), nil
+}
+
+// foldedChunks describes chunk groups folded into the shared chunk
+// tables: the rows of (Tenant, Table, Chunk) in the group's table.
+func foldedChunks(groups []*chunkGroup, tenantID int64, tableID int, del string) []*fragment {
+	out := make([]*fragment, len(groups))
+	for i, g := range groups {
+		meta := []metaEq{{"Tenant", tenantID}, {"Table", int64(tableID)}, {"Chunk", int64(g.ID)}}
+		out[i] = g.fragment(g.Def.Name, meta, del)
+	}
+	return out
+}
+
+// placementOf returns where a tenant's logical table, by name, lives.
+func (l *ChunkLayout) placementOf(tenantID int64, table string) (*placement, error) {
+	lt := l.s.schema.Table(table)
+	if lt == nil {
+		return nil, fmt.Errorf("core: no logical table %s", table)
+	}
+	return l.s.placement(tenantID, lt)
 }
 
 // Assignment describes a tenant-table's chunk mapping for inspection.
 func (l *ChunkLayout) Assignment(tenantID int64, table string) (string, error) {
-	a, err := l.assignmentFor(tenantID, table)
+	p, err := l.placementOf(tenantID, table)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
-	for _, g := range a.groups {
-		fmt.Fprintf(&sb, "chunk %d -> %s:", g.ID, g.Def.Name)
-		for i, c := range g.Cols {
-			fmt.Fprintf(&sb, " %s=%s", c.Name, g.Phys[i])
+	for _, f := range p.frags {
+		id, _ := f.chunk()
+		fmt.Fprintf(&sb, "chunk %d -> %s:", id, f.table)
+		for _, c := range f.cols {
+			fmt.Fprintf(&sb, " %s=%s", c.Name, c.phys)
 		}
 		sb.WriteString("\n")
 	}
@@ -265,269 +225,7 @@ func (l *ChunkLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, err
 			// Fall through to the generic form.
 		}
 	}
-	return genericRewrite(l, tenantID, st)
-}
-
-// usedGroups returns the chunk groups a reconstruction needs: those
-// holding used columns, with the key column's group first (the anchor).
-func usedGroups(a *assignment, table *Table, used []Column) ([]*chunkGroup, error) {
-	anchor := a.groupOf(table.Key)
-	if anchor == nil {
-		return nil, fmt.Errorf("core: key %s of %s is unassigned", table.Key, table.Name)
-	}
-	seen := map[int]bool{anchor.ID: true}
-	groups := []*chunkGroup{anchor}
-	for _, c := range used {
-		g := a.groupOf(c.Name)
-		if g == nil {
-			return nil, fmt.Errorf("core: column %s of %s is unassigned", c.Name, table.Name)
-		}
-		if !seen[g.ID] {
-			seen[g.ID] = true
-			groups = append(groups, g)
-		}
-	}
-	return groups, nil
-}
-
-// chunkColExpr builds the physical expression reading a logical column
-// from its chunk alias, casting booleans back.
-func chunkColExpr(alias, phys string, c Column) sql.Expr {
-	var e sql.Expr = colRef(alias, phys)
-	if c.Type.Kind == types.KindBool {
-		e = &sql.CastExpr{X: e, Type: types.BoolType}
-	}
-	return e
-}
-
-// metaConjs builds the Tenant/Table/Chunk conjuncts for a group alias.
-func (l *ChunkLayout) metaConjs(alias string, tenantID int64, tid int, g *chunkGroup) []sql.Expr {
-	return []sql.Expr{
-		eq(colRef(alias, "Tenant"), intLit(tenantID)),
-		eq(colRef(alias, "Table"), intLit(int64(tid))),
-		eq(colRef(alias, "Chunk"), intLit(int64(g.ID))),
-	}
-}
-
-// reconstruct implements reconstructor (the paper's Q1^Chunk shape).
-func (l *ChunkLayout) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := usedGroups(a, table, used)
-	if err != nil {
-		return nil, err
-	}
-	aliasOf := map[int]string{}
-	for i, g := range groups {
-		aliasOf[g.ID] = fmt.Sprintf("c%d", i)
-	}
-	sel := &sql.SelectStmt{}
-	for _, c := range used {
-		loc, _ := a.locate(c.Name)
-		sel.Items = append(sel.Items, sql.SelectItem{
-			Expr:  chunkColExpr(aliasOf[loc.group.ID], loc.phys, c),
-			Alias: c.Name,
-		})
-	}
-	anchorAlias := aliasOf[groups[0].ID]
-	if withRow {
-		sel.Items = append(sel.Items, sql.SelectItem{Expr: colRef(anchorAlias, "Row"), Alias: rowCol})
-	}
-	// The paper's §6.1 reconstruction queries "are all flat and consist
-	// of conjunctive predicates only": a comma join with the aligning
-	// Row equi-joins in WHERE, which a sophisticated optimizer flattens
-	// into the outer block and drives via the meta-data indexes.
-	var conjs []sql.Expr
-	for i, g := range groups {
-		alias := aliasOf[g.ID]
-		sel.From = append(sel.From, &sql.NamedTable{Name: g.Def.Name, Alias: alias})
-		conjs = append(conjs, l.metaConjs(alias, tn.ID, tid, g)...)
-		if i == 0 {
-			if l.opt.Trashcan {
-				conjs = append(conjs, eq(colRef(alias, delCol), intLit(0)))
-			}
-			continue
-		}
-		conjs = append(conjs, eq(colRef(alias, "Row"), colRef(anchorAlias, "Row")))
-	}
-	sel.Where = and(conjs...)
-	return sel, nil
-}
-
-// insertRows implements reconstructor: every chunk of the logical row
-// is written (a spine), so reconstruction joins are always inner.
-func (l *ChunkLayout) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil, err
-	}
-	firstRow := l.s.nextRows(tn.ID, table.Name, int64(len(rows)))
-
-	type target struct {
-		stmt   *sql.InsertStmt
-		colPos map[string]int
-	}
-	targets := make([]*target, len(a.groups))
-	for gi, g := range a.groups {
-		cols := []string{"Tenant", "Table", "Chunk", "Row"}
-		if l.opt.Trashcan {
-			cols = append(cols, delCol)
-		}
-		targets[gi] = &target{
-			stmt:   &sql.InsertStmt{Table: g.Def.Name, Columns: cols},
-			colPos: map[string]int{},
-		}
-	}
-	groupIdx := map[int]int{}
-	for gi, g := range a.groups {
-		groupIdx[g.ID] = gi
-	}
-	colTarget := make([]*target, len(cols))
-	for i, c := range cols {
-		loc, ok := a.locate(c.Name)
-		if !ok {
-			return nil, fmt.Errorf("core: column %s of %s is unassigned", c.Name, table.Name)
-		}
-		t := targets[groupIdx[loc.group.ID]]
-		t.colPos[strings.ToLower(c.Name)] = len(t.stmt.Columns)
-		t.stmt.Columns = append(t.stmt.Columns, loc.phys)
-		colTarget[i] = t
-	}
-	for ri, row := range rows {
-		rowID := firstRow + int64(ri)
-		for _, t := range targets {
-			vals := make([]sql.Expr, len(t.stmt.Columns))
-			vals[0], vals[1] = intLit(tn.ID), intLit(int64(tid))
-			vals[3] = intLit(rowID)
-			base := 4
-			if l.opt.Trashcan {
-				vals[4] = intLit(0)
-				base = 5
-			}
-			for i := base; i < len(vals); i++ {
-				vals[i] = lit(types.Null())
-			}
-			t.stmt.Rows = append(t.stmt.Rows, vals)
-		}
-		for gi, g := range a.groups {
-			_ = g
-			targets[gi].stmt.Rows[len(targets[gi].stmt.Rows)-1][2] = intLit(int64(a.groups[gi].ID))
-		}
-		for i, e := range row {
-			t := colTarget[i]
-			pos := t.colPos[strings.ToLower(cols[i].Name)]
-			if cols[i].Type.Kind == types.KindBool {
-				e = &sql.CastExpr{X: e, Type: types.IntType}
-			}
-			t.stmt.Rows[len(t.stmt.Rows)-1][pos] = e
-		}
-	}
-	out := make([]sql.Statement, len(targets))
-	for i, t := range targets {
-		out[i] = t.stmt
-	}
-	return out, nil
-}
-
-// phaseBUpdate implements reconstructor.
-func (l *ChunkLayout) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil
-	}
-	// Group SET columns per chunk.
-	type gset struct {
-		g    *chunkGroup
-		idxs []int
-	}
-	byGroup := map[int]*gset{}
-	var order []int
-	for i, c := range setCols {
-		loc, ok := a.locate(c.Name)
-		if !ok {
-			continue
-		}
-		gs := byGroup[loc.group.ID]
-		if gs == nil {
-			gs = &gset{g: loc.group}
-			byGroup[loc.group.ID] = gs
-			order = append(order, loc.group.ID)
-		}
-		gs.idxs = append(gs.idxs, i)
-	}
-	mkSet := func(gs *gset, vals []types.Value) []sql.Assignment {
-		var out []sql.Assignment
-		for _, i := range gs.idxs {
-			loc, _ := a.locate(setCols[i].Name)
-			v := vals[i+1]
-			if setCols[i].Type.Kind == types.KindBool && !v.IsNull() {
-				v = types.NewInt(v.Int)
-			}
-			out = append(out, sql.Assignment{Column: loc.phys, Value: lit(v)})
-		}
-		return out
-	}
-	var out []sql.Statement
-	if constantSets(rows, len(setCols)) {
-		rowIDs := column(rows, 0)
-		for _, gid := range order {
-			gs := byGroup[gid]
-			out = append(out, &sql.UpdateStmt{
-				Table: gs.g.Def.Name,
-				Set:   mkSet(gs, rows[0]),
-				Where: and(append(l.metaConjs("", tn.ID, tid, gs.g), inList(colRef("", "Row"), rowIDs))...),
-			})
-		}
-		return out
-	}
-	for _, r := range rows {
-		for _, gid := range order {
-			gs := byGroup[gid]
-			out = append(out, &sql.UpdateStmt{
-				Table: gs.g.Def.Name,
-				Set:   mkSet(gs, r),
-				Where: and(append(l.metaConjs("", tn.ID, tid, gs.g), eq(colRef("", "Row"), lit(r[0])))...),
-			})
-		}
-	}
-	return out
-}
-
-// phaseBDelete implements reconstructor: hard deletes remove every
-// chunk row; Trashcan mode marks every chunk row invisible instead
-// (§6.3: "mark all chunk tables as deleted").
-func (l *ChunkLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil
-	}
-	rowIDs := column(rows, 0)
-	var out []sql.Statement
-	for _, g := range a.groups {
-		where := and(append(l.metaConjs("", tn.ID, tid, g), inList(colRef("", "Row"), rowIDs))...)
-		if l.opt.Trashcan {
-			out = append(out, &sql.UpdateStmt{
-				Table: g.Def.Name,
-				Set:   []sql.Assignment{{Column: delCol, Value: intLit(1)}},
-				Where: where,
-			})
-		} else {
-			out = append(out, &sql.DeleteStmt{Table: g.Def.Name, Where: where})
-		}
-	}
-	return out
+	return genericRewrite(fragmentRows{l}, tenantID, st)
 }
 
 // RestoreRows un-deletes trashcanned logical rows (the Trashcan
@@ -536,24 +234,15 @@ func (l *ChunkLayout) RestoreRows(db *engine.DB, tenantID int64, table string, r
 	if !l.opt.Trashcan {
 		return fmt.Errorf("core: trashcan is not enabled")
 	}
-	tn, err := l.s.tenant(tenantID)
+	p, err := l.placementOf(tenantID, table)
 	if err != nil {
 		return err
 	}
-	lt := l.s.schema.Table(table)
-	if lt == nil {
-		return fmt.Errorf("core: no logical table %s", table)
-	}
-	tid, _ := l.s.tableID(lt.Name)
-	a, err := l.assignmentFor(tn.ID, lt.Name)
-	if err != nil {
-		return err
-	}
-	for _, g := range a.groups {
+	for _, f := range p.frags {
 		up := &sql.UpdateStmt{
-			Table: g.Def.Name,
-			Set:   []sql.Assignment{{Column: delCol, Value: intLit(0)}},
-			Where: and(append(l.metaConjs("", tn.ID, tid, g), inList(colRef("", "Row"), rowIDs))...),
+			Table: f.table,
+			Set:   []sql.Assignment{{Column: f.del, Value: intLit(0)}},
+			Where: and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...),
 		}
 		if _, err := db.ExecStmt(up); err != nil {
 			return err
@@ -561,9 +250,3 @@ func (l *ChunkLayout) RestoreRows(db *engine.DB, tenantID int64, table string, r
 	}
 	return nil
 }
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *ChunkLayout) TenantByID(id int64) (*Tenant, error) { return l.s.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *ChunkLayout) Tenants() []*Tenant { return l.s.Tenants() }

@@ -67,21 +67,23 @@ func TestAssignmentAlgorithm(t *testing.T) {
 		{Name: "city", Type: types.VarcharType(10)},
 		{Name: "flag", Type: types.BoolType},
 	}
-	a, err := newAssignment(cols, defs)
+	groups, err := assignColumns(cols, defs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Indexed id must land in the ValueIndex def.
-	loc, ok := a.locate("id")
-	if !ok || loc.group.Def.Name != "ChunkIndexT" {
-		t.Errorf("id location: %+v", loc)
-	}
 	// Every column must be assigned exactly once.
 	seen := map[string]int{}
-	for _, g := range a.groups {
-		for _, c := range g.Cols {
+	where := map[string]*chunkGroup{}
+	phys := map[string]string{}
+	for _, g := range groups {
+		for i, c := range g.Cols {
 			seen[strings.ToLower(c.Name)]++
+			where[strings.ToLower(c.Name)], phys[strings.ToLower(c.Name)] = g, g.Phys[i]
 		}
+	}
+	// Indexed id must land in the ValueIndex def.
+	if g := where["id"]; g == nil || g.Def.Name != "ChunkIndexT" {
+		t.Errorf("id location: %+v", g)
 	}
 	for _, c := range cols {
 		if seen[strings.ToLower(c.Name)] != 1 {
@@ -89,26 +91,25 @@ func TestAssignmentAlgorithm(t *testing.T) {
 		}
 	}
 	// Chunk IDs must be dense from 0.
-	for i, g := range a.groups {
+	for i, g := range groups {
 		if g.ID != i {
 			t.Errorf("group %d has ID %d", i, g.ID)
 		}
 	}
 	// Bool stored in an Int slot.
-	loc, _ = a.locate("flag")
-	if !strings.HasPrefix(loc.phys, "Int") {
-		t.Errorf("bool column stored in %s", loc.phys)
+	if !strings.HasPrefix(phys["flag"], "Int") {
+		t.Errorf("bool column stored in %s", phys["flag"])
 	}
 }
 
 func TestAssignmentNoFit(t *testing.T) {
 	defs := []*ChunkTableDef{{Name: "IntsOnly", Cols: []types.ColumnType{types.IntType}}}
-	_, err := newAssignment([]Column{{Name: "s", Type: types.VarcharType(5)}}, defs)
+	_, err := assignColumns([]Column{{Name: "s", Type: types.VarcharType(5)}}, defs, 0)
 	if err == nil {
 		t.Error("string column with int-only defs should fail")
 	}
 	// Indexed column with no ValueIndex def.
-	_, err = newAssignment([]Column{{Name: "i", Type: types.IntType, Indexed: true}}, defs)
+	_, err = assignColumns([]Column{{Name: "i", Type: types.IntType, Indexed: true}}, defs, 0)
 	if err == nil {
 		t.Error("indexed column without ValueIndex def should fail")
 	}
@@ -141,12 +142,12 @@ func TestAssignmentProperty(t *testing.T) {
 			}
 			defs = append(defs, def)
 		}
-		a, err := newAssignment(cols, defs)
+		groups, err := assignColumns(cols, defs, 0)
 		if err != nil {
 			return true // clean failure is acceptable
 		}
 		assigned := map[string]bool{}
-		for _, g := range a.groups {
+		for _, g := range groups {
 			usedPhys := map[string]bool{}
 			physByName := map[string]types.Kind{}
 			phys := g.Def.PhysCols()
@@ -202,6 +203,9 @@ func TestOnlineTenantAndExtension(t *testing.T) {
 	}
 	for name, m := range allLayouts(t, schema) {
 		loadPaperData(t, m)
+		if _, err := m.Exec(35, "INSERT INTO Account (Aid, Name) VALUES (2, 'Bell'), (3, 'Bull')"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		// New tenant arrives on-line.
 		newTenant := &Tenant{ID: 99, Extensions: []string{"AutomotiveAccount"}}
 		if err := m.Layout.AddTenant(m.DB, newTenant); err != nil {
@@ -242,6 +246,32 @@ func TestOnlineTenantAndExtension(t *testing.T) {
 		rows, _ = m.Query(35, "SELECT Dealers FROM Account WHERE Aid = 1")
 		if rows.Data[0][0].Int != 8 {
 			t.Errorf("%s: new column value: %v", name, rows.Data[0][0])
+		}
+		// Every back-filled row is writable, each to its own value
+		// (per-row phase (b)), and a second extension stacks on the first.
+		if _, err := m.Exec(35, "UPDATE Account SET Dealers = Aid * 10 WHERE Aid > 1"); err != nil {
+			t.Fatalf("%s: per-row update of back-filled rows: %v", name, err)
+		}
+		if err := ex.ExtendTenant(m.DB, 35, "HealthcareAccount"); err != nil {
+			t.Fatalf("%s: second ExtendTenant: %v", name, err)
+		}
+		if _, err := m.Exec(35, "INSERT INTO Account (Aid, Name, Dealers, Hospital, Beds) VALUES (4, 'Bill', 1, 'H', 9)"); err != nil {
+			t.Fatalf("%s: insert after extends: %v", name, err)
+		}
+		if _, err := m.Exec(35, "UPDATE Account SET Beds = Dealers + 1 WHERE Aid < 4"); err != nil {
+			t.Fatalf("%s: update across both extensions: %v", name, err)
+		}
+		if _, err := m.Exec(35, "DELETE FROM Account WHERE Aid = 2"); err != nil {
+			t.Fatalf("%s: delete of a back-filled row: %v", name, err)
+		}
+		got := queryAll(t, m, 35, "SELECT Aid, Name, Dealers, Hospital, Beds FROM Account")
+		want := []string{
+			"INTEGER:1|VARCHAR:Ball|INTEGER:8|NULL:NULL|INTEGER:9",
+			"INTEGER:3|VARCHAR:Bull|INTEGER:30|NULL:NULL|INTEGER:31",
+			"INTEGER:4|VARCHAR:Bill|INTEGER:1|VARCHAR:H|INTEGER:9",
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: after two on-line extensions:\ngot  %v\nwant %v", name, got, want)
 		}
 		// Double-extend must fail.
 		if err := ex.ExtendTenant(m.DB, 35, "AutomotiveAccount"); err == nil {

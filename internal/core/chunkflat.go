@@ -32,9 +32,9 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 
 	type mapped struct {
 		u       *tableUsage
-		a       *assignment
-		groups  []*chunkGroup
-		aliases map[int]string // group ID -> physical alias
+		p       *placement
+		frags   []*fragment // the fragments the statement reads, anchor first
+		aliases []string    // their physical aliases
 	}
 	var maps []*mapped
 	var from []sql.TableRef
@@ -44,31 +44,24 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 		if err != nil {
 			return nil, err
 		}
-		a, err := l.assignmentFor(tn.ID, u.logical.Name)
+		p, err := l.s.placement(tn.ID, u.logical)
 		if err != nil {
 			return nil, err
 		}
-		groups, err := usedGroups(a, u.logical, used)
+		slots, err := p.locate(u.logical, used)
 		if err != nil {
 			return nil, err
 		}
-		tid, err := l.s.tableID(u.logical.Name)
-		if err != nil {
-			return nil, err
-		}
-		m := &mapped{u: u, a: a, groups: groups, aliases: map[int]string{}}
-		var refs []sql.TableRef
-		for gi, g := range groups {
-			alias := fmt.Sprintf("t%dc%d", ui, gi)
-			m.aliases[g.ID] = alias
-			refs = append(refs, &sql.NamedTable{Name: g.Def.Name, Alias: alias})
-			metaConjs = append(metaConjs, l.metaConjs(alias, tn.ID, tid, g)...)
-			if l.opt.Trashcan && gi == 0 {
-				metaConjs = append(metaConjs, eq(colRef(alias, delCol), intLit(0)))
-			}
-			if gi > 0 {
-				anchor := m.aliases[groups[0].ID]
-				alignConjs = append(alignConjs, eq(colRef(alias, "Row"), colRef(anchor, "Row")))
+		m := &mapped{u: u, p: p, frags: p.touched(slots, true)}
+		m.aliases = fragAliases(fmt.Sprintf("t%dc", ui), len(m.frags))
+		refs := make([]sql.TableRef, len(m.frags))
+		for gi, f := range m.frags {
+			refs[gi] = &sql.NamedTable{Name: f.table, Alias: m.aliases[gi]}
+			metaConjs = append(metaConjs, f.where(m.aliases[gi])...)
+			if gi == 0 {
+				metaConjs = append(metaConjs, f.live(m.aliases[0]))
+			} else {
+				alignConjs = append(alignConjs, eq(colRef(m.aliases[gi], "Row"), colRef(m.aliases[0], "Row")))
 			}
 		}
 		if l.opt.MetadataFirst {
@@ -85,25 +78,18 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 
 	// Physical expression for a (usage, column) pair.
 	physExpr := func(m *mapped, col string) (sql.Expr, error) {
-		loc, ok := m.a.locate(col)
+		s, ok := m.p.slots[strings.ToLower(col)]
 		if !ok {
 			return nil, fmt.Errorf("core: column %s of %s is unassigned", col, m.u.logical.Name)
 		}
-		alias, ok := m.aliases[loc.group.ID]
-		if !ok {
+		i := indexOf(m.frags, s.frag)
+		if i < 0 {
 			return nil, fmt.Errorf("core: chunk of column %s not included", col)
 		}
-		var c Column
-		for i, gc := range loc.group.Cols {
-			if strings.EqualFold(gc.Name, col) {
-				c = loc.group.Cols[i]
-				break
-			}
-		}
-		return chunkColExpr(alias, loc.phys, c), nil
+		return s.col.read(m.aliases[i]), nil
 	}
 	provides := func(m *mapped, col string) bool {
-		_, ok := m.a.locate(col)
+		_, ok := m.p.slots[strings.ToLower(col)]
 		return ok
 	}
 	rewrite := func(e sql.Expr) (sql.Expr, error) {
@@ -158,7 +144,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 		splitConjunctsCore(sel.Where, &raw)
 		for _, c := range raw {
 			c, err := rewriteInSubqueries(c, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-				return genericSelect(l, tn, s)
+				return genericSelect(fragmentRows{l}, tn, s)
 			})
 			if err != nil {
 				return nil, err

@@ -34,16 +34,21 @@ func (l *ExtensionLayout) Schema() *Schema { return l.s.schema }
 
 func (l *ExtensionLayout) state() *state { return l.s }
 
-// Create implements Layout: one shared physical table per base table
-// and per extension.
-func (l *ExtensionLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	meta := []Column{
+// conventionalMeta is the (Tenant, Row) meta-data column pair of tables
+// that need no Table or Chunk column to tell whose rows they hold.
+func conventionalMeta() []Column {
+	return []Column{
 		{Name: "Tenant", Type: types.IntType, NotNull: true},
 		{Name: "Row", Type: types.IntType, NotNull: true},
 	}
-	for _, t := range l.s.schema.Tables {
-		cols := append(append([]Column{}, meta...), t.Columns...)
-		if _, err := db.Exec(buildCreateTable(t.Name, cols)); err != nil {
+}
+
+// createBaseTables provisions one shared table per logical base table,
+// keyed by (Tenant, Row) and (Tenant, key), with a value index per
+// Indexed column; shared by the Extension and Chunk Folding layouts.
+func createBaseTables(db *engine.DB, schema *Schema) error {
+	for _, t := range schema.Tables {
+		if _, err := db.Exec(buildCreateTable(t.Name, append(conventionalMeta(), t.Columns...))); err != nil {
 			return err
 		}
 		stmts := []string{
@@ -61,9 +66,17 @@ func (l *ExtensionLayout) Create(db *engine.DB, tenants []*Tenant) error {
 			}
 		}
 	}
+	return nil
+}
+
+// Create implements Layout: one shared physical table per base table
+// and per extension.
+func (l *ExtensionLayout) Create(db *engine.DB, tenants []*Tenant) error {
+	if err := createBaseTables(db, l.s.schema); err != nil {
+		return err
+	}
 	for _, e := range l.s.schema.Extensions {
-		cols := append(append([]Column{}, meta...), e.Columns...)
-		if _, err := db.Exec(buildCreateTable(e.Name, cols)); err != nil {
+		if _, err := db.Exec(buildCreateTable(e.Name, append(conventionalMeta(), e.Columns...))); err != nil {
 			return err
 		}
 		if _, err := db.Exec(fmt.Sprintf("CREATE UNIQUE INDEX %s_tr ON %s (Tenant, Row)", e.Name, e.Name)); err != nil {
@@ -87,263 +100,30 @@ func (l *ExtensionLayout) Create(db *engine.DB, tenants []*Tenant) error {
 
 // AddTenant implements Layout: pure registration (the shared tables
 // already exist), validating the tenant's extension set.
-func (l *ExtensionLayout) AddTenant(_ *engine.DB, t *Tenant) error {
-	for _, bt := range l.s.schema.Tables {
-		if _, err := l.s.schema.LogicalColumns(t, bt.Name); err != nil {
-			return err
-		}
-	}
-	return l.s.addTenant(t)
+func (l *ExtensionLayout) AddTenant(db *engine.DB, t *Tenant) error {
+	return registerTenant(l, db, t)
 }
 
 // ExtendTenant enables an extension on-line: meta-data registration
 // plus back-filling extension rows (all NULLs) for the tenant's
-// existing logical rows so reconstruction joins keep matching.
+// existing logical rows.
 func (l *ExtensionLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
-	tn, err := l.s.tenant(tenantID)
-	if err != nil {
-		return err
-	}
-	ext := l.s.schema.Extension(extName)
-	if ext == nil {
-		return fmt.Errorf("core: no extension %s", extName)
-	}
-	if tn.HasExtension(extName) {
-		return fmt.Errorf("core: tenant %d already has extension %s", tenantID, extName)
-	}
-	rows, err := db.Query(fmt.Sprintf("SELECT Row FROM %s WHERE Tenant = %d", ext.Base, tenantID))
-	if err != nil {
-		return err
-	}
-	for _, r := range rows.Data {
-		q := fmt.Sprintf("INSERT INTO %s (Tenant, Row) VALUES (%d, %d)", ext.Name, tenantID, r[0].Int)
-		if _, err := db.Exec(q); err != nil {
-			return err
-		}
-	}
-	l.s.mu.Lock()
-	tn.Extensions = append(tn.Extensions, extName)
-	l.s.mu.Unlock()
-	return nil
+	return extendTenant(l, db, tenantID, extName)
 }
 
 // Rewrite implements Layout.
 func (l *ExtensionLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(l, tenantID, st)
+	return genericRewrite(fragmentRows{l}, tenantID, st)
 }
 
-// colSource finds the physical table holding a logical column for a
-// tenant: the base table or one of the tenant's extensions.
-func (l *ExtensionLayout) colSource(tn *Tenant, table *Table, col string) (string, error) {
-	if c, _ := table.Column(col); c != nil {
-		return table.Name, nil
-	}
+// fragments implements reconstructor: the base table, then one
+// extension table per extension the tenant has on it.
+func (l *ExtensionLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, _ []*fragment) ([]*fragment, error) {
+	out := []*fragment{conventionalFragment(tn.ID, table.Name, table.Columns)}
 	for _, en := range tn.Extensions {
-		e := l.s.schema.Extension(en)
-		if e == nil || !strings.EqualFold(e.Base, table.Name) {
-			continue
+		if e := l.s.schema.Extension(en); e != nil && strings.EqualFold(e.Base, table.Name) {
+			out = append(out, conventionalFragment(tn.ID, e.Name, e.Columns))
 		}
-		for _, c := range e.Columns {
-			if strings.EqualFold(c.Name, col) {
-				return e.Name, nil
-			}
-		}
-	}
-	return "", fmt.Errorf("core: no column %s in %s for tenant %d", col, table.Name, tn.ID)
-}
-
-// tenantExtensionsOn lists the tenant's extensions of a base table.
-func (l *ExtensionLayout) tenantExtensionsOn(tn *Tenant, table string) []*Extension {
-	var out []*Extension
-	for _, en := range tn.Extensions {
-		e := l.s.schema.Extension(en)
-		if e != nil && strings.EqualFold(e.Base, table) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// reconstruct implements reconstructor: base table anchored, extension
-// tables joined on (Tenant, Row).
-func (l *ExtensionLayout) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
-	// Which physical tables are needed, in deterministic order.
-	srcAlias := map[string]string{}
-	var srcOrder []string
-	alias := func(phys string) string {
-		k := strings.ToLower(phys)
-		if a, ok := srcAlias[k]; ok {
-			return a
-		}
-		a := fmt.Sprintf("s%d", len(srcOrder))
-		if strings.EqualFold(phys, table.Name) {
-			a = "b"
-		}
-		srcAlias[k] = a
-		srcOrder = append(srcOrder, phys)
-		return a
-	}
-	alias(table.Name) // anchor first
-
-	sel := &sql.SelectStmt{}
-	for _, c := range used {
-		phys, err := l.colSource(tn, table, c.Name)
-		if err != nil {
-			return nil, err
-		}
-		sel.Items = append(sel.Items, sql.SelectItem{
-			Expr:  colRef(alias(phys), c.Name),
-			Alias: c.Name,
-		})
-	}
-	if withRow {
-		sel.Items = append(sel.Items, sql.SelectItem{Expr: colRef("b", "Row"), Alias: rowCol})
-	}
-
-	// Flat conjunctive form (§6.1): base table plus extension tables
-	// comma-joined with Row alignment in WHERE.
-	conjs := []sql.Expr{eq(colRef("b", "Tenant"), intLit(tn.ID))}
-	sel.From = append(sel.From, &sql.NamedTable{Name: table.Name, Alias: "b"})
-	for _, phys := range srcOrder[1:] {
-		a := srcAlias[strings.ToLower(phys)]
-		sel.From = append(sel.From, &sql.NamedTable{Name: phys, Alias: a})
-		conjs = append(conjs,
-			eq(colRef(a, "Tenant"), intLit(tn.ID)),
-			eq(colRef(a, "Row"), colRef("b", "Row")),
-		)
-	}
-	sel.Where = and(conjs...)
-	return sel, nil
-}
-
-// insertRows implements reconstructor: one batched INSERT per physical
-// table; extension tables always receive a spine row so reconstruction
-// joins do not drop logical rows with all-NULL extension data.
-func (l *ExtensionLayout) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
-	firstRow := l.s.nextRows(tn.ID, table.Name, int64(len(rows)))
-
-	type target struct {
-		stmt   *sql.InsertStmt
-		colPos map[string]int // logical col (lower) -> position in stmt.Columns
-	}
-	targets := map[string]*target{}
-	order := []string{table.Name}
-	mk := func(phys string) *target {
-		k := strings.ToLower(phys)
-		if t, ok := targets[k]; ok {
-			return t
-		}
-		t := &target{
-			stmt:   &sql.InsertStmt{Table: phys, Columns: []string{"Tenant", "Row"}},
-			colPos: map[string]int{},
-		}
-		targets[k] = t
-		if !strings.EqualFold(phys, table.Name) {
-			order = append(order, phys)
-		}
-		return t
-	}
-	mk(table.Name)
-	for _, e := range l.tenantExtensionsOn(tn, table.Name) {
-		mk(e.Name)
-	}
-	// Place provided columns.
-	srcOf := make([]string, len(cols))
-	for i, c := range cols {
-		phys, err := l.colSource(tn, table, c.Name)
-		if err != nil {
-			return nil, err
-		}
-		srcOf[i] = phys
-		t := mk(phys)
-		t.colPos[strings.ToLower(c.Name)] = len(t.stmt.Columns)
-		t.stmt.Columns = append(t.stmt.Columns, c.Name)
-	}
-	for ri, row := range rows {
-		rowID := firstRow + int64(ri)
-		for _, phys := range order {
-			t := targets[strings.ToLower(phys)]
-			vals := make([]sql.Expr, len(t.stmt.Columns))
-			vals[0] = intLit(tn.ID)
-			vals[1] = intLit(rowID)
-			for i := 2; i < len(vals); i++ {
-				vals[i] = lit(types.Null())
-			}
-			t.stmt.Rows = append(t.stmt.Rows, vals)
-		}
-		for i, expr := range row {
-			t := targets[strings.ToLower(srcOf[i])]
-			pos := t.colPos[strings.ToLower(cols[i].Name)]
-			t.stmt.Rows[len(t.stmt.Rows)-1][pos] = expr
-		}
-	}
-	var out []sql.Statement
-	for _, phys := range order {
-		out = append(out, targets[strings.ToLower(phys)].stmt)
 	}
 	return out, nil
 }
-
-// phaseBUpdate implements reconstructor.
-func (l *ExtensionLayout) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
-	// Group SET columns by physical table.
-	groups := map[string][]int{} // phys -> indexes into setCols
-	var order []string
-	for i, c := range setCols {
-		phys, err := l.colSource(tn, table, c.Name)
-		if err != nil {
-			continue // validated earlier
-		}
-		if _, ok := groups[strings.ToLower(phys)]; !ok {
-			order = append(order, phys)
-		}
-		groups[strings.ToLower(phys)] = append(groups[strings.ToLower(phys)], i)
-	}
-	var out []sql.Statement
-	if constantSets(rows, len(setCols)) {
-		rowIDs := column(rows, 0)
-		for _, phys := range order {
-			up := &sql.UpdateStmt{Table: phys}
-			for _, i := range groups[strings.ToLower(phys)] {
-				up.Set = append(up.Set, sql.Assignment{Column: setCols[i].Name, Value: lit(rows[0][i+1])})
-			}
-			up.Where = and(eq(colRef("", "Tenant"), intLit(tn.ID)), inList(colRef("", "Row"), rowIDs))
-			out = append(out, up)
-		}
-		return out
-	}
-	for _, r := range rows {
-		for _, phys := range order {
-			up := &sql.UpdateStmt{Table: phys}
-			for _, i := range groups[strings.ToLower(phys)] {
-				up.Set = append(up.Set, sql.Assignment{Column: setCols[i].Name, Value: lit(r[i+1])})
-			}
-			up.Where = and(eq(colRef("", "Tenant"), intLit(tn.ID)), eq(colRef("", "Row"), lit(r[0])))
-			out = append(out, up)
-		}
-	}
-	return out
-}
-
-// phaseBDelete implements reconstructor.
-func (l *ExtensionLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
-	rowIDs := column(rows, 0)
-	phys := []string{table.Name}
-	for _, e := range l.tenantExtensionsOn(tn, table.Name) {
-		phys = append(phys, e.Name)
-	}
-	var out []sql.Statement
-	for _, p := range phys {
-		out = append(out, &sql.DeleteStmt{
-			Table: p,
-			Where: and(eq(colRef("", "Tenant"), intLit(tn.ID)), inList(colRef("", "Row"), rowIDs)),
-		})
-	}
-	return out
-}
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *ExtensionLayout) TenantByID(id int64) (*Tenant, error) { return l.s.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *ExtensionLayout) Tenants() []*Tenant { return l.s.Tenants() }

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/sql"
-	"repro/internal/types"
 )
 
 // FoldingOptions configures a ChunkFoldingLayout.
@@ -31,9 +29,6 @@ type FoldingOptions struct {
 type ChunkFoldingLayout struct {
 	s   *state
 	opt FoldingOptions
-
-	mu      sync.RWMutex
-	assigns map[string]*assignment // chunked extension columns only
 }
 
 // NewChunkFoldingLayout builds the layout.
@@ -49,7 +44,7 @@ func NewChunkFoldingLayout(schema *Schema, opt FoldingOptions) (*ChunkFoldingLay
 			return nil, fmt.Errorf("core: conventional extension %s is not in the schema", en)
 		}
 	}
-	return &ChunkFoldingLayout{s: newState(schema), opt: opt, assigns: map[string]*assignment{}}, nil
+	return &ChunkFoldingLayout{s: newState(schema), opt: opt}, nil
 }
 
 // Name implements Layout.
@@ -72,34 +67,12 @@ func (l *ChunkFoldingLayout) conventionalExt(name string) bool {
 
 // Create implements Layout.
 func (l *ChunkFoldingLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	meta := []Column{
-		{Name: "Tenant", Type: types.IntType, NotNull: true},
-		{Name: "Row", Type: types.IntType, NotNull: true},
-	}
-	for _, t := range l.s.schema.Tables {
-		cols := append(append([]Column{}, meta...), t.Columns...)
-		if _, err := db.Exec(buildCreateTable(t.Name, cols)); err != nil {
-			return err
-		}
-		stmts := []string{
-			fmt.Sprintf("CREATE UNIQUE INDEX %s_tr ON %s (Tenant, Row)", t.Name, t.Name),
-			fmt.Sprintf("CREATE UNIQUE INDEX %s_tk ON %s (Tenant, %s)", t.Name, t.Name, t.Key),
-		}
-		for _, c := range t.Columns {
-			if c.Indexed && c.Name != t.Key {
-				stmts = append(stmts, fmt.Sprintf("CREATE INDEX %s_%s ON %s (Tenant, %s)", t.Name, c.Name, t.Name, c.Name))
-			}
-		}
-		for _, ddl := range stmts {
-			if _, err := db.Exec(ddl); err != nil {
-				return err
-			}
-		}
+	if err := createBaseTables(db, l.s.schema); err != nil {
+		return err
 	}
 	for _, en := range l.opt.ConventionalExtensions {
 		e := l.s.schema.Extension(en)
-		cols := append(append([]Column{}, meta...), e.Columns...)
-		if _, err := db.Exec(buildCreateTable(e.Name, cols)); err != nil {
+		if _, err := db.Exec(buildCreateTable(e.Name, append(conventionalMeta(), e.Columns...))); err != nil {
 			return err
 		}
 		if _, err := db.Exec(fmt.Sprintf("CREATE UNIQUE INDEX %s_tr ON %s (Tenant, Row)", e.Name, e.Name)); err != nil {
@@ -117,443 +90,56 @@ func (l *ChunkFoldingLayout) Create(db *engine.DB, tenants []*Tenant) error {
 	return nil
 }
 
-// chunkedColumns lists the tenant's extension columns that fold into
-// chunk tables for one base table.
-func (l *ChunkFoldingLayout) chunkedColumns(tn *Tenant, table string) []Column {
-	var out []Column
-	for _, en := range tn.Extensions {
-		e := l.s.schema.Extension(en)
-		if e == nil || !strings.EqualFold(e.Base, table) || l.conventionalExt(en) {
-			continue
-		}
-		out = append(out, e.Columns...)
-	}
-	return out
-}
-
 // AddTenant implements Layout: meta-data only (chunk assignments for
 // the tenant's folded extension columns).
-func (l *ChunkFoldingLayout) AddTenant(_ *engine.DB, t *Tenant) error {
-	assigns := map[string]*assignment{}
-	for _, bt := range l.s.schema.Tables {
-		if _, err := l.s.schema.LogicalColumns(t, bt.Name); err != nil {
-			return err
-		}
-		a, err := newAssignment(l.chunkedColumns(t, bt.Name), l.opt.Defs)
-		if err != nil {
-			return err
-		}
-		assigns[assignKey(t.ID, bt.Name)] = a
-	}
-	if err := l.s.addTenant(t); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	for k, a := range assigns {
-		l.assigns[k] = a
-	}
-	l.mu.Unlock()
-	return nil
+func (l *ChunkFoldingLayout) AddTenant(db *engine.DB, t *Tenant) error {
+	return registerTenant(l, db, t)
 }
 
-// ExtendTenant enables an extension on-line. Folded extensions are pure
-// meta-data; conventional ones back-fill spine rows like the Extension
-// layout.
+// ExtendTenant enables an extension on-line: meta-data plus spine rows
+// in the extension's conventional table, or in the chunks its columns
+// fold into.
 func (l *ChunkFoldingLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
-	ext := l.s.schema.Extension(extName)
-	if ext == nil {
-		return fmt.Errorf("core: no extension %s", extName)
-	}
-	if err := extendMetadataOnly(l.s, tenantID, extName); err != nil {
-		return err
-	}
-	if l.conventionalExt(extName) {
-		rows, err := db.Query(fmt.Sprintf("SELECT Row FROM %s WHERE Tenant = %d", ext.Base, tenantID))
-		if err != nil {
-			return err
-		}
-		for _, r := range rows.Data {
-			q := fmt.Sprintf("INSERT INTO %s (Tenant, Row) VALUES (%d, %d)", ext.Name, tenantID, r[0].Int)
-			if _, err := db.Exec(q); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a := l.assigns[assignKey(tenantID, ext.Base)]
-	if a == nil {
-		return fmt.Errorf("core: no assignment for tenant %d table %s", tenantID, ext.Base)
-	}
-	before := len(a.groups)
-	if err := a.extend(ext.Columns, l.opt.Defs); err != nil {
-		return err
-	}
-	// New chunks need spine rows for existing logical rows.
-	tid, _ := l.s.tableID(ext.Base)
-	rows, err := db.Query(fmt.Sprintf("SELECT Row FROM %s WHERE Tenant = %d", ext.Base, tenantID))
-	if err != nil {
-		return err
-	}
-	for _, g := range a.groups[before:] {
-		for _, r := range rows.Data {
-			q := fmt.Sprintf("INSERT INTO %s (Tenant, Table, Chunk, Row) VALUES (%d, %d, %d, %d)",
-				g.Def.Name, tenantID, tid, g.ID, r[0].Int)
-			if _, err := db.Exec(q); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (l *ChunkFoldingLayout) assignmentFor(tenantID int64, table string) (*assignment, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	a := l.assigns[assignKey(tenantID, table)]
-	if a == nil {
-		return nil, fmt.Errorf("core: no chunk assignment for tenant %d table %s", tenantID, table)
-	}
-	return a, nil
+	return extendTenant(l, db, tenantID, extName)
 }
 
 // Rewrite implements Layout.
 func (l *ChunkFoldingLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(l, tenantID, st)
+	return genericRewrite(fragmentRows{l}, tenantID, st)
 }
 
-// colHome locates a logical column: "" means the base table, an
-// extension name means a conventional extension table, and a non-nil
-// group means a folded chunk.
-func (l *ChunkFoldingLayout) colHome(tn *Tenant, table *Table, a *assignment, col string) (conv string, loc colLoc, err error) {
-	if c, _ := table.Column(col); c != nil {
-		return table.Name, colLoc{}, nil
-	}
+// fragments implements reconstructor: the conventional base table
+// anchors; the tenant's conventional extensions follow, then the chunks
+// its other extensions' columns fold into (§6.4: the only interface
+// between the parts is the Row meta-column). Chunks only ever append:
+// the ones in have stay, the folded columns they lack get new ones.
+func (l *ChunkFoldingLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
+	out := []*fragment{conventionalFragment(tn.ID, table.Name, table.Columns)}
+	var folded []Column
 	for _, en := range tn.Extensions {
 		e := l.s.schema.Extension(en)
 		if e == nil || !strings.EqualFold(e.Base, table.Name) {
 			continue
 		}
-		for _, c := range e.Columns {
-			if strings.EqualFold(c.Name, col) {
-				if l.conventionalExt(en) {
-					return e.Name, colLoc{}, nil
-				}
-				loc, ok := a.locate(col)
-				if !ok {
-					return "", colLoc{}, fmt.Errorf("core: column %s of %s is unassigned", col, table.Name)
-				}
-				return "", loc, nil
-			}
+		if l.conventionalExt(en) {
+			out = append(out, conventionalFragment(tn.ID, e.Name, e.Columns))
+		} else {
+			folded = append(folded, e.Columns...)
 		}
 	}
-	return "", colLoc{}, fmt.Errorf("core: no column %s in %s for tenant %d", col, table.Name, tn.ID)
-}
-
-// reconstruct implements reconstructor: the conventional base anchors;
-// conventional extensions and chunk groups join on Row (§6.4: the only
-// interface between the parts is the Row meta-column).
-func (l *ChunkFoldingLayout) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
+	var chunks []*fragment
+	for _, f := range have {
+		if _, ok := f.chunk(); ok {
+			chunks = append(chunks, f)
+		}
+	}
+	groups, err := assignColumns(unplaced(folded, chunks), l.opt.Defs, len(chunks))
+	if err != nil {
+		return nil, err
+	}
 	tid, err := l.s.tableID(table.Name)
 	if err != nil {
 		return nil, err
 	}
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil, err
-	}
-	convAlias := map[string]string{strings.ToLower(table.Name): "b"}
-	var convOrder []string
-	groupAlias := map[int]string{}
-	var groupOrder []*chunkGroup
-
-	sel := &sql.SelectStmt{}
-	for _, c := range used {
-		conv, loc, err := l.colHome(tn, table, a, c.Name)
-		if err != nil {
-			return nil, err
-		}
-		var e sql.Expr
-		if conv != "" {
-			al, ok := convAlias[strings.ToLower(conv)]
-			if !ok {
-				al = fmt.Sprintf("x%d", len(convOrder))
-				convAlias[strings.ToLower(conv)] = al
-				convOrder = append(convOrder, conv)
-			}
-			e = colRef(al, c.Name)
-		} else {
-			al, ok := groupAlias[loc.group.ID]
-			if !ok {
-				al = fmt.Sprintf("c%d", len(groupOrder))
-				groupAlias[loc.group.ID] = al
-				groupOrder = append(groupOrder, loc.group)
-			}
-			e = chunkColExpr(al, loc.phys, c)
-		}
-		sel.Items = append(sel.Items, sql.SelectItem{Expr: e, Alias: c.Name})
-	}
-	if withRow {
-		sel.Items = append(sel.Items, sql.SelectItem{Expr: colRef("b", "Row"), Alias: rowCol})
-	}
-
-	// Flat conjunctive form (§6.1/§6.4): conventional parts and chunks
-	// comma-joined, aligned on the Row meta-column.
-	sel.From = append(sel.From, &sql.NamedTable{Name: table.Name, Alias: "b"})
-	conjs := []sql.Expr{eq(colRef("b", "Tenant"), intLit(tn.ID))}
-	for _, conv := range convOrder {
-		al := convAlias[strings.ToLower(conv)]
-		sel.From = append(sel.From, &sql.NamedTable{Name: conv, Alias: al})
-		conjs = append(conjs,
-			eq(colRef(al, "Tenant"), intLit(tn.ID)),
-			eq(colRef(al, "Row"), colRef("b", "Row")),
-		)
-	}
-	for _, g := range groupOrder {
-		al := groupAlias[g.ID]
-		sel.From = append(sel.From, &sql.NamedTable{Name: g.Def.Name, Alias: al})
-		conjs = append(conjs,
-			eq(colRef(al, "Tenant"), intLit(tn.ID)),
-			eq(colRef(al, "Table"), intLit(int64(tid))),
-			eq(colRef(al, "Chunk"), intLit(int64(g.ID))),
-			eq(colRef(al, "Row"), colRef("b", "Row")),
-		)
-	}
-	sel.Where = and(conjs...)
-	return sel, nil
+	return append(append(out, chunks...), foldedChunks(groups, tn.ID, tid, "")...), nil
 }
-
-// insertRows implements reconstructor.
-func (l *ChunkFoldingLayout) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil, err
-	}
-	firstRow := l.s.nextRows(tn.ID, table.Name, int64(len(rows)))
-
-	type target struct {
-		stmt    *sql.InsertStmt
-		colPos  map[string]int
-		chunkID int // -1 for conventional
-	}
-	var targets []*target
-	byName := map[string]*target{}
-	mkConv := func(phys string) *target {
-		k := strings.ToLower(phys)
-		if t, ok := byName[k]; ok {
-			return t
-		}
-		t := &target{
-			stmt:    &sql.InsertStmt{Table: phys, Columns: []string{"Tenant", "Row"}},
-			colPos:  map[string]int{},
-			chunkID: -1,
-		}
-		byName[k] = t
-		targets = append(targets, t)
-		return t
-	}
-	byChunk := map[int]*target{}
-	mkChunk := func(g *chunkGroup) *target {
-		if t, ok := byChunk[g.ID]; ok {
-			return t
-		}
-		t := &target{
-			stmt:    &sql.InsertStmt{Table: g.Def.Name, Columns: []string{"Tenant", "Table", "Chunk", "Row"}},
-			colPos:  map[string]int{},
-			chunkID: g.ID,
-		}
-		byChunk[g.ID] = t
-		targets = append(targets, t)
-		return t
-	}
-
-	// Spine targets: base, tenant's conventional extensions, all chunks.
-	mkConv(table.Name)
-	for _, en := range tn.Extensions {
-		e := l.s.schema.Extension(en)
-		if e != nil && strings.EqualFold(e.Base, table.Name) && l.conventionalExt(en) {
-			mkConv(e.Name)
-		}
-	}
-	for _, g := range a.groups {
-		mkChunk(g)
-	}
-
-	colTarget := make([]*target, len(cols))
-	for i, c := range cols {
-		conv, loc, err := l.colHome(tn, table, a, c.Name)
-		if err != nil {
-			return nil, err
-		}
-		var t *target
-		var phys string
-		if conv != "" {
-			t, phys = mkConv(conv), c.Name
-		} else {
-			t, phys = mkChunk(loc.group), loc.phys
-		}
-		t.colPos[strings.ToLower(c.Name)] = len(t.stmt.Columns)
-		t.stmt.Columns = append(t.stmt.Columns, phys)
-		colTarget[i] = t
-	}
-	for ri, row := range rows {
-		rowID := firstRow + int64(ri)
-		for _, t := range targets {
-			vals := make([]sql.Expr, len(t.stmt.Columns))
-			vals[0] = intLit(tn.ID)
-			if t.chunkID >= 0 {
-				vals[1] = intLit(int64(tid))
-				vals[2] = intLit(int64(t.chunkID))
-				vals[3] = intLit(rowID)
-				for i := 4; i < len(vals); i++ {
-					vals[i] = lit(types.Null())
-				}
-			} else {
-				vals[1] = intLit(rowID)
-				for i := 2; i < len(vals); i++ {
-					vals[i] = lit(types.Null())
-				}
-			}
-			t.stmt.Rows = append(t.stmt.Rows, vals)
-		}
-		for i, e := range row {
-			t := colTarget[i]
-			pos := t.colPos[strings.ToLower(cols[i].Name)]
-			if t.chunkID >= 0 && cols[i].Type.Kind == types.KindBool {
-				e = &sql.CastExpr{X: e, Type: types.IntType}
-			}
-			t.stmt.Rows[len(t.stmt.Rows)-1][pos] = e
-		}
-	}
-	out := make([]sql.Statement, len(targets))
-	for i, t := range targets {
-		out[i] = t.stmt
-	}
-	return out, nil
-}
-
-// phaseBUpdate implements reconstructor.
-func (l *ChunkFoldingLayout) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil
-	}
-	type tgt struct {
-		conv  string
-		group *chunkGroup
-		idxs  []int
-	}
-	var order []*tgt
-	find := func(conv string, g *chunkGroup) *tgt {
-		for _, t := range order {
-			if t.conv == conv && t.group == g {
-				return t
-			}
-		}
-		t := &tgt{conv: conv, group: g}
-		order = append(order, t)
-		return t
-	}
-	for i, c := range setCols {
-		conv, loc, err := l.colHome(tn, table, a, c.Name)
-		if err != nil {
-			continue
-		}
-		if conv != "" {
-			find(conv, nil).idxs = append(find(conv, nil).idxs, i)
-		} else {
-			find("", loc.group).idxs = append(find("", loc.group).idxs, i)
-		}
-	}
-	mkStmt := func(t *tgt, vals []types.Value, rowPred sql.Expr) sql.Statement {
-		up := &sql.UpdateStmt{}
-		var metaPred sql.Expr
-		if t.conv != "" {
-			up.Table = t.conv
-			metaPred = eq(colRef("", "Tenant"), intLit(tn.ID))
-		} else {
-			up.Table = t.group.Def.Name
-			metaPred = and(
-				eq(colRef("", "Tenant"), intLit(tn.ID)),
-				eq(colRef("", "Table"), intLit(int64(tid))),
-				eq(colRef("", "Chunk"), intLit(int64(t.group.ID))),
-			)
-		}
-		for _, i := range t.idxs {
-			v := vals[i+1]
-			colName := setCols[i].Name
-			if t.conv == "" {
-				loc, _ := a.locate(setCols[i].Name)
-				colName = loc.phys
-				if setCols[i].Type.Kind == types.KindBool && !v.IsNull() {
-					v = types.NewInt(v.Int)
-				}
-			}
-			up.Set = append(up.Set, sql.Assignment{Column: colName, Value: lit(v)})
-		}
-		up.Where = and(metaPred, rowPred)
-		return up
-	}
-	var out []sql.Statement
-	if constantSets(rows, len(setCols)) {
-		rowPred := inList(colRef("", "Row"), column(rows, 0))
-		for _, t := range order {
-			out = append(out, mkStmt(t, rows[0], rowPred))
-		}
-		return out
-	}
-	for _, r := range rows {
-		for _, t := range order {
-			out = append(out, mkStmt(t, r, eq(colRef("", "Row"), lit(r[0]))))
-		}
-	}
-	return out
-}
-
-// phaseBDelete implements reconstructor.
-func (l *ChunkFoldingLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil
-	}
-	rowIDs := column(rows, 0)
-	var out []sql.Statement
-	out = append(out, &sql.DeleteStmt{
-		Table: table.Name,
-		Where: and(eq(colRef("", "Tenant"), intLit(tn.ID)), inList(colRef("", "Row"), rowIDs)),
-	})
-	for _, en := range tn.Extensions {
-		e := l.s.schema.Extension(en)
-		if e != nil && strings.EqualFold(e.Base, table.Name) && l.conventionalExt(en) {
-			out = append(out, &sql.DeleteStmt{
-				Table: e.Name,
-				Where: and(eq(colRef("", "Tenant"), intLit(tn.ID)), inList(colRef("", "Row"), rowIDs)),
-			})
-		}
-	}
-	for _, g := range a.groups {
-		out = append(out, &sql.DeleteStmt{
-			Table: g.Def.Name,
-			Where: and(
-				eq(colRef("", "Tenant"), intLit(tn.ID)),
-				eq(colRef("", "Table"), intLit(int64(tid))),
-				eq(colRef("", "Chunk"), intLit(int64(g.ID))),
-				inList(colRef("", "Row"), rowIDs),
-			),
-		})
-	}
-	return out
-}
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *ChunkFoldingLayout) TenantByID(id int64) (*Tenant, error) { return l.s.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *ChunkFoldingLayout) Tenants() []*Tenant { return l.s.Tenants() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/sql"
@@ -12,14 +13,18 @@ import (
 // through phase (a) of the two-phase DML protocol.
 const rowCol = "__row"
 
-// reconstructor is the hook each generic layout provides: build the
-// inner SELECT that reconstructs a tenant's logical table from the
-// physical structures, exposing the given logical columns (plus the
-// hidden row ID when withRow is set). This is steps 2–3 of the paper's
-// §6.1 compilation scheme; the shared code below does steps 1 and 4.
-type reconstructor interface {
-	Layout
+// rowMapping is steps 2–3 of the paper's §6.1 compilation scheme and
+// the §6.3 writers for one layout; the shared code below does steps 1
+// and 4 and the two-phase protocol around them. There are two:
+// fragmentRows, for every layout that stores a logical row as
+// fragments aligned on Row, and PivotLayout, whose cells are absent
+// when NULL (LEFT joins, update = delete + insert).
+type rowMapping interface {
+	Name() string
 	state() *state
+	// reconstruct builds the inner SELECT that reconstructs a tenant's
+	// logical table from the physical structures, exposing the given
+	// logical columns (plus the hidden row ID when withRow is set).
 	reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error)
 	// phaseBUpdate builds the physical writes for an UPDATE: rows holds
 	// [__row, set1, set2, ...] tuples from phase (a).
@@ -32,8 +37,8 @@ type reconstructor interface {
 	insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error)
 }
 
-// genericRewrite dispatches a logical statement through a reconstructor.
-func genericRewrite(l reconstructor, tenantID int64, st sql.Statement) (*Rewritten, error) {
+// genericRewrite dispatches a logical statement through a rowMapping.
+func genericRewrite(l rowMapping, tenantID int64, st sql.Statement) (*Rewritten, error) {
 	tn, err := l.state().tenant(tenantID)
 	if err != nil {
 		return nil, err
@@ -57,7 +62,7 @@ func genericRewrite(l reconstructor, tenantID int64, st sql.Statement) (*Rewritt
 
 // genericSelect replaces every logical table reference with its
 // reconstruction derived table (step 4 of §6.1).
-func genericSelect(l reconstructor, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
+func genericSelect(l rowMapping, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
 	usages, err := analyzeSelect(l.state().schema, tn, sel)
 	if err != nil {
 		return nil, err
@@ -120,7 +125,7 @@ func genericSelect(l reconstructor, tn *Tenant, sel *sql.SelectStmt) (*sql.Selec
 }
 
 // writeUsage computes the logical columns a write statement touches.
-func writeUsage(l reconstructor, tn *Tenant, table, alias string, exprs []sql.Expr) (*Table, []Column, error) {
+func writeUsage(l rowMapping, tn *Tenant, table, alias string, exprs []sql.Expr) (*Table, []Column, error) {
 	lt := l.state().schema.Table(table)
 	if lt == nil {
 		return nil, nil, fmt.Errorf("core: no logical table %s", table)
@@ -154,7 +159,7 @@ func writeUsage(l reconstructor, tn *Tenant, table, alias string, exprs []sql.Ex
 // writes to the layout (§6.3: "the application logic has to look up all
 // related chunks, collect the meta-data, and assign each inserted new
 // row a unique row identifier").
-func genericInsert(l reconstructor, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error) {
+func genericInsert(l rowMapping, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error) {
 	lt := l.state().schema.Table(st.Table)
 	if lt == nil {
 		return nil, fmt.Errorf("core: no logical table %s", st.Table)
@@ -197,7 +202,7 @@ func genericInsert(l reconstructor, tn *Tenant, st *sql.InsertStmt) (*Rewritten,
 // collects (__row, new values...) through the reconstruction — the
 // engine evaluates SET expressions over the logical row — and phase (b)
 // applies per-structure physical writes.
-func genericUpdate(l reconstructor, tn *Tenant, st *sql.UpdateStmt) (*Rewritten, error) {
+func genericUpdate(l rowMapping, tn *Tenant, st *sql.UpdateStmt) (*Rewritten, error) {
 	var exprs []sql.Expr
 	for _, a := range st.Set {
 		exprs = append(exprs, a.Value)
@@ -257,7 +262,7 @@ func genericUpdate(l reconstructor, tn *Tenant, st *sql.UpdateStmt) (*Rewritten,
 }
 
 // genericDelete is the delete side of the two-phase protocol.
-func genericDelete(l reconstructor, tn *Tenant, st *sql.DeleteStmt) (*Rewritten, error) {
+func genericDelete(l rowMapping, tn *Tenant, st *sql.DeleteStmt) (*Rewritten, error) {
 	lt, used, err := writeUsage(l, tn, st.Table, st.Alias, []sql.Expr{st.Where})
 	if err != nil {
 		return nil, err
@@ -289,7 +294,7 @@ func genericDelete(l reconstructor, tn *Tenant, st *sql.DeleteStmt) (*Rewritten,
 	}, nil
 }
 
-// firstColumn extracts column i from phase-(a) result rows.
+// column extracts column i from phase-(a) result rows.
 func column(rows [][]types.Value, i int) []types.Value {
 	out := make([]types.Value, len(rows))
 	for j, r := range rows {
@@ -317,4 +322,176 @@ func sameValue(a, b types.Value) bool {
 		return a.IsNull() && b.IsNull()
 	}
 	return types.Equal(a, b)
+}
+
+// --- the one rewriter over fragments -------------------------------------------
+
+// fragmentRows is the rowMapping of every reconstructor: the four steps
+// written once over the tenant-table's placement. Nothing here knows
+// which layout placed the fragments.
+type fragmentRows struct{ reconstructor }
+
+// reconstruct implements rowMapping (the paper's Q1^Chunk shape). §6.1's
+// reconstruction queries "are all flat and consist of conjunctive
+// predicates only": the anchor and every other fragment a used column
+// lives in, comma-joined, with the aligning Row equi-joins in WHERE —
+// which a sophisticated optimizer flattens into the outer block and
+// drives via the meta-data indexes.
+func (m fragmentRows) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
+	p, err := m.state().placement(tn.ID, table)
+	if err != nil {
+		return nil, err
+	}
+	slots, err := p.locate(table, used)
+	if err != nil {
+		return nil, err
+	}
+	frags := p.touched(slots, true)
+	aliases := fragAliases("f", len(frags))
+	sel := &sql.SelectStmt{
+		Items: make([]sql.SelectItem, 0, len(used)+1),
+		From:  make([]sql.TableRef, len(frags)),
+	}
+	for i, s := range slots {
+		sel.Items = append(sel.Items, sql.SelectItem{
+			Expr:  s.col.read(aliases[indexOf(frags, s.frag)]),
+			Alias: used[i].Name,
+		})
+	}
+	if withRow {
+		sel.Items = append(sel.Items, sql.SelectItem{Expr: colRef(aliases[0], "Row"), Alias: rowCol})
+	}
+	var conjs []sql.Expr
+	for i, f := range frags {
+		sel.From[i] = &sql.NamedTable{Name: f.table, Alias: aliases[i]}
+		conjs = append(conjs, f.where(aliases[i])...)
+		if i == 0 {
+			conjs = append(conjs, f.live(aliases[0]))
+		} else {
+			conjs = append(conjs, eq(colRef(aliases[i], "Row"), colRef(aliases[0], "Row")))
+		}
+	}
+	sel.Where = and(conjs...)
+	return sel, nil
+}
+
+// fragAliases names n table aliases prefix0, prefix1, ...
+func fragAliases(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
+}
+
+// insertRows implements rowMapping: one batched INSERT per fragment.
+// Every fragment of the logical row is written, with NULLs where no
+// value was given (a spine), so reconstruction joins are always inner.
+func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
+	p, err := m.state().placement(tn.ID, table)
+	if err != nil {
+		return nil, err
+	}
+	slots, err := p.locate(table, cols)
+	if err != nil {
+		return nil, err
+	}
+	firstRow := m.state().nextRows(tn.ID, table.Name, int64(len(rows)))
+
+	stmts := make([]*sql.InsertStmt, len(p.frags))
+	for i, f := range p.frags {
+		stmts[i] = f.spine()
+	}
+	target := make([]int, len(cols)) // cols[i] goes to stmts[target[i]]
+	for i, s := range slots {
+		target[i] = indexOf(p.frags, s.frag)
+		stmts[target[i]].Columns = append(stmts[target[i]].Columns, s.col.phys)
+	}
+	for ri, row := range rows {
+		for i, f := range p.frags {
+			stmts[i].Rows = append(stmts[i].Rows, f.spineValues(intLit(firstRow+int64(ri)), len(stmts[i].Columns)))
+		}
+		for i, e := range row {
+			if slots[i].col.writes() {
+				e = &sql.CastExpr{X: e, Type: slots[i].col.store}
+			}
+			last := &stmts[target[i]].Rows[len(stmts[target[i]].Rows)-1]
+			*last = append(*last, e)
+		}
+	}
+	out := make([]sql.Statement, len(stmts))
+	for i, st := range stmts {
+		out[i] = st
+	}
+	return out, nil
+}
+
+// phaseBUpdate implements rowMapping: one UPDATE per fragment a SET
+// column lives in (in order of first use) when every row gets the same
+// values, else one per fragment and row.
+func (m fragmentRows) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
+	p, err := m.state().placement(tn.ID, table)
+	if err != nil {
+		return nil
+	}
+	slots, err := p.locate(table, setCols)
+	if err != nil {
+		return nil
+	}
+	frags := p.touched(slots, false)
+	update := func(f *fragment, vals []types.Value, rowPred sql.Expr) sql.Statement {
+		up := &sql.UpdateStmt{Table: f.table, Where: and(append(f.where(""), rowPred)...)}
+		for i, s := range slots {
+			if s.frag != f {
+				continue
+			}
+			v := vals[i+1]
+			if s.col.writes() && !v.IsNull() {
+				if cv, err := types.Cast(v, s.col.store.Kind); err == nil {
+					v = cv
+				}
+			}
+			up.Set = append(up.Set, sql.Assignment{Column: s.col.phys, Value: lit(v)})
+		}
+		return up
+	}
+	var out []sql.Statement
+	if constantSets(rows, len(setCols)) {
+		rowIDs := column(rows, 0)
+		for _, f := range frags {
+			out = append(out, update(f, rows[0], inList(colRef("", "Row"), rowIDs)))
+		}
+		return out
+	}
+	for _, r := range rows {
+		for _, f := range frags {
+			out = append(out, update(f, r, eq(colRef("", "Row"), lit(r[0]))))
+		}
+	}
+	return out
+}
+
+// phaseBDelete implements rowMapping: every fragment of the rows goes —
+// removed, or in a Trashcan fragment marked invisible (§6.3: "mark all
+// chunk tables as deleted").
+func (m fragmentRows) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
+	p, err := m.state().placement(tn.ID, table)
+	if err != nil {
+		return nil
+	}
+	rowIDs := column(rows, 0)
+	out := make([]sql.Statement, len(p.frags))
+	for i, f := range p.frags {
+		where := and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...)
+		if f.del != "" {
+			out[i] = &sql.UpdateStmt{
+				Table: f.table,
+				Set:   []sql.Assignment{{Column: f.del, Value: intLit(1)}},
+				Where: where,
+			}
+		} else {
+			out[i] = &sql.DeleteStmt{Table: f.table, Where: where}
+		}
+	}
+	return out
 }

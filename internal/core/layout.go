@@ -301,14 +301,17 @@ func (m *Mapper) Explain(tenantID int64, query string) (string, error) {
 
 // --- shared layout state -------------------------------------------------------
 
-// state holds the tenant registry, table-ID map, and per-(tenant,table)
-// logical row sequences shared by all layout implementations.
+// state holds the tenant registry, table-ID map, per-(tenant,table)
+// logical row sequences, and — for the layouts that store rows as
+// fragments — every tenant-table's placement, shared by all layout
+// implementations.
 type state struct {
 	mu       sync.RWMutex
 	schema   *Schema
 	tenants  map[int64]*Tenant
 	tableIDs map[string]int
 	rowSeq   map[string]int64
+	places   map[placementKey]*placement
 }
 
 func newState(schema *Schema) *state {
@@ -317,6 +320,7 @@ func newState(schema *Schema) *state {
 		tenants:  make(map[int64]*Tenant),
 		tableIDs: schema.TableIDs(),
 		rowSeq:   make(map[string]int64),
+		places:   make(map[placementKey]*placement),
 	}
 }
 
@@ -330,24 +334,47 @@ func (st *state) tenant(id int64) (*Tenant, error) {
 	return t, nil
 }
 
-func (st *state) addTenant(t *Tenant) error {
+// addTenant registers a tenant together with where its tables live
+// (nil for layouts that do not fragment rows).
+func (st *state) addTenant(t *Tenant, places map[placementKey]*placement) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, dup := st.tenants[t.ID]; dup {
 		return fmt.Errorf("core: tenant %d already registered", t.ID)
 	}
 	st.tenants[t.ID] = t
+	for k, p := range places {
+		st.places[k] = p
+	}
 	return nil
 }
 
-func (st *state) tenantList() []*Tenant {
+// placement returns where a registered tenant's logical table lives.
+func (st *state) placement(tenantID int64, table *Table) (*placement, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out := make([]*Tenant, 0, len(st.tenants))
-	for _, t := range st.tenants {
-		out = append(out, t)
+	p := st.places[placementKey{tenantID, table}]
+	if p == nil {
+		return nil, fmt.Errorf("core: tenant %d table %s is not placed", tenantID, table.Name)
 	}
-	return out
+	return p, nil
+}
+
+// extensible resolves an on-line ExtendTenant request: the tenant and
+// the extension must exist and the tenant must not have it yet.
+func (st *state) extensible(tenantID int64, extName string) (*Tenant, *Extension, error) {
+	tn, err := st.tenant(tenantID)
+	if err != nil {
+		return nil, nil, err
+	}
+	ext := st.schema.Extension(extName)
+	if ext == nil {
+		return nil, nil, fmt.Errorf("core: no extension %s", extName)
+	}
+	if tn.HasExtension(extName) {
+		return nil, nil, fmt.Errorf("core: tenant %d already has extension %s", tenantID, extName)
+	}
+	return tn, ext, nil
 }
 
 // tableID returns the numeric ID of a logical base table.
@@ -684,9 +711,3 @@ func rewriteInSubqueries(e sql.Expr, rw func(*sql.SelectStmt) (*sql.SelectStmt, 
 	}
 	return e, nil
 }
-
-// TenantByID resolves a registered tenant in a state registry.
-func (st *state) TenantByID(id int64) (*Tenant, error) { return st.tenant(id) }
-
-// Tenants lists the registered tenants (unordered).
-func (st *state) Tenants() []*Tenant { return st.tenantList() }

@@ -11,30 +11,7 @@ import (
 	"repro/internal/types"
 )
 
-// paperSchema is the running example of the paper's Figure 4: Account
-// with a health-care extension (tenant 17) and an automotive extension
-// (tenant 42).
-func paperSchema() *Schema {
-	return &Schema{
-		Tables: []*Table{{
-			Name: "Account",
-			Key:  "Aid",
-			Columns: []Column{
-				{Name: "Aid", Type: types.IntType, NotNull: true, Indexed: true},
-				{Name: "Name", Type: types.VarcharType(50)},
-			},
-		}},
-		Extensions: []*Extension{
-			{Name: "HealthcareAccount", Base: "Account", Columns: []Column{
-				{Name: "Hospital", Type: types.VarcharType(50)},
-				{Name: "Beds", Type: types.IntType},
-			}},
-			{Name: "AutomotiveAccount", Base: "Account", Columns: []Column{
-				{Name: "Dealers", Type: types.IntType},
-			}},
-		},
-	}
-}
+func paperSchema() *Schema { return PaperSchema() }
 
 func paperTenants() []*Tenant {
 	return []*Tenant{
@@ -45,8 +22,14 @@ func paperTenants() []*Tenant {
 }
 
 // allLayouts builds every layout (with extension support) over a fresh
-// database each.
+// database each, for the paper's three tenants.
 func allLayouts(t *testing.T, schema *Schema) map[string]*Mapper {
+	t.Helper()
+	return layoutsFor(t, schema, paperTenants())
+}
+
+// layoutsFor is allLayouts for a chosen tenant set.
+func layoutsFor(t *testing.T, schema *Schema, tenants []*Tenant) map[string]*Mapper {
 	t.Helper()
 	out := map[string]*Mapper{}
 	add := func(name string, l Layout, err error) {
@@ -54,7 +37,7 @@ func allLayouts(t *testing.T, schema *Schema) map[string]*Mapper {
 			t.Fatalf("layout %s: %v", name, err)
 		}
 		db := engine.Open(engine.Config{})
-		if err := l.Create(db, paperTenants()); err != nil {
+		if err := l.Create(db, copyTenants(tenants)); err != nil {
 			t.Fatalf("create %s: %v", name, err)
 		}
 		out[name] = NewMapper(db, l)
@@ -71,12 +54,26 @@ func allLayouts(t *testing.T, schema *Schema) map[string]*Mapper {
 	add("chunk", ch, err)
 	chf, err := NewChunkLayout(schema, ChunkOptions{Flattened: true})
 	add("chunk-flat", chf, err)
+	cht, err := NewChunkLayout(schema, ChunkOptions{Trashcan: true})
+	add("chunk-trashcan", cht, err)
 	vl, err := NewVerticalLayout(schema, nil)
 	add("vertical", vl, err)
 	fl, err := NewChunkFoldingLayout(schema, FoldingOptions{
 		ConventionalExtensions: []string{"HealthcareAccount"},
 	})
 	add("chunkfold", fl, err)
+	fla, err := NewChunkFoldingLayout(schema, FoldingOptions{})
+	add("chunkfold-allfolded", fla, err)
+	return out
+}
+
+// copyTenants copies a tenant list: layouts keep the *Tenant they are
+// given and ExtendTenant appends to it, so layouts must not share them.
+func copyTenants(in []*Tenant) []*Tenant {
+	out := make([]*Tenant, len(in))
+	for i, t := range in {
+		out[i] = &Tenant{ID: t.ID, Extensions: append([]string(nil), t.Extensions...)}
+	}
 	return out
 }
 
@@ -170,48 +167,76 @@ func TestLayoutEquivalence(t *testing.T) {
 	type op struct {
 		tenant int64
 		sql    string
+		extend string // instead of sql: enable this extension on-line
 	}
 	var ops []op
 	tenants := []int64{17, 35, 42}
 	nextID := map[int64]int{17: 10, 35: 10, 42: 10}
-	for i := 0; i < 120; i++ {
+	extended35 := false
+	for i := 0; i < 160; i++ {
+		if i == 70 {
+			// Tenant 35 gains the health-care extension mid-stream: its
+			// rows so far need spine rows wherever the layout puts the
+			// new columns, and read NULL there.
+			ops = append(ops, op{tenant: 35, extend: "HealthcareAccount"})
+			extended35 = true
+		}
 		tn := tenants[r.Intn(len(tenants))]
-		switch r.Intn(10) {
+		health := tn == 17 || (tn == 35 && extended35)
+		switch r.Intn(12) {
 		case 0, 1, 2, 3: // insert
 			id := nextID[tn]
 			nextID[tn]++
-			var q string
-			switch tn {
-			case 17:
+			q := fmt.Sprintf("INSERT INTO Account (Aid, Name) VALUES (%d, 'n%d')", id, id)
+			switch {
+			case health:
 				q = fmt.Sprintf("INSERT INTO Account (Aid, Name, Hospital, Beds) VALUES (%d, 'n%d', 'h%d', %d)", id, id, id%5, r.Intn(1000))
-			case 35:
-				q = fmt.Sprintf("INSERT INTO Account (Aid, Name) VALUES (%d, 'n%d')", id, id)
-			case 42:
+			case tn == 42:
 				q = fmt.Sprintf("INSERT INTO Account (Aid, Name, Dealers) VALUES (%d, 'n%d', %d)", id, id, r.Intn(100))
 			}
-			ops = append(ops, op{tn, q})
+			ops = append(ops, op{tenant: tn, sql: q})
 		case 4, 5: // update
-			ops = append(ops, op{tn, fmt.Sprintf("UPDATE Account SET Name = 'u%d' WHERE Aid = %d", i, 10+r.Intn(20))})
+			ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Name = 'u%d' WHERE Aid = %d", i, 10+r.Intn(20))})
 		case 6: // computed update touching base data
-			ops = append(ops, op{tn, fmt.Sprintf("UPDATE Account SET Name = Name WHERE Aid > %d", 10+r.Intn(20))})
+			ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Name = Name WHERE Aid > %d", 10+r.Intn(20))})
 		case 7: // extension-column update (tenant-specific)
-			switch tn {
-			case 17:
-				ops = append(ops, op{tn, fmt.Sprintf("UPDATE Account SET Beds = Beds + 1 WHERE Aid = %d", 10+r.Intn(20))})
-			case 42:
-				ops = append(ops, op{tn, fmt.Sprintf("UPDATE Account SET Dealers = %d WHERE Aid = %d", r.Intn(50), 10+r.Intn(20))})
+			switch {
+			case health:
+				ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Beds = Beds + 1 WHERE Aid = %d", 10+r.Intn(20))})
+			case tn == 42:
+				ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Dealers = %d WHERE Aid = %d", r.Intn(50), 10+r.Intn(20))})
 			default:
-				ops = append(ops, op{tn, fmt.Sprintf("UPDATE Account SET Name = 'z' WHERE Aid = %d", 10+r.Intn(20))})
+				ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Name = 'z' WHERE Aid = %d", 10+r.Intn(20))})
 			}
 		case 8: // delete
-			ops = append(ops, op{tn, fmt.Sprintf("DELETE FROM Account WHERE Aid = %d", 10+r.Intn(20))})
+			ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("DELETE FROM Account WHERE Aid = %d", 10+r.Intn(20))})
 		case 9: // delete with NULL-safe predicate
-			ops = append(ops, op{tn, "DELETE FROM Account WHERE Name LIKE 'zz%'"})
+			ops = append(ops, op{tenant: tn, sql: "DELETE FROM Account WHERE Name LIKE 'zz%'"})
+		case 10: // per-row phase (b): many rows, a different value each, base and extension parts at once
+			switch {
+			case health:
+				ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Beds = Aid * 3, Name = Hospital WHERE Aid > %d", 10+r.Intn(10))})
+			case tn == 42:
+				ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Dealers = Dealers + Aid, Name = 'd' WHERE Aid > %d", 10+r.Intn(10))})
+			default:
+				ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("UPDATE Account SET Name = Name WHERE Aid < %d", 20+r.Intn(10))})
+			}
+		case 11: // multi-row delete
+			ops = append(ops, op{tenant: tn, sql: fmt.Sprintf("DELETE FROM Account WHERE Aid > %d", 24+r.Intn(10))})
 		}
 	}
 
+	type extender interface {
+		ExtendTenant(db *engine.DB, tenantID int64, ext string) error
+	}
 	for name, m := range layouts {
 		for _, o := range ops {
+			if o.extend != "" {
+				if err := m.Layout.(extender).ExtendTenant(m.DB, o.tenant, o.extend); err != nil {
+					t.Fatalf("%s: ExtendTenant(%d, %s): %v", name, o.tenant, o.extend, err)
+				}
+				continue
+			}
 			if _, err := m.Exec(o.tenant, o.sql); err != nil {
 				t.Fatalf("%s: Exec(%d, %q): %v", name, o.tenant, o.sql, err)
 			}
@@ -228,6 +253,9 @@ func TestLayoutEquivalence(t *testing.T) {
 		{17, "SELECT Aid FROM Account WHERE Name LIKE 'u%'"},
 		{35, "SELECT Aid, Name FROM Account"},
 		{35, "SELECT COUNT(*) FROM Account"},
+		{35, "SELECT Aid, Name, Hospital, Beds FROM Account"},
+		{35, "SELECT Aid FROM Account WHERE Beds IS NULL"},
+		{35, "SELECT a.Aid, b.Beds FROM Account a, Account b WHERE a.Aid = b.Aid AND b.Hospital = 'h1'"},
 		{42, "SELECT Aid, Name, Dealers FROM Account WHERE Dealers >= 0"},
 		{42, "SELECT SUM(Dealers) FROM Account"},
 		{17, "SELECT a.Name, b.Name FROM Account a, Account b WHERE a.Aid = b.Aid AND a.Beds > 500"},

@@ -14,11 +14,11 @@ import (
 
 // This file implements the paper's §7 "on-the-fly" half of migration:
 // moving ONE tenant between two layout representations while that
-// tenant — and every other tenant — keeps serving traffic. Migrator
-// (migrate.go) already replays a quiesced tenant between layouts; the
-// Mover removes the quiesce. The protocol is the classic online-move
-// shape, the same publish-then-catch-up idea as the engine's online
-// ALTER (internal/engine/alter.go), lifted to the schema-mapping layer:
+// tenant — and every other tenant — keeps serving traffic (a tenant
+// with no traffic is the same procedure with one convergence round).
+// The protocol is the classic online-move shape, the same
+// publish-then-catch-up idea as the engine's online ALTER
+// (internal/engine/alter.go), lifted to the schema-mapping layer:
 //
 //  1. Register the tenant in the destination layout and start dirty
 //     tracking: every logical write the tenant issues from here on
@@ -67,8 +67,7 @@ type gatedLayout interface {
 // layout unless an override route says otherwise. It is the unit of
 // on-the-fly representation change — a Mover rewires one tenant's route
 // while the mux keeps rewriting everyone's statements — and is
-// transparent to Mapper, RewriteCache, and Migrator (it implements
-// Layout and the tenant-listing surface they use).
+// transparent to Mapper and RewriteCache (it implements Layout).
 type LayoutMux struct {
 	def Layout
 
@@ -150,19 +149,6 @@ func (x *LayoutMux) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error
 	}
 	x.mu.Unlock()
 	return l.Rewrite(tenantID, st)
-}
-
-// TenantByID resolves through the tenant's routed layout.
-func (x *LayoutMux) TenantByID(id int64) (*Tenant, error) {
-	return layoutTenant(x.Route(id), id)
-}
-
-// Tenants lists the default layout's registry (every tenant is
-// registered there; routed tenants are additionally registered at their
-// destination).
-func (x *LayoutMux) Tenants() []*Tenant {
-	tns, _ := layoutTenants(x.def)
-	return tns
 }
 
 // gate returns the tenant's statement gate, creating it on first use.
@@ -463,6 +449,59 @@ func (mv *Mover) verifyTable(src, dst Layout, tn *Tenant, table string) error {
 	}
 	if err := sameRowMultiset(a, b); err != nil {
 		return fmt.Errorf("table %s diverges: %w", table, err)
+	}
+	return nil
+}
+
+// layoutTenant resolves a tenant in a layout's registry (every layout
+// keeps one in its shared state).
+func layoutTenant(l Layout, id int64) (*Tenant, error) {
+	r, ok := l.(interface{ state() *state })
+	if !ok {
+		return nil, fmt.Errorf("core: layout %s does not expose tenants", l.Name())
+	}
+	return r.state().tenant(id)
+}
+
+func sameExtensions(a, b *Tenant) bool {
+	if len(a.Extensions) != len(b.Extensions) {
+		return false
+	}
+	for _, e := range a.Extensions {
+		if !b.HasExtension(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRowMultiset compares two result sets order-insensitively.
+func sameRowMultiset(a, b [][]types.Value) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d rows vs %d rows", len(a), len(b))
+	}
+	key := func(r []types.Value) string {
+		parts := make([]string, len(r))
+		for i, v := range r {
+			parts[i] = v.Kind.String() + ":" + v.String()
+		}
+		return strings.Join(parts, "|")
+	}
+	counts := map[string]int{}
+	for _, r := range a {
+		counts[key(r)]++
+	}
+	for _, r := range b {
+		k := key(r)
+		counts[k]--
+		if counts[k] < 0 {
+			return fmt.Errorf("row %s only in destination", k)
+		}
+	}
+	for k, n := range counts {
+		if n != 0 {
+			return fmt.Errorf("row %s only in source", k)
+		}
 	}
 	return nil
 }

@@ -132,35 +132,22 @@ func (l *PivotLayout) AddTenant(_ *engine.DB, t *Tenant) error {
 			return err
 		}
 	}
-	return l.s.addTenant(t)
+	return l.s.addTenant(t, nil)
 }
 
-// ExtendTenant enables an extension on-line: pure meta-data.
+// ExtendTenant enables an extension on-line: pure meta-data (a cell
+// that was never written reads NULL).
 func (l *PivotLayout) ExtendTenant(_ *engine.DB, tenantID int64, extName string) error {
-	return extendMetadataOnly(l.s, tenantID, extName)
-}
-
-// extendMetadataOnly is the shared on-line extension path for layouts
-// whose physical schema is tenant-independent.
-func extendMetadataOnly(s *state, tenantID int64, extName string) error {
-	tn, err := s.tenant(tenantID)
+	tn, ext, err := l.s.extensible(tenantID, extName)
 	if err != nil {
 		return err
 	}
-	ext := s.schema.Extension(extName)
-	if ext == nil {
-		return fmt.Errorf("core: no extension %s", extName)
-	}
-	if tn.HasExtension(extName) {
-		return fmt.Errorf("core: tenant %d already has extension %s", tenantID, extName)
-	}
-	probe := &Tenant{ID: tn.ID, Extensions: append(append([]string{}, tn.Extensions...), extName)}
-	if _, err := s.schema.LogicalColumns(probe, ext.Base); err != nil {
+	if _, err := l.s.schema.LogicalColumns(tn.with(extName), ext.Base); err != nil {
 		return err
 	}
-	s.mu.Lock()
+	l.s.mu.Lock()
 	tn.Extensions = append(tn.Extensions, extName)
-	s.mu.Unlock()
+	l.s.mu.Unlock()
 	return nil
 }
 
@@ -378,9 +365,3 @@ func (l *PivotLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Valu
 	}
 	return out
 }
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *PivotLayout) TenantByID(id int64) (*Tenant, error) { return l.s.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *PivotLayout) Tenants() []*Tenant { return l.s.Tenants() }

@@ -30,6 +30,8 @@ func (l *PrivateLayout) Name() string { return "private" }
 // Schema implements Layout.
 func (l *PrivateLayout) Schema() *Schema { return l.st.schema }
 
+func (l *PrivateLayout) state() *state { return l.st }
+
 // physName is the tenant-private physical table name (Account17 style).
 func (l *PrivateLayout) physName(tenantID int64, table string) string {
 	return fmt.Sprintf("%s_t%d", table, tenantID)
@@ -54,7 +56,7 @@ func (l *PrivateLayout) AddTenant(db *engine.DB, t *Tenant) error {
 			return err
 		}
 	}
-	if err := l.st.addTenant(t); err != nil {
+	if err := l.st.addTenant(t, nil); err != nil {
 		return err
 	}
 	for _, bt := range l.st.schema.Tables {
@@ -98,16 +100,9 @@ func (l *PrivateLayout) RemoveTenant(db *engine.DB, tenantID int64) error {
 // ExtendTenant enables an extension for a tenant on-line by issuing
 // ALTER TABLE ADD COLUMN statements against the private tables.
 func (l *PrivateLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
-	tn, err := l.st.tenant(tenantID)
+	tn, ext, err := l.st.extensible(tenantID, extName)
 	if err != nil {
 		return err
-	}
-	ext := l.st.schema.Extension(extName)
-	if ext == nil {
-		return fmt.Errorf("core: no extension %s", extName)
-	}
-	if tn.HasExtension(extName) {
-		return fmt.Errorf("core: tenant %d already has extension %s", tenantID, extName)
 	}
 	phys := l.physName(tenantID, ext.Base)
 	for _, c := range ext.Columns {
@@ -230,9 +225,3 @@ func (l *PrivateLayout) rewriteRef(tn *Tenant, tr sql.TableRef) (sql.TableRef, e
 	}
 	return nil, fmt.Errorf("core: unsupported FROM entry %T", tr)
 }
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *PrivateLayout) TenantByID(id int64) (*Tenant, error) { return l.st.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *PrivateLayout) Tenants() []*Tenant { return l.st.Tenants() }

@@ -42,10 +42,12 @@ import (
 // full rewrite path; DDL and transaction control likewise.
 //
 // Filling is singleflighted per key: concurrent sessions of the same
-// tenant sharing statement text do the parse+rewrite work once. Shared
-// template ASTs are never re-planned concurrently — every execution
-// reaches the engine under the template's one key string, and the plan
-// cache's own in-flight table guarantees at most one build per key.
+// tenant sharing statement text do the parse+rewrite work once. A cached
+// template AST is shared by every session that hits it and is read-only
+// from then on: sessions print and plan it concurrently (a session-less
+// Mapper re-derives the plan-cache key from its text on every call), so
+// the planner rewrites copies, never the tree it is handed
+// (plan.flattenSubqueries).
 type RewriteCache struct {
 	db     *engine.DB
 	layout Layout

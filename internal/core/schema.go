@@ -181,6 +181,11 @@ func (t *Tenant) HasExtension(name string) bool {
 	return false
 }
 
+// with returns a copy of the tenant that has one more extension.
+func (t *Tenant) with(ext string) *Tenant {
+	return &Tenant{ID: t.ID, Extensions: append(append([]string{}, t.Extensions...), ext)}
+}
+
 // LogicalColumns returns the columns of a tenant's view of a base
 // table: base columns followed by the columns of each enabled extension
 // on that base, in the tenant's extension order.

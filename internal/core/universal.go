@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/sql"
@@ -73,182 +72,47 @@ func (l *UniversalLayout) Create(db *engine.DB, tenants []*Tenant) error {
 
 // AddTenant implements Layout: meta-data only, after checking every
 // logical table fits the generic width.
-func (l *UniversalLayout) AddTenant(_ *engine.DB, t *Tenant) error {
-	for _, bt := range l.s.schema.Tables {
-		cols, err := l.s.schema.LogicalColumns(t, bt.Name)
-		if err != nil {
-			return err
-		}
-		if len(cols) > l.width {
-			return fmt.Errorf("core: tenant %d table %s needs %d columns, universal width is %d",
-				t.ID, bt.Name, len(cols), l.width)
-		}
-	}
-	return l.s.addTenant(t)
+func (l *UniversalLayout) AddTenant(db *engine.DB, t *Tenant) error {
+	return registerTenant(l, db, t)
 }
 
 // ExtendTenant enables an extension on-line: pure meta-data (new
 // columns occupy the next data-column positions; existing rows read
 // NULL there).
-func (l *UniversalLayout) ExtendTenant(_ *engine.DB, tenantID int64, extName string) error {
-	tn, err := l.s.tenant(tenantID)
-	if err != nil {
-		return err
-	}
-	ext := l.s.schema.Extension(extName)
-	if ext == nil {
-		return fmt.Errorf("core: no extension %s", extName)
-	}
-	if tn.HasExtension(extName) {
-		return fmt.Errorf("core: tenant %d already has extension %s", tenantID, extName)
-	}
-	probe := &Tenant{ID: tn.ID, Extensions: append(append([]string{}, tn.Extensions...), extName)}
-	cols, err := l.s.schema.LogicalColumns(probe, ext.Base)
-	if err != nil {
-		return err
-	}
-	if len(cols) > l.width {
-		return fmt.Errorf("core: extension %s would exceed universal width %d", extName, l.width)
-	}
-	l.s.mu.Lock()
-	tn.Extensions = append(tn.Extensions, extName)
-	l.s.mu.Unlock()
-	return nil
+func (l *UniversalLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
+	return extendTenant(l, db, tenantID, extName)
 }
 
 // Rewrite implements Layout.
 func (l *UniversalLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(l, tenantID, st)
+	return genericRewrite(fragmentRows{l}, tenantID, st)
 }
 
-// colPosition returns the 0-based data-column position of a logical
-// column in the tenant's view of the table.
-func (l *UniversalLayout) colPosition(tn *Tenant, table *Table, col string) (int, Column, error) {
+// fragments implements reconstructor: one fragment, the tenant's n-th
+// logical column in the n-th VARCHAR data column — so reconstruction is
+// a single selection with CASTs restoring the logical types, and writes
+// rely on the engine coercing into VARCHAR (dates and booleans
+// serialize via their string forms).
+func (l *UniversalLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, _ []*fragment) ([]*fragment, error) {
 	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
 	if err != nil {
-		return 0, Column{}, err
+		return nil, err
 	}
-	for i, c := range cols {
-		if strings.EqualFold(c.Name, col) {
-			return i, c, nil
-		}
+	if len(cols) > l.width {
+		return nil, fmt.Errorf("core: tenant %d table %s needs %d columns, universal width is %d",
+			tn.ID, table.Name, len(cols), l.width)
 	}
-	return 0, Column{}, fmt.Errorf("core: no column %s in %s for tenant %d", col, table.Name, tn.ID)
-}
-
-// reconstruct implements reconstructor: a single selection over
-// Universal with CASTs restoring the logical types.
-func (l *UniversalLayout) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
 	tid, err := l.s.tableID(table.Name)
 	if err != nil {
 		return nil, err
 	}
-	sel := &sql.SelectStmt{
-		From: []sql.TableRef{&sql.NamedTable{Name: "Universal", Alias: "u"}},
-		Where: and(
-			eq(colRef("u", "Tenant"), intLit(tn.ID)),
-			eq(colRef("u", "Table"), intLit(int64(tid))),
-		),
+	f := &fragment{
+		table: "Universal",
+		meta:  []metaEq{{"Tenant", tn.ID}, {"Table", int64(tid)}},
+		cols:  make([]fragCol, len(cols)),
 	}
-	for _, c := range used {
-		pos, _, err := l.colPosition(tn, table, c.Name)
-		if err != nil {
-			return nil, err
-		}
-		var e sql.Expr = colRef("u", dataCol(pos))
-		if c.Type.Kind != types.KindString {
-			e = &sql.CastExpr{X: e, Type: c.Type}
-		}
-		sel.Items = append(sel.Items, sql.SelectItem{Expr: e, Alias: c.Name})
-	}
-	if withRow {
-		sel.Items = append(sel.Items, sql.SelectItem{Expr: colRef("u", "Row"), Alias: rowCol})
-	}
-	return sel, nil
-}
-
-// insertRows implements reconstructor.
-func (l *UniversalLayout) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	firstRow := l.s.nextRows(tn.ID, table.Name, int64(len(rows)))
-	stmt := &sql.InsertStmt{Table: "Universal", Columns: []string{"Tenant", "Table", "Row"}}
-	positions := make([]int, len(cols))
 	for i, c := range cols {
-		pos, _, err := l.colPosition(tn, table, c.Name)
-		if err != nil {
-			return nil, err
-		}
-		positions[i] = pos
-		stmt.Columns = append(stmt.Columns, dataCol(pos))
+		f.cols[i] = fragCol{Column: c, phys: dataCol(i), store: types.ColumnType{Kind: types.KindString}}
 	}
-	for ri, row := range rows {
-		vals := make([]sql.Expr, 3+len(cols))
-		vals[0] = intLit(tn.ID)
-		vals[1] = intLit(int64(tid))
-		vals[2] = intLit(firstRow + int64(ri))
-		for i, e := range row {
-			// The engine coerces into the VARCHAR data column; dates
-			// and booleans serialize via their string forms.
-			vals[3+i] = e
-		}
-		stmt.Rows = append(stmt.Rows, vals)
-	}
-	return []sql.Statement{stmt}, nil
+	return []*fragment{f}, nil
 }
-
-// phaseBUpdate implements reconstructor.
-func (l *UniversalLayout) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	meta := func() sql.Expr {
-		return and(
-			eq(colRef("", "Tenant"), intLit(tn.ID)),
-			eq(colRef("", "Table"), intLit(int64(tid))),
-		)
-	}
-	assign := func(vals []types.Value) []sql.Assignment {
-		out := make([]sql.Assignment, len(setCols))
-		for i, c := range setCols {
-			pos, _, _ := l.colPosition(tn, table, c.Name)
-			out[i] = sql.Assignment{Column: dataCol(pos), Value: lit(vals[i+1])}
-		}
-		return out
-	}
-	if constantSets(rows, len(setCols)) {
-		return []sql.Statement{&sql.UpdateStmt{
-			Table: "Universal",
-			Set:   assign(rows[0]),
-			Where: and(meta(), inList(colRef("", "Row"), column(rows, 0))),
-		}}
-	}
-	var out []sql.Statement
-	for _, r := range rows {
-		out = append(out, &sql.UpdateStmt{
-			Table: "Universal",
-			Set:   assign(r),
-			Where: and(meta(), eq(colRef("", "Row"), lit(r[0]))),
-		})
-	}
-	return out
-}
-
-// phaseBDelete implements reconstructor.
-func (l *UniversalLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	return []sql.Statement{&sql.DeleteStmt{
-		Table: "Universal",
-		Where: and(
-			eq(colRef("", "Tenant"), intLit(tn.ID)),
-			eq(colRef("", "Table"), intLit(int64(tid))),
-			inList(colRef("", "Row"), column(rows, 0)),
-		),
-	}}
-}
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *UniversalLayout) TenantByID(id int64) (*Tenant, error) { return l.s.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *UniversalLayout) Tenants() []*Tenant { return l.s.Tenants() }

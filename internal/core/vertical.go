@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/sql"
-	"repro/internal/types"
 )
 
 // VerticalLayout is the Figure 12 comparison baseline: logical tables
@@ -21,10 +20,8 @@ type VerticalLayout struct {
 	s    *state
 	defs []*ChunkTableDef
 
-	mu      sync.RWMutex
-	assigns map[string]*assignment
+	mu      sync.Mutex
 	created map[string]bool // physical tables already created
-	db      *engine.DB
 }
 
 // NewVerticalLayout builds the layout; defs defaults like ChunkLayout.
@@ -35,10 +32,7 @@ func NewVerticalLayout(schema *Schema, defs []*ChunkTableDef) (*VerticalLayout, 
 	if len(defs) == 0 {
 		defs = UniformChunkDefs(schema, 4)
 	}
-	return &VerticalLayout{
-		s: newState(schema), defs: defs,
-		assigns: map[string]*assignment{}, created: map[string]bool{},
-	}, nil
+	return &VerticalLayout{s: newState(schema), defs: defs, created: map[string]bool{}}, nil
 }
 
 // Name implements Layout.
@@ -49,16 +43,8 @@ func (l *VerticalLayout) Schema() *Schema { return l.s.schema }
 
 func (l *VerticalLayout) state() *state { return l.s }
 
-// physName is the per-(table, chunk) physical table.
-func (l *VerticalLayout) physName(def *ChunkTableDef, tableID, chunkID int) string {
-	return fmt.Sprintf("%s_%d_%d", def.Name, tableID, chunkID)
-}
-
 // Create implements Layout.
 func (l *VerticalLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	l.mu.Lock()
-	l.db = db
-	l.mu.Unlock()
 	for _, tn := range tenants {
 		if err := l.AddTenant(db, tn); err != nil {
 			return err
@@ -71,50 +57,54 @@ func (l *VerticalLayout) Create(db *engine.DB, tenants []*Tenant) error {
 // missing per-chunk tables (tenants with the same extension profile
 // share them).
 func (l *VerticalLayout) AddTenant(db *engine.DB, t *Tenant) error {
-	assigns := map[string]*assignment{}
-	for _, bt := range l.s.schema.Tables {
-		cols, err := l.s.schema.LogicalColumns(t, bt.Name)
-		if err != nil {
-			return err
-		}
-		a, err := newAssignment(cols, l.defs)
-		if err != nil {
-			return err
-		}
-		assigns[assignKey(t.ID, bt.Name)] = a
-		tid, err := l.s.tableID(bt.Name)
-		if err != nil {
-			return err
-		}
-		for _, g := range a.groups {
-			if err := l.ensureTable(db, g.Def, tid, g.ID); err != nil {
-				return err
-			}
-		}
-	}
-	if err := l.s.addTenant(t); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.db = db
-	for k, a := range assigns {
-		l.assigns[k] = a
-	}
-	l.mu.Unlock()
-	return nil
+	return registerTenant(l, db, t)
 }
 
-func (l *VerticalLayout) ensureTable(db *engine.DB, def *ChunkTableDef, tableID, chunkID int) error {
-	name := l.physName(def, tableID, chunkID)
+// ExtendTenant enables an extension on-line: new chunks get new
+// physical tables.
+func (l *VerticalLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
+	return extendTenant(l, db, tenantID, extName)
+}
+
+// Rewrite implements Layout.
+func (l *VerticalLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
+	return genericRewrite(fragmentRows{l}, tenantID, st)
+}
+
+// fragments implements reconstructor: ChunkLayout's chunks, but each
+// (table, chunk) pair is a physical table of its own — created here if
+// it does not exist yet — and the only meta-data conjunct is Tenant.
+func (l *VerticalLayout) fragments(db *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
+	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	if err != nil {
+		return nil, err
+	}
+	groups, err := assignColumns(unplaced(cols, have), l.defs, len(have))
+	if err != nil {
+		return nil, err
+	}
+	tid, err := l.s.tableID(table.Name)
+	if err != nil {
+		return nil, err
+	}
+	out := append([]*fragment(nil), have...)
+	for _, g := range groups {
+		name := fmt.Sprintf("%s_%d_%d", g.Def.Name, tid, g.ID)
+		if err := l.ensureTable(db, g.Def, name); err != nil {
+			return nil, err
+		}
+		out = append(out, g.fragment(name, []metaEq{{"Tenant", tn.ID}}, ""))
+	}
+	return out, nil
+}
+
+func (l *VerticalLayout) ensureTable(db *engine.DB, def *ChunkTableDef, name string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.created[strings.ToLower(name)] {
 		return nil
 	}
-	cols := []Column{
-		{Name: "Tenant", Type: types.IntType, NotNull: true},
-		{Name: "Row", Type: types.IntType, NotNull: true},
-	}
+	cols := conventionalMeta()
 	phys := def.PhysCols()
 	for i, t := range def.Cols {
 		cols = append(cols, Column{Name: phys[i], Type: t})
@@ -135,256 +125,3 @@ func (l *VerticalLayout) ensureTable(db *engine.DB, def *ChunkTableDef, tableID,
 	l.created[strings.ToLower(name)] = true
 	return nil
 }
-
-// ExtendTenant enables an extension on-line: new chunks get new
-// physical tables.
-func (l *VerticalLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
-	ext := l.s.schema.Extension(extName)
-	if ext == nil {
-		return fmt.Errorf("core: no extension %s", extName)
-	}
-	if err := extendMetadataOnly(l.s, tenantID, extName); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	a := l.assigns[assignKey(tenantID, ext.Base)]
-	l.mu.Unlock()
-	if a == nil {
-		return fmt.Errorf("core: no assignment for tenant %d table %s", tenantID, ext.Base)
-	}
-	before := len(a.groups)
-	if err := a.extend(ext.Columns, l.defs); err != nil {
-		return err
-	}
-	tid, _ := l.s.tableID(ext.Base)
-	anchor := a.groups[0]
-	rows, err := db.Query(fmt.Sprintf("SELECT Row FROM %s WHERE Tenant = %d",
-		l.physName(anchor.Def, tid, anchor.ID), tenantID))
-	if err != nil {
-		return err
-	}
-	for _, g := range a.groups[before:] {
-		if err := l.ensureTable(db, g.Def, tid, g.ID); err != nil {
-			return err
-		}
-		for _, r := range rows.Data {
-			q := fmt.Sprintf("INSERT INTO %s (Tenant, Row) VALUES (%d, %d)",
-				l.physName(g.Def, tid, g.ID), tenantID, r[0].Int)
-			if _, err := db.Exec(q); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (l *VerticalLayout) assignmentFor(tenantID int64, table string) (*assignment, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	a := l.assigns[assignKey(tenantID, table)]
-	if a == nil {
-		return nil, fmt.Errorf("core: no chunk assignment for tenant %d table %s", tenantID, table)
-	}
-	return a, nil
-}
-
-// Rewrite implements Layout.
-func (l *VerticalLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(l, tenantID, st)
-}
-
-// reconstruct implements reconstructor: identical join structure to
-// ChunkLayout, but each group is its own table and the only meta-data
-// conjunct is Tenant.
-func (l *VerticalLayout) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := usedGroups(a, table, used)
-	if err != nil {
-		return nil, err
-	}
-	aliasOf := map[int]string{}
-	for i, g := range groups {
-		aliasOf[g.ID] = fmt.Sprintf("v%d", i)
-	}
-	sel := &sql.SelectStmt{}
-	for _, c := range used {
-		loc, _ := a.locate(c.Name)
-		sel.Items = append(sel.Items, sql.SelectItem{
-			Expr:  chunkColExpr(aliasOf[loc.group.ID], loc.phys, c),
-			Alias: c.Name,
-		})
-	}
-	anchorAlias := aliasOf[groups[0].ID]
-	if withRow {
-		sel.Items = append(sel.Items, sql.SelectItem{Expr: colRef(anchorAlias, "Row"), Alias: rowCol})
-	}
-	// Flat conjunctive form, mirroring ChunkLayout.reconstruct.
-	var conjs []sql.Expr
-	for i, g := range groups {
-		alias := aliasOf[g.ID]
-		sel.From = append(sel.From, &sql.NamedTable{Name: l.physName(g.Def, tid, g.ID), Alias: alias})
-		conjs = append(conjs, eq(colRef(alias, "Tenant"), intLit(tn.ID)))
-		if i > 0 {
-			conjs = append(conjs, eq(colRef(alias, "Row"), colRef(anchorAlias, "Row")))
-		}
-	}
-	sel.Where = and(conjs...)
-	return sel, nil
-}
-
-// insertRows implements reconstructor.
-func (l *VerticalLayout) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil, err
-	}
-	firstRow := l.s.nextRows(tn.ID, table.Name, int64(len(rows)))
-	type target struct {
-		stmt   *sql.InsertStmt
-		colPos map[string]int
-	}
-	targets := make(map[int]*target, len(a.groups))
-	var order []int
-	for _, g := range a.groups {
-		targets[g.ID] = &target{
-			stmt:   &sql.InsertStmt{Table: l.physName(g.Def, tid, g.ID), Columns: []string{"Tenant", "Row"}},
-			colPos: map[string]int{},
-		}
-		order = append(order, g.ID)
-	}
-	colTarget := make([]*target, len(cols))
-	for i, c := range cols {
-		loc, ok := a.locate(c.Name)
-		if !ok {
-			return nil, fmt.Errorf("core: column %s of %s is unassigned", c.Name, table.Name)
-		}
-		t := targets[loc.group.ID]
-		t.colPos[strings.ToLower(c.Name)] = len(t.stmt.Columns)
-		t.stmt.Columns = append(t.stmt.Columns, loc.phys)
-		colTarget[i] = t
-	}
-	for ri, row := range rows {
-		rowID := firstRow + int64(ri)
-		for _, gid := range order {
-			t := targets[gid]
-			vals := make([]sql.Expr, len(t.stmt.Columns))
-			vals[0], vals[1] = intLit(tn.ID), intLit(rowID)
-			for i := 2; i < len(vals); i++ {
-				vals[i] = lit(types.Null())
-			}
-			t.stmt.Rows = append(t.stmt.Rows, vals)
-		}
-		for i, e := range row {
-			t := colTarget[i]
-			pos := t.colPos[strings.ToLower(cols[i].Name)]
-			if cols[i].Type.Kind == types.KindBool {
-				e = &sql.CastExpr{X: e, Type: types.IntType}
-			}
-			t.stmt.Rows[len(t.stmt.Rows)-1][pos] = e
-		}
-	}
-	var out []sql.Statement
-	for _, gid := range order {
-		out = append(out, targets[gid].stmt)
-	}
-	return out, nil
-}
-
-// phaseBUpdate implements reconstructor.
-func (l *VerticalLayout) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil
-	}
-	type gset struct {
-		g    *chunkGroup
-		idxs []int
-	}
-	byGroup := map[int]*gset{}
-	var order []int
-	for i, c := range setCols {
-		loc, ok := a.locate(c.Name)
-		if !ok {
-			continue
-		}
-		gs := byGroup[loc.group.ID]
-		if gs == nil {
-			gs = &gset{g: loc.group}
-			byGroup[loc.group.ID] = gs
-			order = append(order, loc.group.ID)
-		}
-		gs.idxs = append(gs.idxs, i)
-	}
-	mkSet := func(gs *gset, vals []types.Value) []sql.Assignment {
-		var out []sql.Assignment
-		for _, i := range gs.idxs {
-			loc, _ := a.locate(setCols[i].Name)
-			v := vals[i+1]
-			if setCols[i].Type.Kind == types.KindBool && !v.IsNull() {
-				v = types.NewInt(v.Int)
-			}
-			out = append(out, sql.Assignment{Column: loc.phys, Value: lit(v)})
-		}
-		return out
-	}
-	var out []sql.Statement
-	if constantSets(rows, len(setCols)) {
-		rowIDs := column(rows, 0)
-		for _, gid := range order {
-			gs := byGroup[gid]
-			out = append(out, &sql.UpdateStmt{
-				Table: l.physName(gs.g.Def, tid, gs.g.ID),
-				Set:   mkSet(gs, rows[0]),
-				Where: and(eq(colRef("", "Tenant"), intLit(tn.ID)), inList(colRef("", "Row"), rowIDs)),
-			})
-		}
-		return out
-	}
-	for _, r := range rows {
-		for _, gid := range order {
-			gs := byGroup[gid]
-			out = append(out, &sql.UpdateStmt{
-				Table: l.physName(gs.g.Def, tid, gs.g.ID),
-				Set:   mkSet(gs, r),
-				Where: and(eq(colRef("", "Tenant"), intLit(tn.ID)), eq(colRef("", "Row"), lit(r[0]))),
-			})
-		}
-	}
-	return out
-}
-
-// phaseBDelete implements reconstructor.
-func (l *VerticalLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
-	tid, _ := l.s.tableID(table.Name)
-	a, err := l.assignmentFor(tn.ID, table.Name)
-	if err != nil {
-		return nil
-	}
-	rowIDs := column(rows, 0)
-	var out []sql.Statement
-	for _, g := range a.groups {
-		out = append(out, &sql.DeleteStmt{
-			Table: l.physName(g.Def, tid, g.ID),
-			Where: and(eq(colRef("", "Tenant"), intLit(tn.ID)), inList(colRef("", "Row"), rowIDs)),
-		})
-	}
-	return out
-}
-
-// TenantByID exposes the tenant registry (Migrator support).
-func (l *VerticalLayout) TenantByID(id int64) (*Tenant, error) { return l.s.TenantByID(id) }
-
-// Tenants lists the registered tenants.
-func (l *VerticalLayout) Tenants() []*Tenant { return l.s.Tenants() }

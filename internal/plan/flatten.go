@@ -18,8 +18,14 @@ import (
 // HAVING, DISTINCT, ORDER BY, LIMIT, or star projections. Any WHERE
 // clause merges conjunctively into the outer WHERE.
 func (p *Planner) flattenSubqueries(s *sql.SelectStmt) (*sql.SelectStmt, error) {
+	// s may be a cached AST that other sessions are planning or
+	// printing right now: work on copies of every slice spliceSubquery
+	// writes into.
 	out := *s
 	out.From = append([]sql.TableRef(nil), s.From...)
+	out.Items = append([]sql.SelectItem(nil), s.Items...)
+	out.GroupBy = append([]sql.Expr(nil), s.GroupBy...)
+	out.OrderBy = append([]sql.OrderItem(nil), s.OrderBy...)
 	// A bare `*` would change meaning once a derived table's FROM
 	// entries are spliced in (it would expand to the inner physical
 	// columns); rewrite it to per-entry qualified stars first.

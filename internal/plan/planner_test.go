@@ -45,9 +45,15 @@ func explainFor(t *testing.T, cat *catalog.Catalog, mode Mode, query string) str
 		t.Fatalf("parse %q: %v", query, err)
 	}
 	p := New(cat, mode)
+	before := st.String()
 	n, err := p.PlanStatement(st)
 	if err != nil {
 		t.Fatalf("plan %q: %v", query, err)
+	}
+	// The statement may be a cached AST other sessions are planning or
+	// printing at the same moment: the planner must not write into it.
+	if after := st.String(); after != before {
+		t.Errorf("planning rewrote its input:\nbefore %s\nafter  %s", before, after)
 	}
 	return Explain(n)
 }
