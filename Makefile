@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
+.PHONY: all build vet fmt test test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
 
 all: check
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l prints the files it would rewrite; any name is a failure.
+fmt:
+	@test -z "$$(gofmt -l .)" || (gofmt -l . && exit 1)
 
 test:
 	$(GO) test ./...
@@ -57,7 +61,7 @@ bench-compare:
 # One iteration of every benchmark: keeps benchmark code compiling and
 # running without paying for full measurement (CI runs this).
 bench-smoke:
-	$(GO) test -run=XXX -bench=. -benchtime=1x . ./internal/btree/
+	$(GO) test -run=XXX -bench=. -benchtime=1x . ./internal/btree/ ./internal/chunkexp/
 
 # Regenerate BENCH_1.json (the machine-readable multi-session sweep).
 bench-scaling:
@@ -130,4 +134,4 @@ bench-repl-smoke:
 fuzz-alter:
 	$(GO) test ./internal/sql/ -fuzz FuzzParseAlter -fuzztime 20s
 
-check: build vet test race race-bench bench-smoke
+check: build vet fmt test race race-bench bench-smoke

@@ -508,11 +508,14 @@ func BenchmarkWideTableNarrowProjection(b *testing.B) {
 	cat := wideTableFixture(b, 2000)
 	const query = "SELECT k0, k1, k2, k3 FROM wide WHERE k1 > 100"
 	b.Run("batch", func(b *testing.B) {
-		n := planBench(b, cat, query)
+		tree, err := exec.Build(planBench(b, cat, query))
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rows, err := exec.Collect(n, nil)
+			rows, err := tree.Collect(nil, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -529,11 +532,14 @@ func BenchmarkWideTableAggregate(b *testing.B) {
 	cat := wideTableFixture(b, 2000)
 	const query = "SELECT k1, COUNT(*), SUM(k2) FROM wide GROUP BY k1"
 	b.Run("batch", func(b *testing.B) {
-		n := planBench(b, cat, query)
+		tree, err := exec.Build(planBench(b, cat, query))
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := exec.Collect(n, nil); err != nil {
+			if _, err := tree.Collect(nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

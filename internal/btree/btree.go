@@ -415,19 +415,18 @@ func (t *BTree) Len() int64 {
 }
 
 // descend walks from the root to a leaf — the one that would hold key,
-// or the leftmost when key is nil — and returns it unpinned, with the
-// number of levels walked.
-func (t *BTree) descend(key []byte) (leaf storage.PageID, height int, err error) {
+// or the leftmost when key is nil — and returns it pinned, for the
+// caller to unpin, with the number of levels walked.
+func (t *BTree) descend(key []byte) (leaf storage.PageID, n node, height int, err error) {
 	cur := t.root
 	for height = 1; ; height++ {
 		buf, err := t.pool.Fetch(cur, storage.CatIndex)
 		if err != nil {
-			return 0, 0, err
+			return 0, nil, 0, err
 		}
-		n := node(buf)
+		n = node(buf)
 		if n.leaf() {
-			t.pool.Unpin(cur, false)
-			return cur, height, nil
+			return cur, n, height, nil
 		}
 		child := n.link()
 		if key != nil {
@@ -442,20 +441,16 @@ func (t *BTree) descend(key []byte) (leaf storage.PageID, height int, err error)
 // leaf pinned, for the caller to unpin; a missing key is ErrKeyNotFound
 // with nothing pinned.
 func (t *BTree) fetchEntry(key []byte) (id storage.PageID, n node, pos int, err error) {
-	id, _, err = t.descend(key)
+	id, n, _, err = t.descend(key)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	buf, err := t.pool.Fetch(id, storage.CatIndex)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	pos, ok := node(buf).search(key)
+	pos, ok := n.search(key)
 	if !ok {
 		t.pool.Unpin(id, false)
 		return 0, nil, 0, ErrKeyNotFound
 	}
-	return id, buf, pos, nil
+	return id, n, pos, nil
 }
 
 // Get returns the RID stored under key.
@@ -705,7 +700,10 @@ func (t *BTree) Update(key []byte, rid storage.RID) error {
 func (t *BTree) Height() (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, h, err := t.descend(nil)
+	id, _, h, err := t.descend(nil)
+	if err == nil {
+		t.pool.Unpin(id, false)
+	}
 	return h, err
 }
 

@@ -4,9 +4,10 @@ import "repro/internal/storage"
 
 // Iterator walks entries in key order. It copies out of one leaf at a
 // time — only the entries inside [lo, hi), into buffers it reuses from
-// leaf to leaf — so no page stays pinned between Next calls; mutations
-// during iteration are not supported (the engine's table locks prevent
-// them).
+// leaf to leaf and from Seek to Seek — so no page stays pinned between
+// Next calls; mutations during iteration are not supported (the
+// engine's table locks prevent them). The zero Iterator is ready for
+// Seek.
 type Iterator struct {
 	tree *BTree
 	buf  []byte   // the current leaf's in-range entries, as they lie on the page
@@ -23,17 +24,27 @@ type Iterator struct {
 // stopping before hi (exclusive). lo nil means the smallest key; hi nil
 // means unbounded.
 func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	leafID, _, err := t.descend(lo)
-	if err != nil {
-		return nil, err
-	}
-	it := &Iterator{tree: t, lo: lo, hi: hi}
-	if err := it.loadLeaf(leafID); err != nil {
+	it := &Iterator{}
+	if err := it.Seek(t, lo, hi); err != nil {
 		return nil, err
 	}
 	return it, nil
+}
+
+// Seek repositions it as t.SeekRange(lo, hi) would position a new
+// iterator, keeping the copy-out buffers it has grown: an operator that
+// probes an index once per outer row seeks one iterator many times. hi
+// is read until the iterator is exhausted or sought again, so the
+// caller must leave it unmodified that long.
+func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	id, n, _, err := t.descend(lo)
+	if err != nil {
+		return err
+	}
+	it.tree, it.lo, it.hi, it.err, it.done = t, lo, hi, nil, false
+	return it.load(id, n)
 }
 
 // SeekPrefix returns an iterator over every key beginning with prefix.
@@ -47,27 +58,34 @@ func (t *BTree) Scan() (*Iterator, error) { return t.SeekRange(nil, nil) }
 // PrefixSuccessor returns the smallest byte string greater than every
 // string with the given prefix, or nil if no such bound exists (the
 // prefix is all 0xFF).
-func PrefixSuccessor(prefix []byte) []byte {
-	out := append([]byte(nil), prefix...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
+func PrefixSuccessor(prefix []byte) []byte { return AppendPrefixSuccessor(nil, prefix) }
+
+// AppendPrefixSuccessor is PrefixSuccessor written over dst[:0]; dst
+// may be prefix itself. A nil result leaves dst as it was.
+func AppendPrefixSuccessor(dst, prefix []byte) []byte {
+	for i := len(prefix) - 1; i >= 0; i-- {
+		if prefix[i] != 0xFF {
+			dst = append(dst[:0], prefix[:i+1]...)
+			dst[i]++
+			return dst
 		}
 	}
 	return nil
 }
 
-// loadLeaf copies out the in-range entries of leaf id, moving on along
-// the chain past leaves that hold none (emptied by lazy deletion, or
-// wholly below lo).
-func (it *Iterator) loadLeaf(id storage.PageID) error {
+// load copies out the in-range entries of leaf id — which the caller
+// hands over pinned as n, or nil to have it fetched — and unpins it,
+// moving on along the chain past leaves that hold none (emptied by lazy
+// deletion, or wholly below lo).
+func (it *Iterator) load(id storage.PageID, n node) error {
 	for {
-		buf, err := it.tree.pool.Fetch(id, storage.CatIndex)
-		if err != nil {
-			return err
+		if n == nil {
+			buf, err := it.tree.pool.Fetch(id, storage.CatIndex)
+			if err != nil {
+				return err
+			}
+			n = node(buf)
 		}
-		n := node(buf)
 		from, to := 0, n.count()
 		if it.lo != nil {
 			from = n.bound(it.lo, false)
@@ -88,7 +106,7 @@ func (it *Iterator) loadLeaf(id storage.PageID) error {
 			it.done = true
 			return nil
 		}
-		id = it.next
+		id, n = it.next, nil
 	}
 }
 
@@ -143,7 +161,7 @@ func (it *Iterator) Next() {
 		it.done = true
 		return
 	}
-	if err := it.loadLeaf(it.next); err != nil {
+	if err := it.load(it.next, nil); err != nil {
 		it.err, it.done = err, true
 	}
 }

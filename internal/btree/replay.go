@@ -45,20 +45,23 @@ func (t *BTree) Pages() ([]storage.PageID, error) {
 func (t *BTree) RecountSize() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur, _, err := t.descend(nil)
+	cur, leaf, _, err := t.descend(nil)
 	if err != nil {
 		return err
 	}
 	var n int64
-	for cur != storage.InvalidPageID {
-		buf, err := t.pool.Fetch(cur, storage.CatIndex)
+	for {
+		n += int64(leaf.count())
+		next := leaf.link()
+		t.pool.Unpin(cur, false)
+		if next == storage.InvalidPageID {
+			break
+		}
+		buf, err := t.pool.Fetch(next, storage.CatIndex)
 		if err != nil {
 			return err
 		}
-		n += int64(node(buf).count())
-		next := node(buf).link()
-		t.pool.Unpin(cur, false)
-		cur = next
+		cur, leaf = next, node(buf)
 	}
 	t.size = n
 	return nil

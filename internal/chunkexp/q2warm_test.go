@@ -1,0 +1,162 @@
+package chunkexp
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/sql"
+	"repro/internal/types"
+)
+
+// Sinks keep the compiler from discarding the measured calls.
+var (
+	sinkStmt sql.Statement
+	sinkKey  string
+	sinkRows *engine.Rows
+)
+
+// BenchmarkQ2Warm splits what one warm action of the repository
+// benchmark's chunk_q2_join workload pays (Q2 at scale 30 over Chunk6,
+// 300 parents × 10 children, everything in the pool) into the layers it
+// passes through, so a change on this path can name the layer it moved:
+// parse the logical text, rewrite it for the tenant, render the
+// physical statement as its plan-cache key, execute the cached plan
+// (exec_keyed: a session with the key precomputed, so nothing but the
+// plan-cache lookup and the executor runs), and all of it together
+// through the uncached core.Mapper as the workload does (mapper_query).
+func BenchmarkQ2Warm(b *testing.B) {
+	in, err := NewChunk(Config{Parents: 300, ChildrenPerParent: 10}, 6, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := in.Load(); err != nil {
+		b.Fatal(err)
+	}
+	q := Q2(30)
+	parse := func() *sql.SelectStmt {
+		st, err := sql.Parse(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st.(*sql.SelectStmt)
+	}
+	rewrite := func() *sql.SelectStmt {
+		rw, err := in.mapper.Layout.Rewrite(1, parse())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rw.Query
+	}
+	param := func(i int) types.Value { return types.NewInt(int64(1 + i%300)) }
+
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkStmt = parse()
+		}
+	})
+	b.Run("rewrite", func(b *testing.B) {
+		sel := parse()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rw, err := in.mapper.Layout.Rewrite(1, sel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkStmt = rw.Query
+		}
+	})
+	b.Run("key", func(b *testing.B) {
+		phys := rewrite()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkKey = phys.String()
+		}
+	})
+	b.Run("exec_keyed", func(b *testing.B) {
+		phys := rewrite()
+		key := phys.String()
+		s := in.DB.Session()
+		defer s.Close()
+		if sinkRows, err = s.QueryStmt(phys, key, param(0)); err != nil || len(sinkRows.Data) != 10 {
+			b.Fatalf("warm-up: %v, %v", sinkRows, err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if sinkRows, err = s.QueryStmt(phys, key, param(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("mapper_query", func(b *testing.B) {
+		if sinkRows, err = in.Query(q, param(0)); err != nil || len(sinkRows.Data) != 10 {
+			b.Fatalf("warm-up: %v, %v", sinkRows, err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if sinkRows, err = in.Query(q, param(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestQ2WarmAllocationGate holds the warm executor to what a recycled
+// operator tree should cost: the rewritten Q2 over Chunk6 through a
+// session with its plan-cache key precomputed allocates its result
+// (ten rows, their strings) and little else. Rebuilding the tree per
+// execution cost 660 allocations / 443 KB at scale 30 and 1 172 /
+// 1.3 MB at scale 60 (22 joins); bytes follow the result, not the join
+// count.
+func TestQ2WarmAllocationGate(t *testing.T) {
+	in, err := NewChunk(Config{Parents: 300, ChildrenPerParent: 10}, 6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Load(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scale     int
+		allocs    float64
+		bytesPerQ uint64
+	}{{30, 200, 40 << 10}, {60, 350, 80 << 10}} {
+		st, err := sql.Parse(Q2(tc.scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, err := in.mapper.Layout.Rewrite(1, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := rw.Query.String()
+		s := in.DB.Session()
+		i := 0
+		run := func() {
+			i++
+			rows, err := s.QueryStmt(rw.Query, key, types.NewInt(int64(1+i%300)))
+			if err != nil || len(rows.Data) != 10 {
+				t.Fatalf("scale %d: %v, %v", tc.scale, rows, err)
+			}
+		}
+		run()
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, run)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call of its own.
+		perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("scale %d: %.0f allocations, %d bytes per warm execution", tc.scale, allocs, perRun)
+		if allocs > tc.allocs || perRun > tc.bytesPerQ {
+			t.Errorf("scale %d: %.0f allocations and %d bytes per warm execution, want at most %.0f and %d",
+				tc.scale, allocs, perRun, tc.allocs, tc.bytesPerQ)
+		}
+		s.Close()
+	}
+}

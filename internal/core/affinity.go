@@ -79,8 +79,8 @@ func (a *Affinity) ObserveSQL(tn *Tenant, query string) error {
 	}
 	for _, u := range usages {
 		var cols []string
-		for c := range u.cols {
-			cols = append(cols, c)
+		for _, c := range u.usedColumns() {
+			cols = append(cols, c.Name)
 		}
 		a.Observe(u.logical.Name, cols)
 	}

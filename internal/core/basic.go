@@ -119,7 +119,7 @@ func (l *BasicLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, err
 // that filters on Tenant and exposes exactly the logical columns, so
 // SELECT * never leaks the Tenant meta-data column.
 func (l *BasicLayout) rewriteSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
-	usages, err := analyzeSelect(l.st.schema, tn, sel)
+	usages, err := analyzeSelect(l.st, tn, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -152,15 +152,11 @@ func (l *BasicLayout) rewriteRef(tn *Tenant, tr sql.TableRef, byRef map[*sql.Nam
 		if u == nil {
 			return nil, fmt.Errorf("core: unanalyzed table %s", tr.Name)
 		}
-		used, err := usedColumns(l.st.schema, tn, u)
-		if err != nil {
-			return nil, err
-		}
 		inner := &sql.SelectStmt{
 			From:  []sql.TableRef{&sql.NamedTable{Name: u.logical.Name, Alias: "s"}},
 			Where: eq(colRef("s", "Tenant"), intLit(tn.ID)),
 		}
-		for _, c := range used {
+		for _, c := range u.usedColumns() {
 			inner.Items = append(inner.Items, sql.SelectItem{Expr: colRef("s", c.Name), Alias: c.Name})
 		}
 		return &sql.SubqueryTable{Select: inner, Alias: u.alias}, nil

@@ -25,7 +25,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 			return nil, errNotFlattenable
 		}
 	}
-	usages, err := analyzeSelect(l.s.schema, tn, sel)
+	usages, err := analyzeSelect(l.s, tn, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -40,10 +40,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 	var from []sql.TableRef
 	var metaConjs, alignConjs []sql.Expr
 	for ui, u := range usages {
-		used, err := usedColumns(l.s.schema, tn, u)
-		if err != nil {
-			return nil, err
-		}
+		used := u.usedColumns()
 		p, err := l.s.placement(tn.ID, u.logical)
 		if err != nil {
 			return nil, err

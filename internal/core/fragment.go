@@ -332,9 +332,5 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 			}
 		}
 	}
-	st.mu.Lock()
-	tn.Extensions = append(tn.Extensions, extName)
-	st.places[placementKey{tenantID, table}] = next
-	st.mu.Unlock()
-	return nil
+	return st.extend(tn, ext, next)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -63,7 +62,7 @@ func genericRewrite(l rowMapping, tenantID int64, st sql.Statement) (*Rewritten,
 // genericSelect replaces every logical table reference with its
 // reconstruction derived table (step 4 of §6.1).
 func genericSelect(l rowMapping, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
-	usages, err := analyzeSelect(l.state().schema, tn, sel)
+	usages, err := analyzeSelect(l.state(), tn, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +78,7 @@ func genericSelect(l rowMapping, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectSt
 			if u == nil {
 				return nil, fmt.Errorf("core: unanalyzed table %s", tr.Name)
 			}
-			used, err := usedColumns(l.state().schema, tn, u)
-			if err != nil {
-				return nil, err
-			}
-			inner, err := l.reconstruct(tn, u.logical, used, false)
+			inner, err := l.reconstruct(tn, u.logical, u.usedColumns(), false)
 			if err != nil {
 				return nil, err
 			}
@@ -144,15 +139,11 @@ func writeUsage(l rowMapping, tn *Tenant, table, alias string, exprs []sql.Expr)
 	if len(fake.Items) == 0 {
 		fake.Items = append(fake.Items, sql.SelectItem{Expr: intLit(1)})
 	}
-	usages, err := analyzeSelect(l.state().schema, tn, fake)
+	usages, err := analyzeSelect(l.state(), tn, fake)
 	if err != nil {
 		return nil, nil, err
 	}
-	used, err := usedColumns(l.state().schema, tn, usages[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	return lt, used, nil
+	return lt, usages[0].usedColumns(), nil
 }
 
 // genericInsert allocates logical row IDs and delegates the physical
@@ -164,26 +155,19 @@ func genericInsert(l rowMapping, tn *Tenant, st *sql.InsertStmt) (*Rewritten, er
 	if lt == nil {
 		return nil, fmt.Errorf("core: no logical table %s", st.Table)
 	}
-	all, err := l.state().schema.LogicalColumns(tn, lt.Name)
+	v, err := l.state().view(tn, lt)
 	if err != nil {
 		return nil, err
 	}
-	var cols []Column
-	if len(st.Columns) == 0 {
-		cols = all
-	} else {
-		for _, name := range st.Columns {
-			found := false
-			for _, c := range all {
-				if strings.EqualFold(c.Name, name) {
-					cols = append(cols, c)
-					found = true
-					break
-				}
-			}
-			if !found {
+	cols := v.cols
+	if len(st.Columns) > 0 {
+		cols = make([]Column, len(st.Columns))
+		for i, name := range st.Columns {
+			at, ok := v.find(name)
+			if !ok {
 				return nil, fmt.Errorf("core: no column %s in %s for tenant %d", name, lt.Name, tn.ID)
 			}
+			cols[i] = v.cols[at]
 		}
 	}
 	for _, row := range st.Rows {
@@ -212,23 +196,17 @@ func genericUpdate(l rowMapping, tn *Tenant, st *sql.UpdateStmt) (*Rewritten, er
 	if err != nil {
 		return nil, err
 	}
-	all, err := l.state().schema.LogicalColumns(tn, lt.Name)
+	v, err := l.state().view(tn, lt)
 	if err != nil {
 		return nil, err
 	}
-	var setCols []Column
-	for _, a := range st.Set {
-		found := false
-		for _, c := range all {
-			if strings.EqualFold(c.Name, a.Column) {
-				setCols = append(setCols, c)
-				found = true
-				break
-			}
-		}
-		if !found {
+	setCols := make([]Column, len(st.Set))
+	for i, a := range st.Set {
+		at, ok := v.find(a.Column)
+		if !ok {
 			return nil, fmt.Errorf("core: no column %s in %s for tenant %d", a.Column, lt.Name, tn.ID)
 		}
+		setCols[i] = v.cols[at]
 	}
 
 	alias := st.Alias

@@ -302,26 +302,39 @@ func (m *Mapper) Explain(tenantID int64, query string) (string, error) {
 // --- shared layout state -------------------------------------------------------
 
 // state holds the tenant registry, table-ID map, per-(tenant,table)
-// logical row sequences, and — for the layouts that store rows as
-// fragments — every tenant-table's placement, shared by all layout
-// implementations.
+// logical row sequences, every tenant's view of every base table, and —
+// for the layouts that store rows as fragments — every tenant-table's
+// placement, shared by all layout implementations. Views and placements
+// are computed when a tenant is added or extended and published with
+// that change; rewriting a statement only looks them up.
 type state struct {
 	mu       sync.RWMutex
 	schema   *Schema
 	tenants  map[int64]*Tenant
 	tableIDs map[string]int
 	rowSeq   map[string]int64
-	places   map[placementKey]*placement
+	// base is every table as a tenant with no extension on it sees it;
+	// views holds the others, one per (tenant, table it extends), so a
+	// schema of 1 500 tables costs its 150 tenants nothing.
+	base   map[*Table]*view
+	views  map[placementKey]*view
+	places map[placementKey]*placement
 }
 
 func newState(schema *Schema) *state {
-	return &state{
+	st := &state{
 		schema:   schema,
 		tenants:  make(map[int64]*Tenant),
 		tableIDs: schema.TableIDs(),
 		rowSeq:   make(map[string]int64),
+		base:     make(map[*Table]*view, len(schema.Tables)),
+		views:    make(map[placementKey]*view),
 		places:   make(map[placementKey]*placement),
 	}
+	for _, bt := range schema.Tables {
+		st.base[bt] = newView(bt.Columns)
+	}
+	return st
 }
 
 func (st *state) tenant(id int64) (*Tenant, error) {
@@ -334,19 +347,75 @@ func (st *state) tenant(id int64) (*Tenant, error) {
 	return t, nil
 }
 
-// addTenant registers a tenant together with where its tables live
-// (nil for layouts that do not fragment rows).
+// addTenant registers a tenant together with its view of every base
+// table it extends — which is where its extension list is validated —
+// and where its tables live (nil for layouts that do not fragment rows).
 func (st *state) addTenant(t *Tenant, places map[placementKey]*placement) error {
+	views := map[placementKey]*view{}
+	for _, en := range t.Extensions {
+		e := st.schema.Extension(en)
+		if e == nil {
+			return fmt.Errorf("core: tenant %d references unknown extension %s", t.ID, en)
+		}
+		bt := st.schema.Table(e.Base)
+		if views[placementKey{t.ID, bt}] != nil {
+			continue
+		}
+		v, err := st.schema.view(t, bt)
+		if err != nil {
+			return err
+		}
+		views[placementKey{t.ID, bt}] = v
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, dup := st.tenants[t.ID]; dup {
 		return fmt.Errorf("core: tenant %d already registered", t.ID)
 	}
 	st.tenants[t.ID] = t
+	for k, v := range views {
+		st.views[k] = v
+	}
 	for k, p := range places {
 		st.places[k] = p
 	}
 	return nil
+}
+
+// extend publishes an extension a tenant enabled on-line — the
+// extension, the tenant's new view of the base table and, for layouts
+// that fragment rows, the table's new placement — together.
+func (st *state) extend(tn *Tenant, ext *Extension, next *placement) error {
+	table := st.schema.Table(ext.Base)
+	v, err := st.schema.view(tn.with(ext.Name), table)
+	if err != nil {
+		return err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	tn.Extensions = append(tn.Extensions, ext.Name)
+	st.views[placementKey{tn.ID, table}] = v
+	if next != nil {
+		st.places[placementKey{tn.ID, table}] = next
+	}
+	return nil
+}
+
+// Table implements viewSource.
+func (st *state) Table(name string) *Table { return st.schema.Table(name) }
+
+// view implements viewSource: a registered tenant's published view.
+func (st *state) view(tn *Tenant, table *Table) (*view, error) {
+	st.mu.RLock()
+	v := st.views[placementKey{tn.ID, table}]
+	st.mu.RUnlock()
+	if v == nil {
+		v = st.base[table]
+	}
+	if v == nil {
+		return nil, fmt.Errorf("core: no logical table %s", table.Name)
+	}
+	return v, nil
 }
 
 // placement returns where a registered tenant's logical table lives.
@@ -404,17 +473,35 @@ type tableUsage struct {
 	ref     *sql.NamedTable
 	logical *Table // base table in the schema
 	alias   string // effective alias in the query
-	cols    map[string]bool
+	view    *view  // the tenant's columns of it
+	used    []bool // by position in view.cols
 	star    bool
 }
 
-// use marks a column as referenced.
-func (u *tableUsage) use(col string) { u.cols[strings.ToLower(col)] = true }
+// use marks a column as referenced; a name the table does not provide
+// is someone else's.
+func (u *tableUsage) use(col string) {
+	if i, ok := u.view.find(col); ok {
+		u.used[i] = true
+	}
+}
+
+// usedColumns returns the tenant's logical columns of u's table that
+// the statement references, in logical order.
+func (u *tableUsage) usedColumns() []Column {
+	var out []Column
+	for i, c := range u.view.cols {
+		if u.used[i] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
 
 // analyzeSelect resolves the logical tables a SELECT references and
 // which of their (tenant-specific) columns it uses. Derived tables are
 // not descended into — the caller rewrites them recursively.
-func analyzeSelect(s *Schema, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage, error) {
+func analyzeSelect(s viewSource, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage, error) {
 	var usages []*tableUsage
 	var gather func(tr sql.TableRef) error
 	gather = func(tr sql.TableRef) error {
@@ -428,8 +515,12 @@ func analyzeSelect(s *Schema, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage, e
 			if alias == "" {
 				alias = tr.Name
 			}
+			v, err := s.view(tn, lt)
+			if err != nil {
+				return err
+			}
 			usages = append(usages, &tableUsage{
-				ref: tr, logical: lt, alias: alias, cols: map[string]bool{},
+				ref: tr, logical: lt, alias: alias, view: v, used: make([]bool, len(v.cols)),
 			})
 		case *sql.JoinTable:
 			if err := gather(tr.Left); err != nil {
@@ -447,22 +538,9 @@ func analyzeSelect(s *Schema, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage, e
 		}
 	}
 
-	// Tenant-specific column lists for unqualified resolution.
-	logCols := map[*tableUsage][]Column{}
-	for _, u := range usages {
-		cols, err := s.LogicalColumns(tn, u.logical.Name)
-		if err != nil {
-			return nil, err
-		}
-		logCols[u] = cols
-	}
 	provides := func(u *tableUsage, name string) bool {
-		for _, c := range logCols[u] {
-			if strings.EqualFold(c.Name, name) {
-				return true
-			}
-		}
-		return false
+		_, ok := u.view.find(name)
+		return ok
 	}
 
 	markRef := func(cr *sql.ColumnRef) error {
@@ -591,8 +669,8 @@ func analyzeSelect(s *Schema, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage, e
 
 	for _, u := range usages {
 		if u.star {
-			for _, c := range logCols[u] {
-				u.use(c.Name)
+			for i := range u.used {
+				u.used[i] = true
 			}
 		}
 		// Always include the key column: generic layouts anchor row
@@ -600,22 +678,6 @@ func analyzeSelect(s *Schema, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage, e
 		u.use(u.logical.Key)
 	}
 	return usages, nil
-}
-
-// usedColumns returns the tenant's logical columns of u's table that
-// the statement references, in logical order.
-func usedColumns(s *Schema, tn *Tenant, u *tableUsage) ([]Column, error) {
-	all, err := s.LogicalColumns(tn, u.logical.Name)
-	if err != nil {
-		return nil, err
-	}
-	var out []Column
-	for _, c := range all {
-		if u.cols[strings.ToLower(c.Name)] {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }
 
 // --- small AST construction helpers ---------------------------------------------

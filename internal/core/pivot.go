@@ -127,11 +127,6 @@ func (l *PivotLayout) Create(db *engine.DB, tenants []*Tenant) error {
 
 // AddTenant implements Layout: meta-data only.
 func (l *PivotLayout) AddTenant(_ *engine.DB, t *Tenant) error {
-	for _, bt := range l.s.schema.Tables {
-		if _, err := l.s.schema.LogicalColumns(t, bt.Name); err != nil {
-			return err
-		}
-	}
 	return l.s.addTenant(t, nil)
 }
 
@@ -142,13 +137,7 @@ func (l *PivotLayout) ExtendTenant(_ *engine.DB, tenantID int64, extName string)
 	if err != nil {
 		return err
 	}
-	if _, err := l.s.schema.LogicalColumns(tn.with(extName), ext.Base); err != nil {
-		return err
-	}
-	l.s.mu.Lock()
-	tn.Extensions = append(tn.Extensions, extName)
-	l.s.mu.Unlock()
-	return nil
+	return l.s.extend(tn, ext, nil)
 }
 
 // Rewrite implements Layout.
@@ -158,14 +147,12 @@ func (l *PivotLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, err
 
 // colOrdinal returns the pivot Col number of a logical column.
 func (l *PivotLayout) colOrdinal(tn *Tenant, table *Table, col string) (int, Column, error) {
-	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	v, err := l.s.view(tn, table)
 	if err != nil {
 		return 0, Column{}, err
 	}
-	for i, c := range cols {
-		if strings.EqualFold(c.Name, col) {
-			return i, c, nil
-		}
+	if i, ok := v.find(col); ok {
+		return i, v.cols[i], nil
 	}
 	return 0, Column{}, fmt.Errorf("core: no column %s in %s for tenant %d", col, table.Name, tn.ID)
 }
@@ -342,13 +329,13 @@ func (l *PivotLayout) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, r
 // affected rows from every pivot table the tenant's table uses.
 func (l *PivotLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
 	tid, _ := l.s.tableID(table.Name)
-	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	v, err := l.s.view(tn, table)
 	if err != nil {
 		return nil
 	}
 	seen := map[string]bool{}
 	var out []sql.Statement
-	for _, c := range cols {
+	for _, c := range v.cols {
 		phys, _ := l.pivotTableFor(c)
 		if seen[phys] {
 			continue

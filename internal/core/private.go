@@ -50,17 +50,16 @@ func (l *PrivateLayout) Create(db *engine.DB, tenants []*Tenant) error {
 // AddTenant implements Layout: issues the tenant's CREATE TABLE and
 // CREATE INDEX statements on-line.
 func (l *PrivateLayout) AddTenant(db *engine.DB, t *Tenant) error {
-	// Validate extension references before any DDL.
-	for _, bt := range l.st.schema.Tables {
-		if _, err := l.st.schema.LogicalColumns(t, bt.Name); err != nil {
-			return err
-		}
-	}
+	// Registering validates the extension references, before any DDL.
 	if err := l.st.addTenant(t, nil); err != nil {
 		return err
 	}
 	for _, bt := range l.st.schema.Tables {
-		cols, _ := l.st.schema.LogicalColumns(t, bt.Name)
+		v, err := l.st.view(t, bt)
+		if err != nil {
+			return err
+		}
+		cols := v.cols
 		phys := l.physName(t.ID, bt.Name)
 		if _, err := db.Exec(buildCreateTable(phys, cols)); err != nil {
 			return err
@@ -93,6 +92,9 @@ func (l *PrivateLayout) RemoveTenant(db *engine.DB, tenantID int64) error {
 	}
 	l.st.mu.Lock()
 	delete(l.st.tenants, tenantID)
+	for _, bt := range l.st.schema.Tables {
+		delete(l.st.views, placementKey{tenantID, bt})
+	}
 	l.st.mu.Unlock()
 	return nil
 }
@@ -117,10 +119,7 @@ func (l *PrivateLayout) ExtendTenant(db *engine.DB, tenantID int64, extName stri
 			}
 		}
 	}
-	l.st.mu.Lock()
-	tn.Extensions = append(tn.Extensions, extName)
-	l.st.mu.Unlock()
-	return nil
+	return l.st.extend(tn, ext, nil)
 }
 
 // Rewrite implements Layout: pure table renaming, the paper's "very

@@ -194,6 +194,10 @@ func (s *Schema) LogicalColumns(tn *Tenant, table string) ([]Column, error) {
 	if t == nil {
 		return nil, fmt.Errorf("core: no logical table %s", table)
 	}
+	return s.logicalColumns(tn, t)
+}
+
+func (s *Schema) logicalColumns(tn *Tenant, t *Table) ([]Column, error) {
 	out := append([]Column(nil), t.Columns...)
 	names := map[string]string{}
 	for _, c := range t.Columns {
@@ -204,7 +208,7 @@ func (s *Schema) LogicalColumns(tn *Tenant, table string) ([]Column, error) {
 		if e == nil {
 			return nil, fmt.Errorf("core: tenant %d references unknown extension %s", tn.ID, en)
 		}
-		if !strings.EqualFold(e.Base, table) {
+		if !strings.EqualFold(e.Base, t.Name) {
 			continue
 		}
 		for _, c := range e.Columns {
@@ -217,6 +221,56 @@ func (s *Schema) LogicalColumns(tn *Tenant, table string) ([]Column, error) {
 		}
 	}
 	return out, nil
+}
+
+// view is a tenant's view of one base table: its logical columns in
+// order, and where each name sits among them. Views are immutable;
+// extending a tenant installs a new one. The name index is two flat
+// slices, not a map: a layout keeps a view per base table (1 500 of
+// them in the many-tables testbed), and the collector walks every map.
+type view struct {
+	cols  []Column
+	names []string // lower-cased column names, sorted
+	at    []uint16 // at[i] is where names[i] sits in cols
+}
+
+func newView(cols []Column) *view {
+	v := &view{cols: cols, names: make([]string, len(cols)), at: make([]uint16, len(cols))}
+	lower := make([]string, len(cols))
+	for i, c := range cols {
+		lower[i], v.at[i] = strings.ToLower(c.Name), uint16(i)
+	}
+	sort.Slice(v.at, func(a, b int) bool { return lower[v.at[a]] < lower[v.at[b]] })
+	for i, at := range v.at {
+		v.names[i] = lower[at]
+	}
+	return v
+}
+
+// find resolves a column name, case-insensitively, to its position.
+func (v *view) find(name string) (int, bool) {
+	name = strings.ToLower(name)
+	if i := sort.SearchStrings(v.names, name); i < len(v.names) && v.names[i] == name {
+		return int(v.at[i]), true
+	}
+	return 0, false
+}
+
+// viewSource says what a tenant sees of a base table: a layout's state
+// (the views published with its tenants) or a bare Schema (computed on
+// the spot, for callers outside any layout).
+type viewSource interface {
+	Table(name string) *Table
+	view(tn *Tenant, table *Table) (*view, error)
+}
+
+// view computes tn's view of a base table from LogicalColumns.
+func (s *Schema) view(tn *Tenant, table *Table) (*view, error) {
+	cols, err := s.logicalColumns(tn, table)
+	if err != nil {
+		return nil, err
+	}
+	return newView(cols), nil
 }
 
 // TableIDs assigns stable numeric IDs to base tables (sorted by name),

@@ -121,7 +121,7 @@ func (db *DB) execAlterOnline(st sql.Statement) error {
 // planForTx plans st for a specific transaction: a snapshot pinned
 // before the newest schema publication replans under its own schema
 // epoch; everything else takes the ordinary cached path.
-func (db *DB) planForTx(key string, st sql.Statement, tx *mvcc.Txn) (plan.Node, error) {
+func (db *DB) planForTx(key string, st sql.Statement, tx *mvcc.Txn) (*compiled, error) {
 	if tx != nil && tx.BeginTS() < db.cat.SchemaTS() {
 		return db.planAsOf(st, tx.BeginTS())
 	}
@@ -134,12 +134,18 @@ func (db *DB) planForTx(key string, st sql.Statement, tx *mvcc.Txn) (plan.Node, 
 // AST object may concurrently be planned under the newest schema by
 // another session. The plan is never cached — old-snapshot plans die
 // with their transaction, and the cache key (text, catalog version)
-// has no epoch dimension.
-func (db *DB) planAsOf(st sql.Statement, ts uint64) (plan.Node, error) {
+// has no epoch dimension — so the compiled statement, and the tree its
+// one execution builds, are the caller's alone and go when it returns.
+func (db *DB) planAsOf(st sql.Statement, ts uint64) (*compiled, error) {
 	fresh, err := sql.Parse(st.String())
 	if err != nil {
 		return nil, fmt.Errorf("engine: replan as-of snapshot: %w", err)
 	}
 	p := &plan.Planner{Cat: db.cat, Mode: db.cfg.Optimizer, AsOf: ts, AsOfSet: true}
-	return p.PlanStatement(fresh)
+	n, err := p.PlanStatement(fresh)
+	if err != nil {
+		return nil, err
+	}
+	// Private already, so not marked stateful: forExec need not clone.
+	return &compiled{node: n}, nil
 }

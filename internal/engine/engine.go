@@ -371,27 +371,13 @@ func (db *DB) queryStmtKeyed(sel *sql.SelectStmt, key string, params []types.Val
 		return nil, err
 	}
 	defer unlock()
-	p, err := db.planFor(key, sel)
+	c, err := db.planFor(key, sel)
 	if err != nil {
 		return nil, err
 	}
 	tx, release := db.readerTxn()
 	defer release()
-	data, err := exec.CollectTx(p, params, &db.execStats, tx)
-	if err != nil {
-		return nil, err
-	}
-	return rowsFor(p, data), nil
-}
-
-// rowsFor packages collected data with the plan's output column names.
-func rowsFor(p plan.Node, data [][]types.Value) *Rows {
-	schema := p.Schema()
-	cols := make([]string, len(schema))
-	for i, c := range schema {
-		cols[i] = c.Name
-	}
-	return &Rows{Columns: cols, Data: data}
+	return c.collect(params, &db.execStats, tx)
 }
 
 // execSelect runs a SELECT whose result nobody reads (Exec on a
@@ -405,23 +391,24 @@ func (db *DB) execSelect(sel *sql.SelectStmt, key string, params []types.Value) 
 		return Result{}, err
 	}
 	defer unlock()
-	p, err := db.planFor(key, sel)
+	c, err := db.planFor(key, sel)
 	if err != nil {
 		return Result{}, err
 	}
 	tx, release := db.readerTxn()
 	defer release()
-	_, err = exec.DrainTx(p, params, &db.execStats, tx)
+	_, err = c.drain(params, &db.execStats, tx)
 	return Result{}, err
 }
 
-// planFor returns the plan for st through the plan cache. key is the
-// statement's SQL text ("" means render it from the AST); the catalog
-// version completes the cache key, so on-line schema changes invalidate
-// stale plans. Callers hold ddlMu shared, which keeps the version stable across lookup and build — and means
-// at most one build runs per AST object (the in-flight table), which
-// matters because the optimizer rewrites the AST in place.
-func (db *DB) planFor(key string, st sql.Statement) (plan.Node, error) {
+// planFor returns the compiled statement for st through the plan cache.
+// key is the statement's SQL text ("" means render it from the AST);
+// the catalog version completes the cache key, so on-line schema
+// changes invalidate stale plans. Callers hold ddlMu shared, which keeps
+// the version stable across lookup and build — and means at most one
+// build runs per AST object (the in-flight table), which matters
+// because the optimizer rewrites the AST in place.
+func (db *DB) planFor(key string, st sql.Statement) (*compiled, error) {
 	if key == "" {
 		key = st.String()
 	}
@@ -483,10 +470,11 @@ func (db *DB) execDML(st sql.Statement, key string, params []types.Value) (Resul
 		return Result{}, err
 	}
 	defer unlock()
-	p, err := db.planFor(key, st)
+	c, err := db.planFor(key, st)
 	if err != nil {
 		return Result{}, err
 	}
+	p := c.forExec()
 	var scope *wal.Scope
 	var tbl *catalog.Table
 	if db.log != nil {

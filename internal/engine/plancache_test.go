@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -145,5 +148,173 @@ func TestExecSelectStreams(t *testing.T) {
 	}
 	if res.RowsAffected != 0 {
 		t.Errorf("rows affected %d, want 0", res.RowsAffected)
+	}
+}
+
+// entryFor returns the cached compiled statement of q under the current
+// catalog version (nil when absent).
+func entryFor(db *DB, q string) *compiled {
+	db.plans.mu.Lock()
+	defer db.plans.mu.Unlock()
+	if e, ok := db.plans.entries[planKey{text: q, version: db.cat.Version()}]; ok {
+		return e.Value.(*compiled)
+	}
+	return nil
+}
+
+func (c *compiled) freeTrees() []*exec.Tree {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*exec.Tree(nil), c.free...)
+}
+
+// TestCompiledTreesServeOneExecutionAtATime runs one cached join from
+// many goroutines, each with its own parameter and each result checked:
+// a tree handed to two executions at once, or returned with another
+// execution's state, gives a wrong answer (and a race under -race). The
+// free list stays within its bound throughout, and ends up holding
+// trees that were reused rather than rebuilt.
+func TestCompiledTreesServeOneExecutionAtATime(t *testing.T) {
+	db := newCacheTestDB(t)
+	const q = "SELECT a.id, b.name FROM acct a, acct b WHERE b.id = a.id AND a.id >= ? ORDER BY a.id"
+	const workers, rounds = 3 * maxFreeTrees, 40
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				lo := (g + i) % 20
+				rows, err := db.Query(q, types.NewInt(int64(lo)))
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				if len(rows.Data) != 20-lo {
+					t.Errorf("id >= %d: %d rows, want %d", lo, len(rows.Data), 20-lo)
+					return
+				}
+				for j, row := range rows.Data {
+					if want := int64(lo + j); row[0].Int != want || row[1].String() != fmt.Sprintf("n%d", want) {
+						t.Errorf("id >= %d: row %d is %v", lo, j, row)
+						return
+					}
+				}
+				if n := len(entryFor(db, q).freeTrees()); n > maxFreeTrees {
+					t.Errorf("free list holds %d trees, bound %d", n, maxFreeTrees)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(entryFor(db, q).freeTrees()); n == 0 || n > maxFreeTrees {
+		t.Errorf("free list holds %d trees after %d executions, want 1..%d", n, workers*rounds, maxFreeTrees)
+	}
+}
+
+// TestCompiledTreeReuseAndFaults: consecutive executions of a cached
+// join run on the same tree; an execution killed at any of its page
+// fetches leaves no page pinned and its tree is dropped, not recycled;
+// the next execution builds a fresh tree and is correct.
+func TestCompiledTreeReuseAndFaults(t *testing.T) {
+	db := newCacheTestDB(t)
+	const q = "SELECT a.name, b.region FROM acct a, acct b WHERE b.id = a.id AND a.region = ?"
+	run := func(region string, want int) {
+		t.Helper()
+		rows, err := db.Query(q, types.NewString(region))
+		if err != nil || len(rows.Data) != want {
+			t.Fatalf("region %s: %v rows, %v", region, rows, err)
+		}
+		if err := db.DropCaches(); err != nil {
+			t.Fatalf("after Close: %v", err)
+		}
+	}
+	run("r0", 7)
+	c := entryFor(db, q)
+	first := c.freeTrees()
+	if len(first) != 1 {
+		t.Fatalf("free list holds %d trees after one execution", len(first))
+	}
+	run("r2", 6)
+	if again := c.freeTrees(); len(again) != 1 || again[0] != first[0] {
+		t.Fatalf("second execution did not reuse the first one's tree")
+	}
+
+	pool := db.BufferPool()
+	before := pool.Stats()
+	run("r1", 7)
+	after := pool.Stats()
+	for _, cat := range []storage.Category{storage.CatData, storage.CatIndex} {
+		fetches := after.LogicalReads[cat] - before.LogicalReads[cat]
+		if fetches < 5 {
+			t.Fatalf("category %v: only %d fetches to fail", cat, fetches)
+		}
+		for k := int64(1); k <= fetches; k++ {
+			held := c.freeTrees()
+			pool.SetFetchFault(storage.FailNthFetch(k, cat))
+			_, err := db.Query(q, types.NewString("r1"))
+			pool.SetFetchFault(nil)
+			if !errors.Is(err, storage.ErrInjectedFault) {
+				t.Fatalf("cat %v fetch %d: error %v", cat, k, err)
+			}
+			if len(held) != 1 || len(c.freeTrees()) != 0 {
+				t.Fatalf("cat %v fetch %d: free list went from %d trees to %d, want 1 to 0", cat, k, len(held), len(c.freeTrees()))
+			}
+			run("r1", 7)
+			if now := c.freeTrees(); len(now) != 1 || now[0] == held[0] {
+				t.Fatalf("cat %v fetch %d: the failed tree is back on the free list", cat, k)
+			}
+		}
+	}
+}
+
+// TestCompiledTreesDieWithTheirEntry: an online ALTER (a new catalog
+// version) and an explicit purge each leave the old entry, and the
+// trees on its free list, unreachable from the cache; the statement's
+// next execution plans afresh and builds a tree of its own.
+func TestCompiledTreesDieWithTheirEntry(t *testing.T) {
+	db := newCacheTestDB(t)
+	const q = "SELECT * FROM acct WHERE id = 3"
+	query := func(cols int) *compiled {
+		t.Helper()
+		rows, err := db.Query(q)
+		if err != nil || len(rows.Data) != 1 || len(rows.Columns) != cols {
+			t.Fatalf("%v, %v, want 1 row of %d columns", rows, err, cols)
+		}
+		c := entryFor(db, q)
+		if c == nil || len(c.freeTrees()) != 1 {
+			t.Fatalf("no cached entry with one free tree after an execution")
+		}
+		return c
+	}
+	reachable := func(c *compiled) bool {
+		db.plans.mu.Lock()
+		defer db.plans.mu.Unlock()
+		for _, e := range db.plans.entries {
+			if e.Value.(*compiled) == c {
+				return true
+			}
+		}
+		return false
+	}
+	old := query(3)
+	if _, err := db.Exec("ALTER TABLE acct ADD COLUMN extra INT"); err != nil {
+		t.Fatal(err)
+	}
+	if reachable(old) {
+		t.Error("the pre-ALTER entry is still in the cache")
+	}
+	altered := query(4)
+	if altered == old || altered.freeTrees()[0] == old.freeTrees()[0] {
+		t.Error("the post-ALTER execution ran on the pre-ALTER entry or tree")
+	}
+	db.plans.purge()
+	if reachable(altered) {
+		t.Error("the purged entry is still in the cache")
+	}
+	if again := query(4); again == altered || again.freeTrees()[0] == altered.freeTrees()[0] {
+		t.Error("the post-purge execution ran on the purged entry or tree")
 	}
 }

@@ -443,12 +443,12 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 	if err != nil {
 		return Result{}, err
 	}
-	p, err := db.planForTx(key, st, s.tx)
+	c, err := db.planForTx(key, st, s.tx)
 	if err != nil {
 		unlock()
 		return Result{}, err
 	}
-	pd, err := exec.PrepareDML(p, params, &db.execStats, s.tx)
+	pd, err := exec.PrepareDML(c.forExec(), params, &db.execStats, s.tx)
 	unlock()
 	if err != nil {
 		// Nothing was applied; the failed statement still counts as a
@@ -562,15 +562,11 @@ func (s *Session) querySelect(sel *sql.SelectStmt, key string, params []types.Va
 		return nil, err
 	}
 	defer unlock()
-	p, err := db.planForTx(key, sel, s.tx)
+	c, err := db.planForTx(key, sel, s.tx)
 	if err != nil {
 		return nil, err
 	}
-	data, err := exec.CollectTx(p, params, &db.execStats, s.tx)
-	if err != nil {
-		return nil, err
-	}
-	return rowsFor(p, data), nil
+	return c.collect(params, &db.execStats, s.tx)
 }
 
 func (s *Session) drainSelect(sel *sql.SelectStmt, key string, params []types.Value) (int64, error) {
@@ -583,11 +579,11 @@ func (s *Session) drainSelect(sel *sql.SelectStmt, key string, params []types.Va
 		return 0, err
 	}
 	defer unlock()
-	p, err := db.planForTx(key, sel, s.tx)
+	c, err := db.planForTx(key, sel, s.tx)
 	if err != nil {
 		return 0, err
 	}
-	return exec.DrainTx(p, params, &db.execStats, s.tx)
+	return c.drain(params, &db.execStats, s.tx)
 }
 
 // --- internals ----------------------------------------------------------------

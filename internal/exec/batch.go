@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -18,6 +19,12 @@ const BatchSize = 64
 // Rows in place (filter, limit and distinct do); whoever retains a row
 // beyond that copies it (copyRow, drain). Sharing the Values themselves
 // is safe — strings are immutable Go strings.
+//
+// The storage outlives the execution: a Tree keeps its batches from one
+// execution to the next, so after Close a batch still has its capacity
+// and whatever values the last fill left there, and nothing may still
+// point into it — which the rule above already guarantees, since Close
+// ends the producer's last NextBatch.
 type Batch struct {
 	Rows [][]types.Value
 
@@ -51,6 +58,13 @@ func (b *Batch) alloc(width int) []types.Value {
 	}
 	b.arena = b.arena[:n+width]
 	return b.arena[n : n+width : n+width]
+}
+
+// retained is what the batch holds on to between fills, in bytes: the
+// capacity of its arena chunk and of its row index.
+func (b *Batch) retained() int {
+	const valueSize, sliceSize = int(unsafe.Sizeof(types.Value{})), int(unsafe.Sizeof([]types.Value{}))
+	return cap(b.arena)*valueSize + cap(b.Rows)*sliceSize
 }
 
 // freeLast returns the most recent alloc (of the same width) to the

@@ -246,7 +246,7 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 				for pass := 0; pass < 3; pass++ {
 					for name, p := range map[string]plan.Node{"seq scan": seq, "index scan": idx} {
 						b.t.Mu.RLock()
-						rows, err := CollectTx(p, nil, nil, tx)
+						rows, err := runPlan(p, nil, nil, tx, false)
 						b.t.Mu.RUnlock()
 						if err != nil {
 							t.Errorf("reader %d: %s: %v", r, name, err)

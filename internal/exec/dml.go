@@ -123,10 +123,19 @@ func (p *PreparedDML) WriteSet() []storage.RID {
 // subqueries, gathers the snapshot-visible match set, and evaluates
 // VALUES/SET expressions against the pre-statement rows. The caller
 // must hold at least shared latches on the target table and every
-// table the plan reads.
+// table the plan reads, and — because binding writes into the plan's
+// IN-subquery scalars — must not share n with another execution.
 func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*PreparedDML, error) {
-	bindSubqueries(n, tx)
 	ctx := &Context{Params: params, Stats: st, Txn: tx}
+	if plan.HasExecState(n) {
+		// A DML plan has no operator tree of its own; this one is what
+		// its subqueries' trees hang off.
+		t := &Tree{}
+		t.bind(params, st, tx)
+		if err := t.bindSubqueries(n); err != nil {
+			return nil, err
+		}
+	}
 	switch n := n.(type) {
 	case *plan.InsertPlan:
 		rows := make([][]types.Value, 0, len(n.Rows))
@@ -241,7 +250,8 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		return nil
 	}
 	if path != nil {
-		lo, hi, ok, err := indexKeys(path, nil, ctx.Params)
+		var keys keyRange
+		lo, hi, ok, err := keys.set(path, nil, ctx.Params)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -66,7 +66,7 @@ func runSQL(t testing.TB, cat *catalog.Catalog, mode plan.Mode, query string, pa
 	if err != nil {
 		t.Fatalf("plan %q: %v", query, err)
 	}
-	rows, err := Collect(n, params)
+	rows, err := runPlan(n, params, nil, nil, false)
 	if err != nil {
 		t.Fatalf("exec %q: %v", query, err)
 	}
@@ -258,11 +258,15 @@ func TestInSubqueryThroughExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Collect(n, []types.Value{types.NewInt(21)})
+	tree, err := Build(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Collect(n, []types.Value{types.NewInt(999)})
+	r1, err := tree.Collect([]types.Value{types.NewInt(21)}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := tree.Collect([]types.Value{types.NewInt(999)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +305,7 @@ func TestErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(n, nil); err == nil {
+	if _, err := runPlan(n, nil, nil, nil, false); err == nil {
 		t.Error("division by zero should error")
 	}
 	// RunDML on a SELECT plan is rejected.

@@ -24,15 +24,13 @@ type seqScanIter struct {
 	need []bool
 	snap *snapshot // nil: plain read
 	mi   int       // next of snap.moved to serve
-	b    Batch
+	b    *Batch
 	cnt  scanCounters
 }
 
 func (it *seqScanIter) Open(ctx *Context) error {
 	it.ctx = ctx
 	it.scan = it.node.Table.Heap.Scanner()
-	it.want = len(it.node.Table.Columns)
-	it.need = needMask(it.node.Needed, it.want)
 	it.mi = 0
 	var err error
 	it.snap, err = openSnapshot(ctx, it.node.Table, nil)
@@ -85,21 +83,29 @@ func (it *seqScanIter) NextBatch() (*Batch, error) {
 		}
 		if len(it.b.Rows) > 0 {
 			it.cnt.rows += int64(len(it.b.Rows))
-			return &it.b, nil
+			return it.b, nil
 		}
 	}
 }
 
 func (it *seqScanIter) Close() error {
 	it.cnt.flush(it.ctx)
+	it.scan, it.snap = nil, nil // the scanner holds the file's page list
 	return nil
 }
 
-// indexKeys computes the [lo, hi) key range for an access path given
-// the row the path's scalars are evaluated against (nil for constants).
-// ok=false means the range is provably empty (an equality on NULL).
-func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte, ok bool, err error) {
-	prefix := make([]byte, 0, 64)
+// keyRange holds an index operator's search keys in buffers it keeps
+// from probe to probe and from execution to execution.
+type keyRange struct {
+	prefix, lo, hi []byte
+}
+
+// set computes the [lo, hi) key range for an access path given the row
+// the path's scalars are evaluated against (nil for constants). lo and
+// hi alias k's buffers: they are valid until the next set. ok=false
+// means the range is provably empty (an equality on NULL).
+func (k *keyRange) set(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte, ok bool, err error) {
+	k.prefix = k.prefix[:0]
 	for _, e := range path.EqPrefix {
 		v, err := e.Eval(row, params)
 		if err != nil {
@@ -108,10 +114,15 @@ func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte,
 		if v.IsNull() {
 			return nil, nil, false, nil // col = NULL matches nothing
 		}
-		prefix = types.EncodeKey(prefix, v)
+		k.prefix = types.EncodeKey(k.prefix, v)
 	}
-	lo = prefix
-	hi = btree.PrefixSuccessor(prefix)
+	if len(k.prefix) == 0 && path.Lo == nil && path.Hi == nil {
+		return nil, nil, true, nil
+	}
+	lo = k.prefix
+	if hi = btree.AppendPrefixSuccessor(k.hi, k.prefix); hi != nil {
+		k.hi = hi
+	}
 	if path.Lo != nil {
 		v, err := path.Lo.Eval(row, params)
 		if err != nil {
@@ -120,11 +131,10 @@ func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte,
 		if v.IsNull() {
 			return nil, nil, false, nil
 		}
-		bound := types.EncodeKey(append([]byte(nil), prefix...), v)
-		if path.LoInc {
-			lo = bound
-		} else {
-			lo = btree.PrefixSuccessor(bound)
+		k.lo = types.EncodeKey(append(k.lo[:0], k.prefix...), v)
+		lo = k.lo
+		if !path.LoInc {
+			lo = btree.AppendPrefixSuccessor(k.lo, k.lo)
 		}
 	}
 	if path.Hi != nil {
@@ -135,15 +145,11 @@ func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte,
 		if v.IsNull() {
 			return nil, nil, false, nil
 		}
-		bound := types.EncodeKey(append([]byte(nil), prefix...), v)
+		k.hi = types.EncodeKey(append(k.hi[:0], k.prefix...), v)
+		hi = k.hi
 		if path.HiInc {
-			hi = btree.PrefixSuccessor(bound)
-		} else {
-			hi = bound
+			hi = btree.AppendPrefixSuccessor(k.hi, k.hi)
 		}
-	}
-	if len(prefix) == 0 && path.Lo == nil && path.Hi == nil {
-		lo, hi = nil, nil
 	}
 	return lo, hi, true, nil
 }
@@ -155,7 +161,8 @@ func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte,
 type indexScanIter struct {
 	node   *plan.IndexScan
 	ctx    *Context
-	it     *btree.Iterator
+	keys   keyRange
+	it     btree.Iterator
 	done   bool
 	snap   *snapshot       // nil: plain read
 	extras [][]types.Value // the snapshot's moved rows in range
@@ -163,17 +170,15 @@ type indexScanIter struct {
 	want   int
 	need   []bool
 	rids   []storage.RID
-	b      Batch
+	b      *Batch
 	cnt    scanCounters
 }
 
 func (it *indexScanIter) Open(ctx *Context) error {
 	it.ctx = ctx
 	it.done = false
-	it.want = len(it.node.Table.Columns)
-	it.need = needMask(it.node.Needed, it.want)
-	it.snap, it.extras, it.ei = nil, nil, 0
-	lo, hi, ok, err := indexKeys(&it.node.Path, nil, ctx.Params)
+	it.ei = 0
+	lo, hi, ok, err := it.keys.set(&it.node.Path, nil, ctx.Params)
 	if err != nil {
 		return err
 	}
@@ -191,8 +196,7 @@ func (it *indexScanIter) Open(ctx *Context) error {
 	if err != nil {
 		return err
 	}
-	it.it, err = it.node.Path.Index.Tree.SeekRange(lo, hi)
-	return err
+	return it.it.Seek(it.node.Path.Index.Tree, lo, hi)
 }
 
 // nextExtras emits the residual-surviving version rows as batches.
@@ -216,7 +220,7 @@ func (it *indexScanIter) nextExtras() (*Batch, error) {
 		}
 		if len(it.b.Rows) > 0 {
 			it.cnt.rows += int64(len(it.b.Rows))
-			return &it.b, nil
+			return it.b, nil
 		}
 	}
 	return nil, nil
@@ -271,13 +275,14 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 		}
 		if len(it.b.Rows) > 0 {
 			it.cnt.rows += int64(len(it.b.Rows))
-			return &it.b, nil
+			return it.b, nil
 		}
 	}
 }
 
 func (it *indexScanIter) Close() error {
 	it.cnt.flush(it.ctx)
+	it.snap, it.extras = nil, nil
 	return nil
 }
 
@@ -299,7 +304,11 @@ func (o *rowsOut) NextBatch() (*Batch, error) {
 	return &o.b, nil
 }
 
-func (o *rowsOut) Close() error { return nil }
+// Close drops the rows: they are one execution's row set.
+func (o *rowsOut) Close() error {
+	o.rows, o.b.Rows = nil, nil
+	return nil
+}
 
 type valuesIter struct {
 	node *plan.Values
@@ -369,7 +378,7 @@ type projectIter struct {
 	child Iterator
 	exprs []plan.Scalar
 	ctx   *Context
-	b     Batch
+	b     *Batch
 }
 
 func (it *projectIter) Open(ctx *Context) error {
@@ -394,7 +403,7 @@ func (it *projectIter) NextBatch() (*Batch, error) {
 		}
 		it.b.Rows = append(it.b.Rows, out)
 	}
-	return &it.b, nil
+	return it.b, nil
 }
 
 func (it *projectIter) Close() error { return it.child.Close() }
@@ -420,7 +429,7 @@ type joinCore struct {
 	ob   *Batch // current outer batch
 	oi   int
 	done bool // outer exhausted
-	out  Batch
+	out  *Batch
 }
 
 func (j *joinCore) open(ctx *Context) error {
@@ -458,7 +467,7 @@ func (j *joinCore) nextBatch(match func(orow []types.Value) error) (*Batch, erro
 	if len(j.out.Rows) == 0 {
 		return nil, nil
 	}
-	return &j.out, nil
+	return j.out, nil
 }
 
 func (j *joinCore) emit(orow, irow []types.Value) error {
@@ -479,7 +488,10 @@ func (j *joinCore) emit(orow, irow []types.Value) error {
 	return nil
 }
 
-func (j *joinCore) Close() error { return j.outer.Close() }
+func (j *joinCore) Close() error {
+	j.ob = nil
+	return j.outer.Close()
+}
 
 // hashJoinIter builds a hash table over its right input at Open and
 // probes it with the left (outer) rows.
@@ -507,7 +519,6 @@ func (it *hashJoinIter) joinKeys(exprs []plan.Scalar, row []types.Value) (bool, 
 func (it *hashJoinIter) Open(ctx *Context) error {
 	it.ctx = ctx
 	it.table = make(map[uint64][][]types.Value)
-	it.keys = make([]types.Value, len(it.node.RightKeys))
 	rows, err := drain(it.right, ctx)
 	if err != nil {
 		return err
@@ -550,19 +561,25 @@ candidates:
 	return nil
 }
 
-// indexNLJoinIter probes the inner table's index once per outer row.
+func (it *hashJoinIter) Close() error {
+	it.table = nil
+	return it.joinCore.Close()
+}
+
+// indexNLJoinIter probes the inner table's index once per outer row,
+// through one cursor it seeks again for every probe.
 type indexNLJoinIter struct {
 	joinCore
 	node   *plan.IndexNLJoin
 	snap   *snapshot // of the inner table; nil: plain read
 	need   []bool
 	rowbuf []types.Value // reused inner-fetch decode buffer; emit copies out of it
+	keys   keyRange
+	inner  btree.Iterator
 	cnt    scanCounters
 }
 
 func (it *indexNLJoinIter) Open(ctx *Context) error {
-	it.innerWidth = len(it.node.Inner.Columns)
-	it.need = needMask(it.node.NeededInner, it.innerWidth)
 	// Captured once for every probe: the inner table cannot change while
 	// the statement holds its latch, only lose chains to GC.
 	var err error
@@ -575,12 +592,12 @@ func (it *indexNLJoinIter) Open(ctx *Context) error {
 func (it *indexNLJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe) }
 
 func (it *indexNLJoinIter) probe(orow []types.Value) error {
-	lo, hi, ok, err := indexKeys(&it.node.Path, orow, it.ctx.Params)
+	lo, hi, ok, err := it.keys.set(&it.node.Path, orow, it.ctx.Params)
 	if err != nil || !ok { // !ok: NULL key, no match possible
 		return err
 	}
-	inner, err := it.node.Path.Index.Tree.SeekRange(lo, hi)
-	if err != nil {
+	inner := &it.inner
+	if err := inner.Seek(it.node.Path.Index.Tree, lo, hi); err != nil {
 		return err
 	}
 	for inner.Valid() {
@@ -612,6 +629,7 @@ func (it *indexNLJoinIter) probe(orow []types.Value) error {
 
 func (it *indexNLJoinIter) Close() error {
 	it.cnt.flush(it.ctx)
+	it.snap = nil
 	return it.joinCore.Close()
 }
 
@@ -632,6 +650,11 @@ func (it *nlJoinIter) Open(ctx *Context) error {
 }
 
 func (it *nlJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.pair) }
+
+func (it *nlJoinIter) Close() error {
+	it.rightRows = nil
+	return it.joinCore.Close()
+}
 
 func (it *nlJoinIter) pair(lrow []types.Value) error {
 	for _, rrow := range it.rightRows {
@@ -923,4 +946,7 @@ func (it *distinctIter) NextBatch() (*Batch, error) {
 	}
 }
 
-func (it *distinctIter) Close() error { return it.child.Close() }
+func (it *distinctIter) Close() error {
+	it.seen = nil
+	return it.child.Close()
+}

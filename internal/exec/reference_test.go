@@ -148,6 +148,12 @@ func values(rows [][]types.Value) []refRow {
 }
 
 // findNode returns the first node of type N in the plan tree.
+// indexKeys is keyRange.set into buffers of the call's own.
+func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte, ok bool, err error) {
+	var k keyRange
+	return k.set(path, row, params)
+}
+
 func findNode[N plan.Node](n plan.Node) (N, bool) {
 	if m, ok := n.(N); ok {
 		return m, true

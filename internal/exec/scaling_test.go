@@ -61,7 +61,7 @@ func TestSnapshotReadCostIgnoresOtherRowsChains(t *testing.T) {
 	}
 	run := func(tx *mvcc.Txn) (selCost, updCost cost) {
 		selCost = measure(tx, func() {
-			rows, err := CollectTx(sel, nil, nil, tx)
+			rows, err := runPlan(sel, nil, nil, tx, false)
 			if err != nil || len(rows) != 1 || rows[0][1].Int != 500 {
 				t.Fatalf("point SELECT: %v %v", rows, err)
 			}

@@ -72,10 +72,11 @@ func runDMLAs(t *testing.T, cat *catalog.Catalog, tx *mvcc.Txn, q string) {
 // work that happens while the scan is mid-flight), then drains.
 func drainAfter(t *testing.T, n plan.Node, r *mvcc.Txn, between func()) [][]types.Value {
 	t.Helper()
-	it, err := BuildTx(n, r)
+	tree, err := Build(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	it := tree.root
 	if err := it.Open(&Context{Txn: r}); err != nil {
 		t.Fatal(err)
 	}

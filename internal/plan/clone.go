@@ -6,7 +6,8 @@ package plan
 //
 //   - InSubquery carries per-execution state (the materialized set and
 //     the executor's Materialize callback), so any plan containing one
-//     must be cloned per execution (HasExecState detects this);
+//     is cloned for whoever executes it: once per operator tree
+//     (exec.Build), once per DML execution (HasExecState detects this);
 //   - HashJoin caches its child schemas lazily inside Schema(), so
 //     WarmSchemas is called once before a plan is published to make
 //     every subsequent Schema() call a pure read.
@@ -22,19 +23,23 @@ package plan
 // tree aliases the cached original except catalog-owned metadata.
 func CloneForExec(n Node) Node { return cloneNode(n) }
 
-// HasExecState reports whether the plan carries per-execution state
-// (today: any InSubquery scalar anywhere in the tree, including inside
-// DML plans and nested subquery plans). Plans without such state can be
-// executed concurrently without cloning.
-func HasExecState(n Node) bool {
-	found := false
+// Subqueries lists every InSubquery scalar in the tree — the plan's
+// per-execution state — including those inside DML plans and nested
+// subquery plans.
+func Subqueries(n Node) []*InSubquery {
+	var out []*InSubquery
 	walkPlanScalars(n, func(s Scalar) {
-		if _, ok := s.(*InSubquery); ok {
-			found = true
+		if in, ok := s.(*InSubquery); ok {
+			out = append(out, in)
 		}
 	})
-	return found
+	return out
 }
+
+// HasExecState reports whether the plan carries per-execution state
+// (today: any InSubquery scalar). Plans without such state can be
+// executed concurrently without cloning.
+func HasExecState(n Node) bool { return len(Subqueries(n)) > 0 }
 
 // WarmSchemas forces every lazily computed schema in the tree (HashJoin
 // caches its child column lists on first Schema() call) so a shared

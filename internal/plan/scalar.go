@@ -313,15 +313,16 @@ func (e *InList) String() string {
 }
 
 // InSubquery is `x IN (SELECT ...)` for uncorrelated subqueries. The
-// executor materializes the subquery into Set on first use (via the
-// SetFn callback installed by the engine).
+// first Eval of an execution materializes the subquery into a set
+// through the Materialize callback; the executor installs the callback
+// and Resets the set when the execution ends.
 type InSubquery struct {
 	X    Scalar
 	Plan Node // single-column subquery plan
 	Not  bool
 
 	// Materialize runs Plan and returns its rows; installed by the
-	// executor at Open time.
+	// executor on its own copy of the plan (exec.Build, exec.PrepareDML).
 	Materialize func(Node, []types.Value) ([][]types.Value, error)
 	set         map[uint64][]types.Value
 	sawNull     bool

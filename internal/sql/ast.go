@@ -23,6 +23,7 @@ type Statement interface {
 type Expr interface {
 	expr()
 	String() string
+	appendTo(sb *strings.Builder)
 }
 
 // --- Statements -------------------------------------------------------------
@@ -58,6 +59,7 @@ type OrderItem struct {
 type TableRef interface {
 	tableRef()
 	String() string
+	appendTo(sb *strings.Builder)
 }
 
 // NamedTable references a base table, optionally aliased.
@@ -189,21 +191,21 @@ type SavepointStmt struct {
 	Name string
 }
 
-func (*SelectStmt) stmt()         {}
-func (*InsertStmt) stmt()         {}
-func (*UpdateStmt) stmt()         {}
-func (*DeleteStmt) stmt()         {}
-func (*CreateTableStmt) stmt()    {}
-func (*CreateIndexStmt) stmt()    {}
-func (*DropTableStmt) stmt()      {}
-func (*DropIndexStmt) stmt()      {}
+func (*SelectStmt) stmt()          {}
+func (*InsertStmt) stmt()          {}
+func (*UpdateStmt) stmt()          {}
+func (*DeleteStmt) stmt()          {}
+func (*CreateTableStmt) stmt()     {}
+func (*CreateIndexStmt) stmt()     {}
+func (*DropTableStmt) stmt()       {}
+func (*DropIndexStmt) stmt()       {}
 func (*AlterAddColumnStmt) stmt()  {}
 func (*AlterDropColumnStmt) stmt() {}
 func (*AlterColumnTypeStmt) stmt() {}
-func (*BeginStmt) stmt()          {}
-func (*CommitStmt) stmt()         {}
-func (*RollbackStmt) stmt()       {}
-func (*SavepointStmt) stmt()      {}
+func (*BeginStmt) stmt()           {}
+func (*CommitStmt) stmt()          {}
+func (*RollbackStmt) stmt()        {}
+func (*SavepointStmt) stmt()       {}
 
 func (*NamedTable) tableRef()    {}
 func (*SubqueryTable) tableRef() {}
@@ -324,27 +326,67 @@ func (*FuncExpr) expr()   {}
 func (*CastExpr) expr()   {}
 
 // --- SQL printing ------------------------------------------------------------
+//
+// Expressions, table references and the four statements that contain
+// them render through appendTo into one strings.Builder for the whole
+// tree; String wraps it. (The engine derives plan-cache keys from
+// String, so a rewritten statement with hundreds of nodes must not
+// concatenate at every level.)
 
-func (c *ColumnRef) String() string {
+func render(n interface{ appendTo(*strings.Builder) }) string {
+	var sb strings.Builder
+	n.appendTo(&sb)
+	return sb.String()
+}
+
+func appendList[E interface{ appendTo(*strings.Builder) }](sb *strings.Builder, list []E) {
+	for i, x := range list {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		x.appendTo(sb)
+	}
+}
+
+func appendParens(sb *strings.Builder, parens bool, n interface{ appendTo(*strings.Builder) }) {
+	if parens {
+		sb.WriteByte('(')
+	}
+	n.appendTo(sb)
+	if parens {
+		sb.WriteByte(')')
+	}
+}
+
+func (c *ColumnRef) String() string     { return render(c) }
+func (l *Literal) String() string       { return l.Val.SQLLiteral() }
+func (p *Param) String() string         { return "?" }
+func (b *BinaryExpr) String() string    { return render(b) }
+func (u *UnaryExpr) String() string     { return render(u) }
+func (e *IsNullExpr) String() string    { return render(e) }
+func (e *InExpr) String() string        { return render(e) }
+func (e *LikeExpr) String() string      { return render(e) }
+func (f *FuncExpr) String() string      { return render(f) }
+func (c *CastExpr) String() string      { return render(c) }
+func (t *NamedTable) String() string    { return render(t) }
+func (t *SubqueryTable) String() string { return render(t) }
+func (t *JoinTable) String() string     { return render(t) }
+func (s *SelectStmt) String() string    { return render(s) }
+func (s *InsertStmt) String() string    { return render(s) }
+func (s *UpdateStmt) String() string    { return render(s) }
+func (s *DeleteStmt) String() string    { return render(s) }
+
+func (c *ColumnRef) appendTo(sb *strings.Builder) {
 	if c.Table != "" {
-		return c.Table + "." + c.Name
+		sb.WriteString(c.Table)
+		sb.WriteByte('.')
 	}
-	return c.Name
+	sb.WriteString(c.Name)
 }
 
-func (l *Literal) String() string { return l.Val.SQLLiteral() }
+func (l *Literal) appendTo(sb *strings.Builder) { sb.WriteString(l.Val.SQLLiteral()) }
 
-func (p *Param) String() string { return "?" }
-
-// needsParens reports whether sub must be parenthesized when printed as
-// an operand of parent.
-func needsParens(parent BinOp, sub Expr) bool {
-	b, ok := sub.(*BinaryExpr)
-	if !ok {
-		return false
-	}
-	return prec(b.Op) < prec(parent)
-}
+func (p *Param) appendTo(sb *strings.Builder) { sb.WriteByte('?') }
 
 func prec(op BinOp) int {
 	switch op {
@@ -361,215 +403,210 @@ func prec(op BinOp) int {
 	}
 }
 
-func (b *BinaryExpr) String() string {
-	l, r := b.L.String(), b.R.String()
-	if needsParens(b.Op, b.L) {
-		l = "(" + l + ")"
-	}
+func (b *BinaryExpr) appendTo(sb *strings.Builder) {
+	lb, lok := b.L.(*BinaryExpr)
+	appendParens(sb, lok && prec(lb.Op) < prec(b.Op), b.L)
+	sb.WriteByte(' ')
+	sb.WriteString(b.Op.String())
+	sb.WriteByte(' ')
 	// Right side also parenthesized at equal precedence to preserve
 	// left associativity for - and /.
-	if rb, ok := b.R.(*BinaryExpr); ok && prec(rb.Op) <= prec(b.Op) {
-		r = "(" + r + ")"
-	}
-	return l + " " + b.Op.String() + " " + r
+	rb, rok := b.R.(*BinaryExpr)
+	appendParens(sb, rok && prec(rb.Op) <= prec(b.Op), b.R)
 }
 
-func (u *UnaryExpr) String() string {
+func (u *UnaryExpr) appendTo(sb *strings.Builder) {
 	if u.Op == OpNot {
-		return "NOT (" + u.X.String() + ")"
+		sb.WriteString("NOT ")
+	} else {
+		sb.WriteByte('-')
 	}
-	return "-(" + u.X.String() + ")"
+	appendParens(sb, true, u.X)
 }
 
-func (e *IsNullExpr) String() string {
+func (e *IsNullExpr) appendTo(sb *strings.Builder) {
+	e.X.appendTo(sb)
 	if e.Not {
-		return e.X.String() + " IS NOT NULL"
+		sb.WriteString(" IS NOT NULL")
+	} else {
+		sb.WriteString(" IS NULL")
 	}
-	return e.X.String() + " IS NULL"
 }
 
-func (e *InExpr) String() string {
-	var sb strings.Builder
-	sb.WriteString(e.X.String())
+func (e *InExpr) appendTo(sb *strings.Builder) {
+	e.X.appendTo(sb)
 	if e.Not {
 		sb.WriteString(" NOT")
 	}
 	sb.WriteString(" IN (")
 	if e.Subquery != nil {
-		sb.WriteString(e.Subquery.String())
+		e.Subquery.appendTo(sb)
 	} else {
-		for i, x := range e.List {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(x.String())
+		appendList(sb, e.List)
+	}
+	sb.WriteByte(')')
+}
+
+func (e *LikeExpr) appendTo(sb *strings.Builder) {
+	e.X.appendTo(sb)
+	if e.Not {
+		sb.WriteString(" NOT")
+	}
+	sb.WriteString(" LIKE ")
+	e.Pattern.appendTo(sb)
+}
+
+func (f *FuncExpr) appendTo(sb *strings.Builder) {
+	sb.WriteString(strings.ToUpper(f.Name))
+	sb.WriteByte('(')
+	if f.Star {
+		sb.WriteByte('*')
+	} else {
+		appendList(sb, f.Args)
+	}
+	sb.WriteByte(')')
+}
+
+func (c *CastExpr) appendTo(sb *strings.Builder) {
+	sb.WriteString("CAST(")
+	c.X.appendTo(sb)
+	sb.WriteString(" AS ")
+	sb.WriteString(c.Type.String())
+	sb.WriteByte(')')
+}
+
+func (t *NamedTable) appendTo(sb *strings.Builder) {
+	sb.WriteString(t.Name)
+	if t.Alias != "" {
+		sb.WriteByte(' ')
+		sb.WriteString(t.Alias)
+	}
+}
+
+func (t *SubqueryTable) appendTo(sb *strings.Builder) {
+	appendParens(sb, true, t.Select)
+	sb.WriteString(" AS ")
+	sb.WriteString(t.Alias)
+}
+
+func (t *JoinTable) appendTo(sb *strings.Builder) {
+	t.Left.appendTo(sb)
+	if t.Type == LeftJoin {
+		sb.WriteString(" LEFT")
+	}
+	sb.WriteString(" JOIN ")
+	_, nested := t.Right.(*JoinTable)
+	appendParens(sb, nested, t.Right)
+	sb.WriteString(" ON ")
+	t.On.appendTo(sb)
+}
+
+func (it SelectItem) appendTo(sb *strings.Builder) {
+	switch {
+	case it.Star && it.StarQualifier != "":
+		sb.WriteString(it.StarQualifier)
+		sb.WriteString(".*")
+	case it.Star:
+		sb.WriteByte('*')
+	default:
+		it.Expr.appendTo(sb)
+		if it.Alias != "" {
+			sb.WriteString(" AS ")
+			sb.WriteString(it.Alias)
 		}
 	}
-	sb.WriteString(")")
-	return sb.String()
 }
 
-func (e *LikeExpr) String() string {
-	op := " LIKE "
-	if e.Not {
-		op = " NOT LIKE "
+func (o OrderItem) appendTo(sb *strings.Builder) {
+	o.Expr.appendTo(sb)
+	if o.Desc {
+		sb.WriteString(" DESC")
 	}
-	return e.X.String() + op + e.Pattern.String()
 }
 
-func (f *FuncExpr) String() string {
-	if f.Star {
-		return strings.ToUpper(f.Name) + "(*)"
-	}
-	args := make([]string, len(f.Args))
-	for i, a := range f.Args {
-		args[i] = a.String()
-	}
-	return strings.ToUpper(f.Name) + "(" + strings.Join(args, ", ") + ")"
-}
-
-func (c *CastExpr) String() string {
-	return "CAST(" + c.X.String() + " AS " + c.Type.String() + ")"
-}
-
-func (t *NamedTable) String() string {
-	if t.Alias != "" {
-		return t.Name + " " + t.Alias
-	}
-	return t.Name
-}
-
-func (t *SubqueryTable) String() string {
-	return "(" + t.Select.String() + ") AS " + t.Alias
-}
-
-func (t *JoinTable) String() string {
-	kw := " JOIN "
-	if t.Type == LeftJoin {
-		kw = " LEFT JOIN "
-	}
-	right := t.Right.String()
-	if _, nested := t.Right.(*JoinTable); nested {
-		right = "(" + right + ")"
-	}
-	return t.Left.String() + kw + right + " ON " + t.On.String()
-}
-
-func (s *SelectStmt) String() string {
-	var sb strings.Builder
+func (s *SelectStmt) appendTo(sb *strings.Builder) {
 	sb.WriteString("SELECT ")
 	if s.Distinct {
 		sb.WriteString("DISTINCT ")
 	}
-	for i, it := range s.Items {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		switch {
-		case it.Star && it.StarQualifier != "":
-			sb.WriteString(it.StarQualifier + ".*")
-		case it.Star:
-			sb.WriteString("*")
-		default:
-			sb.WriteString(it.Expr.String())
-			if it.Alias != "" {
-				sb.WriteString(" AS " + it.Alias)
-			}
-		}
-	}
+	appendList(sb, s.Items)
 	if len(s.From) > 0 {
 		sb.WriteString(" FROM ")
-		for i, f := range s.From {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(f.String())
-		}
+		appendList(sb, s.From)
 	}
 	if s.Where != nil {
-		sb.WriteString(" WHERE " + s.Where.String())
+		sb.WriteString(" WHERE ")
+		s.Where.appendTo(sb)
 	}
 	if len(s.GroupBy) > 0 {
 		sb.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(g.String())
-		}
+		appendList(sb, s.GroupBy)
 	}
 	if s.Having != nil {
-		sb.WriteString(" HAVING " + s.Having.String())
+		sb.WriteString(" HAVING ")
+		s.Having.appendTo(sb)
 	}
 	if len(s.OrderBy) > 0 {
 		sb.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(o.Expr.String())
-			if o.Desc {
-				sb.WriteString(" DESC")
-			}
-		}
+		appendList(sb, s.OrderBy)
 	}
 	if s.Limit != nil {
-		sb.WriteString(" LIMIT " + strconv.FormatInt(*s.Limit, 10))
+		sb.WriteString(" LIMIT ")
+		sb.WriteString(strconv.FormatInt(*s.Limit, 10))
 	}
-	return sb.String()
 }
 
-func (s *InsertStmt) String() string {
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + s.Table)
+func (s *InsertStmt) appendTo(sb *strings.Builder) {
+	sb.WriteString("INSERT INTO ")
+	sb.WriteString(s.Table)
 	if len(s.Columns) > 0 {
-		sb.WriteString(" (" + strings.Join(s.Columns, ", ") + ")")
+		sb.WriteString(" (")
+		sb.WriteString(strings.Join(s.Columns, ", "))
+		sb.WriteByte(')')
 	}
 	sb.WriteString(" VALUES ")
 	for i, row := range s.Rows {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString("(")
-		for j, v := range row {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(v.String())
-		}
-		sb.WriteString(")")
+		sb.WriteByte('(')
+		appendList(sb, row)
+		sb.WriteByte(')')
 	}
-	return sb.String()
 }
 
-func (s *UpdateStmt) String() string {
-	var sb strings.Builder
-	sb.WriteString("UPDATE " + s.Table)
+func (a Assignment) appendTo(sb *strings.Builder) {
+	sb.WriteString(a.Column)
+	sb.WriteString(" = ")
+	a.Value.appendTo(sb)
+}
+
+func (s *UpdateStmt) appendTo(sb *strings.Builder) {
+	sb.WriteString("UPDATE ")
+	sb.WriteString(s.Table)
 	if s.Alias != "" {
-		sb.WriteString(" " + s.Alias)
+		sb.WriteByte(' ')
+		sb.WriteString(s.Alias)
 	}
 	sb.WriteString(" SET ")
-	for i, a := range s.Set {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(a.Column + " = " + a.Value.String())
-	}
+	appendList(sb, s.Set)
 	if s.Where != nil {
-		sb.WriteString(" WHERE " + s.Where.String())
+		sb.WriteString(" WHERE ")
+		s.Where.appendTo(sb)
 	}
-	return sb.String()
 }
 
-func (s *DeleteStmt) String() string {
-	out := "DELETE FROM " + s.Table
+func (s *DeleteStmt) appendTo(sb *strings.Builder) {
+	sb.WriteString("DELETE FROM ")
+	sb.WriteString(s.Table)
 	if s.Alias != "" {
-		out += " " + s.Alias
+		sb.WriteByte(' ')
+		sb.WriteString(s.Alias)
 	}
 	if s.Where != nil {
-		out += " WHERE " + s.Where.String()
+		sb.WriteString(" WHERE ")
+		s.Where.appendTo(sb)
 	}
-	return out
 }
 
 func (s *CreateTableStmt) String() string {
