@@ -139,6 +139,9 @@ func main() {
 		printSeries("Figure 11: response times with cold cache", "ms", func(m chunkexp.Measurement) float64 {
 			return float64(m.ColdTime) / float64(time.Millisecond)
 		})
+		printSeries("Figure 11: physical page reads per cold execution", "pages", func(m chunkexp.Measurement) float64 {
+			return float64(m.PhysicalReads)
+		})
 	}
 	if *figure == 0 || *figure == 12 {
 		fmt.Printf("\nFigure 12: response-time improvement of Chunk Folding over vertical partitioning [%%]\n")

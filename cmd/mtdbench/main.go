@@ -254,6 +254,19 @@ func main() {
 	row("Bufferpool Hit Index [%]", func(r *testbed.Result) string {
 		return fmt.Sprintf("%.2f", 100*r.Stats.Pool.HitRatio(storage.CatIndex))
 	})
+	// The reads behind the hit ratios, and how many of them a statement
+	// announced ahead of its first blocking fetch (hints are physical
+	// reads, never logical ones, so the ratios above are unaffected).
+	row("Physical Reads", func(r *testbed.Result) string {
+		return fmt.Sprint(r.Stats.Pool.TotalPhysicalReads())
+	})
+	row("Prefetch started/joined", func(r *testbed.Result) string {
+		return fmt.Sprintf("%d/%d", r.Stats.Pool.Prefetches, r.Stats.Pool.PrefetchJoined)
+	})
+	row("Prefetch wasted/dropped/peak", func(r *testbed.Result) string {
+		p := r.Stats.Pool
+		return fmt.Sprintf("%d/%d/%d", p.PrefetchWasted, p.PrefetchDropped, p.PeakInflight)
+	})
 	fmt.Println()
 	fmt.Println("Figure 7 series: (a) compliance, (b) throughput, (c) hit ratios — columns above.")
 }

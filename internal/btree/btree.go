@@ -392,6 +392,9 @@ func (t *BTree) Root() storage.PageID {
 	return t.root
 }
 
+// Prefetch hints the root page, where every descent starts.
+func (t *BTree) Prefetch() { t.pool.Prefetch(t.Root(), storage.CatIndex) }
+
 // SetRoot repoints the tree from old to new — the live replay of a
 // primary's KBTreeRoot record on a replica, where the split that grew
 // the tree happened through the redo path rather than through Insert.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -659,5 +660,64 @@ func TestConcurrentReaders(t *testing.T) {
 			}(r)
 		}
 		wg.Wait()
+	}
+}
+
+// TestIteratorHintsSiblingLeaf: a scan that runs on into the next leaf
+// has it loading while the caller consumes the current one — every leaf
+// after the first is hinted once and joined — and a range that ends
+// inside a leaf hints nothing.
+func TestIteratorHintsSiblingLeaf(t *testing.T) {
+	disk := storage.NewDisk(256)
+	pool := storage.NewBufferPool(disk, 256*4096)
+	tree, err := New(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := tree.Insert(key(i), storage.RID{Page: 1, Slot: uint16(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	height, err := tree.Height()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := func() {
+		if err := pool.DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		pool.ResetStats()
+	}
+	disk.ReadLatency = 20 * time.Microsecond
+
+	cold()
+	it, err := tree.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for ; it.Valid(); it.Next() {
+		seen++
+	}
+	if err := it.Err(); err != nil || seen != n {
+		t.Fatalf("%d entries, %v", seen, err)
+	}
+	st := pool.Stats()
+	leaves := st.TotalPhysicalReads() - int64(height) + 1
+	if leaves < 4 || st.Prefetches != leaves-1 || st.PrefetchJoined != leaves-1 || st.PrefetchWasted != 0 {
+		t.Errorf("height %d, %d leaves: %+v", height, leaves, st)
+	}
+
+	cold()
+	it, err = tree.SeekRange(key(0), key(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ; it.Valid(); it.Next() {
+	}
+	if st := pool.Stats(); st.Prefetches != 0 || st.TotalPhysicalReads() != int64(height) {
+		t.Errorf("bounded range: %+v", st)
 	}
 }

@@ -18,7 +18,16 @@ type Iterator struct {
 	hi   []byte         // exclusive upper bound; nil = unbounded
 	err  error
 	done bool
+
+	rows *storage.HeapFile // see HintRows; nil: no hints
+	rids []storage.RID     // scratch for them
 }
+
+// HintRows makes every leaf the iterator loads from now on announce to
+// h, the heap file its RIDs point into, the pages of the entries it
+// copies out: the caller is going to fetch those rows one by one, and
+// this way their misses overlap. nil turns it off.
+func (it *Iterator) HintRows(h *storage.HeapFile) { it.rows = h }
 
 // SeekRange returns an iterator positioned at the first key >= lo,
 // stopping before hi (exclusive). lo nil means the smallest key; hi nil
@@ -97,8 +106,19 @@ func (it *Iterator) load(id storage.PageID, n node) error {
 				to, it.next = end, storage.InvalidPageID
 			}
 		}
+		// The scan runs on into the sibling: have it loading while the
+		// caller consumes this leaf.
+		it.tree.pool.Prefetch(it.next, storage.CatIndex)
 		it.copyOut(n, from, to)
 		it.tree.pool.Unpin(id, false)
+		if it.rows != nil && it.rows.Prefetching() {
+			it.rids = it.rids[:0]
+			for _, off := range it.offs {
+				_, v := entryAt(it.buf, int(off), ridSize)
+				it.rids = append(it.rids, getRID(v))
+			}
+			it.rows.PrefetchRIDs(it.rids)
+		}
 		if from < to {
 			return nil
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/types"
@@ -31,12 +32,18 @@ func allLayouts(t *testing.T, schema *Schema) map[string]*Mapper {
 // layoutsFor is allLayouts for a chosen tenant set.
 func layoutsFor(t *testing.T, schema *Schema, tenants []*Tenant) map[string]*Mapper {
 	t.Helper()
+	return layoutsOn(t, schema, tenants, engine.Config{})
+}
+
+// layoutsOn is layoutsFor on databases opened with cfg.
+func layoutsOn(t *testing.T, schema *Schema, tenants []*Tenant, cfg engine.Config) map[string]*Mapper {
+	t.Helper()
 	out := map[string]*Mapper{}
 	add := func(name string, l Layout, err error) {
 		if err != nil {
 			t.Fatalf("layout %s: %v", name, err)
 		}
-		db := engine.Open(engine.Config{})
+		db := engine.Open(cfg)
 		if err := l.Create(db, copyTenants(tenants)); err != nil {
 			t.Fatalf("create %s: %v", name, err)
 		}
@@ -159,8 +166,44 @@ func TestPaperRunningExample(t *testing.T) {
 // layout (the semantics reference, since it is plain SQL over plain
 // tables).
 func TestLayoutEquivalence(t *testing.T) {
+	layoutEquivalence(t, engine.Config{})
+}
+
+// TestLayoutEquivalenceWithHintsLive is the same workload where every
+// access path announces and the pool thrashes: 256-byte pages, 16 frames
+// (a one-byte meta-data tax keeps them), a device with read latency.
+// Afterwards every table is sound and nothing is pinned.
+func TestLayoutEquivalenceWithHintsLive(t *testing.T) {
+	layouts := layoutEquivalence(t, engine.Config{
+		PageSize: 256, MemoryBytes: 16*256 + 128, MetaBytesPerTable: 1,
+		ReadLatency: 50 * time.Microsecond,
+	})
+	for name, m := range layouts {
+		cat := m.DB.Catalog()
+		for _, table := range cat.TableNames() {
+			tab, err := cat.Table(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.CheckInvariants(); err != nil {
+				t.Errorf("%s: %s: %v", name, table, err)
+			}
+		}
+		st := m.DB.Stats().Pool
+		// Private's three small tables fit in the pool; every other layout
+		// must have thrashed and joined hints.
+		if st.Capacity != 16 || name != "private" && (st.PrefetchJoined == 0 || st.Evictions == 0) {
+			t.Errorf("%s neither hinted nor thrashed: %+v", name, st)
+		}
+		if err := m.DB.DropCaches(); err != nil { // waits for loads, refuses pins
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+func layoutEquivalence(t *testing.T, cfg engine.Config) map[string]*Mapper {
 	schema := paperSchema()
-	layouts := allLayouts(t, schema)
+	layouts := layoutsOn(t, schema, paperTenants(), cfg)
 	ref := layouts["private"]
 
 	r := rand.New(rand.NewSource(7))
@@ -274,6 +317,7 @@ func TestLayoutEquivalence(t *testing.T) {
 			}
 		}
 	}
+	return layouts
 }
 
 // TestSelectStar checks star expansion exposes exactly the tenant's

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/mvcc"
@@ -316,6 +317,56 @@ func TestBatchRowEquivalenceProperty(t *testing.T) {
 	for i, c := range propQueries(r) {
 		checkRun(t, pool, cat, c, reader, g.Versioned[i])
 	}
+}
+
+// TestGoldenSetWithHintsLive runs the golden file's query set where
+// every access path announces and the pool thrashes — the same rows on
+// 1 KiB pages, 16 frames, a device with read latency — and holds it to
+// the recorded results; afterwards the tables are sound and nothing is
+// pinned. (The recorded costs are those of 8 KiB pages; that hints add
+// no logical read is held in internal/storage.)
+func TestGoldenSetWithHintsLive(t *testing.T) {
+	g := loadGolden(t)
+	run := func(disk *storage.Disk, pool *storage.BufferPool, cat *catalog.Catalog, tx *mvcc.Txn, seed int64, want []goldenRun) {
+		disk.ReadLatency = 50 * time.Microsecond
+		if err := pool.SetCapacityBytes(16 * int64(pool.PageSize())); err != nil {
+			t.Fatal(err)
+		}
+		pool.ResetStats()
+		for i, c := range propQueries(rand.New(rand.NewSource(seed * 977))) {
+			rows, err := runPlan(planMode(t, cat, c.mode, c.sql(0)), c.params, nil, tx, false)
+			if err != nil {
+				t.Fatalf("%q: %v", c.sql(0), err)
+			}
+			// A LIMIT without ORDER BY may return any n rows.
+			anyN := c.limit > 0 && !strings.Contains(c.q, "ORDER BY")
+			if len(rows) != want[i].Rows || !anyN && digest(rows) != want[i].Digest {
+				t.Errorf("%q: %d rows, the golden file has %d; digests equal: %v",
+					c.sql(0), len(rows), want[i].Rows, digest(rows) == want[i].Digest)
+			}
+		}
+		for _, name := range cat.TableNames() {
+			tab, err := cat.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.CheckInvariants(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+		if err := pool.DropAll(); err != nil { // waits for loads, refuses pins
+			t.Error(err)
+		}
+		if st := pool.Stats(); st.PrefetchJoined == 0 || st.Evictions == 0 {
+			t.Errorf("the run neither hinted nor thrashed: %+v", st)
+		}
+	}
+	disk := storage.NewDisk(1024)
+	pool, cat := propFixtureOn(t, 1, nil, disk)
+	run(disk, pool, cat, nil, 1, g.Property)
+	disk = storage.NewDisk(1024)
+	pool, cat, reader := versionedFixtureOn(t, versionedSeed, disk)
+	run(disk, pool, cat, reader, versionedSeed, g.Versioned)
 }
 
 // TestPropQueriesReachEveryOperator keeps the oracle honest: the

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/mvcc"
 	"repro/internal/plan"
@@ -150,8 +152,23 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 			}
 			rows = append(rows, row)
 		}
+		// The write set: the heap page the first row will go to (by its
+		// size before normalization, which is close enough for a hint)
+		// and every index. Sizing the row and searching the free-space
+		// cache is work, so ask first whether hints are live.
+		if len(rows) > 0 && n.Table.Heap.Prefetching() {
+			var buf [256]byte // on the stack: a longer row spills to the heap
+			n.Table.Heap.PrefetchInsert(len(types.EncodeRow(buf[:0], rows[0])))
+		}
+		announce(n.Table, false, n.Table.Indexes...)
 		return &PreparedDML{table: n.Table, verb: verbInsert, rows: rows}, nil
 	case *plan.UpdatePlan:
+		// The write set: the indexes SET re-keys.
+		for _, ix := range n.Table.Indexes {
+			if slices.ContainsFunc(ix.Cols, func(c int) bool { return slices.Contains(n.SetCols, c) }) {
+				announce(n.Table, false, ix)
+			}
+		}
 		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx)
 		if err != nil {
 			return nil, err
@@ -175,6 +192,7 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 		}
 		return &PreparedDML{table: n.Table, verb: verbUpdate, rids: rids, oldRows: rows, newRows: newRows}, nil
 	case *plan.DeletePlan:
+		announce(n.Table, false, n.Table.Indexes...)
 		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx)
 		if err != nil {
 			return nil, err
@@ -258,12 +276,14 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		if !ok {
 			return nil, nil, nil
 		}
+		announce(t, true, path.Index)
 		snap, err := openSnapshot(ctx, t, path.Index)
 		if err != nil {
 			return nil, nil, err
 		}
-		it, err := path.Index.Tree.SeekRange(lo, hi)
-		if err != nil {
+		var it btree.Iterator
+		it.HintRows(t.Heap)
+		if err := it.Seek(path.Index.Tree, lo, hi); err != nil {
 			return nil, nil, err
 		}
 		for ; it.Valid(); it.Next() {

@@ -186,6 +186,8 @@ func (it *indexScanIter) Open(ctx *Context) error {
 		it.done = true
 		return nil
 	}
+	announce(it.node.Table, true, it.node.Path.Index)
+	it.it.HintRows(it.node.Table.Heap)
 	if it.snap, err = openSnapshot(ctx, it.node.Table, it.node.Path.Index); err != nil {
 		return err
 	}
@@ -582,6 +584,8 @@ type indexNLJoinIter struct {
 func (it *indexNLJoinIter) Open(ctx *Context) error {
 	// Captured once for every probe: the inner table cannot change while
 	// the statement holds its latch, only lose chains to GC.
+	announce(it.node.Inner, true, it.node.Path.Index)
+	it.inner.HintRows(it.node.Inner.Heap)
 	var err error
 	if it.snap, err = openSnapshot(ctx, it.node.Inner, it.node.Path.Index); err != nil {
 		return err

@@ -45,8 +45,15 @@ var faultKs = []int64{1, 2, 5, 12, 40}
 // tables to MVCC version stores.
 func propFixture(t testing.TB, seed int64, mgr *mvcc.Manager) (*storage.BufferPool, *catalog.Catalog) {
 	t.Helper()
+	return propFixtureOn(t, seed, mgr, storage.NewDisk(0))
+}
+
+// propFixtureOn is propFixture on the caller's device: the same rows on
+// pages of its size, and the caller keeps the handle to set its latency.
+func propFixtureOn(t testing.TB, seed int64, mgr *mvcc.Manager, disk *storage.Disk) (*storage.BufferPool, *catalog.Catalog) {
+	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	pool := storage.NewBufferPool(storage.NewDisk(0), 4<<20)
+	pool := storage.NewBufferPool(disk, 4<<20)
 	cfg := catalog.Config{MemoryBytes: 4 << 20}
 	if mgr != nil {
 		cfg.Versions = mgr
@@ -122,8 +129,13 @@ func propFixture(t testing.TB, seed int64, mgr *mvcc.Manager) (*storage.BufferPo
 // and see the pre-write state.
 func versionedFixtureProp(t testing.TB, seed int64) (*storage.BufferPool, *catalog.Catalog, *mvcc.Txn) {
 	t.Helper()
+	return versionedFixtureOn(t, seed, storage.NewDisk(0))
+}
+
+func versionedFixtureOn(t testing.TB, seed int64, disk *storage.Disk) (*storage.BufferPool, *catalog.Catalog, *mvcc.Txn) {
+	t.Helper()
 	mgr := mvcc.NewManager()
-	pool, cat := propFixture(t, seed, mgr)
+	pool, cat := propFixtureOn(t, seed, mgr, disk)
 	reader := mgr.Begin()
 	w := mgr.Begin()
 	for _, q := range []string{

@@ -256,13 +256,19 @@ func runSeedChurn(t *testing.T, seed int64, minTxns, churnEvery int) {
 // replica must agree with the model (and therefore the primary) on the
 // full committed state — the model/primary/replica parity check.
 func runSeedReplicated(t *testing.T, seed int64, minTxns, churnEvery int, replicate bool) {
+	runSeedOn(t, seed, minTxns, churnEvery, replicate, engine.Config{})
+}
+
+// runSeedOn is runSeedReplicated on a database opened with cfg.
+func runSeedOn(t *testing.T, seed int64, minTxns, churnEvery int, replicate bool, cfg engine.Config) *engine.DB {
 	const sessions = 3
 	// A short conflict wait keeps the driver fast: statements are issued
 	// serially, so every engine-side park (row wait or admission) runs
 	// its full deadline before resolving exactly as the model predicts —
 	// bounded waits and forced admission never change statement outcomes
 	// under a serial schedule, only their latency.
-	db := engine.Open(engine.Config{ConflictWait: 100 * time.Microsecond})
+	cfg.ConflictWait = 100 * time.Microsecond
+	db := engine.Open(cfg)
 	model := NewModel("acct1", "acct2")
 	for _, table := range []string{"acct1", "acct2"} {
 		if _, err := db.Exec(fmt.Sprintf(
@@ -386,6 +392,26 @@ func runSeedReplicated(t *testing.T, seed int64, minTxns, churnEvery int, replic
 	}
 	t.Logf("seed %d: %d steps, %d commits, %d aborts (%d conflicts)",
 		seed, h.step, model.Commits, model.Aborts, model.Conflict)
+	return db
+}
+
+// TestDifferentialHintsLive is one differential run where every access
+// path announces and the pool thrashes: 256-byte pages, 16 frames, a
+// device with read latency. The engine must agree with the model exactly
+// as it does on a warm pool (the run checks the tables' invariants), and
+// end with nothing pinned.
+func TestDifferentialHintsLive(t *testing.T) {
+	db := runSeedOn(t, 1, 300, 0, false, engine.Config{
+		PageSize: 256, MemoryBytes: 16*256 + 128, MetaBytesPerTable: 1,
+		ReadLatency: 50 * time.Microsecond,
+	})
+	st := db.Stats().Pool
+	if st.Capacity != 16 || st.PrefetchJoined == 0 || st.Evictions == 0 {
+		t.Errorf("the run neither hinted nor thrashed: %+v", st)
+	}
+	if err := db.DropCaches(); err != nil { // waits for loads, refuses pins
+		t.Error(err)
+	}
 }
 
 // TestDifferentialSeeds is the acceptance run: three fixed seeds, at

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // PoolStats is a snapshot of buffer-pool counters, split by page
@@ -18,11 +19,29 @@ type PoolStats struct {
 	PhysicalReads [2]int64
 	Evictions     int64
 	// GateStalls counts eviction attempts where every unpinned victim was
-	// held back by the no-steal gate, forcing the shard to grow past its
-	// frame budget until the gating statement finishes.
+	// held back by the no-steal gate (or was still loading), forcing the
+	// shard to grow past its frame budget until the gating statement
+	// finishes.
 	GateStalls int64
 	Capacity   int // frames
 	Resident   int // frames currently cached
+
+	// Prefetches counts loads started by a hint (each is also a physical
+	// read of its category, never a logical one). Every one ends as
+	// exactly one of: PrefetchJoined — a demand Fetch found the page
+	// loading, or loaded and not yet touched; PrefetchWasted — the frame
+	// was evicted (or dropped by DropAll) untouched; PrefetchFailed — the
+	// read failed, or the page was freed or the pool crashed under it; or
+	// it is still resident untouched.
+	Prefetches     int64
+	PrefetchJoined int64
+	PrefetchWasted int64
+	PrefetchFailed int64
+	// PrefetchDropped counts hints refused because maxInflight loads
+	// were already running or no frame could be freed for them.
+	PrefetchDropped int64
+	// PeakInflight is the most hinted loads ever running at once.
+	PeakInflight int
 }
 
 // HitRatio returns the buffer hit ratio for a category in [0,1];
@@ -65,9 +84,16 @@ type frame struct {
 
 	// ready is closed once the page content is loaded; concurrent
 	// fetchers of a page that is still being read from disk wait on it
-	// (the I/O latch). loadErr records a failed load.
+	// (the I/O latch). loadErr records a failed load. loading is true
+	// until then: a loading frame is never evicted, dropped or freed.
 	ready   chan struct{}
 	loadErr error
+	loading bool
+
+	// hinted marks a frame a Prefetch installed and no Fetch has touched
+	// yet. It sits in the LRU list unpinned, at the position it took when
+	// the hint was issued.
+	hinted bool
 }
 
 // lruList is the LRU order of a shard's unpinned frames, linked through
@@ -98,6 +124,7 @@ type poolShard struct {
 	frames   map[PageID]*frame
 	lru      lruList // front = LRU victim candidate, back = most recent
 	capacity int     // max resident frames in this shard
+	hinted   int     // frames with the hinted mark set
 
 	stats PoolStats
 }
@@ -121,6 +148,10 @@ type BufferPool struct {
 	// changes. Unlike Disk.SetFault it fires on cache hits too, which
 	// makes it the deterministic hook for fault-injection tests.
 	fetchFault atomic.Pointer[FetchFaultFn]
+
+	// inflight counts the hinted loads running now, peak the most there
+	// have been.
+	inflight, peak atomic.Int64
 }
 
 // SetWALGate installs the write-ahead log's gate on every shard. Wire
@@ -293,7 +324,7 @@ func (s *poolShard) shrinkLocked() error {
 	for len(s.frames) > s.capacity {
 		if err := s.evictOneLocked(); err != nil {
 			if errors.Is(err, ErrPoolExhausted) || errors.Is(err, errAllGated) {
-				return nil // every remaining page pinned or gated; retried later
+				return nil // every remaining page pinned, gated or loading; retried later
 			}
 			return err
 		}
@@ -327,56 +358,191 @@ func (p *BufferPool) Fetch(id PageID, cat Category) ([]byte, error) {
 	s := p.shard(id)
 	s.mu.Lock()
 	s.stats.LogicalReads[cat]++
-	if f, ok := s.frames[id]; ok {
+	for {
+		f, ok := s.frames[id]
+		if !ok {
+			break
+		}
 		f.pins++
 		if f.next != nil {
 			s.lru.remove(f)
 		}
+		s.unhintLocked(f, &s.stats.PrefetchJoined)
 		ready := f.ready
 		s.mu.Unlock()
 		// Wait for a concurrent loader to finish filling the frame.
 		<-ready
-		if err := f.loadErr; err != nil {
-			s.mu.Lock()
-			f.pins--
-			if f.pins == 0 {
-				delete(s.frames, id)
-			}
-			s.mu.Unlock()
-			return nil, err
+		err := f.loadErr
+		if err == nil {
+			return f.data, nil
 		}
-		return f.data, nil
-	}
-	s.stats.PhysicalReads[cat]++
-	if err := s.makeRoomLocked(); err != nil {
+		s.mu.Lock()
+		if err == errHintFailed {
+			continue // its loader already removed the frame; read the page ourselves
+		}
+		f.pins--
+		if f.pins == 0 {
+			s.forgetLocked(f)
+		}
 		s.mu.Unlock()
 		return nil, err
 	}
-	f := &frame{id: id, data: make([]byte, p.disk.PageSize()), pins: 1, cat: cat,
-		ready: make(chan struct{})}
-	s.frames[id] = f
-	s.mu.Unlock()
-	// Read outside the lock: the page is pinned and not in the LRU so it
-	// cannot be evicted concurrently; simulated latency must not stall
-	// other sessions (real databases overlap I/O the same way).
-	err := p.disk.Read(id, f.data)
-	s.mu.Lock()
-	f.loadErr = err
-	if err == nil {
-		f.lsn = p.disk.PageLSN(id)
-	}
-	close(f.ready)
+	f, err := s.installLocked(id, cat, false)
 	if err != nil {
-		f.pins--
-		if f.pins == 0 {
-			delete(s.frames, id)
-		}
+		s.mu.Unlock()
+		return nil, err
 	}
+	f.pins = 1
 	s.mu.Unlock()
-	if err != nil {
+	if err := p.load(s, f, false, p.disk.ReadLatency); err != nil {
 		return nil, err
 	}
 	return f.data, nil
+}
+
+// maxInflight caps the hinted loads one pool runs at once; a hint past
+// it is dropped and counted. It is a constant because it only has to
+// exceed what a few statements announce together (a read-ahead window,
+// a write set), and because a result that needs more would rest on the
+// disk model's unbounded queue depth.
+const maxInflight = 64
+
+// errHintFailed is the loadErr of a frame whose hinted read failed. No
+// caller ever sees it: the frame is already gone, and a Fetch that was
+// waiting on it reads the page itself and reports what that read finds.
+var errHintFailed = errors.New("storage: prefetch failed")
+
+// Prefetch announces that the caller is about to Fetch the page. It is
+// a hint: it never waits for the read, never fails, is no logical read
+// and does not consult the fetch-fault hook. A page that is resident or
+// already loading costs one shard-map lookup. Otherwise the frame is
+// installed as a Fetch miss installs it, takes its LRU position now —
+// at issue, in program order, so single-client eviction sequences
+// repeat — and a goroutine runs the read; a later Fetch joins the load
+// instead of starting it. A device with no read latency has nothing to
+// overlap, so there every hint is dropped before it takes a lock.
+func (p *BufferPool) Prefetch(id PageID, cat Category) {
+	latency := p.disk.ReadLatency
+	if id == InvalidPageID || latency <= 0 {
+		return
+	}
+	s := p.shard(id)
+	s.mu.Lock()
+	if _, ok := s.frames[id]; ok {
+		s.mu.Unlock()
+		return
+	}
+	var f *frame
+	n := p.inflight.Add(1)
+	if n <= maxInflight && s.hinted < s.capacity/2 {
+		f, _ = s.installLocked(id, cat, true)
+	}
+	if f == nil {
+		// Over the pool's cap or the shard's (hinted pages nobody has
+		// touched yet may fill half of it: past that a read-ahead window
+		// would evict its own head), or no frame could be freed: every
+		// victim pinned, gated or loading, or its write-back failed (the
+		// demand fetch will report that).
+		p.inflight.Add(-1)
+		s.stats.PrefetchDropped++
+		s.mu.Unlock()
+		return
+	}
+	for {
+		peak := p.peak.Load()
+		if n <= peak || p.peak.CompareAndSwap(peak, n) {
+			break
+		}
+	}
+	f.hinted = true
+	s.hinted++
+	s.stats.Prefetches++
+	s.lru.pushBack(f)
+	s.mu.Unlock()
+	go p.load(s, f, true, latency) // a failed hint is silent
+}
+
+// Prefetching reports whether hints are live: the device has a read
+// latency to overlap. Callers that would do work to compute a hint
+// (walk a RID batch, search the free-space cache) ask first; the others
+// just call Prefetch, which returns before it takes a lock.
+func (p *BufferPool) Prefetching() bool { return p.disk.ReadLatency > 0 }
+
+// installLocked makes room for and registers an empty, loading frame:
+// the one miss path of Fetch and Prefetch. The caller pins the frame or
+// links it into the LRU list before it releases the shard, then runs
+// load.
+func (s *poolShard) installLocked(id PageID, cat Category, forHint bool) (*frame, error) {
+	if err := s.makeRoomLocked(forHint); err != nil {
+		return nil, err
+	}
+	s.stats.PhysicalReads[cat]++
+	f := &frame{id: id, data: make([]byte, s.disk.PageSize()), cat: cat,
+		ready: make(chan struct{}), loading: true}
+	s.frames[id] = f
+	return f, nil
+}
+
+// load reads f's page outside the shard mutex — the frame is loading,
+// so it cannot be evicted, and simulated latency must not stall other
+// sessions (real databases overlap I/O the same way) — then opens the
+// frame's I/O latch. A failed demand load leaves its frame to the last
+// waiter; a failed hint removes its frame at once and tells nobody.
+// latency is the device's, as the session goroutine saw it: a hint's
+// goroutine may outlive its statement by this one read, and harnesses
+// reassign Disk.ReadLatency between runs.
+func (p *BufferPool) load(s *poolShard, f *frame, hint bool, latency time.Duration) error {
+	err := p.disk.read(f.id, f.data, latency)
+	s.mu.Lock()
+	f.loading = false
+	switch {
+	case err == nil:
+		f.lsn = p.disk.PageLSN(f.id)
+	case hint:
+		err = errHintFailed
+		s.forgetLocked(f)
+	default:
+		f.pins--
+		if f.pins == 0 {
+			s.forgetLocked(f)
+		}
+	}
+	f.loadErr = err
+	close(f.ready)
+	if hint {
+		p.inflight.Add(-1)
+		if len(s.frames) > s.capacity {
+			// A shrink that found only loading frames was deferred to here.
+			_ = s.shrinkLocked()
+		}
+	}
+	s.mu.Unlock()
+	return err
+}
+
+// unhintLocked clears f's hinted mark, if set, and counts the one
+// outcome every started hint has.
+func (s *poolShard) unhintLocked(f *frame, outcome *int64) {
+	if f.hinted {
+		f.hinted = false
+		s.hinted--
+		*outcome++
+	}
+}
+
+// forgetLocked takes f out of the shard if it is still the frame
+// registered for its page: Crash orphans frames under their loaders and
+// pin holders, and an orphan's links lead into a ring that no longer
+// exists. A hinted frame that leaves this way served nobody.
+func (s *poolShard) forgetLocked(f *frame) {
+	s.unhintLocked(f, &s.stats.PrefetchFailed)
+	if s.frames[f.id] != f {
+		return
+	}
+	if f.next != nil {
+		s.lru.remove(f)
+	}
+	delete(s.frames, f.id)
 }
 
 // NewPage allocates a fresh page on disk, pins it, and returns its ID
@@ -389,7 +555,7 @@ func (p *BufferPool) NewPage(cat Category) (PageID, []byte, error) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.makeRoomLocked(); err != nil {
+	if err := s.makeRoomLocked(false); err != nil {
 		return InvalidPageID, nil, err
 	}
 	f := &frame{id: id, data: make([]byte, p.disk.PageSize()), pins: 1, dirty: true, cat: cat,
@@ -424,10 +590,12 @@ func (p *BufferPool) Unpin(id PageID, dirty bool) {
 	}
 }
 
-func (s *poolShard) makeRoomLocked() error {
+// makeRoomLocked evicts until one more frame fits. For a hint it gives
+// up where a demand fetch would grow the shard.
+func (s *poolShard) makeRoomLocked(forHint bool) error {
 	for len(s.frames) >= s.capacity {
 		if err := s.evictOneLocked(); err != nil {
-			if errors.Is(err, errAllGated) {
+			if errors.Is(err, errAllGated) && !forHint {
 				// No-steal outranks the frame budget: admit the page and
 				// let the deferred shrink reclaim the excess when the
 				// gating statement finishes.
@@ -444,7 +612,8 @@ func (s *poolShard) makeRoomLocked() error {
 // LRU list from cold to hot. Under a WAL gate a dirty victim must be
 // committed work only (no-steal: pageLSN below the oldest active
 // statement's begin LSN) and the log must be durable through its
-// pageLSN before the write-back (WAL-before-data).
+// pageLSN before the write-back (WAL-before-data). A frame still
+// loading is held back like a gated one.
 func (s *poolShard) evictOneLocked() error {
 	if s.lru.empty() {
 		return ErrPoolExhausted
@@ -454,6 +623,9 @@ func (s *poolShard) evictOneLocked() error {
 		oldestActive = s.gate.OldestActiveLSN()
 	}
 	for f := s.lru.root.next; f != &s.lru.root; f = f.next {
+		if f.loading {
+			continue
+		}
 		if f.dirty && s.gate != nil && f.lsn != NoLSN && f.lsn >= oldestActive {
 			continue // may carry uncommitted work; redo could not undo it
 		}
@@ -467,6 +639,7 @@ func (s *poolShard) evictOneLocked() error {
 				return err
 			}
 		}
+		s.unhintLocked(f, &s.stats.PrefetchWasted)
 		s.lru.remove(f)
 		delete(s.frames, f.id)
 		s.stats.Evictions++
@@ -514,11 +687,10 @@ func (p *BufferPool) FlushAll() error {
 // DropAll flushes dirty pages and empties the cache — the "flush the
 // buffer pool and the disk cache between runs" step of the paper's
 // cold-cache Test 5. It fails if any page is pinned. All shards are
-// locked together so the drop is atomic with respect to fetchers.
+// locked together so the drop is atomic with respect to fetchers; a
+// load in flight is waited for, not failed on.
 func (p *BufferPool) DropAll() error {
-	for _, s := range p.shards {
-		s.mu.Lock()
-	}
+	p.lockQuiet()
 	defer func() {
 		for _, s := range p.shards {
 			s.mu.Unlock()
@@ -544,19 +716,48 @@ func (p *BufferPool) DropAll() error {
 				}
 			}
 		}
+		for _, f := range s.frames {
+			s.unhintLocked(f, &s.stats.PrefetchWasted)
+		}
 		s.frames = make(map[PageID]*frame)
 		s.lru.init()
 	}
 	return nil
 }
 
+// lockQuiet locks every shard at a moment when no frame is loading.
+func (p *BufferPool) lockQuiet() {
+	for {
+		var loading *frame
+		for _, s := range p.shards {
+			s.mu.Lock()
+			for _, f := range s.frames {
+				if f.loading {
+					loading = f
+				}
+			}
+		}
+		if loading == nil {
+			return
+		}
+		for _, s := range p.shards {
+			s.mu.Unlock()
+		}
+		<-loading.ready
+	}
+}
+
 // Crash discards every resident frame without writing anything back —
 // the volatile half of power loss. Pins are ignored: the sessions that
-// held them died with the machine. The disk and the WAL's durable
-// prefix are all that survive.
+// held them died with the machine. Loads in flight are orphaned: their
+// loaders find the frame no longer registered and leave the shard alone.
+// The disk and the WAL's durable prefix are all that survive.
 func (p *BufferPool) Crash() {
 	for _, s := range p.shards {
 		s.mu.Lock()
+		for _, f := range s.frames {
+			s.unhintLocked(f, &s.stats.PrefetchFailed)
+		}
 		s.frames = make(map[PageID]*frame)
 		s.lru.init()
 		s.mu.Unlock()
@@ -597,19 +798,23 @@ func (p *BufferPool) OldestRecLSN() LSN {
 }
 
 // FreePage removes a page from the cache (if resident) and releases it
-// on disk. The page must not be pinned.
+// on disk. The page must not be pinned; a load of it in flight is
+// waited for.
 func (p *BufferPool) FreePage(id PageID) error {
 	s := p.shard(id)
 	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
+	for f := s.frames[id]; f != nil; f = s.frames[id] {
+		if f.loading {
+			s.mu.Unlock()
+			<-f.ready
+			s.mu.Lock()
+			continue
+		}
 		if f.pins > 0 {
 			s.mu.Unlock()
 			return fmt.Errorf("storage: FreePage of pinned page %d", id)
 		}
-		if f.next != nil {
-			s.lru.remove(f)
-		}
-		delete(s.frames, id)
+		s.forgetLocked(f)
 	}
 	s.mu.Unlock()
 	p.disk.Free(id)
@@ -628,10 +833,16 @@ func (p *BufferPool) Stats() PoolStats {
 		}
 		out.Evictions += s.stats.Evictions
 		out.GateStalls += s.stats.GateStalls
+		out.Prefetches += s.stats.Prefetches
+		out.PrefetchJoined += s.stats.PrefetchJoined
+		out.PrefetchWasted += s.stats.PrefetchWasted
+		out.PrefetchFailed += s.stats.PrefetchFailed
+		out.PrefetchDropped += s.stats.PrefetchDropped
 		out.Capacity += s.capacity
 		out.Resident += len(s.frames)
 		s.mu.Unlock()
 	}
+	out.PeakInflight = int(p.peak.Load())
 	return out
 }
 
@@ -642,4 +853,5 @@ func (p *BufferPool) ResetStats() {
 		s.stats = PoolStats{}
 		s.mu.Unlock()
 	}
+	p.peak.Store(p.inflight.Load())
 }

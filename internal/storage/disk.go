@@ -135,6 +135,14 @@ func (d *Disk) SetCrashed(crashed bool) {
 // Reads of unallocated pages fail immediately, before any simulated
 // latency is paid: no I/O happened, so no I/O cost applies.
 func (d *Disk) Read(id PageID, dst []byte) error {
+	return d.read(id, dst, d.ReadLatency)
+}
+
+// read is Read at a latency the caller sampled. ReadLatency is a plain
+// field that harnesses reassign between runs, when no session is
+// running; a hinted read may still be, so its goroutine is handed the
+// value that held when the hint was issued and never reads the field.
+func (d *Disk) read(id PageID, dst []byte, latency time.Duration) error {
 	d.mu.Lock()
 	crashed := d.crashed
 	_, ok := d.pages[id]
@@ -148,8 +156,8 @@ func (d *Disk) Read(id PageID, dst []byte) error {
 	if err := d.checkFault(FaultRead, id); err != nil {
 		return err
 	}
-	if d.ReadLatency > 0 {
-		time.Sleep(d.ReadLatency)
+	if latency > 0 {
+		time.Sleep(latency)
 	}
 	d.mu.Lock()
 	src, ok := d.pages[id]

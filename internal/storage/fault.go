@@ -2,7 +2,9 @@ package storage
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Fault injection lets tests fail specific physical or logical page
@@ -60,6 +62,46 @@ func FailNth(n int64, match func(FaultInfo) bool) FaultFn {
 			return ErrInjectedFault
 		}
 		return nil
+	}
+}
+
+// ParkReads returns a FaultFn that holds every physical read accepted
+// by match (nil: every read) until n of them are held together, then
+// lets them all go and holds no more: the way a test shows, by
+// counting, that n reads were in flight at once. A read held longer
+// than timeout goes on alone. met reports whether the n ever met.
+func ParkReads(n int, timeout time.Duration, match func(FaultInfo) bool) (hook FaultFn, met func() bool) {
+	var mu sync.Mutex
+	parked, done := 0, false
+	open := make(chan struct{})
+	hook = func(fi FaultInfo) error {
+		if fi.Op != FaultRead || match != nil && !match(fi) {
+			return nil
+		}
+		mu.Lock()
+		if done {
+			mu.Unlock()
+			return nil
+		}
+		parked++
+		if parked == n {
+			done = true
+			close(open)
+		}
+		mu.Unlock()
+		select {
+		case <-open:
+		case <-time.After(timeout):
+			mu.Lock()
+			parked--
+			mu.Unlock()
+		}
+		return nil
+	}
+	return hook, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return done
 	}
 }
 

@@ -79,8 +79,6 @@ func (h *HeapFile) SetLogger(lg HeapLogger) {
 	h.mu.Unlock()
 }
 
-// log returns the current logger. Callers not already holding h.mu use
-// this; Insert reads h.logger directly under its own lock.
 // SetSlotPin installs (or clears, with nil) the tombstone-reuse veto.
 func (h *HeapFile) SetSlotPin(pin func(RID) bool) {
 	h.mu.Lock()
@@ -88,6 +86,8 @@ func (h *HeapFile) SetSlotPin(pin func(RID) bool) {
 	h.mu.Unlock()
 }
 
+// log returns the current logger. Callers not already holding h.mu use
+// this; Insert reads h.logger directly under its own lock.
 func (h *HeapFile) log() HeapLogger {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -148,6 +148,65 @@ func (h *HeapFile) NumRows() int64 {
 	return h.rows
 }
 
+// Prefetching reports whether the file's pool acts on hints; a caller
+// asks before doing work only a hint needs.
+func (h *HeapFile) Prefetching() bool { return h.pool.Prefetching() }
+
+// PrefetchSmall hints every page of the file if it has at most maxPages
+// of them: a caller about to probe an index of this table then waits
+// for the descent and the row fetch together.
+func (h *HeapFile) PrefetchSmall(maxPages int) {
+	h.mu.Lock()
+	if len(h.pages) <= maxPages {
+		for _, id := range h.pages {
+			h.pool.Prefetch(id, CatData)
+		}
+	}
+	h.mu.Unlock()
+}
+
+// PrefetchInsert hints the page Insert will try first for a record of
+// recLen bytes.
+func (h *HeapFile) PrefetchInsert(recLen int) {
+	h.mu.Lock()
+	if i := h.candidateLocked(recLen+slotSize, 0); i >= 0 {
+		h.pool.Prefetch(h.pages[i], CatData)
+	}
+	h.mu.Unlock()
+}
+
+// candidateLocked is the insert policy: the index of the first page at
+// or after from that the free-space cache says may take need bytes, or
+// -1 when the file has to grow. Best fit tries every page in file
+// order, append only the last.
+func (h *HeapFile) candidateLocked(need, from int) int {
+	switch h.mode {
+	case InsertBestFit:
+		for i := from; i < len(h.pages); i++ {
+			if h.freeBytes[i] >= need {
+				return i
+			}
+		}
+	case InsertAppend:
+		if n := len(h.pages) - 1; n >= from && h.freeBytes[n] >= need {
+			return n
+		}
+	}
+	return -1
+}
+
+// PrefetchRIDs hints the pages of a RID batch whose rows the caller is
+// about to fetch one by one.
+func (h *HeapFile) PrefetchRIDs(rids []RID) {
+	last := InvalidPageID
+	for _, rid := range rids {
+		if rid.Page != last { // runs of one page are the common repeat
+			h.pool.Prefetch(rid.Page, CatData)
+			last = rid.Page
+		}
+	}
+}
+
 // Insert stores rec and returns its RID.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	need := len(rec) + slotSize
@@ -192,29 +251,13 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		return RID{Page: id, Slot: slot}, true, nil
 	}
 
-	switch h.mode {
-	case InsertBestFit:
-		for i := range h.pages {
-			if h.freeBytes[i] < need {
-				continue
-			}
-			rid, ok, err := try(i)
-			if err != nil {
-				return RID{}, err
-			}
-			if ok {
-				return rid, nil
-			}
+	for i := h.candidateLocked(need, 0); i >= 0; i = h.candidateLocked(need, i+1) {
+		rid, ok, err := try(i)
+		if err != nil {
+			return RID{}, err
 		}
-	case InsertAppend:
-		if n := len(h.pages); n > 0 && h.freeBytes[n-1] >= need {
-			rid, ok, err := try(n - 1)
-			if err != nil {
-				return RID{}, err
-			}
-			if ok {
-				return rid, nil
-			}
+		if ok {
+			return rid, nil
 		}
 	}
 
@@ -526,18 +569,28 @@ type HeapScanner struct {
 	h     *HeapFile
 	pages []PageID
 	pi    int
+	ahead int // pages[:ahead] have been hinted
 	rids  []RID
 	recs  [][]byte
 	arena []byte
 	i     int
 }
 
+// readAhead is how many pages a scan keeps hinted in front of itself,
+// the page it is about to fetch included. A constant: it needs to cover
+// the pages a scan consumes during one miss, and stays far below
+// maxInflight so several scans fit under the cap.
+const readAhead = 8
+
 // NextPage loads every live record of the next non-empty page in one
-// buffer-pool visit. The returned slices are reused by the following
-// NextPage call (see the aliasing contract above). ok=false at the end
-// of the file.
+// buffer-pool visit, keeping the readAhead window hinted. The returned
+// slices are reused by the following NextPage call (see the aliasing
+// contract above). ok=false at the end of the file.
 func (s *HeapScanner) NextPage() ([]RID, [][]byte, bool, error) {
 	for s.pi < len(s.pages) {
+		for end := min(s.pi+readAhead, len(s.pages)); s.ahead < end; s.ahead++ {
+			s.h.pool.Prefetch(s.pages[s.ahead], CatData)
+		}
 		id := s.pages[s.pi]
 		s.pi++
 		buf, err := s.h.pool.Fetch(id, CatData)
