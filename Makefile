@@ -61,7 +61,7 @@ bench-compare:
 # One iteration of every benchmark: keeps benchmark code compiling and
 # running without paying for full measurement (CI runs this).
 bench-smoke:
-	$(GO) test -run=XXX -bench=. -benchtime=1x . ./internal/btree/ ./internal/chunkexp/ ./internal/engine/ ./internal/storage/
+	$(GO) test -run=XXX -bench=. -benchtime=1x . ./internal/btree/ ./internal/chunkexp/ ./internal/core/ ./internal/engine/ ./internal/storage/
 
 # Regenerate BENCH_1.json (the machine-readable multi-session sweep).
 bench-scaling:

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/chunkexp"
@@ -73,6 +74,71 @@ func BenchmarkRewrite(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFoldingUpdate times a whole logical UPDATE — a session Mapper
+// with a RewriteCache, warm, on Chunk Folding with the health-care
+// extension folded — in the three shapes crm_wire_writes' deck and its
+// neighbours take: one row by key, base column (one direct statement);
+// one row by key, extension column (the key is in the base table, the
+// column in a chunk: two phases); sixteen rows by an indexed base column
+// (direct). Beside ns/op and allocs/op it reports the physical
+// statements the engine ran per logical one.
+func BenchmarkFoldingUpdate(b *testing.B) {
+	const rows = 256
+	bed := func(b *testing.B) *core.Mapper {
+		l, err := core.NewChunkFoldingLayout(testbed.MultiInstanceSchema(1, true), core.FoldingOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		db := engine.Open(engine.Config{})
+		if err := l.Create(db, []*core.Tenant{{ID: 1, Extensions: []string{"HealthcareAccount"}}}); err != nil {
+			b.Fatal(err)
+		}
+		m := core.NewSessionMapper(db, l)
+		m.Cache = core.NewRewriteCache(db, l, 0)
+		for id := 0; id < rows; id++ {
+			if _, err := m.Exec(1, "INSERT INTO Account (Id, Name, Industry, Attr01, Hospital, Beds) VALUES (?, ?, ?, 0, 'St. Mary', 0)",
+				types.NewInt(int64(id)), types.NewString(fmt.Sprintf("acct-%d", id)), types.NewString(fmt.Sprintf("ind-%d", id%(rows/16)))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name, query string
+		affected    int64
+	}{
+		{"base_by_key", "UPDATE Account SET Attr01 = Attr01 + 1 WHERE Id = %d", 1},
+		{"extension_by_key", "UPDATE Account SET Beds = Beds + 1 WHERE Id = %d", 1},
+		{"base_16_rows_by_index", "UPDATE Account SET Name = 'upd' WHERE Industry = 'ind-%d'", 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := bed(b)
+			run := func(i int) {
+				// Values inlined, as application SQL arrives: the cache keys
+				// the rewrite on the template.
+				res, err := m.Exec(1, fmt.Sprintf(c.query, i%(rows/16)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.RowsAffected != c.affected {
+					b.Fatalf("%d rows affected, want %d", res.RowsAffected, c.affected)
+				}
+			}
+			run(0) // fill the rewrite and plan caches
+			before := m.DB.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(i)
+			}
+			b.StopTimer()
+			after := m.DB.Stats()
+			phys := after.PlanCacheHits + after.PlanCacheMisses - before.PlanCacheHits - before.PlanCacheMisses
+			b.ReportMetric(float64(phys)/float64(b.N), "phys-stmts/op")
+		})
+	}
 }
 
 func mustParse(b *testing.B, q string) sql.Statement {

@@ -87,8 +87,23 @@ func (f *fragment) live(alias string) sql.Expr {
 	return eq(colRef(alias, f.del), intLit(0))
 }
 
+// remove is the statement that deletes the fragment's rows where holds:
+// a DELETE, or in a Trashcan fragment the UPDATE that marks them (§6.3:
+// "mark all chunk tables as deleted").
+func (f *fragment) remove(where sql.Expr) sql.Statement {
+	if f.del == "" {
+		return &sql.DeleteStmt{Table: f.table, Where: where}
+	}
+	return &sql.UpdateStmt{
+		Table: f.table,
+		Set:   []sql.Assignment{{Column: f.del, Value: intLit(1)}},
+		Where: where,
+	}
+}
+
 // spine starts an INSERT into the fragment with the columns every row
-// has, and spineValues is their values for one logical row.
+// has, and spineValues is their values for one logical row; marker goes
+// into a Trashcan fragment's marker column (0: live).
 func (f *fragment) spine() *sql.InsertStmt {
 	ins := &sql.InsertStmt{Table: f.table}
 	for _, m := range f.meta {
@@ -101,14 +116,14 @@ func (f *fragment) spine() *sql.InsertStmt {
 	return ins
 }
 
-func (f *fragment) spineValues(row sql.Expr, width int) []sql.Expr {
+func (f *fragment) spineValues(row, marker sql.Expr, width int) []sql.Expr {
 	vals := make([]sql.Expr, 0, width)
 	for _, m := range f.meta {
 		vals = append(vals, intLit(m.val))
 	}
 	vals = append(vals, row)
 	if f.del != "" {
-		vals = append(vals, intLit(0))
+		vals = append(vals, marker)
 	}
 	return vals
 }
@@ -281,10 +296,11 @@ func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
 
 // extendTenant is ExtendTenant for a reconstructor: place the table
 // again with the extension enabled, give every fragment it did not
-// occupy before a spine row (all NULLs) per existing logical row so
-// reconstruction joins keep matching, then publish extension and
-// placement together. No fragment new to the table means pure
-// meta-data.
+// occupy before a spine row (all NULLs, and the anchor's Trashcan
+// marker) per existing logical row, so reconstruction joins keep
+// matching and the new fragment by itself says which rows are live,
+// then publish extension and placement together. No fragment new to the
+// table means pure meta-data.
 func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string) error {
 	st := l.state()
 	tn, ext, err := st.extensible(tenantID, extName)
@@ -311,11 +327,15 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 		}
 	}
 	if len(fresh) > 0 {
-		rows, err := db.QueryStmt(&sql.SelectStmt{
+		existing := &sql.SelectStmt{
 			Items: []sql.SelectItem{{Expr: colRef("", "Row")}},
 			From:  []sql.TableRef{&sql.NamedTable{Name: old.anchor.table}},
 			Where: and(old.anchor.where("")...),
-		})
+		}
+		if old.anchor.del != "" {
+			existing.Items = append(existing.Items, sql.SelectItem{Expr: colRef("", old.anchor.del)})
+		}
+		rows, err := db.QueryStmt(existing)
 		if err != nil {
 			return err
 		}
@@ -325,7 +345,11 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 			}
 			ins := f.spine()
 			for _, r := range rows.Data {
-				ins.Rows = append(ins.Rows, f.spineValues(lit(r[0]), len(ins.Columns)))
+				marker := intLit(0)
+				if len(r) > 1 {
+					marker = lit(r[1])
+				}
+				ins.Rows = append(ins.Rows, f.spineValues(lit(r[0]), marker, len(ins.Columns)))
 			}
 			if _, err := db.ExecStmt(ins); err != nil {
 				return err

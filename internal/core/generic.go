@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -26,14 +28,19 @@ type rowMapping interface {
 	// logical columns (plus the hidden row ID when withRow is set).
 	reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error)
 	// phaseBUpdate builds the physical writes for an UPDATE: rows holds
-	// [__row, set1, set2, ...] tuples from phase (a).
+	// [__row, set1, set2, ...] tuples from phase (a), at least one.
 	phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement
 	// phaseBDelete builds the physical writes for a DELETE: rows holds
-	// [__row] tuples.
+	// [__row] tuples, at least one.
 	phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement
 	// insertRows builds the physical inserts for logical rows given as
 	// (column list, value-expression lists).
 	insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error)
+	// direct builds the one physical statement an UPDATE (set and setCols
+	// given) or a DELETE (both nil) is when it needs no aligning — where
+	// has had its IN-subqueries rewritten already — or returns nil: the
+	// statement takes the two phases.
+	direct(tn *Tenant, table *Table, alias string, set []sql.Assignment, setCols []Column, where sql.Expr) sql.Statement
 }
 
 // genericRewrite dispatches a logical statement through a rowMapping.
@@ -52,9 +59,12 @@ func genericRewrite(l rowMapping, tenantID int64, st sql.Statement) (*Rewritten,
 	case *sql.InsertStmt:
 		return genericInsert(l, tn, st)
 	case *sql.UpdateStmt:
-		return genericUpdate(l, tn, st)
+		if len(st.Set) == 0 {
+			return nil, fmt.Errorf("core: UPDATE %s without SET", st.Table)
+		}
+		return genericWrite(l, tn, st.Table, st.Alias, st.Set, st.Where)
 	case *sql.DeleteStmt:
-		return genericDelete(l, tn, st)
+		return genericWrite(l, tn, st.Table, st.Alias, nil, st.Where)
 	}
 	return nil, fmt.Errorf("core: %s layout cannot rewrite %T", l.Name(), st)
 }
@@ -182,44 +192,47 @@ func genericInsert(l rowMapping, tn *Tenant, st *sql.InsertStmt) (*Rewritten, er
 	return &Rewritten{Direct: stmts, Inserted: int64(len(st.Rows))}, nil
 }
 
-// genericUpdate implements the §6.3 two-phase protocol: phase (a)
-// collects (__row, new values...) through the reconstruction — the
-// engine evaluates SET expressions over the logical row — and phase (b)
-// applies per-structure physical writes.
-func genericUpdate(l rowMapping, tn *Tenant, st *sql.UpdateStmt) (*Rewritten, error) {
-	var exprs []sql.Expr
-	for _, a := range st.Set {
+// genericWrite implements §6.3 for an UPDATE (set given) or a DELETE (set
+// nil) of a tenant's logical table: one direct statement when the layout
+// can do without aligning (see fragmentRows.direct), else the two-phase
+// protocol — phase (a) collects (__row, new values...) through the
+// reconstruction, the engine evaluating SET expressions over the
+// logical row, and phase (b) applies per-structure physical writes.
+func genericWrite(l rowMapping, tn *Tenant, table, alias string, set []sql.Assignment, where sql.Expr) (*Rewritten, error) {
+	exprs := make([]sql.Expr, 0, len(set)+1)
+	for _, a := range set {
 		exprs = append(exprs, a.Value)
 	}
-	exprs = append(exprs, st.Where)
-	lt, used, err := writeUsage(l, tn, st.Table, st.Alias, exprs)
+	lt, used, err := writeUsage(l, tn, table, alias, append(exprs, where))
 	if err != nil {
 		return nil, err
+	}
+	if alias == "" {
+		alias = lt.Name
 	}
 	v, err := l.state().view(tn, lt)
 	if err != nil {
 		return nil, err
 	}
-	setCols := make([]Column, len(st.Set))
-	for i, a := range st.Set {
+	var setCols []Column
+	for _, a := range set {
 		at, ok := v.find(a.Column)
 		if !ok {
 			return nil, fmt.Errorf("core: no column %s in %s for tenant %d", a.Column, lt.Name, tn.ID)
 		}
-		setCols[i] = v.cols[at]
+		setCols = append(setCols, v.cols[at])
 	}
-
-	alias := st.Alias
-	if alias == "" {
-		alias = lt.Name
-	}
-	inner, err := l.reconstruct(tn, lt, used, true)
+	where, err = rewriteInSubqueries(where, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
+		return genericSelect(l, tn, s)
+	})
 	if err != nil {
 		return nil, err
 	}
-	where, err := rewriteInSubqueries(st.Where, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-		return genericSelect(l, tn, s)
-	})
+	if ps := l.direct(tn, lt, alias, set, setCols, where); ps != nil {
+		return &Rewritten{Direct: []sql.Statement{ps}, DirectIsCount: true}, nil
+	}
+
+	inner, err := l.reconstruct(tn, lt, used, true)
 	if err != nil {
 		return nil, err
 	}
@@ -228,46 +241,19 @@ func genericUpdate(l rowMapping, tn *Tenant, st *sql.UpdateStmt) (*Rewritten, er
 		From:  []sql.TableRef{&sql.SubqueryTable{Select: inner, Alias: alias}},
 		Where: where,
 	}
-	for _, a := range st.Set {
+	for _, a := range set {
 		rowQuery.Items = append(rowQuery.Items, sql.SelectItem{Expr: a.Value, Alias: "__set_" + a.Column})
 	}
 	return &Rewritten{
 		RowQuery: rowQuery,
 		PhaseB: func(rows [][]types.Value) []sql.Statement {
+			switch {
+			case len(rows) == 0:
+				return nil
+			case set == nil:
+				return l.phaseBDelete(tn, lt, rows)
+			}
 			return l.phaseBUpdate(tn, lt, setCols, rows)
-		},
-	}, nil
-}
-
-// genericDelete is the delete side of the two-phase protocol.
-func genericDelete(l rowMapping, tn *Tenant, st *sql.DeleteStmt) (*Rewritten, error) {
-	lt, used, err := writeUsage(l, tn, st.Table, st.Alias, []sql.Expr{st.Where})
-	if err != nil {
-		return nil, err
-	}
-	alias := st.Alias
-	if alias == "" {
-		alias = lt.Name
-	}
-	inner, err := l.reconstruct(tn, lt, used, true)
-	if err != nil {
-		return nil, err
-	}
-	where, err := rewriteInSubqueries(st.Where, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-		return genericSelect(l, tn, s)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rowQuery := &sql.SelectStmt{
-		Items: []sql.SelectItem{{Expr: colRef(alias, rowCol)}},
-		From:  []sql.TableRef{&sql.SubqueryTable{Select: inner, Alias: alias}},
-		Where: where,
-	}
-	return &Rewritten{
-		RowQuery: rowQuery,
-		PhaseB: func(rows [][]types.Value) []sql.Statement {
-			return l.phaseBDelete(tn, lt, rows)
 		},
 	}, nil
 }
@@ -387,7 +373,7 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 	}
 	for ri, row := range rows {
 		for i, f := range p.frags {
-			stmts[i].Rows = append(stmts[i].Rows, f.spineValues(intLit(firstRow+int64(ri)), len(stmts[i].Columns)))
+			stmts[i].Rows = append(stmts[i].Rows, f.spineValues(intLit(firstRow+int64(ri)), intLit(0), len(stmts[i].Columns)))
 		}
 		for i, e := range row {
 			if slots[i].col.writes() {
@@ -402,6 +388,76 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 		out[i] = st
 	}
 	return out, nil
+}
+
+// errSpansFragments stops the mapping of an expression onto one fragment
+// at a column the fragment does not store.
+var errSpansFragments = errors.New("core: statement spans fragments")
+
+// direct implements rowMapping: the fusion rule. Aligning is for
+// statements that span fragments. When every column an UPDATE writes,
+// and every column its WHERE and SET expressions read, is stored in one
+// fragment f — for a DELETE, when f is the only fragment there is — the
+// statement is one UPDATE or DELETE of f's table under f's meta-data
+// equalities: logical column references become f's physical columns
+// (fragCol.read), written values are cast as insertRows casts them, and
+// a Trashcan fragment hides its marked rows and deletes by marking. f
+// need not be the anchor: every fragment has a row, carrying the
+// marker, for every logical row (insertRows, extendTenant,
+// phaseBDelete), so f alone decides which rows exist. The rule is a
+// function of the placement and the columns used, nothing else; any
+// reference it cannot place in f — another fragment's column, an
+// unknown name or qualifier — sends the statement through the two
+// phases, which report it as they always have.
+func (m fragmentRows) direct(tn *Tenant, table *Table, alias string, set []sql.Assignment, setCols []Column, where sql.Expr) sql.Statement {
+	p, err := m.state().placement(tn.ID, table)
+	if err != nil {
+		return nil
+	}
+	slots, err := p.locate(table, setCols)
+	if err != nil {
+		return nil
+	}
+	// f is where the SET targets live; a DELETE has none and needs the
+	// placement to be f alone.
+	f := p.frags[0]
+	if len(slots) > 0 {
+		f = slots[0].frag
+	} else if len(p.frags) > 1 {
+		return nil
+	}
+	for _, s := range slots {
+		if s.frag != f {
+			return nil
+		}
+	}
+	inF := func(cr *sql.ColumnRef) (sql.Expr, error) {
+		s, ok := p.slots[strings.ToLower(cr.Name)]
+		if !ok || s.frag != f || cr.Table != "" && !strings.EqualFold(cr.Table, alias) {
+			return nil, errSpansFragments
+		}
+		return s.col.read(""), nil
+	}
+	where, err = mapColumnRefs(where, inF)
+	if err != nil {
+		return nil
+	}
+	where = and(append(f.where(""), f.live(""), where)...)
+	if set == nil {
+		return f.remove(where)
+	}
+	up := &sql.UpdateStmt{Table: f.table, Set: make([]sql.Assignment, len(set)), Where: where}
+	for i, a := range set {
+		v, err := mapColumnRefs(a.Value, inF)
+		if err != nil {
+			return nil
+		}
+		if slots[i].col.writes() {
+			v = &sql.CastExpr{X: v, Type: slots[i].col.store}
+		}
+		up.Set[i] = sql.Assignment{Column: slots[i].col.phys, Value: v}
+	}
+	return up
 }
 
 // phaseBUpdate implements rowMapping: one UPDATE per fragment a SET
@@ -460,16 +516,7 @@ func (m fragmentRows) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Valu
 	rowIDs := column(rows, 0)
 	out := make([]sql.Statement, len(p.frags))
 	for i, f := range p.frags {
-		where := and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...)
-		if f.del != "" {
-			out[i] = &sql.UpdateStmt{
-				Table: f.table,
-				Set:   []sql.Assignment{{Column: f.del, Value: intLit(1)}},
-				Where: where,
-			}
-		} else {
-			out[i] = &sql.DeleteStmt{Table: f.table, Where: where}
-		}
+		out[i] = f.remove(and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...))
 	}
 	return out
 }

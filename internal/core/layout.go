@@ -37,6 +37,10 @@ type Layout interface {
 //   - RowQuery + PhaseB: the paper's §6.3 two-phase DML — phase (a)
 //     collects the affected logical rows (and any computed SET values),
 //     phase (b) applies per-chunk physical writes built from them.
+//
+// An UPDATE or DELETE is Direct when its layout stores everything the
+// statement touches in one place (Basic, Private, and the fragment
+// layouts' fusion rule: fragmentRows.direct), two-phase otherwise.
 type Rewritten struct {
 	Query *sql.SelectStmt
 
@@ -48,7 +52,10 @@ type Rewritten struct {
 	Inserted int64
 
 	RowQuery *sql.SelectStmt
-	PhaseB   func(rows [][]types.Value) []sql.Statement
+	// PhaseB takes RowQuery's result — [row id, SET values...] per
+	// affected row — and returns the writes in execution order; for no
+	// rows, none.
+	PhaseB func(rows [][]types.Value) []sql.Statement
 }
 
 // Mapper executes logical statements for tenants through a layout.
@@ -215,13 +222,11 @@ func (m *Mapper) execRewritten(cr *cachedRewrite, params []types.Value) (engine.
 			return engine.Result{}, err
 		}
 		affected = int64(len(rows.Data))
-		if len(rows.Data) > 0 {
-			// Phase (b) statements are built from phase (a)'s result
-			// values — always literal-only, never parameterized.
-			for _, ps := range rw.PhaseB(rows.Data) {
-				if _, err := m.execStmt(ps, ""); err != nil {
-					return engine.Result{}, err
-				}
+		// Phase (b) statements are built from phase (a)'s result values —
+		// always literal-only, never parameterized.
+		for _, ps := range rw.PhaseB(rows.Data) {
+			if _, err := m.execStmt(ps, ""); err != nil {
+				return engine.Result{}, err
 			}
 		}
 	}

@@ -418,11 +418,9 @@ func (mv *Mover) execLogical(l Layout, tenant int64, st sql.Statement) error {
 		if err != nil {
 			return err
 		}
-		if len(rows.Data) > 0 {
-			for _, ps := range rw.PhaseB(rows.Data) {
-				if _, err := mv.DB.ExecStmt(ps); err != nil {
-					return err
-				}
+		for _, ps := range rw.PhaseB(rows.Data) {
+			if _, err := mv.DB.ExecStmt(ps); err != nil {
+				return err
 			}
 		}
 	}

@@ -325,6 +325,12 @@ func (l *PivotLayout) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, r
 	return out
 }
 
+// direct implements rowMapping: a logical row's cells are rows of their
+// own, so no UPDATE or DELETE is one physical statement.
+func (l *PivotLayout) direct(*Tenant, *Table, string, []sql.Assignment, []Column, sql.Expr) sql.Statement {
+	return nil
+}
+
 // phaseBDelete implements reconstructor: remove every cell of the
 // affected rows from every pivot table the tenant's table uses.
 func (l *PivotLayout) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {

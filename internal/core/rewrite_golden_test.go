@@ -13,17 +13,19 @@ import (
 )
 
 // This file holds every layout's rewriter to a recording of itself.
-// testdata/rewrite_golden.json was written at c471cf7, the commit
+// testdata/rewrite_golden.json was first written at c471cf7, the commit
 // before Extension, Universal, Chunk, Chunk Folding and Vertical came
-// to share one fragment rewriter, by
-// testdata/rewrite_golden_gen_test.go.txt over recordRewrites below;
-// everything here is the layouts' public surface, so it compiles
-// unchanged at that commit. A record is the physical statements one
-// logical statement turns into, as text: Query, Direct, RowQuery, and
-// PhaseB applied to fixed row sets. Table aliases are renamed #0, #1 …
-// in order of appearance, so an alias scheme may change; FROM order,
-// conjunct order, select-item order, casts, and the number and order
-// of DML statements may not.
+// to share one fragment rewriter, and written again when UPDATE and
+// DELETE statements within one fragment became direct (every record of
+// the first file is in the second byte for byte, or went from RowQuery
+// + PhaseB to Direct). testdata/rewrite_golden_gen_test.go.txt over
+// recordRewrites below writes it;
+// everything here is the layouts' public surface. A record is the
+// physical statements one logical statement turns into, as text: Query,
+// Direct, RowQuery, and PhaseB applied to fixed row sets. Table aliases
+// are renamed #0, #1 … in order of appearance, so an alias scheme may
+// change; FROM order, conjunct order, select-item order, casts, and the
+// number and order of DML statements may not.
 
 const rewriteGoldenPath = "testdata/rewrite_golden.json"
 
@@ -155,6 +157,21 @@ func goldenCorpus() []goldenCase {
 		{17, "DELETE FROM Account a WHERE a.Certified = TRUE", [][][]types.Value{oneRow}},
 		{35, "DELETE FROM Account", [][][]types.Value{twoRows, oneRow}},
 		{42, "DELETE FROM Account WHERE Dealers > 10", [][][]types.Value{oneRow}},
+
+		// Statements within one fragment in one layout or another: direct
+		// there, two-phase elsewhere (TestDirectClassification has the rule).
+		{17, "UPDATE Account SET Name = 'x' WHERE Aid = 1", [][][]types.Value{rowsWith(sv("x"))}},
+		{17, "UPDATE Account a SET Name = a.Name, Active = TRUE WHERE a.Opened > DATE '2008-01-01' OR a.Active IS NULL", [][][]types.Value{
+			{{iv(0), sv("Acme"), types.NewBool(true)}, {iv(2), sv("Gump"), types.NewBool(true)}},
+		}},
+		{17, "UPDATE Account SET Beds = Beds + 1 WHERE Hospital = 'State'", [][][]types.Value{
+			{{iv(2), iv(1043)}},
+		}},
+		{42, "UPDATE Account SET Certified = TRUE WHERE Dealers > 3 OR Certified = FALSE", [][][]types.Value{rowsWith(types.NewBool(true))}},
+		{17, "UPDATE Account SET Name = ? WHERE Aid IN (SELECT Aid FROM Contact WHERE Email LIKE '%x')", [][][]types.Value{rowsWith(sv("y"))}},
+		{17, "UPDATE Account SET Dealers = ?, Certified = NULL", [][][]types.Value{rowsWith(iv(4), null)}},
+		{35, "DELETE FROM Account WHERE Aid = ?", [][][]types.Value{oneRow}},
+		{17, "DELETE FROM Contact c WHERE c.Email IS NULL AND c.Aid IN (SELECT Aid FROM Account WHERE Beds > 100)", [][][]types.Value{twoRows}},
 	}
 }
 

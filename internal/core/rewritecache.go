@@ -67,6 +67,8 @@ type RewriteCache struct {
 	misses       int64 // full parse + rewrite
 	uncacheable  int64 // statements outside the cacheable classes
 	invalidated  int64 // entries dropped by a stale generation stamp
+	directDML    int64 // UPDATE/DELETE lookups answered with one direct statement
+	twoPhaseDML  int64 // UPDATE/DELETE lookups answered with RowQuery + PhaseB
 }
 
 type rcKey struct {
@@ -132,6 +134,12 @@ type RewriteCacheStats struct {
 	Uncacheable  int64 // INSERT / DDL / transaction control
 	Invalidated  int64 // entries dropped by generation-stamp mismatch
 	Entries      int   // current LRU population
+	// UPDATE and DELETE statements by the shape they ran in, one count per
+	// execution (a lookup, hit or fill, is followed by one): a tenant
+	// whose placement keeps its writes in one fragment shows up in
+	// DirectDML, one that pays §6.3's two phases in TwoPhaseDML.
+	DirectDML   int64
+	TwoPhaseDML int64
 }
 
 // HitRate returns the fraction of cacheable lookups that skipped the
@@ -179,6 +187,8 @@ func (c *RewriteCache) Stats() RewriteCacheStats {
 		Uncacheable:  c.uncacheable,
 		Invalidated:  c.invalidated,
 		Entries:      len(c.entries),
+		DirectDML:    c.directDML,
+		TwoPhaseDML:  c.twoPhaseDML,
 	}
 }
 
@@ -267,6 +277,7 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 			if c.validLocked(ent) {
 				c.lru.MoveToBack(e)
 				c.hits++
+				c.countShapeLocked(ent.cr)
 				c.mu.Unlock()
 				return ent.cr, bindParams(ent, userParams), nil, nil
 			}
@@ -284,6 +295,7 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 				valid := c.validLocked(f.ent)
 				if valid {
 					c.hits++
+					c.countShapeLocked(f.ent.cr)
 				}
 				c.mu.Unlock()
 				if valid {
@@ -319,6 +331,7 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 				c.misses++
 			}
 			c.insertLocked(f.ent)
+			c.countShapeLocked(f.ent.cr)
 		default:
 			c.uncacheable++
 		}
@@ -332,6 +345,18 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 			return f.ent.cr, bindParams(f.ent, userParams), nil, nil
 		}
 		return nil, nil, f.st, nil
+	}
+}
+
+// countShapeLocked counts the execution a returned rewrite is about to
+// get, if it is an UPDATE's or a DELETE's (INSERTs are never cached, so
+// a cached Direct is one of the two). Caller holds c.mu.
+func (c *RewriteCache) countShapeLocked(cr *cachedRewrite) {
+	switch {
+	case cr.rw.RowQuery != nil:
+		c.twoPhaseDML++
+	case cr.rw.Direct != nil:
+		c.directDML++
 	}
 }
 

@@ -20,6 +20,9 @@ const (
 	OpUpdateV
 	OpDelete
 	OpRangeUpdate
+	OpUpdateByBal
+	OpUpdateAllV
+	OpDeleteRange
 	OpSelectPoint
 	OpSelectRange
 	OpSelectAgg
@@ -59,6 +62,12 @@ func (o Op) String() string {
 		return fmt.Sprintf("DELETE FROM %s WHERE k = %d", o.Table, o.K)
 	case OpRangeUpdate:
 		return fmt.Sprintf("UPDATE %s SET bal = bal + %d WHERE k >= %d AND k < %d", o.Table, o.Delta, o.Lo, o.Hi)
+	case OpUpdateByBal:
+		return fmt.Sprintf("UPDATE %s SET bal = bal + %d WHERE bal >= %d AND bal < %d", o.Table, o.Delta, o.Lo, o.Hi)
+	case OpUpdateAllV:
+		return fmt.Sprintf("UPDATE %s SET v = %q", o.Table, o.Str)
+	case OpDeleteRange:
+		return fmt.Sprintf("DELETE FROM %s WHERE k >= %d AND k < %d", o.Table, o.Lo, o.Hi)
 	case OpSelectPoint:
 		return fmt.Sprintf("SELECT v, bal FROM %s WHERE k = %d", o.Table, o.K)
 	case OpSelectRange:
@@ -183,9 +192,21 @@ func (g *Generator) stmt() Op {
 		lo := int64(g.rng.Intn(SeedRows))
 		return Op{Kind: OpRangeUpdate, Table: tab, Lo: lo, Hi: lo + int64(1+g.rng.Intn(6)),
 			Delta: int64(g.rng.Intn(9) - 4)}
-	case r < 80:
+	case r < 68: // by the column it writes, beside the seeded balance of 100
+		lo := int64(101 + g.rng.Intn(15))
+		if g.rng.Intn(2) == 0 {
+			lo = int64(80 + g.rng.Intn(15))
+		}
+		return Op{Kind: OpUpdateByBal, Table: tab, Lo: lo, Hi: lo + int64(1+g.rng.Intn(4)),
+			Delta: int64(g.rng.Intn(9) - 4)}
+	case r < 69: // no WHERE: every visible row
+		return Op{Kind: OpUpdateAllV, Table: tab, Str: fmt.Sprintf("a-%06d", g.rng.Intn(1_000_000))}
+	case r < 71: // range delete, volatile keys only
+		lo := int64(StableKeys + g.rng.Intn(SeedRows-StableKeys))
+		return Op{Kind: OpDeleteRange, Table: tab, Lo: lo, Hi: lo + int64(1+g.rng.Intn(3))}
+	case r < 82:
 		return Op{Kind: OpSelectPoint, Table: tab, K: g.hotKey()}
-	case r < 92:
+	case r < 93:
 		lo := int64(g.rng.Intn(SeedRows + 20))
 		return Op{Kind: OpSelectRange, Table: tab, Lo: lo, Hi: lo + int64(1+g.rng.Intn(30))}
 	default:

@@ -437,19 +437,47 @@ func (s *MSession) pointWrite(table string, k int64, mut func(*ovEntry)) (int64,
 }
 
 // RangeUpdateBal models UPDATE table SET bal = bal + delta
-// WHERE k >= lo AND k < hi: all visible matches mutate, and a conflict
-// on any of them aborts the whole statement (and transaction).
+// WHERE k >= lo AND k < hi.
 func (s *MSession) RangeUpdateBal(table string, lo, hi, delta int64) (int64, string) {
+	return s.writeWhere(table,
+		func(k int64, _ string, _ int64) bool { return k >= lo && k < hi },
+		func(e *ovEntry) { e.bal += delta })
+}
+
+// UpdateBalByBal models UPDATE table SET bal = bal + delta
+// WHERE bal >= lo AND bal < hi: the column read is the column written.
+func (s *MSession) UpdateBalByBal(table string, lo, hi, delta int64) (int64, string) {
+	return s.writeWhere(table,
+		func(_ int64, _ string, bal int64) bool { return bal >= lo && bal < hi },
+		func(e *ovEntry) { e.bal += delta })
+}
+
+// UpdateAllV models UPDATE table SET v = ?, without a WHERE.
+func (s *MSession) UpdateAllV(table, v string) (int64, string) {
+	return s.writeWhere(table,
+		func(int64, string, int64) bool { return true },
+		func(e *ovEntry) { e.v = v })
+}
+
+// DeleteRange models DELETE FROM table WHERE k >= lo AND k < hi.
+func (s *MSession) DeleteRange(table string, lo, hi int64) (int64, string) {
+	return s.writeWhere(table,
+		func(k int64, _ string, _ int64) bool { return k >= lo && k < hi },
+		func(e *ovEntry) { e.del = true })
+}
+
+// writeWhere models an UPDATE or DELETE by predicate: all visible
+// matches mutate, and a conflict on any of them aborts the whole
+// statement (and transaction).
+func (s *MSession) writeWhere(table string, match func(k int64, v string, bal int64) bool, mut func(*ovEntry)) (int64, string) {
 	if s.aborted {
 		return 0, ClsAborted
 	}
 	s.pin()
 	var matched []int64
 	for _, k := range s.m.keysFor(s, table) {
-		if k >= lo && k < hi {
-			if _, _, ok := s.read(table, k); ok {
-				matched = append(matched, k)
-			}
+		if v, bal, ok := s.read(table, k); ok && match(k, v, bal) {
+			matched = append(matched, k)
 		}
 	}
 	for _, k := range matched {
@@ -460,19 +488,18 @@ func (s *MSession) RangeUpdateBal(table string, lo, hi, delta int64) (int64, str
 			return 0, ClsConflict
 		}
 	}
-	for _, k := range matched {
-		v, bal, _ := s.read(table, k)
-		e := &ovEntry{v: v, bal: bal + delta}
-		if s.inTxn {
-			s.ov.put(table, k, e)
-		}
-	}
 	if !s.inTxn && len(matched) > 0 {
 		s.m.clock++
-		mt := s.m.tables[table]
-		for _, k := range matched {
-			v := s.m.newest(table, k)
-			mt.vers[k] = append(mt.vers[k], ver{ts: s.m.clock, v: v.v, bal: v.bal + delta})
+	}
+	for _, k := range matched {
+		v, bal, _ := s.read(table, k)
+		e := &ovEntry{v: v, bal: bal}
+		mut(e)
+		if s.inTxn {
+			s.ov.put(table, k, e)
+		} else {
+			mt := s.m.tables[table]
+			mt.vers[k] = append(mt.vers[k], ver{ts: s.m.clock, del: e.del, v: e.v, bal: e.bal})
 		}
 	}
 	return int64(len(matched)), ClsOK

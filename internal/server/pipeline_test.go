@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -318,9 +319,18 @@ func TestServerTelemetry(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.query("SELECT Name FROM Account WHERE Aid = 1")
 	}
+	for _, name := range []string{"b", "c"} { // one fill, one template hit
+		c.exec("UPDATE Account SET Name = '" + name + "' WHERE Aid = 1")
+	}
 	st := srv.Stats()
 	if st.RewriteMisses == 0 || st.RewriteHits == 0 {
 		t.Fatalf("rewrite cache unused: %+v", st)
+	}
+	if st.DirectDML != 2 || st.TwoPhaseDML != 0 {
+		t.Fatalf("DML by shape: %d direct, %d two-phase, want 2 and 0 (Basic writes one table)", st.DirectDML, st.TwoPhaseDML)
+	}
+	if js, err := json.Marshal(st); err != nil || !bytes.Contains(js, []byte(`"direct_dml":2,"two_phase_dml":0`)) {
+		t.Fatalf("stats JSON lacks the DML shapes: %s, %v", js, err)
 	}
 	if st.RewriteUncacheable == 0 {
 		t.Fatalf("INSERT should count uncacheable: %+v", st)
@@ -334,8 +344,8 @@ func TestServerTelemetry(t *testing.T) {
 	if st.ExecSlots <= 0 {
 		t.Fatalf("executor gate missing from stats: %+v", st)
 	}
-	if st.Statements != 5 {
-		t.Fatalf("statements = %d, want 5", st.Statements)
+	if st.Statements != 7 {
+		t.Fatalf("statements = %d, want 7", st.Statements)
 	}
 }
 

@@ -99,6 +99,10 @@ type Stats struct {
 	RewriteMisses       int64   `json:"rewrite_misses"`
 	RewriteUncacheable  int64   `json:"rewrite_uncacheable"`
 	RewriteHitRate      float64 `json:"rewrite_hit_rate"`
+	// Cached UPDATE/DELETE executions by shape: one direct physical
+	// statement, or §6.3's two phases (see core.RewriteCacheStats).
+	DirectDML   int64 `json:"direct_dml"`
+	TwoPhaseDML int64 `json:"two_phase_dml"`
 
 	// Engine plan-cache counters.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
@@ -297,6 +301,8 @@ func (s *Server) Stats() Stats {
 		st.RewriteMisses = rc.Misses
 		st.RewriteUncacheable = rc.Uncacheable
 		st.RewriteHitRate = rc.HitRate()
+		st.DirectDML = rc.DirectDML
+		st.TwoPhaseDML = rc.TwoPhaseDML
 	}
 	if es := s.exec.stats(); es.slots > 0 {
 		st.ExecSlots = es.slots
