@@ -73,7 +73,6 @@ func runAlterBench(out string, smoke bool) {
 		fatal(err)
 	}
 	mux := bed.Layout.(*core.LayoutMux)
-	bed.Mapper.Cache = core.NewRewriteCache(bed.DB, bed.Layout, 0)
 
 	// The move destination: a private layout on the same database
 	// (per-tenant physical names, so it coexists with the shared one).
@@ -172,7 +171,7 @@ func runAlterBench(out string, smoke bool) {
 				alters++
 			}
 		}
-		mover := &core.Mover{DB: bed.DB, Mux: mux, Cache: bed.Mapper.Cache}
+		mover := &core.Mover{DB: bed.DB, Mux: mux}
 		var merr error
 		rep, merr = mover.Move(1, dst)
 		if merr != nil {

@@ -13,11 +13,11 @@ import (
 )
 
 // BenchmarkRewrite times the layout rewrite alone (the statement is
-// parsed once, outside the loop) on the two shapes the repository
-// benchmark runs uncached: §6.2 Q2 at scale 30 over Chunk6
-// (chunk_q2_join rewrites on every action), and an INSERT and an
-// UPDATE's phase (b) over Chunk Folding with extensions
-// (crm_wire_writes: neither goes through the rewrite cache).
+// parsed once, outside the loop): §6.2 Q2 at scale 30 over Chunk6 (what
+// a rewrite-cache miss on chunk_q2_join's statement costs), and the two
+// shapes no cache remembers — an INSERT and an UPDATE's phase (b) over
+// Chunk Folding with extensions (crm_wire_writes pays both per
+// statement).
 func BenchmarkRewrite(b *testing.B) {
 	b.Run("q2_chunk6", func(b *testing.B) {
 		l, err := core.NewChunkLayout(chunkexp.Schema(), core.ChunkOptions{Defs: chunkexp.ChunkDefs(6)})
@@ -76,8 +76,8 @@ func BenchmarkRewrite(b *testing.B) {
 	})
 }
 
-// BenchmarkFoldingUpdate times a whole logical UPDATE — a session Mapper
-// with a RewriteCache, warm, on Chunk Folding with the health-care
+// BenchmarkFoldingUpdate times a whole logical UPDATE — a session
+// Mapper, warm, on Chunk Folding with the health-care
 // extension folded — in the three shapes crm_wire_writes' deck and its
 // neighbours take: one row by key, base column (one direct statement);
 // one row by key, extension column (the key is in the base table, the
@@ -96,7 +96,6 @@ func BenchmarkFoldingUpdate(b *testing.B) {
 			b.Fatal(err)
 		}
 		m := core.NewSessionMapper(db, l)
-		m.Cache = core.NewRewriteCache(db, l, 0)
 		for id := 0; id < rows; id++ {
 			if _, err := m.Exec(1, "INSERT INTO Account (Id, Name, Industry, Attr01, Hospital, Beds) VALUES (?, ?, ?, 0, 'St. Mary', 0)",
 				types.NewInt(int64(id)), types.NewString(fmt.Sprintf("acct-%d", id)), types.NewString(fmt.Sprintf("ind-%d", id%(rows/16)))); err != nil {

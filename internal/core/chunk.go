@@ -244,7 +244,7 @@ func (l *ChunkLayout) RestoreRows(db *engine.DB, tenantID int64, table string, r
 			Set:   []sql.Assignment{{Column: f.del, Value: intLit(0)}},
 			Where: and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...),
 		}
-		if _, err := db.ExecStmt(up); err != nil {
+		if _, err := db.ExecStmt(up, ""); err != nil {
 			return err
 		}
 	}

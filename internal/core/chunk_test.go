@@ -198,9 +198,6 @@ func TestUniformChunkDefs(t *testing.T) {
 // the system runs) on every layout that supports them.
 func TestOnlineTenantAndExtension(t *testing.T) {
 	schema := paperSchema()
-	type extender interface {
-		ExtendTenant(db *engine.DB, tenantID int64, ext string) error
-	}
 	for name, m := range allLayouts(t, schema) {
 		loadPaperData(t, m)
 		if _, err := m.Exec(35, "INSERT INTO Account (Aid, Name) VALUES (2, 'Bell'), (3, 'Bull')"); err != nil {

@@ -335,7 +335,7 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 		if old.anchor.del != "" {
 			existing.Items = append(existing.Items, sql.SelectItem{Expr: colRef("", old.anchor.del)})
 		}
-		rows, err := db.QueryStmt(existing)
+		rows, err := db.QueryStmt(existing, "")
 		if err != nil {
 			return err
 		}
@@ -351,7 +351,7 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 				}
 				ins.Rows = append(ins.Rows, f.spineValues(lit(r[0]), marker, len(ins.Columns)))
 			}
-			if _, err := db.ExecStmt(ins); err != nil {
+			if _, err := db.ExecStmt(ins, ""); err != nil {
 				return err
 			}
 		}

@@ -360,7 +360,7 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 	if err != nil {
 		return nil, err
 	}
-	firstRow := m.state().nextRows(tn.ID, table.Name, int64(len(rows)))
+	firstRow := m.state().nextRows(tn.ID, table, int64(len(rows)))
 
 	stmts := make([]*sql.InsertStmt, len(p.frags))
 	for i, f := range p.frags {

@@ -65,11 +65,12 @@ type Rewritten struct {
 // logical DML rewrites into joins the same transaction, making the
 // rewrite itself atomic under rollback.
 //
-// With a Cache attached (typically one RewriteCache shared by every
-// session of a server), SELECT/UPDATE/DELETE texts resolve through the
-// rewrite cache: a steady-state statement skips lexing, parsing, and
-// the layout rewrite entirely, and its physical statements reach the
-// engine with precomputed plan-cache keys.
+// Every statement resolves through Cache, the rewrite cache the Mappers
+// over one layout share: a steady-state SELECT/UPDATE/DELETE skips
+// lexing, parsing, and the layout rewrite entirely, and its physical
+// statements reach the engine with precomputed plan-cache keys.
+// Assigning Cache swaps in a private one (NewRewriteCache); it is never
+// nil — build Mappers with the constructors.
 type Mapper struct {
 	DB      *engine.DB
 	Layout  Layout
@@ -78,12 +79,14 @@ type Mapper struct {
 }
 
 // NewMapper pairs a database with a layout.
-func NewMapper(db *engine.DB, l Layout) *Mapper { return &Mapper{DB: db, Layout: l} }
+func NewMapper(db *engine.DB, l Layout) *Mapper {
+	return &Mapper{DB: db, Layout: l, Cache: SharedRewriteCache(l)}
+}
 
 // NewSessionMapper pairs a database with a layout and routes statements
 // through one interactive session.
 func NewSessionMapper(db *engine.DB, l Layout) *Mapper {
-	return &Mapper{DB: db, Layout: l, Session: db.Session()}
+	return &Mapper{DB: db, Layout: l, Session: db.Session(), Cache: SharedRewriteCache(l)}
 }
 
 // execStmt runs one physical statement through the session if present.
@@ -92,7 +95,7 @@ func (m *Mapper) execStmt(ps sql.Statement, key string, params ...types.Value) (
 	if m.Session != nil {
 		return m.Session.ExecStmt(ps, key, params...)
 	}
-	return m.DB.ExecStmt(ps, params...)
+	return m.DB.ExecStmt(ps, key, params...)
 }
 
 // queryStmt runs one physical SELECT through the session if present.
@@ -100,7 +103,7 @@ func (m *Mapper) queryStmt(sel *sql.SelectStmt, key string, params ...types.Valu
 	if m.Session != nil {
 		return m.Session.QueryStmt(sel, key, params...)
 	}
-	return m.DB.QueryStmt(sel, params...)
+	return m.DB.QueryStmt(sel, key, params...)
 }
 
 // gate takes the tenant's statement gate when the layout is gated (a
@@ -117,63 +120,63 @@ func (m *Mapper) gate(tenantID int64) func() {
 
 // Query runs a logical SELECT for a tenant.
 func (m *Mapper) Query(tenantID int64, query string, params ...types.Value) (*engine.Rows, error) {
-	defer m.gate(tenantID)()
-	if m.Cache != nil {
-		cr, bind, st, err := m.Cache.lookup(tenantID, query, params)
-		if err != nil {
-			return nil, err
-		}
-		if cr != nil {
-			if cr.rw.Query == nil {
-				return nil, fmt.Errorf("core: Query needs a SELECT")
-			}
-			return m.queryStmt(cr.rw.Query, cr.queryKey, bind...)
-		}
-		return nil, fmt.Errorf("core: Query needs a SELECT, got %T", st)
-	}
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("core: Query needs a SELECT, got %T", st)
-	}
-	rw, err := m.Layout.Rewrite(tenantID, sel)
-	if err != nil {
-		return nil, err
-	}
-	return m.queryStmt(rw.Query, "", params...)
+	_, rows, err := m.do(tenantID, query, params, wantRows)
+	return rows, err
 }
 
 // Exec runs a logical INSERT, UPDATE, DELETE, supported DDL, or — on a
 // session-backed mapper — transaction control for a tenant and returns
 // the count of affected logical rows.
 func (m *Mapper) Exec(tenantID int64, query string, params ...types.Value) (engine.Result, error) {
-	defer m.gate(tenantID)()
-	if m.Cache != nil {
-		cr, bind, st, err := m.Cache.lookup(tenantID, query, params)
-		if err != nil {
-			return engine.Result{}, err
-		}
-		if cr != nil {
-			if cr.rw.Query != nil {
-				return engine.Result{}, fmt.Errorf("core: use Query for SELECT statements")
-			}
-			return m.execRewritten(cr, bind)
-		}
-		return m.execParsed(tenantID, st, params)
-	}
-	st, err := sql.Parse(query)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	return m.execParsed(tenantID, st, params)
+	res, _, err := m.do(tenantID, query, params, wantResult)
+	return res, err
 }
 
-// execParsed runs an already-parsed logical statement through the full
-// rewrite path (the uncached route; also everything the rewrite cache
-// refuses: INSERT, DDL, transaction control).
+// Do runs one logical statement of either kind for a tenant: SELECTs
+// answer rows, everything else answers a Result. It is the server's
+// batch entry point — one cache lookup decides the shape instead of the
+// caller pre-parsing to route between Query and Exec.
+func (m *Mapper) Do(tenantID int64, query string, params ...types.Value) (engine.Result, *engine.Rows, error) {
+	return m.do(tenantID, query, params, wantRows|wantResult)
+}
+
+// What a caller of do accepts: a SELECT's rows, another statement's
+// Result, or either.
+const (
+	wantRows = 1 << iota
+	wantResult
+)
+
+// do is the one statement path: (tenant, text) resolves to a cached
+// compiled rewrite plus its bindings, or to the parsed statement for
+// what the cache refuses (INSERT, DDL, transaction control). A
+// statement of a kind the caller does not accept is refused unexecuted.
+func (m *Mapper) do(tenantID int64, query string, params []types.Value, want int) (engine.Result, *engine.Rows, error) {
+	defer m.gate(tenantID)()
+	cr, bind, st, err := m.Cache.lookup(tenantID, query, params)
+	if err != nil {
+		return engine.Result{}, nil, err
+	}
+	if cr != nil && cr.rw.Query != nil {
+		if want&wantRows == 0 {
+			return engine.Result{}, nil, fmt.Errorf("core: use Query for SELECT statements")
+		}
+		rows, err := m.queryStmt(cr.rw.Query, cr.queryKey, bind...)
+		return engine.Result{}, rows, err
+	}
+	if want&wantResult == 0 {
+		return engine.Result{}, nil, fmt.Errorf("core: Query needs a SELECT")
+	}
+	if cr != nil {
+		res, err := m.execRewritten(cr, bind)
+		return res, nil, err
+	}
+	res, err := m.execParsed(tenantID, st, params)
+	return res, nil, err
+}
+
+// execParsed runs a parsed logical statement the rewrite cache refuses
+// — INSERT, DDL, transaction control — through the full rewrite path.
 func (m *Mapper) execParsed(tenantID int64, st sql.Statement, params []types.Value) (engine.Result, error) {
 	// Transaction control is tenant-independent: no rewriting, straight
 	// to the session.
@@ -187,9 +190,6 @@ func (m *Mapper) execParsed(tenantID int64, st sql.Statement, params []types.Val
 	rw, err := m.Layout.Rewrite(tenantID, st)
 	if err != nil {
 		return engine.Result{}, err
-	}
-	if rw.Query != nil {
-		return engine.Result{}, fmt.Errorf("core: use Query for SELECT statements")
 	}
 	return m.execRewritten(&cachedRewrite{rw: rw}, params)
 }
@@ -233,44 +233,6 @@ func (m *Mapper) execRewritten(cr *cachedRewrite, params []types.Value) (engine.
 	return engine.Result{RowsAffected: affected}, nil
 }
 
-// Do runs one logical statement of either kind for a tenant: SELECTs
-// answer rows, everything else answers a Result. It is the server's
-// batch entry point — one parse/cache lookup decides the shape instead
-// of the caller pre-parsing to route between Query and Exec.
-func (m *Mapper) Do(tenantID int64, query string, params ...types.Value) (engine.Result, *engine.Rows, error) {
-	defer m.gate(tenantID)()
-	if m.Cache != nil {
-		cr, bind, st, err := m.Cache.lookup(tenantID, query, params)
-		if err != nil {
-			return engine.Result{}, nil, err
-		}
-		if cr != nil {
-			if cr.rw.Query != nil {
-				rows, err := m.queryStmt(cr.rw.Query, cr.queryKey, bind...)
-				return engine.Result{}, rows, err
-			}
-			res, err := m.execRewritten(cr, bind)
-			return res, nil, err
-		}
-		res, err := m.execParsed(tenantID, st, params)
-		return res, nil, err
-	}
-	st, err := sql.Parse(query)
-	if err != nil {
-		return engine.Result{}, nil, err
-	}
-	if sel, ok := st.(*sql.SelectStmt); ok {
-		rw, err := m.Layout.Rewrite(tenantID, sel)
-		if err != nil {
-			return engine.Result{}, nil, err
-		}
-		rows, err := m.queryStmt(rw.Query, "", params...)
-		return engine.Result{}, rows, err
-	}
-	res, err := m.execParsed(tenantID, st, params)
-	return res, nil, err
-}
-
 // RewriteSQL returns the physical SQL a logical statement maps to
 // (phase (a) for two-phase DML), primarily for inspection and tests.
 func (m *Mapper) RewriteSQL(tenantID int64, query string) ([]string, error) {
@@ -311,13 +273,16 @@ func (m *Mapper) Explain(tenantID int64, query string) (string, error) {
 // for the layouts that store rows as fragments — every tenant-table's
 // placement, shared by all layout implementations. Views and placements
 // are computed when a tenant is added or extended and published with
-// that change; rewriting a statement only looks them up.
+// that change; rewriting a statement only looks them up. gens counts
+// those publications per tenant: what a cached rewrite is stamped with.
 type state struct {
 	mu       sync.RWMutex
 	schema   *Schema
 	tenants  map[int64]*Tenant
 	tableIDs map[string]int
-	rowSeq   map[string]int64
+	rowSeq   map[placementKey]int64
+	gens     map[int64]int64
+	cache    cacheSlot // see SharedRewriteCache
 	// base is every table as a tenant with no extension on it sees it;
 	// views holds the others, one per (tenant, table it extends), so a
 	// schema of 1 500 tables costs its 150 tenants nothing.
@@ -331,7 +296,8 @@ func newState(schema *Schema) *state {
 		schema:   schema,
 		tenants:  make(map[int64]*Tenant),
 		tableIDs: schema.TableIDs(),
-		rowSeq:   make(map[string]int64),
+		rowSeq:   make(map[placementKey]int64),
+		gens:     make(map[int64]int64),
 		base:     make(map[*Table]*view, len(schema.Tables)),
 		views:    make(map[placementKey]*view),
 		places:   make(map[placementKey]*placement),
@@ -389,7 +355,8 @@ func (st *state) addTenant(t *Tenant, places map[placementKey]*placement) error 
 
 // extend publishes an extension a tenant enabled on-line — the
 // extension, the tenant's new view of the base table and, for layouts
-// that fragment rows, the table's new placement — together.
+// that fragment rows, the table's new placement — together, and with
+// them the tenant's generation: every rewrite cached for it is stale.
 func (st *state) extend(tn *Tenant, ext *Extension, next *placement) error {
 	table := st.schema.Table(ext.Base)
 	v, err := st.schema.view(tn.with(ext.Name), table)
@@ -403,7 +370,15 @@ func (st *state) extend(tn *Tenant, ext *Extension, next *placement) error {
 	if next != nil {
 		st.places[placementKey{tn.ID, table}] = next
 	}
+	st.gens[tn.ID]++
 	return nil
+}
+
+// generation counts the extensions published for a tenant.
+func (st *state) generation(tenantID int64) int64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.gens[tenantID]
 }
 
 // Table implements viewSource.
@@ -461,8 +436,8 @@ func (st *state) tableID(name string) (int, error) {
 }
 
 // nextRows reserves n consecutive logical row IDs for (tenant, table).
-func (st *state) nextRows(tenantID int64, table string, n int64) int64 {
-	key := fmt.Sprintf("%d/%s", tenantID, strings.ToLower(table))
+func (st *state) nextRows(tenantID int64, table *Table, n int64) int64 {
+	key := placementKey{tenantID, table}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	first := st.rowSeq[key]

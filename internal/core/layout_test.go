@@ -307,9 +307,6 @@ func layoutEquivalence(t *testing.T, cfg engine.Config) map[string]*Mapper {
 		}
 	}
 
-	type extender interface {
-		ExtendTenant(db *engine.DB, tenantID int64, ext string) error
-	}
 	run := func(name string, m *Mapper) []int64 {
 		affected := make([]int64, len(ops))
 		for i, o := range ops {

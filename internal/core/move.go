@@ -27,21 +27,22 @@ import (
 //     microsecond write-gate pause, not a stop-the-world), re-copy
 //     exactly those tables source → destination, repeat until a round
 //     starts with nothing dirty. Each swap also bumps the tenant's
-//     rewrite-cache generation, so the first write per statement text
-//     after a swap re-enters the mux's Rewrite and re-marks its table —
-//     cached rewrites cannot leak writes past the tracker.
+//     route generation, so the first write per statement text after a
+//     swap re-enters the mux's Rewrite and re-marks its table — cached
+//     rewrites cannot leak writes past the tracker.
 //  3. Cutover: take the tenant's write gate exclusively (draining
 //     in-flight statements — a latch-scale wait, bounded by one
-//     statement), copy the final delta, flip the route, invalidate the
-//     tenant's cached rewrites, release. Statements that were queued
-//     behind the gate execute against the destination.
+//     statement), copy the final delta, flip the route — which bumps the
+//     generation again, staling the tenant's cached rewrites — release.
+//     Statements that were queued behind the gate execute against the
+//     destination.
 //
 // Correctness of the dirty protocol: a Mapper holds the tenant's gate
 // in read mode across one whole statement (cache lookup through
 // execution), and each round's swap runs under the gate held
 // exclusively. So every statement that executes inside round window i
 // acquired the gate — and therefore ran its cache lookup — after round
-// i's swap+invalidation, which means it either refilled through
+// i's swap and bump, which means it either refilled through
 // Mux.Rewrite (marking its table into the new dirty set) or hit an
 // entry some other post-swap statement filled (which marked the same
 // table). Either way round i+1's swap sees the table dirty and
@@ -67,14 +68,18 @@ type gatedLayout interface {
 // layout unless an override route says otherwise. It is the unit of
 // on-the-fly representation change — a Mover rewires one tenant's route
 // while the mux keeps rewriting everyone's statements — and is
-// transparent to Mapper and RewriteCache (it implements Layout).
+// transparent to Mapper (it implements Layout).
 type LayoutMux struct {
-	def Layout
+	def   Layout
+	cache cacheSlot // see SharedRewriteCache
 
 	mu     sync.RWMutex
 	routes map[int64]Layout
 	gates  map[int64]*sync.RWMutex
 	moving map[int64]map[string]bool // tenant -> dirty logical tables
+	// gens counts, per tenant, the route flips and dirty-set swaps: what
+	// makes a rewrite cached through the mux stale (stamp).
+	gens map[int64]int64
 }
 
 // NewLayoutMux wraps a default layout.
@@ -84,6 +89,7 @@ func NewLayoutMux(def Layout) *LayoutMux {
 		routes: make(map[int64]Layout),
 		gates:  make(map[int64]*sync.RWMutex),
 		moving: make(map[int64]map[string]bool),
+		gens:   make(map[int64]int64),
 	}
 }
 
@@ -91,10 +97,24 @@ func NewLayoutMux(def Layout) *LayoutMux {
 func (x *LayoutMux) Route(tenant int64) Layout {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	return x.routeLocked(tenant)
+}
+
+func (x *LayoutMux) routeLocked(tenant int64) Layout {
 	if l, ok := x.routes[tenant]; ok {
 		return l
 	}
 	return x.def
+}
+
+// stamp is what a rewrite cached through the mux depends on: the
+// tenant's route generation here and its placement generation in the
+// layout the route points at.
+func (x *LayoutMux) stamp(tenant int64) rcStamp {
+	x.mu.RLock()
+	l, route := x.routeLocked(tenant), x.gens[tenant]
+	x.mu.RUnlock()
+	return rcStamp{route: route, place: stampOf(l, tenant).place}
 }
 
 // SetRoute points a tenant at a layout. Passing the default layout
@@ -102,6 +122,7 @@ func (x *LayoutMux) Route(tenant int64) Layout {
 func (x *LayoutMux) SetRoute(tenant int64, l Layout) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	x.gens[tenant]++
 	if l == x.def {
 		delete(x.routes, tenant)
 		return
@@ -133,10 +154,7 @@ func (x *LayoutMux) AddTenant(db *engine.DB, t *Tenant) error {
 // protocol note at the top of the file.
 func (x *LayoutMux) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
 	x.mu.Lock()
-	l, ok := x.routes[tenantID]
-	if !ok {
-		l = x.def
-	}
+	l := x.routeLocked(tenantID)
 	if dirty, ok := x.moving[tenantID]; ok {
 		switch st := st.(type) {
 		case *sql.InsertStmt:
@@ -188,10 +206,12 @@ func (x *LayoutMux) startTracking(tenant int64) {
 	x.mu.Unlock()
 }
 
-// takeDirty swaps the tenant's dirty set for an empty one and returns
-// the taken tables sorted. Callers synchronize via the tenant gate.
+// takeDirty swaps the tenant's dirty set for an empty one, stales its
+// cached rewrites so new writes re-mark, and returns the taken tables
+// sorted. Callers synchronize via the tenant gate.
 func (x *LayoutMux) takeDirty(tenant int64) []string {
 	x.mu.Lock()
+	x.gens[tenant]++
 	dirty := x.moving[tenant]
 	if dirty != nil {
 		x.moving[tenant] = make(map[string]bool)
@@ -227,10 +247,6 @@ type MoveReport struct {
 type Mover struct {
 	DB  *engine.DB
 	Mux *LayoutMux
-	// Cache, when the serving Mappers share a RewriteCache, is bumped at
-	// every dirty-set swap and at cutover. Required for correctness if —
-	// and only if — a cache is serving this mux.
-	Cache *RewriteCache
 	// BatchRows is the INSERT batch size (default 64).
 	BatchRows int
 	// MaxRounds bounds convergence (default 8); if the tenant writes
@@ -277,13 +293,9 @@ func (mv *Mover) Move(tenantID int64, dst Layout) (*MoveReport, error) {
 	converged := false
 	for round := 0; round < maxRounds; round++ {
 		// Swap under the gate: drains in-flight statements so every
-		// already-consumed mark's write is visible to this round's copy,
-		// then stale the tenant's cached rewrites so new writes re-mark.
+		// already-consumed mark's write is visible to this round's copy.
 		g.Lock()
 		dirty := mv.Mux.takeDirty(tenantID)
-		if mv.Cache != nil {
-			mv.Cache.InvalidateTenant(tenantID)
-		}
 		g.Unlock()
 		if len(dirty) == 0 {
 			converged = true
@@ -325,9 +337,6 @@ func (mv *Mover) Move(tenantID int64, dst Layout) (*MoveReport, error) {
 		}
 	}
 	mv.Mux.SetRoute(tenantID, dst)
-	if mv.Cache != nil {
-		mv.Cache.InvalidateTenant(tenantID)
-	}
 	finish()
 	return rep, nil
 }
@@ -394,7 +403,7 @@ func (mv *Mover) queryLogical(l Layout, tenant int64, table string, cols []strin
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mv.DB.QueryStmt(rw.Query)
+	rows, err := mv.DB.QueryStmt(rw.Query, "")
 	if err != nil {
 		return nil, err
 	}
@@ -409,17 +418,17 @@ func (mv *Mover) execLogical(l Layout, tenant int64, st sql.Statement) error {
 		return err
 	}
 	for _, ps := range rw.Direct {
-		if _, err := mv.DB.ExecStmt(ps); err != nil {
+		if _, err := mv.DB.ExecStmt(ps, ""); err != nil {
 			return err
 		}
 	}
 	if rw.RowQuery != nil {
-		rows, err := mv.DB.QueryStmt(rw.RowQuery)
+		rows, err := mv.DB.QueryStmt(rw.RowQuery, "")
 		if err != nil {
 			return err
 		}
 		for _, ps := range rw.PhaseB(rows.Data) {
-			if _, err := mv.DB.ExecStmt(ps); err != nil {
+			if _, err := mv.DB.ExecStmt(ps, ""); err != nil {
 				return err
 			}
 		}

@@ -45,9 +45,7 @@ func moveFixtureFor(t *testing.T, src, dst Layout, tenants []*Tenant) (*engine.D
 	if err := dst.Create(db, nil); err != nil {
 		t.Fatal(err)
 	}
-	m := NewMapper(db, mux)
-	m.Cache = NewRewriteCache(db, mux, 0)
-	return db, mux, m
+	return db, mux, NewMapper(db, mux)
 }
 
 // TestMoveTenantBasic: a quiet tenant moves between layouts; data
@@ -113,7 +111,7 @@ func testMoveTenantBasic(t *testing.T, db *engine.DB, mux *LayoutMux, dst Layout
 		t.Fatal(err)
 	}
 
-	mv := &Mover{DB: db, Mux: mux, Cache: m.Cache, Verify: true}
+	mv := &Mover{DB: db, Mux: mux, Verify: true}
 	for _, tenant := range []int64{35, 17} {
 		rep, err := mv.Move(tenant, dst)
 		if err != nil {
@@ -152,7 +150,7 @@ func testMoveTenantBasic(t *testing.T, db *engine.DB, mux *LayoutMux, dst Layout
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := db.QueryStmt(rw.Query)
+	old, err := db.QueryStmt(rw.Query, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +193,7 @@ func TestMovePreservesTypes(t *testing.T) {
 	if _, err := m.Exec(1, "INSERT INTO Event VALUES (1, DATE '2008-06-09', 2.5, TRUE)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Mover{DB: db, Mux: mux, Cache: m.Cache, Verify: true}).Move(1, dst); err != nil {
+	if _, err := (&Mover{DB: db, Mux: mux, Verify: true}).Move(1, dst); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := m.Query(1, "SELECT Day, Score, Ok FROM Event WHERE Id = 1")
@@ -213,7 +211,7 @@ func TestMovePreservesTypes(t *testing.T) {
 func TestMoveVerifyCatchesDivergence(t *testing.T) {
 	db, mux, dst, m := moveFixture(t)
 	loadPaperData(t, m)
-	mv := &Mover{DB: db, Mux: mux, Cache: m.Cache, Verify: true}
+	mv := &Mover{DB: db, Mux: mux, Verify: true}
 	if _, err := mv.Move(17, dst); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +285,7 @@ func TestMoveTenantUnderTraffic(t *testing.T) {
 	// Small batches slow the copy down so the writers genuinely overlap
 	// the convergence rounds.
 	time.Sleep(2 * time.Millisecond)
-	mv := &Mover{DB: db, Mux: mux, Cache: m.Cache, MaxRounds: 6, BatchRows: 4}
+	mv := &Mover{DB: db, Mux: mux, MaxRounds: 6, BatchRows: 4}
 	rep, err := mv.Move(35, dst)
 	stop.Store(true)
 	wg.Wait()
@@ -347,7 +345,7 @@ func TestMoveCacheScoping(t *testing.T) {
 	}
 	before := m.Cache.Stats()
 
-	mv := &Mover{DB: db, Mux: mux, Cache: m.Cache}
+	mv := &Mover{DB: db, Mux: mux}
 	if _, err := mv.Move(35, dst); err != nil {
 		t.Fatal(err)
 	}

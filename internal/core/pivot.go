@@ -245,7 +245,7 @@ func (l *PivotLayout) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 	if err != nil {
 		return nil, err
 	}
-	firstRow := l.s.nextRows(tn.ID, table.Name, int64(len(rows)))
+	firstRow := l.s.nextRows(tn.ID, table, int64(len(rows)))
 	stmts := map[string]*sql.InsertStmt{}
 	var order []string
 	for ri, row := range rows {

@@ -223,6 +223,12 @@ func recordCase(t *testing.T, l Layout, c goldenCase) goldenRecord {
 		t.Fatalf("corpus statement %q: %v", c.sql, err)
 	}
 	rw, err := l.Rewrite(c.tenant, st)
+	return recordRewritten(t, rec, c, rw, err)
+}
+
+// recordRewritten fills rec with what a rewrite answered.
+func recordRewritten(t *testing.T, rec goldenRecord, c goldenCase, rw *Rewritten, err error) goldenRecord {
+	t.Helper()
 	if err != nil {
 		rec.Error = err.Error()
 		return rec
@@ -384,6 +390,60 @@ func TestRewriteGolden(t *testing.T) {
 			gj, _ := json.MarshalIndent(g[i], "", "  ")
 			if string(wj) != string(gj) {
 				t.Errorf("%s, tenant %d, %q:\ngolden %s\ngot    %s", name, w[i].Tenant, w[i].SQL, wj, gj)
+			}
+		}
+	}
+}
+
+// TestCachedRewriteIsFreshRewrite: what the Mapper executes for a
+// corpus statement — the rewrite cache's entry, on the fill and again on
+// the raw-text hit — records exactly as a fresh Layout.Rewrite of the
+// statement's template does, its plan-cache keys are the physical
+// statements' texts, and it binds the literals the template lifted out.
+func TestCachedRewriteIsFreshRewrite(t *testing.T) {
+	for name, m := range layoutsFor(t, goldenSchema(), goldenTenants()) {
+		for _, c := range goldenCorpus() {
+			st, err := sql.Parse(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, insert := st.(*sql.InsertStmt); insert {
+				continue // never cached
+			}
+			lifted, _ := sql.ExtractParams(st)
+			rw, err := m.Layout.Rewrite(c.tenant, st)
+			rec := goldenRecord{Tenant: c.tenant, SQL: c.sql}
+			want, _ := json.Marshal(recordRewritten(t, rec, c, rw, err))
+			for _, pass := range []string{"fill", "hit"} {
+				cr, bind, _, err := m.Cache.lookup(c.tenant, c.sql, nil)
+				var crw *Rewritten
+				if err == nil {
+					crw = cr.rw
+				}
+				got, _ := json.Marshal(recordRewritten(t, rec, c, crw, err))
+				if string(got) != string(want) {
+					t.Errorf("%s, tenant %d, %q, %s:\nfresh  %s\ncached %s", name, c.tenant, c.sql, pass, want, got)
+				}
+				if err != nil {
+					continue
+				}
+				if fmt.Sprint(bind) != fmt.Sprint(lifted) {
+					t.Errorf("%s, %q, %s: binds %v, the template lifted %v", name, c.sql, pass, bind, lifted)
+				}
+				keys := append([]string{cr.queryKey, cr.rowQueryKey}, cr.directKeys...)
+				texts := []string{"", ""}
+				if crw.Query != nil {
+					texts[0] = crw.Query.String()
+				}
+				if crw.RowQuery != nil {
+					texts[1] = crw.RowQuery.String()
+				}
+				for _, d := range crw.Direct {
+					texts = append(texts, d.String())
+				}
+				if fmt.Sprint(keys) != fmt.Sprint(texts) {
+					t.Errorf("%s, %q, %s: plan-cache keys %q for statements %q", name, c.sql, pass, keys, texts)
+				}
 			}
 		}
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"container/list"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/engine"
@@ -23,18 +21,20 @@ import (
 // statement carries its precomputed plan-cache key string, the engine's
 // plan cache hits without re-rendering SQL either.
 //
-// Invalidation is by generation stamps, not by catalog version. A
-// layout rewrite depends only on the logical schema and the tenant's
-// layout metadata — never on the live physical catalog — so a physical
-// schema change (an online ALTER, another tenant's private-layout
-// CREATE TABLE) must NOT cold-start every tenant's cache the way a
-// version-keyed scheme would. Each entry is stamped at fill time with
-// three generation counters: a global one, the tenant's, and one per
-// logical table the statement touches. A hit revalidates the stamps; a
-// bumped counter makes exactly the affected entries miss and refill,
-// lazily, while everything else stays warm. Producers bump counters via
-// InvalidateAll / InvalidateTenant / InvalidateTable — e.g. a tenant
-// layout move bumps its tenant's counter at cutover.
+// It is every Mapper's statement path, not an attachment: Mappers over
+// one layout share the layout's cache (SharedRewriteCache).
+//
+// Invalidation is by generation stamp, and the generations live with
+// what a rewrite depends on — the tenant's views and placements in the
+// layout's state, its route in a LayoutMux (stampOf) — never with the
+// live physical catalog: an online ALTER or another tenant's
+// private-layout CREATE TABLE must NOT cold-start every tenant's cache
+// the way a version-keyed scheme would. Whoever changes that truth
+// bumps the tenant's generation under the lock that publishes the
+// change (state.extend; LayoutMux.takeDirty and SetRoute); each entry
+// is stamped at fill time and a hit compares stamps, so exactly the
+// affected tenant's entries miss and refill, lazily, while everything
+// else stays warm, and no caller has to remember to invalidate.
 //
 // Rewrites are cached only for SELECT, UPDATE, and DELETE. INSERT
 // rewrites are side-effecting (they reserve logical row ids via the
@@ -44,12 +44,9 @@ import (
 // Filling is singleflighted per key: concurrent sessions of the same
 // tenant sharing statement text do the parse+rewrite work once. A cached
 // template AST is shared by every session that hits it and is read-only
-// from then on: sessions print and plan it concurrently (a session-less
-// Mapper re-derives the plan-cache key from its text on every call), so
-// the planner rewrites copies, never the tree it is handed
-// (plan.flattenSubqueries).
+// from then on: sessions plan it concurrently, so the planner rewrites
+// copies, never the tree it is handed (plan.flattenSubqueries).
 type RewriteCache struct {
-	db     *engine.DB
 	layout Layout
 
 	mu      sync.Mutex
@@ -57,10 +54,6 @@ type RewriteCache struct {
 	lru     *list.List // front = LRU victim, back = most recent
 	entries map[rcKey]*list.Element
 	flight  map[rcKey]*rcFlight
-
-	globalGen  int64
-	tenantGens map[int64]int64
-	tableGens  map[rcTableKey]int64
 
 	hits         int64 // raw-text hits (zero-parse path)
 	templateHits int64 // parsed + extracted, but the template's rewrite was cached
@@ -76,26 +69,46 @@ type rcKey struct {
 	text   string
 }
 
-// rcTableKey scopes a table generation to one tenant: invalidating
-// (35, "account") leaves tenant 42's entries over the same logical
-// table untouched.
-type rcTableKey struct {
-	tenant int64
-	table  string // lowercased logical name
-}
-
-// rcStamp is the set of generation counters an entry was filled under.
-// An entry is live while every counter still matches; comparison is
-// equality, since counters only ever increment.
+// rcStamp is the pair of generations an entry was filled under: the
+// tenant's route in a LayoutMux (0 without one) and its views and
+// placements in the layout that serves it. An entry is live while both
+// still match; comparison is equality, since generations only increment.
 type rcStamp struct {
-	global int64
-	tenant int64
-	tables []rcTableGen
+	route, place int64
 }
 
-type rcTableGen struct {
-	name string // lowercased logical name
-	gen  int64
+// stampOf reads a tenant's current generations from where l keeps them
+// (a layout from outside this package keeps none: its stamp never moves).
+func stampOf(l Layout, tenant int64) rcStamp {
+	switch l := l.(type) {
+	case *LayoutMux:
+		return l.stamp(tenant)
+	case interface{ state() *state }:
+		return rcStamp{place: l.state().generation(tenant)}
+	}
+	return rcStamp{}
+}
+
+// SharedRewriteCache returns the cache the Mappers over l share. It
+// hangs off what the layout's tenants share already: the state, or the
+// mux.
+func SharedRewriteCache(l Layout) *RewriteCache {
+	var slot *cacheSlot
+	switch l := l.(type) {
+	case *LayoutMux:
+		slot = &l.cache
+	case interface{ state() *state }:
+		slot = &l.state().cache
+	default:
+		return NewRewriteCache(nil, l, 0)
+	}
+	slot.once.Do(func() { slot.c = NewRewriteCache(nil, l, 0) })
+	return slot.c
+}
+
+type cacheSlot struct {
+	once sync.Once
+	c    *RewriteCache
 }
 
 // cachedRewrite is one rewrite template: the physical statement shapes
@@ -158,21 +171,19 @@ func (s RewriteCacheStats) HitRate() float64 {
 // per tenant deck this fits the CRM workload many times over.
 const DefaultRewriteCacheCap = 8192
 
-// NewRewriteCache builds a cache for one (db, layout) pair. One cache
-// is meant to be shared by every session of a server.
-func NewRewriteCache(db *engine.DB, layout Layout, capacity int) *RewriteCache {
+// NewRewriteCache builds a private cache over a layout, for a Mapper
+// that should not share its layout's (Mapper.Cache). The database
+// argument is unused: a rewrite depends on the layout alone.
+func NewRewriteCache(_ *engine.DB, layout Layout, capacity int) *RewriteCache {
 	if capacity <= 0 {
 		capacity = DefaultRewriteCacheCap
 	}
 	return &RewriteCache{
-		db:         db,
-		layout:     layout,
-		cap:        capacity,
-		lru:        list.New(),
-		entries:    make(map[rcKey]*list.Element),
-		flight:     make(map[rcKey]*rcFlight),
-		tenantGens: make(map[int64]int64),
-		tableGens:  make(map[rcTableKey]int64),
+		layout:  layout,
+		cap:     capacity,
+		lru:     list.New(),
+		entries: make(map[rcKey]*list.Element),
+		flight:  make(map[rcKey]*rcFlight),
 	}
 }
 
@@ -190,60 +201,6 @@ func (c *RewriteCache) Stats() RewriteCacheStats {
 		DirectDML:    c.directDML,
 		TwoPhaseDML:  c.twoPhaseDML,
 	}
-}
-
-// InvalidateAll makes every cached rewrite stale. The nuclear option:
-// for a logical-schema change that affects all tenants.
-func (c *RewriteCache) InvalidateAll() {
-	c.mu.Lock()
-	c.globalGen++
-	c.mu.Unlock()
-}
-
-// InvalidateTenant makes one tenant's cached rewrites stale and leaves
-// every other tenant's entries warm. A tenant layout move calls this at
-// each copy round and at cutover.
-func (c *RewriteCache) InvalidateTenant(tenant int64) {
-	c.mu.Lock()
-	c.tenantGens[tenant]++
-	c.mu.Unlock()
-}
-
-// InvalidateTable makes one tenant's cached rewrites over one logical
-// table stale — the finest grain: other tables of the same tenant and
-// the same table under other tenants stay warm.
-func (c *RewriteCache) InvalidateTable(tenant int64, table string) {
-	c.mu.Lock()
-	c.tableGens[rcTableKey{tenant: tenant, table: strings.ToLower(table)}]++
-	c.mu.Unlock()
-}
-
-// stampLocked captures the current generations for (tenant, tables).
-// Caller holds c.mu.
-func (c *RewriteCache) stampLocked(tenant int64, tables []string) rcStamp {
-	s := rcStamp{global: c.globalGen, tenant: c.tenantGens[tenant]}
-	if len(tables) > 0 {
-		s.tables = make([]rcTableGen, len(tables))
-		for i, tn := range tables {
-			s.tables[i] = rcTableGen{name: tn, gen: c.tableGens[rcTableKey{tenant: tenant, table: tn}]}
-		}
-	}
-	return s
-}
-
-// validLocked reports whether ent's stamp still matches the live
-// generation counters. Caller holds c.mu.
-func (c *RewriteCache) validLocked(ent *rcEntry) bool {
-	s := ent.stamp
-	if s.global != c.globalGen || s.tenant != c.tenantGens[ent.key.tenant] {
-		return false
-	}
-	for _, tg := range s.tables {
-		if tg.gen != c.tableGens[rcTableKey{tenant: ent.key.tenant, table: tg.name}] {
-			return false
-		}
-	}
-	return true
 }
 
 // removeLocked drops one LRU element. Caller holds c.mu.
@@ -271,10 +228,13 @@ func (c *RewriteCache) removeLocked(e *list.Element) {
 func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Value) (cr *cachedRewrite, bind []types.Value, st sql.Statement, err error) {
 	key := rcKey{tenant: tenant, text: text}
 	for {
+		// Read before c.mu: a bump that lands after this orders the whole
+		// statement before the change, as if it had arrived a moment sooner.
+		cur := stampOf(c.layout, tenant)
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
 			ent := e.Value.(*rcEntry)
-			if c.validLocked(ent) {
+			if ent.stamp == cur {
 				c.lru.MoveToBack(e)
 				c.hits++
 				c.countShapeLocked(ent.cr)
@@ -291,18 +251,14 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 				return nil, nil, nil, f.err
 			}
 			if f.ent != nil {
+				if f.ent.stamp != cur {
+					continue // invalidated while in flight: retry from the top
+				}
 				c.mu.Lock()
-				valid := c.validLocked(f.ent)
-				if valid {
-					c.hits++
-					c.countShapeLocked(f.ent.cr)
-				}
+				c.hits++
+				c.countShapeLocked(f.ent.cr)
 				c.mu.Unlock()
-				if valid {
-					return f.ent.cr, bindParams(f.ent, userParams), nil, nil
-				}
-				// Invalidated while in flight: retry from the top.
-				continue
+				return f.ent.cr, bindParams(f.ent, userParams), nil, nil
 			}
 			// Uncacheable: the flight's parse result belongs to its owner
 			// (ASTs are mutable); re-parse for this caller.
@@ -317,7 +273,7 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 		c.mu.Unlock()
 
 		var templateHit bool
-		f.ent, f.st, templateHit, f.err = c.fill(key)
+		f.ent, f.st, templateHit, f.err = c.fill(key, cur)
 
 		c.mu.Lock()
 		delete(c.flight, key)
@@ -374,12 +330,11 @@ func bindParams(ent *rcEntry, userParams []types.Value) []types.Value {
 // templateHit reports that the canonical template's rewrite was already
 // cached (only the parse + extraction ran).
 //
-// The generation stamp is captured after the parse and before the
-// rewrite: an invalidation that lands mid-fill leaves the entry stamped
-// older than the bumped counter, so the very next hit revalidates,
-// fails, and refills. The window can waste one fill; it can never serve
-// a rewrite from before the invalidation as current.
-func (c *RewriteCache) fill(key rcKey) (ent *rcEntry, parsed sql.Statement, templateHit bool, err error) {
+// stamp was read before the rewrite runs: a bump that lands mid-fill
+// leaves the entry stamped older than the tenant's generation, so the
+// very next hit compares, fails, and refills. The window can waste one
+// fill; it can never serve a rewrite from before the bump as current.
+func (c *RewriteCache) fill(key rcKey, stamp rcStamp) (ent *rcEntry, parsed sql.Statement, templateHit bool, err error) {
 	st, err := sql.Parse(key.text)
 	if err != nil {
 		return nil, nil, false, err
@@ -389,11 +344,6 @@ func (c *RewriteCache) fill(key rcKey) (ent *rcEntry, parsed sql.Statement, temp
 	default:
 		return nil, st, false, nil
 	}
-
-	tables := tablesOf(st)
-	c.mu.Lock()
-	stamp := c.stampLocked(key.tenant, tables)
-	c.mu.Unlock()
 
 	// Canonicalize: lift inlined literals into params so statements
 	// differing only in values share one template entry.
@@ -411,10 +361,10 @@ func (c *RewriteCache) fill(key rcKey) (ent *rcEntry, parsed sql.Statement, temp
 	c.mu.Lock()
 	if e, ok := c.entries[canonKey]; ok {
 		tmpl := e.Value.(*rcEntry)
-		if c.validLocked(tmpl) {
+		if tmpl.stamp == stamp {
 			c.lru.MoveToBack(e)
 			c.mu.Unlock()
-			return &rcEntry{key: key, cr: tmpl.cr, extra: extra, stamp: tmpl.stamp}, nil, true, nil
+			return &rcEntry{key: key, cr: tmpl.cr, extra: extra, stamp: stamp}, nil, true, nil
 		}
 		c.removeLocked(e)
 	}
@@ -428,9 +378,8 @@ func (c *RewriteCache) fill(key rcKey) (ent *rcEntry, parsed sql.Statement, temp
 	// First valid insert wins: if another fill published this template
 	// while we rewrote, alias to the published one so all raw texts
 	// share a single template AST.
-	if e, ok := c.entries[canonKey]; ok && c.validLocked(e.Value.(*rcEntry)) {
-		tmpl := e.Value.(*rcEntry)
-		cr, stamp = tmpl.cr, tmpl.stamp
+	if e, ok := c.entries[canonKey]; ok && e.Value.(*rcEntry).stamp == stamp {
+		cr = e.Value.(*rcEntry).cr
 	} else {
 		c.insertLocked(&rcEntry{key: canonKey, cr: cr, stamp: stamp})
 	}
@@ -476,96 +425,4 @@ func (c *RewriteCache) insertLocked(ent *rcEntry) {
 		c.lru.Remove(victim)
 		delete(c.entries, victim.Value.(*rcEntry).key)
 	}
-}
-
-// tablesOf collects the logical table names a cacheable statement
-// touches, lowercased, deduped, and sorted — the tables its cache entry
-// is stamped against. Subqueries in FROM, IN, and join conditions are
-// walked so an InvalidateTable on any referenced table staleness-marks
-// the whole statement.
-func tablesOf(st sql.Statement) []string {
-	seen := make(map[string]bool)
-	var walkSel func(*sql.SelectStmt)
-	var walkRef func(sql.TableRef)
-	var walkExpr func(sql.Expr)
-	walkRef = func(r sql.TableRef) {
-		switch r := r.(type) {
-		case *sql.NamedTable:
-			seen[strings.ToLower(r.Name)] = true
-		case *sql.SubqueryTable:
-			walkSel(r.Select)
-		case *sql.JoinTable:
-			walkRef(r.Left)
-			walkRef(r.Right)
-			walkExpr(r.On)
-		}
-	}
-	walkExpr = func(e sql.Expr) {
-		switch e := e.(type) {
-		case *sql.BinaryExpr:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		case *sql.UnaryExpr:
-			walkExpr(e.X)
-		case *sql.IsNullExpr:
-			walkExpr(e.X)
-		case *sql.InExpr:
-			walkExpr(e.X)
-			for _, x := range e.List {
-				walkExpr(x)
-			}
-			if e.Subquery != nil {
-				walkSel(e.Subquery)
-			}
-		case *sql.LikeExpr:
-			walkExpr(e.X)
-			walkExpr(e.Pattern)
-		case *sql.FuncExpr:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *sql.CastExpr:
-			walkExpr(e.X)
-		}
-	}
-	walkSel = func(s *sql.SelectStmt) {
-		if s == nil {
-			return
-		}
-		for _, it := range s.Items {
-			if it.Expr != nil {
-				walkExpr(it.Expr)
-			}
-		}
-		for _, r := range s.From {
-			walkRef(r)
-		}
-		walkExpr(s.Where)
-		for _, g := range s.GroupBy {
-			walkExpr(g)
-		}
-		walkExpr(s.Having)
-		for _, o := range s.OrderBy {
-			walkExpr(o.Expr)
-		}
-	}
-	switch st := st.(type) {
-	case *sql.SelectStmt:
-		walkSel(st)
-	case *sql.UpdateStmt:
-		seen[strings.ToLower(st.Table)] = true
-		for _, a := range st.Set {
-			walkExpr(a.Value)
-		}
-		walkExpr(st.Where)
-	case *sql.DeleteStmt:
-		seen[strings.ToLower(st.Table)] = true
-		walkExpr(st.Where)
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

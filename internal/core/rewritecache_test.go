@@ -2,35 +2,44 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/sql"
 	"repro/internal/types"
 )
 
-// cachedMappers builds every layout twice over identical fresh
-// databases: one mapper uncached, one with a shared RewriteCache.
-func cachedMappers(t *testing.T) map[string][2]*Mapper {
-	t.Helper()
-	schema := paperSchema()
-	plain := allLayouts(t, schema)
-	cached := allLayouts(t, schema)
-	out := map[string][2]*Mapper{}
-	for name, cm := range cached {
-		cm.Cache = NewRewriteCache(cm.DB, cm.Layout, 0)
-		out[name] = [2]*Mapper{plain[name], cm}
+// uncached runs one logical statement with nothing remembered — parse,
+// Layout.Rewrite, execute, every time. It is the reference the Mapper's
+// cached path is compared against.
+func uncached(m *Mapper, tenant int64, q string) (engine.Result, *engine.Rows, error) {
+	st, err := sql.Parse(q)
+	if err != nil {
+		return engine.Result{}, nil, err
 	}
-	return out
+	rw, err := m.Layout.Rewrite(tenant, st)
+	if err != nil {
+		return engine.Result{}, nil, err
+	}
+	if rw.Query != nil {
+		rows, err := m.queryStmt(rw.Query, "")
+		return engine.Result{}, rows, err
+	}
+	res, err := m.execRewritten(&cachedRewrite{rw: rw}, nil)
+	return res, nil, err
 }
 
 // TestRewriteCacheEquivalence drives an identical statement sequence
-// through a cached and an uncached mapper on every layout and demands
-// identical results at every step — the cache must be invisible except
-// for speed.
+// through the Mapper and through the uncached reference on every layout,
+// over identical fresh databases, and demands identical results at
+// every step — the cache must be invisible except for speed.
 func TestRewriteCacheEquivalence(t *testing.T) {
-	for name, pair := range cachedMappers(t) {
-		plain, cached := pair[0], pair[1]
+	schema := paperSchema()
+	plains := allLayouts(t, schema)
+	for name, cached := range allLayouts(t, schema) {
+		plain := plains[name]
 		loadPaperData(t, plain)
 		loadPaperData(t, cached)
 
@@ -47,7 +56,11 @@ func TestRewriteCacheEquivalence(t *testing.T) {
 		}
 		for _, qq := range queries {
 			got := queryAll(t, cached, qq.tenant, qq.q)
-			want := queryAll(t, plain, qq.tenant, qq.q)
+			_, rows, err := uncached(plain, qq.tenant, qq.q)
+			if err != nil {
+				t.Fatalf("%s: uncached %q: %v", name, qq.q, err)
+			}
+			want := sortedRows(rows)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("%s: %q diverged:\ncached  %v\nuncached %v", name, qq.q, got, want)
 			}
@@ -74,16 +87,20 @@ func TestRewriteCacheEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: cached Exec(%q): %v", name, e.q, err)
 			}
-			rp, err := plain.Exec(e.tenant, e.q)
+			rp, _, err := uncached(plain, e.tenant, e.q)
 			if err != nil {
-				t.Fatalf("%s: plain Exec(%q): %v", name, e.q, err)
+				t.Fatalf("%s: uncached Exec(%q): %v", name, e.q, err)
 			}
 			if rc.RowsAffected != rp.RowsAffected {
 				t.Errorf("%s: %q affected %d cached vs %d uncached", name, e.q, rc.RowsAffected, rp.RowsAffected)
 			}
 		}
 		verify := "SELECT Aid, Name, Hospital, Beds FROM Account"
-		if got, want := queryAll(t, cached, 17, verify), queryAll(t, plain, 17, verify); fmt.Sprint(got) != fmt.Sprint(want) {
+		_, rows, err := uncached(plain, 17, verify)
+		if err != nil {
+			t.Fatalf("%s: uncached %q: %v", name, verify, err)
+		}
+		if got, want := queryAll(t, cached, 17, verify), sortedRows(rows); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: post-DML state diverged:\ncached  %v\nuncached %v", name, got, want)
 		}
 	}
@@ -103,7 +120,6 @@ func TestRewriteCacheHitAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMapper(db, l)
-	m.Cache = NewRewriteCache(db, l, 0)
 
 	// 8 distinct literal values, same template: 1 miss + 7 template hits.
 	for i := 0; i < 8; i++ {
@@ -164,7 +180,6 @@ func TestRewriteCacheDDLKeepsWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMapper(db, l)
-	m.Cache = NewRewriteCache(db, l, 0)
 
 	q := "SELECT Name FROM Account WHERE Aid = 1"
 	for _, tenant := range []int64{35, 42} {
@@ -198,54 +213,8 @@ func TestRewriteCacheDDLKeepsWarm(t *testing.T) {
 	}
 }
 
-// TestRewriteCacheInvalidateTable: bumping one (tenant, table)
-// generation must make exactly that tenant's entries over that table
-// miss, while the same statement stays warm for every other tenant and
-// other tables of the same tenant stay warm too.
-func TestRewriteCacheInvalidateTable(t *testing.T) {
-	schema := paperSchema()
-	l, err := NewExtensionLayout(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := engine.Open(engine.Config{})
-	if err := l.Create(db, paperTenants()); err != nil {
-		t.Fatal(err)
-	}
-	m := NewMapper(db, l)
-	m.Cache = NewRewriteCache(db, l, 0)
-
-	qAcc := "SELECT Name FROM Account WHERE Aid = 1"
-	for _, tenant := range []int64{35, 42} {
-		if _, err := m.Query(tenant, qAcc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := m.Cache.Stats()
-
-	m.Cache.InvalidateTable(35, "Account")
-
-	// Tenant 35's Account entry refills; tenant 42's stays warm.
-	if _, err := m.Query(35, qAcc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Query(42, qAcc); err != nil {
-		t.Fatal(err)
-	}
-	after := m.Cache.Stats()
-	if after.Misses != before.Misses+1 {
-		t.Fatalf("tenant 35 should re-rewrite once: before %+v after %+v", before, after)
-	}
-	if after.Hits != before.Hits+1 {
-		t.Fatalf("tenant 42 should stay warm: before %+v after %+v", before, after)
-	}
-	if after.Invalidated == 0 {
-		t.Fatalf("stale entry should be counted: %+v", after)
-	}
-}
-
-// TestRewriteCacheInvalidateTenant: a tenant-wide bump (what a layout
-// move issues at cutover) cold-starts exactly one tenant.
+// TestRewriteCacheInvalidateTenant: extending a tenant on-line bumps
+// its generation, which cold-starts exactly that tenant.
 func TestRewriteCacheInvalidateTenant(t *testing.T) {
 	schema := paperSchema()
 	l, err := NewExtensionLayout(schema)
@@ -257,7 +226,6 @@ func TestRewriteCacheInvalidateTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMapper(db, l)
-	m.Cache = NewRewriteCache(db, l, 0)
 
 	q := "SELECT Name FROM Account WHERE Aid = 1"
 	for _, tenant := range []int64{35, 42} {
@@ -266,7 +234,9 @@ func TestRewriteCacheInvalidateTenant(t *testing.T) {
 		}
 	}
 	before := m.Cache.Stats()
-	m.Cache.InvalidateTenant(35)
+	if err := l.ExtendTenant(db, 35, "AutomotiveAccount"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Query(35, q); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +244,7 @@ func TestRewriteCacheInvalidateTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := m.Cache.Stats()
-	if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
+	if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 || after.Invalidated == before.Invalidated {
 		t.Fatalf("only tenant 35 should refill: before %+v after %+v", before, after)
 	}
 }
@@ -383,7 +353,6 @@ func TestRewriteCacheUserParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMapper(db, l)
-	m.Cache = NewRewriteCache(db, l, 0)
 	if _, err := m.Exec(35, "INSERT INTO Account (Aid, Name) VALUES (1, 'Ball'), (2, 'Cube')"); err != nil {
 		t.Fatal(err)
 	}
@@ -403,5 +372,249 @@ func TestRewriteCacheUserParams(t *testing.T) {
 	s := m.Cache.Stats()
 	if s.Misses != 1 || s.Hits != 3 {
 		t.Fatalf("param statement accounting: %+v", s)
+	}
+}
+
+// extender is what the layouts that can enable an extension on-line
+// have in common.
+type extender interface {
+	ExtendTenant(db *engine.DB, tenantID int64, extName string) error
+}
+
+// TestExtendTenantStalesCachedRewrites: session Mappers share their
+// layout's cache as a server's connections do. Tenant 35's statements
+// are cached while its placement has one fragment — SELECT * answers
+// two columns, the DELETE is one direct statement — then the tenant
+// enables an extension and another session runs the same texts. The
+// transcript must equal Private's: a pre-extension rewrite served
+// afterwards deletes from the base fragment alone, and the orphans it
+// leaves are counted by the next UPDATE of an extension column.
+func TestExtendTenantStalesCachedRewrites(t *testing.T) {
+	const (
+		star = "SELECT * FROM Account"
+		upd  = "UPDATE Account SET Name = 'Orb' WHERE Aid = 1"
+		del  = "DELETE FROM Account WHERE Aid > 2"
+	)
+	transcript := func(m *Mapper) []string {
+		t.Helper()
+		a := NewSessionMapper(m.DB, m.Layout)
+		b := NewSessionMapper(m.DB, m.Layout)
+		defer a.Session.Close()
+		defer b.Session.Close()
+		var out []string
+		exec := func(m *Mapper, q string) {
+			t.Helper()
+			res, err := m.Exec(35, q)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", m.Layout.Name(), q, err)
+			}
+			out = append(out, fmt.Sprintf("%s -> %d", q, res.RowsAffected))
+		}
+		round := func(m *Mapper) {
+			t.Helper()
+			out = append(out, fmt.Sprint(queryAll(t, m, 35, star)))
+			exec(m, upd)
+			exec(m, del)
+			out = append(out, fmt.Sprint(queryAll(t, m, 35, star)))
+		}
+		exec(a, "INSERT INTO Account (Aid, Name) VALUES (1, 'Ball'), (2, 'Cube'), (3, 'Dice')")
+		round(a)
+		round(a) // the second pass runs on raw-text hits
+		if err := m.Layout.(extender).ExtendTenant(m.DB, 35, "HealthcareAccount"); err != nil {
+			t.Fatalf("%s: ExtendTenant: %v", m.Layout.Name(), err)
+		}
+		exec(b, "INSERT INTO Account (Aid, Name, Hospital, Beds) VALUES (3, 'Egg', 'State', 9), (4, 'Fig', 'City', 7)")
+		round(b)
+		exec(b, "UPDATE Account SET Beds = 1")
+		out = append(out, fmt.Sprint(queryAll(t, b, 35, star)))
+		return out
+	}
+	layouts := allLayouts(t, paperSchema())
+	want := transcript(layouts["private"])
+	for _, name := range []string{"extension", "chunkfold", "chunkfold-allfolded"} {
+		got := transcript(layouts[name])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s step %d:\n got  %s\n want %s", name, i, got[i], want[i])
+			}
+		}
+		// The neighbour's entries were not touched: tenant 42's repeat is a hit.
+		m := layouts[name]
+		queryAll(t, m, 42, star)
+		before := m.Cache.Stats()
+		if err := m.Layout.(extender).ExtendTenant(m.DB, 35, "AutomotiveAccount"); err != nil {
+			t.Fatal(err)
+		}
+		queryAll(t, m, 42, star)
+		if after := m.Cache.Stats(); after.Hits != before.Hits+1 || after.Invalidated != before.Invalidated {
+			t.Errorf("%s: extending tenant 35 cost tenant 42 its entry: before %+v after %+v", name, before, after)
+		}
+	}
+}
+
+// TestExtendTenantUnderCachedLoad is the race variant: one goroutine
+// extends tenant 35 twice while four sessions run cached statements —
+// two as tenant 35 and one as its neighbour 42 through the layout's
+// shared cache, and one as 42 through a cache of its own, whose counters
+// are therefore the neighbour's alone: every one of its lookups after
+// the warm-up must be a hit.
+func TestExtendTenantUnderCachedLoad(t *testing.T) {
+	for _, name := range []string{"extension", "chunkfold", "chunkfold-allfolded"} {
+		m := allLayouts(t, paperSchema())[name]
+		loadPaperData(t, m)
+		texts := []string{
+			"SELECT * FROM Account",
+			"UPDATE Account SET Name = 'Orb' WHERE Aid = 1",
+			"SELECT Name FROM Account WHERE Aid = ?",
+			"DELETE FROM Account WHERE Aid > 5",
+		}
+		run := func(m *Mapper, tenant int64) error {
+			for _, q := range texts {
+				if _, _, err := m.Do(tenant, q, types.NewInt(1)); err != nil {
+					return fmt.Errorf("tenant %d %q: %w", tenant, q, err)
+				}
+			}
+			return nil
+		}
+		own := NewSessionMapper(m.DB, m.Layout)
+		own.Cache = NewRewriteCache(m.DB, m.Layout, 0)
+		runners := []struct {
+			m      *Mapper
+			tenant int64
+		}{
+			{NewSessionMapper(m.DB, m.Layout), 35},
+			{NewSessionMapper(m.DB, m.Layout), 35},
+			{NewSessionMapper(m.DB, m.Layout), 42},
+			{own, 42},
+		}
+		for _, r := range runners {
+			if err := run(r.m, r.tenant); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warm := own.Cache.Stats()
+
+		const iters = 40
+		errs := make(chan error, len(runners)+1)
+		var wg sync.WaitGroup
+		for _, r := range runners {
+			wg.Add(1)
+			go func(m *Mapper, tenant int64) {
+				defer wg.Done()
+				defer m.Session.Close()
+				for i := 0; i < iters; i++ {
+					if err := run(m, tenant); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(r.m, r.tenant)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, ext := range []string{"HealthcareAccount", "AutomotiveAccount"} {
+				if err := m.Layout.(extender).ExtendTenant(m.DB, 35, ext); err != nil {
+					errs <- err
+				}
+			}
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("%s: %v", name, err)
+		}
+		end := own.Cache.Stats()
+		if end.Misses != warm.Misses || end.TemplateHits != warm.TemplateHits || end.Invalidated != 0 ||
+			end.Hits != warm.Hits+int64(iters*len(texts)) {
+			t.Errorf("%s: neighbour's entries did not stay hits: warm %+v end %+v", name, warm, end)
+		}
+		// Tenant 35 ends on both extensions: the shared cache answers as a
+		// fresh rewrite does, five columns wide.
+		_, rows, err := uncached(m, 35, texts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := queryAll(t, m, 35, texts[0]), sortedRows(rows); fmt.Sprint(got) != fmt.Sprint(want) || len(rows.Columns) != 5 {
+			t.Errorf("%s: tenant 35 after both extensions: %v, fresh rewrite %v", name, got, want)
+		}
+	}
+}
+
+// TestRewriteCacheManyTablesShape drives the cache at crm_tables_cold's
+// shape — 150 tenants on an instance of ten tables each, 1 500 tables,
+// the CRM deck's statement templates with their values inlined — which
+// has more templates than the default capacity and far more raw texts:
+// the population stays within capacity while it churns, and the raw
+// texts of one template alias one cached rewrite, not a copy each.
+func TestRewriteCacheManyTablesShape(t *testing.T) {
+	const tenants, tablesPer, rows = 150, 10, 32
+	schema := &Schema{}
+	for i := 0; i < tenants*tablesPer; i++ {
+		schema.Tables = append(schema.Tables, &Table{Name: fmt.Sprintf("T%d", i), Key: "Id", Columns: []Column{
+			{Name: "Id", Type: types.IntType, NotNull: true, Indexed: true},
+			{Name: "Attr00", Type: types.VarcharType(20)},
+			{Name: "Attr01", Type: types.IntType},
+		}})
+	}
+	l, err := NewBasicLayout(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= tenants; i++ {
+		if err := l.AddTenant(nil, &Tenant{ID: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := SharedRewriteCache(l)
+	deck := []func(r *rand.Rand, table string) string{
+		func(r *rand.Rand, table string) string {
+			return fmt.Sprintf("SELECT * FROM %s WHERE Id = %d", table, 1+r.Intn(rows))
+		},
+		func(r *rand.Rand, table string) string {
+			return fmt.Sprintf("UPDATE %s SET Attr00 = 'w%d' WHERE Id = %d", table, r.Intn(1e6), 1+r.Intn(rows))
+		},
+		func(r *rand.Rand, table string) string {
+			return fmt.Sprintf("UPDATE %s SET Attr01 = Attr01 + 1 WHERE Id = %d", table, 1+r.Intn(rows))
+		},
+		func(r *rand.Rand, table string) string {
+			return fmt.Sprintf("SELECT COUNT(*), SUM(Attr01) FROM %s WHERE Attr01 > %d", table, r.Intn(500))
+		},
+		func(r *rand.Rand, table string) string {
+			return fmt.Sprintf("SELECT Attr00, COUNT(*) FROM %s GROUP BY Attr00", table)
+		},
+	}
+	r := rand.New(rand.NewSource(2008))
+	for i := 0; i < 30000; i++ {
+		tenant := r.Intn(tenants)
+		table := fmt.Sprintf("T%d", tenant*tablesPer+r.Intn(tablesPer))
+		if _, _, _, err := c.lookup(int64(tenant+1), deck[r.Intn(len(deck))](r, table), nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := c.Stats().Entries; n > DefaultRewriteCacheCap {
+			t.Fatalf("after %d lookups: %d entries, capacity %d", i+1, n, DefaultRewriteCacheCap)
+		}
+	}
+	s := c.Stats()
+	if s.Entries != DefaultRewriteCacheCap || s.TemplateHits == 0 || s.Hits == 0 {
+		t.Fatalf("the deck should fill the cache and reuse templates and raw texts: %+v", s)
+	}
+
+	// In the full, churning cache: sixteen raw texts of one template.
+	var shared *cachedRewrite
+	for id := 1; id <= 16; id++ {
+		cr, bind, _, err := c.lookup(7, fmt.Sprintf("SELECT * FROM T60 WHERE Id = %d", id), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bind) != 1 || bind[0].Int != int64(id) {
+			t.Fatalf("Id = %d binds %v", id, bind)
+		}
+		if shared == nil {
+			shared = cr
+		}
+		if cr != shared {
+			t.Fatalf("Id = %d got a rewrite of its own; raw texts of one template must share one", id)
+		}
 	}
 }

@@ -260,18 +260,13 @@ func (db *DB) Exec(query string, params ...types.Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return db.execStmtKeyed(st, query, params)
+	return db.ExecStmt(st, query, params...)
 }
 
-// ExecStmt is Exec for a pre-parsed statement.
-func (db *DB) ExecStmt(st sql.Statement, params ...types.Value) (Result, error) {
-	return db.execStmtKeyed(st, "", params)
-}
-
-// execStmtKeyed dispatches a statement; key is the plan-cache key, or
-// "" to derive it from the statement's printed form (callers that hold
-// the original text pass it to skip re-rendering).
-func (db *DB) execStmtKeyed(st sql.Statement, key string, params []types.Value) (Result, error) {
+// ExecStmt is Exec for a pre-parsed statement; key is the plan-cache
+// key, or "" to derive it from the statement's printed form (callers
+// that hold the text, or rendered it once, pass it to skip re-rendering).
+func (db *DB) ExecStmt(st sql.Statement, key string, params ...types.Value) (Result, error) {
 	switch st := st.(type) {
 	case *sql.CreateTableStmt, *sql.CreateIndexStmt, *sql.DropTableStmt,
 		*sql.DropIndexStmt:
@@ -354,15 +349,11 @@ func (db *DB) Query(query string, params ...types.Value) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: Query needs a SELECT, got %T", st)
 	}
-	return db.queryStmtKeyed(sel, query, params)
+	return db.QueryStmt(sel, query, params...)
 }
 
-// QueryStmt is Query for a pre-parsed SELECT.
-func (db *DB) QueryStmt(sel *sql.SelectStmt, params ...types.Value) (*Rows, error) {
-	return db.queryStmtKeyed(sel, "", params)
-}
-
-func (db *DB) queryStmtKeyed(sel *sql.SelectStmt, key string, params []types.Value) (*Rows, error) {
+// QueryStmt is Query for a pre-parsed SELECT; key is as for ExecStmt.
+func (db *DB) QueryStmt(sel *sql.SelectStmt, key string, params ...types.Value) (*Rows, error) {
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
 	reads := collectReadTables(sel, nil)

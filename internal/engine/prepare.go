@@ -45,7 +45,7 @@ func (s *Stmt) Query(params ...types.Value) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: prepared statement is not a SELECT")
 	}
-	return s.db.queryStmtKeyed(sel, s.key, params)
+	return s.db.QueryStmt(sel, s.key, params...)
 }
 
 // Exec executes a prepared DML statement through the same path as

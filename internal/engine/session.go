@@ -166,7 +166,7 @@ func (s *Session) execStmtLocked(st sql.Statement, key string, params ...types.V
 	}
 	if s.tx == nil {
 		// Statement autocommit: exactly the DB paths.
-		return s.db.execStmtKeyed(st, key, params)
+		return s.db.ExecStmt(st, key, params...)
 	}
 	switch st := st.(type) {
 	case *sql.SelectStmt:
@@ -205,7 +205,7 @@ func (s *Session) QueryStmt(sel *sql.SelectStmt, key string, params ...types.Val
 		return nil, ErrTxnAborted
 	}
 	if s.tx == nil {
-		return s.db.queryStmtKeyed(sel, key, params)
+		return s.db.QueryStmt(sel, key, params...)
 	}
 	return s.querySelect(sel, key, params)
 }

@@ -12,7 +12,7 @@ import (
 // The differential workload through the query-transformation layer: the
 // same generator, model and checks, with every statement a tenant's
 // logical statement that a session Mapper rewrites — sessions sharing
-// one RewriteCache, as a server's do. The bed is Chunk Folding with the
+// their layout's RewriteCache, as a server's do. The bed is Chunk Folding with the
 // three columns in the conventional base table, one fragment, so every
 // UPDATE and DELETE the generator knows (by key, by key range, by the
 // column it writes, without a WHERE) takes core's fusion rule and runs
@@ -61,11 +61,9 @@ func foldedBed(cache **core.RewriteCache) bed {
 		if err := l.Create(db, []*core.Tenant{{ID: fusedTenant}}); err != nil {
 			return nil, err
 		}
-		*cache = core.NewRewriteCache(db, l, 0)
+		*cache = core.SharedRewriteCache(l)
 		return func(db *engine.DB) session {
-			m := core.NewSessionMapper(db, l)
-			m.Cache = *cache
-			return tenantSession{m}
+			return tenantSession{core.NewSessionMapper(db, l)}
 		}, nil
 	}
 }

@@ -73,9 +73,6 @@ type Config struct {
 	// many writers multiplies first-updater-wins conflict aborts);
 	// negative disables the gate entirely.
 	MaxConcurrent int
-	// RewriteCacheCap bounds the shared rewrite cache (layout mode).
-	// 0 picks core.DefaultRewriteCacheCap; negative disables caching.
-	RewriteCacheCap int
 }
 
 // Stats is a point-in-time snapshot of the server's counters plus the
@@ -93,7 +90,9 @@ type Stats struct {
 	ActiveTxns      int64  `json:"active_txns"`
 	PinnedSnapshots int64  `json:"pinned_snapshots"`
 
-	// Rewrite-cache counters (layout mode; zero otherwise).
+	// Rewrite-cache counters (layout mode; zero otherwise). The cache is
+	// the layout's, so these count every Mapper over it, the server's
+	// connections and anything else in the process.
 	RewriteHits         int64   `json:"rewrite_hits"`
 	RewriteTemplateHits int64   `json:"rewrite_template_hits"`
 	RewriteMisses       int64   `json:"rewrite_misses"`
@@ -131,10 +130,9 @@ type Stats struct {
 // Server accepts protocol connections and drives them against the
 // engine. Construct with New, then Serve/ListenAndServe.
 type Server struct {
-	cfg      Config
-	reg      *registry
-	exec     *executor
-	rewrites *core.RewriteCache
+	cfg  Config
+	reg  *registry
+	exec *executor
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -170,11 +168,7 @@ func New(cfg Config) (*Server, error) {
 			slots = 32
 		}
 	}
-	s := &Server{cfg: cfg, reg: newRegistry(), exec: newExecutor(slots)}
-	if cfg.Layout != nil && cfg.RewriteCacheCap >= 0 {
-		s.rewrites = core.NewRewriteCache(cfg.DB, cfg.Layout, cfg.RewriteCacheCap)
-	}
-	return s, nil
+	return &Server{cfg: cfg, reg: newRegistry(), exec: newExecutor(slots)}, nil
 }
 
 // ListenAndServe listens on addr ("host:port") and serves until Close.
@@ -294,8 +288,8 @@ func (s *Server) Stats() Stats {
 		ReplAppliedCommitLSN: est.ReplAppliedCommitLSN,
 		ReplLagBytes:         est.ReplLagBytes,
 	}
-	if s.rewrites != nil {
-		rc := s.rewrites.Stats()
+	if s.cfg.Layout != nil {
+		rc := core.SharedRewriteCache(s.cfg.Layout).Stats()
 		st.RewriteHits = rc.Hits
 		st.RewriteTemplateHits = rc.TemplateHits
 		st.RewriteMisses = rc.Misses
@@ -450,7 +444,6 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader, w *connWriter) (*connS
 	c := &connState{id: id, tenant: hello.Tenant, nc: nc, stmts: make(map[uint32]*prepStmt)}
 	if s.cfg.Layout != nil {
 		c.mapper = core.NewSessionMapper(s.cfg.DB, s.cfg.Layout)
-		c.mapper.Cache = s.rewrites
 		c.sess = c.mapper.Session
 	} else {
 		c.sess = s.cfg.DB.Session()
