@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
+.PHONY: all build vet fmt test test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
 
 all: check
 
@@ -16,6 +16,11 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# storage and exec at a core count the sandbox does not have: nothing
+# they assert (shard count, hint caps, page counts) may depend on it.
+test-cores:
+	GOMAXPROCS=8 $(GO) test -count=1 ./internal/storage/ ./internal/exec/
 
 # The interactive-transaction suite: engine anomaly/interleaving tests,
 # the model-differential harness on its three fixed seeds (1, 2, 3), and
@@ -59,7 +64,10 @@ bench-compare:
 	$(GO) run ./bench -compare $(A) $(B)
 
 # One iteration of every benchmark: keeps benchmark code compiling and
-# running without paying for full measurement (CI runs this).
+# running without paying for full measurement (CI runs this). Among
+# them the two that two sessions need to show anything:
+# BenchmarkFetchResidentParallel (storage) and BenchmarkQ2Warm/parallel2
+# (chunkexp).
 bench-smoke:
 	$(GO) test -run=XXX -bench=. -benchtime=1x . ./internal/btree/ ./internal/chunkexp/ ./internal/core/ ./internal/engine/ ./internal/storage/
 
@@ -134,4 +142,4 @@ bench-repl-smoke:
 fuzz-alter:
 	$(GO) test ./internal/sql/ -fuzz FuzzParseAlter -fuzztime 20s
 
-check: build vet fmt test race race-bench bench-smoke
+check: build vet fmt test test-cores race race-bench bench-smoke

@@ -1,6 +1,10 @@
 package btree
 
-import "repro/internal/storage"
+import (
+	"bytes"
+
+	"repro/internal/storage"
+)
 
 // Iterator walks entries in key order. It copies out of one leaf at a
 // time — only the entries inside [lo, hi), into buffers it reuses from
@@ -8,9 +12,21 @@ import "repro/internal/storage"
 // Next calls; mutations during iteration are not supported (the
 // engine's table locks prevent them). The zero Iterator is ready for
 // Seek.
+//
+// It remembers the last leaf it loaded — the page id and a copy of the
+// leaf's first and last key, no pin — and the next Seek of the same tree
+// re-enters that leaf with one Fetch instead of descending, when the new
+// lower bound allows (see reenter). A page stays a leaf of its tree for
+// as long as the tree exists, and the re-entry checks the bound against
+// the page as it reads then, so inserts, deletes and splits between two
+// Seeks are harmless. What the id cannot outlive is the tree: Drop hands
+// its pages back for reuse. Whoever keeps an Iterator from one statement
+// to the next therefore calls Forget before the new statement's first
+// Seek, and the leaf is only ever used while a table latch holds the
+// index in place.
 type Iterator struct {
 	tree *BTree
-	buf  []byte   // the current leaf's in-range entries, as they lie on the page
+	buf  []byte   // the current leaf's in-range entries, as they lie on the page (first, last behind them)
 	offs []uint16 // start of each entry in buf, in key order
 	idx  int
 	next storage.PageID // leaf to load after buf; invalid once hi or the chain's end is reached
@@ -18,6 +34,9 @@ type Iterator struct {
 	hi   []byte         // exclusive upper bound; nil = unbounded
 	err  error
 	done bool
+
+	leaf        storage.PageID // the last leaf loaded; invalid: none remembered
+	first, last []byte         // its first and last key when it was loaded
 
 	rows *storage.HeapFile // see HintRows; nil: no hints
 	rids []storage.RID     // scratch for them
@@ -48,12 +67,50 @@ func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
 func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	id, n, _, err := t.descend(lo)
+	id := it.leaf
+	n, err := it.reenter(t, lo)
+	if n == nil && err == nil {
+		id, n, _, err = t.descend(lo)
+	}
 	if err != nil {
 		return err
 	}
 	it.tree, it.lo, it.hi, it.err, it.done = t, lo, hi, nil, false
 	return it.load(id, n)
+}
+
+// Forget drops the remembered leaf, so that the next Seek descends from
+// the root.
+func (it *Iterator) Forget() { it.leaf = storage.InvalidPageID }
+
+// reenter returns the remembered leaf pinned if the first key >= lo is
+// certain to be on it: lo lies within the page's own first and last key
+// as they read now, under t.mu. Keys are unique and the leaves partition
+// the key space in order, so that holds whatever was inserted, deleted
+// or split off since the leaf was loaded. The keys copied at load time
+// only decide whether the page is worth a Fetch: a probe they rule out
+// goes straight to the descent, so while the tree is unchanged a Seek
+// never fetches more pages than a descent, and (height - 1) fewer when
+// it re-enters. nil, nil means descend.
+func (it *Iterator) reenter(t *BTree, lo []byte) (node, error) {
+	if it.leaf == storage.InvalidPageID || it.tree != t || len(it.first) == 0 || !within(lo, it.first, it.last) {
+		return nil, nil
+	}
+	buf, err := t.pool.Fetch(it.leaf, storage.CatIndex)
+	if err != nil {
+		return nil, err
+	}
+	n := node(buf)
+	if c := n.count(); c > 0 && within(lo, n.key(0), n.key(c-1)) {
+		return n, nil
+	}
+	t.pool.Unpin(it.leaf, false)
+	return nil, nil
+}
+
+// within reports first <= key <= last.
+func within(key, first, last []byte) bool {
+	return bytes.Compare(first, key) <= 0 && bytes.Compare(key, last) <= 0
 }
 
 // SeekPrefix returns an iterator over every key beginning with prefix.
@@ -110,6 +167,7 @@ func (it *Iterator) load(id storage.PageID, n node) error {
 		// caller consumes this leaf.
 		it.tree.pool.Prefetch(it.next, storage.CatIndex)
 		it.copyOut(n, from, to)
+		it.leaf = id
 		it.tree.pool.Unpin(id, false)
 		if it.rows != nil && it.rows.Prefetching() {
 			it.rids = it.rids[:0]
@@ -130,9 +188,15 @@ func (it *Iterator) load(id storage.PageID, n node) error {
 	}
 }
 
-// copyOut fills buf and offs with entries [from, to) of n.
+// copyOut fills buf and offs with entries [from, to) of n, and first
+// and last — in buf's spare capacity, behind the entries — with the
+// first and last key of all of n (both empty when n is).
 func (it *Iterator) copyOut(n node, from, to int) {
-	size := 0
+	var first, last []byte
+	if c := n.count(); c > 0 {
+		first, last = n.key(0), n.key(c-1)
+	}
+	size := len(first) + len(last)
 	for i := from; i < to; i++ {
 		size += len(n.raw(i))
 	}
@@ -147,6 +211,9 @@ func (it *Iterator) copyOut(n node, from, to int) {
 		it.offs = append(it.offs, uint16(len(it.buf)))
 		it.buf = append(it.buf, n.raw(i)...)
 	}
+	end := len(it.buf)
+	bounds := append(append(it.buf, first...), last...)
+	it.first, it.last = bounds[end:end+len(first)], bounds[end+len(first):]
 }
 
 // Valid reports whether the iterator is positioned on an entry.

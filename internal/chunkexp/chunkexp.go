@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/sql"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -316,6 +317,7 @@ type Measurement struct {
 	WarmTime      time.Duration // Fig 9: average warm-cache response time
 	ColdTime      time.Duration // Fig 11: average cold-cache response time
 	LogicalReads  int64         // Fig 10: logical page reads per execution
+	IndexReads    int64         // the index pages among them ("74–80 % of reads are index accesses")
 	RowsScanned   int64         // rows produced by base-table access per warm execution
 	PhysicalReads int64         // pages faulted per cold execution
 	Rows          int           // result cardinality sanity check
@@ -349,6 +351,7 @@ func (in *Instance) MeasureQ2(query string, runs int, parentID int64) (Measureme
 	m.WarmTime = time.Since(t0) / time.Duration(runs)
 	stats := in.DB.Stats()
 	m.LogicalReads = stats.Pool.TotalLogicalReads() / int64(runs)
+	m.IndexReads = stats.Pool.LogicalReads[storage.CatIndex] / int64(runs)
 	m.RowsScanned = stats.Exec.RowsScanned / int64(runs)
 
 	// Cold runs: drop caches before each execution.

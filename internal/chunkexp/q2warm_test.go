@@ -2,6 +2,7 @@ package chunkexp
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -28,6 +29,13 @@ var (
 // through core.Mapper as the workload does (mapper_query). A warm
 // mapper_query is exec_keyed plus one rewrite-cache hit: the two must
 // stay within 5 % of each other (make bench-smoke prints both).
+//
+// parallel2 is exec_keyed from two sessions at once, as the workload's
+// two clients run it; an op is still one query, so on two idle cores it
+// reads half of exec_keyed when the sessions share nothing, and more by
+// whatever they wait for each other: the root and leaves of the
+// meta-data index, the pool's shard mutexes. The -cpu 1 rows cannot see
+// that cost; read this one at -cpu 2.
 func BenchmarkQ2Warm(b *testing.B) {
 	in, err := NewChunk(Config{Parents: 300, ChildrenPerParent: 10}, 6, false)
 	if err != nil {
@@ -94,6 +102,27 @@ func BenchmarkQ2Warm(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	b.Run("parallel2", func(b *testing.B) {
+		phys := rewrite()
+		key := phys.String()
+		b.ReportAllocs()
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				s := in.DB.Session()
+				defer s.Close()
+				for i := g; i < b.N; i += 2 {
+					if rows, err := s.QueryStmt(phys, key, param(i)); err != nil || len(rows.Data) != 10 {
+						b.Errorf("session %d: %v, %v", g, rows, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	})
 	b.Run("mapper_query", func(b *testing.B) {
 		if sinkRows, err = in.Query(q, param(0)); err != nil || len(sinkRows.Data) != 10 {

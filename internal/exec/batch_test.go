@@ -321,15 +321,18 @@ func TestBatchRowEquivalenceProperty(t *testing.T) {
 
 // TestGoldenSetWithHintsLive runs the golden file's query set where
 // every access path announces and the pool thrashes — the same rows on
-// 1 KiB pages, 16 frames, a device with read latency — and holds it to
-// the recorded results; afterwards the tables are sound and nothing is
-// pinned. (The recorded costs are those of 8 KiB pages; that hints add
-// no logical read is held in internal/storage.)
+// 1 KiB pages, two frames a shard, a device with read latency — and
+// holds it to the recorded results; afterwards the tables are sound and
+// nothing is pinned. A shrink keeps the shards the pool was built with,
+// so the budget is stated per shard: with one frame a shard's cap on
+// hinted frames (half its capacity) is zero and every hint is dropped.
+// (The recorded costs are those of 8 KiB pages; that hints add no
+// logical read is held in internal/storage.)
 func TestGoldenSetWithHintsLive(t *testing.T) {
 	g := loadGolden(t)
 	run := func(disk *storage.Disk, pool *storage.BufferPool, cat *catalog.Catalog, tx *mvcc.Txn, seed int64, want []goldenRun) {
 		disk.ReadLatency = 50 * time.Microsecond
-		if err := pool.SetCapacityBytes(16 * int64(pool.PageSize())); err != nil {
+		if err := pool.SetCapacityBytes(int64(2*pool.NumShards()) * int64(pool.PageSize())); err != nil {
 			t.Fatal(err)
 		}
 		pool.ResetStats()

@@ -271,3 +271,93 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 		t.Errorf("the readers met no chains: resolved %d, enumerated %d", c.ChainedRowsResolved, c.VersionsEnumerated)
 	}
 }
+
+// TestConcurrentJoinsAcrossInserts: two sessions re-execute one index-NL
+// join each, on a tree of their own that they recycle — so its probe
+// cursor, and the leaf that cursor remembers, outlive every statement —
+// while a third session inserts into the probed index between their
+// statements, in runs on few keys so that the remembered leaves fill
+// and split. Every execution must see exactly the rows committed under
+// the latch it ran under. Run under -race: the sessions' cursors re-enter
+// the same resident leaves at once.
+func TestConcurrentJoinsAcrossInserts(t *testing.T) {
+	_, cat := propFixture(t, 3, nil)
+	acct, err := cat.Table("account")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opp, err := cat.Table("opportunity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT a.id, o.id FROM account a, opportunity o WHERE o.account_id = a.id"
+	first, err := runPlan(planQuery(t, cat, q), nil, nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Guarded by opp.Mu: the join's row count and the sum of its o.id.
+	matches, sum := len(first), int64(0)
+	for _, row := range first {
+		sum += row[1].Int
+	}
+
+	const inserts, sessions = 400, 2
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		p := planQuery(t, cat, q) // a plan is one goroutine's
+		if !hasNode(p, "NLJOIN") {
+			t.Fatal("the sessions' plan has no index-NL join")
+		}
+		tree, err := Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for runs := 0; ; runs++ {
+				select {
+				case <-done:
+					if runs >= 20 {
+						return
+					}
+				default:
+				}
+				acct.Mu.RLock()
+				opp.Mu.RLock()
+				rows, err := tree.Collect(nil, nil, nil)
+				wantRows, wantSum := matches, sum
+				opp.Mu.RUnlock()
+				acct.Mu.RUnlock()
+				if err != nil || !tree.Reusable() {
+					t.Errorf("session %d: %v (reusable %v)", s, err, tree.Reusable())
+					return
+				}
+				got := int64(0)
+				for _, row := range rows {
+					got += row[1].Int
+				}
+				if len(rows) != wantRows || got != wantSum {
+					t.Errorf("session %d run %d: %d rows, o.id sum %d; want %d and %d", s, runs, len(rows), got, wantRows, wantSum)
+					return
+				}
+			}
+		}(s)
+	}
+	for i := 0; i < inserts; i++ {
+		id := int64(100000 + i)
+		opp.Mu.Lock()
+		_, err := opp.InsertRow([]types.Value{
+			types.NewInt(id), types.NewInt(int64(1 + i/40)), types.NewString("won"), types.NewInt(1),
+		})
+		matches, sum = matches+1, sum+id
+		opp.Mu.Unlock()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}

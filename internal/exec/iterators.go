@@ -187,6 +187,7 @@ func (it *indexScanIter) Open(ctx *Context) error {
 		return nil
 	}
 	announce(it.node.Table, true, it.node.Path.Index)
+	it.it.Forget() // a recycled tree's cursor remembers a leaf of an earlier statement
 	it.it.HintRows(it.node.Table.Heap)
 	if it.snap, err = openSnapshot(ctx, it.node.Table, it.node.Path.Index); err != nil {
 		return err
@@ -585,6 +586,9 @@ func (it *indexNLJoinIter) Open(ctx *Context) error {
 	// Captured once for every probe: the inner table cannot change while
 	// the statement holds its latch, only lose chains to GC.
 	announce(it.node.Inner, true, it.node.Path.Index)
+	// The cursor keeps its leaf from probe to probe, never from statement
+	// to statement: only this statement's latch holds the index still.
+	it.inner.Forget()
 	it.inner.HintRows(it.node.Inner.Heap)
 	var err error
 	if it.snap, err = openSnapshot(ctx, it.node.Inner, it.node.Path.Index); err != nil {

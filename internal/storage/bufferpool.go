@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,6 +85,10 @@ type frame struct {
 	// fetchers of a page that is still being read from disk wait on it
 	// (the I/O latch). loadErr records a failed load. loading is true
 	// until then: a loading frame is never evicted, dropped or freed.
+	// loading is cleared and loadErr written in one critical section of
+	// the shard mutex, so whoever holds it and reads loading false has the
+	// load's outcome without touching ready — which a frame born loaded
+	// (NewPage) does not have.
 	ready   chan struct{}
 	loadErr error
 	loading bool
@@ -210,30 +213,24 @@ var ErrPoolExhausted = errors.New("storage: buffer pool exhausted (all frames pi
 // grows past its budget and retries once the gating statement ends.
 var errAllGated = errors.New("storage: all eviction victims gated by no-steal")
 
-// closedChan is a pre-closed ready channel for frames born loaded.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
 // minShardFrames is the smallest initial per-shard frame budget; pools
 // too small to give every shard this many frames use fewer shards.
 const minShardFrames = 8
 
-// shardCount picks the number of shards: a power of two, at most
-// min(16, GOMAXPROCS*2), reduced until every shard starts with at
-// least minShardFrames frames (a 8-frame pool gets exactly one shard,
-// preserving single-pool pin/exhaustion semantics).
+// maxShards bounds the shard count. Sixteen mutexes are enough that two
+// sessions on unrelated pages meet on one fetch in sixteen, and cost a
+// small pool nothing: shardCount gives it fewer.
+const maxShards = 16
+
+// shardCount picks the number of shards: the largest power of two up to
+// maxShards that starts every shard with at least minShardFrames frames
+// (an 8-frame pool gets exactly one shard, preserving single-pool
+// pin/exhaustion semantics). It is a function of the pool's frames
+// alone, not of the core count, so that which pages share a shard's
+// frame budget and hint cap — and with them eviction order, page counts
+// and dropped hints — are the same on every machine.
 func shardCount(totalFrames int) int {
-	limit := runtime.GOMAXPROCS(0) * 2
-	if limit > 16 {
-		limit = 16
-	}
-	n := 1
-	for n*2 <= limit {
-		n *= 2
-	}
+	n := maxShards
 	for n > 1 && totalFrames/n < minShardFrames {
 		n /= 2
 	}
@@ -368,9 +365,16 @@ func (p *BufferPool) Fetch(id PageID, cat Category) ([]byte, error) {
 			s.lru.remove(f)
 		}
 		s.unhintLocked(f, &s.stats.PrefetchJoined)
+		if !f.loading && f.loadErr == nil {
+			// The hit: one lock, and nothing shared with other pages.
+			s.mu.Unlock()
+			return f.data, nil
+		}
 		ready := f.ready
 		s.mu.Unlock()
-		// Wait for a concurrent loader to finish filling the frame.
+		// Wait for a concurrent loader to finish filling the frame (a
+		// failed load's frame, kept by its earlier waiters, is not waited
+		// for: its latch is open).
 		<-ready
 		err := f.loadErr
 		if err == nil {
@@ -558,8 +562,7 @@ func (p *BufferPool) NewPage(cat Category) (PageID, []byte, error) {
 	if err := s.makeRoomLocked(false); err != nil {
 		return InvalidPageID, nil, err
 	}
-	f := &frame{id: id, data: make([]byte, p.disk.PageSize()), pins: 1, dirty: true, cat: cat,
-		ready: closedChan}
+	f := &frame{id: id, data: make([]byte, p.disk.PageSize()), pins: 1, dirty: true, cat: cat}
 	s.frames[id] = f
 	return id, f.data, nil
 }
