@@ -267,6 +267,11 @@ func main() {
 		p := r.Stats.Pool
 		return fmt.Sprintf("%d/%d/%d", p.PrefetchWasted, p.PrefetchDropped, p.PeakInflight)
 	})
+	// Index scans and DML gathers on a table of one heap page read that
+	// page instead of the index.
+	row("One-page reads", func(r *testbed.Result) string {
+		return fmt.Sprint(r.Stats.Exec.OnePageReads)
+	})
 	fmt.Println()
 	fmt.Println("Figure 7 series: (a) compliance, (b) throughput, (c) hit ratios — columns above.")
 }

@@ -486,7 +486,24 @@ type pinned struct {
 // any point (page load, allocation, eviction write-back) leaves the
 // tree exactly as it was, which is what lets the catalog undo-log a
 // successful Insert with a plain Delete.
-func (t *BTree) Insert(key []byte, rid storage.RID) error {
+func (t *BTree) Insert(key []byte, rid storage.RID) error { return t.insert(key, rid, false) }
+
+// InsertCold is Insert for an index whose leaves only maintenance
+// visits: the leaf is released to the cold end of the buffer pool's LRU
+// (storage.BufferPool.UnpinCold), the inner nodes above it as Insert
+// releases them.
+func (t *BTree) InsertCold(key []byte, rid storage.RID) error { return t.insert(key, rid, true) }
+
+// release unpins the leaf a write visited.
+func (t *BTree) release(id storage.PageID, dirty, cold bool) {
+	if cold {
+		t.pool.UnpinCold(id, dirty)
+	} else {
+		t.pool.Unpin(id, dirty)
+	}
+}
+
+func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !keyFits(len(key), t.pool.PageSize()) {
@@ -502,7 +519,7 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	defer func() {
 		// Leaf first: the inner nodes above it end up hotter in the LRU.
 		if last := len(path) - 1; last >= 0 {
-			t.pool.Unpin(path[last].id, path[last].dirty)
+			t.release(path[last].id, path[last].dirty, cold)
 			for _, p := range path[:last] {
 				t.pool.Unpin(p.id, p.dirty)
 			}
@@ -657,7 +674,12 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 
 // Delete removes key. Underflowed nodes are left in place (lazy
 // deletion); pages are only reclaimed by Drop.
-func (t *BTree) Delete(key []byte) error {
+func (t *BTree) Delete(key []byte) error { return t.delete(key, false) }
+
+// DeleteCold is Delete releasing the leaf as InsertCold does.
+func (t *BTree) DeleteCold(key []byte) error { return t.delete(key, true) }
+
+func (t *BTree) delete(key []byte, cold bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id, n, pos, err := t.fetchEntry(key)
@@ -671,7 +693,7 @@ func (t *BTree) Delete(key []byte) error {
 		}
 	}
 	n.remove(pos)
-	t.pool.Unpin(id, true)
+	t.release(id, true, cold)
 	t.size--
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,14 +54,34 @@ func (ix *Index) ColNames(t *Table) []string {
 // KeyFor builds the B+tree key for a row. Non-unique indexes append the
 // RID so that every tree key is distinct (a partitioned B-tree).
 func (ix *Index) KeyFor(row []types.Value, rid storage.RID) []byte {
-	key := make([]byte, 0, 64)
+	return ix.AppendKey(make([]byte, 0, 64), row, rid)
+}
+
+// AppendKey is KeyFor appending the key to dst.
+func (ix *Index) AppendKey(dst []byte, row []types.Value, rid storage.RID) []byte {
 	for _, c := range ix.Cols {
-		key = types.EncodeKey(key, row[c])
+		dst = types.EncodeKey(dst, row[c])
 	}
 	if !ix.Unique {
-		key = appendRID(key, rid)
+		dst = appendRID(dst, rid)
 	}
-	return key
+	return dst
+}
+
+// insert and remove are index maintenance: cold releases the leaf to
+// the cold end of the buffer pool (see Table.coldLeaves).
+func (ix *Index) insert(key []byte, rid storage.RID, cold bool) error {
+	if cold {
+		return ix.Tree.InsertCold(key, rid)
+	}
+	return ix.Tree.Insert(key, rid)
+}
+
+func (ix *Index) remove(key []byte, cold bool) error {
+	if cold {
+		return ix.Tree.DeleteCold(key)
+	}
+	return ix.Tree.Delete(key)
 }
 
 // PrefixFor builds the search prefix for the first len(vals) index
@@ -202,6 +223,22 @@ func (t *Table) InsertRow(row []types.Value) (storage.RID, error) {
 // error the caller owns rolling u back (statement-level atomicity
 // composes multiple rows into one undo scope).
 func (t *Table) InsertRowUndo(row []types.Value, u *UndoLog) (storage.RID, error) {
+	return t.insertRow(nil, row, u, true)
+}
+
+// coldLeaves reports whether index maintenance on t releases the leaves
+// it writes to the cold end of the buffer pool. It does while the heap
+// has at most one page: the executor then answers t's index scans and
+// DML gathers from that page, so what reads t's leaves is maintenance,
+// not statements (index-NL join probes and unique checks aside). A
+// statement releases cold only at its last write to an index (last is
+// set): an earlier leaf would be the victim of the statement's own next
+// miss and read again by its next write.
+func (t *Table) coldLeaves() bool { return t.Heap.NumPages() <= 1 }
+
+// insertRow is InsertRowUndo on behalf of tx (nil: autocommit); last
+// marks the statement's last row.
+func (t *Table) insertRow(tx *mvcc.Txn, row []types.Value, u *UndoLog, last bool) (storage.RID, error) {
 	row, err := t.normalizeRow(row)
 	if err != nil {
 		return storage.RID{}, err
@@ -211,9 +248,15 @@ func (t *Table) InsertRowUndo(row []types.Value, u *UndoLog) (storage.RID, error
 		if !ix.Unique {
 			continue
 		}
-		if _, err := ix.Tree.Get(ix.KeyFor(row, storage.RID{})); err == nil {
-			return storage.RID{}, fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
-		} else if !errors.Is(err, btree.ErrKeyNotFound) {
+		key := ix.KeyFor(row, storage.RID{})
+		if tx != nil {
+			err = t.checkUniqueTxn(tx, ix, key)
+		} else if _, err = ix.Tree.Get(key); err == nil {
+			err = fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
+		} else if errors.Is(err, btree.ErrKeyNotFound) {
+			err = nil
+		}
+		if err != nil {
 			return storage.RID{}, err
 		}
 	}
@@ -222,9 +265,14 @@ func (t *Table) InsertRowUndo(row []types.Value, u *UndoLog) (storage.RID, error
 		return storage.RID{}, err
 	}
 	u.push(func() error { return t.Heap.Delete(rid) })
+	if tx != nil {
+		t.Vers.RecordWrite(tx, rid, nil, false)
+		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
+	}
+	cold := last && t.coldLeaves()
 	for _, ix := range t.Indexes {
 		key := ix.KeyFor(row, rid)
-		if err := ix.Tree.Insert(key, rid); err != nil {
+		if err := ix.insert(key, rid, cold); err != nil {
 			return storage.RID{}, fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
 		}
 		tree := ix.Tree
@@ -250,24 +298,6 @@ func (t *Table) GetRow(rid storage.RID) ([]types.Value, error) {
 	return row, nil
 }
 
-// GetRowInto is GetRow decoding into dst (whose backing storage is
-// reused) and materializing only the columns marked in need (nil = all;
-// the rest come back as NULL). It skips both the record copy and the
-// per-value allocations of GetRow: the record is decoded while its page
-// stays pinned. Returns the row plus the decoded/skipped value counts
-// for the engine's decode-savings counters.
-func (t *Table) GetRowInto(dst []types.Value, rid storage.RID, need []bool) (row []types.Value, decoded, skipped int, err error) {
-	verr := t.Heap.View(rid, func(rec []byte) error {
-		var derr error
-		row, decoded, skipped, derr = types.DecodeRowPartial(dst, rec, need, len(t.Columns))
-		return derr
-	})
-	if verr != nil {
-		return nil, 0, 0, verr
-	}
-	return row, decoded, skipped, nil
-}
-
 // DeleteRow removes the row (whose current contents must be supplied
 // for index maintenance). Caller holds the write lock. The delete is
 // all-or-nothing: a failure partway restores the removed index entries
@@ -283,15 +313,29 @@ func (t *Table) DeleteRow(rid storage.RID, row []types.Value) error {
 // DeleteRowUndo is DeleteRow logging each applied sub-step into u; on
 // error the caller owns rolling u back.
 func (t *Table) DeleteRowUndo(rid storage.RID, row []types.Value, u *UndoLog) error {
+	return t.deleteRow(nil, rid, row, u, true)
+}
+
+// deleteRow is DeleteRowUndo on behalf of tx (nil: autocommit): the
+// first-updater-wins check runs before anything is touched, and the
+// deleted bytes become the pre-image of a new version entry so older
+// snapshots keep seeing the row. last marks the statement's last row.
+func (t *Table) deleteRow(tx *mvcc.Txn, rid storage.RID, row []types.Value, u *UndoLog, last bool) error {
+	if tx != nil {
+		if err := t.Vers.CheckWrite(tx, rid); err != nil {
+			return fmt.Errorf("catalog: %s: delete %v: %w", t.Name, rid, err)
+		}
+	}
 	// Snapshot the stored bytes first: undo restores the record exactly
 	// as it was, not a re-encoding of the (possibly NULL-padded) row.
 	rec, err := t.Heap.Get(rid)
 	if err != nil {
 		return err
 	}
+	cold := last && t.coldLeaves()
 	for _, ix := range t.Indexes {
 		key := ix.KeyFor(row, rid)
-		if err := ix.Tree.Delete(key); err != nil {
+		if err := ix.remove(key, cold); err != nil {
 			return fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
 		}
 		tree := ix.Tree
@@ -301,6 +345,10 @@ func (t *Table) DeleteRowUndo(rid storage.RID, row []types.Value, u *UndoLog) er
 		return err
 	}
 	u.push(func() error { return t.Heap.Reinsert(rid, rec) })
+	if tx != nil {
+		t.Vers.RecordWrite(tx, rid, rec, true)
+		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
+	}
 	return nil
 }
 
@@ -344,6 +392,7 @@ func (t *Table) UpdateRowUndo(rid storage.RID, oldRow, newRow []types.Value, u *
 	if err != nil {
 		return storage.RID{}, err
 	}
+	cold := t.coldLeaves()
 	for _, ix := range t.Indexes {
 		oldKey := ix.KeyFor(oldRow, rid)
 		newKey := ix.KeyFor(newRow, newRID)
@@ -355,7 +404,7 @@ func (t *Table) UpdateRowUndo(rid storage.RID, oldRow, newRow []types.Value, u *
 			return storage.RID{}, fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, ix.Name, err)
 		}
 		u.push(func() error { return tree.Insert(oldKey, rid) })
-		if err := tree.Insert(newKey, newRID); err != nil {
+		if err := ix.insert(newKey, newRID, cold); err != nil {
 			return storage.RID{}, fmt.Errorf("catalog: %s: index %s insert: %w", t.Name, ix.Name, err)
 		}
 		u.push(func() error { return tree.Delete(newKey) })
@@ -412,12 +461,7 @@ func (t *Table) updateHeapUndo(rid storage.RID, newRow []types.Value, u *UndoLog
 // with an untouched row or between two updated rows. All sub-steps are
 // logged into u; on error the caller owns rolling u back.
 func (t *Table) UpdateRowsDeferred(rids []storage.RID, oldRows, newRows [][]types.Value, u *UndoLog) ([]storage.RID, error) {
-	type pendingInsert struct {
-		ix  *Index
-		key []byte
-		rid storage.RID
-	}
-	var inserts []pendingInsert
+	var inserts []indexWrite
 	newRIDs := make([]storage.RID, len(rids))
 	for i, rid := range rids {
 		nr, err := t.normalizeRow(newRows[i])
@@ -440,20 +484,50 @@ func (t *Table) UpdateRowsDeferred(rids []storage.RID, oldRows, newRows [][]type
 				return nil, fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, ix.Name, err)
 			}
 			u.push(func() error { return tree.Insert(oldKey, rid) })
-			inserts = append(inserts, pendingInsert{ix: ix, key: newKey, rid: newRID})
+			inserts = append(inserts, indexWrite{ix: ix, newKey: newKey, rid: newRID})
 		}
 	}
-	for _, p := range inserts {
-		if err := p.ix.Tree.Insert(p.key, p.rid); err != nil {
-			if errors.Is(err, btree.ErrDuplicateKey) && p.ix.Unique {
-				return nil, fmt.Errorf("catalog: %s: unique index %s violated", t.Name, p.ix.Name)
-			}
-			return nil, fmt.Errorf("catalog: %s: index %s insert: %w", t.Name, p.ix.Name, err)
-		}
-		tree, key := p.ix.Tree, p.key
-		u.push(func() error { return tree.Delete(key) })
+	if err := t.insertDeferred(nil, inserts, u); err != nil {
+		return nil, err
 	}
 	return newRIDs, nil
+}
+
+// indexWrite is one index entry an UPDATE re-keys: oldKey leaves the
+// index in the statement's first pass, newKey, for the row now at rid,
+// enters it in the deferred pass.
+type indexWrite struct {
+	ix             *Index
+	oldKey, newKey []byte
+	rid            storage.RID
+}
+
+// insertDeferred is an UPDATE's deferred pass on behalf of tx (nil:
+// autocommit): every new entry goes in once every old one is out, so a
+// duplicate is a genuine violation — or, under tx, a conflict when an
+// uncommitted foreign write holds the key. Only the last write to each
+// index may release its leaf cold (see coldLeaves).
+func (t *Table) insertDeferred(tx *mvcc.Txn, writes []indexWrite, u *UndoLog) error {
+	cold := t.coldLeaves()
+	for i, w := range writes {
+		last := cold && !slices.ContainsFunc(writes[i+1:], func(o indexWrite) bool { return o.ix == w.ix })
+		if err := w.ix.insert(w.newKey, w.rid, last); err != nil {
+			if !errors.Is(err, btree.ErrDuplicateKey) || !w.ix.Unique {
+				return fmt.Errorf("catalog: %s: index %s insert: %w", t.Name, w.ix.Name, err)
+			}
+			if tx != nil {
+				if rid, gerr := w.ix.Tree.Get(w.newKey); gerr == nil {
+					if owner, ok := t.Vers.NewestWriter(rid); ok && owner != tx && !owner.Committed() {
+						return fmt.Errorf("catalog: %s: unique key held by uncommitted transaction: %w", t.Name, mvcc.ErrWriteConflict)
+					}
+				}
+			}
+			return fmt.Errorf("catalog: %s: unique index %s violated", t.Name, w.ix.Name)
+		}
+		tree, key := w.ix.Tree, w.newKey
+		u.push(func() error { return tree.Delete(key) })
+	}
+	return nil
 }
 
 // Config parameterizes a Catalog.

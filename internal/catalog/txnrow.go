@@ -78,74 +78,30 @@ func (t *Table) checkUniqueTxn(tx *mvcc.Txn, ix *Index, key []byte) error {
 	return nil
 }
 
-// InsertRowTxn is InsertRowUndo on behalf of a transaction. Inserts
+// InsertRowsTxn is one INSERT statement's rows through InsertRowUndo on
+// behalf of tx (nil: autocommit), returning how many went in. Inserts
 // never hit first-updater-wins (the heap assigns a slot no uncommitted
 // chain refers to, thanks to the slot pin); only unique keys can
 // collide with concurrent work.
-func (t *Table) InsertRowTxn(tx *mvcc.Txn, row []types.Value, u *UndoLog) (storage.RID, error) {
-	if tx == nil {
-		return t.InsertRowUndo(row, u)
-	}
-	row, err := t.normalizeRow(row)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	for _, ix := range t.Indexes {
-		if !ix.Unique {
-			continue
-		}
-		if err := t.checkUniqueTxn(tx, ix, ix.KeyFor(row, storage.RID{})); err != nil {
-			return storage.RID{}, err
+func (t *Table) InsertRowsTxn(tx *mvcc.Txn, rows [][]types.Value, u *UndoLog) (int64, error) {
+	for i, row := range rows {
+		if _, err := t.insertRow(tx, row, u, i == len(rows)-1); err != nil {
+			return int64(i), err
 		}
 	}
-	rid, err := t.Heap.Insert(types.EncodeRow(nil, row))
-	if err != nil {
-		return storage.RID{}, err
-	}
-	u.push(func() error { return t.Heap.Delete(rid) })
-	t.Vers.RecordWrite(tx, rid, nil, false)
-	u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
-	for _, ix := range t.Indexes {
-		key := ix.KeyFor(row, rid)
-		if err := ix.Tree.Insert(key, rid); err != nil {
-			return storage.RID{}, fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
-		}
-		tree := ix.Tree
-		u.push(func() error { return tree.Delete(key) })
-	}
-	return rid, nil
+	return int64(len(rows)), nil
 }
 
-// DeleteRowTxn is DeleteRowUndo on behalf of a transaction: the
-// first-updater-wins check runs before anything is touched, and the
-// deleted bytes become the pre-image of a new version entry so older
-// snapshots keep seeing the row.
-func (t *Table) DeleteRowTxn(tx *mvcc.Txn, rid storage.RID, row []types.Value, u *UndoLog) error {
-	if tx == nil {
-		return t.DeleteRowUndo(rid, row, u)
-	}
-	if err := t.Vers.CheckWrite(tx, rid); err != nil {
-		return fmt.Errorf("catalog: %s: delete %v: %w", t.Name, rid, err)
-	}
-	rec, err := t.Heap.Get(rid)
-	if err != nil {
-		return err
-	}
-	for _, ix := range t.Indexes {
-		key := ix.KeyFor(row, rid)
-		if err := ix.Tree.Delete(key); err != nil {
-			return fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
+// DeleteRowsTxn is one DELETE statement's matched rows (rids, with
+// their current contents) through DeleteRowUndo on behalf of tx (nil:
+// autocommit), returning how many went.
+func (t *Table) DeleteRowsTxn(tx *mvcc.Txn, rids []storage.RID, rows [][]types.Value, u *UndoLog) (int64, error) {
+	for i, rid := range rids {
+		if err := t.deleteRow(tx, rid, rows[i], u, i == len(rids)-1); err != nil {
+			return int64(i), err
 		}
-		tree := ix.Tree
-		u.push(func() error { return tree.Insert(key, rid) })
 	}
-	if err := t.Heap.Delete(rid); err != nil {
-		return err
-	}
-	u.push(func() error { return t.Heap.Reinsert(rid, rec) })
-	t.Vers.RecordWrite(tx, rid, rec, true)
-	u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
-	return nil
+	return int64(len(rids)), nil
 }
 
 // UpdateRowsDeferredTxn is UpdateRowsDeferred on behalf of a
@@ -187,12 +143,7 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			}
 		}
 	}
-	type keyChange struct {
-		ix             *Index
-		oldKey, newKey []byte
-		rid            storage.RID // the row's RID after the update
-	}
-	var changes []keyChange
+	var changes []indexWrite
 	newRIDs := make([]storage.RID, len(rids))
 	for i, rid := range rids {
 		nr := normRows[i]
@@ -212,7 +163,7 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			if string(oldKey) == string(newKey) && rid == newRID {
 				continue
 			}
-			changes = append(changes, keyChange{ix: ix, oldKey: oldKey, newKey: newKey, rid: newRID})
+			changes = append(changes, indexWrite{ix: ix, oldKey: oldKey, newKey: newKey, rid: newRID})
 		}
 		// The chain stays stable only if the row kept its slot and every
 		// index key: then pre and the new bytes are found the same way.
@@ -233,20 +184,8 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			u.push(func() error { return tree.Insert(oldKey, rid) })
 		}
 	}
-	for _, p := range changes {
-		if err := p.ix.Tree.Insert(p.newKey, p.rid); err != nil {
-			if errors.Is(err, btree.ErrDuplicateKey) && p.ix.Unique {
-				if rid2, gerr := p.ix.Tree.Get(p.newKey); gerr == nil {
-					if w, ok := t.Vers.NewestWriter(rid2); ok && w != tx && !w.Committed() {
-						return nil, fmt.Errorf("catalog: %s: unique key held by uncommitted transaction: %w", t.Name, mvcc.ErrWriteConflict)
-					}
-				}
-				return nil, fmt.Errorf("catalog: %s: unique index %s violated", t.Name, p.ix.Name)
-			}
-			return nil, fmt.Errorf("catalog: %s: index %s insert: %w", t.Name, p.ix.Name, err)
-		}
-		tree, key := p.ix.Tree, p.newKey
-		u.push(func() error { return tree.Delete(key) })
+	if err := t.insertDeferred(tx, changes, u); err != nil {
+		return nil, err
 	}
 	return newRIDs, nil
 }

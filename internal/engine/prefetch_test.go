@@ -48,8 +48,9 @@ func coolDown(t *testing.T, db *DB) {
 
 // TestStatementMissesOverlap shows by counting — reads parked in the
 // disk hook until the expected number are parked together — that a cold
-// statement's page misses are in flight at once, and that the small-heap
-// speculation stops at smallHeap pages.
+// statement's page misses are in flight at once, that a one-page heap is
+// read in place of its index, and that the small-heap speculation stops
+// at smallHeap pages.
 func TestStatementMissesOverlap(t *testing.T) {
 	const wait = 2 * time.Second
 	together := func(t *testing.T, db *DB, n int, match func(storage.FaultInfo) bool, stmt func()) storage.PoolStats {
@@ -64,14 +65,31 @@ func TestStatementMissesOverlap(t *testing.T) {
 		return db.Stats().Pool
 	}
 
+	// A one-page heap is read instead of its index: one read, and no
+	// index page at all.
 	t.Run("point select, one-page table", func(t *testing.T) {
 		db := newHintDB(t, 5, false)
-		st := together(t, db, 2, nil, func() {
+		if rows := mustQuery(t, db, "SELECT * FROM t WHERE id = 3"); len(rows.Data) != 1 {
+			t.Errorf("%d rows", len(rows.Data))
+		}
+		st := db.Stats()
+		if st.Pool.TotalPhysicalReads() != 1 || st.Pool.LogicalReads[storage.CatIndex] != 0 || st.Exec.OnePageReads != 1 {
+			t.Errorf("%+v, %d one-page reads", st.Pool, st.Exec.OnePageReads)
+		}
+	})
+
+	t.Run("point select, two-page table", func(t *testing.T) {
+		db := newHintDB(t, 15, false)
+		if pages := atomTable(t, db).Heap.NumPages(); pages != 2 {
+			t.Fatalf("fixture heap has %d pages", pages)
+		}
+		// The root (a leaf) and both heap pages, though the row is on one.
+		st := together(t, db, 3, nil, func() {
 			if rows := mustQuery(t, db, "SELECT * FROM t WHERE id = 3"); len(rows.Data) != 1 {
 				t.Errorf("%d rows", len(rows.Data))
 			}
 		})
-		if st.TotalPhysicalReads() != 2 || st.Prefetches != 2 || st.PrefetchJoined != 2 {
+		if st.TotalPhysicalReads() != 3 || st.Prefetches != 3 || st.PrefetchJoined != 2 {
 			t.Errorf("%+v", st)
 		}
 	})

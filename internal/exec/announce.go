@@ -1,6 +1,9 @@
 package exec
 
-import "repro/internal/catalog"
+import (
+	"repro/internal/catalog"
+	"repro/internal/storage"
+)
 
 // smallHeap is the largest heap, in pages, that an index probe reads
 // whole on speculation. It is a constant: the regime it serves is the
@@ -21,4 +24,23 @@ func announce(t *catalog.Table, rows bool, roots ...*catalog.Index) {
 	if rows {
 		t.Heap.PrefetchSmall(smallHeap)
 	}
+}
+
+// pathAnnouncer is how an index scan or DML gather learns, before its
+// first blocking fetch, whether to read t's heap page instead of the
+// index ix (one, with that page); it hints what the path will read.
+type pathAnnouncer func(t *catalog.Table, ix *catalog.Index) (page storage.PageID, one bool)
+
+// announcePath is the pathAnnouncer: an index path on a heap of at most
+// one page reads that page — one fetch, where the index costs a leaf
+// and then the same page — so it hints the page and not the root.
+// Which it is, the heap says inside the mutex section its own hint
+// takes. (An index-NL join's inner probe keeps the index: scanning the
+// page once per probe would cost CPU where it saves nothing.)
+func announcePath(t *catalog.Table, ix *catalog.Index) (storage.PageID, bool) {
+	page, one := t.Heap.PrefetchSmall(smallHeap)
+	if !one {
+		ix.Tree.Prefetch()
+	}
+	return page, one
 }

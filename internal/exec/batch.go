@@ -114,6 +114,7 @@ type Stats struct {
 	scanBatches   atomic.Int64
 	valuesDecoded atomic.Int64
 	valuesSkipped atomic.Int64
+	onePageReads  atomic.Int64
 }
 
 // Counters is a point-in-time snapshot of Stats.
@@ -127,6 +128,9 @@ type Counters struct {
 	// skipped by column pruning — the decode savings.
 	ValuesDecoded int64
 	ValuesSkipped int64
+	// OnePageReads counts index scans and DML gathers answered from a
+	// heap of one page (or none) instead of the index.
+	OnePageReads int64
 }
 
 // Snapshot returns current counter values.
@@ -136,6 +140,7 @@ func (s *Stats) Snapshot() Counters {
 		ScanBatches:   s.scanBatches.Load(),
 		ValuesDecoded: s.valuesDecoded.Load(),
 		ValuesSkipped: s.valuesSkipped.Load(),
+		OnePageReads:  s.onePageReads.Load(),
 	}
 }
 
@@ -145,11 +150,12 @@ func (s *Stats) Reset() {
 	s.scanBatches.Store(0)
 	s.valuesDecoded.Store(0)
 	s.valuesSkipped.Store(0)
+	s.onePageReads.Store(0)
 }
 
 // scanCounters is the per-iterator local accumulator.
 type scanCounters struct {
-	rows, batches, decoded, skipped int64
+	rows, batches, decoded, skipped, onePage int64
 }
 
 // flush adds the local counts to the execution's Stats (nil-safe) and
@@ -164,6 +170,7 @@ func (c *scanCounters) flush(ctx *Context) {
 	st.scanBatches.Add(c.batches)
 	st.valuesDecoded.Add(c.decoded)
 	st.valuesSkipped.Add(c.skipped)
+	st.onePageReads.Add(c.onePage)
 	*c = scanCounters{}
 }
 

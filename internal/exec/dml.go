@@ -169,7 +169,7 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 				announce(n.Table, false, ix)
 			}
 		}
-		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx)
+		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx, announcePath)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 		return &PreparedDML{table: n.Table, verb: verbUpdate, rids: rids, oldRows: rows, newRows: newRows}, nil
 	case *plan.DeletePlan:
 		announce(n.Table, false, n.Table.Indexes...)
-		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx)
+		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx, announcePath)
 		if err != nil {
 			return nil, err
 		}
@@ -213,28 +213,14 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, error) {
 	switch pd.verb {
 	case verbInsert:
-		var count int64
-		for _, row := range pd.rows {
-			if _, err := pd.table.InsertRowTxn(tx, row, undo); err != nil {
-				return count, err
-			}
-			count++
-		}
-		return count, nil
+		return pd.table.InsertRowsTxn(tx, pd.rows, undo)
 	case verbUpdate:
 		if _, err := pd.table.UpdateRowsDeferredTxn(tx, pd.rids, pd.oldRows, pd.newRows, undo); err != nil {
 			return 0, err
 		}
 		return int64(len(pd.rids)), nil
 	default:
-		var count int64
-		for i, rid := range pd.rids {
-			if err := pd.table.DeleteRowTxn(tx, rid, pd.oldRows[i], undo); err != nil {
-				return count, err
-			}
-			count++
-		}
-		return count, nil
+		return pd.table.DeleteRowsTxn(tx, pd.rids, pd.oldRows, undo)
 	}
 }
 
@@ -249,7 +235,11 @@ func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, erro
 // invisible newest writer, so the mutators' first-updater-wins check
 // turns it into a conflict before any byte changes; whenever the check
 // passes, the visible version and the physical row are identical.
-func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, ctx *Context) ([]storage.RID, [][]types.Value, error) {
+//
+// announce decides, for an index path, between the index and a heap of
+// one page (see announcePath); either way the matches come in index
+// order.
+func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, ctx *Context, announce pathAnnouncer) ([]storage.RID, [][]types.Value, error) {
 	var rids []storage.RID
 	var rows [][]types.Value
 	var scratch []types.Value
@@ -276,10 +266,33 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		if !ok {
 			return nil, nil, nil
 		}
-		announce(t, true, path.Index)
+		page, one := announce(t, path.Index)
 		snap, err := openSnapshot(ctx, t, path.Index)
 		if err != nil {
 			return nil, nil, err
+		}
+		if one {
+			if ctx.Stats != nil {
+				ctx.Stats.onePageReads.Add(1)
+			}
+			var pr pageRange
+			if err := pr.load(t, path.Index, page, lo, hi); err != nil {
+				return nil, nil, err
+			}
+			for _, e := range pr.ents {
+				row, _, _, ok, err := snap.decode(t, scratch, e.rid, e.rec, nil)
+				if err != nil {
+					return nil, nil, err
+				}
+				scratch = row
+				if !ok {
+					continue
+				}
+				if err := keep(e.rid, row); err != nil {
+					return nil, nil, err
+				}
+			}
+			return rids, rows, snap.inRange(lo, hi, keep)
 		}
 		var it btree.Iterator
 		it.HintRows(t.Heap)

@@ -157,27 +157,35 @@ func (k *keyRange) set(path *plan.AccessPath, row, params []types.Value) (lo, hi
 // indexScanIter gathers, per NextBatch, up to BatchSize RIDs from the
 // B+tree, then FETCHes each heap row with a partial decode
 // (only the plan's needed columns) into the batch arena while the row's
-// page is pinned — no intermediate record copy.
+// page is pinned — no intermediate record copy. On a heap of one page it
+// reads that page instead (page): the same entries in the same order,
+// batched and decoded alike, so only the fetches differ.
 type indexScanIter struct {
-	node   *plan.IndexScan
-	ctx    *Context
-	keys   keyRange
-	it     btree.Iterator
-	done   bool
-	snap   *snapshot       // nil: plain read
-	extras [][]types.Value // the snapshot's moved rows in range
-	ei     int
-	want   int
-	need   []bool
-	rids   []storage.RID
-	b      *Batch
-	cnt    scanCounters
+	node    *plan.IndexScan
+	ctx     *Context
+	keys    keyRange
+	it      btree.Iterator
+	onePage bool
+	page    pageRange
+	pi      int // next of page.ents to serve
+	done    bool
+	snap    *snapshot       // nil: plain read
+	extras  [][]types.Value // the snapshot's moved rows in range
+	ei      int
+	want    int
+	need    []bool
+	rids    []storage.RID
+	b       *Batch
+	cnt     scanCounters
 }
 
-func (it *indexScanIter) Open(ctx *Context) error {
+func (it *indexScanIter) Open(ctx *Context) error { return it.open(ctx, announcePath) }
+
+// open is Open with the choice of path left to announce.
+func (it *indexScanIter) open(ctx *Context, announce pathAnnouncer) error {
 	it.ctx = ctx
 	it.done = false
-	it.ei = 0
+	it.ei, it.pi = 0, 0
 	lo, hi, ok, err := it.keys.set(&it.node.Path, nil, ctx.Params)
 	if err != nil {
 		return err
@@ -186,10 +194,14 @@ func (it *indexScanIter) Open(ctx *Context) error {
 		it.done = true
 		return nil
 	}
-	announce(it.node.Table, true, it.node.Path.Index)
-	it.it.Forget() // a recycled tree's cursor remembers a leaf of an earlier statement
-	it.it.HintRows(it.node.Table.Heap)
-	if it.snap, err = openSnapshot(ctx, it.node.Table, it.node.Path.Index); err != nil {
+	t, ix := it.node.Table, it.node.Path.Index
+	page, one := announce(t, ix)
+	it.onePage = one
+	if !one {
+		it.it.Forget() // a recycled tree's cursor remembers a leaf of an earlier statement
+		it.it.HintRows(t.Heap)
+	}
+	if it.snap, err = openSnapshot(ctx, t, ix); err != nil {
 		return err
 	}
 	err = it.snap.inRange(lo, hi, func(_ storage.RID, row []types.Value) error {
@@ -199,7 +211,11 @@ func (it *indexScanIter) Open(ctx *Context) error {
 	if err != nil {
 		return err
 	}
-	return it.it.Seek(it.node.Path.Index.Tree, lo, hi)
+	if one {
+		it.cnt.onePage++
+		return it.page.load(t, ix, page, lo, hi)
+	}
+	return it.it.Seek(ix.Tree, lo, hi)
 }
 
 // nextExtras emits the residual-surviving version rows as batches.
@@ -235,14 +251,23 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 	}
 	for {
 		it.rids = it.rids[:0]
-		for len(it.rids) < BatchSize && it.it.Valid() {
-			it.rids = append(it.rids, it.it.RID())
-			it.it.Next()
-		}
-		if len(it.rids) == 0 {
-			if err := it.it.Err(); err != nil {
+		var ents []pageEntry // one page: the batch's entries
+		if it.onePage {
+			ents = it.page.ents[it.pi:min(it.pi+BatchSize, len(it.page.ents))]
+			it.pi += len(ents)
+			for _, e := range ents {
+				it.rids = append(it.rids, e.rid)
+			}
+		} else {
+			for len(it.rids) < BatchSize && it.it.Valid() {
+				it.rids = append(it.rids, it.it.RID())
+				it.it.Next()
+			}
+			if err := it.it.Err(); err != nil && len(it.rids) == 0 {
 				return nil, err
 			}
+		}
+		if len(it.rids) == 0 {
 			b, err := it.nextExtras()
 			if err != nil || b != nil {
 				return b, err
@@ -252,9 +277,8 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 		}
 		it.cnt.batches++
 		it.b.reset()
-		for _, rid := range it.rids {
-			row := it.b.alloc(it.want)
-			row, dec, skip, ok, err := it.snap.fetch(it.node.Table, row, rid, it.need)
+		for i, rid := range it.rids {
+			row, dec, skip, ok, err := it.row(it.b.alloc(it.want), rid, ents, i)
 			if err != nil {
 				return nil, err
 			}
@@ -281,6 +305,15 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 			return it.b, nil
 		}
 	}
+}
+
+// row decodes the batch's ith row, at rid, into dst: from the record
+// the one-page read holds in ents, or fetched from the heap.
+func (it *indexScanIter) row(dst []types.Value, rid storage.RID, ents []pageEntry, i int) ([]types.Value, int, int, bool, error) {
+	if it.onePage {
+		return it.snap.decode(it.node.Table, dst, rid, ents[i].rec, it.need)
+	}
+	return it.snap.fetch(it.node.Table, dst, rid, it.need)
 }
 
 func (it *indexScanIter) Close() error {

@@ -35,9 +35,10 @@ import (
 )
 
 // snapshot is one statement's view of one table under a transaction:
-// the five access sites (seq scan, index scan, index-NL probe and both
-// branches of gatherMatches) read through it and nothing else. A nil
-// *snapshot is the plain path.
+// every access site (seq scan, index scan, index-NL probe, the branches
+// of gatherMatches, and a one-page read standing in for an index scan
+// or gather) reads through it and nothing else. A nil *snapshot is the
+// plain path.
 type snapshot struct {
 	t     *catalog.Table
 	tx    *mvcc.Txn
@@ -107,24 +108,30 @@ func (s *snapshot) visible(rid storage.RID, cur []byte) ([]byte, bool) {
 	return s.t.Vers.Resolve(s.tx, rid, cur)
 }
 
-// fetch is t.GetRowInto through the snapshot: the row an index entry
-// led to, decoded under the page pin as this statement sees it. ok is
-// false when visible says so; row is then dst, for reuse.
+// fetch is the row an index entry led to, decoded into dst (only the
+// columns marked in need; nil: all) under the page pin, as this
+// statement sees it. ok is false when visible says so; row is then dst,
+// for reuse.
 func (s *snapshot) fetch(t *catalog.Table, dst []types.Value, rid storage.RID, need []bool) (row []types.Value, decoded, skipped int, ok bool, err error) {
-	if s == nil {
-		row, decoded, skipped, err = t.GetRowInto(dst, rid, need)
-		return row, decoded, skipped, err == nil, err
-	}
 	row = dst
 	err = t.Heap.View(rid, func(rec []byte) error {
-		if rec, ok = s.visible(rid, rec); !ok {
-			return nil
-		}
 		var derr error
-		row, decoded, skipped, derr = types.DecodeRowPartial(dst, rec, need, len(t.Columns))
+		row, decoded, skipped, ok, derr = s.decode(t, dst, rid, rec, need)
 		return derr
 	})
-	return row, decoded, skipped, ok, err
+	return row, decoded, skipped, ok && err == nil, err
+}
+
+// decode is fetch for a record the caller already holds, rec, the
+// bytes at rid (a one-page read's copy, see pageRange).
+func (s *snapshot) decode(t *catalog.Table, dst []types.Value, rid storage.RID, rec []byte, need []bool) (row []types.Value, decoded, skipped int, ok bool, err error) {
+	if s != nil {
+		if rec, ok = s.visible(rid, rec); !ok {
+			return dst, 0, 0, false, nil
+		}
+	}
+	row, decoded, skipped, err = types.DecodeRowPartial(dst, rec, need, len(t.Columns))
+	return row, decoded, skipped, err == nil, err
 }
 
 // inRange calls fn with every moved row whose key under the snapshot's

@@ -113,6 +113,11 @@ func (l *lruList) pushBack(f *frame) {
 	f.prev.next, l.root.prev = f, f
 }
 
+func (l *lruList) pushFront(f *frame) {
+	f.prev, f.next = &l.root, l.root.next
+	f.next.prev, l.root.next = f, f
+}
+
 func (l *lruList) remove(f *frame) {
 	f.prev.next, f.next.prev = f.next, f.prev
 	f.prev, f.next = nil, nil
@@ -570,7 +575,14 @@ func (p *BufferPool) NewPage(cat Category) (PageID, []byte, error) {
 // Unpin releases one pin; dirty marks the page for write-back on
 // eviction or flush. Releasing the last pin also retries any shrink
 // that was deferred because every page was pinned.
-func (p *BufferPool) Unpin(id PageID, dirty bool) {
+func (p *BufferPool) Unpin(id PageID, dirty bool) { p.unpin(id, dirty, false) }
+
+// UnpinCold is Unpin for a page the caller knows no reader will ask
+// for soon: released by its last pin, it goes to the cold end of its
+// shard's LRU list, the next victim, instead of the hot end.
+func (p *BufferPool) UnpinCold(id PageID, dirty bool) { p.unpin(id, dirty, true) }
+
+func (p *BufferPool) unpin(id PageID, dirty, cold bool) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -583,7 +595,11 @@ func (p *BufferPool) Unpin(id PageID, dirty bool) {
 		f.dirty = true
 	}
 	if f.pins == 0 {
-		s.lru.pushBack(f)
+		if cold {
+			s.lru.pushFront(f)
+		} else {
+			s.lru.pushBack(f)
+		}
 		if len(s.frames) > s.capacity {
 			// Deferred shrink: the pool was resized below its resident
 			// count while everything was pinned. Best effort — an I/O

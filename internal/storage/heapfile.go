@@ -154,15 +154,24 @@ func (h *HeapFile) Prefetching() bool { return h.pool.Prefetching() }
 
 // PrefetchSmall hints every page of the file if it has at most maxPages
 // of them: a caller about to probe an index of this table then waits
-// for the descent and the row fetch together.
-func (h *HeapFile) PrefetchSmall(maxPages int) {
+// for the descent and the row fetch together. one reports a file of at
+// most one page, and page is that page (InvalidPageID for an empty
+// file): reading it costs less than any index probe would.
+func (h *HeapFile) PrefetchSmall(maxPages int) (page PageID, one bool) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if len(h.pages) <= maxPages {
 		for _, id := range h.pages {
 			h.pool.Prefetch(id, CatData)
 		}
 	}
-	h.mu.Unlock()
+	switch len(h.pages) {
+	case 0:
+		return InvalidPageID, true
+	case 1:
+		return h.pages[0], true
+	}
+	return InvalidPageID, false
 }
 
 // PrefetchInsert hints the page Insert will try first for a record of
@@ -500,33 +509,29 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) (bool, error)) error {
 	pages := append([]PageID(nil), h.pages...)
 	h.mu.Unlock()
 	for _, id := range pages {
-		buf, err := h.pool.Fetch(id, CatData)
-		if err != nil {
+		if more, err := h.ScanPage(id, fn); !more {
 			return err
-		}
-		var cbErr error
-		stop := false
-		Slotted(buf).LiveRecords(func(slot uint16, rec []byte) bool {
-			cont, err := fn(RID{Page: id, Slot: slot}, rec)
-			if err != nil {
-				cbErr = err
-				return false
-			}
-			if !cont {
-				stop = true
-				return false
-			}
-			return true
-		})
-		h.pool.Unpin(id, false)
-		if cbErr != nil {
-			return cbErr
-		}
-		if stop {
-			return nil
 		}
 	}
 	return nil
+}
+
+// ScanPage is Scan over the one page id of the file, fetched once: fn
+// sees its live records in slot order while the page stays pinned. more
+// is false when fn stopped the scan or failed.
+func (h *HeapFile) ScanPage(id PageID, fn func(rid RID, rec []byte) (bool, error)) (more bool, err error) {
+	buf, err := h.pool.Fetch(id, CatData)
+	if err != nil {
+		return false, err
+	}
+	more = true
+	Slotted(buf).LiveRecords(func(slot uint16, rec []byte) bool {
+		more, err = fn(RID{Page: id, Slot: slot}, rec)
+		more = more && err == nil
+		return more
+	})
+	h.pool.Unpin(id, false)
+	return more, err
 }
 
 // View calls fn with the record bytes at rid while the page stays

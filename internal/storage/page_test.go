@@ -380,6 +380,59 @@ func TestBufferPoolEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestUnpinColdIsNextVictim: a page released by UnpinCold — how index
+// maintenance on a one-page table releases the leaf it wrote — is its
+// shard's next victim, ahead of pages released earlier; only its last
+// pin decides, and a later Fetch and Unpin make it hot again.
+func TestUnpinColdIsNextVictim(t *testing.T) {
+	d := NewDisk(128)
+	pool := NewBufferPool(d, 128*8) // 8 frames, one shard
+	s := pool.shards[0]
+	var p []PageID
+	newPage := func() {
+		t.Helper()
+		id, _, err := pool.NewPage(CatData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(id, false)
+		p = append(p, id)
+	}
+	resident := func(i int) bool { _, ok := s.frames[p[i]]; return ok }
+	fetch := func(i int) {
+		t.Helper()
+		if _, err := pool.Fetch(p[i], CatIndex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		newPage()
+	}
+	fetch(5)
+	pool.UnpinCold(p[5], true) // order: 5 0 1 2 3 4 6 7
+	newPage()                  // p8 evicts 5
+	if resident(5) || !resident(0) {
+		t.Fatalf("the cold page is not the victim: 5 resident %v, 0 resident %v", resident(5), resident(0))
+	}
+	fetch(6)
+	fetch(6)
+	pool.UnpinCold(p[6], false) // still pinned: not in the list
+	pool.Unpin(p[6], false)     // the last pin releases it hot
+	fetch(7)
+	pool.UnpinCold(p[7], false) // order: 7 0 1 2 3 4 8 6
+	fetch(7)
+	pool.Unpin(p[7], false) // touched again: 0 1 2 3 4 8 6 7
+	newPage()               // p9 evicts 0
+	newPage()               // p10 evicts 1
+	if resident(0) || resident(1) || !resident(6) || !resident(7) {
+		t.Fatalf("cold release outlived its page's next use: resident 0 %v, 1 %v, 6 %v, 7 %v",
+			resident(0), resident(1), resident(6), resident(7))
+	}
+	if d.PhysWrites() != 3 { // frames are born dirty: 5, 0 and 1 were written back
+		t.Fatalf("PhysWrites = %d, want 3", d.PhysWrites())
+	}
+}
+
 func TestBufferPoolExhaustion(t *testing.T) {
 	d := NewDisk(128)
 	pool := NewBufferPool(d, 0) // clamps to 8 frames
