@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
+.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
 
 all: check
 
@@ -16,6 +16,16 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# Go line counts, for the record (CI prints them; nothing gates on them):
+# non-test Go outside bench/ — the figure ROADMAP tracks — the same for
+# internal/core, and test Go. Hidden directories (.git, bench output)
+# are skipped.
+GO_FILES = find . -path './.*' -prune -o -name '*.go'
+loc:
+	@echo "non-test Go outside bench/:   $$($(GO_FILES) ! -name '*_test.go' ! -path './bench/*' -print | xargs cat | wc -l)"
+	@echo "non-test Go in internal/core: $$($(GO_FILES) ! -name '*_test.go' -path './internal/core/*' -print | xargs cat | wc -l)"
+	@echo "test Go:                      $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 # storage and exec at a core count the sandbox does not have: nothing
 # they assert (shard count, hint caps, page counts) may depend on it.

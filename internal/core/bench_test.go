@@ -17,8 +17,11 @@ import (
 // a rewrite-cache miss on chunk_q2_join's statement costs), and the two
 // shapes no cache remembers — an INSERT and an UPDATE's phase (b) over
 // Chunk Folding with extensions (crm_wire_writes pays both per
-// statement).
+// statement). The _pivot cases are the same three statements over Pivot,
+// Chunk at width one, and report the physical statements one rewrite
+// yields beside ns/op and allocs/op.
 func BenchmarkRewrite(b *testing.B) {
+	phys := func(b *testing.B, n int) { b.ReportMetric(float64(n), "phys-stmts/op") }
 	b.Run("q2_chunk6", func(b *testing.B) {
 		l, err := core.NewChunkLayout(chunkexp.Schema(), core.ChunkOptions{Defs: chunkexp.ChunkDefs(6)})
 		if err != nil {
@@ -73,6 +76,66 @@ func BenchmarkRewrite(b *testing.B) {
 				b.Fatal("phase (b) should write the base table and one chunk")
 			}
 		}
+	})
+
+	b.Run("q_pivot", func(b *testing.B) {
+		l, err := core.NewPivotLayout(chunkexp.Schema(), true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.AddTenant(nil, &core.Tenant{ID: 1}); err != nil {
+			b.Fatal(err)
+		}
+		st := mustParse(b, chunkexp.Q2(30))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rw, err := l.Rewrite(1, st); err != nil || rw.Query == nil {
+				b.Fatal(err)
+			}
+		}
+		phys(b, 1)
+	})
+	pivot := func(b *testing.B) core.Layout {
+		l, err := core.NewPivotLayout(testbed.MultiInstanceSchema(1, true), true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tn := &core.Tenant{ID: 1, Extensions: []string{"HealthcareAccount"}}
+		if err := l.Create(engine.Open(engine.Config{}), []*core.Tenant{tn}); err != nil {
+			b.Fatal(err)
+		}
+		return l
+	}
+	b.Run("insert_pivot", func(b *testing.B) {
+		l := pivot(b)
+		st := mustParse(b, "INSERT INTO Account (Id, Name, Industry, Attr00, Attr01, Hospital, Beds) VALUES (1, 'Acme', 'health', 'a', 7, 'St. Mary', 135)")
+		var n int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rw, err := l.Rewrite(1, st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n = len(rw.Direct)
+		}
+		phys(b, n)
+	})
+	b.Run("update_phaseb_pivot", func(b *testing.B) {
+		l := pivot(b)
+		rw, err := l.Rewrite(1, mustParse(b, "UPDATE Account SET Name = 'x', Beds = Beds + 1 WHERE Id = 1"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := [][]types.Value{{types.NewInt(0), types.NewString("x"), types.NewInt(136)}}
+		var n int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n = len(rw.PhaseB(rows))
+		}
+		phys(b, n)
 	})
 }
 

@@ -440,7 +440,9 @@ func TestPrivateRemoveTenant(t *testing.T) {
 }
 
 // TestDateAndFloatThroughLayouts checks type fidelity for the trickier
-// kinds (dates via int/string storage, floats via dbl pivots).
+// kinds (dates via int/string storage, floats via dbl pivots). Score is
+// NOT NULL, so in Pivot its fragment is not sparse and joins the key's
+// by WHERE beside the LEFT-joined sparse ones.
 func TestDateAndFloatThroughLayouts(t *testing.T) {
 	schema := &Schema{
 		Tables: []*Table{{
@@ -449,7 +451,7 @@ func TestDateAndFloatThroughLayouts(t *testing.T) {
 			Columns: []Column{
 				{Name: "Id", Type: types.IntType, NotNull: true, Indexed: true},
 				{Name: "Day", Type: types.DateType},
-				{Name: "Score", Type: types.FloatType},
+				{Name: "Score", Type: types.FloatType, NotNull: true},
 				{Name: "Open", Type: types.BoolType},
 			},
 		}},

@@ -19,7 +19,9 @@ import (
 //   - the key sits with the other base columns in a conventional table
 //     (Extension, both Chunk Foldings) or in the one Universal row;
 //   - the chunk layouts and Vertical give the indexed key a chunk of its
-//     own, so nothing that names Aid next to another column fuses there.
+//     own, so nothing that names Aid next to another column fuses there;
+//   - Pivot gives every column a fragment of its own, and every nullable
+//     one is sparse, so only a statement on the key alone fuses there.
 const (
 	baseTogether = "extension chunkfold chunkfold-allfolded universal"
 	everyFrag    = baseTogether + " chunk chunk-flat chunk-trashcan vertical"
@@ -58,6 +60,11 @@ func TestDirectClassification(t *testing.T) {
 		// No WHERE: every fragment has a row for every logical row.
 		{17, "UPDATE Account SET Beds = 0", everyFrag},
 		{17, "UPDATE Account SET Dealers = ?", everyFrag},
+		// The key alone: Pivot's key fragment is not sparse, so it fuses;
+		// a nullable column's is, and an UPDATE of it would miss the rows
+		// whose cell is absent.
+		{17, "UPDATE Account SET Aid = Aid WHERE Aid = 1", everyFrag + " pivot"},
+		{17, "UPDATE Account SET Beds = 7 WHERE Beds IS NULL", everyFrag},
 		// DELETE: direct only when the placement is one fragment.
 		{35, "DELETE FROM Account WHERE Aid = 2", baseTogether},
 		{35, "DELETE FROM Account", baseTogether},

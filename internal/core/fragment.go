@@ -11,10 +11,10 @@ import (
 
 // The paper has one transformation scheme (§6.1 queries, §6.3 DML), and
 // in it the parts of a logical row meet only in the Row meta-column
-// (§6.4). The Extension, Universal, Chunk, Chunk Folding and Vertical
-// layouts are that scheme over different answers to one question: in
-// which physical tables does a tenant's logical table live? A fragment
-// is one such table's share. A layout answers with a list of fragments
+// (§6.4). The Extension, Universal, Chunk, Chunk Folding, Vertical and
+// Pivot layouts are that scheme over different answers to one question:
+// in which physical tables does a tenant's logical table live? A
+// fragment is one such table's share. A layout answers with a list of fragments
 // when a tenant is added or extended; generic.go does everything else.
 
 // metaEq is one meta-data equality: rows of the fragment have val in
@@ -45,6 +45,10 @@ type fragment struct {
 	// are deleted for real.
 	del  string
 	cols []fragCol
+	// sparse: the fragment has no row for a logical row whose value in it
+	// is NULL (Pivot's cells). It stores exactly one column and is never
+	// the anchor (place checks); generic.go reads it in one place per step.
+	sparse bool
 }
 
 // chunk returns the value of the fragment's Chunk meta-column, if it
@@ -220,6 +224,9 @@ func place(l reconstructor, db *engine.DB, tn *Tenant, table *Table, have []*fra
 	}
 	p := &placement{frags: frags, slots: map[string]slot{}}
 	for _, f := range frags {
+		if f.sparse && len(f.cols) != 1 {
+			return nil, fmt.Errorf("core: a sparse fragment of %s stores %d columns, not one", table.Name, len(f.cols))
+		}
 		for i := range f.cols {
 			k := strings.ToLower(f.cols[i].Name)
 			if _, dup := p.slots[k]; dup {
@@ -238,6 +245,9 @@ func place(l reconstructor, db *engine.DB, tn *Tenant, table *Table, have []*fra
 		}
 	}
 	p.anchor = p.slots[strings.ToLower(table.Key)].frag
+	if p.anchor.sparse {
+		return nil, fmt.Errorf("core: the key %s of %s is in a sparse fragment", table.Key, table.Name)
+	}
 	return p, nil
 }
 
@@ -300,7 +310,8 @@ func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
 // marker) per existing logical row, so reconstruction joins keep
 // matching and the new fragment by itself says which rows are live,
 // then publish extension and placement together. No fragment new to the
-// table means pure meta-data.
+// table — or only sparse ones, where absent is NULL — means pure
+// meta-data.
 func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string) error {
 	st := l.state()
 	tn, ext, err := st.extensible(tenantID, extName)
@@ -322,7 +333,7 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 		for _, o := range old.frags {
 			isOld = isOld || f.sameRows(o)
 		}
-		if !isOld {
+		if !isOld && !f.sparse {
 			fresh = append(fresh, f)
 		}
 	}

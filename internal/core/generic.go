@@ -14,37 +14,11 @@ import (
 // through phase (a) of the two-phase DML protocol.
 const rowCol = "__row"
 
-// rowMapping is steps 2–3 of the paper's §6.1 compilation scheme and
-// the §6.3 writers for one layout; the shared code below does steps 1
-// and 4 and the two-phase protocol around them. There are two:
-// fragmentRows, for every layout that stores a logical row as
-// fragments aligned on Row, and PivotLayout, whose cells are absent
-// when NULL (LEFT joins, update = delete + insert).
-type rowMapping interface {
-	Name() string
-	state() *state
-	// reconstruct builds the inner SELECT that reconstructs a tenant's
-	// logical table from the physical structures, exposing the given
-	// logical columns (plus the hidden row ID when withRow is set).
-	reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error)
-	// phaseBUpdate builds the physical writes for an UPDATE: rows holds
-	// [__row, set1, set2, ...] tuples from phase (a), at least one.
-	phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement
-	// phaseBDelete builds the physical writes for a DELETE: rows holds
-	// [__row] tuples, at least one.
-	phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement
-	// insertRows builds the physical inserts for logical rows given as
-	// (column list, value-expression lists).
-	insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error)
-	// direct builds the one physical statement an UPDATE (set and setCols
-	// given) or a DELETE (both nil) is when it needs no aligning — where
-	// has had its IN-subqueries rewritten already — or returns nil: the
-	// statement takes the two phases.
-	direct(tn *Tenant, table *Table, alias string, set []sql.Assignment, setCols []Column, where sql.Expr) sql.Statement
-}
-
-// genericRewrite dispatches a logical statement through a rowMapping.
-func genericRewrite(l rowMapping, tenantID int64, st sql.Statement) (*Rewritten, error) {
+// genericRewrite dispatches a logical statement of a layout that stores
+// rows as fragments: steps 1 and 4 of the paper's §6.1 compilation
+// scheme and the §6.3 two-phase protocol here, steps 2–3 and the
+// writers in fragmentRows below.
+func genericRewrite(l fragmentRows, tenantID int64, st sql.Statement) (*Rewritten, error) {
 	tn, err := l.state().tenant(tenantID)
 	if err != nil {
 		return nil, err
@@ -71,7 +45,7 @@ func genericRewrite(l rowMapping, tenantID int64, st sql.Statement) (*Rewritten,
 
 // genericSelect replaces every logical table reference with its
 // reconstruction derived table (step 4 of §6.1).
-func genericSelect(l rowMapping, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
+func genericSelect(l fragmentRows, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
 	usages, err := analyzeSelect(l.state(), tn, sel)
 	if err != nil {
 		return nil, err
@@ -130,7 +104,7 @@ func genericSelect(l rowMapping, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectSt
 }
 
 // writeUsage computes the logical columns a write statement touches.
-func writeUsage(l rowMapping, tn *Tenant, table, alias string, exprs []sql.Expr) (*Table, []Column, error) {
+func writeUsage(l fragmentRows, tn *Tenant, table, alias string, exprs []sql.Expr) (*Table, []Column, error) {
 	lt := l.state().schema.Table(table)
 	if lt == nil {
 		return nil, nil, fmt.Errorf("core: no logical table %s", table)
@@ -156,11 +130,11 @@ func writeUsage(l rowMapping, tn *Tenant, table, alias string, exprs []sql.Expr)
 	return lt, usages[0].usedColumns(), nil
 }
 
-// genericInsert allocates logical row IDs and delegates the physical
-// writes to the layout (§6.3: "the application logic has to look up all
-// related chunks, collect the meta-data, and assign each inserted new
-// row a unique row identifier").
-func genericInsert(l rowMapping, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error) {
+// genericInsert resolves the column list and has insertRows allocate
+// logical row IDs and build the physical writes (§6.3: "the application
+// logic has to look up all related chunks, collect the meta-data, and
+// assign each inserted new row a unique row identifier").
+func genericInsert(l fragmentRows, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error) {
 	lt := l.state().schema.Table(st.Table)
 	if lt == nil {
 		return nil, fmt.Errorf("core: no logical table %s", st.Table)
@@ -198,7 +172,7 @@ func genericInsert(l rowMapping, tn *Tenant, st *sql.InsertStmt) (*Rewritten, er
 // protocol — phase (a) collects (__row, new values...) through the
 // reconstruction, the engine evaluating SET expressions over the
 // logical row, and phase (b) applies per-structure physical writes.
-func genericWrite(l rowMapping, tn *Tenant, table, alias string, set []sql.Assignment, where sql.Expr) (*Rewritten, error) {
+func genericWrite(l fragmentRows, tn *Tenant, table, alias string, set []sql.Assignment, where sql.Expr) (*Rewritten, error) {
 	exprs := make([]sql.Expr, 0, len(set)+1)
 	for _, a := range set {
 		exprs = append(exprs, a.Value)
@@ -290,17 +264,21 @@ func sameValue(a, b types.Value) bool {
 
 // --- the one rewriter over fragments -------------------------------------------
 
-// fragmentRows is the rowMapping of every reconstructor: the four steps
+// fragmentRows is the rewriter of every reconstructor: the four steps
 // written once over the tenant-table's placement. Nothing here knows
-// which layout placed the fragments.
+// which layout placed the fragments; where a step differs for a sparse
+// fragment, it asks the fragment.
 type fragmentRows struct{ reconstructor }
 
-// reconstruct implements rowMapping (the paper's Q1^Chunk shape). §6.1's
-// reconstruction queries "are all flat and consist of conjunctive
-// predicates only": the anchor and every other fragment a used column
-// lives in, comma-joined, with the aligning Row equi-joins in WHERE —
-// which a sophisticated optimizer flattens into the outer block and
-// drives via the meta-data indexes.
+// reconstruct builds the inner SELECT that reconstructs a tenant's
+// logical table, exposing the used columns (plus the hidden row ID when
+// withRow is set): the paper's Q1^Chunk shape. §6.1's reconstruction
+// queries "are all flat and consist of conjunctive predicates only": the
+// anchor and every other fragment a used column lives in, comma-joined,
+// with the aligning Row equi-joins in WHERE — which a sophisticated
+// optimizer flattens into the outer block and drives via the meta-data
+// indexes. A sparse fragment may lack the row, so it is LEFT-joined onto
+// the anchor, its meta-data and Row equalities in ON.
 func (m fragmentRows) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
 	p, err := m.state().placement(tn.ID, table)
 	if err != nil {
@@ -314,7 +292,7 @@ func (m fragmentRows) reconstruct(tn *Tenant, table *Table, used []Column, withR
 	aliases := fragAliases("f", len(frags))
 	sel := &sql.SelectStmt{
 		Items: make([]sql.SelectItem, 0, len(used)+1),
-		From:  make([]sql.TableRef, len(frags)),
+		From:  make([]sql.TableRef, 0, len(frags)),
 	}
 	for i, s := range slots {
 		sel.Items = append(sel.Items, sql.SelectItem{
@@ -327,12 +305,19 @@ func (m fragmentRows) reconstruct(tn *Tenant, table *Table, used []Column, withR
 	}
 	var conjs []sql.Expr
 	for i, f := range frags {
-		sel.From[i] = &sql.NamedTable{Name: f.table, Alias: aliases[i]}
-		conjs = append(conjs, f.where(aliases[i])...)
+		ref := &sql.NamedTable{Name: f.table, Alias: aliases[i]}
 		if i == 0 {
-			conjs = append(conjs, f.live(aliases[0]))
+			sel.From = append(sel.From, ref)
+			conjs = append(append(conjs, f.where(aliases[0])...), f.live(aliases[0]))
+			continue
+		}
+		aligned := eq(colRef(aliases[i], "Row"), colRef(aliases[0], "Row"))
+		if f.sparse {
+			on := and(append(f.where(aliases[i]), aligned)...)
+			sel.From[0] = &sql.JoinTable{Left: sel.From[0], Right: ref, Type: sql.LeftJoin, On: on}
 		} else {
-			conjs = append(conjs, eq(colRef(aliases[i], "Row"), colRef(aliases[0], "Row")))
+			sel.From = append(sel.From, ref)
+			conjs = append(append(conjs, f.where(aliases[i])...), aligned)
 		}
 	}
 	sel.Where = and(conjs...)
@@ -348,9 +333,12 @@ func fragAliases(prefix string, n int) []string {
 	return out
 }
 
-// insertRows implements rowMapping: one batched INSERT per fragment.
-// Every fragment of the logical row is written, with NULLs where no
-// value was given (a spine), so reconstruction joins are always inner.
+// insertRows builds the physical inserts for logical rows given as a
+// column list and value-expression lists: one batched INSERT per
+// fragment. Every fragment of the logical row is written, with NULLs
+// where no value was given (a spine), so reconstruction joins are inner —
+// except a sparse fragment, which gets a row only for a value that is
+// not a literal NULL. A statement left with no rows is dropped.
 func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
 	p, err := m.state().placement(tn.ID, table)
 	if err != nil {
@@ -372,20 +360,32 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 		stmts[target[i]].Columns = append(stmts[target[i]].Columns, s.col.phys)
 	}
 	for ri, row := range rows {
+		rowID := firstRow + int64(ri)
 		for i, f := range p.frags {
-			stmts[i].Rows = append(stmts[i].Rows, f.spineValues(intLit(firstRow+int64(ri)), intLit(0), len(stmts[i].Columns)))
+			if !f.sparse {
+				stmts[i].Rows = append(stmts[i].Rows, f.spineValues(intLit(rowID), intLit(0), len(stmts[i].Columns)))
+			}
 		}
 		for i, e := range row {
+			st, f := stmts[target[i]], p.frags[target[i]]
+			if f.sparse {
+				if l, ok := e.(*sql.Literal); ok && l.Val.IsNull() {
+					continue
+				}
+				st.Rows = append(st.Rows, f.spineValues(intLit(rowID), intLit(0), len(st.Columns)))
+			}
 			if slots[i].col.writes() {
 				e = &sql.CastExpr{X: e, Type: slots[i].col.store}
 			}
-			last := &stmts[target[i]].Rows[len(stmts[target[i]].Rows)-1]
+			last := &st.Rows[len(st.Rows)-1]
 			*last = append(*last, e)
 		}
 	}
-	out := make([]sql.Statement, len(stmts))
-	for i, st := range stmts {
-		out[i] = st
+	out := make([]sql.Statement, 0, len(stmts))
+	for _, st := range stmts {
+		if len(st.Rows) > 0 {
+			out = append(out, st)
+		}
 	}
 	return out, nil
 }
@@ -394,21 +394,25 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 // at a column the fragment does not store.
 var errSpansFragments = errors.New("core: statement spans fragments")
 
-// direct implements rowMapping: the fusion rule. Aligning is for
-// statements that span fragments. When every column an UPDATE writes,
-// and every column its WHERE and SET expressions read, is stored in one
-// fragment f — for a DELETE, when f is the only fragment there is — the
-// statement is one UPDATE or DELETE of f's table under f's meta-data
-// equalities: logical column references become f's physical columns
-// (fragCol.read), written values are cast as insertRows casts them, and
-// a Trashcan fragment hides its marked rows and deletes by marking. f
-// need not be the anchor: every fragment has a row, carrying the
-// marker, for every logical row (insertRows, extendTenant,
-// phaseBDelete), so f alone decides which rows exist. The rule is a
-// function of the placement and the columns used, nothing else; any
-// reference it cannot place in f — another fragment's column, an
-// unknown name or qualifier — sends the statement through the two
-// phases, which report it as they always have.
+// direct builds the one physical statement an UPDATE (set and setCols
+// given) or a DELETE (both nil) is when it needs no aligning — where has
+// had its IN-subqueries rewritten already — or returns nil: the
+// statement takes the two phases. This is the fusion rule. Aligning is
+// for statements that span fragments. When every column an UPDATE
+// writes, and every column its WHERE and SET expressions read, is stored
+// in one fragment f — for a DELETE, when f is the only fragment there is
+// — the statement is one UPDATE or DELETE of f's table under f's
+// meta-data equalities: logical column references become f's physical
+// columns (fragCol.read), written values are cast as insertRows casts
+// them, and a Trashcan fragment hides its marked rows and deletes by
+// marking. f need not be the anchor: every fragment that is not sparse
+// has a row, carrying the marker, for every logical row (insertRows,
+// extendTenant, phaseBDelete), so f alone decides which rows exist. A
+// sparse f lacks the rows whose value is NULL, which an UPDATE would
+// miss, so it never fuses. The rule is a function of the placement and
+// the columns used, nothing else; any reference it cannot place in f —
+// another fragment's column, an unknown name or qualifier — sends the
+// statement through the two phases, which report it as they always have.
 func (m fragmentRows) direct(tn *Tenant, table *Table, alias string, set []sql.Assignment, setCols []Column, where sql.Expr) sql.Statement {
 	p, err := m.state().placement(tn.ID, table)
 	if err != nil {
@@ -424,6 +428,9 @@ func (m fragmentRows) direct(tn *Tenant, table *Table, alias string, set []sql.A
 	if len(slots) > 0 {
 		f = slots[0].frag
 	} else if len(p.frags) > 1 {
+		return nil
+	}
+	if f.sparse {
 		return nil
 	}
 	for _, s := range slots {
@@ -460,9 +467,12 @@ func (m fragmentRows) direct(tn *Tenant, table *Table, alias string, set []sql.A
 	return up
 }
 
-// phaseBUpdate implements rowMapping: one UPDATE per fragment a SET
-// column lives in (in order of first use) when every row gets the same
-// values, else one per fragment and row.
+// phaseBUpdate builds the physical writes for an UPDATE from phase (a)'s
+// [__row, set1, set2, ...] tuples, at least one: one UPDATE per fragment
+// a SET column lives in (in order of first use) when every row gets the
+// same values, else one per fragment and row. A sparse fragment's rows
+// are removed instead and its non-NULL new values inserted, which also
+// moves a value to or from NULL.
 func (m fragmentRows) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
 	p, err := m.state().placement(tn.ID, table)
 	if err != nil {
@@ -472,40 +482,65 @@ func (m fragmentRows) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, r
 	if err != nil {
 		return nil
 	}
-	frags := p.touched(slots, false)
+	touched := p.touched(slots, false)
+	dense := touched[:0] // the UPDATEs' fragments, filtered in place
+	for _, f := range touched {
+		if !f.sparse {
+			dense = append(dense, f)
+		}
+	}
+	stored := func(s slot, v types.Value) sql.Expr {
+		if s.col.writes() && !v.IsNull() {
+			if cv, err := types.Cast(v, s.col.store.Kind); err == nil {
+				v = cv
+			}
+		}
+		return lit(v)
+	}
 	update := func(f *fragment, vals []types.Value, rowPred sql.Expr) sql.Statement {
 		up := &sql.UpdateStmt{Table: f.table, Where: and(append(f.where(""), rowPred)...)}
 		for i, s := range slots {
-			if s.frag != f {
-				continue
+			if s.frag == f {
+				up.Set = append(up.Set, sql.Assignment{Column: s.col.phys, Value: stored(s, vals[i+1])})
 			}
-			v := vals[i+1]
-			if s.col.writes() && !v.IsNull() {
-				if cv, err := types.Cast(v, s.col.store.Kind); err == nil {
-					v = cv
-				}
-			}
-			up.Set = append(up.Set, sql.Assignment{Column: s.col.phys, Value: lit(v)})
 		}
 		return up
 	}
 	var out []sql.Statement
+	rowIDs := column(rows, 0)
+	for i, s := range slots {
+		if !s.frag.sparse {
+			continue
+		}
+		f := s.frag
+		out = append(out, f.remove(and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...)))
+		ins := f.spine()
+		ins.Columns = append(ins.Columns, s.col.phys)
+		for _, r := range rows {
+			if !r[i+1].IsNull() {
+				ins.Rows = append(ins.Rows, append(f.spineValues(lit(r[0]), intLit(0), len(ins.Columns)), stored(s, r[i+1])))
+			}
+		}
+		if len(ins.Rows) > 0 {
+			out = append(out, ins)
+		}
+	}
 	if constantSets(rows, len(setCols)) {
-		rowIDs := column(rows, 0)
-		for _, f := range frags {
+		for _, f := range dense {
 			out = append(out, update(f, rows[0], inList(colRef("", "Row"), rowIDs)))
 		}
 		return out
 	}
 	for _, r := range rows {
-		for _, f := range frags {
+		for _, f := range dense {
 			out = append(out, update(f, r, eq(colRef("", "Row"), lit(r[0]))))
 		}
 	}
 	return out
 }
 
-// phaseBDelete implements rowMapping: every fragment of the rows goes —
+// phaseBDelete builds the physical writes for a DELETE from phase (a)'s
+// [__row] tuples, at least one: every fragment of the rows goes —
 // removed, or in a Trashcan fragment marked invisible (§6.3: "mark all
 // chunk tables as deleted").
 func (m fragmentRows) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {

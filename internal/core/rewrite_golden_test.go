@@ -18,7 +18,10 @@ import (
 // to share one fragment rewriter, and written again when UPDATE and
 // DELETE statements within one fragment became direct (every record of
 // the first file is in the second byte for byte, or went from RowQuery
-// + PhaseB to Direct). testdata/rewrite_golden_gen_test.go.txt over
+// + PhaseB to Direct), and a third time when Pivot became a placement of
+// sparse fragments (only Pivot's INSERTs and phase-(b) DELETEs changed,
+// to one statement per column writing or removing the same cells).
+// testdata/rewrite_golden_gen_test.go.txt over
 // recordRewrites below writes it;
 // everything here is the layouts' public surface. A record is the
 // physical statements one logical statement turns into, as text: Query,

@@ -150,6 +150,12 @@ func (k *keyRange) set(path *plan.AccessPath, row, params []types.Value) (lo, hi
 		if path.HiInc {
 			hi = btree.AppendPrefixSuccessor(k.hi, k.hi)
 		}
+		if path.Lo == nil {
+			// NULL encodes lowest but is less than nothing: start just
+			// past the NULL keys after the prefix.
+			k.lo = types.EncodeKey(append(k.lo[:0], k.prefix...), types.Null())
+			lo = btree.AppendPrefixSuccessor(k.lo, k.lo)
+		}
 	}
 	return lo, hi, true, nil
 }
