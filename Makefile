@@ -27,10 +27,12 @@ loc:
 	@echo "non-test Go in internal/core: $$($(GO_FILES) ! -name '*_test.go' -path './internal/core/*' -print | xargs cat | wc -l)"
 	@echo "test Go:                      $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
-# storage and exec at a core count the sandbox does not have: nothing
-# they assert (shard count, hint caps, page counts) may depend on it.
+# storage, exec and core at a core count the sandbox does not have:
+# nothing they assert (shard count, hint caps, page counts) may depend on
+# it, and a compiled statement's tree free list, which every tenant of
+# its shape shares, must hold up with eight sessions running at once.
 test-cores:
-	GOMAXPROCS=8 $(GO) test -count=1 ./internal/storage/ ./internal/exec/
+	GOMAXPROCS=8 $(GO) test -count=1 ./internal/storage/ ./internal/exec/ ./internal/core/
 
 # The interactive-transaction suite: engine anomaly/interleaving tests,
 # the model-differential harness on its three fixed seeds (1, 2, 3), and

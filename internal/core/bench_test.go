@@ -2,6 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/chunkexp"
@@ -210,4 +213,56 @@ func mustParse(b *testing.B, q string) sql.Statement {
 		b.Fatal(err)
 	}
 	return st
+}
+
+// BenchmarkTenantsSharePlans runs the CRM deck's cached statements —
+// Figure 6's select and update classes in their deck shares, values
+// inlined, tenants drawn uniformly — through a session Mapper on Basic
+// at 1, 32 and 1 024 tenants, one logical statement per op, warm. Beside
+// ns/op and allocs/op it reports the engine plan-cache misses per op: a
+// compiled statement is shared by every tenant whose placement has its
+// shape, so they stay near zero however many tenants there are.
+func BenchmarkTenantsSharePlans(b *testing.B) {
+	for _, tenants := range []int{1, 32, 1024} {
+		b.Run(fmt.Sprintf("tenants_%d", tenants), func(b *testing.B) {
+			bed, err := testbed.Setup(testbed.Config{Tenants: tenants, RowsPerTable: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(2008))
+			var deck []string
+			for _, c := range []struct {
+				class testbed.ActionClass
+				cards int
+			}{{testbed.SelectLight, 500}, {testbed.SelectHeavy, 150}, {testbed.UpdateLight, 176}, {testbed.UpdateHeavy, 75}} {
+				for i := 0; i < c.cards; i++ {
+					a := bed.Workload.NextAction(r, c.class, nil)
+					for _, q := range append(a.Queries, a.Execs...) {
+						deck = append(deck, fmt.Sprintf("%d\x00%s", a.Tenant, q))
+					}
+				}
+			}
+			r.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
+			m := core.NewSessionMapper(bed.DB, bed.Layout)
+			defer m.Session.Close()
+			run := func(i int) {
+				tenant, q, _ := strings.Cut(deck[i%len(deck)], "\x00")
+				id, _ := strconv.ParseInt(tenant, 10, 64)
+				if _, _, err := m.Do(id, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := range deck {
+				run(i) // fill the rewrite and plan caches
+			}
+			before := m.DB.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(i)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(m.DB.Stats().PlanCacheMisses-before.PlanCacheMisses)/float64(b.N), "plan-misses/op")
+		})
+	}
 }

@@ -58,6 +58,18 @@ type Rewritten struct {
 	PhaseB func(rows [][]types.Value) []sql.Statement
 }
 
+// statements lists the physical statements of whichever shape rw is:
+// Query, the Direct ones, or RowQuery.
+func (rw *Rewritten) statements() []sql.Statement {
+	switch {
+	case rw.Query != nil:
+		return []sql.Statement{rw.Query}
+	case rw.RowQuery != nil:
+		return []sql.Statement{rw.RowQuery}
+	}
+	return rw.Direct
+}
+
 // Mapper executes logical statements for tenants through a layout.
 // With a Session attached (NewSessionMapper), statements run inside
 // that session, so interactive transactions (BEGIN/COMMIT/ROLLBACK/
@@ -153,7 +165,7 @@ const (
 // statement of a kind the caller does not accept is refused unexecuted.
 func (m *Mapper) do(tenantID int64, query string, params []types.Value, want int) (engine.Result, *engine.Rows, error) {
 	defer m.gate(tenantID)()
-	cr, bind, st, err := m.Cache.lookup(tenantID, query, params)
+	cr, bound, st, err := m.Cache.lookup(tenantID, query)
 	if err != nil {
 		return engine.Result{}, nil, err
 	}
@@ -161,14 +173,13 @@ func (m *Mapper) do(tenantID int64, query string, params []types.Value, want int
 		if want&wantRows == 0 {
 			return engine.Result{}, nil, fmt.Errorf("core: use Query for SELECT statements")
 		}
-		rows, err := m.queryStmt(cr.rw.Query, cr.queryKey, bind...)
-		return engine.Result{}, rows, err
+		return m.run(cr, 0, bound, params)
 	}
 	if want&wantResult == 0 {
 		return engine.Result{}, nil, fmt.Errorf("core: Query needs a SELECT")
 	}
 	if cr != nil {
-		res, err := m.execRewritten(cr, bind)
+		res, err := m.execRewritten(cr, bound, params)
 		return res, nil, err
 	}
 	res, err := m.execParsed(tenantID, st, params)
@@ -187,25 +198,55 @@ func (m *Mapper) execParsed(tenantID int64, st sql.Statement, params []types.Val
 		}
 		return m.Session.ExecStmt(st, "")
 	}
-	rw, err := m.Layout.Rewrite(tenantID, st)
+	cr, err := compile(m.Layout.Rewrite(tenantID, st))
 	if err != nil {
 		return engine.Result{}, err
 	}
-	return m.execRewritten(&cachedRewrite{rw: rw}, params)
+	return m.execRewritten(cr, nil, params)
+}
+
+// run executes statement i of cr under its vector in bound or, where
+// bound is nil, params bound now; a SELECT answers rows. An empty key
+// falls back to the engine deriving it.
+func (m *Mapper) run(cr *cachedRewrite, i int, bound [][]types.Value, params []types.Value) (engine.Result, *engine.Rows, error) {
+	ps := &cr.stmts[i]
+	var args []types.Value
+	var err error
+	if bound != nil {
+		args = bound[i]
+	} else if args, err = ps.bind(params); err != nil {
+		return engine.Result{}, nil, err
+	}
+	if sel, ok := ps.st.(*sql.SelectStmt); ok {
+		rows, err := m.queryStmt(sel, ps.key, args...)
+		return engine.Result{}, rows, err
+	}
+	res, err := m.execStmt(ps.st, ps.key, args...)
+	return res, nil, err
 }
 
 // execRewritten executes a rewritten non-query statement's physical
-// plan: Direct statements, then the two-phase RowQuery/PhaseB shape.
-// Empty key strings fall back to the engine deriving keys itself.
-func (m *Mapper) execRewritten(cr *cachedRewrite, params []types.Value) (engine.Result, error) {
+// plan (see run for bound and params): the Direct statements, or the
+// two-phase RowQuery/PhaseB shape.
+func (m *Mapper) execRewritten(cr *cachedRewrite, bound [][]types.Value, params []types.Value) (engine.Result, error) {
 	rw := cr.rw
-	var affected int64
-	for i, ps := range rw.Direct {
-		key := ""
-		if cr.directKeys != nil {
-			key = cr.directKeys[i]
+	if rw.RowQuery != nil {
+		_, rows, err := m.run(cr, 0, bound, params)
+		if err != nil {
+			return engine.Result{}, err
 		}
-		res, err := m.execStmt(ps, key, params...)
+		// Phase (b) statements are built from phase (a)'s result values —
+		// always literal-only, never parameterized.
+		for _, ps := range rw.PhaseB(rows.Data) {
+			if _, err := m.execStmt(ps, ""); err != nil {
+				return engine.Result{}, err
+			}
+		}
+		return engine.Result{RowsAffected: int64(len(rows.Data))}, nil
+	}
+	var affected int64
+	for i := range cr.stmts {
+		res, _, err := m.run(cr, i, bound, params)
 		if err != nil {
 			return engine.Result{}, err
 		}
@@ -215,20 +256,6 @@ func (m *Mapper) execRewritten(cr *cachedRewrite, params []types.Value) (engine.
 	}
 	if rw.Inserted > 0 {
 		affected = rw.Inserted
-	}
-	if rw.RowQuery != nil {
-		rows, err := m.queryStmt(rw.RowQuery, cr.rowQueryKey, params...)
-		if err != nil {
-			return engine.Result{}, err
-		}
-		affected = int64(len(rows.Data))
-		// Phase (b) statements are built from phase (a)'s result values —
-		// always literal-only, never parameterized.
-		for _, ps := range rw.PhaseB(rows.Data) {
-			if _, err := m.execStmt(ps, ""); err != nil {
-				return engine.Result{}, err
-			}
-		}
 	}
 	return engine.Result{RowsAffected: affected}, nil
 }
@@ -245,14 +272,8 @@ func (m *Mapper) RewriteSQL(tenantID int64, query string) ([]string, error) {
 		return nil, err
 	}
 	var out []string
-	if rw.Query != nil {
-		out = append(out, rw.Query.String())
-	}
-	for _, d := range rw.Direct {
-		out = append(out, d.String())
-	}
-	if rw.RowQuery != nil {
-		out = append(out, rw.RowQuery.String())
+	for _, ps := range rw.statements() {
+		out = append(out, ps.String())
 	}
 	return out, nil
 }

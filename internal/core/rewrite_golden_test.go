@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -400,53 +402,205 @@ func TestRewriteGolden(t *testing.T) {
 
 // TestCachedRewriteIsFreshRewrite: what the Mapper executes for a
 // corpus statement — the rewrite cache's entry, on the fill and again on
-// the raw-text hit — records exactly as a fresh Layout.Rewrite of the
-// statement's template does, its plan-cache keys are the physical
-// statements' texts, and it binds the literals the template lifted out.
+// the raw-text hit — is, with its bindings put back in place of its
+// parameters, byte for byte what a fresh Layout.Rewrite of the statement
+// answers. Each statement's plan-cache key is its text, and sql.Parse of
+// the key numbers the parameters exactly as the cached statement does.
+// The corpus's own `?`s take the values 100, 101, …
 func TestCachedRewriteIsFreshRewrite(t *testing.T) {
 	for name, m := range layoutsFor(t, goldenSchema(), goldenTenants()) {
 		for _, c := range goldenCorpus() {
-			st, err := sql.Parse(c.sql)
+			params := corpusParams(c.sql)
+			st, err := sql.Parse(bindText(c.sql, params))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, insert := st.(*sql.InsertStmt); insert {
 				continue // never cached
 			}
-			lifted, _ := sql.ExtractParams(st)
 			rw, err := m.Layout.Rewrite(c.tenant, st)
 			rec := goldenRecord{Tenant: c.tenant, SQL: c.sql}
 			want, _ := json.Marshal(recordRewritten(t, rec, c, rw, err))
 			for _, pass := range []string{"fill", "hit"} {
-				cr, bind, _, err := m.Cache.lookup(c.tenant, c.sql, nil)
-				var crw *Rewritten
+				cr, bind, err := lookupBound(m.Cache, c.tenant, c.sql, params)
+				var bound *Rewritten
 				if err == nil {
-					crw = cr.rw
+					checkTemplates(t, cr)
+					bound = boundRewrite(t, cr, bind)
 				}
-				got, _ := json.Marshal(recordRewritten(t, rec, c, crw, err))
+				got, _ := json.Marshal(recordRewritten(t, rec, c, bound, err))
 				if string(got) != string(want) {
 					t.Errorf("%s, tenant %d, %q, %s:\nfresh  %s\ncached %s", name, c.tenant, c.sql, pass, want, got)
 				}
-				if err != nil {
-					continue
-				}
-				if fmt.Sprint(bind) != fmt.Sprint(lifted) {
-					t.Errorf("%s, %q, %s: binds %v, the template lifted %v", name, c.sql, pass, bind, lifted)
-				}
-				keys := append([]string{cr.queryKey, cr.rowQueryKey}, cr.directKeys...)
-				texts := []string{"", ""}
-				if crw.Query != nil {
-					texts[0] = crw.Query.String()
-				}
-				if crw.RowQuery != nil {
-					texts[1] = crw.RowQuery.String()
-				}
-				for _, d := range crw.Direct {
-					texts = append(texts, d.String())
-				}
-				if fmt.Sprint(keys) != fmt.Sprint(texts) {
-					t.Errorf("%s, %q, %s: plan-cache keys %q for statements %q", name, c.sql, pass, keys, texts)
-				}
+			}
+		}
+	}
+}
+
+// lookupBound is a cache lookup with each statement's parameter vector,
+// params bound where the entry has none, as Mapper.run binds them.
+func lookupBound(c *RewriteCache, tenant int64, text string, params []types.Value) (*cachedRewrite, [][]types.Value, error) {
+	cr, bound, _, err := c.lookup(tenant, text)
+	if err != nil || bound != nil {
+		return cr, bound, err
+	}
+	for i := range cr.stmts {
+		args, err := cr.stmts[i].bind(params)
+		if err != nil {
+			return nil, nil, err
+		}
+		bound = append(bound, args)
+	}
+	return cr, bound, nil
+}
+
+// corpusParams is one value per `?` of q: 100, 101, …
+func corpusParams(q string) []types.Value {
+	var out []types.Value
+	for i := 0; i < strings.Count(q, "?"); i++ {
+		out = append(out, iv(int64(100+i)))
+	}
+	return out
+}
+
+// bindText puts vals, as literals, in place of text's `?`s in order.
+func bindText(text string, vals []types.Value) string {
+	var sb strings.Builder
+	for _, part := range strings.SplitAfter(text, "?") {
+		if strings.HasSuffix(part, "?") && len(vals) > 0 {
+			part = strings.TrimSuffix(part, "?") + vals[0].SQLLiteral()
+			vals = vals[1:]
+		}
+		sb.WriteString(part)
+	}
+	return sb.String()
+}
+
+// boundRewrite is cr with bind put back into its statements' texts,
+// re-parsed: the rewrite a fresh Layout.Rewrite of the literal statement
+// gives.
+func boundRewrite(t *testing.T, cr *cachedRewrite, bind [][]types.Value) *Rewritten {
+	t.Helper()
+	out := *cr.rw
+	var stmts []sql.Statement
+	for i, ps := range cr.stmts {
+		st, err := sql.Parse(bindText(ps.key, bind[i]))
+		if err != nil {
+			t.Fatalf("bound template %q: %v", ps.key, err)
+		}
+		stmts = append(stmts, st)
+	}
+	switch {
+	case out.Query != nil:
+		out.Query = stmts[0].(*sql.SelectStmt)
+	case out.RowQuery != nil:
+		out.RowQuery = stmts[0].(*sql.SelectStmt)
+	default:
+		out.Direct = stmts
+	}
+	return &out
+}
+
+// checkTemplates holds every statement of cr to its key: the key is the
+// statement's text, and parsing it yields the statement itself, Param
+// indexes included — what the engine plans for the key binds as cr does.
+func checkTemplates(t *testing.T, cr *cachedRewrite) {
+	t.Helper()
+	for _, ps := range cr.stmts {
+		if ps.key != ps.st.String() {
+			t.Errorf("plan-cache key %q for statement %q", ps.key, ps.st)
+		}
+		parsed, err := sql.Parse(ps.key)
+		if err != nil {
+			t.Fatalf("template %q does not parse: %v", ps.key, err)
+		}
+		if !reflect.DeepEqual(parsed, ps.st) {
+			t.Errorf("sql.Parse(%q) numbers its parameters differently", ps.key)
+		}
+		if n := strings.Count(ps.key, "?"); n != len(ps.slots) {
+			t.Errorf("template %q: %d parameters, %d slots", ps.key, n, len(ps.slots))
+		}
+	}
+}
+
+// constants matches what EXPLAIN prints for a constant or a parameter.
+var constants = regexp.MustCompile(`DATE '[^']*'|'(?:[^']|'')*'|\b\d+(?:\.\d+)?\b|\b(?:TRUE|FALSE|NULL)\b|\?`)
+
+// TestTemplatesPlanAndAnswerAsLiterals runs checkAgainstLiterals on
+// every cacheable corpus statement, the corpus's INSERTs loading the data
+// first.
+func TestTemplatesPlanAndAnswerAsLiterals(t *testing.T) {
+	for _, m := range layoutsFor(t, goldenSchema(), goldenTenants()) {
+		corpus := goldenCorpus()
+		for _, c := range corpus {
+			if strings.HasPrefix(c.sql, "INSERT") {
+				m.Exec(c.tenant, c.sql) // two are meant to fail
+			}
+		}
+		for _, c := range corpus {
+			if !strings.HasPrefix(c.sql, "INSERT") {
+				checkAgainstLiterals(t, m, c.tenant, c.sql, corpusParams(c.sql)...)
+			}
+		}
+	}
+}
+
+// checkAgainstLiterals holds the physical statements the rewrite cache
+// answers one logical SELECT, UPDATE or DELETE with (params bind its
+// `?`s) to the literal statements a fresh Layout.Rewrite of it, params
+// in place, gives: checkTemplates holds; with its bindings put back each
+// cached statement is the literal one; each plans like it — the same
+// access paths and join order, EXPLAIN equal once constants are masked —
+// and a plain DB.Query of a SELECT's text with its bound values answers
+// what the literal statement does, and for a logical SELECT what the
+// Mapper does.
+func checkAgainstLiterals(t *testing.T, m *Mapper, tenant int64, text string, params ...types.Value) {
+	t.Helper()
+	explain := func(q string, params ...types.Value) string {
+		p, err := m.DB.Explain(q, params...)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return constants.ReplaceAllString(p, "$$")
+	}
+	st, err := sql.Parse(bindText(text, params))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := m.Layout.Rewrite(tenant, st)
+	if err != nil {
+		return // TestCachedRewriteIsFreshRewrite compares the errors
+	}
+	cr, bind, err := lookupBound(m.Cache, tenant, text, params)
+	if err != nil {
+		t.Fatalf("%s: %q: %v", m.Layout.Name(), text, err)
+	}
+	checkTemplates(t, cr)
+	for i, lit := range rw.statements() {
+		ps, where := cr.stmts[i], fmt.Sprintf("%s, tenant %d, %q", m.Layout.Name(), tenant, text)
+		if got, want := bindText(ps.key, bind[i]), lit.String(); got != want {
+			t.Errorf("%s: bound template\n%s\nliteral statement\n%s", where, got, want)
+		}
+		if got, want := explain(ps.key, bind[i]...), explain(lit.String()); got != want {
+			t.Errorf("%s: template plans\n%s\nliteral statement plans\n%s", where, got, want)
+		}
+		if _, ok := lit.(*sql.SelectStmt); !ok {
+			continue
+		}
+		got, err := m.DB.Query(ps.key, bind[i]...)
+		want, werr := m.DB.Query(lit.String())
+		if err != nil || werr != nil {
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Errorf("%s: template fails with %v, literal statement with %v", where, err, werr)
+			}
+			continue
+		}
+		if fmt.Sprint(sortedRows(got)) != fmt.Sprint(sortedRows(want)) {
+			t.Errorf("%s: template answers %v, literal statement %v", where, sortedRows(got), sortedRows(want))
+		}
+		if rw.Query != nil {
+			if mapped := queryAll(t, m, tenant, text, params...); fmt.Sprint(mapped) != fmt.Sprint(sortedRows(got)) {
+				t.Errorf("%s: template answers %v, the Mapper %v", where, sortedRows(got), mapped)
 			}
 		}
 	}

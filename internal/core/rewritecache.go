@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"repro/internal/engine"
@@ -19,7 +20,9 @@ import (
 // bindings. A steady-state statement then costs one map hit: no lexing,
 // no parsing, no layout rewrite — and because each cached physical
 // statement carries its precomputed plan-cache key string, the engine's
-// plan cache hits without re-rendering SQL either.
+// plan cache hits without re-rendering SQL either. The physical
+// statements have their literals lifted as well (physStmt), so that key
+// is a placement shape: tenants of one shape share a compiled statement.
 //
 // It is every Mapper's statement path, not an attachment: Mappers over
 // one layout share the layout's cache (SharedRewriteCache).
@@ -111,24 +114,82 @@ type cacheSlot struct {
 	c    *RewriteCache
 }
 
-// cachedRewrite is one rewrite template: the physical statement shapes
-// plus their precomputed plan-cache key strings (st.String() rendered
-// once at fill time instead of per execution).
+// cachedRewrite is one rewrite template: the layout's answer, and its
+// physical statements as every tenant of the same placement shape runs
+// them.
 type cachedRewrite struct {
-	rw          *Rewritten
-	queryKey    string
-	directKeys  []string
-	rowQueryKey string
+	rw    *Rewritten
+	stmts []physStmt // in rw.statements() order
 }
 
-// rcEntry is one LRU slot. Template entries have extra == nil; raw
-// alias entries carry the literal values their text canonicalized away,
-// in Param index order.
+// physStmt is one physical statement with its literals lifted
+// (sql.LiftParams), so that key, its text rendered once, is a function of
+// the placement's shape; slots say what each parameter binds to.
+type physStmt struct {
+	st    sql.Statement
+	key   string
+	slots []sql.Slot
+}
+
+// compile lifts the literals of a rewrite's statements (INSERTs keep
+// theirs) and renders their keys; a rewrite error passes through.
+func compile(rw *Rewritten, err error) (*cachedRewrite, error) {
+	if err != nil {
+		return nil, err
+	}
+	stmts := rw.statements()
+	cr := &cachedRewrite{rw: rw, stmts: make([]physStmt, len(stmts))}
+	for i, ps := range stmts {
+		lifted, slots := sql.LiftParams(ps)
+		cr.stmts[i] = physStmt{st: lifted, key: lifted.String(), slots: slots}
+	}
+	return cr, nil
+}
+
+// bind is the statement's parameter vector for a logical statement whose
+// parameters take vals; a statement without slots takes vals as they are.
+func (ps *physStmt) bind(vals []types.Value) ([]types.Value, error) {
+	if ps.slots == nil {
+		return vals, nil
+	}
+	out := make([]types.Value, len(ps.slots))
+	for i, s := range ps.slots {
+		switch {
+		case s.Param < 0:
+			out[i] = s.Val
+		case s.Param < len(vals):
+			out[i] = vals[s.Param]
+		default:
+			return nil, fmt.Errorf("core: missing value for parameter %d", s.Param+1)
+		}
+	}
+	return out, nil
+}
+
+// rcEntry is one LRU slot. bound, the parameter vector of each of cr's
+// statements, is fixed at fill for a text without `?` (a raw alias binds
+// the literals its text canonicalized away); where it is nil the caller's
+// values bind per execution.
 type rcEntry struct {
 	key   rcKey
 	cr    *cachedRewrite
-	extra []types.Value
+	bound [][]types.Value
 	stamp rcStamp
+}
+
+// newEntry stamps cr under key, its parameters taking vals (nil: the
+// caller's, unless it has none).
+func newEntry(key rcKey, cr *cachedRewrite, vals []types.Value, stamp rcStamp) *rcEntry {
+	ent := &rcEntry{key: key, cr: cr, stamp: stamp}
+	bound := make([][]types.Value, len(cr.stmts))
+	for i := range cr.stmts {
+		var err error
+		if bound[i], err = cr.stmts[i].bind(vals); err != nil {
+			return ent // a slot wants a value vals lacks
+		}
+	}
+	ent.bound = bound
+	return ent
 }
 
 // rcFlight is a single-flight slot for one key's fill.
@@ -213,19 +274,17 @@ func (c *RewriteCache) removeLocked(e *list.Element) {
 // lookup resolves one logical statement text for a tenant.
 //
 // Outcomes:
-//   - cr != nil: the rewrite is cached; bind carries the parameter
-//     values to execute it with (the caller's params, or the literals
-//     extracted from this raw text).
+//   - cr != nil: the rewrite is cached; bound is the parameter vector of
+//     each of its statements, or nil for an already-parameterized text,
+//     which the caller's params bind. For canonicalized texts (which by
+//     construction contained no `?`) the extracted literals are bound,
+//     and any caller-supplied params — which no placeholder could have
+//     referenced — are ignored.
 //   - cr == nil, st != nil: the statement is not cacheable (INSERT,
 //     DDL, transaction control); st is the parse result so the caller
 //     can run the ordinary rewrite path without re-parsing.
 //   - err != nil: parse or rewrite failed.
-//
-// userParams are returned as bind for already-parameterized texts; for
-// canonicalized texts (which by construction contained no `?`) the
-// extracted literals bind instead, and any caller-supplied params —
-// which no placeholder could have referenced — are ignored.
-func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Value) (cr *cachedRewrite, bind []types.Value, st sql.Statement, err error) {
+func (c *RewriteCache) lookup(tenant int64, text string) (cr *cachedRewrite, bound [][]types.Value, st sql.Statement, err error) {
 	key := rcKey{tenant: tenant, text: text}
 	for {
 		// Read before c.mu: a bump that lands after this orders the whole
@@ -239,7 +298,7 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 				c.hits++
 				c.countShapeLocked(ent.cr)
 				c.mu.Unlock()
-				return ent.cr, bindParams(ent, userParams), nil, nil
+				return ent.cr, ent.bound, nil, nil
 			}
 			// Stale stamp: drop the entry and refill below.
 			c.removeLocked(e)
@@ -258,7 +317,7 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 				c.hits++
 				c.countShapeLocked(f.ent.cr)
 				c.mu.Unlock()
-				return f.ent.cr, bindParams(f.ent, userParams), nil, nil
+				return f.ent.cr, f.ent.bound, nil, nil
 			}
 			// Uncacheable: the flight's parse result belongs to its owner
 			// (ASTs are mutable); re-parse for this caller.
@@ -298,7 +357,7 @@ func (c *RewriteCache) lookup(tenant int64, text string, userParams []types.Valu
 			return nil, nil, nil, f.err
 		}
 		if f.ent != nil {
-			return f.ent.cr, bindParams(f.ent, userParams), nil, nil
+			return f.ent.cr, f.ent.bound, nil, nil
 		}
 		return nil, nil, f.st, nil
 	}
@@ -314,15 +373,6 @@ func (c *RewriteCache) countShapeLocked(cr *cachedRewrite) {
 	case cr.rw.Direct != nil:
 		c.directDML++
 	}
-}
-
-// bindParams picks the execution bindings for an entry: extracted
-// literals for canonicalized texts, the caller's params otherwise.
-func bindParams(ent *rcEntry, userParams []types.Value) []types.Value {
-	if ent.extra != nil {
-		return ent.extra
-	}
-	return userParams
 }
 
 // fill parses and rewrites one key's statement. Returns (entry, nil)
@@ -349,11 +399,11 @@ func (c *RewriteCache) fill(key rcKey, stamp rcStamp) (ent *rcEntry, parsed sql.
 	// differing only in values share one template entry.
 	extra, extracted := sql.ExtractParams(st)
 	if !extracted {
-		cr, err := c.rewriteTemplate(key.tenant, st)
+		cr, err := compile(c.layout.Rewrite(key.tenant, st))
 		if err != nil {
 			return nil, nil, false, err
 		}
-		return &rcEntry{key: key, cr: cr, stamp: stamp}, nil, false, nil
+		return newEntry(key, cr, nil, stamp), nil, false, nil
 	}
 
 	canonText := st.String()
@@ -364,13 +414,13 @@ func (c *RewriteCache) fill(key rcKey, stamp rcStamp) (ent *rcEntry, parsed sql.
 		if tmpl.stamp == stamp {
 			c.lru.MoveToBack(e)
 			c.mu.Unlock()
-			return &rcEntry{key: key, cr: tmpl.cr, extra: extra, stamp: stamp}, nil, true, nil
+			return newEntry(key, tmpl.cr, extra, stamp), nil, true, nil
 		}
 		c.removeLocked(e)
 	}
 	c.mu.Unlock()
 
-	cr, err := c.rewriteTemplate(key.tenant, st)
+	cr, err := compile(c.layout.Rewrite(key.tenant, st))
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -381,33 +431,10 @@ func (c *RewriteCache) fill(key rcKey, stamp rcStamp) (ent *rcEntry, parsed sql.
 	if e, ok := c.entries[canonKey]; ok && e.Value.(*rcEntry).stamp == stamp {
 		cr = e.Value.(*rcEntry).cr
 	} else {
-		c.insertLocked(&rcEntry{key: canonKey, cr: cr, stamp: stamp})
+		c.insertLocked(newEntry(canonKey, cr, nil, stamp))
 	}
 	c.mu.Unlock()
-	return &rcEntry{key: key, cr: cr, extra: extra, stamp: stamp}, nil, false, nil
-}
-
-// rewriteTemplate runs the layout rewrite and renders the plan-cache
-// key strings once.
-func (c *RewriteCache) rewriteTemplate(tenant int64, st sql.Statement) (*cachedRewrite, error) {
-	rw, err := c.layout.Rewrite(tenant, st)
-	if err != nil {
-		return nil, err
-	}
-	cr := &cachedRewrite{rw: rw}
-	if rw.Query != nil {
-		cr.queryKey = rw.Query.String()
-	}
-	if len(rw.Direct) > 0 {
-		cr.directKeys = make([]string, len(rw.Direct))
-		for i, d := range rw.Direct {
-			cr.directKeys[i] = d.String()
-		}
-	}
-	if rw.RowQuery != nil {
-		cr.rowQueryKey = rw.RowQuery.String()
-	}
-	return cr, nil
+	return newEntry(key, cr, extra, stamp), nil, false, nil
 }
 
 // insertLocked adds ent to the LRU, evicting from the front past cap.

@@ -914,6 +914,9 @@ type Stats struct {
 	// statement text).
 	PlanCacheHits   int64
 	PlanCacheMisses int64
+	// PlanCacheEntries is the compiled-plan LRU's population: statements
+	// compiled and kept, at most Config.PlanCacheSize.
+	PlanCacheEntries int
 	// Replication telemetry. Primary side: ReplShippedLSN is the stream
 	// offset shipped to the furthest subscriber, ReplAckedLSN the highest
 	// applied LSN a subscriber confirmed, ReplAckRoundTrips the number of
@@ -968,7 +971,7 @@ func (db *DB) Stats() Stats {
 	s.CommitPipelineMax = c.PipelineMax
 	s.PublishBatches = c.PublishBatches
 	s.PublishedTxns = c.PublishedTxns
-	s.PlanCacheHits, s.PlanCacheMisses = db.plans.counters()
+	s.PlanCacheHits, s.PlanCacheMisses, s.PlanCacheEntries = db.plans.counters()
 	if db.log != nil {
 		s.WAL = db.log.Stats()
 	}

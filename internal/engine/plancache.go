@@ -213,9 +213,10 @@ func (c *planCache) purge() {
 	c.entries = make(map[planKey]*list.Element)
 }
 
-// counters reports cache hits and misses (tests and diagnostics).
-func (c *planCache) counters() (hits, misses int64) {
+// counters reports cache hits, misses and the LRU population (tests and
+// diagnostics).
+func (c *planCache) counters() (hits, misses int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits, c.misses, len(c.entries)
 }

@@ -28,12 +28,13 @@ func newCacheTestDB(t *testing.T) *DB {
 }
 
 // TestPlanCacheHits checks that repeated ad-hoc statements are planned
-// once and served from the cache afterwards.
+// once and served from the cache afterwards, one entry among the cache's.
 func TestPlanCacheHits(t *testing.T) {
 	db := newCacheTestDB(t)
 	db.plans.mu.Lock()
 	db.plans.hits, db.plans.misses = 0, 0
 	db.plans.mu.Unlock()
+	entries := db.Stats().PlanCacheEntries
 
 	const q = "SELECT name FROM acct WHERE id = 7"
 	for i := 0; i < 5; i++ {
@@ -45,9 +46,9 @@ func TestPlanCacheHits(t *testing.T) {
 			t.Fatalf("bad result: %+v", rows.Data)
 		}
 	}
-	hits, misses := db.plans.counters()
-	if misses != 1 || hits != 4 {
-		t.Errorf("hits=%d misses=%d, want 4/1", hits, misses)
+	st := db.Stats()
+	if st.PlanCacheMisses != 1 || st.PlanCacheHits != 4 || st.PlanCacheEntries != entries+1 {
+		t.Errorf("hits=%d misses=%d entries %d→%d, want 4/1, one more", st.PlanCacheHits, st.PlanCacheMisses, entries, st.PlanCacheEntries)
 	}
 }
 

@@ -123,6 +123,18 @@ func TestFlattenNestedTwoLevels(t *testing.T) {
 	}
 }
 
+// TestFlattenKeepsJoinTreeDerivedTable: a derived table whose own
+// derived table holds a join tree stays unflattened — Pivot's
+// reconstruction under a logical derived table once panicked here.
+func TestFlattenKeepsJoinTreeDerivedTable(t *testing.T) {
+	cat := testCatalog(t)
+	q := "SELECT d.name FROM (SELECT name FROM (SELECT p.name AS name, c.col1 AS col1 FROM parent p LEFT JOIN child c ON c.parent = p.id) AS r WHERE col1 > 1) AS d"
+	st, _ := sql.Parse(q)
+	if _, err := New(cat, Sophisticated).PlanSelect(st.(*sql.SelectStmt)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScalarStrings(t *testing.T) {
 	exprs := []struct {
 		s    Scalar

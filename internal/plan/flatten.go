@@ -104,8 +104,8 @@ func flattenable(s *sql.SelectStmt) bool {
 		}
 	}
 	for _, f := range s.From {
-		if _, isJoin := f.(*sql.JoinTable); isJoin {
-			return false // keep explicit join trees intact
+		if _, named := f.(*sql.NamedTable); !named {
+			return false // a join tree, or a derived table kept whole: splice moves base tables only
 		}
 	}
 	return true

@@ -341,6 +341,9 @@ func TestServerTelemetry(t *testing.T) {
 	if st.PlanCacheHits == 0 {
 		t.Fatalf("plan cache never hit: %+v", st)
 	}
+	if js, _ := json.Marshal(st); st.PlanCacheEntries == 0 || !bytes.Contains(js, []byte(fmt.Sprintf(`"plan_cache_entries":%d`, st.PlanCacheEntries))) {
+		t.Fatalf("stats JSON lacks the plan-cache population: %s", js)
+	}
 	if st.ExecSlots <= 0 {
 		t.Fatalf("executor gate missing from stats: %+v", st)
 	}

@@ -103,9 +103,11 @@ type Stats struct {
 	DirectDML   int64 `json:"direct_dml"`
 	TwoPhaseDML int64 `json:"two_phase_dml"`
 
-	// Engine plan-cache counters.
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
+	// Engine plan-cache counters, and the compiled statements it holds:
+	// one per physical shape a template takes, not per tenant.
+	PlanCacheHits    int64 `json:"plan_cache_hits"`
+	PlanCacheMisses  int64 `json:"plan_cache_misses"`
+	PlanCacheEntries int   `json:"plan_cache_entries"`
 
 	// Fair-admission executor gauges (zero when the gate is disabled).
 	ExecSlots      int   `json:"exec_slots"`
@@ -267,19 +269,20 @@ func (s *Server) CloseSessions() {
 func (s *Server) Stats() Stats {
 	est := s.cfg.DB.Stats()
 	st := Stats{
-		Accepted:        s.accepted.Load(),
-		OpenSessions:    s.reg.len(),
-		Statements:      s.statements.Load(),
-		Batches:         s.batches.Load(),
-		AuthFailures:    s.authFails.Load(),
-		QuotaRejects:    s.quotaFails.Load(),
-		RateLimited:     s.rateLimited.Load(),
-		ProtocolErrors:  s.protoErrors.Load(),
-		AuditSeq:        s.cfg.Audit.Seq(),
-		ActiveTxns:      est.ActiveTxns,
-		PinnedSnapshots: est.PinnedSnapshots,
-		PlanCacheHits:   est.PlanCacheHits,
-		PlanCacheMisses: est.PlanCacheMisses,
+		Accepted:         s.accepted.Load(),
+		OpenSessions:     s.reg.len(),
+		Statements:       s.statements.Load(),
+		Batches:          s.batches.Load(),
+		AuthFailures:     s.authFails.Load(),
+		QuotaRejects:     s.quotaFails.Load(),
+		RateLimited:      s.rateLimited.Load(),
+		ProtocolErrors:   s.protoErrors.Load(),
+		AuditSeq:         s.cfg.Audit.Seq(),
+		ActiveTxns:       est.ActiveTxns,
+		PinnedSnapshots:  est.PinnedSnapshots,
+		PlanCacheHits:    est.PlanCacheHits,
+		PlanCacheMisses:  est.PlanCacheMisses,
+		PlanCacheEntries: est.PlanCacheEntries,
 
 		ReplShippedLSN:       est.ReplShippedLSN,
 		ReplAckedLSN:         est.ReplAckedLSN,

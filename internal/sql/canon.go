@@ -6,7 +6,9 @@
 // statement in place into its template form (`... WHERE Id = ?`) and
 // hands back the extracted values, so the rewrite/plan caches key on
 // the template while execution binds the original values as ordinary
-// positional parameters.
+// positional parameters. LiftParams does the same to the physical
+// statements a template rewrites into, so that tenants whose placements
+// have one shape run one physical text.
 package sql
 
 import "repro/internal/types"
@@ -35,18 +37,15 @@ func ExtractParams(st Statement) ([]types.Value, bool) {
 			return nil, false
 		}
 		c := &canonizer{}
-		s.Where = c.walk(s.Where)
-		s.Having = c.walk(s.Having)
+		s.Where = c.walk(s.Where, true)
+		s.Having = c.walk(s.Having, true)
 		return c.finish()
 	case *UpdateStmt:
 		if hasParams(st) {
 			return nil, false
 		}
 		c := &canonizer{}
-		for i := range s.Set {
-			s.Set[i].Value = c.walk(s.Set[i].Value)
-		}
-		s.Where = c.walk(s.Where)
+		c.update(s)
 		return c.finish()
 	case *DeleteStmt:
 		if s.Where == nil {
@@ -56,162 +55,227 @@ func ExtractParams(st Statement) ([]types.Value, bool) {
 			return nil, false
 		}
 		c := &canonizer{}
-		s.Where = c.walk(s.Where)
+		s.Where = c.walk(s.Where, true)
 		return c.finish()
 	}
 	return nil, false
 }
 
-// canonizer carries the extracted values of one ExtractParams walk.
+// Slot is what a parameter of a lifted statement binds to: parameter
+// Param of the original, or, where Param is -1, the lifted value Val.
+type Slot struct {
+	Param int
+	Val   types.Value
+}
+
+// LiftParams is ExtractParams for a physical SELECT, UPDATE or DELETE,
+// done on a copy (st may share subtrees with other statements) and also
+// inside derived tables, JOIN … ON and IN subqueries: it lifts the
+// literals and renumbers every parameter, st's own included, into render
+// order, as Parse(out.String()) numbers them; slots[i] is what out's
+// parameter i binds to. Other statements come back as they are.
+func LiftParams(st Statement) (out Statement, slots []Slot) {
+	c := &canonizer{deep: true}
+	switch s := st.(type) {
+	case *SelectStmt:
+		return c.selectStmt(s), c.slots
+	case *UpdateStmt:
+		cp := *s
+		cp.Set = append([]Assignment(nil), s.Set...)
+		c.update(&cp)
+		return &cp, c.slots
+	case *DeleteStmt:
+		cp := *s
+		cp.Where = c.walk(s.Where, true)
+		return &cp, c.slots
+	}
+	return st, nil
+}
+
+// canonizer carries one walk's Params, a slot each in render order. A
+// deep walk (LiftParams) enters subqueries.
 type canonizer struct {
-	vals []types.Value
+	slots []Slot
+	deep  bool
 }
 
 func (c *canonizer) finish() ([]types.Value, bool) {
-	if len(c.vals) == 0 {
+	if len(c.slots) == 0 {
 		return nil, false
 	}
-	return c.vals, true
+	vals := make([]types.Value, len(c.slots))
+	for i, s := range c.slots {
+		vals[i] = s.Val
+	}
+	return vals, true
 }
 
-// walk replaces literals with Params bottom-up. Subqueries (IN
-// subqueries here; derived tables never appear below a WHERE) are left
+func (c *canonizer) param(s Slot) Expr {
+	c.slots = append(c.slots, s)
+	return &Param{Index: len(c.slots) - 1}
+}
+
+// update lifts an UPDATE's SET values, then its WHERE, in place.
+func (c *canonizer) update(s *UpdateStmt) {
+	for i := range s.Set {
+		s.Set[i].Value = c.walk(s.Set[i].Value, true)
+	}
+	s.Where = c.walk(s.Where, true)
+}
+
+func (c *canonizer) list(es []Expr, lift bool) []Expr {
+	out := append([]Expr(nil), es...)
+	for i := range out {
+		out[i] = c.walk(out[i], lift)
+	}
+	return out
+}
+
+// selectStmt is the deep walk of one SELECT block, in render order.
+// Literals stay inline where nothing is lifted: projections, GROUP BY,
+// ORDER BY.
+func (c *canonizer) selectStmt(s *SelectStmt) *SelectStmt {
+	out := *s
+	out.Items = append([]SelectItem(nil), s.Items...)
+	for i := range out.Items {
+		out.Items[i].Expr = c.walk(out.Items[i].Expr, false)
+	}
+	out.From = make([]TableRef, len(s.From))
+	for i, tr := range s.From {
+		out.From[i] = c.tableRef(tr)
+	}
+	out.Where = c.walk(s.Where, true)
+	out.GroupBy = c.list(s.GroupBy, false)
+	out.Having = c.walk(s.Having, true)
+	out.OrderBy = append([]OrderItem(nil), s.OrderBy...)
+	for i := range out.OrderBy {
+		out.OrderBy[i].Expr = c.walk(out.OrderBy[i].Expr, false)
+	}
+	return &out
+}
+
+func (c *canonizer) tableRef(tr TableRef) TableRef {
+	switch t := tr.(type) {
+	case *SubqueryTable:
+		return &SubqueryTable{Select: c.selectStmt(t.Select), Alias: t.Alias}
+	case *JoinTable:
+		l, r := c.tableRef(t.Left), c.tableRef(t.Right)
+		return &JoinTable{Left: l, Right: r, Type: t.Type, On: c.walk(t.On, true)}
+	}
+	return tr
+}
+
+// walk replaces Params, and literals where lift is set, with fresh Params
+// bottom-up, copying every node above one. Outside a deep walk subqueries
+// (IN subqueries here; derived tables never appear below a WHERE) are left
 // intact: their literals stay inlined and simply make the template text
 // more specific.
-func (c *canonizer) walk(e Expr) Expr {
+func (c *canonizer) walk(e Expr, lift bool) Expr {
 	switch e := e.(type) {
-	case nil:
-		return nil
 	case *Literal:
-		p := &Param{Index: len(c.vals)}
-		c.vals = append(c.vals, e.Val)
-		return p
+		if !lift {
+			return e
+		}
+		return c.param(Slot{Param: -1, Val: e.Val})
+	case *Param:
+		return c.param(Slot{Param: e.Index})
 	case *BinaryExpr:
-		e.L = c.walk(e.L)
-		e.R = c.walk(e.R)
-		return e
+		cp := *e
+		cp.L, cp.R = c.walk(e.L, lift), c.walk(e.R, lift)
+		return &cp
 	case *UnaryExpr:
-		e.X = c.walk(e.X)
-		return e
+		cp := *e
+		cp.X = c.walk(e.X, lift)
+		return &cp
 	case *IsNullExpr:
-		e.X = c.walk(e.X)
-		return e
+		cp := *e
+		cp.X = c.walk(e.X, lift)
+		return &cp
 	case *InExpr:
-		e.X = c.walk(e.X)
-		for i := range e.List {
-			e.List[i] = c.walk(e.List[i])
+		cp := *e
+		cp.X, cp.List = c.walk(e.X, lift), c.list(e.List, lift)
+		if c.deep && e.Subquery != nil {
+			cp.Subquery = c.selectStmt(e.Subquery)
 		}
-		return e
+		return &cp
 	case *LikeExpr:
-		e.X = c.walk(e.X)
-		e.Pattern = c.walk(e.Pattern)
-		return e
+		cp := *e
+		cp.X, cp.Pattern = c.walk(e.X, lift), c.walk(e.Pattern, lift)
+		return &cp
 	case *FuncExpr:
-		for i := range e.Args {
-			e.Args[i] = c.walk(e.Args[i])
-		}
-		return e
+		cp := *e
+		cp.Args = c.list(e.Args, lift)
+		return &cp
 	case *CastExpr:
-		e.X = c.walk(e.X)
-		return e
+		cp := *e
+		cp.X = c.walk(e.X, lift)
+		return &cp
 	}
 	return e
 }
 
-// hasParams reports whether any expression anywhere in st (including
-// subqueries and projection lists) is already a Param. Such statements
-// are never canonicalized: the caller's positional values bind to the
-// existing indexes, and extraction would interleave new indexes with
-// theirs.
-func hasParams(st Statement) bool {
-	found := false
-	visitStatement(st, func(e Expr) {
-		if _, ok := e.(*Param); ok {
-			found = true
-		}
-	})
-	return found
-}
-
-// visitStatement calls fn on every expression node reachable from st,
-// including inside subqueries.
-func visitStatement(st Statement, fn func(Expr)) {
-	switch s := st.(type) {
+// hasParams reports whether any expression anywhere in n, a statement,
+// table reference or expression (subqueries and projection lists
+// included), is already a Param. Such statements are never
+// canonicalized: the caller's positional values bind to the existing
+// indexes, and extraction would interleave new indexes with theirs.
+func hasParams(n any) bool {
+	switch n := n.(type) {
+	case *Param:
+		return true
 	case *SelectStmt:
-		visitSelect(s, fn)
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				visitExpr(e, fn)
+		for _, it := range n.Items {
+			if hasParams(it.Expr) {
+				return true
 			}
 		}
+		for _, o := range n.OrderBy {
+			if hasParams(o.Expr) {
+				return true
+			}
+		}
+		for _, f := range n.From {
+			if hasParams(f) {
+				return true
+			}
+		}
+		return anyParams(n.GroupBy) || hasParams(n.Where) || hasParams(n.Having)
 	case *UpdateStmt:
-		for i := range s.Set {
-			visitExpr(s.Set[i].Value, fn)
+		for _, a := range n.Set {
+			if hasParams(a.Value) {
+				return true
+			}
 		}
-		visitExpr(s.Where, fn)
+		return hasParams(n.Where)
 	case *DeleteStmt:
-		visitExpr(s.Where, fn)
-	}
-}
-
-func visitSelect(s *SelectStmt, fn func(Expr)) {
-	for _, it := range s.Items {
-		visitExpr(it.Expr, fn)
-	}
-	for _, f := range s.From {
-		visitTableRef(f, fn)
-	}
-	visitExpr(s.Where, fn)
-	for _, g := range s.GroupBy {
-		visitExpr(g, fn)
-	}
-	visitExpr(s.Having, fn)
-	for _, o := range s.OrderBy {
-		visitExpr(o.Expr, fn)
-	}
-}
-
-func visitTableRef(t TableRef, fn func(Expr)) {
-	switch t := t.(type) {
+		return hasParams(n.Where)
 	case *SubqueryTable:
-		visitSelect(t.Select, fn)
+		return hasParams(n.Select)
 	case *JoinTable:
-		visitTableRef(t.Left, fn)
-		visitTableRef(t.Right, fn)
-		visitExpr(t.On, fn)
+		return hasParams(n.Left) || hasParams(n.Right) || hasParams(n.On)
+	case *BinaryExpr:
+		return hasParams(n.L) || hasParams(n.R)
+	case *UnaryExpr:
+		return hasParams(n.X)
+	case *IsNullExpr:
+		return hasParams(n.X)
+	case *CastExpr:
+		return hasParams(n.X)
+	case *LikeExpr:
+		return hasParams(n.X) || hasParams(n.Pattern)
+	case *InExpr:
+		return hasParams(n.X) || anyParams(n.List) || n.Subquery != nil && hasParams(n.Subquery)
+	case *FuncExpr:
+		return anyParams(n.Args)
 	}
+	return false
 }
 
-func visitExpr(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
+func anyParams(es []Expr) bool {
+	for _, e := range es {
+		if hasParams(e) {
+			return true
+		}
 	}
-	fn(e)
-	switch e := e.(type) {
-	case *BinaryExpr:
-		visitExpr(e.L, fn)
-		visitExpr(e.R, fn)
-	case *UnaryExpr:
-		visitExpr(e.X, fn)
-	case *IsNullExpr:
-		visitExpr(e.X, fn)
-	case *InExpr:
-		visitExpr(e.X, fn)
-		for _, i := range e.List {
-			visitExpr(i, fn)
-		}
-		if e.Subquery != nil {
-			visitSelect(e.Subquery, fn)
-		}
-	case *LikeExpr:
-		visitExpr(e.X, fn)
-		visitExpr(e.Pattern, fn)
-	case *FuncExpr:
-		for _, a := range e.Args {
-			visitExpr(a, fn)
-		}
-	case *CastExpr:
-		visitExpr(e.X, fn)
-	}
+	return false
 }

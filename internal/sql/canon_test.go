@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -141,5 +143,83 @@ func TestExtractParamsExecEquivalence(t *testing.T) {
 	}
 	if vals[0].Int != 1 || vals[1].Int != 5 {
 		t.Fatalf("vals: %v", vals)
+	}
+}
+
+// paramOrder lists st's Param indexes in render order.
+func paramOrder(st Statement) []int {
+	var out []int
+	_, slots := LiftParams(st)
+	for _, s := range slots {
+		if s.Param >= 0 {
+			out = append(out, s.Param)
+		}
+	}
+	return out
+}
+
+func TestLiftParams(t *testing.T) {
+	// A physical statement's shape: the caller's parameters (one in the
+	// projection, rendered first, though numbered after the WHERE one),
+	// meta-data literals in a derived table, a JOIN … ON and an IN
+	// subquery, and literals where nothing is lifted.
+	src := "SELECT a.x + 1, ? AS s FROM (SELECT x, y FROM T f0 WHERE f0.Tenant = 17 AND f0.Chunk IN (2, 3)) AS a " +
+		"LEFT JOIN U f1 ON f1.Tenant = 17 AND f1.Row = a.y WHERE a.x = ? AND a.y IN (SELECT r FROM V WHERE Tenant = 17) " +
+		"GROUP BY a.x + 1 HAVING COUNT(*) > 4 ORDER BY a.x + 1"
+	st := mustParse(t, src)
+	st.(*SelectStmt).Items[1].Expr.(*Param).Index = 1
+	st.(*SelectStmt).Where.(*BinaryExpr).L.(*BinaryExpr).R.(*Param).Index = 0
+	before := st.String()
+	out, slots := LiftParams(st)
+	want := "SELECT a.x + 1, ? AS s FROM (SELECT x, y FROM T f0 WHERE f0.Tenant = ? AND f0.Chunk IN (?, ?)) AS a " +
+		"LEFT JOIN U f1 ON f1.Tenant = ? AND f1.Row = a.y WHERE a.x = ? AND a.y IN (SELECT r FROM V WHERE Tenant = ?) " +
+		"GROUP BY a.x + 1 HAVING COUNT(*) > ? ORDER BY a.x + 1"
+	if got := out.String(); got != want {
+		t.Fatalf("lifted:\n got %q\nwant %q", got, want)
+	}
+	if st.String() != before || fmt.Sprint(paramOrder(st)) != "[1 0]" {
+		t.Fatalf("LiftParams changed its argument: %q %v", st, paramOrder(st))
+	}
+	wantSlots := "[{1 NULL} {-1 17} {-1 2} {-1 3} {-1 17} {0 NULL} {-1 17} {-1 4}]"
+	if fmt.Sprint(slots) != wantSlots {
+		t.Fatalf("slots %v, want %s", slots, wantSlots)
+	}
+	// What the engine plans for the text binds as out does.
+	if !reflect.DeepEqual(mustParse(t, want), out) {
+		t.Fatalf("Parse(%q) numbers its parameters differently", want)
+	}
+}
+
+func TestLiftParamsDML(t *testing.T) {
+	// SET before WHERE; a subtree shared by two statements of one rewrite
+	// is lifted in each without disturbing the other.
+	up := mustParse(t, "UPDATE T SET a = ?, b = 'x' WHERE Tenant = 17 AND Row IN (SELECT Row FROM U WHERE Tenant = 17 AND c = ?)").(*UpdateStmt)
+	up.Set[0].Value.(*Param).Index = 1
+	up.Where.(*BinaryExpr).R.(*InExpr).Subquery.Where.(*BinaryExpr).R.(*BinaryExpr).R.(*Param).Index = 0
+	del := &DeleteStmt{Table: "U", Where: up.Where}
+	upOut, upSlots := LiftParams(up)
+	delOut, delSlots := LiftParams(del)
+	if got := upOut.String(); got != "UPDATE T SET a = ?, b = ? WHERE Tenant = ? AND Row IN (SELECT Row FROM U WHERE Tenant = ? AND c = ?)" {
+		t.Fatalf("update: %q", got)
+	}
+	if got := fmt.Sprint(upSlots); got != "[{1 NULL} {-1 x} {-1 17} {-1 17} {0 NULL}]" {
+		t.Fatalf("update slots: %s", got)
+	}
+	if !reflect.DeepEqual(mustParse(t, upOut.String()), upOut) || !reflect.DeepEqual(mustParse(t, delOut.String()), delOut) {
+		t.Fatal("Parse numbers the lifted DML's parameters differently")
+	}
+	if got := delOut.String(); got != "DELETE FROM U WHERE Tenant = ? AND Row IN (SELECT Row FROM U WHERE Tenant = ? AND c = ?)" {
+		t.Fatalf("delete: %q", got)
+	}
+	if got := fmt.Sprint(delSlots); got != "[{-1 17} {-1 17} {0 NULL}]" {
+		t.Fatalf("delete slots: %s", got)
+	}
+	if got := fmt.Sprint(paramOrder(up)); got != "[1 0]" {
+		t.Fatalf("the shared tree was renumbered in place: %s", got)
+	}
+	// Other statements are not touched.
+	ins := mustParse(t, "INSERT INTO T VALUES (1, ?)")
+	if out, slots := LiftParams(ins); out != ins || slots != nil {
+		t.Fatalf("INSERT lifted: %q %v", out, slots)
 	}
 }
