@@ -74,6 +74,25 @@ func layoutsOn(t *testing.T, schema *Schema, tenants []*Tenant, cfg engine.Confi
 	return out
 }
 
+// basicFor is a Basic layout over a fresh database for tenants with
+// their extensions dropped: Basic cannot represent any.
+func basicFor(t *testing.T, schema *Schema, tenants []*Tenant) *Mapper {
+	t.Helper()
+	l, err := NewBasicLayout(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := make([]*Tenant, len(tenants))
+	for i, tn := range tenants {
+		plain[i] = &Tenant{ID: tn.ID}
+	}
+	db := engine.Open(engine.Config{})
+	if err := l.Create(db, plain); err != nil {
+		t.Fatal(err)
+	}
+	return NewMapper(db, l)
+}
+
 // copyTenants copies a tenant list: layouts keep the *Tenant they are
 // given and ExtendTenant appends to it, so layouts must not share them.
 func copyTenants(in []*Tenant) []*Tenant {

@@ -22,7 +22,9 @@ import (
 // the first file is in the second byte for byte, or went from RowQuery
 // + PhaseB to Direct), and a third time when Pivot became a placement of
 // sparse fragments (only Pivot's INSERTs and phase-(b) DELETEs changed,
-// to one statement per column writing or removing the same cells).
+// to one statement per column writing or removing the same cells), and a
+// fourth time to add Basic, as its own rewriter answered, before Basic
+// came to the fragment rewriter too (every other record unchanged).
 // testdata/rewrite_golden_gen_test.go.txt over
 // recordRewrites below writes it;
 // everything here is the layouts' public surface. A record is the
@@ -206,13 +208,23 @@ type goldenFile struct {
 	Layouts map[string][]goldenRecord `json:"layouts"`
 }
 
+// goldenLayouts is every layout instance the corpus runs through: those
+// of layoutsFor, and Basic, whose tenants are goldenTenants without their
+// extensions (it cannot represent any).
+func goldenLayouts(t *testing.T) map[string]*Mapper {
+	t.Helper()
+	out := layoutsFor(t, goldenSchema(), goldenTenants())
+	out["basic"] = basicFor(t, goldenSchema(), goldenTenants())
+	return out
+}
+
 // recordRewrites runs the corpus, in order, through a fresh instance of
 // every layout (INSERTs draw logical row ids, so order is part of the
 // record).
 func recordRewrites(t *testing.T) map[string][]goldenRecord {
 	t.Helper()
 	out := map[string][]goldenRecord{}
-	for name, m := range layoutsFor(t, goldenSchema(), goldenTenants()) {
+	for name, m := range goldenLayouts(t) {
 		for _, c := range goldenCorpus() {
 			out[name] = append(out[name], recordCase(t, m.Layout, c))
 		}
