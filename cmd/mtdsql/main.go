@@ -16,6 +16,7 @@
 //	mtdsql -layout chunk -tenant 17 "SELECT Beds FROM Account WHERE Hospital = 'State'"
 //	echo "SELECT * FROM Account" | mtdsql -layout pivot -tenant 42 -explain
 //	mtdsql -tenant 17 "BEGIN" "UPDATE Account SET Beds = 200 WHERE Aid = 1" "ROLLBACK"
+//	mtdsql -layout chunkfold ".placement 42 Account"
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -129,6 +131,27 @@ func run() (code int) {
 						fmt.Printf("    %s %s%s\n", c.Name, c.Type, note)
 					}
 				}
+			case ".placement":
+				// `.placement <tenant> <table>`: where a tenant's logical
+				// table lives under the layout — fragments, meta-data,
+				// columns — and whether the tenant shares that placement
+				// with every tenant that sees the table alike or has it to
+				// itself, which is what it costs in meta-data.
+				if len(fields) != 3 {
+					fail(fmt.Errorf("usage: .placement <tenant> <table>"))
+					continue
+				}
+				id, err := strconv.ParseInt(fields[1], 10, 64)
+				if err != nil {
+					fail(err)
+					continue
+				}
+				p, err := core.Placement(layout, id, fields[2])
+				if err != nil {
+					fail(err)
+					continue
+				}
+				fmt.Print(p)
 			case ".migrate-status":
 				// `.migrate-status`: background backfill progress for every
 				// table an online ALTER has touched. A stuck migration (idle
@@ -189,7 +212,7 @@ func run() (code int) {
 				}
 				fmt.Println("  checkpoint written, log truncated")
 			default:
-				fail(fmt.Errorf("unknown meta-command %q (.schema <table>, .migrate-status, .crash, .recover, .checkpoint)", stmt))
+				fail(fmt.Errorf("unknown meta-command %q (.schema <table>, .placement <tenant> <table>, .migrate-status, .crash, .recover, .checkpoint)", stmt))
 			}
 			continue
 		}

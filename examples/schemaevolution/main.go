@@ -114,6 +114,6 @@ func main() {
 	fmt.Printf("background sessions ran %d queries during the schema changes\n", queries.Load())
 	fmt.Printf("physical tables before/after: %d/%d — no DDL was needed\n",
 		tablesBefore, db.Stats().Tables)
-	asg, _ := layout.Assignment(2, "Ticket")
-	fmt.Print("tenant 2 chunk assignment after evolution:\n", asg)
+	asg, _ := core.Placement(layout, 2, "Ticket")
+	fmt.Print("tenant 2 placement after evolution:\n", asg)
 }

@@ -79,8 +79,8 @@ func (a *Affinity) ObserveSQL(tn *Tenant, query string) error {
 	}
 	for _, u := range usages {
 		var cols []string
-		for _, c := range u.usedColumns() {
-			cols = append(cols, c.Name)
+		for _, at := range u.usedAt() {
+			cols = append(cols, u.view.cols[at].Name)
 		}
 		a.Observe(u.logical.Name, cols)
 	}

@@ -80,11 +80,13 @@ func TestAffinityReducesChunks(t *testing.T) {
 		if err := l.Create(db, []*Tenant{{ID: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		p, err := l.placementOf(1, "Wide")
+		p, err := l.s.placement(1, s.Table("Wide"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fA, fF := p.slots["a"].frag, p.slots["f"].frag
+		a, _ := p.slot("a")
+		f, _ := p.slot("f")
+		fA, fF := a.frag, f.frag
 		if fA == nil || fF == nil {
 			t.Fatal("columns unassigned")
 		}

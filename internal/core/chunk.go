@@ -121,12 +121,7 @@ func (l *ChunkLayout) Create(db *engine.DB, tenants []*Tenant) error {
 	if err := createChunkTables(db, l.opt.Defs, chunkMetaCols(), l.opt.Trashcan); err != nil {
 		return err
 	}
-	for _, tn := range tenants {
-		if err := l.AddTenant(db, tn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return addTenants(l, db, tenants)
 }
 
 // AddTenant implements Layout: computes the tenant's chunk assignments;
@@ -146,7 +141,7 @@ func (l *ChunkLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string
 // columns have lacks are assigned to new chunks numbered after its
 // last, so an on-line extension never disturbs stored data.
 func (l *ChunkLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
-	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	cols, err := l.s.schema.logicalColumns(tn, table)
 	if err != nil {
 		return nil, err
 	}
@@ -166,45 +161,18 @@ func (l *ChunkLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, have []*
 	if l.opt.Trashcan {
 		del = delCol
 	}
-	return append(append([]*fragment(nil), have...), foldedChunks(groups, tn.ID, tid, del)...), nil
+	return append(append([]*fragment(nil), have...), foldedChunks(groups, tid, del)...), nil
 }
 
 // foldedChunks describes chunk groups folded into the shared chunk
 // tables: the rows of (Tenant, Table, Chunk) in the group's table.
-func foldedChunks(groups []*chunkGroup, tenantID int64, tableID int, del string) []*fragment {
+func foldedChunks(groups []*chunkGroup, tableID int, del string) []*fragment {
 	out := make([]*fragment, len(groups))
 	for i, g := range groups {
-		meta := []metaEq{{"Tenant", tenantID}, {"Table", int64(tableID)}, {"Chunk", int64(g.ID)}}
+		meta := []metaEq{tenantMeta, {"Table", int64(tableID)}, {"Chunk", int64(g.ID)}}
 		out[i] = g.fragment(g.Def.Name, meta, del)
 	}
 	return out
-}
-
-// placementOf returns where a tenant's logical table, by name, lives.
-func (l *ChunkLayout) placementOf(tenantID int64, table string) (*placement, error) {
-	lt := l.s.schema.Table(table)
-	if lt == nil {
-		return nil, fmt.Errorf("core: no logical table %s", table)
-	}
-	return l.s.placement(tenantID, lt)
-}
-
-// Assignment describes a tenant-table's chunk mapping for inspection.
-func (l *ChunkLayout) Assignment(tenantID int64, table string) (string, error) {
-	p, err := l.placementOf(tenantID, table)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	for _, f := range p.frags {
-		id, _ := f.chunk()
-		fmt.Fprintf(&sb, "chunk %d -> %s:", id, f.table)
-		for _, c := range f.cols {
-			fmt.Fprintf(&sb, " %s=%s", c.Name, c.phys)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String(), nil
 }
 
 // Rewrite implements Layout.
@@ -225,7 +193,7 @@ func (l *ChunkLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, err
 			// Fall through to the generic form.
 		}
 	}
-	return genericRewrite(fragmentRows{l}, tenantID, st)
+	return genericRewrite(l, tenantID, st)
 }
 
 // RestoreRows un-deletes trashcanned logical rows (the Trashcan
@@ -234,7 +202,11 @@ func (l *ChunkLayout) RestoreRows(db *engine.DB, tenantID int64, table string, r
 	if !l.opt.Trashcan {
 		return fmt.Errorf("core: trashcan is not enabled")
 	}
-	p, err := l.placementOf(tenantID, table)
+	lt := l.s.schema.Table(table)
+	if lt == nil {
+		return fmt.Errorf("core: no logical table %s", table)
+	}
+	p, err := l.s.placement(tenantID, lt)
 	if err != nil {
 		return err
 	}
@@ -242,7 +214,7 @@ func (l *ChunkLayout) RestoreRows(db *engine.DB, tenantID int64, table string, r
 		up := &sql.UpdateStmt{
 			Table: f.table,
 			Set:   []sql.Assignment{{Column: f.del, Value: intLit(0)}},
-			Where: and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...),
+			Where: and(append(f.where("", tenantID), inList(colRef("", "Row"), rowIDs))...),
 		}
 		if _, err := db.ExecStmt(up, ""); err != nil {
 			return err

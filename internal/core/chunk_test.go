@@ -345,7 +345,9 @@ func TestFlattenedPredicateOrder(t *testing.T) {
 	}
 }
 
-// TestChunkAssignmentInspection covers the Assignment debug surface.
+// TestChunkAssignmentInspection covers Placement, the inspection
+// surface over any layout: a chunk tenant's columns and where they went,
+// whose placement it is, and an unknown tenant failing.
 func TestChunkAssignmentInspection(t *testing.T) {
 	schema := paperSchema()
 	l, _ := NewChunkLayout(schema, ChunkOptions{})
@@ -353,17 +355,30 @@ func TestChunkAssignmentInspection(t *testing.T) {
 	if err := l.Create(db, paperTenants()); err != nil {
 		t.Fatal(err)
 	}
-	s, err := l.Assignment(17, "Account")
+	s, err := Placement(l, 17, "Account")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range []string{"Aid", "Name", "Hospital", "Beds"} {
-		if !strings.Contains(s, col) {
-			t.Errorf("assignment missing %s:\n%s", col, s)
+	for _, want := range []string{"Aid=", "Name=", "Hospital=", "Beds=", "tenant's own", "Tenant = 17 AND Table = 0 AND Chunk = 0"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("placement lacks %q:\n%s", want, s)
 		}
 	}
-	if _, err := l.Assignment(5, "Account"); err == nil {
-		t.Error("unknown tenant assignment should fail")
+	if _, err := Placement(l, 5, "Account"); err == nil {
+		t.Error("unknown tenant placement should fail")
+	}
+	for _, c := range []struct {
+		m      *Mapper
+		tenant int64
+		want   string
+	}{
+		{&Mapper{Layout: l}, 35, "Account of tenant 35: shared base placement, 2 fragment(s)"},
+		{basicFor(t, schema, paperTenants()), 42, "Account of tenant 42: shared base placement, 1 fragment(s)\n  Account WHERE Tenant = 42 (no Row): Aid=Aid Name=Name\n"},
+		{allLayouts(t, schema)["private"], 42, "Account of tenant 42: tenant's own placement, 1 fragment(s)\n  Account_t42 (no Row): Aid=Aid Name=Name Dealers=Dealers\n"},
+	} {
+		if s, err := Placement(c.m.Layout, c.tenant, "Account"); err != nil || !strings.HasPrefix(s, c.want) {
+			t.Errorf("%s: placement %q, %v; want %q", c.m.Layout.Name(), s, err, c.want)
+		}
 	}
 }
 
@@ -413,9 +428,16 @@ func TestBasicLayout(t *testing.T) {
 	if err := l.AddTenant(db, &Tenant{ID: 3, Extensions: []string{"X"}}); err == nil {
 		t.Error("basic layout must reject extensions")
 	}
+	// Its fragments have no Row: an INSERT draws no logical row ids.
+	if n := len(l.st.rowSeq); n != 0 {
+		t.Errorf("basic inserts drew row ids for %d tables", n)
+	}
 }
 
-// TestPrivateRemoveTenant covers the testbed's delete-tenant admin op.
+// TestPrivateRemoveTenant covers the testbed's delete-tenant admin op,
+// and a tenant re-added under the same id with an extension: a rewrite
+// cached before the removal is stale, so SELECT * answers the new
+// table's four columns.
 func TestPrivateRemoveTenant(t *testing.T) {
 	schema := paperSchema()
 	l, _ := NewPrivateLayout(schema)
@@ -423,6 +445,8 @@ func TestPrivateRemoveTenant(t *testing.T) {
 	if err := l.Create(db, paperTenants()); err != nil {
 		t.Fatal(err)
 	}
+	m := NewMapper(db, l)
+	queryAll(t, m, 35, "SELECT * FROM Account")
 	before := db.Stats().Tables
 	if err := l.RemoveTenant(db, 35); err != nil {
 		t.Fatal(err)
@@ -430,12 +454,19 @@ func TestPrivateRemoveTenant(t *testing.T) {
 	if got := db.Stats().Tables; got != before-1 {
 		t.Errorf("tables after remove: %d -> %d", before, got)
 	}
-	m := NewMapper(db, l)
 	if _, err := m.Query(35, "SELECT Name FROM Account"); err == nil {
 		t.Error("removed tenant should fail")
 	}
 	if err := l.RemoveTenant(db, 35); err == nil {
 		t.Error("double remove should fail")
+	}
+	if err := l.AddTenant(db, &Tenant{ID: 35, Extensions: []string{"HealthcareAccount"}}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, m, 35, "INSERT INTO Account VALUES (1, 'Ball', 'State', 7)", 1)
+	rows, err := m.Query(35, "SELECT * FROM Account")
+	if err != nil || len(rows.Columns) != 4 {
+		t.Errorf("re-added tenant's SELECT *: %v, %v", rows, err)
 	}
 }
 

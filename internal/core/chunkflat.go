@@ -40,21 +40,13 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 	var from []sql.TableRef
 	var metaConjs, alignConjs []sql.Expr
 	for ui, u := range usages {
-		used := u.usedColumns()
-		p, err := l.s.placement(tn.ID, u.logical)
-		if err != nil {
-			return nil, err
-		}
-		slots, err := p.locate(u.logical, used)
-		if err != nil {
-			return nil, err
-		}
-		m := &mapped{u: u, p: p, frags: p.touched(slots, true)}
+		p := u.view.place
+		m := &mapped{u: u, p: p, frags: p.touched(p.slotsAt(u.usedAt()), true)}
 		m.aliases = fragAliases(fmt.Sprintf("t%dc", ui), len(m.frags))
 		refs := make([]sql.TableRef, len(m.frags))
 		for gi, f := range m.frags {
 			refs[gi] = &sql.NamedTable{Name: f.table, Alias: m.aliases[gi]}
-			metaConjs = append(metaConjs, f.where(m.aliases[gi])...)
+			metaConjs = append(metaConjs, f.where(m.aliases[gi], tn.ID)...)
 			if gi == 0 {
 				metaConjs = append(metaConjs, f.live(m.aliases[0]))
 			} else {
@@ -75,7 +67,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 
 	// Physical expression for a (usage, column) pair.
 	physExpr := func(m *mapped, col string) (sql.Expr, error) {
-		s, ok := m.p.slots[strings.ToLower(col)]
+		s, ok := m.p.slot(col)
 		if !ok {
 			return nil, fmt.Errorf("core: column %s of %s is unassigned", col, m.u.logical.Name)
 		}
@@ -86,7 +78,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 		return s.col.read(m.aliases[i]), nil
 	}
 	provides := func(m *mapped, col string) bool {
-		_, ok := m.p.slots[strings.ToLower(col)]
+		_, ok := m.p.slot(col)
 		return ok
 	}
 	rewrite := func(e sql.Expr) (sql.Expr, error) {
@@ -141,7 +133,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 		splitConjunctsCore(sel.Where, &raw)
 		for _, c := range raw {
 			c, err := rewriteInSubqueries(c, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-				return genericSelect(fragmentRows{l}, tn, s)
+				return genericSelect(l.s, tn, s)
 			})
 			if err != nil {
 				return nil, err

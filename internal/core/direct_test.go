@@ -21,7 +21,10 @@ import (
 //   - the chunk layouts and Vertical give the indexed key a chunk of its
 //     own, so nothing that names Aid next to another column fuses there;
 //   - Pivot gives every column a fragment of its own, and every nullable
-//     one is sparse, so only a statement on the key alone fuses there.
+//     one is sparse, so only a statement on the key alone fuses there;
+//   - Basic and Private place a table in one fragment, so every statement
+//     fuses there, or fails at rewrite: Basic's tenants have no extension
+//     columns, and neither layout has Row ids to run two phases on.
 const (
 	baseTogether = "extension chunkfold chunkfold-allfolded universal"
 	everyFrag    = baseTogether + " chunk chunk-flat chunk-trashcan vertical"
@@ -35,58 +38,60 @@ func TestDirectClassification(t *testing.T) {
 		tenant int64
 		sql    string
 		direct string // layouts that fuse it; every other one runs two phases
+		fails  string // of basic and private, those where the rewrite fails
 	}{
 		// SET and WHERE in the base columns.
-		{17, "UPDATE Account SET Name = 'x' WHERE Aid = 1", baseTogether},
-		{17, "UPDATE Account SET Name = 'x', Active = FALSE WHERE Opened IS NULL AND Name LIKE 'a%'", everyFrag},
+		{17, "UPDATE Account SET Name = 'x' WHERE Aid = 1", baseTogether, ""},
+		{17, "UPDATE Account SET Name = 'x', Active = FALSE WHERE Opened IS NULL AND Name LIKE 'a%'", everyFrag, ""},
 		// Alias-qualified references, and a qualifier that is not the table's.
-		{17, "UPDATE Account a SET Name = a.Name WHERE a.Aid = 1", baseTogether},
-		{17, "UPDATE Account a SET Name = 'x' WHERE b.Aid = 1", ""},
+		{17, "UPDATE Account a SET Name = a.Name WHERE a.Aid = 1", baseTogether, ""},
+		{17, "UPDATE Account a SET Name = 'x' WHERE b.Aid = 1", "", "basic private"},
 		// IN-subquery in WHERE: the subquery is rewritten, the statement still fuses.
-		{17, "UPDATE Account SET Name = 'x' WHERE Aid IN (SELECT Aid FROM Contact WHERE Email LIKE '%x')", baseTogether},
+		{17, "UPDATE Account SET Name = 'x' WHERE Aid IN (SELECT Aid FROM Contact WHERE Email LIKE '%x')", baseTogether, ""},
 		// Extension columns only. 42's Dealers and Certified share a folded
 		// chunk (Certified a boolean in an integer slot: read and write
 		// casts); the chunk layouts split them.
-		{42, "UPDATE Account SET Certified = TRUE WHERE Dealers > 3", baseTogether},
-		{42, "UPDATE Account SET Certified = Certified WHERE Certified = FALSE", everyFrag},
-		{17, "UPDATE Account SET Beds = Beds + 1 WHERE Hospital = 'State'", baseTogether},
+		{42, "UPDATE Account SET Certified = TRUE WHERE Dealers > 3", baseTogether, "basic"},
+		{42, "UPDATE Account SET Certified = Certified WHERE Certified = FALSE", everyFrag, "basic"},
+		{17, "UPDATE Account SET Beds = Beds + 1 WHERE Hospital = 'State'", baseTogether, "basic"},
 		// WHERE in one fragment, SET in another.
-		{17, "UPDATE Account SET Beds = 7 WHERE Aid = 1", "universal"},
-		{42, "UPDATE Account SET Dealers = 0 WHERE Name = 'Big'", "universal chunk chunk-flat chunk-trashcan vertical"},
+		{17, "UPDATE Account SET Beds = 7 WHERE Aid = 1", "universal", "basic"},
+		{42, "UPDATE Account SET Dealers = 0 WHERE Name = 'Big'", "universal chunk chunk-flat chunk-trashcan vertical", "basic"},
 		// A SET expression reads another fragment's column.
-		{17, "UPDATE Account SET Name = Hospital WHERE Name = 'x'", "universal"},
+		{17, "UPDATE Account SET Name = Hospital WHERE Name = 'x'", "universal", "basic"},
 		// SET targets in two fragments.
-		{17, "UPDATE Account SET Name = 'x', Hospital = 'y'", "universal"},
+		{17, "UPDATE Account SET Name = 'x', Hospital = 'y'", "universal", "basic"},
 		// No WHERE: every fragment has a row for every logical row.
-		{17, "UPDATE Account SET Beds = 0", everyFrag},
-		{17, "UPDATE Account SET Dealers = ?", everyFrag},
+		{17, "UPDATE Account SET Beds = 0", everyFrag, "basic"},
+		{17, "UPDATE Account SET Dealers = ?", everyFrag, "basic"},
 		// The key alone: Pivot's key fragment is not sparse, so it fuses;
 		// a nullable column's is, and an UPDATE of it would miss the rows
 		// whose cell is absent.
-		{17, "UPDATE Account SET Aid = Aid WHERE Aid = 1", everyFrag + " pivot"},
-		{17, "UPDATE Account SET Beds = 7 WHERE Beds IS NULL", everyFrag},
+		{17, "UPDATE Account SET Aid = Aid WHERE Aid = 1", everyFrag + " pivot", ""},
+		{17, "UPDATE Account SET Beds = 7 WHERE Beds IS NULL", everyFrag, "basic"},
 		// DELETE: direct only when the placement is one fragment.
-		{35, "DELETE FROM Account WHERE Aid = 2", baseTogether},
-		{35, "DELETE FROM Account", baseTogether},
-		{17, "DELETE FROM Account WHERE Aid = 2", "universal"},
-		{42, "DELETE FROM Account a WHERE a.Name = 'Big'", "universal"},
-		{17, "DELETE FROM Contact WHERE Aid IN (SELECT Aid FROM Account WHERE Beds > 100)", baseTogether},
+		{35, "DELETE FROM Account WHERE Aid = 2", baseTogether, ""},
+		{35, "DELETE FROM Account", baseTogether, ""},
+		{17, "DELETE FROM Account WHERE Aid = 2", "universal", ""},
+		{42, "DELETE FROM Account a WHERE a.Name = 'Big'", "universal", ""},
+		{17, "DELETE FROM Contact WHERE Aid IN (SELECT Aid FROM Account WHERE Beds > 100)", baseTogether, ""},
 	}
-	layouts := layoutsFor(t, goldenSchema(), goldenTenants())
-	delete(layouts, "private") // has no fragments: every statement is its own
+	layouts := goldenLayouts(t)
 	for _, c := range cases {
 		st, err := sql.Parse(c.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
-		fuses := map[string]bool{}
+		fuses := map[string]bool{"basic": true, "private": true}
 		for _, name := range strings.Fields(c.direct) {
 			fuses[name] = true
 		}
 		for name, m := range layouts {
 			rw, err := m.Layout.Rewrite(c.tenant, st)
-			if err != nil {
-				t.Errorf("%s, tenant %d, %q: %v", name, c.tenant, c.sql, err)
+			if fails := strings.Contains(c.fails, name); fails || err != nil {
+				if !fails || err == nil {
+					t.Errorf("%s, tenant %d, %q: rewrite error %v, want one: %v", name, c.tenant, c.sql, err, fails)
+				}
 				continue
 			}
 			switch {

@@ -43,18 +43,18 @@ func conventionalMeta() []Column {
 	}
 }
 
-// createBaseTables provisions one shared table per logical base table,
-// keyed by (Tenant, Row) and (Tenant, key), with a value index per
-// Indexed column; shared by the Extension and Chunk Folding layouts.
-func createBaseTables(db *engine.DB, schema *Schema) error {
+// createBaseTables provisions one shared table per logical base table
+// under the meta-data columns meta — conventionalMeta, or its Tenant
+// alone — keyed by (Tenant, Row) where there is a Row and by (Tenant,
+// key), with a value index per Indexed column; shared by the Basic,
+// Extension and Chunk Folding layouts.
+func createBaseTables(db *engine.DB, schema *Schema, meta []Column) error {
 	for _, t := range schema.Tables {
-		if _, err := db.Exec(buildCreateTable(t.Name, append(conventionalMeta(), t.Columns...))); err != nil {
-			return err
+		stmts := []string{buildCreateTable(t.Name, append(append([]Column(nil), meta...), t.Columns...))}
+		if len(meta) > 1 {
+			stmts = append(stmts, fmt.Sprintf("CREATE UNIQUE INDEX %s_tr ON %s (Tenant, Row)", t.Name, t.Name))
 		}
-		stmts := []string{
-			fmt.Sprintf("CREATE UNIQUE INDEX %s_tr ON %s (Tenant, Row)", t.Name, t.Name),
-			fmt.Sprintf("CREATE UNIQUE INDEX %s_tk ON %s (Tenant, %s)", t.Name, t.Name, t.Key),
-		}
+		stmts = append(stmts, fmt.Sprintf("CREATE UNIQUE INDEX %s_tk ON %s (Tenant, %s)", t.Name, t.Name, t.Key))
 		for _, c := range t.Columns {
 			if c.Indexed && c.Name != t.Key {
 				stmts = append(stmts, fmt.Sprintf("CREATE INDEX %s_%s ON %s (Tenant, %s)", t.Name, c.Name, t.Name, c.Name))
@@ -72,7 +72,7 @@ func createBaseTables(db *engine.DB, schema *Schema) error {
 // Create implements Layout: one shared physical table per base table
 // and per extension.
 func (l *ExtensionLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	if err := createBaseTables(db, l.s.schema); err != nil {
+	if err := createBaseTables(db, l.s.schema, conventionalMeta()); err != nil {
 		return err
 	}
 	for _, e := range l.s.schema.Extensions {
@@ -90,12 +90,7 @@ func (l *ExtensionLayout) Create(db *engine.DB, tenants []*Tenant) error {
 			}
 		}
 	}
-	for _, tn := range tenants {
-		if err := l.AddTenant(db, tn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return addTenants(l, db, tenants)
 }
 
 // AddTenant implements Layout: pure registration (the shared tables
@@ -113,16 +108,16 @@ func (l *ExtensionLayout) ExtendTenant(db *engine.DB, tenantID int64, extName st
 
 // Rewrite implements Layout.
 func (l *ExtensionLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(fragmentRows{l}, tenantID, st)
+	return genericRewrite(l, tenantID, st)
 }
 
 // fragments implements reconstructor: the base table, then one
 // extension table per extension the tenant has on it.
 func (l *ExtensionLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, _ []*fragment) ([]*fragment, error) {
-	out := []*fragment{conventionalFragment(tn.ID, table.Name, table.Columns)}
+	out := []*fragment{conventionalFragment(table.Name, table.Columns)}
 	for _, en := range tn.Extensions {
 		if e := l.s.schema.Extension(en); e != nil && strings.EqualFold(e.Base, table.Name) {
-			out = append(out, conventionalFragment(tn.ID, e.Name, e.Columns))
+			out = append(out, conventionalFragment(e.Name, e.Columns))
 		}
 	}
 	return out, nil

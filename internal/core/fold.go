@@ -67,7 +67,7 @@ func (l *ChunkFoldingLayout) conventionalExt(name string) bool {
 
 // Create implements Layout.
 func (l *ChunkFoldingLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	if err := createBaseTables(db, l.s.schema); err != nil {
+	if err := createBaseTables(db, l.s.schema, conventionalMeta()); err != nil {
 		return err
 	}
 	for _, en := range l.opt.ConventionalExtensions {
@@ -82,12 +82,7 @@ func (l *ChunkFoldingLayout) Create(db *engine.DB, tenants []*Tenant) error {
 	if err := createChunkTables(db, l.opt.Defs, chunkMetaCols(), false); err != nil {
 		return err
 	}
-	for _, tn := range tenants {
-		if err := l.AddTenant(db, tn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return addTenants(l, db, tenants)
 }
 
 // AddTenant implements Layout: meta-data only (chunk assignments for
@@ -105,7 +100,7 @@ func (l *ChunkFoldingLayout) ExtendTenant(db *engine.DB, tenantID int64, extName
 
 // Rewrite implements Layout.
 func (l *ChunkFoldingLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(fragmentRows{l}, tenantID, st)
+	return genericRewrite(l, tenantID, st)
 }
 
 // fragments implements reconstructor: the conventional base table
@@ -114,7 +109,7 @@ func (l *ChunkFoldingLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritt
 // between the parts is the Row meta-column). Chunks only ever append:
 // the ones in have stay, the folded columns they lack get new ones.
 func (l *ChunkFoldingLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
-	out := []*fragment{conventionalFragment(tn.ID, table.Name, table.Columns)}
+	out := []*fragment{conventionalFragment(table.Name, table.Columns)}
 	var folded []Column
 	for _, en := range tn.Extensions {
 		e := l.s.schema.Extension(en)
@@ -122,14 +117,14 @@ func (l *ChunkFoldingLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, h
 			continue
 		}
 		if l.conventionalExt(en) {
-			out = append(out, conventionalFragment(tn.ID, e.Name, e.Columns))
+			out = append(out, conventionalFragment(e.Name, e.Columns))
 		} else {
 			folded = append(folded, e.Columns...)
 		}
 	}
 	var chunks []*fragment
 	for _, f := range have {
-		if _, ok := f.chunk(); ok {
+		if f.chunked() {
 			chunks = append(chunks, f)
 		}
 	}
@@ -141,5 +136,5 @@ func (l *ChunkFoldingLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, h
 	if err != nil {
 		return nil, err
 	}
-	return append(append(out, chunks...), foldedChunks(groups, tn.ID, tid, "")...), nil
+	return append(append(out, chunks...), foldedChunks(groups, tid, "")...), nil
 }

@@ -11,17 +11,33 @@ import (
 
 // The paper has one transformation scheme (§6.1 queries, §6.3 DML), and
 // in it the parts of a logical row meet only in the Row meta-column
-// (§6.4). The Extension, Universal, Chunk, Chunk Folding, Vertical and
-// Pivot layouts are that scheme over different answers to one question:
-// in which physical tables does a tenant's logical table live? A
-// fragment is one such table's share. A layout answers with a list of fragments
-// when a tenant is added or extended; generic.go does everything else.
+// (§6.4). Every layout — Basic, Private, Extension, Universal, Chunk,
+// Chunk Folding, Vertical and Pivot — is that scheme over its own answer
+// to one question: in which physical tables does a tenant's logical table
+// live? A fragment is one such table's share. A layout answers with a
+// list of fragments when a tenant is added or extended; generic.go does
+// everything else. Basic and Private answer with a single fragment, which
+// has nothing to align with and so no Row column.
 
 // metaEq is one meta-data equality: rows of the fragment have val in
-// the meta-column col.
+// the meta-column col. The Tenant column is the exception (tenantMeta):
+// its value is the id of whichever tenant a statement is rewritten for,
+// so a placement names no tenant and tenants that see a table alike
+// share one (see state).
 type metaEq struct {
 	col string
 	val int64
+}
+
+// tenantMeta selects the rewriting tenant's rows.
+var tenantMeta = metaEq{col: "Tenant"}
+
+// value is the meta-column's value in the rows of tenant.
+func (m metaEq) value(tenant int64) int64 {
+	if m.col == tenantMeta.col {
+		return tenant
+	}
+	return m.val
 }
 
 // fragCol is one logical column as a fragment stores it.
@@ -49,15 +65,17 @@ type fragment struct {
 	// is NULL (Pivot's cells). It stores exactly one column and is never
 	// the anchor (place checks); generic.go reads it in one place per step.
 	sparse bool
+	// rowless: the fragment has no Row column. Only a placement's one
+	// fragment may lack it (place checks): nothing aligns with it, so its
+	// rows need no logical row ids (Basic's shared tables, Private's own).
+	rowless bool
 }
 
-// chunk returns the value of the fragment's Chunk meta-column, if it
-// has one.
-func (f *fragment) chunk() (int64, bool) {
-	if last := f.meta[len(f.meta)-1]; last.col == "Chunk" {
-		return last.val, true
-	}
-	return 0, false
+// chunked reports whether the fragment is a chunk: rows selected by a
+// Chunk meta-column, last in its meta.
+func (f *fragment) chunked() bool {
+	n := len(f.meta)
+	return n > 0 && f.meta[n-1].col == "Chunk"
 }
 
 // sameRows reports whether g holds the same physical rows as f.
@@ -73,11 +91,12 @@ func (f *fragment) sameRows(g *fragment) bool {
 	return true
 }
 
-// where builds the meta-data conjuncts over a table alias ("" in DML).
-func (f *fragment) where(alias string) []sql.Expr {
+// where builds the meta-data conjuncts that select tenant's rows, over a
+// table alias ("" in DML).
+func (f *fragment) where(alias string, tenant int64) []sql.Expr {
 	out := make([]sql.Expr, len(f.meta), len(f.meta)+1)
 	for i, m := range f.meta {
-		out[i] = eq(colRef(alias, m.col), intLit(m.val))
+		out[i] = eq(colRef(alias, m.col), intLit(m.value(tenant)))
 	}
 	return out
 }
@@ -106,26 +125,30 @@ func (f *fragment) remove(where sql.Expr) sql.Statement {
 }
 
 // spine starts an INSERT into the fragment with the columns every row
-// has, and spineValues is their values for one logical row; marker goes
-// into a Trashcan fragment's marker column (0: live).
+// has, and spineValues is their values for one of tenant's logical rows;
+// marker goes into a Trashcan fragment's marker column (0: live).
 func (f *fragment) spine() *sql.InsertStmt {
 	ins := &sql.InsertStmt{Table: f.table}
 	for _, m := range f.meta {
 		ins.Columns = append(ins.Columns, m.col)
 	}
-	ins.Columns = append(ins.Columns, "Row")
+	if !f.rowless {
+		ins.Columns = append(ins.Columns, "Row")
+	}
 	if f.del != "" {
 		ins.Columns = append(ins.Columns, f.del)
 	}
 	return ins
 }
 
-func (f *fragment) spineValues(row, marker sql.Expr, width int) []sql.Expr {
+func (f *fragment) spineValues(tenant int64, row, marker sql.Expr, width int) []sql.Expr {
 	vals := make([]sql.Expr, 0, width)
 	for _, m := range f.meta {
-		vals = append(vals, intLit(m.val))
+		vals = append(vals, intLit(m.value(tenant)))
 	}
-	vals = append(vals, row)
+	if !f.rowless {
+		vals = append(vals, row)
+	}
 	if f.del != "" {
 		vals = append(vals, marker)
 	}
@@ -150,8 +173,8 @@ func (c *fragCol) writes() bool {
 
 // conventionalFragment is a table that stores logical columns under
 // their own names and types, keyed by (Tenant, Row).
-func conventionalFragment(tenantID int64, table string, cols []Column) *fragment {
-	f := &fragment{table: table, meta: []metaEq{{"Tenant", tenantID}}, cols: make([]fragCol, len(cols))}
+func conventionalFragment(table string, cols []Column) *fragment {
+	f := &fragment{table: table, meta: []metaEq{tenantMeta}, cols: make([]fragCol, len(cols))}
 	for i, c := range cols {
 		f.cols[i] = fragCol{Column: c, phys: c.Name, store: c.Type}
 	}
@@ -181,16 +204,27 @@ type slot struct {
 	col  *fragCol
 }
 
-// placement is where one tenant's logical table lives: its fragments in
-// write order, the one reconstruction starts from, and every logical
-// column's slot. A placement is immutable; extending a tenant installs
-// a new one.
+// placement is where a logical table lives for the tenants of one view
+// of it: its fragments in write order, the one reconstruction starts
+// from, and every logical column's slot. It names no tenant (tenantMeta),
+// so one placement serves every tenant that sees the table alike. A
+// placement is immutable; extending a tenant installs a new one.
 type placement struct {
 	frags []*fragment
 	// anchor stores the table's key column (NOT NULL by Schema.Validate),
 	// so it has a row for every logical row.
 	anchor *fragment
-	slots  map[string]slot // lower-cased logical column name
+	view   *view
+	slots  []slot // slots[i] stores view.cols[i]
+}
+
+// slot returns where the placement stores a logical column, by name.
+func (p *placement) slot(name string) (slot, bool) {
+	i, ok := p.view.find(name)
+	if !ok {
+		return slot{}, false
+	}
+	return p.slots[i], true
 }
 
 // placementKey identifies a tenant's logical table (by its *Table in
@@ -200,8 +234,9 @@ type placementKey struct {
 	table  *Table
 }
 
-// reconstructor is a layout that stores logical rows as fragments
-// aligned on Row. Saying where is its whole part in rewriting.
+// reconstructor is a layout that stores logical rows as fragments —
+// every layout but LayoutMux, which routes to them. Saying where is its
+// whole part in rewriting.
 type reconstructor interface {
 	Layout
 	state() *state
@@ -209,59 +244,63 @@ type reconstructor interface {
 	// in write order, stores every logical column exactly once. have is
 	// the table's placement so far (nil for a new tenant) — chunk IDs
 	// are only ever appended, so the chunk layouts keep have and place
-	// the columns it lacks; the others place afresh. db is for the one
-	// layout that provisions a physical table per fragment.
+	// the columns it lacks; the others place afresh. db is for the
+	// layouts that provision physical tables as they place.
+	//
+	// The answer may depend on tn only through tn's extensions: tenants
+	// that see a table alike share its placement, whichever of them
+	// placed it (registerTenant). Private is the exception — its tables
+	// carry the tenant's id — and places every tenant's tables itself.
 	fragments(db *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error)
 }
 
-// place asks the layout where tn's view of a logical table lives,
-// indexes the answer and checks it: every logical column stored exactly
-// once.
-func place(l reconstructor, db *engine.DB, tn *Tenant, table *Table, have []*fragment) (*placement, error) {
+// place asks the layout where the tenants of view v of a logical table
+// keep it, tn being one of them, indexes the answer by v's columns and
+// checks it: every logical column stored exactly once, and a fragment
+// without Row only alone.
+func place(l reconstructor, db *engine.DB, tn *Tenant, table *Table, v *view, have []*fragment) (*placement, error) {
 	frags, err := l.fragments(db, tn, table, have)
 	if err != nil {
 		return nil, err
 	}
-	p := &placement{frags: frags, slots: map[string]slot{}}
+	p := &placement{frags: frags, view: v, slots: make([]slot, len(v.cols))}
 	for _, f := range frags {
-		if f.sparse && len(f.cols) != 1 {
+		switch {
+		case f.sparse && len(f.cols) != 1:
 			return nil, fmt.Errorf("core: a sparse fragment of %s stores %d columns, not one", table.Name, len(f.cols))
+		case f.rowless && len(frags) > 1:
+			return nil, fmt.Errorf("core: a fragment of %s without Row is one of %d", table.Name, len(frags))
 		}
 		for i := range f.cols {
-			k := strings.ToLower(f.cols[i].Name)
-			if _, dup := p.slots[k]; dup {
+			at, ok := v.find(f.cols[i].Name)
+			switch {
+			case !ok:
+				return nil, fmt.Errorf("core: %s stores %s, which %s lacks", f.table, f.cols[i].Name, table.Name)
+			case p.slots[at].frag != nil:
 				return nil, fmt.Errorf("core: column %s of %s is stored twice", f.cols[i].Name, table.Name)
 			}
-			p.slots[k] = slot{frag: f, col: &f.cols[i]}
+			p.slots[at] = slot{frag: f, col: &f.cols[i]}
 		}
 	}
-	cols, err := l.state().schema.LogicalColumns(tn, table.Name)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cols {
-		if _, ok := p.slots[strings.ToLower(c.Name)]; !ok {
-			return nil, fmt.Errorf("core: column %s of %s is unassigned", c.Name, table.Name)
+	for i, s := range p.slots {
+		if s.frag == nil {
+			return nil, fmt.Errorf("core: column %s of %s is unassigned", v.cols[i].Name, table.Name)
 		}
 	}
-	p.anchor = p.slots[strings.ToLower(table.Key)].frag
-	if p.anchor.sparse {
+	key, _ := p.slot(table.Key)
+	if p.anchor = key.frag; p.anchor.sparse {
 		return nil, fmt.Errorf("core: the key %s of %s is in a sparse fragment", table.Key, table.Name)
 	}
 	return p, nil
 }
 
-// locate resolves logical columns to the slots the placement stores them in.
-func (p *placement) locate(table *Table, cols []Column) ([]slot, error) {
-	out := make([]slot, len(cols))
-	for i, c := range cols {
-		s, ok := p.slots[strings.ToLower(c.Name)]
-		if !ok {
-			return nil, fmt.Errorf("core: column %s of %s is unassigned", c.Name, table.Name)
-		}
-		out[i] = s
+// slotsAt lists the slots of the view's columns at the given positions.
+func (p *placement) slotsAt(at []int) []slot {
+	out := make([]slot, len(at))
+	for i, a := range at {
+		out[i] = p.slots[a]
 	}
-	return out, nil
+	return out
 }
 
 // touched lists the fragments that store the given columns in order of
@@ -289,19 +328,92 @@ func indexOf(frags []*fragment, f *fragment) int {
 	return -1
 }
 
-// registerTenant is AddTenant for a reconstructor: place every logical
-// table, then register tenant and placements together.
+// Placement describes, for inspection, where a tenant's logical table
+// lives under a layout: each fragment's physical table with the
+// meta-data equalities that select the tenant's rows, and the physical
+// column behind each logical one. Its first line says whether the
+// placement is the table's shared base or the tenant's own — an extended
+// table, or any Private table — which is what the tenant costs in
+// meta-data.
+func Placement(l Layout, tenantID int64, table string) (string, error) {
+	r, ok := l.(reconstructor)
+	if !ok {
+		return "", fmt.Errorf("core: layout %s keeps no placements", l.Name())
+	}
+	st := r.state()
+	lt := st.schema.Table(table)
+	if lt == nil {
+		return "", fmt.Errorf("core: no logical table %s", table)
+	}
+	p, err := st.placement(tenantID, lt)
+	if err != nil {
+		return "", err
+	}
+	st.mu.RLock()
+	whose := "shared base"
+	if st.views[placementKey{tenantID, lt}] != nil {
+		whose = "tenant's own"
+	}
+	st.mu.RUnlock()
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s of tenant %d: %s placement, %d fragment(s)\n", lt.Name, tenantID, whose, len(p.frags))
+	for _, f := range p.frags {
+		fmt.Fprintf(&sb, "  %s", f.table)
+		if w := and(f.where("", tenantID)...); w != nil {
+			fmt.Fprintf(&sb, " WHERE %s", w)
+		}
+		switch {
+		case f.rowless:
+			sb.WriteString(" (no Row)")
+		case f.sparse:
+			sb.WriteString(" (sparse)")
+		}
+		sb.WriteString(":")
+		for _, c := range f.cols {
+			fmt.Fprintf(&sb, " %s=%s", c.Name, c.phys)
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String(), nil
+}
+
+// registerTenant is AddTenant for a layout whose placements are shared:
+// it places the tables the tenant extends, its own, and every other
+// table that has no base placement yet, and registers tenant and
+// placements together. A base placement some racing registration
+// published first is the same placement, so it keeps that one.
 func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
 	st := l.state()
-	places := make(map[placementKey]*placement, len(st.schema.Tables))
+	extended := map[*Table]bool{}
+	for _, en := range t.Extensions {
+		e := st.schema.Extension(en)
+		if e == nil {
+			return fmt.Errorf("core: tenant %d references unknown extension %s", t.ID, en)
+		}
+		extended[st.schema.Table(e.Base)] = true
+	}
+	own, base := map[*Table]*view{}, map[*Table]*view{}
 	for _, bt := range st.schema.Tables {
-		p, err := place(l, db, t, bt, nil)
+		into := own
+		if !extended[bt] {
+			st.mu.RLock()
+			placed := st.base[bt] != nil
+			st.mu.RUnlock()
+			if placed {
+				continue
+			}
+			into = base
+		}
+		v, err := st.schema.view(t, bt)
 		if err != nil {
 			return err
 		}
-		places[placementKey{t.ID, bt}] = p
+		if v.place, err = place(l, db, t, bt, v, nil); err != nil {
+			return err
+		}
+		into[bt] = v
 	}
-	return st.addTenant(t, places)
+	return st.addTenant(t, own, base)
 }
 
 // extendTenant is ExtendTenant for a reconstructor: place the table
@@ -310,8 +422,8 @@ func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
 // marker) per existing logical row, so reconstruction joins keep
 // matching and the new fragment by itself says which rows are live,
 // then publish extension and placement together. No fragment new to the
-// table — or only sparse ones, where absent is NULL — means pure
-// meta-data.
+// table — or only sparse ones, where absent is NULL, or one that widens
+// in place, same table and meta (Private) — means pure meta-data.
 func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string) error {
 	st := l.state()
 	tn, ext, err := st.extensible(tenantID, extName)
@@ -323,12 +435,16 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 	if err != nil {
 		return err
 	}
-	next, err := place(l, db, tn.with(extName), table, old.frags)
+	next := tn.with(extName)
+	v, err := st.schema.view(next, table)
 	if err != nil {
 		return err
 	}
+	if v.place, err = place(l, db, next, table, v, old.frags); err != nil {
+		return err
+	}
 	var fresh []*fragment
-	for _, f := range next.frags {
+	for _, f := range v.place.frags {
 		isOld := false
 		for _, o := range old.frags {
 			isOld = isOld || f.sameRows(o)
@@ -341,7 +457,7 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 		existing := &sql.SelectStmt{
 			Items: []sql.SelectItem{{Expr: colRef("", "Row")}},
 			From:  []sql.TableRef{&sql.NamedTable{Name: old.anchor.table}},
-			Where: and(old.anchor.where("")...),
+			Where: and(old.anchor.where("", tenantID)...),
 		}
 		if old.anchor.del != "" {
 			existing.Items = append(existing.Items, sql.SelectItem{Expr: colRef("", old.anchor.del)})
@@ -360,12 +476,13 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 				if len(r) > 1 {
 					marker = lit(r[1])
 				}
-				ins.Rows = append(ins.Rows, f.spineValues(lit(r[0]), marker, len(ins.Columns)))
+				ins.Rows = append(ins.Rows, f.spineValues(tenantID, lit(r[0]), marker, len(ins.Columns)))
 			}
 			if _, err := db.ExecStmt(ins, ""); err != nil {
 				return err
 			}
 		}
 	}
-	return st.extend(tn, ext, next)
+	st.extend(tn, ext, v)
+	return nil
 }

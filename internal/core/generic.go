@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -14,39 +13,41 @@ import (
 // through phase (a) of the two-phase DML protocol.
 const rowCol = "__row"
 
-// genericRewrite dispatches a logical statement of a layout that stores
-// rows as fragments: steps 1 and 4 of the paper's §6.1 compilation
-// scheme and the §6.3 two-phase protocol here, steps 2–3 and the
-// writers in fragmentRows below.
-func genericRewrite(l fragmentRows, tenantID int64, st sql.Statement) (*Rewritten, error) {
-	tn, err := l.state().tenant(tenantID)
+// genericRewrite is every layout's Rewrite: steps 1 and 4 of the
+// paper's §6.1 compilation scheme and the §6.3 two-phase protocol here,
+// steps 2–3 and the writers below over the placement of the table. Nothing
+// here knows which layout placed the fragments; where a step differs for
+// a sparse fragment, or one without Row, it asks the fragment.
+func genericRewrite(l reconstructor, tenantID int64, st sql.Statement) (*Rewritten, error) {
+	s := l.state()
+	tn, err := s.tenant(tenantID)
 	if err != nil {
 		return nil, err
 	}
 	switch st := st.(type) {
 	case *sql.SelectStmt:
-		sel, err := genericSelect(l, tn, st)
+		sel, err := genericSelect(s, tn, st)
 		if err != nil {
 			return nil, err
 		}
 		return &Rewritten{Query: sel}, nil
 	case *sql.InsertStmt:
-		return genericInsert(l, tn, st)
+		return genericInsert(s, tn, st)
 	case *sql.UpdateStmt:
 		if len(st.Set) == 0 {
 			return nil, fmt.Errorf("core: UPDATE %s without SET", st.Table)
 		}
-		return genericWrite(l, tn, st.Table, st.Alias, st.Set, st.Where)
+		return genericWrite(s, tn, st.Table, st.Alias, st.Set, st.Where)
 	case *sql.DeleteStmt:
-		return genericWrite(l, tn, st.Table, st.Alias, nil, st.Where)
+		return genericWrite(s, tn, st.Table, st.Alias, nil, st.Where)
 	}
 	return nil, fmt.Errorf("core: %s layout cannot rewrite %T", l.Name(), st)
 }
 
 // genericSelect replaces every logical table reference with its
 // reconstruction derived table (step 4 of §6.1).
-func genericSelect(l fragmentRows, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
-	usages, err := analyzeSelect(l.state(), tn, sel)
+func genericSelect(s *state, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
+	usages, err := analyzeSelect(s, tn, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -62,13 +63,9 @@ func genericSelect(l fragmentRows, tn *Tenant, sel *sql.SelectStmt) (*sql.Select
 			if u == nil {
 				return nil, fmt.Errorf("core: unanalyzed table %s", tr.Name)
 			}
-			inner, err := l.reconstruct(tn, u.logical, u.usedColumns(), false)
-			if err != nil {
-				return nil, err
-			}
-			return &sql.SubqueryTable{Select: inner, Alias: u.alias}, nil
+			return &sql.SubqueryTable{Select: u.view.place.reconstruct(tn.ID, u.usedAt(), false), Alias: u.alias}, nil
 		case *sql.SubqueryTable:
-			sub, err := genericSelect(l, tn, tr.Select)
+			sub, err := genericSelect(s, tn, tr.Select)
 			if err != nil {
 				return nil, err
 			}
@@ -94,8 +91,8 @@ func genericSelect(l fragmentRows, tn *Tenant, sel *sql.SelectStmt) (*sql.Select
 			return nil, err
 		}
 	}
-	out.Where, err = rewriteInSubqueries(sel.Where, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-		return genericSelect(l, tn, s)
+	out.Where, err = rewriteInSubqueries(sel.Where, func(sub *sql.SelectStmt) (*sql.SelectStmt, error) {
+		return genericSelect(s, tn, sub)
 	})
 	if err != nil {
 		return nil, err
@@ -103,11 +100,12 @@ func genericSelect(l fragmentRows, tn *Tenant, sel *sql.SelectStmt) (*sql.Select
 	return &out, nil
 }
 
-// writeUsage computes the logical columns a write statement touches.
-func writeUsage(l fragmentRows, tn *Tenant, table, alias string, exprs []sql.Expr) (*Table, []Column, error) {
-	lt := l.state().schema.Table(table)
+// writeUsage analyzes what a write statement's expressions touch of its
+// table, as a SELECT of them would.
+func writeUsage(s *state, tn *Tenant, table, alias string, exprs []sql.Expr) (*tableUsage, error) {
+	lt := s.schema.Table(table)
 	if lt == nil {
-		return nil, nil, fmt.Errorf("core: no logical table %s", table)
+		return nil, fmt.Errorf("core: no logical table %s", table)
 	}
 	if alias == "" {
 		alias = table
@@ -123,35 +121,39 @@ func writeUsage(l fragmentRows, tn *Tenant, table, alias string, exprs []sql.Exp
 	if len(fake.Items) == 0 {
 		fake.Items = append(fake.Items, sql.SelectItem{Expr: intLit(1)})
 	}
-	usages, err := analyzeSelect(l.state(), tn, fake)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lt, usages[0].usedColumns(), nil
-}
-
-// genericInsert resolves the column list and has insertRows allocate
-// logical row IDs and build the physical writes (§6.3: "the application
-// logic has to look up all related chunks, collect the meta-data, and
-// assign each inserted new row a unique row identifier").
-func genericInsert(l fragmentRows, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error) {
-	lt := l.state().schema.Table(st.Table)
-	if lt == nil {
-		return nil, fmt.Errorf("core: no logical table %s", st.Table)
-	}
-	v, err := l.state().view(tn, lt)
+	usages, err := analyzeSelect(s, tn, fake)
 	if err != nil {
 		return nil, err
 	}
-	cols := v.cols
+	return usages[0], nil
+}
+
+// genericInsert resolves the column list and has insertRows build the
+// physical writes under freshly allocated logical row IDs (§6.3: "the
+// application logic has to look up all related chunks, collect the
+// meta-data, and assign each inserted new row a unique row identifier")
+// — none where the placement has no Row.
+func genericInsert(s *state, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error) {
+	lt := s.schema.Table(st.Table)
+	if lt == nil {
+		return nil, fmt.Errorf("core: no logical table %s", st.Table)
+	}
+	v, err := s.view(tn, lt)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]int, len(v.cols))
+	for i := range cols {
+		cols[i] = i
+	}
 	if len(st.Columns) > 0 {
-		cols = make([]Column, len(st.Columns))
+		cols = make([]int, len(st.Columns))
 		for i, name := range st.Columns {
 			at, ok := v.find(name)
 			if !ok {
 				return nil, fmt.Errorf("core: no column %s in %s for tenant %d", name, lt.Name, tn.ID)
 			}
-			cols[i] = v.cols[at]
+			cols[i] = at
 		}
 	}
 	for _, row := range st.Rows {
@@ -159,60 +161,57 @@ func genericInsert(l fragmentRows, tn *Tenant, st *sql.InsertStmt) (*Rewritten, 
 			return nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(row), len(cols))
 		}
 	}
-	stmts, err := l.insertRows(tn, lt, cols, st.Rows)
-	if err != nil {
-		return nil, err
+	var firstRow int64
+	if p := v.place; !p.anchor.rowless {
+		firstRow = s.nextRows(tn.ID, lt, int64(len(st.Rows)))
 	}
-	return &Rewritten{Direct: stmts, Inserted: int64(len(st.Rows))}, nil
+	return &Rewritten{Direct: v.place.insertRows(tn.ID, firstRow, cols, st.Rows), Inserted: int64(len(st.Rows))}, nil
 }
 
 // genericWrite implements §6.3 for an UPDATE (set given) or a DELETE (set
-// nil) of a tenant's logical table: one direct statement when the layout
-// can do without aligning (see fragmentRows.direct), else the two-phase
-// protocol — phase (a) collects (__row, new values...) through the
-// reconstruction, the engine evaluating SET expressions over the
+// nil) of a tenant's logical table: one direct statement when the
+// placement can do without aligning (see placement.direct), else the
+// two-phase protocol — phase (a) collects (__row, new values...) through
+// the reconstruction, the engine evaluating SET expressions over the
 // logical row, and phase (b) applies per-structure physical writes.
-func genericWrite(l fragmentRows, tn *Tenant, table, alias string, set []sql.Assignment, where sql.Expr) (*Rewritten, error) {
+func genericWrite(s *state, tn *Tenant, table, alias string, set []sql.Assignment, where sql.Expr) (*Rewritten, error) {
 	exprs := make([]sql.Expr, 0, len(set)+1)
 	for _, a := range set {
 		exprs = append(exprs, a.Value)
 	}
-	lt, used, err := writeUsage(l, tn, table, alias, append(exprs, where))
+	u, err := writeUsage(s, tn, table, alias, append(exprs, where))
 	if err != nil {
 		return nil, err
 	}
+	lt, p := u.logical, u.view.place
 	if alias == "" {
 		alias = lt.Name
 	}
-	v, err := l.state().view(tn, lt)
-	if err != nil {
-		return nil, err
-	}
-	var setCols []Column
+	var setAt []int
 	for _, a := range set {
-		at, ok := v.find(a.Column)
+		at, ok := u.view.find(a.Column)
 		if !ok {
 			return nil, fmt.Errorf("core: no column %s in %s for tenant %d", a.Column, lt.Name, tn.ID)
 		}
-		setCols = append(setCols, v.cols[at])
+		setAt = append(setAt, at)
 	}
-	where, err = rewriteInSubqueries(where, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-		return genericSelect(l, tn, s)
+	where, err = rewriteInSubqueries(where, func(sub *sql.SelectStmt) (*sql.SelectStmt, error) {
+		return genericSelect(s, tn, sub)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if ps := l.direct(tn, lt, alias, set, setCols, where); ps != nil {
+	switch ps, err := p.direct(tn, lt, alias, set, setAt, where); {
+	case ps != nil:
 		return &Rewritten{Direct: []sql.Statement{ps}, DirectIsCount: true}, nil
-	}
-
-	inner, err := l.reconstruct(tn, lt, used, true)
-	if err != nil {
+	case p.anchor.rowless:
+		// Nothing to collect Row ids from: what does not fuse cannot run.
 		return nil, err
 	}
+
 	rowQuery := &sql.SelectStmt{
 		Items: []sql.SelectItem{{Expr: colRef(alias, rowCol)}},
-		From:  []sql.TableRef{&sql.SubqueryTable{Select: inner, Alias: alias}},
+		From:  []sql.TableRef{&sql.SubqueryTable{Select: p.reconstruct(tn.ID, u.usedAt(), true), Alias: alias}},
 		Where: where,
 	}
 	for _, a := range set {
@@ -221,13 +220,16 @@ func genericWrite(l fragmentRows, tn *Tenant, table, alias string, set []sql.Ass
 	return &Rewritten{
 		RowQuery: rowQuery,
 		PhaseB: func(rows [][]types.Value) []sql.Statement {
+			// The placement when the rows were collected: an extension
+			// published since phase (a) was compiled widens it.
+			p, err := s.placement(tn.ID, lt)
 			switch {
-			case len(rows) == 0:
+			case len(rows) == 0 || err != nil:
 				return nil
 			case set == nil:
-				return l.phaseBDelete(tn, lt, rows)
+				return p.phaseBDelete(tn.ID, rows)
 			}
-			return l.phaseBUpdate(tn, lt, setCols, rows)
+			return p.phaseBUpdate(tn.ID, setAt, rows)
 		},
 	}, nil
 }
@@ -264,11 +266,9 @@ func sameValue(a, b types.Value) bool {
 
 // --- the one rewriter over fragments -------------------------------------------
 
-// fragmentRows is the rewriter of every reconstructor: the four steps
-// written once over the tenant-table's placement. Nothing here knows
-// which layout placed the fragments; where a step differs for a sparse
-// fragment, it asks the fragment.
-type fragmentRows struct{ reconstructor }
+// The rewriter's steps, written once over a table's placement. The
+// columns they take are positions in the placement's view, so a slot is
+// one index away; tenant is the id the Tenant meta-column takes.
 
 // reconstruct builds the inner SELECT that reconstructs a tenant's
 // logical table, exposing the used columns (plus the hidden row ID when
@@ -279,15 +279,8 @@ type fragmentRows struct{ reconstructor }
 // optimizer flattens into the outer block and drives via the meta-data
 // indexes. A sparse fragment may lack the row, so it is LEFT-joined onto
 // the anchor, its meta-data and Row equalities in ON.
-func (m fragmentRows) reconstruct(tn *Tenant, table *Table, used []Column, withRow bool) (*sql.SelectStmt, error) {
-	p, err := m.state().placement(tn.ID, table)
-	if err != nil {
-		return nil, err
-	}
-	slots, err := p.locate(table, used)
-	if err != nil {
-		return nil, err
-	}
+func (p *placement) reconstruct(tenant int64, used []int, withRow bool) *sql.SelectStmt {
+	slots := p.slotsAt(used)
 	frags := p.touched(slots, true)
 	aliases := fragAliases("f", len(frags))
 	sel := &sql.SelectStmt{
@@ -297,7 +290,7 @@ func (m fragmentRows) reconstruct(tn *Tenant, table *Table, used []Column, withR
 	for i, s := range slots {
 		sel.Items = append(sel.Items, sql.SelectItem{
 			Expr:  s.col.read(aliases[indexOf(frags, s.frag)]),
-			Alias: used[i].Name,
+			Alias: p.view.cols[used[i]].Name,
 		})
 	}
 	if withRow {
@@ -308,20 +301,20 @@ func (m fragmentRows) reconstruct(tn *Tenant, table *Table, used []Column, withR
 		ref := &sql.NamedTable{Name: f.table, Alias: aliases[i]}
 		if i == 0 {
 			sel.From = append(sel.From, ref)
-			conjs = append(append(conjs, f.where(aliases[0])...), f.live(aliases[0]))
+			conjs = append(append(conjs, f.where(aliases[0], tenant)...), f.live(aliases[0]))
 			continue
 		}
 		aligned := eq(colRef(aliases[i], "Row"), colRef(aliases[0], "Row"))
 		if f.sparse {
-			on := and(append(f.where(aliases[i]), aligned)...)
+			on := and(append(f.where(aliases[i], tenant), aligned)...)
 			sel.From[0] = &sql.JoinTable{Left: sel.From[0], Right: ref, Type: sql.LeftJoin, On: on}
 		} else {
 			sel.From = append(sel.From, ref)
-			conjs = append(append(conjs, f.where(aliases[i])...), aligned)
+			conjs = append(append(conjs, f.where(aliases[i], tenant)...), aligned)
 		}
 	}
 	sel.Where = and(conjs...)
-	return sel, nil
+	return sel
 }
 
 // fragAliases names n table aliases prefix0, prefix1, ...
@@ -334,22 +327,14 @@ func fragAliases(prefix string, n int) []string {
 }
 
 // insertRows builds the physical inserts for logical rows given as a
-// column list and value-expression lists: one batched INSERT per
-// fragment. Every fragment of the logical row is written, with NULLs
-// where no value was given (a spine), so reconstruction joins are inner —
-// except a sparse fragment, which gets a row only for a value that is
-// not a literal NULL. A statement left with no rows is dropped.
-func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [][]sql.Expr) ([]sql.Statement, error) {
-	p, err := m.state().placement(tn.ID, table)
-	if err != nil {
-		return nil, err
-	}
-	slots, err := p.locate(table, cols)
-	if err != nil {
-		return nil, err
-	}
-	firstRow := m.state().nextRows(tn.ID, table, int64(len(rows)))
-
+// column list and value-expression lists, the first under logical row id
+// firstRow: one batched INSERT per fragment. Every fragment of the
+// logical row is written, with NULLs where no value was given (a spine),
+// so reconstruction joins are inner — except a sparse fragment, which
+// gets a row only for a value that is not a literal NULL. A statement
+// left with no rows is dropped.
+func (p *placement) insertRows(tenant, firstRow int64, cols []int, rows [][]sql.Expr) []sql.Statement {
+	slots := p.slotsAt(cols)
 	stmts := make([]*sql.InsertStmt, len(p.frags))
 	for i, f := range p.frags {
 		stmts[i] = f.spine()
@@ -363,7 +348,7 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 		rowID := firstRow + int64(ri)
 		for i, f := range p.frags {
 			if !f.sparse {
-				stmts[i].Rows = append(stmts[i].Rows, f.spineValues(intLit(rowID), intLit(0), len(stmts[i].Columns)))
+				stmts[i].Rows = append(stmts[i].Rows, f.spineValues(tenant, intLit(rowID), intLit(0), len(stmts[i].Columns)))
 			}
 		}
 		for i, e := range row {
@@ -372,7 +357,7 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 				if l, ok := e.(*sql.Literal); ok && l.Val.IsNull() {
 					continue
 				}
-				st.Rows = append(st.Rows, f.spineValues(intLit(rowID), intLit(0), len(st.Columns)))
+				st.Rows = append(st.Rows, f.spineValues(tenant, intLit(rowID), intLit(0), len(st.Columns)))
 			}
 			if slots[i].col.writes() {
 				e = &sql.CastExpr{X: e, Type: slots[i].col.store}
@@ -387,15 +372,11 @@ func (m fragmentRows) insertRows(tn *Tenant, table *Table, cols []Column, rows [
 			out = append(out, st)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// errSpansFragments stops the mapping of an expression onto one fragment
-// at a column the fragment does not store.
-var errSpansFragments = errors.New("core: statement spans fragments")
-
-// direct builds the one physical statement an UPDATE (set and setCols
-// given) or a DELETE (both nil) is when it needs no aligning — where has
+// direct builds the one physical statement an UPDATE (set and setAt,
+// its targets, given) or a DELETE (both nil) is when it needs no aligning — where has
 // had its IN-subqueries rewritten already — or returns nil: the
 // statement takes the two phases. This is the fusion rule. Aligning is
 // for statements that span fragments. When every column an UPDATE
@@ -412,59 +393,54 @@ var errSpansFragments = errors.New("core: statement spans fragments")
 // miss, so it never fuses. The rule is a function of the placement and
 // the columns used, nothing else; any reference it cannot place in f —
 // another fragment's column, an unknown name or qualifier — sends the
-// statement through the two phases, which report it as they always have.
-func (m fragmentRows) direct(tn *Tenant, table *Table, alias string, set []sql.Assignment, setCols []Column, where sql.Expr) sql.Statement {
-	p, err := m.state().placement(tn.ID, table)
-	if err != nil {
-		return nil
-	}
-	slots, err := p.locate(table, setCols)
-	if err != nil {
-		return nil
-	}
+// statement through the two phases, which report it as they always have,
+// and is the error returned beside nil: the whole answer where the
+// placement has no Row to run the two phases on.
+func (p *placement) direct(tn *Tenant, table *Table, alias string, set []sql.Assignment, setAt []int, where sql.Expr) (sql.Statement, error) {
+	slots := p.slotsAt(setAt)
 	// f is where the SET targets live; a DELETE has none and needs the
 	// placement to be f alone.
 	f := p.frags[0]
 	if len(slots) > 0 {
 		f = slots[0].frag
 	} else if len(p.frags) > 1 {
-		return nil
+		return nil, nil
 	}
 	if f.sparse {
-		return nil
+		return nil, nil
 	}
 	for _, s := range slots {
 		if s.frag != f {
-			return nil
+			return nil, nil
 		}
 	}
 	inF := func(cr *sql.ColumnRef) (sql.Expr, error) {
-		s, ok := p.slots[strings.ToLower(cr.Name)]
+		s, ok := p.slot(cr.Name)
 		if !ok || s.frag != f || cr.Table != "" && !strings.EqualFold(cr.Table, alias) {
-			return nil, errSpansFragments
+			return nil, fmt.Errorf("core: no column %s in %s for tenant %d", cr, table.Name, tn.ID)
 		}
 		return s.col.read(""), nil
 	}
-	where, err = mapColumnRefs(where, inF)
+	where, err := mapColumnRefs(where, inF)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	where = and(append(f.where(""), f.live(""), where)...)
+	where = and(append(f.where("", tn.ID), f.live(""), where)...)
 	if set == nil {
-		return f.remove(where)
+		return f.remove(where), nil
 	}
 	up := &sql.UpdateStmt{Table: f.table, Set: make([]sql.Assignment, len(set)), Where: where}
 	for i, a := range set {
 		v, err := mapColumnRefs(a.Value, inF)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		if slots[i].col.writes() {
 			v = &sql.CastExpr{X: v, Type: slots[i].col.store}
 		}
 		up.Set[i] = sql.Assignment{Column: slots[i].col.phys, Value: v}
 	}
-	return up
+	return up, nil
 }
 
 // phaseBUpdate builds the physical writes for an UPDATE from phase (a)'s
@@ -473,15 +449,8 @@ func (m fragmentRows) direct(tn *Tenant, table *Table, alias string, set []sql.A
 // same values, else one per fragment and row. A sparse fragment's rows
 // are removed instead and its non-NULL new values inserted, which also
 // moves a value to or from NULL.
-func (m fragmentRows) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, rows [][]types.Value) []sql.Statement {
-	p, err := m.state().placement(tn.ID, table)
-	if err != nil {
-		return nil
-	}
-	slots, err := p.locate(table, setCols)
-	if err != nil {
-		return nil
-	}
+func (p *placement) phaseBUpdate(tenant int64, setAt []int, rows [][]types.Value) []sql.Statement {
+	slots := p.slotsAt(setAt)
 	touched := p.touched(slots, false)
 	dense := touched[:0] // the UPDATEs' fragments, filtered in place
 	for _, f := range touched {
@@ -498,7 +467,7 @@ func (m fragmentRows) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, r
 		return lit(v)
 	}
 	update := func(f *fragment, vals []types.Value, rowPred sql.Expr) sql.Statement {
-		up := &sql.UpdateStmt{Table: f.table, Where: and(append(f.where(""), rowPred)...)}
+		up := &sql.UpdateStmt{Table: f.table, Where: and(append(f.where("", tenant), rowPred)...)}
 		for i, s := range slots {
 			if s.frag == f {
 				up.Set = append(up.Set, sql.Assignment{Column: s.col.phys, Value: stored(s, vals[i+1])})
@@ -513,19 +482,19 @@ func (m fragmentRows) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, r
 			continue
 		}
 		f := s.frag
-		out = append(out, f.remove(and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...)))
+		out = append(out, f.remove(and(append(f.where("", tenant), inList(colRef("", "Row"), rowIDs))...)))
 		ins := f.spine()
 		ins.Columns = append(ins.Columns, s.col.phys)
 		for _, r := range rows {
 			if !r[i+1].IsNull() {
-				ins.Rows = append(ins.Rows, append(f.spineValues(lit(r[0]), intLit(0), len(ins.Columns)), stored(s, r[i+1])))
+				ins.Rows = append(ins.Rows, append(f.spineValues(tenant, lit(r[0]), intLit(0), len(ins.Columns)), stored(s, r[i+1])))
 			}
 		}
 		if len(ins.Rows) > 0 {
 			out = append(out, ins)
 		}
 	}
-	if constantSets(rows, len(setCols)) {
+	if constantSets(rows, len(setAt)) {
 		for _, f := range dense {
 			out = append(out, update(f, rows[0], inList(colRef("", "Row"), rowIDs)))
 		}
@@ -543,15 +512,11 @@ func (m fragmentRows) phaseBUpdate(tn *Tenant, table *Table, setCols []Column, r
 // [__row] tuples, at least one: every fragment of the rows goes —
 // removed, or in a Trashcan fragment marked invisible (§6.3: "mark all
 // chunk tables as deleted").
-func (m fragmentRows) phaseBDelete(tn *Tenant, table *Table, rows [][]types.Value) []sql.Statement {
-	p, err := m.state().placement(tn.ID, table)
-	if err != nil {
-		return nil
-	}
+func (p *placement) phaseBDelete(tenant int64, rows [][]types.Value) []sql.Statement {
 	rowIDs := column(rows, 0)
 	out := make([]sql.Statement, len(p.frags))
 	for i, f := range p.frags {
-		out[i] = f.remove(and(append(f.where(""), inList(colRef("", "Row"), rowIDs))...))
+		out[i] = f.remove(and(append(f.where("", tenant), inList(colRef("", "Row"), rowIDs))...))
 	}
 	return out
 }

@@ -21,12 +21,23 @@ type Layout interface {
 	// Create provisions the physical schema on db and registers the
 	// initial tenants.
 	Create(db *engine.DB, tenants []*Tenant) error
-	// AddTenant registers a tenant while the system is on-line. For
-	// generic layouts this is pure meta-data bookkeeping (no DDL); the
-	// Private layout issues CREATE TABLE statements.
+	// AddTenant registers a tenant while the system is on-line. For most
+	// layouts this is meta-data bookkeeping alone; Private creates the
+	// tenant's tables, and Vertical any chunk table no tenant needed yet.
 	AddTenant(db *engine.DB, t *Tenant) error
 	// Rewrite transforms one logical statement for a tenant.
 	Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error)
+}
+
+// addTenants registers tenants with a layout, in order: how every
+// layout's Create ends.
+func addTenants(l Layout, db *engine.DB, tenants []*Tenant) error {
+	for _, tn := range tenants {
+		if err := l.AddTenant(db, tn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Rewritten is the physical form of a logical statement. Exactly one
@@ -38,15 +49,16 @@ type Layout interface {
 //     collects the affected logical rows (and any computed SET values),
 //     phase (b) applies per-chunk physical writes built from them.
 //
-// An UPDATE or DELETE is Direct when its layout stores everything the
-// statement touches in one place (Basic, Private, and the fragment
-// layouts' fusion rule: fragmentRows.direct), two-phase otherwise.
+// An UPDATE or DELETE is Direct when everything it touches is stored in
+// one fragment (the fusion rule, placement.direct) — in Basic and
+// Private, whose placements are one fragment, always — and two-phase
+// otherwise.
 type Rewritten struct {
 	Query *sql.SelectStmt
 
 	Direct []sql.Statement
 	// DirectIsCount: logical rows affected = first Direct statement's
-	// RowsAffected (single-statement layouts).
+	// RowsAffected (a fused UPDATE or DELETE).
 	DirectIsCount bool
 	// Inserted: logical rows inserted (multi-statement inserts).
 	Inserted int64
@@ -290,12 +302,12 @@ func (m *Mapper) Explain(tenantID int64, query string) (string, error) {
 // --- shared layout state -------------------------------------------------------
 
 // state holds the tenant registry, table-ID map, per-(tenant,table)
-// logical row sequences, every tenant's view of every base table, and —
-// for the layouts that store rows as fragments — every tenant-table's
-// placement, shared by all layout implementations. Views and placements
-// are computed when a tenant is added or extended and published with
-// that change; rewriting a statement only looks them up. gens counts
-// those publications per tenant: what a cached rewrite is stamped with.
+// logical row sequences, and what every tenant sees of every base table
+// and where it lives: views, each carrying its placement. Views and
+// placements are computed when a tenant is added or extended and
+// published with that change; rewriting a statement only looks them up.
+// gens counts those publications per tenant: what a cached rewrite is
+// stamped with.
 type state struct {
 	mu       sync.RWMutex
 	schema   *Schema
@@ -304,16 +316,18 @@ type state struct {
 	rowSeq   map[placementKey]int64
 	gens     map[int64]int64
 	cache    cacheSlot // see SharedRewriteCache
-	// base is every table as a tenant with no extension on it sees it;
-	// views holds the others, one per (tenant, table it extends), so a
-	// schema of 1 500 tables costs its 150 tenants nothing.
-	base   map[*Table]*view
-	views  map[placementKey]*view
-	places map[placementKey]*placement
+	// base is every table as a tenant with no extension on it sees it,
+	// placed once by the first tenant registered (registerTenant); views
+	// holds the others, one per (tenant, table it extends) — and in
+	// Private, whose tables are the tenant's own, one per (tenant, table).
+	// So a schema of 1 500 tables costs its 150 Basic tenants 1 500
+	// placements, not 225 000.
+	base  map[*Table]*view
+	views map[placementKey]*view
 }
 
 func newState(schema *Schema) *state {
-	st := &state{
+	return &state{
 		schema:   schema,
 		tenants:  make(map[int64]*Tenant),
 		tableIDs: schema.TableIDs(),
@@ -321,12 +335,7 @@ func newState(schema *Schema) *state {
 		gens:     make(map[int64]int64),
 		base:     make(map[*Table]*view, len(schema.Tables)),
 		views:    make(map[placementKey]*view),
-		places:   make(map[placementKey]*placement),
 	}
-	for _, bt := range schema.Tables {
-		st.base[bt] = newView(bt.Columns)
-	}
-	return st
 }
 
 func (st *state) tenant(id int64) (*Tenant, error) {
@@ -339,60 +348,49 @@ func (st *state) tenant(id int64) (*Tenant, error) {
 	return t, nil
 }
 
-// addTenant registers a tenant together with its view of every base
-// table it extends — which is where its extension list is validated —
-// and where its tables live (nil for layouts that do not fragment rows).
-func (st *state) addTenant(t *Tenant, places map[placementKey]*placement) error {
-	views := map[placementKey]*view{}
-	for _, en := range t.Extensions {
-		e := st.schema.Extension(en)
-		if e == nil {
-			return fmt.Errorf("core: tenant %d references unknown extension %s", t.ID, en)
-		}
-		bt := st.schema.Table(e.Base)
-		if views[placementKey{t.ID, bt}] != nil {
-			continue
-		}
-		v, err := st.schema.view(t, bt)
-		if err != nil {
-			return err
-		}
-		views[placementKey{t.ID, bt}] = v
-	}
+// addTenant registers a tenant together with its views of the tables it
+// has to itself (own) and the base views it placed first (base, kept
+// only where none is published yet).
+func (st *state) addTenant(t *Tenant, own, base map[*Table]*view) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, dup := st.tenants[t.ID]; dup {
 		return fmt.Errorf("core: tenant %d already registered", t.ID)
 	}
 	st.tenants[t.ID] = t
-	for k, v := range views {
-		st.views[k] = v
+	for bt, v := range own {
+		st.views[placementKey{t.ID, bt}] = v
 	}
-	for k, p := range places {
-		st.places[k] = p
+	for bt, v := range base {
+		if st.base[bt] == nil {
+			st.base[bt] = v
+		}
 	}
 	return nil
 }
 
-// extend publishes an extension a tenant enabled on-line — the
-// extension, the tenant's new view of the base table and, for layouts
-// that fragment rows, the table's new placement — together, and with
-// them the tenant's generation: every rewrite cached for it is stale.
-func (st *state) extend(tn *Tenant, ext *Extension, next *placement) error {
-	table := st.schema.Table(ext.Base)
-	v, err := st.schema.view(tn.with(ext.Name), table)
-	if err != nil {
-		return err
+// removeTenant unregisters a tenant and drops the views it had to
+// itself; its generation moves on, so nothing cached for it outlives it.
+func (st *state) removeTenant(id int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	delete(st.tenants, id)
+	for _, bt := range st.schema.Tables {
+		delete(st.views, placementKey{id, bt})
 	}
+	st.gens[id]++
+}
+
+// extend publishes an extension a tenant enabled on-line — the
+// extension and the tenant's new view of the base table, placed —
+// together, and with them the tenant's generation: every rewrite cached
+// for it is stale.
+func (st *state) extend(tn *Tenant, ext *Extension, v *view) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	tn.Extensions = append(tn.Extensions, ext.Name)
-	st.views[placementKey{tn.ID, table}] = v
-	if next != nil {
-		st.places[placementKey{tn.ID, table}] = next
-	}
+	st.views[placementKey{tn.ID, st.schema.Table(ext.Base)}] = v
 	st.gens[tn.ID]++
-	return nil
 }
 
 // generation counts the extensions published for a tenant.
@@ -405,29 +403,32 @@ func (st *state) generation(tenantID int64) int64 {
 // Table implements viewSource.
 func (st *state) Table(name string) *Table { return st.schema.Table(name) }
 
-// view implements viewSource: a registered tenant's published view.
+// view implements viewSource: a registered tenant's published view, its
+// own or else the base.
 func (st *state) view(tn *Tenant, table *Table) (*view, error) {
 	st.mu.RLock()
 	v := st.views[placementKey{tn.ID, table}]
-	st.mu.RUnlock()
 	if v == nil {
 		v = st.base[table]
 	}
+	st.mu.RUnlock()
 	if v == nil {
-		return nil, fmt.Errorf("core: no logical table %s", table.Name)
+		return nil, fmt.Errorf("core: tenant %d table %s is not placed", tn.ID, table.Name)
 	}
 	return v, nil
 }
 
 // placement returns where a registered tenant's logical table lives.
 func (st *state) placement(tenantID int64, table *Table) (*placement, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	p := st.places[placementKey{tenantID, table}]
-	if p == nil {
-		return nil, fmt.Errorf("core: tenant %d table %s is not placed", tenantID, table.Name)
+	tn, err := st.tenant(tenantID)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	v, err := st.view(tn, table)
+	if err != nil {
+		return nil, err
+	}
+	return v.place, nil
 }
 
 // extensible resolves an on-line ExtendTenant request: the tenant and
@@ -487,13 +488,13 @@ func (u *tableUsage) use(col string) {
 	}
 }
 
-// usedColumns returns the tenant's logical columns of u's table that
-// the statement references, in logical order.
-func (u *tableUsage) usedColumns() []Column {
-	var out []Column
-	for i, c := range u.view.cols {
-		if u.used[i] {
-			out = append(out, c)
+// usedAt returns the positions in u.view of the columns the statement
+// references, in logical order.
+func (u *tableUsage) usedAt() []int {
+	var out []int
+	for i, used := range u.used {
+		if used {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -718,9 +719,6 @@ func inList(col *sql.ColumnRef, vals []types.Value) sql.Expr {
 	return in
 }
 
-// typeSQL renders a column type for generated DDL.
-func typeSQL(t types.ColumnType) string { return t.String() }
-
 // buildCreateTable generates CREATE TABLE DDL text.
 func buildCreateTable(name string, cols []Column) string {
 	var sb strings.Builder
@@ -731,7 +729,7 @@ func buildCreateTable(name string, cols []Column) string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(c.Name + " " + typeSQL(c.Type))
+		sb.WriteString(c.Name + " " + c.Type.String())
 		if c.NotNull {
 			sb.WriteString(" NOT NULL")
 		}

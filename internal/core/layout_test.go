@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/sql"
 	"repro/internal/types"
 )
 
@@ -93,6 +94,81 @@ func basicFor(t *testing.T, schema *Schema, tenants []*Tenant) *Mapper {
 	return NewMapper(db, l)
 }
 
+// logicalDB runs a tenant's logical SQL: a Mapper, or plainTenants.
+type logicalDB interface {
+	Exec(tenant int64, q string, params ...types.Value) (engine.Result, error)
+	Query(tenant int64, q string, params ...types.Value) (*engine.Rows, error)
+}
+
+func nameOf(m logicalDB) string {
+	if m, ok := m.(*Mapper); ok {
+		return m.Layout.Name()
+	}
+	return "reference"
+}
+
+// plainTenants is the semantics reference the layouts are held to: a
+// plain engine database per tenant, holding its logical tables as they
+// are, where logical SQL runs verbatim and enabling an extension is an
+// ALTER TABLE. No rewriter is involved.
+type plainTenants struct {
+	schema *Schema
+	dbs    map[int64]*engine.DB
+}
+
+func newPlainTenants(t *testing.T, schema *Schema, tenants []*Tenant) *plainTenants {
+	t.Helper()
+	p := &plainTenants{schema: schema, dbs: map[int64]*engine.DB{}}
+	for _, tn := range tenants {
+		db := engine.Open(engine.Config{})
+		for _, bt := range schema.Tables {
+			cols, err := schema.LogicalColumns(tn, bt.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec(buildCreateTable(bt.Name, cols)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.dbs[tn.ID] = db
+	}
+	return p
+}
+
+func (p *plainTenants) Exec(tenant int64, q string, params ...types.Value) (engine.Result, error) {
+	return p.dbs[tenant].Exec(q, params...)
+}
+
+func (p *plainTenants) Query(tenant int64, q string, params ...types.Value) (*engine.Rows, error) {
+	return p.dbs[tenant].Query(q, params...)
+}
+
+// extend enables an extension for a tenant of m: on-line through a
+// Mapper's layout, or in the reference by adding the extension's columns
+// to the tenant's table.
+func extend(m logicalDB, tenant int64, ext string) error {
+	if m, ok := m.(*Mapper); ok {
+		return m.Layout.(extender).ExtendTenant(m.DB, tenant, ext)
+	}
+	p := m.(*plainTenants)
+	e := p.schema.Extension(ext)
+	for _, c := range e.Columns {
+		if _, err := p.dbs[tenant].Exec(fmt.Sprintf("ALTER TABLE %s ADD COLUMN %s %s", e.Base, c.Name, c.Type)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// placements counts the placements a layout holds: one per table seen
+// alike, and one per (tenant, table) a tenant has to itself.
+func placements(l Layout) int {
+	st := l.(interface{ state() *state }).state()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.base) + len(st.views)
+}
+
 // copyTenants copies a tenant list: layouts keep the *Tenant they are
 // given and ExtendTenant appends to it, so layouts must not share them.
 func copyTenants(in []*Tenant) []*Tenant {
@@ -104,7 +180,7 @@ func copyTenants(in []*Tenant) []*Tenant {
 }
 
 // loadPaperData inserts the Figure 4 example rows through the mapper.
-func loadPaperData(t *testing.T, m *Mapper) {
+func loadPaperData(t *testing.T, m logicalDB) {
 	t.Helper()
 	steps := []struct {
 		tenant int64
@@ -116,7 +192,7 @@ func loadPaperData(t *testing.T, m *Mapper) {
 	}
 	for _, s := range steps {
 		if _, err := m.Exec(s.tenant, s.q); err != nil {
-			t.Fatalf("%s load: %v", m.Layout.Name(), err)
+			t.Fatalf("%s load: %v", nameOf(m), err)
 		}
 	}
 }
@@ -135,11 +211,11 @@ func sortedRows(rows *engine.Rows) []string {
 	return out
 }
 
-func queryAll(t *testing.T, m *Mapper, tenant int64, q string, params ...types.Value) []string {
+func queryAll(t *testing.T, m logicalDB, tenant int64, q string, params ...types.Value) []string {
 	t.Helper()
 	rows, err := m.Query(tenant, q, params...)
 	if err != nil {
-		t.Fatalf("%s: Query(%d, %q): %v", m.Layout.Name(), tenant, q, err)
+		t.Fatalf("%s: Query(%d, %q): %v", nameOf(m), tenant, q, err)
 	}
 	return sortedRows(rows)
 }
@@ -181,9 +257,8 @@ func TestPaperRunningExample(t *testing.T) {
 }
 
 // TestLayoutEquivalence runs an identical randomized workload through
-// every layout and cross-checks all query results against the Private
-// layout (the semantics reference, since it is plain SQL over plain
-// tables).
+// every layout and cross-checks every statement's row count and all
+// query results against plainTenants, the semantics reference.
 func TestLayoutEquivalence(t *testing.T) {
 	layoutEquivalence(t, engine.Config{})
 }
@@ -223,7 +298,7 @@ func TestLayoutEquivalenceWithHintsLive(t *testing.T) {
 func layoutEquivalence(t *testing.T, cfg engine.Config) map[string]*Mapper {
 	schema := paperSchema()
 	layouts := layoutsOn(t, schema, paperTenants(), cfg)
-	ref := layouts["private"]
+	ref := newPlainTenants(t, schema, paperTenants())
 
 	r := rand.New(rand.NewSource(7))
 	type op struct {
@@ -326,31 +401,28 @@ func layoutEquivalence(t *testing.T, cfg engine.Config) map[string]*Mapper {
 		}
 	}
 
-	run := func(name string, m *Mapper) []int64 {
+	run := func(m logicalDB) []int64 {
 		affected := make([]int64, len(ops))
 		for i, o := range ops {
 			if o.extend != "" {
-				if err := m.Layout.(extender).ExtendTenant(m.DB, o.tenant, o.extend); err != nil {
-					t.Fatalf("%s: ExtendTenant(%d, %s): %v", name, o.tenant, o.extend, err)
+				if err := extend(m, o.tenant, o.extend); err != nil {
+					t.Fatalf("%s: ExtendTenant(%d, %s): %v", nameOf(m), o.tenant, o.extend, err)
 				}
 				continue
 			}
 			res, err := m.Exec(o.tenant, o.sql)
 			if err != nil {
-				t.Fatalf("%s: Exec(%d, %q): %v", name, o.tenant, o.sql, err)
+				t.Fatalf("%s: Exec(%d, %q): %v", nameOf(m), o.tenant, o.sql, err)
 			}
 			affected[i] = res.RowsAffected
 		}
 		return affected
 	}
-	want := run("private", ref)
+	want := run(ref)
 	for name, m := range layouts {
-		if name == "private" {
-			continue
-		}
-		for i, got := range run(name, m) {
+		for i, got := range run(m) {
 			if got != want[i] {
-				t.Errorf("%s: op %d, Exec(%d, %q) affected %d rows, private %d", name, i, ops[i].tenant, ops[i].sql, got, want[i])
+				t.Errorf("%s: op %d, Exec(%d, %q) affected %d rows, reference %d", name, i, ops[i].tenant, ops[i].sql, got, want[i])
 			}
 		}
 	}
@@ -374,14 +446,11 @@ func layoutEquivalence(t *testing.T, cfg engine.Config) map[string]*Mapper {
 		{17, "SELECT Aid FROM Account ORDER BY Aid DESC LIMIT 3"},
 	}
 	for name, m := range layouts {
-		if name == "private" {
-			continue
-		}
 		for _, qq := range queries {
 			want := queryAll(t, ref, qq.tenant, qq.q)
 			got := queryAll(t, m, qq.tenant, qq.q)
 			if strings.Join(want, "\n") != strings.Join(got, "\n") {
-				t.Errorf("%s diverges from private on tenant %d %q:\nwant %v\ngot  %v",
+				t.Errorf("%s diverges from the reference on tenant %d %q:\nwant %v\ngot  %v",
 					name, qq.tenant, qq.q, want, got)
 			}
 		}
@@ -500,6 +569,35 @@ func TestUnknownTenantAndTable(t *testing.T) {
 		}
 		if _, err := m.Exec(17, "INSERT INTO Account (NoCol) VALUES (1)"); err == nil {
 			t.Errorf("%s: unknown column should fail", name)
+		}
+	}
+	// Basic and Private have no Row ids to run two phases on: an UPDATE or
+	// DELETE that does not fuse fails at rewrite, and no physical
+	// statement reaches the engine.
+	for _, m := range []*Mapper{basicFor(t, paperSchema(), paperTenants()), allLayouts(t, paperSchema())["private"]} {
+		mustExec(t, m, 35, "INSERT INTO Account (Aid, Name) VALUES (1, 'Ball')", 1)
+		for _, q := range []string{
+			"UPDATE Account SET Name = 'x' WHERE NoCol = 1",
+			"UPDATE Account a SET Name = 'x' WHERE b.Aid = 1",
+			"DELETE FROM Account WHERE NoCol = 2",
+		} {
+			st, err := sql.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := m.DB.Stats()
+			if _, err := m.Layout.Rewrite(35, st); err == nil || !strings.Contains(err.Error(), "no column") {
+				t.Errorf("%s: rewrite of %q: %v, want an error naming the column", m.Layout.Name(), q, err)
+			}
+			if _, err := m.Exec(35, q); err == nil {
+				t.Errorf("%s: %q executed", m.Layout.Name(), q)
+			}
+			if after := m.DB.Stats(); after.PlanCacheHits+after.PlanCacheMisses != before.PlanCacheHits+before.PlanCacheMisses {
+				t.Errorf("%s: %q reached the engine", m.Layout.Name(), q)
+			}
+		}
+		if got := queryAll(t, m, 35, "SELECT Aid, Name FROM Account"); fmt.Sprint(got) != "[INTEGER:1|VARCHAR:Ball]" {
+			t.Errorf("%s: tenant 35 holds %v", m.Layout.Name(), got)
 		}
 	}
 }

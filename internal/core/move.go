@@ -290,7 +290,8 @@ func (mv *Mover) Move(tenantID int64, dst Layout) (*MoveReport, error) {
 	if maxRounds <= 0 {
 		maxRounds = 8
 	}
-	converged := false
+	// Rounds may run out before one starts clean: the gated final delta
+	// below covers the rest.
 	for round := 0; round < maxRounds; round++ {
 		// Swap under the gate: drains in-flight statements so every
 		// already-consumed mark's write is visible to this round's copy.
@@ -298,7 +299,6 @@ func (mv *Mover) Move(tenantID int64, dst Layout) (*MoveReport, error) {
 		dirty := mv.Mux.takeDirty(tenantID)
 		g.Unlock()
 		if len(dirty) == 0 {
-			converged = true
 			break
 		}
 		rep.Rounds++
@@ -311,8 +311,6 @@ func (mv *Mover) Move(tenantID int64, dst Layout) (*MoveReport, error) {
 			rep.RowsCopied += n
 		}
 	}
-	_ = converged // rounds may be exhausted; the gated delta below covers it
-
 	// Cutover: exclusive gate, final delta, flip.
 	g.Lock()
 	start := time.Now()
@@ -342,25 +340,23 @@ func (mv *Mover) Move(tenantID int64, dst Layout) (*MoveReport, error) {
 }
 
 // copyTable replaces the destination's rows for one logical table with
-// the source's. It talks to the layouts directly (never through a
-// gated Mapper — the cutover calls it with the gate held exclusively).
+// the source's. It talks to the layouts directly, never through the
+// gated mux — the cutover calls it with the gate held exclusively: it
+// reads with queryLogical and writes through a Mapper over dst itself.
 func (mv *Mover) copyTable(src, dst Layout, tn *Tenant, tableName string) (int64, error) {
 	table := src.Schema().Table(tableName)
 	if table == nil {
 		return 0, fmt.Errorf("no logical table %s", tableName)
 	}
-	cols, err := src.Schema().LogicalColumns(tn, table.Name)
+	names, err := columnNames(src, tn, table.Name)
 	if err != nil {
 		return 0, err
-	}
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
 	}
 
 	// Clear the destination first: rounds re-copy tables whose rows may
 	// have been updated or deleted at the source since the last copy.
-	if err := mv.execLogical(dst, tn.ID, &sql.DeleteStmt{Table: table.Name}); err != nil {
+	w := NewMapper(mv.DB, dst)
+	if _, err := w.execParsed(tn.ID, &sql.DeleteStmt{Table: table.Name}, nil); err != nil {
 		return 0, err
 	}
 
@@ -385,11 +381,21 @@ func (mv *Mover) copyTable(src, dst Layout, tn *Tenant, tableName string) (int64
 			}
 			ins.Rows = append(ins.Rows, vals)
 		}
-		if err := mv.execLogical(dst, tn.ID, ins); err != nil {
+		if _, err := w.execParsed(tn.ID, ins, nil); err != nil {
 			return int64(start), err
 		}
 	}
 	return int64(len(rows)), nil
+}
+
+// columnNames lists the tenant's logical columns of a table.
+func columnNames(l Layout, tn *Tenant, table string) ([]string, error) {
+	cols, err := l.Schema().LogicalColumns(tn, table)
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	return names, err
 }
 
 // queryLogical reads one table's logical rows through a layout,
@@ -410,41 +416,11 @@ func (mv *Mover) queryLogical(l Layout, tenant int64, table string, cols []strin
 	return rows.Data, nil
 }
 
-// execLogical runs one logical write through a layout, bypassing
-// Mapper. Handles both Rewritten shapes (Direct and two-phase).
-func (mv *Mover) execLogical(l Layout, tenant int64, st sql.Statement) error {
-	rw, err := l.Rewrite(tenant, st)
-	if err != nil {
-		return err
-	}
-	for _, ps := range rw.Direct {
-		if _, err := mv.DB.ExecStmt(ps, ""); err != nil {
-			return err
-		}
-	}
-	if rw.RowQuery != nil {
-		rows, err := mv.DB.QueryStmt(rw.RowQuery, "")
-		if err != nil {
-			return err
-		}
-		for _, ps := range rw.PhaseB(rows.Data) {
-			if _, err := mv.DB.ExecStmt(ps, ""); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // verifyTable compares one table's logical contents between layouts.
 func (mv *Mover) verifyTable(src, dst Layout, tn *Tenant, table string) error {
-	cols, err := src.Schema().LogicalColumns(tn, table)
+	names, err := columnNames(src, tn, table)
 	if err != nil {
 		return err
-	}
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
 	}
 	a, err := mv.queryLogical(src, tn.ID, table, names)
 	if err != nil {

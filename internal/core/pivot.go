@@ -90,12 +90,7 @@ func (l *PivotLayout) Create(db *engine.DB, tenants []*Tenant) error {
 			}
 		}
 	}
-	for _, tn := range tenants {
-		if err := l.AddTenant(db, tn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return addTenants(l, db, tenants)
 }
 
 // AddTenant implements Layout: meta-data only.
@@ -111,7 +106,7 @@ func (l *PivotLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string
 
 // Rewrite implements Layout.
 func (l *PivotLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(fragmentRows{l}, tenantID, st)
+	return genericRewrite(l, tenantID, st)
 }
 
 // fragments implements reconstructor: one fragment per logical column,
@@ -121,7 +116,7 @@ func (l *PivotLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, err
 // extensions', so placing afresh never renumbers a stored column. A
 // nullable column's fragment is sparse: a NULL cell is not stored.
 func (l *PivotLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, _ []*fragment) ([]*fragment, error) {
-	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	cols, err := l.s.schema.logicalColumns(tn, table)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +133,7 @@ func (l *PivotLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, _ []*fra
 		}
 		out[i] = &fragment{
 			table:  name,
-			meta:   []metaEq{{"Tenant", tn.ID}, {"Table", int64(tid)}, {"Col", int64(i)}},
+			meta:   []metaEq{tenantMeta, {"Table", int64(tid)}, {"Col", int64(i)}},
 			cols:   []fragCol{{Column: c, phys: valCol, store: valType}},
 			sparse: !c.NotNull,
 		}

@@ -24,7 +24,12 @@ import (
 // sparse fragments (only Pivot's INSERTs and phase-(b) DELETEs changed,
 // to one statement per column writing or removing the same cells), and a
 // fourth time to add Basic, as its own rewriter answered, before Basic
-// came to the fragment rewriter too (every other record unchanged).
+// came to the fragment rewriter too (every other record unchanged), and
+// a fifth time when Basic and Private became one-fragment placements:
+// only their records moved, each in one of four ways — a derived table
+// where a table was renamed, a DML alias resolved away, an INSERT's
+// column list made explicit (counted by inserted, not direct_is_count),
+// or a statement the engine used to reject now failing at rewrite.
 // testdata/rewrite_golden_gen_test.go.txt over
 // recordRewrites below writes it;
 // everything here is the layouts' public surface. A record is the
@@ -420,7 +425,7 @@ func TestRewriteGolden(t *testing.T) {
 // the key numbers the parameters exactly as the cached statement does.
 // The corpus's own `?`s take the values 100, 101, …
 func TestCachedRewriteIsFreshRewrite(t *testing.T) {
-	for name, m := range layoutsFor(t, goldenSchema(), goldenTenants()) {
+	for name, m := range goldenLayouts(t) {
 		for _, c := range goldenCorpus() {
 			params := corpusParams(c.sql)
 			st, err := sql.Parse(bindText(c.sql, params))
@@ -542,11 +547,11 @@ var constants = regexp.MustCompile(`DATE '[^']*'|'(?:[^']|'')*'|\b\d+(?:\.\d+)?\
 // every cacheable corpus statement, the corpus's INSERTs loading the data
 // first.
 func TestTemplatesPlanAndAnswerAsLiterals(t *testing.T) {
-	for _, m := range layoutsFor(t, goldenSchema(), goldenTenants()) {
+	for _, m := range goldenLayouts(t) {
 		corpus := goldenCorpus()
 		for _, c := range corpus {
 			if strings.HasPrefix(c.sql, "INSERT") {
-				m.Exec(c.tenant, c.sql) // two are meant to fail
+				m.Exec(c.tenant, c.sql) // two are meant to fail (in Basic, more)
 			}
 		}
 		for _, c := range corpus {

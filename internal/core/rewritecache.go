@@ -34,10 +34,11 @@ import (
 // private-layout CREATE TABLE must NOT cold-start every tenant's cache
 // the way a version-keyed scheme would. Whoever changes that truth
 // bumps the tenant's generation under the lock that publishes the
-// change (state.extend; LayoutMux.takeDirty and SetRoute); each entry
-// is stamped at fill time and a hit compares stamps, so exactly the
-// affected tenant's entries miss and refill, lazily, while everything
-// else stays warm, and no caller has to remember to invalidate.
+// change (state.extend and removeTenant; LayoutMux.takeDirty and
+// SetRoute); each entry is stamped at fill time and a hit compares
+// stamps, so exactly the affected tenant's entries miss and refill,
+// lazily, while everything else stays warm, and no caller has to
+// remember to invalidate.
 //
 // Rewrites are cached only for SELECT, UPDATE, and DELETE. INSERT
 // rewrites are side-effecting (they reserve logical row ids via the

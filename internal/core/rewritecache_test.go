@@ -390,31 +390,37 @@ type extender interface {
 // are cached while its placement has one fragment — SELECT * answers
 // two columns, the DELETE is one direct statement — then the tenant
 // enables an extension and another session runs the same texts. The
-// transcript must equal Private's: a pre-extension rewrite served
-// afterwards deletes from the base fragment alone, and the orphans it
-// leaves are counted by the next UPDATE of an extension column.
+// transcript must equal the reference's (plainTenants): a pre-extension
+// rewrite served afterwards deletes from the base fragment alone, and the
+// orphans it leaves are counted by the next UPDATE of an extension
+// column, and a stale SELECT * answers two columns.
 func TestExtendTenantStalesCachedRewrites(t *testing.T) {
 	const (
 		star = "SELECT * FROM Account"
 		upd  = "UPDATE Account SET Name = 'Orb' WHERE Aid = 1"
 		del  = "DELETE FROM Account WHERE Aid > 2"
 	)
-	transcript := func(m *Mapper) []string {
+	// transcript runs the steps through m, two of its sessions where it is
+	// a Mapper.
+	transcript := func(m logicalDB) []string {
 		t.Helper()
-		a := NewSessionMapper(m.DB, m.Layout)
-		b := NewSessionMapper(m.DB, m.Layout)
-		defer a.Session.Close()
-		defer b.Session.Close()
+		a, b := m, m
+		if mm, ok := m.(*Mapper); ok {
+			sa, sb := NewSessionMapper(mm.DB, mm.Layout), NewSessionMapper(mm.DB, mm.Layout)
+			defer sa.Session.Close()
+			defer sb.Session.Close()
+			a, b = sa, sb
+		}
 		var out []string
-		exec := func(m *Mapper, q string) {
+		exec := func(m logicalDB, q string) {
 			t.Helper()
 			res, err := m.Exec(35, q)
 			if err != nil {
-				t.Fatalf("%s: %q: %v", m.Layout.Name(), q, err)
+				t.Fatalf("%s: %q: %v", nameOf(m), q, err)
 			}
 			out = append(out, fmt.Sprintf("%s -> %d", q, res.RowsAffected))
 		}
-		round := func(m *Mapper) {
+		round := func(m logicalDB) {
 			t.Helper()
 			out = append(out, fmt.Sprint(queryAll(t, m, 35, star)))
 			exec(m, upd)
@@ -424,8 +430,8 @@ func TestExtendTenantStalesCachedRewrites(t *testing.T) {
 		exec(a, "INSERT INTO Account (Aid, Name) VALUES (1, 'Ball'), (2, 'Cube'), (3, 'Dice')")
 		round(a)
 		round(a) // the second pass runs on raw-text hits
-		if err := m.Layout.(extender).ExtendTenant(m.DB, 35, "HealthcareAccount"); err != nil {
-			t.Fatalf("%s: ExtendTenant: %v", m.Layout.Name(), err)
+		if err := extend(m, 35, "HealthcareAccount"); err != nil {
+			t.Fatalf("%s: ExtendTenant: %v", nameOf(m), err)
 		}
 		exec(b, "INSERT INTO Account (Aid, Name, Hospital, Beds) VALUES (3, 'Egg', 'State', 9), (4, 'Fig', 'City', 7)")
 		round(b)
@@ -434,8 +440,8 @@ func TestExtendTenantStalesCachedRewrites(t *testing.T) {
 		return out
 	}
 	layouts := allLayouts(t, paperSchema())
-	want := transcript(layouts["private"])
-	for _, name := range []string{"extension", "chunkfold", "chunkfold-allfolded"} {
+	want := transcript(newPlainTenants(t, paperSchema(), paperTenants()))
+	for _, name := range []string{"private", "extension", "chunkfold", "chunkfold-allfolded"} {
 		got := transcript(layouts[name])
 		for i := range want {
 			if got[i] != want[i] {
@@ -463,7 +469,7 @@ func TestExtendTenantStalesCachedRewrites(t *testing.T) {
 // are therefore the neighbour's alone: every one of its lookups after
 // the warm-up must be a hit.
 func TestExtendTenantUnderCachedLoad(t *testing.T) {
-	for _, name := range []string{"extension", "chunkfold", "chunkfold-allfolded"} {
+	for _, name := range []string{"private", "extension", "chunkfold", "chunkfold-allfolded"} {
 		m := allLayouts(t, paperSchema())[name]
 		loadPaperData(t, m)
 		texts := []string{
@@ -550,7 +556,8 @@ func TestExtendTenantUnderCachedLoad(t *testing.T) {
 // the CRM deck's statement templates with their values inlined — which
 // has more templates than the default capacity and far more raw texts:
 // the population stays within capacity while it churns, and the raw
-// texts of one template alias one cached rewrite, not a copy each.
+// texts of one template alias one cached rewrite, not a copy each. The
+// layout holds one placement per table, whatever the tenant count.
 func TestRewriteCacheManyTablesShape(t *testing.T) {
 	const tenants, tablesPer, rows = 150, 10, 32
 	schema := &Schema{}
@@ -569,6 +576,9 @@ func TestRewriteCacheManyTablesShape(t *testing.T) {
 		if err := l.AddTenant(nil, &Tenant{ID: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := placements(l); n != tenants*tablesPer {
+		t.Fatalf("%d tenants of %d tables hold %d placements", tenants, tenants*tablesPer, n)
 	}
 	c := SharedRewriteCache(l)
 	deck := []func(r *rand.Rand, table string) string{

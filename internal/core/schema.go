@@ -232,6 +232,9 @@ type view struct {
 	cols  []Column
 	names []string // lower-cased column names, sorted
 	at    []uint16 // at[i] is where names[i] sits in cols
+	// place is where the tenants of the view keep the table: set before
+	// a layout publishes the view, nil in views computed on the spot.
+	place *placement
 }
 
 func newView(cols []Column) *view {

@@ -39,7 +39,9 @@ func mixText(q string, v int) string {
 // engine compiles one statement per physical shape — its plan-cache
 // misses are the distinct keys the tenants' cached rewrites carry, and
 // tenants of one extension set carry the same keys — and every result
-// equals the uncached reference's on a twin database. In a second round
+// equals the uncached reference's on a twin database. The layout holds
+// a placement per table and one per tenant with an extension, the only
+// ones a tenant has to itself. In a second round
 // one Chunk Folding tenant without extensions enables one while the other
 // sessions run: only its keys move, to a shape no tenant had, and the
 // engine compiles those alone.
@@ -79,6 +81,16 @@ func TestTenantsSharePlans(t *testing.T) {
 			return m
 		}
 		m, ref := bed(), bed()
+		// A placement per table, and one per (tenant, table it extends).
+		extended := 0
+		for _, tn := range tns {
+			if len(tn.Extensions) > 0 {
+				extended++ // the extensions are all on Account
+			}
+		}
+		if n := placements(m.Layout); n != 2+extended {
+			t.Errorf("%s: %d placements for 2 tables and %d extended tenants", name, n, extended)
+		}
 		// moved is the tenant that enables an extension in round 1.
 		moved := int64(0)
 		if name == "chunkfold" {

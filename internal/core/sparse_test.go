@@ -23,9 +23,9 @@ func (l reshapedPivot) fragments(db *engine.DB, tn *Tenant, table *Table, have [
 	return l.reshape(frags), nil
 }
 
-// TestSparsePlacementRejected: place refuses a sparse anchor and a
-// sparse fragment of more than one column, so neither can appear by
-// accident.
+// TestSparsePlacementRejected: place refuses a sparse anchor, a sparse
+// fragment of more than one column and a fragment without Row beside
+// others, so none can appear by accident.
 func TestSparsePlacementRejected(t *testing.T) {
 	schema := goldenSchema()
 	pv, err := NewPivotLayout(schema, true)
@@ -47,8 +47,21 @@ func TestSparsePlacementRejected(t *testing.T) {
 			fs[1].cols = append(fs[1].cols, fs[2].cols...) // Name and Opened
 			return append(fs[:2], fs[3:]...)
 		}, "sparse fragment of Account stores 2 columns"},
+		{"row-less beside others", func(fs []*fragment) []*fragment {
+			fs[0].rowless = true
+			return fs
+		}, "fragment of Account without Row is one of 4"},
+		{"row-less alone", func(fs []*fragment) []*fragment {
+			f := conventionalFragment("Account", account.Columns)
+			f.rowless = true
+			return []*fragment{f}
+		}, ""},
 	} {
-		p, err := place(reshapedPivot{pv, c.reshape}, nil, tn, account, nil)
+		v, err := schema.view(tn, account)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := place(reshapedPivot{pv, c.reshape}, nil, tn, account, v, nil)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: %v", c.name, err)

@@ -62,12 +62,7 @@ func (l *UniversalLayout) Create(db *engine.DB, tenants []*Tenant) error {
 	if _, err := db.Exec("CREATE UNIQUE INDEX universal_ttr ON Universal (Tenant, Table, Row)"); err != nil {
 		return err
 	}
-	for _, tn := range tenants {
-		if err := l.AddTenant(db, tn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return addTenants(l, db, tenants)
 }
 
 // AddTenant implements Layout: meta-data only, after checking every
@@ -85,7 +80,7 @@ func (l *UniversalLayout) ExtendTenant(db *engine.DB, tenantID int64, extName st
 
 // Rewrite implements Layout.
 func (l *UniversalLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(fragmentRows{l}, tenantID, st)
+	return genericRewrite(l, tenantID, st)
 }
 
 // fragments implements reconstructor: one fragment, the tenant's n-th
@@ -94,7 +89,7 @@ func (l *UniversalLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten,
 // rely on the engine coercing into VARCHAR (dates and booleans
 // serialize via their string forms).
 func (l *UniversalLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, _ []*fragment) ([]*fragment, error) {
-	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	cols, err := l.s.schema.logicalColumns(tn, table)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +103,7 @@ func (l *UniversalLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, _ []
 	}
 	f := &fragment{
 		table: "Universal",
-		meta:  []metaEq{{"Tenant", tn.ID}, {"Table", int64(tid)}},
+		meta:  []metaEq{tenantMeta, {"Table", int64(tid)}},
 		cols:  make([]fragCol, len(cols)),
 	}
 	for i, c := range cols {

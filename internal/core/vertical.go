@@ -45,12 +45,7 @@ func (l *VerticalLayout) state() *state { return l.s }
 
 // Create implements Layout.
 func (l *VerticalLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	for _, tn := range tenants {
-		if err := l.AddTenant(db, tn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return addTenants(l, db, tenants)
 }
 
 // AddTenant implements Layout: computes assignments and creates any
@@ -68,14 +63,14 @@ func (l *VerticalLayout) ExtendTenant(db *engine.DB, tenantID int64, extName str
 
 // Rewrite implements Layout.
 func (l *VerticalLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(fragmentRows{l}, tenantID, st)
+	return genericRewrite(l, tenantID, st)
 }
 
 // fragments implements reconstructor: ChunkLayout's chunks, but each
 // (table, chunk) pair is a physical table of its own — created here if
 // it does not exist yet — and the only meta-data conjunct is Tenant.
 func (l *VerticalLayout) fragments(db *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
-	cols, err := l.s.schema.LogicalColumns(tn, table.Name)
+	cols, err := l.s.schema.logicalColumns(tn, table)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +88,7 @@ func (l *VerticalLayout) fragments(db *engine.DB, tn *Tenant, table *Table, have
 		if err := l.ensureTable(db, g.Def, name); err != nil {
 			return nil, err
 		}
-		out = append(out, g.fragment(name, []metaEq{{"Tenant", tn.ID}}, ""))
+		out = append(out, g.fragment(name, []metaEq{tenantMeta}, ""))
 	}
 	return out, nil
 }
