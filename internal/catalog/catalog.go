@@ -652,31 +652,6 @@ func (c *Catalog) TableNames() []string {
 	return out
 }
 
-// DropTable removes the table, its heap, and its indexes, freeing the
-// pages immediately (the non-WAL path).
-func (c *Catalog) DropTable(name string) error {
-	c.version.Add(1)
-	c.mu.Lock()
-	t, ok := c.tables[key(name)]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("catalog: no such table %s", name)
-	}
-	delete(c.tables, key(name))
-	c.rebudget()
-	c.mu.Unlock()
-
-	t.Mu.Lock()
-	defer t.Mu.Unlock()
-	for _, ix := range t.Indexes {
-		if err := ix.Tree.Drop(); err != nil {
-			return err
-		}
-	}
-	t.Indexes = nil
-	return t.Heap.Drop()
-}
-
 // DropTableDeferred removes the table from the namespace but frees no
 // pages: it returns the heap and index page lists so the caller can log
 // the frees and perform them only after its commit record is durable —
@@ -790,25 +765,6 @@ func (c *Catalog) AdoptIndex(tableName, indexName string, cols []int, unique boo
 		Unique: unique, Tree: btree.Restore(c.pool, root)}
 	t.Indexes = append(t.Indexes, ix)
 	return ix, nil
-}
-
-// DropIndex removes an index from a table, freeing its pages
-// immediately (the non-WAL path).
-func (c *Catalog) DropIndex(tableName, indexName string) error {
-	c.version.Add(1)
-	t, err := c.Table(tableName)
-	if err != nil {
-		return err
-	}
-	t.Mu.Lock()
-	defer t.Mu.Unlock()
-	for i, ix := range t.Indexes {
-		if strings.EqualFold(ix.Name, indexName) {
-			t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
-			return ix.Tree.Drop()
-		}
-	}
-	return fmt.Errorf("catalog: no index %s on %s", indexName, tableName)
 }
 
 // DropIndexDeferred removes the index from the table but frees no

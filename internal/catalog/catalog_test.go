@@ -44,13 +44,13 @@ func TestCreateDropTable(t *testing.T) {
 	if !c.HasTable("ACCOUNT") {
 		t.Error("HasTable case-insensitive lookup failed")
 	}
-	if err := c.DropTable("Account"); err != nil {
+	if _, _, err := c.DropTableDeferred("Account"); err != nil {
 		t.Fatal(err)
 	}
 	if c.HasTable("Account") {
 		t.Error("table survived drop")
 	}
-	if err := c.DropTable("Account"); err == nil {
+	if _, _, err := c.DropTableDeferred("Account"); err == nil {
 		t.Error("double drop should fail")
 	}
 }
@@ -82,7 +82,7 @@ func TestMetaBudgetShrinksPool(t *testing.T) {
 		t.Errorf("MetaBytes = %d", got)
 	}
 	for i := 0; i < 20; i++ {
-		c.DropTable(fmt.Sprintf("t%02d", i))
+		c.DropTableDeferred(fmt.Sprintf("t%02d", i))
 	}
 	if pool.Capacity() != before {
 		t.Errorf("pool capacity should recover after drops: %d vs %d", pool.Capacity(), before)
@@ -282,10 +282,10 @@ func TestDropIndex(t *testing.T) {
 	c, _ := newCatalog(1 << 20)
 	c.CreateTable("T", accountCols())
 	c.CreateIndex("T", "ix", []string{"Aid"}, false)
-	if err := c.DropIndex("T", "ix"); err != nil {
+	if _, err := c.DropIndexDeferred("T", "ix"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DropIndex("T", "ix"); err == nil {
+	if _, err := c.DropIndexDeferred("T", "ix"); err == nil {
 		t.Error("double drop index should fail")
 	}
 }

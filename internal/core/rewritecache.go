@@ -49,7 +49,8 @@ import (
 // tenant sharing statement text do the parse+rewrite work once. A cached
 // template AST is shared by every session that hits it and is read-only
 // from then on: sessions plan it concurrently, so the planner rewrites
-// copies, never the tree it is handed (plan.flattenSubqueries).
+// copies, never the tree it is handed (plan.flattenSubqueries;
+// TestPlannerLeavesASTUntouched holds it to that).
 type RewriteCache struct {
 	layout Layout
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/mvcc"
 	"repro/internal/plan"
 	"repro/internal/sql"
-	"repro/internal/wal"
 )
 
 // execAlterOnline runs a column-shape ALTER without fencing off the
@@ -90,20 +89,17 @@ func (db *DB) execAlterOnline(st sql.Statement) error {
 	// Durability before visibility: the schema change must be on the log
 	// before any snapshot can observe it, or a crash after a post-ALTER
 	// write would recover rows no surviving schema explains.
-	if db.log != nil {
-		var scope *wal.Scope
-		scope, err = db.log.Begin()
-		if err != nil {
-			return err
-		}
-		if err = scope.CatalogChange(ch.Encode()); err != nil {
-			scope.Abort()
-			return err
-		}
-		if err = scope.Commit(); err != nil {
-			scope.Abort()
-			return err
-		}
+	scope, err := db.log.Begin()
+	if err != nil {
+		return err
+	}
+	if err = scope.CatalogChange(ch.Encode()); err != nil {
+		scope.Abort()
+		return err
+	}
+	if err = scope.Commit(); err != nil {
+		scope.Abort()
+		return err
 	}
 
 	// Publish. StampDDL burns one commit timestamp through the ordinary
@@ -129,23 +125,17 @@ func (db *DB) planForTx(key string, st sql.Statement, tx *mvcc.Txn) (*compiled, 
 }
 
 // planAsOf plans st under the schema versions visible at ts. The
-// statement is re-parsed from its printed form so the planner gets a
-// private AST: the optimizer rewrites ASTs in place, and the shared
-// AST object may concurrently be planned under the newest schema by
-// another session. The plan is never cached — old-snapshot plans die
-// with their transaction, and the cache key (text, catalog version)
-// has no epoch dimension — so the compiled statement, and the tree its
-// one execution builds, are the caller's alone and go when it returns.
+// planner only reads st, which another session may be planning under
+// the newest schema at the same time. The plan is never cached —
+// old-snapshot plans die with their transaction, and the cache key
+// (text, catalog version) has no epoch dimension — so the compiled
+// statement, and the tree its one execution builds, are the caller's
+// alone and go when it returns.
 func (db *DB) planAsOf(st sql.Statement, ts uint64) (*compiled, error) {
-	fresh, err := sql.Parse(st.String())
-	if err != nil {
-		return nil, fmt.Errorf("engine: replan as-of snapshot: %w", err)
-	}
 	p := &plan.Planner{Cat: db.cat, Mode: db.cfg.Optimizer, AsOf: ts, AsOfSet: true}
-	n, err := p.PlanStatement(fresh)
+	n, err := p.PlanStatement(st)
 	if err != nil {
 		return nil, err
 	}
-	// Private already, so not marked stateful: forExec need not clone.
 	return &compiled{node: n}, nil
 }

@@ -262,7 +262,7 @@ func (b *backfiller) migratePage(t *catalog.Table, rids []storage.RID, recs [][]
 		}
 	}()
 	ensureScope := func() error {
-		if b.db.log == nil || scope != nil {
+		if scope != nil {
 			return nil
 		}
 		s, serr := b.db.log.Begin()

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/mvcc"
@@ -47,13 +46,6 @@ type Config struct {
 	Optimizer plan.Mode
 	// InsertMode selects the heap placement policy (§5 insert anomaly).
 	InsertMode storage.InsertMode
-	// PlanCacheSize bounds the engine plan cache in statements; ad-hoc
-	// Exec/Query reuse compiled plans keyed by (statement text, catalog
-	// version). 0 means the default (512).
-	PlanCacheSize int
-	// DisableWAL turns off write-ahead logging; statements then have no
-	// durability and Crash/Recover are unavailable.
-	DisableWAL bool
 	// NoGroupCommit makes every commit issue its own log sync instead of
 	// piggybacking on a concurrent leader's (the durability baseline).
 	NoGroupCommit bool
@@ -97,8 +89,8 @@ func resolveConflictWait(d time.Duration) time.Duration {
 // Result reports the outcome of a non-query statement.
 type Result struct {
 	RowsAffected int64
-	// StmtID is the statement's WAL identity (0 when WAL is disabled or
-	// the statement was a query).
+	// StmtID is the statement's WAL identity (0 when the statement was a
+	// query).
 	StmtID uint64
 }
 
@@ -116,7 +108,7 @@ type DB struct {
 	cat     *catalog.Catalog
 	planner *plan.Planner
 	plans   *planCache
-	log     *wal.Log      // nil when WAL is disabled
+	log     *wal.Log
 	txns    *mvcc.Manager // transaction registry and commit clock
 
 	// conflictWait is the resolved bounded wait-then-abort deadline
@@ -217,15 +209,12 @@ func Open(cfg Config) *DB {
 		InsertMode:        cfg.InsertMode,
 		Versions:          txns,
 	})
-	var log *wal.Log
-	if !cfg.DisableWAL {
-		log = wal.New(wal.Config{
-			SyncLatency:   cfg.SyncLatency,
-			NoGroupCommit: cfg.NoGroupCommit,
-		})
-		log.AttachPool(pool)
-		pool.SetWALGate(log)
-	}
+	log := wal.New(wal.Config{
+		SyncLatency:   cfg.SyncLatency,
+		NoGroupCommit: cfg.NoGroupCommit,
+	})
+	log.AttachPool(pool)
+	pool.SetWALGate(log)
 	return newDB(cfg, disk, pool, cat, log, txns)
 }
 
@@ -239,7 +228,7 @@ func newDB(cfg Config, disk *storage.Disk, pool *storage.BufferPool, cat *catalo
 		pool:          pool,
 		cat:           cat,
 		planner:       plan.New(cat, cfg.Optimizer),
-		plans:         newPlanCache(cfg.PlanCacheSize),
+		plans:         newPlanCache(),
 		log:           log,
 		txns:          txns,
 		conflictWait:  cw,
@@ -465,51 +454,40 @@ func (db *DB) execDML(st sql.Statement, key string, params []types.Value) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	p := c.forExec()
-	var scope *wal.Scope
-	var tbl *catalog.Table
-	if db.log != nil {
-		scope, err = db.log.Begin()
-		if err != nil {
-			return Result{}, err
-		}
-		tbl, err = db.cat.Table(write)
-		if err != nil {
-			scope.Abort()
-			return Result{}, err
-		}
-		// Install the statement's loggers on the target table (we hold
-		// its write lock) so every page mutation — including undo
-		// compensations on failure — emits a redo record under this
-		// transaction's ID. Cleared before the lock is released.
-		tbl.SetWAL(scope.HeapLogger(tbl.Name), scope.TreeLogger())
-		defer tbl.SetWAL(nil, nil)
+	scope, err := db.log.Begin()
+	if err != nil {
+		return Result{}, err
 	}
+	tbl, err := db.cat.Table(write)
+	if err != nil {
+		scope.Abort()
+		return Result{}, err
+	}
+	// Install the statement's loggers on the target table (we hold its
+	// write lock) so every page mutation — including undo compensations
+	// on failure — emits a redo record under this transaction's ID.
+	// Cleared before the lock is released.
+	tbl.SetWAL(scope.HeapLogger(tbl.Name), scope.TreeLogger())
+	defer tbl.SetWAL(nil, nil)
 	// Begin after the locks are held: a concurrent autocommit writer on
 	// the same table is serialized by the lock, never a false conflict.
 	tx := db.writerTxn()
 	undo := &catalog.UndoLog{}
-	n, err := exec.RunDMLTx(p, params, &db.execStats, tx, undo)
+	n, err := exec.RunDMLTx(c.node, params, &db.execStats, tx, undo)
 	if err != nil {
 		// RunDMLTx rolled the statement's partial effects back before
 		// returning (statement-level atomicity).
 		db.noteRollback(err)
-		if scope != nil {
-			scope.Abort()
-		}
+		scope.Abort()
 		if tx != nil {
 			tx.Abort()
 		}
 		return Result{RowsAffected: n}, err
 	}
-	var cerr error
-	if scope != nil {
-		// Durability before visibility: the commit record is on the log
-		// before the commit timestamp makes the writes visible to
-		// snapshots that begin afterwards.
-		cerr = scope.Commit()
-	}
-	if cerr != nil {
+	// Durability before visibility: the commit record is on the log
+	// before the commit timestamp makes the writes visible to snapshots
+	// that begin afterwards.
+	if cerr := scope.Commit(); cerr != nil {
 		// The commit record is not durable: take the statement back out
 		// (the undo log is still whole) instead of leaving writes in
 		// memory that the client was told failed and that a crash would
@@ -538,10 +516,7 @@ func (db *DB) execDML(st sql.Statement, key string, params []types.Value) (Resul
 	if tx != nil {
 		tx.Commit()
 	}
-	if scope != nil {
-		return Result{RowsAffected: n, StmtID: scope.ID()}, nil
-	}
-	return Result{RowsAffected: n}, nil
+	return Result{RowsAffected: n, StmtID: scope.ID()}, nil
 }
 
 func (db *DB) execDDL(st sql.Statement) error {
@@ -561,18 +536,11 @@ func (db *DB) execDDL(st sql.Statement) error {
 	// The catalog version bump already invalidates lookups; purging
 	// releases the stale plans' memory promptly.
 	defer db.plans.purge()
-	var scope *wal.Scope
-	if db.log != nil {
-		var err error
-		scope, err = db.log.Begin()
-		if err != nil {
-			return err
-		}
-	}
-	ch, err := db.applyDDL(st, scope)
-	if scope == nil {
+	scope, err := db.log.Begin()
+	if err != nil {
 		return err
 	}
+	ch, err := db.applyDDL(st, scope)
 	if err != nil || ch == nil {
 		// Failed, or an IF [NOT] EXISTS no-op: nothing durable happened.
 		scope.Abort()
@@ -585,9 +553,9 @@ func (db *DB) execDDL(st sql.Statement) error {
 }
 
 // applyDDL mutates the catalog and returns the schema change to log, or
-// (nil, nil) when the statement was a no-op. With a scope, destructive
-// statements defer their page frees to the scope's commit point —
-// redo-only recovery cannot resurrect pages an uncommitted drop already
+// (nil, nil) when the statement was a no-op. Destructive statements
+// defer their page frees to the scope's commit point — redo-only
+// recovery cannot resurrect pages an uncommitted drop already
 // destroyed.
 func (db *DB) applyDDL(st sql.Statement, scope *wal.Scope) (*catalog.DDLChange, error) {
 	switch st := st.(type) {
@@ -604,11 +572,7 @@ func (db *DB) applyDDL(st sql.Statement, scope *wal.Scope) (*catalog.DDLChange, 
 		}
 		return &catalog.DDLChange{Op: catalog.OpCreateTable, Table: st.Name, Cols: cols}, nil
 	case *sql.CreateIndexStmt:
-		var lg btree.Logger
-		if scope != nil {
-			lg = scope.TreeLogger()
-		}
-		ix, err := db.cat.CreateIndexLogged(st.Table, st.Name, st.Columns, st.Unique, lg)
+		ix, err := db.cat.CreateIndexLogged(st.Table, st.Name, st.Columns, st.Unique, scope.TreeLogger())
 		if err != nil {
 			return nil, err
 		}
@@ -626,9 +590,6 @@ func (db *DB) applyDDL(st sql.Statement, scope *wal.Scope) (*catalog.DDLChange, 
 		if st.IfExists && !db.cat.HasTable(st.Name) {
 			return nil, nil
 		}
-		if scope == nil {
-			return nil, db.cat.DropTable(st.Name)
-		}
 		data, index, err := db.cat.DropTableDeferred(st.Name)
 		if err != nil {
 			return nil, err
@@ -637,9 +598,6 @@ func (db *DB) applyDDL(st sql.Statement, scope *wal.Scope) (*catalog.DDLChange, 
 		scope.DeferFree(storage.CatIndex, index...)
 		return &catalog.DDLChange{Op: catalog.OpDropTable, Table: st.Name}, nil
 	case *sql.DropIndexStmt:
-		if scope == nil {
-			return nil, db.cat.DropIndex(st.Table, st.Name)
-		}
 		pages, err := db.cat.DropIndexDeferred(st.Table, st.Name)
 		if err != nil {
 			return nil, err
@@ -902,7 +860,7 @@ type Stats struct {
 	Exec exec.Counters
 	// WAL carries durability counters: bytes and records appended, sync
 	// calls, commits, the group-commit batch-size histogram, checkpoints
-	// taken, and log bytes truncated. Zero when WAL is disabled.
+	// taken, and log bytes truncated.
 	WAL wal.Stats
 	// Recoveries counts how many times this database instance has been
 	// rebuilt from its log; RecoveryReplayed is the total number of redo
@@ -915,7 +873,7 @@ type Stats struct {
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	// PlanCacheEntries is the compiled-plan LRU's population: statements
-	// compiled and kept, at most Config.PlanCacheSize.
+	// compiled and kept, at most planCacheSize.
 	PlanCacheEntries int
 	// Replication telemetry. Primary side: ReplShippedLSN is the stream
 	// offset shipped to the furthest subscriber, ReplAckedLSN the highest
@@ -972,22 +930,18 @@ func (db *DB) Stats() Stats {
 	s.PublishBatches = c.PublishBatches
 	s.PublishedTxns = c.PublishedTxns
 	s.PlanCacheHits, s.PlanCacheMisses, s.PlanCacheEntries = db.plans.counters()
-	if db.log != nil {
-		s.WAL = db.log.Stats()
-	}
+	s.WAL = db.log.Stats()
 	s.ReplShippedLSN = db.replShippedLSN.Load()
 	s.ReplAckedLSN = db.replAckedLSN.Load()
 	s.ReplAckRoundTrips = db.replAckRounds.Load()
 	s.ReplAppliedLSN = db.replAppliedLSN.Load()
 	s.ReplAppliedCommitLSN = db.replAppliedCommitLSN.Load()
-	if db.log != nil {
-		end := uint64(db.log.DurableLSN())
-		switch {
-		case db.readOnly.Load() && s.ReplAppliedLSN > 0:
-			s.ReplLagBytes = int64(end - s.ReplAppliedLSN)
-		case s.ReplAckedLSN > 0:
-			s.ReplLagBytes = int64(end - s.ReplAckedLSN)
-		}
+	end := uint64(db.log.DurableLSN())
+	switch {
+	case db.readOnly.Load() && s.ReplAppliedLSN > 0:
+		s.ReplLagBytes = int64(end - s.ReplAppliedLSN)
+	case s.ReplAckedLSN > 0:
+		s.ReplLagBytes = int64(end - s.ReplAckedLSN)
 	}
 	return s
 }
@@ -997,9 +951,7 @@ func (db *DB) ResetStats() {
 	db.pool.ResetStats()
 	db.disk.ResetCounters()
 	db.execStats.Reset()
-	if db.log != nil {
-		db.log.ResetStats()
-	}
+	db.log.ResetStats()
 }
 
 // DropCaches flushes and empties the buffer pool — the cold-cache
@@ -1017,7 +969,7 @@ func (db *DB) BufferPool() *storage.BufferPool { return db.pool }
 // Disk exposes the disk for experiment harnesses.
 func (db *DB) Disk() *storage.Disk { return db.disk }
 
-// WAL exposes the log for experiment harnesses (nil when disabled).
+// WAL exposes the log for experiment harnesses.
 func (db *DB) WAL() *wal.Log { return db.log }
 
 // Txns exposes the transaction manager; the network server's drain
@@ -1037,9 +989,6 @@ type ckptPayload struct {
 // log to the oldest byte still needed — the minimum of the checkpoint's
 // own frame and the oldest recLSN of any still-dirty page.
 func (db *DB) Checkpoint() error {
-	if db.log == nil {
-		return nil
-	}
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
 	return db.checkpointLocked()
@@ -1082,7 +1031,7 @@ func (db *DB) checkpointLocked() error {
 // dropped: a failed checkpoint only delays truncation, and if the log
 // crashed the next statement reports it.
 func (db *DB) maybeCheckpoint() {
-	if db.log == nil || db.cfg.CheckpointBytes <= 0 {
+	if db.cfg.CheckpointBytes <= 0 {
 		return
 	}
 	if db.log.BytesSinceCheckpoint() >= db.cfg.CheckpointBytes {
@@ -1107,9 +1056,7 @@ type CrashImage struct {
 // further appends, and the disk rejects all traffic until Recover. The
 // returned image is the starting point for Recover.
 func (db *DB) Crash() *CrashImage {
-	if db.log != nil {
-		db.log.Crash()
-	}
+	db.log.Crash()
 	db.pool.Crash()
 	db.disk.SetCrashed(true)
 	return &CrashImage{

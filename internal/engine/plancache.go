@@ -18,18 +18,16 @@ import (
 // (execDDL also purges eagerly to release memory).
 //
 // Planning for a given key happens at most once even under concurrent
-// callers (the in-flight table): besides avoiding duplicate work, this
-// is a correctness requirement, because the optimizer's subquery
-// flattening rewrites the statement AST in place, so two goroutines
-// must never plan the same AST object concurrently.
+// callers (the in-flight table), so a burst of sessions missing on one
+// statement plans it once. The planner only reads the AST it is given,
+// so this is a dedupe, not a guard.
 //
-// The plan of an entry is shared read-only by every execution (its
-// lazily cached schemas are warmed before publication); what an
-// execution mutates lives in an operator tree, and the entry keeps a
-// few of those between executions (see compiled).
+// The plan of an entry is never written after the planner returns it
+// and is shared by every execution; what an execution mutates, its
+// IN-subquery sets included, lives in an operator tree, and the entry
+// keeps a few of those between executions (see compiled).
 type planCache struct {
 	mu      sync.Mutex
-	cap     int
 	lru     *list.List // front = LRU victim, back = most recent
 	entries map[planKey]*list.Element
 	flight  map[planKey]*planFlight
@@ -41,6 +39,9 @@ type planKey struct {
 	text    string
 	version int64
 }
+
+// planCacheSize bounds the cache in statements.
+const planCacheSize = 512
 
 // maxFreeTrees bounds a compiled statement's free list. A tree serves
 // one execution at a time, so the list only needs to cover the
@@ -54,13 +55,10 @@ const maxFreeTrees = 4
 // belongs to the entry and dies with it — LRU eviction, purge, or a
 // catalog-version change that leaves the entry unreachable — so a plan
 // nobody runs again holds no trees, and the cache's worst case is
-// cap × maxFreeTrees × exec's per-tree byte budget.
+// planCacheSize × maxFreeTrees × exec's per-tree byte budget.
 type compiled struct {
 	key  planKey
 	node plan.Node
-	// stateful plans (IN-subquery sets) may not be executed shared:
-	// exec.Build clones one per tree, forExec one per DML execution.
-	stateful bool
 
 	mu   sync.Mutex
 	free []*exec.Tree
@@ -128,15 +126,6 @@ func (c *compiled) drain(params []types.Value, st *exec.Stats, tx *mvcc.Txn) (in
 	return n, err
 }
 
-// forExec returns the plan for a DML execution, which binds subqueries
-// on the plan itself: private to the caller when stateful.
-func (c *compiled) forExec() plan.Node {
-	if c.stateful {
-		return plan.CloneForExec(c.node)
-	}
-	return c.node
-}
-
 // planFlight is a single-flight slot: the first goroutine to miss on a
 // key builds the plan; later ones wait on done and reuse the result.
 type planFlight struct {
@@ -145,14 +134,8 @@ type planFlight struct {
 	err  error
 }
 
-// newPlanCache builds a cache of capacity plans; 0 (Config's zero
-// value) or less means the default, 512.
-func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = 512
-	}
+func newPlanCache() *planCache {
 	return &planCache{
-		cap:     capacity,
 		lru:     list.New(),
 		entries: make(map[planKey]*list.Element),
 		flight:  make(map[planKey]*planFlight),
@@ -181,8 +164,7 @@ func (c *planCache) get(key planKey, build func() (plan.Node, error)) (*compiled
 
 	n, err := build()
 	if err == nil {
-		plan.WarmSchemas(n)
-		f.c = &compiled{key: key, node: n, stateful: plan.HasExecState(n)}
+		f.c = &compiled{key: key, node: n}
 	}
 	f.err = err
 
@@ -190,7 +172,7 @@ func (c *planCache) get(key planKey, build func() (plan.Node, error)) (*compiled
 	delete(c.flight, key)
 	if err == nil {
 		c.entries[key] = c.lru.PushBack(f.c)
-		for len(c.entries) > c.cap {
+		for len(c.entries) > planCacheSize {
 			victim := c.lru.Front()
 			c.lru.Remove(victim)
 			delete(c.entries, victim.Value.(*compiled).key)

@@ -76,10 +76,10 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentStateful runs a statement whose plan carries
-// per-execution state (an IN subquery) from many goroutines; the cache
-// must clone the plan per execution so results stay correct (run under
-// -race to catch sharing).
+// TestPlanCacheConcurrentStateful runs a statement whose executions
+// each materialize an IN-subquery set from many goroutines over one
+// shared plan; every execution must keep its set to itself, so results
+// stay correct (run under -race to catch sharing).
 func TestPlanCacheConcurrentStateful(t *testing.T) {
 	db := newCacheTestDB(t)
 	const q = "SELECT COUNT(*) FROM acct WHERE region IN (SELECT region FROM acct WHERE id = ?)"
@@ -110,6 +110,83 @@ func TestPlanCacheConcurrentStateful(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPlanCacheConcurrentSubqueryDML runs one UPDATE and one DELETE
+// whose WHERE holds an IN subquery from eight goroutines, half
+// autocommit and half inside session transactions. Each plan is shared
+// by every execution; each goroutine's subquery selects its own rows,
+// and a group of g+1 rows tells from the count alone whose set an
+// execution used (run under -race to catch sharing).
+func TestPlanCacheConcurrentSubqueryDML(t *testing.T) {
+	db := Open(Config{})
+	mustExec := func(q string) {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	mustExec("CREATE TABLE member (id INTEGER, grp INTEGER)")
+	mustExec("CREATE TABLE item (id INTEGER, val INTEGER)")
+	mustExec("CREATE INDEX item_id ON item (id)")
+	const goroutines, rounds = 8, 10
+	for g := 0; g < goroutines; g++ {
+		for k := 0; k <= g; k++ {
+			mustExec(fmt.Sprintf("INSERT INTO member (id, grp) VALUES (%d, %d)", g*10+k, g))
+			mustExec(fmt.Sprintf("INSERT INTO item (id, val) VALUES (%d, 0)", g*10+k))
+		}
+	}
+	const (
+		upd = "UPDATE item SET val = val + 1 WHERE id IN (SELECT id FROM member WHERE grp = ?)"
+		del = "DELETE FROM item WHERE id IN (SELECT id FROM member WHERE grp = ?) AND val > ?"
+	)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			grp := types.NewInt(int64(g))
+			// run executes one statement the goroutine's way and checks it
+			// touched exactly the goroutine's g+1 rows.
+			run := func(q string, params ...types.Value) bool {
+				var res Result
+				var err error
+				if g%2 == 0 {
+					res, err = db.Exec(q, params...)
+				} else {
+					s := db.Session()
+					defer s.Close()
+					if _, err = s.Exec("BEGIN"); err == nil {
+						if res, err = s.Exec(q, params...); err == nil {
+							_, err = s.Exec("COMMIT")
+						}
+					}
+				}
+				if err != nil {
+					t.Errorf("g=%d %s: %v", g, q, err)
+					return false
+				}
+				if res.RowsAffected != int64(g+1) {
+					t.Errorf("g=%d %s: %d rows, want %d", g, q, res.RowsAffected, g+1)
+					return false
+				}
+				return true
+			}
+			for i := 0; i < rounds; i++ {
+				if !run(upd, grp) {
+					return
+				}
+			}
+			run(del, grp, types.NewInt(rounds-1))
+		}()
+	}
+	wg.Wait()
+	rows, err := db.Query("SELECT COUNT(*) FROM item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rows.Data[0][0].Int; n != 0 {
+		t.Errorf("%d item rows left, want 0: every goroutine deletes its own", n)
+	}
 }
 
 // TestPlanCacheConcurrentSharedPlan hammers one stateless statement

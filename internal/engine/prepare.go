@@ -14,9 +14,8 @@ import (
 // break them).
 //
 // A Stmt is safe for concurrent use and executions do not serialize:
-// plans that carry per-execution state (e.g. materialized
-// IN-subqueries) are cloned per execution, everything else is shared
-// read-only.
+// its plan is shared read-only, and what an execution accumulates
+// (e.g. materialized IN-subqueries) stays with that execution.
 type Stmt struct {
 	db  *DB
 	st  sql.Statement

@@ -100,9 +100,6 @@ func Recover(img *CrashImage) (*DB, *RecoverReport, error) {
 // invariant check is skipped when open transactions exist (their
 // mid-statement state is consistent only at applied-commit boundaries).
 func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalEntry, error) {
-	if img.Log == nil {
-		return nil, nil, nil, fmt.Errorf("engine: cannot recover without a WAL")
-	}
 	img.Log.Reopen()
 	if replica {
 		// Reopen cleared the active map (on a primary those statements

@@ -87,9 +87,6 @@ func DecodeReplImage(b []byte) (*ReplImage, error) {
 // truncation kept their log records, and replica recovery journals
 // them for the follower's applier.
 func (db *DB) ReplImage() (*ReplImage, error) {
-	if db.log == nil {
-		return nil, errors.New("engine: replication requires the WAL (DisableWAL is set)")
-	}
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
 	if err := db.checkpointLocked(); err != nil {
@@ -122,9 +119,6 @@ func (db *DB) ReplImage() (*ReplImage, error) {
 // live stream from the durable horizon onward.
 func OpenReplica(img *ReplImage) (*DB, *Applier, error) {
 	cfg := img.Cfg
-	if cfg.DisableWAL {
-		return nil, nil, errors.New("engine: replica image from a WAL-less primary")
-	}
 	disk := storage.RestoreDisk(img.Disk)
 	disk.ReadLatency = cfg.ReadLatency
 	log := wal.RestoreLog(wal.Config{

@@ -291,7 +291,7 @@ func (s *Session) commit() (Result, error) {
 		// reservation whose sync is still in flight).
 		db.txns.MarkDurable(s.tx)
 	} else {
-		// Read-only or WAL-less transaction: nothing was synced, commit
+		// Read-only transaction: nothing was logged or synced, commit
 		// synchronously.
 		s.tx.Commit()
 	}
@@ -333,10 +333,8 @@ func (s *Session) savepoint(name string) (Result, error) {
 	if err := s.ensureScope(); err != nil {
 		return Result{}, err
 	}
-	if s.scope != nil {
-		if err := s.scope.Savepoint(name); err != nil {
-			return Result{}, err
-		}
+	if err := s.scope.Savepoint(name); err != nil {
+		return Result{}, err
 	}
 	s.saves = append(s.saves, savepoint{name: strings.ToLower(name), mark: s.undo.Mark()})
 	return Result{}, nil
@@ -448,7 +446,7 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 		unlock()
 		return Result{}, err
 	}
-	pd, err := exec.PrepareDML(c.forExec(), params, &db.execStats, s.tx)
+	pd, err := exec.PrepareDML(c.node, params, &db.execStats, s.tx)
 	unlock()
 	if err != nil {
 		// Nothing was applied; the failed statement still counts as a
@@ -482,9 +480,7 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 	// whole-statement write lock, and the in-latch undo replay on error
 	// keeps statement atomicity without other appliers interleaving.
 	t.Mu.Lock()
-	if s.scope != nil {
-		t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger())
-	}
+	t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger())
 	mark := s.undo.Mark()
 	n, err := exec.ApplyDML(pd, s.tx, s.undo)
 	if err != nil {
@@ -493,9 +489,7 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 		}
 		n = 0
 	}
-	if s.scope != nil {
-		t.SetWAL(nil, nil)
-	}
+	t.SetWAL(nil, nil)
 	t.Mu.Unlock()
 	if err != nil {
 		// The statement's own suffix of the undo log was replayed; the
@@ -503,11 +497,7 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 		db.noteRollback(err)
 		return Result{RowsAffected: n}, err
 	}
-	res := Result{RowsAffected: n}
-	if s.scope != nil {
-		res.StmtID = s.scope.ID()
-	}
-	return res, nil
+	return Result{RowsAffected: n, StmtID: s.scope.ID()}, nil
 }
 
 // admitWrite passes the transaction through table's soft admission
@@ -591,7 +581,7 @@ func (s *Session) drainSelect(sel *sql.SelectStmt, key string, params []types.Va
 // ensureScope lazily begins the transaction's WAL scope at its first
 // write (or savepoint), so read-only transactions never touch the log.
 func (s *Session) ensureScope() error {
-	if s.db.log == nil || s.scope != nil {
+	if s.scope != nil {
 		return nil
 	}
 	scope, err := s.db.log.Begin()

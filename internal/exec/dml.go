@@ -121,30 +121,24 @@ func (p *PreparedDML) WriteSet() []storage.RID {
 	return p.rids
 }
 
-// PrepareDML evaluates a DML plan without mutating anything: it binds
-// subqueries, gathers the snapshot-visible match set, and evaluates
-// VALUES/SET expressions against the pre-statement rows. The caller
-// must hold at least shared latches on the target table and every
-// table the plan reads, and — because binding writes into the plan's
-// IN-subquery scalars — must not share n with another execution.
+// PrepareDML evaluates a DML plan without mutating anything: it gathers
+// the snapshot-visible match set and evaluates VALUES/SET expressions
+// against the pre-statement rows. The caller must hold at least shared
+// latches on the target table and every table the plan reads. n is only
+// read; the call's IN-subquery sets die with it.
 func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*PreparedDML, error) {
-	ctx := &Context{Params: params, Stats: st, Txn: tx}
-	if plan.HasExecState(n) {
-		// A DML plan has no operator tree of its own; this one is what
-		// its subqueries' trees hang off.
-		t := &Tree{}
-		t.bind(params, st, tx)
-		if err := t.bindSubqueries(n); err != nil {
-			return nil, err
-		}
-	}
+	// A DML plan has no operator tree of its own; this one holds the
+	// execution's context and what its subqueries build.
+	t := &Tree{}
+	t.bind(params, st, tx)
+	ctx := &t.ctx
 	switch n := n.(type) {
 	case *plan.InsertPlan:
 		rows := make([][]types.Value, 0, len(n.Rows))
 		for _, exprs := range n.Rows {
 			row := make([]types.Value, len(n.Table.Columns))
 			for i, e := range exprs {
-				v, err := e.Eval(nil, ctx.Params)
+				v, err := e.Eval(nil, &ctx.Env)
 				if err != nil {
 					return nil, err
 				}
@@ -182,7 +176,7 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 			oldRow := rows[i]
 			newRow := append([]types.Value(nil), oldRow...)
 			for j, col := range n.SetCols {
-				v, err := n.SetExprs[j].Eval(oldRow, ctx.Params)
+				v, err := n.SetExprs[j].Eval(oldRow, &ctx.Env)
 				if err != nil {
 					return nil, err
 				}
@@ -245,7 +239,7 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 	var scratch []types.Value
 	keep := func(rid storage.RID, row []types.Value) error {
 		if filter != nil {
-			v, err := filter.Eval(row, ctx.Params)
+			v, err := filter.Eval(row, &ctx.Env)
 			if err != nil {
 				return err
 			}
@@ -259,7 +253,7 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 	}
 	if path != nil {
 		var keys keyRange
-		lo, hi, ok, err := keys.set(path, nil, ctx.Params)
+		lo, hi, ok, err := keys.set(path, nil, &ctx.Env)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -13,9 +13,10 @@ import (
 	"repro/internal/types"
 )
 
-// Context carries per-execution state.
+// Context carries per-execution state: the Env scalars evaluate
+// against, and what only operators read.
 type Context struct {
-	Params []types.Value
+	plan.Env
 	// Stats receives executor counters (rows scanned, batches, decode
 	// savings); may be nil. Iterators flush into it on Close.
 	Stats *Stats
@@ -52,67 +53,74 @@ type Iterator interface {
 const treeBudget = 2 << 20
 
 // Tree is one instantiated operator tree of a plan, the per-execution
-// half of a compiled statement: the plan is immutable and shared, a
-// Tree holds everything an execution mutates. It serves one execution
-// at a time and may serve any number in sequence; between them it keeps
-// the capacity its operators grew, so a warm statement allocates its
-// result and little else.
+// half of a compiled statement: the plan is only ever read and may be
+// shared by any number of trees, a Tree holds everything an execution
+// mutates, the IN-subquery sets included. It serves one execution at a
+// time and may serve any number in sequence; between them it keeps the
+// capacity its operators grew, so a warm statement allocates its result
+// and little else.
 type Tree struct {
 	root Iterator
 	// ctx is the running execution's Context, zero between executions:
 	// every operator holds a pointer to it, so clearing it here releases
 	// parameters and snapshot for all of them. subctx is the same without
 	// Stats, for subquery plans, whose scans have never been counted.
+	// Both reach the tree's sets through Env.Sets.
 	ctx, subctx Context
-	// subs are the IN-subquery scalars of the tree's own copy of the
-	// plan, bound to it at Build.
-	subs []*plan.InSubquery
+	// subs are the operator trees of the plan's IN subqueries, by slot,
+	// each built at its subquery's first evaluation and kept; sets are
+	// what they materialized in the running execution.
+	subs []Iterator
+	sets []*plan.InSet
 	// batches are the operators' output batches, subquery plans'
 	// included: the part of a tree whose size depends on the data.
 	batches []*Batch
 	failed  bool
 }
 
-// Build instantiates a plan as an operator tree. A plan that carries
-// execution state (IN-subquery sets) is cloned first, once for the
-// tree's lifetime, so n itself is only ever read and may be shared.
+// Build instantiates a plan as an operator tree. n is only read.
 func Build(n plan.Node) (*Tree, error) {
 	t := &Tree{}
-	if plan.HasExecState(n) {
-		n = plan.CloneForExec(n)
-		if err := t.bindSubqueries(n); err != nil {
-			return nil, err
-		}
-	}
 	var err error
 	t.root, err = t.build(n)
 	return t, err
 }
 
-// bindSubqueries gives every InSubquery scalar of n — which must be
-// private to the caller — an operator tree of its own inside t and a
-// Materialize callback that runs it under the snapshot t is bound to at
-// the time, so subqueries see the same version of the database as the
-// enclosing statement.
-func (t *Tree) bindSubqueries(n plan.Node) error {
-	t.subs = plan.Subqueries(n)
-	for _, in := range t.subs {
+// InSet implements plan.InSets: the first evaluation of a subquery in
+// an execution runs its plan under the snapshot the tree is bound to,
+// so subqueries see the same version of the database as the enclosing
+// statement.
+func (t *Tree) InSet(in *plan.InSubquery) (*plan.InSet, error) {
+	if in.Slot >= len(t.sets) {
+		t.subs = append(t.subs, make([]Iterator, in.Slot+1-len(t.subs))...)
+		t.sets = append(t.sets, make([]*plan.InSet, in.Slot+1-len(t.sets))...)
+	}
+	if set := t.sets[in.Slot]; set != nil {
+		return set, nil
+	}
+	if t.subs[in.Slot] == nil {
 		root, err := t.build(in.Plan)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		in.Materialize = func(plan.Node, []types.Value) ([][]types.Value, error) {
-			return drain(root, &t.subctx)
-		}
+		t.subs[in.Slot] = root
 	}
-	return nil
+	// Indexed again after the drain: a nested subquery may have grown
+	// the slices under it.
+	rows, err := drain(t.subs[in.Slot], &t.subctx)
+	if err != nil {
+		return nil, err
+	}
+	t.sets[in.Slot] = plan.NewInSet(rows)
+	return t.sets[in.Slot], nil
 }
 
 // bind attaches the tree to one execution's parameters, counters (nil
 // ok) and snapshot (nil: the pages as they are).
 func (t *Tree) bind(params []types.Value, st *Stats, tx *mvcc.Txn) {
-	t.ctx = Context{Params: params, Stats: st, Txn: tx}
-	t.subctx = Context{Params: params, Txn: tx}
+	env := plan.Env{Params: params, Sets: t}
+	t.ctx = Context{Env: env, Stats: st, Txn: tx}
+	t.subctx = Context{Env: env, Txn: tx}
 }
 
 // run is one execution: bind, pull every batch into sink, unbind.
@@ -131,9 +139,7 @@ func (t *Tree) run(params []types.Value, st *Stats, tx *mvcc.Txn, sink func(*Bat
 			err = cerr
 		}
 	}
-	for _, in := range t.subs {
-		in.Reset()
-	}
+	clear(t.sets)
 	t.ctx, t.subctx = Context{}, Context{}
 	t.failed = t.failed || err != nil
 	return err

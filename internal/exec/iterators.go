@@ -70,7 +70,7 @@ func (it *seqScanIter) NextBatch() (*Batch, error) {
 			it.cnt.decoded += int64(dec)
 			it.cnt.skipped += int64(skip)
 			if it.node.Filter != nil {
-				v, err := it.node.Filter.Eval(row, it.ctx.Params)
+				v, err := it.node.Filter.Eval(row, &it.ctx.Env)
 				if err != nil {
 					return nil, err
 				}
@@ -104,10 +104,10 @@ type keyRange struct {
 // the path's scalars are evaluated against (nil for constants). lo and
 // hi alias k's buffers: they are valid until the next set. ok=false
 // means the range is provably empty (an equality on NULL).
-func (k *keyRange) set(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte, ok bool, err error) {
+func (k *keyRange) set(path *plan.AccessPath, row []types.Value, env *plan.Env) (lo, hi []byte, ok bool, err error) {
 	k.prefix = k.prefix[:0]
 	for _, e := range path.EqPrefix {
-		v, err := e.Eval(row, params)
+		v, err := e.Eval(row, env)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -124,7 +124,7 @@ func (k *keyRange) set(path *plan.AccessPath, row, params []types.Value) (lo, hi
 		k.hi = hi
 	}
 	if path.Lo != nil {
-		v, err := path.Lo.Eval(row, params)
+		v, err := path.Lo.Eval(row, env)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -138,7 +138,7 @@ func (k *keyRange) set(path *plan.AccessPath, row, params []types.Value) (lo, hi
 		}
 	}
 	if path.Hi != nil {
-		v, err := path.Hi.Eval(row, params)
+		v, err := path.Hi.Eval(row, env)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -192,7 +192,7 @@ func (it *indexScanIter) open(ctx *Context, announce pathAnnouncer) error {
 	it.ctx = ctx
 	it.done = false
 	it.ei, it.pi = 0, 0
-	lo, hi, ok, err := it.keys.set(&it.node.Path, nil, ctx.Params)
+	lo, hi, ok, err := it.keys.set(&it.node.Path, nil, &ctx.Env)
 	if err != nil {
 		return err
 	}
@@ -233,7 +233,7 @@ func (it *indexScanIter) nextExtras() (*Batch, error) {
 			row := it.extras[it.ei]
 			it.ei++
 			if it.node.Residual != nil {
-				v, err := it.node.Residual.Eval(row, it.ctx.Params)
+				v, err := it.node.Residual.Eval(row, &it.ctx.Env)
 				if err != nil {
 					return nil, err
 				}
@@ -295,7 +295,7 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 			it.cnt.decoded += int64(dec)
 			it.cnt.skipped += int64(skip)
 			if it.node.Residual != nil {
-				v, err := it.node.Residual.Eval(row, it.ctx.Params)
+				v, err := it.node.Residual.Eval(row, &it.ctx.Env)
 				if err != nil {
 					return nil, err
 				}
@@ -362,7 +362,7 @@ func (it *valuesIter) Open(ctx *Context) error {
 	for r, exprs := range it.node.Rows {
 		row := make([]types.Value, len(exprs))
 		for i, e := range exprs {
-			v, err := e.Eval(nil, ctx.Params)
+			v, err := e.Eval(nil, &ctx.Env)
 			if err != nil {
 				return err
 			}
@@ -397,7 +397,7 @@ func (it *filterIter) NextBatch() (*Batch, error) {
 		}
 		keep := b.Rows[:0]
 		for _, row := range b.Rows {
-			v, err := it.cond.Eval(row, it.ctx.Params)
+			v, err := it.cond.Eval(row, &it.ctx.Env)
 			if err != nil {
 				return nil, err
 			}
@@ -437,7 +437,7 @@ func (it *projectIter) NextBatch() (*Batch, error) {
 	for _, row := range b.Rows {
 		out := it.b.alloc(len(it.exprs))
 		for i, e := range it.exprs {
-			v, err := e.Eval(row, it.ctx.Params)
+			v, err := e.Eval(row, &it.ctx.Env)
 			if err != nil {
 				return nil, err
 			}
@@ -517,7 +517,7 @@ func (j *joinCore) emit(orow, irow []types.Value) error {
 	crow := j.out.alloc(width)
 	copy(crow[copy(crow, orow):], irow)
 	if j.residual != nil {
-		v, err := j.residual.Eval(crow, j.ctx.Params)
+		v, err := j.residual.Eval(crow, &j.ctx.Env)
 		if err != nil {
 			return err
 		}
@@ -549,7 +549,7 @@ type hashJoinIter struct {
 // NULL, which never joins.
 func (it *hashJoinIter) joinKeys(exprs []plan.Scalar, row []types.Value) (bool, error) {
 	for i, k := range exprs {
-		v, err := k.Eval(row, it.ctx.Params)
+		v, err := k.Eval(row, &it.ctx.Env)
 		if err != nil || v.IsNull() {
 			return false, err
 		}
@@ -588,7 +588,7 @@ func (it *hashJoinIter) probe(lrow []types.Value) error {
 candidates:
 	for _, rrow := range it.table[types.HashRow(it.keys)] {
 		for i, k := range it.node.RightKeys {
-			rv, err := k.Eval(rrow, it.ctx.Params)
+			rv, err := k.Eval(rrow, &it.ctx.Env)
 			if err != nil {
 				return err
 			}
@@ -639,7 +639,7 @@ func (it *indexNLJoinIter) Open(ctx *Context) error {
 func (it *indexNLJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe) }
 
 func (it *indexNLJoinIter) probe(orow []types.Value) error {
-	lo, hi, ok, err := it.keys.set(&it.node.Path, orow, it.ctx.Params)
+	lo, hi, ok, err := it.keys.set(&it.node.Path, orow, &it.ctx.Env)
 	if err != nil || !ok { // !ok: NULL key, no match possible
 		return err
 	}
@@ -755,7 +755,7 @@ func (it *hashAggIter) Open(ctx *Context) error {
 		}
 		for _, row := range b.Rows {
 			for i, g := range it.node.GroupBy {
-				v, err := g.Eval(row, ctx.Params)
+				v, err := g.Eval(row, &ctx.Env)
 				if err != nil {
 					return err
 				}
@@ -775,7 +775,7 @@ func (it *hashAggIter) Open(ctx *Context) error {
 				groups = append(groups, st)
 			}
 			for i, spec := range it.node.Aggs {
-				if err := accumulate(st, i, spec, row, ctx.Params); err != nil {
+				if err := accumulate(st, i, spec, row, &ctx.Env); err != nil {
 					return err
 				}
 			}
@@ -827,12 +827,12 @@ func sameGroup(a, b []types.Value) bool {
 	return true
 }
 
-func accumulate(st *aggState, i int, spec plan.AggSpec, row, params []types.Value) error {
+func accumulate(st *aggState, i int, spec plan.AggSpec, row []types.Value, env *plan.Env) error {
 	if spec.Func == plan.AggCountStar {
 		st.counts[i]++
 		return nil
 	}
-	v, err := spec.Arg.Eval(row, params)
+	v, err := spec.Arg.Eval(row, env)
 	if err != nil {
 		return err
 	}

@@ -151,7 +151,7 @@ func values(rows [][]types.Value) []refRow {
 // indexKeys is keyRange.set into buffers of the call's own.
 func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte, ok bool, err error) {
 	var k keyRange
-	return k.set(path, row, params)
+	return k.set(path, row, &plan.Env{Params: params})
 }
 
 func findNode[N plan.Node](n plan.Node) (N, bool) {
@@ -228,7 +228,7 @@ func (b *diffBed) checkReader(t *testing.T, who string, tx *mvcc.Txn, rng *rand.
 	t.Helper()
 	lo, hi := rng.Intn(6), 4+rng.Intn(8)
 	params := []types.Value{types.NewInt(int64(lo)), types.NewInt(int64(hi))}
-	ctx := &Context{Params: params, Txn: tx}
+	ctx := &Context{Env: plan.Env{Params: params}, Txn: tx}
 
 	// 1. Heap scan.
 	n := b.plan(t, "SELECT id, k, val, pad FROM t")
@@ -317,7 +317,7 @@ func (b *diffBed) checkReader(t *testing.T, who string, tx *mvcc.Txn, rng *rand.
 		var want, got []refRow
 		for _, c := range cand {
 			if up.Filter != nil {
-				v, err := up.Filter.Eval(c.row, ctx.Params)
+				v, err := up.Filter.Eval(c.row, &ctx.Env)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -70,7 +70,7 @@ func TestFlattenQualifiedStar(t *testing.T) {
 	q := "SELECT * FROM (SELECT id, name AS nm FROM parent WHERE id < 5) AS sub"
 	st, _ := sql.Parse(q)
 	p := New(cat, Sophisticated)
-	n, err := p.PlanSelect(st.(*sql.SelectStmt))
+	n, err := p.PlanStatement(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFlattenQualifiedStar(t *testing.T) {
 	// Qualified star with other tables present.
 	q = "SELECT sub.*, c.id FROM (SELECT id AS pid FROM parent) AS sub, child c WHERE c.parent = sub.pid"
 	st, _ = sql.Parse(q)
-	n, err = p.PlanSelect(st.(*sql.SelectStmt))
+	n, err = p.PlanStatement(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFlattenNestedTwoLevels(t *testing.T) {
 	q := "SELECT a FROM (SELECT b AS a FROM (SELECT id AS b FROM parent WHERE id = 3) AS inner1) AS outer1"
 	st, _ := sql.Parse(q)
 	p := New(cat, Sophisticated)
-	n, err := p.PlanSelect(st.(*sql.SelectStmt))
+	n, err := p.PlanStatement(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFlattenKeepsJoinTreeDerivedTable(t *testing.T) {
 	cat := testCatalog(t)
 	q := "SELECT d.name FROM (SELECT name FROM (SELECT p.name AS name, c.col1 AS col1 FROM parent p LEFT JOIN child c ON c.parent = p.id) AS r WHERE col1 > 1) AS d"
 	st, _ := sql.Parse(q)
-	if _, err := New(cat, Sophisticated).PlanSelect(st.(*sql.SelectStmt)); err != nil {
+	if _, err := New(cat, Sophisticated).PlanStatement(st); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,19 +164,19 @@ func TestScalarStrings(t *testing.T) {
 
 func TestCastEval(t *testing.T) {
 	c := &Cast{X: &Const{Val: types.NewString("42")}, Type: types.IntType}
-	v, err := c.Eval(nil, nil)
+	v, err := c.Eval(nil, &Env{})
 	if err != nil || v.Int != 42 {
 		t.Errorf("cast eval: %v %v", v, err)
 	}
 	bad := &Cast{X: &Const{Val: types.NewString("nope")}, Type: types.IntType}
-	if _, err := bad.Eval(nil, nil); err == nil {
+	if _, err := bad.Eval(nil, &Env{}); err == nil {
 		t.Error("bad cast should error")
 	}
 }
 
 func TestParamRefMissing(t *testing.T) {
 	p := &ParamRef{Idx: 2}
-	if _, err := p.Eval(nil, []types.Value{types.NewInt(1)}); err == nil {
+	if _, err := p.Eval(nil, &Env{Params: []types.Value{types.NewInt(1)}}); err == nil {
 		t.Error("missing parameter should error")
 	}
 }

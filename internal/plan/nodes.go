@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -102,7 +103,7 @@ type SeqScan struct {
 	Cols []ColInfo
 	// Needed lists the table column ordinals the query actually reads
 	// (projections, filters, join keys), sorted ascending; nil means all.
-	// Set by PruneColumns and immutable afterwards — plan clones share it.
+	// Set by PruneColumns, immutable afterwards.
 	Needed []int
 }
 
@@ -232,16 +233,11 @@ type HashJoin struct {
 	LeftKeys, RightKeys []Scalar
 	Residual            Scalar // may be nil
 	Type                sql.JoinType
-	leftCols, rightCols []ColInfo
+	cols                []ColInfo // Left's then Right's, fixed where the planner builds the join
 }
 
 // Schema implements Node.
-func (j *HashJoin) Schema() []ColInfo {
-	if j.leftCols == nil {
-		j.leftCols, j.rightCols = j.Left.Schema(), j.Right.Schema()
-	}
-	return append(append([]ColInfo{}, j.leftCols...), j.rightCols...)
-}
+func (j *HashJoin) Schema() []ColInfo { return slices.Clone(j.cols) }
 
 // Children implements Node.
 func (j *HashJoin) Children() []Node { return []Node{j.Left, j.Right} }

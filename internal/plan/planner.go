@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -71,19 +72,29 @@ func New(cat *catalog.Catalog, mode Mode) *Planner {
 }
 
 // PlanStatement plans SELECT, INSERT, UPDATE, and DELETE. DDL is
-// executed directly by the engine, not planned.
+// executed directly by the engine, not planned. st is only read, and
+// the plan returned is never written again: it may be shared by any
+// number of concurrent executions.
 func (p *Planner) PlanStatement(st sql.Statement) (Node, error) {
+	var n Node
+	var err error
 	switch st := st.(type) {
 	case *sql.SelectStmt:
-		return p.PlanSelect(st)
+		n, err = p.planSelect(st)
 	case *sql.InsertStmt:
-		return p.planInsert(st)
+		n, err = p.planInsert(st)
 	case *sql.UpdateStmt:
-		return p.planUpdate(st)
+		n, err = p.planUpdate(st)
 	case *sql.DeleteStmt:
-		return p.planDelete(st)
+		n, err = p.planDelete(st)
+	default:
+		return nil, fmt.Errorf("plan: statement %T is not plannable", st)
 	}
-	return nil, fmt.Errorf("plan: statement %T is not plannable", st)
+	if err != nil {
+		return nil, err
+	}
+	numberSubqueries(n)
+	return n, nil
 }
 
 // --- FROM planning -----------------------------------------------------------
@@ -113,7 +124,7 @@ func (p *Planner) makeSource(tr sql.TableRef) (*source, error) {
 		}
 		return &source{table: t, alias: alias, cols: p.tableSchema(t, alias)}, nil
 	case *sql.SubqueryTable:
-		sub, err := p.PlanSelect(tr.Select)
+		sub, err := p.planSelect(tr.Select)
 		if err != nil {
 			return nil, err
 		}
@@ -746,7 +757,8 @@ func (p *Planner) joinTo(cur Node, s *source, conds []sql.Expr, jt sql.JoinType)
 	}
 	if len(leftKeys) > 0 {
 		return &HashJoin{Left: cur, Right: rightNode,
-			LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual, Type: jt}, nil
+			LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual, Type: jt,
+			cols: slices.Concat(cur.Schema(), rightNode.Schema())}, nil
 	}
 	return &NLJoin{Left: cur, Right: rightNode, Cond: residual, Type: jt}, nil
 }

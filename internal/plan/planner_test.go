@@ -276,7 +276,7 @@ func TestScalarThreeValuedLogic(t *testing.T) {
 		{&IsNull{X: tr, Not: true}, types.NewBool(true)},
 	}
 	for i, c := range cases {
-		got, err := c.e.Eval(nil, nil)
+		got, err := c.e.Eval(nil, &Env{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -292,13 +292,13 @@ func TestInListNullSemantics(t *testing.T) {
 		X:    &Const{Val: types.NewInt(1)},
 		List: []Scalar{&Const{Val: types.NewInt(2)}, &Const{Val: types.Null()}},
 	}
-	v, err := e.Eval(nil, nil)
+	v, err := e.Eval(nil, &Env{})
 	if err != nil || !v.IsNull() {
 		t.Errorf("1 IN (2, NULL) = %v, %v; want NULL", v, err)
 	}
 	// 2 IN (2, NULL) is TRUE.
 	e.X = &Const{Val: types.NewInt(2)}
-	v, _ = e.Eval(nil, nil)
+	v, _ = e.Eval(nil, &Env{})
 	if !IsTrue(v) {
 		t.Errorf("2 IN (2, NULL) = %v; want TRUE", v)
 	}
@@ -319,15 +319,15 @@ func TestArithmetic(t *testing.T) {
 		{&Neg{X: i(5)}, types.NewInt(-5)},
 	}
 	for idx, c := range cases {
-		got, err := c.e.Eval(nil, nil)
+		got, err := c.e.Eval(nil, &Env{})
 		if err != nil || !types.Equal(got, c.want) || got.Kind != c.want.Kind {
 			t.Errorf("case %d: got %v (%v), want %v", idx, got, err, c.want)
 		}
 	}
-	if _, err := (&Binary{Op: sql.OpDiv, L: i(1), R: i(0)}).Eval(nil, nil); err == nil {
+	if _, err := (&Binary{Op: sql.OpDiv, L: i(1), R: i(0)}).Eval(nil, &Env{}); err == nil {
 		t.Error("integer division by zero should error")
 	}
-	if _, err := (&Binary{Op: sql.OpDiv, L: f(1), R: f(0)}).Eval(nil, nil); err == nil {
+	if _, err := (&Binary{Op: sql.OpDiv, L: f(1), R: f(0)}).Eval(nil, &Env{}); err == nil {
 		t.Error("float division by zero should error")
 	}
 }

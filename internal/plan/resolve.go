@@ -113,7 +113,7 @@ func (p *Planner) resolveExpr(e sql.Expr, sc *scope) (Scalar, error) {
 			return nil, err
 		}
 		if e.Subquery != nil {
-			sub, err := p.PlanSelect(e.Subquery)
+			sub, err := p.planSelect(e.Subquery)
 			if err != nil {
 				return nil, fmt.Errorf("plan: IN subquery: %w", err)
 			}

@@ -4,6 +4,11 @@
 // are provided (see Mode) because the paper's §6.2 Test 1 hinges on the
 // difference between an optimizer that can unnest the generic chunk
 // transformation (DB2) and one that cannot (MySQL).
+//
+// The planner only reads the statement it is given, and the plan it
+// returns is frozen: nothing writes into it afterwards. An execution's
+// state — parameters, IN-subquery sets — is an Env the executor passes
+// to every Scalar, so one plan serves any number of executions at once.
 package plan
 
 import (
@@ -15,10 +20,26 @@ import (
 )
 
 // Scalar is a resolved, executable expression. Row is the input tuple;
-// params are the statement's `?` bindings.
+// env is the execution evaluating it.
 type Scalar interface {
-	Eval(row []types.Value, params []types.Value) (types.Value, error)
+	Eval(row []types.Value, env *Env) (types.Value, error)
 	String() string
+}
+
+// Env is what one execution evaluates scalars against: the statement's
+// `?` bindings and its IN-subquery sets.
+type Env struct {
+	Params []types.Value
+	// Sets holds the execution's IN-subquery sets; nil where no executor
+	// is bound.
+	Sets InSets
+}
+
+// InSets is where one execution keeps its IN-subquery sets.
+type InSets interface {
+	// InSet returns in's set for the execution, running in.Plan under
+	// the execution's snapshot the first time it is asked for.
+	InSet(in *InSubquery) (*InSet, error)
 }
 
 // ColRef reads column Idx of the input row.
@@ -28,7 +49,7 @@ type ColRef struct {
 }
 
 // Eval implements Scalar.
-func (c *ColRef) Eval(row, _ []types.Value) (types.Value, error) { return row[c.Idx], nil }
+func (c *ColRef) Eval(row []types.Value, _ *Env) (types.Value, error) { return row[c.Idx], nil }
 
 func (c *ColRef) String() string {
 	if c.Name != "" {
@@ -43,7 +64,7 @@ type Const struct {
 }
 
 // Eval implements Scalar.
-func (c *Const) Eval(_, _ []types.Value) (types.Value, error) { return c.Val, nil }
+func (c *Const) Eval([]types.Value, *Env) (types.Value, error) { return c.Val, nil }
 
 func (c *Const) String() string { return c.Val.SQLLiteral() }
 
@@ -53,11 +74,11 @@ type ParamRef struct {
 }
 
 // Eval implements Scalar.
-func (p *ParamRef) Eval(_, params []types.Value) (types.Value, error) {
-	if p.Idx >= len(params) {
+func (p *ParamRef) Eval(_ []types.Value, env *Env) (types.Value, error) {
+	if p.Idx >= len(env.Params) {
 		return types.Null(), fmt.Errorf("plan: missing value for parameter %d", p.Idx+1)
 	}
-	return params[p.Idx], nil
+	return env.Params[p.Idx], nil
 }
 
 func (p *ParamRef) String() string { return "?" }
@@ -69,16 +90,16 @@ type Binary struct {
 }
 
 // Eval implements Scalar.
-func (b *Binary) Eval(row, params []types.Value) (types.Value, error) {
+func (b *Binary) Eval(row []types.Value, env *Env) (types.Value, error) {
 	switch b.Op {
 	case sql.OpAnd, sql.OpOr:
-		return b.evalLogic(row, params)
+		return b.evalLogic(row, env)
 	}
-	l, err := b.L.Eval(row, params)
+	l, err := b.L.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
-	r, err := b.R.Eval(row, params)
+	r, err := b.R.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
@@ -113,8 +134,8 @@ func (b *Binary) Eval(row, params []types.Value) (types.Value, error) {
 	return types.Null(), fmt.Errorf("plan: bad binary op %v", b.Op)
 }
 
-func (b *Binary) evalLogic(row, params []types.Value) (types.Value, error) {
-	l, err := b.L.Eval(row, params)
+func (b *Binary) evalLogic(row []types.Value, env *Env) (types.Value, error) {
+	l, err := b.L.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
@@ -127,7 +148,7 @@ func (b *Binary) evalLogic(row, params []types.Value) (types.Value, error) {
 			return types.NewBool(true), nil
 		}
 	}
-	r, err := b.R.Eval(row, params)
+	r, err := b.R.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
@@ -210,8 +231,8 @@ type Not struct {
 }
 
 // Eval implements Scalar.
-func (n *Not) Eval(row, params []types.Value) (types.Value, error) {
-	v, err := n.X.Eval(row, params)
+func (n *Not) Eval(row []types.Value, env *Env) (types.Value, error) {
+	v, err := n.X.Eval(row, env)
 	if err != nil || v.IsNull() {
 		return types.Null(), err
 	}
@@ -226,8 +247,8 @@ type Neg struct {
 }
 
 // Eval implements Scalar.
-func (n *Neg) Eval(row, params []types.Value) (types.Value, error) {
-	v, err := n.X.Eval(row, params)
+func (n *Neg) Eval(row []types.Value, env *Env) (types.Value, error) {
+	v, err := n.X.Eval(row, env)
 	if err != nil || v.IsNull() {
 		return types.Null(), err
 	}
@@ -249,8 +270,8 @@ type IsNull struct {
 }
 
 // Eval implements Scalar.
-func (e *IsNull) Eval(row, params []types.Value) (types.Value, error) {
-	v, err := e.X.Eval(row, params)
+func (e *IsNull) Eval(row []types.Value, env *Env) (types.Value, error) {
+	v, err := e.X.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
@@ -272,8 +293,8 @@ type InList struct {
 }
 
 // Eval implements Scalar.
-func (e *InList) Eval(row, params []types.Value) (types.Value, error) {
-	x, err := e.X.Eval(row, params)
+func (e *InList) Eval(row []types.Value, env *Env) (types.Value, error) {
+	x, err := e.X.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
@@ -282,7 +303,7 @@ func (e *InList) Eval(row, params []types.Value) (types.Value, error) {
 	}
 	sawNull := false
 	for _, item := range e.List {
-		v, err := item.Eval(row, params)
+		v, err := item.Eval(row, env)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -313,62 +334,63 @@ func (e *InList) String() string {
 }
 
 // InSubquery is `x IN (SELECT ...)` for uncorrelated subqueries. The
-// first Eval of an execution materializes the subquery into a set
-// through the Materialize callback; the executor installs the callback
-// and Resets the set when the execution ends.
+// first Eval of an execution materializes the subquery into a set kept
+// by the execution (Env.Sets), under Slot.
 type InSubquery struct {
 	X    Scalar
 	Plan Node // single-column subquery plan
 	Not  bool
-
-	// Materialize runs Plan and returns its rows; installed by the
-	// executor on its own copy of the plan (exec.Build, exec.PrepareDML).
-	Materialize func(Node, []types.Value) ([][]types.Value, error)
-	set         map[uint64][]types.Value
-	sawNull     bool
+	// Slot numbers the subquery within its statement's plan, nested
+	// subqueries' plans included; the planner assigns it.
+	Slot int
 }
 
 // Eval implements Scalar.
-func (e *InSubquery) Eval(row, params []types.Value) (types.Value, error) {
-	if e.set == nil {
-		if e.Materialize == nil {
-			return types.Null(), fmt.Errorf("plan: IN subquery not bound to an executor")
-		}
-		rows, err := e.Materialize(e.Plan, params)
-		if err != nil {
-			return types.Null(), err
-		}
-		e.set = make(map[uint64][]types.Value, len(rows))
-		for _, r := range rows {
-			if r[0].IsNull() {
-				e.sawNull = true
-				continue
-			}
-			h := types.Hash(r[0])
-			e.set[h] = append(e.set[h], r[0])
-		}
+func (e *InSubquery) Eval(row []types.Value, env *Env) (types.Value, error) {
+	if env.Sets == nil {
+		return types.Null(), fmt.Errorf("plan: IN subquery not bound to an executor")
 	}
-	x, err := e.X.Eval(row, params)
+	set, err := env.Sets.InSet(e)
+	if err != nil {
+		return types.Null(), err
+	}
+	x, err := e.X.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
 	if x.IsNull() {
 		return types.Null(), nil
 	}
-	for _, v := range e.set[types.Hash(x)] {
+	for _, v := range set.vals[types.Hash(x)] {
 		if types.Equal(x, v) {
 			return types.NewBool(!e.Not), nil
 		}
 	}
-	if e.sawNull {
+	if set.sawNull {
 		return types.Null(), nil
 	}
 	return types.NewBool(e.Not), nil
 }
 
-// Reset clears the materialized set (a fresh execution must re-run the
-// subquery, e.g. with new parameters).
-func (e *InSubquery) Reset() { e.set = nil; e.sawNull = false }
+// InSet is one execution's materialized IN-subquery result.
+type InSet struct {
+	vals    map[uint64][]types.Value
+	sawNull bool
+}
+
+// NewInSet builds the set of the subquery rows' one column.
+func NewInSet(rows [][]types.Value) *InSet {
+	s := &InSet{vals: make(map[uint64][]types.Value, len(rows))}
+	for _, r := range rows {
+		if r[0].IsNull() {
+			s.sawNull = true
+			continue
+		}
+		h := types.Hash(r[0])
+		s.vals[h] = append(s.vals[h], r[0])
+	}
+	return s
+}
 
 func (e *InSubquery) String() string {
 	op := " IN (<subquery>)"
@@ -385,12 +407,12 @@ type Like struct {
 }
 
 // Eval implements Scalar.
-func (e *Like) Eval(row, params []types.Value) (types.Value, error) {
-	x, err := e.X.Eval(row, params)
+func (e *Like) Eval(row []types.Value, env *Env) (types.Value, error) {
+	x, err := e.X.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
-	p, err := e.Pattern.Eval(row, params)
+	p, err := e.Pattern.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}
@@ -443,8 +465,8 @@ type Cast struct {
 }
 
 // Eval implements Scalar.
-func (c *Cast) Eval(row, params []types.Value) (types.Value, error) {
-	v, err := c.X.Eval(row, params)
+func (c *Cast) Eval(row []types.Value, env *Env) (types.Value, error) {
+	v, err := c.X.Eval(row, env)
 	if err != nil {
 		return types.Null(), err
 	}

@@ -26,8 +26,8 @@ func (v *Values) Label() string { return "VALUES" }
 // Detail implements Node.
 func (v *Values) Detail() string { return fmt.Sprintf("%d rows", len(v.Rows)) }
 
-// PlanSelect compiles a SELECT into a physical plan.
-func (p *Planner) PlanSelect(s *sql.SelectStmt) (Node, error) {
+// planSelect compiles a SELECT into a physical plan.
+func (p *Planner) planSelect(s *sql.SelectStmt) (Node, error) {
 	if p.Mode == Sophisticated {
 		var err error
 		s, err = p.flattenSubqueries(s)

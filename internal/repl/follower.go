@@ -11,8 +11,6 @@
 package repl
 
 import (
-	"fmt"
-
 	"repro/internal/engine"
 	"repro/internal/wal"
 )
@@ -55,9 +53,6 @@ const chunkBytes = 64 << 10
 // truncation gets wal.ErrTruncatedHistory — the caller re-bootstraps.
 func (f *Follower) CatchUp(primary *engine.DB) (int, error) {
 	src := primary.WAL()
-	if src == nil {
-		return 0, fmt.Errorf("repl: primary runs without a WAL")
-	}
 	total := 0
 	for {
 		pos := f.DB.WAL().DurableLSN()

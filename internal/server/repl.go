@@ -30,10 +30,6 @@ const replSnapshotChunk = 1 << 20
 func (s *Server) serveReplication(c *connState, br *bufio.Reader, w *connWriter, sub *protocol.ReplSubscribe) {
 	db := s.cfg.DB
 	log := db.WAL()
-	if log == nil {
-		writeMsg(w, &protocol.Error{Code: protocol.CodeSQL, Msg: "server runs without a WAL; nothing to replicate"})
-		return
-	}
 
 	// Ack reader: drains ReplAck frames for telemetry and doubles as the
 	// disconnect detector — when the peer goes away (or misbehaves), the

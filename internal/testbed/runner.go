@@ -44,14 +44,15 @@ type Config struct {
 	NewLayout func(*core.Schema) (core.Layout, error)
 
 	// WithExtensions enables the §7 "more complete setting": the schema
-	// carries the CRM extensions, a share of tenants enable them, and
-	// the workload reads and writes extension columns. Requires a
-	// NewLayout that supports extensibility (not Basic).
+	// carries the CRM extensions, extensionFraction of the tenants
+	// enable them, and the workload reads and writes extension columns.
+	// Requires a NewLayout that supports extensibility (not Basic).
 	WithExtensions bool
-	// ExtensionFraction is the share of tenants enabling extensions
-	// (default 0.5 when WithExtensions is set).
-	ExtensionFraction float64
 }
+
+// extensionFraction is the share of tenants enabling extensions when
+// Config.WithExtensions is set.
+const extensionFraction = 0.5
 
 func (c *Config) fill() {
 	if c.Tenants == 0 {
@@ -105,9 +106,6 @@ type Bed struct {
 // dataset.
 func Setup(cfg Config) (*Bed, error) {
 	cfg.fill()
-	if cfg.WithExtensions && cfg.ExtensionFraction == 0 {
-		cfg.ExtensionFraction = 0.5
-	}
 	schema := MultiInstanceSchema(cfg.Instances, cfg.WithExtensions)
 	db := engine.Open(engine.Config{
 		MemoryBytes: cfg.MemoryBytes,
@@ -128,7 +126,7 @@ func Setup(cfg Config) (*Bed, error) {
 	tenants := make([]*core.Tenant, cfg.Tenants)
 	for i := range tenants {
 		tenants[i] = &core.Tenant{ID: int64(i + 1)}
-		if cfg.WithExtensions && float64(i%100) < cfg.ExtensionFraction*100 {
+		if cfg.WithExtensions && float64(i%100) < extensionFraction*100 {
 			sfx := InstanceSuffix(TenantInstance(i, cfg.Tenants, cfg.Instances), cfg.Instances)
 			if i%2 == 0 {
 				tenants[i].Extensions = []string{"HealthcareAccount" + sfx}
