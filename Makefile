@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter check
+.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame check
 
 all: check
 
@@ -112,13 +112,15 @@ bench-net:
 # Reduced -net sweep (CI regression canary): the full network path —
 # dial, handshake, auth, wire transactions, drain invariant — in
 # seconds, writing its JSON to the system temp dir. Runs both frame
-# modes so the zero-leak drain holds with pipelining on AND off.
+# modes so the zero-leak drain holds with pipelining on AND off: one
+# Batch frame per action, or a one-statement Batch per statement.
 bench-net-smoke:
 	$(GO) run ./cmd/mtdbench -net -net-smoke
 	$(GO) run ./cmd/mtdbench -net -net-smoke -net-pipeline=false
 
 # Pipelining ablation: the full -net sweep with one Batch frame per
-# action vs one round trip per statement, side by side.
+# action vs one one-statement Batch (one round trip) per statement,
+# side by side.
 bench-net-pipeline:
 	$(GO) run ./cmd/mtdbench -net -json-out BENCH_6.json
 	$(GO) run ./cmd/mtdbench -net -net-pipeline=false -json-out BENCH_6_nopipeline.json
@@ -153,5 +155,11 @@ bench-repl-smoke:
 # and every accepted ALTER must round-trip through String().
 fuzz-alter:
 	$(GO) test ./internal/sql/ -fuzz FuzzParseAlter -fuzztime 20s
+
+# Short fuzz burst over the wire's trust boundary: the frame splitter
+# and message decoder must never panic or over-allocate, and every
+# decoded message must re-encode to a fixed point.
+fuzz-frame:
+	$(GO) test ./internal/protocol/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
 
 check: build vet fmt test test-cores race race-bench bench-smoke

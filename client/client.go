@@ -1,8 +1,10 @@
 // Package client is the Go client for the mtdserver network front
 // door: Dial opens one authenticated protocol connection, Conn offers
-// Exec/Query/Prepare over it (including interactive transactions —
+// Exec/Query/Pipeline over it (including interactive transactions —
 // BEGIN/COMMIT/ROLLBACK travel as ordinary statements), and Pool keeps
 // a bounded set of healthy connections warm for concurrent workers.
+// Every statement travels in a Batch frame: Exec and Query send a
+// Batch of one.
 package client
 
 import (
@@ -118,10 +120,6 @@ func readMsg(r io.Reader) (any, error) {
 func (c *Conn) roundTrip(m any) (any, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
-	return c.roundTripLocked(m)
-}
-
-func (c *Conn) roundTripLocked(m any) (any, error) {
 	if c.closed || c.broken {
 		return nil, ErrConnClosed
 	}
@@ -141,58 +139,30 @@ func (c *Conn) roundTripLocked(m any) (any, error) {
 	return reply, nil
 }
 
-// Exec runs one statement (DML, DDL, or transaction control) and
-// returns the affected row count. A server-reported failure comes back
-// as *protocol.Error (see ErrorCode); the connection stays usable.
+// Exec runs one statement (DML, DDL, or transaction control) as a
+// one-statement pipeline and returns the affected row count. A
+// server-reported failure comes back as *protocol.Error (see
+// ErrorCode); the connection stays usable.
 func (c *Conn) Exec(sql string, params ...types.Value) (int64, error) {
-	reply, err := c.roundTrip(&protocol.Exec{SQL: sql, Params: params})
-	if err != nil {
-		return 0, err
-	}
-	switch m := reply.(type) {
-	case *protocol.Result:
-		return m.RowsAffected, nil
-	case *protocol.Error:
-		return 0, m
-	}
-	return 0, c.protocolViolation(reply)
+	r, err := c.one(PipelineStmt{SQL: sql, Params: params})
+	return r.RowsAffected, err
 }
 
-// Query runs a SELECT and materializes the streamed result.
+// Query runs a SELECT as a one-statement pipeline and materializes the
+// streamed result.
 func (c *Conn) Query(sql string, params ...types.Value) (*Rows, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	reply, err := c.roundTripLocked(&protocol.Query{SQL: sql, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return c.collectRowsLocked(reply)
+	r, err := c.one(PipelineStmt{Query: true, SQL: sql, Params: params})
+	return r.Rows, err
 }
 
-// collectRowsLocked turns a RowsHeader + RowBatch* stream into Rows.
-func (c *Conn) collectRowsLocked(first any) (*Rows, error) {
-	switch m := first.(type) {
-	case *protocol.Error:
-		return nil, m
-	case *protocol.RowsHeader:
-		rows := &Rows{Columns: m.Columns}
-		for {
-			reply, err := readMsg(c.br)
-			if err != nil {
-				c.broken = true
-				return nil, err
-			}
-			b, ok := reply.(*protocol.RowBatch)
-			if !ok {
-				return nil, c.protocolViolation(reply)
-			}
-			rows.Data = append(rows.Data, b.Rows...)
-			if b.Last {
-				return rows, nil
-			}
-		}
+// one sends a lone statement as a Batch of one and returns its result,
+// with the statement's own error (if any) as the error.
+func (c *Conn) one(st PipelineStmt) (PipelineResult, error) {
+	res, err := c.Pipeline([]PipelineStmt{st})
+	if err != nil {
+		return PipelineResult{}, err
 	}
-	return nil, c.protocolViolation(first)
+	return res[0], res[0].Err
 }
 
 // protocolViolation marks the connection dead: the reply stream is out
@@ -364,69 +334,6 @@ func (c *Conn) ServerStats() ([]byte, error) {
 		return nil, m
 	}
 	return nil, c.protocolViolation(reply)
-}
-
-// Stmt is a server-side prepared statement bound to its connection.
-type Stmt struct {
-	c       *Conn
-	id      uint32
-	isQuery bool
-}
-
-// Prepare registers a statement on the server.
-func (c *Conn) Prepare(sql string) (*Stmt, error) {
-	reply, err := c.roundTrip(&protocol.Prepare{SQL: sql})
-	if err != nil {
-		return nil, err
-	}
-	switch m := reply.(type) {
-	case *protocol.Prepared:
-		return &Stmt{c: c, id: m.ID, isQuery: m.IsQuery}, nil
-	case *protocol.Error:
-		return nil, m
-	}
-	return nil, c.protocolViolation(reply)
-}
-
-// IsQuery reports whether the statement is a SELECT.
-func (s *Stmt) IsQuery() bool { return s.isQuery }
-
-// Exec executes the prepared statement.
-func (s *Stmt) Exec(params ...types.Value) (int64, error) {
-	reply, err := s.c.roundTrip(&protocol.StmtExec{ID: s.id, Params: params})
-	if err != nil {
-		return 0, err
-	}
-	switch m := reply.(type) {
-	case *protocol.Result:
-		return m.RowsAffected, nil
-	case *protocol.Error:
-		return 0, m
-	}
-	return 0, s.c.protocolViolation(reply)
-}
-
-// Query executes the prepared SELECT.
-func (s *Stmt) Query(params ...types.Value) (*Rows, error) {
-	s.c.reqMu.Lock()
-	defer s.c.reqMu.Unlock()
-	reply, err := s.c.roundTripLocked(&protocol.StmtQuery{ID: s.id, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return s.c.collectRowsLocked(reply)
-}
-
-// Close discards the prepared statement server-side.
-func (s *Stmt) Close() error {
-	reply, err := s.c.roundTrip(&protocol.StmtClose{ID: s.id})
-	if err != nil {
-		return err
-	}
-	if e, ok := reply.(*protocol.Error); ok {
-		return e
-	}
-	return nil
 }
 
 // Healthy reports whether the connection can still carry requests.

@@ -75,17 +75,13 @@ func TestConnRoundTrip(t *testing.T) {
 		t.Fatalf("ping after error: %v", err)
 	}
 
-	// Prepared statement.
-	st, err := c.Prepare("SELECT v FROM t WHERE k = ?")
-	if err != nil || !st.IsQuery() {
-		t.Fatalf("prepare: %v", err)
+	// Query of a non-SELECT: typed error, connection survives.
+	_, err = c.Query("UPDATE t SET v = 1 WHERE k = 1")
+	if code, ok := ErrorCode(err); !ok || code != protocol.CodeSQL {
+		t.Fatalf("query of UPDATE: expected CodeSQL, got %v", err)
 	}
-	rows, err = st.Query(types.NewInt(1))
-	if err != nil || rows.Data[0][0].Int != 3 {
-		t.Fatalf("stmt query: %v %v", rows, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	if !c.Healthy() {
+		t.Fatal("connection broken by a statement error")
 	}
 
 	// Transaction.

@@ -4,10 +4,11 @@
 // calling the mapper in-process. It sweeps the concurrent connection
 // count (default 64/256/1024); every connection authenticates as one
 // tenant and runs its share of the card deck, with each DML action
-// wrapped in an explicit BEGIN/COMMIT over the wire. By default each
-// action's statements travel pipelined in one Batch frame (one round
-// trip per action instead of one per statement); -net-pipeline=false
-// restores the statement-at-a-time path for comparison. Each point
+// wrapped in an explicit BEGIN/COMMIT over the wire. Every statement
+// travels in a Batch frame: by default each action's statements are
+// pipelined in one (one round trip per action); with
+// -net-pipeline=false each statement is its own one-statement Batch
+// (one round trip per statement), for comparison. Each point
 // reports commits/sec, statements/sec, p50/p99 whole-action latency,
 // and the statement-path telemetry (rewrite-cache hit rate, plan-cache
 // hits, executor queueing), and then asserts the drain invariant:
@@ -44,7 +45,7 @@ type netPoint struct {
 	ActionsPerConn int   `json:"actions_per_conn"` // base share (min per conn)
 	Actions        int64 `json:"actions"`
 	Statements     int64 `json:"statements"` // server-side count for this point
-	Batches        int64 `json:"batches"`    // pipelined frames for this point
+	Batches        int64 `json:"batches"`    // Batch frames for this point (one per statement with -net-pipeline=false)
 	Commits        int64 `json:"commits"`
 	Conflicts      int64 `json:"conflicts"`
 	Errors         int64 `json:"errors"`

@@ -1,6 +1,6 @@
 // Command mtdserver serves the multi-tenant engine over the wire
 // protocol (internal/protocol): a credentialed handshake per
-// connection, simple and prepared statements, interactive
+// connection, statements in pipelined Batch frames, interactive
 // transactions, streaming results, per-tenant session quotas and
 // statement rate limits, and an append-only audit log.
 //

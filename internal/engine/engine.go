@@ -271,7 +271,8 @@ func (db *DB) ExecStmt(st sql.Statement, key string, params ...types.Value) (Res
 		}
 		return Result{}, err
 	case *sql.SelectStmt:
-		return db.execSelect(st, key, params)
+		_, err := db.runSelect(st, key, params, nil, false)
+		return Result{}, err
 	case *sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt, *sql.SavepointStmt:
 		return Result{}, fmt.Errorf("engine: %s requires a Session (DB.Exec statements autocommit)", st)
 	default:
@@ -343,42 +344,39 @@ func (db *DB) Query(query string, params ...types.Value) (*Rows, error) {
 
 // QueryStmt is Query for a pre-parsed SELECT; key is as for ExecStmt.
 func (db *DB) QueryStmt(sel *sql.SelectStmt, key string, params ...types.Value) (*Rows, error) {
-	db.ddlMu.RLock()
-	defer db.ddlMu.RUnlock()
-	reads := collectReadTables(sel, nil)
-	unlock, err := db.lockTables(reads, "")
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	c, err := db.planFor(key, sel)
-	if err != nil {
-		return nil, err
-	}
-	tx, release := db.readerTxn()
-	defer release()
-	return c.collect(params, &db.execStats, tx)
+	return db.runSelect(sel, key, params, nil, true)
 }
 
-// execSelect runs a SELECT whose result nobody reads (Exec on a
-// SELECT): rows are streamed and discarded, never materialized.
-func (db *DB) execSelect(sel *sql.SelectStmt, key string, params []types.Value) (Result, error) {
+// runSelect is the one read path: under ddlMu shared and its tables'
+// shared locks, it plans sel and runs it in tx's snapshot — a pinned
+// session transaction, or, when tx is nil, an autocommit read on
+// readerTxn. With collect it materializes the rows; without (Exec on a
+// SELECT) it streams and discards them and returns nil.
+func (db *DB) runSelect(sel *sql.SelectStmt, key string, params []types.Value, tx *mvcc.Txn, collect bool) (*Rows, error) {
+	if tx != nil {
+		db.txns.Pin(tx)
+	}
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
-	reads := collectReadTables(sel, nil)
-	unlock, err := db.lockTables(reads, "")
+	unlock, err := db.lockTables(collectReadTables(sel, nil), "")
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	defer unlock()
-	c, err := db.planFor(key, sel)
+	c, err := db.planForTx(key, sel, tx)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	tx, release := db.readerTxn()
-	defer release()
+	if tx == nil {
+		var release func()
+		tx, release = db.readerTxn()
+		defer release()
+	}
+	if collect {
+		return c.collect(params, &db.execStats, tx)
+	}
 	_, err = c.drain(params, &db.execStats, tx)
-	return Result{}, err
+	return nil, err
 }
 
 // planFor returns the compiled statement for st through the plan cache.

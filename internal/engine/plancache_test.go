@@ -229,6 +229,81 @@ func TestExecSelectStreams(t *testing.T) {
 	}
 }
 
+// TestPrepareQuery: a parameterized SELECT is prepared once — planned
+// at its first run and cached under its text — and every later value
+// runs that one plan.
+func TestPrepareQuery(t *testing.T) {
+	db := newAccountsDB(t)
+	const q = "SELECT Name FROM Account17 WHERE Aid = ?"
+	before := db.Stats()
+	for _, c := range []struct {
+		aid  int64
+		want string
+	}{{1, "Acme"}, {2, "Gump"}, {1, "Acme"}} {
+		rows, err := db.Query(q, types.NewInt(c.aid))
+		if err != nil || len(rows.Data) != 1 || rows.Data[0][0].Str != c.want {
+			t.Errorf("Query(%d): %+v %v", c.aid, rows, err)
+		}
+	}
+	st := db.Stats()
+	if misses, hits := st.PlanCacheMisses-before.PlanCacheMisses, st.PlanCacheHits-before.PlanCacheHits; misses != 1 || hits != 2 {
+		t.Errorf("plan cache: %d misses, %d hits, want 1 and 2", misses, hits)
+	}
+}
+
+// TestPrepareExec: a parameterized UPDATE is prepared once as well.
+// Exec of a SELECT runs it and discards the rows; Query of an UPDATE
+// and a statement that does not parse are refused.
+func TestPrepareExec(t *testing.T) {
+	db := newAccountsDB(t)
+	const upd = "UPDATE Account17 SET Beds = ? WHERE Aid = ?"
+	before := db.Stats().PlanCacheMisses
+	for _, beds := range []int64{7, 8} {
+		res, err := db.Exec(upd, types.NewInt(beds), types.NewInt(1))
+		if err != nil || res.RowsAffected != 1 {
+			t.Fatalf("Exec(%d): %v %d", beds, err, res.RowsAffected)
+		}
+	}
+	if misses := db.Stats().PlanCacheMisses - before; misses != 1 {
+		t.Errorf("UPDATE planned %d times, want 1", misses)
+	}
+	if rows := mustQuery(t, db, "SELECT Beds FROM Account17 WHERE Aid = 1"); rows.Data[0][0].Int != 8 {
+		t.Errorf("Beds = %v", rows.Data[0][0])
+	}
+	if _, err := db.Exec("SELECT Aid FROM Account17 WHERE Aid = ?", types.NewInt(1)); err != nil {
+		t.Errorf("Exec of SELECT: %v", err)
+	}
+	if _, err := db.Query(upd, types.NewInt(1), types.NewInt(1)); err == nil {
+		t.Error("Query of UPDATE should fail")
+	}
+	if _, err := db.Query("SELECT ??? FROM"); err == nil {
+		t.Error("bad SQL should fail")
+	}
+}
+
+// TestPrepareInvalidatedByDDL: a cached plan is rebuilt after DDL — an
+// added column, a new index — rather than failing, and a statement
+// over a dropped table fails cleanly.
+func TestPrepareInvalidatedByDDL(t *testing.T) {
+	db := newAccountsDB(t)
+	const byAid = "SELECT Aid FROM Account17 WHERE Aid = ?"
+	const byName = "SELECT Aid FROM Account17 WHERE Name = ?"
+	mustQuery(t, db, byAid, types.NewInt(1))
+	mustQuery(t, db, byName, types.NewString("Acme"))
+	mustExec(t, db, "ALTER TABLE Account17 ADD COLUMN extra INTEGER")
+	if rows := mustQuery(t, db, byAid, types.NewInt(1)); len(rows.Data) != 1 {
+		t.Fatalf("after ALTER: %+v", rows)
+	}
+	mustExec(t, db, "CREATE INDEX acc17_name ON Account17 (Name)")
+	if rows := mustQuery(t, db, byName, types.NewString("Acme")); len(rows.Data) != 1 {
+		t.Fatalf("after CREATE INDEX: %+v", rows)
+	}
+	mustExec(t, db, "DROP TABLE Account17")
+	if _, err := db.Query(byAid, types.NewInt(1)); err == nil {
+		t.Error("statement on a dropped table should fail")
+	}
+}
+
 // entryFor returns the cached compiled statement of q under the current
 // catalog version (nil when absent).
 func entryFor(db *DB, q string) *compiled {

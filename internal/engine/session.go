@@ -170,7 +170,7 @@ func (s *Session) execStmtLocked(st sql.Statement, key string, params ...types.V
 	}
 	switch st := st.(type) {
 	case *sql.SelectStmt:
-		_, err := s.drainSelect(st, key, params)
+		_, err := s.db.runSelect(st, key, params, s.tx, false)
 		return Result{}, err
 	case *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 		return s.dml(st, key, params)
@@ -204,10 +204,7 @@ func (s *Session) QueryStmt(sel *sql.SelectStmt, key string, params ...types.Val
 	if s.aborted {
 		return nil, ErrTxnAborted
 	}
-	if s.tx == nil {
-		return s.db.QueryStmt(sel, key, params...)
-	}
-	return s.querySelect(sel, key, params)
+	return s.db.runSelect(sel, key, params, s.tx, true)
 }
 
 // --- transaction control -----------------------------------------------------
@@ -540,40 +537,6 @@ func (s *Session) admitWrite(table string) {
 	} else {
 		s.gates[k] = nil
 	}
-}
-
-func (s *Session) querySelect(sel *sql.SelectStmt, key string, params []types.Value) (*Rows, error) {
-	db := s.db
-	db.txns.Pin(s.tx)
-	db.ddlMu.RLock()
-	defer db.ddlMu.RUnlock()
-	unlock, err := db.lockTables(collectReadTables(sel, nil), "")
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	c, err := db.planForTx(key, sel, s.tx)
-	if err != nil {
-		return nil, err
-	}
-	return c.collect(params, &db.execStats, s.tx)
-}
-
-func (s *Session) drainSelect(sel *sql.SelectStmt, key string, params []types.Value) (int64, error) {
-	db := s.db
-	db.txns.Pin(s.tx)
-	db.ddlMu.RLock()
-	defer db.ddlMu.RUnlock()
-	unlock, err := db.lockTables(collectReadTables(sel, nil), "")
-	if err != nil {
-		return 0, err
-	}
-	defer unlock()
-	c, err := db.planForTx(key, sel, s.tx)
-	if err != nil {
-		return 0, err
-	}
-	return c.drain(params, &db.execStats, s.tx)
 }
 
 // --- internals ----------------------------------------------------------------

@@ -560,41 +560,6 @@ func TestTxnAutocommitInterop(t *testing.T) {
 	sessExec(t, r, "ROLLBACK")
 }
 
-// Prepared statements execute inside the session's transaction when run
-// through Session.ExecStmt.
-func TestTxnPreparedThroughSession(t *testing.T) {
-	db := newTxnDB(t, Config{}, 2)
-	st, err := db.Prepare("UPDATE acct SET bal = ? WHERE k = ?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prepared DML on the DB handle autocommits even while another
-	// session holds a snapshot. The snapshot is pinned lazily at the
-	// session's first statement, so read something before the prepared
-	// write lands.
-	r := db.Session()
-	defer r.Close()
-	sessExec(t, r, "BEGIN")
-	if got := oneInt(t, r, "SELECT bal FROM acct WHERE k = 1"); got != 100 {
-		t.Fatalf("pinning read: bal(1)=%d, want 100", got)
-	}
-	if _, err := st.Exec(types.NewInt(5), types.NewInt(0)); err != nil {
-		t.Fatalf("prepared autocommit exec: %v", err)
-	}
-	if got := oneInt(t, r, "SELECT bal FROM acct WHERE k = 0"); got != 100 {
-		t.Errorf("snapshot sees prepared write: bal=%d, want 100", got)
-	}
-	sessExec(t, r, "ROLLBACK")
-	rows := mustQuery(t, db, "SELECT bal FROM acct WHERE k = 0")
-	if rows.Data[0][0].Int != 5 {
-		t.Errorf("prepared write lost: bal=%d, want 5", rows.Data[0][0].Int)
-	}
-	// Transaction control cannot be prepared.
-	if _, err := db.Prepare("BEGIN"); err == nil {
-		t.Error("Prepare(BEGIN) must fail")
-	}
-}
-
 func atomTable2(t *testing.T, db *DB) *catalog.Table {
 	t.Helper()
 	tab, err := db.Catalog().Table("acct")

@@ -3,6 +3,8 @@ package protocol
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/types"
 )
 
 // FuzzDecodeFrame throws arbitrary bytes at the frame splitter and the
@@ -10,12 +12,15 @@ import (
 // frame that passes the CRC must decode deterministically (decode →
 // re-encode → decode is a fixed point).
 func FuzzDecodeFrame(f *testing.F) {
-	// Seed with one valid frame per message type plus classic cruft.
+	// Seed with valid frames of the statement path — a Batch with
+	// parameters and its replies — plus classic cruft.
 	seeds := []any{
 		&Hello{Version: Version, Tenant: 17, Token: "t"},
-		&Exec{SQL: "SELECT 1"},
-		&Query{SQL: "SELECT * FROM t"},
-		&RowsHeader{Columns: []string{"a"}},
+		&Batch{Stmts: []BatchStmt{{Query: true, SQL: "SELECT * FROM t WHERE a = ? AND b = ?",
+			Params: []types.Value{types.NewInt(7), types.NewString("x")}}}},
+		&Batch{Stmts: []BatchStmt{{SQL: "INSERT INTO t VALUES (?, ?, ?, ?)",
+			Params: []types.Value{types.NewFloat(2.5), types.NewDate(19000), types.Null(), types.NewBool(true)}}}},
+		&RowBatch{Rows: [][]types.Value{{types.NewInt(1), types.NewString("a")}, {types.Null()}}},
 		&RowBatch{Last: true},
 		&Error{Code: CodeSQL, Msg: "x"},
 		&Batch{Stmts: []BatchStmt{{SQL: "BEGIN"}, {Query: true, SQL: "SELECT 1"}}},

@@ -1,10 +1,11 @@
 // Package protocol is the wire protocol between the mtdserver front
 // door and its clients: a length-prefixed, CRC-framed binary framing
-// with a small message vocabulary — credentialed handshake, simple and
-// prepared statements, explicit transaction control (which travels as
-// ordinary statements), and streaming result batches. Row payloads use
-// the engine's own row serialization (types.EncodeRow), so a result
-// batch on the wire is byte-for-byte the executor's row encoding.
+// with a small message vocabulary — credentialed handshake, statements
+// in Batch frames (a lone statement is a Batch of one; transaction
+// control travels as ordinary statements), and streaming result
+// batches. Row payloads use the engine's own row serialization
+// (types.EncodeRow), so a result batch on the wire is byte-for-byte the
+// executor's row encoding.
 //
 // Frame layout (all integers big-endian):
 //
@@ -30,8 +31,10 @@ import (
 )
 
 // Version is the protocol version carried in the handshake. A server
-// refuses a Hello with a different major version.
-const Version uint32 = 1
+// refuses a Hello with a different version. Version 2 retired the
+// single-statement and prepared-statement messages of version 1: Batch
+// is the only message that carries a statement.
+const Version uint32 = 2
 
 // MaxFrame bounds a single frame's payload (header excluded). Result
 // streams chunk into batches well below this; anything larger on the
@@ -64,24 +67,15 @@ var (
 // Message types. Client-originated types have the high bit clear,
 // server-originated ones have it set.
 const (
-	TypeHello     byte = 0x01 // Hello: version, tenant, token
-	TypeExec      byte = 0x02 // Exec: sql, params
-	TypeQuery     byte = 0x03 // Query: sql, params
-	TypePrepare   byte = 0x04 // Prepare: sql
-	TypeStmtExec  byte = 0x05 // StmtExec: stmt id, params
-	TypeStmtQuery byte = 0x06 // StmtQuery: stmt id, params
-	TypeStmtClose byte = 0x07 // StmtClose: stmt id
-	TypePing      byte = 0x08 // Ping
-	TypeGoodbye   byte = 0x09 // Goodbye: orderly close
-	TypeStats     byte = 0x0A // Stats: request the server's counters
-	TypeBatch     byte = 0x0B // Batch: pipelined statements, executed in order
+	TypeHello   byte = 0x01 // Hello: version, tenant, token
+	TypePing    byte = 0x08 // Ping
+	TypeGoodbye byte = 0x09 // Goodbye: orderly close
+	TypeStats   byte = 0x0A // Stats: request the server's counters
+	TypeBatch   byte = 0x0B // Batch: pipelined statements, executed in order
 
 	TypeHelloOK  byte = 0x81 // HelloOK: session id
 	TypeError    byte = 0x82 // Error: code, message
-	TypeResult   byte = 0x83 // Result: rows affected
-	TypeRowsHdr  byte = 0x84 // RowsHeader: column names
 	TypeRowBatch byte = 0x85 // RowBatch: rows, last flag
-	TypePrepared byte = 0x86 // Prepared: stmt id, is-query flag
 	TypePong     byte = 0x87 // Pong
 	TypeStatsRes byte = 0x88 // StatsResult: JSON blob
 
@@ -188,37 +182,6 @@ type Hello struct {
 // HelloOK acknowledges a successful handshake.
 type HelloOK struct{ SessionID uint64 }
 
-// Exec runs one statement (DML, DDL, or transaction control) and
-// answers Result or Error.
-type Exec struct {
-	SQL    string
-	Params []types.Value
-}
-
-// Query runs a SELECT and answers RowsHeader + RowBatch* or Error.
-type Query struct {
-	SQL    string
-	Params []types.Value
-}
-
-// Prepare registers a statement server-side and answers Prepared.
-type Prepare struct{ SQL string }
-
-// StmtExec executes a prepared non-query statement.
-type StmtExec struct {
-	ID     uint32
-	Params []types.Value
-}
-
-// StmtQuery executes a prepared SELECT.
-type StmtQuery struct {
-	ID     uint32
-	Params []types.Value
-}
-
-// StmtClose discards a prepared statement.
-type StmtClose struct{ ID uint32 }
-
 // Ping answers Pong (the pool's health check).
 type Ping struct{}
 
@@ -234,23 +197,11 @@ type Error struct {
 	Msg  string
 }
 
-// Result reports a non-query statement's outcome.
-type Result struct{ RowsAffected int64 }
-
-// RowsHeader opens a result stream with its column names.
-type RowsHeader struct{ Columns []string }
-
 // RowBatch carries a chunk of result rows; Last marks the end of the
 // stream (a Last batch may be empty).
 type RowBatch struct {
 	Rows [][]types.Value
 	Last bool
-}
-
-// Prepared acknowledges a Prepare with the server-side statement id.
-type Prepared struct {
-	ID      uint32
-	IsQuery bool
 }
 
 // Pong answers a Ping.
@@ -350,17 +301,11 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-// appendParams appends a parameter row (types.EncodeRow with a length
-// prefix), encoding directly into b's tail via a backfilled length —
-// no intermediate row buffer.
-func appendParams(b []byte, params []types.Value) []byte {
-	return appendRowInline(b, params)
-}
-
-// appendRowInline appends one length-prefixed EncodeRow payload by
-// reserving the 4-byte length, encoding in place, and backfilling the
-// actual size. This is the arena path: when b has capacity (FrameWriter
-// reuse), a row costs zero allocations.
+// appendRowInline appends one length-prefixed EncodeRow payload (a
+// result row or a statement's parameters) by reserving the 4-byte
+// length, encoding in place, and backfilling the actual size. This is
+// the arena path: when b has capacity (FrameWriter reuse), a row costs
+// zero allocations.
 func appendRowInline(b []byte, row []types.Value) []byte {
 	at := len(b)
 	b = append(b, 0, 0, 0, 0)
@@ -385,22 +330,6 @@ func AppendEncode(dst []byte, m any) []byte {
 		return appendString(b, m.Token)
 	case *HelloOK:
 		return appendU64(append(dst, TypeHelloOK), m.SessionID)
-	case *Exec:
-		b := appendString(append(dst, TypeExec), m.SQL)
-		return appendParams(b, m.Params)
-	case *Query:
-		b := appendString(append(dst, TypeQuery), m.SQL)
-		return appendParams(b, m.Params)
-	case *Prepare:
-		return appendString(append(dst, TypePrepare), m.SQL)
-	case *StmtExec:
-		b := appendU32(append(dst, TypeStmtExec), m.ID)
-		return appendParams(b, m.Params)
-	case *StmtQuery:
-		b := appendU32(append(dst, TypeStmtQuery), m.ID)
-		return appendParams(b, m.Params)
-	case *StmtClose:
-		return appendU32(append(dst, TypeStmtClose), m.ID)
 	case *Ping:
 		return append(dst, TypePing)
 	case *Goodbye:
@@ -417,20 +346,12 @@ func AppendEncode(dst []byte, m any) []byte {
 				b = append(b, 0)
 			}
 			b = appendString(b, s.SQL)
-			b = appendParams(b, s.Params)
+			b = appendRowInline(b, s.Params)
 		}
 		return b
 	case *Error:
 		b := appendU16(append(dst, TypeError), m.Code)
 		return appendString(b, m.Msg)
-	case *Result:
-		return appendI64(append(dst, TypeResult), m.RowsAffected)
-	case *RowsHeader:
-		b := appendU32(append(dst, TypeRowsHdr), uint32(len(m.Columns)))
-		for _, c := range m.Columns {
-			b = appendString(b, c)
-		}
-		return b
 	case *RowBatch:
 		b := append(dst, TypeRowBatch)
 		if m.Last {
@@ -443,12 +364,6 @@ func AppendEncode(dst []byte, m any) []byte {
 			b = appendRowInline(b, r)
 		}
 		return b
-	case *Prepared:
-		b := appendU32(append(dst, TypePrepared), m.ID)
-		if m.IsQuery {
-			return append(b, 1)
-		}
-		return append(b, 0)
 	case *Pong:
 		return append(dst, TypePong)
 	case *StatsResult:
@@ -613,24 +528,6 @@ func Decode(payload []byte) (any, error) {
 	case TypeHelloOK:
 		m := &HelloOK{SessionID: d.u64()}
 		return m, d.done()
-	case TypeExec:
-		m := &Exec{SQL: d.str(), Params: d.row()}
-		return m, d.done()
-	case TypeQuery:
-		m := &Query{SQL: d.str(), Params: d.row()}
-		return m, d.done()
-	case TypePrepare:
-		m := &Prepare{SQL: d.str()}
-		return m, d.done()
-	case TypeStmtExec:
-		m := &StmtExec{ID: d.u32(), Params: d.row()}
-		return m, d.done()
-	case TypeStmtQuery:
-		m := &StmtQuery{ID: d.u32(), Params: d.row()}
-		return m, d.done()
-	case TypeStmtClose:
-		m := &StmtClose{ID: d.u32()}
-		return m, d.done()
 	case TypePing:
 		return &Ping{}, d.done()
 	case TypeGoodbye:
@@ -654,19 +551,6 @@ func Decode(payload []byte) (any, error) {
 	case TypeError:
 		m := &Error{Code: d.u16(), Msg: d.str()}
 		return m, d.done()
-	case TypeResult:
-		m := &Result{RowsAffected: d.i64()}
-		return m, d.done()
-	case TypeRowsHdr:
-		n := d.u32()
-		if d.err == nil && !maxListItems(n, len(d.b)) {
-			d.fail()
-		}
-		m := &RowsHeader{}
-		for i := uint32(0); i < n && d.err == nil; i++ {
-			m.Columns = append(m.Columns, d.str())
-		}
-		return m, d.done()
 	case TypeRowBatch:
 		m := &RowBatch{Last: d.byte() != 0}
 		n := d.u32()
@@ -676,9 +560,6 @@ func Decode(payload []byte) (any, error) {
 		for i := uint32(0); i < n && d.err == nil; i++ {
 			m.Rows = append(m.Rows, d.row())
 		}
-		return m, d.done()
-	case TypePrepared:
-		m := &Prepared{ID: d.u32(), IsQuery: d.byte() != 0}
 		return m, d.done()
 	case TypePong:
 		return &Pong{}, d.done()

@@ -37,30 +37,22 @@ func TestMessageRoundTrips(t *testing.T) {
 	msgs := []any{
 		&Hello{Version: Version, Tenant: 17, Token: "tenant-17-secret"},
 		&HelloOK{SessionID: 99},
-		&Exec{SQL: "INSERT INTO t VALUES (?)", Params: params},
-		&Query{SQL: "SELECT * FROM t WHERE a = ?", Params: params[:1]},
-		&Query{SQL: "SELECT 1"}, // nil params
-		&Prepare{SQL: "SELECT * FROM t"},
-		&StmtExec{ID: 7, Params: params},
-		&StmtQuery{ID: 8},
-		&StmtClose{ID: 7},
 		&Ping{}, &Goodbye{}, &Stats{},
 		&Error{Code: CodeAuth, Msg: "bad token"},
-		&Result{RowsAffected: -1},
-		&RowsHeader{Columns: []string{"a", "b", "c"}},
-		&RowsHeader{},
 		&RowBatch{Rows: [][]types.Value{params, params[:2], nil}, Last: false},
 		&RowBatch{Last: true},
-		&Prepared{ID: 3, IsQuery: true},
 		&Pong{},
 		&StatsResult{JSON: []byte(`{"x":1}`)},
 		&Batch{Stmts: []BatchStmt{
 			{SQL: "BEGIN"},
 			{SQL: "UPDATE t SET a = ? WHERE id = ?", Params: params[:2]},
 			{Query: true, SQL: "SELECT * FROM t WHERE id = ?", Params: params[:1]},
+			{SQL: "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", Params: params},
 			{SQL: "COMMIT"},
 		}},
+		&Batch{Stmts: []BatchStmt{{Query: true, SQL: "SELECT 1"}}}, // nil params
 		&BatchResult{Index: 2, RowsAffected: 7},
+		&BatchResult{RowsAffected: -1},
 		&BatchError{Index: 3, Code: CodePoisoned, Msg: "skipped"},
 		&BatchRowsHeader{Index: 1, Columns: []string{"a", "b"}},
 		&BatchRowsHeader{Index: 0},
@@ -110,7 +102,7 @@ func TestReadFrameTornHeader(t *testing.T) {
 
 func TestReadFrameBadCRC(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Encode(&Exec{SQL: "SELECT 1"})); err != nil {
+	if err := WriteFrame(&buf, Encode(&Batch{Stmts: []BatchStmt{{SQL: "SELECT 1"}}})); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -145,7 +137,7 @@ func TestReadFrameOversized(t *testing.T) {
 
 func TestDecodeFrameSplitsStream(t *testing.T) {
 	var buf bytes.Buffer
-	for _, m := range []any{&Ping{}, &Exec{SQL: "SELECT 1"}, &Goodbye{}} {
+	for _, m := range []any{&Ping{}, &Batch{Stmts: []BatchStmt{{SQL: "SELECT 1"}}}, &Goodbye{}} {
 		if err := WriteFrame(&buf, Encode(m)); err != nil {
 			t.Fatal(err)
 		}
@@ -166,8 +158,8 @@ func TestDecodeFrameSplitsStream(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("decoded %d messages, want 3", len(got))
 	}
-	if _, ok := got[1].(*Exec); !ok {
-		t.Fatalf("middle message is %T, want *Exec", got[1])
+	if _, ok := got[1].(*Batch); !ok {
+		t.Fatalf("middle message is %T, want *Batch", got[1])
 	}
 }
 
@@ -177,18 +169,14 @@ func TestDecodeTruncatedBodies(t *testing.T) {
 	// with fixed-width or length-prefixed fields).
 	msgs := []any{
 		&Hello{Version: Version, Tenant: 17, Token: "secret"},
-		&Exec{SQL: "INSERT", Params: []types.Value{types.NewInt(1)}},
-		&Query{SQL: "SELECT"},
-		&StmtExec{ID: 1, Params: []types.Value{types.NewString("x")}},
 		&Error{Code: CodeSQL, Msg: "boom"},
-		&RowsHeader{Columns: []string{"a", "b"}},
 		&RowBatch{Rows: [][]types.Value{{types.NewInt(1)}}, Last: true},
-		&Prepared{ID: 9, IsQuery: false},
-		&Result{RowsAffected: 3},
 		&Batch{Stmts: []BatchStmt{
 			{SQL: "BEGIN"},
 			{Query: true, SQL: "SELECT 1", Params: []types.Value{types.NewInt(4)}},
 		}},
+		&Batch{Stmts: []BatchStmt{{SQL: "INSERT", Params: []types.Value{types.NewString("x")}}}},
+		&BatchResult{Index: 1, RowsAffected: 3},
 		&BatchError{Index: 1, Code: CodeSQL, Msg: "boom"},
 		&BatchRowsHeader{Index: 2, Columns: []string{"a"}},
 		&BatchDone{Executed: 2},
@@ -215,15 +203,15 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 }
 
 func TestDecodeHostileListCounts(t *testing.T) {
-	// A RowsHeader declaring 2^32-1 columns with a tiny body must fail
-	// fast instead of allocating.
-	b := appendU32([]byte{TypeRowsHdr}, 0xFFFFFFFF)
+	// A BatchRowsHeader declaring 2^32-1 columns with a tiny body must
+	// fail fast instead of allocating.
+	b := appendU32(appendU32([]byte{TypeBatchRows}, 0), 0xFFFFFFFF)
 	if _, err := Decode(b); err == nil {
 		t.Fatal("hostile column count accepted")
 	}
 	// A parameter row declaring 2^40 values inside a 3-byte payload.
 	hostile := binary.AppendUvarint(nil, 1<<40)
-	body := appendString([]byte{TypeExec}, "SELECT 1")
+	body := appendString(append(appendU32([]byte{TypeBatch}, 1), 0), "SELECT 1")
 	body = appendBytes(body, hostile)
 	if _, err := Decode(body); err == nil {
 		t.Fatal("hostile row count accepted")
@@ -236,6 +224,21 @@ func TestDecodeUnknownType(t *testing.T) {
 	}
 	if _, err := Decode(nil); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("empty payload: want ErrBadMessage, got %v", err)
+	}
+}
+
+// TestDecodeRetiredTypes: the type bytes of version 1's single-statement
+// and prepared-statement messages (Exec, Query, Prepare, StmtExec,
+// StmtQuery, StmtClose; Result, RowsHeader, Prepared) decode to nothing,
+// with or without a body that would have been valid for them.
+func TestDecodeRetiredTypes(t *testing.T) {
+	body := appendRowInline(appendString(nil, "SELECT 1"), nil)
+	for _, typ := range []byte{0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x83, 0x84, 0x86} {
+		for _, p := range [][]byte{{typ}, append([]byte{typ}, body...)} {
+			if m, err := Decode(p); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("type 0x%02x: want ErrBadMessage, got %T %v", typ, m, err)
+			}
+		}
 	}
 }
 
@@ -270,7 +273,7 @@ func TestFrameWriter(t *testing.T) {
 	fw := NewFrameWriter(&buf)
 	params := []types.Value{types.NewInt(1), types.NewString("row")}
 	msgs := []any{
-		&RowsHeader{Columns: []string{"a", "b"}},
+		&BatchRowsHeader{Index: 0, Columns: []string{"a", "b"}},
 		&RowBatch{Rows: [][]types.Value{params, params}, Last: false},
 		&RowBatch{Last: true},
 		&BatchDone{Executed: 3},

@@ -22,6 +22,7 @@ import (
 type batchReply struct {
 	result *protocol.BatchResult
 	err    *protocol.BatchError
+	cols   []string
 	rows   [][]types.Value
 	isRows bool
 }
@@ -59,7 +60,7 @@ func (c *testConn) pipeline(stmts ...protocol.BatchStmt) ([]batchReply, *protoco
 					break
 				}
 			}
-			replies[i] = batchReply{rows: rows, isRows: true}
+			replies[i] = batchReply{cols: m.Columns, rows: rows, isRows: true}
 		case *protocol.BatchDone:
 			for i, s := range seen {
 				if !s {

@@ -6,22 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/sql"
 )
 
-// prepStmt is one server-side prepared statement: the original SQL
-// (reused as the engine's plan-cache key) plus, in raw mode, its
-// pre-parsed form so repeated executions skip the parser.
-type prepStmt struct {
-	sql     string
-	st      sql.Statement   // raw mode only
-	sel     *sql.SelectStmt // non-nil when the statement is a SELECT
-	isQuery bool
-}
-
 // connState is one live connection's server-side state: its engine
-// session (or session-backed mapper in layout mode), its prepared
-// statements, and the reap hook that tears all of it down exactly once
+// session (or session-backed mapper in layout mode) and the reap hook that tears all of it down exactly once
 // no matter who notices the connection die first — the read loop, the
 // server's Close, or a handler error path.
 type connState struct {
@@ -33,9 +21,6 @@ type connState struct {
 	// mapper.Session and logical statements go through mapper.
 	sess   *engine.Session
 	mapper *core.Mapper
-
-	stmts    map[uint32]*prepStmt
-	nextStmt uint32
 
 	reapOnce sync.Once
 }

@@ -36,8 +36,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mvcc"
 	"repro/internal/protocol"
-	"repro/internal/sql"
-	"repro/internal/types"
 )
 
 // ErrServerClosed is returned by Serve after Close.
@@ -317,8 +315,7 @@ func (s *Server) Stats() Stats {
 // connWriter owns a connection's response path: a FrameWriter encoding
 // into a reusable arena over a buffered socket writer. Responses
 // coalesce in the buffer and hit the kernel once per flush point — the
-// end of a reply for single statements, the end of the whole batch for
-// pipelined ones.
+// end of a control reply, or the end of a whole batch.
 type connWriter struct {
 	bw *bufio.Writer
 	fw *protocol.FrameWriter
@@ -336,7 +333,7 @@ func (w *connWriter) send(m any) error { return w.fw.WriteMsg(m) }
 func (w *connWriter) flush() error { return w.bw.Flush() }
 
 // writeMsg frames, writes, and flushes one message — the response
-// boundary for non-pipelined traffic.
+// boundary for control traffic and errors outside a batch.
 func writeMsg(w *connWriter, m any) error {
 	if err := w.send(m); err != nil {
 		return err
@@ -444,7 +441,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader, w *connWriter) (*connS
 			return nil, false
 		}
 	}
-	c := &connState{id: id, tenant: hello.Tenant, nc: nc, stmts: make(map[uint32]*prepStmt)}
+	c := &connState{id: id, tenant: hello.Tenant, nc: nc}
 	if s.cfg.Layout != nil {
 		c.mapper = core.NewSessionMapper(s.cfg.DB, s.cfg.Layout)
 		c.sess = c.mapper.Session
@@ -476,47 +473,22 @@ func (s *Server) reap(c *connState, reason string) {
 	})
 }
 
-// admitStatement charges the rate limiter; on rejection it reports the
-// Error to the client (the connection survives) and returns false.
-// detail is the statement summary for the (optional) per-statement
-// audit trail.
-func (s *Server) admitStatement(c *connState, w *connWriter, detail string) bool {
-	s.statements.Add(1)
-	if s.cfg.Audit != nil && s.cfg.Audit.Statements {
-		s.cfg.Audit.Record(c.tenant, c.id, AuditStatement, detail)
-	}
-	if s.cfg.Auth == nil {
-		return true
-	}
-	if err := s.cfg.Auth.AllowStatement(c.tenant); err != nil {
-		s.rateLimited.Add(1)
-		s.cfg.Audit.Record(c.tenant, c.id, AuditRateLimit, err.Error())
-		writeMsg(w, &protocol.Error{Code: protocol.CodeRateLimit, Msg: err.Error()})
-		return false
-	}
-	return true
-}
-
 // dispatch handles one decoded client message. done means the
 // connection should close (Goodbye); a non-nil error means the socket
 // is gone.
 //
-// Statement-bearing messages pass through the fair-admission executor:
-// the connection parks in FIFO order for a slot, holds it across
-// execution and response encoding, and releases it at the flush point.
-// Control traffic (Ping, Goodbye, Stats, Prepare, StmtClose) bypasses
-// the gate so health checks and teardown stay responsive under load.
+// A Batch, the one message that carries statements, passes through the
+// fair-admission executor: the connection parks in FIFO order for a
+// slot, holds it across execution and response encoding, and releases
+// it at the flush point. Control traffic (Ping, Goodbye, Stats)
+// bypasses the gate so health checks and teardown stay responsive under
+// load.
 func (s *Server) dispatch(c *connState, w *connWriter, msg any) (done bool, err error) {
-	switch msg.(type) {
-	case *protocol.Exec, *protocol.Query, *protocol.StmtExec, *protocol.StmtQuery, *protocol.Batch:
-		// Statement work passes the fair-admission gate; control
-		// traffic below bypasses it so a loaded server still answers
-		// pings and stats.
+	switch m := msg.(type) {
+	case *protocol.Batch:
 		s.exec.acquire()
 		defer s.exec.release()
-	}
-
-	switch m := msg.(type) {
+		return false, s.doBatch(c, w, m)
 	case *protocol.Ping:
 		return false, writeMsg(w, &protocol.Pong{})
 	case *protocol.Goodbye:
@@ -528,93 +500,16 @@ func (s *Server) dispatch(c *connState, w *connWriter, msg any) (done bool, err 
 			return false, writeMsg(w, &protocol.Error{Code: protocol.CodeSQL, Msg: jerr.Error()})
 		}
 		return false, writeMsg(w, &protocol.StatsResult{JSON: b})
-
-	case *protocol.Exec:
-		if !s.admitStatement(c, w, m.SQL) {
-			return false, nil
-		}
-		if perr := protocol.SanitizeParams(m.Params); perr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: protocol.CodeProtocol, Msg: perr.Error()})
-		}
-		res, xerr := s.doExec(c, m.SQL, m.Params)
-		if xerr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: errCode(xerr), Msg: xerr.Error()})
-		}
-		return false, writeMsg(w, &protocol.Result{RowsAffected: res.RowsAffected})
-
-	case *protocol.Query:
-		if !s.admitStatement(c, w, m.SQL) {
-			return false, nil
-		}
-		if perr := protocol.SanitizeParams(m.Params); perr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: protocol.CodeProtocol, Msg: perr.Error()})
-		}
-		rows, qerr := s.doQuery(c, m.SQL, m.Params)
-		if qerr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: errCode(qerr), Msg: qerr.Error()})
-		}
-		return false, s.writeRows(w, rows)
-
-	case *protocol.Batch:
-		return false, s.doBatch(c, w, m)
-
-	case *protocol.Prepare:
-		ps, perr := s.prepare(c, m.SQL)
-		if perr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: errCode(perr), Msg: perr.Error()})
-		}
-		c.nextStmt++
-		id := c.nextStmt
-		c.stmts[id] = ps
-		return false, writeMsg(w, &protocol.Prepared{ID: id, IsQuery: ps.isQuery})
-
-	case *protocol.StmtExec:
-		if !s.admitStatement(c, w, fmt.Sprintf("stmt %d", m.ID)) {
-			return false, nil
-		}
-		ps, ok := c.stmts[m.ID]
-		if !ok {
-			return false, writeMsg(w, &protocol.Error{Code: protocol.CodeSQL, Msg: fmt.Sprintf("unknown statement %d", m.ID)})
-		}
-		if perr := protocol.SanitizeParams(m.Params); perr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: protocol.CodeProtocol, Msg: perr.Error()})
-		}
-		res, xerr := s.execPrepared(c, ps, m.Params)
-		if xerr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: errCode(xerr), Msg: xerr.Error()})
-		}
-		return false, writeMsg(w, &protocol.Result{RowsAffected: res.RowsAffected})
-
-	case *protocol.StmtQuery:
-		if !s.admitStatement(c, w, fmt.Sprintf("stmt %d", m.ID)) {
-			return false, nil
-		}
-		ps, ok := c.stmts[m.ID]
-		if !ok {
-			return false, writeMsg(w, &protocol.Error{Code: protocol.CodeSQL, Msg: fmt.Sprintf("unknown statement %d", m.ID)})
-		}
-		if perr := protocol.SanitizeParams(m.Params); perr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: protocol.CodeProtocol, Msg: perr.Error()})
-		}
-		rows, qerr := s.queryPrepared(c, ps, m.Params)
-		if qerr != nil {
-			return false, writeMsg(w, &protocol.Error{Code: errCode(qerr), Msg: qerr.Error()})
-		}
-		return false, s.writeRows(w, rows)
-
-	case *protocol.StmtClose:
-		delete(c.stmts, m.ID)
-		return false, writeMsg(w, &protocol.Result{})
 	}
 	s.protoErrors.Add(1)
 	return false, writeMsg(w, &protocol.Error{Code: protocol.CodeProtocol, Msg: fmt.Sprintf("unexpected message %T", msg)})
 }
 
-// --- pipelined batches -------------------------------------------------------
+// --- statements --------------------------------------------------------------
 
-// doBatch executes a pipelined Batch strictly in order, one tagged
-// reply per statement, a single BatchDone trailer, one flush for the
-// whole exchange.
+// doBatch executes a Batch strictly in order, one tagged reply per
+// statement, a single BatchDone trailer, one flush for the whole
+// exchange. A lone statement is a Batch of one.
 //
 // Error semantics: the first failure — rate limit, bad params, SQL
 // error, write conflict — poisons the remainder. Poisoned statements
@@ -628,68 +523,88 @@ func (s *Server) doBatch(c *connState, w *connWriter, m *protocol.Batch) error {
 	s.batches.Add(1)
 	var poisoned error
 	var executed uint32
-	for i, bs := range m.Stmts {
-		idx := uint32(i)
+	for i := range m.Stmts {
+		bs, idx := &m.Stmts[i], uint32(i)
 		if poisoned != nil {
 			if err := w.send(&protocol.BatchError{Index: idx, Code: protocol.CodePoisoned, Msg: "not executed: " + poisoned.Error()}); err != nil {
 				return err
 			}
 			continue
 		}
-		s.statements.Add(1)
-		if s.cfg.Audit != nil && s.cfg.Audit.Statements {
-			s.cfg.Audit.Record(c.tenant, c.id, AuditStatement, bs.SQL)
-		}
-		if s.cfg.Auth != nil {
-			if err := s.cfg.Auth.AllowStatement(c.tenant); err != nil {
-				s.rateLimited.Add(1)
-				s.cfg.Audit.Record(c.tenant, c.id, AuditRateLimit, err.Error())
-				poisoned = err
-				if werr := w.send(&protocol.BatchError{Index: idx, Code: protocol.CodeRateLimit, Msg: err.Error()}); werr != nil {
-					return werr
-				}
-				continue
+		code, err := s.admit(c, bs)
+		var rows *engine.Rows
+		var affected int64
+		if err == nil {
+			if rows, affected, err = s.execute(c, bs); err != nil {
+				code = errCode(err)
 			}
 		}
-		if perr := protocol.SanitizeParams(bs.Params); perr != nil {
-			poisoned = perr
-			if werr := w.send(&protocol.BatchError{Index: idx, Code: protocol.CodeProtocol, Msg: perr.Error()}); werr != nil {
-				return werr
-			}
-			continue
-		}
-		if bs.Query {
-			rows, qerr := s.doQuery(c, bs.SQL, bs.Params)
-			if qerr != nil {
-				poisoned = qerr
-				if werr := w.send(&protocol.BatchError{Index: idx, Code: errCode(qerr), Msg: qerr.Error()}); werr != nil {
-					return werr
-				}
-				continue
-			}
-			executed++
-			if werr := s.writeBatchRows(w, idx, rows); werr != nil {
-				return werr
-			}
-			continue
-		}
-		res, xerr := s.doExec(c, bs.SQL, bs.Params)
-		if xerr != nil {
-			poisoned = xerr
-			if werr := w.send(&protocol.BatchError{Index: idx, Code: errCode(xerr), Msg: xerr.Error()}); werr != nil {
+		if err != nil {
+			poisoned = err
+			if werr := w.send(&protocol.BatchError{Index: idx, Code: code, Msg: err.Error()}); werr != nil {
 				return werr
 			}
 			continue
 		}
 		executed++
-		if werr := w.send(&protocol.BatchResult{Index: idx, RowsAffected: res.RowsAffected}); werr != nil {
-			return werr
+		if bs.Query {
+			err = s.writeBatchRows(w, idx, rows)
+		} else {
+			err = w.send(&protocol.BatchResult{Index: idx, RowsAffected: affected})
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if err := w.send(&protocol.BatchDone{Executed: executed}); err != nil {
 		return err
 	}
 	return w.flush()
+}
+
+// admit is the per-statement admission step: the statement counter,
+// the (optional) per-statement audit record, the tenant's rate limit,
+// and the parameter check. A rejection comes back with the error code
+// to answer it with.
+func (s *Server) admit(c *connState, bs *protocol.BatchStmt) (uint16, error) {
+	s.statements.Add(1)
+	if s.cfg.Audit != nil && s.cfg.Audit.Statements {
+		s.cfg.Audit.Record(c.tenant, c.id, AuditStatement, bs.SQL)
+	}
+	if s.cfg.Auth != nil {
+		if err := s.cfg.Auth.AllowStatement(c.tenant); err != nil {
+			s.rateLimited.Add(1)
+			s.cfg.Audit.Record(c.tenant, c.id, AuditRateLimit, err.Error())
+			return protocol.CodeRateLimit, err
+		}
+	}
+	if err := protocol.SanitizeParams(bs.Params); err != nil {
+		return protocol.CodeProtocol, err
+	}
+	return 0, nil
+}
+
+// execute runs one admitted statement on the connection's session: a
+// query answers its rows, any other statement the rows it affected. In
+// layout mode the text resolves through the shared rewrite cache; a
+// non-query goes through Mapper.Do, whose cache lookup decides the
+// statement's shape — no pre-parse on the hot path. A SELECT sent as a
+// non-query runs and answers 0 rows affected in both modes, the
+// engine's contract for Exec of a SELECT.
+func (s *Server) execute(c *connState, bs *protocol.BatchStmt) (*engine.Rows, int64, error) {
+	switch {
+	case c.mapper == nil && bs.Query:
+		rows, err := c.sess.Query(bs.SQL, bs.Params...)
+		return rows, 0, err
+	case c.mapper == nil:
+		res, err := c.sess.Exec(bs.SQL, bs.Params...)
+		return nil, res.RowsAffected, err
+	case bs.Query:
+		rows, err := c.mapper.Query(c.tenant, bs.SQL, bs.Params...)
+		return rows, 0, err
+	}
+	res, _, err := c.mapper.Do(c.tenant, bs.SQL, bs.Params...)
+	return nil, res.RowsAffected, err
 }
 
 // writeBatchRows streams one batch statement's result: an indexed
@@ -711,94 +626,6 @@ func (s *Server) writeBatchRows(w *connWriter, idx uint32, rows *engine.Rows) er
 		}
 		if last {
 			return nil
-		}
-		data = data[n:]
-	}
-}
-
-// --- statement execution -----------------------------------------------------
-
-// doExec runs one non-query (or drained SELECT) statement. In layout
-// mode the text resolves through the shared rewrite cache (Mapper.Do),
-// so the statement's shape is decided by the cache lookup itself —
-// no pre-parse on the hot path.
-func (s *Server) doExec(c *connState, q string, params []types.Value) (engine.Result, error) {
-	if c.mapper == nil {
-		return c.sess.Exec(q, params...)
-	}
-	res, rows, err := c.mapper.Do(c.tenant, q, params...)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	if rows != nil {
-		// Exec-of-SELECT in layout mode: run and drain.
-		return engine.Result{RowsAffected: int64(len(rows.Data))}, nil
-	}
-	return res, nil
-}
-
-// doQuery runs one SELECT.
-func (s *Server) doQuery(c *connState, q string, params []types.Value) (*engine.Rows, error) {
-	if c.mapper == nil {
-		return c.sess.Query(q, params...)
-	}
-	return c.mapper.Query(c.tenant, q, params...)
-}
-
-// prepare registers one statement. In raw mode it is parsed once and
-// the SQL string doubles as the engine's plan-cache key; in layout mode
-// the rewrite is tenant-dependent, so only the classification happens
-// here and the per-execution lookup goes through the rewrite cache.
-func (s *Server) prepare(c *connState, q string) (*prepStmt, error) {
-	st, err := sql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	ps := &prepStmt{sql: q, st: st}
-	if sel, ok := st.(*sql.SelectStmt); ok {
-		ps.sel = sel
-		ps.isQuery = true
-	}
-	return ps, nil
-}
-
-func (s *Server) execPrepared(c *connState, ps *prepStmt, params []types.Value) (engine.Result, error) {
-	if c.mapper != nil {
-		return s.doExec(c, ps.sql, params)
-	}
-	return c.sess.ExecStmt(ps.st, ps.sql, params...)
-}
-
-func (s *Server) queryPrepared(c *connState, ps *prepStmt, params []types.Value) (*engine.Rows, error) {
-	if !ps.isQuery {
-		return nil, fmt.Errorf("server: prepared statement is not a query")
-	}
-	if c.mapper != nil {
-		return c.mapper.Query(c.tenant, ps.sql, params...)
-	}
-	return c.sess.QueryStmt(ps.sel, ps.sql, params...)
-}
-
-// writeRows streams a materialized result as RowsHeader + RowBatch
-// frames, chunked to MaxRowBatch rows per frame; the final batch
-// carries Last (a zero-row result is a single empty Last batch). The
-// frames coalesce in the connection buffer and flush once at the end.
-func (s *Server) writeRows(w *connWriter, rows *engine.Rows) error {
-	if err := w.send(&protocol.RowsHeader{Columns: rows.Columns}); err != nil {
-		return err
-	}
-	data := rows.Data
-	for {
-		n := len(data)
-		last := n <= s.cfg.MaxRowBatch
-		if !last {
-			n = s.cfg.MaxRowBatch
-		}
-		if err := w.send(&protocol.RowBatch{Rows: data[:n], Last: last}); err != nil {
-			return err
-		}
-		if last {
-			return w.flush()
 		}
 		data = data[n:]
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -76,37 +77,34 @@ func (c *testConn) hello(tenant int64, token string) {
 	}
 }
 
-// exec round-trips one Exec and expects Result.
-func (c *testConn) exec(q string, params ...types.Value) *protocol.Result {
+// exec sends one non-query statement as a Batch of one and expects
+// its BatchResult.
+func (c *testConn) exec(text string, params ...types.Value) *protocol.BatchResult {
 	c.t.Helper()
-	c.send(&protocol.Exec{SQL: q, Params: params})
-	m := c.recv()
-	r, ok := m.(*protocol.Result)
-	if !ok {
-		c.t.Fatalf("exec %q: expected Result, got %#v", q, m)
+	replies, _ := c.pipeline(x(text, params...))
+	if replies[0].result == nil {
+		c.t.Fatalf("exec %q: expected BatchResult, got %+v", text, replies[0].err)
 	}
-	return r
+	return replies[0].result
 }
 
-// query round-trips one Query and collects the streamed rows.
-func (c *testConn) query(q string, params ...types.Value) ([]string, [][]types.Value) {
+// query sends one SELECT as a Batch of one and collects its rows.
+func (c *testConn) query(text string, params ...types.Value) ([]string, [][]types.Value) {
 	c.t.Helper()
-	c.send(&protocol.Query{SQL: q, Params: params})
-	m := c.recv()
-	hdr, ok := m.(*protocol.RowsHeader)
-	if !ok {
-		c.t.Fatalf("query %q: expected RowsHeader, got %#v", q, m)
+	replies, _ := c.pipeline(q(text, params...))
+	if !replies[0].isRows {
+		c.t.Fatalf("query %q: expected rows, got %+v", text, replies[0].err)
 	}
-	var rows [][]types.Value
-	for {
-		b, ok := c.recv().(*protocol.RowBatch)
-		if !ok {
-			c.t.Fatalf("query %q: expected RowBatch", q)
-		}
-		rows = append(rows, b.Rows...)
-		if b.Last {
-			return hdr.Columns, rows
-		}
+	return replies[0].cols, replies[0].rows
+}
+
+// fail sends one statement as a Batch of one and expects it to fail,
+// unexecuted, with code.
+func (c *testConn) fail(code uint16, st protocol.BatchStmt) {
+	c.t.Helper()
+	replies, done := c.pipeline(st)
+	if e := replies[0].err; e == nil || e.Code != code || done.Executed != 0 {
+		c.t.Fatalf("%q: want error code %d, got %+v (executed %d)", st.SQL, code, e, done.Executed)
 	}
 }
 
@@ -176,10 +174,13 @@ func TestHandshakeAuth(t *testing.T) {
 	c.send(&protocol.Hello{Version: protocol.Version, Tenant: 99, Token: "secret"})
 	c.recvErr(protocol.CodeAuth)
 
-	// Wrong protocol version.
-	c = dialServer(t, addr)
-	c.send(&protocol.Hello{Version: protocol.Version + 1, Tenant: 7, Token: "secret"})
-	c.recvErr(protocol.CodeProtocol)
+	// Wrong protocol version: a newer one, and version 1, whose
+	// single-statement and prepared-statement messages are retired.
+	for _, v := range []uint32{protocol.Version + 1, 1} {
+		c = dialServer(t, addr)
+		c.send(&protocol.Hello{Version: v, Tenant: 7, Token: "secret"})
+		c.recvErr(protocol.CodeProtocol)
+	}
 
 	// First frame is not a Hello.
 	c = dialServer(t, addr)
@@ -247,8 +248,7 @@ func TestStatementRateLimit(t *testing.T) {
 	c.exec("SELECT COUNT(*) FROM t")
 	c.exec("SELECT COUNT(*) FROM t")
 	// Bucket empty: rejected, but the connection survives.
-	c.send(&protocol.Exec{SQL: "SELECT COUNT(*) FROM t"})
-	c.recvErr(protocol.CodeRateLimit)
+	c.fail(protocol.CodeRateLimit, x("SELECT COUNT(*) FROM t"))
 	// Refill one token.
 	now = now.Add(1100 * time.Millisecond)
 	c.exec("SELECT COUNT(*) FROM t")
@@ -257,7 +257,7 @@ func TestStatementRateLimit(t *testing.T) {
 	}
 }
 
-func TestExecQueryPreparedRoundTrip(t *testing.T) {
+func TestExecQueryRoundTrip(t *testing.T) {
 	_, _, addr := startRawServer(t, Config{})
 	c := dialServer(t, addr)
 	c.hello(0, "")
@@ -271,28 +271,8 @@ func TestExecQueryPreparedRoundTrip(t *testing.T) {
 	}
 
 	// Statement errors keep the connection usable.
-	c.send(&protocol.Exec{SQL: "UPDATE nosuch SET v = 1"})
-	c.recvErr(protocol.CodeSQL)
+	c.fail(protocol.CodeSQL, x("UPDATE nosuch SET v = 1"))
 	c.exec("SELECT COUNT(*) FROM t")
-
-	// Prepared statements.
-	c.send(&protocol.Prepare{SQL: "SELECT v FROM t WHERE k = ?"})
-	p, ok := c.recv().(*protocol.Prepared)
-	if !ok || !p.IsQuery {
-		t.Fatalf("expected query Prepared, got %#v", p)
-	}
-	c.send(&protocol.StmtQuery{ID: p.ID, Params: []types.Value{types.NewInt(2)}})
-	if hdr, ok := c.recv().(*protocol.RowsHeader); !ok || len(hdr.Columns) != 1 {
-		t.Fatalf("expected 1-column header")
-	}
-	b, ok := c.recv().(*protocol.RowBatch)
-	if !ok || !b.Last || len(b.Rows) != 1 || b.Rows[0][0].Int != 5 {
-		t.Fatalf("bad prepared batch: %#v", b)
-	}
-	c.send(&protocol.StmtClose{ID: p.ID})
-	c.recv()
-	c.send(&protocol.StmtQuery{ID: p.ID})
-	c.recvErr(protocol.CodeSQL)
 
 	// A transaction over the wire.
 	c.exec("BEGIN")
@@ -304,14 +284,68 @@ func TestExecQueryPreparedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoneStatementErrors: a one-statement batch answers a rate-limit
+// rejection, a NaN parameter and a SQL error with their own codes, and
+// the connection carries on after each.
+func TestLoneStatementErrors(t *testing.T) {
+	auth := NewAuthenticator()
+	auth.Register(1, Credentials{Token: "tk", StatementsPerSec: 1, Burst: 4})
+	now := time.Unix(1000, 0)
+	auth.now = func() time.Time { return now }
+	_, _, addr := startRawServer(t, Config{Auth: auth})
+	c := dialServer(t, addr)
+	c.hello(1, "tk")
+
+	nan := types.Value{Kind: types.KindFloat, Float: math.NaN()}
+	c.fail(protocol.CodeProtocol, q("SELECT v FROM t WHERE k = ?", nan))
+	c.exec("SELECT COUNT(*) FROM t")
+	c.fail(protocol.CodeSQL, q("SELECT v FROM nosuch"))
+	c.query("SELECT v FROM t")
+	c.fail(protocol.CodeRateLimit, q("SELECT v FROM t"))
+	now = now.Add(1100 * time.Millisecond)
+	if _, rows := c.query("SELECT v FROM t WHERE k = ?", types.NewInt(1)); len(rows) != 1 {
+		t.Fatalf("after refill: %v", rows)
+	}
+}
+
+// TestExecOfSelectAnswersZero: a SELECT sent as a non-query runs and
+// answers 0 rows affected, in raw mode and in layout mode alike.
+func TestExecOfSelectAnswersZero(t *testing.T) {
+	_, _, addr := startRawServer(t, Config{})
+	c := dialServer(t, addr)
+	c.hello(0, "")
+	if r := c.exec("SELECT k FROM t"); r.RowsAffected != 0 {
+		t.Fatalf("raw mode: %d rows affected, want 0", r.RowsAffected)
+	}
+
+	layout, db := layoutFixture(t)
+	srv, err := New(Config{DB: db, Layout: layout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	laddr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	lc := dialServer(t, laddr)
+	lc.hello(1, "")
+	lc.exec("INSERT INTO Account (Aid, Name) VALUES (1, 'a')")
+	lc.exec("INSERT INTO Account (Aid, Name) VALUES (2, 'b')")
+	if r := lc.exec("SELECT Aid FROM Account"); r.RowsAffected != 0 {
+		t.Fatalf("layout mode: %d rows affected, want 0", r.RowsAffected)
+	}
+}
+
 // TestRowStreamingBatches: a result larger than MaxRowBatch arrives in
-// multiple frames with only the final one marked Last.
+// multiple frames with only the final one marked Last, then the
+// batch's trailer.
 func TestRowStreamingBatches(t *testing.T) {
 	_, _, addr := startRawServer(t, Config{MaxRowBatch: 3})
 	c := dialServer(t, addr)
 	c.hello(0, "")
-	c.send(&protocol.Query{SQL: "SELECT k FROM t"})
-	if _, ok := c.recv().(*protocol.RowsHeader); !ok {
+	c.send(&protocol.Batch{Stmts: []protocol.BatchStmt{q("SELECT k FROM t")}})
+	if _, ok := c.recv().(*protocol.BatchRowsHeader); !ok {
 		t.Fatal("expected header")
 	}
 	var batches, rows int
@@ -325,6 +359,9 @@ func TestRowStreamingBatches(t *testing.T) {
 	}
 	if rows != 8 || batches != 3 {
 		t.Fatalf("got %d rows in %d batches, want 8 in 3", rows, batches)
+	}
+	if d, ok := c.recv().(*protocol.BatchDone); !ok || d.Executed != 1 {
+		t.Fatalf("expected BatchDone{1}, got %#v", d)
 	}
 }
 
