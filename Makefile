@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame check
+.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree check
 
 all: check
 
@@ -161,5 +161,10 @@ fuzz-alter:
 # decoded message must re-encode to a fixed point.
 fuzz-frame:
 	$(GO) test ./internal/protocol/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
+
+# Short fuzz burst at the B+tree's held leaf: one iterator sought through
+# random point and range seeks must return what a fresh SeekRange does.
+fuzz-btree:
+	$(GO) test ./internal/btree/ -run '^$$' -fuzz FuzzSeekSequence -fuzztime 10s
 
 check: build vet fmt test test-cores race race-bench bench-smoke

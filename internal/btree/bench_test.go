@@ -72,6 +72,7 @@ func BenchmarkSeekPrefix10(b *testing.B) {
 		if got != 10 || it.Err() != nil {
 			b.Fatalf("prefix %q: %d entries (err %v)", prefixes[i%len(prefixes)], got, it.Err())
 		}
+		it.Release()
 	}
 }
 

@@ -178,8 +178,24 @@ func (n node) child(i int) storage.PageID {
 
 // bound returns the first position whose key is >= key, or > key when
 // after is set.
-func (n node) bound(key []byte, after bool) int {
-	lo, hi := 0, n.count()
+func (n node) bound(key []byte, after bool) int { return n.boundIn(key, after, 0, n.count()) }
+
+// boundFrom is bound(key, false) for a reader last at position from:
+// when every key before from is below key — a probe just past the one
+// before — the search starts there, with the entry at from itself.
+func (n node) boundFrom(key []byte, from int) int {
+	if from > 0 && bytes.Compare(n.key(from-1), key) >= 0 {
+		return n.bound(key, false)
+	}
+	if from == n.count() || bytes.Compare(n.key(from), key) >= 0 {
+		return from
+	}
+	return n.boundIn(key, false, from+1, n.count())
+}
+
+// boundIn is bound over positions [lo, hi) of n, for a caller that
+// knows the answer lies there.
+func (n node) boundIn(key []byte, after bool, lo, hi int) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if c := bytes.Compare(n.key(mid), key); c < 0 || after && c == 0 {

@@ -114,6 +114,7 @@ func TestScanOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer it.Release()
 	i := 0
 	for ; it.Valid(); it.Next() {
 		if !bytes.Equal(it.Key(), key(i)) {
@@ -142,6 +143,7 @@ func TestSeekRange(t *testing.T) {
 	for ; it.Valid(); it.Next() {
 		got = append(got, string(it.Key()))
 	}
+	it.Release()
 	if len(got) != 10 || got[0] != string(key(10)) || got[9] != string(key(19)) {
 		t.Errorf("range [10,20): %v", got)
 	}
@@ -150,11 +152,13 @@ func TestSeekRange(t *testing.T) {
 	if !it.Valid() || !bytes.Equal(it.Key(), key(0)) {
 		t.Error("seek below min should land on first key")
 	}
+	it.Release()
 	// Empty range.
 	it, _ = tr.SeekRange(key(50), key(50))
 	if it.Valid() {
 		t.Error("empty range should be done immediately")
 	}
+	it.Release()
 }
 
 func TestSeekPrefix(t *testing.T) {
@@ -166,6 +170,7 @@ func TestSeekPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer it.Release()
 	n := 0
 	for ; it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), []byte("b/")) {
@@ -204,6 +209,7 @@ func TestScanSkipsEmptyLeaves(t *testing.T) {
 	for ; it.Valid(); it.Next() {
 		n++
 	}
+	it.Release()
 	if n != 100 {
 		t.Errorf("scan after mass delete saw %d", n)
 	}
@@ -453,6 +459,7 @@ func randomOps(t *testing.T, seed int64, pageSize, ops, keySpace, maxKey int) (i
 		if it.Valid() || it.Err() != nil {
 			return 0, fmt.Errorf("%s tree: scan runs past the model (err %v)", name, it.Err())
 		}
+		it.Release()
 	}
 	// A range scan per decile, bounds falling between and on keys.
 	for i := 0; i+1 < len(keys); i += len(keys)/10 + 1 {
@@ -470,6 +477,7 @@ func randomOps(t *testing.T, seed int64, pageSize, ops, keySpace, maxKey int) (i
 		if it.Valid() {
 			return 0, fmt.Errorf("range [%q, %q) runs past its bound to %q", keys[i], keys[j], it.Key())
 		}
+		it.Release()
 	}
 	h, err := tr.Height()
 	return h, err
@@ -568,6 +576,7 @@ func TestAllocationGates(t *testing.T) {
 			if n != 1 || it.Err() != nil {
 				t.Fatalf("point range saw %d entries (err %v)", n, it.Err())
 			}
+			it.Release()
 		})
 	}
 	if got := seek(tr); got > 3 {
@@ -656,6 +665,7 @@ func TestConcurrentReaders(t *testing.T) {
 						t.Error(it.Err())
 						return
 					}
+					it.Release()
 				}
 			}(r)
 		}
@@ -704,6 +714,7 @@ func TestIteratorHintsSiblingLeaf(t *testing.T) {
 	if err := it.Err(); err != nil || seen != n {
 		t.Fatalf("%d entries, %v", seen, err)
 	}
+	it.Release()
 	st := pool.Stats()
 	leaves := st.TotalPhysicalReads() - int64(height) + 1
 	if leaves < 4 || st.Prefetches != leaves-1 || st.PrefetchJoined != leaves-1 || st.PrefetchWasted != 0 {
@@ -717,6 +728,7 @@ func TestIteratorHintsSiblingLeaf(t *testing.T) {
 	}
 	for ; it.Valid(); it.Next() {
 	}
+	it.Release()
 	if st := pool.Stats(); st.Prefetches != 0 || st.TotalPhysicalReads() != int64(height) {
 		t.Errorf("bounded range: %+v", st)
 	}

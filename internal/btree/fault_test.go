@@ -26,6 +26,7 @@ func dump(t *testing.T, tr *BTree) []entry {
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
+	it.Release()
 	return es
 }
 

@@ -6,51 +6,52 @@ import (
 	"repro/internal/storage"
 )
 
-// Iterator walks entries in key order. It copies out of one leaf at a
-// time — only the entries inside [lo, hi), into buffers it reuses from
-// leaf to leaf and from Seek to Seek — so no page stays pinned between
-// Next calls; mutations during iteration are not supported (the
-// engine's table locks prevent them). The zero Iterator is ready for
+// Iterator walks entries in key order, reading them in place on the one
+// page it holds pinned: the leaf it stands on, from the Seek that
+// reached it until Release, or until Next moves on to the following
+// leaf and holds that one instead. Exhausting the range does not release
+// the leaf, so a Seek whose lower bound falls inside the held leaf
+// searches forward from the previous position without a Fetch; an
+// operator that probes an index once per outer row reads a leaf once
+// for all the probes it serves. Whoever seeks an Iterator therefore
+// calls Release when done with it, and before the latch that holds the
+// index in place is dropped. The tree may change between two Seeks (the
+// held leaf stays a leaf of its tree, and the Seek checks its bounds
+// against the page as it reads then) but not during an iteration (the
+// engine's table latches prevent that). The zero Iterator is ready for
 // Seek.
 //
-// It remembers the last leaf it loaded — the page id and a copy of the
-// leaf's first and last key, no pin — and the next Seek of the same tree
+// Released, it remembers the leaf — the page id and a copy of the leaf's
+// first and last key, no pin — and the next Seek of the same tree
 // re-enters that leaf with one Fetch instead of descending, when the new
-// lower bound allows (see reenter). A page stays a leaf of its tree for
-// as long as the tree exists, and the re-entry checks the bound against
-// the page as it reads then, so inserts, deletes and splits between two
-// Seeks are harmless. What the id cannot outlive is the tree: Drop hands
-// its pages back for reuse. Whoever keeps an Iterator from one statement
-// to the next therefore calls Forget before the new statement's first
-// Seek, and the leaf is only ever used while a table latch holds the
-// index in place.
+// lower bound allows (see reenter). What the id cannot outlive is the
+// tree: Drop hands its pages back for reuse. Whoever keeps an Iterator
+// from one statement to the next therefore calls Forget before the new
+// statement's first Seek.
 type Iterator struct {
 	tree *BTree
-	buf  []byte   // the current leaf's in-range entries, as they lie on the page (first, last behind them)
-	offs []uint16 // start of each entry in buf, in key order
-	idx  int
-	next storage.PageID // leaf to load after buf; invalid once hi or the chain's end is reached
-	lo   []byte         // inclusive lower bound for the first leaf; nil afterwards
+	n    node           // the held leaf, pinned; nil: none held
+	id   storage.PageID // its page; with n nil, the remembered leaf (invalid: none)
+	pos  int            // the current entry of n
 	hi   []byte         // exclusive upper bound; nil = unbounded
 	err  error
 	done bool
 
-	leaf        storage.PageID // the last leaf loaded; invalid: none remembered
-	first, last []byte         // its first and last key when it was loaded
+	first, last []byte // with n nil: the remembered leaf's first and last key
 
 	rows *storage.HeapFile // see HintRows; nil: no hints
 	rids []storage.RID     // scratch for them
 }
 
-// HintRows makes every leaf the iterator loads from now on announce to
-// h, the heap file its RIDs point into, the pages of the entries it
-// copies out: the caller is going to fetch those rows one by one, and
-// this way their misses overlap. nil turns it off.
+// HintRows makes every Seek and every leaf the iterator moves on to
+// announce to h, the heap file its RIDs point into, the pages of the
+// entries in range on that leaf: the caller is going to fetch those rows
+// one by one, and this way their misses overlap. nil turns it off.
 func (it *Iterator) HintRows(h *storage.HeapFile) { it.rows = h }
 
 // SeekRange returns an iterator positioned at the first key >= lo,
 // stopping before hi (exclusive). lo nil means the smallest key; hi nil
-// means unbounded.
+// means unbounded. The caller releases it.
 func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
 	it := &Iterator{}
 	if err := it.Seek(t, lo, hi); err != nil {
@@ -60,43 +61,69 @@ func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
 }
 
 // Seek repositions it as t.SeekRange(lo, hi) would position a new
-// iterator, keeping the copy-out buffers it has grown: an operator that
-// probes an index once per outer row seeks one iterator many times. hi
-// is read until the iterator is exhausted or sought again, so the
-// caller must leave it unmodified that long.
+// iterator. hi is read until the iterator is exhausted or sought again,
+// so the caller must leave it unmodified that long. A Seek that fails
+// leaves nothing pinned.
 func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	id := it.leaf
-	n, err := it.reenter(t, lo)
-	if n == nil && err == nil {
-		id, n, _, err = t.descend(lo)
+	if n := it.n; n != nil && it.tree == t && n.count() > 0 && within(lo, n.key(0), n.key(n.count()-1)) {
+		it.pos = n.boundFrom(lo, min(it.pos, n.count()))
+	} else {
+		it.Release()
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		id := it.id
+		n, err := it.reenter(t, lo)
+		if n == nil && err == nil {
+			id, n, _, err = t.descend(lo)
+		}
+		if err != nil {
+			return err
+		}
+		it.tree, it.id, it.n, it.pos = t, id, n, n.bound(lo, false)
 	}
-	if err != nil {
-		return err
-	}
-	it.tree, it.lo, it.hi, it.err, it.done = t, lo, hi, nil, false
-	return it.load(id, n)
+	it.hi, it.err, it.done = hi, nil, false
+	it.hint()
+	return it.settle()
 }
 
-// Forget drops the remembered leaf, so that the next Seek descends from
-// the root.
-func (it *Iterator) Forget() { it.leaf = storage.InvalidPageID }
+// Release unpins the held leaf, if any, and ends the iteration: Valid
+// is false until the next Seek. The leaf stays remembered for re-entry.
+func (it *Iterator) Release() {
+	it.done = true
+	n := it.n
+	if n == nil {
+		return
+	}
+	it.first, it.last = it.first[:0], it.last[:0]
+	if c := n.count(); c > 0 {
+		it.first = append(it.first, n.key(0)...)
+		it.last = append(it.last, n.key(c-1)...)
+	}
+	it.tree.pool.Unpin(it.id, false)
+	it.n = nil
+}
+
+// Forget releases the held leaf and drops the remembered one, so that
+// the next Seek descends from the root.
+func (it *Iterator) Forget() {
+	it.Release()
+	it.id = storage.InvalidPageID
+}
 
 // reenter returns the remembered leaf pinned if the first key >= lo is
 // certain to be on it: lo lies within the page's own first and last key
 // as they read now, under t.mu. Keys are unique and the leaves partition
 // the key space in order, so that holds whatever was inserted, deleted
-// or split off since the leaf was loaded. The keys copied at load time
+// or split off since the leaf was released. The keys copied at Release
 // only decide whether the page is worth a Fetch: a probe they rule out
 // goes straight to the descent, so while the tree is unchanged a Seek
 // never fetches more pages than a descent, and (height - 1) fewer when
 // it re-enters. nil, nil means descend.
 func (it *Iterator) reenter(t *BTree, lo []byte) (node, error) {
-	if it.leaf == storage.InvalidPageID || it.tree != t || len(it.first) == 0 || !within(lo, it.first, it.last) {
+	if it.id == storage.InvalidPageID || it.tree != t || len(it.first) == 0 || !within(lo, it.first, it.last) {
 		return nil, nil
 	}
-	buf, err := t.pool.Fetch(it.leaf, storage.CatIndex)
+	buf, err := t.pool.Fetch(it.id, storage.CatIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +131,7 @@ func (it *Iterator) reenter(t *BTree, lo []byte) (node, error) {
 	if c := n.count(); c > 0 && within(lo, n.key(0), n.key(c-1)) {
 		return n, nil
 	}
-	t.pool.Unpin(it.leaf, false)
+	t.pool.Unpin(it.id, false)
 	return nil, nil
 }
 
@@ -139,81 +166,60 @@ func AppendPrefixSuccessor(dst, prefix []byte) []byte {
 	return nil
 }
 
-// load copies out the in-range entries of leaf id — which the caller
-// hands over pinned as n, or nil to have it fetched — and unpins it,
-// moving on along the chain past leaves that hold none (emptied by lazy
-// deletion, or wholly below lo).
-func (it *Iterator) load(id storage.PageID, n node) error {
+// settle makes the position valid: on the held leaf if pos is on it,
+// otherwise on the first entry of the leaves after it, moving along the
+// chain past leaves that hold none (emptied by lazy deletion). Entries
+// are checked against hi one at a time, so a range that ends inside a
+// leaf costs one comparison past its last entry.
+func (it *Iterator) settle() error {
 	for {
-		if n == nil {
-			buf, err := it.tree.pool.Fetch(id, storage.CatIndex)
-			if err != nil {
-				return err
-			}
-			n = node(buf)
-		}
-		from, to := 0, n.count()
-		if it.lo != nil {
-			from = n.bound(it.lo, false)
-			it.lo = nil
-		}
-		it.next = n.link()
-		if it.hi != nil {
-			if end := n.bound(it.hi, false); end < to {
-				to, it.next = end, storage.InvalidPageID
-			}
-		}
-		// The scan runs on into the sibling: have it loading while the
-		// caller consumes this leaf.
-		it.tree.pool.Prefetch(it.next, storage.CatIndex)
-		it.copyOut(n, from, to)
-		it.leaf = id
-		it.tree.pool.Unpin(id, false)
-		if it.rows != nil && it.rows.Prefetching() {
-			it.rids = it.rids[:0]
-			for _, off := range it.offs {
-				_, v := entryAt(it.buf, int(off), ridSize)
-				it.rids = append(it.rids, getRID(v))
-			}
-			it.rows.PrefetchRIDs(it.rids)
-		}
-		if from < to {
+		n := it.n
+		c := n.count()
+		if it.pos < c {
+			it.done = it.hi != nil && bytes.Compare(n.key(it.pos), it.hi) >= 0
 			return nil
 		}
-		if it.next == storage.InvalidPageID {
+		next := n.link()
+		if next == storage.InvalidPageID || it.hi != nil && c > 0 && bytes.Compare(n.key(c-1), it.hi) >= 0 {
 			it.done = true
 			return nil
 		}
-		id, n = it.next, nil
+		it.tree.pool.Unpin(it.id, false)
+		it.n = nil
+		buf, err := it.tree.pool.Fetch(next, storage.CatIndex)
+		if err != nil {
+			it.id, it.done = storage.InvalidPageID, true
+			return err
+		}
+		it.id, it.n, it.pos = next, node(buf), 0
+		it.hint()
 	}
 }
 
-// copyOut fills buf and offs with entries [from, to) of n, and first
-// and last — in buf's spare capacity, behind the entries — with the
-// first and last key of all of n (both empty when n is).
-func (it *Iterator) copyOut(n node, from, to int) {
-	var first, last []byte
-	if c := n.count(); c > 0 {
-		first, last = n.key(0), n.key(c-1)
+// hint announces, when the pool acts on hints, what the range reads
+// after the current position: the next leaf if the range runs on into
+// it (so it is loading while the caller consumes this one), and with
+// HintRows the heap pages of the entries in range on this leaf.
+func (it *Iterator) hint() {
+	pool := it.tree.pool
+	if !pool.Prefetching() {
+		return
 	}
-	size := len(first) + len(last)
-	for i := from; i < to; i++ {
-		size += len(n.raw(i))
+	n, to := it.n, it.n.count()
+	if it.hi != nil {
+		to = n.bound(it.hi, false)
 	}
-	if cap(it.buf) < size {
-		it.buf = make([]byte, 0, size)
+	if to == n.count() {
+		pool.Prefetch(n.link(), storage.CatIndex)
 	}
-	if cap(it.offs) < to-from {
-		it.offs = make([]uint16, 0, to-from)
+	if it.rows != nil && it.pos < to {
+		it.rids = it.rids[:0]
+		for i := it.pos; i < to; i++ {
+			_, v := n.entry(i)
+			it.rids = append(it.rids, getRID(v))
+		}
+		it.rows.PrefetchRIDs(it.rids)
 	}
-	it.buf, it.offs, it.idx = it.buf[:0], it.offs[:0], 0
-	for i := from; i < to; i++ {
-		it.offs = append(it.offs, uint16(len(it.buf)))
-		it.buf = append(it.buf, n.raw(i)...)
-	}
-	end := len(it.buf)
-	bounds := append(append(it.buf, first...), last...)
-	it.first, it.last = bounds[end:end+len(first)], bounds[end+len(first):]
 }
 
 // Valid reports whether the iterator is positioned on an entry.
@@ -222,16 +228,13 @@ func (it *Iterator) Valid() bool { return !it.done && it.err == nil }
 // Err returns the first error encountered while iterating.
 func (it *Iterator) Err() error { return it.err }
 
-// Key returns the current key. Valid only while Valid() is true, and
-// only until the next call to Next.
-func (it *Iterator) Key() []byte {
-	k, _ := entryAt(it.buf, int(it.offs[it.idx]), ridSize)
-	return k
-}
+// Key returns the current key, in place on the held leaf. Valid only
+// while Valid() is true, and only until the next Next, Seek or Release.
+func (it *Iterator) Key() []byte { return it.n.key(it.pos) }
 
 // RID returns the current record ID.
 func (it *Iterator) RID() storage.RID {
-	_, v := entryAt(it.buf, int(it.offs[it.idx]), ridSize)
+	_, v := it.n.entry(it.pos)
 	return getRID(v)
 }
 
@@ -240,15 +243,8 @@ func (it *Iterator) Next() {
 	if it.done {
 		return
 	}
-	it.idx++
-	if it.idx < len(it.offs) {
-		return
-	}
-	if it.next == storage.InvalidPageID {
-		it.done = true
-		return
-	}
-	if err := it.load(it.next, nil); err != nil {
-		it.err, it.done = err, true
+	it.pos++
+	if err := it.settle(); err != nil {
+		it.err = err
 	}
 }

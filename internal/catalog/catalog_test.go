@@ -183,6 +183,7 @@ func TestIndexBackfillAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer it.Release()
 	n := 0
 	for ; it.Valid(); it.Next() {
 		row, err := tab.GetRow(it.RID())
@@ -239,10 +240,12 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	if !it.Valid() || it.RID() != newRID {
 		t.Error("index not updated to new value")
 	}
+	it.Release()
 	it, _ = ix.Tree.SeekPrefix(ix.PrefixFor([]types.Value{types.NewString("old")}))
 	if it.Valid() {
 		t.Error("stale index entry for old value")
 	}
+	it.Release()
 }
 
 func TestUpdateUniqueViolation(t *testing.T) {

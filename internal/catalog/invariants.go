@@ -44,28 +44,34 @@ func (t *Table) CheckInvariants() error {
 		return fmt.Errorf("catalog: %s: heap row counter %d but %d live records", t.Name, n, len(rows))
 	}
 	for _, ix := range t.Indexes {
-		if n := ix.Tree.Len(); n != int64(len(rows)) {
-			return fmt.Errorf("catalog: %s: index %s has %d entries for %d heap rows", t.Name, ix.Name, n, len(rows))
-		}
-		it, err := ix.Tree.Scan()
-		if err != nil {
-			return err
-		}
-		for ; it.Valid(); it.Next() {
-			rid := it.RID()
-			row, ok := rows[rid]
-			if !ok {
-				return fmt.Errorf("catalog: %s: index %s entry %x points at dead row %v", t.Name, ix.Name, it.Key(), rid)
-			}
-			if want := ix.KeyFor(row, rid); string(want) != string(it.Key()) {
-				return fmt.Errorf("catalog: %s: index %s entry %x for row %v should be %x", t.Name, ix.Name, it.Key(), rid, want)
-			}
-		}
-		if err := it.Err(); err != nil {
+		if err := t.checkIndex(ix, rows); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkIndex holds ix to the table's live rows.
+func (t *Table) checkIndex(ix *Index, rows map[storage.RID][]types.Value) error {
+	if n := ix.Tree.Len(); n != int64(len(rows)) {
+		return fmt.Errorf("catalog: %s: index %s has %d entries for %d heap rows", t.Name, ix.Name, n, len(rows))
+	}
+	it, err := ix.Tree.Scan()
+	if err != nil {
+		return err
+	}
+	defer it.Release()
+	for ; it.Valid(); it.Next() {
+		rid := it.RID()
+		row, ok := rows[rid]
+		if !ok {
+			return fmt.Errorf("catalog: %s: index %s entry %x points at dead row %v", t.Name, ix.Name, it.Key(), rid)
+		}
+		if want := ix.KeyFor(row, rid); string(want) != string(it.Key()) {
+			return fmt.Errorf("catalog: %s: index %s entry %x for row %v should be %x", t.Name, ix.Name, it.Key(), rid, want)
+		}
+	}
+	return it.Err()
 }
 
 // SnapshotRows returns every visible row of the table keyed by RID

@@ -35,7 +35,9 @@ type Config struct {
 	// MemoryBytes is the machine memory budget shared by table
 	// meta-data and the buffer pool. Default 64 MiB.
 	MemoryBytes int64
-	// PageSize in bytes. Default 8192, the paper's setting.
+	// PageSize in bytes. Default 8192, the paper's setting; at most
+	// 65535 (heap and B+tree pages use 16-bit offsets), and Open
+	// panics on more.
 	PageSize int
 	// MetaBytesPerTable is the per-table meta-data tax. Default 4096,
 	// the DB2 V9.1 figure quoted in §1.1.

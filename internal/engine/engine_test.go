@@ -43,6 +43,34 @@ func newAccountsDB(t *testing.T) *DB {
 	return db
 }
 
+// TestPageSizeLimit: a 32 KiB page serves a table end to end; 64 KiB and
+// 128 KiB, which the 16-bit offsets of heap and B+tree pages cannot
+// address, are refused at Open with a message naming the limit, not
+// on the first read.
+func TestPageSizeLimit(t *testing.T) {
+	db := Open(Config{PageSize: 32 << 10})
+	mustExec(t, db, "CREATE TABLE t (id INTEGER NOT NULL, name VARCHAR(20))")
+	mustExec(t, db, "CREATE UNIQUE INDEX t_pk ON t (id)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+	if rows := mustQuery(t, db, "SELECT name FROM t WHERE id = 2"); len(rows.Data) != 1 || rows.Data[0][0].Str != "two" {
+		t.Errorf("32 KiB pages: %+v", rows.Data)
+	}
+	if rows := mustQuery(t, db, "SELECT id FROM t"); len(rows.Data) != 2 {
+		t.Errorf("32 KiB pages, scan: %+v", rows.Data)
+	}
+	for _, size := range []int{64 << 10, 128 << 10} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprint(size)) || !strings.Contains(msg, "65535") {
+					t.Errorf("Open with %d-byte pages: panic %q, want one naming the size and the 65535-byte limit", size, msg)
+				}
+			}()
+			Open(Config{PageSize: size})
+		}()
+	}
+}
+
 func TestQ1PrivateLayout(t *testing.T) {
 	db := newAccountsDB(t)
 	// Query Q1 from the paper.

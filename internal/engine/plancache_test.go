@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -373,6 +374,19 @@ func TestCompiledTreesServeOneExecutionAtATime(t *testing.T) {
 // the next execution builds a fresh tree and is correct.
 func TestCompiledTreeReuseAndFaults(t *testing.T) {
 	db := newCacheTestDB(t)
+	// Region r1 gets enough rows that its join spans several outer
+	// batches and index leaves, so that most fault sites are fetches the
+	// join makes while it holds pages from an earlier probe.
+	const extra = 1000
+	for i := 20; i < 20+extra; i += 100 {
+		var vals []string
+		for id := i; id < i+100; id++ {
+			vals = append(vals, fmt.Sprintf("(%d, 'n%d', 'r1')", id, id))
+		}
+		if _, err := db.Exec("INSERT INTO acct (id, name, region) VALUES " + strings.Join(vals, ", ")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	const q = "SELECT a.name, b.region FROM acct a, acct b WHERE b.id = a.id AND a.region = ?"
 	run := func(region string, want int) {
 		t.Helper()
@@ -397,7 +411,7 @@ func TestCompiledTreeReuseAndFaults(t *testing.T) {
 
 	pool := db.BufferPool()
 	before := pool.Stats()
-	run("r1", 7)
+	run("r1", 7+extra)
 	after := pool.Stats()
 	for _, cat := range []storage.Category{storage.CatData, storage.CatIndex} {
 		fetches := after.LogicalReads[cat] - before.LogicalReads[cat]
@@ -415,7 +429,7 @@ func TestCompiledTreeReuseAndFaults(t *testing.T) {
 			if len(held) != 1 || len(c.freeTrees()) != 0 {
 				t.Fatalf("cat %v fetch %d: free list went from %d trees to %d, want 1 to 0", cat, k, len(held), len(c.freeTrees()))
 			}
-			run("r1", 7)
+			run("r1", 7+extra)
 			if now := c.freeTrees(); len(now) != 1 || now[0] == held[0] {
 				t.Fatalf("cat %v fetch %d: the failed tree is back on the free list", cat, k)
 			}

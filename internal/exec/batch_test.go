@@ -172,7 +172,9 @@ func runPlan(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn, guard b
 // the tree has already served the plan twice, under other parameters —
 // the second time outside any snapshot — and was poisoned after each,
 // and is poisoned once more before the result is looked at. It returns
-// what the third run alone spent.
+// what the third run alone spent. After every execution it empties the
+// pool, which DropAll refuses while a page is pinned: an operator that
+// keeps a pin past its statement fails the run.
 func runWarm(n plan.Node, params []types.Value, tx *mvcc.Txn, guard bool, pool *storage.BufferPool) ([][]types.Value, goldenCost, error) {
 	t, err := Build(n)
 	if err != nil {
@@ -188,12 +190,18 @@ func runWarm(n plan.Node, params []types.Value, tx *mvcc.Txn, guard bool, pool *
 		if !t.Reusable() {
 			return nil, goldenCost{}, fmt.Errorf("tree not reusable after a clean execution")
 		}
+		if err := pool.DropAll(); err != nil {
+			return nil, goldenCost{}, err
+		}
 		poison(t)
 	}
 	var st Stats
 	before := pool.Stats()
 	rows, err := t.Collect(params, &st, tx)
 	cost := costOf(st.Snapshot(), before, pool.Stats())
+	if err == nil {
+		err = pool.DropAll()
+	}
 	poison(t)
 	return rows, cost, err
 }
@@ -399,7 +407,9 @@ func TestPropQueriesReachEveryOperator(t *testing.T) {
 // path did — batching must not change which statements an I/O error
 // aborts, nor swallow the error. Under a LIMIT the batch pipeline may
 // reach a site the row path stopped short of, but only one the row path
-// reaches with LIMIT n+BatchSize.
+// reaches with LIMIT n+BatchSize. Failed or not, a statement leaves no
+// page pinned: an index-NL join's fault lands while it holds its inner
+// leaf and heap page.
 func TestBatchRowFaultEquivalence(t *testing.T) {
 	g := loadGolden(t)
 	pool, cat := propFixture(t, faultSeed, nil)
@@ -419,6 +429,9 @@ func TestBatchRowFaultEquivalence(t *testing.T) {
 					pool.SetFetchFault(nil)
 					if err != nil && !errors.Is(err, storage.ErrInjectedFault) {
 						t.Fatalf("%q cat=%v k=%d: unexpected error %v", want.Query, fc, k, err)
+					}
+					if derr := pool.DropAll(); derr != nil {
+						t.Fatalf("%q cat=%v k=%d guard=%v (failed: %v): %v", want.Query, fc, k, guard, err != nil, derr)
 					}
 					mustFail, mayFail := want.Failed, want.Failed
 					if want.FailedWide != nil {
@@ -505,6 +518,40 @@ func TestJoinUnderLimitStopsWithinOneBatch(t *testing.T) {
 	}
 	if want := BatchSize / 4; join.oi != want {
 		t.Errorf("join consumed %d outer rows for its first batch, want %d", join.oi, want)
+	}
+}
+
+// TestLimitClosesJoinsWithoutPins: a LIMIT that closes an index-NL join
+// within its first batch leaves no page pinned. The join lets go of its
+// inner leaf and heap page before every return; an index scan under it,
+// closed mid-range, lets go of its leaf at Close. 1 KiB pages give both
+// tables heaps of many pages, so the scans take the index.
+func TestLimitClosesJoinsWithoutPins(t *testing.T) {
+	pool, cat := propFixtureOn(t, 3, nil, storage.NewDisk(1024))
+	for _, c := range []struct {
+		q         string
+		limit     int
+		indexScan bool // the join's outer is an index scan
+	}{
+		{"SELECT a.id, o.id FROM account a, opportunity o WHERE a.id >= 2 AND o.account_id = a.id LIMIT 3", 3, true},
+		{"SELECT a.id, o.id FROM account a, opportunity o WHERE o.account_id = a.id LIMIT 5", 5, false},
+		{"SELECT o.id, a.name FROM opportunity o LEFT JOIN account a ON a.id = o.account_id LIMIT 2", 2, false},
+	} {
+		n := planQuery(t, cat, c.q)
+		j, ok := findNode[*plan.IndexNLJoin](n)
+		if !ok {
+			t.Fatalf("%q: no index-NL join in %s", c.q, n)
+		}
+		if _, ok := findNode[*plan.IndexScan](j.Outer); ok != c.indexScan {
+			t.Fatalf("%q: outer index scan %v, want %v: %s", c.q, ok, c.indexScan, n)
+		}
+		rows, err := runPlan(n, nil, nil, nil, false)
+		if err != nil || len(rows) != c.limit {
+			t.Fatalf("%q: %d rows, %v", c.q, len(rows), err)
+		}
+		if err := pool.DropAll(); err != nil {
+			t.Errorf("%q: %v", c.q, err)
+		}
 	}
 }
 

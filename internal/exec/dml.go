@@ -293,6 +293,7 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		if err := it.Seek(path.Index.Tree, lo, hi); err != nil {
 			return nil, nil, err
 		}
+		defer it.Release()
 		for ; it.Valid(); it.Next() {
 			rid := it.RID()
 			row, _, _, ok, err := snap.fetch(t, scratch, rid, nil)

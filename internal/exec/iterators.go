@@ -95,18 +95,52 @@ func (it *seqScanIter) Close() error {
 }
 
 // keyRange holds an index operator's search keys in buffers it keeps
-// from probe to probe and from execution to execution.
+// from probe to probe and from execution to execution. An index-NL join
+// binds it once per execution: the head of the equality prefix that no
+// outer row changes — its leading constants and parameters, such as
+// Chunk Folding's Tenant, Table and Chunk — is encoded then, and each
+// probe's set evaluates and appends only the rest.
 type keyRange struct {
 	prefix, lo, hi []byte
+	head, fixed    int  // bytes of prefix, and EqPrefix elements, bind encoded
+	null           bool // bind met a NULL: every range is empty
+}
+
+// bind encodes the row-independent head of path's EqPrefix under env.
+func (k *keyRange) bind(path *plan.AccessPath, env *plan.Env) error {
+	k.prefix, k.fixed, k.null = k.prefix[:0], 0, false
+head:
+	for _, e := range path.EqPrefix {
+		switch e.(type) {
+		case *plan.Const, *plan.ParamRef:
+		default:
+			break head
+		}
+		v, err := e.Eval(nil, env)
+		if err != nil {
+			return err
+		}
+		k.fixed++
+		if k.null = v.IsNull(); k.null {
+			break
+		}
+		k.prefix = types.EncodeKey(k.prefix, v)
+	}
+	k.head = len(k.prefix)
+	return nil
 }
 
 // set computes the [lo, hi) key range for an access path given the row
-// the path's scalars are evaluated against (nil for constants). lo and
-// hi alias k's buffers: they are valid until the next set. ok=false
-// means the range is provably empty (an equality on NULL).
+// the path's scalars are evaluated against (nil for constants), after
+// what bind encoded, if anything. lo and hi alias k's buffers: they are
+// valid until the next set. ok=false means the range is provably empty
+// (an equality on NULL).
 func (k *keyRange) set(path *plan.AccessPath, row []types.Value, env *plan.Env) (lo, hi []byte, ok bool, err error) {
-	k.prefix = k.prefix[:0]
-	for _, e := range path.EqPrefix {
+	if k.null {
+		return nil, nil, false, nil
+	}
+	k.prefix = k.prefix[:k.head]
+	for _, e := range path.EqPrefix[k.fixed:] {
 		v, err := e.Eval(row, env)
 		if err != nil {
 			return nil, nil, false, err
@@ -323,6 +357,7 @@ func (it *indexScanIter) row(dst []types.Value, rid storage.RID, ents []pageEntr
 }
 
 func (it *indexScanIter) Close() error {
+	it.it.Release() // a LIMIT may close the scan mid-range
 	it.cnt.flush(it.ctx)
 	it.snap, it.extras = nil, nil
 	return nil
@@ -479,10 +514,19 @@ func (j *joinCore) open(ctx *Context) error {
 	return j.outer.Open(ctx)
 }
 
-func (j *joinCore) nextBatch(match func(orow []types.Value) error) (*Batch, error) {
+// nextBatch fills the output batch. release, when not nil, drops what
+// match holds from one call to the next: it runs before the outer input
+// is pulled and before nextBatch returns.
+func (j *joinCore) nextBatch(match func(orow []types.Value) error, release func()) (*Batch, error) {
+	if release != nil {
+		defer release()
+	}
 	j.out.reset()
 	for len(j.out.Rows) < BatchSize && !j.done {
 		if j.ob == nil || j.oi == len(j.ob.Rows) {
+			if release != nil {
+				release()
+			}
 			b, err := j.outer.NextBatch()
 			if err != nil {
 				return nil, err
@@ -578,7 +622,7 @@ func (it *hashJoinIter) Open(ctx *Context) error {
 	return it.open(ctx)
 }
 
-func (it *hashJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe) }
+func (it *hashJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe, nil) }
 
 func (it *hashJoinIter) probe(lrow []types.Value) error {
 	ok, err := it.joinKeys(it.node.LeftKeys, lrow)
@@ -609,7 +653,12 @@ func (it *hashJoinIter) Close() error {
 }
 
 // indexNLJoinIter probes the inner table's index once per outer row,
-// through one cursor it seeks again for every probe.
+// through one cursor it seeks again for every probe. Across the probes
+// of one outer batch the cursor holds its leaf and page holds the inner
+// heap page last read, both pinned, so adjacent keys — the aligning
+// joins' consecutive Row ids — cost neither a Fetch nor a descent. Both
+// are released before NextBatch returns, whatever it returns, and before
+// the outer input is pulled.
 type indexNLJoinIter struct {
 	joinCore
 	node   *plan.IndexNLJoin
@@ -618,6 +667,7 @@ type indexNLJoinIter struct {
 	rowbuf []types.Value // reused inner-fetch decode buffer; emit copies out of it
 	keys   keyRange
 	inner  btree.Iterator
+	page   storage.HeapReader
 	cnt    scanCounters
 }
 
@@ -629,6 +679,9 @@ func (it *indexNLJoinIter) Open(ctx *Context) error {
 	// to statement: only this statement's latch holds the index still.
 	it.inner.Forget()
 	it.inner.HintRows(it.node.Inner.Heap)
+	if err := it.keys.bind(&it.node.Path, &ctx.Env); err != nil {
+		return err
+	}
 	var err error
 	if it.snap, err = openSnapshot(ctx, it.node.Inner, it.node.Path.Index); err != nil {
 		return err
@@ -636,21 +689,30 @@ func (it *indexNLJoinIter) Open(ctx *Context) error {
 	return it.open(ctx)
 }
 
-func (it *indexNLJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe) }
+func (it *indexNLJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.probe, it.release) }
+
+// release unpins what the probes hold.
+func (it *indexNLJoinIter) release() {
+	it.inner.Release()
+	it.page.Release()
+}
 
 func (it *indexNLJoinIter) probe(orow []types.Value) error {
 	lo, hi, ok, err := it.keys.set(&it.node.Path, orow, &it.ctx.Env)
 	if err != nil || !ok { // !ok: NULL key, no match possible
 		return err
 	}
-	inner := &it.inner
+	inner, t := &it.inner, it.node.Inner
 	if err := inner.Seek(it.node.Path.Index.Tree, lo, hi); err != nil {
 		return err
 	}
-	for inner.Valid() {
+	for ; inner.Valid(); inner.Next() {
 		rid := inner.RID()
-		inner.Next()
-		irow, dec, skip, ok, err := it.snap.fetch(it.node.Inner, it.rowbuf, rid, it.need)
+		rec, err := it.page.Record(t.Heap, rid)
+		if err != nil {
+			return err
+		}
+		irow, dec, skip, ok, err := it.snap.decode(t, it.rowbuf, rid, rec, it.need)
 		if err != nil {
 			return err
 		}
@@ -696,7 +758,7 @@ func (it *nlJoinIter) Open(ctx *Context) error {
 	return it.open(ctx)
 }
 
-func (it *nlJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.pair) }
+func (it *nlJoinIter) NextBatch() (*Batch, error) { return it.nextBatch(it.pair, nil) }
 
 func (it *nlJoinIter) Close() error {
 	it.rightRows = nil

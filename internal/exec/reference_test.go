@@ -96,6 +96,7 @@ func refRange(t *testing.T, tx *mvcc.Txn, tab *catalog.Table, ix *catalog.Index,
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer it.Release()
 	var out []refRow
 	for ; it.Valid(); it.Next() {
 		rid := it.RID()

@@ -108,15 +108,17 @@ func TestTreeKeepsCapacityNotRowSets(t *testing.T) {
 
 // TestTreeAfterFault kills an index-NL join's execution at each of its
 // page fetches in turn: the execution fails with the injected error,
-// leaves no page pinned, the tree refuses to be reused, and the plan's
-// next execution — on a tree that ran cleanly before — is correct.
+// leaves no page pinned — most faults land while the join holds its
+// inner leaf and heap page — the tree refuses to be reused, and the
+// plan's next execution — on a tree that ran cleanly before — is
+// correct.
 func TestTreeAfterFault(t *testing.T) {
 	pool, cat := propFixture(t, 5, nil)
 	n := planQuery(t, cat, "SELECT a.name, o.quantity FROM account a, opportunity o WHERE o.account_id = a.id AND o.quantity > ?")
 	if _, ok := findNode[*plan.IndexNLJoin](n); !ok {
 		t.Fatal("not an index-NL join")
 	}
-	params := []types.Value{types.NewInt(100)}
+	params := []types.Value{types.NewInt(0)}
 	good, err := Build(n)
 	if err != nil {
 		t.Fatal(err)
@@ -157,5 +159,48 @@ func TestTreeAfterFault(t *testing.T) {
 				t.Fatalf("cat %v fetch %d: next execution: %d rows, %v", cat, k, len(got), err)
 			}
 		}
+	}
+}
+
+// TestJoinOnShrunkenPool runs an index-NL join over an index scan after
+// the pool has shrunk to its 8-frame floor across the 16 shards it
+// started with: one frame a shard. The join holds the scan's leaf, its
+// own leaf and its heap page while it fetches a further page, and any
+// two of those may share a shard. The fetch is admitted past the
+// shard's budget, and the excess is evicted once the pages are released.
+func TestJoinOnShrunkenPool(t *testing.T) {
+	pool, cat := propFixture(t, 5, nil)
+	n := planQuery(t, cat, "SELECT o.id, a.name FROM opportunity o, account a WHERE a.id = o.account_id AND o.id > ?")
+	j, ok := findNode[*plan.IndexNLJoin](n)
+	if !ok {
+		t.Fatal("not an index-NL join")
+	}
+	if _, ok := findNode[*plan.IndexScan](j.Outer); !ok {
+		t.Fatal("the join's outer input is not an index scan")
+	}
+	params := []types.Value{types.NewInt(10)}
+	tree, err := Build(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tree.Collect(params, nil, nil)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("full pool: %d rows, %v", len(want), err)
+	}
+	if err := pool.SetCapacityBytes(0); err != nil {
+		t.Fatal(err)
+	}
+	if pool.NumShards() != 16 || pool.Capacity() != 16 {
+		t.Fatalf("shrunken pool: %d frames over %d shards, want 16 over 16", pool.Capacity(), pool.NumShards())
+	}
+	got, err := tree.Collect(params, nil, nil)
+	if err != nil || !sameResults(got, want) {
+		t.Fatalf("shrunken pool: %d rows, %v; want %d rows", len(got), err, len(want))
+	}
+	if st := pool.Stats(); st.Resident > pool.Capacity() {
+		t.Errorf("%d pages resident in a %d-frame pool", st.Resident, pool.Capacity())
+	}
+	if err := pool.DropAll(); err != nil {
+		t.Fatalf("after the join: %v", err)
 	}
 }

@@ -208,8 +208,9 @@ func (p *BufferPool) checkFetchFault(id PageID, cat Category) error {
 	return nil
 }
 
-// ErrPoolExhausted is returned when every frame is pinned and a new page
-// must be brought in.
+// ErrPoolExhausted is returned when every frame of a shard is pinned and
+// a new page must be brought in (unless a shrink left the shard below
+// minShardFrames: see makeRoomLocked).
 var ErrPoolExhausted = errors.New("storage: buffer pool exhausted (all frames pinned)")
 
 // errAllGated is the internal verdict of an eviction pass that found
@@ -613,16 +614,26 @@ func (p *BufferPool) unpin(id PageID, dirty, cold bool) {
 // up where a demand fetch would grow the shard.
 func (s *poolShard) makeRoomLocked(forHint bool) error {
 	for len(s.frames) >= s.capacity {
-		if err := s.evictOneLocked(); err != nil {
-			if errors.Is(err, errAllGated) && !forHint {
-				// No-steal outranks the frame budget: admit the page and
-				// let the deferred shrink reclaim the excess when the
-				// gating statement finishes.
-				s.stats.GateStalls++
-				return nil
-			}
-			return err
+		err := s.evictOneLocked()
+		switch {
+		case err == nil:
+			continue
+		case forHint:
+		case errors.Is(err, errAllGated):
+			// No-steal outranks the frame budget: admit the page and
+			// let the deferred shrink reclaim the excess when the
+			// gating statement finishes.
+			s.stats.GateStalls++
+			return nil
+		case errors.Is(err, ErrPoolExhausted) && s.capacity < minShardFrames:
+			// Every frame pinned in a shard that a shrink left smaller
+			// than any shard starts: too few for the pages one
+			// statement holds at once (an index-NL join holds its outer
+			// scan's leaf, its own leaf and heap page). Admit the page
+			// the same way; the deferred shrink runs at Unpin.
+			return nil
 		}
+		return err
 	}
 	return nil
 }

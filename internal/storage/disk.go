@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,10 +63,15 @@ type Disk struct {
 }
 
 // NewDisk creates an empty page store with the given page size
-// (DefaultPageSize if zero).
+// (DefaultPageSize if zero). A page of more than math.MaxUint16 bytes
+// panics: slotted heap pages and B+tree nodes address their bytes with
+// 16-bit offsets.
 func NewDisk(pageSize int) *Disk {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
+	}
+	if pageSize > math.MaxUint16 {
+		panic(fmt.Sprintf("storage: page size %d exceeds %d bytes, the most the 16-bit offsets of heap and B+tree pages address", pageSize, math.MaxUint16))
 	}
 	return &Disk{
 		pages:    make(map[PageID][]byte),

@@ -538,16 +538,46 @@ func (h *HeapFile) ScanPage(id PageID, fn func(rid RID, rec []byte) (bool, error
 // pinned, avoiding Get's copy. The slice is only valid during the
 // callback and must not be written to or retained.
 func (h *HeapFile) View(rid RID, fn func(rec []byte) error) error {
-	buf, err := h.pool.Fetch(rid.Page, CatData)
-	if err != nil {
-		return err
-	}
-	rec, err := Slotted(buf).Get(rid.Slot)
+	var r HeapReader
+	rec, err := r.Record(h, rid)
 	if err == nil {
 		err = fn(rec)
 	}
-	h.pool.Unpin(rid.Page, false)
+	r.Release()
 	return err
+}
+
+// HeapReader reads records by RID in place, holding the page of the
+// last one pinned: records read in a row off one page cost one Fetch
+// between them. A record's bytes are valid until the next Record or
+// Release and must not be written to. Its owner calls Release when done,
+// whatever Record returned. The zero HeapReader holds nothing.
+type HeapReader struct {
+	h    *HeapFile // nil: no page held
+	id   PageID
+	page SlottedPage
+}
+
+// Record returns the bytes at rid in h, off the held page when rid is
+// on it; otherwise it releases that page and holds rid's.
+func (r *HeapReader) Record(h *HeapFile, rid RID) ([]byte, error) {
+	if r.h != h || r.id != rid.Page {
+		r.Release()
+		buf, err := h.pool.Fetch(rid.Page, CatData)
+		if err != nil {
+			return nil, err
+		}
+		r.h, r.id, r.page = h, rid.Page, Slotted(buf)
+	}
+	return r.page.Get(rid.Slot)
+}
+
+// Release unpins the held page, if any.
+func (r *HeapReader) Release() {
+	if r.h != nil {
+		r.h.pool.Unpin(r.id, false)
+		r.h = nil
+	}
 }
 
 // Scanner returns a pull-based iterator over the file's live records.
