@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree check
+.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree fuzz-join check
 
 all: check
 
@@ -166,5 +166,11 @@ fuzz-frame:
 # random point and range seeks must return what a fresh SeekRange does.
 fuzz-btree:
 	$(GO) test ./internal/btree/ -run '^$$' -fuzz FuzzSeekSequence -fuzztime 10s
+
+# Short fuzz burst at joins that grow outer rows in place: random small
+# tables joined by index-NL, hash and NL joins, inner and LEFT, chained,
+# through a guarded tree, each result held to a nested loop.
+fuzz-join:
+	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinRows -fuzztime 10s
 
 check: build vet fmt test test-cores race race-bench bench-smoke

@@ -518,7 +518,7 @@ func TestDateAndFloatThroughLayouts(t *testing.T) {
 		if r[0].Kind != types.KindDate || r[0].String() != "2008-06-09" {
 			t.Errorf("%s: date = %v (%v)", name, r[0], r[0].Kind)
 		}
-		if r[1].Kind != types.KindFloat || r[1].Float != 2.5 {
+		if r[1].Kind != types.KindFloat || r[1].Float() != 2.5 {
 			t.Errorf("%s: float = %v (%v)", name, r[1], r[1].Kind)
 		}
 		if r[2].Kind != types.KindBool || !r[2].Bool() {

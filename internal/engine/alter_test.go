@@ -97,7 +97,7 @@ func TestOnlineAlterWidenColumn(t *testing.T) {
 	waitMigrated(t, db)
 	// After backfill the stored INTs are coerced to FLOAT.
 	rows = mustQuery(t, db, "SELECT amount FROM m WHERE id = 1")
-	if rows.Data[0][0].Kind != types.KindFloat || rows.Data[0][0].Float != 10 {
+	if rows.Data[0][0].Kind != types.KindFloat || rows.Data[0][0].Float() != 10 {
 		t.Errorf("backfilled value: %+v", rows.Data[0][0])
 	}
 }

@@ -189,7 +189,7 @@ func TestAggregates(t *testing.T) {
 		t.Fatalf("groups: %+v", rows.Data)
 	}
 	east := rows.Data[0]
-	if east[1].Int != 2 || east[2].Int != 2 || east[3].Int != 30 || east[4].Float != 15 || east[5].Int != 10 || east[6].Int != 20 {
+	if east[1].Int != 2 || east[2].Int != 2 || east[3].Int != 30 || east[4].Float() != 15 || east[5].Int != 10 || east[6].Int != 20 {
 		t.Errorf("east: %+v", east)
 	}
 	west := rows.Data[1]

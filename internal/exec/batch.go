@@ -20,6 +20,13 @@ const BatchSize = 64
 // beyond that copies it (copyRow, drain). Sharing the Values themselves
 // is safe — strings are immutable Go strings.
 //
+// A row's spare capacity is its own: no other row lives between its
+// length and its capacity, so the consumer holding a row may write
+// there. A join grows an outer row in place that way (see joinCore),
+// which is why a producer carves its rows with the room the joins above
+// it will grow them to (alloc), and why a grown row is still the
+// producer's storage, valid only until the producer's next NextBatch.
+//
 // The storage outlives the execution: a Tree keeps its batches from one
 // execution to the next, so after Close a batch still has its capacity
 // and whatever values the last fill left there, and nothing may still
@@ -27,6 +34,12 @@ const BatchSize = 64
 // ends the producer's last NextBatch.
 type Batch struct {
 	Rows [][]types.Value
+
+	// Last reports that the producer's next NextBatch returns nil, so a
+	// consumer that knows it need not pull again — a join, which must
+	// move the rows it grew in place out of the way before each pull.
+	// False promises nothing: producers that cannot tell say nothing.
+	Last bool
 
 	// arena backs the rows of producers that materialize values. Rows
 	// are carved off its tail; when a chunk fills, a fresh one is
@@ -39,25 +52,28 @@ type Batch struct {
 // returned rows become invalid (their storage is about to be reused).
 func (b *Batch) reset() {
 	b.Rows = b.Rows[:0]
+	b.Last = false
 	if b.arena != nil {
 		b.arena = b.arena[:0]
 	}
 }
 
-// alloc carves a width-value row off the arena tail. Arena chunks are
-// reused across batches, so the returned slice holds stale values: the
-// caller must write (or explicitly NULL) every position. Chunks double
-// from 4 rows up to a full batch, so a statement that moves a handful
-// of rows through ten joins does not pay for ten full-batch arenas.
-func (b *Batch) alloc(width int) []types.Value {
+// alloc carves a width-value row with capacity room (at least width)
+// off the arena tail. Arena chunks are reused across batches, so the
+// returned slice holds stale values: the caller must write (or
+// explicitly NULL) every position. Chunks double from 4 rows up to a
+// full batch, so a statement that moves a handful of rows through ten
+// joins does not pay for ten full-batch arenas.
+func (b *Batch) alloc(width, room int) []types.Value {
+	room = max(room, width)
 	n := len(b.arena)
-	if n+width > cap(b.arena) {
-		c := min(max(2*cap(b.arena), 4*width), BatchSize*width)
+	if n+room > cap(b.arena) {
+		c := min(max(2*cap(b.arena), 4*room), BatchSize*room)
 		b.arena = make([]types.Value, 0, c)
 		n = 0
 	}
-	b.arena = b.arena[:n+width]
-	return b.arena[n : n+width : n+width]
+	b.arena = b.arena[:n+room]
+	return b.arena[n : n+width : n+room]
 }
 
 // retained is what the batch holds on to between fills, in bytes: the
@@ -67,10 +83,10 @@ func (b *Batch) retained() int {
 	return cap(b.arena)*valueSize + cap(b.Rows)*sliceSize
 }
 
-// freeLast returns the most recent alloc (of the same width) to the
-// arena so a filtered-out row's storage is reused immediately.
-func (b *Batch) freeLast(width int) {
-	b.arena = b.arena[:len(b.arena)-width]
+// freeLast returns row, the most recent alloc, to the arena so a
+// filtered-out row's storage is reused immediately.
+func (b *Batch) freeLast(row []types.Value) {
+	b.arena = b.arena[:len(b.arena)-cap(row)]
 }
 
 // copyRow clones a row out of reused batch storage. Values are shared

@@ -17,8 +17,9 @@ import (
 
 // staleGuard enforces the ownership rule from the outside: before it
 // lets its child produce the next batch (and at Close) it overwrites
-// every row of the batch it handed out last, so an operator that kept
-// one of those rows without copying it returns sentinels.
+// every row of the batch it handed out last, up to the row's capacity,
+// so an operator that kept one of those rows without copying it —
+// grown in place by a join, too — returns sentinels.
 type staleGuard struct {
 	child Iterator
 	last  [][]types.Value
@@ -26,6 +27,7 @@ type staleGuard struct {
 
 func (g *staleGuard) scribble() {
 	for _, row := range g.last {
+		row = row[:cap(row)]
 		for i := range row {
 			row[i] = types.NewString("<stale>")
 		}
@@ -128,7 +130,6 @@ func poison(t *Tree) {
 			}
 		case *indexNLJoinIter:
 			keys(&it.keys)
-			scribble(it.rowbuf[:cap(it.rowbuf)])
 		case *hashJoinIter:
 			scribble(it.keys)
 		}
@@ -471,7 +472,7 @@ func (s *countingSource) NextBatch() (*Batch, error) {
 	s.pulls++
 	s.b.reset()
 	for i := 0; i < s.per && s.n > 0; i++ {
-		row := s.b.alloc(1)
+		row := s.b.alloc(1, 0)
 		row[0] = types.NewInt(int64(s.n))
 		s.b.Rows = append(s.b.Rows, row)
 		s.n--

@@ -31,13 +31,15 @@ type Context struct {
 // tree's next execution. NextBatch returns a non-empty batch or nil at
 // end of stream; the batch and its rows stay the iterator's and are
 // reused by its next NextBatch call (see Batch for the ownership rule).
+// A batch marked Last is followed by nil, so a consumer may stop
+// pulling there.
 //
 // Close ends one execution, not the iterator. It drops everything that
 // belongs to that execution — the Context, the transaction snapshot,
 // every buffered row set (hash build, NL right side, sort or materialize
 // buffer, distinct set) — and keeps what only has capacity: output
-// batch arenas, row and RID scratch, need masks, key buffers, the
-// re-seekable index cursor. A following Open rebinds all of it.
+// batch arenas, RID scratch, need masks, key buffers, the re-seekable
+// index cursor. A following Open rebinds all of it.
 type Iterator interface {
 	Open(ctx *Context) error
 	NextBatch() (*Batch, error)
@@ -49,7 +51,7 @@ type Iterator interface {
 // widest page or join fan-out it ever held, so one unusual execution
 // could otherwise pin that much for as long as the plan stays cached.
 // For scale: the 14 batches of §6.2's Q2 at scale 30 over Chunk6 settle
-// at 0.45 MB, the 24 of scale 60 at 1.4 MB.
+// at 0.11 MB, the 24 of scale 60 at 0.20 MB.
 const treeBudget = 2 << 20
 
 // Tree is one instantiated operator tree of a plan, the per-execution
@@ -82,7 +84,7 @@ type Tree struct {
 func Build(n plan.Node) (*Tree, error) {
 	t := &Tree{}
 	var err error
-	t.root, err = t.build(n)
+	t.root, err = t.build(n, 0)
 	return t, err
 }
 
@@ -99,7 +101,7 @@ func (t *Tree) InSet(in *plan.InSubquery) (*plan.InSet, error) {
 		return set, nil
 	}
 	if t.subs[in.Slot] == nil {
-		root, err := t.build(in.Plan)
+		root, err := t.build(in.Plan, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -147,12 +149,20 @@ func (t *Tree) run(params []types.Value, st *Stats, tx *mvcc.Txn, sink func(*Bat
 
 // Collect runs the tree to completion under params, feeding executor
 // counters into st (nil ok) and reading tx's snapshot (nil: the pages
-// as they are). The returned rows are copies, owned by the caller.
+// as they are). The returned rows are copies, owned by the caller: one
+// slab a batch, each row capped at its length.
 func (t *Tree) Collect(params []types.Value, st *Stats, tx *mvcc.Txn) ([][]types.Value, error) {
 	var rows [][]types.Value
 	err := t.run(params, st, tx, func(b *Batch) {
+		n := 0
 		for _, row := range b.Rows {
-			rows = append(rows, copyRow(row))
+			n += len(row)
+		}
+		slab := make([]types.Value, n)
+		for _, row := range b.Rows {
+			n = copy(slab, row)
+			rows = append(rows, slab[:n:n])
+			slab = slab[n:]
 		}
 	})
 	if err != nil {
@@ -192,83 +202,85 @@ func (t *Tree) newBatch() *Batch {
 	return b
 }
 
-func (t *Tree) build(n plan.Node) (Iterator, error) {
+// build instantiates n, whose rows the joins above it grow to room
+// values (0: none does), so that they can grow them in place.
+func (t *Tree) build(n plan.Node, room int) (Iterator, error) {
 	switch n := n.(type) {
 	case *plan.SeqScan:
 		want := len(n.Table.Columns)
-		return &seqScanIter{node: n, want: want, need: needMask(n.Needed, want), b: t.newBatch()}, nil
+		return &seqScanIter{node: n, want: want, room: room, need: needMask(n.Needed, want), b: t.newBatch()}, nil
 	case *plan.IndexScan:
 		want := len(n.Table.Columns)
-		return &indexScanIter{node: n, want: want, need: needMask(n.Needed, want), b: t.newBatch()}, nil
+		return &indexScanIter{node: n, want: want, room: room, need: needMask(n.Needed, want), b: t.newBatch()}, nil
 	case *plan.Values:
 		return &valuesIter{node: n}, nil
 	case *plan.Filter:
-		child, err := t.build(n.Child)
+		child, err := t.build(n.Child, room)
 		if err != nil {
 			return nil, err
 		}
 		return &filterIter{child: child, cond: n.Cond}, nil
 	case *plan.Project:
-		child, err := t.build(n.Child)
+		child, err := t.build(n.Child, 0)
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{child: child, exprs: n.Exprs, b: t.newBatch()}, nil
+		return &projectIter{child: child, exprs: n.Exprs, ords: colOrdinals(n.Exprs), room: room, b: t.newBatch()}, nil
 	case *plan.HashJoin:
-		l, err := t.build(n.Left)
+		l, err := t.build(n.Left, max(room, len(n.Schema())))
 		if err != nil {
 			return nil, err
 		}
-		r, err := t.build(n.Right)
+		r, err := t.build(n.Right, 0)
 		if err != nil {
 			return nil, err
 		}
 		return &hashJoinIter{node: n, right: r, keys: make([]types.Value, len(n.RightKeys)),
-			joinCore: t.joinCore(l, len(n.Right.Schema()), n.Residual, n.Type)}, nil
+			joinCore: t.joinCore(l, len(n.Right.Schema()), room, n.Residual, n.Type)}, nil
 	case *plan.IndexNLJoin:
-		outer, err := t.build(n.Outer)
+		outer, err := t.build(n.Outer, max(room, len(n.Schema())))
 		if err != nil {
 			return nil, err
 		}
 		width := len(n.Inner.Columns)
 		return &indexNLJoinIter{node: n, need: needMask(n.NeededInner, width),
-			joinCore: t.joinCore(outer, width, n.Residual, n.Type)}, nil
+			joinCore: t.joinCore(outer, width, room, n.Residual, n.Type)}, nil
 	case *plan.NLJoin:
-		l, err := t.build(n.Left)
+		l, err := t.build(n.Left, max(room, len(n.Schema())))
 		if err != nil {
 			return nil, err
 		}
-		r, err := t.build(n.Right)
+		r, err := t.build(n.Right, 0)
 		if err != nil {
 			return nil, err
 		}
-		return &nlJoinIter{right: r, joinCore: t.joinCore(l, len(n.Right.Schema()), n.Cond, n.Type)}, nil
+		return &nlJoinIter{right: r, joinCore: t.joinCore(l, len(n.Right.Schema()), room, n.Cond, n.Type)}, nil
 	case *plan.HashAggregate:
-		child, err := t.build(n.Child)
+		child, err := t.build(n.Child, 0)
 		if err != nil {
 			return nil, err
 		}
 		return &hashAggIter{node: n, child: child}, nil
 	case *plan.Sort:
-		child, err := t.build(n.Child)
+		child, err := t.build(n.Child, 0)
 		if err != nil {
 			return nil, err
 		}
 		return &sortIter{materializeIter: materializeIter{child: child}, keys: n.Keys}, nil
 	case *plan.Limit:
-		child, err := t.build(n.Child)
+		child, err := t.build(n.Child, room)
 		if err != nil {
 			return nil, err
 		}
 		return &limitIter{child: child, n: n.N}, nil
 	case *plan.Distinct:
-		child, err := t.build(n.Child)
+		child, err := t.build(n.Child, room)
 		if err != nil {
 			return nil, err
 		}
 		return &distinctIter{child: child}, nil
 	case *plan.Materialize:
-		child, err := t.build(n.Sub)
+		child, err := t.build(n.Sub, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -276,12 +288,26 @@ func (t *Tree) build(n plan.Node) (Iterator, error) {
 	}
 	// renameNode and other pass-through wrappers.
 	if w, ok := n.(interface{ Child() plan.Node }); ok {
-		return t.build(w.Child())
+		return t.build(w.Child(), room)
 	}
 	return nil, fmt.Errorf("exec: no iterator for %T", n)
 }
 
-func (t *Tree) joinCore(outer Iterator, innerWidth int, residual plan.Scalar, typ sql.JoinType) joinCore {
-	return joinCore{outer: outer, innerWidth: innerWidth, residual: residual,
+// colOrdinals returns the ordinals exprs read when every one is a
+// column reference, else nil.
+func colOrdinals(exprs []plan.Scalar) []int {
+	ords := make([]int, len(exprs))
+	for i, e := range exprs {
+		c, ok := e.(*plan.ColRef)
+		if !ok {
+			return nil
+		}
+		ords[i] = c.Idx
+	}
+	return ords
+}
+
+func (t *Tree) joinCore(outer Iterator, innerWidth, room int, residual plan.Scalar, typ sql.JoinType) joinCore {
+	return joinCore{outer: outer, innerWidth: innerWidth, room: room, residual: residual,
 		leftJoin: typ == sql.LeftJoin, out: t.newBatch()}
 }

@@ -150,8 +150,8 @@ func TestAggregateIterator(t *testing.T) {
 	// AVG over floats.
 	rows = runSQL(t, cat, plan.Sophisticated, "SELECT AVG(total) FROM orders")
 	want := 1.5 * 61 / 2 // mean of 1.5..90
-	if diff := rows[0][0].Float - want; diff > 0.001 || diff < -0.001 {
-		t.Errorf("avg: %v want %v", rows[0][0].Float, want)
+	if diff := rows[0][0].Float() - want; diff > 0.001 || diff < -0.001 {
+		t.Errorf("avg: %v want %v", rows[0][0].Float(), want)
 	}
 }
 

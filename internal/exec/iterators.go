@@ -21,6 +21,7 @@ type seqScanIter struct {
 	ctx  *Context
 	scan *storage.HeapScanner
 	want int
+	room int // capacity of a row: what the joins above grow it to
 	need []bool
 	snap *snapshot // nil: plain read
 	mi   int       // next of snap.moved to serve
@@ -62,8 +63,8 @@ func (it *seqScanIter) NextBatch() (*Batch, error) {
 					continue
 				}
 			}
-			row := it.b.alloc(it.want)
-			row, dec, skip, err := types.DecodeRowPartial(row, rec, it.need, it.want)
+			dst := it.b.alloc(it.want, it.room)
+			row, dec, skip, err := types.DecodeRowPartial(dst, rec, it.need, it.want)
 			if err != nil {
 				return nil, err
 			}
@@ -75,7 +76,7 @@ func (it *seqScanIter) NextBatch() (*Batch, error) {
 					return nil, err
 				}
 				if !plan.IsTrue(v) {
-					it.b.freeLast(it.want)
+					it.b.freeLast(dst)
 					continue
 				}
 			}
@@ -213,6 +214,7 @@ type indexScanIter struct {
 	extras  [][]types.Value // the snapshot's moved rows in range
 	ei      int
 	want    int
+	room    int // capacity of a row: what the joins above grow it to
 	need    []bool
 	rids    []storage.RID
 	b       *Batch
@@ -318,12 +320,13 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 		it.cnt.batches++
 		it.b.reset()
 		for i, rid := range it.rids {
-			row, dec, skip, ok, err := it.row(it.b.alloc(it.want), rid, ents, i)
+			dst := it.b.alloc(it.want, it.room)
+			row, dec, skip, ok, err := it.row(dst, rid, ents, i)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
-				it.b.freeLast(it.want)
+				it.b.freeLast(dst)
 				continue
 			}
 			it.cnt.decoded += int64(dec)
@@ -334,7 +337,7 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 					return nil, err
 				}
 				if !plan.IsTrue(v) {
-					it.b.freeLast(it.want)
+					it.b.freeLast(dst)
 					continue
 				}
 			}
@@ -342,6 +345,9 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 		}
 		if len(it.b.Rows) > 0 {
 			it.cnt.rows += int64(len(it.b.Rows))
+			// Nothing follows a spent range without snapshot extras.
+			it.b.Last = len(it.extras) == 0 && (it.onePage && it.pi == len(it.page.ents) ||
+				!it.onePage && !it.it.Valid() && it.it.Err() == nil)
 			return it.b, nil
 		}
 	}
@@ -450,10 +456,14 @@ func (it *filterIter) NextBatch() (*Batch, error) {
 func (it *filterIter) Close() error { return it.child.Close() }
 
 // projectIter evaluates the output expressions of a whole child batch
-// into its own arena, so projection allocates nothing per row.
+// into its own arena, so projection allocates nothing per row. When
+// every expression is a column reference, ords holds their ordinals
+// and a row is copied by ordinal instead.
 type projectIter struct {
 	child Iterator
 	exprs []plan.Scalar
+	ords  []int
+	room  int // capacity of a row: what the joins above grow it to
 	ctx   *Context
 	b     *Batch
 }
@@ -470,16 +480,23 @@ func (it *projectIter) NextBatch() (*Batch, error) {
 	}
 	it.b.reset()
 	for _, row := range b.Rows {
-		out := it.b.alloc(len(it.exprs))
-		for i, e := range it.exprs {
-			v, err := e.Eval(row, &it.ctx.Env)
-			if err != nil {
-				return nil, err
+		out := it.b.alloc(len(it.exprs), it.room)
+		if it.ords != nil {
+			for i, o := range it.ords {
+				out[i] = row[o]
 			}
-			out[i] = v
+		} else {
+			for i, e := range it.exprs {
+				v, err := e.Eval(row, &it.ctx.Env)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = v
+			}
 		}
 		it.b.Rows = append(it.b.Rows, out)
 	}
+	it.b.Last = b.Last
 	return it.b, nil
 }
 
@@ -489,24 +506,35 @@ func (it *projectIter) Close() error { return it.child.Close() }
 
 // joinCore is what the three joins share: the walk over the outer input
 // and the output side. nextBatch hands each outer row to the join's
-// match function, which calls emit once per candidate inner row; emit
-// carves outer‖inner from the output arena and keeps it if the residual
-// accepts it; an outer row of a LEFT JOIN that emitted nothing is
+// match function, which writes each candidate outer‖inner row where
+// next says and hands it to keep, which keeps it if the residual
+// accepts it; an outer row of a LEFT JOIN that kept nothing is
 // NULL-extended. A batch closes once it holds BatchSize rows, always on
 // an outer-row boundary, so a LIMIT above a join stops it within one
 // batch of work. The outer batch is held across calls, which is within
 // the ownership rule: it is replaced only by this join's own pull.
+//
+// The first kept row of an outer row is that row grown in place, into
+// its spare capacity (see Batch); later ones are copies carved from the
+// output arena with room for the joins above. A grown row is still the
+// outer's storage, so before the join pulls its outer again it moves
+// the grown rows its output batch holds into its own arena — unless the
+// outer said its batch was the Last, and the pull is skipped.
 type joinCore struct {
 	outer      Iterator
 	innerWidth int
+	room       int // capacity of an output row: what the joins above grow it to
 	residual   plan.Scalar
 	leftJoin   bool
 	ctx        *Context
 
-	ob   *Batch // current outer batch
-	oi   int
-	done bool // outer exhausted
-	out  *Batch
+	ob      *Batch // current outer batch
+	oi      int
+	first   int  // len(out.Rows) when the current outer row began
+	inPlace bool // the row next returned last is the outer row grown
+	grown   []int
+	done    bool // outer exhausted
+	out     *Batch
 }
 
 func (j *joinCore) open(ctx *Context) error {
@@ -522,11 +550,17 @@ func (j *joinCore) nextBatch(match func(orow []types.Value) error, release func(
 		defer release()
 	}
 	j.out.reset()
+	j.grown = j.grown[:0]
 	for len(j.out.Rows) < BatchSize && !j.done {
 		if j.ob == nil || j.oi == len(j.ob.Rows) {
+			if j.ob != nil && j.ob.Last {
+				j.done = true
+				break
+			}
 			if release != nil {
 				release()
 			}
+			j.moveOut()
 			b, err := j.outer.NextBatch()
 			if err != nil {
 				return nil, err
@@ -540,38 +574,85 @@ func (j *joinCore) nextBatch(match func(orow []types.Value) error, release func(
 		}
 		orow := j.ob.Rows[j.oi]
 		j.oi++
-		before := len(j.out.Rows)
+		j.first = len(j.out.Rows)
 		if err := match(orow); err != nil {
 			return nil, err
 		}
-		if len(j.out.Rows) == before && j.leftJoin {
-			crow := j.out.alloc(len(orow) + j.innerWidth)
-			clear(crow[copy(crow, orow):]) // NULL-extend the inner half
-			j.out.Rows = append(j.out.Rows, crow)
+		if len(j.out.Rows) == j.first && j.leftJoin {
+			crow := j.next(orow)
+			clear(crow[len(orow):]) // NULL-extend the inner half
+			j.add(crow)
 		}
 	}
+	j.done = j.done || j.ob != nil && j.ob.Last && j.oi == len(j.ob.Rows)
 	if len(j.out.Rows) == 0 {
 		return nil, nil
 	}
+	j.out.Last = j.done
 	return j.out, nil
 }
 
-func (j *joinCore) emit(orow, irow []types.Value) error {
+// next returns the row the next candidate for orow is written to, its
+// outer half filled: orow grown in place while no kept row holds it and
+// it has the capacity, else a row carved from the output arena.
+func (j *joinCore) next(orow []types.Value) []types.Value {
 	width := len(orow) + j.innerWidth
-	crow := j.out.alloc(width)
-	copy(crow[copy(crow, orow):], irow)
+	if j.inPlace = len(j.out.Rows) == j.first && cap(orow) >= width; j.inPlace {
+		return orow[:width]
+	}
+	crow := j.out.alloc(width, j.room)
+	copy(crow, orow)
+	return crow
+}
+
+// keep adds crow, the row next returned, if the residual accepts it.
+func (j *joinCore) keep(crow []types.Value) error {
 	if j.residual != nil {
 		v, err := j.residual.Eval(crow, &j.ctx.Env)
 		if err != nil {
 			return err
 		}
 		if !plan.IsTrue(v) {
-			j.out.freeLast(width)
+			j.discard(crow)
 			return nil
 		}
 	}
-	j.out.Rows = append(j.out.Rows, crow)
+	j.add(crow)
 	return nil
+}
+
+// add appends crow, the row next returned, to the output.
+func (j *joinCore) add(crow []types.Value) {
+	if j.inPlace {
+		j.grown = append(j.grown, len(j.out.Rows))
+	}
+	j.out.Rows = append(j.out.Rows, crow)
+}
+
+// discard drops crow, the row next returned: a carved row goes back to
+// the arena, a grown one is simply overwritten by the next candidate.
+func (j *joinCore) discard(crow []types.Value) {
+	if !j.inPlace {
+		j.out.freeLast(crow)
+	}
+}
+
+// emit is next and keep for an inner row held elsewhere.
+func (j *joinCore) emit(orow, irow []types.Value) error {
+	crow := j.next(orow)
+	copy(crow[len(orow):], irow)
+	return j.keep(crow)
+}
+
+// moveOut copies the rows the output batch grew in place into the
+// output arena, before the outer's next batch reuses their storage.
+func (j *joinCore) moveOut() {
+	for _, i := range j.grown {
+		row := j.out.Rows[i]
+		j.out.Rows[i] = j.out.alloc(len(row), j.room)
+		copy(j.out.Rows[i], row)
+	}
+	j.grown = j.grown[:0]
 }
 
 func (j *joinCore) Close() error {
@@ -661,14 +742,13 @@ func (it *hashJoinIter) Close() error {
 // the outer input is pulled.
 type indexNLJoinIter struct {
 	joinCore
-	node   *plan.IndexNLJoin
-	snap   *snapshot // of the inner table; nil: plain read
-	need   []bool
-	rowbuf []types.Value // reused inner-fetch decode buffer; emit copies out of it
-	keys   keyRange
-	inner  btree.Iterator
-	page   storage.HeapReader
-	cnt    scanCounters
+	node  *plan.IndexNLJoin
+	snap  *snapshot // of the inner table; nil: plain read
+	need  []bool
+	keys  keyRange
+	inner btree.Iterator
+	page  storage.HeapReader
+	cnt   scanCounters
 }
 
 func (it *indexNLJoinIter) Open(ctx *Context) error {
@@ -712,18 +792,20 @@ func (it *indexNLJoinIter) probe(orow []types.Value) error {
 		if err != nil {
 			return err
 		}
-		irow, dec, skip, ok, err := it.snap.decode(t, it.rowbuf, rid, rec, it.need)
+		// The inner record decodes straight into the output row.
+		crow := it.next(orow)
+		_, dec, skip, ok, err := it.snap.decode(t, crow[len(orow):], rid, rec, it.need)
 		if err != nil {
 			return err
 		}
-		it.rowbuf = irow
 		if !ok {
+			it.discard(crow)
 			continue
 		}
 		it.cnt.rows++
 		it.cnt.decoded += int64(dec)
 		it.cnt.skipped += int64(skip)
-		if err := it.emit(orow, irow); err != nil {
+		if err := it.keep(crow); err != nil {
 			return err
 		}
 	}
@@ -865,7 +947,7 @@ func (it *hashAggIter) Open(ctx *Context) error {
 					if err != nil {
 						return err
 					}
-					out = append(out, types.NewFloat(f.Float/float64(st.counts[i])))
+					out = append(out, types.NewFloat(f.Float()/float64(st.counts[i])))
 				}
 			}
 		}
@@ -946,7 +1028,7 @@ func addValues(a, b types.Value) (types.Value, error) {
 	if err != nil {
 		return types.Null(), fmt.Errorf("exec: SUM over %s", b.Kind)
 	}
-	return types.NewFloat(af.Float + bf.Float), nil
+	return types.NewFloat(af.Float() + bf.Float()), nil
 }
 
 // --- materialize / sort / limit / distinct ----------------------------------------

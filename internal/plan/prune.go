@@ -40,8 +40,8 @@ func allNeeded(n int) []bool {
 }
 
 // DisablePruning clears every needed-column set under root so the
-// executor decodes full rows. Benchmarks use it to measure the
-// row-at-a-time full-decode baseline against the pruned batch path.
+// executor decodes full rows. Only tests call it, to hold a pruned plan
+// to the same plan decoding everything.
 func DisablePruning(root Node) {
 	if root == nil {
 		return

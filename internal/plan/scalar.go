@@ -207,16 +207,16 @@ func evalArith(op sql.BinOp, l, r types.Value) (types.Value, error) {
 	}
 	switch op {
 	case sql.OpAdd:
-		return types.NewFloat(lf.Float + rf.Float), nil
+		return types.NewFloat(lf.Float() + rf.Float()), nil
 	case sql.OpSub:
-		return types.NewFloat(lf.Float - rf.Float), nil
+		return types.NewFloat(lf.Float() - rf.Float()), nil
 	case sql.OpMul:
-		return types.NewFloat(lf.Float * rf.Float), nil
+		return types.NewFloat(lf.Float() * rf.Float()), nil
 	case sql.OpDiv:
-		if rf.Float == 0 {
+		if rf.Float() == 0 {
 			return types.Null(), fmt.Errorf("plan: division by zero")
 		}
-		return types.NewFloat(lf.Float / rf.Float), nil
+		return types.NewFloat(lf.Float() / rf.Float()), nil
 	}
 	return types.Null(), fmt.Errorf("plan: bad arith op %v", op)
 }
@@ -256,7 +256,7 @@ func (n *Neg) Eval(row []types.Value, env *Env) (types.Value, error) {
 	case types.KindInt:
 		return types.NewInt(-v.Int), nil
 	case types.KindFloat:
-		return types.NewFloat(-v.Float), nil
+		return types.NewFloat(-v.Float()), nil
 	}
 	return types.Null(), fmt.Errorf("plan: cannot negate %s", v.Kind)
 }

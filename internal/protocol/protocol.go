@@ -610,7 +610,7 @@ func Decode(payload []byte) (any, error) {
 // from the wire (NaN floats break index ordering invariants).
 func SanitizeParams(params []types.Value) error {
 	for i, v := range params {
-		if v.Kind == types.KindFloat && math.IsNaN(v.Float) {
+		if v.Kind == types.KindFloat && math.IsNaN(v.Float()) {
 			return fmt.Errorf("%w: parameter %d is NaN", ErrBadMessage, i)
 		}
 	}

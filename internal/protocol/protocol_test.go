@@ -346,7 +346,7 @@ func TestSanitizeParams(t *testing.T) {
 	if err := SanitizeParams([]types.Value{types.NewFloat(1.5)}); err != nil {
 		t.Fatalf("clean params rejected: %v", err)
 	}
-	nan := types.Value{Kind: types.KindFloat, Float: nan()}
+	nan := types.NewFloat(nan())
 	if err := SanitizeParams([]types.Value{nan}); err == nil {
 		t.Fatal("NaN parameter accepted")
 	}

@@ -296,7 +296,7 @@ func TestLoneStatementErrors(t *testing.T) {
 	c := dialServer(t, addr)
 	c.hello(1, "tk")
 
-	nan := types.Value{Kind: types.KindFloat, Float: math.NaN()}
+	nan := types.NewFloat(math.NaN())
 	c.fail(protocol.CodeProtocol, q("SELECT v FROM t WHERE k = ?", nan))
 	c.exec("SELECT COUNT(*) FROM t")
 	c.fail(protocol.CodeSQL, q("SELECT v FROM nosuch"))

@@ -941,7 +941,7 @@ func (p *parser) parseUnary() (Expr, error) {
 			case types.KindInt:
 				return &Literal{Val: types.NewInt(-lit.Val.Int)}, nil
 			case types.KindFloat:
-				return &Literal{Val: types.NewFloat(-lit.Val.Float)}, nil
+				return &Literal{Val: types.NewFloat(-lit.Val.Float())}, nil
 			}
 		}
 		return &UnaryExpr{Op: OpNeg, X: x}, nil

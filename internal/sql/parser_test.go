@@ -125,7 +125,7 @@ func TestParseLiterals(t *testing.T) {
 	for i, it := range sel.Items {
 		vals[i] = it.Expr.(*Literal).Val
 	}
-	if vals[0].Int != 1 || vals[1].Int != -2 || vals[2].Float != 2.5 ||
+	if vals[0].Int != 1 || vals[1].Int != -2 || vals[2].Float() != 2.5 ||
 		vals[3].Str != "it's" || !vals[4].IsNull() || !vals[5].Bool() || vals[6].Bool() ||
 		vals[7].Kind != types.KindDate {
 		t.Errorf("literals: %v", vals)

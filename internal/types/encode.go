@@ -33,7 +33,7 @@ func EncodeKey(dst []byte, v Value) []byte {
 	case KindInt:
 		return appendOrderedFloat(append(dst, tagNumber), float64(v.Int))
 	case KindFloat:
-		return appendOrderedFloat(append(dst, tagNumber), v.Float)
+		return appendOrderedFloat(append(dst, tagNumber), v.Float())
 	case KindString:
 		dst = append(dst, tagString)
 		// Escape 0x00 as 0x00 0xFF so a 0x00 0x00 terminator preserves
@@ -101,7 +101,7 @@ func EncodeRow(dst []byte, row []Value) []byte {
 			dst = binary.AppendVarint(dst, v.Int)
 		case KindFloat:
 			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.Float))
+			binary.BigEndian.PutUint64(buf[:], uint64(v.Int))
 			dst = append(dst, buf[:]...)
 		case KindString:
 			dst = binary.AppendUvarint(dst, uint64(len(v.Str)))

@@ -6,6 +6,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -20,7 +21,8 @@ const (
 	KindBool
 	// KindInt holds a 64-bit signed integer.
 	KindInt
-	// KindFloat holds a 64-bit IEEE float.
+	// KindFloat holds a 64-bit IEEE float, its bits stored in the Int
+	// field (read it with Value.Float).
 	KindFloat
 	// KindString holds an immutable UTF-8 string.
 	KindString
@@ -48,11 +50,12 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed SQL scalar. The zero Value is NULL.
+// It is 32 bytes: every payload but a string's shares Int, so the rows
+// that batches, joins and results copy stay four words a value.
 type Value struct {
-	Kind  Kind
-	Int   int64 // INT payload; BOOL as 0/1; DATE as days since epoch
-	Float float64
-	Str   string
+	Kind Kind
+	Int  int64 // INT payload; BOOL as 0/1; DATE as days since epoch; DOUBLE as IEEE bits
+	Str  string
 }
 
 // Null returns the SQL NULL value.
@@ -62,7 +65,7 @@ func Null() Value { return Value{Kind: KindNull} }
 func NewInt(v int64) Value { return Value{Kind: KindInt, Int: v} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(v float64) Value { return Value{Kind: KindFloat, Float: v} }
+func NewFloat(v float64) Value { return Value{Kind: KindFloat, Int: int64(math.Float64bits(v))} }
 
 // NewString returns a VARCHAR value.
 func NewString(v string) Value { return Value{Kind: KindString, Str: v} }
@@ -89,8 +92,12 @@ func DateFromTime(t time.Time) Value {
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
-// Bool returns the boolean payload; only meaningful for KindBool.
-func (v Value) Bool() bool { return v.Int != 0 }
+// Bool returns the boolean payload; only meaningful for KindBool. A
+// DOUBLE, whose Int holds float bits, is never true here.
+func (v Value) Bool() bool { return v.Int != 0 && v.Kind != KindFloat }
+
+// Float returns the DOUBLE payload; only meaningful for KindFloat.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.Int)) }
 
 // Time returns the time.Time at UTC midnight for a DATE value.
 func (v Value) Time() time.Time { return time.Unix(v.Int*86400, 0).UTC() }
@@ -108,7 +115,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.Str
 	case KindDate:
@@ -151,7 +158,7 @@ func numeric(k Kind) bool { return k == KindInt || k == KindFloat }
 // asFloat coerces INT/FLOAT payloads to float64.
 func (v Value) asFloat() float64 {
 	if v.Kind == KindFloat {
-		return v.Float
+		return v.Float()
 	}
 	return float64(v.Int)
 }
@@ -176,7 +183,7 @@ func Compare(a, b Value) (int, error) {
 		case KindBool, KindInt, KindDate:
 			return cmpInt64(a.Int, b.Int), nil
 		case KindFloat:
-			return cmpFloat64(a.Float, b.Float), nil
+			return cmpFloat64(a.Float(), b.Float()), nil
 		case KindString:
 			switch {
 			case a.Str < b.Str:
@@ -237,7 +244,7 @@ func Cast(v Value, to Kind) (Value, error) {
 	case KindInt:
 		switch v.Kind {
 		case KindFloat:
-			return NewInt(int64(v.Float)), nil
+			return NewInt(int64(v.Float())), nil
 		case KindBool, KindDate:
 			return NewInt(v.Int), nil
 		case KindString:
