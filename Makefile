@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree fuzz-join check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree fuzz-join check
 
 all: check
 
@@ -16,6 +16,13 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# Run the five example programs; each exits non-zero on a failure (CI
+# runs this: under a second together once built). They drive the layout
+# constructors, ExtendTenant, RemoveTenant, Placement and the Mover.
+EXAMPLES = crmservice layoutcompare migration quickstart schemaevolution
+examples:
+	@for e in $(EXAMPLES); do echo "== examples/$$e"; $(GO) run ./examples/$$e || exit 1; done
 
 # Go line counts, for the record (CI prints them; nothing gates on them):
 # non-test Go outside bench/ — the figure ROADMAP tracks — the same for

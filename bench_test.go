@@ -405,7 +405,7 @@ func BenchmarkLayoutPointQuery(b *testing.B) {
 		"private":   func() (core.Layout, error) { return core.NewPrivateLayout(schema) },
 		"extension": func() (core.Layout, error) { return core.NewExtensionLayout(schema) },
 		"universal": func() (core.Layout, error) { return core.NewUniversalLayout(schema, 8) },
-		"pivot":     func() (core.Layout, error) { return core.NewPivotLayout(schema, true) },
+		"pivot":     func() (core.Layout, error) { return core.NewPivotLayout(schema) },
 		"chunk": func() (core.Layout, error) {
 			return core.NewChunkLayout(schema, core.ChunkOptions{})
 		},

@@ -78,7 +78,7 @@ func main() {
 		{"private (4a)", func(s *core.Schema) (core.Layout, error) { return core.NewPrivateLayout(s) }},
 		{"extension (4b)", func(s *core.Schema) (core.Layout, error) { return core.NewExtensionLayout(s) }},
 		{"universal (4c)", func(s *core.Schema) (core.Layout, error) { return core.NewUniversalLayout(s, 16) }},
-		{"pivot (4d)", func(s *core.Schema) (core.Layout, error) { return core.NewPivotLayout(s, true) }},
+		{"pivot (4d)", func(s *core.Schema) (core.Layout, error) { return core.NewPivotLayout(s) }},
 		{"chunk (4e)", func(s *core.Schema) (core.Layout, error) {
 			return core.NewChunkLayout(s, core.ChunkOptions{})
 		}},

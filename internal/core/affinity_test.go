@@ -80,7 +80,7 @@ func TestAffinityReducesChunks(t *testing.T) {
 		if err := l.Create(db, []*Tenant{{ID: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		p, err := l.s.placement(1, s.Table("Wide"))
+		p, err := l.st.placement(1, s.Table("Wide"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func BenchmarkRewrite(b *testing.B) {
 	})
 
 	b.Run("q_pivot", func(b *testing.B) {
-		l, err := core.NewPivotLayout(chunkexp.Schema(), true)
+		l, err := core.NewPivotLayout(chunkexp.Schema())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkRewrite(b *testing.B) {
 		phys(b, 1)
 	})
 	pivot := func(b *testing.B) core.Layout {
-		l, err := core.NewPivotLayout(testbed.MultiInstanceSchema(1, true), true)
+		l, err := core.NewPivotLayout(testbed.MultiInstanceSchema(1, true))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,11 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/sql"
 	"repro/internal/types"
 )
 
-// ChunkOptions configures a ChunkLayout.
+// ChunkOptions configures a chunk layout (NewChunkLayout).
 type ChunkOptions struct {
 	// Defs are the chunk-table shapes available to the assignment
 	// algorithm. When empty, UniformChunkDefs(schema, 4) is used.
@@ -35,74 +34,95 @@ type ChunkOptions struct {
 	Affinity *Affinity
 }
 
-// ChunkLayout (Fig 4e) folds vertical partitions of all tenants'
+// NewChunkLayout (Fig 4e) folds vertical partitions of all tenants'
 // logical tables into a fixed set of generic, typed chunk tables keyed
 // by (Tenant, Table, Chunk, Row).
-type ChunkLayout struct {
-	s   *state
-	opt ChunkOptions
-}
-
-// NewChunkLayout builds the layout.
-func NewChunkLayout(schema *Schema, opt ChunkOptions) (*ChunkLayout, error) {
-	if err := schema.Validate(); err != nil {
+//
+// A logical table is placed as one fragment per chunk. The columns a
+// placement lacks are assigned to new chunks numbered after its last,
+// so enabling an extension on-line never disturbs stored data: it
+// back-fills spine rows in the new chunks for the tenant's existing
+// logical rows, and runs no DDL.
+func NewChunkLayout(schema *Schema, opt ChunkOptions) (*FragmentLayout, error) {
+	l, err := newFragmentLayout("chunk", schema)
+	if err != nil {
 		return nil, err
 	}
 	if len(opt.Defs) == 0 {
 		opt.Defs = UniformChunkDefs(schema, 4)
 	}
-	return &ChunkLayout{s: newState(schema), opt: opt}, nil
+	l.flat, l.metaFirst = opt.Flattened, opt.MetadataFirst
+	l.create = func(db *engine.DB) error {
+		return createChunkTables(db, opt.Defs, opt.Trashcan)
+	}
+	del := ""
+	if opt.Trashcan {
+		del = delCol
+	}
+	l.fragments = func(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
+		cols, err := schema.logicalColumns(tn, table)
+		if err != nil {
+			return nil, err
+		}
+		cols = unplaced(cols, have)
+		if opt.Affinity != nil {
+			cols = opt.Affinity.OrderColumns(table.Name, cols)
+		}
+		groups, err := assignColumns(cols, opt.Defs, len(have))
+		if err != nil {
+			return nil, err
+		}
+		tid, err := l.st.tableID(table.Name)
+		if err != nil {
+			return nil, err
+		}
+		return append(append([]*fragment(nil), have...), foldedChunks(groups, tid, del)...), nil
+	}
+	return l, nil
 }
-
-// Name implements Layout.
-func (l *ChunkLayout) Name() string { return "chunk" }
-
-// Schema implements Layout.
-func (l *ChunkLayout) Schema() *Schema { return l.s.schema }
-
-func (l *ChunkLayout) state() *state { return l.s }
-
-// Defs exposes the configured chunk-table shapes.
-func (l *ChunkLayout) Defs() []*ChunkTableDef { return l.opt.Defs }
 
 // delCol is the invisibility marker column used in Trashcan mode.
 const delCol = "Del"
 
-// createChunkTables issues the DDL for a set of chunk-table defs with
-// the given meta columns and index prefix; shared by the chunk,
-// vertical-partitioning, and chunk-folding layouts.
-func createChunkTables(db *engine.DB, defs []*ChunkTableDef, metaCols []Column, trashcan bool) error {
-	metaNames := make([]string, len(metaCols))
-	for i, c := range metaCols {
-		metaNames[i] = c.Name
-	}
-	prefix := strings.Join(metaNames, ", ")
+// createChunkTables provisions the shared chunk tables of the chunk and
+// chunk-folding layouts, keyed by (Tenant, Table, Chunk, Row).
+func createChunkTables(db *engine.DB, defs []*ChunkTableDef, trashcan bool) error {
 	for _, d := range defs {
-		cols := append([]Column{}, metaCols...)
-		if trashcan {
-			cols = append(cols, Column{Name: delCol, Type: types.IntType})
-		}
-		phys := d.PhysCols()
-		for i, t := range d.Cols {
-			cols = append(cols, Column{Name: phys[i], Type: t})
-		}
-		if _, err := db.Exec(buildCreateTable(d.Name, cols)); err != nil {
+		if err := createChunkTable(db, d.Name, d, chunkMetaCols(), "tcr", trashcan); err != nil {
 			return err
-		}
-		ddl := fmt.Sprintf("CREATE UNIQUE INDEX %s_tcr ON %s (%s)", d.Name, d.Name, prefix)
-		if _, err := db.Exec(ddl); err != nil {
-			return err
-		}
-		if d.ValueIndex {
-			for _, pc := range phys {
-				ddl := fmt.Sprintf("CREATE INDEX %s_v%s ON %s (%s, %s)", d.Name, pc, d.Name, prefix[:len(prefix)-len(", Row")], pc)
-				if _, err := db.Exec(ddl); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	return nil
+}
+
+// createChunkTable issues the DDL of one table of shape def under the
+// meta-data columns meta (and a Trashcan marker where del is set): the
+// table, its unique meta-data index name_pk, and for a ValueIndex def a
+// value index per data column under meta without Row.
+func createChunkTable(db *engine.DB, name string, def *ChunkTableDef, meta []Column, pk string, del bool) error {
+	names := make([]string, len(meta))
+	for i, c := range meta {
+		names[i] = c.Name
+	}
+	cols := append([]Column(nil), meta...)
+	if del {
+		cols = append(cols, Column{Name: delCol, Type: types.IntType})
+	}
+	phys := def.PhysCols()
+	for i, t := range def.Cols {
+		cols = append(cols, Column{Name: phys[i], Type: t})
+	}
+	ddl := []string{
+		buildCreateTable(name, cols),
+		fmt.Sprintf("CREATE UNIQUE INDEX %s_%s ON %s (%s)", name, pk, name, strings.Join(names, ", ")),
+	}
+	if def.ValueIndex {
+		prefix := strings.Join(names[:len(names)-1], ", ")
+		for _, pc := range phys {
+			ddl = append(ddl, fmt.Sprintf("CREATE INDEX %s_v%s ON %s (%s, %s)", name, pc, name, prefix, pc))
+		}
+	}
+	return execAll(db, ddl)
 }
 
 // chunkMetaCols is the (Tenant, Table, Chunk, Row) meta-data column set
@@ -116,54 +136,6 @@ func chunkMetaCols() []Column {
 	}
 }
 
-// Create implements Layout.
-func (l *ChunkLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	if err := createChunkTables(db, l.opt.Defs, chunkMetaCols(), l.opt.Trashcan); err != nil {
-		return err
-	}
-	return addTenants(l, db, tenants)
-}
-
-// AddTenant implements Layout: computes the tenant's chunk assignments;
-// no DDL — the whole point of generic structures.
-func (l *ChunkLayout) AddTenant(db *engine.DB, t *Tenant) error {
-	return registerTenant(l, db, t)
-}
-
-// ExtendTenant enables an extension on-line: meta-data bookkeeping plus
-// back-filling spine rows in the new chunks for the tenant's existing
-// logical rows. No DDL runs.
-func (l *ChunkLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
-	return extendTenant(l, db, tenantID, extName)
-}
-
-// fragments implements reconstructor: one fragment per chunk. The
-// columns have lacks are assigned to new chunks numbered after its
-// last, so an on-line extension never disturbs stored data.
-func (l *ChunkLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
-	cols, err := l.s.schema.logicalColumns(tn, table)
-	if err != nil {
-		return nil, err
-	}
-	cols = unplaced(cols, have)
-	if l.opt.Affinity != nil {
-		cols = l.opt.Affinity.OrderColumns(table.Name, cols)
-	}
-	groups, err := assignColumns(cols, l.opt.Defs, len(have))
-	if err != nil {
-		return nil, err
-	}
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	del := ""
-	if l.opt.Trashcan {
-		del = delCol
-	}
-	return append(append([]*fragment(nil), have...), foldedChunks(groups, tid, del)...), nil
-}
-
 // foldedChunks describes chunk groups folded into the shared chunk
 // tables: the rows of (Tenant, Table, Chunk) in the group's table.
 func foldedChunks(groups []*chunkGroup, tableID int, del string) []*fragment {
@@ -173,52 +145,4 @@ func foldedChunks(groups []*chunkGroup, tableID int, del string) []*fragment {
 		out[i] = g.fragment(g.Def.Name, meta, del)
 	}
 	return out
-}
-
-// Rewrite implements Layout.
-func (l *ChunkLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	if l.opt.Flattened {
-		if sel, ok := st.(*sql.SelectStmt); ok {
-			tn, err := l.s.tenant(tenantID)
-			if err != nil {
-				return nil, err
-			}
-			out, err := l.flattenedSelect(tn, sel)
-			if err == nil {
-				return &Rewritten{Query: out}, nil
-			}
-			if err != errNotFlattenable {
-				return nil, err
-			}
-			// Fall through to the generic form.
-		}
-	}
-	return genericRewrite(l, tenantID, st)
-}
-
-// RestoreRows un-deletes trashcanned logical rows (the Trashcan
-// mechanism's raison d'être).
-func (l *ChunkLayout) RestoreRows(db *engine.DB, tenantID int64, table string, rowIDs []types.Value) error {
-	if !l.opt.Trashcan {
-		return fmt.Errorf("core: trashcan is not enabled")
-	}
-	lt := l.s.schema.Table(table)
-	if lt == nil {
-		return fmt.Errorf("core: no logical table %s", table)
-	}
-	p, err := l.s.placement(tenantID, lt)
-	if err != nil {
-		return err
-	}
-	for _, f := range p.frags {
-		up := &sql.UpdateStmt{
-			Table: f.table,
-			Set:   []sql.Assignment{{Column: f.del, Value: intLit(0)}},
-			Where: and(append(f.where("", tenantID), inList(colRef("", "Row"), rowIDs))...),
-		}
-		if _, err := db.ExecStmt(up, ""); err != nil {
-			return err
-		}
-	}
-	return nil
 }

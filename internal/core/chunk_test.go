@@ -221,10 +221,7 @@ func TestOnlineTenantAndExtension(t *testing.T) {
 		}
 
 		// On-line extension for tenant 35 (base-only so far).
-		ex, ok := m.Layout.(extender)
-		if !ok {
-			continue
-		}
+		ex := m.Layout.(*FragmentLayout)
 		if err := ex.ExtendTenant(m.DB, 35, "AutomotiveAccount"); err != nil {
 			t.Fatalf("%s: ExtendTenant: %v", name, err)
 		}
@@ -499,7 +496,7 @@ func TestDateAndFloatThroughLayouts(t *testing.T) {
 	}
 	pl, err1 := NewPrivateLayout(schema)
 	ul, err2 := NewUniversalLayout(schema, 8)
-	pv, err3 := NewPivotLayout(schema, true)
+	pv, err3 := NewPivotLayout(schema)
 	ch, err4 := NewChunkLayout(schema, ChunkOptions{})
 	for name, m := range map[string]*Mapper{
 		"private":   mk("private", pl, err1),

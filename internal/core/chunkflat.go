@@ -19,13 +19,13 @@ var errNotFlattenable = errors.New("core: query not flattenable")
 // outer FROM, aligning and meta-data conjuncts merged into WHERE in a
 // deliberate order. This is what the transformation layer must produce
 // for databases whose optimizer cannot unnest the generic form.
-func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
+func (l *FragmentLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
 	for _, tr := range sel.From {
 		if _, ok := tr.(*sql.NamedTable); !ok {
 			return nil, errNotFlattenable
 		}
 	}
-	usages, err := analyzeSelect(l.s, tn, sel)
+	usages, err := analyzeSelect(l.st, tn, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 				alignConjs = append(alignConjs, eq(colRef(m.aliases[gi], "Row"), colRef(m.aliases[0], "Row")))
 			}
 		}
-		if l.opt.MetadataFirst {
+		if l.metaFirst {
 			// The "careless" emission of Test 1: chunk references in
 			// reverse order, so a FROM-order-driven optimizer starts
 			// from a data chunk instead of the selective anchor.
@@ -133,7 +133,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 		splitConjunctsCore(sel.Where, &raw)
 		for _, c := range raw {
 			c, err := rewriteInSubqueries(c, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-				return genericSelect(l.s, tn, s)
+				return genericSelect(l.st, tn, s)
 			})
 			if err != nil {
 				return nil, err
@@ -145,7 +145,7 @@ func (l *ChunkLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.Sel
 			userConjs = append(userConjs, rc)
 		}
 	}
-	if l.opt.MetadataFirst {
+	if l.metaFirst {
 		out.Where = and(append(append(metaConjs, alignConjs...), userConjs...)...)
 	} else {
 		out.Where = and(append(append(userConjs, metaConjs...), alignConjs...)...)

@@ -170,7 +170,7 @@ func TestPhaseBNoRows(t *testing.T) {
 // wideTrashcan is a Trashcan chunk layout whose one chunk table takes
 // every column of goldenSchema's base tables: tenants 17 and 35 hold
 // Contact, and 35 its Account, in a single fragment.
-func wideTrashcan(t *testing.T) (*Mapper, *ChunkLayout) {
+func wideTrashcan(t *testing.T) (*Mapper, *FragmentLayout) {
 	t.Helper()
 	i, s, d := types.ColumnType{Kind: types.KindInt}, types.ColumnType{Kind: types.KindString}, types.ColumnType{Kind: types.KindDate}
 	l, err := NewChunkLayout(goldenSchema(), ChunkOptions{

@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/sql"
 )
 
-// FoldingOptions configures a ChunkFoldingLayout.
+// FoldingOptions configures a chunk-folding layout (NewChunkFoldingLayout).
 type FoldingOptions struct {
 	// Defs are the generic chunk-table shapes (default
 	// UniformChunkDefs(schema, 4)).
@@ -21,120 +21,72 @@ type FoldingOptions struct {
 	ConventionalExtensions []string
 }
 
-// ChunkFoldingLayout is the paper's contribution (Fig 3/4f): base
-// tables — the most heavily utilized parts of the logical schemas —
+// NewChunkFoldingLayout builds the paper's contribution (Fig 3/4f):
+// base tables — the most heavily utilized parts of the logical schemas —
 // map to conventional tables, designated popular extensions map to
 // conventional extension tables, and the remaining extension columns
 // fold into a fixed set of generic chunk tables joined on Row.
-type ChunkFoldingLayout struct {
-	s   *state
-	opt FoldingOptions
-}
-
-// NewChunkFoldingLayout builds the layout.
-func NewChunkFoldingLayout(schema *Schema, opt FoldingOptions) (*ChunkFoldingLayout, error) {
-	if err := schema.Validate(); err != nil {
+//
+// A logical table is placed with the conventional base table as anchor;
+// the tenant's conventional extensions follow, then the chunks its other
+// extensions' columns fold into (§6.4: the only interface between the
+// parts is the Row meta-column). Chunks only ever append: the ones a
+// placement has stay, the folded columns they lack get new ones, so
+// enabling an extension on-line adds spine rows in its conventional
+// table, or in the chunks its columns fold into.
+func NewChunkFoldingLayout(schema *Schema, opt FoldingOptions) (*FragmentLayout, error) {
+	l, err := newFragmentLayout("chunkfold", schema)
+	if err != nil {
 		return nil, err
 	}
 	if len(opt.Defs) == 0 {
 		opt.Defs = UniformChunkDefs(schema, 4)
 	}
+	var conventional []*Extension
 	for _, en := range opt.ConventionalExtensions {
-		if schema.Extension(en) == nil {
+		e := schema.Extension(en)
+		if e == nil {
 			return nil, fmt.Errorf("core: conventional extension %s is not in the schema", en)
 		}
+		conventional = append(conventional, e)
 	}
-	return &ChunkFoldingLayout{s: newState(schema), opt: opt}, nil
-}
-
-// Name implements Layout.
-func (l *ChunkFoldingLayout) Name() string { return "chunkfold" }
-
-// Schema implements Layout.
-func (l *ChunkFoldingLayout) Schema() *Schema { return l.s.schema }
-
-func (l *ChunkFoldingLayout) state() *state { return l.s }
-
-// conventionalExt reports whether an extension has its own table.
-func (l *ChunkFoldingLayout) conventionalExt(name string) bool {
-	for _, en := range l.opt.ConventionalExtensions {
-		if strings.EqualFold(en, name) {
-			return true
-		}
-	}
-	return false
-}
-
-// Create implements Layout.
-func (l *ChunkFoldingLayout) Create(db *engine.DB, tenants []*Tenant) error {
-	if err := createBaseTables(db, l.s.schema, conventionalMeta()); err != nil {
-		return err
-	}
-	for _, en := range l.opt.ConventionalExtensions {
-		e := l.s.schema.Extension(en)
-		if _, err := db.Exec(buildCreateTable(e.Name, append(conventionalMeta(), e.Columns...))); err != nil {
+	l.create = func(db *engine.DB) error {
+		if err := createBaseTables(db, schema, conventionalMeta()); err != nil {
 			return err
 		}
-		if _, err := db.Exec(fmt.Sprintf("CREATE UNIQUE INDEX %s_tr ON %s (Tenant, Row)", e.Name, e.Name)); err != nil {
+		if err := createExtensionTables(db, conventional); err != nil {
 			return err
 		}
+		return createChunkTables(db, opt.Defs, false)
 	}
-	if err := createChunkTables(db, l.opt.Defs, chunkMetaCols(), false); err != nil {
-		return err
-	}
-	return addTenants(l, db, tenants)
-}
-
-// AddTenant implements Layout: meta-data only (chunk assignments for
-// the tenant's folded extension columns).
-func (l *ChunkFoldingLayout) AddTenant(db *engine.DB, t *Tenant) error {
-	return registerTenant(l, db, t)
-}
-
-// ExtendTenant enables an extension on-line: meta-data plus spine rows
-// in the extension's conventional table, or in the chunks its columns
-// fold into.
-func (l *ChunkFoldingLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
-	return extendTenant(l, db, tenantID, extName)
-}
-
-// Rewrite implements Layout.
-func (l *ChunkFoldingLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
-	return genericRewrite(l, tenantID, st)
-}
-
-// fragments implements reconstructor: the conventional base table
-// anchors; the tenant's conventional extensions follow, then the chunks
-// its other extensions' columns fold into (§6.4: the only interface
-// between the parts is the Row meta-column). Chunks only ever append:
-// the ones in have stay, the folded columns they lack get new ones.
-func (l *ChunkFoldingLayout) fragments(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
-	out := []*fragment{conventionalFragment(table.Name, table.Columns)}
-	var folded []Column
-	for _, en := range tn.Extensions {
-		e := l.s.schema.Extension(en)
-		if e == nil || !strings.EqualFold(e.Base, table.Name) {
-			continue
+	l.fragments = func(_ *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
+		out := []*fragment{conventionalFragment(table.Name, table.Columns)}
+		var folded []Column
+		for _, en := range tn.Extensions {
+			e := schema.Extension(en)
+			switch {
+			case e == nil || !strings.EqualFold(e.Base, table.Name):
+			case slices.Contains(conventional, e):
+				out = append(out, conventionalFragment(e.Name, e.Columns))
+			default:
+				folded = append(folded, e.Columns...)
+			}
 		}
-		if l.conventionalExt(en) {
-			out = append(out, conventionalFragment(e.Name, e.Columns))
-		} else {
-			folded = append(folded, e.Columns...)
+		var chunks []*fragment
+		for _, f := range have {
+			if f.chunked() {
+				chunks = append(chunks, f)
+			}
 		}
-	}
-	var chunks []*fragment
-	for _, f := range have {
-		if f.chunked() {
-			chunks = append(chunks, f)
+		groups, err := assignColumns(unplaced(folded, chunks), opt.Defs, len(chunks))
+		if err != nil {
+			return nil, err
 		}
+		tid, err := l.st.tableID(table.Name)
+		if err != nil {
+			return nil, err
+		}
+		return append(append(out, chunks...), foldedChunks(groups, tid, "")...), nil
 	}
-	groups, err := assignColumns(unplaced(folded, chunks), l.opt.Defs, len(chunks))
-	if err != nil {
-		return nil, err
-	}
-	tid, err := l.s.tableID(table.Name)
-	if err != nil {
-		return nil, err
-	}
-	return append(append(out, chunks...), foldedChunks(groups, tid, "")...), nil
+	return l, nil
 }

@@ -14,10 +14,12 @@ import (
 // (§6.4). Every layout — Basic, Private, Extension, Universal, Chunk,
 // Chunk Folding, Vertical and Pivot — is that scheme over its own answer
 // to one question: in which physical tables does a tenant's logical table
-// live? A fragment is one such table's share. A layout answers with a
-// list of fragments when a tenant is added or extended; generic.go does
-// everything else. Basic and Private answer with a single fragment, which
-// has nothing to align with and so no Row column.
+// live? A fragment is one such table's share. So there is one layout
+// type, FragmentLayout, and a technique is a constructor that gives it a
+// placement policy (and the DDL of its shared tables): the policy answers
+// with a list of fragments when a tenant is added or extended, and
+// generic.go does everything else. Basic and Private answer with a single
+// fragment, which has nothing to align with and so no Row column.
 
 // metaEq is one meta-data equality: rows of the fragment have val in
 // the meta-column col. The Tenant column is the exception (tenantMeta):
@@ -234,31 +236,79 @@ type placementKey struct {
 	table  *Table
 }
 
-// reconstructor is a layout that stores logical rows as fragments —
-// every layout but LayoutMux, which routes to them. Saying where is its
-// whole part in rewriting.
-type reconstructor interface {
-	Layout
-	state() *state
-	// fragments places tn's view of a logical table: the returned list,
-	// in write order, stores every logical column exactly once. have is
-	// the table's placement so far (nil for a new tenant) — chunk IDs
-	// are only ever appended, so the chunk layouts keep have and place
-	// the columns it lacks; the others place afresh. db is for the
-	// layouts that provision physical tables as they place.
+// FragmentLayout is a schema-mapping technique of the paper's Figure 4:
+// it stores logical rows as fragments placed by its policy, provisions
+// the physical multi-tenant schema and rewrites logical statements into
+// physical ones (the paper's query-transformation layer). Every layout
+// but LayoutMux, which routes to them, is one; the New…Layout
+// constructors build them.
+type FragmentLayout struct {
+	name string
+	st   *state
+	// create provisions the shared physical tables; nil where the policy
+	// creates tables as it places (Private, Vertical).
+	create func(db *engine.DB) error
+	// fragments is the placement policy: where tn's view of a logical
+	// table lives. The returned list, in write order, stores every
+	// logical column exactly once. have is the table's placement so far
+	// (nil for a new tenant) — chunk IDs are only ever appended, so the
+	// chunk layouts keep have and place the columns it lacks; the others
+	// place afresh. db is for the policies that provision physical
+	// tables as they place, and an error refuses the tenant or the
+	// extension unregistered.
 	//
 	// The answer may depend on tn only through tn's extensions: tenants
 	// that see a table alike share its placement, whichever of them
-	// placed it (registerTenant). Private is the exception — its tables
-	// carry the tenant's id — and places every tenant's tables itself.
-	fragments(db *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error)
+	// placed it (AddTenant). Private is the exception (own).
+	fragments func(db *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error)
+	// own: placements name the tenant — Private's tables carry its id —
+	// so every tenant's tables are placed for it alone, and RemoveTenant
+	// drops them.
+	own bool
+	// flat emits a SELECT in §6.1's pre-flattened single-block form
+	// where its shape allows (chunkflat.go), for databases whose
+	// optimizer cannot unnest derived tables (Test 1's MySQL case);
+	// metaFirst puts the meta-data conjuncts first in its WHERE clause,
+	// the ordering that cost MySQL a factor of 5.
+	flat, metaFirst bool
 }
 
-// place asks the layout where the tenants of view v of a logical table
+// newFragmentLayout validates a logical schema and starts a layout over
+// it; the constructor sets the policy.
+func newFragmentLayout(name string, schema *Schema) (*FragmentLayout, error) {
+	if err := schema.Validate(); err != nil {
+		return nil, err
+	}
+	return &FragmentLayout{name: name, st: newState(schema)}, nil
+}
+
+// Name implements Layout: the technique ("chunk", "private", ...).
+func (l *FragmentLayout) Name() string { return l.name }
+
+// Schema implements Layout.
+func (l *FragmentLayout) Schema() *Schema { return l.st.schema }
+
+// Create implements Layout: the shared tables, then the tenants in
+// order.
+func (l *FragmentLayout) Create(db *engine.DB, tenants []*Tenant) error {
+	if l.create != nil {
+		if err := l.create(db); err != nil {
+			return err
+		}
+	}
+	for _, tn := range tenants {
+		if err := l.AddTenant(db, tn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// place asks the policy where the tenants of view v of a logical table
 // keep it, tn being one of them, indexes the answer by v's columns and
 // checks it: every logical column stored exactly once, and a fragment
 // without Row only alone.
-func place(l reconstructor, db *engine.DB, tn *Tenant, table *Table, v *view, have []*fragment) (*placement, error) {
+func (l *FragmentLayout) place(db *engine.DB, tn *Tenant, table *Table, v *view, have []*fragment) (*placement, error) {
 	frags, err := l.fragments(db, tn, table, have)
 	if err != nil {
 		return nil, err
@@ -334,13 +384,17 @@ func indexOf(frags []*fragment, f *fragment) int {
 // column behind each logical one. Its first line says whether the
 // placement is the table's shared base or the tenant's own — an extended
 // table, or any Private table — which is what the tenant costs in
-// meta-data.
+// meta-data. Through a LayoutMux it answers from the layout that serves
+// the tenant (Route).
 func Placement(l Layout, tenantID int64, table string) (string, error) {
-	r, ok := l.(reconstructor)
+	if x, ok := l.(*LayoutMux); ok {
+		l = x.Route(tenantID)
+	}
+	fl, ok := l.(*FragmentLayout)
 	if !ok {
 		return "", fmt.Errorf("core: layout %s keeps no placements", l.Name())
 	}
-	st := r.state()
+	st := fl.st
 	lt := st.schema.Table(table)
 	if lt == nil {
 		return "", fmt.Errorf("core: no logical table %s", table)
@@ -377,13 +431,16 @@ func Placement(l Layout, tenantID int64, table string) (string, error) {
 	return sb.String(), nil
 }
 
-// registerTenant is AddTenant for a layout whose placements are shared:
-// it places the tables the tenant extends, its own, and every other
-// table that has no base placement yet, and registers tenant and
-// placements together. A base placement some racing registration
-// published first is the same placement, so it keeps that one.
-func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
-	st := l.state()
+// AddTenant implements Layout: it places the tables the tenant extends,
+// its own, and every other table that has no base placement yet — in a
+// layout whose placements are the tenant's own, every table — and
+// registers tenant and placements together. A base placement some
+// racing registration published first is the same placement, so it
+// keeps that one. For most layouts this is meta-data bookkeeping alone;
+// Private's policy creates the tenant's tables, and Vertical's any chunk
+// table no tenant needed yet.
+func (l *FragmentLayout) AddTenant(db *engine.DB, t *Tenant) error {
+	st := l.st
 	extended := map[*Table]bool{}
 	for _, en := range t.Extensions {
 		e := st.schema.Extension(en)
@@ -395,7 +452,7 @@ func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
 	own, base := map[*Table]*view{}, map[*Table]*view{}
 	for _, bt := range st.schema.Tables {
 		into := own
-		if !extended[bt] {
+		if !l.own && !extended[bt] {
 			st.mu.RLock()
 			placed := st.base[bt] != nil
 			st.mu.RUnlock()
@@ -408,7 +465,7 @@ func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
 		if err != nil {
 			return err
 		}
-		if v.place, err = place(l, db, t, bt, v, nil); err != nil {
+		if v.place, err = l.place(db, t, bt, v, nil); err != nil {
 			return err
 		}
 		into[bt] = v
@@ -416,16 +473,17 @@ func registerTenant(l reconstructor, db *engine.DB, t *Tenant) error {
 	return st.addTenant(t, own, base)
 }
 
-// extendTenant is ExtendTenant for a reconstructor: place the table
-// again with the extension enabled, give every fragment it did not
+// ExtendTenant enables an extension for a tenant on-line: place the
+// table again with the extension enabled, give every fragment it did not
 // occupy before a spine row (all NULLs, and the anchor's Trashcan
 // marker) per existing logical row, so reconstruction joins keep
 // matching and the new fragment by itself says which rows are live,
 // then publish extension and placement together. No fragment new to the
 // table — or only sparse ones, where absent is NULL, or one that widens
-// in place, same table and meta (Private) — means pure meta-data.
-func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string) error {
-	st := l.state()
+// in place, same table and meta (Private) — means pure meta-data. A
+// policy that refuses the placement (Basic) leaves the tenant as it was.
+func (l *FragmentLayout) ExtendTenant(db *engine.DB, tenantID int64, extName string) error {
+	st := l.st
 	tn, ext, err := st.extensible(tenantID, extName)
 	if err != nil {
 		return err
@@ -440,7 +498,7 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 	if err != nil {
 		return err
 	}
-	if v.place, err = place(l, db, next, table, v, old.frags); err != nil {
+	if v.place, err = l.place(db, next, table, v, old.frags); err != nil {
 		return err
 	}
 	var fresh []*fragment
@@ -484,5 +542,55 @@ func extendTenant(l reconstructor, db *engine.DB, tenantID int64, extName string
 		}
 	}
 	st.extend(tn, ext, v)
+	return nil
+}
+
+// RemoveTenant drops a tenant whose tables are its own (Private): the
+// administrative "delete tenant" action of the testbed. A layout whose
+// tables the tenants share refuses and drops nothing.
+func (l *FragmentLayout) RemoveTenant(db *engine.DB, tenantID int64) error {
+	if !l.own {
+		return fmt.Errorf("core: %s layout shares its tables among tenants; it cannot drop tenant %d's", l.name, tenantID)
+	}
+	for _, bt := range l.st.schema.Tables {
+		p, err := l.st.placement(tenantID, bt)
+		if err != nil {
+			return err
+		}
+		for _, f := range p.frags {
+			if _, err := db.Exec("DROP TABLE " + f.table); err != nil {
+				return err
+			}
+		}
+	}
+	l.st.removeTenant(tenantID)
+	return nil
+}
+
+// RestoreRows un-deletes trashcanned logical rows (the Trashcan
+// mechanism's raison d'être): a placement without marker columns
+// refuses.
+func (l *FragmentLayout) RestoreRows(db *engine.DB, tenantID int64, table string, rowIDs []types.Value) error {
+	lt := l.st.schema.Table(table)
+	if lt == nil {
+		return fmt.Errorf("core: no logical table %s", table)
+	}
+	p, err := l.st.placement(tenantID, lt)
+	if err != nil {
+		return err
+	}
+	if p.anchor.del == "" {
+		return fmt.Errorf("core: trashcan is not enabled")
+	}
+	for _, f := range p.frags {
+		up := &sql.UpdateStmt{
+			Table: f.table,
+			Set:   []sql.Assignment{{Column: f.del, Value: intLit(0)}},
+			Where: and(append(f.where("", tenantID), inList(colRef("", "Row"), rowIDs))...),
+		}
+		if _, err := db.ExecStmt(up, ""); err != nil {
+			return err
+		}
+	}
 	return nil
 }

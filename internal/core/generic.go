@@ -13,16 +13,27 @@ import (
 // through phase (a) of the two-phase DML protocol.
 const rowCol = "__row"
 
-// genericRewrite is every layout's Rewrite: steps 1 and 4 of the
-// paper's §6.1 compilation scheme and the §6.3 two-phase protocol here,
-// steps 2–3 and the writers below over the placement of the table. Nothing
-// here knows which layout placed the fragments; where a step differs for
-// a sparse fragment, or one without Row, it asks the fragment.
-func genericRewrite(l reconstructor, tenantID int64, st sql.Statement) (*Rewritten, error) {
-	s := l.state()
+// Rewrite implements Layout: steps 1 and 4 of the paper's §6.1
+// compilation scheme and the §6.3 two-phase protocol here, steps 2–3 and
+// the writers below over the placement of the table. Nothing here knows
+// which policy placed the fragments; where a step differs for a sparse
+// fragment, or one without Row, it asks the fragment. A flat layout
+// emits a SELECT whose shape allows it pre-flattened (chunkflat.go).
+func (l *FragmentLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
+	s := l.st
 	tn, err := s.tenant(tenantID)
 	if err != nil {
 		return nil, err
+	}
+	if sel, ok := st.(*sql.SelectStmt); ok && l.flat {
+		out, err := l.flattenedSelect(tn, sel)
+		if err == nil {
+			return &Rewritten{Query: out}, nil
+		}
+		if err != errNotFlattenable {
+			return nil, err
+		}
+		// Fall through to the generic form.
 	}
 	switch st := st.(type) {
 	case *sql.SelectStmt:
@@ -388,7 +399,7 @@ func (p *placement) insertRows(tenant, firstRow int64, cols []int, rows [][]sql.
 // them, and a Trashcan fragment hides its marked rows and deletes by
 // marking. f need not be the anchor: every fragment that is not sparse
 // has a row, carrying the marker, for every logical row (insertRows,
-// extendTenant, phaseBDelete), so f alone decides which rows exist. A
+// ExtendTenant, phaseBDelete), so f alone decides which rows exist. A
 // sparse f lacks the rows whose value is NULL, which an UPDATE would
 // miss, so it never fuses. The rule is a function of the placement and
 // the columns used, nothing else; any reference it cannot place in f —

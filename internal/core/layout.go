@@ -21,23 +21,10 @@ type Layout interface {
 	// Create provisions the physical schema on db and registers the
 	// initial tenants.
 	Create(db *engine.DB, tenants []*Tenant) error
-	// AddTenant registers a tenant while the system is on-line. For most
-	// layouts this is meta-data bookkeeping alone; Private creates the
-	// tenant's tables, and Vertical any chunk table no tenant needed yet.
+	// AddTenant registers a tenant while the system is on-line.
 	AddTenant(db *engine.DB, t *Tenant) error
 	// Rewrite transforms one logical statement for a tenant.
 	Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error)
-}
-
-// addTenants registers tenants with a layout, in order: how every
-// layout's Create ends.
-func addTenants(l Layout, db *engine.DB, tenants []*Tenant) error {
-	for _, tn := range tenants {
-		if err := l.AddTenant(db, tn); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Rewritten is the physical form of a logical statement. Exactly one
@@ -317,7 +304,7 @@ type state struct {
 	gens     map[int64]int64
 	cache    cacheSlot // see SharedRewriteCache
 	// base is every table as a tenant with no extension on it sees it,
-	// placed once by the first tenant registered (registerTenant); views
+	// placed once by the first tenant registered (AddTenant); views
 	// holds the others, one per (tenant, table it extends) — and in
 	// Private, whose tables are the tenant's own, one per (tenant, table).
 	// So a schema of 1 500 tables costs its 150 Basic tenants 1 500
@@ -736,6 +723,16 @@ func buildCreateTable(name string, cols []Column) string {
 	}
 	sb.WriteString(")")
 	return sb.String()
+}
+
+// execAll runs DDL statements in order, stopping at the first error.
+func execAll(db *engine.DB, ddl []string) error {
+	for _, d := range ddl {
+		if _, err := db.Exec(d); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rewriteInSubqueries rewrites IN (SELECT ...) subqueries inside an

@@ -56,7 +56,7 @@ func layoutsOn(t *testing.T, schema *Schema, tenants []*Tenant, cfg engine.Confi
 	add("extension", el, err)
 	ul, err := NewUniversalLayout(schema, 16)
 	add("universal", ul, err)
-	pv, err := NewPivotLayout(schema, true)
+	pv, err := NewPivotLayout(schema)
 	add("pivot", pv, err)
 	ch, err := NewChunkLayout(schema, ChunkOptions{})
 	add("chunk", ch, err)
@@ -148,7 +148,7 @@ func (p *plainTenants) Query(tenant int64, q string, params ...types.Value) (*en
 // to the tenant's table.
 func extend(m logicalDB, tenant int64, ext string) error {
 	if m, ok := m.(*Mapper); ok {
-		return m.Layout.(extender).ExtendTenant(m.DB, tenant, ext)
+		return m.Layout.(*FragmentLayout).ExtendTenant(m.DB, tenant, ext)
 	}
 	p := m.(*plainTenants)
 	e := p.schema.Extension(ext)
@@ -163,7 +163,7 @@ func extend(m logicalDB, tenant int64, ext string) error {
 // placements counts the placements a layout holds: one per table seen
 // alike, and one per (tenant, table) a tenant has to itself.
 func placements(l Layout) int {
-	st := l.(interface{ state() *state }).state()
+	st := l.(*FragmentLayout).st
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.base) + len(st.views)

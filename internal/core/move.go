@@ -439,11 +439,11 @@ func (mv *Mover) verifyTable(src, dst Layout, tn *Tenant, table string) error {
 // layoutTenant resolves a tenant in a layout's registry (every layout
 // keeps one in its shared state).
 func layoutTenant(l Layout, id int64) (*Tenant, error) {
-	r, ok := l.(interface{ state() *state })
+	fl, ok := l.(*FragmentLayout)
 	if !ok {
 		return nil, fmt.Errorf("core: layout %s does not expose tenants", l.Name())
 	}
-	return r.state().tenant(id)
+	return fl.st.tenant(id)
 }
 
 func sameExtensions(a, b *Tenant) bool {

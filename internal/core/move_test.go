@@ -17,7 +17,7 @@ import (
 // through a LayoutMux, and a private-layout destination provisioned on
 // the same database (private's physical names are per-tenant, so the
 // two layouts coexist).
-func moveFixture(t *testing.T) (*engine.DB, *LayoutMux, *PrivateLayout, *Mapper) {
+func moveFixture(t *testing.T) (*engine.DB, *LayoutMux, *FragmentLayout, *Mapper) {
 	t.Helper()
 	schema := paperSchema()
 	src, err := NewExtensionLayout(schema)
@@ -70,7 +70,7 @@ func TestMoveTenantBasic(t *testing.T) {
 			func() (Layout, error) { return NewChunkLayout(schema, ChunkOptions{}) },
 			func() (Layout, error) { return NewPrivateLayout(schema) }},
 		{"pivot->chunkfold",
-			func() (Layout, error) { return NewPivotLayout(schema, true) },
+			func() (Layout, error) { return NewPivotLayout(schema) },
 			func() (Layout, error) {
 				return NewChunkFoldingLayout(schema, FoldingOptions{ConventionalExtensions: []string{"HealthcareAccount"}})
 			}},
@@ -79,7 +79,7 @@ func TestMoveTenantBasic(t *testing.T) {
 			func() (Layout, error) { return NewUniversalLayout(schema, 16) }},
 		{"vertical->pivot",
 			func() (Layout, error) { return NewVerticalLayout(schema, nil) },
-			func() (Layout, error) { return NewPivotLayout(schema, false) }},
+			func() (Layout, error) { return NewPivotLayout(schema) }},
 	}
 	for _, pair := range pairs {
 		t.Run(pair.name, func(t *testing.T) {
@@ -188,7 +188,7 @@ func TestMovePreservesTypes(t *testing.T) {
 		}},
 	}
 	src, _ := NewUniversalLayout(schema, 8)
-	dst, _ := NewPivotLayout(schema, true)
+	dst, _ := NewPivotLayout(schema)
 	db, mux, m := moveFixtureFor(t, src, dst, []*Tenant{{ID: 1}})
 	if _, err := m.Exec(1, "INSERT INTO Event VALUES (1, DATE '2008-06-09', 2.5, TRUE)"); err != nil {
 		t.Fatal(err)
@@ -328,6 +328,24 @@ func TestMoveRejects(t *testing.T) {
 	}
 	if _, err := mv.Move(99, dst); err == nil {
 		t.Fatal("expected error moving an unknown tenant")
+	}
+}
+
+// TestPlacementThroughMux: Placement over a LayoutMux answers from the
+// layout serving the tenant — the source's tables before a move, the
+// destination's after it.
+func TestPlacementThroughMux(t *testing.T) {
+	db, mux, dst, _ := moveFixture(t)
+	before, err := Placement(mux, 35, "Account")
+	if err != nil || !strings.Contains(before, "  Account WHERE Tenant = 35: Aid=Aid Name=Name") {
+		t.Fatalf("placement before the move: %q, %v", before, err)
+	}
+	if _, err := (&Mover{DB: db, Mux: mux}).Move(35, dst); err != nil {
+		t.Fatal(err)
+	}
+	after, err := Placement(mux, 35, "Account")
+	if err != nil || !strings.Contains(after, "  Account_t35 (no Row): Aid=Aid Name=Name") {
+		t.Fatalf("placement after the move: %q, %v", after, err)
 	}
 }
 

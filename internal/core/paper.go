@@ -44,7 +44,7 @@ func LayoutByName(name string, schema *Schema) (Layout, error) {
 	case "universal":
 		return NewUniversalLayout(schema, 16)
 	case "pivot":
-		return NewPivotLayout(schema, true)
+		return NewPivotLayout(schema)
 	case "chunk":
 		return NewChunkLayout(schema, ChunkOptions{})
 	case "chunk-flat":

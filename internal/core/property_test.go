@@ -7,33 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/engine"
 	"repro/internal/sql"
 )
-
-// TestPivotUnindexedVariant covers the pivot flavor without separate
-// indexed tables: all cells share the unindexed pivots.
-func TestPivotUnindexedVariant(t *testing.T) {
-	schema := paperSchema()
-	l, err := NewPivotLayout(schema, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := engine.Open(engine.Config{})
-	if err := l.Create(db, paperTenants()); err != nil {
-		t.Fatal(err)
-	}
-	m := NewMapper(db, l)
-	loadPaperData(t, m)
-	rows, err := m.Query(17, "SELECT Beds FROM Account WHERE Hospital = 'State'")
-	if err != nil || len(rows.Data) != 1 || rows.Data[0][0].Int != 1042 {
-		t.Fatalf("unindexed pivot Q1: %v %+v", err, rows)
-	}
-	// Only three pivot tables exist (no _ix flavors).
-	if got := db.Stats().Tables; got != 3 {
-		t.Errorf("unindexed pivot tables: %d", got)
-	}
-}
 
 // TestRewriteRoundTripProperty: for random predicates, every layout's
 // rewritten SQL must (a) re-parse — the transformation layer emits SQL

@@ -88,8 +88,8 @@ func stampOf(l Layout, tenant int64) rcStamp {
 	switch l := l.(type) {
 	case *LayoutMux:
 		return l.stamp(tenant)
-	case interface{ state() *state }:
-		return rcStamp{place: l.state().generation(tenant)}
+	case *FragmentLayout:
+		return rcStamp{place: l.st.generation(tenant)}
 	}
 	return rcStamp{}
 }
@@ -102,8 +102,8 @@ func SharedRewriteCache(l Layout) *RewriteCache {
 	switch l := l.(type) {
 	case *LayoutMux:
 		slot = &l.cache
-	case interface{ state() *state }:
-		slot = &l.state().cache
+	case *FragmentLayout:
+		slot = &l.st.cache
 	default:
 		return NewRewriteCache(nil, l, 0)
 	}

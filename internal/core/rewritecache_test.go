@@ -379,12 +379,6 @@ func TestRewriteCacheUserParams(t *testing.T) {
 	}
 }
 
-// extender is what the layouts that can enable an extension on-line
-// have in common.
-type extender interface {
-	ExtendTenant(db *engine.DB, tenantID int64, extName string) error
-}
-
 // TestExtendTenantStalesCachedRewrites: session Mappers share their
 // layout's cache as a server's connections do. Tenant 35's statements
 // are cached while its placement has one fragment — SELECT * answers
@@ -452,7 +446,7 @@ func TestExtendTenantStalesCachedRewrites(t *testing.T) {
 		m := layouts[name]
 		queryAll(t, m, 42, star)
 		before := m.Cache.Stats()
-		if err := m.Layout.(extender).ExtendTenant(m.DB, 35, "AutomotiveAccount"); err != nil {
+		if err := m.Layout.(*FragmentLayout).ExtendTenant(m.DB, 35, "AutomotiveAccount"); err != nil {
 			t.Fatal(err)
 		}
 		queryAll(t, m, 42, star)
@@ -524,7 +518,7 @@ func TestExtendTenantUnderCachedLoad(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, ext := range []string{"HealthcareAccount", "AutomotiveAccount"} {
-				if err := m.Layout.(extender).ExtendTenant(m.DB, 35, ext); err != nil {
+				if err := m.Layout.(*FragmentLayout).ExtendTenant(m.DB, 35, ext); err != nil {
 					errs <- err
 				}
 			}

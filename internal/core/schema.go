@@ -13,6 +13,8 @@
 //	Chunk Folding   conventional + chunk tables mixed     (Fig 4f)
 //	Vertical        one physical table per chunk          (Fig 12 baseline)
 //
+// Each is a FragmentLayout, built by its New…Layout constructor: the
+// techniques differ only in where the parts of a logical row live.
 // The query-transformation layer (§6.1 of the paper) rewrites logical
 // SQL into physical SQL; the DML transformation (§6.3) turns logical
 // writes into the two-phase row-collection/update protocol.

@@ -135,7 +135,7 @@ func TestTenantsSharePlans(t *testing.T) {
 							if tn.ID == moved && round == 1 && j == 0 {
 								before := m.DB.Stats().PlanCacheMisses
 								for _, x := range []*Mapper{m, ref} {
-									if err := x.Layout.(extender).ExtendTenant(x.DB, moved, "HealthcareAccount"); err != nil {
+									if err := x.Layout.(*FragmentLayout).ExtendTenant(x.DB, moved, "HealthcareAccount"); err != nil {
 										t.Error(err)
 										return
 									}

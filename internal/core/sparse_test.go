@@ -9,18 +9,17 @@ import (
 	"repro/internal/engine"
 )
 
-// reshapedPivot is Pivot with its placement bent by reshape.
-type reshapedPivot struct {
-	*PivotLayout
-	reshape func([]*fragment) []*fragment
-}
-
-func (l reshapedPivot) fragments(db *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
-	frags, err := l.PivotLayout.fragments(db, tn, table, have)
-	if err != nil {
-		return nil, err
+// reshaped is l with its placement policy bent by reshape.
+func reshaped(l *FragmentLayout, reshape func([]*fragment) []*fragment) *FragmentLayout {
+	bent := *l
+	bent.fragments = func(db *engine.DB, tn *Tenant, table *Table, have []*fragment) ([]*fragment, error) {
+		frags, err := l.fragments(db, tn, table, have)
+		if err != nil {
+			return nil, err
+		}
+		return reshape(frags), nil
 	}
-	return l.reshape(frags), nil
+	return &bent
 }
 
 // TestSparsePlacementRejected: place refuses a sparse anchor, a sparse
@@ -28,7 +27,7 @@ func (l reshapedPivot) fragments(db *engine.DB, tn *Tenant, table *Table, have [
 // others, so none can appear by accident.
 func TestSparsePlacementRejected(t *testing.T) {
 	schema := goldenSchema()
-	pv, err := NewPivotLayout(schema, true)
+	pv, err := NewPivotLayout(schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestSparsePlacementRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := place(reshapedPivot{pv, c.reshape}, nil, tn, account, v, nil)
+		p, err := reshaped(pv, c.reshape).place(nil, tn, account, v, nil)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: %v", c.name, err)
@@ -77,7 +76,7 @@ func TestSparsePlacementRejected(t *testing.T) {
 // one row per non-NULL logical cell, counted per (Tenant, Table, Col).
 // The extension writes no physical row.
 func TestPivotStoresNonNullCells(t *testing.T) {
-	l, err := NewPivotLayout(goldenSchema(), true)
+	l, err := NewPivotLayout(goldenSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
