@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree fuzz-join check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree fuzz-join fuzz-page check
 
 all: check
 
@@ -179,5 +179,11 @@ fuzz-btree:
 # through a guarded tree, each result held to a nested loop.
 fuzz-join:
 	$(GO) test ./internal/exec/ -run '^$$' -fuzz FuzzJoinRows -fuzztime 10s
+
+# Short fuzz burst at the slotted page: random Insert, InsertAt, Update,
+# Delete and Compact sequences on one page, held after every operation
+# to a map of slot -> bytes.
+fuzz-page:
+	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzSlottedPage -fuzztime 10s
 
 check: build vet fmt test test-cores race race-bench bench-smoke

@@ -159,18 +159,18 @@ func TestUpdateRowRollbackSweep(t *testing.T) {
 			rid, row := rowWithAid(t, tab, 17)
 			newRow := []types.Value{types.NewInt(1017), types.NewString(pad("moved", 3)), row[2]}
 			return func() error {
-				_, err := tab.UpdateRow(rid, row, newRow)
+				_, err := updateRow(tab, rid, row, newRow)
 				return err
 			}
 		})
 	}
 }
 
-// The satellite scenario: a DELETE whose index entries are already gone
-// when the heap delete fails. DeleteRow reads the record (1st data-page
-// access), removes both index entries, then deletes the heap record
-// (2nd data-page access) — failing that access must restore the index
-// entries.
+// A DELETE whose index entries are already gone when the heap delete
+// fails. DeleteRow removes both index entries, then deletes the heap
+// record, its one data-page access (the delete hands back the removed
+// bytes, so nothing reads the record first) — failing that access must
+// restore the index entries.
 func TestDeleteHeapFaultAfterIndexRemoval(t *testing.T) {
 	tab, pool := atomFixture(t, 256, 40)
 	rid, row := rowWithAid(t, tab, 23)
@@ -178,7 +178,7 @@ func TestDeleteHeapFaultAfterIndexRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.SetFetchFault(storage.FailNthFetch(2, storage.CatData))
+	pool.SetFetchFault(storage.FailNthFetch(1, storage.CatData))
 	err = tab.DeleteRow(rid, row)
 	pool.SetFetchFault(nil)
 	if !errors.Is(err, storage.ErrInjectedFault) {
@@ -201,7 +201,7 @@ func TestDeleteHeapFaultAfterIndexRemoval(t *testing.T) {
 	}
 }
 
-// The satellite scenario: an UPDATE whose heap relocation succeeds but
+// An UPDATE whose heap relocation succeeds but
 // whose index maintenance then fails. The row grows past its page so
 // the heap moves it to a new RID; every index then rewrites its entry
 // (same key, new RID). Failing any of those index accesses must move
@@ -215,7 +215,7 @@ func TestUpdateRelocationIndexFaultSweep(t *testing.T) {
 	tab, _ := build()
 	rid, row := rowWithAid(t, tab, 17)
 	newRow := []types.Value{row[0], row[1], types.NewString(grown)}
-	newRID, err := tab.UpdateRow(rid, row, newRow)
+	newRID, err := updateRow(tab, rid, row, newRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +227,13 @@ func TestUpdateRelocationIndexFaultSweep(t *testing.T) {
 		rid, row := rowWithAid(t, tab, 17)
 		newRow := []types.Value{row[0], row[1], types.NewString(grown)}
 		return func() error {
-			_, err := tab.UpdateRow(rid, row, newRow)
+			_, err := updateRow(tab, rid, row, newRow)
 			return err
 		}
 	})
 }
 
-// UpdateRowsDeferred must shift a dense unique key regardless of the
+// UpdateRowsDeferredTxn must shift a dense unique key regardless of the
 // order rows arrive in: ascending visits each collision before it is
 // cleared, which immediate checking would reject.
 func TestUpdateRowsDeferredOrderIndependent(t *testing.T) {
@@ -249,7 +249,7 @@ func TestUpdateRowsDeferredOrderIndependent(t *testing.T) {
 			newRows[i] = []types.Value{types.NewInt(r[0].Int + 1), r[1], r[2]}
 		}
 		u := &UndoLog{}
-		if _, err := tab.UpdateRowsDeferred(rids, rows, newRows, u); err != nil {
+		if err := tab.UpdateRowsDeferredTxn(nil, rids, rows, newRows, u); err != nil {
 			t.Fatalf("%s: k = k+1 over dense keys failed: %v", order, err)
 		}
 		u.Discard()
@@ -275,7 +275,7 @@ func TestUpdateRowsDeferredGenuineViolation(t *testing.T) {
 	}
 	rid, row := rowWithAid(t, tab, 5)
 	u := &UndoLog{}
-	_, uerr := tab.UpdateRowsDeferred(
+	uerr := tab.UpdateRowsDeferredTxn(nil,
 		[]storage.RID{rid},
 		[][]types.Value{row},
 		[][]types.Value{{types.NewInt(10), row[1], row[2]}}, // Aid 10 already exists
@@ -316,6 +316,17 @@ func TestCheckInvariantsDetectsDivergence(t *testing.T) {
 	if err := tab.CheckInvariants(); err == nil {
 		t.Error("missing index entry should fail invariants")
 	}
+}
+
+// updateRow is one row through UpdateRowsDeferredTxn without a
+// transaction, rolled back on failure: a single-row UPDATE statement.
+func updateRow(tab *Table, rid storage.RID, oldRow, newRow []types.Value) (storage.RID, error) {
+	u := &UndoLog{}
+	rids := []storage.RID{rid}
+	if err := tab.UpdateRowsDeferredTxn(nil, rids, [][]types.Value{oldRow}, [][]types.Value{newRow}, u); err != nil {
+		return storage.RID{}, errors.Join(err, u.Rollback())
+	}
+	return rids[0], nil
 }
 
 func rowWithAid(t *testing.T, tab *Table, aid int64) (storage.RID, []types.Value) {

@@ -7,7 +7,6 @@
 package catalog
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -167,24 +166,28 @@ func (t *Table) Index(name string) *Index {
 	return nil
 }
 
-// normalizeRow validates arity and types, padding short rows (from
-// before an ALTER TABLE ADD COLUMN) with NULLs and coercing INT
-// literals into FLOAT columns.
+// normalizeRow validates arity and types in place, coercing INT
+// literals into FLOAT columns. A full-width row is the caller's to give
+// up and comes back as itself; a short one (from before an ALTER TABLE
+// ADD COLUMN) comes back as a NULL-padded copy.
 func (t *Table) normalizeRow(row []types.Value) ([]types.Value, error) {
 	if len(row) > len(t.Columns) {
 		return nil, fmt.Errorf("catalog: %s: row has %d values for %d columns", t.Name, len(row), len(t.Columns))
 	}
-	out := make([]types.Value, len(t.Columns))
-	copy(out, row)
-	for i := range out {
+	if len(row) < len(t.Columns) {
+		padded := make([]types.Value, len(t.Columns))
+		copy(padded, row)
+		row = padded
+	}
+	for i := range row {
 		c := t.Columns[i]
 		if c.Dropped {
 			// A dropped slot stores nothing going forward; its declared
 			// type and NOT NULL constraint died with the column.
-			out[i] = types.Null()
+			row[i] = types.Null()
 			continue
 		}
-		v := out[i]
+		v := row[i]
 		if v.IsNull() {
 			if c.NotNull {
 				return nil, fmt.Errorf("catalog: %s.%s: NULL in NOT NULL column", t.Name, c.Name)
@@ -193,37 +196,41 @@ func (t *Table) normalizeRow(row []types.Value) ([]types.Value, error) {
 		}
 		if v.Kind != c.Type.Kind {
 			if c.Type.Kind == types.KindFloat && v.Kind == types.KindInt {
-				out[i] = types.NewFloat(float64(v.Int))
+				row[i] = types.NewFloat(float64(v.Int))
 				continue
 			}
 			cv, err := types.Cast(v, c.Type.Kind)
 			if err != nil {
 				return nil, fmt.Errorf("catalog: %s.%s: %w", t.Name, c.Name, err)
 			}
-			out[i] = cv
+			row[i] = cv
 		}
 	}
-	return out, nil
+	return row, nil
+}
+
+// appendKey appends ix's key for row at rid to buf and returns the key
+// as a slice of its own: a later append may move buf, never the key, so
+// keys an undo step holds can share one buffer.
+func appendKey(buf []byte, ix *Index, row []types.Value, rid storage.RID) (key, grown []byte) {
+	start := len(buf)
+	buf = ix.AppendKey(buf, row, rid)
+	return buf[start:len(buf):len(buf)], buf
 }
 
 // InsertRow validates, stores, and indexes a row, returning its RID.
-// The caller must hold the table write lock. The row is inserted
-// all-or-nothing: a failure partway (index error, I/O fault) rolls the
-// already-applied sub-steps back.
+// The caller must hold the table write lock and gives the row up (it is
+// normalized in place). The row is inserted all-or-nothing: a failure
+// partway (index error, I/O fault) rolls the already-applied sub-steps
+// back.
 func (t *Table) InsertRow(row []types.Value) (storage.RID, error) {
 	u := &UndoLog{}
-	rid, err := t.InsertRowUndo(row, u)
+	var enc []byte
+	rid, err := t.insertRow(nil, row, u, true, &enc)
 	if err != nil {
 		return storage.RID{}, errors.Join(err, u.Rollback())
 	}
 	return rid, nil
-}
-
-// InsertRowUndo is InsertRow logging each applied sub-step into u; on
-// error the caller owns rolling u back (statement-level atomicity
-// composes multiple rows into one undo scope).
-func (t *Table) InsertRowUndo(row []types.Value, u *UndoLog) (storage.RID, error) {
-	return t.insertRow(nil, row, u, true)
 }
 
 // coldLeaves reports whether index maintenance on t releases the leaves
@@ -236,42 +243,54 @@ func (t *Table) InsertRowUndo(row []types.Value, u *UndoLog) (storage.RID, error
 // miss and read again by its next write.
 func (t *Table) coldLeaves() bool { return t.Heap.NumPages() <= 1 }
 
-// insertRow is InsertRowUndo on behalf of tx (nil: autocommit); last
-// marks the statement's last row.
-func (t *Table) insertRow(tx *mvcc.Txn, row []types.Value, u *UndoLog, last bool) (storage.RID, error) {
+// insertRow stores and indexes one row on behalf of tx (nil:
+// autocommit), logging each applied sub-step into u; on error the
+// caller owns rolling u back. last marks the statement's last row; enc
+// is the statement's encoding buffer (the page and the WAL record copy
+// the bytes).
+func (t *Table) insertRow(tx *mvcc.Txn, row []types.Value, u *UndoLog, last bool, enc *[]byte) (storage.RID, error) {
 	row, err := t.normalizeRow(row)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	// Unique checks first, so a violation leaves no debris.
+	// Unique checks first, so a violation leaves no debris. A unique key
+	// carries no RID: the key checked is the key inserted.
+	kb := make([]byte, 0, 64*len(t.Indexes))
+	var held [4][]byte // the keys of up to four indexes without an allocation
+	keys := held[:0]
 	for _, ix := range t.Indexes {
-		if !ix.Unique {
-			continue
+		var key []byte
+		if ix.Unique {
+			key, kb = appendKey(kb, ix, row, storage.RID{})
+			if tx != nil {
+				err = t.checkUniqueTxn(tx, ix, key)
+			} else if _, err = ix.Tree.Get(key); err == nil {
+				err = fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
+			} else if errors.Is(err, btree.ErrKeyNotFound) {
+				err = nil
+			}
+			if err != nil {
+				return storage.RID{}, err
+			}
 		}
-		key := ix.KeyFor(row, storage.RID{})
-		if tx != nil {
-			err = t.checkUniqueTxn(tx, ix, key)
-		} else if _, err = ix.Tree.Get(key); err == nil {
-			err = fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
-		} else if errors.Is(err, btree.ErrKeyNotFound) {
-			err = nil
-		}
-		if err != nil {
-			return storage.RID{}, err
-		}
+		keys = append(keys, key)
 	}
-	rid, err := t.Heap.Insert(types.EncodeRow(nil, row))
+	*enc = types.EncodeRow((*enc)[:0], row)
+	rid, err := t.Heap.Insert(*enc)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	u.push(func() error { return t.Heap.Delete(rid) })
+	u.push(func() error { _, err := t.Heap.Delete(rid); return err })
 	if tx != nil {
 		t.Vers.RecordWrite(tx, rid, nil, false)
 		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
 	}
 	cold := last && t.coldLeaves()
-	for _, ix := range t.Indexes {
-		key := ix.KeyFor(row, rid)
+	for i, ix := range t.Indexes {
+		key := keys[i]
+		if key == nil {
+			key, kb = appendKey(kb, ix, row, rid)
+		}
 		if err := ix.insert(key, rid, cold); err != nil {
 			return storage.RID{}, fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
 		}
@@ -304,44 +323,39 @@ func (t *Table) GetRow(rid storage.RID) ([]types.Value, error) {
 // and row bytes.
 func (t *Table) DeleteRow(rid storage.RID, row []types.Value) error {
 	u := &UndoLog{}
-	if err := t.DeleteRowUndo(rid, row, u); err != nil {
+	if err := t.deleteRow(nil, rid, row, u, true); err != nil {
 		return errors.Join(err, u.Rollback())
 	}
 	return nil
 }
 
-// DeleteRowUndo is DeleteRow logging each applied sub-step into u; on
-// error the caller owns rolling u back.
-func (t *Table) DeleteRowUndo(rid storage.RID, row []types.Value, u *UndoLog) error {
-	return t.deleteRow(nil, rid, row, u, true)
-}
-
-// deleteRow is DeleteRowUndo on behalf of tx (nil: autocommit): the
-// first-updater-wins check runs before anything is touched, and the
-// deleted bytes become the pre-image of a new version entry so older
-// snapshots keep seeing the row. last marks the statement's last row.
+// deleteRow removes one row on behalf of tx (nil: autocommit), logging
+// each applied sub-step into u; on error the caller owns rolling u
+// back. The first-updater-wins check runs before anything is touched.
+// The heap delete hands back the bytes it removed: undo restores the
+// record exactly as it was (not a re-encoding of the possibly
+// NULL-padded row), and they become the pre-image of a new version
+// entry so older snapshots keep seeing the row. last marks the
+// statement's last row.
 func (t *Table) deleteRow(tx *mvcc.Txn, rid storage.RID, row []types.Value, u *UndoLog, last bool) error {
 	if tx != nil {
 		if err := t.Vers.CheckWrite(tx, rid); err != nil {
 			return fmt.Errorf("catalog: %s: delete %v: %w", t.Name, rid, err)
 		}
 	}
-	// Snapshot the stored bytes first: undo restores the record exactly
-	// as it was, not a re-encoding of the (possibly NULL-padded) row.
-	rec, err := t.Heap.Get(rid)
-	if err != nil {
-		return err
-	}
 	cold := last && t.coldLeaves()
+	kb := make([]byte, 0, 64*len(t.Indexes))
 	for _, ix := range t.Indexes {
-		key := ix.KeyFor(row, rid)
+		var key []byte
+		key, kb = appendKey(kb, ix, row, rid)
 		if err := ix.remove(key, cold); err != nil {
 			return fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
 		}
 		tree := ix.Tree
 		u.push(func() error { return tree.Insert(key, rid) })
 	}
-	if err := t.Heap.Delete(rid); err != nil {
+	rec, err := t.Heap.Delete(rid)
+	if err != nil {
 		return err
 	}
 	u.push(func() error { return t.Heap.Reinsert(rid, rec) })
@@ -350,147 +364,6 @@ func (t *Table) deleteRow(tx *mvcc.Txn, rid storage.RID, row []types.Value, u *U
 		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
 	}
 	return nil
-}
-
-// UpdateRow rewrites the row, maintaining indexes, and returns the
-// possibly-relocated RID. Caller holds the write lock. The update is
-// all-or-nothing: a failure partway restores the heap bytes and every
-// index entry.
-func (t *Table) UpdateRow(rid storage.RID, oldRow, newRow []types.Value) (storage.RID, error) {
-	u := &UndoLog{}
-	newRID, err := t.UpdateRowUndo(rid, oldRow, newRow, u)
-	if err != nil {
-		return storage.RID{}, errors.Join(err, u.Rollback())
-	}
-	return newRID, nil
-}
-
-// UpdateRowUndo is UpdateRow logging each applied sub-step into u; on
-// error the caller owns rolling u back. Unique checks are immediate
-// (single-row semantics); multi-row statements use UpdateRowsDeferred.
-func (t *Table) UpdateRowUndo(rid storage.RID, oldRow, newRow []types.Value, u *UndoLog) (storage.RID, error) {
-	newRow, err := t.normalizeRow(newRow)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	// Unique checks for changed keys.
-	for _, ix := range t.Indexes {
-		if !ix.Unique {
-			continue
-		}
-		oldKey, newKey := ix.KeyFor(oldRow, rid), ix.KeyFor(newRow, rid)
-		if string(oldKey) == string(newKey) {
-			continue
-		}
-		if _, err := ix.Tree.Get(newKey); err == nil {
-			return storage.RID{}, fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
-		} else if !errors.Is(err, btree.ErrKeyNotFound) {
-			return storage.RID{}, err
-		}
-	}
-	newRID, err := t.updateHeapUndo(rid, newRow, u)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	cold := t.coldLeaves()
-	for _, ix := range t.Indexes {
-		oldKey := ix.KeyFor(oldRow, rid)
-		newKey := ix.KeyFor(newRow, newRID)
-		if string(oldKey) == string(newKey) && rid == newRID {
-			continue
-		}
-		tree := ix.Tree
-		if err := tree.Delete(oldKey); err != nil {
-			return storage.RID{}, fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, ix.Name, err)
-		}
-		u.push(func() error { return tree.Insert(oldKey, rid) })
-		if err := ix.insert(newKey, newRID, cold); err != nil {
-			return storage.RID{}, fmt.Errorf("catalog: %s: index %s insert: %w", t.Name, ix.Name, err)
-		}
-		u.push(func() error { return tree.Delete(newKey) })
-	}
-	return newRID, nil
-}
-
-// updateHeapUndo rewrites the stored bytes of one row, returning the
-// possibly-relocated RID, and logs the exact reverse: an in-place
-// restore of the original bytes, or re-insertion at the original RID
-// plus deletion of the relocated copy.
-func (t *Table) updateHeapUndo(rid storage.RID, newRow []types.Value, u *UndoLog) (storage.RID, error) {
-	oldRec, err := t.Heap.Get(rid)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	// Lazy schema upgrade accounting: a write always re-encodes the full
-	// current-width row, so touching a row that predates the newest
-	// schema migrates it as a side effect.
-	if arity, n := binary.Uvarint(oldRec); n > 0 && int(arity) < len(t.Columns) {
-		t.LazyUpgrades.Add(1)
-	}
-	newRID, err := t.Heap.Update(rid, types.EncodeRow(nil, newRow))
-	if err != nil {
-		return storage.RID{}, err
-	}
-	u.push(func() error {
-		if newRID == rid {
-			// The page held oldRec before this statement, so the in-place
-			// restore is guaranteed to fit after compaction.
-			back, err := t.Heap.Update(rid, oldRec)
-			if err != nil {
-				return err
-			}
-			if back != rid {
-				return fmt.Errorf("catalog: %s: undo relocated row %v to %v", t.Name, rid, back)
-			}
-			return nil
-		}
-		if err := t.Heap.Reinsert(rid, oldRec); err != nil {
-			return err
-		}
-		return t.Heap.Delete(newRID)
-	})
-	return newRID, nil
-}
-
-// UpdateRowsDeferred applies one UPDATE statement's whole row set with
-// unique checks deferred to a final index-insert pass: every changed
-// index entry is removed (and every heap row rewritten) before any new
-// entry is inserted, so a statement like UPDATE t SET k = k+1 over a
-// dense unique key succeeds regardless of the order rows were scanned
-// in. A duplicate in the deferred pass is a genuine violation — either
-// with an untouched row or between two updated rows. All sub-steps are
-// logged into u; on error the caller owns rolling u back.
-func (t *Table) UpdateRowsDeferred(rids []storage.RID, oldRows, newRows [][]types.Value, u *UndoLog) ([]storage.RID, error) {
-	var inserts []indexWrite
-	newRIDs := make([]storage.RID, len(rids))
-	for i, rid := range rids {
-		nr, err := t.normalizeRow(newRows[i])
-		if err != nil {
-			return nil, err
-		}
-		newRID, err := t.updateHeapUndo(rid, nr, u)
-		if err != nil {
-			return nil, err
-		}
-		newRIDs[i] = newRID
-		for _, ix := range t.Indexes {
-			oldKey := ix.KeyFor(oldRows[i], rid)
-			newKey := ix.KeyFor(nr, newRID)
-			if string(oldKey) == string(newKey) && rid == newRID {
-				continue
-			}
-			tree := ix.Tree
-			if err := tree.Delete(oldKey); err != nil {
-				return nil, fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, ix.Name, err)
-			}
-			u.push(func() error { return tree.Insert(oldKey, rid) })
-			inserts = append(inserts, indexWrite{ix: ix, newKey: newKey, rid: newRID})
-		}
-	}
-	if err := t.insertDeferred(nil, inserts, u); err != nil {
-		return nil, err
-	}
-	return newRIDs, nil
 }
 
 // indexWrite is one index entry an UPDATE re-keys: oldKey leaves the

@@ -232,7 +232,7 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	oldRow, _ := tab.GetRow(rid)
 	newRow := append([]types.Value(nil), oldRow...)
 	newRow[1] = types.NewString("new")
-	newRID, err := tab.UpdateRow(rid, oldRow, newRow)
+	newRID, err := updateRow(tab, rid, oldRow, newRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestUpdateUniqueViolation(t *testing.T) {
 	oldRow, _ := tab.GetRow(rid2)
 	newRow := append([]types.Value(nil), oldRow...)
 	newRow[0] = types.NewInt(1)
-	if _, err := tab.UpdateRow(rid2, oldRow, newRow); err == nil {
+	if _, err := updateRow(tab, rid2, oldRow, newRow); err == nil {
 		t.Error("update into existing PK should fail")
 	}
 }
@@ -339,7 +339,7 @@ func TestRowOpsProperty(t *testing.T) {
 				if old, exists := model[id]; exists {
 					nr := append([]types.Value(nil), old...)
 					nr[3] = types.NewInt(int64(r.Intn(5)))
-					newRID, err := tab.UpdateRow(ridOf[id], old, nr)
+					newRID, err := updateRow(tab, ridOf[id], old, nr)
 					if err != nil {
 						return false
 					}

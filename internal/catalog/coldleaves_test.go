@@ -127,7 +127,7 @@ func TestOnePageMaintenanceReleasesLeavesCold(t *testing.T) {
 		}
 		newRow := coldRow(2)
 		newRow[1] = types.NewInt(77)
-		if _, err := tab.UpdateRowsDeferred([]storage.RID{rid}, [][]types.Value{coldRow(2)}, [][]types.Value{newRow}, &UndoLog{}); err != nil {
+		if err := tab.UpdateRowsDeferredTxn(nil, []storage.RID{rid}, [][]types.Value{coldRow(2)}, [][]types.Value{newRow}, &UndoLog{}); err != nil {
 			t.Fatal(err)
 		}
 		evictedFirst(t, tab, pool, "t_a")

@@ -1,5 +1,5 @@
-// Transaction-aware row mutators. These wrap the PR 2 undo-logged
-// mutators with MVCC bookkeeping: first-updater-wins conflict checks
+// Transaction-aware row mutators. These add to the undo-logged
+// mutators MVCC bookkeeping: first-updater-wins conflict checks
 // before any physical change, a version-chain entry (plus its pop as
 // an undo action) after each one, and unique-key checks that interpret
 // the physical index through the version chains — a key owned by an
@@ -10,6 +10,7 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -78,14 +79,15 @@ func (t *Table) checkUniqueTxn(tx *mvcc.Txn, ix *Index, key []byte) error {
 	return nil
 }
 
-// InsertRowsTxn is one INSERT statement's rows through InsertRowUndo on
-// behalf of tx (nil: autocommit), returning how many went in. Inserts
-// never hit first-updater-wins (the heap assigns a slot no uncommitted
-// chain refers to, thanks to the slot pin); only unique keys can
-// collide with concurrent work.
+// InsertRowsTxn is one INSERT statement's rows on behalf of tx (nil:
+// autocommit), returning how many went in; it normalizes the rows in
+// place. Inserts never hit first-updater-wins (the heap assigns a slot
+// no uncommitted chain refers to, thanks to the slot pin); only unique
+// keys can collide with concurrent work.
 func (t *Table) InsertRowsTxn(tx *mvcc.Txn, rows [][]types.Value, u *UndoLog) (int64, error) {
+	enc := make([]byte, 0, 256) // the page and the WAL record copy it
 	for i, row := range rows {
-		if _, err := t.insertRow(tx, row, u, i == len(rows)-1); err != nil {
+		if _, err := t.insertRow(tx, row, u, i == len(rows)-1, &enc); err != nil {
 			return int64(i), err
 		}
 	}
@@ -93,8 +95,8 @@ func (t *Table) InsertRowsTxn(tx *mvcc.Txn, rows [][]types.Value, u *UndoLog) (i
 }
 
 // DeleteRowsTxn is one DELETE statement's matched rows (rids, with
-// their current contents) through DeleteRowUndo on behalf of tx (nil:
-// autocommit), returning how many went.
+// their current contents) on behalf of tx (nil: autocommit), returning
+// how many went.
 func (t *Table) DeleteRowsTxn(tx *mvcc.Txn, rids []storage.RID, rows [][]types.Value, u *UndoLog) (int64, error) {
 	for i, rid := range rids {
 		if err := t.deleteRow(tx, rid, rows[i], u, i == len(rids)-1); err != nil {
@@ -104,90 +106,132 @@ func (t *Table) DeleteRowsTxn(tx *mvcc.Txn, rids []storage.RID, rows [][]types.V
 	return int64(len(rids)), nil
 }
 
-// UpdateRowsDeferredTxn is UpdateRowsDeferred on behalf of a
-// transaction: every row passes first-updater-wins before the first
-// physical change, every heap rewrite records its pre-image (and a
-// relocation records the new RID as an uncommitted insert), and the
-// deferred unique pass classifies duplicates through the chains.
-func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows, newRows [][]types.Value, u *UndoLog) ([]storage.RID, error) {
-	if tx == nil {
-		return t.UpdateRowsDeferred(rids, oldRows, newRows, u)
-	}
-	for _, rid := range rids {
-		if err := t.Vers.CheckWrite(tx, rid); err != nil {
-			return nil, fmt.Errorf("catalog: %s: update %v: %w", t.Name, rid, err)
+// UpdateRowsDeferredTxn applies one UPDATE statement's whole row set on
+// behalf of tx (nil: autocommit). It normalizes newRows in place and,
+// on success, leaves in rids the rows' possibly relocated RIDs. All
+// sub-steps are logged into u; on error the caller owns rolling u back.
+//
+// Unique checks are deferred to a final index-insert pass: every changed
+// index entry is removed (and every heap row rewritten) before any new
+// entry is inserted, so a statement like UPDATE t SET k = k+1 over a
+// dense unique key succeeds whatever order the rows were gathered in. A
+// duplicate in the deferred pass is a genuine violation, with an
+// untouched row or between two updated rows.
+//
+// Under tx, every row passes first-updater-wins before the first
+// physical change, changed unique keys are screened against the
+// pre-images of uncommitted deletes, every heap rewrite records its
+// pre-image (a relocation records the new RID as an uncommitted insert),
+// and the deferred pass classifies duplicates through the chains.
+//
+// Each row costs one heap visit: the write hands back the bytes it
+// replaced, and that one copy is the undo's restore, the version chain's
+// pre-image and the lazy-upgrade test. Keys are built into two scratch
+// buffers and compared encoded, for every index: normalization alone
+// can change a key (a row that predates ALTER COLUMN TYPE). Only keys
+// that change are copied out.
+func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows, newRows [][]types.Value, u *UndoLog) error {
+	if tx != nil {
+		for _, rid := range rids {
+			if err := t.Vers.CheckWrite(tx, rid); err != nil {
+				return fmt.Errorf("catalog: %s: update %v: %w", t.Name, rid, err)
+			}
 		}
 	}
-	// Shadowed-key screening for changed unique keys, before mutating.
-	normRows := make([][]types.Value, len(rids))
+	var oldBuf, newBuf [64]byte
+	oldKey, newKey := oldBuf[:0], newBuf[:0]
 	for i := range rids {
 		nr, err := t.normalizeRow(newRows[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		normRows[i] = nr
+		newRows[i] = nr
+		if tx == nil {
+			continue
+		}
+		// Shadowed-key screening for changed unique keys, before mutating.
 		for _, ix := range t.Indexes {
 			if !ix.Unique {
 				continue
 			}
-			oldKey, newKey := ix.KeyFor(oldRows[i], rids[i]), ix.KeyFor(nr, rids[i])
+			oldKey, newKey = ix.AppendKey(oldKey[:0], oldRows[i], rids[i]), ix.AppendKey(newKey[:0], nr, rids[i])
 			if bytes.Equal(oldKey, newKey) {
 				continue
 			}
 			shadowed, err := t.shadowedUniqueKey(tx, ix, newKey)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if shadowed {
-				return nil, fmt.Errorf("catalog: %s: unique key shadowed by uncommitted delete: %w", t.Name, mvcc.ErrWriteConflict)
+				return fmt.Errorf("catalog: %s: unique key shadowed by uncommitted delete: %w", t.Name, mvcc.ErrWriteConflict)
 			}
 		}
 	}
 	var changes []indexWrite
-	newRIDs := make([]storage.RID, len(rids))
+	enc := make([]byte, 0, 256) // the page and the WAL record copy it
 	for i, rid := range rids {
-		nr := normRows[i]
-		pre, err := t.Heap.Get(rid)
+		nr := newRows[i]
+		enc = types.EncodeRow(enc[:0], nr)
+		newRID, pre, err := t.Heap.Update(rid, enc)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		newRID, err := t.updateHeapUndo(rid, nr, u)
-		if err != nil {
-			return nil, err
+		rids[i] = newRID
+		u.push(func() error {
+			if newRID == rid {
+				// The page held pre before this statement, so the in-place
+				// restore is guaranteed to fit after compaction.
+				back, _, err := t.Heap.Update(rid, pre)
+				if err == nil && back != rid {
+					err = fmt.Errorf("catalog: %s: undo relocated row %v to %v", t.Name, rid, back)
+				}
+				return err
+			}
+			if err := t.Heap.Reinsert(rid, pre); err != nil {
+				return err
+			}
+			_, err := t.Heap.Delete(newRID)
+			return err
+		})
+		// Lazy schema upgrade accounting: a write re-encodes the full
+		// current-width row, so a row that predates the newest schema
+		// migrates as a side effect — counted once the write stands, and
+		// taken back if the statement or the transaction rolls back.
+		if arity, n := binary.Uvarint(pre); n > 0 && int(arity) < len(t.Columns) {
+			t.LazyUpgrades.Add(1)
+			u.push(func() error { t.LazyUpgrades.Add(-1); return nil })
 		}
-		newRIDs[i] = newRID
 		first := len(changes)
 		for _, ix := range t.Indexes {
-			oldKey := ix.KeyFor(oldRows[i], rid)
-			newKey := ix.KeyFor(nr, newRID)
-			if string(oldKey) == string(newKey) && rid == newRID {
+			oldKey, newKey = ix.AppendKey(oldKey[:0], oldRows[i], rid), ix.AppendKey(newKey[:0], nr, newRID)
+			if newRID == rid && bytes.Equal(oldKey, newKey) {
 				continue
 			}
-			changes = append(changes, indexWrite{ix: ix, oldKey: oldKey, newKey: newKey, rid: newRID})
+			both := append(append(make([]byte, 0, len(oldKey)+len(newKey)), oldKey...), newKey...)
+			changes = append(changes, indexWrite{ix: ix, oldKey: both[:len(oldKey):len(oldKey)], newKey: both[len(oldKey):], rid: newRID})
 		}
-		// The chain stays stable only if the row kept its slot and every
-		// index key: then pre and the new bytes are found the same way.
-		t.Vers.RecordWrite(tx, rid, pre, newRID != rid || len(changes) > first)
-		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
-		if newRID != rid {
-			// Relocation: the new slot is an uncommitted insert; the old
-			// slot's chain keeps serving the pre-image to older snapshots.
-			nrid := newRID
-			t.Vers.RecordWrite(tx, nrid, nil, false)
-			u.push(func() error { t.Vers.PopWrite(tx, nrid); return nil })
+		if tx != nil {
+			// The chain stays stable only if the row kept its slot and
+			// every index key: then pre and the new bytes are found the
+			// same way.
+			t.Vers.RecordWrite(tx, rid, pre, newRID != rid || len(changes) > first)
+			u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
+			if newRID != rid {
+				// Relocation: the new slot is an uncommitted insert; the old
+				// slot's chain keeps serving the pre-image to older snapshots.
+				t.Vers.RecordWrite(tx, newRID, nil, false)
+				u.push(func() error { t.Vers.PopWrite(tx, newRID); return nil })
+			}
 		}
 		for _, c := range changes[first:] {
-			tree, oldKey := c.ix.Tree, c.oldKey
-			if err := tree.Delete(oldKey); err != nil {
-				return nil, fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, c.ix.Name, err)
+			tree, key := c.ix.Tree, c.oldKey
+			if err := tree.Delete(key); err != nil {
+				return fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, c.ix.Name, err)
 			}
-			u.push(func() error { return tree.Insert(oldKey, rid) })
+			u.push(func() error { return tree.Insert(key, rid) })
 		}
 	}
-	if err := t.insertDeferred(tx, changes, u); err != nil {
-		return nil, err
-	}
-	return newRIDs, nil
+	return t.insertDeferred(tx, changes, u)
 }
 
 // VisibleVersions enumerates the snapshot-visible bytes of rids — the

@@ -205,6 +205,45 @@ func TestAlterBackfillRewritesColdRows(t *testing.T) {
 	}
 }
 
+// TestAlterLazyUpgradeRollsBack: an UPDATE of a pre-ALTER row that
+// fails its deferred unique pass leaves the row unmigrated, so the
+// counter must not record it either.
+func TestAlterLazyUpgradeRollsBack(t *testing.T) {
+	db := Open(Config{})
+	mustExec(t, db, "CREATE TABLE acc (id INTEGER NOT NULL, name VARCHAR(20))")
+	mustExec(t, db, "CREATE UNIQUE INDEX acc_pk ON acc (id)")
+	mustExec(t, db, "INSERT INTO acc VALUES (1, 'a')")
+	mustExec(t, db, "INSERT INTO acc VALUES (2, 'b')")
+
+	// Hold the backfiller off row 1 as TestAlterLazyUpgradeOnWrite does:
+	// a write the held snapshot cannot see gives the row a live chain.
+	hold := db.Session()
+	defer hold.Close()
+	if _, err := hold.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hold.Query("SELECT * FROM acc"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "UPDATE acc SET name = 'a2' WHERE id = 1")
+	mustExec(t, db, "ALTER TABLE acc ADD COLUMN beds INTEGER")
+
+	if _, err := db.Exec("UPDATE acc SET id = 2 WHERE id = 1"); err == nil || !strings.Contains(err.Error(), "unique") {
+		t.Fatalf("UPDATE onto an existing key: %v, want a unique violation", err)
+	}
+	tbl, err := db.Catalog().Table("acc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.LazyUpgrades.Load(); got != 0 {
+		t.Errorf("LazyUpgrades = %d after a rolled-back UPDATE, want 0", got)
+	}
+	if _, err := hold.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	waitMigrated(t, db)
+}
+
 // TestAlterLazyUpgradeOnWrite: a foreground UPDATE touching a stale row
 // rewrites it to the newest schema and the counter records it.
 func TestAlterLazyUpgradeOnWrite(t *testing.T) {

@@ -101,24 +101,27 @@ func TestUpdateShiftDenseUniqueKey(t *testing.T) {
 	}
 }
 
+// faultShapes are the DML shapes the fault sweeps run over newAtomDB's
+// table of 40 rows.
+var faultShapes = []struct {
+	name string
+	sql  string
+}{
+	{"multi-insert", "INSERT INTO t VALUES (200, 'n1'), (201, 'n2'), (202, 'n3')"},
+	{"update-shift", "UPDATE t SET k = k + 1 WHERE k >= 10"},
+	{"update-grow", "UPDATE t SET v = 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx' WHERE k < 10"},
+	{"delete-range", "DELETE FROM t WHERE k >= 10 AND k < 20"},
+}
+
 // TestStatementFaultSweeps drives every DML shape through a
 // deterministic fault sweep at the pool level: attempt k fails the kth
 // page access of one category; a failed statement must leave the table
 // bit-identical to its pre-statement snapshot.
 func TestStatementFaultSweeps(t *testing.T) {
-	stmts := []struct {
-		name string
-		sql  string
-	}{
-		{"multi-insert", "INSERT INTO t VALUES (200, 'n1'), (201, 'n2'), (202, 'n3')"},
-		{"update-shift", "UPDATE t SET k = k + 1 WHERE k >= 10"},
-		{"update-grow", "UPDATE t SET v = 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx' WHERE k < 10"},
-		{"delete-range", "DELETE FROM t WHERE k >= 10 AND k < 20"},
-	}
 	cats := []storage.Category{storage.CatData, storage.CatIndex}
 	const maxK = 600
 
-	for _, st := range stmts {
+	for _, st := range faultShapes {
 		for _, cat := range cats {
 			swept := false
 			for k := int64(1); k <= maxK; k++ {

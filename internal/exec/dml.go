@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -134,9 +135,11 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 	ctx := &t.ctx
 	switch n := n.(type) {
 	case *plan.InsertPlan:
-		rows := make([][]types.Value, 0, len(n.Rows))
-		for _, exprs := range n.Rows {
-			row := make([]types.Value, len(n.Table.Columns))
+		w := len(n.Table.Columns)
+		slab := make([]types.Value, len(n.Rows)*w)
+		rows := make([][]types.Value, len(n.Rows))
+		for r, exprs := range n.Rows {
+			row := rowAt(slab, r, w)
 			for i, e := range exprs {
 				v, err := e.Eval(nil, &ctx.Env)
 				if err != nil {
@@ -144,7 +147,7 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 				}
 				row[n.ColMap[i]] = v
 			}
-			rows = append(rows, row)
+			rows[r] = row
 		}
 		// The write set: the heap page the first row will go to (by its
 		// size before normalization, which is close enough for a hint)
@@ -163,7 +166,9 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 				announce(n.Table, false, ix)
 			}
 		}
-		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx, announcePath)
+		// Each match is gathered twice over: the second copy becomes its
+		// new row.
+		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx, announcePath, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -171,23 +176,20 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 		// before mutating anything, then apply the batch with unique
 		// checks deferred: UPDATE t SET k = k+1 must not depend on scan
 		// order.
-		newRows := make([][]types.Value, len(rids))
-		for i := range rids {
-			oldRow := rows[i]
-			newRow := append([]types.Value(nil), oldRow...)
+		oldRows, newRows := rows[:len(rids):len(rids)], rows[len(rids):]
+		for i, oldRow := range oldRows {
 			for j, col := range n.SetCols {
 				v, err := n.SetExprs[j].Eval(oldRow, &ctx.Env)
 				if err != nil {
 					return nil, err
 				}
-				newRow[col] = v
+				newRows[i][col] = v
 			}
-			newRows[i] = newRow
 		}
-		return &PreparedDML{table: n.Table, verb: verbUpdate, rids: rids, oldRows: rows, newRows: newRows}, nil
+		return &PreparedDML{table: n.Table, verb: verbUpdate, rids: rids, oldRows: oldRows, newRows: newRows}, nil
 	case *plan.DeletePlan:
 		announce(n.Table, false, n.Table.Indexes...)
-		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx, announcePath)
+		rids, rows, err := gatherMatches(n.Table, n.Path, n.Filter, ctx, announcePath, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +211,7 @@ func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, erro
 	case verbInsert:
 		return pd.table.InsertRowsTxn(tx, pd.rows, undo)
 	case verbUpdate:
-		if _, err := pd.table.UpdateRowsDeferredTxn(tx, pd.rids, pd.oldRows, pd.newRows, undo); err != nil {
+		if err := pd.table.UpdateRowsDeferredTxn(tx, pd.rids, pd.oldRows, pd.newRows, undo); err != nil {
 			return 0, err
 		}
 		return int64(len(pd.rids)), nil
@@ -223,6 +225,9 @@ func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, erro
 // full (no column pruning: SET expressions, index maintenance, and undo
 // all need complete rows) into a reused scratch buffer; only matching
 // rows are copied out, so rows the filter rejects cost no allocation.
+// The matches wait in a pooled scratch until their count is known; the
+// rows returned are the match set copies times over, in match order
+// each time, cut from one slab of exactly that size.
 //
 // Under a transaction, matching follows the snapshot. A gathered
 // version that no longer matches the physical row necessarily has an
@@ -233,11 +238,11 @@ func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, erro
 // announce decides, for an index path, between the index and a heap of
 // one page (see announcePath); either way the matches come in index
 // order.
-func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, ctx *Context, announce pathAnnouncer) ([]storage.RID, [][]types.Value, error) {
+func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, ctx *Context, announce pathAnnouncer, copies int) ([]storage.RID, [][]types.Value, error) {
+	held := heldMatches.Get().(*[]types.Value)
+	vals := (*held)[:0]
 	var rids []storage.RID
-	var rows [][]types.Value
-	var scratch []types.Value
-	keep := func(rid storage.RID, row []types.Value) error {
+	err := scanMatches(t, path, ctx, announce, func(rid storage.RID, row []types.Value) error {
 		if filter != nil {
 			v, err := filter.Eval(row, &ctx.Env)
 			if err != nil {
@@ -248,22 +253,48 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 			}
 		}
 		rids = append(rids, rid)
-		rows = append(rows, copyRow(row))
+		vals = append(vals, row...)
 		return nil
+	})
+	var rows [][]types.Value
+	if err == nil && len(rids) > 0 {
+		slab := make([]types.Value, 0, copies*len(vals))
+		for range copies {
+			slab = append(slab, vals...)
+		}
+		w := len(vals) / len(rids)
+		rows = make([][]types.Value, copies*len(rids))
+		for i := range rows {
+			rows[i] = rowAt(slab, i, w)
+		}
 	}
+	clear(vals) // the pool holds no strings of this statement
+	*held = vals[:0]
+	heldMatches.Put(held)
+	return rids, rows, err
+}
+
+// heldMatches lends gatherMatches the scratch its matches wait in.
+var heldMatches = sync.Pool{New: func() any { return new([]types.Value) }}
+
+// scanMatches calls keep with every row the access path (nil: a heap
+// scan) reaches that the statement's snapshot sees, decoded in full
+// into a scratch row that keep must copy to retain.
+func scanMatches(t *catalog.Table, path *plan.AccessPath, ctx *Context, announce pathAnnouncer, keep func(storage.RID, []types.Value) error) error {
+	var scratch []types.Value
 	if path != nil {
 		var keys keyRange
 		lo, hi, ok, err := keys.set(path, nil, &ctx.Env)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if !ok {
-			return nil, nil, nil
+			return nil
 		}
 		page, one := announce(t, path.Index)
 		snap, err := openSnapshot(ctx, t, path.Index)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if one {
 			if ctx.Stats != nil {
@@ -271,51 +302,51 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 			}
 			var pr pageRange
 			if err := pr.load(t, path.Index, page, lo, hi); err != nil {
-				return nil, nil, err
+				return err
 			}
 			for _, e := range pr.ents {
 				row, _, _, ok, err := snap.decode(t, scratch, e.rid, e.rec, nil)
 				if err != nil {
-					return nil, nil, err
+					return err
 				}
 				scratch = row
 				if !ok {
 					continue
 				}
 				if err := keep(e.rid, row); err != nil {
-					return nil, nil, err
+					return err
 				}
 			}
-			return rids, rows, snap.inRange(lo, hi, keep)
+			return snap.inRange(lo, hi, keep)
 		}
 		var it btree.Iterator
 		it.HintRows(t.Heap)
 		if err := it.Seek(path.Index.Tree, lo, hi); err != nil {
-			return nil, nil, err
+			return err
 		}
 		defer it.Release()
 		for ; it.Valid(); it.Next() {
 			rid := it.RID()
 			row, _, _, ok, err := snap.fetch(t, scratch, rid, nil)
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			scratch = row
 			if !ok {
 				continue
 			}
 			if err := keep(rid, row); err != nil {
-				return nil, nil, err
+				return err
 			}
 		}
 		if err := it.Err(); err != nil {
-			return nil, nil, err
+			return err
 		}
-		return rids, rows, snap.inRange(lo, hi, keep)
+		return snap.inRange(lo, hi, keep)
 	}
 	snap, err := openSnapshot(ctx, t, nil)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	want := len(t.Columns)
 	match := func(rid storage.RID, rec []byte) error {
@@ -330,7 +361,7 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 	for {
 		rid, rec, ok, err := scanner.Next()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if !ok {
 			break
@@ -341,15 +372,20 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 			}
 		}
 		if err := match(rid, rec); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	if snap != nil {
 		for _, m := range snap.moved {
 			if err := match(m.rid, m.rec); err != nil {
-				return nil, nil, err
+				return err
 			}
 		}
 	}
-	return rids, rows, nil
+	return nil
+}
+
+// rowAt is row i of a slab of rows of width w.
+func rowAt(slab []types.Value, i, w int) []types.Value {
+	return slab[i*w : (i+1)*w : (i+1)*w]
 }

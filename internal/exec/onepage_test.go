@@ -247,11 +247,11 @@ func (b *onePageBed) check(t *testing.T, who string, tx *mvcc.Txn) int64 {
 			t.Fatalf("%q gathers without an index", q.q)
 		}
 		var st1, st2 Stats
-		rids, rows, err := gatherMatches(b.t, path, filter, &Context{Env: plan.Env{Params: q.params}, Stats: &st1, Txn: tx}, announcePath)
+		rids, rows, err := gatherMatches(b.t, path, filter, &Context{Env: plan.Env{Params: q.params}, Stats: &st1, Txn: tx}, announcePath, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrids, wrows, err := gatherMatches(b.t, path, filter, &Context{Env: plan.Env{Params: q.params}, Stats: &st2, Txn: tx}, indexOnly)
+		wrids, wrows, err := gatherMatches(b.t, path, filter, &Context{Env: plan.Env{Params: q.params}, Stats: &st2, Txn: tx}, indexOnly, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -281,7 +281,7 @@ func TestHeapReinsert(t *testing.T) {
 	if err := h.Reinsert(rids[1], snap); err == nil {
 		t.Error("Reinsert over a live slot should fail")
 	}
-	if err := h.Delete(rids[1]); err != nil {
+	if _, err := h.Delete(rids[1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Reinsert(rids[1], snap); err != nil {
@@ -321,7 +321,7 @@ func TestHeapUpdateRelocationFaultKeepsOldRow(t *testing.T) {
 		return nil
 	})
 	big := bytes.Repeat([]byte{'R'}, 70)
-	if _, err := h.Update(rid, big); !errors.Is(err, ErrInjectedFault) {
+	if _, _, err := h.Update(rid, big); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("relocating update: want ErrInjectedFault, got %v", err)
 	}
 	pool.SetFetchFault(nil)

@@ -318,41 +318,42 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 	return out, err
 }
 
-// Update replaces the record at rid. If it no longer fits on its page
+// Update replaces the record at rid and returns the record it replaced,
+// a copy the caller owns. If the replacement no longer fits on its page
 // the record is deleted and re-inserted; the (possibly new) RID is
-// returned and the caller must fix any index entries.
-func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
+// returned and the caller must fix any index entries. The copy is the
+// one pre-image of the write: it reverts the page when the log call
+// fails, and the caller's undo and version chain take it from here
+// instead of reading the page again.
+func (h *HeapFile) Update(rid RID, rec []byte) (RID, []byte, error) {
 	buf, err := h.pool.Fetch(rid.Page, CatData)
 	if err != nil {
-		return RID{}, err
+		return RID{}, nil, err
 	}
 	sp := Slotted(buf)
-	lg := h.log()
-	var old []byte
-	if lg != nil {
-		// Keep the pre-image so a failed log call can physically revert.
-		if o, gerr := sp.Get(rid.Slot); gerr == nil {
-			old = append([]byte(nil), o...)
-		}
+	o, err := sp.Get(rid.Slot)
+	if err != nil {
+		h.pool.Unpin(rid.Page, false)
+		return RID{}, nil, err
 	}
+	old := append([]byte(nil), o...)
+	lg := h.log()
 	uerr := sp.Update(rid.Slot, rec)
 	if uerr == nil {
 		if lg != nil {
 			if lerr := lg.HeapUpdate(rid.Page, rid.Slot, rec); lerr != nil {
-				if old != nil {
-					_ = sp.Update(rid.Slot, old)
-				}
+				_ = sp.Update(rid.Slot, old)
 				h.pool.Unpin(rid.Page, true)
-				return RID{}, lerr
+				return RID{}, nil, lerr
 			}
 		}
 		h.noteFree(rid.Page, sp.ReclaimableSpace())
 		h.pool.Unpin(rid.Page, true)
-		return rid, nil
+		return rid, old, nil
 	}
 	if !errors.Is(uerr, ErrPageFull) {
 		h.pool.Unpin(rid.Page, false)
-		return RID{}, uerr
+		return RID{}, nil, uerr
 	}
 	// Relocate: insert the copy elsewhere first, then delete here on the
 	// still-pinned page, so a failed insert leaves the record untouched
@@ -362,24 +363,15 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 	newRID, err := h.Insert(rec)
 	if err != nil {
 		h.pool.Unpin(rid.Page, false)
-		return RID{}, err
+		return RID{}, nil, err
 	}
-	if err := sp.Delete(rid.Slot); err != nil {
-		// Unreachable for a live slot; undo the insert to stay atomic.
-		h.pool.Unpin(rid.Page, false)
-		if derr := h.Delete(newRID); derr != nil {
-			err = errors.Join(err, derr)
-		}
-		return RID{}, err
-	}
+	_ = sp.Delete(rid.Slot) // cannot fail: Get found the slot live
 	if lg != nil {
 		if lerr := lg.HeapDelete(rid.Page, rid.Slot); lerr != nil {
-			if old != nil {
-				_ = sp.InsertAt(rid.Slot, old)
-			}
+			_ = sp.InsertAt(rid.Slot, old)
 			h.pool.Unpin(rid.Page, true)
-			_ = h.Delete(newRID) // best effort; the log is crashing anyway
-			return RID{}, lerr
+			_, _ = h.Delete(newRID) // best effort; the log is crashing anyway
+			return RID{}, nil, lerr
 		}
 	}
 	h.noteFree(rid.Page, sp.ReclaimableSpace())
@@ -387,7 +379,7 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 	h.mu.Lock()
 	h.rows-- // the relocating Insert incremented; net row count is unchanged
 	h.mu.Unlock()
-	return newRID, nil
+	return newRID, old, nil
 }
 
 // UpdateInPlace replaces the record at rid only if the replacement fits
@@ -456,31 +448,26 @@ func (h *HeapFile) Reinsert(rid RID, rec []byte) error {
 	return nil
 }
 
-// Delete removes the record at rid.
-func (h *HeapFile) Delete(rid RID) error {
+// Delete removes the record at rid and returns a copy of the bytes it
+// removed, which the caller owns (the pre-image its undo restores).
+func (h *HeapFile) Delete(rid RID) ([]byte, error) {
 	buf, err := h.pool.Fetch(rid.Page, CatData)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sp := Slotted(buf)
-	lg := h.log()
-	var old []byte
-	if lg != nil {
-		if o, gerr := sp.Get(rid.Slot); gerr == nil {
-			old = append([]byte(nil), o...)
-		}
-	}
-	if err := sp.Delete(rid.Slot); err != nil {
+	o, err := sp.Get(rid.Slot)
+	if err != nil {
 		h.pool.Unpin(rid.Page, false)
-		return err
+		return nil, err
 	}
-	if lg != nil {
+	old := append([]byte(nil), o...)
+	_ = sp.Delete(rid.Slot) // cannot fail: Get found the slot live
+	if lg := h.log(); lg != nil {
 		if lerr := lg.HeapDelete(rid.Page, rid.Slot); lerr != nil {
-			if old != nil {
-				_ = sp.InsertAt(rid.Slot, old)
-			}
+			_ = sp.InsertAt(rid.Slot, old)
 			h.pool.Unpin(rid.Page, true)
-			return lerr
+			return nil, lerr
 		}
 	}
 	h.noteFree(rid.Page, sp.ReclaimableSpace())
@@ -488,7 +475,7 @@ func (h *HeapFile) Delete(rid RID) error {
 	h.mu.Lock()
 	h.rows--
 	h.mu.Unlock()
-	return nil
+	return old, nil
 }
 
 func (h *HeapFile) noteFree(id PageID, free int) {

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // DefaultPageSize matches the 8 KB page size used for all user data and
@@ -253,33 +254,39 @@ func (p SlottedPage) Update(i uint16, rec []byte) error {
 }
 
 // Compact rewrites live records contiguously at the end of the page,
-// reclaiming dead space left by deletes and relocating updates.
+// reclaiming dead space left by deletes and relocating updates. Live
+// records are copied out, in slot order, into a pooled scratch before
+// they are written back (a destination may overlap another record's
+// source), so a compaction allocates nothing once the pool holds a
+// page-sized buffer.
 func (p SlottedPage) Compact() {
 	n := p.numSlots()
-	type live struct {
-		slot, off, length uint16
+	sp := compactScratch.Get().(*[]byte)
+	tmp := (*sp)[:0]
+	if cap(tmp) < len(p.buf) {
+		tmp = make([]byte, 0, len(p.buf))
 	}
-	var lives []live
 	for i := uint16(0); i < n; i++ {
 		if off, length := p.slotAt(i); off != 0 {
-			lives = append(lives, live{i, off, length})
+			tmp = append(tmp, p.buf[off:off+length]...)
 		}
 	}
-	tmp := make([]byte, 0, len(p.buf))
-	high := uint16(len(p.buf))
-	// Copy records out first (they may overlap destinations).
-	recs := make([][]byte, len(lives))
-	for i, l := range lives {
-		recs[i] = append(tmp[len(tmp):], p.buf[l.off:l.off+l.length]...)
-		tmp = tmp[:len(tmp)+int(l.length)]
-	}
-	for i, l := range lives {
-		high -= l.length
-		copy(p.buf[high:], recs[i])
-		p.setSlot(l.slot, high, l.length)
+	high, from := uint16(len(p.buf)), 0
+	for i := uint16(0); i < n; i++ {
+		if off, length := p.slotAt(i); off != 0 {
+			high -= length
+			copy(p.buf[high:], tmp[from:from+int(length)])
+			from += int(length)
+			p.setSlot(i, high, length)
+		}
 	}
 	p.setFreeHigh(high)
+	*sp = tmp
+	compactScratch.Put(sp)
 }
+
+// compactScratch lends Compact its copy of a page's live records.
+var compactScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // LiveRecords calls fn for every non-deleted slot in slot order.
 func (p SlottedPage) LiveRecords(fn func(slot uint16, rec []byte) bool) {

@@ -518,8 +518,10 @@ func TestHeapInsertGetDelete(t *testing.T) {
 			t.Errorf("Get(%v) = %q, %v", rid, rec, err)
 		}
 	}
-	if err := h.Delete(rids[50]); err != nil {
+	if pre, err := h.Delete(rids[50]); err != nil {
 		t.Fatal(err)
+	} else if string(pre) != "record-050" {
+		t.Errorf("Delete returned %q, want the removed record-050", pre)
 	}
 	if _, err := h.Get(rids[50]); err == nil {
 		t.Error("Get of deleted record should fail")
@@ -573,9 +575,12 @@ func TestHeapUpdateRelocates(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	big := bytes.Repeat([]byte{0xEE}, 200)
-	newRID, err := h.Update(rids[0], big)
+	newRID, pre, err := h.Update(rids[0], big)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(pre, bytes.Repeat([]byte{0}, 40)) {
+		t.Errorf("relocating update returned pre-image %x, want the record it replaced", pre)
 	}
 	rec, err := h.Get(newRID)
 	if err != nil || !bytes.Equal(rec, big) {
@@ -657,7 +662,7 @@ func TestHeapScanner(t *testing.T) {
 	// Delete a few to exercise tombstone skipping.
 	for i := 0; i < 120; i += 10 {
 		s := fmt.Sprintf("rec-%03d", i)
-		if err := h.Delete(want[s]); err != nil {
+		if _, err := h.Delete(want[s]); err != nil {
 			t.Fatal(err)
 		}
 		delete(want, s)

@@ -21,7 +21,7 @@ func TestHeapScannerNextPage(t *testing.T) {
 	}
 	for i := 0; i < 150; i += 7 {
 		s := fmt.Sprintf("page-rec-%03d", i)
-		if err := h.Delete(want[s]); err != nil {
+		if _, err := h.Delete(want[s]); err != nil {
 			t.Fatal(err)
 		}
 		delete(want, s)
@@ -115,7 +115,7 @@ func TestHeapFileView(t *testing.T) {
 	if got != "view-me" {
 		t.Errorf("View = %q", got)
 	}
-	if err := h.Delete(rid); err != nil {
+	if _, err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.View(rid, func([]byte) error { return nil }); err == nil {
