@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-frame fuzz-btree fuzz-join fuzz-page check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-join fuzz-page check
 
 all: check
 
@@ -161,7 +161,15 @@ bench-repl-smoke:
 # Short fuzz burst over the ALTER grammar: the parser must never panic
 # and every accepted ALTER must round-trip through String().
 fuzz-alter:
-	$(GO) test ./internal/sql/ -fuzz FuzzParseAlter -fuzztime 20s
+	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzParseAlter -fuzztime 10s
+
+# Short fuzz burst at the text the rewrite cache scans, as it arrives from
+# the wire: the one-pass scan agrees with Parse and ExtractParams, a text
+# of the same shape binds its own literals into the same template, a text
+# holding the marker byte has no shape, and every accepted statement
+# round-trips through String().
+fuzz-shape:
+	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzStatementShape -fuzztime 10s
 
 # Short fuzz burst over the wire's trust boundary: the frame splitter
 # and message decoder must never panic or over-allocate, and every

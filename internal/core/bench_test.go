@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -218,51 +217,147 @@ func mustParse(b *testing.B, q string) sql.Statement {
 // BenchmarkTenantsSharePlans runs the CRM deck's cached statements —
 // Figure 6's select and update classes in their deck shares, values
 // inlined, tenants drawn uniformly — through a session Mapper on Basic
-// at 1, 32 and 1 024 tenants, one logical statement per op, warm. Beside
-// ns/op and allocs/op it reports the engine plan-cache misses per op: a
-// compiled statement is shared by every tenant whose placement has its
-// shape, so they stay near zero however many tenants there are.
+// at 1, 32, 1 024 and 10 000 tenants, one logical statement per op. The
+// caches are warmed by one deck; the measured statements are cards dealt
+// after it whose literals are values no statement before them held
+// (fresh), so no raw text repeats. Beside ns/op and allocs/op it reports
+// the engine plan-cache misses per op — a compiled statement is shared by
+// every tenant whose placement has its shape, so they stay near zero
+// however many tenants there are — the statements the rewrite cache
+// parsed per op (TemplateHits + Misses), and its entries at the end: a
+// (tenant, shape) each, so past DefaultRewriteCacheCap of them the
+// tenants' shapes evict one another and parse again.
 func BenchmarkTenantsSharePlans(b *testing.B) {
-	for _, tenants := range []int{1, 32, 1024} {
+	for _, tenants := range []int{1, 32, 1024, 10000} {
 		b.Run(fmt.Sprintf("tenants_%d", tenants), func(b *testing.B) {
 			bed, err := testbed.Setup(testbed.Config{Tenants: tenants, RowsPerTable: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
 			r := rand.New(rand.NewSource(2008))
-			var deck []string
-			for _, c := range []struct {
-				class testbed.ActionClass
-				cards int
-			}{{testbed.SelectLight, 500}, {testbed.SelectHeavy, 150}, {testbed.UpdateLight, 176}, {testbed.UpdateHeavy, 75}} {
-				for i := 0; i < c.cards; i++ {
-					a := bed.Workload.NextAction(r, c.class, nil)
-					for _, q := range append(a.Queries, a.Execs...) {
-						deck = append(deck, fmt.Sprintf("%d\x00%s", a.Tenant, q))
-					}
+			classes := []testbed.ActionClass{testbed.SelectLight, testbed.SelectHeavy, testbed.UpdateLight, testbed.UpdateHeavy}
+			cards := []int{500, 150, 176, 75}
+			type stmt struct {
+				tenant int64
+				q      string
+			}
+			deal := func(class testbed.ActionClass) (out []stmt) {
+				a := bed.Workload.NextAction(r, class, nil)
+				for _, q := range append(a.Queries, a.Execs...) {
+					out = append(out, stmt{a.Tenant, q})
+				}
+				return out
+			}
+			var deck []stmt
+			for c, n := range cards {
+				for i := 0; i < n; i++ {
+					deck = append(deck, deal(classes[c])...)
 				}
 			}
 			r.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
 			m := core.NewSessionMapper(bed.DB, bed.Layout)
 			defer m.Session.Close()
-			run := func(i int) {
-				tenant, q, _ := strings.Cut(deck[i%len(deck)], "\x00")
-				id, _ := strconv.ParseInt(tenant, 10, 64)
-				if _, _, err := m.Do(id, q); err != nil {
+			run := func(s stmt) {
+				if _, _, err := m.Do(s.tenant, s.q); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for i := range deck {
-				run(i) // fill the rewrite and plan caches
+			for _, s := range deck {
+				run(s) // fill the rewrite and plan caches
 			}
-			before := m.DB.Stats()
+			var measured []stmt
+			var sh sql.Shape
+			for v := 0; len(measured) < b.N; {
+				class := 0
+				for k := r.Intn(901); k >= cards[class]; class++ {
+					k -= cards[class]
+				}
+				for _, s := range deal(classes[class]) {
+					v++
+					measured = append(measured, stmt{s.tenant, fresh(&sh, s.q, v)})
+				}
+			}
+			before, rc := m.DB.Stats(), m.Cache.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				run(i)
+				run(measured[i])
 			}
 			b.StopTimer()
+			after := m.Cache.Stats()
 			b.ReportMetric(float64(m.DB.Stats().PlanCacheMisses-before.PlanCacheMisses)/float64(b.N), "plan-misses/op")
+			b.ReportMetric(float64(after.TemplateHits+after.Misses-rc.TemplateHits-rc.Misses)/float64(b.N), "parses/op")
+			b.ReportMetric(float64(after.Entries), "entries")
 		})
+	}
+}
+
+// fresh is q with its literals replaced by values the CRM deck never
+// draws: the numbers v+1 000 000 on, the strings 'fv', 'fv+1', ….
+func fresh(sh *sql.Shape, q string, v int) string {
+	if !sh.Scan(q) {
+		panic("no shape: " + q)
+	}
+	var sb strings.Builder
+	for i := 0; i < len(sh.Key); i++ {
+		if sh.Key[i] != sql.Marker {
+			sb.WriteByte(sh.Key[i])
+			continue
+		}
+		i++
+		switch types.Kind(sh.Key[i]) {
+		case types.KindString:
+			fmt.Fprintf(&sb, "'f%d'", v)
+		case types.KindFloat:
+			fmt.Fprintf(&sb, "%d.5", v+1000000)
+		default:
+			fmt.Fprintf(&sb, "%d", v+1000000)
+		}
+		v++
+	}
+	return sb.String()
+}
+
+// BenchmarkStatementPaths: one logical statement per op through a
+// session Mapper on Basic (32 tenants, 64 rows a table), warm. "same"
+// repeats one text; "fresh" sends the template with a literal no op
+// before it held — the rewrite cache's shape hit — and reads no row.
+func BenchmarkStatementPaths(b *testing.B) {
+	bed, err := testbed.Setup(testbed.Config{Tenants: 32, RowsPerTable: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := core.NewSessionMapper(bed.DB, bed.Layout)
+	defer m.Session.Close()
+	for _, c := range []struct{ name, format string }{
+		{"select", "SELECT * FROM Account WHERE Id = %d"},
+		{"update", "UPDATE Account SET Attr01 = Attr01 + 1 WHERE Id = %d"},
+	} {
+		for _, fresh := range []bool{false, true} {
+			name := c.name + "/same"
+			if fresh {
+				name = c.name + "/fresh"
+			}
+			b.Run(name, func(b *testing.B) {
+				texts := make([]string, b.N)
+				for i := range texts {
+					v := 7
+					if fresh {
+						v = 1000000 + i + b.N*3
+					}
+					texts[i] = fmt.Sprintf(c.format, v)
+				}
+				if _, _, err := m.Do(1, fmt.Sprintf(c.format, 7)); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := m.Do(1, texts[i]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -77,9 +77,10 @@ func (rw *Rewritten) statements() []sql.Statement {
 // rewrite itself atomic under rollback.
 //
 // Every statement resolves through Cache, the rewrite cache the Mappers
-// over one layout share: a steady-state SELECT/UPDATE/DELETE skips
-// lexing, parsing, and the layout rewrite entirely, and its physical
-// statements reach the engine with precomputed plan-cache keys.
+// over one layout share: a steady-state SELECT/UPDATE/DELETE costs one
+// scan of its text (none without literals) and skips parsing and the
+// layout rewrite entirely, and its physical statements reach the engine
+// with precomputed plan-cache keys.
 // Assigning Cache swaps in a private one (NewRewriteCache); it is never
 // nil — build Mappers with the constructors.
 type Mapper struct {

@@ -3,6 +3,8 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/engine"
@@ -11,18 +13,18 @@ import (
 )
 
 // RewriteCache makes the §6.1 query-transformation layer free in steady
-// state: an LRU of layout rewrites keyed by (tenant, statement text).
-// Application SQL mostly arrives with values inlined, so a raw text
-// alone would give every distinct value its own entry; the cache
-// therefore canonicalizes first (sql.ExtractParams lifts the literals
-// into positional parameters) and keys the rewrite on the template
-// text, with per-raw-text alias entries remembering the extracted
-// bindings. A steady-state statement then costs one map hit: no lexing,
-// no parsing, no layout rewrite — and because each cached physical
-// statement carries its precomputed plan-cache key string, the engine's
-// plan cache hits without re-rendering SQL either. The physical
-// statements have their literals lifted as well (physStmt), so that key
-// is a placement shape: tenants of one shape share a compiled statement.
+// state: an LRU of layout rewrites keyed by (tenant, statement shape) —
+// the text with each literal replaced by a kind marker (sql.Shape) — an
+// entry remembering, by position, which literal each parameter takes. A
+// steady-state statement then costs one scan and one map hit — no parse,
+// no layout rewrite, no new entry — and one without literals not even the
+// scan. Each cached physical statement carries its precomputed plan-cache
+// key string, so the engine's plan cache hits without re-rendering SQL
+// either; their literals are lifted as well (physStmt), so that key is a
+// placement shape: tenants of one shape share a compiled statement. A
+// shape whose parse does not lift every literal once (sql.ParseTemplate)
+// is keyed by its template text instead, and each raw text of it keeps an
+// entry with its values.
 //
 // It is every Mapper's statement path, not an attachment: Mappers over
 // one layout share the layout's cache (SharedRewriteCache).
@@ -43,13 +45,14 @@ import (
 // Rewrites are cached only for SELECT, UPDATE, and DELETE. INSERT
 // rewrites are side-effecting (they reserve logical row ids via the
 // layout's row sequences) and value-dependent, so they always take the
-// full rewrite path; DDL and transaction control likewise.
+// full rewrite path; DDL and transaction control likewise: a text that
+// starts with another word goes straight to the parser.
 //
 // Filling is singleflighted per key: concurrent sessions of the same
-// tenant sharing statement text do the parse+rewrite work once. A cached
-// template AST is shared by every session that hits it and is read-only
-// from then on: sessions plan it concurrently, so the planner rewrites
-// copies, never the tree it is handed (plan.flattenSubqueries;
+// tenant and shape do the rewrite work once. A cached template AST is
+// shared by every session that hits it and is read-only from then on:
+// sessions plan it concurrently, so the planner rewrites copies, never
+// the tree it is handed (plan.flattenSubqueries;
 // TestPlannerLeavesASTUntouched holds it to that).
 type RewriteCache struct {
 	layout Layout
@@ -60,8 +63,8 @@ type RewriteCache struct {
 	entries map[rcKey]*list.Element
 	flight  map[rcKey]*rcFlight
 
-	hits         int64 // raw-text hits (zero-parse path)
-	templateHits int64 // parsed + extracted, but the template's rewrite was cached
+	hits         int64 // lookups answered without a parse
+	templateHits int64 // parsed, but the template's rewrite was cached
 	misses       int64 // full parse + rewrite
 	uncacheable  int64 // statements outside the cacheable classes
 	invalidated  int64 // entries dropped by a stale generation stamp
@@ -168,45 +171,55 @@ func (ps *physStmt) bind(vals []types.Value) ([]types.Value, error) {
 	return out, nil
 }
 
-// rcEntry is one LRU slot. bound, the parameter vector of each of cr's
-// statements, is fixed at fill for a text without `?` (a raw alias binds
-// the literals its text canonicalized away); where it is nil the caller's
-// values bind per execution.
+// rcEntry is one LRU slot: a rewrite under a shape, a template or a raw
+// text. A shape with literals has from (which literal each parameter
+// takes); a raw text the shape key refused has vals (its literals).
 type rcEntry struct {
 	key   rcKey
 	cr    *cachedRewrite
-	bound [][]types.Value
+	from  []int
+	vals  []types.Value
 	stamp rcStamp
 }
 
-// newEntry stamps cr under key, its parameters taking vals (nil: the
-// caller's, unless it has none).
-func newEntry(key rcKey, cr *cachedRewrite, vals []types.Value, stamp rcStamp) *rcEntry {
-	ent := &rcEntry{key: key, cr: cr, stamp: stamp}
-	bound := make([][]types.Value, len(cr.stmts))
+// bind is each of cr's statements' vector for a logical statement whose
+// parameter p takes vals[p], or vals[from[p]] where from is set (a shape
+// entry's); nil where vals is: the caller's values bind per execution.
+func (cr *cachedRewrite) bind(vals []types.Value, from []int) ([][]types.Value, error) {
+	if vals == nil {
+		return nil, nil
+	}
+	if !slices.IsSorted(from) { // a permutation, and not the identity
+		perm := make([]types.Value, len(from))
+		for p, k := range from {
+			perm[p] = vals[k]
+		}
+		vals = perm
+	}
+	out := make([][]types.Value, len(cr.stmts))
 	for i := range cr.stmts {
+		if cr.stmts[i].slots == nil {
+			continue // no parameters: vals may be a scan's, not to be kept
+		}
 		var err error
-		if bound[i], err = cr.stmts[i].bind(vals); err != nil {
-			return ent // a slot wants a value vals lacks
+		if out[i], err = cr.stmts[i].bind(vals); err != nil {
+			return nil, err
 		}
 	}
-	ent.bound = bound
-	return ent
+	return out, nil
 }
 
-// rcFlight is a single-flight slot for one key's fill.
+// rcFlight is a single-flight slot for one key's rewrite.
 type rcFlight struct {
 	done chan struct{}
-	ent  *rcEntry
-	st   sql.Statement // set instead of ent for uncacheable statements
 	err  error
 }
 
 // RewriteCacheStats is a point-in-time counter snapshot.
 type RewriteCacheStats struct {
-	Hits         int64 // raw-text hits: no parse, no rewrite
-	TemplateHits int64 // parsed, but the canonical template was cached
-	Misses       int64 // full parse + layout rewrite
+	Hits         int64 // no parse, no rewrite: an exact or a shape hit
+	TemplateHits int64 // parsed, but the template was cached: a refused shape's new text
+	Misses       int64 // parse + layout rewrite
 	Uncacheable  int64 // INSERT / DDL / transaction control
 	Invalidated  int64 // entries dropped by generation-stamp mismatch
 	Entries      int   // current LRU population
@@ -220,7 +233,7 @@ type RewriteCacheStats struct {
 
 // HitRate returns the fraction of cacheable lookups that skipped the
 // layout rewrite. Uncacheable statements (INSERT, DDL, transaction
-// control) never consult the cache — they are excluded from the rate
+// control) take no entry and no flight — they are excluded from the rate
 // and reported separately in Uncacheable.
 func (s RewriteCacheStats) HitRate() float64 {
 	total := s.Hits + s.TemplateHits + s.Misses
@@ -273,96 +286,110 @@ func (c *RewriteCache) removeLocked(e *list.Element) {
 	c.invalidated++
 }
 
-// lookup resolves one logical statement text for a tenant.
+// shapes recycles the scans lookups take.
+var shapes = sync.Pool{New: func() any { return new(sql.Shape) }}
+
+// txnControl is what each bare BEGIN, COMMIT, ROLLBACK parses to, shared.
+var txnControl = map[string]sql.Statement{
+	"BEGIN":    &sql.BeginStmt{},
+	"COMMIT":   &sql.CommitStmt{},
+	"ROLLBACK": &sql.RollbackStmt{},
+}
+
+// lookup resolves one logical statement text for a tenant: by an exact
+// probe of (tenant, text), which hits the entries of texts without
+// literals; else by one scan and a probe of (tenant, shape); else by a
+// parse, which finds or fills the entry its template is keyed by.
 //
 // Outcomes:
 //   - cr != nil: the rewrite is cached; bound is the parameter vector of
-//     each of its statements, or nil for an already-parameterized text,
-//     which the caller's params bind. For canonicalized texts (which by
-//     construction contained no `?`) the extracted literals are bound,
-//     and any caller-supplied params — which no placeholder could have
+//     each of its statements, or nil for a text whose parameters are the
+//     caller's. Where the text's literals were lifted they are bound, and
+//     any caller-supplied params — which no placeholder could have
 //     referenced — are ignored.
 //   - cr == nil, st != nil: the statement is not cacheable (INSERT,
-//     DDL, transaction control); st is the parse result so the caller
-//     can run the ordinary rewrite path without re-parsing.
+//     DDL, transaction control); st is the parse result (txnControl's,
+//     read-only) so the caller can run the ordinary path without re-parsing.
 //   - err != nil: parse or rewrite failed.
 func (c *RewriteCache) lookup(tenant int64, text string) (cr *cachedRewrite, bound [][]types.Value, st sql.Statement, err error) {
-	key := rcKey{tenant: tenant, text: text}
-	for {
-		// Read before c.mu: a bump that lands after this orders the whole
-		// statement before the change, as if it had arrived a moment sooner.
-		cur := stampOf(c.layout, tenant)
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			ent := e.Value.(*rcEntry)
-			if ent.stamp == cur {
-				c.lru.MoveToBack(e)
-				c.hits++
-				c.countShapeLocked(ent.cr)
-				c.mu.Unlock()
-				return ent.cr, ent.bound, nil, nil
-			}
-			// Stale stamp: drop the entry and refill below.
-			c.removeLocked(e)
+	if v := sql.Verb(text); !strings.EqualFold(v, "SELECT") && !strings.EqualFold(v, "UPDATE") && !strings.EqualFold(v, "DELETE") {
+		if st = txnControl[text]; st == nil {
+			st, err = sql.Parse(text)
 		}
-		if f, ok := c.flight[key]; ok {
-			c.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				return nil, nil, nil, f.err
-			}
-			if f.ent != nil {
-				if f.ent.stamp != cur {
-					continue // invalidated while in flight: retry from the top
-				}
-				c.mu.Lock()
-				c.hits++
-				c.countShapeLocked(f.ent.cr)
-				c.mu.Unlock()
-				return f.ent.cr, f.ent.bound, nil, nil
-			}
-			// Uncacheable: the flight's parse result belongs to its owner
-			// (ASTs are mutable); re-parse for this caller.
+		if err == nil {
 			c.mu.Lock()
 			c.uncacheable++
 			c.mu.Unlock()
-			st, err = sql.Parse(text)
-			return nil, nil, st, err
 		}
-		f := &rcFlight{done: make(chan struct{})}
-		c.flight[key] = f
-		c.mu.Unlock()
-
-		var templateHit bool
-		f.ent, f.st, templateHit, f.err = c.fill(key, cur)
-
-		c.mu.Lock()
-		delete(c.flight, key)
-		switch {
-		case f.err != nil:
-			// Errors are not cached: a later lookup retries.
-		case f.ent != nil:
-			if templateHit {
-				c.templateHits++
-			} else {
-				c.misses++
-			}
-			c.insertLocked(f.ent)
-			c.countShapeLocked(f.ent.cr)
-		default:
-			c.uncacheable++
-		}
-		c.mu.Unlock()
-		close(f.done)
-
-		if f.err != nil {
-			return nil, nil, nil, f.err
-		}
-		if f.ent != nil {
-			return f.ent.cr, f.ent.bound, nil, nil
-		}
-		return nil, nil, f.st, nil
+		return nil, nil, st, err
 	}
+	// Read before c.mu: a bump that lands after this orders the whole
+	// statement before the change, as if it had arrived a moment sooner.
+	cur := stampOf(c.layout, tenant)
+	c.mu.Lock()
+	if ent := c.liveLocked(c.entries[rcKey{tenant, text}], cur); ent != nil && ent.from == nil {
+		c.hits++
+		c.countShapeLocked(ent.cr)
+		c.mu.Unlock()
+		bound, err = ent.cr.bind(ent.vals, nil)
+		return ent.cr, bound, nil, err
+	}
+	c.mu.Unlock()
+
+	sh := shapes.Get().(*sql.Shape)
+	defer shapes.Put(sh)
+	var lits []types.Value // the text's, where it has a shape
+	if sh.Scan(text) && len(sh.Lits) > 0 {
+		lits = sh.Lits
+		c.mu.Lock()
+		if ent := c.liveLocked(c.entries[rcKey{tenant, string(sh.Key)}], cur); ent != nil && ent.from != nil {
+			c.hits++
+			c.countShapeLocked(ent.cr)
+			c.mu.Unlock()
+			bound, err = ent.cr.bind(sh.Lits, ent.from)
+			return ent.cr, bound, nil, err
+		}
+		c.mu.Unlock()
+	}
+
+	st, vals, from, err := sql.ParseTemplate(text, lits)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	key := rcKey{tenant: tenant, text: text}
+	switch {
+	case from != nil:
+		key.text = string(sh.Key)
+	case vals != nil:
+		key.text = st.String()
+	}
+	ent, err := c.template(key, st, from)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if from == nil && vals != nil {
+		// A refused shape: the raw text keeps the values it lifted.
+		c.mu.Lock()
+		c.insertLocked(&rcEntry{key: rcKey{tenant, text}, cr: ent.cr, vals: vals, stamp: ent.stamp})
+		c.mu.Unlock()
+	}
+	bound, err = ent.cr.bind(vals, nil)
+	return ent.cr, bound, nil, err
+}
+
+// liveLocked is the entry at e (nil: none) if its stamp is cur, moved to
+// the recent end; a stale one is dropped. Caller holds c.mu.
+func (c *RewriteCache) liveLocked(e *list.Element, cur rcStamp) *rcEntry {
+	if e == nil {
+		return nil
+	}
+	ent := e.Value.(*rcEntry)
+	if ent.stamp != cur {
+		c.removeLocked(e)
+		return nil
+	}
+	c.lru.MoveToBack(e)
+	return ent
 }
 
 // countShapeLocked counts the execution a returned rewrite is about to
@@ -377,66 +404,50 @@ func (c *RewriteCache) countShapeLocked(cr *cachedRewrite) {
 	}
 }
 
-// fill parses and rewrites one key's statement. Returns (entry, nil)
-// for cacheable statements, (nil, parsed) for uncacheable ones;
-// templateHit reports that the canonical template's rewrite was already
-// cached (only the parse + extraction ran).
+// template finds the entry under key, st's template (from as
+// ParseTemplate gave it), or fills it: one rewrite per key however many
+// lookups want it at once. The caller that rewrites counts a miss, the
+// others a template hit.
 //
-// stamp was read before the rewrite runs: a bump that lands mid-fill
+// The stamp is read before the rewrite runs: a bump that lands mid-fill
 // leaves the entry stamped older than the tenant's generation, so the
 // very next hit compares, fails, and refills. The window can waste one
 // fill; it can never serve a rewrite from before the bump as current.
-func (c *RewriteCache) fill(key rcKey, stamp rcStamp) (ent *rcEntry, parsed sql.Statement, templateHit bool, err error) {
-	st, err := sql.Parse(key.text)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	switch st.(type) {
-	case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
-	default:
-		return nil, st, false, nil
-	}
-
-	// Canonicalize: lift inlined literals into params so statements
-	// differing only in values share one template entry.
-	extra, extracted := sql.ExtractParams(st)
-	if !extracted {
-		cr, err := compile(c.layout.Rewrite(key.tenant, st))
-		if err != nil {
-			return nil, nil, false, err
-		}
-		return newEntry(key, cr, nil, stamp), nil, false, nil
-	}
-
-	canonText := st.String()
-	canonKey := rcKey{tenant: key.tenant, text: canonText}
-	c.mu.Lock()
-	if e, ok := c.entries[canonKey]; ok {
-		tmpl := e.Value.(*rcEntry)
-		if tmpl.stamp == stamp {
-			c.lru.MoveToBack(e)
+func (c *RewriteCache) template(key rcKey, st sql.Statement, from []int) (*rcEntry, error) {
+	for {
+		cur := stampOf(c.layout, key.tenant)
+		c.mu.Lock()
+		if ent := c.liveLocked(c.entries[key], cur); ent != nil {
+			c.templateHits++
+			c.countShapeLocked(ent.cr)
 			c.mu.Unlock()
-			return newEntry(key, tmpl.cr, extra, stamp), nil, true, nil
+			return ent, nil
 		}
-		c.removeLocked(e)
-	}
-	c.mu.Unlock()
+		if f, ok := c.flight[key]; ok {
+			c.mu.Unlock()
+			<-f.done
+			if f.err != nil {
+				return nil, f.err
+			}
+			continue // the entry is in: hit it
+		}
+		f := &rcFlight{done: make(chan struct{})}
+		c.flight[key] = f
+		c.mu.Unlock()
 
-	cr, err := compile(c.layout.Rewrite(key.tenant, st))
-	if err != nil {
-		return nil, nil, false, err
+		cr, err := compile(c.layout.Rewrite(key.tenant, st))
+		ent := &rcEntry{key: key, cr: cr, from: from, stamp: cur}
+		c.mu.Lock()
+		delete(c.flight, key)
+		if f.err = err; err == nil { // errors are not cached: a later lookup retries
+			c.misses++
+			c.insertLocked(ent)
+			c.countShapeLocked(cr)
+		}
+		c.mu.Unlock()
+		close(f.done)
+		return ent, err
 	}
-	c.mu.Lock()
-	// First valid insert wins: if another fill published this template
-	// while we rewrote, alias to the published one so all raw texts
-	// share a single template AST.
-	if e, ok := c.entries[canonKey]; ok && e.Value.(*rcEntry).stamp == stamp {
-		cr = e.Value.(*rcEntry).cr
-	} else {
-		c.insertLocked(newEntry(canonKey, cr, nil, stamp))
-	}
-	c.mu.Unlock()
-	return newEntry(key, cr, extra, stamp), nil, false, nil
 }
 
 // insertLocked adds ent to the LRU, evicting from the front past cap.

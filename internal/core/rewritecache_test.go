@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -110,9 +111,11 @@ func TestRewriteCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestRewriteCacheHitAccounting verifies the canonicalization math: N
-// statements sharing a template cost one rewrite, repeats cost nothing,
-// and the hit rate reflects it.
+// TestRewriteCacheHitAccounting verifies the shape math: N statements
+// differing in their literals alone cost one parse and one rewrite, then
+// none, and one entry; the hit rate reflects it. A shape the guard refuses
+// (a folded negative literal) parses each new text, sharing its template's
+// rewrite, and a repeat of its raw text parses nothing.
 func TestRewriteCacheHitAccounting(t *testing.T) {
 	schema := paperSchema()
 	l, err := NewExtensionLayout(schema)
@@ -125,7 +128,7 @@ func TestRewriteCacheHitAccounting(t *testing.T) {
 	}
 	m := NewMapper(db, l)
 
-	// 8 distinct literal values, same template: 1 miss + 7 template hits.
+	// 8 distinct literal values, one shape: 1 miss + 7 hits, 1 entry.
 	for i := 0; i < 8; i++ {
 		q := fmt.Sprintf("SELECT Name FROM Account WHERE Aid = %d", i)
 		if _, err := m.Query(35, q); err != nil {
@@ -133,10 +136,10 @@ func TestRewriteCacheHitAccounting(t *testing.T) {
 		}
 	}
 	s := m.Cache.Stats()
-	if s.Misses != 1 || s.TemplateHits != 7 || s.Hits != 0 {
+	if s.Misses != 1 || s.TemplateHits != 0 || s.Hits != 7 || s.Entries != 1 {
 		t.Fatalf("after distinct literals: %+v", s)
 	}
-	// Repeats of the same raw texts: pure raw hits.
+	// Repeats of the same raw texts: hits as well.
 	for i := 0; i < 8; i++ {
 		q := fmt.Sprintf("SELECT Name FROM Account WHERE Aid = %d", i)
 		if _, err := m.Query(35, q); err != nil {
@@ -144,17 +147,28 @@ func TestRewriteCacheHitAccounting(t *testing.T) {
 		}
 	}
 	s = m.Cache.Stats()
-	if s.Hits != 8 {
+	if s.Hits != 15 || s.Entries != 1 {
 		t.Fatalf("after repeats: %+v", s)
 	}
 	if hr := s.HitRate(); hr < 0.9 {
 		t.Fatalf("hit rate %.2f < 0.9: %+v", hr, s)
 	}
+	// -n folds into one literal the text does not hold: each new text
+	// parses (1 miss, then template hits) and keeps its raw text (an
+	// entry each beside the template); a repeat is a hit.
+	for _, n := range []int{1, 2, 3, 1, 2} {
+		if _, err := m.Query(35, fmt.Sprintf("SELECT Name FROM Account WHERE Aid = -%d", n)); err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+	}
+	if s2 := m.Cache.Stats(); s2.Misses != s.Misses+1 || s2.TemplateHits != 2 || s2.Hits != s.Hits+2 || s2.Entries != s.Entries+4 {
+		t.Fatalf("refused shape: before %+v after %+v", s, s2)
+	}
 	// Another tenant does not share entries (tenant is in the key).
 	if _, err := m.Query(17, "SELECT Name FROM Account WHERE Aid = 0"); err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	if s2 := m.Cache.Stats(); s2.Misses != 2 {
+	if s2 := m.Cache.Stats(); s2.Misses != 3 {
 		t.Fatalf("cross-tenant lookup should miss: %+v", s2)
 	}
 	// INSERT stays uncacheable.
@@ -265,21 +279,35 @@ func TestRewriteCacheEviction(t *testing.T) {
 	if err := l.Create(db, paperTenants()); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := NewMapper(db, l).Exec(35, "INSERT INTO Account (Aid, Name) VALUES (1, 'a'), (2, 'b'), (3, 'c')"); err != nil {
+		t.Fatal(err)
+	}
 	m := NewMapper(db, l)
 	m.Cache = NewRewriteCache(db, l, 8)
 
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 32; i++ {
-			// Distinct templates (structure varies), defeating
-			// canonical sharing on purpose.
-			q := fmt.Sprintf("SELECT Name FROM Account WHERE Aid = %d AND Aid < %d + %d", i, i, i)
-			if _, err := m.Query(35, q); err != nil {
+			// Distinct shapes (an IN list of i+1 values), defeating
+			// sharing on purpose.
+			in, want := "1", 1 // the rows are Aid 1, 2 and 3
+			for v := 2 + round; v <= i+1+round; v++ {
+				in += fmt.Sprintf(", %d", v)
+				if v <= 3 {
+					want++
+				}
+			}
+			q := fmt.Sprintf("SELECT Name FROM Account WHERE Aid IN (%s)", in)
+			rows, err := m.Query(35, q)
+			if err != nil {
 				t.Fatalf("Query: %v", err)
+			}
+			if len(rows.Data) != want {
+				t.Fatalf("round %d, %q: %d rows, want %d", round, q, len(rows.Data), want)
 			}
 		}
 	}
-	if s := m.Cache.Stats(); s.Entries > 8 {
-		t.Fatalf("cap exceeded: %+v", s)
+	if s := m.Cache.Stats(); s.Entries != 8 || s.Misses != 3*32 {
+		t.Fatalf("cap exceeded or an evicted shape still hit: %+v", s)
 	}
 }
 
@@ -547,11 +575,11 @@ func TestExtendTenantUnderCachedLoad(t *testing.T) {
 
 // TestRewriteCacheManyTablesShape drives the cache at crm_tables_cold's
 // shape — 150 tenants on an instance of ten tables each, 1 500 tables,
-// the CRM deck's statement templates with their values inlined — which
-// has more templates than the default capacity and far more raw texts:
-// the population stays within capacity while it churns, and the raw
-// texts of one template alias one cached rewrite, not a copy each. The
-// layout holds one placement per table, whatever the tenant count.
+// the CRM deck's statement templates with their values inlined — whose
+// raw texts far outnumber the default capacity: an entry is a (tenant,
+// shape), so the deck's 7 500 fit, raw texts add none, and every lookup
+// past a shape's first is a hit without a parse. The layout holds one
+// placement per table, whatever the tenant count.
 func TestRewriteCacheManyTablesShape(t *testing.T) {
 	const tenants, tablesPer, rows = 150, 10, 32
 	schema := &Schema{}
@@ -593,22 +621,24 @@ func TestRewriteCacheManyTablesShape(t *testing.T) {
 		},
 	}
 	r := rand.New(rand.NewSource(2008))
-	for i := 0; i < 30000; i++ {
+	shapes := map[string]bool{} // tenant/table/template drawn
+	const lookups = 30000
+	for i := 0; i < lookups; i++ {
 		tenant := r.Intn(tenants)
 		table := fmt.Sprintf("T%d", tenant*tablesPer+r.Intn(tablesPer))
-		if _, _, _, err := c.lookup(int64(tenant+1), deck[r.Intn(len(deck))](r, table)); err != nil {
+		d := r.Intn(len(deck))
+		shapes[fmt.Sprintf("%d/%s/%d", tenant, table, d)] = true
+		if _, _, _, err := c.lookup(int64(tenant+1), deck[d](r, table)); err != nil {
 			t.Fatal(err)
-		}
-		if n := c.Stats().Entries; n > DefaultRewriteCacheCap {
-			t.Fatalf("after %d lookups: %d entries, capacity %d", i+1, n, DefaultRewriteCacheCap)
 		}
 	}
 	s := c.Stats()
-	if s.Entries != DefaultRewriteCacheCap || s.TemplateHits == 0 || s.Hits == 0 {
-		t.Fatalf("the deck should fill the cache and reuse templates and raw texts: %+v", s)
+	n := int64(len(shapes))
+	if s.Entries != len(shapes) || s.Misses != n || s.TemplateHits != 0 || s.Hits != lookups-n || s.Entries > DefaultRewriteCacheCap {
+		t.Fatalf("%d shapes drawn in %d lookups: %+v", n, lookups, s)
 	}
 
-	// In the full, churning cache: sixteen raw texts of one template.
+	// Sixteen raw texts of one template.
 	var shared *cachedRewrite
 	for id := 1; id <= 16; id++ {
 		cr, bind, _, err := c.lookup(7, fmt.Sprintf("SELECT * FROM T60 WHERE Id = %d", id))
@@ -624,5 +654,108 @@ func TestRewriteCacheManyTablesShape(t *testing.T) {
 		if cr != shared {
 			t.Fatalf("Id = %d got a rewrite of its own; raw texts of one template must share one", id)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector makes sync.Pool
+// drop items at random, so allocation counts only hold without it.
+var raceEnabled bool
+
+// TestShapeBindsLiteralsByPosition: a shape hit binds each parameter the
+// literal at the position the filling text's parse lifted it from, never
+// one of the same value. Texts whose shape repeats a value at the fill —
+// and one whose projection literal stays inline, and one that holds the
+// shape key's marker byte — run through every layout and through the
+// reference, and every answer and the final state must agree.
+func TestShapeBindsLiteralsByPosition(t *testing.T) {
+	steps := []string{
+		"INSERT INTO Account (Aid, Name, Hospital, Beds) VALUES (1, 'a', 'h', 5), (2, 'b', 'h', 6), (3, 'c', 'h', 5), (5, 'e', 'h', 2), (6, 'f', 'h', 5)",
+		"SELECT 5, Name FROM Account WHERE Aid = 5",
+		"SELECT 5, Name FROM Account WHERE Aid = 6",
+		"SELECT 6, Name FROM Account WHERE Aid = 5",
+		"SELECT Aid, Name FROM Account WHERE Aid = 5 OR Beds = 5",
+		"SELECT Aid, Name FROM Account WHERE Aid = 6 OR Beds = 5",
+		"SELECT Aid, Name FROM Account WHERE Aid = 2 OR Beds = 2",
+		"SELECT Aid, Name FROM Account WHERE Aid = 2 OR Beds = 6",
+		"UPDATE Account SET Beds = 6 WHERE Aid = 6",
+		"UPDATE Account SET Beds = 7 WHERE Aid = 3",
+		"UPDATE Account SET Name = 'a\x00b' WHERE Aid = 1",
+		"SELECT Aid FROM Account WHERE Name = 'a\x00b'",
+		"SELECT Aid, Name, Beds FROM Account",
+	}
+	transcript := func(m logicalDB) []string {
+		var out []string
+		for _, q := range steps {
+			if strings.HasPrefix(q, "SELECT") {
+				out = append(out, fmt.Sprint(queryAll(t, m, 17, q)))
+				continue
+			}
+			res, err := m.Exec(17, q)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", nameOf(m), q, err)
+			}
+			out = append(out, fmt.Sprint(res.RowsAffected))
+		}
+		return out
+	}
+	want := transcript(newPlainTenants(t, paperSchema(), paperTenants()))
+	for name, m := range allLayouts(t, paperSchema()) {
+		got := transcript(m)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: %q answered %s, the reference %s", name, steps[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestShapeHitsDoNoParseWork: once one text of a template is cached, a
+// thousand more with other literals cost no parse and no entry, and a
+// shape hit allocates at most one vector more than an exact-text hit of
+// the template with `?`, whose caller binds its own.
+func TestShapeHitsDoNoParseWork(t *testing.T) {
+	l, err := NewExtensionLayout(paperSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.Open(engine.Config{})
+	if err := l.Create(db, paperTenants()); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMapper(db, l)
+	m.Cache = NewRewriteCache(db, l, 0)
+	loadPaperData(t, m)
+	// No row has these keys: both kinds of hit execute alike.
+	const exact = "SELECT Name FROM Account WHERE Aid = ?"
+	params := []types.Value{types.NewInt(5000)}
+	texts := make([]string, 1000)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("SELECT Name FROM Account WHERE Aid = %d", 1000+i)
+	}
+	query := func(q string, params ...types.Value) {
+		if _, err := m.Query(35, q, params...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query(exact, params...)
+	query("SELECT Name FROM Account WHERE Aid = 0")
+	before := m.Cache.Stats()
+	for _, q := range texts {
+		query(q)
+	}
+	after := m.Cache.Stats()
+	if after.Misses != before.Misses || after.TemplateHits != before.TemplateHits ||
+		after.Hits != before.Hits+int64(len(texts)) || after.Entries != before.Entries {
+		t.Fatalf("%d shape hits: before %+v after %+v", len(texts), before, after)
+	}
+	if raceEnabled {
+		return
+	}
+	exactAllocs := testing.AllocsPerRun(200, func() { query(exact, params...) })
+	i := 0
+	shapeAllocs := testing.AllocsPerRun(200, func() { query(texts[i%len(texts)]); i++ })
+	t.Logf("allocs: exact-text hit %v, shape hit %v", exactAllocs, shapeAllocs)
+	if shapeAllocs > exactAllocs+1 {
+		t.Errorf("a shape hit allocates %v, an exact-text hit %v", shapeAllocs, exactAllocs)
 	}
 }

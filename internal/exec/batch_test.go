@@ -404,21 +404,30 @@ func TestPropQueriesReachEveryOperator(t *testing.T) {
 }
 
 // TestBatchRowFaultEquivalence injects a fetch fault at the kth logical
-// page access and asserts the statement fails or succeeds as the row
-// path did — batching must not change which statements an I/O error
-// aborts, nor swallow the error. Under a LIMIT the batch pipeline may
-// reach a site the row path stopped short of, but only one the row path
-// reaches with LIMIT n+BatchSize. Failed or not, a statement leaves no
-// page pinned: an index-NL join's fault lands while it holds its inner
-// leaf and heap page.
+// page access — the first, middle and last of what a fault-free run
+// fetches of the category (faultSites) — and asserts the statement fails
+// or succeeds as recorded — batching must not change which statements an
+// I/O error aborts, nor swallow the error. Under a LIMIT the batch
+// pipeline may reach a site the row path stopped short of, but only one
+// the row path reaches with LIMIT n+BatchSize. Failed or not, a statement
+// leaves no page pinned: an index-NL join's fault lands while it holds its
+// inner leaf and heap page.
 func TestBatchRowFaultEquivalence(t *testing.T) {
 	g := loadGolden(t)
 	pool, cat := propFixture(t, faultSeed, nil)
 	r := rand.New(rand.NewSource(faultSeed * 101))
 	next := 0
 	for _, c := range propQueries(r) {
+		before := pool.Stats()
+		if _, err := runPlan(planMode(t, cat, c.mode, c.sql(0)), c.params, nil, nil, false); err != nil {
+			t.Fatalf("%q: %v", c.sql(0), err)
+		}
+		clean := costOf(Counters{}, before, pool.Stats()).Fetches
 		for _, fc := range []storage.Category{storage.CatData, storage.CatIndex} {
-			for _, k := range faultKs {
+			for _, k := range faultSites(clean[fc]) {
+				if next == len(g.Faults) {
+					t.Fatalf("golden file ends before %q cat=%v k=%d", c.sql(0), fc, k)
+				}
 				want := g.Faults[next]
 				next++
 				if want.Query != c.sql(0) || want.Cat != int(fc) || want.K != k {

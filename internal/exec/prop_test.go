@@ -37,7 +37,18 @@ const (
 	faultSeed     = 42
 )
 
-var faultKs = []int64{1, 2, 5, 12, 40}
+// faultSites are the fault sweep's k for a statement that makes n
+// fetches of a category when nothing fails: its first, middle and last,
+// so that every site faults whatever a change does to the counts.
+func faultSites(n int64) []int64 {
+	switch {
+	case n == 0:
+		return nil
+	case n <= 2:
+		return []int64{1, n}[:n]
+	}
+	return []int64{1, (n + 1) / 2, n}
+}
 
 // propFixture builds a CRM-shaped catalog (Account ⟵ Opportunity, the
 // testbed's parent-child core) with randomized data, returning the pool

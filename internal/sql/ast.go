@@ -457,7 +457,7 @@ func (e *LikeExpr) appendTo(sb *strings.Builder) {
 }
 
 func (f *FuncExpr) appendTo(sb *strings.Builder) {
-	sb.WriteString(strings.ToUpper(f.Name))
+	sb.WriteString(upperASCII(f.Name))
 	sb.WriteByte('(')
 	if f.Star {
 		sb.WriteByte('*')

@@ -28,37 +28,26 @@ import "repro/internal/types"
 // with extracted ones would renumber the caller's indexes), or one with
 // no literals to extract.
 func ExtractParams(st Statement) ([]types.Value, bool) {
+	return extract(st).finish()
+}
+
+// extract is ExtractParams' walk; its canonizer holds no slots where st
+// is not a candidate.
+func extract(st Statement) *canonizer {
+	c := &canonizer{}
+	if hasParams(st) {
+		return c
+	}
 	switch s := st.(type) {
 	case *SelectStmt:
-		if s.Where == nil && s.Having == nil {
-			return nil, false
-		}
-		if hasParams(st) {
-			return nil, false
-		}
-		c := &canonizer{}
 		s.Where = c.walk(s.Where, true)
 		s.Having = c.walk(s.Having, true)
-		return c.finish()
 	case *UpdateStmt:
-		if hasParams(st) {
-			return nil, false
-		}
-		c := &canonizer{}
 		c.update(s)
-		return c.finish()
 	case *DeleteStmt:
-		if s.Where == nil {
-			return nil, false
-		}
-		if hasParams(st) {
-			return nil, false
-		}
-		c := &canonizer{}
 		s.Where = c.walk(s.Where, true)
-		return c.finish()
 	}
-	return nil, false
+	return c
 }
 
 // Slot is what a parameter of a lifted statement binds to: parameter
@@ -92,10 +81,11 @@ func LiftParams(st Statement) (out Statement, slots []Slot) {
 	return st, nil
 }
 
-// canonizer carries one walk's Params, a slot each in render order. A
-// deep walk (LiftParams) enters subqueries.
+// canonizer carries one walk's Params, a slot each in render order, and
+// the literals it lifted; a deep walk (LiftParams) enters subqueries.
 type canonizer struct {
 	slots []Slot
+	lits  []*Literal
 	deep  bool
 }
 
@@ -176,6 +166,7 @@ func (c *canonizer) walk(e Expr, lift bool) Expr {
 		if !lift {
 			return e
 		}
+		c.lits = append(c.lits, e)
 		return c.param(Slot{Param: -1, Val: e.Val})
 	case *Param:
 		return c.param(Slot{Param: e.Index})

@@ -87,26 +87,20 @@ scan:
 		}
 		return token{kind: tokNumber, text: l.src[start:l.pos], pos: start}, nil
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
+		for l.pos++; ; l.pos++ {
 			if l.pos >= len(l.src) {
 				return token{}, l.errf(start, "unterminated string literal")
 			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
+			if l.src[l.pos] == '\'' {
+				if l.pos+1 == len(l.src) || l.src[l.pos+1] != '\'' {
+					break
 				}
-				l.pos++
-				break
+				l.pos++ // a doubled quote
 			}
-			sb.WriteByte(ch)
-			l.pos++
 		}
-		return token{kind: tokString, text: sb.String(), pos: start}, nil
+		l.pos++
+		// A substring of the source unless a doubled quote is undone.
+		return token{kind: tokString, text: strings.ReplaceAll(l.src[start+1:l.pos-1], "''", "'"), pos: start}, nil
 	case c == '?':
 		l.pos++
 		return token{kind: tokParam, text: "?", pos: start}, nil
@@ -131,7 +125,7 @@ scan:
 		return token{}, l.errf(start, "unexpected '!'")
 	case strings.ContainsRune("(),.*=+-/;", rune(c)):
 		l.pos++
-		return token{kind: tokSymbol, text: string(c), pos: start}, nil
+		return token{kind: tokSymbol, text: l.src[start:l.pos], pos: start}, nil
 	}
 	return token{}, l.errf(start, "unexpected character %q", c)
 }

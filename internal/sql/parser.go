@@ -12,11 +12,15 @@ import (
 // Parse parses a single SQL statement (an optional trailing semicolon
 // is allowed).
 func Parse(src string) (Statement, error) {
+	return (&parser{}).parse(src)
+}
+
+func (p *parser) parse(src string) (Statement, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p.toks = toks
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -50,6 +54,7 @@ type parser struct {
 	toks    []token
 	pos     int
 	nparams int
+	lits    map[*Literal]int // where set, the token each literal was parsed from
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -952,23 +957,17 @@ func (p *parser) parseUnary() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
-	case tokNumber:
-		p.advance()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Literal{Val: types.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
+	case tokNumber, tokString:
+		v, ok := literalValue(t)
+		if !ok {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return &Literal{Val: types.NewInt(n)}, nil
-	case tokString:
+		lit := &Literal{Val: v}
+		if p.lits != nil {
+			p.lits[lit] = p.pos
+		}
 		p.advance()
-		return &Literal{Val: types.NewString(t.text)}, nil
+		return lit, nil
 	case tokParam:
 		p.advance()
 		e := &Param{Index: p.nparams}
@@ -1035,7 +1034,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			name := t.text
 			p.advance()
 			p.advance()
-			f := &FuncExpr{Name: strings.ToUpper(name)}
+			f := &FuncExpr{Name: upperASCII(name)}
 			if p.acceptSymbol("*") {
 				f.Star = true
 			} else if !(p.cur().kind == tokSymbol && p.cur().text == ")") {
@@ -1073,6 +1072,32 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &ColumnRef{Name: t.text}, nil
 	}
 	return nil, p.errf("unexpected %s in expression", t)
+}
+
+// literalValue is the value a number or string token stands for (not ok:
+// a number out of range), for the parser and Shape.Scan alike.
+func literalValue(t token) (v types.Value, ok bool) {
+	switch {
+	case t.kind == tokString:
+		return types.NewString(t.text), true
+	case strings.IndexByte(t.text, '.') >= 0:
+		f, err := strconv.ParseFloat(t.text, 64)
+		return types.NewFloat(f), err == nil
+	}
+	n, err := strconv.ParseInt(t.text, 10, 64)
+	return types.NewInt(n), err == nil
+}
+
+// upperASCII upper-cases s's ASCII letters alone: an identifier's bytes
+// need not be UTF-8, and strings.ToUpper would replace those that are not.
+func upperASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - 'a' + 'A'
+		}
+	}
+	return string(b)
 }
 
 func min(a, b int) int {

@@ -130,8 +130,13 @@ func (v Value) SQLLiteral() string {
 	switch v.Kind {
 	case KindNull:
 		return "NULL"
-	case KindBool, KindInt, KindFloat:
+	case KindBool, KindInt:
 		return v.String()
+	case KindFloat: // a point and no exponent: it reads back as a DOUBLE
+		if f := v.Float(); f == math.Trunc(f) && !math.IsInf(f, 0) {
+			return strconv.FormatFloat(f, 'f', 1, 64)
+		}
+		return strconv.FormatFloat(v.Float(), 'f', -1, 64)
 	case KindString:
 		return "'" + escapeSQLString(v.Str) + "'"
 	case KindDate:
