@@ -322,6 +322,7 @@ func fresh(sh *sql.Shape, q string, v int) string {
 // session Mapper on Basic (32 tenants, 64 rows a table), warm. "same"
 // repeats one text; "fresh" sends the template with a literal no op
 // before it held — the rewrite cache's shape hit — and reads no row.
+// "refused" is a shape the guard refuses (a folded -n): each text parses.
 func BenchmarkStatementPaths(b *testing.B) {
 	bed, err := testbed.Setup(testbed.Config{Tenants: 32, RowsPerTable: 64})
 	if err != nil {
@@ -332,6 +333,7 @@ func BenchmarkStatementPaths(b *testing.B) {
 	for _, c := range []struct{ name, format string }{
 		{"select", "SELECT * FROM Account WHERE Id = %d"},
 		{"update", "UPDATE Account SET Attr01 = Attr01 + 1 WHERE Id = %d"},
+		{"refused", "SELECT * FROM Account WHERE Id = -%d"}, // a folded -n: no shape
 	} {
 		for _, fresh := range []bool{false, true} {
 			name := c.name + "/same"

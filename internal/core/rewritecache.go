@@ -23,8 +23,8 @@ import (
 // either; their literals are lifted as well (physStmt), so that key is a
 // placement shape: tenants of one shape share a compiled statement. A
 // shape whose parse does not lift every literal once (sql.ParseTemplate)
-// is keyed by its template text instead, and each raw text of it keeps an
-// entry with its values.
+// is keyed by its template text instead: each text of it parses and
+// finds its template cached.
 //
 // It is every Mapper's statement path, not an attachment: Mappers over
 // one layout share the layout's cache (SharedRewriteCache).
@@ -171,14 +171,13 @@ func (ps *physStmt) bind(vals []types.Value) ([]types.Value, error) {
 	return out, nil
 }
 
-// rcEntry is one LRU slot: a rewrite under a shape, a template or a raw
-// text. A shape with literals has from (which literal each parameter
-// takes); a raw text the shape key refused has vals (its literals).
+// rcEntry is one LRU slot: a rewrite under a shape, under a template's
+// text, or under a text without literals. A shape with literals has from
+// (which literal each parameter takes).
 type rcEntry struct {
 	key   rcKey
 	cr    *cachedRewrite
 	from  []int
-	vals  []types.Value
 	stamp rcStamp
 }
 
@@ -218,7 +217,7 @@ type rcFlight struct {
 // RewriteCacheStats is a point-in-time counter snapshot.
 type RewriteCacheStats struct {
 	Hits         int64 // no parse, no rewrite: an exact or a shape hit
-	TemplateHits int64 // parsed, but the template was cached: a refused shape's new text
+	TemplateHits int64 // parsed, but the template was cached: a refused shape's text
 	Misses       int64 // parse + layout rewrite
 	Uncacheable  int64 // INSERT / DDL / transaction control
 	Invalidated  int64 // entries dropped by generation-stamp mismatch
@@ -331,8 +330,7 @@ func (c *RewriteCache) lookup(tenant int64, text string) (cr *cachedRewrite, bou
 		c.hits++
 		c.countShapeLocked(ent.cr)
 		c.mu.Unlock()
-		bound, err = ent.cr.bind(ent.vals, nil)
-		return ent.cr, bound, nil, err
+		return ent.cr, nil, nil, nil
 	}
 	c.mu.Unlock()
 
@@ -363,18 +361,11 @@ func (c *RewriteCache) lookup(tenant int64, text string) (cr *cachedRewrite, bou
 	case vals != nil:
 		key.text = st.String()
 	}
-	ent, err := c.template(key, st, from)
-	if err != nil {
+	if cr, err = c.template(key, st, from); err != nil {
 		return nil, nil, nil, err
 	}
-	if from == nil && vals != nil {
-		// A refused shape: the raw text keeps the values it lifted.
-		c.mu.Lock()
-		c.insertLocked(&rcEntry{key: rcKey{tenant, text}, cr: ent.cr, vals: vals, stamp: ent.stamp})
-		c.mu.Unlock()
-	}
-	bound, err = ent.cr.bind(vals, nil)
-	return ent.cr, bound, nil, err
+	bound, err = cr.bind(vals, nil)
+	return cr, bound, nil, err
 }
 
 // liveLocked is the entry at e (nil: none) if its stamp is cur, moved to
@@ -404,16 +395,16 @@ func (c *RewriteCache) countShapeLocked(cr *cachedRewrite) {
 	}
 }
 
-// template finds the entry under key, st's template (from as
-// ParseTemplate gave it), or fills it: one rewrite per key however many
-// lookups want it at once. The caller that rewrites counts a miss, the
-// others a template hit.
+// template finds the rewrite under key, st's template (from as
+// ParseTemplate gave it), or fills its entry: one rewrite per key however
+// many lookups want it at once. The caller that rewrites counts a miss,
+// the others a template hit.
 //
 // The stamp is read before the rewrite runs: a bump that lands mid-fill
 // leaves the entry stamped older than the tenant's generation, so the
 // very next hit compares, fails, and refills. The window can waste one
 // fill; it can never serve a rewrite from before the bump as current.
-func (c *RewriteCache) template(key rcKey, st sql.Statement, from []int) (*rcEntry, error) {
+func (c *RewriteCache) template(key rcKey, st sql.Statement, from []int) (*cachedRewrite, error) {
 	for {
 		cur := stampOf(c.layout, key.tenant)
 		c.mu.Lock()
@@ -421,7 +412,7 @@ func (c *RewriteCache) template(key rcKey, st sql.Statement, from []int) (*rcEnt
 			c.templateHits++
 			c.countShapeLocked(ent.cr)
 			c.mu.Unlock()
-			return ent, nil
+			return ent.cr, nil
 		}
 		if f, ok := c.flight[key]; ok {
 			c.mu.Unlock()
@@ -436,17 +427,16 @@ func (c *RewriteCache) template(key rcKey, st sql.Statement, from []int) (*rcEnt
 		c.mu.Unlock()
 
 		cr, err := compile(c.layout.Rewrite(key.tenant, st))
-		ent := &rcEntry{key: key, cr: cr, from: from, stamp: cur}
 		c.mu.Lock()
 		delete(c.flight, key)
 		if f.err = err; err == nil { // errors are not cached: a later lookup retries
 			c.misses++
-			c.insertLocked(ent)
+			c.insertLocked(&rcEntry{key: key, cr: cr, from: from, stamp: cur})
 			c.countShapeLocked(cr)
 		}
 		c.mu.Unlock()
 		close(f.done)
-		return ent, err
+		return cr, err
 	}
 }
 

@@ -114,8 +114,8 @@ func TestRewriteCacheEquivalence(t *testing.T) {
 // TestRewriteCacheHitAccounting verifies the shape math: N statements
 // differing in their literals alone cost one parse and one rewrite, then
 // none, and one entry; the hit rate reflects it. A shape the guard refuses
-// (a folded negative literal) parses each new text, sharing its template's
-// rewrite, and a repeat of its raw text parses nothing.
+// (a folded negative literal) parses every text, repeats included, and
+// shares its template's one entry and rewrite.
 func TestRewriteCacheHitAccounting(t *testing.T) {
 	schema := paperSchema()
 	l, err := NewExtensionLayout(schema)
@@ -153,15 +153,15 @@ func TestRewriteCacheHitAccounting(t *testing.T) {
 	if hr := s.HitRate(); hr < 0.9 {
 		t.Fatalf("hit rate %.2f < 0.9: %+v", hr, s)
 	}
-	// -n folds into one literal the text does not hold: each new text
-	// parses (1 miss, then template hits) and keeps its raw text (an
-	// entry each beside the template); a repeat is a hit.
+	// -n folds into one literal the text does not hold: every text parses
+	// (1 miss, then template hits, repeats too) and the template is the
+	// one entry it adds.
 	for _, n := range []int{1, 2, 3, 1, 2} {
 		if _, err := m.Query(35, fmt.Sprintf("SELECT Name FROM Account WHERE Aid = -%d", n)); err != nil {
 			t.Fatalf("Query: %v", err)
 		}
 	}
-	if s2 := m.Cache.Stats(); s2.Misses != s.Misses+1 || s2.TemplateHits != 2 || s2.Hits != s.Hits+2 || s2.Entries != s.Entries+4 {
+	if s2 := m.Cache.Stats(); s2.Misses != s.Misses+1 || s2.TemplateHits != 4 || s2.Hits != s.Hits || s2.Entries != s.Entries+1 {
 		t.Fatalf("refused shape: before %+v after %+v", s, s2)
 	}
 	// Another tenant does not share entries (tenant is in the key).
@@ -575,11 +575,12 @@ func TestExtendTenantUnderCachedLoad(t *testing.T) {
 
 // TestRewriteCacheManyTablesShape drives the cache at crm_tables_cold's
 // shape — 150 tenants on an instance of ten tables each, 1 500 tables,
-// the CRM deck's statement templates with their values inlined — whose
-// raw texts far outnumber the default capacity: an entry is a (tenant,
-// shape), so the deck's 7 500 fit, raw texts add none, and every lookup
-// past a shape's first is a hit without a parse. The layout holds one
-// placement per table, whatever the tenant count.
+// the CRM deck's statement templates with their values inlined — through a
+// cache smaller than the (tenant, shape) pairs the deck draws: raw texts
+// add no entries, so every lookup is a shape hit or a miss that (re)fills
+// one; the population stays within capacity while it churns, and the raw
+// texts of one shape share one cached rewrite, not a copy each. The layout
+// holds one placement per table, whatever the tenant count.
 func TestRewriteCacheManyTablesShape(t *testing.T) {
 	const tenants, tablesPer, rows = 150, 10, 32
 	schema := &Schema{}
@@ -602,7 +603,8 @@ func TestRewriteCacheManyTablesShape(t *testing.T) {
 	if n := placements(l); n != tenants*tablesPer {
 		t.Fatalf("%d tenants of %d tables hold %d placements", tenants, tenants*tablesPer, n)
 	}
-	c := SharedRewriteCache(l)
+	const capacity = 4096
+	c := NewRewriteCache(nil, l, capacity)
 	deck := []func(r *rand.Rand, table string) string{
 		func(r *rand.Rand, table string) string {
 			return fmt.Sprintf("SELECT * FROM %s WHERE Id = %d", table, 1+r.Intn(rows))
@@ -631,14 +633,17 @@ func TestRewriteCacheManyTablesShape(t *testing.T) {
 		if _, _, _, err := c.lookup(int64(tenant+1), deck[d](r, table)); err != nil {
 			t.Fatal(err)
 		}
+		if n := c.Stats().Entries; n > capacity {
+			t.Fatalf("after %d lookups: %d entries, capacity %d", i+1, n, capacity)
+		}
 	}
 	s := c.Stats()
 	n := int64(len(shapes))
-	if s.Entries != len(shapes) || s.Misses != n || s.TemplateHits != 0 || s.Hits != lookups-n || s.Entries > DefaultRewriteCacheCap {
-		t.Fatalf("%d shapes drawn in %d lookups: %+v", n, lookups, s)
+	if n <= capacity || s.Entries != capacity || s.Misses <= n || s.TemplateHits != 0 || s.Hits == 0 || s.Hits+s.Misses != lookups {
+		t.Fatalf("%d shapes drawn in %d lookups through %d entries: the deck should churn the cache, and every lookup hit or fill a shape: %+v", n, lookups, capacity, s)
 	}
 
-	// Sixteen raw texts of one template.
+	// In the full, churning cache: sixteen raw texts of one shape.
 	var shared *cachedRewrite
 	for id := 1; id <= 16; id++ {
 		cr, bind, _, err := c.lookup(7, fmt.Sprintf("SELECT * FROM T60 WHERE Id = %d", id))

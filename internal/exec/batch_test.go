@@ -404,8 +404,8 @@ func TestPropQueriesReachEveryOperator(t *testing.T) {
 }
 
 // TestBatchRowFaultEquivalence injects a fetch fault at the kth logical
-// page access — the first, middle and last of what a fault-free run
-// fetches of the category (faultSites) — and asserts the statement fails
+// page access — the early, middle and last sites of what a fault-free
+// run fetches of the category (faultSites) — and asserts the statement fails
 // or succeeds as recorded — batching must not change which statements an
 // I/O error aborts, nor swallow the error. Under a LIMIT the batch
 // pipeline may reach a site the row path stopped short of, but only one

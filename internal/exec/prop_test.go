@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -38,16 +39,19 @@ const (
 )
 
 // faultSites are the fault sweep's k for a statement that makes n
-// fetches of a category when nothing fails: its first, middle and last,
-// so that every site faults whatever a change does to the counts.
+// fetches of a category when nothing fails: the early sites 1, 2, 5, 12
+// and 40 it reaches, and its middle and last fetch, so that every site
+// faults whatever a change does to the counts, and a long statement is
+// faulted early as well as late.
 func faultSites(n int64) []int64 {
-	switch {
-	case n == 0:
-		return nil
-	case n <= 2:
-		return []int64{1, n}[:n]
+	var ks []int64
+	for _, k := range []int64{1, 2, 5, 12, 40, (n + 1) / 2, n} {
+		if 1 <= k && k <= n {
+			ks = append(ks, k)
+		}
 	}
-	return []int64{1, (n + 1) / 2, n}
+	slices.Sort(ks)
+	return slices.Compact(ks)
 }
 
 // propFixture builds a CRM-shaped catalog (Account ⟵ Opportunity, the

@@ -1090,10 +1090,15 @@ func literalValue(t token) (v types.Value, ok bool) {
 
 // upperASCII upper-cases s's ASCII letters alone: an identifier's bytes
 // need not be UTF-8, and strings.ToUpper would replace those that are not.
+// A name with no lower-case letter comes back as it is, without a copy.
 func upperASCII(s string) string {
+	i := strings.IndexFunc(s, func(r rune) bool { return 'a' <= r && r <= 'z' })
+	if i < 0 {
+		return s
+	}
 	b := []byte(s)
-	for i, c := range b {
-		if 'a' <= c && c <= 'z' {
+	for ; i < len(b); i++ {
+		if c := b[i]; 'a' <= c && c <= 'z' {
 			b[i] = c - 'a' + 'A'
 		}
 	}

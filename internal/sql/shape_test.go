@@ -108,6 +108,19 @@ func TestLexAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestUpperASCII: only ASCII letters change, bytes that are not UTF-8
+// survive, and a name already upper-case comes back without a copy.
+func TestUpperASCII(t *testing.T) {
+	for in, want := range map[string]string{"count": "COUNT", "Sum_2": "SUM_2", "SUM": "SUM", "éÿx": "éÿX", "": ""} {
+		if got := upperASCII(in); got != want {
+			t.Errorf("upperASCII(%q) = %q, want %q", in, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { upperASCII("COUNT") }); n != 0 {
+		t.Errorf("upperASCII of an upper-case name: %v allocs", n)
+	}
+}
+
 // sibling is the text of s.Key with a different literal of the same kind
 // in place of each: the k-th int is 7+k, the k-th float k.5, the k-th
 // string 'sk'.
