@@ -16,10 +16,10 @@ import (
 
 // BenchmarkRewrite times the layout rewrite alone (the statement is
 // parsed once, outside the loop): §6.2 Q2 at scale 30 over Chunk6 (what
-// a rewrite-cache miss on chunk_q2_join's statement costs), and the two
-// shapes no cache remembers — an INSERT and an UPDATE's phase (b) over
-// Chunk Folding with extensions (crm_wire_writes pays both per
-// statement). The _pivot cases are the same three statements over Pivot,
+// a rewrite-cache miss on chunk_q2_join's statement costs), an INSERT
+// over Chunk Folding with extensions (what its shape's first sighting
+// costs) and an UPDATE's phase (b) there, which is built anew on every
+// execution. The _pivot cases are the same three statements over Pivot,
 // Chunk at width one, and report the physical statements one rewrite
 // yields beside ns/op and allocs/op.
 func BenchmarkRewrite(b *testing.B) {
@@ -310,6 +310,8 @@ func fresh(sh *sql.Shape, q string, v int) string {
 			fmt.Fprintf(&sb, "'f%d'", v)
 		case types.KindFloat:
 			fmt.Fprintf(&sb, "%d.5", v+1000000)
+		case types.KindDate:
+			fmt.Fprintf(&sb, "DATE '%04d-01-01'", 1000+v%9000)
 		default:
 			fmt.Fprintf(&sb, "%d", v+1000000)
 		}
@@ -323,7 +325,12 @@ func fresh(sh *sql.Shape, q string, v int) string {
 // repeats one text; "fresh" sends the template with a literal no op
 // before it held — the rewrite cache's shape hit — and reads no row.
 // "refused" is a shape the guard refuses (a folded -n): each text parses.
+// "insert" and "insert-heavy" are the deck's Insert Light and Insert
+// Heavy statements (one row and fifty into Account, each of new keys) on
+// a Chunk Folding tenant with an extension: a shape hit that reserves
+// row ids and writes the base table and an extension chunk.
 func BenchmarkStatementPaths(b *testing.B) {
+	benchStatementInserts(b)
 	bed, err := testbed.Setup(testbed.Config{Tenants: 32, RowsPerTable: 64})
 	if err != nil {
 		b.Fatal(err)
@@ -361,5 +368,52 @@ func BenchmarkStatementPaths(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// benchStatementInserts is BenchmarkStatementPaths' INSERT cases.
+func benchStatementInserts(b *testing.B) {
+	bed, err := testbed.Setup(testbed.Config{
+		Tenants: 32, RowsPerTable: 64, WithExtensions: true,
+		NewLayout: func(s *core.Schema) (core.Layout, error) {
+			return core.NewChunkFoldingLayout(s, core.FoldingOptions{})
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tenant := 1
+	for ; ; tenant++ { // the first tenant whose Account is its own: extended
+		p, err := core.Placement(bed.Layout, int64(tenant), "Account")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if strings.Contains(p, "tenant's own") {
+			break
+		}
+	}
+	m := core.NewSessionMapper(bed.DB, bed.Layout)
+	defer m.Session.Close()
+	r := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"insert/fresh", 1}, {"insert-heavy/fresh", 50}} {
+		b.Run(c.name, func(b *testing.B) {
+			texts := make([]string, b.N+1)
+			for i := range texts {
+				texts[i] = bed.Workload.InsertSQL(r, tenant-1, "Account", c.rows)
+			}
+			if _, err := m.Exec(int64(tenant), texts[b.N]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Exec(int64(tenant), texts[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

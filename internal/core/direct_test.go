@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -375,5 +376,36 @@ func TestDMLShapeCounters(t *testing.T) {
 	mustExec(t, m, 35, "DELETE FROM Account WHERE Aid = 2", 0) // one fragment: direct
 	if st := m.Cache.Stats(); st.DirectDML != 4 || st.TwoPhaseDML != 3 {
 		t.Errorf("counted %d direct and %d two-phase executions, want 4 and 3", st.DirectDML, st.TwoPhaseDML)
+	}
+}
+
+// TestPhaseBPlansAreShared: phase (b)'s statements, built per execution
+// from phase (a)'s rows, reach the engine lifted, so a repeated two-phase
+// UPDATE or DELETE of another row plans nothing: its phase-(b) shapes hit
+// the plan cache as its phase (a) does.
+func TestPhaseBPlansAreShared(t *testing.T) {
+	m := layoutsFor(t, goldenSchema(), goldenTenants())["chunkfold"]
+	mustExec(t, m, 17, "INSERT INTO Account (Aid, Name, Beds) VALUES (1, 'a', 1), (2, 'b', 2), (3, 'c', 3), (4, 'd', 4)", 4)
+	for _, q := range []string{
+		"UPDATE Account SET Name = 'x%d', Beds = %d WHERE Aid = %d",
+		"DELETE FROM Account WHERE Aid = %[3]d",
+	} {
+		for i, aid := range []int{1, 2} {
+			if q[0] == 'D' {
+				aid += 2
+			}
+			before := m.DB.Stats()
+			mustExec(t, m, 17, fmt.Sprintf(q, aid, 10*aid, aid), 1)
+			if after := m.DB.Stats(); i > 0 && after.PlanCacheMisses != before.PlanCacheMisses {
+				t.Errorf("%q, second row: %d plan-cache misses", q, after.PlanCacheMisses-before.PlanCacheMisses)
+			}
+		}
+	}
+	if st := m.Cache.Stats(); st.TwoPhaseDML != 4 {
+		t.Fatalf("the statements did not run in two phases: %+v", st)
+	}
+	got := queryAll(t, m, 17, "SELECT Aid, Name, Beds FROM Account")
+	if want := "[INTEGER:1|VARCHAR:x1|INTEGER:10 INTEGER:2|VARCHAR:x2|INTEGER:20]"; fmt.Sprint(got) != want {
+		t.Fatalf("after the writes: %v, want %s", got, want)
 	}
 }

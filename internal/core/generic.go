@@ -143,7 +143,9 @@ func writeUsage(s *state, tn *Tenant, table, alias string, exprs []sql.Expr) (*t
 // physical writes under freshly allocated logical row IDs (§6.3: "the
 // application logic has to look up all related chunks, collect the
 // meta-data, and assign each inserted new row a unique row identifier")
-// — none where the placement has no Row.
+// — none where the placement has no Row. The answer names the Row
+// literals and can reserve more ids, so a cached INSERT runs again under
+// ids of its own (cachedRewrite.bindRows).
 func genericInsert(s *state, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error) {
 	lt := s.schema.Table(st.Table)
 	if lt == nil {
@@ -172,11 +174,15 @@ func genericInsert(s *state, tn *Tenant, st *sql.InsertStmt) (*Rewritten, error)
 			return nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(row), len(cols))
 		}
 	}
+	n := int64(len(st.Rows))
+	rw := &Rewritten{Inserted: n}
 	var firstRow int64
 	if p := v.place; !p.anchor.rowless {
-		firstRow = s.nextRows(tn.ID, lt, int64(len(st.Rows)))
+		firstRow = s.nextRows(tn.ID, lt, n)
+		rw.reserve = func() int64 { return s.nextRows(tn.ID, lt, n) }
 	}
-	return &Rewritten{Direct: v.place.insertRows(tn.ID, firstRow, cols, st.Rows), Inserted: int64(len(st.Rows))}, nil
+	rw.Direct, rw.rowIDs = v.place.insertRows(tn.ID, firstRow, cols, st.Rows)
+	return rw, nil
 }
 
 // genericWrite implements §6.3 for an UPDATE (set given) or a DELETE (set
@@ -343,32 +349,34 @@ func fragAliases(prefix string, n int) []string {
 // logical row is written, with NULLs where no value was given (a spine),
 // so reconstruction joins are inner — except a sparse fragment, which
 // gets a row only for a value that is not a literal NULL. A statement
-// left with no rows is dropped.
-func (p *placement) insertRows(tenant, firstRow int64, cols []int, rows [][]sql.Expr) []sql.Statement {
+// left with no rows is dropped. ids is the Row literal of each logical
+// row, in order, which every fragment's row of it shares.
+func (p *placement) insertRows(tenant, firstRow int64, cols []int, rows [][]sql.Expr) (stmts []sql.Statement, ids []*sql.Literal) {
 	slots := p.slotsAt(cols)
-	stmts := make([]*sql.InsertStmt, len(p.frags))
+	ins := make([]*sql.InsertStmt, len(p.frags))
 	for i, f := range p.frags {
-		stmts[i] = f.spine()
+		ins[i] = f.spine()
 	}
-	target := make([]int, len(cols)) // cols[i] goes to stmts[target[i]]
+	target := make([]int, len(cols)) // cols[i] goes to ins[target[i]]
 	for i, s := range slots {
 		target[i] = indexOf(p.frags, s.frag)
-		stmts[target[i]].Columns = append(stmts[target[i]].Columns, s.col.phys)
+		ins[target[i]].Columns = append(ins[target[i]].Columns, s.col.phys)
 	}
+	ids = make([]*sql.Literal, len(rows))
 	for ri, row := range rows {
-		rowID := firstRow + int64(ri)
+		ids[ri] = &sql.Literal{Val: types.NewInt(firstRow + int64(ri))}
 		for i, f := range p.frags {
 			if !f.sparse {
-				stmts[i].Rows = append(stmts[i].Rows, f.spineValues(tenant, intLit(rowID), intLit(0), len(stmts[i].Columns)))
+				ins[i].Rows = append(ins[i].Rows, f.spineValues(tenant, ids[ri], intLit(0), len(ins[i].Columns)))
 			}
 		}
 		for i, e := range row {
-			st, f := stmts[target[i]], p.frags[target[i]]
+			st, f := ins[target[i]], p.frags[target[i]]
 			if f.sparse {
 				if l, ok := e.(*sql.Literal); ok && l.Val.IsNull() {
 					continue
 				}
-				st.Rows = append(st.Rows, f.spineValues(tenant, intLit(rowID), intLit(0), len(st.Columns)))
+				st.Rows = append(st.Rows, f.spineValues(tenant, ids[ri], intLit(0), len(st.Columns)))
 			}
 			if slots[i].col.writes() {
 				e = &sql.CastExpr{X: e, Type: slots[i].col.store}
@@ -377,13 +385,13 @@ func (p *placement) insertRows(tenant, firstRow int64, cols []int, rows [][]sql.
 			*last = append(*last, e)
 		}
 	}
-	out := make([]sql.Statement, 0, len(stmts))
-	for _, st := range stmts {
+	stmts = make([]sql.Statement, 0, len(ins))
+	for _, st := range ins {
 		if len(st.Rows) > 0 {
-			out = append(out, st)
+			stmts = append(stmts, st)
 		}
 	}
-	return out
+	return stmts, ids
 }
 
 // direct builds the one physical statement an UPDATE (set and setAt,

@@ -49,6 +49,13 @@ type Rewritten struct {
 	DirectIsCount bool
 	// Inserted: logical rows inserted (multi-statement inserts).
 	Inserted int64
+	// rowIDs is an INSERT's Row literal for each logical row it inserts,
+	// in order: the ids the rewrite reserved. reserve reserves Inserted
+	// more, consecutive, for the same tenant and table; it is unset where
+	// the placement has no Row, and no statement carries rowIDs. They let
+	// a cached INSERT run again under fresh ids (compile).
+	rowIDs  []*sql.Literal
+	reserve func() int64
 
 	RowQuery *sql.SelectStmt
 	// PhaseB takes RowQuery's result — [row id, SET values...] per
@@ -77,10 +84,10 @@ func (rw *Rewritten) statements() []sql.Statement {
 // rewrite itself atomic under rollback.
 //
 // Every statement resolves through Cache, the rewrite cache the Mappers
-// over one layout share: a steady-state SELECT/UPDATE/DELETE costs one
-// scan of its text (none without literals) and skips parsing and the
-// layout rewrite entirely, and its physical statements reach the engine
-// with precomputed plan-cache keys.
+// over one layout share: a steady-state SELECT/INSERT/UPDATE/DELETE
+// costs one scan of its text (none without literals) and skips parsing
+// and the layout rewrite entirely, and its physical statements reach the
+// engine with precomputed plan-cache keys.
 // Assigning Cache swaps in a private one (NewRewriteCache); it is never
 // nil — build Mappers with the constructors.
 type Mapper struct {
@@ -161,8 +168,8 @@ const (
 
 // do is the one statement path: (tenant, text) resolves to a cached
 // compiled rewrite plus its bindings, or to the parsed statement for
-// what the cache refuses (INSERT, DDL, transaction control). A
-// statement of a kind the caller does not accept is refused unexecuted.
+// what the cache refuses (DDL, transaction control). A statement of a
+// kind the caller does not accept is refused unexecuted.
 func (m *Mapper) do(tenantID int64, query string, params []types.Value, want int) (engine.Result, *engine.Rows, error) {
 	defer m.gate(tenantID)()
 	cr, bound, st, err := m.Cache.lookup(tenantID, query)
@@ -186,8 +193,10 @@ func (m *Mapper) do(tenantID int64, query string, params []types.Value, want int
 	return res, nil, err
 }
 
-// execParsed runs a parsed logical statement the rewrite cache refuses
-// — INSERT, DDL, transaction control — through the full rewrite path.
+// execParsed runs a parsed logical statement outside the rewrite cache:
+// transaction control goes to the session, anything else through the
+// full rewrite path — where the layout refuses DDL, and where a Mover's
+// copies, built as statements, run.
 func (m *Mapper) execParsed(tenantID int64, st sql.Statement, params []types.Value) (engine.Result, error) {
 	// Transaction control is tenant-independent: no rewriting, straight
 	// to the session.
@@ -226,8 +235,9 @@ func (m *Mapper) run(cr *cachedRewrite, i int, bound [][]types.Value, params []t
 }
 
 // execRewritten executes a rewritten non-query statement's physical
-// plan (see run for bound and params): the Direct statements, or the
-// two-phase RowQuery/PhaseB shape.
+// plan (see run for bound and params): the Direct statements, an
+// INSERT's under row ids of its own (bindRows), or the two-phase
+// RowQuery/PhaseB shape.
 func (m *Mapper) execRewritten(cr *cachedRewrite, bound [][]types.Value, params []types.Value) (engine.Result, error) {
 	rw := cr.rw
 	if rw.RowQuery != nil {
@@ -235,14 +245,22 @@ func (m *Mapper) execRewritten(cr *cachedRewrite, bound [][]types.Value, params 
 		if err != nil {
 			return engine.Result{}, err
 		}
-		// Phase (b) statements are built from phase (a)'s result values —
-		// always literal-only, never parameterized.
-		for _, ps := range rw.PhaseB(rows.Data) {
-			if _, err := m.execStmt(ps, ""); err != nil {
+		// Phase (b) statements are built from phase (a)'s result values,
+		// literals only: lifted, a repeated shape hits the plan cache.
+		for _, st := range rw.PhaseB(rows.Data) {
+			ps := lift(st)
+			args, _ := ps.bind(nil) // no parameters to miss
+			if _, err := m.execStmt(ps.st, ps.key, args...); err != nil {
 				return engine.Result{}, err
 			}
 		}
 		return engine.Result{RowsAffected: int64(len(rows.Data))}, nil
+	}
+	if cr.reserve != nil {
+		var err error
+		if bound, err = cr.bindRows(bound, params); err != nil {
+			return engine.Result{}, err
+		}
 	}
 	var affected int64
 	for i := range cr.stmts {

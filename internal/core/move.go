@@ -27,9 +27,11 @@ import (
 //     microsecond write-gate pause, not a stop-the-world), re-copy
 //     exactly those tables source → destination, repeat until a round
 //     starts with nothing dirty. Each swap also bumps the tenant's
-//     route generation, so the first write per statement text after a
-//     swap re-enters the mux's Rewrite and re-marks its table — cached
-//     rewrites cannot leak writes past the tracker.
+//     route generation, so the first write per statement shape after a
+//     swap — an INSERT's, whose cached statements bind fresh row ids on
+//     every hit, as much as an UPDATE's or a DELETE's — re-enters the
+//     mux's Rewrite and re-marks its table: cached rewrites cannot leak
+//     writes past the tracker.
 //  3. Cutover: take the tenant's write gate exclusively (draining
 //     in-flight statements — a latch-scale wait, bounded by one
 //     statement), copy the final delta, flip the route — which bumps the

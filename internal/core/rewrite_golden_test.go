@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"reflect"
 	"regexp"
@@ -423,22 +424,17 @@ func TestRewriteGolden(t *testing.T) {
 // parameters, byte for byte what a fresh Layout.Rewrite of the statement
 // answers. Each statement's plan-cache key is its text, and sql.Parse of
 // the key numbers the parameters exactly as the cached statement does.
-// The corpus's own `?`s take the values 100, 101, …
+// An INSERT's bindings are those of an execution, row ids included — the
+// fill's own, then ids the hit reserved — and the fresh rewrite draws the
+// same ids: the row sequences are put back before it. The corpus's own
+// `?`s take the values 100, 101, …
 func TestCachedRewriteIsFreshRewrite(t *testing.T) {
 	for name, m := range goldenLayouts(t) {
 		for _, c := range goldenCorpus() {
 			params := corpusParams(c.sql)
-			st, err := sql.Parse(bindText(c.sql, params))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, insert := st.(*sql.InsertStmt); insert {
-				continue // never cached
-			}
-			rw, err := m.Layout.Rewrite(c.tenant, st)
 			rec := goldenRecord{Tenant: c.tenant, SQL: c.sql}
-			want, _ := json.Marshal(recordRewritten(t, rec, c, rw, err))
 			for _, pass := range []string{"fill", "hit"} {
+				rewind := markRows(m.Layout)
 				cr, bind, err := lookupBound(m.Cache, c.tenant, c.sql, params)
 				var bound *Rewritten
 				if err == nil {
@@ -446,6 +442,13 @@ func TestCachedRewriteIsFreshRewrite(t *testing.T) {
 					bound = boundRewrite(t, cr, bind)
 				}
 				got, _ := json.Marshal(recordRewritten(t, rec, c, bound, err))
+				rewind()
+				st, err := sql.Parse(bindText(c.sql, params))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rw, err := m.Layout.Rewrite(c.tenant, st)
+				want, _ := json.Marshal(recordRewritten(t, rec, c, rw, err))
 				if string(got) != string(want) {
 					t.Errorf("%s, tenant %d, %q, %s:\nfresh  %s\ncached %s", name, c.tenant, c.sql, pass, want, got)
 				}
@@ -454,12 +457,35 @@ func TestCachedRewriteIsFreshRewrite(t *testing.T) {
 	}
 }
 
-// lookupBound is a cache lookup with each statement's parameter vector,
-// params bound where the entry has none, as Mapper.run binds them.
+// markRows notes where l's logical row sequences stand; rewind puts them
+// back there, so that a fresh rewrite draws the ids an execution since
+// the mark drew.
+func markRows(l Layout) (rewind func()) {
+	st := l.(*FragmentLayout).st
+	st.mu.Lock()
+	saved := maps.Clone(st.rowSeq)
+	st.mu.Unlock()
+	return func() {
+		st.mu.Lock()
+		st.rowSeq = saved
+		st.mu.Unlock()
+	}
+}
+
+// lookupBound is a cache lookup with each statement's parameter vector
+// for one execution, as Mapper.run binds them: params bound where the
+// entry has none, and an INSERT's row ids (bindRows).
 func lookupBound(c *RewriteCache, tenant int64, text string, params []types.Value) (*cachedRewrite, [][]types.Value, error) {
 	cr, bound, _, err := c.lookup(tenant, text)
-	if err != nil || bound != nil {
+	if err != nil {
 		return cr, bound, err
+	}
+	if cr.reserve != nil {
+		bound, err = cr.bindRows(bound, params)
+		return cr, bound, err
+	}
+	if bound != nil {
+		return cr, bound, nil
 	}
 	for i := range cr.stmts {
 		args, err := cr.stmts[i].bind(params)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/sql"
@@ -26,6 +27,14 @@ import (
 // is keyed by its template text instead: each text of it parses and
 // finds its template cached.
 //
+// SELECT, INSERT, UPDATE and DELETE are cached. An INSERT's rewrite
+// reserves logical row ids (§6.3), which are the only part of it that
+// depends on the execution: its statements carry them in parameter slots
+// (rowSlot), the first execution binds the ids the rewrite reserved, and
+// every other reserves its own (bindRows). DDL and transaction control
+// are not cached: a text that starts with another word goes straight to
+// the parser.
+//
 // It is every Mapper's statement path, not an attachment: Mappers over
 // one layout share the layout's cache (SharedRewriteCache).
 //
@@ -41,12 +50,6 @@ import (
 // stamps, so exactly the affected tenant's entries miss and refill,
 // lazily, while everything else stays warm, and no caller has to
 // remember to invalidate.
-//
-// Rewrites are cached only for SELECT, UPDATE, and DELETE. INSERT
-// rewrites are side-effecting (they reserve logical row ids via the
-// layout's row sequences) and value-dependent, so they always take the
-// full rewrite path; DDL and transaction control likewise: a text that
-// starts with another word goes straight to the parser.
 //
 // Filling is singleflighted per key: concurrent sessions of the same
 // tenant and shape do the rewrite work once. A cached template AST is
@@ -66,7 +69,7 @@ type RewriteCache struct {
 	hits         int64 // lookups answered without a parse
 	templateHits int64 // parsed, but the template's rewrite was cached
 	misses       int64 // full parse + rewrite
-	uncacheable  int64 // statements outside the cacheable classes
+	uncacheable  int64 // DDL and transaction control
 	invalidated  int64 // entries dropped by a stale generation stamp
 	directDML    int64 // UPDATE/DELETE lookups answered with one direct statement
 	twoPhaseDML  int64 // UPDATE/DELETE lookups answered with RowQuery + PhaseB
@@ -121,34 +124,106 @@ type cacheSlot struct {
 
 // cachedRewrite is one rewrite template: the layout's answer, and its
 // physical statements as every tenant of the same placement shape runs
-// them.
+// them. An INSERT's that carry Row ids have reserve set: first is the
+// first of the ids its rewrite reserved, which the first execution to
+// claim them binds (bindRows).
 type cachedRewrite struct {
 	rw    *Rewritten
 	stmts []physStmt // in rw.statements() order
+
+	first   int64
+	claimed atomic.Bool
+	reserve func() int64
 }
 
 // physStmt is one physical statement with its literals lifted
 // (sql.LiftParams), so that key, its text rendered once, is a function of
-// the placement's shape; slots say what each parameter binds to.
+// the placement's shape; slots say what each parameter binds to (their
+// Lit is cleared once compiled), except for the rows, which bind per
+// execution.
 type physStmt struct {
 	st    sql.Statement
 	key   string
 	slots []sql.Slot
+	rows  []rowSlot
 }
 
-// compile lifts the literals of a rewrite's statements (INSERTs keep
-// theirs) and renders their keys; a rewrite error passes through.
+// rowSlot is a parameter of an INSERT's statement that binds a logical
+// row id: that of the statement's row-th logical row.
+type rowSlot struct{ at, row int }
+
+// lift is a physical statement with its literals lifted.
+func lift(st sql.Statement) physStmt {
+	lifted, slots := sql.LiftParams(st)
+	return physStmt{st: lifted, key: lifted.String(), slots: slots}
+}
+
+// compile lifts the literals of a rewrite's statements and renders their
+// keys; a rewrite error passes through. An INSERT's Row literals are
+// found by node (Rewritten.rowIDs), never by value, and their slots keep
+// no value: the template holds no row id. Nor does it hold the layout's
+// literal statements of an INSERT (Direct): what runs is the lifted ones.
 func compile(rw *Rewritten, err error) (*cachedRewrite, error) {
 	if err != nil {
 		return nil, err
 	}
 	stmts := rw.statements()
 	cr := &cachedRewrite{rw: rw, stmts: make([]physStmt, len(stmts))}
+	var rowOf map[*sql.Literal]int // an INSERT's Row literals, by row
+	if rw.reserve != nil {
+		rowOf = make(map[*sql.Literal]int, len(rw.rowIDs))
+		for r, id := range rw.rowIDs {
+			rowOf[id] = r
+		}
+	}
 	for i, ps := range stmts {
-		lifted, slots := sql.LiftParams(ps)
-		cr.stmts[i] = physStmt{st: lifted, key: lifted.String(), slots: slots}
+		cr.stmts[i] = lift(ps)
+		slots := cr.stmts[i].slots
+		for at := range slots {
+			if r, ok := rowOf[slots[at].Lit]; ok {
+				cr.stmts[i].rows = append(cr.stmts[i].rows, rowSlot{at: at, row: r})
+				slots[at].Val = types.Value{}
+			}
+			slots[at].Lit = nil
+		}
+	}
+	if rw.Inserted > 0 {
+		shape := *rw
+		shape.Direct, shape.rowIDs = nil, nil
+		cr.rw = &shape
+		if rw.reserve != nil {
+			cr.first, cr.reserve = rw.rowIDs[0].Val.Int, rw.reserve
+		}
 	}
 	return cr, nil
+}
+
+// bindRows is each statement's vector for one execution of an INSERT
+// whose statements carry Row ids (reserve set): bound, or params bound
+// where bound is nil, with the ids in their slots — those cr's rewrite
+// reserved for the first execution that claims them, and Inserted fresh
+// consecutive ones for every other. The caller holds the tenant's gate:
+// a reservation is the layout's that serves the tenant.
+func (cr *cachedRewrite) bindRows(bound [][]types.Value, params []types.Value) ([][]types.Value, error) {
+	if bound == nil {
+		bound = make([][]types.Value, len(cr.stmts))
+		for i := range cr.stmts {
+			var err error
+			if bound[i], err = cr.stmts[i].bind(params); err != nil {
+				return nil, err
+			}
+		}
+	}
+	first := cr.first
+	if !cr.claimed.CompareAndSwap(false, true) {
+		first = cr.reserve()
+	}
+	for i := range cr.stmts {
+		for _, r := range cr.stmts[i].rows {
+			bound[i][r.at] = types.NewInt(first + int64(r.row))
+		}
+	}
+	return bound, nil
 }
 
 // bind is the statement's parameter vector for a logical statement whose
@@ -219,21 +294,22 @@ type RewriteCacheStats struct {
 	Hits         int64 // no parse, no rewrite: an exact or a shape hit
 	TemplateHits int64 // parsed, but the template was cached: a refused shape's text
 	Misses       int64 // parse + layout rewrite
-	Uncacheable  int64 // INSERT / DDL / transaction control
+	Uncacheable  int64 // DDL / transaction control
 	Invalidated  int64 // entries dropped by generation-stamp mismatch
 	Entries      int   // current LRU population
 	// UPDATE and DELETE statements by the shape they ran in, one count per
 	// execution (a lookup, hit or fill, is followed by one): a tenant
 	// whose placement keeps its writes in one fragment shows up in
-	// DirectDML, one that pays §6.3's two phases in TwoPhaseDML.
+	// DirectDML, one that pays §6.3's two phases in TwoPhaseDML. An
+	// INSERT counts in neither.
 	DirectDML   int64
 	TwoPhaseDML int64
 }
 
 // HitRate returns the fraction of cacheable lookups that skipped the
-// layout rewrite. Uncacheable statements (INSERT, DDL, transaction
-// control) take no entry and no flight — they are excluded from the rate
-// and reported separately in Uncacheable.
+// layout rewrite. Uncacheable statements (DDL, transaction control) take
+// no entry and no flight — they are excluded from the rate and reported
+// separately in Uncacheable.
 func (s RewriteCacheStats) HitRate() float64 {
 	total := s.Hits + s.TemplateHits + s.Misses
 	if total == 0 {
@@ -306,12 +382,12 @@ var txnControl = map[string]sql.Statement{
 //     caller's. Where the text's literals were lifted they are bound, and
 //     any caller-supplied params — which no placeholder could have
 //     referenced — are ignored.
-//   - cr == nil, st != nil: the statement is not cacheable (INSERT,
-//     DDL, transaction control); st is the parse result (txnControl's,
+//   - cr == nil, st != nil: the statement is not cacheable (DDL,
+//     transaction control); st is the parse result (txnControl's,
 //     read-only) so the caller can run the ordinary path without re-parsing.
 //   - err != nil: parse or rewrite failed.
 func (c *RewriteCache) lookup(tenant int64, text string) (cr *cachedRewrite, bound [][]types.Value, st sql.Statement, err error) {
-	if v := sql.Verb(text); !strings.EqualFold(v, "SELECT") && !strings.EqualFold(v, "UPDATE") && !strings.EqualFold(v, "DELETE") {
+	if v := sql.Verb(text); !strings.EqualFold(v, "SELECT") && !strings.EqualFold(v, "INSERT") && !strings.EqualFold(v, "UPDATE") && !strings.EqualFold(v, "DELETE") {
 		if st = txnControl[text]; st == nil {
 			st, err = sql.Parse(text)
 		}
@@ -384,13 +460,12 @@ func (c *RewriteCache) liveLocked(e *list.Element, cur rcStamp) *rcEntry {
 }
 
 // countShapeLocked counts the execution a returned rewrite is about to
-// get, if it is an UPDATE's or a DELETE's (INSERTs are never cached, so
-// a cached Direct is one of the two). Caller holds c.mu.
+// get, if it is an UPDATE's or a DELETE's. Caller holds c.mu.
 func (c *RewriteCache) countShapeLocked(cr *cachedRewrite) {
 	switch {
 	case cr.rw.RowQuery != nil:
 		c.twoPhaseDML++
-	case cr.rw.Direct != nil:
+	case cr.rw.DirectIsCount:
 		c.directDML++
 	}
 }

@@ -171,12 +171,31 @@ func TestRewriteCacheHitAccounting(t *testing.T) {
 	if s2 := m.Cache.Stats(); s2.Misses != 3 {
 		t.Fatalf("cross-tenant lookup should miss: %+v", s2)
 	}
-	// INSERT stays uncacheable.
-	if _, err := m.Exec(35, "INSERT INTO Account (Aid, Name) VALUES (7, 'x')"); err != nil {
+	// n INSERTs of one shape: 1 miss, n-1 hits, 1 entry, and neither a
+	// direct nor a two-phase DML count; a DELETE by key is one direct
+	// statement.
+	s = m.Cache.Stats()
+	const n = 6
+	for i := 0; i < n; i++ {
+		if _, err := m.Exec(35, fmt.Sprintf("INSERT INTO Account (Aid, Name) VALUES (%d, 'x%d')", 100+i, i)); err != nil {
+			t.Fatalf("Exec: %v", err)
+		}
+	}
+	s3 := m.Cache.Stats()
+	if s3.Misses != s.Misses+1 || s3.Hits != s.Hits+n-1 || s3.Entries != s.Entries+1 || s3.DirectDML != s.DirectDML || s3.TwoPhaseDML != s.TwoPhaseDML || s3.Uncacheable != 0 {
+		t.Fatalf("INSERTs of one shape: before %+v after %+v", s, s3)
+	}
+	if _, err := m.Exec(35, "DELETE FROM Account WHERE Aid = 100"); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	if s3 := m.Cache.Stats(); s3.Uncacheable != 1 {
-		t.Fatalf("INSERT should be uncacheable: %+v", s3)
+	if s4 := m.Cache.Stats(); s4.DirectDML != s3.DirectDML+1 {
+		t.Fatalf("a direct DELETE: before %+v after %+v", s3, s4)
+	}
+	// Uncacheable is DDL and transaction control alone.
+	m.Exec(35, "CREATE TABLE Other (a INT)") // the layout refuses it
+	m.Exec(35, "BEGIN")                      // no session to run it on
+	if s5 := m.Cache.Stats(); s5.Uncacheable != 2 {
+		t.Fatalf("DDL and BEGIN should be uncacheable: %+v", s5)
 	}
 }
 
@@ -388,6 +407,7 @@ func TestRewriteCacheUserParams(t *testing.T) {
 	if _, err := m.Exec(35, "INSERT INTO Account (Aid, Name) VALUES (1, 'Ball'), (2, 'Cube')"); err != nil {
 		t.Fatal(err)
 	}
+	before := m.Cache.Stats()
 
 	q := "SELECT Name FROM Account WHERE Aid = ?"
 	for want, arg := range map[string]int64{"Ball": 1, "Cube": 2} {
@@ -402,8 +422,22 @@ func TestRewriteCacheUserParams(t *testing.T) {
 		}
 	}
 	s := m.Cache.Stats()
-	if s.Misses != 1 || s.Hits != 3 {
-		t.Fatalf("param statement accounting: %+v", s)
+	if s.Misses != before.Misses+1 || s.Hits != before.Hits+3 {
+		t.Fatalf("param statement accounting: before %+v after %+v", before, s)
+	}
+	// An INSERT with `?`s takes the exact-text probe: one entry for its
+	// text, each execution under its own values and row ids.
+	ins := "INSERT INTO Account (Aid, Name) VALUES (?, ?)"
+	for i := int64(3); i <= 5; i++ {
+		if _, err := m.Exec(35, ins, types.NewInt(i), types.NewString(fmt.Sprint("p", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s2 := m.Cache.Stats(); s2.Misses != s.Misses+1 || s2.Hits != s.Hits+2 || s2.Entries != s.Entries+1 {
+		t.Fatalf("param INSERT accounting: before %+v after %+v", s, s2)
+	}
+	if got := queryAll(t, m, 35, "SELECT Aid, Name FROM Account"); len(got) != 5 || !strings.Contains(fmt.Sprint(got), "INTEGER:5|VARCHAR:p5") {
+		t.Fatalf("after param INSERTs: %v", got)
 	}
 }
 

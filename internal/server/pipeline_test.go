@@ -333,8 +333,8 @@ func TestServerTelemetry(t *testing.T) {
 	if js, err := json.Marshal(st); err != nil || !bytes.Contains(js, []byte(`"direct_dml":2,"two_phase_dml":0`)) {
 		t.Fatalf("stats JSON lacks the DML shapes: %s, %v", js, err)
 	}
-	if st.RewriteUncacheable == 0 {
-		t.Fatalf("INSERT should count uncacheable: %+v", st)
+	if st.RewriteUncacheable != 0 {
+		t.Fatalf("INSERT should be cached, and nothing else was sent: %+v", st)
 	}
 	if st.RewriteHitRate <= 0 {
 		t.Fatalf("hit rate = %v", st.RewriteHitRate)

@@ -90,14 +90,18 @@ type Stats struct {
 
 	// Rewrite-cache counters (layout mode; zero otherwise). The cache is
 	// the layout's, so these count every Mapper over it, the server's
-	// connections and anything else in the process.
+	// connections and anything else in the process. Hits, template hits
+	// and misses count SELECT, INSERT, UPDATE and DELETE lookups;
+	// uncacheable counts DDL and transaction control (BEGIN, COMMIT …),
+	// which the cache does not take; the hit rate leaves them out.
 	RewriteHits         int64   `json:"rewrite_hits"`
 	RewriteTemplateHits int64   `json:"rewrite_template_hits"`
 	RewriteMisses       int64   `json:"rewrite_misses"`
 	RewriteUncacheable  int64   `json:"rewrite_uncacheable"`
 	RewriteHitRate      float64 `json:"rewrite_hit_rate"`
 	// Cached UPDATE/DELETE executions by shape: one direct physical
-	// statement, or §6.3's two phases (see core.RewriteCacheStats).
+	// statement, or §6.3's two phases (see core.RewriteCacheStats). An
+	// INSERT counts in neither.
 	DirectDML   int64 `json:"direct_dml"`
 	TwoPhaseDML int64 `json:"two_phase_dml"`
 

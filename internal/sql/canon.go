@@ -13,17 +13,17 @@ package sql
 
 import "repro/internal/types"
 
-// ExtractParams canonicalizes st in place for SELECT, UPDATE, and
-// DELETE: every literal in a parameterizable position (WHERE and HAVING
-// trees, UPDATE SET values — including inside IN lists, LIKE patterns,
-// function arguments, and CASTs, but never inside subqueries) is
-// replaced by a positional Param, and the displaced values are returned
-// in Param index order (the deterministic walk order: SET before WHERE
-// before HAVING).
+// ExtractParams canonicalizes st in place for SELECT, INSERT, UPDATE,
+// and DELETE: every literal in a parameterizable position (WHERE and
+// HAVING trees, UPDATE SET values, INSERT VALUES rows — including inside
+// IN lists, LIKE patterns, function arguments, and CASTs, but never inside
+// subqueries) is replaced by a positional Param, and the displaced values
+// are returned in Param index order (the render order). A NULL in a
+// VALUES row stays: it is a word of the text, and what an INSERT writes
+// may depend on it (a sparse fragment stores no NULL).
 //
 // It returns (nil, false), leaving st untouched, when st is not a
-// candidate: a statement kind whose rewrite may be value-dependent or
-// side-effecting (INSERT reserves row ids; DDL changes the catalog), a
+// candidate: another statement kind (DDL changes the catalog), a
 // statement that already carries explicit Params (mixing caller params
 // with extracted ones would renumber the caller's indexes), or one with
 // no literals to extract.
@@ -42,6 +42,13 @@ func extract(st Statement) *canonizer {
 	case *SelectStmt:
 		s.Where = c.walk(s.Where, true)
 		s.Having = c.walk(s.Having, true)
+	case *InsertStmt:
+		c.values(s.Rows)
+		for _, r := range s.Rows {
+			for i := range r {
+				r[i] = c.walk(r[i], true)
+			}
+		}
 	case *UpdateStmt:
 		c.update(s)
 	case *DeleteStmt:
@@ -51,13 +58,15 @@ func extract(st Statement) *canonizer {
 }
 
 // Slot is what a parameter of a lifted statement binds to: parameter
-// Param of the original, or, where Param is -1, the lifted value Val.
+// Param of the original, or, where Param is -1, the value Val of the
+// literal Lit, lifted from the statement.
 type Slot struct {
 	Param int
 	Val   types.Value
+	Lit   *Literal
 }
 
-// LiftParams is ExtractParams for a physical SELECT, UPDATE or DELETE,
+// LiftParams is ExtractParams for a physical SELECT, INSERT, UPDATE or DELETE,
 // done on a copy (st may share subtrees with other statements) and also
 // inside derived tables, JOIN … ON and IN subqueries: it lifts the
 // literals and renumbers every parameter, st's own included, into render
@@ -68,6 +77,14 @@ func LiftParams(st Statement) (out Statement, slots []Slot) {
 	switch s := st.(type) {
 	case *SelectStmt:
 		return c.selectStmt(s), c.slots
+	case *InsertStmt:
+		cp := *s
+		cp.Rows = make([][]Expr, len(s.Rows))
+		c.values(s.Rows)
+		for i, r := range s.Rows {
+			cp.Rows[i] = c.list(r, true)
+		}
+		return &cp, c.slots
 	case *UpdateStmt:
 		cp := *s
 		cp.Set = append([]Assignment(nil), s.Set...)
@@ -81,12 +98,25 @@ func LiftParams(st Statement) (out Statement, slots []Slot) {
 	return st, nil
 }
 
-// canonizer carries one walk's Params, a slot each in render order, and
-// the literals it lifted; a deep walk (LiftParams) enters subqueries.
+// canonizer carries one walk's Params, a slot each in render order; a
+// deep walk (LiftParams) enters subqueries. keepNull leaves NULL literals
+// inline (an INSERT's). Params are cut from slab, a few allocations for
+// a statement of many.
 type canonizer struct {
-	slots []Slot
-	lits  []*Literal
-	deep  bool
+	slots    []Slot
+	deep     bool
+	keepNull bool
+	slab     []Param
+}
+
+// values readies c for an INSERT's VALUES rows: NULLs stay, and there is
+// a slot for about every value.
+func (c *canonizer) values(rows [][]Expr) {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	c.keepNull, c.slots = true, make([]Slot, 0, n)
 }
 
 func (c *canonizer) finish() ([]types.Value, bool) {
@@ -102,7 +132,13 @@ func (c *canonizer) finish() ([]types.Value, bool) {
 
 func (c *canonizer) param(s Slot) Expr {
 	c.slots = append(c.slots, s)
-	return &Param{Index: len(c.slots) - 1}
+	if len(c.slab) == 0 {
+		c.slab = make([]Param, min(max(len(c.slots), 4), 256))
+	}
+	p := &c.slab[0]
+	c.slab = c.slab[1:]
+	p.Index = len(c.slots) - 1
+	return p
 }
 
 // update lifts an UPDATE's SET values, then its WHERE, in place.
@@ -163,11 +199,10 @@ func (c *canonizer) tableRef(tr TableRef) TableRef {
 func (c *canonizer) walk(e Expr, lift bool) Expr {
 	switch e := e.(type) {
 	case *Literal:
-		if !lift {
+		if !lift || c.keepNull && e.Val.IsNull() {
 			return e
 		}
-		c.lits = append(c.lits, e)
-		return c.param(Slot{Param: -1, Val: e.Val})
+		return c.param(Slot{Param: -1, Val: e.Val, Lit: e})
 	case *Param:
 		return c.param(Slot{Param: e.Index})
 	case *BinaryExpr:
@@ -240,6 +275,13 @@ func hasParams(n any) bool {
 		return hasParams(n.Where)
 	case *DeleteStmt:
 		return hasParams(n.Where)
+	case *InsertStmt:
+		for _, r := range n.Rows {
+			if anyParams(r) {
+				return true
+			}
+		}
+		return false
 	case *SubqueryTable:
 		return hasParams(n.Select)
 	case *JoinTable:

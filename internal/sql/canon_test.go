@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -78,8 +79,8 @@ func TestExtractParamsRefusals(t *testing.T) {
 		"SELECT * FROM t",
 		"SELECT a, b FROM t WHERE a = b",
 		"DELETE FROM t",
-		// INSERT is never canonicalized (value-dependent rewrites).
-		"INSERT INTO t VALUES (1, 2)",
+		"INSERT INTO t VALUES (?, 2)",
+		"INSERT INTO t VALUES (NULL, NULL)", // a NULL in VALUES stays
 		// Transaction control and DDL are never canonicalized.
 		"BEGIN",
 		"CREATE TABLE t (a INT)",
@@ -93,6 +94,18 @@ func TestExtractParamsRefusals(t *testing.T) {
 		if st.String() != before {
 			t.Errorf("%q mutated to %q despite refusal", before, st.String())
 		}
+	}
+}
+
+func TestExtractParamsInsert(t *testing.T) {
+	// Row by row, in render order; a NULL stays, a folded -3 is lifted.
+	st := mustParse(t, "INSERT INTO t (a, b, c) VALUES (1, NULL, 'x'), (-3, DATE '2008-01-02', CAST(4 AS VARCHAR(9)))")
+	vals, ok := ExtractParams(st)
+	if !ok || fmt.Sprint(vals) != "[1 x -3 2008-01-02 4]" {
+		t.Fatalf("ok=%v vals=%v", ok, vals)
+	}
+	if got := st.String(); got != "INSERT INTO t (a, b, c) VALUES (?, NULL, ?), (?, ?, CAST(? AS VARCHAR(9)))" {
+		t.Fatalf("template: %q", got)
 	}
 }
 
@@ -181,7 +194,7 @@ func TestLiftParams(t *testing.T) {
 		t.Fatalf("LiftParams changed its argument: %q %v", st, paramOrder(st))
 	}
 	wantSlots := "[{1 NULL} {-1 17} {-1 2} {-1 3} {-1 17} {0 NULL} {-1 17} {-1 4}]"
-	if fmt.Sprint(slots) != wantSlots {
+	if slotsText(slots) != wantSlots {
 		t.Fatalf("slots %v, want %s", slots, wantSlots)
 	}
 	// What the engine plans for the text binds as out does.
@@ -202,7 +215,7 @@ func TestLiftParamsDML(t *testing.T) {
 	if got := upOut.String(); got != "UPDATE T SET a = ?, b = ? WHERE Tenant = ? AND Row IN (SELECT Row FROM U WHERE Tenant = ? AND c = ?)" {
 		t.Fatalf("update: %q", got)
 	}
-	if got := fmt.Sprint(upSlots); got != "[{1 NULL} {-1 x} {-1 17} {-1 17} {0 NULL}]" {
+	if got := slotsText(upSlots); got != "[{1 NULL} {-1 x} {-1 17} {-1 17} {0 NULL}]" {
 		t.Fatalf("update slots: %s", got)
 	}
 	if !reflect.DeepEqual(mustParse(t, upOut.String()), upOut) || !reflect.DeepEqual(mustParse(t, delOut.String()), delOut) {
@@ -211,15 +224,41 @@ func TestLiftParamsDML(t *testing.T) {
 	if got := delOut.String(); got != "DELETE FROM U WHERE Tenant = ? AND Row IN (SELECT Row FROM U WHERE Tenant = ? AND c = ?)" {
 		t.Fatalf("delete: %q", got)
 	}
-	if got := fmt.Sprint(delSlots); got != "[{-1 17} {-1 17} {0 NULL}]" {
+	if got := slotsText(delSlots); got != "[{-1 17} {-1 17} {0 NULL}]" {
 		t.Fatalf("delete slots: %s", got)
 	}
 	if got := fmt.Sprint(paramOrder(up)); got != "[1 0]" {
 		t.Fatalf("the shared tree was renumbered in place: %s", got)
 	}
-	// Other statements are not touched.
-	ins := mustParse(t, "INSERT INTO T VALUES (1, ?)")
-	if out, slots := LiftParams(ins); out != ins || slots != nil {
-		t.Fatalf("INSERT lifted: %q %v", out, slots)
+	// An INSERT is lifted row by row on a copy; a NULL stays, and each
+	// lifted slot names the literal it came from.
+	ins := mustParse(t, "INSERT INTO T VALUES (1, ?, NULL), (2, 'y', CAST(3 AS INT))").(*InsertStmt)
+	before := ins.String()
+	insOut, insSlots := LiftParams(ins)
+	if got := insOut.String(); got != "INSERT INTO T VALUES (?, ?, NULL), (?, ?, CAST(? AS INTEGER))" || ins.String() != before {
+		t.Fatalf("insert: %q (argument now %q)", got, ins)
 	}
+	if got := slotsText(insSlots); got != "[{-1 1} {0 NULL} {-1 2} {-1 y} {-1 3}]" {
+		t.Fatalf("insert slots: %s", got)
+	}
+	if insSlots[0].Lit != ins.Rows[0][0] || insSlots[1].Lit != nil || insSlots[3].Lit != ins.Rows[1][1] {
+		t.Fatal("insert slots do not name their literals")
+	}
+	if !reflect.DeepEqual(mustParse(t, insOut.String()), insOut) {
+		t.Fatal("Parse numbers the lifted INSERT's parameters differently")
+	}
+	// Other statements are not touched.
+	ddl := mustParse(t, "CREATE TABLE T (a INT)")
+	if out, slots := LiftParams(ddl); out != ddl || slots != nil {
+		t.Fatalf("DDL lifted: %q %v", out, slots)
+	}
+}
+
+// slotsText prints slots as {Param Val}, without the literals they name.
+func slotsText(slots []Slot) string {
+	parts := make([]string, len(slots))
+	for i, s := range slots {
+		parts[i] = fmt.Sprintf("{%d %v}", s.Param, s.Val)
+	}
+	return "[" + strings.Join(parts, " ") + "]"
 }

@@ -21,6 +21,9 @@ func (p *parser) parse(src string) (Statement, error) {
 		return nil, err
 	}
 	p.toks = toks
+	if p.noting {
+		p.lits = make([]notedLit, 0, len(toks)/2)
+	}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -54,7 +57,22 @@ type parser struct {
 	toks    []token
 	pos     int
 	nparams int
-	lits    map[*Literal]int // where set, the token each literal was parsed from
+	// Where noting is set, lits is each literal read from a token, in
+	// parse order (ParseTemplate).
+	noting bool
+	lits   []notedLit
+}
+
+// notedLit is a literal and the token it was read from.
+type notedLit struct {
+	lit *Literal
+	tok int
+}
+
+func (p *parser) note(lit *Literal, tok int) {
+	if p.noting {
+		p.lits = append(p.lits, notedLit{lit, tok})
+	}
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -963,9 +981,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, p.errf("bad number %q", t.text)
 		}
 		lit := &Literal{Val: v}
-		if p.lits != nil {
-			p.lits[lit] = p.pos
-		}
+		p.note(lit, p.pos)
 		p.advance()
 		return lit, nil
 	case tokParam:
@@ -1000,13 +1016,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "DATE":
 			if p.peek().kind == tokString {
 				p.advance()
-				lit := p.cur().text
-				p.advance()
-				tm, err := time.Parse("2006-01-02", lit)
-				if err != nil {
-					return nil, p.errf("bad DATE literal %q", lit)
+				v, ok := dateValue(p.cur().text)
+				if !ok {
+					return nil, p.errf("bad DATE literal %q", p.cur().text)
 				}
-				return &Literal{Val: types.DateFromTime(tm)}, nil
+				lit := &Literal{Val: v}
+				p.note(lit, p.pos) // the string: Shape.Scan counts DATE '…' once
+				p.advance()
+				return lit, nil
 			}
 		case "CAST":
 			if p.peek().kind == tokSymbol && p.peek().text == "(" {
@@ -1086,6 +1103,13 @@ func literalValue(t token) (v types.Value, ok bool) {
 	}
 	n, err := strconv.ParseInt(t.text, 10, 64)
 	return types.NewInt(n), err == nil
+}
+
+// dateValue is the date a DATE '…' literal's string stands for (not ok:
+// not a date), for the parser and Shape.Scan alike.
+func dateValue(s string) (types.Value, bool) {
+	tm, err := time.Parse("2006-01-02", s)
+	return types.DateFromTime(tm), err == nil
 }
 
 // upperASCII upper-cases s's ASCII letters alone: an identifier's bytes

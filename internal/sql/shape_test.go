@@ -9,9 +9,11 @@ import (
 	"repro/internal/types"
 )
 
-// deckTexts are the CRM deck's SELECT and UPDATE statements (§4, Figure
-// 6) with their values inlined, as the benchmark sends them.
+// deckTexts are the CRM deck's SELECT, UPDATE and INSERT statements (§4,
+// Figure 6) with their values inlined, as the benchmark sends them.
 var deckTexts = []string{
+	"INSERT INTO Case (Id, Attr00, Attr01, Attr02, Attr03) VALUES (65, 'v7', 712, DATE '2008-03-09', 101.25)",
+	"INSERT INTO Account (Id, Name, Industry) VALUES (1, 'acct-1', 'retail'), (2, 'acct-2', 'energy')",
 	"SELECT * FROM Account WHERE Id = 17",
 	"SELECT * FROM Opportunity_i3 WHERE Id = 5",
 	"SELECT COUNT(*), SUM(Quantity) FROM LineItem WHERE Quantity > 250",
@@ -27,15 +29,18 @@ var deckTexts = []string{
 // why.
 var guardEdges = map[string]string{
 	"SELECT Name FROM Account WHERE Aid = -5":                               "the parser folds -5",
-	"SELECT Name FROM Account WHERE Due > DATE '2008-01-02'":                "DATE '…' is not the string it reads",
 	"SELECT 5, Name FROM Account WHERE Aid = 5":                             "a projection literal stays inline",
 	"SELECT Name FROM Account WHERE Aid > 1 LIMIT 10":                       "a LIMIT is not a literal",
 	"SELECT Name FROM Account WHERE Aid IN (SELECT Aid FROM T WHERE x = 1)": "an IN subquery's literal stays inline",
 	"SELECT Name FROM Account WHERE Aid = ? AND Beds = 3":                   "a literal beside a ? stays inline",
 	"SELECT Name FROM Account WHERE Aid = 1 AND Flag = TRUE":                "TRUE is lifted but is no literal token",
 	"SELECT Name FROM Account WHERE Name = CAST(Aid AS VARCHAR(9))":         "a type width is no value",
-	"SELECT 1":                            "nothing to lift",
-	"INSERT INTO Account VALUES (1, 'a')": "an INSERT is never a template",
+	"SELECT 1":                                  "nothing to lift",
+	"INSERT INTO Account VALUES (1, TRUE)":      "TRUE is lifted but is no literal token",
+	"INSERT INTO Account VALUES (-1, 'a')":      "the parser folds -1",
+	"INSERT INTO Account VALUES (?, 'a')":       "a literal beside a ? stays inline",
+	"INSERT INTO Account (Aid) VALUES (NULL)":   "nothing to lift: a NULL stays",
+	"SELECT Name FROM Account WHERE Aid = NULL": "NULL is lifted in WHERE but is no literal token",
 }
 
 func TestShapeScan(t *testing.T) {
@@ -51,7 +56,21 @@ func TestShapeScan(t *testing.T) {
 	if !reflect.DeepEqual(s.Lits, lits) {
 		t.Errorf("literals %v, want %v", s.Lits, lits)
 	}
-	for _, bad := range []string{"SELECT 'open", "SELECT 99999999999999999999", "SELECT 1 -- \x00", "SELECT #"} {
+	// DATE '…' is one literal of its own kind; a DATE not before a string
+	// is a word, and NULL stays in the key.
+	if !s.Scan("INSERT INTO T (Date) VALUES (date '2008-01-02', NULL, 'x'), (DATE 3, Date)") {
+		t.Fatal("scan refused an INSERT")
+	}
+	want = "INSERT INTO T (Date) VALUES (\x00\x05, NULL, \x00\x04), (DATE \x00\x02, Date)"
+	if string(s.Key) != want {
+		t.Errorf("key %q, want %q", s.Key, want)
+	}
+	lits = []types.Value{types.NewDate(13880), types.NewString("x"), types.NewInt(3)}
+	if !reflect.DeepEqual(s.Lits, lits) {
+		t.Errorf("literals %v, want %v", s.Lits, lits)
+	}
+	for _, bad := range []string{"SELECT 'open", "SELECT 99999999999999999999", "SELECT 1 -- \x00", "SELECT #",
+		"INSERT INTO T VALUES (DATE '2008-02-30')", "SELECT DATE 'x"} {
 		if s.Scan(bad) {
 			t.Errorf("scan of %q accepted", bad)
 		}
@@ -123,7 +142,7 @@ func TestUpperASCII(t *testing.T) {
 
 // sibling is the text of s.Key with a different literal of the same kind
 // in place of each: the k-th int is 7+k, the k-th float k.5, the k-th
-// string 'sk'.
+// date in year 2000+k, the k-th string 'sk'.
 func sibling(key []byte) string {
 	var sb strings.Builder
 	k := 0
@@ -138,6 +157,8 @@ func sibling(key []byte) string {
 			fmt.Fprintf(&sb, "%d", 7+k)
 		case types.KindFloat:
 			fmt.Fprintf(&sb, "%d.5", k)
+		case types.KindDate:
+			fmt.Fprintf(&sb, "DATE '%04d-01-01'", 2000+k%8000)
 		default:
 			fmt.Fprintf(&sb, "'s%d'", k)
 		}
@@ -192,6 +213,11 @@ func FuzzStatementShape(f *testing.F) {
 	}
 	for _, text := range []string{
 		"SELECT Name FROM Account WHERE Aid = 5 OR Aid = 5",
+		"INSERT INTO Account (Aid, Name, Opened) VALUES (1, NULL, DATE '2008-06-09'), (2, 'b', NULL), (3, 'c', DATE '2008-13-01')",
+		"INSERT INTO Account VALUES (1, 'x', DATE '2008-06-09', 1.5), (1, 'x', DATE '2008-06-09', 1.5)",
+		"INSERT INTO Account VALUES (DATE '2008-6-9')",
+		"INSERT INTO Account VALUES (DATE 5, DATE, date '2008-01-01' -- c\n)",
+		"SELECT Name FROM Account WHERE Opened = DATE '2008-02-29' OR Opened = DATE '2009-02-29'",
 		"DELETE FROM Account WHERE Aid IN (1, 2.5, 'x') AND Name LIKE 'a%'",
 		"SELECT Stage, COUNT(*), SUM(Attr01) FROM Opportunity GROUP BY Stage HAVING COUNT(*) > 2 ORDER BY Stage",
 		"SELECT Name FROM Account WHERE Name = 'a\x00b'",
@@ -227,10 +253,44 @@ func FuzzStatementShape(f *testing.F) {
 		if again.String() != refText {
 			t.Fatalf("%q prints as %q, then as %q", text, refText, again)
 		}
+		// The lifted statement renders a text that parses back to it, and
+		// its slots bound into that text give the statement's own.
+		lifted, slots := LiftParams(ref)
+		liftedText := lifted.String()
+		if again, err := Parse(liftedText); err != nil || again.String() != liftedText {
+			t.Fatalf("%q lifts to %q, which parses to %v (%v)", text, liftedText, again, err)
+		}
+		if got := bindSlots(liftedText, slots); got != refText {
+			t.Fatalf("%q lifts to %q, which binds to %q", text, liftedText, got)
+		}
 		refVals, _ := ExtractParams(ref)
 		if st.String() != ref.String() || !reflect.DeepEqual(vals, refVals) {
 			t.Fatalf("%q: template %q %v, Parse and ExtractParams %q %v", text, st, vals, ref, refVals)
 		}
 		checkSibling(t, text, &s, st, vals, from)
 	})
+}
+
+// bindSlots puts each slot's value, as a literal, in place of the `?` of
+// text it binds (a caller's parameter stays a `?`).
+func bindSlots(text string, slots []Slot) string {
+	var sb strings.Builder
+	l, gap, i := lexer{src: text}, 0, 0
+	for {
+		t, err := l.next()
+		if err != nil || t.kind == tokEOF {
+			break
+		}
+		if t.kind != tokParam || i >= len(slots) {
+			continue
+		}
+		sb.WriteString(text[gap:t.pos])
+		if slots[i].Param < 0 {
+			sb.WriteString(slots[i].Val.SQLLiteral())
+		} else {
+			sb.WriteString("?")
+		}
+		i, gap = i+1, l.pos
+	}
+	return sb.String() + text[gap:]
 }

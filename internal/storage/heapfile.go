@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -347,7 +348,7 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, []byte, error) {
 				return RID{}, nil, lerr
 			}
 		}
-		h.noteFree(rid.Page, sp.ReclaimableSpace())
+		h.addFree(rid.Page, len(old)-len(rec))
 		h.pool.Unpin(rid.Page, true)
 		return rid, old, nil
 	}
@@ -396,12 +397,12 @@ func (h *HeapFile) UpdateInPlace(rid RID, rec []byte) error {
 	sp := Slotted(buf)
 	lg := h.log()
 	var old []byte
-	if lg != nil {
+	o, gerr := sp.Get(rid.Slot)
+	if lg != nil && gerr == nil {
 		// Keep the pre-image so a failed log call can physically revert.
-		if o, gerr := sp.Get(rid.Slot); gerr == nil {
-			old = append([]byte(nil), o...)
-		}
+		old = append([]byte(nil), o...)
 	}
+	oldLen := len(o)
 	if uerr := sp.Update(rid.Slot, rec); uerr != nil {
 		h.pool.Unpin(rid.Page, false)
 		return uerr
@@ -415,7 +416,7 @@ func (h *HeapFile) UpdateInPlace(rid RID, rec []byte) error {
 			return lerr
 		}
 	}
-	h.noteFree(rid.Page, sp.ReclaimableSpace())
+	h.addFree(rid.Page, oldLen-len(rec))
 	h.pool.Unpin(rid.Page, true)
 	return nil
 }
@@ -478,13 +479,24 @@ func (h *HeapFile) Delete(rid RID) ([]byte, error) {
 	return old, nil
 }
 
+// addFree moves a page's cached free space by delta: a record updated
+// in place changes it by its old length less its new one, and nothing
+// else (SlottedPage.ReclaimableSpace counts slots and live bytes).
+func (h *HeapFile) addFree(id PageID, delta int) {
+	if delta == 0 {
+		return
+	}
+	h.mu.Lock()
+	if i := slices.Index(h.pages, id); i >= 0 {
+		h.freeBytes[i] += delta
+	}
+	h.mu.Unlock()
+}
+
 func (h *HeapFile) noteFree(id PageID, free int) {
 	h.mu.Lock()
-	for i, p := range h.pages {
-		if p == id {
-			h.freeBytes[i] = free
-			break
-		}
+	if i := slices.Index(h.pages, id); i >= 0 {
+		h.freeBytes[i] = free
 	}
 	h.mu.Unlock()
 }

@@ -591,6 +591,80 @@ func TestHeapUpdateRelocates(t *testing.T) {
 	}
 }
 
+// TestHeapFreeSpaceCacheProperty: whatever mix of inserts, updates (in
+// place, growing, shrinking, relocating), in-place-only updates, deletes
+// and reinserts a heap sees, the free space it caches for every page it
+// created is the page's reclaimable space, and every record reads back.
+func TestHeapFreeSpaceCacheProperty(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		h := newTestHeap(t, InsertMode(seed%2))
+		live := map[RID][]byte{}
+		rec := func() []byte { return bytes.Repeat([]byte{byte(r.Intn(256))}, 1+r.Intn(90)) }
+		pick := func() RID {
+			for rid := range live {
+				return rid
+			}
+			return RID{}
+		}
+		for op := 0; op < 400; op++ {
+			switch k := r.Intn(10); {
+			case k < 4 || len(live) == 0:
+				b := rec()
+				rid, err := h.Insert(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[rid] = b
+			case k < 6:
+				rid, b := pick(), rec()
+				to, _, err := h.Update(rid, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delete(live, rid)
+				live[to] = b
+			case k < 7:
+				rid, b := pick(), rec()
+				if err := h.UpdateInPlace(rid, b); err == nil {
+					live[rid] = b
+				} else if !errors.Is(err, ErrPageFull) {
+					t.Fatal(err)
+				}
+			default:
+				rid := pick()
+				pre, err := h.Delete(rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delete(live, rid)
+				if r.Intn(2) == 0 { // undone at once, as statement rollback does
+					if err := h.Reinsert(rid, pre); err != nil {
+						t.Fatal(err)
+					}
+					live[rid] = pre
+				}
+			}
+			for i, id := range h.Pages() {
+				buf, err := h.pool.Fetch(id, CatData)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := Slotted(buf).ReclaimableSpace()
+				h.pool.Unpin(id, false)
+				if h.freeBytes[i] != want {
+					t.Fatalf("seed %d, op %d: page %d caches %d free bytes, holds %d", seed, op, id, h.freeBytes[i], want)
+				}
+			}
+		}
+		for rid, b := range live {
+			if got, err := h.Get(rid); err != nil || !bytes.Equal(got, b) {
+				t.Fatalf("seed %d: %v reads %x (%v), want %x", seed, rid, got, err, b)
+			}
+		}
+	}
+}
+
 func TestHeapInsertModes(t *testing.T) {
 	// Best-fit refills holes; append grows the file.
 	bf := newTestHeap(t, InsertBestFit)
