@@ -167,7 +167,7 @@ fuzz-alter:
 # the wire: the one-pass scan agrees with Parse and ExtractParams, a text
 # of the same shape binds its own literals into the same template, a text
 # holding the marker byte has no shape, and every accepted statement
-# round-trips through String().
+# round-trips through String() and keeps the tree walk's contract.
 fuzz-shape:
 	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzStatementShape -fuzztime 10s
 

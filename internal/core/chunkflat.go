@@ -81,9 +81,22 @@ func (l *FragmentLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.
 		_, ok := m.p.slot(col)
 		return ok
 	}
-	rewrite := func(e sql.Expr) (sql.Expr, error) {
-		return mapColumnRefs(e, func(cr *sql.ColumnRef) (sql.Expr, error) {
-			if cr.Table != "" {
+	for _, it := range sel.Items {
+		if it.Star {
+			// Star projections keep the generic nested form, which
+			// exposes logical column names naturally.
+			return nil, errNotFlattenable
+		}
+	}
+	// Column references become physical columns, IN subqueries their
+	// tenant's rewrite, in every clause.
+	st, err := sql.MapStatement(sel, func(e sql.Expr) (sql.Expr, error) {
+		return sql.Map(e, func(n sql.Expr) (sql.Expr, error) {
+			cr, ok := n.(*sql.ColumnRef)
+			switch {
+			case !ok:
+				return tenantSubquery(l.st, tn, n)
+			case cr.Table != "":
 				for _, m := range maps {
 					if strings.EqualFold(m.u.alias, cr.Table) {
 						return physExpr(m, cr.Name)
@@ -105,159 +118,22 @@ func (l *FragmentLayout) flattenedSelect(tn *Tenant, sel *sql.SelectStmt) (*sql.
 			}
 			return physExpr(owner, cr.Name)
 		})
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-
-	out := &sql.SelectStmt{Distinct: sel.Distinct, From: from, Limit: sel.Limit}
-	for _, it := range sel.Items {
-		if it.Star {
-			// Star projections keep the generic nested form, which
-			// exposes logical column names naturally.
-			return nil, errNotFlattenable
-		}
-		e, err := rewrite(it.Expr)
-		if err != nil {
-			return nil, err
-		}
-		alias := it.Alias
-		if alias == "" {
-			if cr, ok := it.Expr.(*sql.ColumnRef); ok {
-				alias = cr.Name
-			}
-		}
-		out.Items = append(out.Items, sql.SelectItem{Expr: e, Alias: alias})
-	}
-
-	var userConjs []sql.Expr
-	if sel.Where != nil {
-		var raw []sql.Expr
-		splitConjunctsCore(sel.Where, &raw)
-		for _, c := range raw {
-			c, err := rewriteInSubqueries(c, func(s *sql.SelectStmt) (*sql.SelectStmt, error) {
-				return genericSelect(l.st, tn, s)
-			})
-			if err != nil {
-				return nil, err
-			}
-			rc, err := rewrite(c)
-			if err != nil {
-				return nil, err
-			}
-			userConjs = append(userConjs, rc)
+	out := st.(*sql.SelectStmt) // MapStatement's copy
+	out.From = from
+	for i, it := range sel.Items {
+		if cr, ok := it.Expr.(*sql.ColumnRef); ok && it.Alias == "" {
+			out.Items[i].Alias = cr.Name
 		}
 	}
+	userConjs := sql.SplitConjuncts(out.Where, nil)
 	if l.metaFirst {
-		out.Where = and(append(append(metaConjs, alignConjs...), userConjs...)...)
+		out.Where = sql.And(append(append(metaConjs, alignConjs...), userConjs...)...)
 	} else {
-		out.Where = and(append(append(userConjs, metaConjs...), alignConjs...)...)
-	}
-
-	for _, g := range sel.GroupBy {
-		e, err := rewrite(g)
-		if err != nil {
-			return nil, err
-		}
-		out.GroupBy = append(out.GroupBy, e)
-	}
-	if sel.Having != nil {
-		h, err := rewrite(sel.Having)
-		if err != nil {
-			return nil, err
-		}
-		out.Having = h
-	}
-	for _, o := range sel.OrderBy {
-		e, err := rewrite(o.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out.OrderBy = append(out.OrderBy, sql.OrderItem{Expr: e, Desc: o.Desc})
+		out.Where = sql.And(append(append(userConjs, metaConjs...), alignConjs...)...)
 	}
 	return out, nil
-}
-
-// splitConjunctsCore flattens AND trees (core-local copy; plan has its
-// own unexported version).
-func splitConjunctsCore(e sql.Expr, out *[]sql.Expr) {
-	if b, ok := e.(*sql.BinaryExpr); ok && b.Op == sql.OpAnd {
-		splitConjunctsCore(b.L, out)
-		splitConjunctsCore(b.R, out)
-		return
-	}
-	*out = append(*out, e)
-}
-
-// mapColumnRefs rebuilds an expression, replacing every column
-// reference through fn.
-func mapColumnRefs(e sql.Expr, fn func(*sql.ColumnRef) (sql.Expr, error)) (sql.Expr, error) {
-	switch e := e.(type) {
-	case nil:
-		return nil, nil
-	case *sql.ColumnRef:
-		return fn(e)
-	case *sql.Literal, *sql.Param:
-		return e, nil
-	case *sql.BinaryExpr:
-		ln, err := mapColumnRefs(e.L, fn)
-		if err != nil {
-			return nil, err
-		}
-		rn, err := mapColumnRefs(e.R, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.BinaryExpr{Op: e.Op, L: ln, R: rn}, nil
-	case *sql.UnaryExpr:
-		x, err := mapColumnRefs(e.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.UnaryExpr{Op: e.Op, X: x}, nil
-	case *sql.IsNullExpr:
-		x, err := mapColumnRefs(e.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.IsNullExpr{X: x, Not: e.Not}, nil
-	case *sql.LikeExpr:
-		x, err := mapColumnRefs(e.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		p, err := mapColumnRefs(e.Pattern, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.LikeExpr{X: x, Pattern: p, Not: e.Not}, nil
-	case *sql.CastExpr:
-		x, err := mapColumnRefs(e.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.CastExpr{X: x, Type: e.Type}, nil
-	case *sql.FuncExpr:
-		out := &sql.FuncExpr{Name: e.Name, Star: e.Star}
-		for _, a := range e.Args {
-			an, err := mapColumnRefs(a, fn)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, an)
-		}
-		return out, nil
-	case *sql.InExpr:
-		x, err := mapColumnRefs(e.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		out := &sql.InExpr{X: x, Not: e.Not, Subquery: e.Subquery}
-		for _, i := range e.List {
-			in, err := mapColumnRefs(i, fn)
-			if err != nil {
-				return nil, err
-			}
-			out.List = append(out.List, in)
-		}
-		return out, nil
-	}
-	return e, nil
 }

@@ -413,7 +413,7 @@ func Placement(l Layout, tenantID int64, table string) (string, error) {
 	fmt.Fprintf(&sb, "%s of tenant %d: %s placement, %d fragment(s)\n", lt.Name, tenantID, whose, len(p.frags))
 	for _, f := range p.frags {
 		fmt.Fprintf(&sb, "  %s", f.table)
-		if w := and(f.where("", tenantID)...); w != nil {
+		if w := sql.And(f.where("", tenantID)...); w != nil {
 			fmt.Fprintf(&sb, " WHERE %s", w)
 		}
 		switch {
@@ -515,7 +515,7 @@ func (l *FragmentLayout) ExtendTenant(db *engine.DB, tenantID int64, extName str
 		existing := &sql.SelectStmt{
 			Items: []sql.SelectItem{{Expr: colRef("", "Row")}},
 			From:  []sql.TableRef{&sql.NamedTable{Name: old.anchor.table}},
-			Where: and(old.anchor.where("", tenantID)...),
+			Where: sql.And(old.anchor.where("", tenantID)...),
 		}
 		if old.anchor.del != "" {
 			existing.Items = append(existing.Items, sql.SelectItem{Expr: colRef("", old.anchor.del)})
@@ -586,7 +586,7 @@ func (l *FragmentLayout) RestoreRows(db *engine.DB, tenantID int64, table string
 		up := &sql.UpdateStmt{
 			Table: f.table,
 			Set:   []sql.Assignment{{Column: f.del, Value: intLit(0)}},
-			Where: and(append(f.where("", tenantID), inList(colRef("", "Row"), rowIDs))...),
+			Where: sql.And(append(f.where("", tenantID), inList(colRef("", "Row"), rowIDs))...),
 		}
 		if _, err := db.ExecStmt(up, ""); err != nil {
 			return err

@@ -35,6 +35,12 @@ func (l *FragmentLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, 
 		}
 		// Fall through to the generic form.
 	}
+	if _, ok := st.(*sql.SelectStmt); !ok {
+		// A write's IN subqueries read its tenant's tables, as a query's do.
+		if st, err = sql.MapStatement(st, tenantSubqueries(s, tn), nil); err != nil {
+			return nil, err
+		}
+	}
 	switch st := st.(type) {
 	case *sql.SelectStmt:
 		sel, err := genericSelect(s, tn, st)
@@ -66,8 +72,7 @@ func genericSelect(s *state, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, 
 	for _, u := range usages {
 		byRef[u.ref] = u
 	}
-	var rewriteRef func(tr sql.TableRef) (sql.TableRef, error)
-	rewriteRef = func(tr sql.TableRef) (sql.TableRef, error) {
+	out, err := sql.MapStatement(sel, tenantSubqueries(s, tn), func(tr sql.TableRef) (sql.TableRef, error) {
 		switch tr := tr.(type) {
 		case *sql.NamedTable:
 			u := byRef[tr]
@@ -81,34 +86,13 @@ func genericSelect(s *state, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, 
 				return nil, err
 			}
 			return &sql.SubqueryTable{Select: sub, Alias: tr.Alias}, nil
-		case *sql.JoinTable:
-			left, err := rewriteRef(tr.Left)
-			if err != nil {
-				return nil, err
-			}
-			right, err := rewriteRef(tr.Right)
-			if err != nil {
-				return nil, err
-			}
-			return &sql.JoinTable{Left: left, Right: right, Type: tr.Type, On: tr.On}, nil
 		}
 		return nil, fmt.Errorf("core: unsupported FROM entry %T", tr)
-	}
-	out := *sel
-	out.From = make([]sql.TableRef, len(sel.From))
-	for i, tr := range sel.From {
-		out.From[i], err = rewriteRef(tr)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out.Where, err = rewriteInSubqueries(sel.Where, func(sub *sql.SelectStmt) (*sql.SelectStmt, error) {
-		return genericSelect(s, tn, sub)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return out.(*sql.SelectStmt), nil
 }
 
 // writeUsage analyzes what a write statement's expressions touch of its
@@ -211,12 +195,6 @@ func genericWrite(s *state, tn *Tenant, table, alias string, set []sql.Assignmen
 			return nil, fmt.Errorf("core: no column %s in %s for tenant %d", a.Column, lt.Name, tn.ID)
 		}
 		setAt = append(setAt, at)
-	}
-	where, err = rewriteInSubqueries(where, func(sub *sql.SelectStmt) (*sql.SelectStmt, error) {
-		return genericSelect(s, tn, sub)
-	})
-	if err != nil {
-		return nil, err
 	}
 	switch ps, err := p.direct(tn, lt, alias, set, setAt, where); {
 	case ps != nil:
@@ -323,14 +301,14 @@ func (p *placement) reconstruct(tenant int64, used []int, withRow bool) *sql.Sel
 		}
 		aligned := eq(colRef(aliases[i], "Row"), colRef(aliases[0], "Row"))
 		if f.sparse {
-			on := and(append(f.where(aliases[i], tenant), aligned)...)
+			on := sql.And(append(f.where(aliases[i], tenant), aligned)...)
 			sel.From[0] = &sql.JoinTable{Left: sel.From[0], Right: ref, Type: sql.LeftJoin, On: on}
 		} else {
 			sel.From = append(sel.From, ref)
 			conjs = append(append(conjs, f.where(aliases[i], tenant)...), aligned)
 		}
 	}
-	sel.Where = and(conjs...)
+	sel.Where = sql.And(conjs...)
 	return sel
 }
 
@@ -433,24 +411,30 @@ func (p *placement) direct(tn *Tenant, table *Table, alias string, set []sql.Ass
 			return nil, nil
 		}
 	}
-	inF := func(cr *sql.ColumnRef) (sql.Expr, error) {
-		s, ok := p.slot(cr.Name)
-		if !ok || s.frag != f || cr.Table != "" && !strings.EqualFold(cr.Table, alias) {
-			return nil, fmt.Errorf("core: no column %s in %s for tenant %d", cr, table.Name, tn.ID)
-		}
-		return s.col.read(""), nil
+	inF := func(e sql.Expr) (sql.Expr, error) {
+		return sql.Map(e, func(n sql.Expr) (sql.Expr, error) {
+			cr, ok := n.(*sql.ColumnRef)
+			if !ok {
+				return n, nil
+			}
+			s, ok := p.slot(cr.Name)
+			if !ok || s.frag != f || cr.Table != "" && !strings.EqualFold(cr.Table, alias) {
+				return nil, fmt.Errorf("core: no column %s in %s for tenant %d", cr, table.Name, tn.ID)
+			}
+			return s.col.read(""), nil
+		})
 	}
-	where, err := mapColumnRefs(where, inF)
+	where, err := inF(where)
 	if err != nil {
 		return nil, err
 	}
-	where = and(append(f.where("", tn.ID), f.live(""), where)...)
+	where = sql.And(append(f.where("", tn.ID), f.live(""), where)...)
 	if set == nil {
 		return f.remove(where), nil
 	}
 	up := &sql.UpdateStmt{Table: f.table, Set: make([]sql.Assignment, len(set)), Where: where}
 	for i, a := range set {
-		v, err := mapColumnRefs(a.Value, inF)
+		v, err := inF(a.Value)
 		if err != nil {
 			return nil, err
 		}
@@ -486,7 +470,7 @@ func (p *placement) phaseBUpdate(tenant int64, setAt []int, rows [][]types.Value
 		return lit(v)
 	}
 	update := func(f *fragment, vals []types.Value, rowPred sql.Expr) sql.Statement {
-		up := &sql.UpdateStmt{Table: f.table, Where: and(append(f.where("", tenant), rowPred)...)}
+		up := &sql.UpdateStmt{Table: f.table, Where: sql.And(append(f.where("", tenant), rowPred)...)}
 		for i, s := range slots {
 			if s.frag == f {
 				up.Set = append(up.Set, sql.Assignment{Column: s.col.phys, Value: stored(s, vals[i+1])})
@@ -501,7 +485,7 @@ func (p *placement) phaseBUpdate(tenant int64, setAt []int, rows [][]types.Value
 			continue
 		}
 		f := s.frag
-		out = append(out, f.remove(and(append(f.where("", tenant), inList(colRef("", "Row"), rowIDs))...)))
+		out = append(out, f.remove(sql.And(append(f.where("", tenant), inList(colRef("", "Row"), rowIDs))...)))
 		ins := f.spine()
 		ins.Columns = append(ins.Columns, s.col.phys)
 		for _, r := range rows {
@@ -535,7 +519,7 @@ func (p *placement) phaseBDelete(tenant int64, rows [][]types.Value) []sql.State
 	rowIDs := column(rows, 0)
 	out := make([]sql.Statement, len(p.frags))
 	for i, f := range p.frags {
-		out[i] = f.remove(and(append(f.where("", tenant), inList(colRef("", "Row"), rowIDs))...))
+		out[i] = f.remove(sql.And(append(f.where("", tenant), inList(colRef("", "Row"), rowIDs))...))
 	}
 	return out
 }

@@ -26,7 +26,7 @@ func rowsByKey(t *testing.T, m *Mapper, tenant int64, table string) map[int64]in
 	sel := &sql.SelectStmt{
 		Items: []sql.SelectItem{{Expr: colRef("", "Row")}, {Expr: key.col.read("")}},
 		From:  []sql.TableRef{&sql.NamedTable{Name: p.anchor.table}},
-		Where: and(append(p.anchor.where("", tenant), p.anchor.live(""))...),
+		Where: sql.And(append(p.anchor.where("", tenant), p.anchor.live(""))...),
 	}
 	rows, err := m.DB.QueryStmt(sel, "")
 	if err != nil {
@@ -188,6 +188,7 @@ func TestMoveUnderCachedInserts(t *testing.T) {
 		overlap int // acknowledged while the tenant was mid-move
 		werr    error
 		done    = make(chan struct{})
+		started = make(chan struct{}) // the writer has one INSERT acknowledged
 	)
 	go func() {
 		defer close(done)
@@ -195,7 +196,9 @@ func TestMoveUnderCachedInserts(t *testing.T) {
 			if _, werr = m.Exec(35, fmt.Sprintf("INSERT INTO Account (Aid, Name) VALUES (%d, 'live')", aid)); werr != nil {
 				return
 			}
-			acked = append(acked, aid)
+			if acked = append(acked, aid); len(acked) == 1 {
+				close(started)
+			}
 			mux.mu.RLock()
 			if mux.moving[35] != nil {
 				overlap++
@@ -203,6 +206,10 @@ func TestMoveUnderCachedInserts(t *testing.T) {
 			mux.mu.RUnlock()
 		}
 	}()
+	select { // move while the writer runs, not before it starts
+	case <-started:
+	case <-done:
+	}
 	before := m.Cache.Stats()
 	rep, err := (&Mover{DB: db, Mux: mux, MaxRounds: 6, BatchRows: 4}).Move(35, dst)
 	stop.Store(true)

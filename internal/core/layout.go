@@ -511,39 +511,30 @@ func (u *tableUsage) usedAt() []int {
 // not descended into — the caller rewrites them recursively.
 func analyzeSelect(s viewSource, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage, error) {
 	var usages []*tableUsage
-	var gather func(tr sql.TableRef) error
-	gather = func(tr sql.TableRef) error {
-		switch tr := tr.(type) {
-		case *sql.NamedTable:
-			lt := s.Table(tr.Name)
-			if lt == nil {
-				return fmt.Errorf("core: no logical table %s", tr.Name)
-			}
-			alias := tr.Alias
-			if alias == "" {
-				alias = tr.Name
-			}
-			v, err := s.view(tn, lt)
-			if err != nil {
-				return err
-			}
+	var err error
+	sql.WalkStatement(sel, nil, func(tr sql.TableRef) {
+		nt, ok := tr.(*sql.NamedTable)
+		if !ok || err != nil {
+			return // a derived table: rewritten recursively, no usage entry
+		}
+		lt := s.Table(nt.Name)
+		if lt == nil {
+			err = fmt.Errorf("core: no logical table %s", nt.Name)
+			return
+		}
+		alias := nt.Alias
+		if alias == "" {
+			alias = nt.Name
+		}
+		var v *view
+		if v, err = s.view(tn, lt); err == nil {
 			usages = append(usages, &tableUsage{
-				ref: tr, logical: lt, alias: alias, view: v, used: make([]bool, len(v.cols)),
+				ref: nt, logical: lt, alias: alias, view: v, used: make([]bool, len(v.cols)),
 			})
-		case *sql.JoinTable:
-			if err := gather(tr.Left); err != nil {
-				return err
-			}
-			return gather(tr.Right)
-		case *sql.SubqueryTable:
-			// handled by recursive rewrite; no usage entry
 		}
-		return nil
-	}
-	for _, tr := range sel.From {
-		if err := gather(tr); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	provides := func(u *tableUsage, name string) bool {
@@ -579,100 +570,24 @@ func analyzeSelect(s viewSource, tn *Tenant, sel *sql.SelectStmt) ([]*tableUsage
 		return nil
 	}
 
-	var walkExpr func(e sql.Expr) error
-	walkExpr = func(e sql.Expr) error {
-		switch e := e.(type) {
-		case nil:
-			return nil
-		case *sql.ColumnRef:
-			return markRef(e)
-		case *sql.BinaryExpr:
-			if err := walkExpr(e.L); err != nil {
-				return err
-			}
-			return walkExpr(e.R)
-		case *sql.UnaryExpr:
-			return walkExpr(e.X)
-		case *sql.IsNullExpr:
-			return walkExpr(e.X)
-		case *sql.LikeExpr:
-			if err := walkExpr(e.X); err != nil {
-				return err
-			}
-			return walkExpr(e.Pattern)
-		case *sql.CastExpr:
-			return walkExpr(e.X)
-		case *sql.FuncExpr:
-			for _, a := range e.Args {
-				if err := walkExpr(a); err != nil {
-					return err
-				}
-			}
-		case *sql.InExpr:
-			if err := walkExpr(e.X); err != nil {
-				return err
-			}
-			for _, i := range e.List {
-				if err := walkExpr(i); err != nil {
-					return err
-				}
-			}
-			// IN-subqueries are rewritten recursively by the caller.
-		}
-		return nil
-	}
-
 	for _, it := range sel.Items {
-		switch {
-		case it.Star && it.StarQualifier == "":
-			for _, u := range usages {
+		for _, u := range usages {
+			if it.Star && (it.StarQualifier == "" || strings.EqualFold(u.alias, it.StarQualifier)) {
 				u.star = true
 			}
-		case it.Star:
-			for _, u := range usages {
-				if strings.EqualFold(u.alias, it.StarQualifier) {
-					u.star = true
-				}
-			}
-		default:
-			if err := walkExpr(it.Expr); err != nil {
-				return nil, err
-			}
 		}
 	}
-	if err := walkExpr(sel.Where); err != nil {
+	// IN subqueries are rewritten recursively by the caller.
+	sql.WalkStatement(sel, func(e sql.Expr) {
+		sql.Walk(e, func(n sql.Expr) bool {
+			if cr, ok := n.(*sql.ColumnRef); ok && err == nil {
+				err = markRef(cr)
+			}
+			return err == nil
+		})
+	}, nil)
+	if err != nil {
 		return nil, err
-	}
-	for _, g := range sel.GroupBy {
-		if err := walkExpr(g); err != nil {
-			return nil, err
-		}
-	}
-	if err := walkExpr(sel.Having); err != nil {
-		return nil, err
-	}
-	for _, o := range sel.OrderBy {
-		if err := walkExpr(o.Expr); err != nil {
-			return nil, err
-		}
-	}
-	var walkJoins func(tr sql.TableRef) error
-	walkJoins = func(tr sql.TableRef) error {
-		if jt, ok := tr.(*sql.JoinTable); ok {
-			if err := walkExpr(jt.On); err != nil {
-				return err
-			}
-			if err := walkJoins(jt.Left); err != nil {
-				return err
-			}
-			return walkJoins(jt.Right)
-		}
-		return nil
-	}
-	for _, tr := range sel.From {
-		if err := walkJoins(tr); err != nil {
-			return nil, err
-		}
 	}
 
 	for _, u := range usages {
@@ -697,21 +612,6 @@ func intLit(n int64) sql.Expr { return lit(types.NewInt(n)) }
 func colRef(qual, name string) *sql.ColumnRef { return &sql.ColumnRef{Table: qual, Name: name} }
 
 func eq(l, r sql.Expr) sql.Expr { return &sql.BinaryExpr{Op: sql.OpEq, L: l, R: r} }
-
-func and(conjs ...sql.Expr) sql.Expr {
-	var out sql.Expr
-	for _, c := range conjs {
-		if c == nil {
-			continue
-		}
-		if out == nil {
-			out = c
-		} else {
-			out = &sql.BinaryExpr{Op: sql.OpAnd, L: out, R: c}
-		}
-	}
-	return out
-}
 
 // inList builds `col IN (v1, v2, ...)`; a single value becomes `col = v1`.
 func inList(col *sql.ColumnRef, vals []types.Value) sql.Expr {
@@ -754,37 +654,25 @@ func execAll(db *engine.DB, ddl []string) error {
 	return nil
 }
 
-// rewriteInSubqueries rewrites IN (SELECT ...) subqueries inside an
-// expression through the layout's SELECT rewriter.
-func rewriteInSubqueries(e sql.Expr, rw func(*sql.SelectStmt) (*sql.SelectStmt, error)) (sql.Expr, error) {
-	switch e := e.(type) {
-	case nil:
-		return nil, nil
-	case *sql.InExpr:
-		if e.Subquery == nil {
-			return e, nil
-		}
-		sub, err := rw(e.Subquery)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.InExpr{X: e.X, Subquery: sub, Not: e.Not}, nil
-	case *sql.BinaryExpr:
-		l, err := rewriteInSubqueries(e.L, rw)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rewriteInSubqueries(e.R, rw)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.BinaryExpr{Op: e.Op, L: l, R: r}, nil
-	case *sql.UnaryExpr:
-		x, err := rewriteInSubqueries(e.X, rw)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.UnaryExpr{Op: e.Op, X: x}, nil
+// tenantSubquery is the sql.Map step that scopes an IN subquery to
+// tenant tn: an InExpr's subquery is replaced by its rewrite, and any
+// other node comes back as it is.
+func tenantSubquery(s *state, tn *Tenant, n sql.Expr) (sql.Expr, error) {
+	in, ok := n.(*sql.InExpr)
+	if !ok || in.Subquery == nil {
+		return n, nil
 	}
-	return e, nil
+	sub, err := genericSelect(s, tn, in.Subquery)
+	if err != nil {
+		return nil, err
+	}
+	in.Subquery = sub // in is Map's copy
+	return in, nil
+}
+
+// tenantSubqueries maps an expression through tenantSubquery.
+func tenantSubqueries(s *state, tn *Tenant) func(sql.Expr) (sql.Expr, error) {
+	return func(e sql.Expr) (sql.Expr, error) {
+		return sql.Map(e, func(n sql.Expr) (sql.Expr, error) { return tenantSubquery(s, tn, n) })
+	}
 }

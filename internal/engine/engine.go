@@ -413,21 +413,19 @@ func (db *DB) Explain(query string, params ...types.Value) (string, error) {
 }
 
 // dmlLockSets derives a DML statement's lock sets: the written table
-// and the tables its WHERE clause reads.
+// and the tables its clauses read (collectReadTables).
 func dmlLockSets(st sql.Statement) (write string, reads []string, err error) {
 	switch st := st.(type) {
 	case *sql.InsertStmt:
 		write = st.Table
 	case *sql.UpdateStmt:
 		write = st.Table
-		reads = collectExprTables(st.Where, nil)
 	case *sql.DeleteStmt:
 		write = st.Table
-		reads = collectExprTables(st.Where, nil)
 	default:
-		err = fmt.Errorf("engine: unsupported statement %T", st)
+		return "", nil, fmt.Errorf("engine: unsupported statement %T", st)
 	}
-	return write, reads, err
+	return write, collectReadTables(st, nil), nil
 }
 
 // execDML runs one autocommit DML statement. The caller's parsed
@@ -732,60 +730,27 @@ func (db *DB) gateFor(lower string) *writeGate {
 	return g
 }
 
-// collectReadTables lists the base tables a SELECT touches, including
-// derived tables and IN subqueries.
-func collectReadTables(s *sql.SelectStmt, acc []string) []string {
-	for _, tr := range s.From {
-		acc = collectRefTables(tr, acc)
-	}
-	acc = collectExprTables(s.Where, acc)
-	acc = collectExprTables(s.Having, acc)
-	return acc
-}
-
-func collectRefTables(tr sql.TableRef, acc []string) []string {
-	switch tr := tr.(type) {
-	case *sql.NamedTable:
-		acc = append(acc, tr.Name)
-	case *sql.SubqueryTable:
-		acc = collectReadTables(tr.Select, acc)
-	case *sql.JoinTable:
-		acc = collectRefTables(tr.Left, acc)
-		acc = collectRefTables(tr.Right, acc)
-		acc = collectExprTables(tr.On, acc)
-	}
-	return acc
-}
-
-func collectExprTables(e sql.Expr, acc []string) []string {
-	switch e := e.(type) {
-	case nil:
-		return acc
-	case *sql.BinaryExpr:
-		acc = collectExprTables(e.L, acc)
-		acc = collectExprTables(e.R, acc)
-	case *sql.UnaryExpr:
-		acc = collectExprTables(e.X, acc)
-	case *sql.IsNullExpr:
-		acc = collectExprTables(e.X, acc)
-	case *sql.LikeExpr:
-		acc = collectExprTables(e.X, acc)
-		acc = collectExprTables(e.Pattern, acc)
-	case *sql.CastExpr:
-		acc = collectExprTables(e.X, acc)
-	case *sql.FuncExpr:
-		for _, a := range e.Args {
-			acc = collectExprTables(a, acc)
+// collectReadTables appends to acc the base tables st reads: its FROM
+// entries, derived tables, and the IN subqueries in any of its clauses,
+// nested ones included. A DML statement's target is its write, not one
+// of its reads. It runs on every execution and allocates nothing but
+// acc's growth.
+func collectReadTables(st sql.Statement, acc []string) []string {
+	sql.WalkStatement(st, func(e sql.Expr) {
+		sql.Walk(e, func(n sql.Expr) bool {
+			if in, ok := n.(*sql.InExpr); ok && in.Subquery != nil {
+				acc = collectReadTables(in.Subquery, acc)
+			}
+			return true
+		})
+	}, func(tr sql.TableRef) {
+		switch tr := tr.(type) {
+		case *sql.NamedTable:
+			acc = append(acc, tr.Name)
+		case *sql.SubqueryTable:
+			acc = collectReadTables(tr.Select, acc)
 		}
-	case *sql.InExpr:
-		acc = collectExprTables(e.X, acc)
-		for _, i := range e.List {
-			acc = collectExprTables(i, acc)
-		}
-		if e.Subquery != nil {
-			acc = collectReadTables(e.Subquery, acc)
-		}
-	}
+	})
 	return acc
 }
 

@@ -436,3 +436,23 @@ func TestExplainShapes(t *testing.T) {
 		t.Errorf("group plan:\n%s", ex)
 	}
 }
+
+// TestHavingTakesWhatWhereTakes runs the predicates WHERE accepts in
+// HAVING over a group key: LIKE and an IN list.
+func TestHavingTakesWhatWhereTakes(t *testing.T) {
+	db := Open(Config{})
+	mustExec(t, db, "CREATE TABLE A (Id INTEGER, Name VARCHAR(10))")
+	mustExec(t, db, "INSERT INTO A VALUES (1, 'Big'), (2, 'Big'), (3, 'Cat'), (4, 'Ant'), (5, 'Bee')")
+	for q, want := range map[string]string{
+		"SELECT Name, COUNT(*) FROM A GROUP BY Name HAVING Name LIKE 'B%' ORDER BY Name":               "[[Bee 1] [Big 2]]",
+		"SELECT Name, COUNT(*) FROM A GROUP BY Name HAVING Name IN ('Big', 'Cat') ORDER BY Name":       "[[Big 2] [Cat 1]]",
+		"SELECT Name FROM A GROUP BY Name HAVING NOT (Name LIKE '%e%') AND COUNT(*) < 2 ORDER BY Name": "[[Ant] [Cat]]",
+	} {
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Errorf("%q: %v", q, err)
+		} else if got := fmt.Sprint(rows.Data); got != want {
+			t.Errorf("%q: %s, want %s", q, got, want)
+		}
+	}
+}

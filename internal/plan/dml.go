@@ -61,10 +61,7 @@ func (p *Planner) planWriteAccess(tableName, alias string, where sql.Expr) (*sou
 	}
 	src := &source{table: t, alias: alias, cols: p.tableSchema(t, alias)}
 	sc := &scope{cols: src.cols}
-	var conjs []sql.Expr
-	if where != nil {
-		splitConjuncts(where, &conjs)
-	}
+	conjs := sql.SplitConjuncts(where, nil)
 	cands := p.indexCandidates(src, conjs, nil)
 	path, consumed := p.chooseIndexPath(t, cands)
 	var residualConjs []sql.Expr

@@ -147,7 +147,7 @@ func (p *Planner) spliceSubquery(out *sql.SelectStmt, idx int, alias string, inn
 	// their providing table's alias so they cannot become ambiguous
 	// against the outer FROM entries after splicing.
 	renameExpr := func(e sql.Expr) sql.Expr {
-		return rewriteExpr(e, func(c *sql.ColumnRef) sql.Expr {
+		return mapColumns(e, func(c *sql.ColumnRef) sql.Expr {
 			if c.Table != "" {
 				if nn, ok := renames[strings.ToLower(c.Table)]; ok {
 					return &sql.ColumnRef{Table: nn, Name: c.Name}
@@ -204,10 +204,7 @@ func (p *Planner) spliceSubquery(out *sql.SelectStmt, idx int, alias string, inn
 	}
 
 	replace := func(e sql.Expr) sql.Expr {
-		if e == nil {
-			return nil
-		}
-		return rewriteExpr(e, func(c *sql.ColumnRef) sql.Expr {
+		return mapColumns(e, func(c *sql.ColumnRef) sql.Expr {
 			key := strings.ToLower(c.Name)
 			def, ok := subst[key]
 			if !ok {
@@ -262,13 +259,7 @@ func (p *Planner) spliceSubquery(out *sql.SelectStmt, idx int, alias string, inn
 	from = append(from, innerFrom...)
 	from = append(from, out.From[idx+1:]...)
 	out.From = from
-	if w := renameExpr(inner.Where); w != nil {
-		if out.Where == nil {
-			out.Where = w
-		} else {
-			out.Where = &sql.BinaryExpr{Op: sql.OpAnd, L: out.Where, R: w}
-		}
-	}
+	out.Where = sql.And(out.Where, renameExpr(inner.Where))
 	return nil
 }
 
@@ -316,35 +307,14 @@ func refProvides(p *Planner, tr sql.TableRef, name string) bool {
 	return false
 }
 
-// rewriteExpr rebuilds an expression applying fn to every ColumnRef.
-func rewriteExpr(e sql.Expr, fn func(*sql.ColumnRef) sql.Expr) sql.Expr {
-	switch e := e.(type) {
-	case *sql.ColumnRef:
-		return fn(e)
-	case *sql.Literal, *sql.Param:
-		return e
-	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: e.Op, L: rewriteExpr(e.L, fn), R: rewriteExpr(e.R, fn)}
-	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: e.Op, X: rewriteExpr(e.X, fn)}
-	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{X: rewriteExpr(e.X, fn), Not: e.Not}
-	case *sql.LikeExpr:
-		return &sql.LikeExpr{X: rewriteExpr(e.X, fn), Pattern: rewriteExpr(e.Pattern, fn), Not: e.Not}
-	case *sql.CastExpr:
-		return &sql.CastExpr{X: rewriteExpr(e.X, fn), Type: e.Type}
-	case *sql.FuncExpr:
-		args := make([]sql.Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = rewriteExpr(a, fn)
+// mapColumns rebuilds e with fn's answer in place of each column
+// reference.
+func mapColumns(e sql.Expr, fn func(*sql.ColumnRef) sql.Expr) sql.Expr {
+	out, _ := sql.Map(e, func(n sql.Expr) (sql.Expr, error) {
+		if c, ok := n.(*sql.ColumnRef); ok {
+			return fn(c), nil
 		}
-		return &sql.FuncExpr{Name: e.Name, Star: e.Star, Args: args}
-	case *sql.InExpr:
-		out := &sql.InExpr{X: rewriteExpr(e.X, fn), Not: e.Not, Subquery: e.Subquery}
-		for _, i := range e.List {
-			out.List = append(out.List, rewriteExpr(i, fn))
-		}
-		return out
-	}
-	return e
+		return n, nil
+	})
+	return out
 }

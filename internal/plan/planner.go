@@ -188,8 +188,7 @@ func sourceProvides(s *source, name string) bool {
 // sourcesOf returns the indexes of the sources a conjunct references.
 // Unqualified names are attributed to the unique providing source.
 func sourcesOf(conj sql.Expr, srcs []*source) (map[int]bool, error) {
-	var refs []*sql.ColumnRef
-	collectColumnRefs(conj, &refs)
+	refs := columnRefs(conj)
 	out := map[int]bool{}
 	for _, r := range refs {
 		matched := -1
@@ -253,24 +252,20 @@ func (p *Planner) planFrom(s *sql.SelectStmt) (Node, error) {
 
 	var joinConjs []*joinConjunct
 	var constConjs []sql.Expr
-	if s.Where != nil {
-		var conjs []sql.Expr
-		splitConjuncts(s.Where, &conjs)
-		for _, c := range conjs {
-			set, err := sourcesOf(c, srcs)
-			if err != nil {
-				return nil, err
+	for _, c := range sql.SplitConjuncts(s.Where, nil) {
+		set, err := sourcesOf(c, srcs)
+		if err != nil {
+			return nil, err
+		}
+		switch len(set) {
+		case 0:
+			constConjs = append(constConjs, c)
+		case 1:
+			for i := range set {
+				srcs[i].local = append(srcs[i].local, c)
 			}
-			switch len(set) {
-			case 0:
-				constConjs = append(constConjs, c)
-			case 1:
-				for i := range set {
-					srcs[i].local = append(srcs[i].local, c)
-				}
-			default:
-				joinConjs = append(joinConjs, &joinConjunct{expr: c, srcs: set})
-			}
+		default:
+			joinConjs = append(joinConjs, &joinConjunct{expr: c, srcs: set})
 		}
 	}
 
@@ -484,8 +479,7 @@ func flipOp(op sql.BinOp) sql.BinOp {
 // source s: it references no columns (constant) or only columns the
 // outer scope provides.
 func (p *Planner) resolvableOutside(e sql.Expr, s *source, outerScope *scope) bool {
-	var refs []*sql.ColumnRef
-	collectColumnRefs(e, &refs)
+	refs := columnRefs(e)
 	if len(refs) == 0 {
 		if in, ok := e.(*sql.InExpr); ok && in.Subquery != nil {
 			return false
@@ -802,11 +796,7 @@ func (p *Planner) planJoinTree(jt *sql.JoinTable, ext []sql.Expr) (Node, error) 
 		return nil, err
 	}
 	rightSrc.local = append(rightSrc.local, extRight...)
-	var conds []sql.Expr
-	if jt.On != nil {
-		splitConjuncts(jt.On, &conds)
-	}
-	node, err := p.joinTo(left, rightSrc, conds, jt.Type)
+	node, err := p.joinTo(left, rightSrc, sql.SplitConjuncts(jt.On, nil), jt.Type)
 	if err != nil {
 		return nil, err
 	}
@@ -837,8 +827,7 @@ func (p *Planner) planRefWithLocals(tr sql.TableRef, locals []sql.Expr) (Node, e
 // refsWithin reports whether every column reference of the conjunct can
 // be supplied by the given table reference.
 func (p *Planner) refsWithin(conj sql.Expr, tr sql.TableRef) bool {
-	var refs []*sql.ColumnRef
-	collectColumnRefs(conj, &refs)
+	refs := columnRefs(conj)
 	if len(refs) == 0 {
 		return false
 	}

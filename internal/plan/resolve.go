@@ -8,9 +8,13 @@ import (
 	"repro/internal/types"
 )
 
-// scope is the column namespace an expression resolves against.
+// scope is the column namespace an expression resolves against. Over an
+// aggregate's output (agg set), a group key or aggregate call resolves to
+// its column of agg wherever it appears, and any other column reference
+// is an error.
 type scope struct {
 	cols []ColInfo
+	agg  *HashAggregate
 }
 
 // resolveColumn finds the ordinal of a (possibly qualified) column,
@@ -52,11 +56,18 @@ func displayName(qual, name string) string {
 }
 
 // resolveExpr turns an AST expression into an executable Scalar.
-// Aggregate function calls are rejected here; the aggregate path
-// rewrites them away before calling this.
+// Aggregate function calls resolve only over an aggregate's output.
 func (p *Planner) resolveExpr(e sql.Expr, sc *scope) (Scalar, error) {
+	if sc.agg != nil {
+		if i := sc.agg.column(e); i >= 0 {
+			return &ColRef{Idx: i, Name: sc.agg.Cols[i].Name}, nil
+		}
+	}
 	switch e := e.(type) {
 	case *sql.ColumnRef:
+		if sc.agg != nil {
+			return nil, fmt.Errorf("plan: column %s must appear in GROUP BY or inside an aggregate", e)
+		}
 		idx, err := sc.resolveColumn(e.Table, e.Name)
 		if err != nil {
 			return nil, err
@@ -179,91 +190,26 @@ func exprType(e sql.Expr, sc *scope) types.ColumnType {
 
 // containsAgg reports whether the AST expression contains an aggregate
 // function call.
-func containsAgg(e sql.Expr) bool {
-	switch e := e.(type) {
-	case *sql.FuncExpr:
-		if _, ok := aggFuncs[e.Name]; ok {
-			return true
+func containsAgg(e sql.Expr) (found bool) {
+	sql.Walk(e, func(n sql.Expr) bool {
+		if f, ok := n.(*sql.FuncExpr); ok && !found {
+			_, found = aggFuncs[f.Name]
 		}
-		for _, a := range e.Args {
-			if containsAgg(a) {
-				return true
-			}
-		}
-	case *sql.BinaryExpr:
-		return containsAgg(e.L) || containsAgg(e.R)
-	case *sql.UnaryExpr:
-		return containsAgg(e.X)
-	case *sql.IsNullExpr:
-		return containsAgg(e.X)
-	case *sql.LikeExpr:
-		return containsAgg(e.X) || containsAgg(e.Pattern)
-	case *sql.CastExpr:
-		return containsAgg(e.X)
-	case *sql.InExpr:
-		if containsAgg(e.X) {
-			return true
-		}
-		for _, i := range e.List {
-			if containsAgg(i) {
-				return true
-			}
-		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
-// collectColumnRefs appends every column reference in e to out.
-func collectColumnRefs(e sql.Expr, out *[]*sql.ColumnRef) {
-	switch e := e.(type) {
-	case *sql.ColumnRef:
-		*out = append(*out, e)
-	case *sql.BinaryExpr:
-		collectColumnRefs(e.L, out)
-		collectColumnRefs(e.R, out)
-	case *sql.UnaryExpr:
-		collectColumnRefs(e.X, out)
-	case *sql.IsNullExpr:
-		collectColumnRefs(e.X, out)
-	case *sql.LikeExpr:
-		collectColumnRefs(e.X, out)
-		collectColumnRefs(e.Pattern, out)
-	case *sql.CastExpr:
-		collectColumnRefs(e.X, out)
-	case *sql.FuncExpr:
-		for _, a := range e.Args {
-			collectColumnRefs(a, out)
+// columnRefs lists the column references in e, outside its subqueries
+// (resolved in their own scope: uncorrelated).
+func columnRefs(e sql.Expr) (refs []*sql.ColumnRef) {
+	sql.Walk(e, func(n sql.Expr) bool {
+		if cr, ok := n.(*sql.ColumnRef); ok {
+			refs = append(refs, cr)
 		}
-	case *sql.InExpr:
-		collectColumnRefs(e.X, out)
-		for _, i := range e.List {
-			collectColumnRefs(i, out)
-		}
-		// Subquery refs are resolved in their own scope (uncorrelated).
-	}
-}
-
-// splitConjuncts flattens a tree of ANDs into its conjuncts.
-func splitConjuncts(e sql.Expr, out *[]sql.Expr) {
-	if b, ok := e.(*sql.BinaryExpr); ok && b.Op == sql.OpAnd {
-		splitConjuncts(b.L, out)
-		splitConjuncts(b.R, out)
-		return
-	}
-	*out = append(*out, e)
-}
-
-// andAll combines conjuncts back into a single expression (nil if none).
-func andAll(conjs []sql.Expr) sql.Expr {
-	var out sql.Expr
-	for _, c := range conjs {
-		if out == nil {
-			out = c
-		} else {
-			out = &sql.BinaryExpr{Op: sql.OpAnd, L: out, R: c}
-		}
-	}
-	return out
+		return true
+	})
+	return refs
 }
 
 // andScalars combines resolved conjuncts (nil if none).

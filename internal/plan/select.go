@@ -59,45 +59,32 @@ func (p *Planner) planSelect(s *sql.SelectStmt) (Node, error) {
 		}
 	}
 
-	var node Node
-	var outScope *scope
-	var outExprs []Scalar
-	var outCols []ColInfo
-
+	// Over an aggregate, HAVING, the items and ORDER BY resolve against
+	// its output.
+	node, sc := input, inScope
 	if hasAgg {
-		node, outScope, err = p.planAggregate(input, inScope, s, items)
+		agg, err := p.planAggregate(input, inScope, s, items)
 		if err != nil {
 			return nil, err
 		}
-		agg := node.(*HashAggregate)
-		rw := &aggRewriter{p: p, agg: agg, inScope: inScope}
-		// HAVING runs over the aggregate output.
+		node, sc = agg, &scope{agg: agg}
 		if s.Having != nil {
-			cond, err := rw.rewrite(s.Having)
+			cond, err := p.resolveExpr(s.Having, sc)
 			if err != nil {
 				return nil, err
 			}
 			node = &Filter{Child: node, Cond: cond}
 		}
-		for _, it := range items {
-			e, err := rw.rewrite(it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			outExprs = append(outExprs, e)
-			outCols = append(outCols, ColInfo{Name: itemName(it), Type: exprType(it.Expr, inScope)})
+	}
+	var outExprs []Scalar
+	var outCols []ColInfo
+	for _, it := range items {
+		e, err := p.resolveExpr(it.Expr, sc)
+		if err != nil {
+			return nil, err
 		}
-		_ = outScope
-	} else {
-		node = input
-		for _, it := range items {
-			e, err := p.resolveExpr(it.Expr, inScope)
-			if err != nil {
-				return nil, err
-			}
-			outExprs = append(outExprs, e)
-			outCols = append(outCols, ColInfo{Name: itemName(it), Type: exprType(it.Expr, inScope)})
-		}
+		outExprs = append(outExprs, e)
+		outCols = append(outCols, ColInfo{Name: itemName(it), Type: exprType(it.Expr, inScope)})
 	}
 
 	// ORDER BY: keys matching a select item (by alias or printed text)
@@ -108,14 +95,7 @@ func (p *Planner) planSelect(s *sql.SelectStmt) (Node, error) {
 	for _, o := range s.OrderBy {
 		idx := matchSelectItem(o.Expr, items)
 		if idx < 0 {
-			var e Scalar
-			var err error
-			if hasAgg {
-				rw := &aggRewriter{p: p, agg: node.(aggChildFinder).findAgg(), inScope: inScope}
-				e, err = rw.rewrite(o.Expr)
-			} else {
-				e, err = p.resolveExpr(o.Expr, inScope)
-			}
+			e, err := p.resolveExpr(o.Expr, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -145,18 +125,6 @@ func (p *Planner) planSelect(s *sql.SelectStmt) (Node, error) {
 	}
 	PruneColumns(node)
 	return node, nil
-}
-
-// aggChildFinder lets the ORDER BY path locate the aggregate under an
-// optional HAVING filter.
-type aggChildFinder interface{ findAgg() *HashAggregate }
-
-func (a *HashAggregate) findAgg() *HashAggregate { return a }
-func (f *Filter) findAgg() *HashAggregate {
-	if ac, ok := f.Child.(aggChildFinder); ok {
-		return ac.findAgg()
-	}
-	return nil
 }
 
 func itemName(it sql.SelectItem) string {
@@ -222,12 +190,12 @@ func matchSelectItem(e sql.Expr, items []sql.SelectItem) int {
 // planAggregate builds the HashAggregate node: group-by expressions
 // resolved against the input, plus every distinct aggregate call found
 // in the select list, HAVING, and ORDER BY.
-func (p *Planner) planAggregate(input Node, inScope *scope, s *sql.SelectStmt, items []sql.SelectItem) (Node, *scope, error) {
+func (p *Planner) planAggregate(input Node, inScope *scope, s *sql.SelectStmt, items []sql.SelectItem) (*HashAggregate, error) {
 	agg := &HashAggregate{Child: input}
 	for _, g := range s.GroupBy {
 		e, err := p.resolveExpr(g, inScope)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		agg.GroupBy = append(agg.GroupBy, e)
 		name := g.String()
@@ -238,156 +206,73 @@ func (p *Planner) planAggregate(input Node, inScope *scope, s *sql.SelectStmt, i
 	}
 	agg.groupASTs = append(agg.groupASTs, s.GroupBy...)
 
-	var collect func(e sql.Expr) error
 	seen := map[string]bool{}
-	collect = func(e sql.Expr) error {
-		switch e := e.(type) {
-		case *sql.FuncExpr:
-			f, isAgg := aggFuncs[e.Name]
-			if !isAgg {
-				return fmt.Errorf("plan: unknown function %s", e.Name)
-			}
-			key := strings.ToLower(e.String())
-			if seen[key] {
-				return nil
-			}
-			seen[key] = true
-			spec := AggSpec{Func: f}
-			if e.Star {
-				if f != AggCount {
-					return fmt.Errorf("plan: %s(*) is not valid", e.Name)
-				}
-				spec.Func = AggCountStar
-			} else {
-				if len(e.Args) != 1 {
-					return fmt.Errorf("plan: %s takes one argument", e.Name)
-				}
-				arg, err := p.resolveExpr(e.Args[0], inScope)
-				if err != nil {
-					return err
-				}
-				spec.Arg = arg
-			}
-			agg.Aggs = append(agg.Aggs, spec)
-			agg.aggASTs = append(agg.aggASTs, e)
-			agg.Cols = append(agg.Cols, ColInfo{Name: e.String(), Type: exprType(e, inScope)})
-			return nil
-		case *sql.BinaryExpr:
-			if err := collect(e.L); err != nil {
-				return err
-			}
-			return collect(e.R)
-		case *sql.UnaryExpr:
-			return collect(e.X)
-		case *sql.IsNullExpr:
-			return collect(e.X)
-		case *sql.CastExpr:
-			return collect(e.X)
-		case *sql.LikeExpr:
-			if err := collect(e.X); err != nil {
-				return err
-			}
-			return collect(e.Pattern)
-		case *sql.InExpr:
-			if err := collect(e.X); err != nil {
-				return err
-			}
-			for _, i := range e.List {
-				if err := collect(i); err != nil {
-					return err
-				}
-			}
+	var err error
+	collect := func(n sql.Expr) bool {
+		e, ok := n.(*sql.FuncExpr)
+		if !ok || err != nil {
+			return err == nil
 		}
-		return nil
-	}
-	walk := func(e sql.Expr) error {
-		if e == nil || !containsAgg(e) {
-			return nil
+		f, isAgg := aggFuncs[e.Name]
+		if !isAgg {
+			err = fmt.Errorf("plan: unknown function %s", e.Name)
+			return false
 		}
-		return collect(e)
+		key := strings.ToLower(e.String())
+		if seen[key] {
+			return false
+		}
+		seen[key] = true
+		spec := AggSpec{Func: f}
+		switch {
+		case e.Star && f != AggCount:
+			err = fmt.Errorf("plan: %s(*) is not valid", e.Name)
+		case e.Star:
+			spec.Func = AggCountStar
+		case len(e.Args) != 1:
+			err = fmt.Errorf("plan: %s takes one argument", e.Name)
+		default:
+			spec.Arg, err = p.resolveExpr(e.Args[0], inScope)
+		}
+		agg.Aggs = append(agg.Aggs, spec)
+		agg.aggASTs = append(agg.aggASTs, e)
+		agg.Cols = append(agg.Cols, ColInfo{Name: e.String(), Type: exprType(e, inScope)})
+		return false
 	}
+	var exprs []sql.Expr
 	for _, it := range items {
-		if err := walk(it.Expr); err != nil {
-			return nil, nil, err
-		}
+		exprs = append(exprs, it.Expr)
 	}
-	if err := walk(s.Having); err != nil {
-		return nil, nil, err
-	}
+	exprs = append(exprs, s.Having)
 	for _, o := range s.OrderBy {
-		if err := walk(o.Expr); err != nil {
-			return nil, nil, err
+		exprs = append(exprs, o.Expr)
+	}
+	for _, e := range exprs {
+		if containsAgg(e) {
+			sql.Walk(e, collect)
 		}
 	}
-	return agg, &scope{cols: agg.Cols}, nil
+	return agg, err
 }
 
-// aggRewriter rewrites post-aggregation expressions: group-by
-// expressions and aggregate calls become column references into the
-// HashAggregate output; anything else must be composed of those.
-type aggRewriter struct {
-	p       *Planner
-	agg     *HashAggregate
-	inScope *scope
-}
-
-func (rw *aggRewriter) rewrite(e sql.Expr) (Scalar, error) {
+// column returns the output column of a that e names — a group key,
+// matched by text or, unqualified, by a group key's column name, or an
+// aggregate call — or -1.
+func (a *HashAggregate) column(e sql.Expr) int {
 	txt := strings.ToLower(e.String())
-	for i, g := range rw.agg.groupASTs {
+	cr, _ := e.(*sql.ColumnRef)
+	for i, g := range a.groupASTs {
 		if strings.ToLower(g.String()) == txt {
-			return &ColRef{Idx: i, Name: rw.agg.Cols[i].Name}, nil
+			return i
 		}
-		// An unqualified reference also matches a qualified group key.
-		if cr, ok := e.(*sql.ColumnRef); ok && cr.Table == "" {
-			if gr, ok := g.(*sql.ColumnRef); ok && strings.EqualFold(gr.Name, cr.Name) {
-				return &ColRef{Idx: i, Name: rw.agg.Cols[i].Name}, nil
-			}
+		if gr, ok := g.(*sql.ColumnRef); ok && cr != nil && cr.Table == "" && strings.EqualFold(gr.Name, cr.Name) {
+			return i
 		}
 	}
-	for j, a := range rw.agg.aggASTs {
-		if strings.ToLower(a.String()) == txt {
-			idx := len(rw.agg.GroupBy) + j
-			return &ColRef{Idx: idx, Name: rw.agg.Cols[idx].Name}, nil
+	for j, x := range a.aggASTs {
+		if strings.ToLower(x.String()) == txt {
+			return len(a.GroupBy) + j
 		}
 	}
-	switch e := e.(type) {
-	case *sql.Literal:
-		return &Const{Val: e.Val}, nil
-	case *sql.Param:
-		return &ParamRef{Idx: e.Index}, nil
-	case *sql.BinaryExpr:
-		l, err := rw.rewrite(e.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := rw.rewrite(e.R)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: e.Op, L: l, R: r}, nil
-	case *sql.UnaryExpr:
-		x, err := rw.rewrite(e.X)
-		if err != nil {
-			return nil, err
-		}
-		if e.Op == sql.OpNot {
-			return &Not{X: x}, nil
-		}
-		return &Neg{X: x}, nil
-	case *sql.IsNullExpr:
-		x, err := rw.rewrite(e.X)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{X: x, Not: e.Not}, nil
-	case *sql.CastExpr:
-		x, err := rw.rewrite(e.X)
-		if err != nil {
-			return nil, err
-		}
-		return &Cast{X: x, Type: e.Type}, nil
-	case *sql.ColumnRef:
-		return nil, fmt.Errorf("plan: column %s must appear in GROUP BY or inside an aggregate", e)
-	}
-	return nil, fmt.Errorf("plan: cannot use %s after aggregation", e)
+	return -1
 }

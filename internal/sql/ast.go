@@ -3,6 +3,14 @@
 // and an AST-to-SQL printer. The printer matters as much as the parser
 // here — the paper's query-transformation layer (§6.1) rewrites logical
 // SQL into physical SQL, and this package is the round-trip vehicle.
+//
+// The tree has one traversal (walk.go): edit lists an expression's
+// children and clauses a statement's expression positions, both in
+// render order, and every pass over the AST — here and in the engine,
+// planner and rewriter — is a callback on Walk, Map, WalkStatement or
+// MapStatement. A new node kind is one case in edit, and one in clauses
+// where it holds expressions; only code that turns a node into another
+// type (the printer, the planner's resolver) has a switch of its own.
 package sql
 
 import (

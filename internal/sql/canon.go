@@ -38,22 +38,14 @@ func extract(st Statement) *canonizer {
 	if hasParams(st) {
 		return c
 	}
-	switch s := st.(type) {
-	case *SelectStmt:
-		s.Where = c.walk(s.Where, true)
-		s.Having = c.walk(s.Having, true)
-	case *InsertStmt:
+	if s, ok := st.(*InsertStmt); ok {
 		c.values(s.Rows)
-		for _, r := range s.Rows {
-			for i := range r {
-				r[i] = c.walk(r[i], true)
-			}
-		}
-	case *UpdateStmt:
-		c.update(s)
-	case *DeleteStmt:
-		s.Where = c.walk(s.Where, true)
 	}
+	clauses(st, false, func(k clause, e *Expr) {
+		if k == clauseValue {
+			*e, _ = Map(*e, c.node(true))
+		}
+	}, func(*TableRef) {})
 	return c
 }
 
@@ -74,28 +66,10 @@ type Slot struct {
 // parameter i binds to. Other statements come back as they are.
 func LiftParams(st Statement) (out Statement, slots []Slot) {
 	c := &canonizer{deep: true}
-	switch s := st.(type) {
-	case *SelectStmt:
-		return c.selectStmt(s), c.slots
-	case *InsertStmt:
-		cp := *s
-		cp.Rows = make([][]Expr, len(s.Rows))
+	if s, ok := st.(*InsertStmt); ok {
 		c.values(s.Rows)
-		for i, r := range s.Rows {
-			cp.Rows[i] = c.list(r, true)
-		}
-		return &cp, c.slots
-	case *UpdateStmt:
-		cp := *s
-		cp.Set = append([]Assignment(nil), s.Set...)
-		c.update(&cp)
-		return &cp, c.slots
-	case *DeleteStmt:
-		cp := *s
-		cp.Where = c.walk(s.Where, true)
-		return &cp, c.slots
 	}
-	return st, nil
+	return c.lift(st), c.slots
 }
 
 // canonizer carries one walk's Params, a slot each in render order; a
@@ -141,174 +115,61 @@ func (c *canonizer) param(s Slot) Expr {
 	return p
 }
 
-// update lifts an UPDATE's SET values, then its WHERE, in place.
-func (c *canonizer) update(s *UpdateStmt) {
-	for i := range s.Set {
-		s.Set[i].Value = c.walk(s.Set[i].Value, true)
-	}
-	s.Where = c.walk(s.Where, true)
-}
-
-func (c *canonizer) list(es []Expr, lift bool) []Expr {
-	out := append([]Expr(nil), es...)
-	for i := range out {
-		out[i] = c.walk(out[i], lift)
-	}
-	return out
-}
-
-// selectStmt is the deep walk of one SELECT block, in render order.
-// Literals stay inline where nothing is lifted: projections, GROUP BY,
-// ORDER BY.
-func (c *canonizer) selectStmt(s *SelectStmt) *SelectStmt {
-	out := *s
-	out.Items = append([]SelectItem(nil), s.Items...)
-	for i := range out.Items {
-		out.Items[i].Expr = c.walk(out.Items[i].Expr, false)
-	}
-	out.From = make([]TableRef, len(s.From))
-	for i, tr := range s.From {
-		out.From[i] = c.tableRef(tr)
-	}
-	out.Where = c.walk(s.Where, true)
-	out.GroupBy = c.list(s.GroupBy, false)
-	out.Having = c.walk(s.Having, true)
-	out.OrderBy = append([]OrderItem(nil), s.OrderBy...)
-	for i := range out.OrderBy {
-		out.OrderBy[i].Expr = c.walk(out.OrderBy[i].Expr, false)
-	}
-	return &out
-}
-
-func (c *canonizer) tableRef(tr TableRef) TableRef {
-	switch t := tr.(type) {
-	case *SubqueryTable:
-		return &SubqueryTable{Select: c.selectStmt(t.Select), Alias: t.Alias}
-	case *JoinTable:
-		l, r := c.tableRef(t.Left), c.tableRef(t.Right)
-		return &JoinTable{Left: l, Right: r, Type: t.Type, On: c.walk(t.On, true)}
-	}
-	return tr
-}
-
-// walk replaces Params, and literals where lift is set, with fresh Params
-// bottom-up, copying every node above one. Outside a deep walk subqueries
-// (IN subqueries here; derived tables never appear below a WHERE) are left
-// intact: their literals stay inlined and simply make the template text
-// more specific.
-func (c *canonizer) walk(e Expr, lift bool) Expr {
-	switch e := e.(type) {
-	case *Literal:
-		if !lift || c.keepNull && e.Val.IsNull() {
-			return e
+// lift is the deep walk of a statement, on a copy, in render order:
+// literals stay inline where nothing is lifted (projections, GROUP BY,
+// ORDER BY), and derived tables are lifted in place.
+func (c *canonizer) lift(st Statement) Statement {
+	return clauses(st, true, func(k clause, e *Expr) {
+		*e, _ = Map(*e, c.node(k != clauseOutput))
+	}, func(t *TableRef) {
+		if sub, ok := (*t).(*SubqueryTable); ok {
+			*t = &SubqueryTable{Select: c.lift(sub.Select).(*SelectStmt), Alias: sub.Alias}
 		}
-		return c.param(Slot{Param: -1, Val: e.Val, Lit: e})
-	case *Param:
-		return c.param(Slot{Param: e.Index})
-	case *BinaryExpr:
-		cp := *e
-		cp.L, cp.R = c.walk(e.L, lift), c.walk(e.R, lift)
-		return &cp
-	case *UnaryExpr:
-		cp := *e
-		cp.X = c.walk(e.X, lift)
-		return &cp
-	case *IsNullExpr:
-		cp := *e
-		cp.X = c.walk(e.X, lift)
-		return &cp
-	case *InExpr:
-		cp := *e
-		cp.X, cp.List = c.walk(e.X, lift), c.list(e.List, lift)
-		if c.deep && e.Subquery != nil {
-			cp.Subquery = c.selectStmt(e.Subquery)
-		}
-		return &cp
-	case *LikeExpr:
-		cp := *e
-		cp.X, cp.Pattern = c.walk(e.X, lift), c.walk(e.Pattern, lift)
-		return &cp
-	case *FuncExpr:
-		cp := *e
-		cp.Args = c.list(e.Args, lift)
-		return &cp
-	case *CastExpr:
-		cp := *e
-		cp.X = c.walk(e.X, lift)
-		return &cp
-	}
-	return e
+	})
 }
 
-// hasParams reports whether any expression anywhere in n, a statement,
-// table reference or expression (subqueries and projection lists
-// included), is already a Param. Such statements are never
-// canonicalized: the caller's positional values bind to the existing
-// indexes, and extraction would interleave new indexes with theirs.
-func hasParams(n any) bool {
-	switch n := n.(type) {
-	case *Param:
-		return true
-	case *SelectStmt:
-		for _, it := range n.Items {
-			if hasParams(it.Expr) {
-				return true
+// node is the canonizer's step of Map: it replaces a Param, and a literal
+// where lift is set, with a fresh Param. Outside a deep walk IN
+// subqueries are left intact: their literals stay inlined and simply make
+// the template text more specific.
+func (c *canonizer) node(lift bool) func(Expr) (Expr, error) {
+	return func(e Expr) (Expr, error) {
+		switch e := e.(type) {
+		case *Literal:
+			if lift && !(c.keepNull && e.Val.IsNull()) {
+				return c.param(Slot{Param: -1, Val: e.Val, Lit: e}), nil
+			}
+		case *Param:
+			return c.param(Slot{Param: e.Index}), nil
+		case *InExpr:
+			if c.deep && e.Subquery != nil {
+				e.Subquery = c.lift(e.Subquery).(*SelectStmt) // e is Map's copy
 			}
 		}
-		for _, o := range n.OrderBy {
-			if hasParams(o.Expr) {
-				return true
-			}
-		}
-		for _, f := range n.From {
-			if hasParams(f) {
-				return true
-			}
-		}
-		return anyParams(n.GroupBy) || hasParams(n.Where) || hasParams(n.Having)
-	case *UpdateStmt:
-		for _, a := range n.Set {
-			if hasParams(a.Value) {
-				return true
-			}
-		}
-		return hasParams(n.Where)
-	case *DeleteStmt:
-		return hasParams(n.Where)
-	case *InsertStmt:
-		for _, r := range n.Rows {
-			if anyParams(r) {
-				return true
-			}
-		}
-		return false
-	case *SubqueryTable:
-		return hasParams(n.Select)
-	case *JoinTable:
-		return hasParams(n.Left) || hasParams(n.Right) || hasParams(n.On)
-	case *BinaryExpr:
-		return hasParams(n.L) || hasParams(n.R)
-	case *UnaryExpr:
-		return hasParams(n.X)
-	case *IsNullExpr:
-		return hasParams(n.X)
-	case *CastExpr:
-		return hasParams(n.X)
-	case *LikeExpr:
-		return hasParams(n.X) || hasParams(n.Pattern)
-	case *InExpr:
-		return hasParams(n.X) || anyParams(n.List) || n.Subquery != nil && hasParams(n.Subquery)
-	case *FuncExpr:
-		return anyParams(n.Args)
+		return e, nil
 	}
-	return false
 }
 
-func anyParams(es []Expr) bool {
-	for _, e := range es {
-		if hasParams(e) {
-			return true
+// hasParams reports whether any expression anywhere in st (subqueries
+// and projection lists included) is already a Param. Such statements are
+// never canonicalized: the caller's positional values bind to the
+// existing indexes, and extraction would interleave new indexes with
+// theirs.
+func hasParams(st Statement) (found bool) {
+	WalkStatement(st, func(e Expr) {
+		Walk(e, func(n Expr) bool {
+			switch n := n.(type) {
+			case *Param:
+				found = true
+			case *InExpr:
+				found = found || n.Subquery != nil && hasParams(n.Subquery)
+			}
+			return !found
+		})
+	}, func(t TableRef) {
+		if sub, ok := t.(*SubqueryTable); ok {
+			found = found || hasParams(sub.Select)
 		}
-	}
-	return false
+	})
+	return found
 }

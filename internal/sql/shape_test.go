@@ -201,9 +201,9 @@ func checkSibling(t *testing.T, text string, s *Shape, st Statement, vals []type
 // text, as it arrives from the wire: Shape.Scan with ParseTemplate agrees
 // with Parse and ExtractParams (both fail, or one template and the same
 // values, kind and value), and a text of the same shape binds its own
-// literals into that template; a text holding Marker has no shape; and
-// every statement Parse accepts prints to a text that parses back to the
-// same print.
+// literals into that template; a text holding Marker has no shape; every
+// statement Parse accepts prints to a text that parses back to the same
+// print; and the traversal keeps its contract on it (checkWalk).
 func FuzzStatementShape(f *testing.F) {
 	for _, text := range deckTexts {
 		f.Add(text)
@@ -224,6 +224,10 @@ func FuzzStatementShape(f *testing.F) {
 		"SELECT Name FROM Account WHERE Aid = 1 -- \x00\x02",
 		"BEGIN", "COMMIT", "ROLLBACK TO SAVEPOINT s",
 		"SELECT y\xe7\xffa()", // not UTF-8: upper-cased, it has to lex as it did
+		"SELECT a, ? FROM (SELECT b FROM t WHERE c = ?) AS d JOIN u ON u.x IN (SELECT y FROM v WHERE z = ?) WHERE CAST(a IN (SELECT q FROM r WHERE s = ?) AS INT) = ? GROUP BY a HAVING a IN (?, 3) ORDER BY a IN (SELECT k FROM w WHERE k LIKE ?)",
+		"UPDATE t SET a = CAST(b IN (SELECT c FROM u WHERE d = ?) AS INT), e = ? WHERE NOT (f IN (SELECT g FROM h WHERE i = 'x')) IS NULL",
+		"INSERT INTO t VALUES (?, CAST(1 IN (SELECT a FROM u WHERE b = ?) AS INT)), (NULL, -?)",
+		"DELETE FROM t WHERE a IN (SELECT b FROM (SELECT b FROM u WHERE c = ?) AS d WHERE b IN (SELECT e FROM f WHERE g = ?))",
 	} {
 		f.Add(text)
 	}
@@ -268,7 +272,85 @@ func FuzzStatementShape(f *testing.F) {
 			t.Fatalf("%q: template %q %v, Parse and ExtractParams %q %v", text, st, vals, ref, refVals)
 		}
 		checkSibling(t, text, &s, st, vals, from)
+		checkWalk(t, text, ref)
 	})
+}
+
+// checkWalk holds the traversal to its contract on st, as Parse built it:
+// the identity map renders st's text byte for byte; a map that replaces
+// every literal, entering derived tables and IN subqueries, leaves st as
+// it was; and a deep walk meets st's parameters in index order 0..n-1,
+// the render order the canonizer numbers its slots in.
+func checkWalk(t *testing.T, text string, st Statement) {
+	t.Helper()
+	before := st.String()
+	keep := func(e Expr) (Expr, error) {
+		return Map(e, func(n Expr) (Expr, error) { return n, nil })
+	}
+	if same, err := MapStatement(st, keep, nil); err != nil || same.String() != before {
+		t.Fatalf("%q: the identity map renders %v (%v), not %q", text, same, err, before)
+	}
+	var relit func(Statement) Statement
+	relit = func(s Statement) Statement {
+		out, _ := MapStatement(s, func(e Expr) (Expr, error) {
+			return Map(e, func(n Expr) (Expr, error) {
+				switch n := n.(type) {
+				case *Literal:
+					return &Literal{Val: types.NewInt(7)}, nil
+				case *InExpr:
+					if n.Subquery != nil {
+						n.Subquery = relit(n.Subquery).(*SelectStmt)
+					}
+				}
+				return n, nil
+			})
+		}, func(tr TableRef) (TableRef, error) {
+			if sub, ok := tr.(*SubqueryTable); ok {
+				return &SubqueryTable{Select: relit(sub.Select).(*SelectStmt), Alias: sub.Alias}, nil
+			}
+			return tr, nil
+		})
+		return out
+	}
+	if relit(st); st.String() != before {
+		t.Fatalf("%q: mapping its literals wrote the input: %q, was %q", text, st, before)
+	}
+	next := 0
+	var params func(Statement)
+	var visit func(Expr) bool
+	visit = func(n Expr) bool {
+		switch n := n.(type) {
+		case *Param:
+			if n.Index != next {
+				t.Fatalf("%q: the walk meets parameter %d where %d is next", text, n.Index, next)
+			}
+			next++
+		case *InExpr:
+			if n.Subquery != nil { // it renders after X
+				Walk(n.X, visit)
+				params(n.Subquery)
+				return false
+			}
+		}
+		return true
+	}
+	params = func(s Statement) {
+		WalkStatement(s, func(e Expr) { Walk(e, visit) }, func(tr TableRef) {
+			if sub, ok := tr.(*SubqueryTable); ok {
+				params(sub.Select)
+			}
+		})
+	}
+	params(st)
+	l, n := lexer{src: before}, 0
+	for tok, err := l.next(); err == nil && tok.kind != tokEOF; tok, err = l.next() {
+		if tok.kind == tokParam {
+			n++
+		}
+	}
+	if n != next {
+		t.Fatalf("%q: the walk met %d parameters, the text holds %d", text, next, n)
+	}
 }
 
 // bindSlots puts each slot's value, as a literal, in place of the `?` of
