@@ -166,8 +166,10 @@ fuzz-alter:
 # Short fuzz burst at the text the rewrite cache scans, as it arrives from
 # the wire: the one-pass scan agrees with Parse and ExtractParams, a text
 # of the same shape binds its own literals into the same template, a text
-# holding the marker byte has no shape, and every accepted statement
-# round-trips through String() and keeps the tree walk's contract.
+# holding the marker byte has no shape, every accepted statement
+# round-trips through String() and keeps the tree walk's contract, and
+# every accepted SELECT's unnest (sql.Unnest) leaves it as it was, is
+# idempotent, and round-trips through String().
 fuzz-shape:
 	$(GO) test ./internal/sql/ -run '^$$' -fuzz FuzzStatementShape -fuzztime 10s
 

@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -85,7 +84,7 @@ func Dial(cfg Config) (*Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	m, err := readMsg(c.br)
+	m, err := protocol.ReadMsg(c.br)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -106,15 +105,6 @@ func Dial(cfg Config) (*Conn, error) {
 // SessionID is the server-assigned session id from the handshake.
 func (c *Conn) SessionID() uint64 { return c.sessionID }
 
-// readMsg reads and decodes one frame.
-func readMsg(r io.Reader) (any, error) {
-	payload, err := protocol.ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	return protocol.Decode(payload)
-}
-
 // roundTrip sends one message and reads one reply, marking the
 // connection broken on any transport failure.
 func (c *Conn) roundTrip(m any) (any, error) {
@@ -131,7 +121,7 @@ func (c *Conn) roundTrip(m any) (any, error) {
 		c.broken = true
 		return nil, err
 	}
-	reply, err := readMsg(c.br)
+	reply, err := protocol.ReadMsg(c.br)
 	if err != nil {
 		c.broken = true
 		return nil, err
@@ -250,7 +240,7 @@ func (c *Conn) Pipeline(stmts []PipelineStmt) ([]PipelineResult, error) {
 		return i, nil
 	}
 	for {
-		reply, err := readMsg(c.br)
+		reply, err := protocol.ReadMsg(c.br)
 		if err != nil {
 			c.broken = true
 			return nil, err
@@ -275,7 +265,7 @@ func (c *Conn) Pipeline(stmts []PipelineStmt) ([]PipelineResult, error) {
 			}
 			rows := &Rows{Columns: m.Columns}
 			for {
-				next, err := readMsg(c.br)
+				next, err := protocol.ReadMsg(c.br)
 				if err != nil {
 					c.broken = true
 					return nil, err

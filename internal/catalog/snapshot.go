@@ -79,15 +79,6 @@ func (s *Snapshot) Encode() []byte {
 	return b
 }
 
-// DecodeSnapshot parses a checkpoint record's catalog payload.
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	s := &Snapshot{}
-	if err := json.Unmarshal(b, s); err != nil {
-		return nil, fmt.Errorf("catalog: snapshot decode: %w", err)
-	}
-	return s, nil
-}
-
 // DDL operation names carried in DDLChange.Op.
 const (
 	OpCreateTable = "create_table"
@@ -245,19 +236,6 @@ func (s *Snapshot) SetRoot(old, new storage.PageID) bool {
 		}
 	}
 	return false
-}
-
-// Pages returns every page the snapshot's tables claim directly (heap
-// pages and index roots; interior index pages are reachable from the
-// roots on disk).
-func (s *Snapshot) HeapPages() map[storage.PageID]string {
-	out := make(map[storage.PageID]string)
-	for i := range s.Tables {
-		for _, p := range s.Tables[i].Pages {
-			out[p] = s.Tables[i].Name
-		}
-	}
-	return out
 }
 
 // Restore rebuilds a live catalog from a replayed metadata model. The

@@ -166,11 +166,26 @@ func (c *fragCol) read(alias string) sql.Expr {
 	return e
 }
 
-// writes reports whether a value changes representation on its way in:
-// the storage kind differs from the logical one. VARCHAR is excepted —
-// it takes any value by assignment.
-func (c *fragCol) writes() bool {
-	return c.store.Kind != c.Type.Kind && c.store.Kind != types.KindString
+// writeType is the type a value is cast to on its way in, where the
+// storage kind differs from the logical one: the storage type — except a
+// VARCHAR store, which takes any value by assignment, so the value goes
+// through the logical type and one that type refuses fails the write.
+func (c *fragCol) writeType() (types.ColumnType, bool) {
+	switch c.store.Kind {
+	case c.Type.Kind:
+		return types.ColumnType{}, false
+	case types.KindString:
+		return c.Type, true
+	}
+	return c.store, true
+}
+
+// write is e cast for the column (writeType).
+func (c *fragCol) write(e sql.Expr) sql.Expr {
+	if t, ok := c.writeType(); ok {
+		return &sql.CastExpr{X: e, Type: t}
+	}
+	return e
 }
 
 // conventionalFragment is a table that stores logical columns under
@@ -266,8 +281,9 @@ type FragmentLayout struct {
 	// drops them.
 	own bool
 	// flat emits a SELECT in §6.1's pre-flattened single-block form
-	// where its shape allows (chunkflat.go), for databases whose
-	// optimizer cannot unnest derived tables (Test 1's MySQL case);
+	// where its shape allows — the nested form, unnested as the
+	// sophisticated optimizer unnests it (chunkflat.go) — for databases
+	// whose optimizer cannot unnest derived tables (Test 1's MySQL case);
 	// metaFirst puts the meta-data conjuncts first in its WHERE clause,
 	// the ordering that cost MySQL a factor of 5.
 	flat, metaFirst bool

@@ -18,22 +18,13 @@ const rowCol = "__row"
 // the writers below over the placement of the table. Nothing here knows
 // which policy placed the fragments; where a step differs for a sparse
 // fragment, or one without Row, it asks the fragment. A flat layout
-// emits a SELECT whose shape allows it pre-flattened (chunkflat.go).
+// emits a SELECT whose shape allows it pre-flattened: the generic form
+// unnested (chunkflat.go).
 func (l *FragmentLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, error) {
 	s := l.st
 	tn, err := s.tenant(tenantID)
 	if err != nil {
 		return nil, err
-	}
-	if sel, ok := st.(*sql.SelectStmt); ok && l.flat {
-		out, err := l.flattenedSelect(tn, sel)
-		if err == nil {
-			return &Rewritten{Query: out}, nil
-		}
-		if err != errNotFlattenable {
-			return nil, err
-		}
-		// Fall through to the generic form.
 	}
 	if _, ok := st.(*sql.SelectStmt); !ok {
 		// A write's IN subqueries read its tenant's tables, as a query's do.
@@ -43,9 +34,13 @@ func (l *FragmentLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, 
 	}
 	switch st := st.(type) {
 	case *sql.SelectStmt:
-		sel, err := genericSelect(s, tn, st)
+		flat := l.flat && flattenable(st)
+		sel, err := genericSelect(s, tn, st, flat)
 		if err != nil {
 			return nil, err
+		}
+		if flat {
+			sel = l.flattened(sel, len(sql.SplitConjuncts(st.Where, nil)))
 		}
 		return &Rewritten{Query: sel}, nil
 	case *sql.InsertStmt:
@@ -62,26 +57,33 @@ func (l *FragmentLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, 
 }
 
 // genericSelect replaces every logical table reference with its
-// reconstruction derived table (step 4 of §6.1).
-func genericSelect(s *state, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
+// reconstruction derived table (step 4 of §6.1). A reconstruction's
+// fragments are aliased f0, f1, … — or, for a query to be unnested
+// (flat), t<i>c0, t<i>c1, … for its i-th table, so that all of them
+// stay apart in one FROM list.
+func genericSelect(s *state, tn *Tenant, sel *sql.SelectStmt, flat bool) (*sql.SelectStmt, error) {
 	usages, err := analyzeSelect(s, tn, sel)
 	if err != nil {
 		return nil, err
 	}
-	byRef := map[*sql.NamedTable]*tableUsage{}
-	for _, u := range usages {
-		byRef[u.ref] = u
+	byRef := map[*sql.NamedTable]int{}
+	for i, u := range usages {
+		byRef[u.ref] = i
 	}
 	out, err := sql.MapStatement(sel, tenantSubqueries(s, tn), func(tr sql.TableRef) (sql.TableRef, error) {
 		switch tr := tr.(type) {
 		case *sql.NamedTable:
-			u := byRef[tr]
-			if u == nil {
+			i, ok := byRef[tr]
+			if !ok {
 				return nil, fmt.Errorf("core: unanalyzed table %s", tr.Name)
 			}
-			return &sql.SubqueryTable{Select: u.view.place.reconstruct(tn.ID, u.usedAt(), false), Alias: u.alias}, nil
+			u, prefix := usages[i], "f"
+			if flat {
+				prefix = fmt.Sprintf("t%dc", i)
+			}
+			return &sql.SubqueryTable{Select: u.view.place.reconstruct(tn.ID, u.usedAt(), false, prefix), Alias: u.alias}, nil
 		case *sql.SubqueryTable:
-			sub, err := genericSelect(s, tn, tr.Select)
+			sub, err := genericSelect(s, tn, tr.Select, false)
 			if err != nil {
 				return nil, err
 			}
@@ -206,7 +208,7 @@ func genericWrite(s *state, tn *Tenant, table, alias string, set []sql.Assignmen
 
 	rowQuery := &sql.SelectStmt{
 		Items: []sql.SelectItem{{Expr: colRef(alias, rowCol)}},
-		From:  []sql.TableRef{&sql.SubqueryTable{Select: p.reconstruct(tn.ID, u.usedAt(), true), Alias: alias}},
+		From:  []sql.TableRef{&sql.SubqueryTable{Select: p.reconstruct(tn.ID, u.usedAt(), true, "f"), Alias: alias}},
 		Where: where,
 	}
 	for _, a := range set {
@@ -267,17 +269,18 @@ func sameValue(a, b types.Value) bool {
 
 // reconstruct builds the inner SELECT that reconstructs a tenant's
 // logical table, exposing the used columns (plus the hidden row ID when
-// withRow is set): the paper's Q1^Chunk shape. §6.1's reconstruction
+// withRow is set) from its fragments aliased prefix0, prefix1, …: the
+// paper's Q1^Chunk shape. §6.1's reconstruction
 // queries "are all flat and consist of conjunctive predicates only": the
 // anchor and every other fragment a used column lives in, comma-joined,
 // with the aligning Row equi-joins in WHERE — which a sophisticated
 // optimizer flattens into the outer block and drives via the meta-data
 // indexes. A sparse fragment may lack the row, so it is LEFT-joined onto
 // the anchor, its meta-data and Row equalities in ON.
-func (p *placement) reconstruct(tenant int64, used []int, withRow bool) *sql.SelectStmt {
+func (p *placement) reconstruct(tenant int64, used []int, withRow bool, prefix string) *sql.SelectStmt {
 	slots := p.slotsAt(used)
 	frags := p.touched(slots, true)
-	aliases := fragAliases("f", len(frags))
+	aliases := fragAliases(prefix, len(frags))
 	sel := &sql.SelectStmt{
 		Items: make([]sql.SelectItem, 0, len(used)+1),
 		From:  make([]sql.TableRef, 0, len(frags)),
@@ -356,11 +359,8 @@ func (p *placement) insertRows(tenant, firstRow int64, cols []int, rows [][]sql.
 				}
 				st.Rows = append(st.Rows, f.spineValues(tenant, ids[ri], intLit(0), len(st.Columns)))
 			}
-			if slots[i].col.writes() {
-				e = &sql.CastExpr{X: e, Type: slots[i].col.store}
-			}
 			last := &st.Rows[len(st.Rows)-1]
-			*last = append(*last, e)
+			*last = append(*last, slots[i].col.write(e))
 		}
 	}
 	stmts = make([]sql.Statement, 0, len(ins))
@@ -438,10 +438,7 @@ func (p *placement) direct(tn *Tenant, table *Table, alias string, set []sql.Ass
 		if err != nil {
 			return nil, err
 		}
-		if slots[i].col.writes() {
-			v = &sql.CastExpr{X: v, Type: slots[i].col.store}
-		}
-		up.Set[i] = sql.Assignment{Column: slots[i].col.phys, Value: v}
+		up.Set[i] = sql.Assignment{Column: slots[i].col.phys, Value: slots[i].col.write(v)}
 	}
 	return up, nil
 }
@@ -461,11 +458,15 @@ func (p *placement) phaseBUpdate(tenant int64, setAt []int, rows [][]types.Value
 			dense = append(dense, f)
 		}
 	}
+	// A phase (a) value is cast here; one the cast refuses is written as
+	// the CAST, which fails the statement.
 	stored := func(s slot, v types.Value) sql.Expr {
-		if s.col.writes() && !v.IsNull() {
-			if cv, err := types.Cast(v, s.col.store.Kind); err == nil {
-				v = cv
+		if t, ok := s.col.writeType(); ok && !v.IsNull() {
+			cv, err := types.Cast(v, t.Kind)
+			if err != nil {
+				return &sql.CastExpr{X: lit(v), Type: t}
 			}
+			v = cv
 		}
 		return lit(v)
 	}

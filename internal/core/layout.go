@@ -237,8 +237,38 @@ func (m *Mapper) run(cr *cachedRewrite, i int, bound [][]types.Value, params []t
 // execRewritten executes a rewritten non-query statement's physical
 // plan (see run for bound and params): the Direct statements, an
 // INSERT's under row ids of its own (bindRows), or the two-phase
-// RowQuery/PhaseB shape.
+// RowQuery/PhaseB shape. A logical statement is atomic: outside a
+// transaction, a plan of more than one physical statement runs inside
+// one — on m's session, or a fresh one for a sessionless Mapper — that
+// a failure rolls back.
 func (m *Mapper) execRewritten(cr *cachedRewrite, bound [][]types.Value, params []types.Value) (engine.Result, error) {
+	single := len(cr.stmts) <= 1 && cr.rw.RowQuery == nil
+	if single || m.Session != nil && m.Session.InTxn() {
+		return m.execPlan(cr, bound, params)
+	}
+	tm := *m
+	if tm.Session == nil {
+		tm.Session = m.DB.Session()
+	}
+	if _, err := tm.Session.ExecStmt(&sql.BeginStmt{}, ""); err != nil {
+		return engine.Result{}, err
+	}
+	res, err := tm.execPlan(cr, bound, params)
+	if err != nil {
+		if _, rbErr := tm.Session.ExecStmt(&sql.RollbackStmt{}, ""); rbErr != nil {
+			err = fmt.Errorf("%w (rollback: %v)", err, rbErr)
+		}
+		return engine.Result{}, err
+	}
+	if _, err := tm.Session.ExecStmt(&sql.CommitStmt{}, ""); err != nil {
+		return engine.Result{}, err
+	}
+	return res, nil
+}
+
+// execPlan is execRewritten inside whatever transaction m's statements
+// run in.
+func (m *Mapper) execPlan(cr *cachedRewrite, bound [][]types.Value, params []types.Value) (engine.Result, error) {
 	rw := cr.rw
 	if rw.RowQuery != nil {
 		_, rows, err := m.run(cr, 0, bound, params)
@@ -662,7 +692,7 @@ func tenantSubquery(s *state, tn *Tenant, n sql.Expr) (sql.Expr, error) {
 	if !ok || in.Subquery == nil {
 		return n, nil
 	}
-	sub, err := genericSelect(s, tn, in.Subquery)
+	sub, err := genericSelect(s, tn, in.Subquery, false)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ import (
 // tenant and shape do the rewrite work once. A cached template AST is
 // shared by every session that hits it and is read-only from then on:
 // sessions plan it concurrently, so the planner rewrites copies, never
-// the tree it is handed (plan.flattenSubqueries;
+// the tree it is handed (sql.Unnest;
 // TestPlannerLeavesASTUntouched holds it to that).
 type RewriteCache struct {
 	layout Layout

@@ -95,17 +95,6 @@ func (s *Schema) Extension(name string) *Extension {
 	return nil
 }
 
-// ExtensionsFor lists the extensions defined on a base table.
-func (s *Schema) ExtensionsFor(base string) []*Extension {
-	var out []*Extension
-	for _, e := range s.Extensions {
-		if strings.EqualFold(e.Base, base) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: non-empty unique names, keys
 // present and NOT NULL, extension bases resolvable, and no column
 // collisions between a base table and its extensions.

@@ -15,10 +15,6 @@ import (
 // local append would fork it.
 var ErrReadOnlyReplica = errors.New("engine: database is a read-only replica")
 
-// SetReadOnly flips the replica write fence. OpenReplica sets it; a
-// promotion (not yet implemented — see DESIGN.md §16) would clear it.
-func (db *DB) SetReadOnly(v bool) { db.readOnly.Store(v) }
-
 // ReadOnly reports whether the write fence is up.
 func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
 

@@ -40,13 +40,8 @@ func (e *RollbackFailedError) Unwrap() error { return e.Cause }
 // in reverse before the write lock is released, so a failed statement
 // affects zero rows and leaves the table in its pre-statement state.
 func RunDML(n plan.Node, params []types.Value) (int64, error) {
-	return RunDMLStats(n, params, nil)
-}
-
-// RunDMLStats is RunDML feeding executor counters into st (nil ok).
-func RunDMLStats(n plan.Node, params []types.Value, st *Stats) (int64, error) {
 	undo := &catalog.UndoLog{}
-	count, err := RunDMLTx(n, params, st, nil, undo)
+	count, err := RunDMLTx(n, params, nil, nil, undo)
 	if err == nil {
 		undo.Discard()
 	}

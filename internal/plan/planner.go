@@ -824,6 +824,12 @@ func (p *Planner) planRefWithLocals(tr sql.TableRef, locals []sql.Expr) (Node, e
 	return p.buildSource(s)
 }
 
+// provides reports whether the catalog's table has the column.
+func (p *Planner) provides(table, column string) bool {
+	t, err := p.Cat.Table(table)
+	return err == nil && t.ColIndex(column) >= 0
+}
+
 // refsWithin reports whether every column reference of the conjunct can
 // be supplied by the given table reference.
 func (p *Planner) refsWithin(conj sql.Expr, tr sql.TableRef) bool {
@@ -832,7 +838,7 @@ func (p *Planner) refsWithin(conj sql.Expr, tr sql.TableRef) bool {
 		return false
 	}
 	aliases := map[string]bool{}
-	for _, a := range refAliases(tr) {
+	for _, a := range sql.RefAliases(tr) {
 		aliases[strings.ToLower(a)] = true
 	}
 	for _, r := range refs {
@@ -842,7 +848,7 @@ func (p *Planner) refsWithin(conj sql.Expr, tr sql.TableRef) bool {
 			}
 			continue
 		}
-		if !refProvides(p, tr, r.Name) {
+		if !sql.RefProvides(tr, r.Name, p.provides) {
 			return false
 		}
 	}

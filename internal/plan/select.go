@@ -29,11 +29,7 @@ func (v *Values) Detail() string { return fmt.Sprintf("%d rows", len(v.Rows)) }
 // planSelect compiles a SELECT into a physical plan.
 func (p *Planner) planSelect(s *sql.SelectStmt) (Node, error) {
 	if p.Mode == Sophisticated {
-		var err error
-		s, err = p.flattenSubqueries(s)
-		if err != nil {
-			return nil, err
-		}
+		s = sql.Unnest(s, p.provides)
 	}
 	input, err := p.planFrom(s)
 	if err != nil {

@@ -147,6 +147,15 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// ReadMsg reads one frame and decodes its message.
+func ReadMsg(r io.Reader) (any, error) {
+	payload, err := ReadFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	return Decode(payload)
+}
+
 // DecodeFrame splits one frame off buf (the in-memory form of
 // ReadFrame, used by the fuzz target and by tests over captured
 // bytes): payload plus the unconsumed rest. A partial frame is

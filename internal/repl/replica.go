@@ -197,7 +197,7 @@ func (r *Replica) dial() (net.Conn, *bufio.Reader, error) {
 		nc.Close()
 		return nil, nil, err
 	}
-	reply, err := readMsg(br)
+	reply, err := protocol.ReadMsg(br)
 	if err != nil {
 		nc.Close()
 		return nil, nil, err
@@ -237,7 +237,7 @@ func (r *Replica) runStream(nc net.Conn, br *bufio.Reader, report func(error)) e
 	bw := bufio.NewWriter(nc)
 	var snapshot []byte
 	for {
-		msg, err := readMsg(br)
+		msg, err := protocol.ReadMsg(br)
 		if err != nil {
 			return err
 		}
@@ -294,13 +294,4 @@ func (r *Replica) runStream(nc net.Conn, br *bufio.Reader, report func(error)) e
 			return fmt.Errorf("repl: unexpected stream message %T", msg)
 		}
 	}
-}
-
-// readMsg reads and decodes one protocol frame.
-func readMsg(br *bufio.Reader) (any, error) {
-	payload, err := protocol.ReadFrame(br)
-	if err != nil {
-		return nil, err
-	}
-	return protocol.Decode(payload)
 }

@@ -43,11 +43,7 @@ func (s *Server) serveReplication(c *connState, br *bufio.Reader, w *connWriter,
 			log.Wake()
 		}()
 		for {
-			payload, err := protocol.ReadFrame(br)
-			if err != nil {
-				return
-			}
-			msg, err := protocol.Decode(payload)
+			msg, err := protocol.ReadMsg(br)
 			if err != nil {
 				return
 			}

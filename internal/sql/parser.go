@@ -1128,10 +1128,3 @@ func upperASCII(s string) string {
 	}
 	return string(b)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -203,7 +203,8 @@ func checkSibling(t *testing.T, text string, s *Shape, st Statement, vals []type
 // values, kind and value), and a text of the same shape binds its own
 // literals into that template; a text holding Marker has no shape; every
 // statement Parse accepts prints to a text that parses back to the same
-// print; and the traversal keeps its contract on it (checkWalk).
+// print; the traversal keeps its contract on it (checkWalk); and a
+// SELECT's unnest keeps its own (checkUnnest).
 func FuzzStatementShape(f *testing.F) {
 	for _, text := range deckTexts {
 		f.Add(text)
@@ -228,6 +229,11 @@ func FuzzStatementShape(f *testing.F) {
 		"UPDATE t SET a = CAST(b IN (SELECT c FROM u WHERE d = ?) AS INT), e = ? WHERE NOT (f IN (SELECT g FROM h WHERE i = 'x')) IS NULL",
 		"INSERT INTO t VALUES (?, CAST(1 IN (SELECT a FROM u WHERE b = ?) AS INT)), (NULL, -?)",
 		"DELETE FROM t WHERE a IN (SELECT b FROM (SELECT b FROM u WHERE c = ?) AS d WHERE b IN (SELECT e FROM f WHERE g = ?))",
+		"SELECT d.b, a FROM t, (SELECT u.b, c AS e FROM u WHERE u.c = 1 AND b > 2) AS d WHERE d.e = a AND b < 3 ORDER BY b",
+		"SELECT x FROM (SELECT y AS x FROM (SELECT z AS y FROM (SELECT w AS z FROM t WHERE w > 0) AS a WHERE z < 9) AS b) AS c WHERE x = 1",
+		"SELECT * FROM t, (SELECT a, b FROM t WHERE a = 1) AS d, (SELECT COUNT(*) AS n FROM u) AS e",
+		"SELECT *",
+		"SELECT d.a FROM t JOIN (SELECT a FROM u WHERE b = 2) AS d ON t.a = d.a, (SELECT c FROM v) AS e WHERE e.c = t.c",
 	} {
 		f.Add(text)
 	}
@@ -273,7 +279,30 @@ func FuzzStatementShape(f *testing.F) {
 		}
 		checkSibling(t, text, &s, st, vals, from)
 		checkWalk(t, text, ref)
+		if sel, ok := ref.(*SelectStmt); ok {
+			checkUnnest(t, text, sel)
+		}
 	})
+}
+
+// checkUnnest holds Unnest to its contract on sel, as Parse built it: it
+// leaves sel's text as it was, unnesting its answer changes nothing, and
+// the answer prints to a text that parses back to the same print.
+func checkUnnest(t *testing.T, text string, sel *SelectStmt) {
+	t.Helper()
+	before := sel.String()
+	flat := Unnest(sel, nil)
+	if sel.String() != before {
+		t.Fatalf("%q: Unnest wrote its input: %q became %q", text, before, sel)
+	}
+	flatText := flat.String()
+	if again := Unnest(flat, nil).String(); again != flatText {
+		t.Fatalf("%q unnests to %q, then to %q", text, flatText, again)
+	}
+	reparsed, err := Parse(flatText)
+	if err != nil || reparsed.String() != flatText {
+		t.Fatalf("%q unnests to %q, which parses to %v (%v)", text, flatText, reparsed, err)
+	}
 }
 
 // checkWalk holds the traversal to its contract on st, as Parse built it:

@@ -135,15 +135,3 @@ func MatchOp(op FaultOp) func(FaultInfo) bool {
 func MatchCat(cat Category) func(FaultInfo) bool {
 	return func(fi FaultInfo) bool { return fi.Cat == cat }
 }
-
-// MatchAll accepts operations accepted by every given matcher.
-func MatchAll(ms ...func(FaultInfo) bool) func(FaultInfo) bool {
-	return func(fi FaultInfo) bool {
-		for _, m := range ms {
-			if !m(fi) {
-				return false
-			}
-		}
-		return true
-	}
-}

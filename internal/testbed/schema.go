@@ -40,17 +40,6 @@ var crmParents = map[string][]string{
 	"Contract":    {"Contact"},
 }
 
-// crmReportIndexes lists the "twelve indexes on selected columns for
-// reporting queries and update tasks" (§4.1) as (table, column) pairs.
-var crmReportIndexes = [][2]string{
-	{"Account", "Name"}, {"Account", "Industry"},
-	{"Campaign", "StartDate"}, {"Lead", "Status"},
-	{"Opportunity", "Stage"}, {"Opportunity", "CloseDate"},
-	{"Asset", "SerialNo"}, {"Contact", "LastName"},
-	{"Case", "Status"}, {"Contract", "EndDate"},
-	{"LineItem", "Quantity"}, {"Product", "Sku"},
-}
-
 // CRMSchema builds one instance of the Figure 5 schema. The suffix
 // distinguishes multiple instances when the testbed raises schema
 // variability (§4.1: copies of the 10-table schema that "represent
@@ -157,14 +146,4 @@ func InstanceSuffix(i, n int) string {
 		return ""
 	}
 	return fmt.Sprintf("_i%d", i)
-}
-
-// ReportIndexes lists the reporting-index (table, column) pairs for one
-// instance suffix.
-func ReportIndexes(suffix string) [][2]string {
-	out := make([][2]string, len(crmReportIndexes))
-	for i, p := range crmReportIndexes {
-		out[i] = [2]string{p[0] + suffix, p[1]}
-	}
-	return out
 }

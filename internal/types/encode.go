@@ -54,14 +54,6 @@ func EncodeKey(dst []byte, v Value) []byte {
 	panic(fmt.Sprintf("types: EncodeKey of bad kind %d", v.Kind))
 }
 
-// EncodeKeyTuple encodes a composite key from vals.
-func EncodeKeyTuple(dst []byte, vals []Value) []byte {
-	for _, v := range vals {
-		dst = EncodeKey(dst, v)
-	}
-	return dst
-}
-
 func appendOrderedInt(dst []byte, v int64) []byte {
 	u := uint64(v) ^ (1 << 63) // flip sign bit: negative < positive
 	var buf [8]byte
