@@ -342,6 +342,35 @@ func TestFlattenedPredicateOrder(t *testing.T) {
 	}
 }
 
+// TestFlattenedRefusesUnknownColumn: the flat form puts physical tables
+// where the nested form has a derived table, so a name no logical table
+// provides must fail at rewrite, not resolve against a physical column
+// (Int1 and Tenant are ChunkIndexInt's; Hospital is not tenant 35's). An
+// ORDER BY key naming an item still resolves.
+func TestFlattenedRefusesUnknownColumn(t *testing.T) {
+	m := allLayouts(t, paperSchema())["chunk-flat"]
+	loadPaperData(t, m)
+	for _, q := range []string{
+		"SELECT Int1 FROM Account",
+		"SELECT Tenant FROM Account",
+		"SELECT Hospital FROM Account",
+		"SELECT Aid FROM Account WHERE Int1 = 1",
+		"SELECT Aid FROM Account ORDER BY Int1",
+		"SELECT Aid, COUNT(*) FROM Account GROUP BY Aid HAVING MAX(Int1) > 0",
+	} {
+		if _, err := m.RewriteSQL(35, q); err == nil || !strings.Contains(err.Error(), "unknown column") {
+			t.Errorf("rewrite of %q: %v, want an unknown column", q, err)
+		}
+		if rows, err := m.Query(35, q); err == nil {
+			t.Errorf("%q answered %v", q, rows.Data)
+		}
+	}
+	rows, err := m.Query(35, "SELECT Name AS n FROM Account ORDER BY n")
+	if err != nil || len(rows.Data) != 1 {
+		t.Errorf("ORDER BY an item's alias: %v %v", err, rows)
+	}
+}
+
 // TestChunkAssignmentInspection covers Placement, the inspection
 // surface over any layout: a chunk tenant's columns and where they went,
 // whose placement it is, and an unknown tenant failing.

@@ -34,13 +34,12 @@ func (l *FragmentLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, 
 	}
 	switch st := st.(type) {
 	case *sql.SelectStmt:
-		flat := l.flat && flattenable(st)
-		sel, err := genericSelect(s, tn, st, flat)
+		sel, err := genericSelect(s, tn, st)
+		if err == nil && l.flat && flattenable(st) {
+			sel, err = l.flattened(sel, len(sql.SplitConjuncts(st.Where, nil)))
+		}
 		if err != nil {
 			return nil, err
-		}
-		if flat {
-			sel = l.flattened(sel, len(sql.SplitConjuncts(st.Where, nil)))
 		}
 		return &Rewritten{Query: sel}, nil
 	case *sql.InsertStmt:
@@ -57,33 +56,26 @@ func (l *FragmentLayout) Rewrite(tenantID int64, st sql.Statement) (*Rewritten, 
 }
 
 // genericSelect replaces every logical table reference with its
-// reconstruction derived table (step 4 of §6.1). A reconstruction's
-// fragments are aliased f0, f1, … — or, for a query to be unnested
-// (flat), t<i>c0, t<i>c1, … for its i-th table, so that all of them
-// stay apart in one FROM list.
-func genericSelect(s *state, tn *Tenant, sel *sql.SelectStmt, flat bool) (*sql.SelectStmt, error) {
+// reconstruction derived table (step 4 of §6.1).
+func genericSelect(s *state, tn *Tenant, sel *sql.SelectStmt) (*sql.SelectStmt, error) {
 	usages, err := analyzeSelect(s, tn, sel)
 	if err != nil {
 		return nil, err
 	}
-	byRef := map[*sql.NamedTable]int{}
-	for i, u := range usages {
-		byRef[u.ref] = i
+	byRef := map[*sql.NamedTable]*tableUsage{}
+	for _, u := range usages {
+		byRef[u.ref] = u
 	}
 	out, err := sql.MapStatement(sel, tenantSubqueries(s, tn), func(tr sql.TableRef) (sql.TableRef, error) {
 		switch tr := tr.(type) {
 		case *sql.NamedTable:
-			i, ok := byRef[tr]
-			if !ok {
+			u := byRef[tr]
+			if u == nil {
 				return nil, fmt.Errorf("core: unanalyzed table %s", tr.Name)
 			}
-			u, prefix := usages[i], "f"
-			if flat {
-				prefix = fmt.Sprintf("t%dc", i)
-			}
-			return &sql.SubqueryTable{Select: u.view.place.reconstruct(tn.ID, u.usedAt(), false, prefix), Alias: u.alias}, nil
+			return &sql.SubqueryTable{Select: u.view.place.reconstruct(tn.ID, u.usedAt(), false), Alias: u.alias}, nil
 		case *sql.SubqueryTable:
-			sub, err := genericSelect(s, tn, tr.Select, false)
+			sub, err := genericSelect(s, tn, tr.Select)
 			if err != nil {
 				return nil, err
 			}
@@ -208,7 +200,7 @@ func genericWrite(s *state, tn *Tenant, table, alias string, set []sql.Assignmen
 
 	rowQuery := &sql.SelectStmt{
 		Items: []sql.SelectItem{{Expr: colRef(alias, rowCol)}},
-		From:  []sql.TableRef{&sql.SubqueryTable{Select: p.reconstruct(tn.ID, u.usedAt(), true, "f"), Alias: alias}},
+		From:  []sql.TableRef{&sql.SubqueryTable{Select: p.reconstruct(tn.ID, u.usedAt(), true), Alias: alias}},
 		Where: where,
 	}
 	for _, a := range set {
@@ -269,18 +261,17 @@ func sameValue(a, b types.Value) bool {
 
 // reconstruct builds the inner SELECT that reconstructs a tenant's
 // logical table, exposing the used columns (plus the hidden row ID when
-// withRow is set) from its fragments aliased prefix0, prefix1, …: the
-// paper's Q1^Chunk shape. §6.1's reconstruction
+// withRow is set): the paper's Q1^Chunk shape. §6.1's reconstruction
 // queries "are all flat and consist of conjunctive predicates only": the
 // anchor and every other fragment a used column lives in, comma-joined,
 // with the aligning Row equi-joins in WHERE — which a sophisticated
 // optimizer flattens into the outer block and drives via the meta-data
 // indexes. A sparse fragment may lack the row, so it is LEFT-joined onto
 // the anchor, its meta-data and Row equalities in ON.
-func (p *placement) reconstruct(tenant int64, used []int, withRow bool, prefix string) *sql.SelectStmt {
+func (p *placement) reconstruct(tenant int64, used []int, withRow bool) *sql.SelectStmt {
 	slots := p.slotsAt(used)
 	frags := p.touched(slots, true)
-	aliases := fragAliases(prefix, len(frags))
+	aliases := fragAliases("f", len(frags))
 	sel := &sql.SelectStmt{
 		Items: make([]sql.SelectItem, 0, len(used)+1),
 		From:  make([]sql.TableRef, 0, len(frags)),

@@ -237,30 +237,23 @@ func (m *Mapper) run(cr *cachedRewrite, i int, bound [][]types.Value, params []t
 // execRewritten executes a rewritten non-query statement's physical
 // plan (see run for bound and params): the Direct statements, an
 // INSERT's under row ids of its own (bindRows), or the two-phase
-// RowQuery/PhaseB shape. A logical statement is atomic: outside a
-// transaction, a plan of more than one physical statement runs inside
-// one — on m's session, or a fresh one for a sessionless Mapper — that
-// a failure rolls back.
+// RowQuery/PhaseB shape. A logical statement is atomic: a plan of more
+// than one physical statement runs as one transaction (Session.Atomic)
+// — on m's session, or a fresh one for a sessionless Mapper.
 func (m *Mapper) execRewritten(cr *cachedRewrite, bound [][]types.Value, params []types.Value) (engine.Result, error) {
-	single := len(cr.stmts) <= 1 && cr.rw.RowQuery == nil
-	if single || m.Session != nil && m.Session.InTxn() {
+	if len(cr.stmts) <= 1 && cr.rw.RowQuery == nil {
 		return m.execPlan(cr, bound, params)
 	}
 	tm := *m
 	if tm.Session == nil {
 		tm.Session = m.DB.Session()
 	}
-	if _, err := tm.Session.ExecStmt(&sql.BeginStmt{}, ""); err != nil {
-		return engine.Result{}, err
-	}
-	res, err := tm.execPlan(cr, bound, params)
+	var res engine.Result
+	err := tm.Session.Atomic(func() (err error) {
+		res, err = tm.execPlan(cr, bound, params)
+		return err
+	})
 	if err != nil {
-		if _, rbErr := tm.Session.ExecStmt(&sql.RollbackStmt{}, ""); rbErr != nil {
-			err = fmt.Errorf("%w (rollback: %v)", err, rbErr)
-		}
-		return engine.Result{}, err
-	}
-	if _, err := tm.Session.ExecStmt(&sql.CommitStmt{}, ""); err != nil {
 		return engine.Result{}, err
 	}
 	return res, nil
@@ -692,7 +685,7 @@ func tenantSubquery(s *state, tn *Tenant, n sql.Expr) (sql.Expr, error) {
 	if !ok || in.Subquery == nil {
 		return n, nil
 	}
-	sub, err := genericSelect(s, tn, in.Subquery, false)
+	sub, err := genericSelect(s, tn, in.Subquery)
 	if err != nil {
 		return nil, err
 	}

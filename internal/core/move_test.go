@@ -311,6 +311,62 @@ func TestMoveTenantUnderTraffic(t *testing.T) {
 	t.Logf("move report: %+v (acked writes during move: %d)", rep, acked.Load())
 }
 
+// TestMoveUnderAtomicWrites moves tenant 17 while it writes: every
+// INSERT fills its extension too and every UPDATE runs in two phases, so
+// each is a transaction of several physical statements, and Private's
+// registration of the tenant at the destination creates tables under
+// them. The move completes, no write fails, and none is lost.
+func TestMoveUnderAtomicWrites(t *testing.T) {
+	db, mux, dst, m := moveFixture(t)
+	const writers = 2
+	var (
+		stop   atomic.Bool
+		acked  atomic.Int64
+		wg     sync.WaitGroup
+		failed = make(chan error, writers)
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				aid := w*100000 + i
+				if _, err := m.Exec(17, fmt.Sprintf("INSERT INTO Account (Aid, Name, Beds) VALUES (%d, 'w', %d)", aid, i)); err != nil {
+					failed <- err
+					return
+				}
+				acked.Add(1)
+				if _, err := m.Exec(17, fmt.Sprintf("UPDATE Account SET Name = 'u', Beds = Beds + 1 WHERE Aid = %d", aid)); err != nil {
+					failed <- err
+					return
+				}
+			}
+		}(w)
+	}
+	time.Sleep(2 * time.Millisecond)
+	mv := &Mover{DB: db, Mux: mux, MaxRounds: 6, BatchRows: 4}
+	rep, err := mv.Move(17, dst)
+	stop.Store(true)
+	wg.Wait()
+	close(failed)
+	if err != nil {
+		t.Fatalf("Move: %v (report %+v)", err, rep)
+	}
+	for ferr := range failed {
+		t.Fatalf("write failed during move: %v", ferr)
+	}
+	rows, err := m.Query(17, "SELECT Aid FROM Account WHERE Name = 'u' AND Beds IS NOT NULL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(rows.Data)) != acked.Load() {
+		t.Fatalf("%d updated rows at destination, %d inserts acknowledged", len(rows.Data), acked.Load())
+	}
+	if mux.Route(17) != Layout(dst) {
+		t.Fatalf("route not flipped")
+	}
+}
+
 // TestMoveRejects: moving a tenant onto its current layout is an error,
 // not a silent no-op, and so is a destination that knows the tenant
 // with other extensions.

@@ -34,13 +34,12 @@ import (
 // sixth recording came when the flat layout's SELECT became the generic
 // form unnested by sql.Unnest and Universal's writes began casting to
 // the logical type: only chunk-flat and universal records moved —
-// chunk-flat's 8 kept their FROM lists and select items, and their WHERE
+// chunk-flat's 7 kept their FROM lists and select items, and their WHERE
 // the same conjuncts with each alias's in the same relative order (one
 // reconstruction's after another's, instead of every meta-data conjunct
-// before every aligning one), and one, tenant 35's `SELECT Hospital FROM
-// Account`, fails at planning, not rewrite, as on chunk; universal's 17
-// INSERTs and direct UPDATEs each gained a CAST to the logical type of
-// every non-VARCHAR column they write.
+// before every aligning one); universal's 17 INSERTs and direct UPDATEs
+// each gained a CAST to the logical type of every non-VARCHAR column
+// they write.
 // testdata/rewrite_golden_gen_test.go.txt over
 // recordRewrites below writes it;
 // everything here is the layouts' public surface. A record is the

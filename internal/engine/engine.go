@@ -191,6 +191,12 @@ type DB struct {
 	// against all other statements; DML, queries, and online ALTERs hold
 	// it shared.
 	ddlMu sync.RWMutex
+
+	// atomicMu is held shared by a running Session.Atomic transaction
+	// and exclusively by structural DDL, taken before ddlMu: DDL waits
+	// for those short transactions to finish — and a new one waits for
+	// the DDL — where it refuses a client's open transaction.
+	atomicMu sync.RWMutex
 }
 
 // Open creates an empty database.
@@ -521,13 +527,16 @@ func (db *DB) execDDL(st sql.Statement) error {
 	if db.readOnly.Load() {
 		return ErrReadOnlyReplica
 	}
+	db.atomicMu.Lock()
+	defer db.atomicMu.Unlock()
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
 	// DDL is serialized against whole transactions, not just statements:
 	// an open snapshot must not watch the schema shift under it, and the
 	// version stores hold row-level state no schema change knows how to
 	// migrate. Sessions register their transaction under ddlMu (shared)
-	// before releasing it, so the count here is authoritative.
+	// before releasing it, so the count here is authoritative; it holds
+	// no Atomic transaction, which atomicMu drained.
 	if n := db.txns.ActiveCount(); n > 0 {
 		return fmt.Errorf("engine: DDL rejected: %d open transaction(s); COMMIT or ROLLBACK first", n)
 	}

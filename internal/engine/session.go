@@ -73,6 +73,9 @@ type Session struct {
 	// release at transaction end, nil marks a forced admission (tried,
 	// not held — never re-queued this transaction).
 	gates map[string]*writeGate
+	// lost names the gates a transaction a conflict aborted had passed,
+	// for Atomic to pass first when it runs the statements again.
+	lost []string
 }
 
 type savepoint struct {
@@ -363,6 +366,59 @@ func (s *Session) rollbackTo(name string) (Result, error) {
 	return Result{}, err
 }
 
+// atomicAttempts bounds how often Atomic runs its statements: a
+// write-write conflict aborts an attempt, and the next one starts from a
+// snapshot that holds the winner's commit.
+const atomicAttempts = 8
+
+// Atomic runs fn, statements on s, as one transaction when s has none
+// open: it commits what fn wrote, or rolls all of it back when fn fails.
+// The transaction is the caller's, not the client's, so a write-write
+// conflict is no error of the client's: the attempt is rolled back and
+// fn runs again, up to atomicAttempts times. Structural DDL waits for a
+// running Atomic transaction instead of refusing it. Inside an open
+// transaction fn runs in it, as any statement does. fn must not start
+// another Atomic transaction.
+func (s *Session) Atomic(fn func() error) error {
+	if s.InTxn() {
+		return fn()
+	}
+	s.db.atomicMu.RLock()
+	defer s.db.atomicMu.RUnlock()
+	var contended []string
+	for attempt := 1; ; attempt++ {
+		if _, err := s.ExecStmt(&sql.BeginStmt{}, ""); err != nil {
+			return err
+		}
+		s.admitFirst(contended)
+		err := fn()
+		if err == nil {
+			_, err = s.ExecStmt(&sql.CommitStmt{}, "")
+			return err
+		}
+		if _, rbErr := s.ExecStmt(&sql.RollbackStmt{}, ""); rbErr != nil {
+			return fmt.Errorf("%w (rollback: %v)", err, rbErr)
+		}
+		if !errors.Is(err, mvcc.ErrWriteConflict) || attempt == atomicAttempts {
+			return err
+		}
+		contended = append(contended, s.lost...)
+	}
+}
+
+// admitFirst passes the write-admission gates of tables for a
+// transaction that has read nothing yet, so that its snapshot, pinned at
+// its first statement, postdates their previous holders: a transaction
+// that lost a write-write conflict on them runs again behind the winner
+// instead of conflicting with the next one.
+func (s *Session) admitFirst(tables []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, t := range tables {
+		s.admitWrite(t)
+	}
+}
+
 // --- statement execution inside a transaction --------------------------------
 
 // dml runs one DML statement under the transaction; a write-write
@@ -376,6 +432,11 @@ func (s *Session) dml(st sql.Statement, key string, params []types.Value) (Resul
 	if err != nil && errors.Is(err, mvcc.ErrWriteConflict) {
 		db := s.db
 		db.txnConflicts.Add(1)
+		s.lost = s.lost[:0]
+		for k := range s.gates {
+			s.lost = append(s.lost, k)
+		}
+		sort.Strings(s.lost) // one order for every retrying transaction
 		rbErr := s.rollbackAll()
 		db.txnAborts.Add(1)
 		s.reset()
