@@ -85,9 +85,11 @@ func (u *UndoLog) TruncateTo(mark int) {
 }
 
 // Discard drops the recorded actions without running them (the
-// statement committed).
+// statement committed). The log keeps its capacity, not the actions: a
+// session reuses it for its next transaction.
 func (u *UndoLog) Discard() {
 	if u != nil {
+		clear(u.actions)
 		u.actions = u.actions[:0]
 	}
 }

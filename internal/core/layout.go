@@ -239,21 +239,23 @@ func (m *Mapper) run(cr *cachedRewrite, i int, bound [][]types.Value, params []t
 // INSERT's under row ids of its own (bindRows), or the two-phase
 // RowQuery/PhaseB shape. A logical statement is atomic: a plan of more
 // than one physical statement runs as one transaction (Session.Atomic)
-// — on m's session, or a fresh one for a sessionless Mapper.
+// — on m's session, or, for a sessionless Mapper, on one the database
+// recycles (DB.Atomic).
 func (m *Mapper) execRewritten(cr *cachedRewrite, bound [][]types.Value, params []types.Value) (engine.Result, error) {
 	if len(cr.stmts) <= 1 && cr.rw.RowQuery == nil {
 		return m.execPlan(cr, bound, params)
 	}
-	tm := *m
-	if tm.Session == nil {
-		tm.Session = m.DB.Session()
+	atomic := m.DB.Atomic
+	if m.Session != nil {
+		atomic = m.Session.Atomic
 	}
 	var res engine.Result
-	err := tm.Session.Atomic(func() (err error) {
+	if err := atomic(func(s *engine.Session) (err error) {
+		tm := *m
+		tm.Session = s
 		res, err = tm.execPlan(cr, bound, params)
 		return err
-	})
-	if err != nil {
+	}); err != nil {
 		return engine.Result{}, err
 	}
 	return res, nil

@@ -1,78 +1,54 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/engine"
+	"repro/internal/lru"
 	"repro/internal/sql"
 	"repro/internal/types"
 )
 
 // RewriteCache makes the §6.1 query-transformation layer free in steady
-// state: an LRU of layout rewrites keyed by (tenant, statement shape) —
-// the text with each literal replaced by a kind marker (sql.Shape) — an
-// entry remembering, by position, which literal each parameter takes. A
-// steady-state statement then costs one scan and one map hit — no parse,
-// no layout rewrite, no new entry — and one without literals not even the
-// scan. Each cached physical statement carries its precomputed plan-cache
-// key string, so the engine's plan cache hits without re-rendering SQL
-// either; their literals are lifted as well (physStmt), so that key is a
-// placement shape: tenants of one shape share a compiled statement. A
-// shape whose parse does not lift every literal once (sql.ParseTemplate)
-// is keyed by its template text instead: each text of it parses and
-// finds its template cached.
+// state (DESIGN.md §14.1). It is every Mapper's statement path: Mappers
+// over one layout share the layout's cache (SharedRewriteCache).
 //
-// SELECT, INSERT, UPDATE and DELETE are cached. An INSERT's rewrite
-// reserves logical row ids (§6.3), which are the only part of it that
-// depends on the execution: its statements carry them in parameter slots
-// (rowSlot), the first execution binds the ids the rewrite reserved, and
-// every other reserves its own (bindRows). DDL and transaction control
-// are not cached: a text that starts with another word goes straight to
-// the parser.
+// An entry is a layout rewrite keyed by (tenant, statement shape) — the
+// text with each literal replaced by a kind marker (sql.Shape) — and
+// remembers, by position, which literal each parameter takes, so a
+// steady-state statement costs one scan and one probe, and one without
+// literals not even the scan. A shape whose parse does not lift every
+// literal once (sql.ParseTemplate) is keyed by its template text. The
+// physical statements are lifted too and carry their plan-cache key
+// (physStmt): tenants of one placement shape share a compiled
+// statement. An INSERT's row ids bind per execution (bindRows). DDL
+// and transaction control are not cached.
 //
-// It is every Mapper's statement path, not an attachment: Mappers over
-// one layout share the layout's cache (SharedRewriteCache).
-//
-// Invalidation is by generation stamp, and the generations live with
-// what a rewrite depends on — the tenant's views and placements in the
-// layout's state, its route in a LayoutMux (stampOf) — never with the
-// live physical catalog: an online ALTER or another tenant's
-// private-layout CREATE TABLE must NOT cold-start every tenant's cache
-// the way a version-keyed scheme would. Whoever changes that truth
-// bumps the tenant's generation under the lock that publishes the
-// change (state.extend and removeTenant; LayoutMux.takeDirty and
-// SetRoute); each entry is stamped at fill time and a hit compares
-// stamps, so exactly the affected tenant's entries miss and refill,
-// lazily, while everything else stays warm, and no caller has to
-// remember to invalidate.
-//
-// Filling is singleflighted per key: concurrent sessions of the same
-// tenant and shape do the rewrite work once. A cached template AST is
-// shared by every session that hits it and is read-only from then on:
-// sessions plan it concurrently, so the planner rewrites copies, never
-// the tree it is handed (sql.Unnest;
-// TestPlannerLeavesASTUntouched holds it to that).
+// The entries are an lru.Cache stamped with rcStamp: generations that
+// live with what a rewrite depends on — the tenant's views and
+// placements, its route in a LayoutMux (stampOf) — never with the
+// physical catalog, so an online ALTER cold-starts nobody. Whoever
+// changes that truth bumps the tenant's generation under the lock that
+// publishes the change (state.extend and removeTenant;
+// LayoutMux.takeDirty and SetRoute), and exactly that tenant's entries
+// refill, lazily. A cached template AST is shared by every session that
+// hits it and is read-only: the planner rewrites copies, never the tree
+// it is handed (TestPlannerLeavesASTUntouched).
 type RewriteCache struct {
-	layout Layout
+	layout  Layout
+	entries *lru.Cache[rcKey, rcStamp, rcEntry]
 
-	mu      sync.Mutex
-	cap     int
-	lru     *list.List // front = LRU victim, back = most recent
-	entries map[rcKey]*list.Element
-	flight  map[rcKey]*rcFlight
-
-	hits         int64 // lookups answered without a parse
-	templateHits int64 // parsed, but the template's rewrite was cached
-	misses       int64 // full parse + rewrite
-	uncacheable  int64 // DDL and transaction control
-	invalidated  int64 // entries dropped by a stale generation stamp
-	directDML    int64 // UPDATE/DELETE lookups answered with one direct statement
-	twoPhaseDML  int64 // UPDATE/DELETE lookups answered with RowQuery + PhaseB
+	hits         atomic.Int64 // lookups answered without a parse
+	templateHits atomic.Int64 // parsed, but the template's rewrite was cached
+	misses       atomic.Int64 // full parse + rewrite
+	uncacheable  atomic.Int64 // DDL and transaction control
+	directDML    atomic.Int64 // UPDATE/DELETE lookups answered with one direct statement
+	twoPhaseDML  atomic.Int64 // UPDATE/DELETE lookups answered with RowQuery + PhaseB
 }
 
 type rcKey struct {
@@ -246,14 +222,12 @@ func (ps *physStmt) bind(vals []types.Value) ([]types.Value, error) {
 	return out, nil
 }
 
-// rcEntry is one LRU slot: a rewrite under a shape, under a template's
+// rcEntry is one cached rewrite: under a shape, under a template's
 // text, or under a text without literals. A shape with literals has from
 // (which literal each parameter takes).
 type rcEntry struct {
-	key   rcKey
-	cr    *cachedRewrite
-	from  []int
-	stamp rcStamp
+	cr   *cachedRewrite
+	from []int
 }
 
 // bind is each of cr's statements' vector for a logical statement whose
@@ -281,12 +255,6 @@ func (cr *cachedRewrite) bind(vals []types.Value, from []int) ([][]types.Value, 
 		}
 	}
 	return out, nil
-}
-
-// rcFlight is a single-flight slot for one key's rewrite.
-type rcFlight struct {
-	done chan struct{}
-	err  error
 }
 
 // RewriteCacheStats is a point-in-time counter snapshot.
@@ -329,36 +297,22 @@ func NewRewriteCache(_ *engine.DB, layout Layout, capacity int) *RewriteCache {
 	if capacity <= 0 {
 		capacity = DefaultRewriteCacheCap
 	}
-	return &RewriteCache{
-		layout:  layout,
-		cap:     capacity,
-		lru:     list.New(),
-		entries: make(map[rcKey]*list.Element),
-		flight:  make(map[rcKey]*rcFlight),
-	}
+	return &RewriteCache{layout: layout, entries: lru.New[rcKey, rcStamp, rcEntry](capacity)}
 }
 
 // Stats snapshots the counters.
 func (c *RewriteCache) Stats() RewriteCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	entries, stale := c.entries.Counts()
 	return RewriteCacheStats{
-		Hits:         c.hits,
-		TemplateHits: c.templateHits,
-		Misses:       c.misses,
-		Uncacheable:  c.uncacheable,
-		Invalidated:  c.invalidated,
-		Entries:      len(c.entries),
-		DirectDML:    c.directDML,
-		TwoPhaseDML:  c.twoPhaseDML,
+		Hits:         c.hits.Load(),
+		TemplateHits: c.templateHits.Load(),
+		Misses:       c.misses.Load(),
+		Uncacheable:  c.uncacheable.Load(),
+		Invalidated:  stale,
+		Entries:      entries,
+		DirectDML:    c.directDML.Load(),
+		TwoPhaseDML:  c.twoPhaseDML.Load(),
 	}
-}
-
-// removeLocked drops one LRU element. Caller holds c.mu.
-func (c *RewriteCache) removeLocked(e *list.Element) {
-	c.lru.Remove(e)
-	delete(c.entries, e.Value.(*rcEntry).key)
-	c.invalidated++
 }
 
 // shapes recycles the scans lookups take.
@@ -392,38 +346,33 @@ func (c *RewriteCache) lookup(tenant int64, text string) (cr *cachedRewrite, bou
 			st, err = sql.Parse(text)
 		}
 		if err == nil {
-			c.mu.Lock()
-			c.uncacheable++
-			c.mu.Unlock()
+			c.uncacheable.Add(1)
 		}
 		return nil, nil, st, err
 	}
-	// Read before c.mu: a bump that lands after this orders the whole
-	// statement before the change, as if it had arrived a moment sooner.
+	// Read before the probe: a bump that lands after this orders the
+	// whole statement before the change, as if it had arrived a moment
+	// sooner.
 	cur := stampOf(c.layout, tenant)
-	c.mu.Lock()
-	if ent := c.liveLocked(c.entries[rcKey{tenant, text}], cur); ent != nil && ent.from == nil {
-		c.hits++
-		c.countShapeLocked(ent.cr)
-		c.mu.Unlock()
+	if ent, ok := c.entries.Get(rcKey{tenant, text}, cur); ok && ent.from == nil {
+		c.hits.Add(1)
+		c.countShape(ent.cr)
 		return ent.cr, nil, nil, nil
 	}
-	c.mu.Unlock()
 
 	sh := shapes.Get().(*sql.Shape)
 	defer shapes.Put(sh)
 	var lits []types.Value // the text's, where it has a shape
 	if sh.Scan(text) && len(sh.Lits) > 0 {
 		lits = sh.Lits
-		c.mu.Lock()
-		if ent := c.liveLocked(c.entries[rcKey{tenant, string(sh.Key)}], cur); ent != nil && ent.from != nil {
-			c.hits++
-			c.countShapeLocked(ent.cr)
-			c.mu.Unlock()
+		// The probe views sh.Key in place: Get keeps no key it is given.
+		probe := unsafe.String(unsafe.SliceData(sh.Key), len(sh.Key))
+		if ent, ok := c.entries.Get(rcKey{tenant, probe}, cur); ok && ent.from != nil {
+			c.hits.Add(1)
+			c.countShape(ent.cr)
 			bound, err = ent.cr.bind(sh.Lits, ent.from)
 			return ent.cr, bound, nil, err
 		}
-		c.mu.Unlock()
 	}
 
 	st, vals, from, err := sql.ParseTemplate(text, lits)
@@ -444,90 +393,35 @@ func (c *RewriteCache) lookup(tenant int64, text string) (cr *cachedRewrite, bou
 	return cr, bound, nil, err
 }
 
-// liveLocked is the entry at e (nil: none) if its stamp is cur, moved to
-// the recent end; a stale one is dropped. Caller holds c.mu.
-func (c *RewriteCache) liveLocked(e *list.Element, cur rcStamp) *rcEntry {
-	if e == nil {
-		return nil
-	}
-	ent := e.Value.(*rcEntry)
-	if ent.stamp != cur {
-		c.removeLocked(e)
-		return nil
-	}
-	c.lru.MoveToBack(e)
-	return ent
-}
-
-// countShapeLocked counts the execution a returned rewrite is about to
-// get, if it is an UPDATE's or a DELETE's. Caller holds c.mu.
-func (c *RewriteCache) countShapeLocked(cr *cachedRewrite) {
+// countShape counts the execution a returned rewrite is about to get,
+// if it is an UPDATE's or a DELETE's.
+func (c *RewriteCache) countShape(cr *cachedRewrite) {
 	switch {
 	case cr.rw.RowQuery != nil:
-		c.twoPhaseDML++
+		c.twoPhaseDML.Add(1)
 	case cr.rw.DirectIsCount:
-		c.directDML++
+		c.directDML.Add(1)
 	}
 }
 
 // template finds the rewrite under key, st's template (from as
 // ParseTemplate gave it), or fills its entry: one rewrite per key however
 // many lookups want it at once. The caller that rewrites counts a miss,
-// the others a template hit.
-//
-// The stamp is read before the rewrite runs: a bump that lands mid-fill
-// leaves the entry stamped older than the tenant's generation, so the
-// very next hit compares, fails, and refills. The window can waste one
-// fill; it can never serve a rewrite from before the bump as current.
+// the others a template hit. A bump that lands mid-fill can waste the
+// fill (lru.Cache); it can never serve a rewrite from before the bump.
 func (c *RewriteCache) template(key rcKey, st sql.Statement, from []int) (*cachedRewrite, error) {
-	for {
-		cur := stampOf(c.layout, key.tenant)
-		c.mu.Lock()
-		if ent := c.liveLocked(c.entries[key], cur); ent != nil {
-			c.templateHits++
-			c.countShapeLocked(ent.cr)
-			c.mu.Unlock()
-			return ent.cr, nil
-		}
-		if f, ok := c.flight[key]; ok {
-			c.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				return nil, f.err
-			}
-			continue // the entry is in: hit it
-		}
-		f := &rcFlight{done: make(chan struct{})}
-		c.flight[key] = f
-		c.mu.Unlock()
-
+	ent, how, err := c.entries.Do(key, stampOf(c.layout, key.tenant), func() (rcEntry, error) {
 		cr, err := compile(c.layout.Rewrite(key.tenant, st))
-		c.mu.Lock()
-		delete(c.flight, key)
-		if f.err = err; err == nil { // errors are not cached: a later lookup retries
-			c.misses++
-			c.insertLocked(&rcEntry{key: key, cr: cr, from: from, stamp: cur})
-			c.countShapeLocked(cr)
-		}
-		c.mu.Unlock()
-		close(f.done)
-		return cr, err
+		return rcEntry{cr: cr, from: from}, err
+	})
+	if err != nil { // not cached: a later lookup retries
+		return nil, err
 	}
-}
-
-// insertLocked adds ent to the LRU, evicting from the front past cap.
-// An entry already under the key is replaced — it either carries the
-// same rewrite (publish race) or a staler stamp. Caller holds c.mu.
-func (c *RewriteCache) insertLocked(ent *rcEntry) {
-	if e, ok := c.entries[ent.key]; ok {
-		e.Value = ent
-		c.lru.MoveToBack(e)
-		return
+	if how == lru.Filled {
+		c.misses.Add(1)
+	} else {
+		c.templateHits.Add(1)
 	}
-	c.entries[ent.key] = c.lru.PushBack(ent)
-	for len(c.entries) > c.cap {
-		victim := c.lru.Front()
-		c.lru.Remove(victim)
-		delete(c.entries, victim.Value.(*rcEntry).key)
-	}
+	c.countShape(ent.cr)
+	return ent.cr, nil
 }

@@ -107,35 +107,29 @@ func (db *DB) execAlterOnline(st sql.Statement) error {
 	// snapshot pinned before this line — exactly the row-MVCC rule.
 	ts := db.txns.StampDDL()
 	db.cat.PublishSchema(t, cols, ts)
-	// Cached plans key on the catalog version, which PublishSchema
-	// bumped; purging just releases their memory promptly.
-	db.plans.purge()
+	// Cached plans are stamped with the catalog version, which
+	// PublishSchema bumped; clearing just releases their memory promptly.
+	db.plans.Clear()
 	db.backfill().enqueue(t.Name)
 	return nil
 }
 
 // planForTx plans st for a specific transaction: a snapshot pinned
 // before the newest schema publication replans under its own schema
-// epoch; everything else takes the ordinary cached path.
-func (db *DB) planForTx(key string, st sql.Statement, tx *mvcc.Txn) (*compiled, error) {
-	if tx != nil && tx.BeginTS() < db.cat.SchemaTS() {
-		return db.planAsOf(st, tx.BeginTS())
+// epoch; everything else takes the ordinary cached path at catalog
+// version ver.
+func (db *DB) planForTx(key string, st sql.Statement, tx *mvcc.Txn, ver int64) (*compiled, error) {
+	if tx == nil || tx.BeginTS() >= db.cat.SchemaTS() {
+		return db.planFor(key, st, ver)
 	}
-	return db.planFor(key, st)
-}
-
-// planAsOf plans st under the schema versions visible at ts. The
-// planner only reads st, which another session may be planning under
-// the newest schema at the same time. The plan is never cached —
-// old-snapshot plans die with their transaction, and the cache key
-// (text, catalog version) has no epoch dimension — so the compiled
-// statement, and the tree its one execution builds, are the caller's
-// alone and go when it returns.
-func (db *DB) planAsOf(st sql.Statement, ts uint64) (*compiled, error) {
-	p := &plan.Planner{Cat: db.cat, Mode: db.cfg.Optimizer, AsOf: ts, AsOfSet: true}
+	// Planned under the schema versions visible at the snapshot, and
+	// never cached: old-snapshot plans die with their transaction, and
+	// the cache's stamp has no epoch dimension. The compiled statement,
+	// and the tree its one execution builds, are the caller's alone.
+	p := &plan.Planner{Cat: db.cat, Mode: db.cfg.Optimizer, AsOf: tx.BeginTS(), AsOfSet: true}
 	n, err := p.PlanStatement(st)
 	if err != nil {
 		return nil, err
 	}
-	return &compiled{node: n}, nil
+	return newCompiled(n), nil
 }

@@ -385,7 +385,7 @@ func (a *Applier) setRootLocked(old, new storage.PageID) {
 // rewrites stream in as ordinary heap updates).
 func (a *Applier) applyCatalogLocked(ch *catalog.DDLChange) error {
 	db := a.db
-	defer db.plans.purge()
+	defer db.plans.Clear()
 	switch ch.Op {
 	case catalog.OpCreateTable:
 		_, err := db.cat.CreateTable(ch.Table, ch.Cols)

@@ -14,14 +14,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
+	"repro/internal/lru"
 	"repro/internal/mvcc"
 	"repro/internal/plan"
 	"repro/internal/sql"
@@ -109,7 +108,7 @@ type DB struct {
 	pool    *storage.BufferPool
 	cat     *catalog.Catalog
 	planner *plan.Planner
-	plans   *planCache
+	plans   *lru.Cache[string, int64, *compiled] // text → plan, stamped with the catalog version
 	log     *wal.Log
 	txns    *mvcc.Manager // transaction registry and commit clock
 
@@ -136,6 +135,11 @@ type DB struct {
 	// to block and their total blocked time.
 	lockWaits     atomic.Int64
 	lockWaitNanos atomic.Int64
+
+	// planHits/planMisses count plan-cache lookups answered by an entry
+	// and those that planned; one that waited on another's plan counts
+	// in neither.
+	planHits, planMisses atomic.Int64
 
 	// recoveries and replayedRecs carry recovery lineage: how many times
 	// this database has been rebuilt from its log, and how many redo
@@ -192,6 +196,9 @@ type DB struct {
 	// it shared.
 	ddlMu sync.RWMutex
 
+	// sessions holds the idle sessions of DB.Atomic.
+	sessions sync.Pool
+
 	// atomicMu is held shared by a running Session.Atomic transaction
 	// and exclusively by structural DDL, taken before ddlMu: DDL waits
 	// for those short transactions to finish — and a new one waits for
@@ -236,7 +243,7 @@ func newDB(cfg Config, disk *storage.Disk, pool *storage.BufferPool, cat *catalo
 		pool:          pool,
 		cat:           cat,
 		planner:       plan.New(cat, cfg.Optimizer),
-		plans:         newPlanCache(),
+		plans:         lru.New[string, int64, *compiled](planCacheSize),
 		log:           log,
 		txns:          txns,
 		conflictWait:  cw,
@@ -355,26 +362,23 @@ func (db *DB) QueryStmt(sel *sql.SelectStmt, key string, params ...types.Value) 
 	return db.runSelect(sel, key, params, nil, true)
 }
 
-// runSelect is the one read path: under ddlMu shared and its tables'
-// shared locks, it plans sel and runs it in tx's snapshot — a pinned
-// session transaction, or, when tx is nil, an autocommit read on
-// readerTxn. With collect it materializes the rows; without (Exec on a
-// SELECT) it streams and discards them and returns nil.
+// runSelect is the one read path: under ddlMu shared it prepares sel
+// (its plan, and shared latches on the tables that plan reads) and runs
+// it in tx's snapshot — a pinned session transaction, or, when tx is
+// nil, an autocommit read on readerTxn. With collect it materializes the
+// rows; without (Exec on a SELECT) it streams and discards them and
+// returns nil.
 func (db *DB) runSelect(sel *sql.SelectStmt, key string, params []types.Value, tx *mvcc.Txn, collect bool) (*Rows, error) {
 	if tx != nil {
 		db.txns.Pin(tx)
 	}
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
-	unlock, err := db.lockTables(collectReadTables(sel, nil), "")
+	c, err := db.prepare(key, sel, tx, false)
 	if err != nil {
 		return nil, err
 	}
-	defer unlock()
-	c, err := db.planForTx(key, sel, tx)
-	if err != nil {
-		return nil, err
-	}
+	defer c.unlatch(false)
 	if tx == nil {
 		var release func()
 		tx, release = db.readerTxn()
@@ -387,20 +391,51 @@ func (db *DB) runSelect(sel *sql.SelectStmt, key string, params []types.Value, t
 	return nil, err
 }
 
-// planFor returns the compiled statement for st through the plan cache.
-// key is the statement's SQL text ("" means render it from the AST);
-// the catalog version completes the cache key, so on-line schema
-// changes invalidate stale plans. Callers hold ddlMu shared, which keeps
-// the version stable across lookup and build — and means at most one
-// build runs per AST object (the in-flight table), which matters
-// because the optimizer rewrites the AST in place.
-func (db *DB) planFor(key string, st sql.Statement) (*compiled, error) {
+// prepare is the first two steps of running a statement, under ddlMu
+// shared (the caller holds it): look st up in the plan cache or plan
+// it, then latch the tables the plan touches — exclusive on a DML
+// target where exclusive is set. The caller runs it, then unlatches.
+// Planning first is safe: the planner reads the catalog, which ddlMu
+// holds still, and schema chains, which lock themselves. An online
+// ALTER bumps the catalog version before it lets its table's latch go,
+// so a version that moved by the time the latches are held may mean a
+// plan from before the ALTER: prepare again (DESIGN.md §7).
+func (db *DB) prepare(key string, st sql.Statement, tx *mvcc.Txn, exclusive bool) (*compiled, error) {
+	for {
+		ver := db.cat.Version()
+		c, err := db.planForTx(key, st, tx, ver)
+		if err != nil {
+			return nil, err
+		}
+		c.latch(db, exclusive)
+		if db.cat.Version() == ver {
+			return c, nil
+		}
+		c.unlatch(exclusive)
+	}
+}
+
+// planFor returns the compiled statement for st through the plan cache,
+// under catalog version ver. key is the statement's SQL text ("" means
+// render it from the AST).
+func (db *DB) planFor(key string, st sql.Statement, ver int64) (*compiled, error) {
 	if key == "" {
 		key = st.String()
 	}
-	return db.plans.get(planKey{text: key, version: db.cat.Version()}, func() (plan.Node, error) {
-		return db.planner.PlanStatement(st)
+	c, how, err := db.plans.Do(key, ver, func() (*compiled, error) {
+		n, err := db.planner.PlanStatement(st)
+		if err != nil {
+			return nil, err
+		}
+		return newCompiled(n), nil
 	})
+	switch how {
+	case lru.Hit:
+		db.planHits.Add(1)
+	case lru.Filled:
+		db.planMisses.Add(1)
+	}
+	return c, err
 }
 
 // Explain plans a statement and renders the operator tree.
@@ -418,22 +453,6 @@ func (db *DB) Explain(query string, params ...types.Value) (string, error) {
 	return plan.Explain(p), nil
 }
 
-// dmlLockSets derives a DML statement's lock sets: the written table
-// and the tables its clauses read (collectReadTables).
-func dmlLockSets(st sql.Statement) (write string, reads []string, err error) {
-	switch st := st.(type) {
-	case *sql.InsertStmt:
-		write = st.Table
-	case *sql.UpdateStmt:
-		write = st.Table
-	case *sql.DeleteStmt:
-		write = st.Table
-	default:
-		return "", nil, fmt.Errorf("engine: unsupported statement %T", st)
-	}
-	return write, collectReadTables(st, nil), nil
-}
-
 // execDML runs one autocommit DML statement. The caller's parsed
 // statement becomes its own one-statement transaction: a WAL scope
 // committed (durably) at the end, and — when interactive transactions
@@ -443,28 +462,16 @@ func (db *DB) execDML(st sql.Statement, key string, params []types.Value) (Resul
 	if db.readOnly.Load() {
 		return Result{}, ErrReadOnlyReplica
 	}
-	write, reads, err := dmlLockSets(st)
-	if err != nil {
-		return Result{}, err
-	}
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
-	unlock, err := db.lockTables(reads, write)
+	c, err := db.prepare(key, st, nil, true)
 	if err != nil {
 		return Result{}, err
 	}
-	defer unlock()
-	c, err := db.planFor(key, st)
-	if err != nil {
-		return Result{}, err
-	}
+	defer c.unlatch(true)
+	tbl := c.write
 	scope, err := db.log.Begin()
 	if err != nil {
-		return Result{}, err
-	}
-	tbl, err := db.cat.Table(write)
-	if err != nil {
-		scope.Abort()
 		return Result{}, err
 	}
 	// Install the statement's loggers on the target table (we hold its
@@ -542,7 +549,7 @@ func (db *DB) execDDL(st sql.Statement) error {
 	}
 	// The catalog version bump already invalidates lookups; purging
 	// releases the stale plans' memory promptly.
-	defer db.plans.purge()
+	defer db.plans.Clear()
 	scope, err := db.log.Begin()
 	if err != nil {
 		return err
@@ -623,77 +630,21 @@ func (db *DB) applyDDL(st sql.Statement, scope *wal.Scope) (*catalog.DDLChange, 
 	return nil, fmt.Errorf("engine: unsupported DDL %T", st)
 }
 
-// lockTables acquires read locks on reads and a write lock on write,
-// in a global order (by lowercased name) to avoid deadlocks. A table
-// appearing in both gets only the write lock.
-func (db *DB) lockTables(reads []string, write string) (func(), error) {
-	if write == "" {
-		return db.lockTablesMulti(reads, nil)
+// lock takes a table latch, shared or exclusive. The fast path costs
+// nothing uncontended; only a blocked acquisition pays for a clock read
+// and the counters. Statements latch in one global order, by lowercased
+// table name (compiled.tables, Session.undoLocked), to avoid deadlocks.
+func (db *DB) lock(t *catalog.Table, exclusive bool) {
+	try, wait := t.Mu.TryRLock, t.Mu.RLock
+	if exclusive {
+		try, wait = t.Mu.TryLock, t.Mu.Lock
 	}
-	return db.lockTablesMulti(reads, []string{write})
-}
-
-// lockTablesMulti is lockTables for several write targets at once (a
-// whole transaction's rollback relocks every table it wrote).
-func (db *DB) lockTablesMulti(reads, writes []string) (func(), error) {
-	type lockReq struct {
-		name  string
-		write bool
+	if !try() {
+		start := time.Now()
+		wait()
+		db.lockWaits.Add(1)
+		db.lockWaitNanos.Add(time.Since(start).Nanoseconds())
 	}
-	seen := map[string]*lockReq{}
-	for _, r := range reads {
-		k := strings.ToLower(r)
-		if seen[k] == nil {
-			seen[k] = &lockReq{name: r}
-		}
-	}
-	for _, w := range writes {
-		k := strings.ToLower(w)
-		if seen[k] == nil {
-			seen[k] = &lockReq{name: w}
-		}
-		seen[k].write = true
-	}
-	var order []string
-	for k := range seen {
-		order = append(order, k)
-	}
-	sort.Strings(order)
-	var locked []func()
-	for _, k := range order {
-		req := seen[k]
-		t, err := db.cat.Table(req.name)
-		if err != nil {
-			for i := len(locked) - 1; i >= 0; i-- {
-				locked[i]()
-			}
-			return nil, err
-		}
-		// Try the fast path first so the uncontended case costs nothing;
-		// only a blocked acquisition pays for a clock read and counters.
-		if req.write {
-			if !t.Mu.TryLock() {
-				start := time.Now()
-				t.Mu.Lock()
-				db.lockWaits.Add(1)
-				db.lockWaitNanos.Add(time.Since(start).Nanoseconds())
-			}
-			locked = append(locked, t.Mu.Unlock)
-		} else {
-			if !t.Mu.TryRLock() {
-				start := time.Now()
-				t.Mu.RLock()
-				db.lockWaits.Add(1)
-				db.lockWaitNanos.Add(time.Since(start).Nanoseconds())
-			}
-			locked = append(locked, t.Mu.RUnlock)
-		}
-	}
-	return func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			locked[i]()
-		}
-	}, nil
 }
 
 // writeGate is a soft per-table write-admission token. A session
@@ -737,30 +688,6 @@ func (db *DB) gateFor(lower string) *writeGate {
 	}
 	db.gateMu.Unlock()
 	return g
-}
-
-// collectReadTables appends to acc the base tables st reads: its FROM
-// entries, derived tables, and the IN subqueries in any of its clauses,
-// nested ones included. A DML statement's target is its write, not one
-// of its reads. It runs on every execution and allocates nothing but
-// acc's growth.
-func collectReadTables(st sql.Statement, acc []string) []string {
-	sql.WalkStatement(st, func(e sql.Expr) {
-		sql.Walk(e, func(n sql.Expr) bool {
-			if in, ok := n.(*sql.InExpr); ok && in.Subquery != nil {
-				acc = collectReadTables(in.Subquery, acc)
-			}
-			return true
-		})
-	}, func(tr sql.TableRef) {
-		switch tr := tr.(type) {
-		case *sql.NamedTable:
-			acc = append(acc, tr.Name)
-		case *sql.SubqueryTable:
-			acc = collectReadTables(tr.Select, acc)
-		}
-	})
-	return acc
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -903,7 +830,8 @@ func (db *DB) Stats() Stats {
 	s.CommitPipelineMax = c.PipelineMax
 	s.PublishBatches = c.PublishBatches
 	s.PublishedTxns = c.PublishedTxns
-	s.PlanCacheHits, s.PlanCacheMisses, s.PlanCacheEntries = db.plans.counters()
+	s.PlanCacheHits, s.PlanCacheMisses = db.planHits.Load(), db.planMisses.Load()
+	s.PlanCacheEntries, _ = db.plans.Counts()
 	s.WAL = db.log.Stats()
 	s.ReplShippedLSN = db.replShippedLSN.Load()
 	s.ReplAckedLSN = db.replAckedLSN.Load()

@@ -32,9 +32,8 @@ func newCacheTestDB(t *testing.T) *DB {
 // once and served from the cache afterwards, one entry among the cache's.
 func TestPlanCacheHits(t *testing.T) {
 	db := newCacheTestDB(t)
-	db.plans.mu.Lock()
-	db.plans.hits, db.plans.misses = 0, 0
-	db.plans.mu.Unlock()
+	db.planHits.Store(0)
+	db.planMisses.Store(0)
 	entries := db.Stats().PlanCacheEntries
 
 	const q = "SELECT name FROM acct WHERE id = 7"
@@ -308,12 +307,8 @@ func TestPrepareInvalidatedByDDL(t *testing.T) {
 // entryFor returns the cached compiled statement of q under the current
 // catalog version (nil when absent).
 func entryFor(db *DB, q string) *compiled {
-	db.plans.mu.Lock()
-	defer db.plans.mu.Unlock()
-	if e, ok := db.plans.entries[planKey{text: q, version: db.cat.Version()}]; ok {
-		return e.Value.(*compiled)
-	}
-	return nil
+	c, _ := db.plans.Get(q, db.cat.Version())
+	return c
 }
 
 func (c *compiled) freeTrees() []*exec.Tree {
@@ -438,7 +433,7 @@ func TestCompiledTreeReuseAndFaults(t *testing.T) {
 }
 
 // TestCompiledTreesDieWithTheirEntry: an online ALTER (a new catalog
-// version) and an explicit purge each leave the old entry, and the
+// version) and an explicit Clear each leave the old entry, and the
 // trees on its free list, unreachable from the cache; the statement's
 // next execution plans afresh and builds a tree of its own.
 func TestCompiledTreesDieWithTheirEntry(t *testing.T) {
@@ -456,32 +451,22 @@ func TestCompiledTreesDieWithTheirEntry(t *testing.T) {
 		}
 		return c
 	}
-	reachable := func(c *compiled) bool {
-		db.plans.mu.Lock()
-		defer db.plans.mu.Unlock()
-		for _, e := range db.plans.entries {
-			if e.Value.(*compiled) == c {
-				return true
-			}
-		}
-		return false
-	}
 	old := query(3)
 	if _, err := db.Exec("ALTER TABLE acct ADD COLUMN extra INT"); err != nil {
 		t.Fatal(err)
 	}
-	if reachable(old) {
-		t.Error("the pre-ALTER entry is still in the cache")
+	if n, _ := db.plans.Counts(); n != 0 {
+		t.Errorf("the ALTER left %d entries in the cache", n)
 	}
 	altered := query(4)
 	if altered == old || altered.freeTrees()[0] == old.freeTrees()[0] {
 		t.Error("the post-ALTER execution ran on the pre-ALTER entry or tree")
 	}
-	db.plans.purge()
-	if reachable(altered) {
-		t.Error("the purged entry is still in the cache")
+	db.plans.Clear()
+	if n, _ := db.plans.Counts(); n != 0 {
+		t.Errorf("Clear left %d entries in the cache", n)
 	}
 	if again := query(4); again == altered || again.freeTrees()[0] == altered.freeTrees()[0] {
-		t.Error("the post-purge execution ran on the purged entry or tree")
+		t.Error("the post-Clear execution ran on the cleared entry or tree")
 	}
 }

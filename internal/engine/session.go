@@ -65,8 +65,8 @@ type Session struct {
 	scope   *wal.Scope       // lazily begun at the first write/savepoint
 	undo    *catalog.UndoLog // one shared log; statements/savepoints are marks
 	saves   []savepoint
-	written map[string]string // lowercased -> original table name
-	aborted bool              // conflict rolled the transaction back
+	written map[string]*catalog.Table // by lowercased name
+	aborted bool                      // conflict rolled the transaction back
 
 	// gates records the write-admission gates this transaction passed,
 	// by lowercased table name: a non-nil value is a held token to
@@ -227,9 +227,10 @@ func (s *Session) begin() (Result, error) {
 	s.tx = db.txns.BeginLazy()
 	db.ddlMu.RUnlock()
 	db.txnBegins.Add(1)
-	s.undo = &catalog.UndoLog{}
-	s.written = make(map[string]string)
-	s.saves = nil
+	if s.undo == nil { // the session's first transaction; reset keeps both
+		s.undo = &catalog.UndoLog{}
+		s.written = make(map[string]*catalog.Table)
+	}
 	return Result{}, nil
 }
 
@@ -371,7 +372,23 @@ func (s *Session) rollbackTo(name string) (Result, error) {
 // snapshot that holds the winner's commit.
 const atomicAttempts = 8
 
-// Atomic runs fn, statements on s, as one transaction when s has none
+// Atomic runs fn in an implicit transaction (Session.Atomic) on a
+// session the database recycles: a caller without a session of its own
+// pays for none. A session goes back only when no transaction is left
+// open on it.
+func (db *DB) Atomic(fn func(*Session) error) error {
+	s, _ := db.sessions.Get().(*Session)
+	if s == nil {
+		s = db.Session()
+	}
+	err := s.Atomic(fn)
+	if !s.InTxn() {
+		db.sessions.Put(s)
+	}
+	return err
+}
+
+// Atomic runs fn(s), statements on s, as one transaction when s has none
 // open: it commits what fn wrote, or rolls all of it back when fn fails.
 // The transaction is the caller's, not the client's, so a write-write
 // conflict is no error of the client's: the attempt is rolled back and
@@ -379,9 +396,9 @@ const atomicAttempts = 8
 // running Atomic transaction instead of refusing it. Inside an open
 // transaction fn runs in it, as any statement does. fn must not start
 // another Atomic transaction.
-func (s *Session) Atomic(fn func() error) error {
+func (s *Session) Atomic(fn func(*Session) error) error {
 	if s.InTxn() {
-		return fn()
+		return fn(s)
 	}
 	s.db.atomicMu.RLock()
 	defer s.db.atomicMu.RUnlock()
@@ -391,7 +408,7 @@ func (s *Session) Atomic(fn func() error) error {
 			return err
 		}
 		s.admitFirst(contended)
-		err := fn()
+		err := fn(s)
 		if err == nil {
 			_, err = s.ExecStmt(&sql.CommitStmt{}, "")
 			return err
@@ -453,8 +470,8 @@ func (s *Session) dml(st sql.Statement, key string, params []types.Value) (Resul
 // same table block each other only for the physical apply, never for
 // the gather or the conflict wait:
 //
-//  1. Gather under SHARED latches on every table the statement touches
-//     (including the write target): plan, evaluate expressions, and
+//  1. Gather under SHARED latches on every table the statement's plan
+//     touches (including the write target): evaluate expressions and
 //     collect the snapshot-visible match set without mutating anything.
 //  2. Bounded wait-then-abort on the write set, holding NO table
 //     latch: park until conflicting holders resolve or the deadline
@@ -482,30 +499,29 @@ func (s *Session) dml(st sql.Statement, key string, params []types.Value) (Resul
 // timeout unwinds the waiter and the system drains.
 func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) (Result, error) {
 	db := s.db
-	write, reads, err := dmlLockSets(st)
-	if err != nil {
-		return Result{}, err
-	}
 	// Admission before ddlMu so a parked waiter never delays DDL, and
-	// before the pin so the snapshot postdates the previous holder.
-	s.admitWrite(write)
+	// before the pin so the snapshot postdates the previous holder. No
+	// plan exists yet: the gate is the statement's own table name.
+	switch st := st.(type) {
+	case *sql.InsertStmt:
+		s.admitWrite(st.Table)
+	case *sql.UpdateStmt:
+		s.admitWrite(st.Table)
+	case *sql.DeleteStmt:
+		s.admitWrite(st.Table)
+	}
 	db.txns.Pin(s.tx)
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
 
 	// Phase 1: gather. The write target is latched shared like the
 	// reads — nothing is mutated yet.
-	unlock, err := db.lockTablesMulti(append(append([]string(nil), reads...), write), nil)
+	c, err := db.prepare(key, st, s.tx, false)
 	if err != nil {
-		return Result{}, err
-	}
-	c, err := db.planForTx(key, st, s.tx)
-	if err != nil {
-		unlock()
 		return Result{}, err
 	}
 	pd, err := exec.PrepareDML(c.node, params, &db.execStats, s.tx)
-	unlock()
+	c.unlatch(false)
 	if err != nil {
 		// Nothing was applied; the failed statement still counts as a
 		// (trivially clean) statement rollback, as it always has.
@@ -530,7 +546,7 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 	// Record the target before applying: even a failed statement may
 	// need this table relocked if the rollback of an earlier statement's
 	// writes comes due, and a superset relock is harmless.
-	s.written[strings.ToLower(write)] = write
+	s.written[strings.ToLower(t.Name)] = t
 
 	// Phase 3: apply. The exclusive latch spans the statement's whole
 	// physical application — heap, indexes, WAL appends — so its log
@@ -616,35 +632,31 @@ func (s *Session) ensureScope() error {
 	return nil
 }
 
-// undoLocked relocks every table the transaction wrote (in the global
-// lock order), reinstalls the WAL loggers so compensations are logged
-// under this transaction, and replays the undo log back to mark.
+// undoLocked relocks every table the transaction wrote (exclusively,
+// in the global latch order), reinstalls the WAL loggers so
+// compensations are logged under this transaction, and replays the undo
+// log back to mark.
 func (s *Session) undoLocked(mark int) error {
 	db := s.db
-	var writes []string
-	for _, name := range s.written {
-		writes = append(writes, name)
-	}
-	sort.Strings(writes)
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
-	unlock, err := db.lockTablesMulti(nil, writes)
-	if err != nil {
-		return err
+	// On a live log every compensation is logged under the transaction
+	// so recovery replays the rollback too. Once the log is down,
+	// appends would fail each undo step; the physical undo then runs
+	// unlogged — the durable log holds no terminator, so recovery
+	// discards the transaction wholesale, matching the undone in-memory
+	// state.
+	logged := s.scope != nil && !db.log.Crashed()
+	keys := make([]string, 0, len(s.written))
+	for k := range s.written {
+		keys = append(keys, k)
 	}
-	defer unlock()
-	if s.scope != nil && !db.log.Crashed() {
-		// On a live log every compensation is logged under the
-		// transaction so recovery replays the rollback too. Once the log
-		// is down, appends would fail each undo step; the physical undo
-		// then runs unlogged — the durable log holds no terminator, so
-		// recovery discards the transaction wholesale, matching the
-		// undone in-memory state.
-		for _, name := range writes {
-			t, terr := db.cat.Table(name)
-			if terr != nil {
-				return terr
-			}
+	sort.Strings(keys)
+	for _, k := range keys {
+		t := s.written[k]
+		db.lock(t, true)
+		defer t.Mu.Unlock()
+		if logged {
 			t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger())
 			defer t.SetWAL(nil, nil)
 		}
@@ -678,12 +690,12 @@ func (s *Session) reset() {
 			g.release()
 		}
 	}
-	s.gates = nil
+	clear(s.gates)
 	s.tx = nil
 	s.scope = nil
-	s.undo = nil
+	s.undo.Discard()
 	s.saves = nil
-	s.written = nil
+	clear(s.written)
 	s.aborted = false
 	// A transaction ending may have advanced the GC horizon past the
 	// snapshot that blocked a schema-chain prune; wake parked backfills

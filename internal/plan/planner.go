@@ -41,12 +41,14 @@ type Planner struct {
 }
 
 // physCols returns the physical column slots visible to the planner's
-// schema epoch (the newest schema when no as-of snapshot is set).
+// schema epoch (the newest schema when no as-of snapshot is set). Both
+// come from the table's schema chain, which locks itself: the engine
+// plans before it latches the tables the plan names.
 func (p *Planner) physCols(t *catalog.Table) []catalog.Column {
 	if p.AsOfSet {
 		return t.Schemas.At(p.AsOf).Cols
 	}
-	return t.Columns
+	return t.Schemas.Latest().Cols
 }
 
 // colIndex resolves a column name within the planner's schema epoch;
@@ -443,7 +445,7 @@ func (p *Planner) indexCandidates(s *source, conjs []sql.Expr, outerScope *scope
 			if cr.Table != "" && !strings.EqualFold(cr.Table, s.alias) {
 				return false
 			}
-			ord := s.table.ColIndex(cr.Name)
+			ord := p.colIndex(s.table, cr.Name)
 			if ord < 0 {
 				return false
 			}
@@ -827,7 +829,7 @@ func (p *Planner) planRefWithLocals(tr sql.TableRef, locals []sql.Expr) (Node, e
 // provides reports whether the catalog's table has the column.
 func (p *Planner) provides(table, column string) bool {
 	t, err := p.Cat.Table(table)
-	return err == nil && t.ColIndex(column) >= 0
+	return err == nil && p.colIndex(t, column) >= 0
 }
 
 // refsWithin reports whether every column reference of the conjunct can

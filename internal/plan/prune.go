@@ -151,7 +151,7 @@ func pruneNode(n Node, need []bool) {
 		pruneNode(n.Right, rightNeed)
 	case *IndexNLJoin:
 		outerNeed := make([]bool, len(n.Outer.Schema()))
-		innerNeed := make([]bool, len(n.Inner.Columns))
+		innerNeed := make([]bool, len(n.Inner.Schemas.Latest().Cols))
 		splitNeed(need, outerNeed, innerNeed)
 		// Access-path scalars see the outer row: join keys flow in there.
 		markScalars(n.Path.EqPrefix, outerNeed)

@@ -1,7 +1,43 @@
 package plan
 
-// Walks over a plan's scalars, subquery plans included: column pruning
-// and subquery numbering use them.
+import "repro/internal/catalog"
+
+// Walks over a plan's scalars, subquery plans included: column pruning,
+// subquery numbering and the tables a plan touches use them.
+
+// Tables reports the tables a plan touches: the one a DML plan writes
+// (nil for a query), and those it reads — every scan, index join's inner
+// table and IN-subquery plan, nested ones included, once per place. A
+// DML plan's target is its write, not one of its reads.
+func Tables(n Node) (write *catalog.Table, reads []*catalog.Table) {
+	var visit func(Node)
+	visit = func(n Node) {
+		switch n := n.(type) {
+		case *SeqScan:
+			reads = append(reads, n.Table)
+		case *IndexScan:
+			reads = append(reads, n.Table)
+		case *IndexNLJoin:
+			reads = append(reads, n.Inner)
+		case *InsertPlan:
+			write = n.Table
+		case *UpdatePlan:
+			write = n.Table
+		case *DeletePlan:
+			write = n.Table
+		}
+		for _, c := range n.Children() {
+			visit(c)
+		}
+	}
+	visit(n)
+	walkPlanScalars(n, func(s Scalar) {
+		if in, ok := s.(*InSubquery); ok {
+			visit(in.Plan)
+		}
+	})
+	return write, reads
+}
 
 // numberSubqueries gives every IN subquery of a plan, nested ones
 // included, the slot under which an execution keeps its set.
