@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-join fuzz-page check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-join fuzz-page fuzz-wal check
 
 all: check
 
@@ -195,5 +195,11 @@ fuzz-join:
 # to a map of slot -> bytes.
 fuzz-page:
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzSlottedPage -fuzztime 10s
+
+# Short fuzz burst at the WAL frame decoder recovery and replica ingest
+# run over durable bytes: it must never panic, its end must cover whole
+# frames only, and decoding just those bytes must give the same records.
+fuzz-wal:
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzDecodeFrames -fuzztime 10s
 
 check: build vet fmt test test-cores race race-bench bench-smoke

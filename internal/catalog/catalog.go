@@ -525,23 +525,28 @@ func (c *Catalog) TableNames() []string {
 	return out
 }
 
-// DropTableDeferred removes the table from the namespace but frees no
-// pages: it returns the heap and index page lists so the caller can log
-// the frees and perform them only after its commit record is durable —
+// DropTableDeferred removes the table from the namespace and returns
+// it, freeing no pages: the caller lists them (Table.Release) to log
+// the frees and performs them only after its commit record is durable —
 // redo-only recovery cannot resurrect pages an uncommitted drop already
-// destroyed.
-func (c *Catalog) DropTableDeferred(name string) (dataPages, indexPages []storage.PageID, err error) {
+// destroyed. Replay needs no list: the drop's KPageFree records name
+// the pages.
+func (c *Catalog) DropTableDeferred(name string) (*Table, error) {
 	c.version.Add(1)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	t, ok := c.tables[key(name)]
 	if !ok {
-		c.mu.Unlock()
-		return nil, nil, fmt.Errorf("catalog: no such table %s", name)
+		return nil, fmt.Errorf("catalog: no such table %s", name)
 	}
 	delete(c.tables, key(name))
 	c.rebudget()
-	c.mu.Unlock()
+	return t, nil
+}
 
+// Release detaches a dropped table's pages and returns them, heap and
+// index, without freeing any.
+func (t *Table) Release() (dataPages, indexPages []storage.PageID, err error) {
 	t.Mu.Lock()
 	defer t.Mu.Unlock()
 	for _, ix := range t.Indexes {
@@ -640,10 +645,9 @@ func (c *Catalog) AdoptIndex(tableName, indexName string, cols []int, unique boo
 	return ix, nil
 }
 
-// DropIndexDeferred removes the index from the table but frees no
-// pages, returning them for commit-deferred freeing (see
-// DropTableDeferred).
-func (c *Catalog) DropIndexDeferred(tableName, indexName string) ([]storage.PageID, error) {
+// DropIndexDeferred removes the index from the table and returns it,
+// freeing no pages (see DropTableDeferred; its pages are Tree.Pages).
+func (c *Catalog) DropIndexDeferred(tableName, indexName string) (*Index, error) {
 	c.version.Add(1)
 	t, err := c.Table(tableName)
 	if err != nil {
@@ -653,12 +657,8 @@ func (c *Catalog) DropIndexDeferred(tableName, indexName string) ([]storage.Page
 	defer t.Mu.Unlock()
 	for i, ix := range t.Indexes {
 		if strings.EqualFold(ix.Name, indexName) {
-			pages, perr := ix.Tree.Pages()
-			if perr != nil {
-				return nil, perr
-			}
 			t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
-			return pages, nil
+			return ix, nil
 		}
 	}
 	return nil, fmt.Errorf("catalog: no index %s on %s", indexName, tableName)

@@ -44,13 +44,13 @@ func TestCreateDropTable(t *testing.T) {
 	if !c.HasTable("ACCOUNT") {
 		t.Error("HasTable case-insensitive lookup failed")
 	}
-	if _, _, err := c.DropTableDeferred("Account"); err != nil {
+	if _, err := c.DropTableDeferred("Account"); err != nil {
 		t.Fatal(err)
 	}
 	if c.HasTable("Account") {
 		t.Error("table survived drop")
 	}
-	if _, _, err := c.DropTableDeferred("Account"); err == nil {
+	if _, err := c.DropTableDeferred("Account"); err == nil {
 		t.Error("double drop should fail")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/btree"
 	"repro/internal/schemaver"
@@ -14,9 +13,9 @@ import (
 // This file is the catalog's durability boundary. The schema itself
 // lives only in Go memory, so a checkpoint serializes it as a Snapshot
 // (JSON inside the KCheckpoint record) and every DDL statement logs a
-// DDLChange (JSON inside a KCatalog record). Recovery replays changes
-// onto the snapshot to get a metadata model of the crashed system, then
-// Restore turns the model back into live catalog structures.
+// DDLChange (JSON inside a KCatalog record). Recovery Restores the live
+// catalog from the last checkpoint's snapshot and replays the changes
+// after it through the same catalog calls a replica's applier makes.
 
 // IndexSnap is the durable description of one index: definition plus
 // the root page, which together with the pages reachable from it is all
@@ -121,127 +120,10 @@ func DecodeDDLChange(b []byte) (*DDLChange, error) {
 	return ch, nil
 }
 
-// table finds a table in the snapshot by name (case-insensitive).
-func (s *Snapshot) table(name string) *TableSnap {
-	for i := range s.Tables {
-		if strings.EqualFold(s.Tables[i].Name, name) {
-			return &s.Tables[i]
-		}
-	}
-	return nil
-}
-
-// Apply replays one committed DDL change onto the metadata model.
-func (s *Snapshot) Apply(ch *DDLChange) error {
-	switch ch.Op {
-	case OpCreateTable:
-		if s.table(ch.Table) != nil {
-			return fmt.Errorf("catalog: replay create of existing table %s", ch.Table)
-		}
-		s.Tables = append(s.Tables, TableSnap{Name: ch.Table, Cols: ch.Cols})
-	case OpDropTable:
-		for i := range s.Tables {
-			if strings.EqualFold(s.Tables[i].Name, ch.Table) {
-				s.Tables = append(s.Tables[:i], s.Tables[i+1:]...)
-				return nil
-			}
-		}
-		return fmt.Errorf("catalog: replay drop of missing table %s", ch.Table)
-	case OpCreateIndex:
-		t := s.table(ch.Table)
-		if t == nil {
-			return fmt.Errorf("catalog: replay create index on missing table %s", ch.Table)
-		}
-		t.Indexes = append(t.Indexes, IndexSnap{
-			Name: ch.Index, Cols: ch.IndexCols, Unique: ch.Unique, Root: ch.Root,
-		})
-	case OpDropIndex:
-		t := s.table(ch.Table)
-		if t == nil {
-			return fmt.Errorf("catalog: replay drop index on missing table %s", ch.Table)
-		}
-		for i := range t.Indexes {
-			if strings.EqualFold(t.Indexes[i].Name, ch.Index) {
-				t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
-				return nil
-			}
-		}
-		return fmt.Errorf("catalog: replay drop of missing index %s on %s", ch.Index, ch.Table)
-	case OpAddColumn:
-		t := s.table(ch.Table)
-		if t == nil {
-			return fmt.Errorf("catalog: replay add column on missing table %s", ch.Table)
-		}
-		t.Cols = append(t.Cols, ch.Cols...)
-	case OpDropColumn:
-		t := s.table(ch.Table)
-		if t == nil {
-			return fmt.Errorf("catalog: replay drop column on missing table %s", ch.Table)
-		}
-		name := ch.Cols[0].Name
-		for i := range t.Cols {
-			if !t.Cols[i].Dropped && strings.EqualFold(t.Cols[i].Name, name) {
-				t.Cols[i].Dropped = true
-				return nil
-			}
-		}
-		return fmt.Errorf("catalog: replay drop of missing column %s.%s", ch.Table, name)
-	case OpWidenColumn:
-		t := s.table(ch.Table)
-		if t == nil {
-			return fmt.Errorf("catalog: replay widen column on missing table %s", ch.Table)
-		}
-		name := ch.Cols[0].Name
-		for i := range t.Cols {
-			if !t.Cols[i].Dropped && strings.EqualFold(t.Cols[i].Name, name) {
-				t.Cols[i].Type = ch.Cols[0].Type
-				return nil
-			}
-		}
-		return fmt.Errorf("catalog: replay widen of missing column %s.%s", ch.Table, name)
-	default:
-		return fmt.Errorf("catalog: replay of unknown DDL op %q", ch.Op)
-	}
-	return nil
-}
-
-// AddHeapPage appends a page to a table's heap page list (replay of
-// KHeapNewPage). Idempotent: a page already listed is left in place.
-func (s *Snapshot) AddHeapPage(table string, page storage.PageID) error {
-	t := s.table(table)
-	if t == nil {
-		return fmt.Errorf("catalog: replay heap growth on missing table %s", table)
-	}
-	for _, p := range t.Pages {
-		if p == page {
-			return nil
-		}
-	}
-	t.Pages = append(t.Pages, page)
-	return nil
-}
-
-// SetRoot repoints whichever index currently has root old to new
-// (replay of KBTreeRoot). Reports whether an index matched; records
-// from a statement that predates the index's KCatalog record match
-// nothing, which is correct — the create's payload already carries the
-// later root.
-func (s *Snapshot) SetRoot(old, new storage.PageID) bool {
-	for i := range s.Tables {
-		for j := range s.Tables[i].Indexes {
-			if s.Tables[i].Indexes[j].Root == old {
-				s.Tables[i].Indexes[j].Root = new
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Restore rebuilds a live catalog from a replayed metadata model. The
-// caller (engine recovery) must afterwards call RecomputeAll to rebuild
-// derived state — row counts, free-space caches, tree sizes — from the
-// recovered pages.
+// Restore rebuilds a live catalog from a checkpoint's snapshot. The
+// caller (engine recovery) must, after replaying the log, call
+// RecomputeAll to rebuild derived state — row counts, free-space
+// caches, tree sizes — from the recovered pages.
 func Restore(pool *storage.BufferPool, cfg Config, snap *Snapshot) *Catalog {
 	if cfg.MetaBytesPerTable == 0 {
 		cfg.MetaBytesPerTable = DefaultMetaBytesPerTable
@@ -252,8 +134,9 @@ func Restore(pool *storage.BufferPool, cfg Config, snap *Snapshot) *Catalog {
 	c := &Catalog{tables: make(map[string]*Table), pool: pool, cfg: cfg}
 	for _, ts := range snap.Tables {
 		// The schema chain restarts at a single version: no snapshot
-		// survives a crash, so the whole history collapses to the newest
-		// columns (Dropped flags included — the slots themselves live on).
+		// survives a crash, so the history up to the checkpoint collapses
+		// to its columns (Dropped flags included — the slots themselves
+		// live on). Changes replayed after it publish as usual.
 		t := &Table{
 			Name:    ts.Name,
 			Columns: append([]Column(nil), ts.Cols...),

@@ -371,35 +371,38 @@ func BenchmarkStatementPaths(b *testing.B) {
 	}
 }
 
-// benchStatementInserts is BenchmarkStatementPaths' INSERT cases.
+// benchStatementInserts is BenchmarkStatementPaths' INSERT cases. Each
+// run sets up its own bed and draws its own texts, so every run of one
+// -benchtime inserts the same rows into the same tables and allocs/op
+// holds across -count.
 func benchStatementInserts(b *testing.B) {
-	bed, err := testbed.Setup(testbed.Config{
-		Tenants: 32, RowsPerTable: 64, WithExtensions: true,
-		NewLayout: func(s *core.Schema) (core.Layout, error) {
-			return core.NewChunkFoldingLayout(s, core.FoldingOptions{})
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tenant := 1
-	for ; ; tenant++ { // the first tenant whose Account is its own: extended
-		p, err := core.Placement(bed.Layout, int64(tenant), "Account")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if strings.Contains(p, "tenant's own") {
-			break
-		}
-	}
-	m := core.NewSessionMapper(bed.DB, bed.Layout)
-	defer m.Session.Close()
-	r := rand.New(rand.NewSource(1))
 	for _, c := range []struct {
 		name string
 		rows int
 	}{{"insert/fresh", 1}, {"insert-heavy/fresh", 50}} {
 		b.Run(c.name, func(b *testing.B) {
+			bed, err := testbed.Setup(testbed.Config{
+				Tenants: 32, RowsPerTable: 64, WithExtensions: true,
+				NewLayout: func(s *core.Schema) (core.Layout, error) {
+					return core.NewChunkFoldingLayout(s, core.FoldingOptions{})
+				},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tenant := 1
+			for ; ; tenant++ { // the first tenant whose Account is its own: extended
+				p, err := core.Placement(bed.Layout, int64(tenant), "Account")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if strings.Contains(p, "tenant's own") {
+					break
+				}
+			}
+			m := core.NewSessionMapper(bed.DB, bed.Layout)
+			defer m.Session.Close()
+			r := rand.New(rand.NewSource(1))
 			texts := make([]string, b.N+1)
 			for i := range texts {
 				texts[i] = bed.Workload.InsertSQL(r, tenant-1, "Account", c.rows)

@@ -271,7 +271,7 @@ func sameValue(a, b types.Value) bool {
 func (p *placement) reconstruct(tenant int64, used []int, withRow bool) *sql.SelectStmt {
 	slots := p.slotsAt(used)
 	frags := p.touched(slots, true)
-	aliases := fragAliases("f", len(frags))
+	aliases := fragAliases(len(frags))
 	sel := &sql.SelectStmt{
 		Items: make([]sql.SelectItem, 0, len(used)+1),
 		From:  make([]sql.TableRef, 0, len(frags)),
@@ -306,11 +306,11 @@ func (p *placement) reconstruct(tenant int64, used []int, withRow bool) *sql.Sel
 	return sel
 }
 
-// fragAliases names n table aliases prefix0, prefix1, ...
-func fragAliases(prefix string, n int) []string {
+// fragAliases names n fragment aliases f0, f1, ...
+func fragAliases(n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = prefix + strconv.Itoa(i)
+		out[i] = "f" + strconv.Itoa(i)
 	}
 	return out
 }

@@ -3,30 +3,22 @@ package engine
 import (
 	"fmt"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/mvcc"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
-// This file is the follower half of WAL-shipping replication: a
-// continuous applier that ingests the primary's durable frames into the
-// replica's (mirror) log and replays them into pages, catalogs, and
-// MVCC state, publishing each commit in log order. Reads on the replica
-// go through the ordinary engine paths — an applier transaction is a
-// real mvcc.Txn, its pre-images live in the ordinary version chains, so
-// a snapshot pinned between commits never sees a torn transaction.
-
-// journalEntry is one open-transaction record carried across a replica
-// crash: recovery replays the primary's still-open transactions
-// physically (pages must match the stream position) but cannot publish
-// them, so their row-level effects — with pre-images read at the replay
-// position — are handed to the resumed applier, which rebuilds the
-// in-memory transaction state exactly as the pre-crash applier held it.
-type journalEntry struct {
-	rec *wal.Record
-	pre []byte
-}
+// This file is the one replay path. Crash recovery restores the
+// catalog from the last checkpoint and feeds every retained record
+// through applyLocked; a replica's Applier keeps calling it for the
+// durable frames the primary ships, ingested into the replica's
+// (mirror) log, publishing each commit in log order. Reads on the
+// replica go through the ordinary engine paths — an applier
+// transaction is a real mvcc.Txn, its pre-images live in the ordinary
+// version chains, so a snapshot pinned between commits never sees a
+// torn transaction.
 
 // applyTxn is the applier's in-flight image of one primary transaction:
 // the mvcc transaction its writes are attributed to, plus the catalog
@@ -39,82 +31,35 @@ type applyTxn struct {
 	frees    []storage.PageID
 }
 
-// Applier replays a primary's WAL stream onto a replica DB. It is the
-// only writer on the replica: Feed ingests a durable byte range and
-// drains every whole frame under the DB's exclusive DDL fence, so
-// concurrent readers (which hold the fence shared per statement)
-// observe page state only at batch boundaries — and MVCC hides even
-// intra-batch transactions from them. Single goroutine per replica.
+// Applier replays a WAL onto a DB: recovery's retained log once, then,
+// on a replica, the primary's stream. It is the only writer on a
+// replica: Feed ingests a durable byte range and drains every whole
+// frame under the DB's exclusive DDL fence, so concurrent readers
+// (which hold the fence shared per statement) observe page state only
+// at batch boundaries — and MVCC hides even intra-batch transactions
+// from them. Single goroutine per replica.
 type Applier struct {
 	db   *DB
 	cur  *wal.Cursor
 	txns map[uint64]*applyTxn
 
-	// pageLSN memoizes the replay guard (same role as recovery's): a
-	// record at or below the page's stamped LSN already happened —
-	// re-ingested overlap after a reconnect must be apply-twice safe.
+	// pageLSN memoizes the replay guard: a record at or below the
+	// page's stamped LSN already happened — recovery meets pages the
+	// disk holds ahead of the log, a replica the overlap a reconnect
+	// re-ingests.
 	pageLSN map[storage.PageID]wal.LSN
-}
 
-// newApplier positions a cursor at the durable horizon — everything the
-// replica's log retains was applied by recovery — and seeds telemetry.
-func newApplier(db *DB) *Applier {
-	end := db.log.DurableLSN()
-	a := &Applier{
-		db:      db,
-		cur:     db.log.ReadFrom(end),
-		txns:    make(map[uint64]*applyTxn),
-		pageLSN: make(map[storage.PageID]wal.LSN),
-	}
-	db.replAppliedLSN.Store(uint64(end))
-	var lastCommit wal.LSN
-	for _, r := range db.log.DurableRecords() {
-		if r.Kind == wal.KCommit {
-			lastCommit = r.LSN
-		}
-	}
-	db.replAppliedCommitLSN.Store(uint64(lastCommit))
-	return a
-}
+	// ckpt is the checkpoint recovery restored the catalog from: a
+	// catalog record, heap adoption or root move at or before it is
+	// already in the snapshot. Every live record lies past it.
+	ckpt wal.LSN
+	// ended is set while recovery replays: the transactions with a
+	// terminator in the log, whose writes need no pre-images. Nil on
+	// the live stream, where every write is versioned.
+	ended map[uint64]bool
 
-// resume rebuilds in-flight transaction state from the recovery
-// journal: begin transactions anew, re-buffer catalog changes and
-// frees, and push the journaled pre-images into the version chains so
-// snapshots keep resolving around the still-open writes.
-func (a *Applier) resume(journal []journalEntry) error {
-	db := a.db
-	for _, e := range journal {
-		r := e.rec
-		switch r.Kind {
-		case wal.KBegin:
-			a.txns[r.Txn] = &applyTxn{tx: db.txns.BeginLazy()}
-		case wal.KCatalog:
-			at := a.txns[r.Txn]
-			if at == nil {
-				return fmt.Errorf("engine: journal references unknown txn %d", r.Txn)
-			}
-			at.catalogs = append(at.catalogs, append([]byte(nil), r.Data...))
-		case wal.KPageFree:
-			at := a.txns[r.Txn]
-			if at == nil {
-				return fmt.Errorf("engine: journal references unknown txn %d", r.Txn)
-			}
-			at.frees = append(at.frees, r.Page)
-		case wal.KHeapInsert, wal.KHeapInsertAt, wal.KHeapDelete, wal.KHeapUpdate:
-			at := a.txns[r.Txn]
-			if at == nil {
-				return fmt.Errorf("engine: journal references unknown txn %d", r.Txn)
-			}
-			t, err := db.cat.Table(r.Table)
-			if err != nil {
-				return err
-			}
-			t.Vers.RecordWrite(at.tx, storage.RID{Page: r.Page, Slot: r.Slot}, e.pre, e.pre != nil)
-		default:
-			return fmt.Errorf("engine: unexpected journal record %s", r.Kind)
-		}
-	}
-	return nil
+	// Redo outcomes, for the RecoverReport.
+	replayed, skipped, unallocated, freed int
 }
 
 // Feed ingests one durable byte range shipped by the primary and
@@ -168,7 +113,35 @@ func (a *Applier) drainLocked() error {
 			return fmt.Errorf("engine: apply %s at LSN %d: %w", r.Kind, r.LSN, err)
 		}
 		a.db.replAppliedLSN.Store(uint64(r.LSN))
+		if r.Kind == wal.KCommit {
+			a.db.replAppliedCommitLSN.Store(uint64(r.LSN))
+		}
 	}
+}
+
+// txn returns the applier's image of r's transaction. Recovery begins
+// one whose KBegin was truncated away at its first retained record; on
+// the live stream an unknown transaction is an error, since those bytes
+// come off the network.
+func (a *Applier) txn(r *wal.Record) (*applyTxn, error) {
+	if at := a.txns[r.Txn]; at != nil {
+		return at, nil
+	}
+	if a.ended == nil {
+		return nil, fmt.Errorf("engine: %s record for unknown txn %d", r.Kind, r.Txn)
+	}
+	return a.begin(r.Txn), nil
+}
+
+// begin opens the applier's image of transaction id. One recovery saw
+// end gets no mvcc transaction: it versions nothing.
+func (a *Applier) begin(id uint64) *applyTxn {
+	at := &applyTxn{}
+	if !a.ended[id] {
+		at.tx = a.db.txns.BeginLazy()
+	}
+	a.txns[id] = at
+	return at
 }
 
 // applyLocked replays one record. start is the frame's first byte (the
@@ -177,13 +150,13 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 	db := a.db
 	switch r.Kind {
 	case wal.KBegin:
-		a.txns[r.Txn] = &applyTxn{tx: db.txns.BeginLazy()}
+		a.begin(r.Txn)
 		return nil
 
 	case wal.KCommit:
-		at := a.txns[r.Txn]
-		if at == nil {
-			return fmt.Errorf("engine: commit for unknown txn %d", r.Txn)
+		at, err := a.txn(r)
+		if err != nil {
+			return err
 		}
 		// Catalog changes first (a reader admitted after the commit
 		// publishes must see the new schema), then publish the commit
@@ -199,49 +172,56 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 				return err
 			}
 		}
-		db.txns.ReserveCommit(at.tx)
-		db.txns.MarkDurable(at.tx)
+		if at.tx != nil {
+			db.txns.ReserveCommit(at.tx)
+			db.txns.MarkDurable(at.tx)
+		}
 		for _, p := range at.frees {
 			if db.disk.Allocated(p) {
 				if err := db.pool.FreePage(p); err != nil {
 					return err
 				}
+				delete(a.pageLSN, p)
+				a.freed++
 			}
 		}
 		delete(a.txns, r.Txn)
-		db.replAppliedCommitLSN.Store(uint64(r.LSN))
 		return nil
 
 	case wal.KAbort:
-		if at := a.txns[r.Txn]; at != nil {
+		if at := a.txns[r.Txn]; at != nil && at.tx != nil {
 			// The primary's compensation writes were logged as ordinary
 			// heap records and already replayed here; aborting the mvcc
 			// transaction makes its chain entries invisible (and
 			// GC-collectable) without touching pages.
 			at.tx.Abort()
-			delete(a.txns, r.Txn)
 		}
+		delete(a.txns, r.Txn)
 		return nil
 
 	case wal.KCatalog:
-		at := a.txns[r.Txn]
-		if at == nil {
-			return fmt.Errorf("engine: catalog record for unknown txn %d", r.Txn)
+		if r.LSN <= a.ckpt {
+			return nil
+		}
+		at, err := a.txn(r)
+		if err != nil {
+			return err
 		}
 		at.catalogs = append(at.catalogs, append([]byte(nil), r.Data...))
 		return nil
 
 	case wal.KPageFree:
-		at := a.txns[r.Txn]
-		if at == nil {
-			return fmt.Errorf("engine: page-free record for unknown txn %d", r.Txn)
+		at, err := a.txn(r)
+		if err != nil {
+			return err
 		}
 		at.frees = append(at.frees, r.Page)
 		return nil
 
 	case wal.KPageAlloc:
-		// Idempotent exact-ID allocation: replays of re-ingested overlap
-		// and follower-recovery's alloc pre-pass both land on ok.
+		// Idempotent exact-ID allocation: a page the disk already holds
+		// (re-ingested overlap, a primary's surviving allocation) is
+		// left as it is.
 		return db.disk.AllocAt(r.Page, r.Cat)
 
 	case wal.KCheckpoint:
@@ -251,15 +231,18 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 		return nil // marker only; rollback arrives as compensation writes
 
 	case wal.KBTreeRoot:
-		// Root moves are catalog metadata, not page bytes. The matching
-		// index is "whichever tree's root is the old page" — same rule
-		// recovery's snapshot uses. No match is fine: the index may have
-		// been dropped later in already-applied history.
-		a.setRootLocked(r.Page, r.Page2)
+		// Root moves are catalog metadata, not page bytes: relink
+		// whichever index roots at the old page. No match is fine — a
+		// backfill's moves precede its index's create record, which
+		// carries the final root, and the index may since have been
+		// dropped.
+		if r.LSN > a.ckpt {
+			a.setRootLocked(r.Page, r.Page2)
+		}
 		return nil
 
 	case wal.KHeapNewPage:
-		if err := a.redoLocked(r, start); err != nil {
+		if err := a.redoLocked(r, start); err != nil || r.LSN <= a.ckpt {
 			return err
 		}
 		t, err := db.cat.Table(r.Table)
@@ -270,26 +253,27 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 		return nil
 
 	case wal.KHeapInsert, wal.KHeapInsertAt, wal.KHeapDelete, wal.KHeapUpdate:
-		at := a.txns[r.Txn]
-		if at == nil {
-			return fmt.Errorf("engine: heap record for unknown txn %d", r.Txn)
-		}
-		t, err := db.cat.Table(r.Table)
+		at, err := a.txn(r)
 		if err != nil {
 			return err
 		}
 		// Version the row BEFORE redo: the pre-image is whatever the
 		// slot holds now. Inserts version with a nil pre-image (the slot
-		// held nothing a reader could see). Skipped redo (re-ingested
-		// overlap) still must not re-version — the chain entry from the
-		// first pass is live — so gate both on the replay guard.
+		// held nothing a reader could see). A write that is not due
+		// (re-ingested overlap) must not re-version — the chain entry
+		// from the first pass is live — and a transaction recovery saw
+		// end needs no chain at all.
 		//
 		// The stream carries physical heap records, not key changes, and
 		// an index may be adopted after a record was versioned, so every
 		// delete and update (a non-nil pre-image) is recorded as moved —
 		// the conservative value: follower reads enumerate the chain. An
 		// insert never is.
-		if r.LSN > a.stampedLSN(r.Page) {
+		if !a.ended[r.Txn] && a.due(r) {
+			t, err := db.cat.Table(r.Table)
+			if err != nil {
+				return err
+			}
 			var pre []byte
 			if r.Kind == wal.KHeapDelete || r.Kind == wal.KHeapUpdate {
 				pre, err = storage.ReadSlot(db.pool, r.Page, r.Slot)
@@ -307,24 +291,30 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 	}
 }
 
-// redoLocked replays one page-addressed record through the recovery
-// redo dispatch, guarded by the page's stamped LSN so re-applied
-// overlap is a no-op.
+// due reports whether redoing r would change its page: the page is
+// allocated and its stamped LSN is behind r.
+func (a *Applier) due(r *wal.Record) bool {
+	return a.db.disk.Allocated(r.Page) && r.LSN > a.stampedLSN(r.Page)
+}
+
+// redoLocked replays one page-addressed record through redoPage if it
+// is due. A page not allocated was freed by a committed drop the
+// record predates.
 func (a *Applier) redoLocked(r *wal.Record, start wal.LSN) error {
-	db := a.db
-	if !db.disk.Allocated(r.Page) {
-		// Page freed by an already-applied committed drop; the record
-		// predates the free in a re-ingested overlap.
+	switch {
+	case !a.db.disk.Allocated(r.Page):
+		a.unallocated++
+		return nil
+	case r.LSN <= a.stampedLSN(r.Page):
+		a.skipped++
 		return nil
 	}
-	if r.LSN <= a.stampedLSN(r.Page) {
-		return nil
-	}
-	if err := redoPage(db.pool, r); err != nil {
+	if err := redoPage(a.db.pool, r); err != nil {
 		return err
 	}
 	a.pageLSN[r.Page] = r.LSN
-	db.pool.StampLSN(r.Page, r.LSN, start)
+	a.db.pool.StampLSN(r.Page, r.LSN, start)
+	a.replayed++
 	return nil
 }
 
@@ -337,6 +327,34 @@ func (a *Applier) stampedLSN(id storage.PageID) wal.LSN {
 	lsn := a.db.pool.PageLSN(id)
 	a.pageLSN[id] = lsn
 	return lsn
+}
+
+// redoPage applies one page-addressed record. The replay guard has
+// already established the page is in the exact pre-record state.
+func redoPage(pool *storage.BufferPool, r *wal.Record) error {
+	switch r.Kind {
+	case wal.KHeapNewPage:
+		return storage.ReplayHeapInit(pool, r.Page)
+	case wal.KHeapInsert:
+		return storage.ReplayHeapInsert(pool, r.Page, r.Slot, r.Data)
+	case wal.KHeapInsertAt:
+		return storage.ReplayHeapInsertAt(pool, r.Page, r.Slot, r.Data)
+	case wal.KHeapDelete:
+		return storage.ReplayHeapDelete(pool, r.Page, r.Slot)
+	case wal.KHeapUpdate:
+		return storage.ReplayHeapUpdate(pool, r.Page, r.Slot, r.Data)
+	case wal.KBTreeInit:
+		return btree.ReplayInit(pool, r.Page)
+	case wal.KBTreeInsert:
+		return btree.ReplayInsert(pool, r.Page, r.Key, r.RID)
+	case wal.KBTreeDelete:
+		return btree.ReplayDelete(pool, r.Page, r.Key)
+	case wal.KBTreeUpdate:
+		return btree.ReplayUpdate(pool, r.Page, r.Key, r.RID)
+	case wal.KBTreeImage:
+		return btree.ReplayImage(pool, r.Page, r.Data)
+	}
+	return fmt.Errorf("engine: unexpected redo kind %s", r.Kind)
 }
 
 // checkpointLocked reacts to the primary's checkpoint record: re-derive
@@ -381,8 +399,8 @@ func (a *Applier) setRootLocked(old, new storage.PageID) {
 // applyCatalogLocked replays one committed DDL change through the live
 // catalog — the same mutations the primary's execDDL/execAlterOnline
 // performed, minus page movement (that arrived as physical records) and
-// minus backfill (a replica never self-writes; the primary's backfill
-// rewrites stream in as ordinary heap updates).
+// minus backfill (replay never self-writes; the primary's backfill
+// rewrites arrive as ordinary heap updates).
 func (a *Applier) applyCatalogLocked(ch *catalog.DDLChange) error {
 	db := a.db
 	defer db.plans.Clear()
@@ -391,13 +409,13 @@ func (a *Applier) applyCatalogLocked(ch *catalog.DDLChange) error {
 		_, err := db.cat.CreateTable(ch.Table, ch.Cols)
 		return err
 	case catalog.OpDropTable:
-		// Discard the returned page lists: the transaction's own
-		// KPageFree records are the authoritative free list.
-		_, _, err := db.cat.DropTableDeferred(ch.Table)
+		// The transaction's own KPageFree records free the pages.
+		_, err := db.cat.DropTableDeferred(ch.Table)
 		return err
 	case catalog.OpCreateIndex:
 		ix, err := db.cat.AdoptIndex(ch.Table, ch.Index, ch.IndexCols, ch.Unique, ch.Root)
-		if err != nil {
+		if err != nil || a.ended != nil {
+			// Recovery recounts every tree once its pages are final.
 			return err
 		}
 		return ix.Tree.RecountSize()
@@ -430,5 +448,5 @@ func (a *Applier) applyCatalogLocked(ch *catalog.DDLChange) error {
 		db.cat.PublishSchema(t, cols, ts)
 		return nil
 	}
-	return fmt.Errorf("engine: replica apply of unknown DDL op %q", ch.Op)
+	return fmt.Errorf("engine: replay of unknown DDL op %q", ch.Op)
 }

@@ -604,7 +604,11 @@ func (db *DB) applyDDL(st sql.Statement, scope *wal.Scope) (*catalog.DDLChange, 
 		if st.IfExists && !db.cat.HasTable(st.Name) {
 			return nil, nil
 		}
-		data, index, err := db.cat.DropTableDeferred(st.Name)
+		t, err := db.cat.DropTableDeferred(st.Name)
+		if err != nil {
+			return nil, err
+		}
+		data, index, err := t.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -612,7 +616,11 @@ func (db *DB) applyDDL(st sql.Statement, scope *wal.Scope) (*catalog.DDLChange, 
 		scope.DeferFree(storage.CatIndex, index...)
 		return &catalog.DDLChange{Op: catalog.OpDropTable, Table: st.Name}, nil
 	case *sql.DropIndexStmt:
-		pages, err := db.cat.DropIndexDeferred(st.Table, st.Name)
+		ix, err := db.cat.DropIndexDeferred(st.Table, st.Name)
+		if err != nil {
+			return nil, err
+		}
+		pages, err := ix.Tree.Pages()
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/mvcc"
 	"repro/internal/storage"
@@ -74,12 +73,12 @@ type RecoverReport struct {
 }
 
 // Recover rebuilds a database from a crash image: reopen the log
-// (trimming any torn tail), replay the durable history onto the disk
-// image, rebuild the catalog from the last checkpoint plus replayed
-// schema changes, reclaim unreferenced pages, and verify invariants.
-// The rebuilt state is left dirty in the buffer pool — recovery itself
-// writes no checkpoint, so running it twice from the same image is
-// byte-identical (idempotence).
+// (trimming any torn tail), restore the catalog from the last
+// checkpoint, replay the durable history onto it and the disk image
+// through the applier, reclaim unreferenced pages, and verify
+// invariants. The rebuilt state is left dirty in the buffer pool —
+// recovery itself writes no checkpoint, so running it twice from the
+// same image is byte-identical (idempotence).
 func Recover(img *CrashImage) (*DB, *RecoverReport, error) {
 	db, rep, _, err := recoverImpl(img, false)
 	return db, rep, err
@@ -88,18 +87,14 @@ func Recover(img *CrashImage) (*DB, *RecoverReport, error) {
 // recoverImpl is Recover with an optional replica mode. A replica's
 // "losers" are not dead: they are the PRIMARY's open transactions, whose
 // remaining records (and terminators) arrive later over the stream. So
-// in replica mode their physical records replay too (the primary's log
-// is the truth about page state), their row-level effects are journaled
-// — with pre-images captured at replay position, exactly what the live
-// applier would have recorded — for the applier to resume, and their
-// buffered metadata (KCatalog, KPageFree) stays buffered instead of
-// applying. Three further differences: every KPageAlloc is executed up
-// front (on a replica allocation happens at apply time, which a crash
-// can separate from the record's ingest), pages allocated by open
-// transactions are exempt from the orphan sweep, and the structural
-// invariant check is skipped when open transactions exist (their
-// mid-statement state is consistent only at applied-commit boundaries).
-func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalEntry, error) {
+// in replica mode their records replay too, and they stay open in the
+// returned applier, versioned as the live stream versions them and with
+// their catalog changes and frees still buffered. Two further
+// differences: pages allocated by open transactions are exempt from the
+// orphan sweep, and the structural invariant check is skipped when open
+// transactions exist (their mid-statement state is consistent only at
+// applied-commit boundaries).
+func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, *Applier, error) {
 	img.Log.Reopen()
 	if replica {
 		// Reopen cleared the active map (on a primary those statements
@@ -122,8 +117,9 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalE
 	// Pass 1: find the last checkpoint and classify transactions.
 	snap := &catalog.Snapshot{}
 	committed := map[uint64]bool{}
-	terminated := map[uint64]bool{}
+	ended := map[uint64]bool{}
 	seen := map[uint64]bool{}
+	var lastCommit wal.LSN
 	for _, r := range recs {
 		switch r.Kind {
 		case wal.KCheckpoint:
@@ -135,9 +131,10 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalE
 			rep.CheckpointLSN = r.LSN
 		case wal.KCommit:
 			committed[r.Txn] = true
-			terminated[r.Txn] = true
+			ended[r.Txn] = true
+			lastCommit = r.LSN
 		case wal.KAbort:
-			terminated[r.Txn] = true
+			ended[r.Txn] = true
 		}
 		if r.Txn != 0 {
 			seen[r.Txn] = true
@@ -147,157 +144,17 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalE
 		switch {
 		case committed[id]:
 			rep.Committed++
-		case terminated[id]:
+		case ended[id]:
 			rep.Aborted++
 		default:
 			rep.Losers++
 		}
 	}
 
-	// Pass 2: replay terminated transactions in log order. pageLSN tracks
-	// each touched page's progress (seeded from the disk's durable
-	// stamp); deferred frees from committed statements run after the
-	// loop so earlier records can still redo onto those pages.
-	pageLSN := map[storage.PageID]wal.LSN{}
-	cur := func(id storage.PageID) wal.LSN {
-		if lsn, ok := pageLSN[id]; ok {
-			return lsn
-		}
-		lsn := img.Disk.PageLSN(id)
-		pageLSN[id] = lsn
-		return lsn
-	}
-	type freeReq struct {
-		page storage.PageID
-	}
-	var frees []freeReq
-	var journal []journalEntry
-	openAlloc := map[storage.PageID]bool{}
-	if replica {
-		// A replica allocates pages when it APPLIES a KPageAlloc, which a
-		// crash can separate from the record's ingest; on a primary the
-		// allocation preceded the record and the Disk object carries it
-		// across the crash. Execute every retained alloc up front
-		// (idempotently) so the physical redo below never meets an
-		// unallocated page, and remember which allocations belong to open
-		// transactions — the orphan sweep must not reclaim them.
-		for _, r := range recs {
-			if r.Kind != wal.KPageAlloc {
-				continue
-			}
-			if err := img.Disk.AllocAt(r.Page, r.Cat); err != nil {
-				return nil, rep, nil, err
-			}
-			if r.Txn != 0 && !terminated[r.Txn] {
-				openAlloc[r.Page] = true
-			}
-		}
-	}
-	ckpt := rep.CheckpointLSN
-	frameStart := img.Log.Base()
-	for _, r := range recs {
-		start := frameStart
-		frameStart = r.LSN
-		open := r.Txn != 0 && !terminated[r.Txn]
-		if open && !replica {
-			continue // loser: its pages never reached disk
-		}
-		// Metadata replay: schema-shaped records older than the
-		// checkpoint are already reflected in its snapshot. An open
-		// transaction's catalog changes and page frees stay buffered (the
-		// journal) until its commit streams in; its structural records
-		// (heap growth, root moves) apply like an aborted transaction's —
-		// structure survives either outcome.
-		switch r.Kind {
-		case wal.KBegin:
-			if open {
-				journal = append(journal, journalEntry{rec: r})
-			}
-			continue
-		case wal.KCatalog:
-			if open {
-				journal = append(journal, journalEntry{rec: r})
-				continue
-			}
-			if r.LSN > ckpt {
-				ch, err := catalog.DecodeDDLChange(r.Data)
-				if err != nil {
-					return nil, rep, nil, err
-				}
-				if err := snap.Apply(ch); err != nil {
-					return nil, rep, nil, err
-				}
-			}
-			continue
-		case wal.KHeapNewPage:
-			if r.LSN > ckpt {
-				if err := snap.AddHeapPage(r.Table, r.Page); err != nil {
-					return nil, rep, nil, err
-				}
-			}
-			// Fall through below to the physical redo (page format).
-		case wal.KBTreeRoot:
-			if r.LSN > ckpt {
-				snap.SetRoot(r.Page, r.Page2)
-			}
-			continue
-		case wal.KPageFree:
-			if open {
-				journal = append(journal, journalEntry{rec: r})
-				continue
-			}
-			if committed[r.Txn] {
-				frees = append(frees, freeReq{page: r.Page})
-			}
-			continue
-		case wal.KCommit, wal.KAbort, wal.KCheckpoint, wal.KPageAlloc, wal.KSavepoint:
-			continue
-		}
-		// Physical redo of page-addressed records.
-		if !img.Disk.Allocated(r.Page) {
-			rep.Unallocated++
-			continue
-		}
-		if open {
-			// Journal the row-level effect with its pre-image read at this
-			// replay position — identical to what the live applier recorded
-			// before the crash, because replay reproduces page state in log
-			// order and the no-steal gate kept open-transaction bytes off
-			// the disk image.
-			switch r.Kind {
-			case wal.KHeapInsert, wal.KHeapInsertAt:
-				journal = append(journal, journalEntry{rec: r})
-			case wal.KHeapDelete, wal.KHeapUpdate:
-				pre, err := storage.ReadSlot(pool, r.Page, r.Slot)
-				if err != nil {
-					return nil, rep, nil, err
-				}
-				journal = append(journal, journalEntry{rec: r, pre: pre})
-			}
-		}
-		if r.LSN <= cur(r.Page) {
-			rep.Skipped++
-			continue
-		}
-		if err := redoPage(pool, r); err != nil {
-			return nil, rep, nil, fmt.Errorf("engine: redo %s at LSN %d: %w", r.Kind, r.LSN, err)
-		}
-		pageLSN[r.Page] = r.LSN
-		pool.StampLSN(r.Page, r.LSN, start)
-		rep.Replayed++
-	}
-
-	for _, f := range frees {
-		if img.Disk.Allocated(f.page) {
-			if err := pool.FreePage(f.page); err != nil {
-				return nil, rep, nil, err
-			}
-			rep.FreedPages++
-		}
-	}
-
-	// Rebuild the live catalog from the replayed model and recompute the
-	// derived state the log deliberately does not carry.
+	// Pass 2: restore the catalog as of that checkpoint and replay every
+	// retained record through the applier, in log order. Checkpoint
+	// records are skipped: their statistics and truncation are the live
+	// stream's, and recovery writes nothing durable.
 	txns := mvcc.NewManager()
 	cat := catalog.Restore(pool, catalog.Config{
 		MemoryBytes:       cfg.MemoryBytes,
@@ -305,6 +162,38 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalE
 		InsertMode:        cfg.InsertMode,
 		Versions:          txns,
 	}, snap)
+	db := newDB(cfg, img.Disk, pool, cat, img.Log, txns)
+	a := &Applier{
+		db:      db,
+		txns:    make(map[uint64]*applyTxn),
+		pageLSN: make(map[storage.PageID]wal.LSN),
+		ckpt:    rep.CheckpointLSN,
+		ended:   ended,
+	}
+	openAlloc := map[storage.PageID]bool{}
+	frameStart := img.Log.Base()
+	for _, r := range recs {
+		start := frameStart
+		frameStart = r.LSN
+		if r.Kind == wal.KCheckpoint {
+			continue
+		}
+		if r.Txn != 0 && !ended[r.Txn] {
+			if !replica {
+				continue // loser: its pages never reached disk
+			}
+			if r.Kind == wal.KPageAlloc {
+				openAlloc[r.Page] = true
+			}
+		}
+		if err := a.applyLocked(r, start); err != nil {
+			return nil, rep, nil, fmt.Errorf("engine: redo %s at LSN %d: %w", r.Kind, r.LSN, err)
+		}
+	}
+	a.ended = nil
+	rep.Replayed, rep.Skipped, rep.Unallocated, rep.FreedPages = a.replayed, a.skipped, a.unallocated, a.freed
+
+	// Recompute the derived state the log deliberately does not carry.
 	if err := cat.RecomputeAll(); err != nil {
 		return nil, rep, nil, err
 	}
@@ -359,36 +248,15 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, []journalE
 		}
 	}
 
-	db := newDB(cfg, img.Disk, pool, cat, img.Log, txns)
 	db.recoveries = img.recoveries + 1
 	db.replayedRecs = img.replayedRecs + int64(rep.Replayed)
-	return db, rep, journal, nil
-}
-
-// redoPage applies one page-addressed record. The pageLSN check has
-// already established the page is in the exact pre-record state.
-func redoPage(pool *storage.BufferPool, r *wal.Record) error {
-	switch r.Kind {
-	case wal.KHeapNewPage:
-		return storage.ReplayHeapInit(pool, r.Page)
-	case wal.KHeapInsert:
-		return storage.ReplayHeapInsert(pool, r.Page, r.Slot, r.Data)
-	case wal.KHeapInsertAt:
-		return storage.ReplayHeapInsertAt(pool, r.Page, r.Slot, r.Data)
-	case wal.KHeapDelete:
-		return storage.ReplayHeapDelete(pool, r.Page, r.Slot)
-	case wal.KHeapUpdate:
-		return storage.ReplayHeapUpdate(pool, r.Page, r.Slot, r.Data)
-	case wal.KBTreeInit:
-		return btree.ReplayInit(pool, r.Page)
-	case wal.KBTreeInsert:
-		return btree.ReplayInsert(pool, r.Page, r.Key, r.RID)
-	case wal.KBTreeDelete:
-		return btree.ReplayDelete(pool, r.Page, r.Key)
-	case wal.KBTreeUpdate:
-		return btree.ReplayUpdate(pool, r.Page, r.Key, r.RID)
-	case wal.KBTreeImage:
-		return btree.ReplayImage(pool, r.Page, r.Data)
+	if replica {
+		// The applier carries on from the durable horizon.
+		db.readOnly.Store(true)
+		end := img.Log.DurableLSN()
+		a.cur = img.Log.ReadFrom(end)
+		db.replAppliedLSN.Store(uint64(end))
+		db.replAppliedCommitLSN.Store(uint64(lastCommit))
 	}
-	return fmt.Errorf("engine: unexpected redo kind %s", r.Kind)
+	return db, rep, a, nil
 }

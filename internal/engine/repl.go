@@ -80,8 +80,8 @@ func DecodeReplImage(b []byte) (*ReplImage, error) {
 // committed page state and shrinking the tail the follower must
 // replay), then snapshots disk and retained log together. Open session
 // transactions are fine: the no-steal gate kept their bytes off disk,
-// truncation kept their log records, and replica recovery journals
-// them for the follower's applier.
+// truncation kept their log records, and replica recovery leaves them
+// open in the follower's applier.
 func (db *DB) ReplImage() (*ReplImage, error) {
 	db.ddlMu.Lock()
 	defer db.ddlMu.Unlock()
@@ -110,7 +110,7 @@ func (db *DB) ReplImage() (*ReplImage, error) {
 
 // OpenReplica materializes a follower from a bootstrap image: restore
 // the disk and the mirrored log, run replica-mode recovery (replaying
-// the retained tail, journaling the primary's open transactions), and
+// the retained tail, the primary's open transactions left open), and
 // hand back the read-only DB plus the applier that will consume the
 // live stream from the durable horizon onward.
 func OpenReplica(img *ReplImage) (*DB, *Applier, error) {
@@ -126,17 +126,12 @@ func OpenReplica(img *ReplImage) (*DB, *Applier, error) {
 
 // RecoverReplica restarts a crashed follower from its own crash image
 // (the same shape a primary restart uses), preserving replica-mode
-// semantics: the primary's open transactions are replayed physically
-// and re-journaled into a fresh applier, and the write fence goes up
-// before the DB is returned.
+// semantics: the primary's open transactions replay and stay open in
+// the returned applier, and the write fence goes up before the DB is
+// returned.
 func RecoverReplica(img *CrashImage) (*DB, *Applier, error) {
-	db, _, journal, err := recoverImpl(img, true)
+	db, _, a, err := recoverImpl(img, true)
 	if err != nil {
-		return nil, nil, err
-	}
-	db.readOnly.Store(true)
-	a := newApplier(db)
-	if err := a.resume(journal); err != nil {
 		return nil, nil, err
 	}
 	return db, a, nil
