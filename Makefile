@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-join fuzz-page fuzz-wal check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-join fuzz-page fuzz-wal fuzz-keys check
 
 all: check
 
@@ -201,5 +201,12 @@ fuzz-page:
 # frames only, and decoding just those bytes must give the same records.
 fuzz-wal:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzDecodeFrames -fuzztime 10s
+
+# Short fuzz burst at the index key encoding: two values of a fuzzed kind
+# and bit pattern, each followed by a second key column, whose keys must
+# order as Compare orders the values, and be one byte string exactly
+# when Compare calls them equal; Compare is held to exact arithmetic.
+fuzz-keys:
+	$(GO) test ./internal/types/ -run '^$$' -fuzz FuzzEncodeKeyOrder -fuzztime 10s
 
 check: build vet fmt test test-cores race race-bench bench-smoke

@@ -8,6 +8,9 @@
 // record's RID encoding to the key (a "partitioned B-tree" in Graefe's
 // sense: the leading columns are highly redundant and simply partition
 // the tree, as the paper notes for (Tenant, Table, Chunk, Row) indexes).
+// Keys come from types.EncodeKey, where a small integer costs only its
+// significant bytes: those four meta-data columns take about a dozen
+// bytes of an entry, not 36, so a leaf holds twice the entries.
 package btree
 
 import (

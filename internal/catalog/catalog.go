@@ -9,6 +9,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -93,10 +94,15 @@ func (ix *Index) PrefixFor(vals []types.Value) []byte {
 	return key
 }
 
+// appendRID appends rid in page-then-slot order: the page id's length in
+// bytes, its significant bytes big-endian (a shorter id is a smaller
+// one), then the slot's two bytes. A page below 64K costs five bytes.
 func appendRID(key []byte, rid storage.RID) []byte {
-	key = append(key,
-		byte(rid.Page>>56), byte(rid.Page>>48), byte(rid.Page>>40), byte(rid.Page>>32),
-		byte(rid.Page>>24), byte(rid.Page>>16), byte(rid.Page>>8), byte(rid.Page))
+	n := (bits.Len64(uint64(rid.Page)) + 7) / 8
+	key = append(key, byte(n))
+	for i := n - 1; i >= 0; i-- {
+		key = append(key, byte(rid.Page>>(8*i)))
+	}
 	return append(key, byte(rid.Slot>>8), byte(rid.Slot))
 }
 

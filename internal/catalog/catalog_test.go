@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -134,6 +136,35 @@ func TestInsertTypeChecking(t *testing.T) {
 	}
 	if _, err := tab.InsertRow([]types.Value{types.NewString("abc"), types.Null(), types.Null(), types.Null()}); err == nil {
 		t.Error("non-numeric string into INT column should fail")
+	}
+}
+
+// TestNonUniqueKeyRIDOrder holds a non-unique index's RID suffix to RID
+// order, page then slot, across page ids of every byte length, and its
+// keys to the key columns' order first: a key is the value's encoding,
+// a length-prefixed page id and a two-byte slot.
+func TestNonUniqueKeyRIDOrder(t *testing.T) {
+	ix := &Index{Cols: []int{0}}
+	var rids []storage.RID
+	for _, p := range []uint64{0, 1, 255, 256, 1 << 16, 1<<24 - 1, 1 << 40, math.MaxUint64} {
+		for _, s := range []uint16{0, 1, 256, math.MaxUint16} {
+			rids = append(rids, storage.RID{Page: storage.PageID(p), Slot: s})
+		}
+	}
+	var keys [][]byte
+	for _, v := range []int64{-1, 0, 7} {
+		row := []types.Value{types.NewInt(v)}
+		for _, rid := range rids {
+			keys = append(keys, ix.KeyFor(row, rid))
+		}
+	}
+	for i := 1; i < len(keys); i++ {
+		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+			t.Fatalf("key %d %x not above key %d %x (%v)", i, keys[i], i-1, keys[i-1], rids[i%len(rids)])
+		}
+	}
+	if k := ix.KeyFor([]types.Value{types.NewInt(7)}, storage.RID{Page: 300, Slot: 4}); len(k) != 3+5 {
+		t.Errorf("INT 7 at page 300 is a %d-byte key %x, want 8", len(k), k)
 	}
 }
 

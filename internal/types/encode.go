@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // --- Order-preserving key encoding -----------------------------------------
@@ -13,14 +14,43 @@ import (
 // is encoded such that the byte order matches Compare's value order. Each
 // encoded value starts with a kind tag whose numeric order matches the
 // NULL-lowest ordering used by Compare. INT and FLOAT share one numeric
-// tag so that cross-type numeric comparisons order correctly in indexes.
+// tag and one exact form, so INT 2 and FLOAT 2.0 are one key, INT 2^53+1
+// and FLOAT 2^53 are two, and cross-type ranges order correctly.
+//
+// A number is as long as its significant bits: a header byte holding its
+// sign class and binary exponent, then the fraction bits below the
+// leading one, trailing zeros dropped, in 7-bit groups. The header (past
+// an exponent escape, the exponent's last byte) and every group end in a
+// continuation bit, so a value is prefix-free and the next key column
+// compares only against the next column. Zero, the infinities and NaN
+// are a header alone. A meta-data column such as Tenant, Table, Chunk or
+// Row below 2^15 costs two to four bytes, not nine.
 
 const (
 	tagNull   byte = 0x01
 	tagBool   byte = 0x02
-	tagNumber byte = 0x03 // INT and FLOAT, encoded as ordered float bits
+	tagNumber byte = 0x03 // INT and FLOAT, in the numeric form below
 	tagString byte = 0x04
-	tagDate   byte = 0x05
+	tagDate   byte = 0x05 // days since the epoch, in the numeric form
+)
+
+// Numeric header bytes, in value order. A negative value's header is the
+// complement of its magnitude's positive header and so are all its later
+// bytes, which reverses their order. Positive exponents in
+// [minHeaderExp, maxHeaderExp] live in the header as
+// numSmall + 2*(e-minHeaderExp) + more; the escapes carry any other
+// exponent in two following bytes, (e+numExpBias)<<1 | more.
+const (
+	numNegInf    byte = 0x01
+	numZero      byte = 0x80 // -0, +0 and INT 0
+	numTiny      byte = 0x81 // positive, exponent below minHeaderExp
+	numSmall     byte = 0x82
+	numHuge      byte = 0xFC // positive, exponent above maxHeaderExp
+	numPosInf    byte = 0xFE
+	numNaN       byte = 0xFF // last, and one key for every NaN
+	minHeaderExp      = -8
+	maxHeaderExp      = 52
+	numExpBias        = 1075 // lifts float64's least exponent, -1074, to 1
 )
 
 // EncodeKey appends an order-preserving encoding of v to dst.
@@ -31,9 +61,9 @@ func EncodeKey(dst []byte, v Value) []byte {
 	case KindBool:
 		return append(dst, tagBool, byte(v.Int))
 	case KindInt:
-		return appendOrderedFloat(append(dst, tagNumber), float64(v.Int))
+		return appendKeyInt(append(dst, tagNumber), v.Int)
 	case KindFloat:
-		return appendOrderedFloat(append(dst, tagNumber), v.Float())
+		return appendKeyFloat(append(dst, tagNumber), v.Float())
 	case KindString:
 		dst = append(dst, tagString)
 		// Escape 0x00 as 0x00 0xFF so a 0x00 0x00 terminator preserves
@@ -48,29 +78,75 @@ func EncodeKey(dst []byte, v Value) []byte {
 		}
 		return append(dst, 0x00, 0x00)
 	case KindDate:
-		dst = append(dst, tagDate)
-		return appendOrderedInt(dst, v.Int)
+		return appendKeyInt(append(dst, tagDate), v.Int)
 	}
 	panic(fmt.Sprintf("types: EncodeKey of bad kind %d", v.Kind))
 }
 
-func appendOrderedInt(dst []byte, v int64) []byte {
-	u := uint64(v) ^ (1 << 63) // flip sign bit: negative < positive
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], u)
-	return append(dst, buf[:]...)
+func appendKeyInt(dst []byte, n int64) []byte {
+	if n == 0 {
+		return append(dst, numZero)
+	}
+	m := uint64(n)
+	if n < 0 {
+		m = -m // MinInt64's magnitude, 2^63, is still right as a uint64
+	}
+	lz := bits.LeadingZeros64(m)
+	// The leading one shifts out; a shift by 64 leaves 0, as for 1.
+	return appendKeyNumber(dst, n < 0, 63-lz, m<<(lz+1))
 }
 
-func appendOrderedFloat(dst []byte, f float64) []byte {
-	bits := math.Float64bits(f)
-	if bits&(1<<63) != 0 {
-		bits = ^bits // negative floats: flip all bits
-	} else {
-		bits |= 1 << 63 // positive floats: flip sign bit
+func appendKeyFloat(dst []byte, f float64) []byte {
+	switch {
+	case f == 0:
+		return append(dst, numZero)
+	case f != f:
+		return append(dst, numNaN)
+	case math.IsInf(f, 1):
+		return append(dst, numPosInf)
+	case math.IsInf(f, -1):
+		return append(dst, numNegInf)
 	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], bits)
-	return append(dst, buf[:]...)
+	b := math.Float64bits(f)
+	exp, mant := int(b>>52&0x7FF), b&(1<<52-1)
+	if exp == 0 { // subnormal: mant * 2^-1074, normalized here
+		lz := bits.LeadingZeros64(mant)
+		return appendKeyNumber(dst, f < 0, 63-lz-1074, mant<<(lz+1))
+	}
+	return appendKeyNumber(dst, f < 0, exp-1023, mant<<12)
+}
+
+// appendKeyNumber appends the nonzero finite value ±1.frac × 2^e, where
+// frac holds the fraction bits below the leading one, left-aligned.
+func appendKeyNumber(dst []byte, neg bool, e int, frac uint64) []byte {
+	start := len(dst)
+	more := byte(0)
+	if frac != 0 {
+		more = 1
+	}
+	if minHeaderExp <= e && e <= maxHeaderExp {
+		dst = append(dst, numSmall+byte(2*(e-minHeaderExp))|more)
+	} else {
+		escape := numHuge
+		if e < minHeaderExp {
+			escape = numTiny
+		}
+		u := uint16(e+numExpBias)<<1 | uint16(more)
+		dst = append(dst, escape, byte(u>>8), byte(u))
+	}
+	for frac != 0 {
+		g := byte(frac>>57) << 1
+		if frac <<= 7; frac != 0 {
+			g |= 1
+		}
+		dst = append(dst, g)
+	}
+	if neg {
+		for i := start; i < len(dst); i++ {
+			dst[i] = ^dst[i]
+		}
+	}
+	return dst
 }
 
 // --- Row serialization ------------------------------------------------------
@@ -242,9 +318,13 @@ func Hash(v Value) uint64 {
 	case KindBool:
 		h.Write([]byte{tagBool, byte(v.Int)})
 	case KindInt, KindFloat:
+		f := v.asFloat()
+		if f == 0 {
+			f = 0 // -0 equals +0, so it hashes as +0
+		}
 		var buf [9]byte
 		buf[0] = tagNumber
-		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v.asFloat()))
+		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(f))
 		h.Write(buf[:])
 	case KindString:
 		h.Write([]byte{tagString})

@@ -1,6 +1,9 @@
 package types
 
 import (
+	"bytes"
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -170,4 +173,89 @@ func TestDecodeRowPartialProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// fuzzValue builds a key value from a fuzzed kind and 64-bit pattern:
+// an INT, a FLOAT (NaN, ±Inf and subnormals included), a DATE, or a
+// string of up to eight of the pattern's bytes, NULs included.
+func fuzzValue(kind byte, x uint64) Value {
+	switch kind % 4 {
+	case 0:
+		return NewInt(int64(x))
+	case 1:
+		return NewFloat(math.Float64frombits(x))
+	case 2:
+		return NewDate(int64(x))
+	}
+	b := make([]byte, int(kind/4)%9)
+	for i := range b {
+		b[i] = byte(x >> (8 * i))
+	}
+	return NewString(string(b))
+}
+
+// exactNumber is v as an exact big.Float, for INT and non-NaN FLOAT.
+func exactNumber(v Value) (*big.Float, bool) {
+	switch {
+	case v.Kind == KindInt:
+		return new(big.Float).SetInt64(v.Int), true
+	case v.Kind == KindFloat && !math.IsNaN(v.Float()):
+		return new(big.Float).SetFloat64(v.Float()), true
+	}
+	return nil, false
+}
+
+// FuzzEncodeKeyOrder holds EncodeKey to Compare: two values, each
+// followed by a second key column, make composite keys that order as
+// Compare orders the first values whenever those differ, and the first
+// values' keys are one byte string exactly when Compare calls them
+// equal (NaN, which sorts last and aside, excepted). Compare itself is
+// held to exact arithmetic wherever both values are numbers.
+func FuzzEncodeKeyOrder(f *testing.F) {
+	// INTs and their FLOAT twins, the edges of exactness, and pairs
+	// whose encodings are one's a prefix of the other's but for a
+	// continuation bit, the longer going on with a byte that sorts below
+	// any tag (2^14 and 2^14+1; 24576 = 1.1b × 2^14 and 24577; 1.5 and
+	// 1.5 + 2^-15).
+	seeds := []Value{
+		NewInt(0), NewInt(1), NewInt(-1), NewInt(16384), NewInt(16385),
+		NewInt(24576), NewInt(24577), NewInt(-24577),
+		NewInt(1<<53 - 1), NewInt(1<<53 + 1), NewInt(-(1<<53 - 1)), NewInt(-(1<<53 + 1)),
+		NewInt(math.MinInt64), NewInt(math.MaxInt64),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(0.5), NewFloat(5e-324),
+		NewFloat(24576), NewFloat(24577), NewFloat(-24577), NewFloat(1<<53 - 1), NewFloat(1 << 53),
+		NewFloat(1.5), NewFloat(1.5 + 0x1p-15), NewFloat(-1), NewFloat(math.Inf(1)),
+	}
+	kindOf := map[Kind]byte{KindInt: 0, KindFloat: 1}
+	for _, a := range seeds {
+		for _, b := range seeds {
+			f.Add(kindOf[a.Kind], uint64(a.Int), kindOf[b.Kind], uint64(b.Int), byte(3), uint64(0), byte(0), uint64(1))
+		}
+	}
+	f.Add(byte(2), uint64(1<<63), byte(2), uint64(1<<63-1), byte(1), uint64(0), byte(3+4*2), uint64(0x0100))
+	f.Add(byte(3+4*3), uint64(0x00_61_61), byte(3+4*2), uint64(0x61_61), byte(0), uint64(5), byte(0), uint64(5))
+	f.Fuzz(func(t *testing.T, ka byte, xa uint64, kb byte, xb uint64, ka2 byte, xa2 uint64, kb2 byte, xb2 uint64) {
+		a, b := fuzzValue(ka, xa), fuzzValue(kb, xb)
+		c, err := Compare(a, b)
+		if err != nil || isNaN(a) || isNaN(b) {
+			return
+		}
+		if x, ok := exactNumber(a); ok {
+			if y, ok := exactNumber(b); ok && x.Cmp(y) != c {
+				t.Fatalf("Compare(%v, %v) = %d, exact %d", a, b, c, x.Cmp(y))
+			}
+		}
+		first := bytes.Compare(EncodeKey(nil, a), EncodeKey(nil, b))
+		if (first == 0) != (c == 0) {
+			t.Fatalf("Compare(%v, %v) = %d but their keys compare %d", a, b, c, first)
+		}
+		if c == 0 {
+			return
+		}
+		keyA := EncodeKey(EncodeKey(nil, a), fuzzValue(ka2, xa2))
+		keyB := EncodeKey(EncodeKey(nil, b), fuzzValue(kb2, xb2))
+		if got := bytes.Compare(keyA, keyB); got != c {
+			t.Fatalf("Compare(%v, %v) = %d but composite keys %x, %x compare %d", a, b, c, keyA, keyB, got)
+		}
+	})
 }

@@ -51,17 +51,25 @@ func TestValueLayout(t *testing.T) {
 	same("wire RowBatch", msg.(*protocol.RowBatch).Rows[0])
 
 	// Keys strictly increase along the ordered line (NaN, last, aside),
-	// -0 below +0, and Compare never disagrees.
+	// except that -0 and +0, which Compare calls equal, share one key:
+	// Compare never disagrees.
 	for i := 0; i+2 < len(row); i++ {
 		a, b := row[i], row[i+1]
-		if c, err := types.Compare(a, b); err != nil || c > 0 {
-			t.Errorf("Compare(%v, %v) = %d, %v", a, b, c, err)
+		want := -1
+		if a.Float() == 0 && b.Float() == 0 {
+			want = 0
 		}
-		if k := bytes.Compare(types.EncodeKey(nil, a), types.EncodeKey(nil, b)); k >= 0 {
-			t.Errorf("EncodeKey(%v) vs EncodeKey(%v) = %d, want < 0", a, b, k)
+		if c, err := types.Compare(a, b); err != nil || c != want {
+			t.Errorf("Compare(%v, %v) = %d, %v, want %d", a, b, c, err, want)
+		}
+		if k := bytes.Compare(types.EncodeKey(nil, a), types.EncodeKey(nil, b)); k != want {
+			t.Errorf("EncodeKey(%v) vs EncodeKey(%v) = %d, want %d", a, b, k, want)
 		}
 	}
 	if types.Hash(types.NewInt(2)) != types.Hash(types.NewFloat(2)) {
 		t.Error("Hash(NewInt(2)) != Hash(NewFloat(2))")
+	}
+	if types.Hash(row[4]) != types.Hash(row[5]) {
+		t.Error("Hash(-0) != Hash(+0)")
 	}
 }

@@ -201,7 +201,10 @@ func Compare(a, b Value) (int, error) {
 		}
 	}
 	if numeric(a.Kind) && numeric(b.Kind) {
-		return cmpFloat64(a.asFloat(), b.asFloat()), nil
+		if a.Kind == KindInt {
+			return cmpIntFloat(a.Int, b.Float()), nil
+		}
+		return -cmpIntFloat(b.Int, a.Float()), nil
 	}
 	return 0, fmt.Errorf("types: cannot compare %s with %s", a.Kind, b.Kind)
 }
@@ -215,6 +218,25 @@ func cmpInt64(a, b int64) int {
 	default:
 		return 0
 	}
+}
+
+// cmpIntFloat compares exactly, with no rounding of i to a float64: an
+// INT beyond 2^53 orders against the FLOAT next to it as the index key
+// does. NaN compares equal to every number, as cmpFloat64 has it.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	t := math.Trunc(f) // in int64 range, so int64(t) is exact
+	if c := cmpInt64(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat64(t, f)
 }
 
 func cmpFloat64(a, b float64) int {

@@ -100,6 +100,35 @@ func TestCompareNumericCoercion(t *testing.T) {
 	if c, err := Compare(NewInt(2), NewFloat(2.5)); err != nil || c != -1 {
 		t.Errorf("2 vs 2.5: %d %v", c, err)
 	}
+	// Exact, with no rounding of the INT to a float64: the keys order
+	// these pairs the same way.
+	cases := []struct {
+		i    int64
+		f    float64
+		want int
+	}{
+		{1<<53 + 1, 1 << 53, 1},
+		{1 << 53, 1<<53 + 2, -1},
+		{-(1<<53 + 1), -(1 << 53), -1},
+		{math.MaxInt64, 1 << 63, -1},
+		{math.MaxInt64, 0x1p63 - 1024, 1},
+		{math.MinInt64, -(1 << 63), 0},
+		{math.MinInt64 + 1, -(1 << 63), 1},
+		{math.MinInt64, math.Inf(-1), 1},
+		{math.MaxInt64, math.Inf(1), -1},
+		{0, math.Copysign(0, -1), 0},
+		{-1, -0.5, -1},
+		{0, 5e-324, -1},
+		{3, 2.999999999999999, 1},
+	}
+	for _, c := range cases {
+		if got, err := Compare(NewInt(c.i), NewFloat(c.f)); err != nil || got != c.want {
+			t.Errorf("Compare(%d, %v) = %d, %v; want %d", c.i, c.f, got, err, c.want)
+		}
+		if got, err := Compare(NewFloat(c.f), NewInt(c.i)); err != nil || got != -c.want {
+			t.Errorf("Compare(%v, %d) = %d, %v; want %d", c.f, c.i, got, err, -c.want)
+		}
+	}
 }
 
 func TestCompareMixedError(t *testing.T) {
@@ -150,7 +179,9 @@ func TestColumnTypeString(t *testing.T) {
 	}
 }
 
-// randomValue generates an arbitrary Value for property tests.
+// randomValue generates an arbitrary Value for property tests: INT and
+// FLOAT over their whole bit range (NaN, infinities and subnormals
+// included), half of them small so that equal and adjacent numbers meet.
 func randomValue(r *rand.Rand) Value {
 	switch r.Intn(6) {
 	case 0:
@@ -158,9 +189,15 @@ func randomValue(r *rand.Rand) Value {
 	case 1:
 		return NewBool(r.Intn(2) == 1)
 	case 2:
-		return NewInt(r.Int63() - r.Int63())
+		if r.Intn(2) == 0 {
+			return NewInt(int64(r.Intn(41) - 20))
+		}
+		return NewInt(int64(r.Uint64()))
 	case 3:
-		return NewFloat((r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(20)-10)))
+		if r.Intn(2) == 0 { // quarters in [-5, 5], -0 and +0 both
+			return NewFloat(math.Copysign(float64(r.Intn(21))/4, float64(1-2*r.Intn(2))))
+		}
+		return NewFloat(math.Float64frombits(r.Uint64()))
 	case 4:
 		n := r.Intn(20)
 		b := make([]byte, n)
@@ -181,15 +218,10 @@ func TestKeyEncodingOrderProperty(t *testing.T) {
 		if err != nil {
 			return true // mixed incomparable kinds don't share index columns
 		}
-		ka := EncodeKey(nil, a)
-		kb := EncodeKey(nil, b)
-		bc := bytes.Compare(ka, kb)
-		if cmp == 0 {
-			// Equal values of different numeric kinds may encode identically;
-			// equality must never be ordered.
-			return bc == 0 || a.Kind != b.Kind
+		if isNaN(a) || isNaN(b) {
+			return true // NaN sorts last, aside from Compare
 		}
-		return bc == cmp
+		return bytes.Compare(EncodeKey(nil, a), EncodeKey(nil, b)) == cmp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
@@ -253,9 +285,14 @@ func TestDecodeRowCorrupt(t *testing.T) {
 	}
 }
 
+func isNaN(v Value) bool { return v.Kind == KindFloat && math.IsNaN(v.Float()) }
+
 func TestHashConsistentWithEqual(t *testing.T) {
 	if Hash(NewInt(2)) != Hash(NewFloat(2.0)) {
 		t.Error("INT 2 and FLOAT 2.0 must hash identically")
+	}
+	if Hash(NewFloat(math.Copysign(0, -1))) != Hash(NewFloat(0)) || Hash(NewFloat(0)) != Hash(NewInt(0)) {
+		t.Error("-0.0, 0.0 and INT 0 must hash identically")
 	}
 	if Hash(NewString("a")) == Hash(NewString("b")) {
 		t.Error("different strings should (overwhelmingly) hash differently")
