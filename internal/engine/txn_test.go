@@ -635,11 +635,24 @@ func TestStmtRollbackFailureAccounting(t *testing.T) {
 // from the trigger point on, the failed count equals the number of
 // logged undo steps still pending, not 1.
 func TestStmtRollbackFailureAllStepsAttempted(t *testing.T) {
-	db := newTxnDB(t, Config{PageSize: 512, MemoryBytes: 1 << 20}, 30)
+	const stmt = "UPDATE acct SET k = k + 1 WHERE k >= 5"
+	cfg := Config{PageSize: 512, MemoryBytes: 1 << 20}
+
+	// Count the page accesses the whole statement makes on an identical
+	// table, so the allowance below tracks the storage layout.
+	var total atomic.Int64
+	twin := newTxnDB(t, cfg, 30)
+	twin.BufferPool().SetFetchFault(func(_ storage.PageID, _ storage.Category) error {
+		total.Add(1)
+		return nil
+	})
+	mustExec(t, twin, stmt)
+	twin.BufferPool().SetFetchFault(nil)
 
 	// Let the statement make real progress (several rows updated, each
 	// logging heap + index undo steps), then fail every access.
-	const allow = 120
+	db := newTxnDB(t, cfg, 30)
+	allow := total.Load() * 3 / 4
 	var n atomic.Int64
 	db.BufferPool().SetFetchFault(func(_ storage.PageID, _ storage.Category) error {
 		if n.Add(1) > allow {
@@ -647,17 +660,15 @@ func TestStmtRollbackFailureAllStepsAttempted(t *testing.T) {
 		}
 		return nil
 	})
-	_, execErr := db.Exec("UPDATE acct SET k = k + 1 WHERE k >= 5")
+	_, execErr := db.Exec(stmt)
 	db.BufferPool().SetFetchFault(nil)
 
 	if execErr == nil {
-		t.Skip("statement completed within the access allowance; nothing to fail")
+		t.Fatalf("statement completed within %d of its %d page accesses", allow, total.Load())
 	}
 	var rf *exec.RollbackFailedError
 	if !errors.As(execErr, &rf) {
-		// All progress happened before access #allow ran out mid-gather:
-		// nothing was logged, so the rollback was trivially clean.
-		t.Skipf("no undo steps pending at the failure point: %v", execErr)
+		t.Fatalf("fault after access %d of %d left no undo step pending: %v", allow, total.Load(), execErr)
 	}
 	if rf.Failed < 2 {
 		t.Errorf("Failed = %d, want >= 2 (every pending undo step attempted and counted)", rf.Failed)
