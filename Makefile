@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-join fuzz-page fuzz-wal fuzz-keys check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-node fuzz-join fuzz-page fuzz-wal fuzz-keys check
 
 all: check
 
@@ -183,6 +183,12 @@ fuzz-frame:
 # random point and range seeks must return what a fresh SeekRange does.
 fuzz-btree:
 	$(GO) test ./internal/btree/ -run '^$$' -fuzz FuzzSeekSequence -fuzztime 10s
+
+# Short fuzz burst at the B+tree node page: random insert, remove, compact
+# and split sequences on both leaf kinds and on inner nodes, each held to
+# a sorted model, every directory offset inside the page.
+fuzz-node:
+	$(GO) test ./internal/btree/ -run '^$$' -fuzz FuzzNodeOps -fuzztime 10s
 
 # Short fuzz burst at joins that grow outer rows in place: random small
 # tables joined by index-NL, hash and NL joins, inner and LEFT, chained,

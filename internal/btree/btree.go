@@ -7,7 +7,8 @@
 // Keys must be unique at this layer. Non-unique SQL indexes append the
 // record's RID encoding to the key (a "partitioned B-tree" in Graefe's
 // sense: the leading columns are highly redundant and simply partition
-// the tree, as the paper notes for (Tenant, Table, Chunk, Row) indexes).
+// the tree, as the paper notes for (Tenant, Table, Chunk, Row) indexes),
+// and their leaves store nothing beside the key.
 // Keys come from types.EncodeKey, where a small integer costs only its
 // significant bytes: those four meta-data columns take about a dozen
 // bytes of an entry, not 36, so a leaf holds twice the entries.
@@ -32,7 +33,9 @@ var ErrKeyNotFound = errors.New("btree: key not found")
 // Node page layout — a slotted page, searched and changed where it lies
 // in the pinned buffer-pool frame:
 //
-//	[0]      kind: leaf (1) / inner (0)
+//	[0]      kind: inner (0); leaf (1), whose entries carry their RID as
+//	         payload (a unique index); leaf (2), whose entries carry none:
+//	         each key ends in its RID (a non-unique index)
 //	[1:3)    n, entry count, uint16
 //	[3:11)   link: leaf: next-leaf PageID; inner: child[0] PageID
 //	[11:13)  heap, uint16: bytes in use at the page tail — live entries
@@ -41,17 +44,18 @@ var ErrKeyNotFound = errors.New("btree: key not found")
 //	[15:15+2n) directory: one uint16 entry offset per entry, in key order
 //	...      free space
 //	[size-heap:size) entries, newest lowest:
-//	         leaf:  keyLen uvarint, key, page uint48, slot uint16
-//	         inner: keyLen uvarint, key, child uint48 (keys >= key)
+//	         leaf (1): keyLen uvarint, key, RID (AppendRID's form)
+//	         leaf (2): keyLen uvarint, key (ending in AppendRID's form)
+//	         inner:    keyLen uvarint, key, child uint48 (keys >= key)
 //
-// Readers binary-search the directory and compare keys in the frame. An
-// insert writes its entry just below the heap and opens a two-byte slot
-// in the directory; a delete closes the slot and leaves the bytes as a
-// hole; an update overwrites the RID. Whether an entry fits is decided
-// from live bytes alone (fits), never from where the holes happen to
-// be, so the live tree and WAL replay split at the same insert; when
-// the gap between directory and heap is too small for an entry that
-// fits, the node is compacted first.
+// Either way a leaf holds each RID once, in one encoding. Readers
+// binary-search the directory and compare keys in the frame. An insert
+// writes its entry just below the heap and opens a two-byte slot in the
+// directory; a delete closes the slot and leaves the bytes as a hole.
+// Whether an entry fits is decided from live bytes alone (fits), never
+// from where the holes happen to be, so the live tree and WAL replay
+// split at the same insert; when the gap between directory and heap is
+// too small for an entry that fits, the node is compacted first.
 const (
 	offCount   = 1
 	offLink    = 3
@@ -59,21 +63,24 @@ const (
 	offLive    = 13
 	nodeHeader = 15
 
+	kindInner   = 0
+	kindLeaf    = 1 // RID as payload
+	kindKeyLeaf = 2 // RID as the key's suffix
+
 	slotSize = 2 // one directory entry
-	// Entries hold page ids in six bytes, which pays for the directory
-	// slot: ids are a dense counter (storage.Disk), so 2^48 pages of
-	// any size is more than a disk can hold. maxPageID guards the RIDs
-	// callers pass in.
+	// Entries hold child page ids in six bytes, which pays for the
+	// directory slot: ids are a dense counter (storage.Disk), so 2^48
+	// pages of any size is more than a disk can hold. maxPageID guards
+	// the RIDs callers pass in.
 	pageIDSize = 6
 	maxPageID  = 1<<(8*pageIDSize) - 1
-	ridSize    = pageIDSize + 2 // leaf entry payload: page, slot
-	childSize  = pageIDSize     // inner entry payload
+	childSize  = pageIDSize // inner entry payload
 )
 
 // node is a node page viewed in place; its length is the page size.
 type node []byte
 
-func (n node) leaf() bool { return n[0] == 1 }
+func (n node) leaf() bool { return n[0] != kindInner }
 func (n node) count() int { return int(binary.LittleEndian.Uint16(n[offCount:])) }
 func (n node) heap() int  { return int(binary.LittleEndian.Uint16(n[offHeap:])) }
 func (n node) live() int  { return int(binary.LittleEndian.Uint16(n[offLive:])) }
@@ -87,23 +94,13 @@ func (n node) setCount(v int) { binary.LittleEndian.PutUint16(n[offCount:], uint
 func (n node) setHeap(v int)  { binary.LittleEndian.PutUint16(n[offHeap:], uint16(v)) }
 func (n node) setLive(v int)  { binary.LittleEndian.PutUint16(n[offLive:], uint16(v)) }
 
-// init formats n as an empty node.
-func (n node) init(leaf bool, link storage.PageID) {
-	n[0] = 0
-	if leaf {
-		n[0] = 1
-	}
+// init formats n as an empty node of the given kind.
+func (n node) init(kind byte, link storage.PageID) {
+	n[0] = kind
 	n.setCount(0)
 	binary.LittleEndian.PutUint64(n[offLink:], uint64(link))
 	n.setHeap(0)
 	n.setLive(0)
-}
-
-func (n node) valSize() int {
-	if n.leaf() {
-		return ridSize
-	}
-	return childSize
 }
 
 // off returns the byte offset of entry i.
@@ -111,15 +108,22 @@ func (n node) off(i int) int {
 	return int(binary.LittleEndian.Uint16(n[nodeHeader+slotSize*i:]))
 }
 
-// entryAt splits the entry starting at b[off] into its key and its
-// valSize-byte payload; both alias b.
-func entryAt(b []byte, off, valSize int) (key, val []byte) {
-	kl, p := int(b[off]), off+1
+// entryAt splits the entry starting at n[off] into its key and its
+// payload, whose length the node's kind gives; both alias n.
+func (n node) entryAt(off int) (key, val []byte) {
+	kl, p := int(n[off]), off+1
 	if kl >= 0x80 {
-		v, w := binary.Uvarint(b[off:])
+		v, w := binary.Uvarint(n[off:])
 		kl, p = int(v), off+w
 	}
-	return b[p : p+kl : p+kl], b[p+kl : p+kl+valSize]
+	key, p = n[p:p+kl:p+kl], p+kl
+	switch n[0] {
+	case kindInner:
+		return key, n[p : p+childSize]
+	case kindLeaf:
+		return key, n[p : p+ridLen(n[p])]
+	}
+	return key, nil
 }
 
 // entrySize is the heap bytes an entry with a keyLen-byte key takes.
@@ -131,7 +135,7 @@ func entrySize(keyLen, valSize int) int {
 	return w + keyLen + valSize
 }
 
-func (n node) entry(i int) (key, val []byte) { return entryAt(n, n.off(i), n.valSize()) }
+func (n node) entry(i int) (key, val []byte) { return n.entryAt(n.off(i)) }
 
 func (n node) key(i int) []byte {
 	k, _ := n.entry(i)
@@ -141,7 +145,7 @@ func (n node) key(i int) []byte {
 // raw returns entry i as it lies in the heap: length, key, payload.
 func (n node) raw(i int) []byte {
 	off := n.off(i)
-	k, v := entryAt(n, off, n.valSize())
+	k, v := n.entryAt(off)
 	return n[off : off+entrySize(len(k), len(v))]
 }
 
@@ -154,22 +158,6 @@ func putPageID(b []byte, id storage.PageID) {
 	binary.LittleEndian.PutUint16(b[4:], uint16(id>>32))
 }
 
-func getRID(b []byte) storage.RID {
-	return storage.RID{Page: getPageID(b), Slot: binary.LittleEndian.Uint16(b[pageIDSize:])}
-}
-
-func putRID(b []byte, rid storage.RID) {
-	putPageID(b, rid.Page)
-	binary.LittleEndian.PutUint16(b[pageIDSize:], rid.Slot)
-}
-
-func checkRID(rid storage.RID) error {
-	if rid.Page > maxPageID {
-		return fmt.Errorf("btree: RID page %d does not fit %d bytes", rid.Page, pageIDSize)
-	}
-	return nil
-}
-
 // child returns child i of an inner node, 0 <= i <= count.
 func (n node) child(i int) storage.PageID {
 	if i == 0 {
@@ -177,6 +165,22 @@ func (n node) child(i int) storage.PageID {
 	}
 	_, v := n.entry(i - 1)
 	return getPageID(v)
+}
+
+// rid returns the RID of leaf entry i: its payload, or its key's end.
+func (n node) rid(i int) storage.RID {
+	k, v := n.entry(i)
+	if n[0] == kindKeyLeaf {
+		return ridSuffix(k)
+	}
+	return decodeRID(v)
+}
+
+func leafKind(ridInKey bool) byte {
+	if ridInKey {
+		return kindKeyLeaf
+	}
+	return kindLeaf
 }
 
 // bound returns the first position whose key is >= key, or > key when
@@ -224,11 +228,11 @@ func (n node) childFor(key []byte) (int, storage.PageID) {
 	return idx, n.child(idx)
 }
 
-// fits reports whether one more entry with a keyLen-byte key has room.
-// It counts live bytes only, so two nodes holding the same entries
-// answer alike however their holes differ.
-func (n node) fits(keyLen int) bool {
-	return nodeHeader+slotSize*(n.count()+1)+n.live()+entrySize(keyLen, n.valSize()) <= len(n)
+// fits reports whether one more entry of sz heap bytes has room. It
+// counts live bytes only, so two nodes holding the same entries answer
+// alike however their holes differ.
+func (n node) fits(sz int) bool {
+	return nodeHeader+slotSize*(n.count()+1)+n.live()+sz <= len(n)
 }
 
 // keyFits is the oversized-key guard: three entries of the key's size
@@ -237,7 +241,7 @@ func (n node) fits(keyLen int) bool {
 // over a third of the page both halves always fit, and an inner node
 // keeps a key on each side of the separator it pushes up.
 func keyFits(keyLen, pageSize int) bool {
-	return nodeHeader+3*(slotSize+entrySize(keyLen, ridSize)) <= pageSize
+	return nodeHeader+3*(slotSize+entrySize(keyLen, maxRIDLen)) <= pageSize
 }
 
 // insert places (key, val) at directory position pos. The caller has
@@ -289,7 +293,7 @@ func (n node) compact() {
 // (an alias of n, key or right). The halves divide at the byte
 // midpoint: for equal-sized entries that is the count midpoint.
 func (n node) split(pos int, key, val []byte, left, right node, rightID storage.PageID) []byte {
-	cnt, vs := n.count(), n.valSize()
+	cnt := n.count()
 	ent := func(i int) ([]byte, []byte) {
 		switch {
 		case i < pos:
@@ -305,25 +309,25 @@ func (n node) split(pos int, key, val []byte, left, right node, rightID storage.
 			dst.insert(dst.count(), k, v)
 		}
 	}
-	total := n.live() + entrySize(len(key), vs) + slotSize*(cnt+1)
+	total := n.live() + entrySize(len(key), len(val)) + slotSize*(cnt+1)
 	mid := 0
 	for acc := 0; ; mid++ {
-		k, _ := ent(mid)
-		acc += slotSize + entrySize(len(k), vs)
+		k, v := ent(mid)
+		acc += slotSize + entrySize(len(k), len(v))
 		if acc > total/2 {
 			break
 		}
 	}
 	if n.leaf() {
-		left.init(true, rightID)
-		right.init(true, n.link())
+		left.init(n[0], rightID)
+		right.init(n[0], n.link())
 		fill(left, 0, mid)
 		fill(right, mid, cnt+1)
 		return right.key(0)
 	}
 	sep, child := ent(mid)
-	left.init(false, n.link())
-	right.init(false, getPageID(child))
+	left.init(kindInner, n.link())
+	right.init(kindInner, getPageID(child))
 	fill(left, 0, mid)
 	fill(right, mid+1, cnt+1)
 	return sep
@@ -337,14 +341,13 @@ func (n node) split(pos int, key, val []byte, left, right node, rightID storage.
 type Logger interface {
 	// BTreePageAlloc records a fresh index-page allocation.
 	BTreePageAlloc(page storage.PageID) error
-	// BTreeInit records the formatting of page as an empty leaf.
-	BTreeInit(page storage.PageID) error
+	// BTreeInit records the formatting of page as an empty leaf, of the
+	// kind ridInKey picks (see NewLogged).
+	BTreeInit(page storage.PageID, ridInKey bool) error
 	// BTreeInsert records adding key→rid on the leaf at page.
 	BTreeInsert(page storage.PageID, key []byte, rid storage.RID) error
 	// BTreeDelete records removing key from the leaf at page.
 	BTreeDelete(page storage.PageID, key []byte) error
-	// BTreeUpdate records repointing key to rid on the leaf at page.
-	BTreeUpdate(page storage.PageID, key []byte, rid storage.RID) error
 	// BTreePageImage records the full post-image of a restructured page.
 	BTreePageImage(page storage.PageID, img []byte) error
 	// BTreeRoot records a root change.
@@ -362,21 +365,24 @@ type BTree struct {
 	logger Logger
 }
 
-// New creates an empty tree with a single leaf root.
+// New creates an empty tree with a single leaf root, whose leaves hold
+// each RID as its entry's payload.
 func New(pool *storage.BufferPool) (*BTree, error) {
-	return NewLogged(pool, nil)
+	return NewLogged(pool, nil, false)
 }
 
 // NewLogged creates an empty tree, logging the root allocation and
-// initialization through lg (which stays installed).
-func NewLogged(pool *storage.BufferPool, lg Logger) (*BTree, error) {
+// initialization through lg (which stays installed). With ridInKey its
+// leaves store no payload: every key must end in its RID's AppendRID
+// form, which is what Get and the iterator read back.
+func NewLogged(pool *storage.BufferPool, lg Logger, ridInKey bool) (*BTree, error) {
 	id, buf, err := pool.NewPage(storage.CatIndex)
 	if err != nil {
 		return nil, err
 	}
 	if lg != nil {
 		if err := lg.BTreePageAlloc(id); err == nil {
-			err = lg.BTreeInit(id)
+			err = lg.BTreeInit(id, ridInKey)
 		}
 		if err != nil {
 			pool.Unpin(id, false)
@@ -384,7 +390,7 @@ func NewLogged(pool *storage.BufferPool, lg Logger) (*BTree, error) {
 			return nil, err
 		}
 	}
-	node(buf).init(true, storage.InvalidPageID)
+	node(buf).init(leafKind(ridInKey), storage.InvalidPageID)
 	pool.Unpin(id, true)
 	return &BTree{pool: pool, root: id, logger: lg}, nil
 }
@@ -483,8 +489,7 @@ func (t *BTree) Get(key []byte) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	_, v := n.entry(pos)
-	rid := getRID(v)
+	rid := n.rid(pos)
 	t.pool.Unpin(id, false)
 	return rid, nil
 }
@@ -563,11 +568,17 @@ func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
 		cur = child
 	}
 	leaf := &path[len(path)-1]
-	var val [ridSize]byte
-	putRID(val[:], rid)
+	var buf [maxRIDLen]byte
+	val := AppendRID(buf[:0], rid)
+	if leaf.n[0] == kindKeyLeaf {
+		if !bytes.HasSuffix(key, val) {
+			return fmt.Errorf("btree: key does not end in its RID %v", rid)
+		}
+		val = nil
+	}
 
-	if !leaf.n.fits(len(key)) {
-		if err := t.insertSplit(path, key, val[:]); err != nil {
+	if !leaf.n.fits(entrySize(len(key), len(val))) {
+		if err := t.insertSplit(path, key, val); err != nil {
 			return err
 		}
 		t.size++
@@ -580,7 +591,7 @@ func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
 			return err
 		}
 	}
-	leaf.n.insert(leaf.pos, key, val[:])
+	leaf.n.insert(leaf.pos, key, val)
 	leaf.dirty = true
 	t.size++
 	return nil
@@ -628,7 +639,7 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 	top := len(path) - 1 // the highest path level the split rewrites
 	for ; ; top-- {
 		p := &path[top]
-		if p.n.fits(len(key)) {
+		if p.n.fits(entrySize(len(key), len(val))) {
 			img := node(append([]byte(nil), p.n...))
 			img.insert(p.pos, key, val)
 			writes = append(writes, pageWrite{p.id, p.n, img})
@@ -649,7 +660,7 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 				return fail(err)
 			}
 			img := node(make([]byte, ps))
-			img.init(false, t.root)
+			img.init(kindInner, t.root)
 			img.insert(0, key, val)
 			writes = append(writes, pageWrite{rootID, rootBuf, img})
 			newRoot = rootID
@@ -714,29 +725,6 @@ func (t *BTree) delete(key []byte, cold bool) error {
 	n.remove(pos)
 	t.release(id, true, cold)
 	t.size--
-	return nil
-}
-
-// Update changes the RID stored under an existing key.
-func (t *BTree) Update(key []byte, rid storage.RID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := checkRID(rid); err != nil {
-		return err
-	}
-	id, n, pos, err := t.fetchEntry(key)
-	if err != nil {
-		return err
-	}
-	if t.logger != nil {
-		if err := t.logger.BTreeUpdate(id, key, rid); err != nil {
-			t.pool.Unpin(id, false)
-			return err
-		}
-	}
-	_, v := n.entry(pos)
-	putRID(v, rid)
-	t.pool.Unpin(id, true)
 	return nil
 }
 

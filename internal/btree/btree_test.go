@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -86,21 +87,6 @@ func TestDelete(t *testing.T) {
 	}
 	if tr.Len() != 250 {
 		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	tr, _ := New(newPool(512))
-	tr.Insert([]byte("k"), storage.RID{Page: 1})
-	if err := tr.Update([]byte("k"), storage.RID{Page: 99, Slot: 3}); err != nil {
-		t.Fatal(err)
-	}
-	rid, _ := tr.Get([]byte("k"))
-	if rid.Page != 99 || rid.Slot != 3 {
-		t.Errorf("update lost: %v", rid)
-	}
-	if err := tr.Update([]byte("zz"), storage.RID{}); !errors.Is(err, ErrKeyNotFound) {
-		t.Errorf("update missing: %v", err)
 	}
 }
 
@@ -235,10 +221,11 @@ func TestDropFreesPages(t *testing.T) {
 
 // maxKeyLen is the longest key Insert accepts on a page of the given
 // size: three entries must fit (keyFits), and an entry costs a 2-byte
-// directory slot, the uvarint key length, the key and an 8-byte RID.
+// directory slot, the uvarint key length, the key and at most a 9-byte
+// RID (a page id of 7 bytes and the slot).
 //
-//	pageSize 256: (256-15)/3 = 80 = 2 + 1 + 69 + 8  → 69
-//	pageSize 512: (512-15)/3 = 165 ≥ 2 + 2 + 153 + 8 → 153 (two length bytes from 128 up)
+//	pageSize 256: (256-15)/3 = 80 = 2 + 1 + 68 + 9  → 68
+//	pageSize 512: (512-15)/3 = 165 ≥ 2 + 2 + 152 + 9 → 152 (two length bytes from 128 up)
 func maxKeyLen(pageSize int) int {
 	k := 0
 	for keyFits(k+1, pageSize) {
@@ -251,7 +238,7 @@ func maxKeyLen(pageSize int) int {
 // the boundary, and checks that a page really takes three maximal keys
 // and splits cleanly on the fourth.
 func TestOversizedKey(t *testing.T) {
-	for pageSize, want := range map[int]int{256: 69, 512: 153} {
+	for pageSize, want := range map[int]int{256: 68, 512: 152} {
 		max := maxKeyLen(pageSize)
 		if max != want {
 			t.Fatalf("page %d: max key %d, want %d", pageSize, max, want)
@@ -280,6 +267,14 @@ func TestOversizedKey(t *testing.T) {
 	if err := tr.Insert([]byte("k"), storage.RID{Page: maxPageID + 1}); err == nil {
 		t.Error("a RID page beyond six bytes should be rejected")
 	}
+	if err := tr.Insert([]byte("k"), storage.RID{Slot: maxSlot + 1}); err == nil {
+		t.Error("a RID slot beyond 14 bits should be rejected")
+	}
+	keyed, _ := NewLogged(newPool(256), nil, true)
+	rid := storage.RID{Page: 300, Slot: 2}
+	if err := keyed.Insert(AppendRID([]byte("k"), storage.RID{Page: 301, Slot: 2}), rid); err == nil {
+		t.Error("a key that does not end in its RID should be rejected")
+	}
 }
 
 // logRec is one redo record as a btree.Logger sees it.
@@ -289,6 +284,7 @@ type logRec struct {
 	key, img []byte
 	rid      storage.RID
 	old, new storage.PageID
+	ridInKey bool
 }
 
 // recLogger records every redo record the tree emits, copying what it
@@ -299,8 +295,8 @@ func (l *recLogger) BTreePageAlloc(page storage.PageID) error {
 	l.recs = append(l.recs, logRec{kind: "alloc", page: page})
 	return nil
 }
-func (l *recLogger) BTreeInit(page storage.PageID) error {
-	l.recs = append(l.recs, logRec{kind: "init", page: page})
+func (l *recLogger) BTreeInit(page storage.PageID, ridInKey bool) error {
+	l.recs = append(l.recs, logRec{kind: "init", page: page, ridInKey: ridInKey})
 	return nil
 }
 func (l *recLogger) BTreeInsert(page storage.PageID, key []byte, rid storage.RID) error {
@@ -309,10 +305,6 @@ func (l *recLogger) BTreeInsert(page storage.PageID, key []byte, rid storage.RID
 }
 func (l *recLogger) BTreeDelete(page storage.PageID, key []byte) error {
 	l.recs = append(l.recs, logRec{kind: "delete", page: page, key: append([]byte(nil), key...)})
-	return nil
-}
-func (l *recLogger) BTreeUpdate(page storage.PageID, key []byte, rid storage.RID) error {
-	l.recs = append(l.recs, logRec{kind: "update", page: page, key: append([]byte(nil), key...), rid: rid})
 	return nil
 }
 func (l *recLogger) BTreePageImage(page storage.PageID, img []byte) error {
@@ -339,13 +331,11 @@ func (l *recLogger) replay(pageSize int) (*BTree, error) {
 			if root == storage.InvalidPageID {
 				root = r.page
 			}
-			err = ReplayInit(pool, r.page)
+			err = ReplayInit(pool, r.page, r.ridInKey)
 		case "insert":
 			err = ReplayInsert(pool, r.page, r.key, r.rid)
 		case "delete":
 			err = ReplayDelete(pool, r.page, r.key)
-		case "update":
-			err = ReplayUpdate(pool, r.page, r.key, r.rid)
 		case "image":
 			err = ReplayImage(pool, r.page, r.img)
 		case "root":
@@ -362,34 +352,86 @@ func (l *recLogger) replay(pageSize int) (*BTree, error) {
 	return tr, tr.RecountSize()
 }
 
+// samePages checks that two trees have the same pages, byte for byte.
+func samePages(a, b *BTree) error {
+	ids, err := a.Pages()
+	if err != nil {
+		return err
+	}
+	if other, err := b.Pages(); err != nil || !slices.Equal(ids, other) {
+		return fmt.Errorf("pages %v, other %v (%v)", ids, other, err)
+	}
+	for _, id := range ids {
+		x, err := a.pool.Fetch(id, storage.CatIndex)
+		if err != nil {
+			return err
+		}
+		y, err := b.pool.Fetch(id, storage.CatIndex)
+		if err != nil {
+			a.pool.Unpin(id, false)
+			return err
+		}
+		same := bytes.Equal(x, y)
+		a.pool.Unpin(id, false)
+		b.pool.Unpin(id, false)
+		if !same {
+			return fmt.Errorf("page %d differs", id)
+		}
+	}
+	return nil
+}
+
+// randomRID draws a RID whose page id falls in any of the four length
+// classes of its form.
+func randomRID(r *rand.Rand) storage.RID {
+	below := [4]int64{1 << 6, 1 << 14, 1 << 22, maxPageID + 1}[r.Intn(4)]
+	return storage.RID{Page: storage.PageID(r.Int63n(below)), Slot: uint16(r.Intn(maxSlot + 1))}
+}
+
 // randomOps drives a logged tree on pageSize pages with ops random
-// inserts, deletes, updates and lookups over keySpace distinct keys of
-// 6 to maxKey bytes, checking every result against a map model. Every
-// fifth stretch of 200 operations is delete-heavy, which leaves holes in
-// the leaves for later inserts to compact. At the end the live tree and
-// a second tree rebuilt from the recorded log alone must both scan to
-// the model's sorted (key, rid) sequence. It returns the live tree's
+// inserts, deletes and lookups over keySpace distinct keys of 6 to
+// maxKey bytes, checking every result against a map model. With
+// ridInKey the tree keeps its RIDs in its keys, and key i ends in a RID
+// of its own. Every fifth stretch of 200 operations is delete-heavy,
+// which leaves holes in the leaves for later inserts to compact. At the
+// end the live tree and a second tree rebuilt from the recorded log
+// alone must both scan to the model's sorted (key, rid) sequence, and
+// hold the same bytes on the same pages. It returns the live tree's
 // height.
-func randomOps(t *testing.T, seed int64, pageSize, ops, keySpace, maxKey int) (int, error) {
+func randomOps(t *testing.T, seed int64, pageSize, ops, keySpace, maxKey int, ridInKey bool) (int, error) {
 	r := rand.New(rand.NewSource(seed))
 	lg := &recLogger{}
-	tr, err := NewLogged(newPool(pageSize), lg)
+	tr, err := NewLogged(newPool(pageSize), lg, ridInKey)
 	if err != nil {
 		return 0, err
+	}
+	ridOf := make([]storage.RID, keySpace)
+	for i := range ridOf {
+		ridOf[i] = randomRID(r)
+	}
+	if ridInKey {
+		maxKey -= maxRIDLen
 	}
 	// Key i is its six-digit number padded to a length that depends on
 	// i alone: short, medium, anywhere up to the guard, at the guard.
 	keyOf := func(i int) []byte {
 		pad := [4]int{0, (i * 7) % 19, (i * 13) % (maxKey - 5), maxKey - 6}[i%4]
-		return append([]byte(fmt.Sprintf("%06d", i)), bytes.Repeat([]byte{'x'}, pad)...)
+		k := append([]byte(fmt.Sprintf("%06d", i)), bytes.Repeat([]byte{'x'}, pad)...)
+		if ridInKey {
+			k = AppendRID(k, ridOf[i])
+		}
+		return k
 	}
 	model := map[string]storage.RID{}
 	for op := 0; op < ops; op++ {
-		k := keyOf(r.Intn(keySpace))
-		rid := storage.RID{Page: storage.PageID(r.Intn(1 << 20)), Slot: uint16(r.Intn(1 << 16))}
+		i := r.Intn(keySpace)
+		k, rid := keyOf(i), randomRID(r)
+		if ridInKey {
+			rid = ridOf[i]
+		}
 		_, exists := model[string(k)]
-		kind := r.Intn(4)
-		if (op/200)%5 == 4 && kind != 3 {
+		kind := r.Intn(3)
+		if (op/200)%5 == 4 && kind != 2 {
 			kind = 1
 		}
 		switch kind {
@@ -413,16 +455,6 @@ func randomOps(t *testing.T, seed int64, pageSize, ops, keySpace, maxKey int) (i
 			}
 			delete(model, string(k))
 		case 2:
-			err := tr.Update(k, rid)
-			switch {
-			case exists && err != nil:
-				return 0, fmt.Errorf("op %d: update %q: %v", op, k, err)
-			case !exists && !errors.Is(err, ErrKeyNotFound):
-				return 0, fmt.Errorf("op %d: update of missing %q: %v", op, k, err)
-			case exists:
-				model[string(k)] = rid
-			}
-		case 3:
 			got, err := tr.Get(k)
 			switch {
 			case exists && (err != nil || got != model[string(k)]):
@@ -441,6 +473,9 @@ func randomOps(t *testing.T, seed int64, pageSize, ops, keySpace, maxKey int) (i
 	replayed, err := lg.replay(pageSize)
 	if err != nil {
 		return 0, fmt.Errorf("replay: %w", err)
+	}
+	if err := samePages(tr, replayed); err != nil {
+		return 0, fmt.Errorf("replayed tree: %w", err)
 	}
 	for name, tree := range map[string]*BTree{"live": tr, "replayed": replayed} {
 		if tree.Len() != int64(len(model)) {
@@ -484,27 +519,30 @@ func randomOps(t *testing.T, seed int64, pageSize, ops, keySpace, maxKey int) (i
 }
 
 // TestRandomOpsProperty cross-checks the tree against a sorted-map model
-// under random insert/delete/update/lookup streams, and the tree that
-// WAL replay rebuilds from the emitted records against both: many
-// short streams on small trees, then three long ones that mix key sizes
-// up to the oversized-key guard and grow the tree to three levels.
+// under random insert/delete/lookup streams, and the tree that WAL
+// replay rebuilds from the emitted records against both, on either leaf
+// kind: many short streams on small trees, then three long ones that
+// mix key sizes up to the oversized-key guard and grow the tree to
+// three levels.
 func TestRandomOpsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		if _, err := randomOps(t, seed, 512, 600, 400, 24); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+	for _, ridInKey := range []bool{false, true} {
+		f := func(seed int64) bool {
+			if _, err := randomOps(t, seed, 512, 600, 400, 24, ridInKey); err != nil {
+				t.Logf("ridInKey %v, seed %d: %v", ridInKey, seed, err)
+				return false
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		h, err := randomOps(t, seed, 512, 12000, 3000, maxKeyLen(512))
-		if err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		} else if h < 3 {
-			t.Errorf("seed %d: height %d, want a tree of at least three levels", seed, h)
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Error(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			h, err := randomOps(t, seed, 512, 12000, 3000, maxKeyLen(512), ridInKey)
+			if err != nil {
+				t.Errorf("ridInKey %v, seed %d: %v", ridInKey, seed, err)
+			} else if h < 3 {
+				t.Errorf("ridInKey %v, seed %d: height %d, want a tree of at least three levels", ridInKey, seed, h)
+			}
 		}
 	}
 }
@@ -617,7 +655,7 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 	const perPhase, readers = 400, 4
 	for phase := 0; phase < 4; phase++ {
-		// Writer phase: grow the tree, punch holes, repoint.
+		// Writer phase: grow the tree, punch holes, re-insert.
 		base := phase * perPhase
 		for i := base; i < base+perPhase; i++ {
 			if err := tr.Insert(key(i), storage.RID{Page: storage.PageID(i + 1)}); err != nil {
@@ -630,7 +668,10 @@ func TestConcurrentReaders(t *testing.T) {
 			}
 		}
 		for i := base + 1; i < base+perPhase; i += 7 {
-			if err := tr.Update(key(i), storage.RID{Page: storage.PageID(i + 1), Slot: 9}); err != nil {
+			if err := tr.Delete(key(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Insert(key(i), storage.RID{Page: storage.PageID(i + 1), Slot: 9}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,0 +1,25 @@
+package btree
+
+import "repro/internal/storage"
+
+// LeafUse returns what the leaves of t hold: their entries, and the
+// heap and directory bytes those take.
+func LeafUse(t *BTree) (entries, bytes int, err error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	id, n, _, err := t.descend(nil)
+	for err == nil {
+		entries += n.count()
+		bytes += n.live() + slotSize*n.count()
+		next := n.link()
+		t.pool.Unpin(id, false)
+		if next == storage.InvalidPageID {
+			break
+		}
+		var buf []byte
+		if buf, err = t.pool.Fetch(next, storage.CatIndex); err == nil {
+			id, n = next, node(buf)
+		}
+	}
+	return entries, bytes, err
+}

@@ -215,8 +215,7 @@ func (it *Iterator) hint() {
 	if it.rows != nil && it.pos < to {
 		it.rids = it.rids[:0]
 		for i := it.pos; i < to; i++ {
-			_, v := n.entry(i)
-			it.rids = append(it.rids, getRID(v))
+			it.rids = append(it.rids, n.rid(i))
 		}
 		it.rows.PrefetchRIDs(it.rids)
 	}
@@ -233,10 +232,7 @@ func (it *Iterator) Err() error { return it.err }
 func (it *Iterator) Key() []byte { return it.n.key(it.pos) }
 
 // RID returns the current record ID.
-func (it *Iterator) RID() storage.RID {
-	_, v := it.n.entry(it.pos)
-	return getRID(v)
-}
+func (it *Iterator) RID() storage.RID { return it.n.rid(it.pos) }
 
 // Next moves to the following entry.
 func (it *Iterator) Next() {

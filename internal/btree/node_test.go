@@ -1,0 +1,228 @@
+package btree
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// ridBoundaries are page ids on both sides of every length class of a
+// RID's form, and the largest a tree accepts.
+var ridBoundaries = []storage.PageID{0, 1, 1<<6 - 1, 1 << 6, 255, 256, 1<<14 - 1, 1 << 14,
+	1<<22 - 1, 1 << 22, 1 << 40, maxPageID}
+
+// FuzzRIDSuffix holds the RID form to its contract: read from its first
+// byte (a unique leaf's payload) or from the end of a key it ends (a
+// non-unique index key), it gives back the RID, for page ids up to
+// maxPageID and slots up to maxSlot; and after one index value, two RIDs
+// make distinct keys that order as the RIDs do, page then slot.
+func FuzzRIDSuffix(f *testing.F) {
+	for _, a := range ridBoundaries {
+		for _, b := range ridBoundaries {
+			f.Add([]byte{0x03, 0x88}, uint64(a), uint16(0), uint64(b), uint16(maxSlot))
+		}
+	}
+	f.Add([]byte{}, uint64(300), uint16(4), uint64(300), uint16(5))
+	f.Add([]byte{0xFF, 0xC0}, uint64(maxPageID+1), uint16(0), uint64(1), uint16(maxSlot+1))
+	f.Fuzz(func(t *testing.T, value []byte, p1 uint64, s1 uint16, p2 uint64, s2 uint16) {
+		var keys [2][]byte
+		rids := [2]storage.RID{{Page: storage.PageID(p1), Slot: s1}, {Page: storage.PageID(p2), Slot: s2}}
+		for i, rid := range rids {
+			if inRange := rid.Page <= maxPageID && rid.Slot <= maxSlot; inRange != (checkRID(rid) == nil) {
+				t.Fatalf("checkRID(%v) = %v", rid, checkRID(rid))
+			}
+			rid.Page %= maxPageID + 1
+			rid.Slot &= maxSlot
+			rids[i] = rid
+			k := AppendRID(slices.Clip(value), rid)
+			form := k[len(value):]
+			if !bytes.Equal(k[:len(value)], value) || len(form) != ridLen(form[0]) || len(form) > maxRIDLen {
+				t.Fatalf("AppendRID(%x, %v) = %x", value, rid, k)
+			}
+			if got := decodeRID(form); got != rid {
+				t.Fatalf("form %x of %v decodes to %v", form, rid, got)
+			}
+			if got := ridSuffix(k); got != rid {
+				t.Fatalf("key %x ending in %v decodes to %v", k, rid, got)
+			}
+			keys[i] = k
+		}
+		want := cmp.Or(cmp.Compare(rids[0].Page, rids[1].Page), cmp.Compare(rids[0].Slot, rids[1].Slot))
+		if got := bytes.Compare(keys[0], keys[1]); got != want {
+			t.Fatalf("keys %x (%v) and %x (%v) compare %d, want %d", keys[0], rids[0], keys[1], rids[1], got, want)
+		}
+	})
+}
+
+// nodeEntry is one entry of the model FuzzNodeOps holds a node to.
+type nodeEntry struct {
+	key string
+	rid storage.RID // a leaf's RID; an inner node's child is rid.Page
+}
+
+// checkNode holds n to its layout and to model, its entries in key
+// order: the directory stays below the heap, every offset and entry
+// lies inside the page, the live count is the entries' bytes, and every
+// key and RID (or child) reads back.
+func checkNode(n node, model []nodeEntry) error {
+	cnt, heapStart := n.count(), len(n)-n.heap()
+	if cnt != len(model) || nodeHeader+slotSize*cnt > heapStart {
+		return fmt.Errorf("%d entries (model %d), directory to %d, heap from %d", cnt, len(model), nodeHeader+slotSize*cnt, heapStart)
+	}
+	live := 0
+	for i, e := range model {
+		off := n.off(i)
+		if off < heapStart || off >= len(n) {
+			return fmt.Errorf("entry %d at offset %d, heap [%d, %d)", i, off, heapStart, len(n))
+		}
+		k, v := n.entryAt(off)
+		if end := off + entrySize(len(k), len(v)); end > len(n) {
+			return fmt.Errorf("entry %d runs to %d past the page", i, end)
+		}
+		live += entrySize(len(k), len(v))
+		var rid storage.RID
+		if n.leaf() {
+			rid = n.rid(i)
+		} else {
+			rid.Page = n.child(i + 1)
+		}
+		if string(k) != e.key || rid != e.rid {
+			return fmt.Errorf("entry %d is %x → %v, model %x → %v", i, k, rid, e.key, e.rid)
+		}
+	}
+	if live != n.live() {
+		return fmt.Errorf("live %d, entries hold %d", n.live(), live)
+	}
+	return nil
+}
+
+// FuzzNodeOps runs random insert, remove, compact and split sequences on
+// one node page of each kind — a leaf with RID payloads, a leaf whose
+// keys end in their RIDs, an inner node — against a sorted model, and
+// after each operation holds the page to checkNode. An insert that does
+// not fit splits the node, and the fuzz goes on with either half.
+func FuzzNodeOps(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for kind := byte(0); kind < 3; kind++ {
+		for i := 0; i < 4; i++ {
+			ops := make([]byte, 200+300*i)
+			r.Read(ops)
+			f.Add(kind, ops)
+		}
+	}
+	const pageSize, link, rightID = 256, 7, 99
+	f.Fuzz(func(t *testing.T, kind byte, ops []byte) {
+		kind %= 3
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		n := node(make([]byte, pageSize))
+		n.init(kind, link)
+		var model []nodeEntry
+		for len(ops) > 0 {
+			switch next() % 4 {
+			case 0, 1:
+				k := make([]byte, next()%24)
+				for i := range k {
+					k[i] = 'a' + next()%4
+				}
+				rid := storage.RID{Page: ridBoundaries[next()%uint8(len(ridBoundaries))] - storage.PageID(next()%2),
+					Slot: uint16(next())<<6 | uint16(next()%64)}
+				rid.Page %= maxPageID + 1
+				var buf [maxRIDLen]byte
+				val := AppendRID(buf[:0], rid)
+				switch kind {
+				case kindInner:
+					rid.Slot = 0
+					val = buf[:childSize]
+					putPageID(val, rid.Page)
+				case kindKeyLeaf:
+					k, val = append(k, val...), nil
+				}
+				pos, found := n.search(k)
+				at, inModel := slices.BinarySearchFunc(model, string(k), func(e nodeEntry, k string) int { return cmp.Compare(e.key, k) })
+				if found != inModel || pos != at {
+					t.Fatalf("search(%x) = %d, %v; model %d, %v", k, pos, found, at, inModel)
+				}
+				if found || !keyFits(len(k), pageSize) {
+					continue
+				}
+				all := slices.Insert(slices.Clone(model), pos, nodeEntry{string(k), rid})
+				if n.fits(entrySize(len(k), len(val))) {
+					n.insert(pos, k, val)
+					model = all
+					break
+				}
+				left, right := node(make([]byte, pageSize)), node(make([]byte, pageSize))
+				sep := string(n.split(pos, k, val, left, right, rightID))
+				lc := left.count()
+				lm, rm := all[:lc], all[lc:]
+				// The halves divide at the byte midpoint.
+				size := func(e nodeEntry) int {
+					v := childSize
+					switch kind {
+					case kindLeaf:
+						v = len(AppendRID(nil, e.rid))
+					case kindKeyLeaf:
+						v = 0
+					}
+					return slotSize + entrySize(len(e.key), v)
+				}
+				below, total := 0, 0
+				for i, e := range all {
+					if i < lc {
+						below += size(e)
+					}
+					total += size(e)
+				}
+				if below > total/2 || below+size(rm[0]) <= total/2 {
+					t.Fatalf("split after %d of %d bytes, %d in the next entry", below, total, size(rm[0]))
+				}
+				wantLink := [2]storage.PageID{rightID, n.link()}
+				if kind == kindInner {
+					if sep != rm[0].key {
+						t.Fatalf("inner split pushes up %x, want %x", sep, rm[0].key)
+					}
+					wantLink = [2]storage.PageID{n.link(), rm[0].rid.Page}
+					rm = rm[1:]
+				} else if sep != rm[0].key {
+					t.Fatalf("leaf split separator %x, right half starts at %x", sep, rm[0].key)
+				}
+				if left[0] != kind || right[0] != kind || left.link() != wantLink[0] || right.link() != wantLink[1] {
+					t.Fatalf("split halves: kinds %d %d, links %d %d; want kind %d, links %v", left[0], right[0], left.link(), right.link(), kind, wantLink)
+				}
+				if err := checkNode(left, lm); err != nil {
+					t.Fatalf("left half: %v", err)
+				}
+				if err := checkNode(right, rm); err != nil {
+					t.Fatalf("right half: %v", err)
+				}
+				n, model = left, lm
+				if next()%2 == 1 {
+					n, model = right, rm
+				}
+			case 2:
+				if len(model) > 0 {
+					pos := int(next()) % len(model)
+					n.remove(pos)
+					model = slices.Delete(model, pos, pos+1)
+				}
+			case 3:
+				n.compact()
+			}
+			if err := checkNode(n, model); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}

@@ -67,13 +67,14 @@ func (t *BTree) RecountSize() error {
 	return nil
 }
 
-// ReplayInit formats page as an empty leaf (redo of KBTreeInit).
-func ReplayInit(pool *storage.BufferPool, page storage.PageID) error {
+// ReplayInit formats page as an empty leaf of the kind ridInKey picks
+// (redo of KBTreeInit).
+func ReplayInit(pool *storage.BufferPool, page storage.PageID, ridInKey bool) error {
 	buf, err := pool.Fetch(page, storage.CatIndex)
 	if err != nil {
 		return err
 	}
-	node(buf).init(true, storage.InvalidPageID)
+	node(buf).init(leafKind(ridInKey), storage.InvalidPageID)
 	pool.Unpin(page, true)
 	return nil
 }
@@ -104,12 +105,15 @@ func replayLeaf(pool *storage.BufferPool, page storage.PageID, op string, key []
 // absent and must fit.
 func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key []byte, rid storage.RID) error {
 	return replayLeaf(pool, page, "insert", key, false, func(n node, pos int) error {
-		if !n.fits(len(key)) {
+		var buf [maxRIDLen]byte
+		val := AppendRID(buf[:0], rid)
+		if n[0] == kindKeyLeaf {
+			val = nil
+		}
+		if !n.fits(entrySize(len(key), len(val))) {
 			return fmt.Errorf("btree: replay insert overflows page %d", page)
 		}
-		var val [ridSize]byte
-		putRID(val[:], rid)
-		n.insert(pos, key, val[:])
+		n.insert(pos, key, val)
 		return nil
 	})
 }
@@ -118,15 +122,6 @@ func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key []byte, rid
 func ReplayDelete(pool *storage.BufferPool, page storage.PageID, key []byte) error {
 	return replayLeaf(pool, page, "delete", key, true, func(n node, pos int) error {
 		n.remove(pos)
-		return nil
-	})
-}
-
-// ReplayUpdate redoes a leaf RID repoint of key on page.
-func ReplayUpdate(pool *storage.BufferPool, page storage.PageID, key []byte, rid storage.RID) error {
-	return replayLeaf(pool, page, "update", key, true, func(n node, pos int) error {
-		_, v := n.entry(pos)
-		putRID(v, rid)
 		return nil
 	})
 }

@@ -9,7 +9,6 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -63,7 +62,7 @@ func (ix *Index) AppendKey(dst []byte, row []types.Value, rid storage.RID) []byt
 		dst = types.EncodeKey(dst, row[c])
 	}
 	if !ix.Unique {
-		dst = appendRID(dst, rid)
+		dst = btree.AppendRID(dst, rid)
 	}
 	return dst
 }
@@ -92,18 +91,6 @@ func (ix *Index) PrefixFor(vals []types.Value) []byte {
 		key = types.EncodeKey(key, v)
 	}
 	return key
-}
-
-// appendRID appends rid in page-then-slot order: the page id's length in
-// bytes, its significant bytes big-endian (a shorter id is a smaller
-// one), then the slot's two bytes. A page below 64K costs five bytes.
-func appendRID(key []byte, rid storage.RID) []byte {
-	n := (bits.Len64(uint64(rid.Page)) + 7) / 8
-	key = append(key, byte(n))
-	for i := n - 1; i >= 0; i-- {
-		key = append(key, byte(rid.Page>>(8*i)))
-	}
-	return append(key, byte(rid.Slot>>8), byte(rid.Slot))
 }
 
 // Table is a physical table: columns, heap file, and indexes. Its
@@ -593,7 +580,7 @@ func (c *Catalog) CreateIndexLogged(tableName, indexName string, colNames []stri
 		}
 		cols[i] = ord
 	}
-	tree, err := btree.NewLogged(c.pool, lg)
+	tree, err := btree.NewLogged(c.pool, lg, !unique)
 	if err != nil {
 		return nil, err
 	}

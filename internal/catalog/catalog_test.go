@@ -3,7 +3,6 @@ package catalog
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -140,14 +139,15 @@ func TestInsertTypeChecking(t *testing.T) {
 }
 
 // TestNonUniqueKeyRIDOrder holds a non-unique index's RID suffix to RID
-// order, page then slot, across page ids of every byte length, and its
-// keys to the key columns' order first: a key is the value's encoding,
-// a length-prefixed page id and a two-byte slot.
+// order, page then slot, across page ids of every length class up to
+// the largest a tree accepts and slots up to the largest a page has,
+// and its keys to the key columns' order first: a key is the value's
+// encoding, then btree.AppendRID's page id and slot.
 func TestNonUniqueKeyRIDOrder(t *testing.T) {
 	ix := &Index{Cols: []int{0}}
 	var rids []storage.RID
-	for _, p := range []uint64{0, 1, 255, 256, 1 << 16, 1<<24 - 1, 1 << 40, math.MaxUint64} {
-		for _, s := range []uint16{0, 1, 256, math.MaxUint16} {
+	for _, p := range []uint64{0, 1, 63, 64, 255, 256, 1<<14 - 1, 1 << 14, 1 << 16, 1<<22 - 1, 1 << 22, 1 << 40, 1<<48 - 1} {
+		for _, s := range []uint16{0, 1, 63, 256, 1<<14 - 1} {
 			rids = append(rids, storage.RID{Page: storage.PageID(p), Slot: s})
 		}
 	}
@@ -163,8 +163,8 @@ func TestNonUniqueKeyRIDOrder(t *testing.T) {
 			t.Fatalf("key %d %x not above key %d %x (%v)", i, keys[i], i-1, keys[i-1], rids[i%len(rids)])
 		}
 	}
-	if k := ix.KeyFor([]types.Value{types.NewInt(7)}, storage.RID{Page: 300, Slot: 4}); len(k) != 3+5 {
-		t.Errorf("INT 7 at page 300 is a %d-byte key %x, want 8", len(k), k)
+	if k := ix.KeyFor([]types.Value{types.NewInt(7)}, storage.RID{Page: 300, Slot: 4}); len(k) != 3+4 {
+		t.Errorf("INT 7 at page 300 is a %d-byte key %x, want 7", len(k), k)
 	}
 }
 

@@ -264,14 +264,14 @@ func TestLayoutEquivalence(t *testing.T) {
 }
 
 // TestLayoutEquivalenceWithHintsLive is the same workload where every
-// access path announces and the pool thrashes: 256-byte pages, 12 frames
+// access path announces and the pool thrashes: 256-byte pages, 10 frames
 // (a one-byte meta-data tax keeps them), a device with read latency.
-// With compact index keys the universal layout fits in 15 frames and
-// barely evicts in 14, so 12 keep every shared layout thrashing.
-// Afterwards every table is sound and nothing is pinned.
+// The universal layout fits in 12 frames, so 10 keep every shared
+// layout thrashing. Afterwards every table is sound and nothing is
+// pinned.
 func TestLayoutEquivalenceWithHintsLive(t *testing.T) {
 	layouts := layoutEquivalence(t, engine.Config{
-		PageSize: 256, MemoryBytes: 12*256 + 128, MetaBytesPerTable: 1,
+		PageSize: 256, MemoryBytes: 10*256 + 128, MetaBytesPerTable: 1,
 		ReadLatency: 50 * time.Microsecond,
 	})
 	for name, m := range layouts {
@@ -288,7 +288,7 @@ func TestLayoutEquivalenceWithHintsLive(t *testing.T) {
 		st := m.DB.Stats().Pool
 		// Private's three small tables fit in the pool; every other layout
 		// must have thrashed and joined hints.
-		if st.Capacity != 12 || name != "private" && (st.PrefetchJoined == 0 || st.Evictions == 0) {
+		if st.Capacity != 10 || name != "private" && (st.PrefetchJoined == 0 || st.Evictions == 0) {
 			t.Errorf("%s neither hinted nor thrashed: %+v", name, st)
 		}
 		if err := m.DB.DropCaches(); err != nil { // waits for loads, refuses pins

@@ -344,13 +344,11 @@ func redoPage(pool *storage.BufferPool, r *wal.Record) error {
 	case wal.KHeapUpdate:
 		return storage.ReplayHeapUpdate(pool, r.Page, r.Slot, r.Data)
 	case wal.KBTreeInit:
-		return btree.ReplayInit(pool, r.Page)
+		return btree.ReplayInit(pool, r.Page, r.Slot == 1)
 	case wal.KBTreeInsert:
 		return btree.ReplayInsert(pool, r.Page, r.Key, r.RID)
 	case wal.KBTreeDelete:
 		return btree.ReplayDelete(pool, r.Page, r.Key)
-	case wal.KBTreeUpdate:
-		return btree.ReplayUpdate(pool, r.Page, r.Key, r.RID)
 	case wal.KBTreeImage:
 		return btree.ReplayImage(pool, r.Page, r.Data)
 	}

@@ -142,3 +142,42 @@ func TestIndexKeysSignedZero(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexKeysNaN holds a scan and an index to one answer around NaN.
+// Compare orders NaN as its key does, PostgreSQL's way: equal to NaN
+// (whatever its bits) and above every other number, +Inf included.
+func TestIndexKeysNaN(t *testing.T) {
+	nan := types.NewFloat(math.NaN())
+	otherNaN := types.NewFloat(math.Float64frombits(0xFFF8000000000001))
+	for _, q := range []struct {
+		sql    string
+		params []types.Value
+		want   []int64
+	}{
+		{"SELECT id FROM g WHERE x = 5", nil, []int64{2}},
+		{"SELECT id FROM g WHERE x > 4", nil, []int64{1, 2}},
+		{"SELECT id FROM g WHERE x < 4", nil, nil},
+		{"SELECT id FROM g WHERE x = ?", []types.Value{otherNaN}, []int64{1}},
+		{"SELECT id FROM g WHERE x > ?", []types.Value{types.NewFloat(math.Inf(1))}, []int64{1}},
+		{"SELECT id FROM g WHERE x >= ?", []types.Value{nan}, []int64{1}},
+	} {
+		for _, indexed := range []bool{false, true} {
+			db := Open(Config{})
+			mustExec(t, db, "CREATE TABLE g (id INTEGER, x DOUBLE)")
+			if indexed {
+				mustExec(t, db, "CREATE INDEX g_x ON g (x)")
+			}
+			mustExec(t, db, "INSERT INTO g VALUES (1, ?), (2, 5.0)", nan)
+			ex, err := db.Explain(q.sql, q.params...)
+			if err != nil || strings.Contains(ex, "IXSCAN") != indexed {
+				t.Fatalf("indexed=%v: %s plans (%v):\n%s", indexed, q.sql, err, ex)
+			}
+			if got := idsOf(mustQuery(t, db, q.sql, q.params...)); !slices.Equal(got, q.want) {
+				t.Errorf("indexed=%v: %s %v returned %v, want %v", indexed, q.sql, q.params, got, q.want)
+			}
+		}
+	}
+	if h := types.Hash(otherNaN); h != types.Hash(nan) || !types.Equal(otherNaN, nan) {
+		t.Errorf("two NaNs: Equal %v, hashes %x and %x", types.Equal(otherNaN, nan), h, types.Hash(nan))
+	}
+}

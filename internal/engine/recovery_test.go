@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -298,11 +299,40 @@ func TestGroupCommitReducesSyncs(t *testing.T) {
 	}
 }
 
+// indexPages copies the pages of every index of db, by table and index.
+func indexPages(t *testing.T, db *DB) map[string]map[storage.PageID][]byte {
+	out := map[string]map[storage.PageID][]byte{}
+	for _, name := range db.Catalog().TableNames() {
+		tab, err := db.Catalog().Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ix := range tab.Indexes {
+			ids, err := ix.Tree.Pages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages := map[storage.PageID][]byte{}
+			for _, id := range ids {
+				buf, err := db.pool.Fetch(id, storage.CatIndex)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pages[id] = bytes.Clone(buf)
+				db.pool.Unpin(id, false)
+			}
+			out[name+"."+ix.Name] = pages
+		}
+	}
+	return out
+}
+
 // TestPrimaryAndReplicaRecoveryAgree recovers one crash image twice, as
 // a primary and as a replica. With no open transaction in the log the
 // two replays are the same replay, so they must rebuild the same
 // catalog — tables, columns, heap page lists, index roots — and the
-// same rows.
+// same rows, and every index, of either leaf kind, byte for byte as the
+// primary held it before the crash.
 func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 	db := Open(Config{MemoryBytes: 256 << 10, PageSize: 1024, CheckpointBytes: 4 << 10})
 	mustExec(t, db, "CREATE TABLE a (id INT NOT NULL, val TEXT)")
@@ -315,6 +345,8 @@ func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 		switch i {
 		case 40:
 			mustExec(t, db, "CREATE INDEX b_id ON b (id)")
+		case 60:
+			mustExec(t, db, "CREATE INDEX a_val ON a (val)")
 		case 80:
 			mustExec(t, db, "ALTER TABLE a ADD COLUMN note TEXT")
 		case 120:
@@ -333,6 +365,10 @@ func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 		}
 	}
 
+	live := indexPages(t, db)
+	if len(live) != 2 {
+		t.Fatalf("want a unique and a non-unique index, have %d", len(live))
+	}
 	img := db.Crash()
 	base, end := img.Log.DurableBounds()
 	logBytes, _, err := img.Log.ReadDurable(base, int(end-base))
@@ -386,6 +422,11 @@ func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 		}
 		if p, r := rows(primary), rows(replica); !reflect.DeepEqual(p, r) {
 			t.Fatalf("%s: %d rows recovered as a primary, %d as a replica, or their contents differ", name, len(p), len(r))
+		}
+	}
+	for name, db := range map[string]*DB{"primary": primary, "replica": replica} {
+		if !reflect.DeepEqual(indexPages(t, db), live) {
+			t.Errorf("the index pages recovered as a %s are not the pages the primary held", name)
 		}
 	}
 }

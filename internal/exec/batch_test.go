@@ -330,7 +330,8 @@ func TestBatchRowEquivalenceProperty(t *testing.T) {
 
 // TestGoldenSetWithHintsLive runs the golden file's query set where
 // every access path announces and the pool thrashes — the same rows on
-// 1 KiB pages, two frames a shard, a device with read latency — and
+// pages of 512 bytes (the property set) and 1 KiB (the versioned one),
+// two frames a shard, a device with read latency — and
 // holds it to the recorded results; afterwards the tables are sound and
 // nothing is pinned. A shrink keeps the shards the pool was built with,
 // so the budget is stated per shard: with one frame a shard's cap on
@@ -373,7 +374,7 @@ func TestGoldenSetWithHintsLive(t *testing.T) {
 			t.Errorf("the run neither hinted nor thrashed: %+v", st)
 		}
 	}
-	disk := storage.NewDisk(1024)
+	disk := storage.NewDisk(512)
 	pool, cat := propFixtureOn(t, 1, nil, disk)
 	run(disk, pool, cat, nil, 1, g.Property)
 	disk = storage.NewDisk(1024)

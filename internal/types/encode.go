@@ -319,8 +319,11 @@ func Hash(v Value) uint64 {
 		h.Write([]byte{tagBool, byte(v.Int)})
 	case KindInt, KindFloat:
 		f := v.asFloat()
-		if f == 0 {
+		switch {
+		case f == 0:
 			f = 0 // -0 equals +0, so it hashes as +0
+		case f != f:
+			f = math.NaN() // every NaN is one value
 		}
 		var buf [9]byte
 		buf[0] = tagNumber

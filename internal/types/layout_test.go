@@ -50,10 +50,10 @@ func TestValueLayout(t *testing.T) {
 	}
 	same("wire RowBatch", msg.(*protocol.RowBatch).Rows[0])
 
-	// Keys strictly increase along the ordered line (NaN, last, aside),
-	// except that -0 and +0, which Compare calls equal, share one key:
-	// Compare never disagrees.
-	for i := 0; i+2 < len(row); i++ {
+	// Keys strictly increase along the ordered line, NaN last, except
+	// that -0 and +0, which Compare calls equal, share one key: Compare
+	// never disagrees.
+	for i := 0; i+1 < len(row); i++ {
 		a, b := row[i], row[i+1]
 		want := -1
 		if a.Float() == 0 && b.Float() == 0 {

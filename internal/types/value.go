@@ -222,12 +222,10 @@ func cmpInt64(a, b int64) int {
 
 // cmpIntFloat compares exactly, with no rounding of i to a float64: an
 // INT beyond 2^53 orders against the FLOAT next to it as the index key
-// does. NaN compares equal to every number, as cmpFloat64 has it.
+// does, and below NaN, as cmpFloat64 has it.
 func cmpIntFloat(i int64, f float64) int {
 	switch {
-	case f != f:
-		return 0
-	case f >= 1<<63:
+	case f != f || f >= 1<<63:
 		return -1
 	case f < -1<<63:
 		return 1
@@ -239,11 +237,13 @@ func cmpIntFloat(i int64, f float64) int {
 	return cmpFloat64(t, f)
 }
 
+// cmpFloat64 orders NaN as the index key does (PostgreSQL's order):
+// equal to every NaN and above every other number.
 func cmpFloat64(a, b float64) int {
 	switch {
-	case a < b:
+	case a < b || a == a && b != b:
 		return -1
-	case a > b:
+	case a > b || a != a && b == b:
 		return 1
 	default:
 		return 0

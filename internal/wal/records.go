@@ -56,14 +56,16 @@ const (
 	KHeapDelete
 	// KHeapUpdate rewrites Slot on Page with Data.
 	KHeapUpdate
-	// KBTreeInit formats Page as an empty leaf (a new tree's root).
+	// KBTreeInit formats Page as an empty leaf (a new tree's root);
+	// Slot 1 makes it a leaf whose keys end in their RIDs.
 	KBTreeInit
 	// KBTreeInsert adds Key→RID to the leaf on Page.
 	KBTreeInsert
 	// KBTreeDelete removes Key from the leaf on Page.
 	KBTreeDelete
-	// KBTreeUpdate repoints Key to RID on Page.
-	KBTreeUpdate
+	// The number after KBTreeDelete is reserved (it named an in-place
+	// RID repoint), so the kinds after it keep their numbers.
+	_
 	// KBTreeImage replaces Page with the full node image in Data —
 	// the structural record for splits, where per-key logging would
 	// have to replay the split algorithm byte-for-byte.
@@ -88,8 +90,8 @@ var kindNames = map[Kind]string{
 	KHeapInsertAt: "heap-insert-at", KHeapDelete: "heap-delete",
 	KHeapUpdate: "heap-update", KBTreeInit: "btree-init",
 	KBTreeInsert: "btree-insert", KBTreeDelete: "btree-delete",
-	KBTreeUpdate: "btree-update", KBTreeImage: "btree-image",
-	KBTreeRoot: "btree-root", KCatalog: "catalog", KSavepoint: "savepoint",
+	KBTreeImage: "btree-image", KBTreeRoot: "btree-root",
+	KCatalog: "catalog", KSavepoint: "savepoint",
 }
 
 func (k Kind) String() string {
@@ -124,7 +126,7 @@ type Record struct {
 func (r *Record) Mutates() bool {
 	switch r.Kind {
 	case KHeapNewPage, KHeapInsert, KHeapInsertAt, KHeapDelete, KHeapUpdate,
-		KBTreeInit, KBTreeInsert, KBTreeDelete, KBTreeUpdate, KBTreeImage:
+		KBTreeInit, KBTreeInsert, KBTreeDelete, KBTreeImage:
 		return true
 	}
 	return false

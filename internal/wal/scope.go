@@ -150,9 +150,14 @@ func (t *TreeLogger) BTreePageAlloc(page storage.PageID) error {
 	return t.s.append(&Record{Kind: KPageAlloc, Page: page, Cat: storage.CatIndex})
 }
 
-// BTreeInit records the formatting of page as an empty leaf.
-func (t *TreeLogger) BTreeInit(page storage.PageID) error {
-	return t.s.append(&Record{Kind: KBTreeInit, Page: page})
+// BTreeInit records the formatting of page as an empty leaf of the
+// kind ridInKey picks.
+func (t *TreeLogger) BTreeInit(page storage.PageID, ridInKey bool) error {
+	r := &Record{Kind: KBTreeInit, Page: page}
+	if ridInKey {
+		r.Slot = 1
+	}
+	return t.s.append(r)
 }
 
 // BTreeInsert records a leaf-level insert of key→rid on page.
@@ -164,12 +169,6 @@ func (t *TreeLogger) BTreeInsert(page storage.PageID, key []byte, rid storage.RI
 // BTreeDelete records a leaf-level delete of key on page.
 func (t *TreeLogger) BTreeDelete(page storage.PageID, key []byte) error {
 	return t.s.append(&Record{Kind: KBTreeDelete, Page: page,
-		Key: append([]byte(nil), key...)})
-}
-
-// BTreeUpdate records a leaf-level RID repoint of key on page.
-func (t *TreeLogger) BTreeUpdate(page storage.PageID, key []byte, rid storage.RID) error {
-	return t.s.append(&Record{Kind: KBTreeUpdate, Page: page, RID: rid,
 		Key: append([]byte(nil), key...)})
 }
 
