@@ -38,8 +38,11 @@ loc:
 # nothing they assert (shard count, hint caps, page counts) may depend on
 # it, and a compiled statement's tree free list, which every tenant of
 # its shape shares, must hold up with eight sessions running at once.
+# engine and modeltest too: every write, autocommit or not, runs the
+# latch-free conflict wait and the commit pipeline, whose interleavings
+# depend on the core count.
 test-cores:
-	GOMAXPROCS=8 $(GO) test -count=1 ./internal/storage/ ./internal/exec/ ./internal/core/
+	GOMAXPROCS=8 $(GO) test -count=1 ./internal/storage/ ./internal/exec/ ./internal/core/ ./internal/engine/ ./internal/modeltest/
 
 # The interactive-transaction suite: engine anomaly/interleaving tests,
 # the model-differential harness on its three fixed seeds (1, 2, 3), and

@@ -10,13 +10,21 @@ import (
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
 // startServer builds a raw-mode server over a small table.
 func startServer(t *testing.T, cfg server.Config) (*server.Server, *engine.DB, net.Addr) {
 	t.Helper()
-	db := engine.Open(engine.Config{CheckpointBytes: -1})
+	return startServerOn(t, engine.Config{CheckpointBytes: -1}, 8, cfg)
+}
+
+// startServerOn builds a raw-mode server over a database opened with
+// ecfg whose table t holds rows k = 0..rows-1, v = 0.
+func startServerOn(t *testing.T, ecfg engine.Config, rows int, cfg server.Config) (*server.Server, *engine.DB, net.Addr) {
+	t.Helper()
+	db := engine.Open(ecfg)
 	for _, q := range []string{
 		"CREATE TABLE t (k INTEGER NOT NULL, v INTEGER)",
 		"CREATE UNIQUE INDEX t_pk ON t (k)",
@@ -25,7 +33,7 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *engine.DB, n
 			t.Fatal(err)
 		}
 	}
-	for k := 0; k < 8; k++ {
+	for k := 0; k < rows; k++ {
 		if _, err := db.Exec("INSERT INTO t VALUES (?, 0)", types.NewInt(int64(k))); err != nil {
 			t.Fatal(err)
 		}
@@ -124,6 +132,70 @@ func TestConnConflictMapping(t *testing.T) {
 	// The server rolled c2 back; ROLLBACK clears the client state.
 	mustExec(c2, "ROLLBACK")
 	mustExec(c1, "COMMIT")
+}
+
+// TestFailedAbortIsNotConflictOverWire: a transaction writes row j,
+// then conflicts on row k, which another connection's transaction
+// holds, and the rollback the conflict forces cannot undo j. The client
+// is told of a failure, not of a conflict it could retry.
+func TestFailedAbortIsNotConflictOverWire(t *testing.T) {
+	const j, k = 0, 99
+	_, db, addr := startServerOn(t, engine.Config{CheckpointBytes: -1, PageSize: 512, ConflictWait: -1}, 100, server.Config{})
+	tab, err := db.Catalog().Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := map[int64]storage.PageID{}
+	if err := tab.Heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
+		row, err := types.DecodeRow(rec)
+		if err == nil {
+			pages[row[0].Int] = rid.Page
+		}
+		return true, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if pages[j] == pages[k] {
+		t.Fatal("rows j and k share a heap page; the fault would fail the conflict's gather")
+	}
+	holder, err := Dial(Config{Addr: addr.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	c, err := Dial(Config{Addr: addr.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	exec := func(c *Conn, q string, params ...types.Value) {
+		t.Helper()
+		if _, err := c.Exec(q, params...); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	exec(holder, "BEGIN")
+	exec(holder, "UPDATE t SET v = 1 WHERE k = ?", types.NewInt(k))
+	exec(c, "BEGIN")
+	exec(c, "UPDATE t SET v = 2 WHERE k = ?", types.NewInt(j))
+
+	// Only the undo of j fetches j's page from here on.
+	db.BufferPool().SetFetchFault(func(id storage.PageID, _ storage.Category) error {
+		if id == pages[j] {
+			return storage.ErrInjectedFault
+		}
+		return nil
+	})
+	_, err = c.Exec("UPDATE t SET v = 3 WHERE k = ?", types.NewInt(k))
+	db.BufferPool().SetFetchFault(nil)
+	if err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("want the undo's injected fault, got %v", err)
+	}
+	if IsConflict(err) {
+		t.Errorf("a failed abort reached the client as a conflict: %v", err)
+	}
+	exec(c, "ROLLBACK")
+	exec(holder, "ROLLBACK")
 }
 
 func TestDialAuthFailure(t *testing.T) {

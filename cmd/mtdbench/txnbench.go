@@ -36,7 +36,8 @@ type txnPoint struct {
 	P50CommitUs float64 `json:"p50_commit_us"`
 	P99CommitUs float64 `json:"p99_commit_us"`
 
-	// Contention telemetry (engine.Stats deltas for this point).
+	// Contention telemetry (engine.Stats deltas over the measured
+	// window, like every count above).
 	AdmissionWaits     int64   `json:"admission_waits"`
 	AdmissionTimeouts  int64   `json:"admission_timeouts"`
 	AdmissionWaitMs    float64 `json:"admission_wait_ms"`
@@ -81,7 +82,9 @@ func runTxnPoint(n, txnsPerSession, stmtsPerTxn, accounts, hotKeys int, seed int
 			fatal(err)
 		}
 	}
-	db.ResetStats()
+	// The loader's INSERTs were transactions too: every count reported
+	// is a delta over the measured window.
+	before := db.Stats()
 
 	var latMu sync.Mutex
 	var commitLat []time.Duration
@@ -137,34 +140,34 @@ func runTxnPoint(n, txnsPerSession, stmtsPerTxn, accounts, hotKeys int, seed int
 	st := db.Stats()
 	p := txnPoint{
 		Sessions:      n,
-		Txns:          st.TxnBegins,
-		Commits:       st.TxnCommits,
-		Aborts:        st.TxnAborts,
-		Conflicts:     st.TxnConflicts,
-		CommitsPerSec: float64(st.TxnCommits) / elapsed.Seconds(),
+		Txns:          st.TxnBegins - before.TxnBegins,
+		Commits:       st.TxnCommits - before.TxnCommits,
+		Aborts:        st.TxnAborts - before.TxnAborts,
+		Conflicts:     st.TxnConflicts - before.TxnConflicts,
+		CommitsPerSec: float64(st.TxnCommits-before.TxnCommits) / elapsed.Seconds(),
 		ElapsedMs:     float64(elapsed.Microseconds()) / 1000,
 
 		P50CommitUs: float64(quantile(commitLat, 0.50).Nanoseconds()) / 1000,
 		P99CommitUs: float64(quantile(commitLat, 0.99).Nanoseconds()) / 1000,
 
-		AdmissionWaits:     st.AdmissionWaits,
-		AdmissionTimeouts:  st.AdmissionTimeouts,
-		AdmissionWaitMs:    float64(st.AdmissionWaitNanos) / 1e6,
-		RowWaits:           st.RowWaits,
-		RowWaitTimeouts:    st.RowWaitTimeouts,
-		RowWaitRescues:     st.RowWaitRescues,
-		ImmediateConflicts: st.ImmediateConflicts,
+		AdmissionWaits:     st.AdmissionWaits - before.AdmissionWaits,
+		AdmissionTimeouts:  st.AdmissionTimeouts - before.AdmissionTimeouts,
+		AdmissionWaitMs:    float64(st.AdmissionWaitNanos-before.AdmissionWaitNanos) / 1e6,
+		RowWaits:           st.RowWaits - before.RowWaits,
+		RowWaitTimeouts:    st.RowWaitTimeouts - before.RowWaitTimeouts,
+		RowWaitRescues:     st.RowWaitRescues - before.RowWaitRescues,
+		ImmediateConflicts: st.ImmediateConflicts - before.ImmediateConflicts,
 
-		VersionsEnumerated:  st.VersionsEnumerated,
-		ChainedRowsResolved: st.ChainedRowsResolved,
+		VersionsEnumerated:  st.VersionsEnumerated - before.VersionsEnumerated,
+		ChainedRowsResolved: st.ChainedRowsResolved - before.ChainedRowsResolved,
 
-		LockWaits:         st.LockWaits,
+		LockWaits:         st.LockWaits - before.LockWaits,
 		CommitPipelineMax: st.CommitPipelineMax,
-		PublishBatches:    st.PublishBatches,
-		PublishedTxns:     st.PublishedTxns,
+		PublishBatches:    st.PublishBatches - before.PublishBatches,
+		PublishedTxns:     st.PublishedTxns - before.PublishedTxns,
 	}
-	if st.TxnBegins > 0 {
-		p.ConflictRate = float64(st.TxnConflicts) / float64(st.TxnBegins)
+	if p.Txns > 0 {
+		p.ConflictRate = float64(p.Conflicts) / float64(p.Txns)
 	}
 	return p
 }

@@ -344,8 +344,10 @@ type Logger interface {
 	// BTreeInit records the formatting of page as an empty leaf, of the
 	// kind ridInKey picks (see NewLogged).
 	BTreeInit(page storage.PageID, ridInKey bool) error
-	// BTreeInsert records adding key→rid on the leaf at page.
-	BTreeInsert(page storage.PageID, key []byte, rid storage.RID) error
+	// BTreeInsert records adding key on the leaf at page with val, the
+	// entry's value as the leaf stores it: the RID's AppendRID form on a
+	// leaf that holds it as a payload, nothing on one whose keys end in it.
+	BTreeInsert(page storage.PageID, key, val []byte) error
 	// BTreeDelete records removing key from the leaf at page.
 	BTreeDelete(page storage.PageID, key []byte) error
 	// BTreePageImage records the full post-image of a restructured page.
@@ -363,6 +365,9 @@ type BTree struct {
 	root   storage.PageID
 	size   int64
 	logger Logger
+	// ridVal is insert's scratch for an entry's value, under mu: one
+	// on insert's stack would escape through the logger's interface.
+	ridVal [maxRIDLen]byte
 }
 
 // New creates an empty tree with a single leaf root, whose leaves hold
@@ -568,8 +573,7 @@ func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
 		cur = child
 	}
 	leaf := &path[len(path)-1]
-	var buf [maxRIDLen]byte
-	val := AppendRID(buf[:0], rid)
+	val := AppendRID(t.ridVal[:0], rid)
 	if leaf.n[0] == kindKeyLeaf {
 		if !bytes.HasSuffix(key, val) {
 			return fmt.Errorf("btree: key does not end in its RID %v", rid)
@@ -587,7 +591,7 @@ func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
 	if t.logger != nil {
 		// Log before touching the page: a failed append leaves the
 		// leaf exactly as it was.
-		if err := t.logger.BTreeInsert(leaf.id, key, rid); err != nil {
+		if err := t.logger.BTreeInsert(leaf.id, key, val); err != nil {
 			return err
 		}
 	}

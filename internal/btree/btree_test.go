@@ -281,8 +281,8 @@ func TestOversizedKey(t *testing.T) {
 type logRec struct {
 	kind     string
 	page     storage.PageID
-	key, img []byte
-	rid      storage.RID
+	key, val []byte
+	img      []byte
 	old, new storage.PageID
 	ridInKey bool
 }
@@ -299,8 +299,8 @@ func (l *recLogger) BTreeInit(page storage.PageID, ridInKey bool) error {
 	l.recs = append(l.recs, logRec{kind: "init", page: page, ridInKey: ridInKey})
 	return nil
 }
-func (l *recLogger) BTreeInsert(page storage.PageID, key []byte, rid storage.RID) error {
-	l.recs = append(l.recs, logRec{kind: "insert", page: page, key: append([]byte(nil), key...), rid: rid})
+func (l *recLogger) BTreeInsert(page storage.PageID, key, val []byte) error {
+	l.recs = append(l.recs, logRec{kind: "insert", page: page, key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
 	return nil
 }
 func (l *recLogger) BTreeDelete(page storage.PageID, key []byte) error {
@@ -333,7 +333,7 @@ func (l *recLogger) replay(pageSize int) (*BTree, error) {
 			}
 			err = ReplayInit(pool, r.page, r.ridInKey)
 		case "insert":
-			err = ReplayInsert(pool, r.page, r.key, r.rid)
+			err = ReplayInsert(pool, r.page, r.key, r.val)
 		case "delete":
 			err = ReplayDelete(pool, r.page, r.key)
 		case "image":

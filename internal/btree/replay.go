@@ -101,15 +101,10 @@ func replayLeaf(pool *storage.BufferPool, page storage.PageID, op string, key []
 	return err
 }
 
-// ReplayInsert redoes a leaf insert of key→rid on page: the key must be
-// absent and must fit.
-func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key []byte, rid storage.RID) error {
+// ReplayInsert redoes a leaf insert of key with value val, as the leaf
+// stores it, on page: the key must be absent and must fit.
+func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key, val []byte) error {
 	return replayLeaf(pool, page, "insert", key, false, func(n node, pos int) error {
-		var buf [maxRIDLen]byte
-		val := AppendRID(buf[:0], rid)
-		if n[0] == kindKeyLeaf {
-			val = nil
-		}
 		if !n.fits(entrySize(len(key), len(val))) {
 			return fmt.Errorf("btree: replay insert overflows page %d", page)
 		}

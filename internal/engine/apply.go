@@ -346,7 +346,7 @@ func redoPage(pool *storage.BufferPool, r *wal.Record) error {
 	case wal.KBTreeInit:
 		return btree.ReplayInit(pool, r.Page, r.Slot == 1)
 	case wal.KBTreeInsert:
-		return btree.ReplayInsert(pool, r.Page, r.Key, r.RID)
+		return btree.ReplayInsert(pool, r.Page, r.Key, r.Data)
 	case wal.KBTreeDelete:
 		return btree.ReplayDelete(pool, r.Page, r.Key)
 	case wal.KBTreeImage:

@@ -230,9 +230,10 @@ func TestMultiTableWriteStressNoDeadlock(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("stress did not drain within 60s: possible deadlock in admission gates / row waits / latches")
 	}
+	// Each seeding INSERT was a transaction of one statement.
 	st := db.Stats()
-	if st.TxnBegins != sessions*txns {
-		t.Errorf("TxnBegins = %d, want %d", st.TxnBegins, sessions*txns)
+	if want := int64(sessions*txns + len(tables)*keys); st.TxnBegins != want {
+		t.Errorf("TxnBegins = %d, want %d", st.TxnBegins, want)
 	}
 	if st.TxnCommits+st.TxnAborts != st.TxnBegins {
 		t.Errorf("commits(%d) + aborts(%d) != begins(%d): a transaction leaked",

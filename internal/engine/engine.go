@@ -1,12 +1,12 @@
 // Package engine is the embedded relational database the testbed and
 // the schema-mapping layer run against: SQL in, rows out. It assembles
 // the substrates — disk, buffer pool, catalog with meta-data budget,
-// planner, executor — and provides two transaction postures. Ad-hoc
-// Exec/Query statements autocommit under statement-level table locks,
-// matching the paper's testbed default (§4.2: single-request
-// transactions). A Session additionally offers interactive
-// multi-statement transactions (BEGIN/COMMIT/ROLLBACK, SAVEPOINT) with
-// snapshot-isolation reads via row versioning and first-updater-wins
+// planner, executor — and runs every write as a transaction. Ad-hoc
+// Exec/Query statements autocommit, matching the paper's testbed default
+// (§4.2: single-request transactions): a write is a transaction of one
+// statement (DB.Atomic). A Session additionally offers interactive
+// multi-statement transactions (BEGIN/COMMIT/ROLLBACK, SAVEPOINT). Both
+// read snapshots via row versioning and write under first-updater-wins
 // write-write conflict detection.
 package engine
 
@@ -174,8 +174,8 @@ type DB struct {
 	stmtRollbacks        atomic.Int64
 	stmtRollbackFailures atomic.Int64
 
-	// Interactive transaction outcomes (Session commits/rollbacks and
-	// first-updater-wins conflict aborts).
+	// Transaction outcomes (commits, rollbacks and first-updater-wins
+	// conflict aborts) of sessions' transactions and autocommit writes.
 	txnBegins    atomic.Int64
 	txnCommits   atomic.Int64
 	txnAborts    atomic.Int64
@@ -291,10 +291,12 @@ func (db *DB) ExecStmt(st sql.Statement, key string, params ...types.Value) (Res
 	case *sql.BeginStmt, *sql.CommitStmt, *sql.RollbackStmt, *sql.SavepointStmt:
 		return Result{}, fmt.Errorf("engine: %s requires a Session (DB.Exec statements autocommit)", st)
 	default:
-		res, err := db.execDML(st, key, params)
-		if err == nil {
-			db.maybeCheckpoint()
-		}
+		// INSERT, UPDATE or DELETE: a transaction of one statement.
+		var res Result
+		err := db.Atomic(func(s *Session) (err error) {
+			res, err = s.ExecStmt(st, key, params...)
+			return err
+		})
 		return res, err
 	}
 }
@@ -313,22 +315,6 @@ func (db *DB) readerTxn() (tx *mvcc.Txn, release func()) {
 	// A pure reader records no writes; aborting deregisters it without
 	// spending a commit timestamp.
 	return tx, tx.Abort
-}
-
-// writerTxn begins an ephemeral transaction for an autocommit DML
-// statement when interactive transactions are active: concurrent
-// snapshots require the statement's writes to be versioned (pre-images
-// recorded) and stamped with a commit timestamp. With none active the
-// statement runs unversioned — no snapshot exists that must not see
-// it, its commit can be serialized before any transaction that begins
-// later, and the table write lock it holds keeps the race window
-// closed (a transaction writing the same table would register itself
-// before our check).
-func (db *DB) writerTxn() *mvcc.Txn {
-	if db.txns.ActiveCount() == 0 {
-		return nil
-	}
-	return db.txns.Begin()
 }
 
 // noteRollback classifies a failed DML statement's rollback: clean
@@ -451,83 +437,6 @@ func (db *DB) Explain(query string, params ...types.Value) (string, error) {
 		return "", err
 	}
 	return plan.Explain(p), nil
-}
-
-// execDML runs one autocommit DML statement. The caller's parsed
-// statement becomes its own one-statement transaction: a WAL scope
-// committed (durably) at the end, and — when interactive transactions
-// are concurrently active — an ephemeral mvcc transaction so the
-// statement's writes are versioned and stamped.
-func (db *DB) execDML(st sql.Statement, key string, params []types.Value) (Result, error) {
-	if db.readOnly.Load() {
-		return Result{}, ErrReadOnlyReplica
-	}
-	db.ddlMu.RLock()
-	defer db.ddlMu.RUnlock()
-	c, err := db.prepare(key, st, nil, true)
-	if err != nil {
-		return Result{}, err
-	}
-	defer c.unlatch(true)
-	tbl := c.write
-	scope, err := db.log.Begin()
-	if err != nil {
-		return Result{}, err
-	}
-	// Install the statement's loggers on the target table (we hold its
-	// write lock) so every page mutation — including undo compensations
-	// on failure — emits a redo record under this transaction's ID.
-	// Cleared before the lock is released.
-	tbl.SetWAL(scope.HeapLogger(tbl.Name), scope.TreeLogger())
-	defer tbl.SetWAL(nil, nil)
-	// Begin after the locks are held: a concurrent autocommit writer on
-	// the same table is serialized by the lock, never a false conflict.
-	tx := db.writerTxn()
-	undo := &catalog.UndoLog{}
-	n, err := exec.RunDMLTx(c.node, params, &db.execStats, tx, undo)
-	if err != nil {
-		// RunDMLTx rolled the statement's partial effects back before
-		// returning (statement-level atomicity).
-		db.noteRollback(err)
-		scope.Abort()
-		if tx != nil {
-			tx.Abort()
-		}
-		return Result{RowsAffected: n}, err
-	}
-	// Durability before visibility: the commit record is on the log
-	// before the commit timestamp makes the writes visible to snapshots
-	// that begin afterwards.
-	if cerr := scope.Commit(); cerr != nil {
-		// The commit record is not durable: take the statement back out
-		// (the undo log is still whole) instead of leaving writes in
-		// memory that the client was told failed and that a crash would
-		// silently discard. A torn sync may still have landed the commit
-		// record, in which case recovery resurrects the statement — the
-		// error means "not committed here", the durable log is the final
-		// authority after a crash.
-		if db.log.Crashed() {
-			// Compensation appends would fail every undo step; revert
-			// unlogged. Recovery discards the terminator-less
-			// transaction wholesale, matching the undone state.
-			tbl.SetWAL(nil, nil)
-		}
-		ferr := cerr
-		if failed, rbErr := undo.RollbackTo(0); rbErr != nil {
-			ferr = &exec.RollbackFailedError{Cause: cerr, RB: rbErr, Table: tbl.Name, Failed: failed}
-		}
-		db.noteRollback(ferr)
-		scope.Abort() // best effort; a no-op once the log is down
-		if tx != nil {
-			tx.Abort()
-		}
-		return Result{StmtID: scope.ID()}, ferr
-	}
-	undo.Discard()
-	if tx != nil {
-		tx.Commit()
-	}
-	return Result{RowsAffected: n, StmtID: scope.ID()}, nil
 }
 
 func (db *DB) execDDL(st sql.Statement) error {
@@ -712,9 +621,11 @@ type Stats struct {
 	// in exactly one of the two.
 	StmtRollbacks        int64
 	StmtRollbackFailures int64
-	// Interactive transaction outcomes: sessions' BEGINs, durable
-	// COMMITs, ROLLBACKs (explicit or conflict-forced), and the subset
-	// of aborts caused by first-updater-wins write-write conflicts.
+	// Transaction outcomes: BEGINs, durable COMMITs, ROLLBACKs
+	// (explicit or conflict-forced), and the subset of aborts caused by
+	// first-updater-wins write-write conflicts. An autocommit write is a
+	// transaction too (DB.Atomic), counted once per attempt: one that
+	// meets a conflict aborts and runs again, up to atomicAttempts times.
 	TxnBegins    int64
 	TxnCommits   int64
 	TxnAborts    int64
@@ -732,12 +643,13 @@ type Stats struct {
 	// waits that expired into a conflict abort, RowWaitRescues waits
 	// that cleared and let the write proceed. ImmediateConflicts are
 	// first-updater-wins conflicts no wait could change (the holder
-	// committed too new or holds a reserved commit timestamp) or that
-	// arrived with waiting disabled. VersionsEnumerated/
-	// ChainedRowsResolved are what version chains cost snapshot reads:
-	// moved chains (deletes, key changes) statements had to enumerate
-	// beside their scan, and chained rows resolved where a scan found
-	// them (mvcc.ContentionStats).
+	// committed after the snapshot) or that arrived with waiting
+	// disabled; a statement that was its transaction's first to observe
+	// the snapshot takes a later one and runs again instead of
+	// aborting. VersionsEnumerated/ChainedRowsResolved are what version
+	// chains cost snapshot reads: moved chains (deletes, key changes)
+	// statements had to enumerate beside their scan, and chained rows
+	// resolved where a scan found them (mvcc.ContentionStats).
 	// AdmissionWaits/AdmissionWaitNanos count transactions that parked at
 	// a per-table write-admission gate and their total parked time;
 	// AdmissionTimeouts count parks that expired into forced admission

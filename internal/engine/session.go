@@ -168,7 +168,8 @@ func (s *Session) execStmtLocked(st sql.Statement, key string, params ...types.V
 		return Result{}, ErrTxnAborted
 	}
 	if s.tx == nil {
-		// Statement autocommit: exactly the DB paths.
+		// Statement autocommit: the DB paths, where a write is a
+		// transaction of one statement on a session of the DB's.
 		return s.db.ExecStmt(st, key, params...)
 	}
 	switch st := st.(type) {
@@ -374,8 +375,9 @@ const atomicAttempts = 8
 
 // Atomic runs fn in an implicit transaction (Session.Atomic) on a
 // session the database recycles: a caller without a session of its own
-// pays for none. A session goes back only when no transaction is left
-// open on it.
+// pays for none, and an autocommit write (DB.ExecStmt) is such a
+// transaction of one statement. A session goes back only when no
+// transaction is left open on it.
 func (db *DB) Atomic(fn func(*Session) error) error {
 	s, _ := db.sessions.Get().(*Session)
 	if s == nil {
@@ -395,7 +397,8 @@ func (db *DB) Atomic(fn func(*Session) error) error {
 // fn runs again, up to atomicAttempts times. Structural DDL waits for a
 // running Atomic transaction instead of refusing it. Inside an open
 // transaction fn runs in it, as any statement does. fn must not start
-// another Atomic transaction.
+// another Atomic transaction, nor write through DB.Exec, which is one: a
+// second atomicMu.RLock deadlocks behind a DDL waiting for the first.
 func (s *Session) Atomic(fn func(*Session) error) error {
 	if s.InTxn() {
 		return fn(s)
@@ -440,7 +443,9 @@ func (s *Session) admitFirst(tables []string) {
 
 // dml runs one DML statement under the transaction; a write-write
 // conflict aborts and rolls back the whole transaction (first-updater
-// wins — this session was second).
+// wins — this session was second). A rollback that fails reports its
+// own error, not the conflict: what it left behind is no outcome a
+// retry may start again from.
 func (s *Session) dml(st sql.Statement, key string, params []types.Value) (Result, error) {
 	if s.db.readOnly.Load() {
 		return Result{}, ErrReadOnlyReplica
@@ -459,7 +464,7 @@ func (s *Session) dml(st sql.Statement, key string, params []types.Value) (Resul
 		s.reset()
 		s.aborted = true
 		if rbErr != nil {
-			return res, fmt.Errorf("%w (rollback after conflict: %v)", err, rbErr)
+			return res, fmt.Errorf("engine: rollback after %v failed: %w", err, rbErr)
 		}
 		return res, fmt.Errorf("%w (transaction rolled back)", err)
 	}
@@ -476,10 +481,11 @@ func (s *Session) dml(st sql.Statement, key string, params []types.Value) (Resul
 //  2. Bounded wait-then-abort on the write set, holding NO table
 //     latch: park until conflicting holders resolve or the deadline
 //     expires.
-//  3. Apply under the write table's EXCLUSIVE latch: the mutators'
-//     first-updater-wins checks re-run here, catching any holder that
-//     slipped in after phase 2; a failed apply replays the statement's
-//     undo suffix before the latch drops.
+//  3. Apply under the write table's EXCLUSIVE latch: the write set is
+//     checked again first, catching any holder that slipped in after
+//     phase 2, and the mutators' own first-updater-wins checks run as
+//     they write; a failed apply replays the statement's undo suffix
+//     before the latch drops.
 //
 // Two scheduling steps precede the phases. First, the transaction's
 // FIRST write to a table passes the table's soft admission gate
@@ -490,13 +496,23 @@ func (s *Session) dml(st sql.Statement, key string, params []types.Value) (Resul
 // just waited its turn at the gate thereby starts from a snapshot that
 // includes the previous holder's commit instead of conflicting with it.
 //
+// A holder that slipped in before phase 3 sends the statement back to
+// phase 1, whose phase 2 then waits for it. A statement that pinned the
+// snapshot has observed nothing else through it, so when a row's holder
+// commits after the pin it takes a later snapshot and runs again
+// instead of conflicting: to everyone else its transaction began later.
+// An autocommit write is always such a statement, so concurrent ones
+// on one row queue behind each other even when admission was forced.
+//
 // Deadlock freedom: phase 1 acquires only shared latches in the global
 // sorted order; phase 3 holds exactly one exclusive latch and acquires
 // nothing else while holding it; the phase-2 wait holds no latch and
 // is bounded. The bound also breaks the one cross-lock cycle left: a
 // waiter holds ddlMu shared, a pending checkpoint (ddlMu exclusive)
 // queues behind it and can block the holder's rollback relock — the
-// timeout unwinds the waiter and the system drains.
+// timeout unwinds the waiter and the system drains. A statement runs
+// again only after another transaction's write to its rows, so the
+// system as a whole moves on.
 func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) (Result, error) {
 	db := s.db
 	// Admission before ddlMu so a parked waiter never delays DDL, and
@@ -510,10 +526,31 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 	case *sql.DeleteStmt:
 		s.admitWrite(st.Table)
 	}
-	db.txns.Pin(s.tx)
+	first := db.txns.Pin(s.tx)
 	db.ddlMu.RLock()
 	defer db.ddlMu.RUnlock()
+	for {
+		res, err := s.dmlOnce(st, key, params)
+		switch {
+		case errors.Is(err, errSlippedIn):
+			continue
+		case first && errors.Is(err, mvcc.ErrNewerCommit):
+			db.txns.Repin(s.tx)
+			continue
+		case err != nil:
+			db.noteRollback(err)
+		}
+		return res, err
+	}
+}
 
+// errSlippedIn is dmlOnce's report of a holder that took a row of the
+// write set between phases 2 and 3.
+var errSlippedIn = errors.New("engine: a row of the write set was taken before the apply")
+
+// dmlOnce runs dmlLocked's three phases once.
+func (s *Session) dmlOnce(st sql.Statement, key string, params []types.Value) (Result, error) {
+	db := s.db
 	// Phase 1: gather. The write target is latched shared like the
 	// reads — nothing is mutated yet.
 	c, err := db.prepare(key, st, s.tx, false)
@@ -525,19 +562,15 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 	if err != nil {
 		// Nothing was applied; the failed statement still counts as a
 		// (trivially clean) statement rollback, as it always has.
-		db.noteRollback(err)
 		return Result{}, err
 	}
 
 	// Phase 2: clear the write set, parking on holders that may still
 	// release it (first-updater-wins with bounded wait-then-abort).
 	t := pd.Table()
-	if ws := pd.WriteSet(); len(ws) > 0 {
-		if werr := t.Vers.WaitCheckWrites(s.tx, ws, db.conflictWait); werr != nil {
-			werr = fmt.Errorf("engine: update %s: %w", t.Name, werr)
-			db.noteRollback(werr)
-			return Result{}, werr
-		}
+	ws := pd.WriteSet()
+	if err := t.Vers.WaitCheckWrites(s.tx, ws, db.conflictWait); err != nil {
+		return Result{}, fmt.Errorf("engine: update %s: %w", t.Name, err)
 	}
 
 	if err := s.ensureScope(); err != nil {
@@ -554,6 +587,12 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 	// whole-statement write lock, and the in-latch undo replay on error
 	// keeps statement atomicity without other appliers interleaving.
 	t.Mu.Lock()
+	for _, rid := range ws {
+		if t.Vers.CheckWrite(s.tx, rid) != nil {
+			t.Mu.Unlock()
+			return Result{}, errSlippedIn
+		}
+	}
 	t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger())
 	mark := s.undo.Mark()
 	n, err := exec.ApplyDML(pd, s.tx, s.undo)
@@ -568,7 +607,6 @@ func (s *Session) dmlLocked(st sql.Statement, key string, params []types.Value) 
 	if err != nil {
 		// The statement's own suffix of the undo log was replayed; the
 		// transaction's earlier statements stand.
-		db.noteRollback(err)
 		return Result{RowsAffected: n}, err
 	}
 	return Result{RowsAffected: n, StmtID: s.scope.ID()}, nil

@@ -683,3 +683,80 @@ func TestStmtRollbackFailureAllStepsAttempted(t *testing.T) {
 		t.Errorf("StmtRollbackFailures = %d, want 1", db.Stats().StmtRollbackFailures)
 	}
 }
+
+// rowPage returns the heap page that holds acct's row k.
+func rowPage(t *testing.T, tab *catalog.Table, k int64) storage.PageID {
+	t.Helper()
+	var page storage.PageID
+	err := tab.Heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
+		row, err := types.DecodeRow(rec)
+		if err != nil {
+			return false, err
+		}
+		if row[0].Int == k {
+			page = rid.Page
+			return false, nil
+		}
+		return true, nil
+	})
+	if err != nil || page == storage.InvalidPageID {
+		t.Fatalf("row %d not found: %v", k, err)
+	}
+	return page
+}
+
+// TestFailedAbortIsNotConflict: a transaction writes row j, then
+// conflicts on row k, which another transaction holds, and the rollback
+// the conflict forces cannot undo j. What comes back is the rollback's
+// failure, not the conflict: Atomic must not run its statements again
+// over a table the failed undo may have left inconsistent.
+func TestFailedAbortIsNotConflict(t *testing.T) {
+	const j, k = 0, 29
+	db := newTxnDB(t, Config{PageSize: 512, MemoryBytes: 1 << 20, ConflictWait: -1}, 30)
+	tab := atomTable2(t, db)
+	pj := rowPage(t, tab, j)
+	if rowPage(t, tab, k) == pj {
+		t.Fatal("rows j and k share a heap page; the fault would fail the conflict's gather")
+	}
+	holder := db.Session()
+	defer holder.Close()
+	sessExec(t, holder, "BEGIN")
+	sessExec(t, holder, "UPDATE acct SET bal = 0 WHERE k = ?", types.NewInt(k))
+
+	// Armed once j is written: only the undo of j fetches its page.
+	var armed atomic.Bool
+	db.BufferPool().SetFetchFault(func(id storage.PageID, _ storage.Category) error {
+		if armed.Load() && id == pj {
+			return storage.ErrInjectedFault
+		}
+		return nil
+	})
+	runs := 0
+	err := db.Atomic(func(s *Session) error {
+		runs++
+		if _, err := s.Exec("UPDATE acct SET bal = 1 WHERE k = ?", types.NewInt(j)); err != nil {
+			return err
+		}
+		armed.Store(true)
+		_, err := s.Exec("UPDATE acct SET bal = 2 WHERE k = ?", types.NewInt(k))
+		return err
+	})
+	db.BufferPool().SetFetchFault(nil)
+	sessExec(t, holder, "ROLLBACK")
+
+	if err == nil || !errors.Is(err, storage.ErrInjectedFault) {
+		t.Fatalf("want the undo's injected fault, got %v", err)
+	}
+	if errors.Is(err, mvcc.ErrWriteConflict) {
+		t.Errorf("a failed abort reads as a conflict: %v", err)
+	}
+	if runs != 1 {
+		t.Errorf("Atomic ran its statements %d times, want 1 (no retry after a failed abort)", runs)
+	}
+
+	// The other failed undo: a statement's own, whatever its cause.
+	rf := &exec.RollbackFailedError{Cause: mvcc.ErrWriteConflict, RB: storage.ErrInjectedFault, Table: "acct", Failed: 1}
+	if errors.Is(rf, mvcc.ErrWriteConflict) || !errors.Is(rf, storage.ErrInjectedFault) {
+		t.Errorf("RollbackFailedError matches its cause or misses its rollback failure: %v", rf)
+	}
+}

@@ -17,7 +17,9 @@ import (
 // failed: the statement's effects were only partially reverted and the
 // table may be inconsistent. Cause is the error that triggered the
 // rollback; RB the rollback failure; Failed how many undo steps could
-// not be applied. errors.Is/As match Cause through Unwrap.
+// not be applied. errors.Is/As match RB through Unwrap, never Cause: a
+// statement that could not be taken back is not the error that started
+// it, so a conflict whose undo failed is not retried as a conflict.
 type RollbackFailedError struct {
 	Cause  error
 	RB     error
@@ -29,54 +31,7 @@ func (e *RollbackFailedError) Error() string {
 	return fmt.Sprintf("%v (%v; table %s may be inconsistent)", e.Cause, e.RB, e.Table)
 }
 
-func (e *RollbackFailedError) Unwrap() error { return e.Cause }
-
-// RunDML executes an INSERT, UPDATE, or DELETE plan and returns the
-// number of rows affected. The caller must already hold the target
-// table's write lock.
-//
-// Statements are atomic: every physical sub-step (heap write, index
-// entry) is undo-logged as it applies, and any error replays the log
-// in reverse before the write lock is released, so a failed statement
-// affects zero rows and leaves the table in its pre-statement state.
-func RunDML(n plan.Node, params []types.Value) (int64, error) {
-	undo := &catalog.UndoLog{}
-	count, err := RunDMLTx(n, params, nil, nil, undo)
-	if err == nil {
-		undo.Discard()
-	}
-	return count, err
-}
-
-// RunDMLTx executes a DML plan on behalf of a transaction (tx nil for
-// autocommit), appending physical undo steps to the caller's undo log.
-// On error the statement's own suffix of the log is replayed in
-// reverse — entries from earlier statements of the same transaction
-// are untouched — so a failed statement affects zero rows while the
-// transaction stays usable. On success the statement's entries remain
-// in the log for a later full-transaction rollback; the caller owns
-// their lifecycle (Discard after an autocommit success).
-//
-// RunDMLTx runs gather and apply back to back, which is correct under
-// a whole-statement exclusive table lock (the autocommit path). The
-// session path instead calls PrepareDML under shared latches, runs the
-// bounded conflict wait latch-free, and ApplyDML under the exclusive
-// latch — same two halves, pulled apart.
-func RunDMLTx(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, error) {
-	pd, err := PrepareDML(n, params, st, tx)
-	if err != nil {
-		return 0, err
-	}
-	mark := undo.Mark()
-	count, err := ApplyDML(pd, tx, undo)
-	if err == nil {
-		return count, nil
-	}
-	if failed, rbErr := undo.RollbackTo(mark); rbErr != nil {
-		return 0, &RollbackFailedError{Cause: err, RB: rbErr, Table: pd.table.Name, Failed: failed}
-	}
-	return 0, err
-}
+func (e *RollbackFailedError) Unwrap() error { return e.RB }
 
 type notDMLError struct{ n plan.Node }
 
@@ -197,10 +152,11 @@ func PrepareDML(n plan.Node, params []types.Value, st *Stats, tx *mvcc.Txn) (*Pr
 // ApplyDML performs a prepared statement's physical writes, appending
 // undo steps as they apply. The caller must hold the target table's
 // exclusive latch for the whole call and, on error, replay the
-// statement's undo suffix before releasing it. The mutators' own
-// first-updater-wins checks re-run here, under the latch — they are
-// what makes the latch-free wait sound against writers that slip in
-// after it returns.
+// statement's undo suffix before releasing it (statement atomicity: a
+// failed statement affects zero rows while its transaction stays
+// usable). The mutators' own first-updater-wins checks re-run here,
+// under the latch — they are what makes the latch-free wait sound
+// against writers that slip in after it returns.
 func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, error) {
 	switch pd.verb {
 	case verbInsert:

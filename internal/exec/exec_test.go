@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/mvcc"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -200,7 +202,7 @@ func TestDMLThroughExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		count, err := RunDML(n, nil)
+		count, err := runDML(n, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +232,7 @@ func TestHalloweenProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := RunDML(n, nil)
+	count, err := runDML(n, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +310,34 @@ func TestErrorPropagation(t *testing.T) {
 	if _, err := runPlan(n, nil, nil, nil, false); err == nil {
 		t.Error("division by zero should error")
 	}
-	// RunDML on a SELECT plan is rejected.
+	// A SELECT plan is no DML.
 	st, _ = sql.Parse("SELECT id FROM users")
 	n, _ = p.PlanStatement(st)
-	if _, err := RunDML(n, nil); err == nil {
-		t.Error("RunDML of a query plan should fail")
+	if _, err := runDML(n, nil, nil, nil); err == nil {
+		t.Error("DML of a query plan should fail")
 	}
+}
+
+// runDML runs a DML plan as the engine's write path does, gather then
+// apply, without its latches or conflict wait: undo receives the
+// statement's undo steps, and a failed statement replays its own suffix
+// of them. A nil undo runs the statement on its own and keeps nothing.
+func runDML(n plan.Node, params []types.Value, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, error) {
+	if undo == nil {
+		undo = &catalog.UndoLog{}
+		defer undo.Discard()
+	}
+	pd, err := PrepareDML(n, params, nil, tx)
+	if err != nil {
+		return 0, err
+	}
+	mark := undo.Mark()
+	count, err := ApplyDML(pd, tx, undo)
+	if err != nil {
+		if _, rbErr := undo.RollbackTo(mark); rbErr != nil {
+			return 0, errors.Join(err, rbErr)
+		}
+		return 0, err
+	}
+	return count, nil
 }

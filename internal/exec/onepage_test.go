@@ -149,7 +149,7 @@ func (b *onePageBed) exec(t *testing.T, tx *mvcc.Txn, undo *catalog.UndoLog, q s
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}
-	_, err = RunDMLTx(p, params, nil, tx, undo)
+	_, err = runDML(p, params, tx, undo)
 	if err != nil && !errors.Is(err, mvcc.ErrWriteConflict) && !strings.Contains(err.Error(), "unique index") {
 		t.Fatalf("%q: %v", q, err)
 	}

@@ -169,7 +169,7 @@ func versionedFixtureOn(t testing.TB, seed int64, disk *storage.Disk) (*storage.
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
 		}
-		if _, err := RunDMLTx(p, nil, nil, w, &catalog.UndoLog{}); err != nil {
+		if _, err := runDML(p, nil, w, &catalog.UndoLog{}); err != nil {
 			t.Fatalf("dml %q: %v", q, err)
 		}
 	}

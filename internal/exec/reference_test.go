@@ -368,7 +368,7 @@ func TestSnapshotReadMatchesReference(t *testing.T) {
 					t.Fatalf("plan %q: %v", q, err)
 				}
 				heapPages := b.t.Heap.NumPages()
-				_, err = RunDMLTx(p, nil, nil, w.tx, w.undo)
+				_, err = runDML(p, nil, w.tx, w.undo)
 				if err != nil && !errors.Is(err, mvcc.ErrWriteConflict) && !strings.Contains(err.Error(), "unique index") {
 					t.Fatalf("dml %q: %v", q, err)
 				}

@@ -68,7 +68,7 @@ func TestSnapshotReadCostIgnoresOtherRowsChains(t *testing.T) {
 		})
 		updCost = measure(tx, func() {
 			undo := &catalog.UndoLog{}
-			if n, err := RunDMLTx(upd, nil, nil, tx, undo); err != nil || n != 1 {
+			if n, err := runDML(upd, nil, tx, undo); err != nil || n != 1 {
 				t.Fatalf("one-row UPDATE: %d %v", n, err)
 			}
 			if err := undo.Rollback(); err != nil {

@@ -63,7 +63,7 @@ func runDMLAs(t *testing.T, cat *catalog.Catalog, tx *mvcc.Txn, q string) {
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}
-	if _, err := RunDMLTx(p, nil, nil, tx, &catalog.UndoLog{}); err != nil {
+	if _, err := runDML(p, nil, tx, &catalog.UndoLog{}); err != nil {
 		t.Fatalf("dml %q: %v", q, err)
 	}
 }

@@ -90,6 +90,10 @@ type harness struct {
 	model *Model
 	es    []session
 	ms    []*MSession
+	// ended counts the client transactions (the generator's BEGINs) a
+	// COMMIT or ROLLBACK ended; autocommit writes are transactions too,
+	// but the run's length is counted in these.
+	ended int
 	// follower, when set, is a live replica fed from the primary's WAL
 	// and held to the same model (see repl_diff_test.go).
 	follower *repl.Follower
@@ -179,8 +183,14 @@ func (h *harness) applyExec(i int) {
 	case OpBegin:
 		q, cls = "BEGIN", ms.Begin()
 	case OpCommit:
+		if ms.InTxn() {
+			h.ended++
+		}
 		q, cls = "COMMIT", ms.Commit()
 	case OpRollback:
+		if ms.InTxn() {
+			h.ended++
+		}
 		q, cls = "ROLLBACK", ms.Rollback()
 	case OpSavepoint:
 		q = "SAVEPOINT " + op.Name
@@ -325,7 +335,7 @@ func runSeedBed(t *testing.T, seed int64, minTxns, churnEvery int, replicate boo
 		t.Fatal(err)
 	}
 	model := NewModel("acct1", "acct2")
-	loader := open(db)
+	loader, mloader := open(db), model.Session()
 	for _, table := range []string{"acct1", "acct2"} {
 		for k := int64(0); k < SeedRows; k++ {
 			v := fmt.Sprintf("init-%04d", k)
@@ -333,7 +343,9 @@ func runSeedBed(t *testing.T, seed int64, minTxns, churnEvery int, replicate boo
 				types.NewInt(k), types.NewString(v)); err != nil {
 				t.Fatal(err)
 			}
-			model.Seed(table, k, v, 100)
+			if _, cls := mloader.Insert(table, k, v, 100); cls != ClsOK {
+				t.Fatalf("model seed %s %d: %s", table, k, cls)
+			}
 		}
 	}
 	if err := loader.Close(); err != nil {
@@ -358,7 +370,7 @@ func runSeedBed(t *testing.T, seed int64, minTxns, churnEvery int, replicate boo
 	cycles := 0
 	lastCommits := 0
 	for h.step = 1; h.step <= maxSteps; h.step++ {
-		if model.Commits+model.Aborts >= minTxns {
+		if h.ended >= minTxns {
 			break
 		}
 		if churnEvery > 0 && h.step%churnEvery == 0 {
@@ -395,7 +407,7 @@ func runSeedBed(t *testing.T, seed int64, minTxns, churnEvery int, replicate boo
 			h.compareCommitted()
 		}
 	}
-	if got := model.Commits + model.Aborts; got < minTxns {
+	if got := h.ended; got < minTxns {
 		t.Fatalf("seed %d: only %d transactions finished in %d steps", seed, got, h.step)
 	}
 
@@ -441,8 +453,8 @@ func runSeedBed(t *testing.T, seed int64, minTxns, churnEvery int, replicate boo
 			t.Errorf("seed %d: %s invariants: %v", seed, table, err)
 		}
 	}
-	t.Logf("seed %d: %d steps, %d commits, %d aborts (%d conflicts)",
-		seed, h.step, model.Commits, model.Aborts, model.Conflict)
+	t.Logf("seed %d: %d steps, %d client transactions; %d commits, %d aborts (%d conflicts)",
+		seed, h.step, h.ended, model.Commits, model.Aborts, model.Conflict)
 	return db
 }
 

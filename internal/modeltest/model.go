@@ -93,10 +93,10 @@ type Model struct {
 	tables   map[string]*mtable
 	sessions []*MSession
 
-	// Transaction outcome counters, mirroring engine.Stats: only
-	// session transactions count (autocommit statements do not).
+	// Transaction outcome counters, mirroring engine.Stats: a session's
+	// transactions and every attempt of an autocommit write count.
 	Commits  int // durable COMMITs (including read-only)
-	Aborts   int // explicit ROLLBACKs + conflict aborts
+	Aborts   int // ROLLBACKs + conflict aborts
 	Conflict int // conflict-forced aborts (subset of Aborts)
 }
 
@@ -107,14 +107,6 @@ func NewModel(tables ...string) *Model {
 		m.tables[t] = &mtable{vers: make(map[int64][]ver)}
 	}
 	return m
-}
-
-// Seed installs a committed row at clock zero (visible to every
-// snapshot), bypassing transaction machinery — the driver seeds the
-// real database before any session begins.
-func (m *Model) Seed(table string, k int64, v string, bal int64) {
-	mt := m.tables[table]
-	mt.vers[k] = append(mt.vers[k], ver{ts: 0, v: v, bal: bal})
 }
 
 // Session adds a connection to the model.
@@ -340,6 +332,28 @@ func (s *MSession) conflictAbort() {
 
 // --- DML ---
 
+// atomicAttempts is the engine's bound on how often an autocommit write
+// runs: after that many conflicts the conflict is the statement's.
+const atomicAttempts = 8
+
+// autocommit runs write outside a transaction the way the engine does
+// (DB.Atomic): BEGIN, the statement, then COMMIT when it succeeded and
+// ROLLBACK when it failed, running it again on a conflict.
+func (s *MSession) autocommit(write func() (int64, string)) (int64, string) {
+	for attempt := 1; ; attempt++ {
+		s.Begin()
+		n, cls := write()
+		if cls == ClsOK {
+			s.Commit()
+			return n, cls
+		}
+		s.Rollback() // clears a conflict's abort, counts any other
+		if cls != ClsConflict || attempt == atomicAttempts {
+			return n, cls
+		}
+	}
+}
+
 // writeConflicts decides first-updater-wins for an update/delete of a
 // row this session can see: the newest committed version is newer than
 // the snapshot, or another open transaction wrote the row.
@@ -347,12 +361,8 @@ func (s *MSession) writeConflicts(table string, k int64) bool {
 	if s.m.foreignWrite(s, table, k) {
 		return true
 	}
-	if s.inTxn {
-		if n := s.m.newest(table, k); n != nil && n.ts > s.beginTS {
-			return true
-		}
-	}
-	return false
+	n := s.m.newest(table, k)
+	return n != nil && n.ts > s.beginTS
 }
 
 // Insert models INSERT INTO table VALUES (k, v, bal).
@@ -360,36 +370,29 @@ func (s *MSession) Insert(table string, k int64, v string, bal int64) (int64, st
 	if s.aborted {
 		return 0, ClsAborted
 	}
+	if !s.inTxn {
+		return s.autocommit(func() (int64, string) { return s.Insert(table, k, v, bal) })
+	}
 	s.pin()
 	// Unique check against current state, classified like the engine:
 	// key held or shadowed by an uncommitted foreign write -> conflict;
 	// committed live row (or own live write) -> violation.
 	if s.m.foreignWrite(s, table, k) {
-		if s.inTxn {
-			s.conflictAbort()
-		}
+		s.conflictAbort()
 		return 0, ClsConflict
 	}
-	if s.inTxn {
-		if e := s.ov.get(table, k); e != nil {
-			if !e.del {
-				return 0, ClsUnique
-			}
-			// Own uncommitted delete: the key is free again for this txn.
-			s.ov.put(table, k, &ovEntry{v: v, bal: bal})
-			return 1, ClsOK
+	if e := s.ov.get(table, k); e != nil {
+		if !e.del {
+			return 0, ClsUnique
 		}
+		// Own uncommitted delete: the key is free again for this txn.
+		s.ov.put(table, k, &ovEntry{v: v, bal: bal})
+		return 1, ClsOK
 	}
 	if n := s.m.newest(table, k); n != nil && !n.del {
 		return 0, ClsUnique
 	}
-	if s.inTxn {
-		s.ov.put(table, k, &ovEntry{v: v, bal: bal})
-	} else {
-		s.m.clock++
-		mt := s.m.tables[table]
-		mt.vers[k] = append(mt.vers[k], ver{ts: s.m.clock, v: v, bal: bal})
-	}
+	s.ov.put(table, k, &ovEntry{v: v, bal: bal})
 	return 1, ClsOK
 }
 
@@ -412,27 +415,21 @@ func (s *MSession) pointWrite(table string, k int64, mut func(*ovEntry)) (int64,
 	if s.aborted {
 		return 0, ClsAborted
 	}
+	if !s.inTxn {
+		return s.autocommit(func() (int64, string) { return s.pointWrite(table, k, mut) })
+	}
 	s.pin()
 	v, bal, ok := s.read(table, k)
 	if !ok {
 		return 0, ClsOK // no visible row: zero rows affected, no conflict
 	}
 	if s.writeConflicts(table, k) {
-		if s.inTxn {
-			s.conflictAbort()
-		}
+		s.conflictAbort()
 		return 0, ClsConflict
 	}
 	e := &ovEntry{v: v, bal: bal}
 	mut(e)
-	if s.inTxn {
-		s.ov.put(table, k, e)
-		return 1, ClsOK
-	}
-	// Autocommit write: immediately committed.
-	s.m.clock++
-	mt := s.m.tables[table]
-	mt.vers[k] = append(mt.vers[k], ver{ts: s.m.clock, del: e.del, v: e.v, bal: e.bal})
+	s.ov.put(table, k, e)
 	return 1, ClsOK
 }
 
@@ -473,6 +470,9 @@ func (s *MSession) writeWhere(table string, match func(k int64, v string, bal in
 	if s.aborted {
 		return 0, ClsAborted
 	}
+	if !s.inTxn {
+		return s.autocommit(func() (int64, string) { return s.writeWhere(table, match, mut) })
+	}
 	s.pin()
 	var matched []int64
 	for _, k := range s.m.keysFor(s, table) {
@@ -482,25 +482,15 @@ func (s *MSession) writeWhere(table string, match func(k int64, v string, bal in
 	}
 	for _, k := range matched {
 		if s.writeConflicts(table, k) {
-			if s.inTxn {
-				s.conflictAbort()
-			}
+			s.conflictAbort()
 			return 0, ClsConflict
 		}
-	}
-	if !s.inTxn && len(matched) > 0 {
-		s.m.clock++
 	}
 	for _, k := range matched {
 		v, bal, _ := s.read(table, k)
 		e := &ovEntry{v: v, bal: bal}
 		mut(e)
-		if s.inTxn {
-			s.ov.put(table, k, e)
-		} else {
-			mt := s.m.tables[table]
-			mt.vers[k] = append(mt.vers[k], ver{ts: s.m.clock, del: e.del, v: e.v, bal: e.bal})
-		}
+		s.ov.put(table, k, e)
 	}
 	return int64(len(matched)), ClsOK
 }

@@ -27,6 +27,7 @@ package mvcc
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -38,6 +39,12 @@ import (
 // must abort; under bounded wait-then-abort the loser first waits a
 // short deadline for holders that may still release the row.
 var ErrWriteConflict = errors.New("mvcc: write-write conflict")
+
+// ErrNewerCommit is the write-write conflict with a holder that
+// committed after the writer's snapshot: no wait clears it, but a later
+// snapshot sees the commit, so a transaction that has observed nothing
+// else may take one (Manager.Repin) and write again.
+var ErrNewerCommit = fmt.Errorf("%w with a newer commit", ErrWriteConflict)
 
 // abortedWord is the commit-word value marking an aborted transaction.
 const abortedWord = ^uint64(0)
@@ -128,11 +135,22 @@ func (m *Manager) begin(pinned bool) *Txn {
 //
 // Pin must be called by the transaction's own goroutine. beginTS is
 // written under m.mu because the GC sweep reads active transactions'
-// snapshots under the same lock.
-func (m *Manager) Pin(tx *Txn) {
+// snapshots under the same lock. Pin reports whether this call pinned
+// the snapshot: whether the caller is its first observer.
+func (m *Manager) Pin(tx *Txn) bool {
 	if tx.pinned {
-		return
+		return false
 	}
+	m.Repin(tx)
+	return true
+}
+
+// Repin fixes tx's snapshot at the current published clock again. Only
+// a transaction that has observed nothing through its snapshot but what
+// it discards may move it: to everyone else, as for Pin, the
+// transaction simply began later. Called by the transaction's own
+// goroutine.
+func (m *Manager) Repin(tx *Txn) {
 	m.mu.Lock()
 	tx.pinned = true
 	tx.beginTS = m.published
@@ -357,8 +375,7 @@ type ContentionStats struct {
 	// RowWaitRescues are waits after which every contended row had
 	// resolved and the write proceeded. ImmediateConflicts are
 	// first-updater-wins conflicts no wait could clear (the holder
-	// already committed too new, or holds a reserved commit timestamp)
-	// or that arrived with waiting disabled.
+	// already committed too new) or that arrived with waiting disabled.
 	RowWaits           int64
 	RowWaitNanos       int64
 	RowWaitTimeouts    int64
@@ -444,10 +461,6 @@ func (t *Txn) Committed() bool {
 	w := t.word.Load()
 	return w != 0 && w != abortedWord
 }
-
-// Reserved reports whether the transaction holds a reserved commit
-// timestamp that has not yet published.
-func (t *Txn) Reserved() bool { return t.reserved.Load() }
 
 // Visible reports whether writer w's writes are visible to reader t:
 // t wrote them itself, or w published at or before t's snapshot.

@@ -190,16 +190,14 @@ func (s *VersionStore) bumpLocked() {
 
 // WaitCheckWrites is first-updater-wins with bounded wait-then-abort:
 // for each rid it checks the newest chain entry like CheckWrite, but
-// when the blocking holder may still release the row — it is active
-// (its fate is undecided) or aborted with its undo still pending (the
-// entry is about to be popped) — the caller parks until the holder
-// resolves or the shared budget expires. Holders that committed after
-// tx's snapshot, or that hold a reserved commit timestamp (issued
-// after every live snapshot, so if it publishes it is certainly too
-// new), conflict immediately: no amount of waiting changes the
-// outcome. The caller holds no table latch; the apply phase rechecks
-// under the exclusive latch via the mutators' own CheckWrite calls, so
-// a holder that slips in after this returns is still caught.
+// when the blocking holder has not settled — it is active, holds a
+// reserved commit timestamp, or aborted with its undo still pending
+// (the entry is about to be popped) — the caller parks until the holder
+// resolves or the shared budget expires. A holder that committed after
+// tx's snapshot conflicts at once with ErrNewerCommit: no wait changes
+// that outcome, a later snapshot does. The caller holds no table latch;
+// the apply phase rechecks under the exclusive latch, so a holder that
+// slips in after this returns is still caught.
 func (s *VersionStore) WaitCheckWrites(tx *Txn, rids []storage.RID, budget time.Duration) error {
 	if s.mgr == nil {
 		for _, rid := range rids {
@@ -231,18 +229,17 @@ func (s *VersionStore) WaitCheckWrites(tx *Txn, rids []storage.RID, budget time.
 			}
 			holder := ch[len(ch)-1].writer
 			word := holder.word.Load()
-			if (word != 0 && word != abortedWord) || holder.Reserved() {
-				// Committed after tx began, or certain to if its sync
-				// succeeds: waiting cannot clear this conflict.
+			if word != 0 && word != abortedWord {
+				// Committed after tx began: waiting cannot clear this.
 				s.mu.Unlock()
 				s.mgr.immediateConflicts.Add(1)
-				return ErrWriteConflict
+				return ErrNewerCommit
 			}
 			var wake <-chan struct{}
 			if word == abortedWord {
 				wake = s.signalLocked() // undo pop is imminent
 			} else {
-				wake = holder.done // active: settled at publish/abort
+				wake = holder.done // active or reserved: settled at publish/abort
 			}
 			s.mu.Unlock()
 			if budget <= 0 {

@@ -379,8 +379,31 @@ func TestWaitCheckWrites(t *testing.T) {
 		go func() { done <- s.WaitCheckWrites(waiter, rids, time.Minute) }()
 		waitParked(t, mgr, 1)
 		holder.Commit()
-		if err := <-done; !errors.Is(err, ErrWriteConflict) {
-			t.Fatalf("holder committed after the waiter's snapshot: %v, want ErrWriteConflict", err)
+		if err := <-done; !errors.Is(err, ErrNewerCommit) {
+			t.Fatalf("holder committed after the waiter's snapshot: %v, want ErrNewerCommit", err)
+		}
+	})
+
+	t.Run("reserved holder publishes", func(t *testing.T) {
+		mgr := NewManager()
+		s := NewStore(mgr)
+		holder, waiter := mgr.Begin(), mgr.BeginLazy()
+		if !mgr.Pin(waiter) || mgr.Pin(waiter) {
+			t.Fatal("Pin reports its first call only")
+		}
+		s.RecordWrite(holder, rid, []byte("v"), false)
+		mgr.ReserveCommit(holder)
+		done := make(chan error, 1)
+		go func() { done <- s.WaitCheckWrites(waiter, rids, time.Minute) }()
+		waitParked(t, mgr, 1)
+		mgr.MarkDurable(holder)
+		if err := <-done; !errors.Is(err, ErrNewerCommit) {
+			t.Fatalf("reserved holder published: %v, want ErrNewerCommit", err)
+		}
+		// A later snapshot sees the commit: the row is free to write.
+		mgr.Repin(waiter)
+		if err := s.WaitCheckWrites(waiter, rids, time.Minute); err != nil {
+			t.Fatalf("after Repin: %v", err)
 		}
 	})
 
@@ -390,8 +413,8 @@ func TestWaitCheckWrites(t *testing.T) {
 		waiter, holder := mgr.Begin(), mgr.Begin()
 		s.RecordWrite(holder, rid, []byte("v"), false)
 		holder.Commit()
-		if err := s.WaitCheckWrites(waiter, rids, time.Minute); !errors.Is(err, ErrWriteConflict) {
-			t.Fatalf("%v, want an immediate ErrWriteConflict", err)
+		if err := s.WaitCheckWrites(waiter, rids, time.Minute); !errors.Is(err, ErrNewerCommit) {
+			t.Fatalf("%v, want an immediate ErrNewerCommit", err)
 		}
 		if c := mgr.Contention(); c.ImmediateConflicts != 1 || c.RowWaits != 0 {
 			t.Fatalf("immediate conflicts %d, waits %d, want 1 and 0", c.ImmediateConflicts, c.RowWaits)

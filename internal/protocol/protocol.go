@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/types"
 )
@@ -613,17 +612,6 @@ func Decode(payload []byte) (any, error) {
 		return m, d.done()
 	}
 	return nil, fmt.Errorf("%w: unknown type 0x%02x", ErrBadMessage, payload[0])
-}
-
-// SanitizeParams rejects parameter values a server should never accept
-// from the wire (NaN floats break index ordering invariants).
-func SanitizeParams(params []types.Value) error {
-	for i, v := range params {
-		if v.Kind == types.KindFloat && math.IsNaN(v.Float()) {
-			return fmt.Errorf("%w: parameter %d is NaN", ErrBadMessage, i)
-		}
-	}
-	return nil
 }
 
 // Error implements the error interface so servers' Error messages can

@@ -341,18 +341,3 @@ func TestFrameWriterOversized(t *testing.T) {
 		t.Fatalf("arena not released after oversized frame: cap %d", cap(fw.buf))
 	}
 }
-
-func TestSanitizeParams(t *testing.T) {
-	if err := SanitizeParams([]types.Value{types.NewFloat(1.5)}); err != nil {
-		t.Fatalf("clean params rejected: %v", err)
-	}
-	nan := types.NewFloat(nan())
-	if err := SanitizeParams([]types.Value{nan}); err == nil {
-		t.Fatal("NaN parameter accepted")
-	}
-}
-
-func nan() float64 {
-	f := 0.0
-	return f / f
-}

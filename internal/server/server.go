@@ -567,9 +567,8 @@ func (s *Server) doBatch(c *connState, w *connWriter, m *protocol.Batch) error {
 }
 
 // admit is the per-statement admission step: the statement counter,
-// the (optional) per-statement audit record, the tenant's rate limit,
-// and the parameter check. A rejection comes back with the error code
-// to answer it with.
+// the (optional) per-statement audit record and the tenant's rate
+// limit. A rejection comes back with the error code to answer it with.
 func (s *Server) admit(c *connState, bs *protocol.BatchStmt) (uint16, error) {
 	s.statements.Add(1)
 	if s.cfg.Audit != nil && s.cfg.Audit.Statements {
@@ -581,9 +580,6 @@ func (s *Server) admit(c *connState, bs *protocol.BatchStmt) (uint16, error) {
 			s.cfg.Audit.Record(c.tenant, c.id, AuditRateLimit, err.Error())
 			return protocol.CodeRateLimit, err
 		}
-	}
-	if err := protocol.SanitizeParams(bs.Params); err != nil {
-		return protocol.CodeProtocol, err
 	}
 	return 0, nil
 }

@@ -17,7 +17,7 @@ func FuzzDecodeFrames(f *testing.F) {
 	seeds := []*Record{
 		{Kind: KBegin, Txn: 1},
 		{Kind: KHeapInsert, Txn: 1, Page: 7, Slot: 2, Table: "account", Data: []byte("row")},
-		{Kind: KBTreeInsert, Txn: 1, Page: 9, RID: storage.RID{Page: 7, Slot: 2}, Key: []byte{0, 1, 2}},
+		{Kind: KBTreeInsert, Txn: 1, Page: 9, Key: []byte{0, 1, 2}, Data: []byte{7, 0, 2}},
 		{Kind: KBTreeRoot, Txn: 1, Page: 9, Page2: 12},
 		{Kind: KPageAlloc, Txn: 1, Page: 12, Cat: storage.CatIndex},
 		{Kind: KCatalog, Txn: 2, Data: []byte(`{"op":"create_table","table":"t"}`)},

@@ -59,7 +59,8 @@ const (
 	// KBTreeInit formats Page as an empty leaf (a new tree's root);
 	// Slot 1 makes it a leaf whose keys end in their RIDs.
 	KBTreeInit
-	// KBTreeInsert adds Key→RID to the leaf on Page.
+	// KBTreeInsert adds Key to the leaf on Page with value Data, as the
+	// leaf stores it (empty where the key ends in its RID).
 	KBTreeInsert
 	// KBTreeDelete removes Key from the leaf on Page.
 	KBTreeDelete
@@ -111,10 +112,9 @@ type Record struct {
 	Page2 storage.PageID // KBTreeRoot: the new root
 	Slot  uint16
 	Cat   storage.Category
-	RID   storage.RID // btree payload
-	Table string      // heap records: owning table name
-	Key   []byte      // btree key
-	Data  []byte      // heap record bytes / node image / JSON payload
+	Table string // heap records: owning table name
+	Key   []byte // btree key
+	Data  []byte // heap record bytes / leaf value / node image / JSON payload
 
 	// LSN is the offset just past this record's frame, filled in by
 	// Append and by the recovery decoder. It is not part of the payload.
@@ -139,8 +139,6 @@ func (r *Record) encode(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Page))
 	dst = binary.AppendUvarint(dst, uint64(r.Page2))
 	dst = binary.AppendUvarint(dst, uint64(r.Slot))
-	dst = binary.AppendUvarint(dst, uint64(r.RID.Page))
-	dst = binary.AppendUvarint(dst, uint64(r.RID.Slot))
 	dst = binary.AppendUvarint(dst, uint64(len(r.Table)))
 	dst = append(dst, r.Table...)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
@@ -196,14 +194,6 @@ func decodeRecord(p []byte) (*Record, error) {
 		return nil, err
 	}
 	r.Slot = uint16(v)
-	if v, err = u(); err != nil {
-		return nil, err
-	}
-	r.RID.Page = storage.PageID(v)
-	if v, err = u(); err != nil {
-		return nil, err
-	}
-	r.RID.Slot = uint16(v)
 	tb, err := bs()
 	if err != nil {
 		return nil, err

@@ -160,10 +160,11 @@ func (t *TreeLogger) BTreeInit(page storage.PageID, ridInKey bool) error {
 	return t.s.append(r)
 }
 
-// BTreeInsert records a leaf-level insert of key→rid on page.
-func (t *TreeLogger) BTreeInsert(page storage.PageID, key []byte, rid storage.RID) error {
-	return t.s.append(&Record{Kind: KBTreeInsert, Page: page, RID: rid,
-		Key: append([]byte(nil), key...)})
+// BTreeInsert records a leaf-level insert of key with value val, as
+// the leaf stores it, on page.
+func (t *TreeLogger) BTreeInsert(page storage.PageID, key, val []byte) error {
+	return t.s.append(&Record{Kind: KBTreeInsert, Page: page,
+		Key: append([]byte(nil), key...), Data: append([]byte(nil), val...)})
 }
 
 // BTreeDelete records a leaf-level delete of key on page.

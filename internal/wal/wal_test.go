@@ -354,7 +354,7 @@ func TestRecordRoundTripAllKinds(t *testing.T) {
 		{Kind: KHeapNewPage, Txn: 9, Page: 4, Table: "accounts"},
 		{Kind: KHeapInsertAt, Txn: 9, Page: 4, Slot: 11, Data: []byte{1, 2, 3}},
 		{Kind: KHeapUpdate, Txn: 9, Page: 4, Slot: 11, Data: []byte{}},
-		{Kind: KBTreeInsert, Txn: 9, Page: 5, Key: []byte("k"), RID: storage.RID{Page: 4, Slot: 11}},
+		{Kind: KBTreeInsert, Txn: 9, Page: 5, Key: []byte("k"), Data: []byte{4, 0, 11}},
 		{Kind: KBTreeImage, Txn: 9, Page: 5, Data: make([]byte, 256)},
 		{Kind: KBTreeRoot, Txn: 9, Page: 5, Page2: 6},
 		{Kind: KPageFree, Txn: 9, Page: 4, Cat: storage.CatData},
@@ -376,7 +376,7 @@ func TestRecordRoundTripAllKinds(t *testing.T) {
 	for i, r := range got {
 		w := records[i]
 		if r.Kind != w.Kind || r.Txn != w.Txn || r.Page != w.Page || r.Page2 != w.Page2 ||
-			r.Slot != w.Slot || r.Cat != w.Cat || r.RID != w.RID || r.Table != w.Table ||
+			r.Slot != w.Slot || r.Cat != w.Cat || r.Table != w.Table ||
 			string(r.Key) != string(w.Key) || string(r.Data) != string(w.Data) {
 			t.Fatalf("record %d round trip mismatch:\n got %+v\nwant %+v", i, r, w)
 		}
