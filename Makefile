@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-node fuzz-join fuzz-page fuzz-wal fuzz-keys check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-node fuzz-tree fuzz-join fuzz-page fuzz-wal fuzz-keys check
 
 all: check
 
@@ -189,9 +189,17 @@ fuzz-btree:
 
 # Short fuzz burst at the B+tree node page: random insert, remove, compact
 # and split sequences on both leaf kinds and on inner nodes, each held to
-# a sorted model, every directory offset inside the page.
+# a sorted model, every directory offset inside the page, every split at
+# the point its rule names (the byte midpoint, or the end of a run).
 fuzz-node:
 	$(GO) test ./internal/btree/ -run '^$$' -fuzz FuzzNodeOps -fuzztime 10s
+
+# Short fuzz burst at a whole tree over a buffer pool: interleaved
+# ascending runs, random keys and deletes on small pages, whose leaf
+# splits take their bounding keys from real paths, each batch held to a
+# sorted model (scan, Get, and every page reachable once).
+fuzz-tree:
+	$(GO) test ./internal/btree/ -run '^$$' -fuzz FuzzTreeInsertRuns -fuzztime 10s
 
 # Short fuzz burst at joins that grow outer rows in place: random small
 # tables joined by index-NL, hash and NL joins, inner and LEFT, chained,

@@ -237,9 +237,11 @@ func (n node) fits(sz int) bool {
 
 // keyFits is the oversized-key guard: three entries of the key's size
 // must fit one page. A split divides the entries at the byte midpoint,
-// which can leave one half heavier by up to one entry; with no entry
-// over a third of the page both halves always fit, and an inner node
-// keeps a key on each side of the separator it pushes up.
+// which can leave one half heavier by up to one entry, or after a run
+// of at least half the bytes, which leaves the right half at most half
+// plus the new entry; with no entry over a third of the page both
+// halves always fit, and an inner node keeps a key on each side of the
+// separator it pushes up.
 func keyFits(keyLen, pageSize int) bool {
 	return nodeHeader+3*(slotSize+entrySize(keyLen, maxRIDLen)) <= pageSize
 }
@@ -290,9 +292,18 @@ func (n node) compact() {
 // split renders the entries of n plus the new (key, val) at position
 // pos into two empty images: left replaces n, right is its new sibling
 // at page rightID. It returns the separator to insert into the parent
-// (an alias of n, key or right). The halves divide at the byte
-// midpoint: for equal-sized entries that is the count midpoint.
-func (n node) split(pos int, key, val []byte, left, right node, rightID storage.PageID) []byte {
+// (an alias of n, key or right). next is the key that follows a leaf's
+// last entry in the tree, the separator bounding it in an ancestor; nil
+// for the rightmost leaf.
+//
+// The halves divide at the byte midpoint, unless the new entry ends an
+// insertion run on a leaf: it shares a longer prefix with the entry
+// before it than with the key after it (the leaf's next entry, or
+// next), and the run of entries sharing that longer prefix, the new one
+// counted, takes at least half the bytes. Then the left half ends with
+// the new entry (just before it, when it would overflow), so a run that
+// keeps appending leaves full pages behind it, not half-empty ones.
+func (n node) split(pos int, key, val, next []byte, left, right node, rightID storage.PageID) []byte {
 	cnt := n.count()
 	ent := func(i int) ([]byte, []byte) {
 		switch {
@@ -303,6 +314,10 @@ func (n node) split(pos int, key, val []byte, left, right node, rightID storage.
 		}
 		return n.entry(i - 1)
 	}
+	size := func(i int) int {
+		k, v := ent(i)
+		return slotSize + entrySize(len(k), len(v))
+	}
 	fill := func(dst node, from, to int) {
 		for i := from; i < to; i++ {
 			k, v := ent(i)
@@ -312,13 +327,33 @@ func (n node) split(pos int, key, val []byte, left, right node, rightID storage.
 	total := n.live() + entrySize(len(key), len(val)) + slotSize*(cnt+1)
 	mid := 0
 	for acc := 0; ; mid++ {
-		k, v := ent(mid)
-		acc += slotSize + entrySize(len(k), len(v))
-		if acc > total/2 {
+		if acc += size(mid); acc > total/2 {
 			break
 		}
 	}
 	if n.leaf() {
+		if pos < cnt {
+			next = n.key(pos)
+		}
+		// The run: the new entry and the entries before it that share
+		// more than d bytes with it. Were the entry before it not among
+		// them, the run would be the new entry alone, under half.
+		run, d := 0, commonPrefix(key, next)
+		for i := pos; next != nil && i >= 0 && 2*run < total; i-- {
+			if k, _ := ent(i); commonPrefix(key, k) <= d {
+				break
+			}
+			run += size(i)
+		}
+		if 2*run >= total {
+			after := 0 // the bytes of the entries after the new one
+			for i := pos + 1; i <= cnt; i++ {
+				after += size(i)
+			}
+			if mid = pos + 1; nodeHeader+total-after > len(n) {
+				mid = pos
+			}
+		}
 		left.init(n[0], rightID)
 		right.init(n[0], n.link())
 		fill(left, 0, mid)
@@ -331,6 +366,15 @@ func (n node) split(pos int, key, val []byte, left, right node, rightID storage.
 	fill(left, 0, mid)
 	fill(right, mid+1, cnt+1)
 	return sep
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // Logger receives redo records for tree page mutations. wal.Scope's
@@ -639,6 +683,12 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 	// leaf entry, then each (separator, right sibling) pair, until some
 	// inner node has room for it or the root itself has split.
 	var carry [childSize]byte
+	var next []byte // the key after the leaf's last: see split
+	for i := len(path) - 2; i >= 0 && next == nil; i-- {
+		if p := path[i]; p.pos < p.n.count() {
+			next = p.n.key(p.pos)
+		}
+	}
 	newRoot := storage.InvalidPageID
 	top := len(path) - 1 // the highest path level the split rewrites
 	for ; ; top-- {
@@ -654,7 +704,7 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 			return fail(err)
 		}
 		left, right := node(make([]byte, ps)), node(make([]byte, ps))
-		key = p.n.split(p.pos, key, val, left, right, rightID)
+		key = p.n.split(p.pos, key, val, next, left, right, rightID)
 		putPageID(carry[:], rightID)
 		val = carry[:]
 		writes = append(writes, pageWrite{rightID, rightBuf, right}, pageWrite{p.id, p.n, left})

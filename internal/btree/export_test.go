@@ -2,13 +2,14 @@ package btree
 
 import "repro/internal/storage"
 
-// LeafUse returns what the leaves of t hold: their entries, and the
-// heap and directory bytes those take.
-func LeafUse(t *BTree) (entries, bytes int, err error) {
+// LeafUse returns what the leaves of t hold: how many there are, their
+// entries, and the heap and directory bytes those take.
+func LeafUse(t *BTree) (leaves, entries, bytes int, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	id, n, _, err := t.descend(nil)
 	for err == nil {
+		leaves++
 		entries += n.count()
 		bytes += n.live() + slotSize*n.count()
 		next := n.link()
@@ -21,5 +22,5 @@ func LeafUse(t *BTree) (entries, bytes int, err error) {
 			id, n = next, node(buf)
 		}
 	}
-	return entries, bytes, err
+	return leaves, entries, bytes, err
 }

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -104,8 +105,11 @@ func checkNode(n node, model []nodeEntry) error {
 // FuzzNodeOps runs random insert, remove, compact and split sequences on
 // one node page of each kind — a leaf with RID payloads, a leaf whose
 // keys end in their RIDs, an inner node — against a sorted model, and
-// after each operation holds the page to checkNode. An insert that does
-// not fit splits the node, and the fuzz goes on with either half.
+// after each operation holds the page to checkNode. Keys are random, or
+// ascend under one of a few shared prefixes, so that a leaf holds the
+// insertion runs its split follows. An insert that does not fit splits
+// the node, with a bounding key the fuzz draws above every key, and the
+// fuzz holds the split to its exact point and goes on with either half.
 func FuzzNodeOps(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for kind := byte(0); kind < 3; kind++ {
@@ -114,8 +118,21 @@ func FuzzNodeOps(f *testing.F) {
 			r.Read(ops)
 			f.Add(kind, ops)
 		}
+		// One ascending run, and two interleaved under prefixes "b" and
+		// "bd" (seven bytes an insert: op, prefix, step, RID).
+		f.Add(kind, bytes.Repeat([]byte{5}, 800))
+		f.Add(kind, bytes.Repeat([]byte{5, 5, 5, 5, 5, 5, 5, 1, 7, 5, 5, 5, 5, 5}, 60))
 	}
 	const pageSize, link, rightID = 256, 7, 99
+	prefixes := []string{"ab", "ac", "b", "bd"}
+	// shared is the length of the longest common prefix of a and b.
+	shared := func(a, b string) int {
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		return i
+	}
 	f.Fuzz(func(t *testing.T, kind byte, ops []byte) {
 		kind %= 3
 		next := func() byte {
@@ -129,12 +146,20 @@ func FuzzNodeOps(f *testing.F) {
 		n := node(make([]byte, pageSize))
 		n.init(kind, link)
 		var model []nodeEntry
+		var seq [4]uint16 // the last suffix under each prefix
 		for len(ops) > 0 {
 			switch next() % 4 {
 			case 0, 1:
-				k := make([]byte, next()%24)
-				for i := range k {
-					k[i] = 'a' + next()%4
+				var k []byte
+				if p := next(); p%2 == 0 {
+					k = make([]byte, next()%24)
+					for i := range k {
+						k[i] = 'a' + next()%4
+					}
+				} else {
+					p = p / 2 % 4
+					seq[p] += 1 + uint16(next()%3)
+					k = binary.BigEndian.AppendUint16([]byte(prefixes[p]), seq[p])
 				}
 				rid := storage.RID{Page: ridBoundaries[next()%uint8(len(ridBoundaries))] - storage.PageID(next()%2),
 					Slot: uint16(next())<<6 | uint16(next()%64)}
@@ -163,11 +188,15 @@ func FuzzNodeOps(f *testing.F) {
 					model = all
 					break
 				}
+				// The bound: nil (the rightmost leaf), or the largest key's
+				// first l bytes and 0xFF, when that lies above it.
+				var bound []byte
+				last := all[len(all)-1].key
+				if l := int(next()) % (len(last) + 2); l <= len(last) && last[:l]+"\xff" > last {
+					bound = []byte(last[:l] + "\xff")
+				}
 				left, right := node(make([]byte, pageSize)), node(make([]byte, pageSize))
-				sep := string(n.split(pos, k, val, left, right, rightID))
-				lc := left.count()
-				lm, rm := all[:lc], all[lc:]
-				// The halves divide at the byte midpoint.
+				sep := string(n.split(pos, k, val, bound, left, right, rightID))
 				size := func(e nodeEntry) int {
 					v := childSize
 					switch kind {
@@ -178,16 +207,45 @@ func FuzzNodeOps(f *testing.F) {
 					}
 					return slotSize + entrySize(len(e.key), v)
 				}
-				below, total := 0, 0
-				for i, e := range all {
-					if i < lc {
-						below += size(e)
-					}
+				// The split point: the byte midpoint, the first entry past
+				// half the bytes on the left ...
+				total, acc, want := 0, 0, 0
+				for _, e := range all {
 					total += size(e)
 				}
-				if below > total/2 || below+size(rm[0]) <= total/2 {
-					t.Fatalf("split after %d of %d bytes, %d in the next entry", below, total, size(rm[0]))
+				for acc += size(all[0]); acc <= total/2; want++ {
+					acc += size(all[want+1])
 				}
+				// ... unless a leaf's new entry ends a run: it shares more
+				// with the entry before it than with the key after it, and
+				// the entries sharing that much with it take half the bytes.
+				// Then the left half ends with it, or just before it when
+				// it would not fit.
+				after := string(bound)
+				if pos+1 < len(all) {
+					after = all[pos+1].key
+				}
+				if d := shared(string(k), after); kind != kindInner && pos > 0 && (bound != nil || pos+1 < len(all)) &&
+					shared(string(k), all[pos-1].key) > d {
+					run, upTo := 0, 0
+					for i := pos; i >= 0 && shared(string(k), all[i].key) > d; i-- {
+						run += size(all[i])
+					}
+					for _, e := range all[:pos+1] {
+						upTo += size(e)
+					}
+					if 2*run >= total {
+						want = pos + 1
+						if nodeHeader+upTo > pageSize {
+							want = pos
+						}
+					}
+				}
+				lc := left.count()
+				if lc != want {
+					t.Fatalf("split %d entries (%d bytes, new at %d, bound %x) after %d, want %d", len(all), total, pos, bound, lc, want)
+				}
+				lm, rm := all[:lc], all[lc:]
 				wantLink := [2]storage.PageID{rightID, n.link()}
 				if kind == kindInner {
 					if sep != rm[0].key {
@@ -195,8 +253,11 @@ func FuzzNodeOps(f *testing.F) {
 					}
 					wantLink = [2]storage.PageID{n.link(), rm[0].rid.Page}
 					rm = rm[1:]
-				} else if sep != rm[0].key {
+				} else if sep != rm[0].key || right.count() == 0 || sep != string(right.key(0)) {
 					t.Fatalf("leaf split separator %x, right half starts at %x", sep, rm[0].key)
+				}
+				if lc == 0 || len(rm) == 0 {
+					t.Fatalf("split halves of %d and %d entries", lc, len(rm))
 				}
 				if left[0] != kind || right[0] != kind || left.link() != wantLink[0] || right.link() != wantLink[1] {
 					t.Fatalf("split halves: kinds %d %d, links %d %d; want kind %d, links %v", left[0], right[0], left.link(), right.link(), kind, wantLink)

@@ -48,7 +48,7 @@ func TestIndexEntryBytes(t *testing.T) {
 				entries++
 			}
 			it.Release()
-			n, got, err := btree.LeafUse(ix.Tree)
+			_, n, got, err := btree.LeafUse(ix.Tree)
 			if err != nil || it.Err() != nil {
 				t.Fatal(err, it.Err())
 			}

@@ -1,0 +1,234 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// checkTree holds a tree to its model after a batch of operations: a
+// full scan returns the model's keys in order with their RIDs, Get finds
+// every key, and the pages Pages lists are the disk's pages, each once,
+// whose leaves, in the order listed, are the leaf chain.
+func checkTree(tr *BTree, disk *storage.Disk, model map[string]storage.RID) error {
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	it, err := tr.Scan()
+	if err != nil {
+		return err
+	}
+	i := 0
+	for ; it.Valid(); it.Next() {
+		if i >= len(keys) || string(it.Key()) != keys[i] || it.RID() != model[keys[i]] {
+			it.Release()
+			return fmt.Errorf("scan entry %d is %x → %v", i, it.Key(), it.RID())
+		}
+		i++
+	}
+	it.Release()
+	if err := it.Err(); err != nil || i != len(keys) || tr.Len() != int64(len(keys)) {
+		return fmt.Errorf("scan saw %d of %d keys, Len %d (%v)", i, len(keys), tr.Len(), err)
+	}
+	for _, k := range keys {
+		if rid, err := tr.Get([]byte(k)); err != nil || rid != model[k] {
+			return fmt.Errorf("Get(%x) = %v, %v; want %v", k, rid, err, model[k])
+		}
+	}
+	ids, err := tr.Pages()
+	if err != nil {
+		return err
+	}
+	if len(ids) != disk.NumPages() {
+		return fmt.Errorf("Pages lists %d pages, the disk holds %d", len(ids), disk.NumPages())
+	}
+	seen := map[storage.PageID]bool{}
+	var leaves []storage.PageID
+	for _, id := range ids {
+		if seen[id] {
+			return fmt.Errorf("page %d listed twice", id)
+		}
+		seen[id] = true
+		buf, err := tr.pool.Fetch(id, storage.CatIndex)
+		if err != nil {
+			return err
+		}
+		if node(buf).leaf() {
+			leaves = append(leaves, id)
+		}
+		tr.pool.Unpin(id, false)
+	}
+	id, n, _, err := tr.descend(nil)
+	for i := 0; err == nil; i++ {
+		if i >= len(leaves) || id != leaves[i] {
+			tr.pool.Unpin(id, false)
+			return fmt.Errorf("leaf chain reaches page %d at leaf %d; Pages lists %v", id, i, leaves)
+		}
+		next := n.link()
+		tr.pool.Unpin(id, false)
+		if next == storage.InvalidPageID {
+			if i+1 != len(leaves) {
+				return fmt.Errorf("leaf chain ends after %d of %d leaves", i+1, len(leaves))
+			}
+			return nil
+		}
+		var buf []byte
+		if buf, err = tr.pool.Fetch(next, storage.CatIndex); err == nil {
+			id, n = next, node(buf)
+		}
+	}
+	return err
+}
+
+// FuzzTreeInsertRuns drives a tree over a buffer pool, whose leaf splits
+// take their bounding keys from real root-to-leaf paths, through
+// interleaved ascending runs under a few shared prefixes, random keys and
+// deletes, on small pages of either leaf kind, and after every batch of
+// 32 operations holds it to its model with checkTree.
+func FuzzTreeInsertRuns(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		ops := make([]byte, 400+400*i)
+		r.Read(ops)
+		f.Add(i%2 == 1, ops)
+	}
+	f.Add(false, bytes.Repeat([]byte{0, 1, 1, 4, 1, 2, 0, 7}, 200))
+	f.Add(true, bytes.Repeat([]byte{1, 0, 0, 2, 1, 3, 1, 4, 5, 6, 3, 9}, 150))
+	prefixes := []string{"t1/c1/", "t1/c2/", "t1/c3/", "t2/c1/", "t2/"}
+	f.Fuzz(func(t *testing.T, ridInKey bool, ops []byte) {
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		disk := storage.NewDisk(256)
+		tr, err := NewLogged(storage.NewBufferPool(disk, 256*4096), nil, ridInKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[string]storage.RID{}
+		var keys []string // the model's keys, for deletes to pick from
+		var seq [5]uint32
+		for op := 1; len(ops) > 0; op++ {
+			var k []byte
+			switch next() % 4 {
+			case 0, 1:
+				g := next() % uint8(len(prefixes))
+				seq[g] += 1 + uint32(next()%4)
+				k = binary.BigEndian.AppendUint32([]byte(prefixes[g]), seq[g])
+			case 2:
+				k = make([]byte, next()%12)
+				for i := range k {
+					k[i] = 't' - next()%4
+				}
+			case 3:
+				if len(keys) > 0 {
+					i := int(next()) % len(keys)
+					if err := tr.Delete([]byte(keys[i])); err != nil {
+						t.Fatalf("delete %x: %v", keys[i], err)
+					}
+					delete(model, keys[i])
+					keys[i] = keys[len(keys)-1]
+					keys = keys[:len(keys)-1]
+				}
+			}
+			if k != nil {
+				rid := storage.RID{Page: storage.PageID(op), Slot: uint16(next() % 64)}
+				if ridInKey {
+					k = AppendRID(k, rid)
+				}
+				err := tr.Insert(k, rid)
+				if _, dup := model[string(k)]; dup != (err == ErrDuplicateKey) || !dup && err != nil {
+					t.Fatalf("insert %x: %v (in the model: %v)", k, err, dup)
+				}
+				if err == nil {
+					model[string(k)] = rid
+					keys = append(keys, string(k))
+				}
+			}
+			if op%32 == 0 || len(ops) == 0 {
+				if err := checkTree(tr, disk, model); err != nil {
+					t.Fatalf("after %d operations: %v", op, err)
+				}
+			}
+		}
+	})
+}
+
+// leafFill loads keys into a fresh tree on pageSize pages and returns
+// its pages and the share of its leaves' bytes in use.
+func leafFill(t *testing.T, pageSize int, keys [][]byte) (pages int, fill float64) {
+	t.Helper()
+	tr, err := New(newPool(pageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if err := tr.Insert(k, storage.RID{Page: storage.PageID(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves, _, used, err := LeafUse(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := tr.Pages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ids), float64(used+nodeHeader*leaves) / float64(leaves*pageSize)
+}
+
+// TestRunLoadFill loads G groups of ascending keys, interleaved as a
+// chunk table's load appends to its (Tenant, Table, Chunk, Row) index:
+// every leaf a group's run leaves behind is full, so the leaves fill to
+// at least 75 % (83.1 %; 50.3 % when every split cut at the byte
+// midpoint). Only the last group's leaves, which the tree's rightmost
+// leaf splits off at the midpoint, stay half empty. The tree has three
+// levels, and its 212 pages (353 at the midpoint) are held too: a leaf
+// that is its parent's last child takes its bounding key from a higher
+// ancestor, and with the parent's alone the load takes 219.
+func TestRunLoadFill(t *testing.T) {
+	const groups, perGroup = 12, 400
+	var keys [][]byte
+	for i := 0; i < perGroup; i++ {
+		for g := 0; g < groups; g++ {
+			keys = append(keys, fmt.Appendf(nil, "tenant-%02d/chunk-%d/row-%06d", g/3, g%3, i))
+		}
+	}
+	pages, fill := leafFill(t, 1024, keys)
+	t.Logf("%d interleaved runs of %d keys: %d pages, leaves %.1f %% full", groups, perGroup, pages, 100*fill)
+	if fill < 0.75 || pages > 212 {
+		t.Errorf("%d pages, leaves %.1f %% full; want at most 212, at least 75 %%", pages, 100*fill)
+	}
+}
+
+// randomLoadMidpointPages is what TestRandomLoadPages's load took when
+// every leaf split cut at the byte midpoint.
+const randomLoadMidpointPages = 568
+
+// TestRandomLoadPages loads keys in random order, where runs are rare:
+// the tree must stay within 2 % of the pages the midpoint rule took
+// (563 pages, leaves 70.1 % full; 568 and 69.4 % at the midpoint).
+func TestRandomLoadPages(t *testing.T) {
+	r := rand.New(rand.NewSource(2008))
+	var keys [][]byte
+	for _, i := range r.Perm(20000) {
+		keys = append(keys, key(i))
+	}
+	pages, fill := leafFill(t, 1024, keys)
+	t.Logf("random load: %d pages (%d with midpoint splits), leaves %.1f %% full", pages, randomLoadMidpointPages, 100*fill)
+	if d := float64(pages)/randomLoadMidpointPages - 1; d > 0.02 || d < -0.02 {
+		t.Errorf("random load takes %d pages, %+.1f %% off %d", pages, 100*d, randomLoadMidpointPages)
+	}
+}

@@ -311,3 +311,32 @@ func TestTest1OptimizerNesting(t *testing.T) {
 	}
 	t.Log("\n" + FormatTest1(rs))
 }
+
+// TestChunkIndexPages loads Chunk6 at chunk_q2_join's scale (300
+// parents, 10 children each). The load appends to ChunkData's
+// (Tenant, Table, Chunk, Row) index at one point per (table, chunk), so
+// every leaf a run leaves behind must be full: at most 140 pages (134;
+// 202 when every leaf split cut at the byte midpoint).
+func TestChunkIndexPages(t *testing.T) {
+	in, err := NewChunk(Config{Parents: 300, ChildrenPerParent: 10}, 6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Load(); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := in.DB.Catalog().Table("ChunkData")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range tab.Indexes {
+		ids, err := ix.Tree.Pages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d pages", ix.Name, len(ids))
+		if ix.Name == "ChunkData_tcr" && len(ids) > 140 {
+			t.Errorf("%s takes %d pages, at most 140", ix.Name, len(ids))
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/sql"
@@ -173,7 +174,11 @@ func TestFailedInsertKeepsItsRowIDs(t *testing.T) {
 // shape hits (no rewrite to mark the table dirty), so what carries the
 // writes past each convergence round is the generation every swap bumps;
 // after the cutover the destination holds every acknowledged row exactly
-// once.
+// once. The move's first copy into the destination waits on a latch the
+// test holds until two INSERTs were acknowledged mid-move, so the move
+// overlaps the writer however the two are scheduled, and the second of
+// those INSERTs is a shape hit: no swap can fall between them but the
+// one before the stalled copy.
 func TestMoveUnderCachedInserts(t *testing.T) {
 	db, mux, dst, m := moveFixture(t)
 	const seed = 400
@@ -182,17 +187,25 @@ func TestMoveUnderCachedInserts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Registered ahead, the tenant's tables exist at the destination.
+	if err := dst.AddTenant(db, &Tenant{ID: 35}); err != nil {
+		t.Fatal(err)
+	}
+	stall, err := db.Catalog().Table("Account_t35")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var (
 		stop    atomic.Bool
 		acked   []int64
-		overlap int // acknowledged while the tenant was mid-move
+		overlap atomic.Int64 // acknowledged while the tenant was mid-move
 		werr    error
 		done    = make(chan struct{})
 		started = make(chan struct{}) // the writer has one INSERT acknowledged
 	)
 	go func() {
 		defer close(done)
-		for aid := int64(100000); !stop.Load() && len(acked) < 4000; aid++ {
+		for aid := int64(100000); !stop.Load() && (len(acked) < 4000 || overlap.Load() < 2); aid++ {
 			if _, werr = m.Exec(35, fmt.Sprintf("INSERT INTO Account (Aid, Name) VALUES (%d, 'live')", aid)); werr != nil {
 				return
 			}
@@ -201,7 +214,7 @@ func TestMoveUnderCachedInserts(t *testing.T) {
 			}
 			mux.mu.RLock()
 			if mux.moving[35] != nil {
-				overlap++
+				overlap.Add(1)
 			}
 			mux.mu.RUnlock()
 		}
@@ -211,14 +224,32 @@ func TestMoveUnderCachedInserts(t *testing.T) {
 	case <-done:
 	}
 	before := m.Cache.Stats()
-	rep, err := (&Mover{DB: db, Mux: mux, MaxRounds: 6, BatchRows: 4}).Move(35, dst)
+	var rep *MoveReport
+	moved := make(chan struct{})
+	stall.Mu.RLock()
+	go func() {
+		defer close(moved)
+		rep, err = (&Mover{DB: db, Mux: mux, MaxRounds: 6, BatchRows: 4}).Move(35, dst)
+	}()
+wait:
+	for overlap.Load() < 2 {
+		select {
+		case <-done: // the writer failed
+			break wait
+		case <-moved: // the move did not stall: reported below
+			break wait
+		case <-time.After(50 * time.Microsecond):
+		}
+	}
+	stall.Mu.RUnlock()
+	<-moved
 	stop.Store(true)
 	<-done
 	if err != nil || werr != nil {
 		t.Fatalf("Move: %v (report %+v); writer: %v", err, rep, werr)
 	}
-	if overlap == 0 {
-		t.Fatal("no INSERT overlapped the move")
+	if overlap.Load() < 2 {
+		t.Fatalf("%d INSERTs overlapped the move, want 2", overlap.Load())
 	}
 	if s := m.Cache.Stats(); s.Hits <= before.Hits || s.Misses-before.Misses > int64(2*rep.Rounds+4) {
 		t.Fatalf("the writer's INSERTs were not shape hits: before %+v after %+v (report %+v)", before, s, rep)
@@ -245,5 +276,5 @@ func TestMoveUnderCachedInserts(t *testing.T) {
 	if len(rows.Data) != len(acked) {
 		t.Fatalf("%d rows at the destination, %d acknowledged", len(rows.Data), len(acked))
 	}
-	t.Logf("move report: %+v; %d INSERTs acknowledged, %d mid-move", rep, len(acked)-seed, overlap)
+	t.Logf("move report: %+v; %d INSERTs acknowledged, %d mid-move", rep, len(acked)-seed, overlap.Load())
 }
