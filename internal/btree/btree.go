@@ -10,8 +10,10 @@
 // the tree, as the paper notes for (Tenant, Table, Chunk, Row) indexes),
 // and their leaves store nothing beside the key.
 // Keys come from types.EncodeKey, where a small integer costs only its
-// significant bytes: those four meta-data columns take about a dozen
-// bytes of an entry, not 36, so a leaf holds twice the entries.
+// significant bytes, and a node stores once the prefix its fence keys
+// share (see the node layout): inside one tenant's table and chunk the
+// meta-data columns and a Row's leading bytes are a leaf's prefix, and
+// an entry keeps a byte or two of its Row and its RID.
 package btree
 
 import (
@@ -37,16 +39,29 @@ var ErrKeyNotFound = errors.New("btree: key not found")
 //	         payload (a unique index); leaf (2), whose entries carry none:
 //	         each key ends in its RID (a non-unique index)
 //	[1:3)    n, entry count, uint16
-//	[3:11)   link: leaf: next-leaf PageID; inner: child[0] PageID
+//	[3:9)    link, uint48: leaf: next-leaf PageID; inner: child[0] PageID
+//	[9:11)   p, prefix length, uint16
 //	[11:13)  heap, uint16: bytes in use at the page tail — live entries
 //	         plus the holes deletes left between them
 //	[13:15)  live, uint16: bytes of live entries alone
-//	[15:15+2n) directory: one uint16 entry offset per entry, in key order
+//	[15:15+p) prefix: the longest common prefix of the node's fence keys
+//	[15+p:15+p+2n) directory: one uint16 entry offset per entry, in key order
 //	...      free space
-//	[size-heap:size) entries, newest lowest:
+//	[size-heap:size) entries, newest lowest, each key without the prefix:
 //	         leaf (1): keyLen uvarint, key, RID (AppendRID's form)
 //	         leaf (2): keyLen uvarint, key (ending in AppendRID's form)
 //	         inner:    keyLen uvarint, key, child uint48 (keys >= key)
+//
+// A node's fence keys are the separators that bound it in its
+// ancestors: every key it holds lies in [low fence, high fence), so every
+// key begins with their common prefix, and the node stores those bytes
+// once (Bayer and Unterauer's prefix B-trees). The root has no fences,
+// and the first and last node of a level have an open one: their prefix
+// is empty. A split sets each half's prefix from the fences the pinned
+// path gives it; nothing else moves a fence, so the prefix never changes
+// between splits. Readers compare full keys against a node's entries
+// without assembling them: a key that does not begin with the prefix
+// sorts before or after all of them (strip).
 //
 // Either way a leaf holds each RID once, in one encoding. Readers
 // binary-search the directory and compare keys in the frame. An insert
@@ -59,6 +74,7 @@ var ErrKeyNotFound = errors.New("btree: key not found")
 const (
 	offCount   = 1
 	offLink    = 3
+	offPrefix  = 9
 	offHeap    = 11
 	offLive    = 13
 	nodeHeader = 15
@@ -80,50 +96,75 @@ const (
 // node is a node page viewed in place; its length is the page size.
 type node []byte
 
-func (n node) leaf() bool { return n[0] != kindInner }
-func (n node) count() int { return int(binary.LittleEndian.Uint16(n[offCount:])) }
-func (n node) heap() int  { return int(binary.LittleEndian.Uint16(n[offHeap:])) }
-func (n node) live() int  { return int(binary.LittleEndian.Uint16(n[offLive:])) }
+func (n node) leaf() bool     { return n[0] != kindInner }
+func (n node) count() int     { return int(binary.LittleEndian.Uint16(n[offCount:])) }
+func (n node) prefixLen() int { return int(binary.LittleEndian.Uint16(n[offPrefix:])) }
+func (n node) heap() int      { return int(binary.LittleEndian.Uint16(n[offHeap:])) }
+func (n node) live() int      { return int(binary.LittleEndian.Uint16(n[offLive:])) }
+
+// prefix returns the bytes every key of n begins with, in place.
+func (n node) prefix() []byte {
+	end := n.dir()
+	return n[nodeHeader:end:end]
+}
+
+// dir is the offset of the directory, just past the prefix.
+func (n node) dir() int { return nodeHeader + n.prefixLen() }
 
 // link is the next leaf of a leaf and child[0] of an inner node.
-func (n node) link() storage.PageID {
-	return storage.PageID(binary.LittleEndian.Uint64(n[offLink:]))
-}
+func (n node) link() storage.PageID { return getPageID(n[offLink:]) }
 
 func (n node) setCount(v int) { binary.LittleEndian.PutUint16(n[offCount:], uint16(v)) }
 func (n node) setHeap(v int)  { binary.LittleEndian.PutUint16(n[offHeap:], uint16(v)) }
 func (n node) setLive(v int)  { binary.LittleEndian.PutUint16(n[offLive:], uint16(v)) }
 
-// init formats n as an empty node of the given kind.
-func (n node) init(kind byte, link storage.PageID) {
+// init formats n as an empty node of the given kind, whose keys all
+// begin with prefix.
+func (n node) init(kind byte, link storage.PageID, prefix []byte) {
 	n[0] = kind
 	n.setCount(0)
-	binary.LittleEndian.PutUint64(n[offLink:], uint64(link))
+	putPageID(n[offLink:], link)
+	binary.LittleEndian.PutUint16(n[offPrefix:], uint16(len(prefix)))
+	copy(n[nodeHeader:], prefix)
 	n.setHeap(0)
 	n.setLive(0)
 }
 
 // off returns the byte offset of entry i.
 func (n node) off(i int) int {
-	return int(binary.LittleEndian.Uint16(n[nodeHeader+slotSize*i:]))
+	return int(binary.LittleEndian.Uint16(n[n.dir()+slotSize*i:]))
 }
 
-// entryAt splits the entry starting at n[off] into its key and its
-// payload, whose length the node's kind gives; both alias n.
-func (n node) entryAt(off int) (key, val []byte) {
+// keyAt returns where the key's suffix (the key without the node's
+// prefix) of the entry starting at n[off] lies: n[p:end].
+func (n node) keyAt(off int) (p, end int) {
 	kl, p := int(n[off]), off+1
 	if kl >= 0x80 {
 		v, w := binary.Uvarint(n[off:])
 		kl, p = int(v), off+w
 	}
-	key, p = n[p:p+kl:p+kl], p+kl
+	return p, p + kl
+}
+
+// suffixAt returns the key's suffix of the entry starting at n[off], in
+// place.
+func (n node) suffixAt(off int) []byte {
+	p, end := n.keyAt(off)
+	return n[p:end:end]
+}
+
+// entryAt splits the entry starting at n[off] into its key's suffix and
+// its payload, whose length the node's kind gives; both alias n.
+func (n node) entryAt(off int) (suffix, val []byte) {
+	p, end := n.keyAt(off)
+	suffix = n[p:end:end]
 	switch n[0] {
 	case kindInner:
-		return key, n[p : p+childSize]
+		return suffix, n[end : end+childSize]
 	case kindLeaf:
-		return key, n[p : p+ridLen(n[p])]
+		return suffix, n[end : end+ridLen(n[end])]
 	}
-	return key, nil
+	return suffix, nil
 }
 
 // entrySize is the heap bytes an entry with a keyLen-byte key takes.
@@ -135,14 +176,21 @@ func entrySize(keyLen, valSize int) int {
 	return w + keyLen + valSize
 }
 
-func (n node) entry(i int) (key, val []byte) { return n.entryAt(n.off(i)) }
+func (n node) entry(i int) (suffix, val []byte) { return n.entryAt(n.off(i)) }
 
-func (n node) key(i int) []byte {
-	k, _ := n.entry(i)
-	return k
+// suffix returns key i without the node's prefix, in place.
+func (n node) suffix(i int) []byte { return n.suffixAt(n.off(i)) }
+
+// appendKey appends the full key i, prefix and suffix, to dst.
+func (n node) appendKey(dst []byte, i int) []byte {
+	p, s := n.prefix(), n.suffix(i)
+	if cap(dst)-len(dst) < len(p)+len(s) { // one allocation, not one a part
+		dst = append(make([]byte, 0, len(dst)+len(p)+len(s)), dst...)
+	}
+	return append(append(dst, p...), s...)
 }
 
-// raw returns entry i as it lies in the heap: length, key, payload.
+// raw returns entry i as it lies in the heap: length, suffix, payload.
 func (n node) raw(i int) []byte {
 	off := n.off(i)
 	k, v := n.entryAt(off)
@@ -168,12 +216,21 @@ func (n node) child(i int) storage.PageID {
 }
 
 // rid returns the RID of leaf entry i: its payload, or its key's end.
+// A key's suffix may be shorter than its RID's form when the prefix
+// reaches into it (equal values whose RIDs share leading bytes): then
+// the form is read across the seam.
 func (n node) rid(i int) storage.RID {
 	k, v := n.entry(i)
-	if n[0] == kindKeyLeaf {
+	switch {
+	case n[0] != kindKeyLeaf:
+		return decodeRID(v)
+	case len(k) >= maxRIDLen:
 		return ridSuffix(k)
 	}
-	return decodeRID(v)
+	var buf [2 * maxRIDLen]byte
+	p := n.prefix()
+	tail := append(buf[:0], p[max(0, len(p)-maxRIDLen):]...)
+	return ridSuffix(append(tail, k...))
 }
 
 func leafKind(ridInKey bool) byte {
@@ -183,29 +240,71 @@ func leafKind(ridInKey bool) byte {
 	return kindLeaf
 }
 
-// bound returns the first position whose key is >= key, or > key when
-// after is set.
-func (n node) bound(key []byte, after bool) int { return n.boundIn(key, after, 0, n.count()) }
-
-// boundFrom is bound(key, false) for a reader last at position from:
-// when every key before from is below key — a probe just past the one
-// before — the search starts there, with the entry at from itself.
-func (n node) boundFrom(key []byte, from int) int {
-	if from > 0 && bytes.Compare(n.key(from-1), key) >= 0 {
-		return n.bound(key, false)
+// strip returns key without n's prefix, with c 0, when key begins with
+// it. Otherwise key sorts before (c < 0) or after (c > 0) every key that
+// does, and so every key of n.
+func (n node) strip(key []byte) (suffix []byte, c int) {
+	pl := n.prefixLen()
+	if pl == 0 {
+		return key, 0
 	}
-	if from == n.count() || bytes.Compare(n.key(from), key) >= 0 {
-		return from
+	p := n[nodeHeader : nodeHeader+pl]
+	if len(key) >= pl && string(key[:pl]) == string(p) {
+		return key[pl:], 0
 	}
-	return n.boundIn(key, false, from+1, n.count())
+	return nil, bytes.Compare(key, p)
 }
 
-// boundIn is bound over positions [lo, hi) of n, for a caller that
-// knows the answer lies there.
-func (n node) boundIn(key []byte, after bool, lo, hi int) int {
+// compare compares the full key i with key.
+func (n node) compare(i int, key []byte) int {
+	s, c := n.strip(key)
+	if c != 0 {
+		return -c
+	}
+	return bytes.Compare(n.suffix(i), s)
+}
+
+// bound returns the first position whose key is >= key, or > key when
+// after is set.
+func (n node) bound(key []byte, after bool) int {
+	s, c := n.strip(key)
+	switch {
+	case c < 0:
+		return 0
+	case c > 0:
+		return n.count()
+	}
+	return n.boundIn(s, after, 0, n.count())
+}
+
+// boundFrom is bound(key, false) for a reader last at position from,
+// when key lies within n's first and last key (ok); otherwise it is
+// 0, false. When every key before from is below key — a probe just
+// past the one before — the search starts there, with the entry at
+// from itself.
+func (n node) boundFrom(key []byte, from int) (pos int, ok bool) {
+	s, c := n.strip(key)
+	cnt := n.count()
+	if c != 0 || cnt == 0 || bytes.Compare(n.suffix(0), s) > 0 || bytes.Compare(n.suffix(cnt-1), s) < 0 {
+		return 0, false
+	}
+	switch from = min(from, cnt); {
+	case from > 0 && bytes.Compare(n.suffix(from-1), s) >= 0:
+		return n.boundIn(s, false, 0, from), true
+	case from == cnt || bytes.Compare(n.suffix(from), s) >= 0:
+		return from, true
+	}
+	return n.boundIn(s, false, from+1, cnt), true
+}
+
+// boundIn is bound over positions [lo, hi) of n for a key whose suffix
+// is s, for a caller that knows the answer lies there.
+func (n node) boundIn(s []byte, after bool, lo, hi int) int {
+	dir := n.dir()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if c := bytes.Compare(n.key(mid), key); c < 0 || after && c == 0 {
+		k := n.suffixAt(int(binary.LittleEndian.Uint16(n[dir+slotSize*mid:])))
+		if c := bytes.Compare(k, s); c < 0 || after && c == 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -217,8 +316,15 @@ func (n node) boundIn(key []byte, after bool, lo, hi int) int {
 // search returns the position key has or would take, and whether it is
 // there.
 func (n node) search(key []byte) (int, bool) {
-	pos := n.bound(key, false)
-	return pos, pos < n.count() && bytes.Equal(n.key(pos), key)
+	s, c := n.strip(key)
+	switch {
+	case c < 0:
+		return 0, false
+	case c > 0:
+		return n.count(), false
+	}
+	pos := n.boundIn(s, false, 0, n.count())
+	return pos, pos < n.count() && bytes.Equal(n.suffix(pos), s)
 }
 
 // childFor picks the child subtree for key: the largest separator <= key
@@ -228,11 +334,11 @@ func (n node) childFor(key []byte) (int, storage.PageID) {
 	return idx, n.child(idx)
 }
 
-// fits reports whether one more entry of sz heap bytes has room. It
-// counts live bytes only, so two nodes holding the same entries answer
-// alike however their holes differ.
-func (n node) fits(sz int) bool {
-	return nodeHeader+slotSize*(n.count()+1)+n.live()+sz <= len(n)
+// fits reports whether one more entry, key with payload val, has room;
+// key lies within n's fences. It counts live bytes only, so two nodes
+// holding the same entries answer alike however their holes differ.
+func (n node) fits(key, val []byte) bool {
+	return n.dir()+slotSize*(n.count()+1)+n.live()+entrySize(len(key)-n.prefixLen(), len(val)) <= len(n)
 }
 
 // keyFits is the oversized-key guard: three entries of the key's size
@@ -241,24 +347,29 @@ func (n node) fits(sz int) bool {
 // of at least half the bytes, which leaves the right half at most half
 // plus the new entry; with no entry over a third of the page both
 // halves always fit, and an inner node keeps a key on each side of the
-// separator it pushes up.
+// separator it pushes up. A prefix only makes entries shorter: a node
+// stores it once for all the entries that no longer hold it.
 func keyFits(keyLen, pageSize int) bool {
 	return nodeHeader+3*(slotSize+entrySize(keyLen, maxRIDLen)) <= pageSize
 }
 
-// insert places (key, val) at directory position pos. The caller has
-// checked fits; key and val must not alias n.
-func (n node) insert(pos int, key, val []byte) {
-	cnt, sz := n.count(), entrySize(len(key), len(val))
-	dirEnd := nodeHeader + slotSize*cnt
+// insert places (key, val) at directory position pos. key lies within
+// n's fences, and the caller has checked fits; key and val must not
+// alias n.
+func (n node) insert(pos int, key, val []byte) { n.put(pos, key[n.prefixLen():], val) }
+
+// put is insert of an entry whose key's suffix is already cut.
+func (n node) put(pos int, suffix, val []byte) {
+	cnt, sz := n.count(), entrySize(len(suffix), len(val))
+	dirEnd := n.dir() + slotSize*cnt
 	if len(n)-n.heap()-dirEnd < sz+slotSize {
 		n.compact()
 	}
 	off := len(n) - n.heap() - sz
-	p := off + binary.PutUvarint(n[off:], uint64(len(key)))
-	p += copy(n[p:], key)
+	p := off + binary.PutUvarint(n[off:], uint64(len(suffix)))
+	p += copy(n[p:], suffix)
 	copy(n[p:], val)
-	slot := nodeHeader + slotSize*pos
+	slot := n.dir() + slotSize*pos
 	copy(n[slot+slotSize:dirEnd+slotSize], n[slot:dirEnd])
 	binary.LittleEndian.PutUint16(n[slot:], uint16(off))
 	n.setCount(cnt + 1)
@@ -269,7 +380,7 @@ func (n node) insert(pos int, key, val []byte) {
 // remove drops directory slot pos; the entry's bytes stay behind as a
 // hole until the next compaction.
 func (n node) remove(pos int) {
-	slot, dirEnd := nodeHeader+slotSize*pos, nodeHeader+slotSize*n.count()
+	slot, dirEnd := n.dir()+slotSize*pos, n.dir()+slotSize*n.count()
 	n.setLive(n.live() - len(n.raw(pos)))
 	copy(n[slot:], n[slot+slotSize:dirEnd])
 	n.setCount(n.count() - 1)
@@ -279,102 +390,14 @@ func (n node) remove(pos int) {
 // the holes.
 func (n node) compact() {
 	old := node(append([]byte(nil), n...))
-	w := len(n)
+	w, dir := len(n), n.dir()
 	for i, cnt := 0, n.count(); i < cnt; i++ {
 		r := old.raw(i)
 		w -= len(r)
 		copy(n[w:], r)
-		binary.LittleEndian.PutUint16(n[nodeHeader+slotSize*i:], uint16(w))
+		binary.LittleEndian.PutUint16(n[dir+slotSize*i:], uint16(w))
 	}
 	n.setHeap(len(n) - w)
-}
-
-// split renders the entries of n plus the new (key, val) at position
-// pos into two empty images: left replaces n, right is its new sibling
-// at page rightID. It returns the separator to insert into the parent
-// (an alias of n, key or right). next is the key that follows a leaf's
-// last entry in the tree, the separator bounding it in an ancestor; nil
-// for the rightmost leaf.
-//
-// The halves divide at the byte midpoint, unless the new entry ends an
-// insertion run on a leaf: it shares a longer prefix with the entry
-// before it than with the key after it (the leaf's next entry, or
-// next), and the run of entries sharing that longer prefix, the new one
-// counted, takes at least half the bytes. Then the left half ends with
-// the new entry (just before it, when it would overflow), so a run that
-// keeps appending leaves full pages behind it, not half-empty ones.
-func (n node) split(pos int, key, val, next []byte, left, right node, rightID storage.PageID) []byte {
-	cnt := n.count()
-	ent := func(i int) ([]byte, []byte) {
-		switch {
-		case i < pos:
-			return n.entry(i)
-		case i == pos:
-			return key, val
-		}
-		return n.entry(i - 1)
-	}
-	size := func(i int) int {
-		k, v := ent(i)
-		return slotSize + entrySize(len(k), len(v))
-	}
-	fill := func(dst node, from, to int) {
-		for i := from; i < to; i++ {
-			k, v := ent(i)
-			dst.insert(dst.count(), k, v)
-		}
-	}
-	total := n.live() + entrySize(len(key), len(val)) + slotSize*(cnt+1)
-	mid := 0
-	for acc := 0; ; mid++ {
-		if acc += size(mid); acc > total/2 {
-			break
-		}
-	}
-	if n.leaf() {
-		if pos < cnt {
-			next = n.key(pos)
-		}
-		// The run: the new entry and the entries before it that share
-		// more than d bytes with it. Were the entry before it not among
-		// them, the run would be the new entry alone, under half.
-		run, d := 0, commonPrefix(key, next)
-		for i := pos; next != nil && i >= 0 && 2*run < total; i-- {
-			if k, _ := ent(i); commonPrefix(key, k) <= d {
-				break
-			}
-			run += size(i)
-		}
-		if 2*run >= total {
-			after := 0 // the bytes of the entries after the new one
-			for i := pos + 1; i <= cnt; i++ {
-				after += size(i)
-			}
-			if mid = pos + 1; nodeHeader+total-after > len(n) {
-				mid = pos
-			}
-		}
-		left.init(n[0], rightID)
-		right.init(n[0], n.link())
-		fill(left, 0, mid)
-		fill(right, mid, cnt+1)
-		return right.key(0)
-	}
-	sep, child := ent(mid)
-	left.init(kindInner, n.link())
-	right.init(kindInner, getPageID(child))
-	fill(left, 0, mid)
-	fill(right, mid+1, cnt+1)
-	return sep
-}
-
-// commonPrefix returns the length of the longest common prefix of a and b.
-func commonPrefix(a, b []byte) int {
-	i := 0
-	for i < len(a) && i < len(b) && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 // Logger receives redo records for tree page mutations. wal.Scope's
@@ -439,7 +462,7 @@ func NewLogged(pool *storage.BufferPool, lg Logger, ridInKey bool) (*BTree, erro
 			return nil, err
 		}
 	}
-	node(buf).init(leafKind(ridInKey), storage.InvalidPageID)
+	node(buf).init(leafKind(ridInKey), storage.InvalidPageID, nil)
 	pool.Unpin(id, true)
 	return &BTree{pool: pool, root: id, logger: lg}, nil
 }
@@ -625,7 +648,7 @@ func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
 		val = nil
 	}
 
-	if !leaf.n.fits(entrySize(len(key), len(val))) {
+	if !leaf.n.fits(key, val) {
 		if err := t.insertSplit(path, key, val); err != nil {
 			return err
 		}
@@ -657,14 +680,13 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 	// exist before any pinned byte changes, so that a failed log append
 	// aborts cleanly.
 	ps := t.pool.PageSize()
-	type pageWrite struct {
-		id  storage.PageID
-		dst []byte // pinned frame
-		img node   // scratch post-image
-	}
 	var writes []pageWrite
 	var fresh []storage.PageID
+	sibling := storage.InvalidPageID // a shed's left sibling, pinned
 	fail := func(err error) error {
+		if sibling != storage.InvalidPageID {
+			t.pool.Unpin(sibling, false)
+		}
 		for _, id := range fresh {
 			t.pool.Unpin(id, false)
 			_ = t.pool.FreePage(id)
@@ -683,28 +705,34 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 	// leaf entry, then each (separator, right sibling) pair, until some
 	// inner node has room for it or the root itself has split.
 	var carry [childSize]byte
-	var next []byte // the key after the leaf's last: see split
-	for i := len(path) - 2; i >= 0 && next == nil; i-- {
-		if p := path[i]; p.pos < p.n.count() {
-			next = p.n.key(p.pos)
-		}
-	}
 	newRoot := storage.InvalidPageID
 	top := len(path) - 1 // the highest path level the split rewrites
 	for ; ; top-- {
 		p := &path[top]
-		if p.n.fits(entrySize(len(key), len(val))) {
+		if p.n.fits(key, val) {
 			img := node(append([]byte(nil), p.n...))
 			img.insert(p.pos, key, val)
 			writes = append(writes, pageWrite{p.id, p.n, img})
 			break
+		}
+		lo, hi := fences(path[:top])
+		if top > 0 && p.n.leaf() {
+			sw, err := t.shed(path, lo, hi, key, val)
+			if err != nil {
+				return fail(err)
+			}
+			if sw != nil {
+				writes, sibling = sw, sw[0].id
+				top-- // the parent's separator moved
+				break
+			}
 		}
 		rightID, rightBuf, err := alloc()
 		if err != nil {
 			return fail(err)
 		}
 		left, right := node(make([]byte, ps)), node(make([]byte, ps))
-		key = p.n.split(p.pos, key, val, next, left, right, rightID)
+		key = p.n.split(p.pos, key, val, lo, hi, left, right, rightID)
 		putPageID(carry[:], rightID)
 		val = carry[:]
 		writes = append(writes, pageWrite{rightID, rightBuf, right}, pageWrite{p.id, p.n, left})
@@ -714,7 +742,7 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 				return fail(err)
 			}
 			img := node(make([]byte, ps))
-			img.init(kindInner, t.root)
+			img.init(kindInner, t.root, nil)
 			img.insert(0, key, val)
 			writes = append(writes, pageWrite{rootID, rootBuf, img})
 			newRoot = rootID
@@ -747,6 +775,9 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 	for _, id := range fresh {
 		t.pool.Unpin(id, true)
 	}
+	if sibling != storage.InvalidPageID {
+		t.pool.Unpin(sibling, true)
+	}
 	for i := top; i < len(path); i++ {
 		path[i].dirty = true
 	}
@@ -754,6 +785,22 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 		t.root = newRoot
 	}
 	return nil
+}
+
+// fences returns the fence keys of the node below path: the nearest
+// separators to the left and the right of the path's descent, nil where
+// the node is the first or the last of its level.
+func fences(path []pinned) (lo, hi []byte) {
+	for i := len(path) - 1; i >= 0 && (lo == nil || hi == nil); i-- {
+		p := path[i]
+		if lo == nil && p.pos > 0 {
+			lo = p.n.appendKey(nil, p.pos-1)
+		}
+		if hi == nil && p.pos < p.n.count() {
+			hi = p.n.appendKey(nil, p.pos)
+		}
+	}
+	return lo, hi
 }
 
 // Delete removes key. Underflowed nodes are left in place (lazy

@@ -352,7 +352,9 @@ func (l *recLogger) replay(pageSize int) (*BTree, error) {
 	return tr, tr.RecountSize()
 }
 
-// samePages checks that two trees have the same pages, byte for byte.
+// samePages checks that two trees have the same pages, byte for byte,
+// among them a node that stores a prefix: pages that all lack one would
+// not show that a replayed split sets it.
 func samePages(a, b *BTree) error {
 	ids, err := a.Pages()
 	if err != nil {
@@ -361,6 +363,7 @@ func samePages(a, b *BTree) error {
 	if other, err := b.Pages(); err != nil || !slices.Equal(ids, other) {
 		return fmt.Errorf("pages %v, other %v (%v)", ids, other, err)
 	}
+	prefixed := 0
 	for _, id := range ids {
 		x, err := a.pool.Fetch(id, storage.CatIndex)
 		if err != nil {
@@ -372,11 +375,17 @@ func samePages(a, b *BTree) error {
 			return err
 		}
 		same := bytes.Equal(x, y)
+		if node(x).prefixLen() > 0 {
+			prefixed++
+		}
 		a.pool.Unpin(id, false)
 		b.pool.Unpin(id, false)
 		if !same {
 			return fmt.Errorf("page %d differs", id)
 		}
+	}
+	if prefixed == 0 {
+		return fmt.Errorf("none of the %d pages stores a prefix", len(ids))
 	}
 	return nil
 }

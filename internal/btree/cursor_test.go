@@ -31,8 +31,8 @@ func leafBounds(t *testing.T, tr *BTree) (ids []storage.PageID, first, last [][]
 		}
 		if c := n.count(); c > 0 {
 			ids = append(ids, id)
-			first = append(first, append([]byte(nil), n.key(0)...))
-			last = append(last, append([]byte(nil), n.key(c-1)...))
+			first = append(first, n.appendKey(nil, 0))
+			last = append(last, n.appendKey(nil, c-1))
 		}
 		next := n.link()
 		tr.pool.Unpin(id, false)

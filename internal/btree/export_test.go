@@ -3,7 +3,7 @@ package btree
 import "repro/internal/storage"
 
 // LeafUse returns what the leaves of t hold: how many there are, their
-// entries, and the heap and directory bytes those take.
+// entries, and the heap, directory and prefix bytes those take.
 func LeafUse(t *BTree) (leaves, entries, bytes int, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -11,7 +11,7 @@ func LeafUse(t *BTree) (leaves, entries, bytes int, err error) {
 	for err == nil {
 		leaves++
 		entries += n.count()
-		bytes += n.live() + slotSize*n.count()
+		bytes += n.live() + slotSize*n.count() + n.prefixLen()
 		next := n.link()
 		t.pool.Unpin(id, false)
 		if next == storage.InvalidPageID {

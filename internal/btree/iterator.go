@@ -34,10 +34,13 @@ type Iterator struct {
 	id   storage.PageID // its page; with n nil, the remembered leaf (invalid: none)
 	pos  int            // the current entry of n
 	hi   []byte         // exclusive upper bound; nil = unbounded
+	hiS  []byte         // hi without n's prefix, when hiC is 0
+	hiC  int            // where hi lies against n's keys: node.strip's c
 	err  error
 	done bool
 
 	first, last []byte // with n nil: the remembered leaf's first and last key
+	key         []byte // Key's buffer
 
 	rows *storage.HeapFile // see HintRows; nil: no hints
 	rids []storage.RID     // scratch for them
@@ -65,8 +68,12 @@ func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
 // so the caller must leave it unmodified that long. A Seek that fails
 // leaves nothing pinned.
 func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
-	if n := it.n; n != nil && it.tree == t && n.count() > 0 && within(lo, n.key(0), n.key(n.count()-1)) {
-		it.pos = n.boundFrom(lo, min(it.pos, n.count()))
+	pos, held := 0, it.n != nil && it.tree == t
+	if held {
+		pos, held = it.n.boundFrom(lo, it.pos)
+	}
+	if held {
+		it.pos = pos
 	} else {
 		it.Release()
 		t.mu.RLock()
@@ -82,6 +89,7 @@ func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
 		it.tree, it.id, it.n, it.pos = t, id, n, n.bound(lo, false)
 	}
 	it.hi, it.err, it.done = hi, nil, false
+	it.cut()
 	it.hint()
 	return it.settle()
 }
@@ -96,8 +104,8 @@ func (it *Iterator) Release() {
 	}
 	it.first, it.last = it.first[:0], it.last[:0]
 	if c := n.count(); c > 0 {
-		it.first = append(it.first, n.key(0)...)
-		it.last = append(it.last, n.key(c-1)...)
+		it.first = n.appendKey(it.first, 0)
+		it.last = n.appendKey(it.last, c-1)
 	}
 	it.tree.pool.Unpin(it.id, false)
 	it.n = nil
@@ -128,7 +136,7 @@ func (it *Iterator) reenter(t *BTree, lo []byte) (node, error) {
 		return nil, err
 	}
 	n := node(buf)
-	if c := n.count(); c > 0 && within(lo, n.key(0), n.key(c-1)) {
+	if _, ok := n.boundFrom(lo, 0); ok {
 		return n, nil
 	}
 	t.pool.Unpin(it.id, false)
@@ -176,11 +184,11 @@ func (it *Iterator) settle() error {
 		n := it.n
 		c := n.count()
 		if it.pos < c {
-			it.done = it.hi != nil && bytes.Compare(n.key(it.pos), it.hi) >= 0
+			it.done = it.above(it.pos)
 			return nil
 		}
 		next := n.link()
-		if next == storage.InvalidPageID || it.hi != nil && c > 0 && bytes.Compare(n.key(c-1), it.hi) >= 0 {
+		if next == storage.InvalidPageID || c > 0 && it.above(c-1) {
 			it.done = true
 			return nil
 		}
@@ -192,8 +200,27 @@ func (it *Iterator) settle() error {
 			return err
 		}
 		it.id, it.n, it.pos = next, node(buf), 0
+		it.cut()
 		it.hint()
 	}
+}
+
+// cut places hi against the held leaf's prefix, for above.
+func (it *Iterator) cut() {
+	if it.hi != nil {
+		it.hiS, it.hiC = it.n.strip(it.hi)
+	}
+}
+
+// above reports whether entry i of the held leaf lies at or above hi.
+func (it *Iterator) above(i int) bool {
+	switch {
+	case it.hi == nil || it.hiC > 0:
+		return false
+	case it.hiC < 0:
+		return true
+	}
+	return bytes.Compare(it.n.suffix(i), it.hiS) >= 0
 }
 
 // hint announces, when the pool acts on hints, what the range reads
@@ -227,9 +254,13 @@ func (it *Iterator) Valid() bool { return !it.done && it.err == nil }
 // Err returns the first error encountered while iterating.
 func (it *Iterator) Err() error { return it.err }
 
-// Key returns the current key, in place on the held leaf. Valid only
-// while Valid() is true, and only until the next Next, Seek or Release.
-func (it *Iterator) Key() []byte { return it.n.key(it.pos) }
+// Key returns the current key, assembled from the leaf's prefix and the
+// entry's suffix in a buffer the iterator reuses. Valid only while
+// Valid() is true, and only until the next Key, Next, Seek or Release.
+func (it *Iterator) Key() []byte {
+	it.key = it.n.appendKey(it.key[:0], it.pos)
+	return it.key
+}
 
 // RID returns the current record ID.
 func (it *Iterator) RID() storage.RID { return it.n.rid(it.pos) }

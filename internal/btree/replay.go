@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/storage"
@@ -74,7 +75,7 @@ func ReplayInit(pool *storage.BufferPool, page storage.PageID, ridInKey bool) er
 	if err != nil {
 		return err
 	}
-	node(buf).init(leafKind(ridInKey), storage.InvalidPageID)
+	node(buf).init(leafKind(ridInKey), storage.InvalidPageID, nil)
 	pool.Unpin(page, true)
 	return nil
 }
@@ -102,10 +103,14 @@ func replayLeaf(pool *storage.BufferPool, page storage.PageID, op string, key []
 }
 
 // ReplayInsert redoes a leaf insert of key with value val, as the leaf
-// stores it, on page: the key must be absent and must fit.
+// stores it, on page: the key must be absent, must begin with the
+// leaf's prefix and must fit.
 func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key, val []byte) error {
 	return replayLeaf(pool, page, "insert", key, false, func(n node, pos int) error {
-		if !n.fits(entrySize(len(key), len(val))) {
+		if !bytes.HasPrefix(key, n.prefix()) {
+			return fmt.Errorf("btree: replay insert of a key outside page %d", page)
+		}
+		if !n.fits(key, val) {
 			return fmt.Errorf("btree: replay insert overflows page %d", page)
 		}
 		n.insert(pos, key, val)

@@ -11,11 +11,15 @@ import (
 	"repro/internal/storage"
 )
 
-// checkTree holds a tree to its model after a batch of operations: a
-// full scan returns the model's keys in order with their RIDs, Get finds
-// every key, and the pages Pages lists are the disk's pages, each once,
-// whose leaves, in the order listed, are the leaf chain.
+// checkTree holds a tree to its model after a batch of operations: the
+// tree passes Check, a full scan returns the model's keys in order with
+// their RIDs, Get finds every key, and the pages Pages lists are the
+// disk's pages, each once, whose leaves, in the order listed, are the
+// leaf chain.
 func checkTree(tr *BTree, disk *storage.Disk, model map[string]storage.RID) error {
+	if err := tr.Check(); err != nil {
+		return err
+	}
 	keys := make([]string, 0, len(model))
 	for k := range model {
 		keys = append(keys, k)
@@ -87,11 +91,16 @@ func checkTree(tr *BTree, disk *storage.Disk, model map[string]storage.RID) erro
 	return err
 }
 
-// FuzzTreeInsertRuns drives a tree over a buffer pool, whose leaf splits
-// take their bounding keys from real root-to-leaf paths, through
-// interleaved ascending runs under a few shared prefixes, random keys and
-// deletes, on small pages of either leaf kind, and after every batch of
-// 32 operations holds it to its model with checkTree.
+// FuzzTreeInsertRuns drives a tree over a buffer pool, whose splits take
+// their fence keys from real root-to-leaf paths, through interleaved
+// ascending runs under a few shared prefixes, random keys and deletes,
+// on small pages of either leaf kind, and after every batch of 32
+// operations holds it to its model with checkTree, Check included. The
+// last prefix takes no sequence number: on a tree whose keys end in
+// their RIDs its keys are many equal values, which differ only in their
+// RIDs, so that leaves' fences share the RIDs' leading bytes and a
+// prefix reaches into the RID form. It sorts between the others, so
+// that its leaves have both fences.
 func FuzzTreeInsertRuns(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
@@ -101,7 +110,8 @@ func FuzzTreeInsertRuns(f *testing.F) {
 	}
 	f.Add(false, bytes.Repeat([]byte{0, 1, 1, 4, 1, 2, 0, 7}, 200))
 	f.Add(true, bytes.Repeat([]byte{1, 0, 0, 2, 1, 3, 1, 4, 5, 6, 3, 9}, 150))
-	prefixes := []string{"t1/c1/", "t1/c2/", "t1/c3/", "t2/c1/", "t2/"}
+	f.Add(true, bytes.Repeat([]byte{0, 5, 0, 7, 1, 5, 0, 9, 0, 2, 1, 1}, 200))
+	prefixes := []string{"t1/c1/", "t1/c2/", "t1/c3/", "t2/c1/", "t2/", "t1/d/"}
 	f.Fuzz(func(t *testing.T, ridInKey bool, ops []byte) {
 		next := func() byte {
 			if len(ops) == 0 {
@@ -118,14 +128,16 @@ func FuzzTreeInsertRuns(f *testing.F) {
 		}
 		model := map[string]storage.RID{}
 		var keys []string // the model's keys, for deletes to pick from
-		var seq [5]uint32
+		var seq [6]uint32
 		for op := 1; len(ops) > 0; op++ {
 			var k []byte
 			switch next() % 4 {
 			case 0, 1:
 				g := next() % uint8(len(prefixes))
 				seq[g] += 1 + uint32(next()%4)
-				k = binary.BigEndian.AppendUint32([]byte(prefixes[g]), seq[g])
+				if k = []byte(prefixes[g]); int(g) < len(prefixes)-1 {
+					k = binary.BigEndian.AppendUint32(k, seq[g])
+				}
 			case 2:
 				k = make([]byte, next()%12)
 				for i := range k {
@@ -166,8 +178,8 @@ func FuzzTreeInsertRuns(f *testing.F) {
 }
 
 // leafFill loads keys into a fresh tree on pageSize pages and returns
-// its pages and the share of its leaves' bytes in use.
-func leafFill(t *testing.T, pageSize int, keys [][]byte) (pages int, fill float64) {
+// the tree, its pages and the share of its leaves' bytes in use.
+func leafFill(t *testing.T, pageSize int, keys [][]byte) (tr *BTree, pages int, fill float64) {
 	t.Helper()
 	tr, err := New(newPool(pageSize))
 	if err != nil {
@@ -178,6 +190,9 @@ func leafFill(t *testing.T, pageSize int, keys [][]byte) (pages int, fill float6
 			t.Fatal(err)
 		}
 	}
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
 	leaves, _, used, err := LeafUse(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -186,18 +201,20 @@ func leafFill(t *testing.T, pageSize int, keys [][]byte) (pages int, fill float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(ids), float64(used+nodeHeader*leaves) / float64(leaves*pageSize)
+	return tr, len(ids), float64(used+nodeHeader*leaves) / float64(leaves*pageSize)
 }
 
 // TestRunLoadFill loads G groups of ascending keys, interleaved as a
-// chunk table's load appends to its (Tenant, Table, Chunk, Row) index:
-// every leaf a group's run leaves behind is full, so the leaves fill to
-// at least 75 % (83.1 %; 50.3 % when every split cut at the byte
-// midpoint). Only the last group's leaves, which the tree's rightmost
-// leaf splits off at the midpoint, stay half empty. The tree has three
-// levels, and its 212 pages (353 at the midpoint) are held too: a leaf
-// that is its parent's last child takes its bounding key from a higher
-// ancestor, and with the parent's alone the load takes 219.
+// chunk table's load appends to its (Tenant, Table, Chunk, Row) index.
+// The leaf a group's run appends to has the next group's first key for
+// its high fence, so its prefix is short; a leaf the run leaves behind
+// lies within the run and holds the same keys under a long prefix, in
+// fewer bytes. The run's next full leaf sheds its older entries into
+// that leaf, so the leaves fill to at least 75 %, prefixes counted
+// (79.3 %; 26.3 % when every split cuts at the byte midpoint, whose
+// left halves keep only what fitted under the short prefix). The tree
+// has three levels, and its 73 pages are held too (223 at the midpoint;
+// 212 at 83.1 % before leaves stored a prefix).
 func TestRunLoadFill(t *testing.T) {
 	const groups, perGroup = 12, 400
 	var keys [][]byte
@@ -206,27 +223,32 @@ func TestRunLoadFill(t *testing.T) {
 			keys = append(keys, fmt.Appendf(nil, "tenant-%02d/chunk-%d/row-%06d", g/3, g%3, i))
 		}
 	}
-	pages, fill := leafFill(t, 1024, keys)
+	tr, pages, fill := leafFill(t, 1024, keys)
 	t.Logf("%d interleaved runs of %d keys: %d pages, leaves %.1f %% full", groups, perGroup, pages, 100*fill)
-	if fill < 0.75 || pages > 212 {
-		t.Errorf("%d pages, leaves %.1f %% full; want at most 212, at least 75 %%", pages, 100*fill)
+	if h, err := tr.Height(); h != 3 || err != nil {
+		t.Errorf("height %d (%v), want 3", h, err)
+	}
+	if fill < 0.75 || pages > 73 {
+		t.Errorf("%d pages, leaves %.1f %% full; want at most 73, at least 75 %%", pages, 100*fill)
 	}
 }
 
 // randomLoadMidpointPages is what TestRandomLoadPages's load took when
-// every leaf split cut at the byte midpoint.
-const randomLoadMidpointPages = 568
+// every leaf split cut at the byte midpoint (568 before leaves stored a
+// prefix).
+const randomLoadMidpointPages = 305
 
 // TestRandomLoadPages loads keys in random order, where runs are rare:
 // the tree must stay within 2 % of the pages the midpoint rule took
-// (563 pages, leaves 70.1 % full; 568 and 69.4 % at the midpoint).
+// (305 pages, leaves 68.1 % full; 305 and 68.0 % at the midpoint; 563
+// and 568 before leaves stored a prefix).
 func TestRandomLoadPages(t *testing.T) {
 	r := rand.New(rand.NewSource(2008))
 	var keys [][]byte
 	for _, i := range r.Perm(20000) {
 		keys = append(keys, key(i))
 	}
-	pages, fill := leafFill(t, 1024, keys)
+	_, pages, fill := leafFill(t, 1024, keys)
 	t.Logf("random load: %d pages (%d with midpoint splits), leaves %.1f %% full", pages, randomLoadMidpointPages, 100*fill)
 	if d := float64(pages)/randomLoadMidpointPages - 1; d > 0.02 || d < -0.02 {
 		t.Errorf("random load takes %d pages, %+.1f %% off %d", pages, 100*d, randomLoadMidpointPages)

@@ -7,14 +7,17 @@ import (
 	"repro/internal/types"
 )
 
-// CheckInvariants verifies that the table's heap and every index
-// describe the same set of rows:
+// CheckInvariants verifies that every index is a sound tree and that
+// the table's heap and every index describe the same set of rows:
 //
 //  1. every heap record decodes and is within the schema's arity;
-//  2. every index entry's RID resolves to a live heap row whose key
+//  2. every index passes btree.(*BTree).Check: keys within their
+//     nodes' fences, prefixes the fences' common prefix, the leaf chain
+//     in descent order — what a scan of the leaves cannot see;
+//  3. every index entry's RID resolves to a live heap row whose key
 //     bytes reproduce the entry's key exactly;
-//  3. every heap row has exactly one entry in every index (checked by
-//     entry count: heap rows = tree entries, with (2) pinning each
+//  4. every heap row has exactly one entry in every index (checked by
+//     entry count: heap rows = tree entries, with (3) pinning each
 //     entry to a distinct live row).
 //
 // It returns nil when the table is consistent and a descriptive error
@@ -51,8 +54,12 @@ func (t *Table) CheckInvariants() error {
 	return nil
 }
 
-// checkIndex holds ix to the table's live rows.
+// checkIndex holds ix to its tree's structure and to the table's live
+// rows.
 func (t *Table) checkIndex(ix *Index, rows map[storage.RID][]types.Value) error {
+	if err := ix.Tree.Check(); err != nil {
+		return fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
+	}
 	if n := ix.Tree.Len(); n != int64(len(rows)) {
 		return fmt.Errorf("catalog: %s: index %s has %d entries for %d heap rows", t.Name, ix.Name, n, len(rows))
 	}

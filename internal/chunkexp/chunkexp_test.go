@@ -315,8 +315,10 @@ func TestTest1OptimizerNesting(t *testing.T) {
 // TestChunkIndexPages loads Chunk6 at chunk_q2_join's scale (300
 // parents, 10 children each). The load appends to ChunkData's
 // (Tenant, Table, Chunk, Row) index at one point per (table, chunk), so
-// every leaf a run leaves behind must be full: at most 140 pages (134;
-// 202 when every leaf split cut at the byte midpoint).
+// every leaf a run leaves behind must be full, its keys stored after the
+// prefix its fences share: at most 84 pages (80; 134 before leaves
+// stored a prefix, 202 when every leaf split also cut at the byte
+// midpoint).
 func TestChunkIndexPages(t *testing.T) {
 	in, err := NewChunk(Config{Parents: 300, ChildrenPerParent: 10}, 6, false)
 	if err != nil {
@@ -335,8 +337,8 @@ func TestChunkIndexPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("%s: %d pages", ix.Name, len(ids))
-		if ix.Name == "ChunkData_tcr" && len(ids) > 140 {
-			t.Errorf("%s takes %d pages, at most 140", ix.Name, len(ids))
+		if ix.Name == "ChunkData_tcr" && len(ids) > 84 {
+			t.Errorf("%s takes %d pages, at most 84", ix.Name, len(ids))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -332,7 +333,8 @@ func indexPages(t *testing.T, db *DB) map[string]map[storage.PageID][]byte {
 // two replays are the same replay, so they must rebuild the same
 // catalog — tables, columns, heap page lists, index roots — and the
 // same rows, and every index, of either leaf kind, byte for byte as the
-// primary held it before the crash.
+// primary held it before the crash. Each index has a page that stores a
+// prefix, so the comparison covers the prefixes splits set.
 func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 	db := Open(Config{MemoryBytes: 256 << 10, PageSize: 1024, CheckpointBytes: 4 << 10})
 	mustExec(t, db, "CREATE TABLE a (id INT NOT NULL, val TEXT)")
@@ -368,6 +370,17 @@ func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 	live := indexPages(t, db)
 	if len(live) != 2 {
 		t.Fatalf("want a unique and a non-unique index, have %d", len(live))
+	}
+	for name, pages := range live {
+		prefixed := 0
+		for _, page := range pages {
+			if btree.PrefixLen(page) > 0 {
+				prefixed++
+			}
+		}
+		if prefixed == 0 {
+			t.Fatalf("none of the %d pages of %s stores a prefix", len(pages), name)
+		}
 	}
 	img := db.Crash()
 	base, end := img.Log.DurableBounds()
