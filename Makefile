@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-node fuzz-tree fuzz-join fuzz-page fuzz-wal fuzz-keys check
+.PHONY: all build vet fmt test examples loc test-cores test-txn test-repl race race-bench bench bench-e2e-smoke bench-compare bench-smoke bench-scaling bench-recovery bench-txn bench-txn-smoke bench-net bench-net-smoke bench-net-pipeline bench-alter bench-alter-smoke bench-repl bench-repl-smoke fuzz-alter fuzz-shape fuzz-frame fuzz-btree fuzz-node fuzz-tree fuzz-join fuzz-page fuzz-wal fuzz-keys fuzz-onepage check
 
 all: check
 
@@ -225,5 +225,13 @@ fuzz-wal:
 # when Compare calls them equal; Compare is held to exact arithmetic.
 fuzz-keys:
 	$(GO) test ./internal/types/ -run '^$$' -fuzz FuzzEncodeKeyOrder -fuzztime 10s
+
+# Short fuzz burst at an index with no tree: rows of NULL, NaN, both
+# zeros, INT and FLOAT spellings of one number and strings that share
+# prefixes on a one-page table with a unique and a non-unique index;
+# every range, equality, index-NL probe and unique refusal held to a
+# filtered heap scan, before the heap grows a second page and after.
+fuzz-onepage:
+	$(GO) test ./internal/engine/ -run '^$$' -fuzz FuzzOnePageIndex -fuzztime 10s
 
 check: build vet fmt test test-cores race race-bench bench-smoke

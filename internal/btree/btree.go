@@ -32,6 +32,10 @@ var ErrDuplicateKey = errors.New("btree: duplicate key")
 // ErrKeyNotFound is returned by Delete and Get for missing keys.
 var ErrKeyNotFound = errors.New("btree: key not found")
 
+// ErrNoRoot is returned by a read or a write of a rootless tree, one
+// not built yet (see Build).
+var ErrNoRoot = errors.New("btree: tree not built")
+
 // Node page layout — a slotted page, searched and changed where it lies
 // in the pinned buffer-pool frame:
 //
@@ -131,8 +135,11 @@ func (n node) init(kind byte, link storage.PageID, prefix []byte) {
 }
 
 // off returns the byte offset of entry i.
-func (n node) off(i int) int {
-	return int(binary.LittleEndian.Uint16(n[n.dir()+slotSize*i:]))
+func (n node) off(i int) int { return n.offIn(n.dir(), i) }
+
+// offIn is off for a caller that knows where n's directory starts.
+func (n node) offIn(dir, i int) int {
+	return int(binary.LittleEndian.Uint16(n[dir+slotSize*i:]))
 }
 
 // keyAt returns where the key's suffix (the key without the node's
@@ -219,8 +226,11 @@ func (n node) child(i int) storage.PageID {
 // A key's suffix may be shorter than its RID's form when the prefix
 // reaches into it (equal values whose RIDs share leading bytes): then
 // the form is read across the seam.
-func (n node) rid(i int) storage.RID {
-	k, v := n.entry(i)
+func (n node) rid(i int) storage.RID { return n.ridAt(n.off(i)) }
+
+// ridAt is rid for the entry starting at n[off].
+func (n node) ridAt(off int) storage.RID {
+	k, v := n.entryAt(off)
 	switch {
 	case n[0] != kindKeyLeaf:
 		return decodeRID(v)
@@ -243,8 +253,10 @@ func leafKind(ridInKey bool) byte {
 // strip returns key without n's prefix, with c 0, when key begins with
 // it. Otherwise key sorts before (c < 0) or after (c > 0) every key that
 // does, and so every key of n.
-func (n node) strip(key []byte) (suffix []byte, c int) {
-	pl := n.prefixLen()
+func (n node) strip(key []byte) (suffix []byte, c int) { return n.stripLen(key, n.prefixLen()) }
+
+// stripLen is strip for a caller that knows n's prefix length, pl.
+func (n node) stripLen(key []byte, pl int) (suffix []byte, c int) {
 	if pl == 0 {
 		return key, 0
 	}
@@ -284,8 +296,17 @@ func (n node) bound(key []byte, after bool) int {
 // from itself.
 func (n node) boundFrom(key []byte, from int) (pos int, ok bool) {
 	s, c := n.strip(key)
+	if c != 0 {
+		return 0, false
+	}
+	return n.boundFromSuffix(s, from)
+}
+
+// boundFromSuffix is boundFrom for a key whose suffix, stripped of n's
+// prefix, is s.
+func (n node) boundFromSuffix(s []byte, from int) (pos int, ok bool) {
 	cnt := n.count()
-	if c != 0 || cnt == 0 || bytes.Compare(n.suffix(0), s) > 0 || bytes.Compare(n.suffix(cnt-1), s) < 0 {
+	if cnt == 0 || bytes.Compare(n.suffix(0), s) > 0 || bytes.Compare(n.suffix(cnt-1), s) < 0 {
 		return 0, false
 	}
 	switch from = min(from, cnt); {
@@ -448,30 +469,49 @@ func New(pool *storage.BufferPool) (*BTree, error) {
 // leaves store no payload: every key must end in its RID's AppendRID
 // form, which is what Get and the iterator read back.
 func NewLogged(pool *storage.BufferPool, lg Logger, ridInKey bool) (*BTree, error) {
-	id, buf, err := pool.NewPage(storage.CatIndex)
-	if err != nil {
+	t := &BTree{pool: pool, logger: lg}
+	if err := t.Build(ridInKey); err != nil {
 		return nil, err
 	}
-	if lg != nil {
-		if err := lg.BTreePageAlloc(id); err == nil {
-			err = lg.BTreeInit(id, ridInKey)
-		}
-		if err != nil {
-			pool.Unpin(id, false)
-			_ = pool.FreePage(id)
-			return nil, err
-		}
-	}
-	node(buf).init(leafKind(ridInKey), storage.InvalidPageID, nil)
-	pool.Unpin(id, true)
-	return &BTree{pool: pool, root: id, logger: lg}, nil
+	return t, nil
 }
 
 // Restore rebuilds a tree handle over an existing root page (the
 // recovery path). Call RecountSize afterwards to rebuild the entry
-// count.
+// count. With root InvalidPageID the tree is rootless: it has no page
+// and no entry, and every read or write but Build fails with
+// ErrNoRoot.
 func Restore(pool *storage.BufferPool, root storage.PageID) *BTree {
 	return &BTree{pool: pool, root: root}
+}
+
+// Build gives a rootless tree its root, an empty leaf of the kind
+// ridInKey picks (see NewLogged), logging the allocation and the
+// format through the installed logger. A failure leaves it rootless.
+func (t *BTree) Build(ridInKey bool) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.root != storage.InvalidPageID {
+		return fmt.Errorf("btree: build of a tree rooted at page %d", t.root)
+	}
+	id, buf, err := t.pool.NewPage(storage.CatIndex)
+	if err != nil {
+		return err
+	}
+	if lg := t.logger; lg != nil {
+		if err := lg.BTreePageAlloc(id); err == nil {
+			err = lg.BTreeInit(id, ridInKey)
+		}
+		if err != nil {
+			t.pool.Unpin(id, false)
+			_ = t.pool.FreePage(id)
+			return err
+		}
+	}
+	node(buf).init(leafKind(ridInKey), storage.InvalidPageID, nil)
+	t.pool.Unpin(id, true)
+	t.root = id
+	return nil
 }
 
 // SetLogger installs (or, with nil, removes) the WAL logger. The
@@ -489,14 +529,17 @@ func (t *BTree) Root() storage.PageID {
 	return t.root
 }
 
-// Prefetch hints the root page, where every descent starts.
+// Prefetch hints the root page, where every descent starts (none when
+// the tree is rootless).
 func (t *BTree) Prefetch() { t.pool.Prefetch(t.Root(), storage.CatIndex) }
 
 // SetRoot repoints the tree from old to new — the live replay of a
 // primary's KBTreeRoot record on a replica, where the split that grew
-// the tree happened through the redo path rather than through Insert.
-// Reports whether the tree's root actually was old (a record belonging
-// to some other table's index matches nothing).
+// the tree happened through the redo path rather than through Insert,
+// and, with old InvalidPageID, the replay of a build that gave a
+// rootless tree the root new. Reports whether the tree's root actually
+// was old (a record belonging to some other table's index matches
+// nothing).
 func (t *BTree) SetRoot(old, new storage.PageID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -519,6 +562,9 @@ func (t *BTree) Len() int64 {
 // caller to unpin, with the number of levels walked.
 func (t *BTree) descend(key []byte) (leaf storage.PageID, n node, height int, err error) {
 	cur := t.root
+	if cur == storage.InvalidPageID {
+		return 0, nil, 0, ErrNoRoot
+	}
 	for height = 1; ; height++ {
 		buf, err := t.pool.Fetch(cur, storage.CatIndex)
 		if err != nil {
@@ -582,26 +628,12 @@ type pinned struct {
 // any point (page load, allocation, eviction write-back) leaves the
 // tree exactly as it was, which is what lets the catalog undo-log a
 // successful Insert with a plain Delete.
-func (t *BTree) Insert(key []byte, rid storage.RID) error { return t.insert(key, rid, false) }
-
-// InsertCold is Insert for an index whose leaves only maintenance
-// visits: the leaf is released to the cold end of the buffer pool's LRU
-// (storage.BufferPool.UnpinCold), the inner nodes above it as Insert
-// releases them.
-func (t *BTree) InsertCold(key []byte, rid storage.RID) error { return t.insert(key, rid, true) }
-
-// release unpins the leaf a write visited.
-func (t *BTree) release(id storage.PageID, dirty, cold bool) {
-	if cold {
-		t.pool.UnpinCold(id, dirty)
-	} else {
-		t.pool.Unpin(id, dirty)
-	}
-}
-
-func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
+func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.root == storage.InvalidPageID {
+		return ErrNoRoot
+	}
 	if !keyFits(len(key), t.pool.PageSize()) {
 		return fmt.Errorf("btree: key of %d bytes too large for page", len(key))
 	}
@@ -615,7 +647,7 @@ func (t *BTree) insert(key []byte, rid storage.RID, cold bool) error {
 	defer func() {
 		// Leaf first: the inner nodes above it end up hotter in the LRU.
 		if last := len(path) - 1; last >= 0 {
-			t.release(path[last].id, path[last].dirty, cold)
+			t.pool.Unpin(path[last].id, path[last].dirty)
 			for _, p := range path[:last] {
 				t.pool.Unpin(p.id, p.dirty)
 			}
@@ -805,12 +837,7 @@ func fences(path []pinned) (lo, hi []byte) {
 
 // Delete removes key. Underflowed nodes are left in place (lazy
 // deletion); pages are only reclaimed by Drop.
-func (t *BTree) Delete(key []byte) error { return t.delete(key, false) }
-
-// DeleteCold is Delete releasing the leaf as InsertCold does.
-func (t *BTree) DeleteCold(key []byte) error { return t.delete(key, true) }
-
-func (t *BTree) delete(key []byte, cold bool) error {
+func (t *BTree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id, n, pos, err := t.fetchEntry(key)
@@ -824,15 +851,19 @@ func (t *BTree) delete(key []byte, cold bool) error {
 		}
 	}
 	n.remove(pos)
-	t.release(id, true, cold)
+	t.pool.Unpin(id, true)
 	t.size--
 	return nil
 }
 
-// Height returns the number of levels (1 for a lone leaf).
+// Height returns the number of levels (1 for a lone leaf, 0 for a
+// rootless tree).
 func (t *BTree) Height() (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if t.root == storage.InvalidPageID {
+		return 0, nil
+	}
 	id, _, h, err := t.descend(nil)
 	if err == nil {
 		t.pool.Unpin(id, false)
@@ -840,11 +871,17 @@ func (t *BTree) Height() (int, error) {
 	return h, err
 }
 
-// Drop frees every page of the tree. The tree is unusable afterwards.
+// Drop frees every page of the tree and leaves it rootless, even when
+// a page it could not read keeps the pages below it allocated.
 func (t *BTree) Drop() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropRec(t.root)
+	if t.root == storage.InvalidPageID {
+		return nil
+	}
+	err := t.dropRec(t.root)
+	t.root, t.size = storage.InvalidPageID, 0
+	return err
 }
 
 func (t *BTree) dropRec(id storage.PageID) error {

@@ -23,11 +23,18 @@ import (
 //   - the leaf chain visits the leaves in the order the descent reaches
 //     them, and ends after the last.
 //
-// It returns nil for a sound tree and an error naming the first fault.
-// Like Pages it holds the pages of one root-to-node path pinned.
+// It returns nil for a sound tree, a rootless one included, and an
+// error naming the first fault. Like Pages it holds the pages of one
+// root-to-node path pinned.
 func (t *BTree) Check() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	if t.root == storage.InvalidPageID {
+		if t.size != 0 {
+			return fmt.Errorf("btree: rootless tree counts %d entries", t.size)
+		}
+		return nil
+	}
 	c := checker{t: t, depth: -1}
 	if err := c.walk(t.root, nil, nil, 0); err != nil {
 		return err

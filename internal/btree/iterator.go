@@ -32,19 +32,30 @@ type Iterator struct {
 	tree *BTree
 	n    node           // the held leaf, pinned; nil: none held
 	id   storage.PageID // its page; with n nil, the remembered leaf (invalid: none)
-	pos  int            // the current entry of n
 	hi   []byte         // exclusive upper bound; nil = unbounded
-	hiS  []byte         // hi without n's prefix, when hiC is 0
-	hiC  int            // where hi lies against n's keys: node.strip's c
 	err  error
-	done bool
 
-	first, last []byte // with n nil: the remembered leaf's first and last key
-	key         []byte // Key's buffer
+	// buf is Key's buffer and, with n nil, the remembered leaf's first
+	// key and then its last, the first edge bytes long. Key is valid only
+	// while a leaf is held, and the edges are needed only until one is.
+	buf []byte
 
 	rows *storage.HeapFile // see HintRows; nil: no hints
 	rids []storage.RID     // scratch for them
+
+	pos  int32 // the current entry of n
+	pl   int32 // n's prefix length
+	hiAt int32 // where hi lies against n: hiBelow, hiAbove, or pl: it begins with n's prefix
+	edge int32
+	done bool
 }
+
+// hiAt's values for a bound that does not begin with the held leaf's
+// prefix: it sorts below or above every key of the leaf.
+const (
+	hiBelow = -1
+	hiAbove = -2
+)
 
 // HintRows makes every Seek and every leaf the iterator moves on to
 // announce to h, the heap file its RIDs point into, the pages of the
@@ -68,13 +79,16 @@ func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
 // so the caller must leave it unmodified that long. A Seek that fails
 // leaves nothing pinned.
 func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
-	pos, held := 0, it.n != nil && it.tree == t
-	if held {
-		pos, held = it.n.boundFrom(lo, it.pos)
+	held := false
+	if it.n != nil && it.tree == t {
+		if s, c := it.strip(lo); c == 0 {
+			var pos int
+			if pos, held = it.n.boundFromSuffix(s, int(it.pos)); held {
+				it.pos = int32(pos)
+			}
+		}
 	}
-	if held {
-		it.pos = pos
-	} else {
+	if !held {
 		it.Release()
 		t.mu.RLock()
 		defer t.mu.RUnlock()
@@ -86,13 +100,22 @@ func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
 		if err != nil {
 			return err
 		}
-		it.tree, it.id, it.n, it.pos = t, id, n, n.bound(lo, false)
+		it.hold(t, id, n, n.bound(lo, false))
 	}
 	it.hi, it.err, it.done = hi, nil, false
 	it.cut()
 	it.hint()
 	return it.settle()
 }
+
+// hold makes n, pinned at page id of t, the held leaf, at entry pos.
+func (it *Iterator) hold(t *BTree, id storage.PageID, n node, pos int) {
+	it.tree, it.id, it.n, it.pos, it.pl = t, id, n, int32(pos), int32(n.prefixLen())
+}
+
+// strip is node.strip against the held leaf, whose prefix length the
+// iterator keeps.
+func (it *Iterator) strip(key []byte) (suffix []byte, c int) { return it.n.stripLen(key, int(it.pl)) }
 
 // Release unpins the held leaf, if any, and ends the iteration: Valid
 // is false until the next Seek. The leaf stays remembered for re-entry.
@@ -102,10 +125,11 @@ func (it *Iterator) Release() {
 	if n == nil {
 		return
 	}
-	it.first, it.last = it.first[:0], it.last[:0]
+	it.buf, it.edge = it.buf[:0], 0
 	if c := n.count(); c > 0 {
-		it.first = n.appendKey(it.first, 0)
-		it.last = n.appendKey(it.last, c-1)
+		it.buf = n.appendKey(it.buf, 0)
+		it.edge = int32(len(it.buf))
+		it.buf = n.appendKey(it.buf, c-1)
 	}
 	it.tree.pool.Unpin(it.id, false)
 	it.n = nil
@@ -128,7 +152,7 @@ func (it *Iterator) Forget() {
 // never fetches more pages than a descent, and (height - 1) fewer when
 // it re-enters. nil, nil means descend.
 func (it *Iterator) reenter(t *BTree, lo []byte) (node, error) {
-	if it.id == storage.InvalidPageID || it.tree != t || len(it.first) == 0 || !within(lo, it.first, it.last) {
+	if it.id == storage.InvalidPageID || it.tree != t || it.edge == 0 || !within(lo, it.buf[:it.edge], it.buf[it.edge:]) {
 		return nil, nil
 	}
 	buf, err := t.pool.Fetch(it.id, storage.CatIndex)
@@ -183,8 +207,8 @@ func (it *Iterator) settle() error {
 	for {
 		n := it.n
 		c := n.count()
-		if it.pos < c {
-			it.done = it.above(it.pos)
+		if int(it.pos) < c {
+			it.done = it.above(int(it.pos))
 			return nil
 		}
 		next := n.link()
@@ -199,7 +223,7 @@ func (it *Iterator) settle() error {
 			it.id, it.done = storage.InvalidPageID, true
 			return err
 		}
-		it.id, it.n, it.pos = next, node(buf), 0
+		it.hold(it.tree, next, node(buf), 0)
 		it.cut()
 		it.hint()
 	}
@@ -207,21 +231,33 @@ func (it *Iterator) settle() error {
 
 // cut places hi against the held leaf's prefix, for above.
 func (it *Iterator) cut() {
-	if it.hi != nil {
-		it.hiS, it.hiC = it.n.strip(it.hi)
+	if it.hi == nil {
+		return
+	}
+	switch _, c := it.strip(it.hi); {
+	case c < 0:
+		it.hiAt = hiBelow
+	case c > 0:
+		it.hiAt = hiAbove
+	default:
+		it.hiAt = it.pl
 	}
 }
 
 // above reports whether entry i of the held leaf lies at or above hi.
 func (it *Iterator) above(i int) bool {
 	switch {
-	case it.hi == nil || it.hiC > 0:
+	case it.hi == nil || it.hiAt == hiAbove:
 		return false
-	case it.hiC < 0:
+	case it.hiAt == hiBelow:
 		return true
 	}
-	return bytes.Compare(it.n.suffix(i), it.hiS) >= 0
+	return bytes.Compare(it.n.suffixAt(it.off(i)), it.hi[it.hiAt:]) >= 0
 }
+
+// off is node.off on the held leaf, whose directory starts past the
+// prefix the iterator keeps the length of.
+func (it *Iterator) off(i int) int { return it.n.offIn(nodeHeader+int(it.pl), i) }
 
 // hint announces, when the pool acts on hints, what the range reads
 // after the current position: the next leaf if the range runs on into
@@ -239,9 +275,9 @@ func (it *Iterator) hint() {
 	if to == n.count() {
 		pool.Prefetch(n.link(), storage.CatIndex)
 	}
-	if it.rows != nil && it.pos < to {
+	if it.rows != nil && int(it.pos) < to {
 		it.rids = it.rids[:0]
-		for i := it.pos; i < to; i++ {
+		for i := int(it.pos); i < to; i++ {
 			it.rids = append(it.rids, n.rid(i))
 		}
 		it.rows.PrefetchRIDs(it.rids)
@@ -258,12 +294,12 @@ func (it *Iterator) Err() error { return it.err }
 // entry's suffix in a buffer the iterator reuses. Valid only while
 // Valid() is true, and only until the next Key, Next, Seek or Release.
 func (it *Iterator) Key() []byte {
-	it.key = it.n.appendKey(it.key[:0], it.pos)
-	return it.key
+	it.buf = it.n.appendKey(it.buf[:0], int(it.pos))
+	return it.buf
 }
 
 // RID returns the current record ID.
-func (it *Iterator) RID() storage.RID { return it.n.rid(it.pos) }
+func (it *Iterator) RID() storage.RID { return it.n.ridAt(it.off(int(it.pos))) }
 
 // Next moves to the following entry.
 func (it *Iterator) Next() {

@@ -14,12 +14,15 @@ import (
 // physiological contract: records name a page, application is logical
 // within it.
 
-// Pages returns every page of the tree (pre-order). Used by DROP to
-// collect pages for commit-deferred freeing.
+// Pages returns every page of the tree (pre-order; none for a rootless
+// tree). Used by DROP to collect pages for commit-deferred freeing.
 func (t *BTree) Pages() ([]storage.PageID, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []storage.PageID
+	if t.root == storage.InvalidPageID {
+		return nil, nil
+	}
 	var walk func(id storage.PageID) error
 	walk = func(id storage.PageID) error {
 		buf, err := t.pool.Fetch(id, storage.CatIndex)
@@ -46,6 +49,10 @@ func (t *BTree) Pages() ([]storage.PageID, error) {
 func (t *BTree) RecountSize() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.root == storage.InvalidPageID {
+		t.size = 0
+		return nil
+	}
 	cur, leaf, _, err := t.descend(nil)
 	if err != nil {
 		return err

@@ -302,19 +302,35 @@ func TestUpdateRowsDeferredGenuineViolation(t *testing.T) {
 }
 
 // CheckInvariants must actually detect divergence, or the fault tests
-// above prove nothing.
+// above prove nothing: a tree missing an entry, and a rootless unique
+// index whose page holds one key twice.
 func TestCheckInvariantsDetectsDivergence(t *testing.T) {
-	tab, _ := atomFixture(t, 512, 10)
+	tab, _ := atomFixture(t, 512, 30)
 	if err := tab.CheckInvariants(); err != nil {
 		t.Fatalf("fresh table should be consistent: %v", err)
 	}
 	rid, row := rowWithAid(t, tab, 3)
 	pk := tab.Index("pk")
+	if !pk.Built() {
+		t.Fatalf("%d heap pages, pk not built", tab.Heap.NumPages())
+	}
 	if err := pk.Tree.Delete(pk.KeyFor(row, rid)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.CheckInvariants(); err == nil {
 		t.Error("missing index entry should fail invariants")
+	}
+
+	tab, _ = atomFixture(t, 512, 3)
+	if pk := tab.Index("pk"); pk.Built() {
+		t.Fatal("a one-page table's pk has a tree")
+	}
+	_, row = rowWithAid(t, tab, 1)
+	if _, err := tab.Heap.Insert(types.EncodeRow(nil, row)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "holds key") {
+		t.Errorf("a rootless unique key held twice should fail invariants: %v", err)
 	}
 }
 

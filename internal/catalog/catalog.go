@@ -9,7 +9,6 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,21 +66,10 @@ func (ix *Index) AppendKey(dst []byte, row []types.Value, rid storage.RID) []byt
 	return dst
 }
 
-// insert and remove are index maintenance: cold releases the leaf to
-// the cold end of the buffer pool (see Table.coldLeaves).
-func (ix *Index) insert(key []byte, rid storage.RID, cold bool) error {
-	if cold {
-		return ix.Tree.InsertCold(key, rid)
-	}
-	return ix.Tree.Insert(key, rid)
-}
-
-func (ix *Index) remove(key []byte, cold bool) error {
-	if cold {
-		return ix.Tree.DeleteCold(key)
-	}
-	return ix.Tree.Delete(key)
-}
+// Built reports whether the index has its tree. It has none while its
+// table's heap has at most one page: that page answers for it (see
+// Table.Build).
+func (ix *Index) Built() bool { return ix.Tree.Root() != storage.InvalidPageID }
 
 // PrefixFor builds the search prefix for the first len(vals) index
 // columns.
@@ -117,7 +105,16 @@ type Table struct {
 	// schema and were rewritten to it by a foreground DML write.
 	LazyUpgrades atomic.Int64
 
+	// changes logs a build's catalog change (see SetWAL); nil: unlogged.
+	changes ChangeLogger
+
 	Mu sync.RWMutex
+}
+
+// ChangeLogger receives the catalog changes a table makes of itself:
+// wal.Scope implements it.
+type ChangeLogger interface {
+	CatalogChange(payload []byte) error
 }
 
 // initVersions wires a fresh version store and its slot pin.
@@ -127,14 +124,16 @@ func (t *Table) initVersions(mgr *mvcc.Manager) {
 }
 
 // SetWAL installs (or, with nils, removes) the statement's WAL loggers
-// on the table's heap file and every index tree. The engine calls it
-// under the table write lock at statement start and clears it at
-// statement end, so redo records carry the owning statement's ID.
-func (t *Table) SetWAL(h storage.HeapLogger, tl btree.Logger) {
+// on the table's heap file and every index tree, and where a build of
+// the trees logs its catalog change. The engine calls it under the
+// table write lock at statement start and clears it at statement end,
+// so redo records carry the owning statement's ID.
+func (t *Table) SetWAL(h storage.HeapLogger, tl btree.Logger, cl ChangeLogger) {
 	t.Heap.SetLogger(h)
 	for _, ix := range t.Indexes {
 		ix.Tree.SetLogger(tl)
 	}
+	t.changes = cl
 }
 
 // ColIndex returns the ordinal of the named column, or -1. Dropped
@@ -219,29 +218,114 @@ func appendKey(buf []byte, ix *Index, row []types.Value, rid storage.RID) (key, 
 func (t *Table) InsertRow(row []types.Value) (storage.RID, error) {
 	u := &UndoLog{}
 	var enc []byte
-	rid, err := t.insertRow(nil, row, u, true, &enc)
+	rid, err := t.insertRow(nil, row, u, &enc)
 	if err != nil {
 		return storage.RID{}, errors.Join(err, u.Rollback())
 	}
 	return rid, nil
 }
 
-// coldLeaves reports whether index maintenance on t releases the leaves
-// it writes to the cold end of the buffer pool. It does while the heap
-// has at most one page: the executor then answers t's index scans and
-// DML gathers from that page, so what reads t's leaves is maintenance,
-// not statements (index-NL join probes and unique checks aside). A
-// statement releases cold only at its last write to an index (last is
-// set): an earlier leaf would be the victim of the statement's own next
-// miss and read again by its next write.
-func (t *Table) coldLeaves() bool { return t.Heap.NumPages() <= 1 }
+// rootless reports whether t's indexes have no trees yet. A table's
+// indexes are built together (Build), so the first one answers.
+func (t *Table) rootless() bool { return len(t.Indexes) > 0 && !t.Indexes[0].Built() }
+
+// Build gives every index of t its tree, from the live records of the
+// heap's one page — uncommitted ones too, since a tree holds every row
+// the heap does; it does nothing to a table whose indexes are built or
+// whose heap has no page or several. A write calls it when it is about
+// to give the heap its second page: until then the page answers for the
+// indexes. A caller may build earlier (a built index on a one-page heap
+// is still read through the page); it holds t's latch exclusively. The
+// build is logged under the statement's scope (SetWAL) as CREATE
+// INDEX's backfill is — page allocations, inserts, splits — then as one
+// catalog change per index naming its root (OpBuildIndex), which
+// recovery and replicas apply where they meet it. A rollback does not
+// undo it, just as it does not give the heap page back; undo steps
+// logged before it make up the difference (rekey). A failure drops the
+// trees built so far.
+func (t *Table) Build() error {
+	page, _, ok := t.Heap.OnePage()
+	if !ok || !t.rootless() {
+		return nil
+	}
+	fail := func(err error) error {
+		for _, ix := range t.Indexes {
+			_ = ix.Tree.Drop()
+		}
+		return err
+	}
+	for _, ix := range t.Indexes {
+		if err := ix.Tree.Build(!ix.Unique); err != nil {
+			return fail(err)
+		}
+	}
+	var kb []byte
+	_, err := t.Heap.ScanPage(page, func(rid storage.RID, rec []byte) (bool, error) {
+		row, err := t.decodeRow(rec)
+		if err != nil {
+			return false, err
+		}
+		for _, ix := range t.Indexes {
+			kb = ix.AppendKey(kb[:0], row, rid)
+			if err := ix.Tree.Insert(kb, rid); err != nil {
+				return false, fmt.Errorf("catalog: %s: build of index %s: %w", t.Name, ix.Name, err)
+			}
+		}
+		return true, nil
+	})
+	if err != nil {
+		return fail(err)
+	}
+	if t.changes != nil {
+		for _, ix := range t.Indexes {
+			ch := &DDLChange{Op: OpBuildIndex, Table: t.Name, Index: ix.Name, Root: ix.Tree.Root()}
+			if err := t.changes.CatalogChange(ch.Encode()); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	return nil
+}
+
+// rekey is what an undo step logged while t was rootless owes the trees
+// built since, if any: at rid they hold the entries of gone, the bytes
+// the step removes, and must hold those of back, the bytes it restores
+// (either may be nil).
+func (t *Table) rekey(rid storage.RID, gone, back []byte) error {
+	if t.rootless() {
+		return nil
+	}
+	var goneRow, backRow []types.Value
+	var err error
+	if gone != nil {
+		if goneRow, err = t.decodeRow(gone); err != nil {
+			return err
+		}
+	}
+	if back != nil {
+		if backRow, err = t.decodeRow(back); err != nil {
+			return err
+		}
+	}
+	for _, ix := range t.Indexes {
+		if goneRow != nil {
+			err = ix.Tree.Delete(ix.KeyFor(goneRow, rid))
+		}
+		if err == nil && backRow != nil {
+			err = ix.Tree.Insert(ix.KeyFor(backRow, rid), rid)
+		}
+		if err != nil {
+			return fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
+		}
+	}
+	return nil
+}
 
 // insertRow stores and indexes one row on behalf of tx (nil:
 // autocommit), logging each applied sub-step into u; on error the
-// caller owns rolling u back. last marks the statement's last row; enc
-// is the statement's encoding buffer (the page and the WAL record copy
-// the bytes).
-func (t *Table) insertRow(tx *mvcc.Txn, row []types.Value, u *UndoLog, last bool, enc *[]byte) (storage.RID, error) {
+// caller owns rolling u back. enc is the statement's encoding buffer
+// (the page and the WAL record copy the bytes).
+func (t *Table) insertRow(tx *mvcc.Txn, row []types.Value, u *UndoLog, enc *[]byte) (storage.RID, error) {
 	row, err := t.normalizeRow(row)
 	if err != nil {
 		return storage.RID{}, err
@@ -255,36 +339,43 @@ func (t *Table) insertRow(tx *mvcc.Txn, row []types.Value, u *UndoLog, last bool
 		var key []byte
 		if ix.Unique {
 			key, kb = appendKey(kb, ix, row, storage.RID{})
-			if tx != nil {
-				err = t.checkUniqueTxn(tx, ix, key)
-			} else if _, err = ix.Tree.Get(key); err == nil {
-				err = fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
-			} else if errors.Is(err, btree.ErrKeyNotFound) {
-				err = nil
-			}
-			if err != nil {
+			if err := t.checkUnique(tx, ix, key); err != nil {
 				return storage.RID{}, err
 			}
 		}
 		keys = append(keys, key)
 	}
 	*enc = types.EncodeRow((*enc)[:0], row)
+	if _, free, one := t.Heap.OnePage(); one && len(*enc)+storage.SlotCost > free {
+		if err := t.Build(); err != nil {
+			return storage.RID{}, err
+		}
+	}
 	rid, err := t.Heap.Insert(*enc)
 	if err != nil {
 		return storage.RID{}, err
 	}
-	u.push(func() error { _, err := t.Heap.Delete(rid); return err })
+	rootless := t.rootless()
+	u.push(func() error {
+		rec, err := t.Heap.Delete(rid)
+		if err != nil || !rootless {
+			return err
+		}
+		return t.rekey(rid, rec, nil)
+	})
 	if tx != nil {
 		t.Vers.RecordWrite(tx, rid, nil, false)
 		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
 	}
-	cold := last && t.coldLeaves()
 	for i, ix := range t.Indexes {
+		if !ix.Built() {
+			continue
+		}
 		key := keys[i]
 		if key == nil {
 			key, kb = appendKey(kb, ix, row, rid)
 		}
-		if err := ix.insert(key, rid, cold); err != nil {
+		if err := ix.Tree.Insert(key, rid); err != nil {
 			return storage.RID{}, fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
 		}
 		tree := ix.Tree
@@ -300,14 +391,7 @@ func (t *Table) GetRow(rid storage.RID) ([]types.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, err := types.DecodeRow(rec)
-	if err != nil {
-		return nil, err
-	}
-	for len(row) < len(t.Columns) {
-		row = append(row, types.Null())
-	}
-	return row, nil
+	return t.decodeRow(rec)
 }
 
 // DeleteRow removes the row (whose current contents must be supplied
@@ -316,7 +400,7 @@ func (t *Table) GetRow(rid storage.RID) ([]types.Value, error) {
 // and row bytes.
 func (t *Table) DeleteRow(rid storage.RID, row []types.Value) error {
 	u := &UndoLog{}
-	if err := t.deleteRow(nil, rid, row, u, true); err != nil {
+	if err := t.deleteRow(nil, rid, row, u); err != nil {
 		return errors.Join(err, u.Rollback())
 	}
 	return nil
@@ -328,30 +412,37 @@ func (t *Table) DeleteRow(rid storage.RID, row []types.Value) error {
 // The heap delete hands back the bytes it removed: undo restores the
 // record exactly as it was (not a re-encoding of the possibly
 // NULL-padded row), and they become the pre-image of a new version
-// entry so older snapshots keep seeing the row. last marks the
-// statement's last row.
-func (t *Table) deleteRow(tx *mvcc.Txn, rid storage.RID, row []types.Value, u *UndoLog, last bool) error {
+// entry so older snapshots keep seeing the row.
+func (t *Table) deleteRow(tx *mvcc.Txn, rid storage.RID, row []types.Value, u *UndoLog) error {
 	if tx != nil {
 		if err := t.Vers.CheckWrite(tx, rid); err != nil {
 			return fmt.Errorf("catalog: %s: delete %v: %w", t.Name, rid, err)
 		}
 	}
-	cold := last && t.coldLeaves()
 	kb := make([]byte, 0, 64*len(t.Indexes))
 	for _, ix := range t.Indexes {
+		if !ix.Built() {
+			continue
+		}
 		var key []byte
 		key, kb = appendKey(kb, ix, row, rid)
-		if err := ix.remove(key, cold); err != nil {
+		if err := ix.Tree.Delete(key); err != nil {
 			return fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
 		}
 		tree := ix.Tree
 		u.push(func() error { return tree.Insert(key, rid) })
 	}
+	rootless := t.rootless()
 	rec, err := t.Heap.Delete(rid)
 	if err != nil {
 		return err
 	}
-	u.push(func() error { return t.Heap.Reinsert(rid, rec) })
+	u.push(func() error {
+		if err := t.Heap.Reinsert(rid, rec); err != nil || !rootless {
+			return err
+		}
+		return t.rekey(rid, nil, rec)
+	})
 	if tx != nil {
 		t.Vers.RecordWrite(tx, rid, rec, true)
 		u.push(func() error { t.Vers.PopWrite(tx, rid); return nil })
@@ -361,7 +452,8 @@ func (t *Table) deleteRow(tx *mvcc.Txn, rid storage.RID, row []types.Value, u *U
 
 // indexWrite is one index entry an UPDATE re-keys: oldKey leaves the
 // index in the statement's first pass, newKey, for the row now at rid,
-// enters it in the deferred pass.
+// enters it in the deferred pass. On a rootless index neither moves:
+// the deferred pass checks a unique newKey against the heap's page.
 type indexWrite struct {
 	ix             *Index
 	oldKey, newKey []byte
@@ -371,24 +463,31 @@ type indexWrite struct {
 // insertDeferred is an UPDATE's deferred pass on behalf of tx (nil:
 // autocommit): every new entry goes in once every old one is out, so a
 // duplicate is a genuine violation — or, under tx, a conflict when an
-// uncommitted foreign write holds the key. Only the last write to each
-// index may release its leaf cold (see coldLeaves).
+// uncommitted foreign write holds the key.
 func (t *Table) insertDeferred(tx *mvcc.Txn, writes []indexWrite, u *UndoLog) error {
-	cold := t.coldLeaves()
-	for i, w := range writes {
-		last := cold && !slices.ContainsFunc(writes[i+1:], func(o indexWrite) bool { return o.ix == w.ix })
-		if err := w.ix.insert(w.newKey, w.rid, last); err != nil {
+	for _, w := range writes {
+		if !w.ix.Built() {
+			if !w.ix.Unique {
+				continue
+			}
+			rid, found, err := t.pageHolder(w.ix, w.newKey, w.rid)
+			if err == nil && found {
+				err = t.duplicate(tx, w.ix, rid)
+			}
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		if err := w.ix.Tree.Insert(w.newKey, w.rid); err != nil {
 			if !errors.Is(err, btree.ErrDuplicateKey) || !w.ix.Unique {
 				return fmt.Errorf("catalog: %s: index %s insert: %w", t.Name, w.ix.Name, err)
 			}
-			if tx != nil {
-				if rid, gerr := w.ix.Tree.Get(w.newKey); gerr == nil {
-					if owner, ok := t.Vers.NewestWriter(rid); ok && owner != tx && !owner.Committed() {
-						return fmt.Errorf("catalog: %s: unique key held by uncommitted transaction: %w", t.Name, mvcc.ErrWriteConflict)
-					}
-				}
+			rid, gerr := w.ix.Tree.Get(w.newKey)
+			if gerr != nil {
+				return fmt.Errorf("catalog: %s: unique index %s violated", t.Name, w.ix.Name)
 			}
-			return fmt.Errorf("catalog: %s: unique index %s violated", t.Name, w.ix.Name)
+			return t.duplicate(tx, w.ix, rid)
 		}
 		tree, key := w.ix.Tree, w.newKey
 		u.push(func() error { return tree.Delete(key) })
@@ -560,7 +659,10 @@ func (c *Catalog) CreateIndex(tableName, indexName string, colNames []string, un
 
 // CreateIndexLogged is CreateIndex with a WAL logger installed on the
 // tree from birth, so the root allocation and every backfill insert
-// (including splits) land in the log under the creating statement.
+// (including splits) land in the log under the creating statement. On
+// a table whose indexes are rootless, or that has none and a heap of at
+// most one page, the index is rootless too: no page is allocated, and
+// only a unique index's keys are checked against the page's rows.
 func (c *Catalog) CreateIndexLogged(tableName, indexName string, colNames []string, unique bool, lg btree.Logger) (*Index, error) {
 	c.version.Add(1)
 	t, err := c.Table(tableName)
@@ -580,30 +682,37 @@ func (c *Catalog) CreateIndexLogged(tableName, indexName string, colNames []stri
 		}
 		cols[i] = ord
 	}
-	tree, err := btree.NewLogged(c.pool, lg, !unique)
-	if err != nil {
-		return nil, err
+	ix := &Index{Name: indexName, Table: t.Name, Cols: cols, Unique: unique, Tree: btree.Restore(c.pool, storage.InvalidPageID)}
+	ix.Tree.SetLogger(lg)
+	built := t.Heap.NumPages() > 1 || len(t.Indexes) > 0 && !t.rootless()
+	if built {
+		if err := ix.Tree.Build(!unique); err != nil {
+			return nil, err
+		}
 	}
-	ix := &Index{Name: indexName, Table: t.Name, Cols: cols, Unique: unique, Tree: tree}
-	// Backfill from existing rows.
+	// Backfill from existing rows, or check them.
+	seen := map[string]bool{}
 	err = t.Heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
-		row, err := types.DecodeRow(rec)
+		row, err := t.decodeRow(rec)
 		if err != nil {
 			return false, err
 		}
-		for len(row) < len(t.Columns) {
-			row = append(row, types.Null())
+		key := ix.KeyFor(row, rid)
+		switch {
+		case built:
+			err = ix.Tree.Insert(key, rid)
+		case unique && seen[string(key)]:
+			err = btree.ErrDuplicateKey
+		case unique:
+			seen[string(key)] = true
 		}
-		if err := tree.Insert(ix.KeyFor(row, rid), rid); err != nil {
-			if errors.Is(err, btree.ErrDuplicateKey) && unique {
-				return false, fmt.Errorf("catalog: existing rows violate unique index %s", indexName)
-			}
-			return false, err
+		if errors.Is(err, btree.ErrDuplicateKey) && unique {
+			return false, fmt.Errorf("catalog: existing rows violate unique index %s", indexName)
 		}
-		return true, nil
+		return err == nil, err
 	})
 	if err != nil {
-		tree.Drop()
+		ix.Tree.Drop()
 		return nil, err
 	}
 	t.Indexes = append(t.Indexes, ix)

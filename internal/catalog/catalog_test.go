@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/btree"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
@@ -16,6 +18,56 @@ func newCatalog(memBytes int64) (*Catalog, *storage.BufferPool) {
 	disk := storage.NewDisk(0)
 	pool := storage.NewBufferPool(disk, memBytes)
 	return New(pool, Config{MemoryBytes: memBytes}), pool
+}
+
+// seek returns, in key order, the RIDs a seek of ix over the keys
+// beginning with prefix (nil: every key) finds: the tree's entries, or
+// on a rootless index the heap rows whose keys begin with it, which is
+// how the executor reads the page that answers for it.
+func seek(t testing.TB, tab *Table, ix *Index, prefix []byte) []storage.RID {
+	t.Helper()
+	var rids []storage.RID
+	if ix.Built() {
+		var hi []byte
+		if prefix != nil {
+			hi = btree.PrefixSuccessor(prefix)
+		}
+		it, err := ix.Tree.SeekRange(prefix, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Release()
+		for ; it.Valid(); it.Next() {
+			rids = append(rids, it.RID())
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rids
+	}
+	type entry struct {
+		key []byte
+		rid storage.RID
+	}
+	var ents []entry
+	err := tab.Heap.Scan(func(rid storage.RID, rec []byte) (bool, error) {
+		row, err := tab.decodeRow(rec)
+		if err != nil {
+			return false, err
+		}
+		if k := ix.KeyFor(row, rid); bytes.HasPrefix(k, prefix) {
+			ents = append(ents, entry{k, rid})
+		}
+		return true, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(ents, func(a, b entry) int { return bytes.Compare(a.key, b.key) })
+	for _, e := range ents {
+		rids = append(rids, e.rid)
+	}
+	return rids
 }
 
 func accountCols() []Column {
@@ -195,7 +247,7 @@ func TestIndexBackfillAndLookup(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rid, err := tab.InsertRow([]types.Value{
 			types.NewInt(int64(i)), types.NewString(fmt.Sprintf("acct%d", i)),
-			types.NewString("hosp"), types.NewInt(int64(i % 10)),
+			types.NewString(strings.Repeat("hosp", 25)), types.NewInt(int64(i % 10)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -206,8 +258,8 @@ func TestIndexBackfillAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Tree.Len() != 100 {
-		t.Errorf("backfill: %d entries", ix.Tree.Len())
+	if n := tab.Heap.NumPages(); n < 2 || !ix.Built() || ix.Tree.Len() != 100 {
+		t.Errorf("backfill over %d pages: built %v, %d entries", n, ix.Built(), ix.Tree.Len())
 	}
 	// Prefix scan on Beds = 3 should find 10 rows.
 	it, err := ix.Tree.SeekPrefix(ix.PrefixFor([]types.Value{types.NewInt(3)}))
@@ -245,7 +297,7 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	if err := tab.DeleteRow(rid, full); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Index("pk").Tree.Len() != 0 {
+	if rids := seek(t, tab, tab.Index("pk"), nil); len(rids) != 0 {
 		t.Error("index entry survived delete")
 	}
 	// PK is reusable after delete.
@@ -267,16 +319,12 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, _ := ix.Tree.SeekPrefix(ix.PrefixFor([]types.Value{types.NewString("new")}))
-	if !it.Valid() || it.RID() != newRID {
+	if rids := seek(t, tab, ix, ix.PrefixFor([]types.Value{types.NewString("new")})); len(rids) != 1 || rids[0] != newRID {
 		t.Error("index not updated to new value")
 	}
-	it.Release()
-	it, _ = ix.Tree.SeekPrefix(ix.PrefixFor([]types.Value{types.NewString("old")}))
-	if it.Valid() {
+	if rids := seek(t, tab, ix, ix.PrefixFor([]types.Value{types.NewString("old")})); len(rids) != 0 {
 		t.Error("stale index entry for old value")
 	}
-	it.Release()
 }
 
 func TestUpdateUniqueViolation(t *testing.T) {
@@ -342,7 +390,7 @@ func TestRowOpsProperty(t *testing.T) {
 				row := []types.Value{
 					types.NewInt(id),
 					types.NewString(strings.Repeat("x", r.Intn(20))),
-					types.NewString("h"),
+					types.NewString(strings.Repeat("h", r.Intn(400))), // the heap crosses a page
 					types.NewInt(int64(r.Intn(5))),
 				}
 				rid, err := tab.InsertRow(row)
@@ -380,7 +428,7 @@ func TestRowOpsProperty(t *testing.T) {
 			}
 		}
 		// Verify every model row readable and the non-unique index complete.
-		if ix.Tree.Len() != int64(len(model)) {
+		if len(seek(t, tab, ix, nil)) != len(model) || tab.CheckInvariants() != nil {
 			return false
 		}
 		for id, want := range model {

@@ -18,7 +18,10 @@ import (
 //     bytes reproduce the entry's key exactly;
 //  4. every heap row has exactly one entry in every index (checked by
 //     entry count: heap rows = tree entries, with (3) pinning each
-//     entry to a distinct live row).
+//     entry to a distinct live row);
+//  5. a rootless index — no tree, its table's page answers for it —
+//     has a heap of at most one page, and a rootless unique index's
+//     keys are distinct among that page's live rows.
 //
 // It returns nil when the table is consistent and a descriptive error
 // for the first violation found. The caller must hold at least the
@@ -57,6 +60,26 @@ func (t *Table) CheckInvariants() error {
 // checkIndex holds ix to its tree's structure and to the table's live
 // rows.
 func (t *Table) checkIndex(ix *Index, rows map[storage.RID][]types.Value) error {
+	if first := t.Indexes[0]; ix.Built() != first.Built() {
+		return fmt.Errorf("catalog: %s: index %s built %v, index %s built %v", t.Name, ix.Name, ix.Built(), first.Name, first.Built())
+	}
+	if !ix.Built() {
+		if n := t.Heap.NumPages(); n > 1 {
+			return fmt.Errorf("catalog: %s: index %s has no tree on a heap of %d pages", t.Name, ix.Name, n)
+		}
+		if !ix.Unique {
+			return nil
+		}
+		holders := make(map[string]storage.RID, len(rows))
+		for rid, row := range rows {
+			key := string(ix.KeyFor(row, rid))
+			if other, dup := holders[key]; dup {
+				return fmt.Errorf("catalog: %s: unique index %s holds key %x for rows %v and %v", t.Name, ix.Name, key, other, rid)
+			}
+			holders[key] = rid
+		}
+		return nil
+	}
 	if err := ix.Tree.Check(); err != nil {
 		return fmt.Errorf("catalog: %s: index %s: %w", t.Name, ix.Name, err)
 	}

@@ -87,11 +87,18 @@ const (
 	OpAddColumn   = "add_column"
 	OpDropColumn  = "drop_column"
 	OpWidenColumn = "widen_column"
+	// OpBuildIndex names the root a write gave a rootless index when its
+	// table's heap took a second page (Table.Build). Unlike the DDL
+	// changes it takes effect where replay meets it, not at its
+	// transaction's commit: a rollback does not undo a build.
+	OpBuildIndex = "build_index"
 )
 
 // DDLChange is the durable form of one DDL statement (a KCatalog
-// record). For create_index, Root is the tree's root as of the record's
-// append — later splits that move the root log KBTreeRoot records.
+// record), or of one index build. For create_index and build_index,
+// Root is the tree's root as of the record's append — later splits
+// that move the root log KBTreeRoot records; a create_index without
+// one made a rootless index.
 type DDLChange struct {
 	Op        string         `json:"op"`
 	Table     string         `json:"table"`

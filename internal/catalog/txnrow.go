@@ -20,9 +20,11 @@ import (
 	"repro/internal/types"
 )
 
-// decodePre decodes a version-chain pre-image into a full row.
-func (t *Table) decodePre(pre []byte) ([]types.Value, error) {
-	row, err := types.DecodeRow(pre)
+// decodeRow decodes a record of t — a heap record or a version-chain
+// pre-image — into a full row, NULL-padded if the schema has grown
+// since it was written.
+func (t *Table) decodeRow(rec []byte) ([]types.Value, error) {
+	row, err := types.DecodeRow(rec)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +45,7 @@ func (t *Table) shadowedUniqueKey(tx *mvcc.Txn, ix *Index, key []byte) (bool, er
 		if writer == tx {
 			return true // our own delete of this key is ours to overwrite
 		}
-		row, err := t.decodePre(pre)
+		row, err := t.decodeRow(pre)
 		if err != nil {
 			derr = err
 			return false
@@ -57,17 +59,28 @@ func (t *Table) shadowedUniqueKey(tx *mvcc.Txn, ix *Index, key []byte) (bool, er
 	return found, derr
 }
 
-// checkUniqueTxn classifies a prospective unique-key insert for tx:
-// nil (free), ErrWriteConflict (an uncommitted foreign write owns or
-// shadows the key), or a violation error.
-func (t *Table) checkUniqueTxn(tx *mvcc.Txn, ix *Index, key []byte) error {
-	if rid, err := ix.Tree.Get(key); err == nil {
-		if w, ok := t.Vers.NewestWriter(rid); ok && w != tx && !w.Committed() {
-			return fmt.Errorf("catalog: %s: unique key held by uncommitted transaction: %w", t.Name, mvcc.ErrWriteConflict)
-		}
-		return fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
-	} else if !errors.Is(err, btree.ErrKeyNotFound) {
+// checkUnique classifies a prospective insert of key into the unique
+// index ix for tx (nil: autocommit): nil (free), ErrWriteConflict (an
+// uncommitted foreign write owns or shadows the key), or a violation
+// error.
+func (t *Table) checkUnique(tx *mvcc.Txn, ix *Index, key []byte) error {
+	var rid storage.RID
+	var found bool
+	var err error
+	if !ix.Built() {
+		rid, found, err = t.pageHolder(ix, key, storage.RID{})
+	} else if rid, err = ix.Tree.Get(key); err == nil {
+		found = true
+	} else if errors.Is(err, btree.ErrKeyNotFound) {
+		err = nil
+	}
+	switch {
+	case err != nil:
 		return err
+	case found:
+		return t.duplicate(tx, ix, rid)
+	case tx == nil:
+		return nil
 	}
 	shadowed, err := t.shadowedUniqueKey(tx, ix, key)
 	if err != nil {
@@ -79,6 +92,46 @@ func (t *Table) checkUniqueTxn(tx *mvcc.Txn, ix *Index, key []byte) error {
 	return nil
 }
 
+// duplicate classifies, for tx (nil: autocommit), a key of the unique
+// index ix that the row at rid holds: a conflict when an uncommitted
+// foreign write owns that row, a violation otherwise.
+func (t *Table) duplicate(tx *mvcc.Txn, ix *Index, rid storage.RID) error {
+	if tx != nil {
+		if w, ok := t.Vers.NewestWriter(rid); ok && w != tx && !w.Committed() {
+			return fmt.Errorf("catalog: %s: unique key held by uncommitted transaction: %w", t.Name, mvcc.ErrWriteConflict)
+		}
+	}
+	return fmt.Errorf("catalog: %s: unique index %s violated", t.Name, ix.Name)
+}
+
+// pageHolder is the rootless unique index ix's lookup: the live record
+// of the heap's page, other than the one at self, whose key is key.
+func (t *Table) pageHolder(ix *Index, key []byte, self storage.RID) (holder storage.RID, found bool, err error) {
+	page, _, ok := t.Heap.OnePage()
+	if !ok {
+		return holder, false, nil // an empty heap
+	}
+	width := len(t.Columns)
+	mask := make([]bool, width)
+	for _, c := range ix.Cols {
+		mask[c] = true
+	}
+	var row []types.Value
+	var kb []byte
+	_, err = t.Heap.ScanPage(page, func(rid storage.RID, rec []byte) (bool, error) {
+		var err error
+		if row, _, _, err = types.DecodeRowPartial(row, rec, mask, width); err != nil {
+			return false, err
+		}
+		kb = ix.AppendKey(kb[:0], row, rid)
+		if rid != self && bytes.Equal(kb, key) {
+			holder, found = rid, true
+		}
+		return !found, nil
+	})
+	return holder, found, err
+}
+
 // InsertRowsTxn is one INSERT statement's rows on behalf of tx (nil:
 // autocommit), returning how many went in; it normalizes the rows in
 // place. Inserts never hit first-updater-wins (the heap assigns a slot
@@ -87,7 +140,7 @@ func (t *Table) checkUniqueTxn(tx *mvcc.Txn, ix *Index, key []byte) error {
 func (t *Table) InsertRowsTxn(tx *mvcc.Txn, rows [][]types.Value, u *UndoLog) (int64, error) {
 	enc := make([]byte, 0, 256) // the page and the WAL record copy it
 	for i, row := range rows {
-		if _, err := t.insertRow(tx, row, u, i == len(rows)-1, &enc); err != nil {
+		if _, err := t.insertRow(tx, row, u, &enc); err != nil {
 			return int64(i), err
 		}
 	}
@@ -99,7 +152,7 @@ func (t *Table) InsertRowsTxn(tx *mvcc.Txn, rows [][]types.Value, u *UndoLog) (i
 // how many went.
 func (t *Table) DeleteRowsTxn(tx *mvcc.Txn, rids []storage.RID, rows [][]types.Value, u *UndoLog) (int64, error) {
 	for i, rid := range rids {
-		if err := t.deleteRow(tx, rid, rows[i], u, i == len(rids)-1); err != nil {
+		if err := t.deleteRow(tx, rid, rows[i], u); err != nil {
 			return int64(i), err
 		}
 	}
@@ -167,6 +220,10 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			}
 		}
 	}
+	if err := t.buildForUpdate(rids, newRows); err != nil {
+		return err
+	}
+	rootless := t.rootless()
 	var changes []indexWrite
 	enc := make([]byte, 0, 256) // the page and the WAL record copy it
 	for i, rid := range rids {
@@ -181,12 +238,16 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			if newRID == rid {
 				// The page held pre before this statement, so the in-place
 				// restore is guaranteed to fit after compaction.
-				back, _, err := t.Heap.Update(rid, pre)
+				back, cur, err := t.Heap.Update(rid, pre)
 				if err == nil && back != rid {
 					err = fmt.Errorf("catalog: %s: undo relocated row %v to %v", t.Name, rid, back)
 				}
-				return err
+				if err != nil || !rootless {
+					return err
+				}
+				return t.rekey(rid, cur, pre)
 			}
+			// A relocation: never while rootless (buildForUpdate).
 			if err := t.Heap.Reinsert(rid, pre); err != nil {
 				return err
 			}
@@ -224,6 +285,9 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			}
 		}
 		for _, c := range changes[first:] {
+			if !c.ix.Built() {
+				continue
+			}
 			tree, key := c.ix.Tree, c.oldKey
 			if err := tree.Delete(key); err != nil {
 				return fmt.Errorf("catalog: %s: index %s delete: %w", t.Name, c.ix.Name, err)
@@ -232,6 +296,50 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 		}
 	}
 	return t.insertDeferred(tx, changes, u)
+}
+
+// buildForUpdate builds t's indexes before an UPDATE of the rows at
+// rids to newRows when the statement might give a rootless table's heap
+// its second page: when the rows' growth, all told, exceeds what the
+// page has free, one of them might relocate. A build in the middle of
+// the statement would find rows whose old keys it has let go and whose
+// new keys wait for the deferred pass, two of them perhaps on one
+// unique key for the moment; before it, the page holds a consistent
+// table.
+func (t *Table) buildForUpdate(rids []storage.RID, newRows [][]types.Value) error {
+	if !t.rootless() {
+		return nil
+	}
+	_, free, one := t.Heap.OnePage()
+	if !one {
+		return nil
+	}
+	lens := make([]int, len(rids))
+	var enc []byte
+	grow := 0
+	for i := range rids {
+		enc = types.EncodeRow(enc[:0], newRows[i])
+		lens[i] = len(enc)
+		grow += lens[i]
+	}
+	if grow <= free {
+		return nil // the new rows fit beside the old ones: no page read
+	}
+	var r storage.HeapReader
+	grow = 0
+	for i, rid := range rids {
+		old, err := r.Record(t.Heap, rid)
+		if err != nil {
+			r.Release()
+			return err
+		}
+		grow += max(0, lens[i]-len(old))
+	}
+	r.Release()
+	if grow <= free {
+		return nil
+	}
+	return t.Build()
 }
 
 // VisibleVersions enumerates the snapshot-visible bytes of rids — the

@@ -27,7 +27,7 @@ import (
 // applies frees only inside Scope.Commit).
 type applyTxn struct {
 	tx       *mvcc.Txn
-	catalogs [][]byte
+	catalogs []*catalog.DDLChange
 	frees    []storage.PageID
 }
 
@@ -163,11 +163,7 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 		// timestamp, then release pages — the primary's Scope.Commit
 		// order. The applier is the only transaction ever in the
 		// reservation queue, so MarkDurable publishes immediately.
-		for _, payload := range at.catalogs {
-			ch, err := catalog.DecodeDDLChange(payload)
-			if err != nil {
-				return err
-			}
+		for _, ch := range at.catalogs {
 			if err := a.applyCatalogLocked(ch); err != nil {
 				return err
 			}
@@ -207,7 +203,16 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 		if err != nil {
 			return err
 		}
-		at.catalogs = append(at.catalogs, append([]byte(nil), r.Data...))
+		ch, err := catalog.DecodeDDLChange(r.Data)
+		if err != nil {
+			return err
+		}
+		if ch.Op == catalog.OpBuildIndex {
+			// A build stands whatever its transaction's outcome, as the
+			// pages its records wrote do.
+			return a.buildLocked(ch)
+		}
+		at.catalogs = append(at.catalogs, ch)
 		return nil
 
 	case wal.KPageFree:
@@ -392,6 +397,27 @@ func (a *Applier) setRootLocked(old, new storage.PageID) {
 			}
 		}
 	}
+}
+
+// buildLocked gives a rootless index the root its table's build
+// logged, as AdoptIndex attaches a created index's: the tree's pages
+// arrived as the physical records before it.
+func (a *Applier) buildLocked(ch *catalog.DDLChange) error {
+	t, err := a.db.cat.Table(ch.Table)
+	if err != nil {
+		return err
+	}
+	ix := t.Index(ch.Index)
+	if ix == nil {
+		return fmt.Errorf("engine: build of unknown index %s on %s", ch.Index, ch.Table)
+	}
+	if !ix.Tree.SetRoot(storage.InvalidPageID, ch.Root) {
+		return fmt.Errorf("engine: build of index %s on %s, already rooted at page %d", ch.Index, ch.Table, ix.Tree.Root())
+	}
+	if a.ended != nil {
+		return nil // recovery recounts every tree once its pages are final
+	}
+	return ix.Tree.RecountSize()
 }
 
 // applyCatalogLocked replays one committed DDL change through the live

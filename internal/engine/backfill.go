@@ -254,7 +254,7 @@ func (b *backfiller) migratePage(t *catalog.Table, rids []storage.RID, recs [][]
 		if scope == nil {
 			return
 		}
-		t.SetWAL(nil, nil)
+		t.SetWAL(nil, nil, nil)
 		if err == nil && wrote > 0 {
 			err = scope.Commit()
 		} else {
@@ -270,7 +270,7 @@ func (b *backfiller) migratePage(t *catalog.Table, rids []storage.RID, recs [][]
 			return serr
 		}
 		scope = s
-		t.SetWAL(scope.HeapLogger(t.Name), scope.TreeLogger())
+		t.SetWAL(scope.HeapLogger(t.Name), scope.TreeLogger(), scope)
 		return nil
 	}
 	cols := t.Columns

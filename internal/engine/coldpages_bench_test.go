@@ -59,9 +59,11 @@ func BenchmarkColdMultiPage(b *testing.B) {
 // BenchmarkColdOnePage times cold statements on a table of one heap page
 // — the paper's many small tables — with 1 ms misses: a point select, an
 // update by key and an insert, every iteration from an empty cache. Five
-// 80-byte rows on a 1 KiB page under four one-leaf indexes. reads/op is
-// what the statement read: an index path a leaf and then the page, a
-// read of the page alone one page; an insert the page and every leaf.
+// 80-byte rows on a 1 KiB page under four indexes, which have no tree
+// while the heap has one page. reads/op is what the statement read: the
+// page, one read for each of the three (an index path read a leaf and
+// then the page; an insert, before the indexes lost their trees, the
+// page and every leaf).
 func BenchmarkColdOnePage(b *testing.B) {
 	db := Open(Config{PageSize: 1024, MemoryBytes: 4 << 20, ReadLatency: time.Millisecond})
 	exec := func(q string, params ...types.Value) {

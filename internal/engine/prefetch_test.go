@@ -95,11 +95,24 @@ func TestStatementMissesOverlap(t *testing.T) {
 	})
 
 	t.Run("insert, four indexes", func(t *testing.T) {
-		db := newHintDB(t, 5, true)
+		db := newHintDB(t, 15, true)
+		if pages := atomTable(t, db).Heap.NumPages(); pages != 2 {
+			t.Fatalf("fixture heap has %d pages", pages)
+		}
 		st := together(t, db, 5, nil, func() {
 			mustExec(t, db, "INSERT INTO t VALUES (100, 100, 100, 100, 'p')")
 		})
 		if st.TotalPhysicalReads() != 5 || st.PrefetchJoined != 5 {
+			t.Errorf("%+v", st)
+		}
+	})
+
+	// On a one-page table the four indexes have no pages: the insert
+	// reads the heap page and nothing else.
+	t.Run("insert, four indexes, one-page table", func(t *testing.T) {
+		db := newHintDB(t, 5, true)
+		mustExec(t, db, "INSERT INTO t VALUES (100, 100, 100, 100, 'p')")
+		if st := db.Stats().Pool; st.TotalPhysicalReads() != 1 || st.LogicalReads[storage.CatIndex] != 0 {
 			t.Errorf("%+v", st)
 		}
 	})

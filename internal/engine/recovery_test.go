@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/btree"
+	"repro/internal/catalog"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -333,13 +335,48 @@ func indexPages(t *testing.T, db *DB) map[string]map[storage.PageID][]byte {
 // two replays are the same replay, so they must rebuild the same
 // catalog — tables, columns, heap page lists, index roots — and the
 // same rows, and every index, of either leaf kind, byte for byte as the
-// primary held it before the crash. Each index has a page that stores a
-// prefix, so the comparison covers the prefixes splits set.
+// primary held it before the crash. Each index of a has a page that
+// stores a prefix, so the comparison covers the prefixes splits set;
+// the indexes of c and d were built when a transaction gave their heap
+// its second page — c's committed, d's rolled back after the build,
+// past the last checkpoint — so it covers the build's replay too.
 func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 	db := Open(Config{MemoryBytes: 256 << 10, PageSize: 1024, CheckpointBytes: 4 << 10})
 	mustExec(t, db, "CREATE TABLE a (id INT NOT NULL, val TEXT)")
 	mustExec(t, db, "CREATE TABLE b (id INT NOT NULL, val TEXT)")
 	mustExec(t, db, "CREATE UNIQUE INDEX a_pk ON a (id)")
+	// c and d each cross one heap page inside a transaction, which builds
+	// their indexes; c's commits, d's rolls back after the build.
+	for _, tab := range []string{"c", "d"} {
+		mustExec(t, db, "CREATE TABLE "+tab+" (id INT NOT NULL, k INT, val TEXT)")
+		mustExec(t, db, "CREATE UNIQUE INDEX "+tab+"_pk ON "+tab+" (id)")
+		mustExec(t, db, "CREATE INDEX "+tab+"_k ON "+tab+" (k)")
+	}
+	crossInTxn := func(tab, end string) {
+		s := db.Session()
+		defer s.Close()
+		tb, err := db.Catalog().Table(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := []string{"BEGIN", "INSERT INTO " + tab + " VALUES (1, 1, 'x'), (2, 2, 'y')", "UPDATE " + tab + " SET k = 7 WHERE id = 1"}
+		for _, q := range qs {
+			if _, err := s.Exec(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		for i := 3; tb.Heap.NumPages() < 2; i++ {
+			if _, err := s.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%d, %d, '%s')", tab, i, i%4, strings.Repeat("w", 100))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Exec(end); err != nil {
+			t.Fatal(err)
+		}
+		if !tb.Indexes[0].Built() {
+			t.Fatalf("%s: not built on %d heap pages", tab, tb.Heap.NumPages())
+		}
+	}
 	for i := 0; i < 240; i++ {
 		id := types.NewInt(int64(i))
 		mustExec(t, db, "INSERT INTO a (id, val) VALUES (?, ?)", id, types.NewString(fmt.Sprintf("a%03d", i)))
@@ -353,6 +390,8 @@ func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 			mustExec(t, db, "ALTER TABLE a ADD COLUMN note TEXT")
 		case 120:
 			mustExec(t, db, "DROP INDEX b_id ON b")
+		case 100:
+			crossInTxn("c", "COMMIT")
 		case 160:
 			mustExec(t, db, "DROP TABLE b")
 			mustExec(t, db, "CREATE TABLE b (id INT NOT NULL, val TEXT)")
@@ -366,12 +405,15 @@ func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 			s.Close()
 		}
 	}
+	crossInTxn("d", "ROLLBACK")
+	mustExec(t, db, "INSERT INTO d VALUES (5, 5, 'after')")
 
 	live := indexPages(t, db)
-	if len(live) != 2 {
-		t.Fatalf("want a unique and a non-unique index, have %d", len(live))
+	if len(live) != 6 {
+		t.Fatalf("want a unique and a non-unique index on a, c and d, have %d", len(live))
 	}
-	for name, pages := range live {
+	for _, name := range []string{"a.a_pk", "a.a_val"} {
+		pages := live[name]
 		prefixed := 0
 		for _, page := range pages {
 			if btree.PrefixLen(page) > 0 {
@@ -403,16 +445,22 @@ func TestPrimaryAndReplicaRecoveryAgree(t *testing.T) {
 	}
 	// The image must hold DDL its checkpoint snapshot already reflects,
 	// or the two replays never meet the checkpoint rule.
-	var early int
+	// And a build past it, or the two replays never attach a root.
+	var early, builds int
 	for _, r := range primary.WAL().DurableRecords() {
-		if r.Kind == wal.KCatalog && r.LSN <= rep.CheckpointLSN {
+		if r.Kind != wal.KCatalog {
+			continue
+		}
+		if r.LSN <= rep.CheckpointLSN {
 			early++
+		} else if ch, err := catalog.DecodeDDLChange(r.Data); err == nil && ch.Op == catalog.OpBuildIndex {
+			builds++
 		}
 	}
-	if early == 0 {
-		t.Fatal("no catalog record at or before the restored checkpoint")
+	if early == 0 || builds == 0 {
+		t.Fatalf("%d catalog records at or before the restored checkpoint, %d builds past it", early, builds)
 	}
-	t.Logf("report %+v; %d catalog records at or before the checkpoint", rep, early)
+	t.Logf("report %+v; %d catalog records at or before the checkpoint, %d builds past it", rep, early, builds)
 	replica, _, err := RecoverReplica(twin)
 	if err != nil {
 		t.Fatalf("recover replica: %v", err)

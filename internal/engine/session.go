@@ -593,7 +593,7 @@ func (s *Session) dmlOnce(st sql.Statement, key string, params []types.Value) (R
 			return Result{}, errSlippedIn
 		}
 	}
-	t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger())
+	t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger(), s.scope)
 	mark := s.undo.Mark()
 	n, err := exec.ApplyDML(pd, s.tx, s.undo)
 	if err != nil {
@@ -602,7 +602,7 @@ func (s *Session) dmlOnce(st sql.Statement, key string, params []types.Value) (R
 		}
 		n = 0
 	}
-	t.SetWAL(nil, nil)
+	t.SetWAL(nil, nil, nil)
 	t.Mu.Unlock()
 	if err != nil {
 		// The statement's own suffix of the undo log was replayed; the
@@ -695,8 +695,8 @@ func (s *Session) undoLocked(mark int) error {
 		db.lock(t, true)
 		defer t.Mu.Unlock()
 		if logged {
-			t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger())
-			defer t.SetWAL(nil, nil)
+			t.SetWAL(s.scope.HeapLogger(t.Name), s.scope.TreeLogger(), s.scope)
+			defer t.SetWAL(nil, nil, nil)
 		}
 	}
 	failed, rbErr := s.undo.RollbackTo(mark)

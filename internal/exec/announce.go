@@ -33,10 +33,12 @@ type pathAnnouncer func(t *catalog.Table, ix *catalog.Index) (page storage.PageI
 
 // announcePath is the pathAnnouncer: an index path on a heap of at most
 // one page reads that page — one fetch, where the index costs a leaf
-// and then the same page — so it hints the page and not the root.
-// Which it is, the heap says inside the mutex section its own hint
-// takes. (An index-NL join's inner probe keeps the index: scanning the
-// page once per probe would cost CPU where it saves nothing.)
+// and then the same page; while the heap has one page the index has no
+// tree at all (catalog.Index.Built) — so it hints the page and not the
+// root. Which it is, the heap says inside the mutex section its own
+// hint takes. (An index-NL join's inner probe keeps a built index:
+// scanning the page once per probe would cost CPU where it saves
+// nothing. A rootless one it reads once per Open.)
 func announcePath(t *catalog.Table, ix *catalog.Index) (storage.PageID, bool) {
 	page, one := t.Heap.PrefetchSmall(smallHeap)
 	if !one {

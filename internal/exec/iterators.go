@@ -739,7 +739,9 @@ func (it *hashJoinIter) Close() error {
 // heap page last read, both pinned, so adjacent keys — the aligning
 // joins' consecutive Row ids — cost neither a Fetch nor a descent. Both
 // are released before NextBatch returns, whatever it returns, and before
-// the outer input is pulled.
+// the outer input is pulled. A rootless index has no leaf to hold: its
+// table's one page, read into rows once per Open, answers every probe
+// by a binary search.
 type indexNLJoinIter struct {
 	joinCore
 	node  *plan.IndexNLJoin
@@ -748,23 +750,32 @@ type indexNLJoinIter struct {
 	keys  keyRange
 	inner btree.Iterator
 	page  storage.HeapReader
+	paged bool // the inner index is rootless: rows answers the probes
+	rows  pageRange
 	cnt   scanCounters
 }
 
 func (it *indexNLJoinIter) Open(ctx *Context) error {
+	t, ix := it.node.Inner, it.node.Path.Index
 	// Captured once for every probe: the inner table cannot change while
 	// the statement holds its latch, only lose chains to GC.
-	announce(it.node.Inner, true, it.node.Path.Index)
+	announce(t, true, ix)
 	// The cursor keeps its leaf from probe to probe, never from statement
 	// to statement: only this statement's latch holds the index still.
 	it.inner.Forget()
-	it.inner.HintRows(it.node.Inner.Heap)
+	it.inner.HintRows(t.Heap)
 	if err := it.keys.bind(&it.node.Path, &ctx.Env); err != nil {
 		return err
 	}
 	var err error
-	if it.snap, err = openSnapshot(ctx, it.node.Inner, it.node.Path.Index); err != nil {
+	if it.snap, err = openSnapshot(ctx, t, ix); err != nil {
 		return err
+	}
+	if it.paged = !ix.Built(); it.paged {
+		page, _, _ := t.Heap.OnePage() // InvalidPageID: an empty heap
+		if err := it.rows.load(t, ix, page, nil, nil); err != nil {
+			return err
+		}
 	}
 	return it.open(ctx)
 }
@@ -782,40 +793,54 @@ func (it *indexNLJoinIter) probe(orow []types.Value) error {
 	if err != nil || !ok { // !ok: NULL key, no match possible
 		return err
 	}
-	inner, t := &it.inner, it.node.Inner
-	if err := inner.Seek(it.node.Path.Index.Tree, lo, hi); err != nil {
-		return err
-	}
-	for ; inner.Valid(); inner.Next() {
-		rid := inner.RID()
-		rec, err := it.page.Record(t.Heap, rid)
-		if err != nil {
+	if it.paged {
+		for _, e := range it.rows.within(lo, hi) {
+			if err := it.join(orow, e.rid, e.rec); err != nil {
+				return err
+			}
+		}
+	} else {
+		inner, t := &it.inner, it.node.Inner
+		if err := inner.Seek(it.node.Path.Index.Tree, lo, hi); err != nil {
 			return err
 		}
-		// The inner record decodes straight into the output row.
-		crow := it.next(orow)
-		_, dec, skip, ok, err := it.snap.decode(t, crow[len(orow):], rid, rec, it.need)
-		if err != nil {
+		for ; inner.Valid(); inner.Next() {
+			rid := inner.RID()
+			rec, err := it.page.Record(t.Heap, rid)
+			if err != nil {
+				return err
+			}
+			if err := it.join(orow, rid, rec); err != nil {
+				return err
+			}
+		}
+		if err := inner.Err(); err != nil {
 			return err
 		}
-		if !ok {
-			it.discard(crow)
-			continue
-		}
-		it.cnt.rows++
-		it.cnt.decoded += int64(dec)
-		it.cnt.skipped += int64(skip)
-		if err := it.keep(crow); err != nil {
-			return err
-		}
-	}
-	if err := inner.Err(); err != nil {
-		return err
 	}
 	return it.snap.inRange(lo, hi, func(_ storage.RID, irow []types.Value) error {
 		it.cnt.rows++
 		return it.emit(orow, irow)
 	})
+}
+
+// join emits orow joined with the inner record rec at rid, if the
+// statement's snapshot sees it; the record decodes straight into the
+// output row.
+func (it *indexNLJoinIter) join(orow []types.Value, rid storage.RID, rec []byte) error {
+	crow := it.next(orow)
+	_, dec, skip, ok, err := it.snap.decode(it.node.Inner, crow[len(orow):], rid, rec, it.need)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		it.discard(crow)
+		return nil
+	}
+	it.cnt.rows++
+	it.cnt.decoded += int64(dec)
+	it.cnt.skipped += int64(skip)
+	return it.keep(crow)
 }
 
 func (it *indexNLJoinIter) Close() error {

@@ -16,8 +16,9 @@ import (
 // a < v or a <= v, alone or after an equality prefix — returns no row
 // whose bounded column is NULL. NULL encodes lowest, but it is not less
 // than anything. Each query is held to the seq-scan plan of the same
-// predicate over a + 0 (which no index serves), both on the one-page read
-// and on the index path.
+// predicate over a + 0 (which no index serves): on the one-page read
+// while the indexes are rootless, and once they are built, on the
+// one-page read and on the index path.
 func TestUpperBoundSkipsNullKeys(t *testing.T) {
 	pool := storage.NewBufferPool(storage.NewDisk(0), 4<<20)
 	cat := catalog.New(pool, catalog.Config{MemoryBytes: 4 << 20, Versions: mvcc.NewManager()})
@@ -54,6 +55,17 @@ func TestUpperBoundSkipsNullKeys(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
+	for _, built := range []bool{false, true} {
+		if built {
+			if err := tab.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkUpperBounds(t, cat, sorted, built)
+	}
+}
+
+func checkUpperBounds(t *testing.T, cat *catalog.Catalog, sorted func([][]types.Value) []string, built bool) {
 	for _, c := range []struct {
 		index, seq string
 		params     []types.Value
@@ -80,11 +92,25 @@ func TestUpperBoundSkipsNullKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		onePage, indexPath, onePageC, _ := twoPaths(t, n, c.params, nil)
+		paths := map[string][][]types.Value{}
+		var onePageC Counters
+		if built {
+			paths["one-page read"], paths["index path"], onePageC, _ = twoPaths(t, n, c.params, nil)
+		} else {
+			var st Stats
+			tree, err := Build(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if paths["one-page read"], err = tree.Collect(c.params, &st, nil); err != nil {
+				t.Fatal(err)
+			}
+			onePageC = st.Snapshot()
+		}
 		if onePageC.OnePageReads == 0 {
 			t.Errorf("%q: the one-page table was not read through its page", c.index)
 		}
-		for path, got := range map[string][][]types.Value{"one-page read": onePage, "index path": indexPath} {
+		for path, got := range paths {
 			if !reflect.DeepEqual(sorted(got), sorted(want)) {
 				t.Errorf("%q %v, %s: %v, seq scan %v", c.index, c.params, path, sorted(got), sorted(want))
 			}

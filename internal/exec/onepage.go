@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"slices"
+	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -63,4 +64,16 @@ func (p *pageRange) load(t *catalog.Table, ix *catalog.Index, page storage.PageI
 	// key order is the index's order exactly.
 	slices.SortFunc(p.ents, func(a, b pageEntry) int { return bytes.Compare(a.key, b.key) })
 	return err
+}
+
+// within returns the loaded entries whose keys lie in [lo, hi), nil
+// bounds open: a seek of the index, by binary search.
+func (p *pageRange) within(lo, hi []byte) []pageEntry {
+	ents := p.ents
+	i := sort.Search(len(ents), func(i int) bool { return bytes.Compare(ents[i].key, lo) >= 0 })
+	ents = ents[i:]
+	if hi != nil {
+		ents = ents[:sort.Search(len(ents), func(i int) bool { return bytes.Compare(ents[i].key, hi) >= 0 })]
+	}
+	return ents
 }

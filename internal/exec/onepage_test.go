@@ -70,6 +70,8 @@ func twoPaths(t *testing.T, n plan.Node, params []types.Value, tx *mvcc.Txn) (go
 // onePageBed is t(id, a, b, c, pad) on one 8 KiB heap page, indexed by
 // t_pk unique (id), t_a (a), t_ab (a, b) and t_bid unique (b, id): keys
 // unique and RID-suffixed, of one column and two, with NULLs in a and b.
+// Its indexes are built (Table.Build) while the heap has one page, so
+// that the index path it holds the page to exists.
 type onePageBed struct {
 	cat  *catalog.Catalog
 	mgr  *mvcc.Manager
@@ -114,6 +116,9 @@ func newOnePageBed(t *testing.T, seed int64) *onePageBed {
 	}
 	if p := b.t.Heap.NumPages(); p != 1 {
 		t.Fatalf("fixture heap has %d pages", p)
+	}
+	if err := b.t.Build(); err != nil {
+		t.Fatal(err)
 	}
 	return b
 }

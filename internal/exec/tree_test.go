@@ -109,11 +109,19 @@ func TestTreeKeepsCapacityNotRowSets(t *testing.T) {
 // TestTreeAfterFault kills an index-NL join's execution at each of its
 // page fetches in turn: the execution fails with the injected error,
 // leaves no page pinned — most faults land while the join holds its
-// inner leaf and heap page — the tree refuses to be reused, and the
+// inner leaf and heap page, so the inner table's index is built even
+// where its heap has one page — the tree refuses to be reused, and the
 // plan's next execution — on a tree that ran cleanly before — is
 // correct.
 func TestTreeAfterFault(t *testing.T) {
 	pool, cat := propFixture(t, 5, nil)
+	account, err := cat.Table("account")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := account.Build(); err != nil {
+		t.Fatal(err)
+	}
 	n := planQuery(t, cat, "SELECT a.name, o.quantity FROM account a, opportunity o WHERE o.account_id = a.id AND o.quantity > ?")
 	if _, ok := findNode[*plan.IndexNLJoin](n); !ok {
 		t.Fatal("not an index-NL join")

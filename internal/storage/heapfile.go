@@ -175,6 +175,20 @@ func (h *HeapFile) PrefetchSmall(maxPages int) (page PageID, one bool) {
 	return InvalidPageID, false
 }
 
+// OnePage returns the file's page when it has exactly one (ok), with
+// the bytes that page has free: they decide whether a write gives the
+// file its second page. Insert takes one for a record when its length
+// plus SlotCost exceeds them; an in-place Update relocates a record
+// when its growth does.
+func (h *HeapFile) OnePage() (page PageID, free int, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.pages) != 1 {
+		return InvalidPageID, 0, false
+	}
+	return h.pages[0], h.freeBytes[0], true
+}
+
 // PrefetchInsert hints the page Insert will try first for a record of
 // recLen bytes.
 func (h *HeapFile) PrefetchInsert(recLen int) {

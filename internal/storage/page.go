@@ -55,6 +55,10 @@ const (
 	pageHeader = 6
 )
 
+// SlotCost is what a record costs its page beyond its own bytes: its
+// slot entry.
+const SlotCost = slotSize
+
 // SlottedPage provides record-level access to a page buffer. It does not
 // own the buffer; callers keep the page pinned while using it.
 type SlottedPage struct {

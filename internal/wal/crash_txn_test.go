@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -67,6 +68,39 @@ func buildTxnWorkload() (scripts []txnScript, modelAt []model) {
 		push(sc)
 	}
 	push(txnScript{stmts: []sstep{{q: "CREATE UNIQUE INDEX t0_pk ON t0 (id)"}}})
+
+	// g and h are indexed while empty, so their indexes have no tree
+	// until a transaction gives the heap its second page: g's commits,
+	// h's rolls back after the build, and an autocommit insert follows
+	// into h's built trees.
+	for _, name := range []string{"g", "h"} {
+		cur[name] = map[int64]string{}
+		push(txnScript{stmts: []sstep{{q: "CREATE TABLE " + name + " (id INT NOT NULL, val TEXT, k INT)"}}})
+		push(txnScript{stmts: []sstep{{q: "CREATE UNIQUE INDEX " + name + "_pk ON " + name + " (id)"}}})
+		push(txnScript{stmts: []sstep{{q: "CREATE INDEX " + name + "_k ON " + name + " (k)"}}})
+	}
+	for _, name := range []string{"g", "h"} {
+		work := cur.clone()
+		sc := txnScript{stmts: []sstep{{q: "BEGIN"},
+			{q: "INSERT INTO " + name + " VALUES (1, 'a', 1), (2, 'b', 2)"},
+			{q: "UPDATE " + name + " SET val = 'c', k = 5 WHERE id = 1"}}}
+		work[name][1], work[name][2] = "c", "b"
+		for id := int64(3); id < 16; id++ { // 1 KiB pages: the heap crosses one
+			val := fmt.Sprintf("%s-%03d-%s", name, id, strings.Repeat("w", 90))
+			sc.stmts = append(sc.stmts, sstep{q: "INSERT INTO " + name + " VALUES (?, ?, ?)",
+				params: []types.Value{types.NewInt(id), types.NewString(val), types.NewInt(id % 3)}})
+			work[name][id] = val
+		}
+		if name == "g" {
+			sc.stmts = append(sc.stmts, sstep{q: "COMMIT"})
+			cur = work
+		} else {
+			sc.stmts = append(sc.stmts, sstep{q: "ROLLBACK"})
+		}
+		push(sc)
+	}
+	cur["h"][7] = "after"
+	push(txnScript{stmts: []sstep{{q: "INSERT INTO h VALUES (7, 'after', 1)"}}})
 
 	nextID := map[string]int64{}
 	tbl := func() string { return fmt.Sprintf("t%d", rng.Intn(3)) }
