@@ -13,7 +13,10 @@
 // significant bytes, and a node stores once the prefix its fence keys
 // share (see the node layout): inside one tenant's table and chunk the
 // meta-data columns and a Row's leading bytes are a leaf's prefix, and
-// an entry keeps a byte or two of its Row and its RID.
+// an entry keeps a byte or two of its Row and its RID. A full leaf first
+// hands entries to a sibling under the same parent, as a B*-tree's
+// overflow does, and splits only when neither sibling has room (shed),
+// so that leaves filled in any order end some four fifths full.
 package btree
 
 import (
@@ -62,8 +65,8 @@ var ErrNoRoot = errors.New("btree: tree not built")
 // once (Bayer and Unterauer's prefix B-trees). The root has no fences,
 // and the first and last node of a level have an open one: their prefix
 // is empty. A split sets each half's prefix from the fences the pinned
-// path gives it; nothing else moves a fence, so the prefix never changes
-// between splits. Readers compare full keys against a node's entries
+// path gives it, and a shed (see split.go) both leaves' prefixes;
+// nothing else moves a fence. Readers compare full keys against a node's entries
 // without assembling them: a key that does not begin with the prefix
 // sorts before or after all of them (strip).
 //
@@ -195,6 +198,15 @@ func (n node) appendKey(dst []byte, i int) []byte {
 		dst = append(make([]byte, 0, len(dst)+len(p)+len(s)), dst...)
 	}
 	return append(append(dst, p...), s...)
+}
+
+// gapless zeroes n's free gap, the bytes between its directory and its
+// entry heap, and appends n without them to dst: a page image as the
+// log carries it, which ReplayImage puts back into the same bytes.
+func (n node) gapless(dst []byte) []byte {
+	d, h := n.dir()+slotSize*n.count(), len(n)-n.heap()
+	clear(n[d:h])
+	return append(append(dst, n[:d]...), n[h:]...)
 }
 
 // raw returns entry i as it lies in the heap: length, suffix, payload.
@@ -438,7 +450,8 @@ type Logger interface {
 	BTreeInsert(page storage.PageID, key, val []byte) error
 	// BTreeDelete records removing key from the leaf at page.
 	BTreeDelete(page storage.PageID, key []byte) error
-	// BTreePageImage records the full post-image of a restructured page.
+	// BTreePageImage records the post-image of a restructured page,
+	// without its free gap (see ReplayImage).
 	BTreePageImage(page storage.PageID, img []byte) error
 	// BTreeRoot records a root change.
 	BTreeRoot(old, new storage.PageID) error
@@ -706,15 +719,15 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 	// Phase 2: render the post-image of every page the split touches
 	// into scratch, bottom-up, allocating every new page before touching
 	// any existing one; failures free the fresh pages and leave no
-	// trace. Splits are logged as full post-images — replaying the split
-	// algorithm byte-for-byte is exactly the fragility physiological
-	// logging avoids at this one structural point — and the images must
-	// exist before any pinned byte changes, so that a failed log append
-	// aborts cleanly.
+	// trace. Splits and sheds are logged as post-images, less their
+	// free gap — replaying the algorithm byte for byte is exactly the
+	// fragility physiological logging avoids at this one structural
+	// point — and the images must exist before any pinned byte changes,
+	// so that a failed log append aborts cleanly.
 	ps := t.pool.PageSize()
 	var writes []pageWrite
 	var fresh []storage.PageID
-	sibling := storage.InvalidPageID // a shed's left sibling, pinned
+	sibling := storage.InvalidPageID // a shed's sibling, pinned
 	fail := func(err error) error {
 		if sibling != storage.InvalidPageID {
 			t.pool.Unpin(sibling, false)
@@ -788,8 +801,10 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 				return fail(err)
 			}
 		}
+		var img []byte // scratch for an image as the log takes it
 		for _, w := range writes {
-			if err := t.logger.BTreePageImage(w.id, w.img); err != nil {
+			img = w.img.gapless(img[:0])
+			if err := t.logger.BTreePageImage(w.id, img); err != nil {
 				return fail(err)
 			}
 		}

@@ -369,3 +369,53 @@ func FuzzSeekSequence(f *testing.F) {
 		}
 	})
 }
+
+// TestHeldLeafAcrossPrefixChange holds a leaf, fills it until a split or
+// a shed moves its fences and so its prefix, and seeks the held
+// iterator again at every key around: each answers what a fresh
+// SeekRange does, so a held leaf is probed at its prefix as it reads
+// now, not as it read when the iterator took it.
+func TestHeldLeafAcrossPrefixChange(t *testing.T) {
+	tr, err := New(newPool(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i += 10 {
+		if err := tr.Insert(key(i), storage.RID{Page: storage.PageID(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changed := 0
+	for probe := 0; probe < 3000; probe += 7 {
+		var it Iterator
+		if err := it.Seek(tr, key(probe), nil); err != nil {
+			t.Fatal(err)
+		}
+		pl := it.n.prefixLen()
+		for j := probe + 1; j < probe+9; j++ {
+			if err := tr.Insert(key(j), storage.RID{Page: storage.PageID(j + 1)}); err != nil && err != ErrDuplicateKey {
+				t.Fatal(err)
+			}
+		}
+		if it.n.prefixLen() != pl {
+			changed++
+		}
+		for q := probe; q < probe+12; q++ {
+			if err := it.Seek(tr, key(q), nil); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := tr.SeekRange(key(q), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if it.Valid() != fresh.Valid() || it.Valid() && !bytes.Equal(it.Key(), fresh.Key()) {
+				t.Fatalf("seek %q after the held leaf's prefix moved: held iterator valid %v, fresh one valid %v", key(q), it.Valid(), fresh.Valid())
+			}
+			fresh.Release()
+		}
+		it.Release()
+	}
+	if changed == 0 {
+		t.Error("no held leaf's prefix changed")
+	}
+}

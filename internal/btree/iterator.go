@@ -81,6 +81,9 @@ func (t *BTree) SeekRange(lo, hi []byte) (*Iterator, error) {
 func (it *Iterator) Seek(t *BTree, lo, hi []byte) error {
 	held := false
 	if it.n != nil && it.tree == t {
+		// A split or a shed since the last Seek may have moved the held
+		// leaf's fences, and with them its prefix.
+		it.pl = int32(it.n.prefixLen())
 		if s, c := it.strip(lo); c == 0 {
 			var pos int
 			if pos, held = it.n.boundFromSuffix(s, int(it.pos)); held {

@@ -133,13 +133,23 @@ func ReplayDelete(pool *storage.BufferPool, page storage.PageID, key []byte) err
 	})
 }
 
-// ReplayImage redoes a full-page image (redo of KBTreeImage).
+// ReplayImage redoes a page image (redo of KBTreeImage): img is the
+// page without its free gap, which the page gets back zeroed, as the
+// live page has it. An image whose length is not what its own header
+// gives is refused.
 func ReplayImage(pool *storage.BufferPool, page storage.PageID, img []byte) error {
+	n, size := node(img), pool.PageSize()
+	if len(img) < nodeHeader || len(img) > size || n.dir()+slotSize*n.count()+n.heap() != len(img) {
+		return fmt.Errorf("btree: replay image of %d bytes for page %d disagrees with its header", len(img), page)
+	}
 	buf, err := pool.Fetch(page, storage.CatIndex)
 	if err != nil {
 		return err
 	}
-	copy(buf, img)
+	d := len(img) - n.heap()
+	copy(buf, img[:d])
+	clear(buf[d : size-n.heap()])
+	copy(buf[size-n.heap():], img[d:])
 	pool.Unpin(page, true)
 	return nil
 }

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"sort"
 
 	"repro/internal/storage"
 )
@@ -15,25 +16,28 @@ type pageWrite struct {
 }
 
 // seq is the entries a split or a shed lays out anew, in key order: all
-// of a's (a shed's left sibling; none for a split), then b's, with the
-// new entry among b's. Each key is read as its node's prefix and the
-// entry's suffix, and assembled only into scratch, as an entry is
-// written out under another prefix.
+// of a's (none for a split), then b's, with the new entry among those
+// of the leaf it goes into, a or b. Each key is read as its node's
+// prefix and the entry's suffix, and assembled only into scratch, as an
+// entry is written out under another prefix.
 type seq struct {
 	a, b     node
 	na, pos  int    // a's entry count; the new entry's position in the whole
-	key, val []byte // the new entry, its key without b's prefix
+	kpre     []byte // the prefix of the node the new entry goes into
+	key, val []byte // the new entry, its key without kpre
 	scratch  []byte
+	w        []int // see weigh
+	p0       int
 }
 
 // newSeq is the entries of a (nil: none) and b, with (key, val) at
-// position pos of b's; key lies within b's fences.
-func newSeq(a, b node, pos int, key, val []byte) *seq {
-	s := &seq{a: a, b: b, key: key[b.prefixLen():], val: val}
+// position pos of the whole, in node in, a or b, within whose fences
+// key lies.
+func newSeq(a, b, in node, pos int, key, val []byte) *seq {
+	s := &seq{a: a, b: b, pos: pos, kpre: in.prefix(), key: key[in.prefixLen():], val: val}
 	if a != nil {
 		s.na = a.count()
 	}
-	s.pos = s.na + pos
 	return s
 }
 
@@ -43,13 +47,14 @@ func (s *seq) len() int { return s.na + s.b.count() + 1 }
 // key, and the payload.
 func (s *seq) at(i int) (pre, suf, val []byte) {
 	switch {
-	case i < s.na:
-		suf, val = s.a.entry(i)
-		return s.a.prefix(), suf, val
 	case i == s.pos:
-		return s.b.prefix(), s.key, s.val
+		return s.kpre, s.key, s.val
 	case i > s.pos:
 		i--
+	}
+	if i < s.na {
+		suf, val = s.a.entry(i)
+		return s.a.prefix(), suf, val
 	}
 	suf, val = s.b.entry(i - s.na)
 	return s.b.prefix(), suf, val
@@ -62,15 +67,27 @@ func (s *seq) size(i, plen int) int {
 	return slotSize + entrySize(len(pre)+len(suf)-plen, len(val))
 }
 
-// bytes is what a node holding entries [from, to) under a prefix of
-// plen bytes takes, its header and prefix counted.
-func (s *seq) bytes(from, to, plen int) int {
-	n := nodeHeader + plen
-	for i := from; i < to; i++ {
-		n += s.size(i, plen)
+// weigh sums the entries' sizes under a prefix of p0 bytes, which every
+// key begins with: w[i] is what entries [0, i) take. It is the one pass
+// over the entries that sizing a node takes; under and nodeBytes then
+// cost no more than a subtraction.
+func (s *seq) weigh(p0 int) {
+	s.p0, s.w = p0, make([]int, s.len()+1)
+	for i := range s.len() {
+		s.w[i+1] = s.w[i] + s.size(i, p0)
 	}
-	return n
 }
+
+// under is what entries [from, to) take under a prefix of p >= p0 bytes:
+// exactly, unless a key's length field shrinks under the longer prefix,
+// which makes it an upper bound.
+func (s *seq) under(from, to, p int) int {
+	return s.w[to] - s.w[from] - (to-from)*(p-s.p0)
+}
+
+// nodeBytes is what a node holding entries [from, to) under a prefix of
+// p bytes takes, its header and prefix counted: under's bound.
+func (s *seq) nodeBytes(from, to, p int) int { return nodeHeader + p + s.under(from, to, p) }
 
 // shared is the length of the common prefix of key and entry i's key.
 func (s *seq) shared(i int, key []byte) int {
@@ -103,17 +120,17 @@ func (s *seq) fill(dst node, kind byte, link storage.PageID, lo, hi []byte, from
 	}
 }
 
-// splitAt is where a split of s's node, a page of pageSize bytes whose
-// fences are lo and hi, ends its left half: at the byte midpoint, unless
-// the new entry ends an insertion run on a leaf (run). Then the new
-// entry shares a longer prefix with the entry before it than with the
-// key after it (the leaf's next entry, or hi), and the run of entries
-// sharing that longer prefix, the new one counted, takes at least half
-// the bytes; the left half ends with the new entry, or just before it
-// when it would overflow, so that a run that keeps appending leaves full
-// pages behind it, not half-empty ones. Sizes are the bytes the node
-// stores: each half's own prefix, at least the node's, can only make it
-// smaller.
+// splitAt is where a split of s's node, b, a page of pageSize bytes
+// whose fences are lo and hi, ends its left half: at the byte midpoint,
+// unless the new entry ends an insertion run on a leaf (run). Then the
+// new entry shares a longer prefix with the entry before it than with
+// the key after it (the leaf's next entry, or hi), and the run of
+// entries sharing that longer prefix, the new one counted, takes at
+// least half the bytes; the left half ends with the new entry, or just
+// before it when it would overflow, so that a run that keeps appending
+// leaves full pages behind it, not half-empty ones. Sizes are the bytes
+// the node stores: each half's own prefix, at least the node's, can only
+// make it smaller.
 //
 // When no key follows the new entry (it ends the tree), the whole leaf
 // is its run if a midpoint cut would leave the left half under a
@@ -123,11 +140,10 @@ func (s *seq) fill(dst node, kind byte, link storage.PageID, lo, hi []byte, from
 // inserts on both sides.
 func (s *seq) splitAt(lo, hi []byte, pageSize int) (mid int, run bool) {
 	plen, cnt := s.b.prefixLen(), s.len()
-	total := s.bytes(0, cnt, plen) - nodeHeader - plen
-	for acc := 0; ; mid++ {
-		if acc += s.size(mid, plen); acc > total/2 {
-			break
-		}
+	s.weigh(plen)
+	total := s.w[cnt]
+	for s.w[mid+1] <= total/2 {
+		mid++
 	}
 	if !s.b.leaf() {
 		return mid, false
@@ -158,10 +174,44 @@ func (s *seq) splitAt(lo, hi []byte, pageSize int) (mid int, run bool) {
 	if 2*inRun < total {
 		return mid, false
 	}
-	if s.bytes(0, s.pos+1, plen) > pageSize {
+	if s.nodeBytes(0, s.pos+1, plen) > pageSize {
 		return s.pos, true
 	}
 	return s.pos + 1, true
+}
+
+// cut is where a shed ends the left of two neighbouring leaves, whose
+// entries s holds and whose outer fences are lo and hi: the left leaf
+// keeps entries [0, m) under the prefix lo and entry m share, the right
+// one the rest under the prefix entry m and hi share. With most the
+// left takes as many entries as fit; otherwise the two even out by
+// bytes. ok reports whether both fit a page of size bytes. A larger m
+// lengthens the left node and never its prefix, and shortens the right
+// one, so both searches are binary.
+func (s *seq) cut(lo, hi []byte, size int, most bool) (m int, ok bool) {
+	n := s.len()
+	s.weigh(commonPrefix(lo, hi))
+	sides := func(m int) (l, r int) {
+		return s.nodeBytes(0, m, s.shared(m, lo)), s.nodeBytes(m, n, s.shared(m, hi))
+	}
+	if most {
+		m = sort.Search(n-1, func(i int) bool { l, _ := sides(i + 1); return l > size })
+	} else {
+		// The first m whose left side outweighs the right, or the one
+		// before it, whichever leaves the heavier side lighter.
+		m = 1 + sort.Search(n-2, func(i int) bool { l, r := sides(i + 1); return l >= r })
+		if m > 1 {
+			l, r := sides(m - 1)
+			if l2, r2 := sides(m); max(l, r) < max(l2, r2) {
+				m--
+			}
+		}
+	}
+	if m < 1 || m >= n {
+		return m, false
+	}
+	l, r := sides(m)
+	return m, l <= size && r <= size
 }
 
 // split renders the entries of n plus the new (key, val) at position
@@ -172,7 +222,7 @@ func (s *seq) splitAt(lo, hi []byte, pageSize int) (mid int, run bool) {
 // parent, the full key, in a new slice. The halves divide where splitAt
 // says.
 func (n node) split(pos int, key, val, lo, hi []byte, left, right node, rightID storage.PageID) []byte {
-	s := newSeq(nil, n, pos, key, val)
+	s := newSeq(nil, n, n, pos, key, val)
 	mid, _ := s.splitAt(lo, hi, len(n))
 	sep := s.fullKey(mid)
 	if !n.leaf() {
@@ -186,78 +236,108 @@ func (n node) split(pos int, key, val, lo, hi []byte, left, right node, rightID 
 	return sep
 }
 
-// shed is the alternative to splitting a full leaf, the last of path,
-// whose new entry (key, val) ends an insertion run: the leaf hands its
-// older entries to its left sibling under the same parent, which a run
-// has left behind, and the separator between them moves up to the first
-// entry it keeps. The leaf a run appends to has a far high fence and so
-// a short prefix, while the sibling, once closed, holds the run's keys
-// under a long one: without this, every leaf a run closes would keep the
-// entries that fit under the short prefix, a page's worth of bytes
-// there, and only some two thirds of its bytes under the long one.
+// shed is the overflow step that runs before a full leaf, the last of
+// path, splits (the B*-tree's overflow rule, Knuth vol. 3 §6.2.4): the
+// leaf hands entries to its left sibling under the same parent, or else
+// to its right one, and the separator between the two moves to the
+// first key the right-hand leaf keeps. The two leaves even out by bytes,
+// except when the new entry (key, val) ends an insertion run (splitAt):
+// then the left sibling, which the run has left behind, takes as many
+// entries as fit, and only when it cannot does the right one even out
+// with the leaf. The leaf a run appends to has a far high
+// fence and so a short prefix, while the sibling, once closed, holds the
+// run's keys under a long one, so that a leaf a run closes ends full
+// under its long prefix, not with the bytes that fitted under the short
+// one.
 //
-// It sheds when the entries would then share a longer prefix with the
-// sibling's low fence than the leaf's own prefix, and the sibling takes
-// at least an eighth of a page of them (less is not worth rewriting
-// three pages); the sibling takes as many as fit. lo and hi are the
-// leaf's fences. It returns the images of the sibling, the leaf and the
-// parent, the sibling's frame pinned for the caller to unpin, or nil
-// when it does not shed.
+// A sibling must take at least an eighth of a page of the leaf's
+// entries (less is not worth rewriting three pages), both leaves must
+// fit, and so must the parent with its new separator; otherwise the
+// leaf splits. lo and hi are the leaf's fences. It returns the images of
+// the sibling, the leaf and the parent, the sibling's frame pinned for
+// the caller to unpin, or nil when it does not shed.
 func (t *BTree) shed(path []pinned, lo, hi, key, val []byte) ([]pageWrite, error) {
-	leaf, parent := path[len(path)-1], path[len(path)-2]
-	r := leaf.n
-	if parent.pos == 0 {
+	leaf, p := path[len(path)-1], path[len(path)-2]
+	// outer is separator i of the parent, or past either end the
+	// parent's own fence: the far fence of a sibling.
+	outer := func(i int) []byte {
+		if i >= 0 && i < p.n.count() {
+			return p.n.appendKey(nil, i)
+		}
+		plo, phi := fences(path[:len(path)-2])
+		if i < 0 {
+			return plo
+		}
+		return phi
+	}
+	_, run := newSeq(nil, leaf.n, leaf.n, leaf.pos, key, val).splitAt(lo, hi, len(leaf.n))
+	if p.pos > 0 {
+		if w, err := t.even(path, p.pos-1, outer(p.pos-2), hi, key, val, run); w != nil || err != nil {
+			return w, err
+		}
+	}
+	if p.pos == p.n.count() {
 		return nil, nil
 	}
-	var loL []byte // the sibling's low fence
-	if parent.pos > 1 {
-		loL = parent.n.appendKey(nil, parent.pos-2)
-	} else {
-		loL, _ = fences(path[:len(path)-2])
+	return t.even(path, p.pos, lo, outer(p.pos+1), key, val, false)
+}
+
+// even is shed's step with one sibling of the leaf, the last of path:
+// the one across separator j of the parent, on the left when j is below
+// the leaf's position there. lo and hi are the outer fences of the two
+// leaves, and most is cut's.
+func (t *BTree) even(path []pinned, j int, lo, hi, key, val []byte, most bool) ([]pageWrite, error) {
+	leaf, p := path[len(path)-1], path[len(path)-2]
+	left := j < p.pos
+	sid := p.n.child(j + 1)
+	if left {
+		sid = p.n.child(j)
 	}
-	if commonPrefix(loL, key) <= r.prefixLen() {
-		return nil, nil
-	}
-	if _, run := newSeq(nil, r, leaf.pos, key, val).splitAt(lo, hi, len(r)); !run {
-		return nil, nil
-	}
-	lid := parent.n.child(parent.pos - 1)
-	buf, err := t.pool.Fetch(lid, storage.CatIndex)
+	buf, err := t.pool.Fetch(sid, storage.CatIndex)
 	if err != nil {
 		return nil, err
 	}
-	l := node(buf)
-	s := newSeq(l, r, leaf.pos, key, val)
-	// The sibling takes entries [0, m): the largest m whose node fits,
-	// under the prefix its fences loL and entry m then share. A larger
-	// m lengthens the node and never the prefix, so m is a bound.
-	fits := func(m int) bool { return s.bytes(0, m, s.shared(m, loL)) <= len(r) }
-	m, end := s.na, s.len()-1
-	for m < end {
-		if c := (m + end + 1) / 2; fits(c) {
-			m = c
-		} else {
-			end = c - 1
+	sib, r := node(buf), leaf.n
+	// s holds the left leaf's entries, then the right one's; moved is
+	// what the leaf hands over, as it holds those entries.
+	var s *seq
+	var m, moved int
+	ok := false
+	if left {
+		s = newSeq(sib, r, r, sib.count()+leaf.pos, key, val)
+		if m, ok = s.cut(lo, hi, len(r), most); m > s.na {
+			moved = s.under(s.na, m, r.prefixLen())
+		}
+	} else {
+		s = newSeq(r, sib, r, leaf.pos, key, val)
+		if m, ok = s.cut(lo, hi, len(r), most); m <= s.na {
+			moved = s.under(m, s.na+1, r.prefixLen())
 		}
 	}
-	moved := s.bytes(s.na, m, r.prefixLen()) - nodeHeader - r.prefixLen() // as the leaf holds them
-	if m == s.na || 8*moved < len(r) || s.bytes(m, s.len(), s.shared(m, hi)) > len(r) {
-		t.pool.Unpin(lid, false)
+	var pimg node
+	var sep []byte
+	if ok && 8*moved >= len(r) {
+		sep = s.fullKey(m)
+		var child [childSize]byte
+		putPageID(child[:], p.n.child(j+1))
+		pimg = node(bytes.Clone(p.n))
+		if pimg.remove(j); pimg.fits(sep, child[:]) {
+			pimg.insert(j, sep, child[:])
+		} else {
+			pimg = nil
+		}
+	}
+	if pimg == nil {
+		t.pool.Unpin(sid, false)
 		return nil, nil
 	}
-	sep := s.fullKey(m)
-	var child [childSize]byte
-	putPageID(child[:], leaf.id)
-	pimg := node(bytes.Clone(parent.n))
-	if pimg.remove(parent.pos - 1); !pimg.fits(sep, child[:]) {
-		t.pool.Unpin(lid, false)
-		return nil, nil
-	}
-	pimg.insert(parent.pos-1, sep, child[:])
 	limg, rimg := node(make([]byte, len(r))), node(make([]byte, len(r)))
-	s.fill(limg, l[0], l.link(), loL, sep, 0, m)
-	s.fill(rimg, r[0], r.link(), sep, hi, m, s.len())
-	return []pageWrite{{lid, l, limg}, {leaf.id, r, rimg}, {parent.id, parent.n, pimg}}, nil
+	s.fill(limg, s.a[0], s.a.link(), lo, sep, 0, m)
+	s.fill(rimg, s.b[0], s.b.link(), sep, hi, m, s.len())
+	if left {
+		return []pageWrite{{sid, sib, limg}, {leaf.id, r, rimg}, {p.id, p.n, pimg}}, nil
+	}
+	return []pageWrite{{sid, sib, rimg}, {leaf.id, r, limg}, {p.id, p.n, pimg}}, nil
 }
 
 // commonPrefix returns the length of the longest common prefix of a and b.

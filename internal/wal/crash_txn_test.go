@@ -102,6 +102,20 @@ func buildTxnWorkload() (scripts []txnScript, modelAt []model) {
 	cur["h"][7] = "after"
 	push(txnScript{stmts: []sstep{{q: "INSERT INTO h VALUES (7, 'after', 1)"}}})
 
+	// v's index on val takes long keys in no order, a dozen to a leaf:
+	// its full leaves shed into their siblings as well as split.
+	cur["v"] = map[int64]string{}
+	push(txnScript{stmts: []sstep{{q: "CREATE TABLE v (id INT NOT NULL, val TEXT)"}}})
+	push(txnScript{stmts: []sstep{{q: "CREATE INDEX v_val ON v (val)"}}})
+	sc := txnScript{stmts: []sstep{{q: "BEGIN"}}}
+	for i := int64(0); i < 37; i++ {
+		id := i * 16 % 37
+		val := fmt.Sprintf("v-%03d-%s", id, strings.Repeat("s", 60))
+		sc.stmts = append(sc.stmts, sstep{q: "INSERT INTO v VALUES (?, ?)", params: []types.Value{types.NewInt(id), types.NewString(val)}})
+		cur["v"][id] = val
+	}
+	push(txnScript{stmts: append(sc.stmts, sstep{q: "COMMIT"})})
+
 	nextID := map[string]int64{}
 	tbl := func() string { return fmt.Sprintf("t%d", rng.Intn(3)) }
 
@@ -202,8 +216,41 @@ func runTxnScripts(db *engine.DB, scripts []txnScript) (pending int, lastStmt bo
 	return len(scripts), false
 }
 
+// shedsIn runs scripts on a database whose log no automatic checkpoint
+// truncates and counts the sheds in it: runs of B+tree page images that
+// follow neither a page allocation nor another image, the three pages
+// (both leaves and their parent) a full leaf rewrites when it hands
+// entries to a sibling instead of splitting. A split allocates its new
+// page first.
+func shedsIn(t *testing.T, scripts []txnScript) int {
+	cfg := sweepConfig()
+	cfg.CheckpointBytes = 1 << 40
+	db := engine.Open(cfg)
+	if k, _ := runTxnScripts(db, scripts); k != len(scripts) {
+		t.Fatalf("shed count: failed at script %d", k)
+	}
+	if err := db.WAL().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	recs, n := db.WAL().DurableRecords(), 0
+	for i := 1; i+2 < len(recs); i++ {
+		if recs[i].Kind == wal.KBTreeImage && recs[i+1].Kind == wal.KBTreeImage && recs[i+2].Kind == wal.KBTreeImage &&
+			recs[i-1].Kind != wal.KBTreeImage && recs[i-1].Kind != wal.KPageAlloc {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTxnCrashPointSweep(t *testing.T) {
 	scripts, modelAt := buildTxnWorkload()
+	// Every site is swept, so a crash falls inside each shed, between its
+	// images, as long as the workload makes one.
+	if n := shedsIn(t, scripts); n == 0 {
+		t.Fatal("the workload makes no shed")
+	} else {
+		t.Logf("the workload sheds %d times", n)
+	}
 
 	count := engine.Open(sweepConfig())
 	probe := wal.InstallCrashPlan(wal.NeverCrash, count.Disk(), count.WAL())

@@ -67,9 +67,11 @@ const (
 	// The number after KBTreeDelete is reserved (it named an in-place
 	// RID repoint), so the kinds after it keep their numbers.
 	_
-	// KBTreeImage replaces Page with the full node image in Data —
-	// the structural record for splits, where per-key logging would
-	// have to replay the split algorithm byte-for-byte.
+	// KBTreeImage replaces Page with the node image in Data — the
+	// structural record for splits and sheds, where per-key logging
+	// would have to replay the algorithm byte for byte. Data omits the
+	// free gap between the directory and the entry heap, which replay
+	// zeroes: the header, prefix and directory, then the heap.
 	KBTreeImage
 	// KBTreeRoot records a root change: Page is the old root, Page2 the
 	// new one. Recovery matches trees by their current root.

@@ -173,8 +173,8 @@ func (t *TreeLogger) BTreeDelete(page storage.PageID, key []byte) error {
 		Key: append([]byte(nil), key...)})
 }
 
-// BTreePageImage records the full post-image of a page a split
-// restructured.
+// BTreePageImage records the post-image of a page a split or a shed
+// restructured, without its free gap.
 func (t *TreeLogger) BTreePageImage(page storage.PageID, img []byte) error {
 	return t.s.append(&Record{Kind: KBTreeImage, Page: page,
 		Data: append([]byte(nil), img...)})
