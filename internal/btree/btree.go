@@ -469,6 +469,9 @@ type BTree struct {
 	// ridVal is insert's scratch for an entry's value, under mu: one
 	// on insert's stack would escape through the logger's interface.
 	ridVal [maxRIDLen]byte
+	// sizes is seq.weigh's buffer, under mu; a seq's sums hold until the
+	// next seq weighs.
+	sizes []int
 }
 
 // New creates an empty tree with a single leaf root, whose leaves hold
@@ -761,8 +764,11 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 			break
 		}
 		lo, hi := fences(path[:top])
+		s := newSeq(nil, p.n, p.n, p.pos, key, val, t.sizes)
+		mid, run := s.splitAt(lo, hi, ps)
+		t.sizes = s.w
 		if top > 0 && p.n.leaf() {
-			sw, err := t.shed(path, lo, hi, key, val)
+			sw, err := t.shed(path, lo, hi, key, val, run)
 			if err != nil {
 				return fail(err)
 			}
@@ -777,7 +783,7 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 			return fail(err)
 		}
 		left, right := node(make([]byte, ps)), node(make([]byte, ps))
-		key = p.n.split(p.pos, key, val, lo, hi, left, right, rightID)
+		key = s.split(mid, lo, hi, left, right, rightID)
 		putPageID(carry[:], rightID)
 		val = carry[:]
 		writes = append(writes, pageWrite{rightID, rightBuf, right}, pageWrite{p.id, p.n, left})

@@ -220,7 +220,9 @@ func FuzzNodeOps(f *testing.F) {
 					break
 				}
 				left, right := node(make([]byte, pageSize)), node(make([]byte, pageSize))
-				sep := n.split(pos, k, val, lo, hi, left, right, rightID)
+				s := newSeq(nil, n, n, pos, k, val, nil)
+				mid, _ := s.splitAt(lo, hi, pageSize)
+				sep := s.split(mid, lo, hi, left, right, rightID)
 				plen := n.prefixLen()
 				size := func(e nodeEntry) int {
 					v := childSize

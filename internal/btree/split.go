@@ -21,22 +21,23 @@ type pageWrite struct {
 // prefix and the entry's suffix, and assembled only into scratch, as an
 // entry is written out under another prefix.
 type seq struct {
-	a, b     node
-	na, pos  int    // a's entry count; the new entry's position in the whole
-	kpre     []byte // the prefix of the node the new entry goes into
-	key, val []byte // the new entry, its key without kpre
-	scratch  []byte
-	w        []int // see weigh
-	p0       int
+	a, b       node
+	apre, bpre []byte // a's and b's prefixes
+	na, pos    int    // a's entry count; the new entry's position in the whole
+	kpre       []byte // the prefix of the node the new entry goes into
+	key, val   []byte // the new entry, its key without kpre
+	scratch    []byte
+	w          []int // see weigh
+	p0         int
 }
 
 // newSeq is the entries of a (nil: none) and b, with (key, val) at
 // position pos of the whole, in node in, a or b, within whose fences
-// key lies.
-func newSeq(a, b, in node, pos int, key, val []byte) *seq {
-	s := &seq{a: a, b: b, pos: pos, kpre: in.prefix(), key: key[in.prefixLen():], val: val}
+// key lies. w is weigh's buffer, which s.w hands back grown.
+func newSeq(a, b, in node, pos int, key, val []byte, w []int) *seq {
+	s := &seq{a: a, b: b, bpre: b.prefix(), pos: pos, kpre: in.prefix(), key: key[in.prefixLen():], val: val, w: w}
 	if a != nil {
-		s.na = a.count()
+		s.apre, s.na = a.prefix(), a.count()
 	}
 	return s
 }
@@ -53,11 +54,11 @@ func (s *seq) at(i int) (pre, suf, val []byte) {
 		i--
 	}
 	if i < s.na {
-		suf, val = s.a.entry(i)
-		return s.a.prefix(), suf, val
+		suf, val = s.a.entryAt(s.a.offIn(len(s.apre)+nodeHeader, i))
+		return s.apre, suf, val
 	}
-	suf, val = s.b.entry(i - s.na)
-	return s.b.prefix(), suf, val
+	suf, val = s.b.entryAt(s.b.offIn(len(s.bpre)+nodeHeader, i-s.na))
+	return s.bpre, suf, val
 }
 
 // size is the bytes entry i takes, its slot counted, in a node whose
@@ -72,9 +73,9 @@ func (s *seq) size(i, plen int) int {
 // over the entries that sizing a node takes; under and nodeBytes then
 // cost no more than a subtraction.
 func (s *seq) weigh(p0 int) {
-	s.p0, s.w = p0, make([]int, s.len()+1)
+	s.p0, s.w = p0, append(s.w[:0], 0)
 	for i := range s.len() {
-		s.w[i+1] = s.w[i] + s.size(i, p0)
+		s.w = append(s.w, s.w[i]+s.size(i, p0))
 	}
 }
 
@@ -214,17 +215,15 @@ func (s *seq) cut(lo, hi []byte, size int, most bool) (m int, ok bool) {
 	return m, l <= size && r <= size
 }
 
-// split renders the entries of n plus the new (key, val) at position
-// pos into two empty images: left replaces n, right is its new sibling
-// at page rightID. lo and hi are n's fence keys, nil where open; each
-// half takes the common prefix of its own fences, lo and the separator,
-// the separator and hi. It returns the separator to insert into the
-// parent, the full key, in a new slice. The halves divide where splitAt
-// says.
-func (n node) split(pos int, key, val, lo, hi []byte, left, right node, rightID storage.PageID) []byte {
-	s := newSeq(nil, n, n, pos, key, val)
-	mid, _ := s.splitAt(lo, hi, len(n))
-	sep := s.fullKey(mid)
+// split renders s, the entries of one node plus the new one, into two
+// empty images, divided before entry mid (splitAt): left replaces the
+// node, right is its new sibling at page rightID. lo and hi are the
+// node's fence keys, nil where open; each half takes the common prefix
+// of its own fences, lo and the separator, the separator and hi. It
+// returns the separator to insert into the parent, the full key, in a
+// new slice.
+func (s *seq) split(mid int, lo, hi []byte, left, right node, rightID storage.PageID) []byte {
+	n, sep := s.b, s.fullKey(mid)
 	if !n.leaf() {
 		_, _, child := s.at(mid)
 		s.fill(left, kindInner, n.link(), lo, sep, 0, mid)
@@ -244,7 +243,7 @@ func (n node) split(pos int, key, val, lo, hi []byte, left, right node, rightID 
 // except when the new entry (key, val) ends an insertion run (splitAt):
 // then the left sibling, which the run has left behind, takes as many
 // entries as fit, and only when it cannot does the right one even out
-// with the leaf. The leaf a run appends to has a far high
+// with the leaf; run is splitAt's answer for the leaf. The leaf a run appends to has a far high
 // fence and so a short prefix, while the sibling, once closed, holds the
 // run's keys under a long one, so that a leaf a run closes ends full
 // under its long prefix, not with the bytes that fitted under the short
@@ -256,36 +255,23 @@ func (n node) split(pos int, key, val, lo, hi []byte, left, right node, rightID 
 // leaf splits. lo and hi are the leaf's fences. It returns the images of
 // the sibling, the leaf and the parent, the sibling's frame pinned for
 // the caller to unpin, or nil when it does not shed.
-func (t *BTree) shed(path []pinned, lo, hi, key, val []byte) ([]pageWrite, error) {
-	leaf, p := path[len(path)-1], path[len(path)-2]
-	// outer is separator i of the parent, or past either end the
-	// parent's own fence: the far fence of a sibling.
-	outer := func(i int) []byte {
-		if i >= 0 && i < p.n.count() {
-			return p.n.appendKey(nil, i)
-		}
-		plo, phi := fences(path[:len(path)-2])
-		if i < 0 {
-			return plo
-		}
-		return phi
-	}
-	_, run := newSeq(nil, leaf.n, leaf.n, leaf.pos, key, val).splitAt(lo, hi, len(leaf.n))
+func (t *BTree) shed(path []pinned, lo, hi, key, val []byte, run bool) ([]pageWrite, error) {
+	p := path[len(path)-2]
 	if p.pos > 0 {
-		if w, err := t.even(path, p.pos-1, outer(p.pos-2), hi, key, val, run); w != nil || err != nil {
+		if w, err := t.even(path, p.pos-1, lo, hi, key, val, run); w != nil || err != nil {
 			return w, err
 		}
 	}
 	if p.pos == p.n.count() {
 		return nil, nil
 	}
-	return t.even(path, p.pos, lo, outer(p.pos+1), key, val, false)
+	return t.even(path, p.pos, lo, hi, key, val, false)
 }
 
 // even is shed's step with one sibling of the leaf, the last of path:
 // the one across separator j of the parent, on the left when j is below
-// the leaf's position there. lo and hi are the outer fences of the two
-// leaves, and most is cut's.
+// the leaf's position there. lo and hi are the leaf's fences, and most
+// is cut's.
 func (t *BTree) even(path []pinned, j int, lo, hi, key, val []byte, most bool) ([]pageWrite, error) {
 	leaf, p := path[len(path)-1], path[len(path)-2]
 	left := j < p.pos
@@ -298,22 +284,47 @@ func (t *BTree) even(path []pinned, j int, lo, hi, key, val []byte, most bool) (
 		return nil, err
 	}
 	sib, r := node(buf), leaf.n
+	// A sibling whose prefix is no longer than the leaf's, and so stores
+	// the entries it takes in no fewer bytes than the leaf, needs an
+	// eighth of a page free: leaves that full are not weighed.
+	if sib.prefixLen() <= r.prefixLen() && 8*(len(r)-sib.dir()-slotSize*sib.count()-sib.live()) < len(r) {
+		t.pool.Unpin(sid, false)
+		return nil, nil
+	}
+	// The far fence of the sibling is separator j-1 or j+1 of the
+	// parent, or past either end the parent's own.
+	far := j + 1
+	if left {
+		far = j - 1
+	}
+	if far >= 0 && far < p.n.count() {
+		if left {
+			lo = p.n.appendKey(nil, far)
+		} else {
+			hi = p.n.appendKey(nil, far)
+		}
+	} else if plo, phi := fences(path[:len(path)-2]); left {
+		lo = plo
+	} else {
+		hi = phi
+	}
 	// s holds the left leaf's entries, then the right one's; moved is
 	// what the leaf hands over, as it holds those entries.
 	var s *seq
 	var m, moved int
 	ok := false
 	if left {
-		s = newSeq(sib, r, r, sib.count()+leaf.pos, key, val)
+		s = newSeq(sib, r, r, sib.count()+leaf.pos, key, val, t.sizes)
 		if m, ok = s.cut(lo, hi, len(r), most); m > s.na {
 			moved = s.under(s.na, m, r.prefixLen())
 		}
 	} else {
-		s = newSeq(r, sib, r, leaf.pos, key, val)
+		s = newSeq(r, sib, r, leaf.pos, key, val, t.sizes)
 		if m, ok = s.cut(lo, hi, len(r), most); m <= s.na {
 			moved = s.under(m, s.na+1, r.prefixLen())
 		}
 	}
+	t.sizes = s.w
 	var pimg node
 	var sep []byte
 	if ok && 8*moved >= len(r) {

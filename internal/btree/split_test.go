@@ -103,8 +103,29 @@ func treeInsertRunsSeeds() (ridInKey []bool, ops [][]byte) {
 	ops = append(ops, bytes.Repeat([]byte{0, 1, 1, 4, 1, 2, 0, 7}, 200),
 		bytes.Repeat([]byte{1, 0, 0, 2, 1, 3, 1, 4, 5, 6, 3, 9}, 150),
 		bytes.Repeat([]byte{0, 5, 0, 7, 1, 5, 0, 9, 0, 2, 1, 1}, 200))
+	// Mostly keys among the runs' in random order, with deletes and
+	// equal-value inserts between them.
+	for _, rik := range []bool{false, true} {
+		var b []byte
+		for len(b) < 2000 {
+			switch r.Intn(4) {
+			case 0:
+				b = append(b, 3, byte(r.Intn(256)))
+			case 1:
+				b = append(b, 0, 5, 0, byte(r.Intn(64)))
+			default:
+				b = append(b, randomOrderOp, byte(r.Intn(5)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(64)))
+			}
+		}
+		ridInKey, ops = append(ridInKey, rik), append(ops, b)
+	}
 	return ridInKey, ops
 }
+
+// randomOrderOp is the least operation byte of FuzzTreeInsertRuns that
+// inserts a key among a run's in random order; a byte below it selects
+// one of the other operations by its value mod 4.
+const randomOrderOp = 0xc0
 
 // FuzzTreeInsertRuns drives a tree over a buffer pool, whose splits and
 // sheds take their fence keys from real root-to-leaf paths, through
@@ -172,7 +193,11 @@ func treeInsertRuns(t *testing.T, ridInKey bool, ops []byte) (left, right int) {
 	var seq [6]uint32
 	for op := 1; len(ops) > 0; op++ {
 		var k []byte
-		switch next() % 5 {
+		op := next()
+		if op < randomOrderOp {
+			op %= 4
+		}
+		switch op {
 		case 0, 1:
 			g := next() % uint8(len(prefixes))
 			seq[g] += 1 + uint32(next()%4)
@@ -194,7 +219,7 @@ func treeInsertRuns(t *testing.T, ridInKey bool, ops []byte) (left, right int) {
 				keys[i] = keys[len(keys)-1]
 				keys = keys[:len(keys)-1]
 			}
-		case 4: // among a run's keys, in no order: inserts land inside full leaves
+		default: // among a run's keys, in no order: inserts land inside full leaves
 			g := next() % uint8(len(prefixes)-1)
 			k = binary.BigEndian.AppendUint32([]byte(prefixes[g]), uint32(next())<<2|uint32(next()%4))
 		}
