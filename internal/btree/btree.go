@@ -472,6 +472,9 @@ type BTree struct {
 	// sizes is seq.weigh's buffer, under mu; a seq's sums hold until the
 	// next seq weighs.
 	sizes []int
+	// logImg is insertSplit's scratch for a page image as the log takes
+	// it, under mu: the logger copies what it keeps.
+	logImg []byte
 }
 
 // New creates an empty tree with a single leaf root, whose leaves hold
@@ -768,7 +771,7 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 		mid, run := s.splitAt(lo, hi, ps)
 		t.sizes = s.w
 		if top > 0 && p.n.leaf() {
-			sw, err := t.shed(path, lo, hi, key, val, run)
+			sw, err := t.shed(path, lo, hi, key, val, s, run)
 			if err != nil {
 				return fail(err)
 			}
@@ -807,10 +810,9 @@ func (t *BTree) insertSplit(path []pinned, key, val []byte) error {
 				return fail(err)
 			}
 		}
-		var img []byte // scratch for an image as the log takes it
 		for _, w := range writes {
-			img = w.img.gapless(img[:0])
-			if err := t.logger.BTreePageImage(w.id, img); err != nil {
+			t.logImg = w.img.gapless(t.logImg[:0])
+			if err := t.logger.BTreePageImage(w.id, t.logImg); err != nil {
 				return fail(err)
 			}
 		}

@@ -3,6 +3,8 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -243,4 +245,93 @@ func drainN(t *testing.T, it *Iterator, limit int) (out []entry) {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestShedRoomBound holds seq.rooms to cut on random pairs of a full
+// leaf and a sibling whose prefix is no longer than the leaf's, on
+// either side: every sibling that cut has the leaf hand an eighth of a
+// page or more holds no more than its room, so skipping the others
+// never turns a shed into a split. Both outcomes must occur.
+func TestShedRoomBound(t *testing.T) {
+	const size = 512
+	r := rand.New(rand.NewSource(57))
+	var sheds, skipped int
+	for iter := 0; iter < 3000; iter++ {
+		stem := "t1/c/"[:r.Intn(6)]
+		var keys []string
+		for len(keys) < 200 {
+			k := []byte(stem)
+			for n := 1 + r.Intn(16); n > 0; n-- {
+				k = append(k, 'a'+byte(r.Intn(4)))
+			}
+			if !slices.Contains(keys, string(k)) {
+				keys = append(keys, string(k))
+			}
+		}
+		slices.Sort(keys)
+		left, most := r.Intn(2) == 0, r.Intn(3) == 0
+		lo, sep, hi := []byte(keys[0]), []byte(keys[100]), []byte(keys[199])
+		// The leaf takes keys from its side in random order until one
+		// does not fit; the sibling, to a random fill.
+		fill := func(n node, lo, hi []byte, from []string, limit int) (newKey []byte) {
+			n.init(kindLeaf, storage.InvalidPageID, lo[:commonPrefix(lo, hi)])
+			for _, i := range r.Perm(len(from)) {
+				k := []byte(from[i])
+				val := AppendRID(nil, storage.RID{Page: storage.PageID(i + 1)})
+				if !n.fits(k, val) || n.dir()+slotSize*n.count()+n.live() > limit {
+					return k
+				}
+				pos, _ := n.search(k)
+				n.insert(pos, k, val)
+			}
+			return nil
+		}
+		leaf, sib := node(make([]byte, size)), node(make([]byte, size))
+		var key []byte
+		if left {
+			fill(sib, lo, sep, keys[:100], r.Intn(size))
+			key = fill(leaf, sep, hi, keys[100:199], size)
+		} else {
+			key = fill(leaf, lo, sep, keys[:100], size)
+			fill(sib, sep, hi, keys[100:199], r.Intn(size))
+		}
+		if key == nil || sib.count() == 0 || sib.prefixLen() > leaf.prefixLen() {
+			continue
+		}
+		val := AppendRID(nil, storage.RID{Page: 999})
+		pos, _ := leaf.search(key)
+		ls := newSeq(nil, leaf, leaf, pos, key, val, nil)
+		ls.weigh(leaf.prefixLen())
+		roomL, roomR := ls.rooms(most)
+		var s *seq
+		var m, moved int
+		var ok bool
+		room := roomR
+		if left {
+			room = roomL
+			s = newSeq(sib, leaf, leaf, sib.count()+pos, key, val, nil)
+			if m, ok = s.cut(lo, hi, size, most); m > s.na {
+				moved = s.under(s.na, m, leaf.prefixLen())
+			}
+		} else {
+			most = false
+			s = newSeq(leaf, sib, leaf, pos, key, val, nil)
+			if m, ok = s.cut(lo, hi, size, false); m <= s.na {
+				moved = s.under(m, s.na+1, leaf.prefixLen())
+			}
+		}
+		holds := nodeHeader + slotSize*sib.count() + sib.live()
+		if ok && 8*moved >= size {
+			sheds++
+			if holds > room {
+				t.Fatalf("left=%v most=%v: the leaf hands %d bytes to a sibling holding %d, past its room %d", left, most, moved, holds, room)
+			}
+		} else if holds > room {
+			skipped++
+		}
+	}
+	t.Logf("%d sheds within their room, %d siblings skipped", sheds, skipped)
+	if sheds == 0 || skipped == 0 {
+		t.Errorf("%d sheds, %d siblings skipped: want both", sheds, skipped)
+	}
 }

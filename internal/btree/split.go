@@ -243,36 +243,62 @@ func (s *seq) split(mid int, lo, hi []byte, left, right node, rightID storage.Pa
 // except when the new entry (key, val) ends an insertion run (splitAt):
 // then the left sibling, which the run has left behind, takes as many
 // entries as fit, and only when it cannot does the right one even out
-// with the leaf; run is splitAt's answer for the leaf. The leaf a run appends to has a far high
-// fence and so a short prefix, while the sibling, once closed, holds the
-// run's keys under a long one, so that a leaf a run closes ends full
-// under its long prefix, not with the bytes that fitted under the short
-// one.
+// with the leaf; run is splitAt's answer for the leaf. The leaf a run
+// appends to has a far high fence and so a short prefix, while the
+// sibling, once closed, holds the run's keys under a long one, so that
+// a leaf a run closes ends full under its long prefix, not with the
+// bytes that fitted under the short one.
 //
 // A sibling must take at least an eighth of a page of the leaf's
-// entries (less is not worth rewriting three pages), both leaves must
-// fit, and so must the parent with its new separator; otherwise the
-// leaf splits. lo and hi are the leaf's fences. It returns the images of
+// entries (less is not worth rewriting three pages), and both leaves
+// and the parent with its new separator must fit; otherwise the leaf
+// splits. lo and hi are the leaf's fences, ls its entries with the new
+// one, weighed under its prefix (splitAt). It returns the images of
 // the sibling, the leaf and the parent, the sibling's frame pinned for
 // the caller to unpin, or nil when it does not shed.
-func (t *BTree) shed(path []pinned, lo, hi, key, val []byte, run bool) ([]pageWrite, error) {
+//
+// A sibling whose prefix is no longer than the leaf's is weighed only
+// if it holds no more than its room. The entries the leaf hands over,
+// M bytes as it holds them, take no fewer there, so the sibling ends
+// with at least its bytes, its prefix not counted, plus M, and the leaf
+// with at most its bytes less M; cut stops at the entry that tips the
+// balance, so M and M less that entry add up to at most the difference.
+// The least M that makes an eighth sets the room: the leaf's first
+// entries for the left sibling, its last for the right. A run's left
+// sibling, which takes all that fit, may hold a page less that M.
+func (t *BTree) shed(path []pinned, lo, hi, key, val []byte, ls *seq, run bool) ([]pageWrite, error) {
 	p := path[len(path)-2]
+	left, right := ls.rooms(run) // before even weighs into ls.w's buffer
 	if p.pos > 0 {
-		if w, err := t.even(path, p.pos-1, lo, hi, key, val, run); w != nil || err != nil {
-			return w, err
+		if pw, err := t.even(path, p.pos-1, lo, hi, key, val, run, left); pw != nil || err != nil {
+			return pw, err
 		}
 	}
 	if p.pos == p.n.count() {
 		return nil, nil
 	}
-	return t.even(path, p.pos, lo, hi, key, val, false)
+	return t.even(path, p.pos, lo, hi, key, val, false, right)
+}
+
+// rooms is shed's room for a sibling on the left and on the right of
+// the leaf whose entries s holds, weighed under its prefix.
+func (s *seq) rooms(run bool) (left, right int) {
+	w, n, e := s.w, s.len(), len(s.b)/8
+	used := nodeHeader + s.b.prefixLen() + w[n] // the leaf with the new entry
+	k := sort.SearchInts(w, e)
+	left = used - w[k] - w[k-1]
+	if run {
+		left = len(s.b) - w[k]
+	}
+	k = sort.Search(n, func(k int) bool { return w[n]-w[k+1] < e })
+	return left, used - 2*w[n] + w[k] + w[k+1]
 }
 
 // even is shed's step with one sibling of the leaf, the last of path:
 // the one across separator j of the parent, on the left when j is below
-// the leaf's position there. lo and hi are the leaf's fences, and most
-// is cut's.
-func (t *BTree) even(path []pinned, j int, lo, hi, key, val []byte, most bool) ([]pageWrite, error) {
+// the leaf's position there. lo and hi are the leaf's fences, most is
+// cut's, and room is shed's.
+func (t *BTree) even(path []pinned, j int, lo, hi, key, val []byte, most bool, room int) ([]pageWrite, error) {
 	leaf, p := path[len(path)-1], path[len(path)-2]
 	left := j < p.pos
 	sid := p.n.child(j + 1)
@@ -284,25 +310,16 @@ func (t *BTree) even(path []pinned, j int, lo, hi, key, val []byte, most bool) (
 		return nil, err
 	}
 	sib, r := node(buf), leaf.n
-	// A sibling whose prefix is no longer than the leaf's, and so stores
-	// the entries it takes in no fewer bytes than the leaf, needs an
-	// eighth of a page free: leaves that full are not weighed.
-	if sib.prefixLen() <= r.prefixLen() && 8*(len(r)-sib.dir()-slotSize*sib.count()-sib.live()) < len(r) {
+	if sib.prefixLen() <= r.prefixLen() && nodeHeader+slotSize*sib.count()+sib.live() > room {
 		t.pool.Unpin(sid, false)
 		return nil, nil
 	}
 	// The far fence of the sibling is separator j-1 or j+1 of the
 	// parent, or past either end the parent's own.
-	far := j + 1
-	if left {
-		far = j - 1
-	}
-	if far >= 0 && far < p.n.count() {
-		if left {
-			lo = p.n.appendKey(nil, far)
-		} else {
-			hi = p.n.appendKey(nil, far)
-		}
+	if left && j > 0 {
+		lo = p.n.appendKey(nil, j-1)
+	} else if !left && j+1 < p.n.count() {
+		hi = p.n.appendKey(nil, j+1)
 	} else if plo, phi := fences(path[:len(path)-2]); left {
 		lo = plo
 	} else {

@@ -216,12 +216,15 @@ const frameHeader = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func appendFrame(dst []byte, payload []byte) []byte {
+// appendFrame appends r's frame to dst, encoding the payload in place.
+func appendFrame(dst []byte, r *Record) []byte {
 	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	at := len(dst)
+	dst = r.encode(append(dst, hdr[:]...))
+	payload := dst[at+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(payload, crcTable))
+	return dst
 }
 
 // decodeFrames parses every complete, checksummed frame in buf, whose

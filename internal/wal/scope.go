@@ -174,10 +174,10 @@ func (t *TreeLogger) BTreeDelete(page storage.PageID, key []byte) error {
 }
 
 // BTreePageImage records the post-image of a page a split or a shed
-// restructured, without its free gap.
+// restructured, without its free gap. The record is encoded into the
+// log before append returns, so img is read in place, not copied.
 func (t *TreeLogger) BTreePageImage(page storage.PageID, img []byte) error {
-	return t.s.append(&Record{Kind: KBTreeImage, Page: page,
-		Data: append([]byte(nil), img...)})
+	return t.s.append(&Record{Kind: KBTreeImage, Page: page, Data: img})
 }
 
 // BTreeRoot records a root change from old to new.

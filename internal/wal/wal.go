@@ -223,7 +223,7 @@ func (l *Log) appendLocked(r *Record) (LSN, error) {
 		return 0, err
 	}
 	before := len(l.tail)
-	l.tail = appendFrame(l.tail, r.encode(nil))
+	l.tail = appendFrame(l.tail, r)
 	n := int64(len(l.tail) - before)
 	l.stats.BytesAppended += n
 	l.stats.Records++
