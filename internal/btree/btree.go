@@ -451,7 +451,7 @@ type Logger interface {
 	// BTreeDelete records removing key from the leaf at page.
 	BTreeDelete(page storage.PageID, key []byte) error
 	// BTreePageImage records the post-image of a restructured page,
-	// without its free gap (see ReplayImage).
+	// without its free gap (see ReplayImage); img is the tree's scratch.
 	BTreePageImage(page storage.PageID, img []byte) error
 	// BTreeRoot records a root change.
 	BTreeRoot(old, new storage.PageID) error
