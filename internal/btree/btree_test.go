@@ -326,7 +326,7 @@ func (l *recLogger) replay(pageSize int) (*BTree, error) {
 		var err error
 		switch r.kind {
 		case "alloc":
-			err = disk.AllocAt(r.page, storage.CatIndex)
+			err = disk.AllocAt(r.page, storage.CatIndex, pageSize)
 		case "init":
 			if root == storage.InvalidPageID {
 				root = r.page

@@ -22,6 +22,9 @@ import (
 //  5. a rootless index — no tree, its table's page answers for it —
 //     has a heap of at most one page, and a rootless unique index's
 //     keys are distinct among that page's live rows.
+//  6. a heap page smaller than a full one is a quarter or a half of
+//     one and its heap's only page, and each page's frame is as long
+//     as the disk records the page (storage.HeapFile.CheckPages).
 //
 // It returns nil when the table is consistent and a descriptive error
 // for the first violation found. The caller must hold at least the
@@ -48,6 +51,9 @@ func (t *Table) CheckInvariants() error {
 	}
 	if n := t.Heap.NumRows(); int64(len(rows)) != n {
 		return fmt.Errorf("catalog: %s: heap row counter %d but %d live records", t.Name, n, len(rows))
+	}
+	if err := t.Heap.CheckPages(); err != nil {
+		return fmt.Errorf("catalog: %s: %w", t.Name, err)
 	}
 	for _, ix := range t.Indexes {
 		if err := t.checkIndex(ix, rows); err != nil {

@@ -227,7 +227,7 @@ func (a *Applier) applyLocked(r *wal.Record, start wal.LSN) error {
 		// Idempotent exact-ID allocation: a page the disk already holds
 		// (re-ingested overlap, a primary's surviving allocation) is
 		// left as it is.
-		return db.disk.AllocAt(r.Page, r.Cat)
+		return db.disk.AllocAt(r.Page, r.Cat, int(r.Slot))
 
 	case wal.KCheckpoint:
 		return a.checkpointLocked(start)
@@ -339,7 +339,9 @@ func (a *Applier) stampedLSN(id storage.PageID) wal.LSN {
 func redoPage(pool *storage.BufferPool, r *wal.Record) error {
 	switch r.Kind {
 	case wal.KHeapNewPage:
-		return storage.ReplayHeapInit(pool, r.Page)
+		return storage.ReplayHeapInit(pool, r.Page, int(r.Slot))
+	case wal.KHeapGrow:
+		return storage.ReplayHeapGrow(pool, r.Page, int(r.Slot))
 	case wal.KHeapInsert:
 		return storage.ReplayHeapInsert(pool, r.Page, r.Slot, r.Data)
 	case wal.KHeapInsertAt:

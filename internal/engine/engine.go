@@ -614,6 +614,12 @@ type Stats struct {
 	PhysWrites int64
 	Tables     int
 	MetaBytes  int64
+	// DiskPages counts the disk's page ids, DiskExtents the page-size
+	// extents they fill (what tables cost on disk beside MetaBytes), and
+	// DiskBySize the quarter, half and full pages.
+	DiskPages   int
+	DiskExtents int
+	DiskBySize  [3]int
 	// StmtRollbacks counts DML statements that failed and were rolled
 	// back cleanly to their pre-statement state; StmtRollbackFailures
 	// counts failed statements whose undo replay itself failed partway
@@ -733,6 +739,8 @@ func (db *DB) Stats() Stats {
 		Recoveries:           db.recoveries,
 		RecoveryReplayed:     db.replayedRecs,
 	}
+	s.DiskBySize, s.DiskExtents = db.disk.Census(), db.disk.NumPages()
+	s.DiskPages = s.DiskBySize[0] + s.DiskBySize[1] + s.DiskBySize[2]
 	c := db.txns.Contention()
 	s.LockWaits = db.lockWaits.Load()
 	s.LockWaitNanos = db.lockWaitNanos.Load()

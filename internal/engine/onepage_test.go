@@ -138,8 +138,9 @@ func TestOnePageTableHasNoIndexPages(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE p (v INTEGER)")
 	mustExec(t, db, "INSERT INTO p VALUES (3), (17), (31), (40), (NULL)")
 	tab := atomTable(t, db)
-	if n := db.Disk().NumPages(); n != 2 { // t's page and p's
-		t.Fatalf("%d disk pages, want t's heap page and p's", n)
+	// t's heap page and p's: sub-pages, both in one extent.
+	if st := db.Stats(); st.DiskPages != 2 || st.DiskExtents != 1 || st.DiskBySize[2] != 0 {
+		t.Fatalf("%d disk pages (%v by size) in %d extents, want t's heap page and p's, sub-pages in one extent", st.DiskPages, st.DiskBySize, st.DiskExtents)
 	}
 	if built(t, tab) {
 		t.Fatal("the indexes of a one-page table have trees")
@@ -165,11 +166,11 @@ func TestOnePageTableHasNoIndexPages(t *testing.T) {
 }
 
 // TestOnePageTableDiskPages: the same table alone on a fresh database
-// is one disk page.
+// is one disk page, and it is smaller than a full one.
 func TestOnePageTableDiskPages(t *testing.T) {
 	db := newOnePageDB(t, 32)
-	if n := db.Disk().NumPages(); n != 1 {
-		t.Errorf("a 32-row table with three indexes occupies %d disk pages, want 1", n)
+	if st := db.Stats(); st.DiskPages != 1 || st.DiskExtents != 1 || st.DiskBySize[2] != 0 {
+		t.Errorf("a 32-row table with three indexes occupies %d disk pages (%v by size) in %d extents, want one sub-page", st.DiskPages, st.DiskBySize, st.DiskExtents)
 	}
 }
 

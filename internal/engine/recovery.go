@@ -105,6 +105,7 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, *Applier, 
 	}
 	img.Disk.SetCrashed(false)
 	img.Disk.SetFault(nil) // recovery is a fresh boot: planted faults die with the old process
+	img.Disk.Settle()      // a grow that never reached the disk replays from the log
 
 	cfg := img.Cfg
 	pool := storage.NewBufferPool(img.Disk, cfg.MemoryBytes)
@@ -179,8 +180,10 @@ func recoverImpl(img *CrashImage, replica bool) (*DB, *RecoverReport, *Applier, 
 			continue
 		}
 		if r.Txn != 0 && !ended[r.Txn] {
-			if !replica {
-				continue // loser: its pages never reached disk
+			if !replica && r.Kind != wal.KHeapGrow {
+				// Loser: its pages never reached disk. Its grows, which
+				// moved no row, replay: a committed write may use the room.
+				continue
 			}
 			if r.Kind == wal.KPageAlloc {
 				openAlloc[r.Page] = true

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -111,11 +112,6 @@ func (l *lruList) empty() bool { return l.root.next == &l.root }
 func (l *lruList) pushBack(f *frame) {
 	f.prev, f.next = l.root.prev, &l.root
 	f.prev.next, l.root.prev = f, f
-}
-
-func (l *lruList) pushFront(f *frame) {
-	f.prev, f.next = &l.root, l.root.next
-	f.next.prev, l.root.next = f, f
 }
 
 func (l *lruList) remove(f *frame) {
@@ -487,7 +483,8 @@ func (s *poolShard) installLocked(id PageID, cat Category, forHint bool) (*frame
 		return nil, err
 	}
 	s.stats.PhysicalReads[cat]++
-	f := &frame{id: id, data: make([]byte, s.disk.PageSize()), cat: cat,
+	size := cmp.Or(s.disk.SizeOf(id), s.disk.PageSize()) // 0: unallocated, the read fails
+	f := &frame{id: id, data: make([]byte, size), cat: cat,
 		ready: make(chan struct{}), loading: true}
 	s.frames[id] = f
 	return f, nil
@@ -558,32 +555,50 @@ func (s *poolShard) forgetLocked(f *frame) {
 // NewPage allocates a fresh page on disk, pins it, and returns its ID
 // and buffer.
 func (p *BufferPool) NewPage(cat Category) (PageID, []byte, error) {
+	return p.newPage(cat, p.disk.PageSize())
+}
+
+// newPage is NewPage for a page of size bytes (see Disk.Resize).
+func (p *BufferPool) newPage(cat Category, size int) (PageID, []byte, error) {
 	if err := p.checkFetchFault(InvalidPageID, cat); err != nil {
 		return InvalidPageID, nil, err
 	}
-	id := p.disk.AllocCat(cat)
+	id := p.disk.AllocCat(cat, size)
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.makeRoomLocked(false); err != nil {
 		return InvalidPageID, nil, err
 	}
-	f := &frame{id: id, data: make([]byte, p.disk.PageSize()), pins: 1, dirty: true, cat: cat}
+	f := &frame{id: id, data: make([]byte, size), pins: 1, dirty: true, cat: cat}
 	s.frames[id] = f
 	return id, f.data, nil
+}
+
+// Grow resizes page id, which the caller alone holds pinned, to size
+// bytes on disk and in its frame, and returns the frame's new, dirty
+// buffer: the old bytes first, zeros after.
+func (p *BufferPool) Grow(id PageID, size int) ([]byte, error) {
+	s := p.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := s.frames[id]
+	if f == nil || f.pins != 1 {
+		return nil, fmt.Errorf("storage: grow of page %d, which its caller alone must hold pinned", id)
+	}
+	if err := p.disk.Resize(id, size); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, size)
+	copy(buf, f.data)
+	f.data, f.dirty = buf, true
+	return buf, nil
 }
 
 // Unpin releases one pin; dirty marks the page for write-back on
 // eviction or flush. Releasing the last pin also retries any shrink
 // that was deferred because every page was pinned.
-func (p *BufferPool) Unpin(id PageID, dirty bool) { p.unpin(id, dirty, false) }
-
-// UnpinCold is Unpin for a page the caller knows no reader will ask
-// for soon: released by its last pin, it goes to the cold end of its
-// shard's LRU list, the next victim, instead of the hot end.
-func (p *BufferPool) UnpinCold(id PageID, dirty bool) { p.unpin(id, dirty, true) }
-
-func (p *BufferPool) unpin(id PageID, dirty, cold bool) {
+func (p *BufferPool) Unpin(id PageID, dirty bool) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -596,11 +611,7 @@ func (p *BufferPool) unpin(id PageID, dirty, cold bool) {
 		f.dirty = true
 	}
 	if f.pins == 0 {
-		if cold {
-			s.lru.pushFront(f)
-		} else {
-			s.lru.pushBack(f)
-		}
+		s.lru.pushBack(f)
 		if len(s.frames) > s.capacity {
 			// Deferred shrink: the pool was resized below its resident
 			// count while everything was pinned. Best effort — an I/O

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,9 +30,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // page predates the WAL) and the CRC-32C of its contents. Keeping it
 // beside the page rather than inside it leaves the slotted layout — and
 // every offset computed from it — untouched.
+//
+// size is the page's room: a full page fills an extent, a sub-page (a
+// quarter or a half) the quarters bits of exts[ext], which only
+// sub-pages share. It grows with a pinned frame (Resize), ahead of the
+// bytes, which reach the disk at the frame's next write-back.
 type pageMeta struct {
-	lsn LSN
-	sum uint32
+	lsn  LSN
+	sum  uint32
+	size int
+	ext  int32
+	bits uint8
 }
 
 // Disk is the backing page store. The paper's testbed kept data on an
@@ -46,6 +55,14 @@ type Disk struct {
 	next     uint64
 	pageSize int
 	crashed  bool
+
+	// exts holds a bit per quarter in use of each extent sub-pages share;
+	// inUse counts those with any set, and every one below hint is full.
+	// bySize counts the quarter, half and full pages.
+	exts   []uint8
+	inUse  int
+	hint   int
+	bySize [3]int
 
 	// ReadLatency is added to every physical page read. Zero (the
 	// default) makes unit tests fast; the experiment harnesses set it
@@ -107,13 +124,14 @@ func (d *Disk) checkFault(op FaultOp, id PageID) error {
 	return fn(FaultInfo{Op: op, ID: id, Cat: cat, Seq: d.faultSeq.Add(1)})
 }
 
-// Alloc reserves a new zeroed page and returns its ID. The page is
+// Alloc reserves a new zeroed full page and returns its ID. The page is
 // tagged CatData; use AllocCat to tag index pages.
-func (d *Disk) Alloc() PageID { return d.AllocCat(CatData) }
+func (d *Disk) Alloc() PageID { return d.AllocCat(CatData, d.pageSize) }
 
-// AllocCat reserves a new zeroed page tagged with cat, so fault
-// injection and diagnostics can target pages by category.
-func (d *Disk) AllocCat(cat Category) PageID {
+// AllocCat reserves a new zeroed page of size bytes — a full page, a
+// half or a quarter of one — tagged with cat, so fault injection and
+// diagnostics can target pages by category.
+func (d *Disk) AllocCat(cat Category, size int) PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
@@ -121,11 +139,128 @@ func (d *Disk) AllocCat(cat Category) PageID {
 	}
 	d.next++
 	id := PageID(d.next)
-	page := make([]byte, d.pageSize)
+	d.addLocked(id, cat, make([]byte, size), NoLSN)
+	return id
+}
+
+// addLocked files page as id's contents and places it at its size.
+func (d *Disk) addLocked(id PageID, cat Category, page []byte, lsn LSN) {
+	m := pageMeta{lsn: lsn, sum: crc32.Checksum(page, castagnoli)}
+	d.place(&m, len(page))
 	d.pages[id] = page
 	d.cats[id] = cat
-	d.meta[id] = pageMeta{sum: crc32.Checksum(page, castagnoli)}
-	return id
+	d.meta[id] = m
+}
+
+// quarters is the part of an extent a page of size bytes fills: 1, 2, 4.
+func (d *Disk) quarters(size int) uint8 {
+	switch size {
+	case d.pageSize / 4:
+		return 1
+	case d.pageSize / 2:
+		return 2
+	}
+	return 4
+}
+
+// place puts m, a page of size bytes, in the lowest extent with an
+// aligned run of quarters free, a new extent if none has one; a full
+// page takes an extent of its own.
+func (d *Disk) place(m *pageMeta, size int) {
+	q := d.quarters(size)
+	if q == 4 {
+		m.size, m.bits = size, 0
+		d.bySize[2]++
+		return
+	}
+	for d.hint < len(d.exts) && d.exts[d.hint] == 0xF {
+		d.hint++
+	}
+	for e := d.hint; ; e++ {
+		if e == len(d.exts) {
+			d.exts = append(d.exts, 0)
+		}
+		for at := uint8(0); at < 4; at += q {
+			if run := (uint8(1)<<q - 1) << at; d.exts[e]&run == 0 {
+				d.claim(m, size, e, run)
+				return
+			}
+		}
+	}
+}
+
+// claim gives m, a sub-page of size bytes, the quarters run of extent e.
+func (d *Disk) claim(m *pageMeta, size, e int, run uint8) {
+	if d.exts[e] == 0 {
+		d.inUse++
+	}
+	d.exts[e] |= run
+	d.bySize[d.quarters(size)>>1]++
+	m.size, m.ext, m.bits = size, int32(e), run
+}
+
+// unplace frees the room m holds.
+func (d *Disk) unplace(m pageMeta) {
+	d.bySize[d.quarters(m.size)>>1]--
+	if m.bits == 0 {
+		return
+	}
+	if d.exts[m.ext] &^= m.bits; d.exts[m.ext] == 0 {
+		d.inUse--
+	}
+	d.hint = min(d.hint, int(m.ext))
+}
+
+// Resize grows page id to a half or a full page. It takes the free
+// buddy beside it when the aligned run of the new size holds nothing
+// else, and moves to the first free run otherwise. Only the room moves:
+// the page's bytes stay as last written until the next write (the pool
+// grows the frame in step, BufferPool.Grow).
+func (d *Disk) Resize(id PageID, size int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m, ok := d.meta[id]
+	switch {
+	case d.crashed:
+		return ErrDiskCrashed
+	case !ok || size <= m.size || size != d.pageSize && size != d.pageSize/2:
+		return fmt.Errorf("storage: page %d (allocated %v, %d bytes) grown to %d bytes, not a half or all of %d", id, ok, m.size, size, d.pageSize)
+	}
+	d.resizeLocked(id, m, size)
+	return nil
+}
+
+func (d *Disk) resizeLocked(id PageID, m pageMeta, size int) {
+	q, e := d.quarters(size), int(m.ext)
+	run := (uint8(1)<<q - 1) << (bits.TrailingZeros8(m.bits) &^ int(q-1))
+	buddy := q < 4 && m.bits != 0 && d.exts[e]&run == m.bits
+	d.unplace(m)
+	if buddy {
+		d.claim(&m, size, e, run)
+	} else {
+		d.place(&m, size)
+	}
+	d.meta[id] = m
+}
+
+// SizeOf returns the size of page id, 0 if it is not allocated.
+func (d *Disk) SizeOf(id PageID) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.meta[id].size
+}
+
+// Settle gives every page, in id order, the size of its last written
+// image, as a restart sees it: replay redoes the grows that never
+// reached the disk.
+func (d *Disk) Settle() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for id := PageID(1); id <= PageID(d.next); id++ {
+		if page, ok := d.pages[id]; ok && d.meta[id].size != len(page) {
+			d.resizeLocked(id, d.meta[id], len(page))
+		}
+	}
 }
 
 // SetCrashed marks the disk as crashed (true) or repaired (false).
@@ -209,6 +344,10 @@ func (d *Disk) write(id PageID, src []byte, setLSN bool, lsn LSN) error {
 	d.mu.Lock()
 	dst, ok := d.pages[id]
 	if ok {
+		if len(dst) != len(src) { // the first write since a resize
+			dst = make([]byte, len(src))
+			d.pages[id] = dst
+		}
 		copy(dst, src)
 		m := d.meta[id]
 		m.sum = crc32.Checksum(dst, castagnoli)
@@ -250,6 +389,9 @@ func (d *Disk) CorruptPage(id PageID) bool {
 // Free releases the page.
 func (d *Disk) Free(id PageID) {
 	d.mu.Lock()
+	if m, ok := d.meta[id]; ok {
+		d.unplace(m)
+	}
 	delete(d.pages, id)
 	delete(d.cats, id)
 	delete(d.meta, id)
@@ -275,11 +417,21 @@ func (d *Disk) PageIDs() []PageID {
 	return out
 }
 
-// NumPages returns the number of allocated pages.
+// NumPages returns the number of page-size extents in use: one per
+// full page, and one per extent that holds any sub-page. PageIDs lists
+// the pages themselves.
 func (d *Disk) NumPages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.pages)
+	return d.bySize[2] + d.inUse
+}
+
+// Census counts the disk's pages by size class: quarter, half and full
+// pages.
+func (d *Disk) Census() [3]int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.bySize
 }
 
 // PhysReads returns the cumulative physical read count.

@@ -52,7 +52,7 @@ func TestFailNthWriteLeavesPageUnchanged(t *testing.T) {
 func TestFaultMatchCategory(t *testing.T) {
 	d := NewDisk(128)
 	dataID := d.Alloc()
-	indexID := d.AllocCat(CatIndex)
+	indexID := d.AllocCat(CatIndex, 128)
 	buf := make([]byte, 128)
 	if err := d.Write(dataID, buf); err != nil {
 		t.Fatal(err)

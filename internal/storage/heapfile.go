@@ -31,14 +31,17 @@ const (
 )
 
 // HeapFile stores a table's rows across slotted pages fetched through
-// the buffer pool.
+// the buffer pool. Its first page starts at a quarter of a page (more
+// if its first record needs it) and doubles in place as it fills:
+// Insert, Update and Reinsert grow it before they add a page, relocate
+// a row or fail, so every page of a file of two or more is full.
 type HeapFile struct {
 	mu    sync.Mutex
 	pool  *BufferPool
 	pages []PageID
 	mode  InsertMode
-	// freeBytes caches per-page free space for best-fit placement so
-	// insert doesn't have to touch every page.
+	// freeBytes caches per-page free space (room) for best-fit
+	// placement so insert doesn't have to touch every page.
 	freeBytes []int
 	rows      int64
 
@@ -126,11 +129,31 @@ func (h *HeapFile) RecomputeMeta() error {
 			return err
 		}
 		sp := Slotted(buf)
-		h.freeBytes[i] = sp.ReclaimableSpace()
+		h.freeBytes[i] = h.room(sp)
 		n := int64(0)
 		sp.LiveRecords(func(uint16, []byte) bool { n++; return true })
 		h.rows += n
 		h.pool.Unpin(id, false)
+	}
+	return nil
+}
+
+// CheckPages holds the file's pages to the sub-page rule: a page
+// smaller than a full one is a quarter or a half of one and the file's
+// only page, and every page's frame is as long as the disk records the
+// page.
+func (h *HeapFile) CheckPages() error {
+	pages, full := h.Pages(), h.pool.PageSize()
+	for _, id := range pages {
+		buf, err := h.pool.Fetch(id, CatData)
+		if err != nil {
+			return err
+		}
+		n, disk := len(buf), h.pool.disk.SizeOf(id)
+		h.pool.Unpin(id, false)
+		if n != disk || n != full && (len(pages) > 1 || n != full/4 && n != full/2) {
+			return fmt.Errorf("storage: page %d of a file of %d pages is %d bytes in the pool and %d on disk (full %d)", id, len(pages), n, disk, full)
+		}
 	}
 	return nil
 }
@@ -176,10 +199,11 @@ func (h *HeapFile) PrefetchSmall(maxPages int) (page PageID, one bool) {
 }
 
 // OnePage returns the file's page when it has exactly one (ok), with
-// the bytes that page has free: they decide whether a write gives the
-// file its second page. Insert takes one for a record when its length
-// plus SlotCost exceeds them; an in-place Update relocates a record
-// when its growth does.
+// the bytes that page has free, counting those it gains growing to a
+// full page: they decide whether a write gives the file its second
+// page. Insert takes one for a record when its length plus SlotCost
+// exceeds them; an in-place Update relocates a record when its growth
+// does.
 func (h *HeapFile) OnePage() (page PageID, free int, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -250,10 +274,13 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		if h.slotPin != nil {
 			avoid = func(slot uint16) bool { return h.slotPin(RID{Page: id, Slot: slot}) }
 		}
-		sp := Slotted(buf)
-		slot, err := sp.InsertAvoiding(rec, avoid)
+		var slot uint16
+		sp, err := h.fit(id, Slotted(buf), h.logger, func(sp SlottedPage) (err error) {
+			slot, err = sp.InsertAvoiding(rec, avoid)
+			return err
+		})
 		if errors.Is(err, ErrPageFull) {
-			h.freeBytes[i] = sp.ReclaimableSpace()
+			h.freeBytes[i] = h.room(sp)
 			h.pool.Unpin(id, false)
 			return RID{}, false, nil
 		}
@@ -264,12 +291,12 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		if h.logger != nil {
 			if lerr := h.logger.HeapInsert(id, slot, rec); lerr != nil {
 				_ = sp.Delete(slot)
-				h.freeBytes[i] = sp.ReclaimableSpace()
+				h.freeBytes[i] = h.room(sp)
 				h.pool.Unpin(id, true)
 				return RID{}, false, lerr
 			}
 		}
-		h.freeBytes[i] = sp.ReclaimableSpace()
+		h.freeBytes[i] = h.room(sp)
 		h.pool.Unpin(id, true)
 		h.rows++
 		return RID{Page: id, Slot: slot}, true, nil
@@ -285,14 +312,18 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		}
 	}
 
-	// Grow the file.
-	id, buf, err := h.pool.NewPage(CatData)
+	// Grow the file: its first page as small as the record allows.
+	size := h.pool.PageSize()
+	for len(h.pages) == 0 && size > h.pool.PageSize()/4 && need <= size/2-pageHeader {
+		size /= 2
+	}
+	id, buf, err := h.pool.newPage(CatData, size)
 	if err != nil {
 		return RID{}, err
 	}
 	sp := InitSlotted(buf)
 	if h.logger != nil {
-		if lerr := h.logger.HeapNewPage(id); lerr != nil {
+		if lerr := h.logger.HeapNewPage(id, size); lerr != nil {
 			// The unfiled page is left for recovery's orphan sweep; the
 			// log only fails when the system is crashing anyway.
 			h.pool.Unpin(id, true)
@@ -312,7 +343,7 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		}
 	}
 	h.pages = append(h.pages, id)
-	h.freeBytes = append(h.freeBytes, sp.ReclaimableSpace())
+	h.freeBytes = append(h.freeBytes, h.room(sp))
 	h.pool.Unpin(id, true)
 	h.rows++
 	return RID{Page: id, Slot: slot}, nil
@@ -353,7 +384,7 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, []byte, error) {
 	}
 	old := append([]byte(nil), o...)
 	lg := h.log()
-	uerr := sp.Update(rid.Slot, rec)
+	sp, uerr := h.fit(rid.Page, sp, lg, func(sp SlottedPage) error { return sp.Update(rid.Slot, rec) })
 	if uerr == nil {
 		if lg != nil {
 			if lerr := lg.HeapUpdate(rid.Page, rid.Slot, rec); lerr != nil {
@@ -389,7 +420,7 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, []byte, error) {
 			return RID{}, nil, lerr
 		}
 	}
-	h.noteFree(rid.Page, sp.ReclaimableSpace())
+	h.noteFree(rid.Page, h.room(sp))
 	h.pool.Unpin(rid.Page, true)
 	h.mu.Lock()
 	h.rows-- // the relocating Insert incremented; net row count is unchanged
@@ -443,19 +474,20 @@ func (h *HeapFile) Reinsert(rid RID, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	sp := Slotted(buf)
-	if err := sp.InsertAt(rid.Slot, rec); err != nil {
+	lg := h.log()
+	sp, err := h.fit(rid.Page, Slotted(buf), lg, func(sp SlottedPage) error { return sp.InsertAt(rid.Slot, rec) })
+	if err != nil {
 		h.pool.Unpin(rid.Page, false)
 		return err
 	}
-	if lg := h.log(); lg != nil {
+	if lg != nil {
 		if lerr := lg.HeapInsertAt(rid.Page, rid.Slot, rec); lerr != nil {
 			_ = sp.Delete(rid.Slot)
 			h.pool.Unpin(rid.Page, true)
 			return lerr
 		}
 	}
-	h.noteFree(rid.Page, sp.ReclaimableSpace())
+	h.noteFree(rid.Page, h.room(sp))
 	h.pool.Unpin(rid.Page, true)
 	h.mu.Lock()
 	h.rows++
@@ -485,12 +517,45 @@ func (h *HeapFile) Delete(rid RID) ([]byte, error) {
 			return nil, lerr
 		}
 	}
-	h.noteFree(rid.Page, sp.ReclaimableSpace())
+	h.noteFree(rid.Page, h.room(sp))
 	h.pool.Unpin(rid.Page, true)
 	h.mu.Lock()
 	h.rows--
 	h.mu.Unlock()
 	return old, nil
+}
+
+// room is the free space the cache keeps for page sp: its bytes free
+// once compacted plus those it gains growing to a full page.
+func (h *HeapFile) room(sp SlottedPage) int {
+	return sp.ReclaimableSpace() + h.pool.PageSize() - len(sp.buf)
+}
+
+// fit runs op, a write to page id, and while op finds the sub-page
+// full, grows the page and runs op again; it returns the page op last
+// saw. The caller holds the page's only pin.
+func (h *HeapFile) fit(id PageID, sp SlottedPage, lg HeapLogger, op func(SlottedPage) error) (SlottedPage, error) {
+	err := op(sp)
+	for full := h.pool.PageSize(); errors.Is(err, ErrPageFull) && len(sp.buf) < full; err = op(sp) {
+		size := full
+		if len(sp.buf) < full/2 {
+			size = full / 2
+		}
+		buf, gerr := h.pool.Grow(id, size)
+		if gerr != nil {
+			return sp, gerr
+		}
+		from := len(sp.buf)
+		sp = Slotted(buf)
+		sp.Grow(from)
+		if lg != nil {
+			// A grow moves no row: a page the log refused stays grown.
+			if gerr := lg.HeapGrow(id, size); gerr != nil {
+				return sp, gerr
+			}
+		}
+	}
+	return sp, err
 }
 
 // addFree moves a page's cached free space by delta: a record updated

@@ -1,8 +1,8 @@
-// Package storage implements the paper's physical substrate: fixed-size
-// slotted pages, a page store ("disk") with simulated read latency, an
-// LRU buffer pool whose capacity is charged against the database's
-// memory budget, and heap files with the two insert policies (best-fit
-// and append) that DB2 switches between in the paper's §5 experiment.
+// Package storage implements the paper's physical substrate: slotted
+// pages (a one-page heap's grows in place), a page store ("disk") with
+// simulated read latency, an LRU buffer pool whose capacity is charged
+// against the database's memory budget, and heap files with the two
+// insert policies (best-fit and append) DB2 switches between in §5.
 //
 // Index pages are fetched through the same buffer pool as data pages and
 // are tagged with a category so the pool can report the separate data
@@ -287,6 +287,25 @@ func (p SlottedPage) Compact() {
 	p.setFreeHigh(high)
 	*sp = tmp
 	compactScratch.Put(sp)
+}
+
+// Grow lays out over the whole of p's buffer a page that filled only
+// its first from bytes (the buffer BufferPool.Grow hands back): the
+// record area moves to the new tail, each live slot's offset and
+// freeHigh move by the bytes added, and the slot array stays, so
+// FreeSpace rises by exactly those bytes and every slot keeps its
+// record.
+func (p SlottedPage) Grow(from int) {
+	d := len(p.buf) - from
+	high := int(p.freeHigh())
+	copy(p.buf[high+d:], p.buf[high:from])
+	clear(p.buf[high : high+d])
+	for i := range p.numSlots() {
+		if off, length := p.slotAt(i); off != 0 {
+			p.setSlot(i, off+uint16(d), length)
+		}
+	}
+	p.setFreeHigh(uint16(high + d))
 }
 
 // compactScratch lends Compact its copy of a page's live records.

@@ -37,19 +37,23 @@ func TestSlottedCompactAllocatesNothing(t *testing.T) {
 }
 
 // FuzzSlottedPage runs a byte-coded sequence of Insert, InsertAt,
-// Update, Delete and Compact on one small page and holds it, after every
-// operation, to a map of slot → bytes: every live slot returns its
-// bytes, every other slot is gone, a refusal means the record genuinely
-// does not fit, Compact leaves exactly the reclaimable space free, and
-// an Update can always be taken back (restoring a record the page held
-// fits, which is what statement undo relies on).
+// Update, Delete, Compact and Grow on one small page, which starts at a
+// quarter of its full size, and holds it, after every operation, to a
+// map of slot → bytes: every live slot returns its bytes, every other
+// slot is gone, a refusal means the record genuinely does not fit,
+// Compact leaves exactly the reclaimable space free, an Update can
+// always be taken back (restoring a record the page held fits, which is
+// what statement undo relies on), and a Grow adds exactly its bytes to
+// the free space and lays out a copy of the page, grown the same way
+// (as replay grows it), byte for byte as it laid out the page.
 func FuzzSlottedPage(f *testing.F) {
 	f.Add([]byte{0, 40, 0, 30, 0, 50, 3, 1, 4, 1, 0, 2, 90, 1, 2, 3, 10, 4})
 	f.Add([]byte("insert, update, delete and compact until the page is full and fragmented"))
 	f.Add(bytes.Repeat([]byte{0, 33, 2, 0, 70, 1, 3, 2, 1, 0, 20}, 12))
+	f.Add([]byte{0, 40, 5, 0, 50, 3, 0, 5, 0, 60, 2, 1, 80, 0, 4, 5, 0, 70})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const pageSize = 256
-		p := InitSlotted(make([]byte, pageSize))
+		p := InitSlotted(make([]byte, pageSize/4))
 		model := map[uint16][]byte{}
 		next := func() byte {
 			if len(ops) == 0 {
@@ -79,7 +83,7 @@ func FuzzSlottedPage(f *testing.F) {
 			return cands[int(i)%len(cands)], true
 		}
 		for step := 0; len(ops) > 0; step++ {
-			switch op := next() % 5; op {
+			switch op := next() % 6; op {
 			case 0: // Insert
 				rec := record(next())
 				need := len(rec) + slotSize
@@ -158,6 +162,24 @@ func FuzzSlottedPage(f *testing.F) {
 				p.Compact()
 				if free, rec := p.FreeSpace(), p.ReclaimableSpace(); free != rec {
 					t.Fatalf("step %d: %d bytes free after Compact, %d reclaimable", step, free, rec)
+				}
+			case 5: // Grow to twice the size, the old bytes first
+				from := len(p.buf)
+				if from == pageSize {
+					continue
+				}
+				before := p.FreeSpace()
+				buf := make([]byte, 2*from)
+				copy(buf, p.buf)
+				replayed := append([]byte(nil), buf...)
+				p = Slotted(buf)
+				p.Grow(from)
+				if free := p.FreeSpace(); free != before+from {
+					t.Fatalf("step %d: %d bytes free after a grow from %d bytes, %d before", step, free, from, before)
+				}
+				Slotted(replayed).Grow(from)
+				if !bytes.Equal(replayed, buf) {
+					t.Fatalf("step %d: a grow from %d bytes replayed onto a copy differs from the page", step, from)
 				}
 			}
 			for s := uint16(0); s < uint16(p.NumSlots()); s++ {

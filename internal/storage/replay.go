@@ -7,14 +7,34 @@ import "fmt"
 // saw, so replay re-runs the same slotted-page operation and must get
 // the same slot back.
 
-// ReplayHeapInit reformats page as an empty slotted page (redo of
-// KHeapNewPage's physical half).
-func ReplayHeapInit(pool *BufferPool, page PageID) error {
+// ReplayHeapInit reformats page, allocated at size bytes, as an empty
+// slotted page (redo of KHeapNewPage's physical half).
+func ReplayHeapInit(pool *BufferPool, page PageID, size int) error {
 	buf, err := pool.Fetch(page, CatData)
 	if err != nil {
 		return err
 	}
+	if len(buf) != size {
+		pool.Unpin(page, false)
+		return fmt.Errorf("storage: replay init of page %d at %d bytes, logged at %d", page, len(buf), size)
+	}
 	InitSlotted(buf)
+	pool.Unpin(page, true)
+	return nil
+}
+
+// ReplayHeapGrow redoes the growth of a sub-page to size bytes.
+func ReplayHeapGrow(pool *BufferPool, page PageID, size int) error {
+	buf, err := pool.Fetch(page, CatData)
+	if err != nil {
+		return err
+	}
+	from := len(buf)
+	if buf, err = pool.Grow(page, size); err != nil {
+		pool.Unpin(page, false)
+		return err
+	}
+	Slotted(buf).Grow(from)
 	pool.Unpin(page, true)
 	return nil
 }

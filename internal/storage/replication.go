@@ -1,6 +1,9 @@
 package storage
 
-import "hash/crc32"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file is the storage surface replication needs: exact-ID page
 // allocation (replaying a primary's KPageAlloc on a follower whose
@@ -8,8 +11,8 @@ import "hash/crc32"
 // a pool-coherent pageLSN read for the streaming applier's replay
 // guard, and live heap-page adoption.
 
-// PageImage is one page of a disk snapshot: contents plus the
-// out-of-band metadata (category, last stamped LSN) the page carries.
+// PageImage is one page of a disk snapshot: contents (as last written,
+// at the page's size) plus its out-of-band metadata (category, LSN).
 type PageImage struct {
 	ID   PageID
 	Cat  Category
@@ -42,26 +45,27 @@ func (d *Disk) Snapshot() *DiskImage {
 }
 
 // RestoreDisk builds a disk from a snapshot (the follower bootstrap
-// path). Checksums are recomputed from the copied contents.
+// path). Checksums are recomputed from the copied contents, and pages
+// are placed in extents in id order, each at its image's size.
 func RestoreDisk(img *DiskImage) *Disk {
 	d := NewDisk(img.PageSize)
 	d.next = img.Next
-	for _, p := range img.Pages {
-		data := append([]byte(nil), p.Data...)
-		d.pages[p.ID] = data
-		d.cats[p.ID] = p.Cat
-		d.meta[p.ID] = pageMeta{lsn: p.LSN, sum: crc32.Checksum(data, castagnoli)}
+	pages := slices.Clone(img.Pages)
+	slices.SortFunc(pages, func(a, b PageImage) int { return cmp.Compare(a.ID, b.ID) })
+	for _, p := range pages {
+		d.addLocked(p.ID, p.Cat, append([]byte(nil), p.Data...), p.LSN)
 	}
 	return d
 }
 
-// AllocAt reserves the page with exactly the given ID — the replay of a
-// primary's KPageAlloc on a follower, whose allocator must end up
-// assigning the same IDs the primary's did. Idempotent: an already
-// allocated page is left untouched. The allocator cursor advances past
-// id so organic allocations (which a replica never performs, but a
-// promoted one would) cannot collide.
-func (d *Disk) AllocAt(id PageID, cat Category) error {
+// AllocAt reserves the page of size bytes (0: a full page) with
+// exactly the given ID —
+// the replay of a primary's KPageAlloc on a follower, whose allocator
+// must end up assigning the same IDs the primary's did. Idempotent: an
+// already allocated page is left untouched. The allocator cursor
+// advances past id so organic allocations (which a replica never
+// performs, but a promoted one would) cannot collide.
+func (d *Disk) AllocAt(id PageID, cat Category, size int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.crashed {
@@ -73,10 +77,7 @@ func (d *Disk) AllocAt(id PageID, cat Category) error {
 	if _, ok := d.pages[id]; ok {
 		return nil
 	}
-	page := make([]byte, d.pageSize)
-	d.pages[id] = page
-	d.cats[id] = cat
-	d.meta[id] = pageMeta{sum: crc32.Checksum(page, castagnoli)}
+	d.addLocked(id, cat, make([]byte, cmp.Or(size, d.pageSize)), NoLSN)
 	return nil
 }
 

@@ -44,8 +44,12 @@ type WALGate interface {
 // are called with the mutated page still resident in the buffer pool.
 type HeapLogger interface {
 	// HeapNewPage records that the file grew by a freshly allocated,
-	// slotted-initialized page. Doubles as the page's init record.
-	HeapNewPage(page PageID) error
+	// slotted-initialized page of size bytes. Doubles as the page's init
+	// record.
+	HeapNewPage(page PageID, size int) error
+	// HeapGrow records that page, a sub-page, grew in place to size
+	// bytes (SlottedPage.Grow).
+	HeapGrow(page PageID, size int) error
 	// HeapInsert records an insert that landed in slot on page.
 	HeapInsert(page PageID, slot uint16, rec []byte) error
 	// HeapInsertAt records a restore of rec into a tombstoned slot.

@@ -37,16 +37,16 @@ const (
 	// KCheckpoint carries a catalog snapshot plus the dirty-page table;
 	// recovery starts its metadata model from the last one.
 	KCheckpoint
-	// KPageAlloc records a fresh page allocation (Cat tags it). Committed
-	// allocs replay as no-ops (the disk survives); uncommitted ones are
-	// freed by recovery's loser cleanup.
+	// KPageAlloc records a fresh page allocation (Cat tags it, Slot its
+	// size: 0 a full page). Committed allocs replay as no-ops (the disk
+	// survives); uncommitted ones are freed by recovery's loser cleanup.
 	KPageAlloc
 	// KPageFree records a page release. Appended before the commit
 	// record; the physical free runs only after the commit is durable.
 	KPageFree
-	// KHeapNewPage records heap-file growth; replay appends the page to
-	// the table's page list and slotted-initializes it if it predates
-	// the page's on-disk LSN.
+	// KHeapNewPage records heap-file growth by a page of Slot bytes;
+	// replay appends the page to the table's page list and
+	// slotted-initializes it if it predates the page's on-disk LSN.
 	KHeapNewPage
 	// KHeapInsert is a heap insert: Data landed in Slot on Page.
 	KHeapInsert
@@ -84,6 +84,9 @@ const (
 	// rollback appends logical compensations through the same loggers,
 	// so redo needs no special handling.
 	KSavepoint
+	// KHeapGrow records that Page, a heap's only page, grew in place to
+	// Slot bytes; it moves no row, so it replays whatever its txn's fate.
+	KHeapGrow
 )
 
 var kindNames = map[Kind]string{
@@ -94,7 +97,7 @@ var kindNames = map[Kind]string{
 	KHeapUpdate: "heap-update", KBTreeInit: "btree-init",
 	KBTreeInsert: "btree-insert", KBTreeDelete: "btree-delete",
 	KBTreeImage: "btree-image", KBTreeRoot: "btree-root",
-	KCatalog: "catalog", KSavepoint: "savepoint",
+	KCatalog: "catalog", KSavepoint: "savepoint", KHeapGrow: "heap-grow",
 }
 
 func (k Kind) String() string {
@@ -128,7 +131,7 @@ type Record struct {
 func (r *Record) Mutates() bool {
 	switch r.Kind {
 	case KHeapNewPage, KHeapInsert, KHeapInsertAt, KHeapDelete, KHeapUpdate,
-		KBTreeInit, KBTreeInsert, KBTreeDelete, KBTreeImage:
+		KHeapGrow, KBTreeInit, KBTreeInsert, KBTreeDelete, KBTreeImage:
 		return true
 	}
 	return false

@@ -111,11 +111,15 @@ type heapLogger struct {
 	table string
 }
 
-func (h *heapLogger) HeapNewPage(page storage.PageID) error {
-	if err := h.s.append(&Record{Kind: KPageAlloc, Page: page, Cat: storage.CatData}); err != nil {
+func (h *heapLogger) HeapNewPage(page storage.PageID, size int) error {
+	if err := h.s.append(&Record{Kind: KPageAlloc, Page: page, Slot: uint16(size), Cat: storage.CatData}); err != nil {
 		return err
 	}
-	return h.s.append(&Record{Kind: KHeapNewPage, Page: page, Table: h.table})
+	return h.s.append(&Record{Kind: KHeapNewPage, Page: page, Slot: uint16(size), Table: h.table})
+}
+
+func (h *heapLogger) HeapGrow(page storage.PageID, size int) error {
+	return h.s.append(&Record{Kind: KHeapGrow, Page: page, Slot: uint16(size), Table: h.table})
 }
 
 func (h *heapLogger) HeapInsert(page storage.PageID, slot uint16, rec []byte) error {
