@@ -194,3 +194,58 @@ func TestRecoverLoserGrow(t *testing.T) {
 		t.Fatalf("recovered %v, want %v", got, want)
 	}
 }
+
+// TestBackfillGrowsSubPage: an ADD COLUMN's backfill widens every row
+// of a quarter page filled to within a record of full; the rewritten
+// rows need more than the page has, so the backfill grows the page in
+// place rather than leaving rows in their old shape, and recovery
+// redoes the grow it logged.
+func TestBackfillGrowsSubPage(t *testing.T) {
+	db, tab := subPageDB(t)
+	// Rows 1..63 encode alike (a one-byte id varint, a one-byte value),
+	// so the next insert fits while the page has room for one more.
+	need := len(types.EncodeRow(nil, []types.Value{types.NewInt(3), types.NewString("c")})) + storage.SlotCost
+	id := 3
+	for ; ; id++ {
+		_, free, ok := tab.Heap.OnePage()
+		if !ok || free-(1024-256) < need {
+			break
+		}
+		mustExec(t, db, "INSERT INTO g VALUES (?, 'c')", types.NewInt(int64(id)))
+	}
+	if n := pageOf(t, db, "g"); n != 256 {
+		t.Fatalf("g's page is %d bytes after filling, want 256", n)
+	}
+	_, free, _ := tab.Heap.OnePage()
+	if rows := id - 1; free-(1024-256) >= rows {
+		t.Fatalf("%d bytes free beside %d rows: a one-byte column fits without a grow", free-(1024-256), rows)
+	}
+	mustExec(t, db, "ALTER TABLE g ADD COLUMN extra INT")
+	waitMigrated(t, db)
+	seen := false
+	for _, p := range db.BackfillStatus() {
+		if strings.EqualFold(p.Table, "g") {
+			seen = true
+			if p.Residual != 0 || p.Rewritten != int64(id-1) {
+				t.Fatalf("backfill of g: %+v, want all %d rows rewritten and none residual", p, id-1)
+			}
+		}
+	}
+	if !seen {
+		t.Fatal("no backfill progress recorded for g")
+	}
+	if n := pageOf(t, db, "g"); n != 512 {
+		t.Fatalf("g's page is %d bytes after the backfill, want 512", n)
+	}
+	if grows(db) != 1 {
+		t.Fatalf("%d grow records logged, want 1", grows(db))
+	}
+	want := rowsByID(t, db, "g")
+	db2, size := recoverBoth(t, db)
+	if size != 512 {
+		t.Fatalf("g's page recovered at %d bytes, want 512", size)
+	}
+	if got := rowsByID(t, db2, "g"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %v, want %v", got, want)
+	}
+}

@@ -575,6 +575,9 @@ func (p *BufferPool) newPage(cat Category, size int) (PageID, []byte, error) {
 	return id, f.data, nil
 }
 
+// errGrowShared refuses a grow of a page another caller holds pinned.
+var errGrowShared = errors.New("storage: page pinned by more than its grower")
+
 // Grow resizes page id, which the caller alone holds pinned, to size
 // bytes on disk and in its frame, and returns the frame's new, dirty
 // buffer: the old bytes first, zeros after.
@@ -584,7 +587,7 @@ func (p *BufferPool) Grow(id PageID, size int) ([]byte, error) {
 	defer s.mu.Unlock()
 	f := s.frames[id]
 	if f == nil || f.pins != 1 {
-		return nil, fmt.Errorf("storage: grow of page %d, which its caller alone must hold pinned", id)
+		return nil, fmt.Errorf("storage: grow of page %d: %w", id, errGrowShared)
 	}
 	if err := p.disk.Resize(id, size); err != nil {
 		return nil, err

@@ -372,33 +372,11 @@ func (h *HeapFile) Get(rid RID) ([]byte, error) {
 // fails, and the caller's undo and version chain take it from here
 // instead of reading the page again.
 func (h *HeapFile) Update(rid RID, rec []byte) (RID, []byte, error) {
-	buf, err := h.pool.Fetch(rid.Page, CatData)
-	if err != nil {
-		return RID{}, nil, err
-	}
-	sp := Slotted(buf)
-	o, err := sp.Get(rid.Slot)
-	if err != nil {
-		h.pool.Unpin(rid.Page, false)
-		return RID{}, nil, err
-	}
-	old := append([]byte(nil), o...)
-	lg := h.log()
-	sp, uerr := h.fit(rid.Page, sp, lg, func(sp SlottedPage) error { return sp.Update(rid.Slot, rec) })
+	sp, old, uerr := h.updateHere(rid, rec)
 	if uerr == nil {
-		if lg != nil {
-			if lerr := lg.HeapUpdate(rid.Page, rid.Slot, rec); lerr != nil {
-				_ = sp.Update(rid.Slot, old)
-				h.pool.Unpin(rid.Page, true)
-				return RID{}, nil, lerr
-			}
-		}
-		h.addFree(rid.Page, len(old)-len(rec))
-		h.pool.Unpin(rid.Page, true)
 		return rid, old, nil
 	}
 	if !errors.Is(uerr, ErrPageFull) {
-		h.pool.Unpin(rid.Page, false)
 		return RID{}, nil, uerr
 	}
 	// Relocate: insert the copy elsewhere first, then delete here on the
@@ -412,7 +390,7 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, []byte, error) {
 		return RID{}, nil, err
 	}
 	_ = sp.Delete(rid.Slot) // cannot fail: Get found the slot live
-	if lg != nil {
+	if lg := h.log(); lg != nil {
 		if lerr := lg.HeapDelete(rid.Page, rid.Slot); lerr != nil {
 			_ = sp.InsertAt(rid.Slot, old)
 			h.pool.Unpin(rid.Page, true)
@@ -428,42 +406,57 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, []byte, error) {
 	return newRID, old, nil
 }
 
-// UpdateInPlace replaces the record at rid only if the replacement fits
-// on its page; it returns ErrPageFull instead of relocating. The schema
-// backfill worker uses it: relocation would hand the row a new RID,
-// invalidating RIDs a concurrent statement gathered under its shared
-// latch, so rows that no longer fit are left for a foreground DML write
-// (which owns its latches end to end) to migrate.
-func (h *HeapFile) UpdateInPlace(rid RID, rec []byte) error {
+// updateHere replaces the record at rid on its page, a sub-page grown
+// if need be, and returns the page and a copy of the record it
+// replaced. On ErrPageFull the page stays pinned, for the caller to
+// relocate the record from or to unpin.
+func (h *HeapFile) updateHere(rid RID, rec []byte) (SlottedPage, []byte, error) {
 	buf, err := h.pool.Fetch(rid.Page, CatData)
 	if err != nil {
-		return err
+		return SlottedPage{}, nil, err
 	}
 	sp := Slotted(buf)
-	lg := h.log()
-	var old []byte
-	o, gerr := sp.Get(rid.Slot)
-	if lg != nil && gerr == nil {
-		// Keep the pre-image so a failed log call can physically revert.
-		old = append([]byte(nil), o...)
-	}
-	oldLen := len(o)
-	if uerr := sp.Update(rid.Slot, rec); uerr != nil {
+	o, err := sp.Get(rid.Slot)
+	if err != nil {
 		h.pool.Unpin(rid.Page, false)
-		return uerr
+		return sp, nil, err
+	}
+	old := append([]byte(nil), o...)
+	lg := h.log()
+	sp, err = h.fit(rid.Page, sp, lg, func(sp SlottedPage) error { return sp.Update(rid.Slot, rec) })
+	if err != nil {
+		if !errors.Is(err, ErrPageFull) {
+			h.pool.Unpin(rid.Page, false)
+		}
+		return sp, old, err
 	}
 	if lg != nil {
 		if lerr := lg.HeapUpdate(rid.Page, rid.Slot, rec); lerr != nil {
-			if old != nil {
-				_ = sp.Update(rid.Slot, old)
-			}
+			_ = sp.Update(rid.Slot, old)
 			h.pool.Unpin(rid.Page, true)
-			return lerr
+			return sp, nil, lerr
 		}
 	}
-	h.addFree(rid.Page, oldLen-len(rec))
+	h.addFree(rid.Page, len(old)-len(rec))
 	h.pool.Unpin(rid.Page, true)
-	return nil
+	return sp, old, nil
+}
+
+// UpdateInPlace is Update without relocation: it returns ErrPageFull
+// where Update would hand the row a new RID, invalidating RIDs a
+// concurrent statement gathered under its shared latch, and where the
+// page needs a grow while another reader holds it. The schema backfill
+// worker uses it, leaving such rows for a foreground DML write (which
+// owns its latches end to end) to migrate.
+func (h *HeapFile) UpdateInPlace(rid RID, rec []byte) error {
+	_, _, err := h.updateHere(rid, rec)
+	switch {
+	case errors.Is(err, ErrPageFull):
+		h.pool.Unpin(rid.Page, false)
+	case errors.Is(err, errGrowShared):
+		err = ErrPageFull
+	}
+	return err
 }
 
 // Reinsert restores rec at exactly rid, undoing a Delete. Statement

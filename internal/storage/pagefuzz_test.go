@@ -37,8 +37,8 @@ func TestSlottedCompactAllocatesNothing(t *testing.T) {
 }
 
 // FuzzSlottedPage runs a byte-coded sequence of Insert, InsertAt,
-// Update, Delete, Compact and Grow on one small page, which starts at a
-// quarter of its full size, and holds it, after every operation, to a
+// Update, Delete, Compact and Grow on one small page, which starts at
+// 256 bytes and may double twice, and holds it, after every operation, to a
 // map of slot → bytes: every live slot returns its bytes, every other
 // slot is gone, a refusal means the record genuinely does not fit,
 // Compact leaves exactly the reclaimable space free, an Update can
@@ -51,8 +51,9 @@ func FuzzSlottedPage(f *testing.F) {
 	f.Add([]byte("insert, update, delete and compact until the page is full and fragmented"))
 	f.Add(bytes.Repeat([]byte{0, 33, 2, 0, 70, 1, 3, 2, 1, 0, 20}, 12))
 	f.Add([]byte{0, 40, 5, 0, 50, 3, 0, 5, 0, 60, 2, 1, 80, 0, 4, 5, 0, 70})
+	f.Add([]byte{0, 80, 0, 80, 0, 80, 0, 80, 5, 0, 80, 2, 1, 84, 0, 3, 0, 5, 0, 84, 1, 0, 84, 4, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const pageSize = 256
+		const pageSize = 1024 // grown to from 256 bytes, by way of 512
 		p := InitSlotted(make([]byte, pageSize/4))
 		model := map[uint16][]byte{}
 		next := func() byte {
@@ -66,7 +67,7 @@ func FuzzSlottedPage(f *testing.F) {
 		var stamp byte
 		record := func(n byte) []byte {
 			stamp++
-			return bytes.Repeat([]byte{stamp}, int(n)%(pageSize/3))
+			return bytes.Repeat([]byte{stamp}, int(n)%85)
 		}
 		// pick returns the slot i-th in slot order among the live (or
 		// dead) ones, or false when there is none.

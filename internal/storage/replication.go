@@ -2,6 +2,7 @@ package storage
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 )
 
@@ -58,18 +59,20 @@ func RestoreDisk(img *DiskImage) *Disk {
 	return d
 }
 
-// AllocAt reserves the page of size bytes (0: a full page) with
-// exactly the given ID —
-// the replay of a primary's KPageAlloc on a follower, whose allocator
-// must end up assigning the same IDs the primary's did. Idempotent: an
-// already allocated page is left untouched. The allocator cursor
-// advances past id so organic allocations (which a replica never
-// performs, but a promoted one would) cannot collide.
+// AllocAt reserves the page of size bytes (0: a full page) with exactly
+// the given ID — the replay of a primary's KPageAlloc on a follower,
+// whose allocator must end up assigning the same IDs the primary's did.
+// Idempotent: an already allocated page is left untouched. The
+// allocator cursor advances past id so organic allocations (which a
+// replica never performs, but a promoted one would) cannot collide.
 func (d *Disk) AllocAt(id PageID, cat Category, size int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.crashed {
+	switch {
+	case d.crashed:
 		return ErrDiskCrashed
+	case size != 0 && size != d.pageSize && size != d.pageSize/2 && size != d.pageSize/4:
+		return fmt.Errorf("storage: page %d allocated at %d bytes, not a quarter, a half or all of %d", id, size, d.pageSize)
 	}
 	if uint64(id) > d.next {
 		d.next = uint64(id)

@@ -69,6 +69,19 @@ func TestDiskPacksSubPages(t *testing.T) {
 	census("refilled", 5, 4, 1, 2, 2)
 	d.Free(full)
 	census("full page freed", 4, 3, 1, 2, 1)
+
+	// A replayed allocation names its size; one that is no size class
+	// is refused before it reaches the extents.
+	for _, size := range []int{300, 128, 2048, -256} {
+		if err := d.AllocAt(100, CatData, size); err == nil {
+			t.Fatalf("AllocAt of a %d-byte page succeeded", size)
+		}
+	}
+	census("bad sizes refused", 4, 3, 1, 2, 1)
+	if err := d.AllocAt(100, CatData, 256); err != nil {
+		t.Fatal(err)
+	}
+	census("a replayed quarter", 5, 3, 2, 2, 1)
 }
 
 // TestPoolGrowKeepsBytes: a pinned page grows on disk and in its frame,
